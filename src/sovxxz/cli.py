@@ -31,7 +31,7 @@ from .lattice import (
     transfer_k,
     twist_matrix,
 )
-from .model import ModelParams
+from .model import ModelParams, sinh_prod
 from .sov import SovBasis, all_h, matrix_element, separate_state, xi_shifted
 from .spectrum import solve_spectrum
 
@@ -87,7 +87,7 @@ def _sov_action_residual(params: ModelParams, seed: int) -> float:
         t = monodromy_entries(params, lam)
         for h in all_h(n):
             nodes = xi_shifted(params, h)
-            dh = np.prod([cmath.sinh(lam - v) for v in nodes])
+            dh = sinh_prod(lam - v for v in nodes)
             ket = basis.ket(h)
             bra = basis.bra(h)
             scale = max(np.linalg.norm(t.b), np.linalg.norm(t.c), np.linalg.norm(t.d))
@@ -205,7 +205,8 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
                                 / max(np.linalg.norm(target), 1.0))
     checks["inverse_problem"] = _check(worst, cfg.tol("inverse_problem"))
 
-    bench = obs.identity_bench(params, seed=cfg.seed)
+    records = solve_spectrum(params, tolerances=cfg.tolerances)
+    bench = obs.identity_bench(params, seed=cfg.seed, records=records)
     for name, value in bench.items():
         tol = cfg.tol("extension_limit") if name.startswith("extension") \
             else cfg.tol("identity_bench")
@@ -225,12 +226,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
     records = solve_spectrum(params, kappa=cfg.kappa, seed=cfg.seed,
-                             tolerances={
-                                 "tq_residual": cfg.tol("tq_residual"),
-                                 "bethe_residual": cfg.tol("bethe_residual"),
-                                 "discrete_char": cfg.tol("discrete_char"),
-                                 "eigenstate_residual": cfg.tol("eigenstate_residual"),
-                             })
+                             tolerances=cfg.tolerances)
     vals = np.array([r.tau_at_xi[0] for r in records])
     neg = np.sort_complex(-vals)
     closure = float(np.max(np.abs(np.sort_complex(vals) - neg))
@@ -278,7 +274,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             f"observables sweep capped at n <= {MAX_N_OBSERVABLES} "
             f"(2^n x 2^n pairs); got n = {params.n}"
         )
-    records = solve_spectrum(params, kappa=cfg.kappa, seed=cfg.seed)
+    records = solve_spectrum(params, kappa=cfg.kappa, seed=cfg.seed,
+                             tolerances=cfg.tolerances)
     kappa, kappa2 = cfg.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
     bras = [separate_state(params, r.q_poly, kappa, 1, "bra") for r in records]

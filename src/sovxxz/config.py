@@ -4,7 +4,7 @@ generation of admissible inhomogeneities."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "cross_representation": 1e-7,
     "oracle_comparison": 1e-7,
     "orthogonality": 1e-8,
-    "product_identity": 1e-7,
-    "product_entrywise": 1e-8,
     "pm_equality": 1e-8,
     "inverse_problem": 1e-8,
     "identity_bench": 1e-9,
@@ -82,7 +80,6 @@ class RunConfig:
     tolerances: dict[str, float]
     seed: int
     out: str | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def params(self) -> ModelParams:
@@ -182,7 +179,7 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     cfg = RunConfig(n=n, eta=eta, xi=xi, kappa=kappa, kappa_prime=kappa_prime,
                     sites=sites, operators=operators,
                     representations=representations, tolerances=tolerances,
-                    seed=seed, out=out, raw=data)
+                    seed=seed, out=out)
     # raises ParameterError for inadmissible explicit xi
     ModelParams(n=n, eta=eta, xi=xi, kappa=kappa, kappa2=kappa_prime,
                 delta_min=min(min_sep, 0.05) if isinstance(xi_field, list) else 0.05)

@@ -19,8 +19,6 @@ from .model import ModelParams, TrigInterpolation
 
 MAX_SITES = 8
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)   # |up><down|
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |down><up|
@@ -89,26 +87,22 @@ def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
     n = params.n
     if n > MAX_SITES:
         raise DimensionError(f"chain length {n} exceeds dense cap {MAX_SITES}")
-    # blocks[i][j] acts on sites 1..m after m contraction steps
-    blocks = [[np.eye(1, dtype=np.complex128), np.zeros((1, 1), dtype=np.complex128)],
-              [np.zeros((1, 1), dtype=np.complex128), np.eye(1, dtype=np.complex128)]]
+    # t[i, k] acts on sites 1..m after m contraction steps
+    t = np.eye(2, dtype=np.complex128).reshape(2, 2, 1, 1)
     for m in range(1, n + 1):
         r = r_matrix(lam - params.xi[m - 1], params.eta)
-        rb = [[r[0:2, 0:2], r[0:2, 2:4]], [r[2:4, 0:2], r[2:4, 2:4]]]
-        # aux-space product (R . T); site m joins as the innermost tensor factor
-        new = [[None, None], [None, None]]
-        for i in range(2):
-            for k in range(2):
-                acc = np.kron(blocks[0][k], rb[i][0]) + np.kron(blocks[1][k], rb[i][1])
-                new[i][k] = acc
-        blocks = new
-    return MonodromyBlocks(a=blocks[0][0], b=blocks[0][1], c=blocks[1][0], d=blocks[1][1])
-
-
-def monodromy_full(params: ModelParams, lam: complex) -> np.ndarray:
-    """T_0(lam) as a 2 x 2 block matrix on (auxiliary) x (quantum)."""
-    t = monodromy_entries(params, lam)
-    return np.block([[t.a, t.b], [t.c, t.d]])
+        # rl[l, i, c, d] = r[2i + c, 2l + d]: auxiliary indices i, l, site indices c, d
+        rl = r.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3)
+        # aux-space product (R . T); site m joins as the innermost tensor factor:
+        # t'[i, k, (a, c), (b, d)] = sum_l t[l, k, a, b] rl[l, i, c, d].  Broadcast
+        # products round like np.kron; np.einsum rounds some entries differently.
+        new = t[0, None, :, :, None, :, None] * rl[0, :, None, None, :, None, :]
+        new += t[1, None, :, :, None, :, None] * rl[1, :, None, None, :, None, :]
+        dim = 2 * t.shape[2]
+        t = new.reshape(2, 2, dim, dim)
+    # separate copies, so that a caller keeping one block does not keep all four
+    return MonodromyBlocks(a=t[0, 0].copy(), b=t[0, 1].copy(), c=t[1, 0].copy(),
+                           d=t[1, 1].copy())
 
 
 def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) -> np.ndarray:
@@ -134,7 +128,6 @@ class OracleRecord:
 
     tau_at_xi: np.ndarray
     tau: TrigInterpolation
-    right_vector: np.ndarray
     interp_check: float
 
 
@@ -167,8 +160,7 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
         tau = TrigInterpolation(params.xi, tau_xi)
         rq = (v.conj() @ (probe_mat @ v)) / nv
         check = abs(tau(probe) - rq) / max(abs(rq), 1e-30)
-        records.append(OracleRecord(tau_at_xi=tau_xi, tau=tau,
-                                    right_vector=v, interp_check=float(check)))
+        records.append(OracleRecord(tau_at_xi=tau_xi, tau=tau, interp_check=float(check)))
     records.sort(key=lambda r: (r.tau_at_xi[0].real, r.tau_at_xi[0].imag))
     return records
 

@@ -53,6 +53,30 @@ def coth(z: complex) -> complex:
     return cmath.cosh(z) / s
 
 
+def sinh_prod(args) -> complex:
+    """prod_m sinh(z_m) over the arguments, multiplied in their order."""
+    out = 1.0 + 0.0j
+    for z in args:
+        out *= cmath.sinh(z)
+    return out
+
+
+def sinh_prod_deriv(args) -> complex:
+    """sum_m cosh(z_m) prod_{k != m} sinh(z_k), the derivative of sinh_prod when
+    every argument moves with unit speed; product rule, no division, so it
+    stays finite at the zeros of the product."""
+    zs = list(args)
+    s = [cmath.sinh(z) for z in zs]
+    out = 0.0 + 0.0j
+    for m, z in enumerate(zs):
+        term = cmath.cosh(z)
+        for k, v in enumerate(s):
+            if k != m:
+                term *= v
+        out += term
+    return out
+
+
 def eta_is_generic(eta: complex, tol: float = ETA_COMMENSURATE_TOL, max_den: int = 8) -> bool:
     """True if eta stays at least ``tol`` away from every i*pi*k/m with m <= max_den."""
     x, y = complex(eta).real, complex(eta).imag
@@ -110,53 +134,25 @@ class ModelParams:
         return float(best) if self.n > 1 else np.inf
 
     def a_fn(self, lam: complex) -> complex:
-        out = 1.0 + 0.0j
-        for x in self.xi:
-            out *= cmath.sinh(lam - x + self.eta)
-        return out
+        return sinh_prod(lam - x + self.eta for x in self.xi)
 
     def d_fn(self, lam: complex) -> complex:
-        out = 1.0 + 0.0j
-        for x in self.xi:
-            out *= cmath.sinh(lam - x)
-        return out
+        return sinh_prod(lam - x for x in self.xi)
 
     def a_log_deriv(self, lam: complex) -> complex:
         return sum(coth(lam - x + self.eta) for x in self.xi)
 
-    def d_log_deriv(self, lam: complex) -> complex:
-        return sum(coth(lam - x) for x in self.xi)
-
     def d_prime(self, lam: complex) -> complex:
-        """Derivative of d; safe at the zeros of d (product rule, no division)."""
-        out = 0.0 + 0.0j
-        for m, x in enumerate(self.xi):
-            term = cmath.cosh(lam - x)
-            for k, y in enumerate(self.xi):
-                if k != m:
-                    term *= cmath.sinh(lam - y)
-            out += term
-        return out
+        """Derivative of d; safe at the zeros of d."""
+        return sinh_prod_deriv(lam - x for x in self.xi)
 
     def a_prime(self, lam: complex) -> complex:
-        """Derivative of a; safe at the zeros of a (product rule, no division)."""
-        out = 0.0 + 0.0j
-        for m, x in enumerate(self.xi):
-            term = cmath.cosh(lam - x + self.eta)
-            for k, y in enumerate(self.xi):
-                if k != m:
-                    term *= cmath.sinh(lam - y + self.eta)
-            out += term
-        return out
+        """Derivative of a; safe at the zeros of a."""
+        return sinh_prod_deriv(lam - x + self.eta for x in self.xi)
 
     def forbidden_points(self) -> list[complex]:
         """Representatives (mod i*pi) of the excluded sets {xi_i, xi_i - eta}."""
         return [s for x in self.xi for s in (x, x - self.eta)]
-
-
-def eval_model_fns(params: ModelParams, lam: complex) -> tuple[complex, complex]:
-    """The model functions (a(lam), d(lam))."""
-    return params.a_fn(lam), params.d_fn(lam)
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,7 @@ class HalfPeriodTrigPoly:
         return len(self.roots)
 
     def __call__(self, lam: complex) -> complex:
-        out = 1.0 + 0.0j
-        for q in self.roots:
-            out *= cmath.sinh((lam - q) / 2)
-        return out
+        return sinh_prod((lam - q) / 2 for q in self.roots)
 
     def log_deriv(self, lam: complex) -> complex:
         return sum(0.5 * coth((lam - q) / 2) for q in self.roots)
@@ -192,23 +185,6 @@ class HalfPeriodTrigPoly:
     def shifted_ipi(self) -> "HalfPeriodTrigPoly":
         """The companion polynomial with every root shifted by i*pi (re-wrapped)."""
         return HalfPeriodTrigPoly.from_roots([q + IPI for q in self.roots])
-
-    def min_distance_to(self, points) -> float:
-        """Smallest distance mod 2*pi*i from any root to any of ``points``."""
-        if not self.roots:
-            return np.inf
-        return min(dist_mod_2ipi(q, p) for q in self.roots for p in points)
-
-
-def eval_half_poly(poly: HalfPeriodTrigPoly, lam: complex) -> complex:
-    return poly(lam)
-
-
-@dataclass(frozen=True)
-class RatioValues:
-    f_pq: complex      # (PQ)(u) / (PQ)(u - eta)
-    f_tilde: complex   # P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta))
-    a_frak: complex    # d(u) Q(u+eta) / (a(u) Q(u-eta))
 
 
 def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u: complex) -> complex:
@@ -228,19 +204,6 @@ def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     _require_nonzero(den_p, "P(u+i*pi)")
     _require_nonzero(den_q, "Q(u-eta)")
     return p_poly(u - params.eta + IPI) * q_poly(u) / (den_p * den_q)
-
-
-def eval_ratios(p_poly: HalfPeriodTrigPoly, q_poly: HalfPeriodTrigPoly,
-                params: ModelParams, u: complex) -> RatioValues:
-    """All three scalar ratio functions at the point u."""
-    pq_den = p_poly(u - params.eta) * q_poly(u - params.eta)
-    _require_nonzero(pq_den, "(PQ)(u-eta)")
-    f_pq = p_poly(u) * q_poly(u) / pq_den
-    return RatioValues(
-        f_pq=f_pq,
-        f_tilde=f_tilde(params, p_poly, q_poly, u),
-        a_frak=a_frak(params, q_poly, u),
-    )
 
 
 def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
@@ -335,32 +298,23 @@ class TrigInterpolation:
         self.values = np.asarray(values, dtype=np.complex128)
         if self.xi.shape != self.values.shape:
             raise ParameterError("interpolation nodes/values length mismatch")
-        self._den = np.array([
-            np.prod([np.sinh(self.xi[j] - self.xi[k])
-                     for k in range(len(self.xi)) if k != j]) if len(self.xi) > 1 else 1.0
-            for j in range(len(self.xi))
-        ], dtype=np.complex128)
+        self._den = np.array([sinh_prod(self._shifted_except(x, j))
+                              for j, x in enumerate(self.xi)], dtype=np.complex128)
+
+    def _shifted_except(self, lam: complex, j: int) -> list[complex]:
+        """lam - xi_k for every node k != j."""
+        return [lam - x for k, x in enumerate(self.xi) if k != j]
 
     def __call__(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
         for j in range(len(self.xi)):
-            num = np.prod([cmath.sinh(lam - self.xi[k])
-                           for k in range(len(self.xi)) if k != j]) if len(self.xi) > 1 else 1.0
+            num = sinh_prod(self._shifted_except(lam, j))
             out += self.values[j] * num / self._den[j]
         return complex(out)
 
     def deriv(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
-        n = len(self.xi)
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for m in range(n):
-                if m == j:
-                    continue
-                term = cmath.cosh(lam - self.xi[m])
-                for k in range(n):
-                    if k != j and k != m:
-                        term *= cmath.sinh(lam - self.xi[k])
-                acc += term
+        for j in range(len(self.xi)):
+            acc = sinh_prod_deriv(self._shifted_except(lam, j))
             out += self.values[j] * acc / self._den[j]
         return complex(out)

@@ -29,6 +29,7 @@ from .model import (
     coth,
     dist_mod_2ipi,
     f_tilde,
+    sinh_prod,
 )
 from .spectrum import EigenRecord, solve_spectrum
 
@@ -188,11 +189,7 @@ def _phat_over_sinh(p_roots, k: int, qj: complex) -> complex:
     ch = cmath.cosh((w - p_roots[k]) / 2)
     if abs(ch) < 1e-13:
         raise SingularEvaluationError("coincident roots p_k = q_j")
-    out = 1.0 + 0.0j
-    for l, p in enumerate(p_roots):
-        if l != k:
-            out *= cmath.sinh((w - p) / 2)
-    return out / (2 * ch)
+    return sinh_prod((w - p) / 2 for l, p in enumerate(p_roots) if l != k) / (2 * ch)
 
 
 def _s_gamma(u: complex, gamma: complex) -> complex:
@@ -276,10 +273,7 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     for i in range(n):
         for j in range(i + 1, n):
             num *= cmath.sinh((pr[i] - pr[j]) / 2) * cmath.sinh((qr[j] - qr[i]) / 2)
-    den = 1.0 + 0.0j
-    for i in range(n):
-        for j in range(n):
-            den *= cmath.sinh((pr[i] - qr[j] - params.eta) / 2)
+    den = sinh_prod((pr[i] - qr[j] - params.eta) / 2 for i in range(n) for j in range(n))
     return num / den
 
 
@@ -456,11 +450,8 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
     mat = np.eye(n, dtype=np.complex128)
     for k in range(n):
         ratio = params.d_fn(qr[k]) / params.a_fn(qr[k])
-        prod = 1.0 + 0.0j
-        for l in range(n):
-            prod *= cmath.sinh(qr[k] - qr[l] + params.eta)
-            if l != k:
-                prod /= cmath.sinh(qr[k] - qr[l])
+        prod = sinh_prod(qr[k] - ql + params.eta for ql in qr) \
+            / sinh_prod(qr[k] - ql for l, ql in enumerate(qr) if l != k)
         for j in range(n):
             mat[j, k] -= ratio * prod * alpha / cmath.sinh(qr[k] - qr[j] + params.eta)
     compact_form = det_lu(mat)
@@ -573,15 +564,13 @@ def ff_sigma_pm(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
         z = list(q_poly.roots) if z is None else [complex(v) for v in z]
         xs = params.xi[site - 1]
         mat = tau_matrix(params, rec_p, rec_q, cmath.exp(-params.eta), z)
-        sinh_prod = 1.0 + 0.0j
-        for pl in p_poly.roots:
-            sinh_prod *= cmath.sinh(xs - pl)
+        p_xs = sinh_prod(xs - pl for pl in p_poly.roots)
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
         tq_xs = rec_q.tau(xs)
         for i in range(params.n):
             for k, pk in enumerate(p_poly.roots):
                 rank1[i, k] = cmath.exp(pk) * params.a_fn(xs) * tq_xs \
-                    / (sinh_prod * cmath.sinh(z[i] - xs))
+                    / (p_xs * cmath.sinh(z[i] - xs))
         pref = eps * kappa * cmath.exp(-sum(p_poly.roots)) \
             * _tau_prefactor(params, rec_q, p_poly.roots, z) * cmath.exp(sum(params.xi))
         return pref * pq_ratio * (det_lu(mat + rank1) - det_lu(mat))
@@ -656,10 +645,7 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     xmat = np.zeros((n, n), dtype=np.complex128)
     mmat = np.zeros((n, n), dtype=np.complex128)
     for b, xb in enumerate(params.xi):
-        den = 1.0 + 0.0j
-        for l, xl in enumerate(params.xi):
-            if l != b:
-                den *= cmath.sinh(xb - xl)
+        den = sinh_prod(xb - xl for l, xl in enumerate(params.xi) if l != b)
         ftb = f_tilde(params, p_poly, q_poly, xb)
         for a in range(n):
             xmat[a, b] = (q_poly(xb - eta) * p_poly(xb + IPI)
@@ -821,16 +807,14 @@ def matel_d(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
     big = np.zeros((n + 1, n + 1), dtype=np.complex128)
     big[:n, :n] = smat
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
-    sinh_prod = 1.0 + 0.0j
-    for pl in p_poly.roots:
-        sinh_prod *= cmath.sinh(mu - pl)
+    p_mu = sinh_prod(mu - pl for pl in p_poly.roots)
     col_scale = cmath.exp(-mu) * params.a_fn(mu) \
-        * q_poly(mu - eta) * p_poly(mu + IPI) / sinh_prod
+        * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
     big[:n, n] = col_scale * col
     for k, pk in enumerate(p_poly.roots):
         big[n, k] = cmath.exp(pk) * params.d_fn(pk) \
             / (q_poly(pk - eta) * p_poly(pk + IPI))
-    big[n, n] = params.a_fn(mu) * params.d_fn(mu) / sinh_prod
+    big[n, n] = params.a_fn(mu) * params.d_fn(mu) / p_mu
     den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
     return pref * det_lu(big) / den

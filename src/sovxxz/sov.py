@@ -47,8 +47,11 @@ class SovBasis:
     def __init__(self, params: ModelParams):
         self.params = params
         n = params.n
-        self._b_at_xi = [monodromy_entries(params, x).b for x in params.xi]
-        self._c_at_xi = [monodromy_entries(params, x).c for x in params.xi]
+        self._b_at_xi, self._c_at_xi = [], []
+        for x in params.xi:
+            t = monodromy_entries(params, x)
+            self._b_at_xi.append(t.b)
+            self._c_at_xi.append(t.c)
         self._a_vals = [params.a_fn(x) for x in params.xi]
         self._d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
         self.v_xi = vandermonde(params.xi)
@@ -80,16 +83,6 @@ class SovBasis:
         return 1.0 / vandermonde(xi_shifted(self.params, h))
 
 
-def sov_vector(params: ModelParams, h, side: str) -> np.ndarray:
-    """Single SoV basis vector; ``side`` is "ket" or "bra"."""
-    basis = _cached_basis(params)
-    if side == "ket":
-        return basis.ket(tuple(h))
-    if side == "bra":
-        return basis.bra(tuple(h))
-    raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
-
-
 @lru_cache(maxsize=8)
 def _cached_basis(params: ModelParams) -> SovBasis:
     return SovBasis(params)
@@ -113,8 +106,7 @@ class SovState:
 
 
 def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex,
-                   eps: int, side: str, normalized: bool = True,
-                   basis: SovBasis | None = None) -> SovState:
+                   eps: int, side: str, normalized: bool = True) -> SovState:
     """Build a separate state labelled by ``poly`` with twist/sign (kappa, eps).
 
     Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
@@ -124,7 +116,7 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
     n = params.n
-    basis = basis if basis is not None else _cached_basis(params)
+    basis = _cached_basis(params)
     v_xi = basis.v_xi
     if normalized:
         for m in range(n):
@@ -170,14 +162,13 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
 
 
 def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
-                           kappa: complex, eps: int,
-                           basis: SovBasis | None = None) -> SovState:
+                           kappa: complex, eps: int) -> SovState:
     """Unnormalized ket in the equivalent form that trades the Vandermonde flip
     for explicit a/d ratios: coefficients
     prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
     n = params.n
-    basis = basis if basis is not None else _cached_basis(params)
+    basis = _cached_basis(params)
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     AmbiguousNullspaceError,
     CertificationError,
@@ -35,6 +36,7 @@ from .model import (
     dist_mod_ipi,
     q_structure_residuals,
     residual_grid,
+    sinh_prod,
 )
 from .sov import separate_state
 
@@ -48,7 +50,6 @@ class EigenRecord:
     q_poly: HalfPeriodTrigPoly
     qhat_poly: HalfPeriodTrigPoly
     eps: int = 1
-    right_vector: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     wronskian_sign: int = 0
     sum_rule_k: int = 0
@@ -134,55 +135,34 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     eta = params.eta
     f = np.zeros(n, dtype=np.complex128)
     jac = np.zeros((n, n), dtype=np.complex128)
-
-    def prod_vals(lam):
-        return np.array([cmath.sinh((lam - q) / 2) for q in roots])
-
     for j in range(n):
         lam = roots[j]
-        sm = prod_vals(lam - eta)
-        sp = prod_vals(lam + eta)
-        qm = np.prod(sm)
-        qp = np.prod(sp)
+        zm = [(lam - eta - q) / 2 for q in roots]
+        zp = [(lam + eta - q) / 2 for q in roots]
+        qm = sinh_prod(zm)
+        qp = sinh_prod(zp)
+        # dQ(lam -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
+        dqm = [-0.5 * cmath.cosh(z) * sinh_prod(zm[:m] + zm[m + 1:]) for m, z in enumerate(zm)]
+        dqp = [-0.5 * cmath.cosh(z) * sinh_prod(zp[:m] + zp[m + 1:]) for m, z in enumerate(zp)]
         av = params.a_fn(lam)
         dv = params.d_fn(lam)
         f[j] = av * qm - dv * qp
-        ap = params.a_prime(lam)
-        dp = params.d_prime(lam)
         for m in range(n):
-            dqm = 0.0 + 0.0j
-            dqp = 0.0 + 0.0j
-            if m != j:
-                dqm = -0.5 * cmath.cosh((lam - eta - roots[m]) / 2) * _prod_except(sm, m)
-                dqp = -0.5 * cmath.cosh((lam + eta - roots[m]) / 2) * _prod_except(sp, m)
-                jac[j, m] = av * dqm - dv * dqp
-            else:
-                dqm_lam = sum(
-                    0.5 * cmath.cosh((lam - eta - roots[l]) / 2) * _prod_except(sm, l)
-                    for l in range(n) if l != j
-                )
-                dqp_lam = sum(
-                    0.5 * cmath.cosh((lam + eta - roots[l]) / 2) * _prod_except(sp, l)
-                    for l in range(n) if l != j
-                )
-                jac[j, j] = ap * qm + av * dqm_lam - dp * qp - dv * dqp_lam
+            jac[j, m] = av * dqm[m] - dv * dqp[m]
+        # on the diagonal lam = q_j also moves the arguments of every factor l != j
+        dqm_lam = sum(-dqm[l] for l in range(n) if l != j)
+        dqp_lam = sum(-dqp[l] for l in range(n) if l != j)
+        jac[j, j] = params.a_prime(lam) * qm + av * dqm_lam \
+            - params.d_prime(lam) * qp - dv * dqp_lam
     return f, jac
-
-
-def _prod_except(values: np.ndarray, skip: int) -> complex:
-    out = 1.0 + 0.0j
-    for i, v in enumerate(values):
-        if i != skip:
-            out *= v
-    return out
 
 
 def _bethe_scale(params: ModelParams, roots: np.ndarray) -> float:
     eta = params.eta
     scale = 0.0
     for lam in roots:
-        qm = np.prod([cmath.sinh((lam - eta - q) / 2) for q in roots])
-        qp = np.prod([cmath.sinh((lam + eta - q) / 2) for q in roots])
+        qm = sinh_prod((lam - eta - q) / 2 for q in roots)
+        qp = sinh_prod((lam + eta - q) / 2 for q in roots)
         scale = max(scale, abs(params.a_fn(lam) * qm) + abs(params.d_fn(lam) * qp))
     return max(scale, 1e-30)
 
@@ -278,16 +258,10 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
             tolerances: dict | None = None) -> EigenRecord:
     """Run every certification check and stamp the record.
 
+    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
     Raises CertificationError listing each failed check.
     """
-    tol = {
-        "tq_residual": 1e-7,
-        "bethe_residual": 1e-9,
-        "discrete_char": 1e-8,
-        "eigenstate_residual": 1e-8,
-    }
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     q = record.q_poly
     side_ok = all(
         max(abs(q(x)), abs(q(x + IPI))) > 1e-10 for x in params.xi
@@ -329,7 +303,6 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
             tau=item.tau,
             q_poly=q,
             qhat_poly=report.qhat,
-            right_vector=item.right_vector,
             residuals={
                 "interp_check": item.interp_check,
                 "wronskian": report.wronskian_residual,

@@ -48,6 +48,15 @@ class TestConfig:
             load_config(None, tol_overrides={"nope": 1e-3})
 
 
+class TestSpectrumTolerances:
+    @pytest.mark.parametrize("command", ["spectrum", "observables", "validate"])
+    def test_certification_tolerance_applies_in_every_command(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                    "--tol", "bethe_residual=1e-30"]) == 2
+
+
 class TestValidateCommand:
     def test_default_passes(self, tmp_path):
         out = tmp_path / "v.json"

@@ -97,6 +97,25 @@ class TestMonodromy:
         rhs = big_m @ big_l @ r00
         assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(lhs)
 
+    def test_blocks_equal_kron_recursion(self):
+        # reference: the site recursion with explicit np.kron products; the
+        # block-array contraction must keep every bit, since reports print them
+        g = rng(26)
+        for n in range(1, 7):
+            params = make_params(n)
+            lam = complex(g.uniform(-1, 1), g.uniform(-1, 1))
+            one, zero = np.eye(1, dtype=complex), np.zeros((1, 1), dtype=complex)
+            blocks = [[one, zero], [zero, one]]
+            for x in params.xi:
+                r = r_matrix(lam - x, params.eta)
+                rb = [[r[0:2, 0:2], r[0:2, 2:4]], [r[2:4, 0:2], r[2:4, 2:4]]]
+                blocks = [[np.kron(blocks[0][k], rb[i][0]) + np.kron(blocks[1][k], rb[i][1])
+                           for k in range(2)] for i in range(2)]
+            t = monodromy_entries(params, lam)
+            for got, want in zip((t.a, t.b, t.c, t.d),
+                                 (blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])):
+                assert np.array_equal(got, want)
+
     def test_size_cap(self):
         params = make_params(9)
         with pytest.raises(DimensionError):

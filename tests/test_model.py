@@ -9,10 +9,10 @@ from sovxxz.model import (
     ModelParams,
     TrigInterpolation,
     a_frak,
-    eval_half_poly,
-    eval_model_fns,
-    eval_ratios,
+    f_tilde,
     q_structure_residuals,
+    sinh_prod,
+    sinh_prod_deriv,
     wrap_to_strip,
 )
 
@@ -20,7 +20,7 @@ from sovxxz.model import (
 class TestHalfPeriodTrigPoly:
     def test_vanishes_at_root(self):
         poly = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, -0.5 - 0.1j])
-        assert abs(eval_half_poly(poly, 0.3 + 0.2j)) < 1e-15
+        assert abs(poly(0.3 + 0.2j)) < 1e-15
 
     def test_vanishes_at_root_plus_2pi_i(self):
         poly = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, -0.5 - 0.1j])
@@ -45,6 +45,29 @@ class TestHalfPeriodTrigPoly:
         assert abs(poly.log_deriv(lam) - fd) < 1e-6
 
 
+class TestSinhProd:
+    def test_matches_numpy_product(self):
+        g = rng(11)
+        for size in range(5):
+            zs = [complex(g.uniform(-2, 2), g.uniform(-2, 2)) for _ in range(size)]
+            assert rel_dev(sinh_prod(zs), np.prod(np.sinh(np.array(zs, dtype=complex)))) < 1e-14
+
+    def test_deriv_matches_central_difference(self):
+        g = rng(12)
+        zs = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(4)]
+        lam, h = 0.2 - 0.3j, 1e-6
+        fd = (sinh_prod(lam + h + z for z in zs) - sinh_prod(lam - h + z for z in zs)) / (2 * h)
+        assert rel_dev(sinh_prod_deriv(lam + z for z in zs), fd) < 1e-8
+
+    def test_deriv_finite_at_a_zero_of_one_factor(self):
+        # at z_0 = 0 the log-derivative sum of coth(z_m) divides by sinh(0);
+        # the product rule leaves cosh(0) prod_{m > 0} sinh(z_m)
+        zs = [0.0j, 0.4 + 0.1j, -0.7 + 0.5j]
+        want = np.sinh(zs[1]) * np.sinh(zs[2])
+        assert sinh_prod(zs) == 0
+        assert rel_dev(sinh_prod_deriv(zs), want) < 1e-15
+
+
 class TestModelParams:
     def test_commensurate_eta_rejected(self):
         with pytest.raises(ParameterError):
@@ -64,15 +87,13 @@ class TestModelParams:
             make_params(2, kappa=0.0)
 
     def test_model_fn_zeros(self, params3):
-        a, d = eval_model_fns(params3, params3.xi[0])
-        assert abs(d) < 1e-15
-        a2, _ = eval_model_fns(params3, params3.xi[0] - params3.eta)
-        assert abs(a2) < 1e-15
+        assert abs(params3.d_fn(params3.xi[0])) < 1e-15
+        assert abs(params3.a_fn(params3.xi[0] - params3.eta)) < 1e-15
 
     def test_d_equals_shifted_a(self, params3):
         lam = 0.37 + 0.21j
-        a, _ = eval_model_fns(params3, lam - params3.eta)
-        _, d = eval_model_fns(params3, lam)
+        a = params3.a_fn(lam - params3.eta)
+        d = params3.d_fn(lam)
         assert rel_dev(a, d) < 1e-14
 
     def test_prime_matches_finite_difference(self, params3):
@@ -91,31 +112,29 @@ class TestRatios:
         q = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         u = 0.9 - 0.55j
-        r = eval_ratios(p, q, params3, u)
         eta = params3.eta
-        f_pq = p(u) * q(u) / (p(u - eta) * q(u - eta))
         f_t = p(u - eta + IPI) * q(u) / (p(u + IPI) * q(u - eta))
         af = params3.d_fn(u) * q(u + eta) / (params3.a_fn(u) * q(u - eta))
-        assert rel_dev(r.f_pq, f_pq) < 1e-12
-        assert rel_dev(r.f_tilde, f_t) < 1e-12
-        assert rel_dev(r.a_frak, af) < 1e-12
+        assert rel_dev(f_tilde(params3, p, q, u), f_t) < 1e-12
+        assert rel_dev(a_frak(params3, q, u), af) < 1e-12
 
     def test_f_tilde_vanishes_at_q_root(self, params3, records3):
         q = records3[0].q_poly
         p = records3[1].q_poly
-        r = eval_ratios(p, q, params3, q.roots[0])
-        assert abs(r.f_tilde) < 1e-12
+        assert abs(f_tilde(params3, p, q, q.roots[0])) < 1e-12
 
     def test_f_tilde_equal_functions_is_minus_one_at_nodes(self, params3, records3):
         q = records3[2].q_poly
         for x in params3.xi:
-            r = eval_ratios(q, q, params3, x)
-            assert abs(r.f_tilde + 1.0) < 1e-10
+            assert abs(f_tilde(params3, q, q, x) + 1.0) < 1e-10
 
     def test_singular_denominator_raises(self, params3):
         q = HalfPeriodTrigPoly.from_roots([0.2, -0.3, 0.5])
+        u = q.roots[0] + params3.eta
         with pytest.raises(SingularEvaluationError):
-            eval_ratios(q, q, params3, q.roots[0] + params3.eta)
+            f_tilde(params3, q, q, u)
+        with pytest.raises(SingularEvaluationError):
+            a_frak(params3, q, u)
 
     def test_bethe_ratio_is_one_on_certified_roots(self, params3, records3):
         for rec in records3:

@@ -15,14 +15,13 @@ from sovxxz.sov import (
     overlap,
     separate_ket_qdet_form,
     separate_state,
-    sov_vector,
     xi_shifted,
 )
 
 
 class TestSovBasis:
     def test_h_zero_is_reference(self, params3):
-        assert np.allclose(sov_vector(params3, (0, 0, 0), "ket"), reference_state(3))
+        assert np.allclose(SovBasis(params3).ket((0, 0, 0)), reference_state(3))
 
     def test_d_operator_diagonal(self, params3):
         g = rng(31)
