@@ -3,7 +3,10 @@
 Each command reads a JSON config (or uses built-in defaults), runs its
 pipeline and writes a JSON report in which every complex number appears as a
 two-element [re, im] array.  Exit status is 0 exactly when every enabled
-check passed.  Reports are byte-identical across runs with the same seed.
+check passed.  Reports are byte-identical across runs with the same seed on
+the same machine; across machines the last bits may differ, because numpy's
+SIMD complex multiply rounds differently from Python's scalar one on some
+CPUs (AVX-512, for one).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .lattice import (
     twist_matrix,
 )
 from .model import ModelParams, sinh_prod
-from .sov import SovBasis, all_h, matrix_element, separate_state, xi_shifted
+from .sov import _cached_basis, all_h, matrix_element, separate_state, xi_shifted
 from .spectrum import solve_spectrum
 
 
@@ -80,7 +83,7 @@ def _rel(a: complex, b: complex, scale: float = 0.0) -> float:
 def _sov_action_residual(params: ModelParams, seed: int) -> float:
     """Worst residual of the six ladder/diagonal action formulas on the basis."""
     rng = np.random.default_rng(seed)
-    basis = SovBasis(params)
+    basis = _cached_basis(params)
     n = params.n
     worst = 0.0
     for lam in (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)):
@@ -170,9 +173,9 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     checks["rtt"] = _check(rtt, tol_lat)
 
     qdet = params.a_fn(lam) * params.d_fn(lam - params.eta)
-    tm = monodromy_entries(params, lam)
     tm_shift = monodromy_entries(params, lam - params.eta)
-    resid = np.linalg.norm(tm.a @ tm_shift.d - tm.b @ tm_shift.c - qdet * np.eye(dim)) \
+    resid = np.linalg.norm(blocks.a @ tm_shift.d - blocks.b @ tm_shift.c
+                           - qdet * np.eye(dim)) \
         / max(abs(qdet) * np.sqrt(dim), 1.0)
     checks["quantum_determinant"] = _check(resid, tol_lat)
 
@@ -182,7 +185,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
         np.linalg.norm(tk_lam @ tk_mu - tk_mu @ tk_lam)
         / max(np.linalg.norm(tk_lam @ tk_mu), 1.0), tol_lat)
 
-    basis = SovBasis(params)
+    basis = _cached_basis(params)
     worst = 0.0
     for h in all_h(params.n):
         for k in all_h(params.n):
@@ -283,10 +286,14 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     kets_same = kets if kappa2 == kappa else [
         separate_state(params, r.q_poly, kappa, 1, "ket") for r in records]
 
+    pairs = {(ip, iq): obs.PairContext.of_records(params, rp, rq)
+             for ip, rp in enumerate(records) for iq, rq in enumerate(records)}
+
     sp_section = {}
     worst_sp = 0.0
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
+            pair = pairs[ip, iq]
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             values: dict[str, complex] = {}
@@ -295,9 +302,10 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             if "izergin" in cfg.representations:
                 values["izergin"] = obs.sp_izergin(params, rp.q_poly, rq.q_poly, alpha)
             if "slavnov" in cfg.representations:
-                values["slavnov"] = obs.sp_slavnov(params, rp.q_poly, rq.q_poly, alpha)
+                values["slavnov"] = obs.sp_slavnov(params, rp.q_poly, rq.q_poly, alpha,
+                                                   pair=pair)
             if "tau_izergin" in cfg.representations or "tau_slavnov" in cfg.representations:
-                ize, slav = obs.sp_tau(params, rp, rq, kappa, kappa2)
+                ize, slav = obs.sp_tau(params, rp, rq, kappa, kappa2, pair=pair)
                 if "tau_izergin" in cfg.representations:
                     values["tau_izergin"] = ize
                 if "tau_slavnov" in cfg.representations:
@@ -328,27 +336,31 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     worst_ff = 0.0
     worst_pm_eq = 0.0
     ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
+    local_ops = {(op, site): local_op(ops[op], site, params.n)
+                 for site in cfg.sites for op in cfg.operators}
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
+            pair = pairs.pop((ip, iq))  # last use: release it, keeping peak memory flat
             scale = bras[ip].norm2() * kets_same[iq].norm2()
             for site in cfg.sites:
                 brute = {
-                    op: matrix_element(bras[ip], local_op(ops[op], site, params.n),
-                                       kets_same[iq])
+                    op: matrix_element(bras[ip], local_ops[op, site], kets_same[iq])
                     for op in cfg.operators
                 }
                 entry: dict = {}
                 if "z" in cfg.operators:
-                    roots_v = obs.ff_sigma_z(params, rp, rq, site, "roots")
-                    tau_v = obs.ff_sigma_z(params, rp, rq, site, "tau")
+                    roots_v = obs.ff_sigma_z(params, rp, rq, site, "roots", pair=pair)
+                    tau_v = obs.ff_sigma_z(params, rp, rq, site, "tau", pair=pair)
                     dev = max(_rel(roots_v, brute["z"], scale),
                               _rel(tau_v, brute["z"], scale))
                     worst_ff = max(worst_ff, dev)
                     entry["z"] = {"roots_form": roots_v, "tau_form": tau_v,
                                   "brute": brute["z"], "deviation": dev}
                 if "+" in cfg.operators or "-" in cfg.operators:
-                    roots_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "roots")
-                    tau_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "tau")
+                    roots_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "roots",
+                                              pair=pair)
+                    tau_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "tau",
+                                            pair=pair)
                     if "-" in cfg.operators:
                         dev = max(_rel(roots_v, brute["-"], scale),
                                   _rel(tau_v, brute["-"], scale))

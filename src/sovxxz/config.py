@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import ModelParams
+from .model import DELTA_MIN_DEFAULT, ModelParams
 
 MAX_N_HARD = 8
 MAX_N_OBSERVABLES = 5
@@ -67,7 +67,10 @@ def _as_complex(value, name: str) -> complex:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; ``params`` is the derived ModelParams."""
+    """Validated run configuration; ``params`` is the derived ModelParams.
+
+    ``delta_min`` is the config's xi separation, capped at the model default.
+    """
 
     n: int
     eta: complex
@@ -80,11 +83,13 @@ class RunConfig:
     tolerances: dict[str, float]
     seed: int
     out: str | None = None
+    delta_min: float = DELTA_MIN_DEFAULT
 
     @property
     def params(self) -> ModelParams:
         return ModelParams(n=self.n, eta=self.eta, xi=self.xi,
-                           kappa=self.kappa, kappa2=self.kappa_prime)
+                           kappa=self.kappa, kappa2=self.kappa_prime,
+                           delta_min=self.delta_min)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -138,14 +143,13 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     xi_field = data["xi"]
     if isinstance(xi_field, dict):
         xi_seed = int(xi_field.get("seed", seed)) if seed_override is None else seed
-        xi = generate_xi(n, eta, xi_seed, xi_field.get("box", {}),
-                         float(xi_field.get("min_separation", 0.1)))
         min_sep = float(xi_field.get("min_separation", 0.1))
+        xi = generate_xi(n, eta, xi_seed, xi_field.get("box", {}), min_sep)
     elif isinstance(xi_field, list):
         if len(xi_field) != n:
             raise ParameterError(f"explicit xi list must have {n} entries")
         xi = tuple(_as_complex(v, f"xi[{i}]") for i, v in enumerate(xi_field))
-        min_sep = 0.05
+        min_sep = DELTA_MIN_DEFAULT
     else:
         raise ParameterError("field 'xi' must be a list or a generator object")
 
@@ -179,8 +183,6 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     cfg = RunConfig(n=n, eta=eta, xi=xi, kappa=kappa, kappa_prime=kappa_prime,
                     sites=sites, operators=operators,
                     representations=representations, tolerances=tolerances,
-                    seed=seed, out=out)
-    # raises ParameterError for inadmissible explicit xi
-    ModelParams(n=n, eta=eta, xi=xi, kappa=kappa, kappa2=kappa_prime,
-                delta_min=min(min_sep, 0.05) if isinstance(xi_field, list) else 0.05)
+                    seed=seed, out=out, delta_min=min(min_sep, DELTA_MIN_DEFAULT))
+    cfg.params  # raises ParameterError for inadmissible explicit xi
     return cfg

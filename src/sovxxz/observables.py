@@ -16,6 +16,7 @@ product forms, so every representation stays finite on all eigen pairs.
 from __future__ import annotations
 
 import cmath
+from functools import cached_property
 
 import numpy as np
 
@@ -219,6 +220,12 @@ def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     afrak_p = [a_frak(params, q_poly, p) for p in pr]
     mat = np.zeros((n, n), dtype=np.complex128)
     eta = params.eta
+    # factors of the cross term that depend on one root only
+    d_p = [params.d_fn(p) for p in pr]
+    q_p_eta = [q_poly(p - eta) for p in pr]
+    p_p_ipi = [p_poly(p + IPI) for p in pr]
+    a_q = [params.a_fn(q) for q in qr]
+    q_q_eta = [q_poly(q + eta) for q in qr]
     for j in range(n):
         qj = qr[j]
         for k in range(n):
@@ -243,9 +250,8 @@ def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
                 else _s_gamma(pk - qj - eta, gamma)
             mid = alpha * afrak_p[k] * (coth((pk - qj) / 2) if gamma is None
                                         else _s_gamma(pk - qj, gamma))
-            cross = -2 * alpha * (params.d_fn(pk) * q_poly(qj + eta)
-                                  / (params.a_fn(qj) * q_poly(pk - eta)
-                                     * p_poly(pk + IPI))) \
+            cross = -2 * alpha * (d_p[k] * q_q_eta[j]
+                                  / (a_q[j] * q_p_eta[k] * p_p_ipi[k])) \
                 * _phat_over_sinh(pr, k, qj)
             mat[j, k] = base + mid + cross
     return mat
@@ -277,22 +283,148 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return num / den
 
 
+class PairContext:
+    """The site-independent pieces of one (P, Q) pair's determinant formulas.
+
+    A form factor is the pair's scalar-product determinant plus a rank-one
+    term that depends on the site; everything else (the Slavnov and
+    eigenvalue-labelled matrices, the Cauchy determinant, the tau prefactor,
+    tau at the nodes and the site-independent column factors of the rank-one
+    terms) is built here on first use and kept, so one context serves every
+    site, operator and representation of its pair.  Building lazily keeps
+    each error in the call that raised it before.  The cached values enter
+    the same scalar expressions as a fresh evaluation, so results agree to
+    the bit.
+
+    ``rec_p``/``rec_q`` are needed only by the eigenvalue-labelled forms;
+    ``z`` (default: the Q-roots) labels the rows of those forms.
+    """
+
+    def __init__(self, params: ModelParams, p_poly: HalfPeriodTrigPoly,
+                 q_poly: HalfPeriodTrigPoly, rec_p: EigenRecord | None = None,
+                 rec_q: EigenRecord | None = None, z=None):
+        self.params = params
+        self.p_poly, self.q_poly = p_poly, q_poly
+        self.rec_p, self.rec_q = rec_p, rec_q
+        self.z = list(q_poly.roots) if z is None else [complex(v) for v in z]
+        self._built: dict = {}
+
+    @classmethod
+    def of_records(cls, params: ModelParams, rec_p: EigenRecord,
+                   rec_q: EigenRecord, z=None) -> "PairContext":
+        return cls(params, rec_p.q_poly, rec_q.q_poly, rec_p, rec_q, z)
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    # repr keys tell 1.0 from (1+0j) and 0.0 from -0.0, which round differently
+    def slavnov(self, alpha: complex, gamma: complex | None = None) -> np.ndarray:
+        return self._once(("slavnov", repr(alpha), repr(gamma)), lambda: slavnov_matrix(
+            self.params, self.p_poly, self.q_poly, alpha, gamma))
+
+    def slavnov_det(self, alpha: complex, gamma: complex | None = None) -> complex:
+        return self._once(("slavnov_det", repr(alpha), repr(gamma)),
+                          lambda: det_lu(self.slavnov(alpha, gamma)))
+
+    def cauchy_det(self, gamma: complex | None = None) -> complex:
+        return self._once(("cauchy_det", repr(gamma)), lambda: det_lu(
+            coth_cauchy_matrix(self.params, self.p_poly, self.q_poly, gamma)))
+
+    def tau(self, alpha: complex) -> np.ndarray:
+        return self._once(("tau", repr(alpha)), lambda: tau_matrix(*self.tau_dq, alpha))
+
+    def tau_det(self, alpha: complex) -> complex:
+        return self._once(("tau_det", repr(alpha)), lambda: det_lu(self.tau(alpha)))
+
+    def _records(self) -> tuple[EigenRecord, EigenRecord]:
+        if self.rec_p is None or self.rec_q is None:
+            raise ParameterError("eigenvalue-labelled forms need both eigen records")
+        return self.rec_p, self.rec_q
+
+    @cached_property
+    def tau_xi(self) -> tuple[list[complex], list[complex]]:
+        """(tau_P(xi_k), tau_Q(xi_k)) at every node."""
+        rec_p, rec_q = self._records()
+        return ([rec_p.tau(x) for x in self.params.xi],
+                [rec_q.tau(x) for x in self.params.xi])
+
+    @cached_property
+    def tau_dq(self) -> tuple[list[list[complex]], list[list[complex]]]:
+        """The alpha-free halves of tau_matrix: [tau_hat_Q(z_i) - tau_hat_Q(p_k)]
+        and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)], each over sinh(z_i - w_k)."""
+        rec_p, rec_q = self._records()
+        pr = self.p_poly.roots
+        return (_tau_dq_matrix(self.params, rec_q, self.z, pr),
+                _tau_dq_matrix(self.params, rec_p, self.z,
+                               [p + self.params.eta for p in pr]))
+
+    @cached_property
+    def tau_prefactor(self) -> complex:
+        return _tau_prefactor(self.params, self.tau_xi[1], self.p_poly.roots, self.z)
+
+    # site-independent column factors of the rank-one terms, one per P-root
+    @cached_property
+    def d_at_p(self) -> list[complex]:
+        return [self.params.d_fn(p) for p in self.p_poly.roots]
+
+    @cached_property
+    def exp_at_p(self) -> list[complex]:
+        return [cmath.exp(p) for p in self.p_poly.roots]
+
+    @cached_property
+    def p_at_p_eta(self) -> list[complex]:
+        return [self.p_poly(p - self.params.eta) for p in self.p_poly.roots]
+
+    @cached_property
+    def q_at_p_eta(self) -> list[complex]:
+        return [self.q_poly(p - self.params.eta) for p in self.p_poly.roots]
+
+    @cached_property
+    def p_at_p_ipi(self) -> list[complex]:
+        return [self.p_poly(p + IPI) for p in self.p_poly.roots]
+
+    @cached_property
+    def sigma_z_col(self) -> np.ndarray:
+        return np.array([pe / qe for pe, qe in zip(self.p_at_p_eta, self.q_at_p_eta)],
+                        dtype=np.complex128)
+
+    @cached_property
+    def sigma_minus_col_den(self) -> list[complex]:
+        return [(-2j) ** self.params.n * qe * pp
+                for qe, pp in zip(self.q_at_p_eta, self.p_at_p_ipi)]
+
+
+def _pair(params: ModelParams, p_poly: HalfPeriodTrigPoly, q_poly: HalfPeriodTrigPoly,
+          pair: PairContext | None, rec_p: EigenRecord | None = None,
+          rec_q: EigenRecord | None = None, z=None) -> PairContext:
+    """``pair`` once it is checked to belong to these arguments, else a new context."""
+    if pair is None:
+        return PairContext(params, p_poly, q_poly, rec_p, rec_q, z)
+    if pair.p_poly is not p_poly or pair.q_poly is not q_poly or z is not None:
+        raise ParameterError("the pair context was built for other polynomials or z")
+    return pair
+
+
 def sp_slavnov(params: ModelParams, p_poly: HalfPeriodTrigPoly,
                q_poly: HalfPeriodTrigPoly, alpha: complex,
-               gamma: complex | None = None, cond_tol: float = 1e-7) -> complex:
+               gamma: complex | None = None, cond_tol: float = 1e-7,
+               pair: PairContext | None = None) -> complex:
     """Scalar product as the root-labelled determinant ratio.
 
     Only valid when the i*pi compatibility condition on (PQ) holds at the
     inhomogeneities; the residual is checked up front.
     """
+    pair = _pair(params, p_poly, q_poly, pair)
     res = cond_pq_residual(params, p_poly, q_poly)
     if res > cond_tol:
         raise ParameterError(
             f"compatibility condition violated (residual {res:.3e}); "
             "the root-labelled representation does not apply"
         )
-    num = det_lu(slavnov_matrix(params, p_poly, q_poly, alpha, gamma))
-    den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly, gamma))
+    num = pair.slavnov_det(alpha, gamma)
+    den = pair.cauchy_det(gamma)
     return num / den
 
 
@@ -360,32 +492,44 @@ def sp_product_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return lhs, rhs, dev
 
 
-def _tau_dq(params: ModelParams, rec: EigenRecord, z: complex, w: complex) -> complex:
-    """[tau_hat(z) - tau_hat(w)] / sinh(z - w) with its removable limits.
+def _tau_dq_matrix(params: ModelParams, rec: EigenRecord, z, ws) -> list[list[complex]]:
+    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) with its removable limits.
 
     tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
-    with limit (-1)^m tau_hat'(w)."""
-    u = z - w
-    m = round(u.imag / np.pi)
-    if abs(u - 1j * np.pi * m) < _COLLISION_TOL:
-        return (-1.0) ** m * rec.tau_hat_deriv(params, w)
-    return (rec.tau_hat(params, z) - rec.tau_hat(params, w)) / cmath.sinh(u)
+    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated at most once per
+    point, on first use."""
+    hat_z: list = [None] * len(z)
+    hat_w: list = [None] * len(ws)
+    rows = []
+    for i, zi in enumerate(z):
+        row = []
+        for k, w in enumerate(ws):
+            u = zi - w
+            m = round(u.imag / np.pi)
+            if abs(u - 1j * np.pi * m) < _COLLISION_TOL:
+                row.append((-1.0) ** m * rec.tau_hat_deriv(params, w))
+                continue
+            if hat_z[i] is None:
+                hat_z[i] = rec.tau_hat(params, zi)
+            if hat_w[k] is None:
+                hat_w[k] = rec.tau_hat(params, w)
+            row.append((hat_z[i] - hat_w[k]) / cmath.sinh(u))
+        rows.append(row)
+    return rows
 
 
-def tau_matrix(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-               alpha: complex, z) -> np.ndarray:
-    """Eigenvalue-labelled matrix with rows at the z-points, columns at P-roots."""
-    pr = rec_p.q_poly.roots
-    n = params.n
+def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
+    """Eigenvalue-labelled matrix dq - alpha * dp, from the two halves of
+    ``PairContext.tau_dq`` (rows at the z-points, columns at P-roots)."""
+    n = len(dq)
     mat = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for k in range(n):
-            mat[i, k] = _tau_dq(params, rec_q, z[i], pr[k]) \
-                - alpha * _tau_dq(params, rec_p, z[i], pr[k] + params.eta)
+            mat[i, k] = dq[i][k] - alpha * dp[i][k]
     return mat
 
 
-def _tau_prefactor(params: ModelParams, rec_q: EigenRecord, p_roots, z) -> complex:
+def _tau_prefactor(params: ModelParams, tq_xi, p_roots, z) -> complex:
     """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
     (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
     n = params.n
@@ -394,8 +538,7 @@ def _tau_prefactor(params: ModelParams, rec_q: EigenRecord, p_roots, z) -> compl
         for j in range(n):
             num *= cmath.sinh(z[i] - params.xi[j]) * cmath.sinh(params.xi[j] - p_roots[i])
     den = cmath.exp(sum(params.xi))
-    for j, x in enumerate(params.xi):
-        tq = rec_q.tau(x)
+    for j, tq in enumerate(tq_xi):
         if abs(tq) < 1e-12:
             raise SingularEvaluationError(f"tau_Q vanishes at xi_{j+1}")
         den *= tq
@@ -406,20 +549,22 @@ def _tau_prefactor(params: ModelParams, rec_q: EigenRecord, p_roots, z) -> compl
 
 
 def sp_tau(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-           kappa: complex, kappa2: complex, z=None):
+           kappa: complex, kappa2: complex, z=None, pair: PairContext | None = None):
     """Scalar product written through the eigenvalue functions.
 
     Returns (izergin_form, slavnov_form); ``z`` defaults to the Q-roots and
     may be any pairwise-distinct points away from the tau_hat poles.
     """
+    pair = _pair(params, rec_p.q_poly, rec_q.q_poly, pair, rec_p, rec_q, z)
     n = params.n
     pr = rec_p.q_poly.roots
     ratio = kappa2 / kappa
+    tp_xi, tq_xi = pair.tau_xi
     num = np.zeros((n, n), dtype=np.complex128)
     den = np.zeros((n, n), dtype=np.complex128)
     for i, x in enumerate(params.xi):
-        tq = rec_q.tau(x)
-        tp = rec_p.tau(x)
+        tq = tq_xi[i]
+        tp = tp_xi[i]
         if abs(tq) < 1e-12:
             raise SingularEvaluationError(f"tau_Q vanishes at xi_{i+1}")
         for k in range(n):
@@ -428,15 +573,15 @@ def sp_tau(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
             den[i, k] = tq / cmath.sinh(x - pr[k])
     izergin_form = det_lu(num) / det_lu(den)
 
-    z = list(rec_q.q_poly.roots) if z is None else [complex(v) for v in z]
+    z = pair.z
     if len(z) != n:
         raise ParameterError("z must provide N points")
     for i in range(n):
         for j in range(i + 1, n):
             if abs(z[i] - z[j]) < 1e-10:
                 raise ParameterError("z points must be pairwise distinct")
-    mat = tau_matrix(params, rec_p, rec_q, ratio, z)
-    slavnov_form = _tau_prefactor(params, rec_q, pr, z) * det_lu(mat)
+    mat_det = pair.tau_det(ratio)
+    slavnov_form = pair.tau_prefactor * mat_det
     return izergin_form, slavnov_form
 
 
@@ -462,14 +607,14 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
 # form factors
 
 
-def _tau_prod_ratio(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-                    n_p: int, n_q: int) -> complex:
-    """prod_{k<=n_p} tau_P(xi_k) / prod_{k<=n_q} tau_Q(xi_k)."""
+def _tau_prod_ratio(tp_xi, tq_xi, n_p: int, n_q: int) -> complex:
+    """prod_{k<=n_p} tau_P(xi_k) / prod_{k<=n_q} tau_Q(xi_k), from the values
+    at the nodes."""
     out = 1.0 + 0.0j
     for k in range(n_p):
-        out *= rec_p.tau(params.xi[k])
+        out *= tp_xi[k]
     for k in range(n_q):
-        tq = rec_q.tau(params.xi[k])
+        tq = tq_xi[k]
         if abs(tq) < 1e-12:
             raise SingularEvaluationError(f"tau_Q vanishes at xi_{k+1}")
         out /= tq
@@ -477,63 +622,70 @@ def _tau_prod_ratio(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
 
 
 def _rank1_sigma_z(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly, site: int) -> np.ndarray:
+                   q_poly: HalfPeriodTrigPoly, site: int,
+                   pair: PairContext | None = None) -> np.ndarray:
+    pair = _pair(params, p_poly, q_poly, pair)
     xs = params.xi[site - 1]
     eta = params.eta
-    col = np.array([
-        p_poly(pk - eta) / q_poly(pk - eta) for pk in p_poly.roots
-    ], dtype=np.complex128)
+    r0 = q_poly(xs - eta) / p_poly(xs - eta)
+    r1 = q_poly(xs - eta + IPI) / p_poly(xs - eta + IPI)
     row = np.array([
-        (q_poly(xs - eta) / p_poly(xs - eta)) * coth((xs - qj - eta) / 2)
-        + (q_poly(xs - eta + IPI) / p_poly(xs - eta + IPI))
-        * coth((xs + IPI - qj - eta) / 2)
+        r0 * coth((xs - qj - eta) / 2) + r1 * coth((xs + IPI - qj - eta) / 2)
         for qj in q_poly.roots
     ], dtype=np.complex128)
-    return np.outer(row, col)
+    return np.outer(row, pair.sigma_z_col)
 
 
 def ff_sigma_z(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-               site: int, form: str = "roots", z=None) -> complex:
+               site: int, form: str = "roots", z=None,
+               pair: PairContext | None = None) -> complex:
     """sigma^z form factor between same-twist eigenstates (site is 1-based)."""
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
-    pq_ratio = _tau_prod_ratio(params, rec_p, rec_q, site, site)
     p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
+    pair = _pair(params, p_poly, q_poly, pair, rec_p, rec_q, z)
+    tp_xi, tq_xi = pair.tau_xi
+    pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site, site)
     if form == "roots":
-        s1 = slavnov_matrix(params, p_poly, q_poly, 1.0)
-        pz = _rank1_sigma_z(params, p_poly, q_poly, site)
-        den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
+        s1 = pair.slavnov(1.0)
+        pz = _rank1_sigma_z(params, p_poly, q_poly, site, pair)
+        den = pair.cauchy_det()
         return -pq_ratio * det_lu(s1 - pz) / den
     if form == "tau":
-        z = list(q_poly.roots) if z is None else [complex(v) for v in z]
-        mat = tau_matrix(params, rec_p, rec_q, 1.0, z)
+        z = pair.z
+        mat = pair.tau(1.0)
         xs = params.xi[site - 1]
-        tq_xs = rec_q.tau(xs)
+        tq_xs = tq_xi[site - 1]
+        e_xs = cmath.exp(xs)
+        p_xs_eta = p_poly(xs - params.eta)
+        p_xs_ipi = p_poly(xs + IPI)
+        d_p, p_eta, p_ipi = pair.d_at_p, pair.p_at_p_eta, pair.p_at_p_ipi
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
         for i in range(params.n):
-            for l, pl in enumerate(p_poly.roots):
-                rank1[i, l] = cmath.exp(xs) * tq_xs \
-                    / (params.d_fn(pl) * cmath.sinh(z[i] - xs)) \
-                    * (p_poly(pl - params.eta) / p_poly(xs - params.eta)) \
-                    * (p_poly(pl + IPI) / p_poly(xs + IPI))
-        pref = _tau_prefactor(params, rec_q, p_poly.roots, z)
+            s_zx = cmath.sinh(z[i] - xs)
+            for l in range(params.n):
+                rank1[i, l] = e_xs * tq_xs / (d_p[l] * s_zx) \
+                    * (p_eta[l] / p_xs_eta) * (p_ipi[l] / p_xs_ipi)
+        pref = pair.tau_prefactor
         return -pref * pq_ratio * det_lu(mat + rank1)
     raise ParameterError(f"unknown form {form!r}")
 
 
 def _rank1_sigma_minus(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                       q_poly: HalfPeriodTrigPoly, site: int) -> np.ndarray:
+                       q_poly: HalfPeriodTrigPoly, site: int,
+                       pair: PairContext | None = None) -> np.ndarray:
+    pair = _pair(params, p_poly, q_poly, pair)
     xs = params.xi[site - 1]
     eta = params.eta
-    n = params.n
+    a_xs = params.a_fn(xs)
     col = np.array([
-        cmath.exp(-xs + pk) * params.a_fn(xs) * params.d_fn(pk)
-        / ((-2j) ** n * q_poly(pk - eta) * p_poly(pk + IPI))
-        for pk in p_poly.roots
+        cmath.exp(-xs + pk) * a_xs * d / den
+        for pk, d, den in zip(p_poly.roots, pair.d_at_p, pair.sigma_minus_col_den)
     ], dtype=np.complex128)
+    r0 = q_poly(xs - eta) / p_poly(xs)
+    r1 = q_poly(xs - eta + IPI) / p_poly(xs + IPI)
     row = np.array([
-        (q_poly(xs - eta) / p_poly(xs)) * coth((xs - qj - eta) / 2)
-        - (q_poly(xs - eta + IPI) / p_poly(xs + IPI)) * coth((xs - qj - eta + IPI) / 2)
+        r0 * coth((xs - qj - eta) / 2) - r1 * coth((xs - qj - eta + IPI) / 2)
         for qj in q_poly.roots
     ], dtype=np.complex128)
     return np.outer(row, col)
@@ -541,7 +693,7 @@ def _rank1_sigma_minus(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 
 def ff_sigma_pm(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
                 kappa: complex, eps: int, site: int, form: str = "roots",
-                z=None) -> complex:
+                z=None, pair: PairContext | None = None) -> complex:
     """Spin-flip form factor between same-twist eigenstates.
 
     Evaluates the single determinant representation; it reproduces the matrix
@@ -551,29 +703,33 @@ def ff_sigma_pm(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
     p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
-    pq_ratio = _tau_prod_ratio(params, rec_p, rec_q, site - 1, site)
+    pair = _pair(params, p_poly, q_poly, pair, rec_p, rec_q, z)
+    tp_xi, tq_xi = pair.tau_xi
+    pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site - 1, site)
+    alpha = cmath.exp(-params.eta)
     if form == "roots":
         pref = eps * kappa * cmath.exp(
             -(sum(p_poly.roots) - sum(params.xi))
         )
-        se = slavnov_matrix(params, p_poly, q_poly, cmath.exp(-params.eta))
-        pm = _rank1_sigma_minus(params, p_poly, q_poly, site)
-        den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
-        return pref * pq_ratio * (det_lu(se - pm) - det_lu(se)) / den
+        se = pair.slavnov(alpha)
+        pm = _rank1_sigma_minus(params, p_poly, q_poly, site, pair)
+        den = pair.cauchy_det()
+        return pref * pq_ratio * (det_lu(se - pm) - pair.slavnov_det(alpha)) / den
     if form == "tau":
-        z = list(q_poly.roots) if z is None else [complex(v) for v in z]
+        z = pair.z
         xs = params.xi[site - 1]
-        mat = tau_matrix(params, rec_p, rec_q, cmath.exp(-params.eta), z)
+        mat = pair.tau(alpha)
         p_xs = sinh_prod(xs - pl for pl in p_poly.roots)
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-        tq_xs = rec_q.tau(xs)
+        tq_xs = tq_xi[site - 1]
+        a_xs = params.a_fn(xs)
         for i in range(params.n):
-            for k, pk in enumerate(p_poly.roots):
-                rank1[i, k] = cmath.exp(pk) * params.a_fn(xs) * tq_xs \
-                    / (p_xs * cmath.sinh(z[i] - xs))
+            s_zx = cmath.sinh(z[i] - xs)
+            for k, e_pk in enumerate(pair.exp_at_p):
+                rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
         pref = eps * kappa * cmath.exp(-sum(p_poly.roots)) \
-            * _tau_prefactor(params, rec_q, p_poly.roots, z) * cmath.exp(sum(params.xi))
-        return pref * pq_ratio * (det_lu(mat + rank1) - det_lu(mat))
+            * pair.tau_prefactor * cmath.exp(sum(params.xi))
+        return pref * pq_ratio * (det_lu(mat + rank1) - pair.tau_det(alpha))
     raise ParameterError(f"unknown form {form!r}")
 
 

@@ -232,22 +232,34 @@ def discrete_char_residual(params: ModelParams, tau) -> float:
     return worst
 
 
+def probe_transfers(params: ModelParams, kappa: complex, n_probe: int = 3,
+                    seed: int = 515) -> list[tuple[complex, np.ndarray]]:
+    """Seeded probe points mu with their twisted transfer matrices; they do
+    not depend on the record, so one list serves a whole spectrum."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(n_probe):
+        mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        probes.append((mu, transfer_k(params, mu, kappa)))
+    return probes
+
+
 def eigenstate_residual(params: ModelParams, record: "EigenRecord",
-                        kappa: complex, n_probe: int = 3, seed: int = 515) -> float:
+                        kappa: complex, probes=None) -> float:
     """Relative eigen-residual of the separate state built from the record.
 
     Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
-    one of the shifted nodes xi_n - eta."""
+    one of the shifted nodes xi_n - eta.  ``probes`` defaults to
+    ``probe_transfers(params, kappa)``."""
     state = separate_state(params, record.q_poly, kappa, record.eps, "ket",
                            normalized=False)
     v = state.embedded
     nv = np.linalg.norm(v)
-    rng = np.random.default_rng(seed)
+    probes = probe_transfers(params, kappa) if probes is None else probes
     worst = 0.0
-    for _ in range(n_probe):
-        mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        tv = transfer_k(params, mu, kappa) @ v
+    for mu, tk in probes:
+        tv = tk @ v
         tau_mu = record.tau(mu)
         resid = np.linalg.norm(tv - tau_mu * v)
         worst = max(worst, resid / max(abs(tau_mu) * nv, np.linalg.norm(tv), 1e-30))
@@ -255,10 +267,11 @@ def eigenstate_residual(params: ModelParams, record: "EigenRecord",
 
 
 def certify(params: ModelParams, record: EigenRecord, kappa: complex,
-            tolerances: dict | None = None) -> EigenRecord:
+            tolerances: dict | None = None, probes=None) -> EigenRecord:
     """Run every certification check and stamp the record.
 
-    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
+    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``;
+    ``probes`` are handed to ``eigenstate_residual``.
     Raises CertificationError listing each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -269,7 +282,7 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     record.residuals["tq"] = tq_residual(params, record.tau, q)
     record.residuals["bethe"] = bethe_residual(params, q)
     record.residuals["discrete_char"] = discrete_char_residual(params, record.tau)
-    record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa)
+    record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, probes)
     failures = []
     if not side_ok:
         failures.append("side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)")
@@ -293,6 +306,7 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
     """
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, k, seed=seed)
+    probes = probe_transfers(params, k)
     records = []
     for item in raw:
         q0 = q_from_tau(params, item.tau, seed=seed)
@@ -312,7 +326,7 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
             wronskian_sign=report.wronskian_sign,
             sum_rule_k=report.sum_rule_k,
         )
-        certify(params, rec, k, tolerances)
+        certify(params, rec, k, tolerances, probes)
         records.append(rec)
     if len(records) != 2**params.n:
         raise ParameterError(

@@ -1,10 +1,15 @@
 import json
+from collections import Counter
 
 import pytest
 
+import sovxxz.cli as cli
+import sovxxz.observables as obs
+import sovxxz.spectrum as spectrum
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES, load_config
 from sovxxz.errors import ParameterError
+from sovxxz.model import DELTA_MIN_DEFAULT
 
 
 def run(args):
@@ -46,6 +51,20 @@ class TestConfig:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ParameterError):
             load_config(None, tol_overrides={"nope": 1e-3})
+
+    def test_small_min_separation_reaches_params(self, tmp_path):
+        # xi seed 24 draws shift sets about 0.027 apart: admissible under
+        # min_separation 0.01, closer than the model default of 0.05
+        cfg = tmp_path / "close.json"
+        cfg.write_text(json.dumps({"n": 4, "xi": {
+            "seed": 24, "box": {"re_range": [-0.5, 0.5], "im_range": [-0.2, 0.2]},
+            "min_separation": 0.01}}))
+        params = load_config(cfg).params
+        assert params.delta_min == 0.01
+        assert 0.01 <= params.min_xi_separation() < DELTA_MIN_DEFAULT
+
+    def test_default_separation_keeps_model_delta_min(self):
+        assert load_config(None).params.delta_min == DELTA_MIN_DEFAULT
 
 
 class TestSpectrumTolerances:
@@ -165,3 +184,32 @@ class TestObservablesCommand:
         assert run(["observables", "--config", str(cfg), "--out", str(out1)]) == 0
         assert run(["observables", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pair_and_probe_work_built_once(self, tmp_path, monkeypatch):
+        # each (P, Q) pair builds its Slavnov matrices once for all sites, the
+        # dense oracle embeds each local operator once per run, and the
+        # certification probes build their transfer matrices once per spectrum
+        calls = Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(obs, "slavnov_matrix")
+        count(cli, "local_op")
+        count(spectrum, "transfer_k")
+        count(cli, "solve_spectrum")
+        n = 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        assert run(["observables", "--config", str(cfg),
+                    "--out", str(tmp_path / "o.json")]) == 1
+        pairs = (2**n) ** 2
+        assert calls["solve_spectrum"] == 1
+        assert 0 < calls["slavnov_matrix"] <= 3 * pairs
+        assert 0 < calls["local_op"] <= 3 * n
+        assert 0 < calls["transfer_k"] <= 3 * calls["solve_spectrum"]

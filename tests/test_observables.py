@@ -294,6 +294,69 @@ class TestFormFactors:
         assert rel_dev(direct, woodbury) < 1e-8
 
 
+class TestPairContext:
+    def test_shared_context_matches_fresh_evaluation(self, params3, records3):
+        # one context per pair serves every site, form and representation;
+        # its values must equal a fresh evaluation bit for bit
+        kappa, kappa2 = params3.kappa, params3.kappa2
+        for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
+            pair = obs.PairContext.of_records(params3, rp, rq)
+            p, q = rp.q_poly, rq.q_poly
+            assert obs.sp_slavnov(params3, p, q, kappa2 / kappa, pair=pair) \
+                == obs.sp_slavnov(params3, p, q, kappa2 / kappa)
+            assert obs.sp_tau(params3, rp, rq, kappa, kappa2, pair=pair) \
+                == obs.sp_tau(params3, rp, rq, kappa, kappa2)
+            for site in range(1, params3.n + 1):
+                for form in ("roots", "tau"):
+                    assert obs.ff_sigma_z(params3, rp, rq, site, form, pair=pair) \
+                        == obs.ff_sigma_z(params3, rp, rq, site, form)
+                    assert obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, form,
+                                           pair=pair) \
+                        == obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, form)
+
+    def test_custom_z_rows(self, params3, records3):
+        rp, rq = records3[2], records3[4]
+        z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
+        pair = obs.PairContext.of_records(params3, rp, rq, z=z)
+        assert pair.z == z
+        assert obs.ff_sigma_z(params3, rp, rq, 2, "tau", pair=pair) \
+            == obs.ff_sigma_z(params3, rp, rq, 2, "tau", z=z)
+        default = obs.ff_sigma_z(params3, rp, rq, 2, "tau")
+        assert rel_dev(obs.ff_sigma_z(params3, rp, rq, 2, "tau", z=z), default) < 1e-8
+
+    def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
+        # the cached halves enter the same scalar arithmetic as the per-entry
+        # formula, so the matrices agree to the bit, removable limits included
+        alpha = cmath.exp(-params3.eta)
+
+        def dq(rec, z, w):
+            u = z - w
+            m = round(u.imag / np.pi)
+            if abs(u - 1j * np.pi * m) < 1e-9:
+                return (-1.0) ** m * rec.tau_hat_deriv(params3, w)
+            return (rec.tau_hat(params3, z) - rec.tau_hat(params3, w)) / cmath.sinh(u)
+
+        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
+                       (records3[0], records3[3])]:
+            pair = obs.PairContext.of_records(params3, rp, rq)
+            ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
+                             for p in rp.q_poly.roots] for z in rq.q_poly.roots])
+            assert np.array_equal(pair.tau(alpha), ref)
+
+    def test_context_of_another_pair_rejected(self, params3, records3):
+        pair = obs.PairContext.of_records(params3, records3[0], records3[1])
+        with pytest.raises(ParameterError):
+            obs.ff_sigma_z(params3, records3[1], records3[0], 1, pair=pair)
+        with pytest.raises(ParameterError):
+            obs.ff_sigma_z(params3, records3[0], records3[1], 1, "tau",
+                           z=[0.1, 0.2, 0.3], pair=pair)
+
+    def test_tau_forms_need_records(self, params3, records3):
+        pair = obs.PairContext(params3, records3[0].q_poly, records3[1].q_poly)
+        with pytest.raises(ParameterError):
+            pair.tau_xi
+
+
 class TestGenericArgumentMatrixElements:
     def test_b_element_against_dense(self, params3, records3):
         g = rng(60)
