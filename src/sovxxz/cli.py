@@ -286,14 +286,14 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     kets_same = kets if kappa2 == kappa else [
         separate_state(params, r.q_poly, kappa, 1, "ket") for r in records]
 
-    pairs = {(ip, iq): obs.PairContext.of_records(params, rp, rq)
-             for ip, rp in enumerate(records) for iq, rq in enumerate(records)}
-
-    sp_section = {}
-    worst_sp = 0.0
+    ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
+    local_ops = {(op, site): local_op(ops[op], site, params.n)
+                 for site in cfg.sites for op in cfg.operators}
+    sp_section, orth_section, ff_section = {}, {}, {}
+    worst_sp = worst_orth = worst_ff = worst_pm_eq = 0.0
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
-            pair = pairs[ip, iq]
+            pair = obs.PairContext.of_records(params, rp, rq)
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             values: dict[str, complex] = {}
@@ -319,29 +319,12 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             sp_section[f"P{ip}_Q{iq}"] = {
                 "values": values, "dense": dense, "max_pairwise_deviation": dev}
 
-    orth_section = {}
-    worst_orth = 0.0
-    if kappa2 == kappa:
-        for ip in range(len(records)):
-            for iq in range(len(records)):
-                if ip == iq:
-                    continue
-                val = complex(bras[ip].embedded @ kets_same[iq].embedded)
-                scale = bras[ip].norm2() * kets_same[iq].norm2()
-                ratio = abs(val) / scale
+            scale = bras[ip].norm2() * kets_same[iq].norm2()
+            if kappa2 == kappa and ip != iq:
+                ratio = abs(complex(bras[ip].embedded @ kets_same[iq].embedded)) / scale
                 worst_orth = max(worst_orth, ratio)
                 orth_section[f"P{ip}_Q{iq}"] = {"overlap_over_norms": ratio}
 
-    ff_section = {}
-    worst_ff = 0.0
-    worst_pm_eq = 0.0
-    ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
-    local_ops = {(op, site): local_op(ops[op], site, params.n)
-                 for site in cfg.sites for op in cfg.operators}
-    for ip, rp in enumerate(records):
-        for iq, rq in enumerate(records):
-            pair = pairs.pop((ip, iq))  # last use: release it, keeping peak memory flat
-            scale = bras[ip].norm2() * kets_same[iq].norm2()
             for site in cfg.sites:
                 brute = {
                     op: matrix_element(bras[ip], local_ops[op, site], kets_same[iq])

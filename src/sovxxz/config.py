@@ -88,8 +88,7 @@ class RunConfig:
     @property
     def params(self) -> ModelParams:
         return ModelParams(n=self.n, eta=self.eta, xi=self.xi,
-                           kappa=self.kappa, kappa2=self.kappa_prime,
-                           delta_min=self.delta_min)
+                           kappa=self.kappa, delta_min=self.delta_min)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -184,5 +183,7 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
                     sites=sites, operators=operators,
                     representations=representations, tolerances=tolerances,
                     seed=seed, out=out, delta_min=min(min_sep, DELTA_MIN_DEFAULT))
+    if kappa_prime == 0:  # ModelParams checks only kappa
+        raise ParameterError("twists must be nonzero")
     cfg.params  # raises ParameterError for inadmissible explicit xi
     return cfg

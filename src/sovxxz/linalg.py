@@ -1,5 +1,5 @@
-"""Dense complex linear-algebra kernels: determinants, polynomial roots,
-eigendecompositions and the generalized (hyperbolic) Vandermonde product.
+"""Dense complex linear-algebra kernels: determinants, polynomial roots and
+eigendecompositions.
 
 Everything works on plain ``numpy`` arrays in complex double precision; the
 heavy factorizations are delegated to LAPACK through numpy (LU with partial
@@ -31,20 +31,6 @@ def det_lu(m) -> complex:
     """Determinant of a square complex matrix (LU with partial pivoting)."""
     a = as_square_matrix(m)
     return complex(np.linalg.det(a))
-
-
-def vandermonde(xs) -> complex:
-    """Hyperbolic Vandermonde product V(x_1..x_n) = prod_{i<j} sinh(x_j - x_i).
-
-    Empty input and a single point both give 1 (empty product).
-    """
-    x = np.asarray(list(xs), dtype=np.complex128)
-    n = x.size
-    out = 1.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= np.sinh(x[j] - x[i])
-    return complex(out)
 
 
 def sort_complex(values) -> np.ndarray:

@@ -77,6 +77,15 @@ def sinh_prod_deriv(args) -> complex:
     return out
 
 
+def vandermonde(xs) -> complex:
+    """Hyperbolic Vandermonde product V(x_1..x_n) = prod_{i<j} sinh(x_j - x_i).
+
+    Empty input and a single point both give 1 (empty product).
+    """
+    x = list(xs)
+    return sinh_prod(x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x)))
+
+
 def eta_is_generic(eta: complex, tol: float = ETA_COMMENSURATE_TOL, max_den: int = 8) -> bool:
     """True if eta stays at least ``tol`` away from every i*pi*k/m with m <= max_den."""
     x, y = complex(eta).real, complex(eta).imag
@@ -89,19 +98,16 @@ def eta_is_generic(eta: complex, tol: float = ETA_COMMENSURATE_TOL, max_den: int
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain data: length N, anisotropy eta, inhomogeneities xi, twists and signs.
+    """Chain data: length N, anisotropy eta, inhomogeneities xi and the twist.
 
-    The twist kappa belongs to the bra/reference family and kappa2 to the ket
-    family; eps/eps2 are the corresponding sign labels (+1 or -1).
+    ``kappa`` is the default twist of the spectrum; every other twist and
+    sign label is passed explicitly to the function that uses it.
     """
 
     n: int
     eta: complex
     xi: tuple[complex, ...]
     kappa: complex = 1.0 + 0.0j
-    kappa2: complex = 1.0 + 0.0j
-    eps: int = 1
-    eps2: int = 1
     delta_min: float = DELTA_MIN_DEFAULT
 
     def __post_init__(self):
@@ -109,10 +115,8 @@ class ModelParams:
             raise ParameterError("chain length must be >= 1")
         if len(self.xi) != self.n:
             raise ParameterError(f"expected {self.n} inhomogeneities, got {len(self.xi)}")
-        if self.kappa == 0 or self.kappa2 == 0:
+        if self.kappa == 0:
             raise ParameterError("twists must be nonzero")
-        if self.eps not in (-1, 1) or self.eps2 not in (-1, 1):
-            raise ParameterError("sign labels must be +1 or -1")
         if not eta_is_generic(self.eta):
             raise ParameterError(f"eta={self.eta} is too close to a rational multiple of i*pi")
         sep = self.min_xi_separation()
@@ -211,12 +215,11 @@ def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
         raise SingularEvaluationError(f"{name} = {value} is below the evaluation floor")
 
 
-def residual_grid(params: ModelParams, count: int | None = None,
-                  seed: int = 20240) -> np.ndarray:
-    """Seeded sample points for functional residuals, kept delta_min away from
-    every zero of a, d and their i*pi translates."""
-    n = params.n
-    count = count if count is not None else 4 * n + 5
+def residual_grid(params: ModelParams, seed: int = 20240) -> np.ndarray:
+    """4N+5 seeded sample points for functional residuals, kept delta_min away
+    from every zero of a, d and their i*pi translates.  They depend on the
+    chain only, so one grid serves every record of a spectrum."""
+    count = 4 * params.n + 5
     rng = np.random.default_rng(seed)
     avoid = params.forbidden_points()
     pts = []
@@ -238,25 +241,27 @@ class QStructureReport:
 
 
 def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
-                          seed: int = 20240) -> QStructureReport:
+                          grid: np.ndarray | None = None) -> QStructureReport:
     """Structural diagnostics of a candidate Q-function.
 
-    Checks, on a seeded grid, the quantum Wronskian pairing of Q with its
-    i*pi-shift (sign reported, not assumed), the root sum rule modulo i*k*pi,
-    and the bra/ket compatibility ratio identity at the inhomogeneities.
+    Checks, on ``grid`` (default ``residual_grid(params)``), the quantum
+    Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed),
+    the root sum rule modulo i*k*pi, and the bra/ket compatibility ratio
+    identity at the inhomogeneities.
     """
     n = params.n
     qhat = q_poly.shifted_ipi()
-    grid = residual_grid(params, seed=seed)
+    grid = residual_grid(params) if grid is None else grid
 
     target = (0.5j) ** n
+    samples = [(0.5 * (q_poly(lam) * qhat(lam - params.eta)
+                     + qhat(lam) * q_poly(lam - params.eta)), params.d_fn(lam))
+             for lam in grid]
     best = None
     for sign in (1, -1):
         num, scale = 0.0, 0.0
-        for lam in grid:
-            w = 0.5 * (q_poly(lam) * qhat(lam - params.eta)
-                       + qhat(lam) * q_poly(lam - params.eta))
-            rhs = sign * target * params.d_fn(lam)
+        for w, d in samples:
+            rhs = sign * target * d
             num = max(num, abs(w - rhs))
             scale = max(scale, abs(w) + abs(rhs))
         rel = num / scale if scale > 0 else num

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SingularEvaluationError
-from .linalg import det_lu, vandermonde
+from .linalg import det_lu
 from .model import (
     IPI,
     HalfPeriodTrigPoly,
@@ -31,6 +31,7 @@ from .model import (
     dist_mod_2ipi,
     f_tilde,
     sinh_prod,
+    vandermonde,
 )
 from .spectrum import EigenRecord, solve_spectrum
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError
 from .lattice import monodromy_entries, reference_state
-from .linalg import vandermonde
-from .model import HalfPeriodTrigPoly, ModelParams, dist_mod_2ipi
+from .model import HalfPeriodTrigPoly, ModelParams, dist_mod_2ipi, vandermonde
 
 
 def all_h(n: int):
@@ -54,9 +53,10 @@ class SovBasis:
             self._c_at_xi.append(t.c)
         self._a_vals = [params.a_fn(x) for x in params.xi]
         self._d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
-        self.v_xi = vandermonde(params.xi)
+        # V(xi^(h)) for every label h, in h_to_index order; v_h[0] = V(xi)
+        self.v_h = [vandermonde(xi_shifted(params, h)) for h in all_h(n)]
         self._kets: dict[int, np.ndarray] = {0: reference_state(n)}
-        self._bras: dict[int, np.ndarray] = {0: reference_state(n) / self.v_xi}
+        self._bras: dict[int, np.ndarray] = {0: reference_state(n) / self.v_h[0]}
 
     def ket(self, h) -> np.ndarray:
         idx = h_to_index(tuple(h))
@@ -80,7 +80,7 @@ class SovBasis:
 
     def measure(self, h) -> complex:
         """<h|h> = 1 / V(xi^(h))."""
-        return 1.0 / vandermonde(xi_shifted(self.params, h))
+        return 1.0 / self.v_h[h_to_index(tuple(h))]
 
 
 @lru_cache(maxsize=8)
@@ -105,6 +105,12 @@ class SovState:
         return float(np.linalg.norm(self.embedded))
 
 
+def _node_values(params: ModelParams, poly: HalfPeriodTrigPoly) -> list[list[complex]]:
+    """P(xi_m - b * eta) for b in (0, 1): row b holds the values at the nodes
+    shifted by b."""
+    return [[poly(x) for x in xi_shifted(params, [b] * params.n)] for b in (0, 1)]
+
+
 def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex,
                    eps: int, side: str, normalized: bool = True) -> SovState:
     """Build a separate state labelled by ``poly`` with twist/sign (kappa, eps).
@@ -117,7 +123,8 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
     n = params.n
     basis = _cached_basis(params)
-    v_xi = basis.v_xi
+    v_xi = basis.v_h[0]
+    p_nodes = _node_values(params, poly)
     if normalized:
         for m in range(n):
             target = params.xi[m] - params.eta
@@ -126,35 +133,29 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
                     f"P has a root within delta_min of xi_{m+1} - eta; "
                     "build the unnormalized state instead"
                 )
-        site_ratio = [poly(params.xi[m]) / poly(params.xi[m] - params.eta) for m in range(n)]
+        site_ratio = [p_nodes[0][m] / p_nodes[1][m] for m in range(n)]
 
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)
     for h in all_h(n):
+        idx = h_to_index(h)
+        # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
+        v_shift = basis.v_h[dim - 1 - idx] if side == "ket" else basis.v_h[idx]
         if normalized:
             factor = 1.0 + 0.0j
             for m in range(n):
                 if h[m] == 0:
                     base = eps * kappa if side == "ket" else eps / kappa
                     factor *= base * site_ratio[m]
-            if side == "ket":
-                shift = [params.xi[m] - (1 - h[m]) * params.eta for m in range(n)]
-                factor *= vandermonde(shift) / v_xi
-            else:
-                factor *= vandermonde(xi_shifted(params, h))
+            factor *= v_shift / v_xi if side == "ket" else v_shift
         else:
             factor = 1.0 + 0.0j
             for m in range(n):
-                factor *= poly(params.xi[m] - h[m] * params.eta)
+                factor *= p_nodes[h[m]][m]
                 if h[m] == 1:
                     factor *= (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
-            if side == "ket":
-                shift = [params.xi[m] - (1 - h[m]) * params.eta for m in range(n)]
-                factor *= vandermonde(shift)
-            else:
-                factor *= vandermonde(xi_shifted(params, h))
-        idx = h_to_index(h)
+            factor *= v_shift
         coeffs[idx] = factor
         embedded += factor * (basis.ket(h) if side == "ket" else basis.bra(h))
     return SovState(params=params, poly=poly, kappa=kappa, eps=eps, side=side,
@@ -172,15 +173,16 @@ def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)
+    p_nodes = _node_values(params, poly)
     for h in all_h(n):
         factor = 1.0 + 0.0j
         for m in range(n):
-            factor *= poly(params.xi[m] - h[m] * params.eta)
+            factor *= p_nodes[h[m]][m]
             if h[m] == 1:
                 factor *= params.a_fn(params.xi[m]) / params.d_fn(params.xi[m] - params.eta)
                 factor /= -eps * kappa
-        factor *= vandermonde(xi_shifted(params, h))
         idx = h_to_index(h)
+        factor *= basis.v_h[idx]
         coeffs[idx] = factor
         embedded += factor * basis.ket(h)
     return SovState(params=params, poly=poly, kappa=kappa, eps=eps, side="ket",

@@ -48,7 +48,7 @@ class EigenRecord:
     tau_at_xi: np.ndarray
     tau: TrigInterpolation
     q_poly: HalfPeriodTrigPoly
-    qhat_poly: HalfPeriodTrigPoly
+    qhat_poly: HalfPeriodTrigPoly | None = None
     eps: int = 1
     residuals: dict = field(default_factory=dict)
     wronskian_sign: int = 0
@@ -209,9 +209,10 @@ def bethe_residual(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> float:
 
 
 def tq_residual(params: ModelParams, tau, q_poly: HalfPeriodTrigPoly,
-                seed: int = 20240) -> float:
-    """Relative functional residual of the tau/Q relation on the seeded grid."""
-    grid = residual_grid(params, seed=seed)
+                grid: np.ndarray | None = None) -> float:
+    """Relative functional residual of the tau/Q relation on ``grid``
+    (default ``residual_grid(params)``)."""
+    grid = residual_grid(params) if grid is None else grid
     num, scale = 0.0, 0.0
     for lam in grid:
         t1 = tau(lam) * q_poly(lam)
@@ -267,19 +268,31 @@ def eigenstate_residual(params: ModelParams, record: "EigenRecord",
 
 
 def certify(params: ModelParams, record: EigenRecord, kappa: complex,
-            tolerances: dict | None = None, probes=None) -> EigenRecord:
-    """Run every certification check and stamp the record.
+            tolerances: dict | None = None, probes=None,
+            grid: np.ndarray | None = None) -> EigenRecord:
+    """Compute every residual of the record, gate it and stamp the record.
 
-    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``;
-    ``probes`` are handed to ``eigenstate_residual``.
-    Raises CertificationError listing each failed check.
+    Fills ``qhat_poly``, ``wronskian_sign``, ``sum_rule_k`` and every entry of
+    ``residuals`` except the oracle's ``interp_check``.  ``tolerances``
+    overrides entries of ``config.DEFAULT_TOLERANCES``; ``probes`` are handed
+    to ``eigenstate_residual`` and ``grid`` (default ``residual_grid(params)``)
+    to the functional residuals.  Raises CertificationError listing each
+    failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    grid = residual_grid(params) if grid is None else grid
     q = record.q_poly
+    report = q_structure_residuals(q, params, grid)
+    record.qhat_poly = report.qhat
+    record.wronskian_sign = report.wronskian_sign
+    record.sum_rule_k = report.sum_rule_k
+    record.residuals["wronskian"] = report.wronskian_residual
+    record.residuals["sum_rule_defect"] = report.sum_rule_defect
+    record.residuals["pq_prop"] = report.pq_prop_residual
     side_ok = all(
         max(abs(q(x)), abs(q(x + IPI))) > 1e-10 for x in params.xi
     )
-    record.residuals["tq"] = tq_residual(params, record.tau, q)
+    record.residuals["tq"] = tq_residual(params, record.tau, q, grid)
     record.residuals["bethe"] = bethe_residual(params, q)
     record.residuals["discrete_char"] = discrete_char_residual(params, record.tau)
     record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, probes)
@@ -288,7 +301,8 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
         failures.append("side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)")
     for name, key in [("tq", "tq_residual"), ("bethe", "bethe_residual"),
                       ("discrete_char", "discrete_char"),
-                      ("eigenstate", "eigenstate_residual")]:
+                      ("eigenstate", "eigenstate_residual"),
+                      ("wronskian", "wronskian"), ("sum_rule_defect", "sum_rule")]:
         if record.residuals[name] > tol[key]:
             failures.append(f"{name} residual {record.residuals[name]:.3e} > {tol[key]:.1e}")
     if failures:
@@ -307,26 +321,14 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, k, seed=seed)
     probes = probe_transfers(params, k)
+    grid = residual_grid(params)
     records = []
     for item in raw:
         q0 = q_from_tau(params, item.tau, seed=seed)
-        q = refine_bethe(params, q0)
-        report = q_structure_residuals(q, params)
-        rec = EigenRecord(
-            tau_at_xi=item.tau_at_xi,
-            tau=item.tau,
-            q_poly=q,
-            qhat_poly=report.qhat,
-            residuals={
-                "interp_check": item.interp_check,
-                "wronskian": report.wronskian_residual,
-                "sum_rule_defect": report.sum_rule_defect,
-                "pq_prop": report.pq_prop_residual,
-            },
-            wronskian_sign=report.wronskian_sign,
-            sum_rule_k=report.sum_rule_k,
-        )
-        certify(params, rec, k, tolerances, probes)
+        rec = EigenRecord(tau_at_xi=item.tau_at_xi, tau=item.tau,
+                          q_poly=refine_bethe(params, q0),
+                          residuals={"interp_check": item.interp_check})
+        certify(params, rec, k, tolerances, probes, grid)
         records.append(rec)
     if len(records) != 2**params.n:
         raise ParameterError(

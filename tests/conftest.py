@@ -13,10 +13,9 @@ KAPPA2 = 1.3 + 0.2j
 BOX = {"re_range": [-1.0, 1.0], "im_range": [-0.4, 0.4]}
 
 
-def make_params(n: int, seed: int = SEED, kappa=KAPPA, kappa2=KAPPA2,
-                eta=ETA) -> ModelParams:
+def make_params(n: int, seed: int = SEED, kappa=KAPPA, eta=ETA) -> ModelParams:
     xi = generate_xi(n, eta, seed, BOX, 0.1)
-    return ModelParams(n=n, eta=eta, xi=xi, kappa=kappa, kappa2=kappa2)
+    return ModelParams(n=n, eta=eta, xi=xi, kappa=kappa)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +45,7 @@ def states3(params3, records3):
             for r in records3]
     kets = [separate_state(params3, r.q_poly, params3.kappa, 1, "ket")
             for r in records3]
-    kets2 = [separate_state(params3, r.q_poly, params3.kappa2, 1, "ket")
+    kets2 = [separate_state(params3, r.q_poly, KAPPA2, 1, "ket")
              for r in records3]
     return bras, kets, kets2
 

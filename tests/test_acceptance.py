@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_dev, rng
+from conftest import KAPPA2, make_params, rel_dev, rng
 from sovxxz import observables as obs
 from sovxxz.cli import main as cli_main
 from sovxxz.lattice import (
@@ -101,14 +101,14 @@ def test_02_spectrum_completeness():
 
 def test_03_scalar_product_agreement(params3, records3, states3):
     bras, _, kets2 = states3
-    alpha = params3.kappa2 / params3.kappa
+    alpha = KAPPA2 / params3.kappa
     worst = 0.0
     for ip, rp in enumerate(records3):
         for iq, rq in enumerate(records3):
             dense = complex(bras[ip].embedded @ kets2[iq].embedded)
             scale = bras[ip].norm2() * kets2[iq].norm2()
             tau_ize, tau_slav = obs.sp_tau(params3, rp, rq,
-                                           params3.kappa, params3.kappa2)
+                                           params3.kappa, KAPPA2)
             vals = [
                 obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
                 obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),

@@ -66,14 +66,28 @@ class TestConfig:
     def test_default_separation_keeps_model_delta_min(self):
         assert load_config(None).params.delta_min == DELTA_MIN_DEFAULT
 
+    @pytest.mark.parametrize("command", ["spectrum", "observables", "validate"])
+    def test_zero_kappa_prime_rejected_in_every_command(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "kappa_prime": [0, 0]}))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+
 
 class TestSpectrumTolerances:
-    @pytest.mark.parametrize("command", ["spectrum", "observables", "validate"])
-    def test_certification_tolerance_applies_in_every_command(self, tmp_path, command):
+    # every record tolerance gates certification; bethe_residual keeps the
+    # bare command ids
+    @pytest.mark.parametrize("command, tol", [
+        pytest.param(command, tol,
+                     id=command if tol == "bethe_residual" else f"{command}-{tol}")
+        for tol in ("bethe_residual", "wronskian", "sum_rule")
+        for command in ("spectrum", "observables", "validate")
+    ])
+    def test_certification_tolerance_applies_in_every_command(self, tmp_path,
+                                                              command, tol):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 2}))
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json"),
-                    "--tol", "bethe_residual=1e-30"]) == 2
+                    "--tol", f"{tol}=1e-30"]) == 2
 
 
 class TestValidateCommand:

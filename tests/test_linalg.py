@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sovxxz.errors import ConvergenceError, DimensionError
-from sovxxz.linalg import MonicPoly, det_lu, eig_dense, roots_monic, vandermonde
+from sovxxz.linalg import MonicPoly, det_lu, eig_dense, roots_monic
+from sovxxz.model import vandermonde
 
 
 def cofactor_det(m: np.ndarray) -> complex:

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_dev, rng
+from conftest import KAPPA2, make_params, rel_dev, rng
 from sovxxz import observables as obs
 from sovxxz.errors import ParameterError
 from sovxxz.lattice import (
@@ -47,7 +47,7 @@ class TestScalarProductDirect:
         g = rng(53)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
-        kappa, kappa2, eps, eps2 = params3.kappa, params3.kappa2, 1, -1
+        kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, -1
         alpha = eps * eps2 * kappa2 / kappa
         bra = separate_state(params3, p, kappa, eps, "bra")
         ket = separate_state(params3, q, kappa2, eps2, "ket")
@@ -105,7 +105,7 @@ class TestScalarProductSlavnov:
 
     def test_eigen_pairs_all_representations(self, params3, records3, states3):
         bras, _, kets2 = states3
-        alpha = params3.kappa2 / params3.kappa
+        alpha = KAPPA2 / params3.kappa
         for ip in (0, 3, 5):
             for iq in (1, 4, 5, 7):
                 rp, rq = records3[ip], records3[iq]
@@ -115,7 +115,7 @@ class TestScalarProductSlavnov:
                     obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
                     obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),
                     obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha),
-                    *obs.sp_tau(params3, rp, rq, params3.kappa, params3.kappa2),
+                    *obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2),
                     dense,
                 ]
                 for a in vals:
@@ -125,7 +125,7 @@ class TestScalarProductSlavnov:
     def test_gamma_deformation(self, params3, records3):
         g = rng(58)
         rp, rq = records3[0], records3[2]
-        alpha = params3.kappa2 / params3.kappa
+        alpha = KAPPA2 / params3.kappa
         base = obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha)
         for _ in range(3):
             gamma = complex(g.uniform(-1, 1), g.uniform(-1, 1))
@@ -181,9 +181,9 @@ class TestProductIdentity:
 class TestTauRepresentations:
     def test_z_independence(self, params3, records3):
         rp, rq = records3[1], records3[6]
-        _, with_q = obs.sp_tau(params3, rp, rq, params3.kappa, params3.kappa2,
+        _, with_q = obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2,
                                z=list(rq.q_poly.roots))
-        _, with_p = obs.sp_tau(params3, rp, rq, params3.kappa, params3.kappa2,
+        _, with_p = obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2,
                                z=list(rp.q_poly.roots))
         assert rel_dev(with_q, with_p) < 1e-8
 
@@ -198,7 +198,7 @@ class TestTauRepresentations:
 
 class TestSameQ:
     def test_forms_agree_on_certified_q(self, params3, records3):
-        alpha = params3.kappa2 / params3.kappa
+        alpha = KAPPA2 / params3.kappa
         for rec in records3[:4]:
             a, b = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, b) < 1e-9
@@ -209,7 +209,7 @@ class TestSameQ:
         assert b == pytest.approx(1.0)
 
     def test_matches_dense_norm(self, params3, records3):
-        kappa, kappa2, eps, eps2 = params3.kappa, params3.kappa2, 1, 1
+        kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
         alpha = eps * eps2 * kappa2 / kappa
         for rec in records3[:4]:
             bra = separate_state(params3, rec.q_poly, kappa, eps, "bra")
@@ -272,7 +272,7 @@ class TestFormFactors:
     def test_diagonal_sigma_z_reality_in_hermitian_class(self):
         # twist kappa = 1, imaginary eta, real nodes: diagonal expectation
         # values divided by the state norm are real (here structurally zero)
-        params = make_params(3, eta=0.75j, kappa=1.0, kappa2=1.0)
+        params = make_params(3, eta=0.75j, kappa=1.0)
         from sovxxz.spectrum import solve_spectrum
         records = solve_spectrum(params)
         for rec in records[:4]:
@@ -298,7 +298,7 @@ class TestPairContext:
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation;
         # its values must equal a fresh evaluation bit for bit
-        kappa, kappa2 = params3.kappa, params3.kappa2
+        kappa, kappa2 = params3.kappa, KAPPA2
         for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
             pair = obs.PairContext.of_records(params3, rp, rq)
             p, q = rp.q_poly, rq.q_poly
@@ -360,7 +360,7 @@ class TestPairContext:
 class TestGenericArgumentMatrixElements:
     def test_b_element_against_dense(self, params3, records3):
         g = rng(60)
-        kappa, kappa2 = params3.kappa, params3.kappa2
+        kappa, kappa2 = params3.kappa, KAPPA2
         bras = [separate_state(params3, r.q_poly, kappa, 1, "bra")
                 for r in records3[:4]]
         kets2 = [separate_state(params3, r.q_poly, kappa2, 1, "ket")

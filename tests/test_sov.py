@@ -3,12 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_dev, rng
+from conftest import KAPPA2, make_params, rel_dev, rng
 from sovxxz.cli import _sov_action_residual
 from sovxxz.errors import SingularEvaluationError
 from sovxxz.lattice import monodromy_entries, reference_state, transfer_k
-from sovxxz.linalg import vandermonde
-from sovxxz.model import HalfPeriodTrigPoly
+from sovxxz.model import HalfPeriodTrigPoly, vandermonde
 from sovxxz.sov import (
     SovBasis,
     all_h,
@@ -130,7 +129,7 @@ class TestOverlaps:
 
     def test_overlap_depends_only_on_product_and_alpha(self, params3, records3):
         p_poly, q_poly = records3[0].q_poly, records3[1].q_poly
-        kappa, kappa2, eps, eps2 = params3.kappa, params3.kappa2, 1, 1
+        kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
         base = overlap(separate_state(params3, p_poly, kappa, eps, "bra"),
                        separate_state(params3, q_poly, kappa2, eps2, "ket"))
 

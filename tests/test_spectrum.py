@@ -3,6 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
+import sovxxz.sov as sov
+import sovxxz.spectrum as spectrum
 from conftest import make_params, rel_dev, rng
 from sovxxz.errors import CertificationError
 from sovxxz.lattice import spectrum_oracle
@@ -133,6 +135,30 @@ class TestPipeline:
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, records3):
         for rec in records3:
             assert tq_residual(params3, rec.tau, rec.q_poly) < 1e-12
+
+    def test_chain_work_built_once_per_spectrum(self, params3, monkeypatch):
+        # the residual grid is drawn once per spectrum, and separate states
+        # read the basis's Vandermonde table instead of recomputing it
+        draws = []
+        grid = spectrum.residual_grid
+
+        def counted_grid(*args, **kwargs):
+            draws.append(args)
+            return grid(*args, **kwargs)
+
+        def no_vandermonde(xs):
+            raise AssertionError("vandermonde called inside separate_state")
+
+        monkeypatch.setattr(spectrum, "residual_grid", counted_grid)
+        records = spectrum.solve_spectrum(params3)
+        assert len(draws) == 1
+        sov._cached_basis(params3)  # the basis builds its table once, unpatched
+        monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
+        for normalized in (True, False):
+            for side in ("ket", "bra"):
+                sov.separate_state(params3, records[0].q_poly, params3.kappa, 1, side,
+                                   normalized=normalized)
+        sov.separate_ket_qdet_form(params3, records[0].q_poly, params3.kappa, 1)
 
     def test_structure_outputs_populated(self, records3):
         for rec in records3:
