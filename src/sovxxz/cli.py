@@ -39,26 +39,19 @@ from .sov import _cached_basis, all_h, matrix_element, separate_state, xi_shifte
 from .spectrum import solve_spectrum
 
 
-def _jsonify(value):
-    if isinstance(value, complex):
+def _encode(value):
+    """JSON form of what json cannot write itself: a complex as [re, im]."""
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, out_path: str | None) -> str:
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -302,10 +295,9 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             if "izergin" in cfg.representations:
                 values["izergin"] = obs.sp_izergin(params, rp.q_poly, rq.q_poly, alpha)
             if "slavnov" in cfg.representations:
-                values["slavnov"] = obs.sp_slavnov(params, rp.q_poly, rq.q_poly, alpha,
-                                                   pair=pair)
+                values["slavnov"] = obs.sp_slavnov(pair, alpha)
             if "tau_izergin" in cfg.representations or "tau_slavnov" in cfg.representations:
-                ize, slav = obs.sp_tau(params, rp, rq, kappa, kappa2, pair=pair)
+                ize, slav = obs.sp_tau(pair, kappa, kappa2)
                 if "tau_izergin" in cfg.representations:
                     values["tau_izergin"] = ize
                 if "tau_slavnov" in cfg.representations:
@@ -332,18 +324,16 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
                 }
                 entry: dict = {}
                 if "z" in cfg.operators:
-                    roots_v = obs.ff_sigma_z(params, rp, rq, site, "roots", pair=pair)
-                    tau_v = obs.ff_sigma_z(params, rp, rq, site, "tau", pair=pair)
+                    roots_v = obs.ff_sigma_z(pair, site, "roots")
+                    tau_v = obs.ff_sigma_z(pair, site, "tau")
                     dev = max(_rel(roots_v, brute["z"], scale),
                               _rel(tau_v, brute["z"], scale))
                     worst_ff = max(worst_ff, dev)
                     entry["z"] = {"roots_form": roots_v, "tau_form": tau_v,
                                   "brute": brute["z"], "deviation": dev}
                 if "+" in cfg.operators or "-" in cfg.operators:
-                    roots_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "roots",
-                                              pair=pair)
-                    tau_v = obs.ff_sigma_pm(params, rp, rq, kappa, 1, site, "tau",
-                                            pair=pair)
+                    roots_v = obs.ff_sigma_pm(pair, kappa, 1, site, "roots")
+                    tau_v = obs.ff_sigma_pm(pair, kappa, 1, site, "tau")
                     if "-" in cfg.operators:
                         dev = max(_rel(roots_v, brute["-"], scale),
                                   _rel(tau_v, brute["-"], scale))

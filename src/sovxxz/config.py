@@ -14,6 +14,7 @@ from .model import DELTA_MIN_DEFAULT, ModelParams
 
 MAX_N_HARD = 8
 MAX_N_OBSERVABLES = 5
+XI_MAX_TRIES = 100
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "sov_measure": 1e-9,
@@ -95,12 +96,13 @@ class RunConfig:
 
 
 def generate_xi(n: int, eta: complex, seed: int, box: dict,
-                min_separation: float, max_tries: int = 100) -> tuple[complex, ...]:
-    """Draw inhomogeneities in a box until the shift-set separation holds."""
+                min_separation: float) -> tuple[complex, ...]:
+    """Draw inhomogeneities in a box until the shift-set separation holds,
+    at most XI_MAX_TRIES times."""
     rng = np.random.default_rng(seed)
     re_lo, re_hi = box.get("re_range", [-1.0, 1.0])
     im_lo, im_hi = box.get("im_range", [-0.4, 0.4])
-    for _ in range(max_tries):
+    for _ in range(XI_MAX_TRIES):
         xi = tuple(complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
                    for _ in range(n))
         try:
@@ -109,7 +111,7 @@ def generate_xi(n: int, eta: complex, seed: int, box: dict,
             continue
         return xi
     raise ParameterError(
-        f"could not generate {n} admissible inhomogeneities in {max_tries} tries; "
+        f"could not generate {n} admissible inhomogeneities in {XI_MAX_TRIES} tries; "
         "enlarge the box or lower min_separation"
     )
 

@@ -178,14 +178,13 @@ def _solve_product(factors: list[np.ndarray], rhs: np.ndarray,
 
 
 def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
-                         kappa: complex | None = None, check_tol: float = 1e-8,
-                         variant: int = 1) -> np.ndarray:
+                         kappa: complex | None = None, variant: int = 1) -> np.ndarray:
     """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries.
 
     variant=1 uses [K T(xi_site)]_{ji} sandwiched between transfer matrices at
     xi_1..xi_{site-1} and the inverses at xi_1..xi_site; variant=2 uses the
     quantum-determinant inverse with [K T(xi_site - eta)]_{3-i,3-j}.  The
-    result is checked against the direct Kronecker embedding.
+    result must match the direct Kronecker embedding to 1e-8.
     """
     n = params.n
     if not 1 <= site <= n:
@@ -215,7 +214,7 @@ def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
     out = _solve_product(right, out)
     target = local_op(elementary_matrix(i, j), site, n)
     dev = np.linalg.norm(out - target) / max(np.linalg.norm(target), 1.0)
-    if dev > check_tol:
+    if dev > 1e-8:
         raise InversionError(
             f"dressed operator deviates from the local embedding by {dev:.3e}"
         )

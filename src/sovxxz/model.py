@@ -215,12 +215,12 @@ def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
         raise SingularEvaluationError(f"{name} = {value} is below the evaluation floor")
 
 
-def residual_grid(params: ModelParams, seed: int = 20240) -> np.ndarray:
+def residual_grid(params: ModelParams) -> np.ndarray:
     """4N+5 seeded sample points for functional residuals, kept delta_min away
     from every zero of a, d and their i*pi translates.  They depend on the
     chain only, so one grid serves every record of a spectrum."""
     count = 4 * params.n + 5
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240)
     avoid = params.forbidden_points()
     pts = []
     while len(pts) < count:
@@ -311,9 +311,14 @@ class TrigInterpolation:
         return [lam - x for k, x in enumerate(self.xi) if k != j]
 
     def __call__(self, lam: complex) -> complex:
+        # one sinh per node; each term multiplies the other nodes' factors in order
+        s = [cmath.sinh(lam - x) for x in self.xi]
         out = 0.0 + 0.0j
-        for j in range(len(self.xi)):
-            num = sinh_prod(self._shifted_except(lam, j))
+        for j in range(len(s)):
+            num = 1.0 + 0.0j
+            for k, v in enumerate(s):
+                if k != j:
+                    num *= v
             out += self.values[j] * num / self._den[j]
         return complex(out)
 

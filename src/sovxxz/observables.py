@@ -16,6 +16,7 @@ product forms, so every representation stays finite on all eigen pairs.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -202,15 +203,31 @@ def _s_gamma(u: complex, gamma: complex) -> complex:
     return cmath.sinh((u + gamma) / 2) / (su * sg)
 
 
-def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly, alpha: complex,
-                   gamma: complex | None = None) -> np.ndarray:
-    """Root-labelled scalar-product matrix; rows follow Q-roots, columns P-roots.
+@dataclass(frozen=True)
+class SlavnovHalves:
+    """The alpha-free pieces of ``slavnov_matrix`` for one (P, Q) pair and gamma.
 
-    Entries combine coth (or s_gamma) kernels with the Bethe ratio of Q and a
-    cross term written in a collision-safe product form.  When P and Q carry
-    identical root sets the diagonal entries are filled with their analytic
-    limits, which need the logarithmic derivatives of Q and a.
+    Entry (j, k) is base + (alpha a) kern + ((c alpha) x) y for
+    ``terms[j][k] = (a, kern, c, x, y)``, the middle term left out where kern
+    is None: c = -2 with the cross term's Bethe ratio x and P factor y, or
+    c = 2 with the same-roots limit.  ``base`` is the coth (or s_gamma)
+    Cauchy matrix.
+    """
+
+    base: list[list[complex]]
+    terms: list[list[tuple]]
+
+
+def slavnov_halves(params: ModelParams, p_poly: HalfPeriodTrigPoly,
+                   q_poly: HalfPeriodTrigPoly,
+                   gamma: complex | None = None) -> SlavnovHalves:
+    """Everything in the root-labelled matrix that does not depend on alpha.
+
+    Rows follow Q-roots, columns P-roots.  Entries combine coth (or s_gamma)
+    kernels with the Bethe ratio of Q and a cross term written in a
+    collision-safe product form.  When P and Q carry identical root sets the
+    diagonal entries take their analytic limits, which need the logarithmic
+    derivatives of Q and a.
     """
     pr = np.asarray(p_poly.roots, dtype=np.complex128)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
@@ -219,7 +236,6 @@ def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
         raise ParameterError("polynomials must carry N roots each")
     same_roots = bool(np.all(np.abs(pr - qr) < _COLLISION_TOL))
     afrak_p = [a_frak(params, q_poly, p) for p in pr]
-    mat = np.zeros((n, n), dtype=np.complex128)
     eta = params.eta
     # factors of the cross term that depend on one root only
     d_p = [params.d_fn(p) for p in pr]
@@ -227,8 +243,15 @@ def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     p_p_ipi = [p_poly(p + IPI) for p in pr]
     a_q = [params.a_fn(q) for q in qr]
     q_q_eta = [q_poly(q + eta) for q in qr]
+
+    def kernel(u):
+        return coth(u / 2) if gamma is None else _s_gamma(u, gamma)
+
+    base, terms = [], []
     for j in range(n):
         qj = qr[j]
+        base.append([])
+        terms.append([])
         for k in range(n):
             pk = pr[k]
             if dist_mod_2ipi(pk, qj) < _COLLISION_TOL:
@@ -236,37 +259,32 @@ def slavnov_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
                     raise SingularEvaluationError(
                         f"coincident roots p_{k+1} = q_{j+1} for distinct functions"
                     )
-                lq_eta = q_poly.log_deriv(qj + eta)
-                lq_ipi = q_poly.log_deriv(qj + IPI)
-                la = params.a_log_deriv(qj)
+                log_sum = q_poly.log_deriv(qj + eta) + q_poly.log_deriv(qj + IPI) \
+                    - params.a_log_deriv(qj)
                 afrak_q = a_frak(params, q_poly, qj)
-                limit = 2 * alpha * afrak_q * (lq_eta + lq_ipi - la)
-                if gamma is None:
-                    mat[j, k] = coth((pk - qj - eta) / 2) + limit
-                else:
-                    mat[j, k] = (_s_gamma(pk - qj - eta, gamma)
-                                 + alpha * afrak_q * coth(gamma / 2) + limit)
+                base[j].append(kernel(pk - qj - eta))
+                kern = None if gamma is None else coth(gamma / 2)
+                terms[j].append((afrak_q, kern, 2, afrak_q, log_sum))
                 continue
-            base = coth((pk - qj - eta) / 2) if gamma is None \
-                else _s_gamma(pk - qj - eta, gamma)
-            mid = alpha * afrak_p[k] * (coth((pk - qj) / 2) if gamma is None
-                                        else _s_gamma(pk - qj, gamma))
-            cross = -2 * alpha * (d_p[k] * q_q_eta[j]
-                                  / (a_q[j] * q_p_eta[k] * p_p_ipi[k])) \
-                * _phat_over_sinh(pr, k, qj)
-            mat[j, k] = base + mid + cross
-    return mat
+            base[j].append(kernel(pk - qj - eta))
+            kern = kernel(pk - qj)
+            ratio = d_p[k] * q_q_eta[j] / (a_q[j] * q_p_eta[k] * p_p_ipi[k])
+            terms[j].append((afrak_p[k], kern, -2, ratio, _phat_over_sinh(pr, k, qj)))
+    return SlavnovHalves(base, terms)
 
 
-def coth_cauchy_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                       q_poly: HalfPeriodTrigPoly,
-                       gamma: complex | None = None) -> np.ndarray:
-    n = params.n
+def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
+    """Root-labelled scalar-product matrix at ``alpha``, from its alpha-free
+    halves (rows follow Q-roots, columns P-roots)."""
+    n = len(halves.base)
     mat = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
         for k in range(n):
-            u = p_poly.roots[k] - q_poly.roots[j] - params.eta
-            mat[j, k] = coth(u / 2) if gamma is None else _s_gamma(u, gamma)
+            a, kern, c, x, y = halves.terms[j][k]
+            entry = halves.base[j][k]
+            if kern is not None:
+                entry = entry + alpha * a * kern
+            mat[j, k] = entry + c * alpha * x * y
     return mat
 
 
@@ -297,23 +315,25 @@ class PairContext:
     the same scalar expressions as a fresh evaluation, so results agree to
     the bit.
 
-    ``rec_p``/``rec_q`` are needed only by the eigenvalue-labelled forms;
-    ``z`` (default: the Q-roots) labels the rows of those forms.
+    The eigenvalue-labelled forms need the pair's eigen records, which only
+    ``of_records`` attaches; ``z`` (default: the Q-roots) labels the rows of
+    those forms.
     """
 
     def __init__(self, params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                 q_poly: HalfPeriodTrigPoly, rec_p: EigenRecord | None = None,
-                 rec_q: EigenRecord | None = None, z=None):
+                 q_poly: HalfPeriodTrigPoly, z=None):
         self.params = params
         self.p_poly, self.q_poly = p_poly, q_poly
-        self.rec_p, self.rec_q = rec_p, rec_q
+        self.rec_p = self.rec_q = None
         self.z = list(q_poly.roots) if z is None else [complex(v) for v in z]
         self._built: dict = {}
 
     @classmethod
     def of_records(cls, params: ModelParams, rec_p: EigenRecord,
                    rec_q: EigenRecord, z=None) -> "PairContext":
-        return cls(params, rec_p.q_poly, rec_q.q_poly, rec_p, rec_q, z)
+        pair = cls(params, rec_p.q_poly, rec_q.q_poly, z)
+        pair.rec_p, pair.rec_q = rec_p, rec_q
+        return pair
 
     def _once(self, key, build):
         if key not in self._built:
@@ -321,17 +341,22 @@ class PairContext:
         return self._built[key]
 
     # repr keys tell 1.0 from (1+0j) and 0.0 from -0.0, which round differently
+    def halves(self, gamma: complex | None = None) -> SlavnovHalves:
+        return self._once(("halves", repr(gamma)), lambda: slavnov_halves(
+            self.params, self.p_poly, self.q_poly, gamma))
+
     def slavnov(self, alpha: complex, gamma: complex | None = None) -> np.ndarray:
-        return self._once(("slavnov", repr(alpha), repr(gamma)), lambda: slavnov_matrix(
-            self.params, self.p_poly, self.q_poly, alpha, gamma))
+        return self._once(("slavnov", repr(alpha), repr(gamma)),
+                          lambda: slavnov_matrix(self.halves(gamma), alpha))
 
     def slavnov_det(self, alpha: complex, gamma: complex | None = None) -> complex:
         return self._once(("slavnov_det", repr(alpha), repr(gamma)),
                           lambda: det_lu(self.slavnov(alpha, gamma)))
 
     def cauchy_det(self, gamma: complex | None = None) -> complex:
-        return self._once(("cauchy_det", repr(gamma)), lambda: det_lu(
-            coth_cauchy_matrix(self.params, self.p_poly, self.q_poly, gamma)))
+        """det of the coth (or s_gamma) Cauchy matrix, the base of the halves."""
+        return self._once(("cauchy_det", repr(gamma)),
+                          lambda: det_lu(self.halves(gamma).base))
 
     def tau(self, alpha: complex) -> np.ndarray:
         return self._once(("tau", repr(alpha)), lambda: tau_matrix(*self.tau_dq, alpha))
@@ -397,28 +422,14 @@ class PairContext:
                 for qe, pp in zip(self.q_at_p_eta, self.p_at_p_ipi)]
 
 
-def _pair(params: ModelParams, p_poly: HalfPeriodTrigPoly, q_poly: HalfPeriodTrigPoly,
-          pair: PairContext | None, rec_p: EigenRecord | None = None,
-          rec_q: EigenRecord | None = None, z=None) -> PairContext:
-    """``pair`` once it is checked to belong to these arguments, else a new context."""
-    if pair is None:
-        return PairContext(params, p_poly, q_poly, rec_p, rec_q, z)
-    if pair.p_poly is not p_poly or pair.q_poly is not q_poly or z is not None:
-        raise ParameterError("the pair context was built for other polynomials or z")
-    return pair
-
-
-def sp_slavnov(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-               q_poly: HalfPeriodTrigPoly, alpha: complex,
-               gamma: complex | None = None, cond_tol: float = 1e-7,
-               pair: PairContext | None = None) -> complex:
+def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
+               cond_tol: float = 1e-7) -> complex:
     """Scalar product as the root-labelled determinant ratio.
 
     Only valid when the i*pi compatibility condition on (PQ) holds at the
     inhomogeneities; the residual is checked up front.
     """
-    pair = _pair(params, p_poly, q_poly, pair)
-    res = cond_pq_residual(params, p_poly, q_poly)
+    res = cond_pq_residual(pair.params, pair.p_poly, pair.q_poly)
     if res > cond_tol:
         raise ParameterError(
             f"compatibility condition violated (residual {res:.3e}); "
@@ -477,8 +488,8 @@ def sp_product_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     against the product of the two one-parameter representations (exact to
     1e-12 at N = 1, 2, 3); it carries no 2^{-N(N-1)} factor.
     """
-    lhs = sp_slavnov(params, p_poly, q_poly, alpha) \
-        * sp_slavnov(params, p_poly, q_poly, beta)
+    pair = PairContext(params, p_poly, q_poly)
+    lhs = sp_slavnov(pair, alpha) * sp_slavnov(pair, beta)
     n = params.n
     mat, _, _ = product_matrix(params, p_poly, q_poly, alpha, beta)
     den = np.zeros((n, n), dtype=np.complex128)
@@ -549,16 +560,16 @@ def _tau_prefactor(params: ModelParams, tq_xi, p_roots, z) -> complex:
     return num / den
 
 
-def sp_tau(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-           kappa: complex, kappa2: complex, z=None, pair: PairContext | None = None):
+def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     """Scalar product written through the eigenvalue functions.
 
-    Returns (izergin_form, slavnov_form); ``z`` defaults to the Q-roots and
-    may be any pairwise-distinct points away from the tau_hat poles.
+    Returns (izergin_form, slavnov_form); the rows of the second form sit at
+    the context's ``z``, which may be any pairwise-distinct points away from
+    the tau_hat poles.
     """
-    pair = _pair(params, rec_p.q_poly, rec_q.q_poly, pair, rec_p, rec_q, z)
+    params = pair.params
     n = params.n
-    pr = rec_p.q_poly.roots
+    pr = pair.p_poly.roots
     ratio = kappa2 / kappa
     tp_xi, tq_xi = pair.tau_xi
     num = np.zeros((n, n), dtype=np.complex128)
@@ -622,10 +633,8 @@ def _tau_prod_ratio(tp_xi, tq_xi, n_p: int, n_q: int) -> complex:
     return out
 
 
-def _rank1_sigma_z(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly, site: int,
-                   pair: PairContext | None = None) -> np.ndarray:
-    pair = _pair(params, p_poly, q_poly, pair)
+def _rank1_sigma_z(pair: PairContext, site: int) -> np.ndarray:
+    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
     xs = params.xi[site - 1]
     eta = params.eta
     r0 = q_poly(xs - eta) / p_poly(xs - eta)
@@ -637,19 +646,16 @@ def _rank1_sigma_z(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return np.outer(row, pair.sigma_z_col)
 
 
-def ff_sigma_z(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-               site: int, form: str = "roots", z=None,
-               pair: PairContext | None = None) -> complex:
+def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
     """sigma^z form factor between same-twist eigenstates (site is 1-based)."""
+    params, p_poly = pair.params, pair.p_poly
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
-    p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
-    pair = _pair(params, p_poly, q_poly, pair, rec_p, rec_q, z)
     tp_xi, tq_xi = pair.tau_xi
     pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site, site)
     if form == "roots":
         s1 = pair.slavnov(1.0)
-        pz = _rank1_sigma_z(params, p_poly, q_poly, site, pair)
+        pz = _rank1_sigma_z(pair, site)
         den = pair.cauchy_det()
         return -pq_ratio * det_lu(s1 - pz) / den
     if form == "tau":
@@ -672,10 +678,8 @@ def ff_sigma_z(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
     raise ParameterError(f"unknown form {form!r}")
 
 
-def _rank1_sigma_minus(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                       q_poly: HalfPeriodTrigPoly, site: int,
-                       pair: PairContext | None = None) -> np.ndarray:
-    pair = _pair(params, p_poly, q_poly, pair)
+def _rank1_sigma_minus(pair: PairContext, site: int) -> np.ndarray:
+    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
     xs = params.xi[site - 1]
     eta = params.eta
     a_xs = params.a_fn(xs)
@@ -692,19 +696,17 @@ def _rank1_sigma_minus(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return np.outer(row, col)
 
 
-def ff_sigma_pm(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-                kappa: complex, eps: int, site: int, form: str = "roots",
-                z=None, pair: PairContext | None = None) -> complex:
+def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, site: int,
+                form: str = "roots") -> complex:
     """Spin-flip form factor between same-twist eigenstates.
 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
     the convention where C annihilates the all-up reference state.
     """
+    params, p_poly = pair.params, pair.p_poly
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
-    p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
-    pair = _pair(params, p_poly, q_poly, pair, rec_p, rec_q, z)
     tp_xi, tq_xi = pair.tau_xi
     pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site - 1, site)
     alpha = cmath.exp(-params.eta)
@@ -713,7 +715,7 @@ def ff_sigma_pm(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
             -(sum(p_poly.roots) - sum(params.xi))
         )
         se = pair.slavnov(alpha)
-        pm = _rank1_sigma_minus(params, p_poly, q_poly, site, pair)
+        pm = _rank1_sigma_minus(pair, site)
         den = pair.cauchy_det()
         return pref * pq_ratio * (det_lu(se - pm) - pair.slavnov_det(alpha)) / den
     if form == "tau":
@@ -767,18 +769,16 @@ def _sell_mu_column(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return col
 
 
-def matel_b(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-            kappa: complex, kappa2: complex, eps: int, eps2: int,
-            mu: complex) -> complex:
+def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
+            eps2: int, mu: complex) -> complex:
     """Matrix element of B(mu) between normalized separate eigenstates."""
-    p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
+    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
     alpha = eps * eps2 * kappa2 / kappa
-    n = params.n
     eta = params.eta
-    smat = slavnov_matrix(params, p_poly, q_poly, alpha)
-    den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
+    smat = pair.slavnov(alpha)
+    den = pair.cauchy_det()
     bracket = (p_poly(mu - eta) / p_poly(mu)
-               - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * det_lu(smat)
+               - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * pair.slavnov_det(alpha)
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
     for l, pl in enumerate(p_poly.roots):
         swap = smat.copy()
@@ -877,13 +877,13 @@ def half_period_split_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return abs(val_p - ref) / scale, abs(val_q - ref) / scale, kernel_dev
 
 
-def extension_limit_check(params: ModelParams, f, f_inf: complex,
-                          x_large: float = 30.0) -> float:
+def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     """Finite-argument check of the determinant-size extension rule:
     appending one node at x_large multiplies the functional by
     (1 - f_inf e^{-L eta}) after an e^eta reweighting of f, with L the
     original number of nodes."""
     xs = list(params.xi)
+    x_large = 30.0
     big = a_functional(xs + [x_large], [f(x) for x in xs] + [f(x_large)], params.eta)
     small = a_functional(xs, [cmath.exp(params.eta) * f(x) for x in xs], params.eta)
     target = (1 - f_inf * cmath.exp(-len(xs) * params.eta)) * small
@@ -931,7 +931,8 @@ def identity_bench(params: ModelParams, seed: int = 2025,
         x_contraction_check(params, synth.shifted_ipi(), synth, beta))
 
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    slav = sp_slavnov(params, p_poly, q_poly, alpha)
+    pair = PairContext(params, p_poly, q_poly)
+    slav = sp_slavnov(pair, alpha)
     ize = sp_izergin(params, p_poly, q_poly, alpha)
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))
     dev_p, dev_q, kernel_dev = half_period_split_check(params, p_poly, q_poly, alpha)
@@ -940,7 +941,7 @@ def identity_bench(params: ModelParams, seed: int = 2025,
     out["half_period_kernel_forms"] = float(kernel_dev)
 
     denom_closed = coth_cauchy_closed_form(params, p_poly, q_poly)
-    denom_det = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
+    denom_det = pair.cauchy_det()
     out["cauchy_closed_form"] = float(
         abs(denom_closed - denom_det) / max(abs(denom_det), 1e-30))
 
@@ -953,14 +954,13 @@ def identity_bench(params: ModelParams, seed: int = 2025,
     return out
 
 
-def matel_d(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
-            mu: complex) -> complex:
+def matel_d(pair: PairContext, mu: complex) -> complex:
     """Matrix element of D(mu) between same-twist normalized eigenstates."""
-    p_poly, q_poly = rec_p.q_poly, rec_q.q_poly
+    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
     n = params.n
     eta = params.eta
     alpha = cmath.exp(-eta)
-    smat = slavnov_matrix(params, p_poly, q_poly, alpha)
+    smat = pair.slavnov(alpha)
     big = np.zeros((n + 1, n + 1), dtype=np.complex128)
     big[:n, :n] = smat
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
@@ -972,6 +972,6 @@ def matel_d(params: ModelParams, rec_p: EigenRecord, rec_q: EigenRecord,
         big[n, k] = cmath.exp(pk) * params.d_fn(pk) \
             / (q_poly(pk - eta) * p_poly(pk + IPI))
     big[n, n] = params.a_fn(mu) * params.d_fn(mu) / p_mu
-    den = det_lu(coth_cauchy_matrix(params, p_poly, q_poly))
+    den = pair.cauchy_det()
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
     return pref * det_lu(big) / den

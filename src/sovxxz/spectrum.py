@@ -40,6 +40,8 @@ from .model import (
 )
 from .sov import separate_state
 
+NEWTON_MAX_ITER = 50
+
 
 @dataclass
 class EigenRecord:
@@ -167,16 +169,16 @@ def _bethe_scale(params: ModelParams, roots: np.ndarray) -> float:
     return max(scale, 1e-30)
 
 
-def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly,
-                 tol_factor: float = 1e-12, max_iter: int = 50) -> HalfPeriodTrigPoly:
-    """Damped Newton polish of Bethe roots starting from ``q_poly``."""
+def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodTrigPoly:
+    """Damped Newton polish of Bethe roots starting from ``q_poly``; stops once
+    max|F| < 1e-12 times the scale of its two terms."""
     roots = np.array(q_poly.roots, dtype=np.complex128)
     n = len(roots)
     scale = _bethe_scale(params, roots)
     f, jac = _bethe_system(params, roots)
     res = np.max(np.abs(f))
-    for _ in range(max_iter):
-        if res < tol_factor * scale:
+    for _ in range(NEWTON_MAX_ITER):
+        if res < 1e-12 * scale:
             break
         step = np.linalg.solve(jac, -f)
         t = 1.0
@@ -197,7 +199,7 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly,
                     )
     else:
         raise ConvergenceError(
-            f"Bethe refinement did not converge in {max_iter} iterations "
+            f"Bethe refinement did not converge in {NEWTON_MAX_ITER} iterations "
             f"(last residual {res:.3e})"
         )
     return HalfPeriodTrigPoly.from_roots(roots)
@@ -233,13 +235,12 @@ def discrete_char_residual(params: ModelParams, tau) -> float:
     return worst
 
 
-def probe_transfers(params: ModelParams, kappa: complex, n_probe: int = 3,
-                    seed: int = 515) -> list[tuple[complex, np.ndarray]]:
-    """Seeded probe points mu with their twisted transfer matrices; they do
-    not depend on the record, so one list serves a whole spectrum."""
-    rng = np.random.default_rng(seed)
+def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, np.ndarray]]:
+    """Three seeded probe points mu with their twisted transfer matrices; they
+    do not depend on the record, so one list serves a whole spectrum."""
+    rng = np.random.default_rng(515)
     probes = []
-    for _ in range(n_probe):
+    for _ in range(3):
         mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         probes.append((mu, transfer_k(params, mu, kappa)))
     return probes
@@ -288,7 +289,6 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     record.sum_rule_k = report.sum_rule_k
     record.residuals["wronskian"] = report.wronskian_residual
     record.residuals["sum_rule_defect"] = report.sum_rule_defect
-    record.residuals["pq_prop"] = report.pq_prop_residual
     side_ok = all(
         max(abs(q(x)), abs(q(x + IPI))) > 1e-10 for x in params.xi
     )

@@ -107,12 +107,12 @@ def test_03_scalar_product_agreement(params3, records3, states3):
         for iq, rq in enumerate(records3):
             dense = complex(bras[ip].embedded @ kets2[iq].embedded)
             scale = bras[ip].norm2() * kets2[iq].norm2()
-            tau_ize, tau_slav = obs.sp_tau(params3, rp, rq,
-                                           params3.kappa, KAPPA2)
+            pair = obs.PairContext.of_records(params3, rp, rq)
+            tau_ize, tau_slav = obs.sp_tau(pair, params3.kappa, KAPPA2)
             vals = [
                 obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
                 obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),
-                obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha),
+                obs.sp_slavnov(pair, alpha),
                 tau_ize,
                 tau_slav,
                 dense,
@@ -183,15 +183,16 @@ def test_06_form_factors(params3, records3, states3):
     for ip, rp in enumerate(records3):
         for iq, rq in enumerate(records3):
             scale = bras[ip].norm2() * kets[iq].norm2()
+            pair = obs.PairContext.of_records(params3, rp, rq)
             for site in (1, 2, 3):
                 bf_z = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                       kets[iq])
                 bf_m = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                       kets[iq])
-                vz_roots = obs.ff_sigma_z(params3, rp, rq, site, "roots")
-                vz_tau = obs.ff_sigma_z(params3, rp, rq, site, "tau")
-                vm_roots = obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, "roots")
-                vm_tau = obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, "tau")
+                vz_roots = obs.ff_sigma_z(pair, site, "roots")
+                vz_tau = obs.ff_sigma_z(pair, site, "tau")
+                vm_roots = obs.ff_sigma_pm(pair, kappa, 1, site, "roots")
+                vm_tau = obs.ff_sigma_pm(pair, kappa, 1, site, "tau")
                 worst = max(worst,
                             rel_dev(vz_roots, bf_z, scale),
                             rel_dev(vz_tau, bf_z, scale),

@@ -200,7 +200,8 @@ class TestObservablesCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_pair_and_probe_work_built_once(self, tmp_path, monkeypatch):
-        # each (P, Q) pair builds its Slavnov matrices once for all sites, the
+        # each (P, Q) pair builds its alpha-free Slavnov halves once and its
+        # Slavnov matrices once per alpha for all sites, the
         # dense oracle embeds each local operator once per run, and the
         # certification probes build their transfer matrices once per spectrum
         calls = Counter()
@@ -213,6 +214,7 @@ class TestObservablesCommand:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
+        count(obs, "slavnov_halves")
         count(obs, "slavnov_matrix")
         count(cli, "local_op")
         count(spectrum, "transfer_k")
@@ -224,6 +226,7 @@ class TestObservablesCommand:
                     "--out", str(tmp_path / "o.json")]) == 1
         pairs = (2**n) ** 2
         assert calls["solve_spectrum"] == 1
+        assert 0 < calls["slavnov_halves"] <= pairs
         assert 0 < calls["slavnov_matrix"] <= 3 * pairs
         assert 0 < calls["local_op"] <= 3 * n
         assert 0 < calls["transfer_k"] <= 3 * calls["solve_spectrum"]

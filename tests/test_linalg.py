@@ -46,8 +46,9 @@ class TestDet:
             det_lu(np.ones((2, 3)))
 
     def test_non_finite_raises(self):
-        with pytest.raises(DimensionError):
-            det_lu(np.array([[np.inf, 0], [0, 1]]))
+        for bad in (np.inf, complex(0, np.nan)):
+            with pytest.raises(DimensionError):
+                det_lu(np.array([[bad, 0], [0, 1]]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -184,6 +184,22 @@ class TestTrigInterpolation:
         fd = (interp(lam + h) - interp(lam - h)) / (2 * h)
         assert abs(interp.deriv(lam) - fd) < 1e-6
 
+    def test_call_equals_per_term_sinh_products(self):
+        # one sinh per node, multiplied in the order sinh_prod takes the
+        # other nodes, so the sum agrees to the bit
+        g = rng(9)
+        for n in range(1, 9):
+            xi = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
+            vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]
+            interp = TrigInterpolation(xi, vals)
+            for lam in (0.3 + 0.4j, complex(g.uniform(-1, 1), g.uniform(-1, 1))):
+                ref = 0.0 + 0.0j
+                for j, xj in enumerate(interp.xi):
+                    others = [x for k, x in enumerate(interp.xi) if k != j]
+                    ref += interp.values[j] * sinh_prod(lam - x for x in others) \
+                        / sinh_prod(xj - x for x in others)
+                assert interp(lam) == complex(ref)
+
     def test_quasi_periodicity(self, params3):
         g = rng(8)
         vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]

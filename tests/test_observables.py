@@ -14,7 +14,7 @@ from sovxxz.lattice import (
     monodromy_entries,
 )
 from sovxxz.linalg import det_lu
-from sovxxz.model import HalfPeriodTrigPoly
+from sovxxz.model import IPI, HalfPeriodTrigPoly, a_frak, coth, dist_mod_2ipi
 from sovxxz.sov import matrix_element, overlap, separate_state
 
 
@@ -89,7 +89,7 @@ class TestScalarProductSlavnov:
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         with pytest.raises(ParameterError):
-            obs.sp_slavnov(params3, p, q, 0.5)
+            obs.sp_slavnov(obs.PairContext(params3, p, q), 0.5)
 
     def test_synthetic_shifted_pair(self, params3):
         # P carrying the i*pi-shifted roots of Q satisfies the compatibility
@@ -98,9 +98,10 @@ class TestScalarProductSlavnov:
         q = random_poly(g, 3)
         p = q.shifted_ipi()
         assert obs.cond_pq_residual(params3, p, q) < 1e-12
+        pair = obs.PairContext(params3, p, q)
         for alpha in (0.3 + 0.4j, -1.2j):
             a = obs.sp_izergin(params3, p, q, alpha)
-            b = obs.sp_slavnov(params3, p, q, alpha)
+            b = obs.sp_slavnov(pair, alpha)
             assert rel_dev(a, b) < 1e-10
 
     def test_eigen_pairs_all_representations(self, params3, records3, states3):
@@ -111,11 +112,12 @@ class TestScalarProductSlavnov:
                 rp, rq = records3[ip], records3[iq]
                 dense = overlap(bras[ip], kets2[iq])
                 scale = bras[ip].norm2() * kets2[iq].norm2()
+                pair = obs.PairContext.of_records(params3, rp, rq)
                 vals = [
                     obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
                     obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),
-                    obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha),
-                    *obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2),
+                    obs.sp_slavnov(pair, alpha),
+                    *obs.sp_tau(pair, params3.kappa, KAPPA2),
                     dense,
                 ]
                 for a in vals:
@@ -124,17 +126,17 @@ class TestScalarProductSlavnov:
 
     def test_gamma_deformation(self, params3, records3):
         g = rng(58)
-        rp, rq = records3[0], records3[2]
+        pair = obs.PairContext.of_records(params3, records3[0], records3[2])
         alpha = KAPPA2 / params3.kappa
-        base = obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha)
+        base = obs.sp_slavnov(pair, alpha)
         for _ in range(3):
             gamma = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-            val = obs.sp_slavnov(params3, rp.q_poly, rq.q_poly, alpha, gamma=gamma)
+            val = obs.sp_slavnov(pair, alpha, gamma=gamma)
             assert rel_dev(val, base) < 1e-8
 
     def test_denominator_closed_form(self, params3, records3):
         for rp, rq in [(records3[0], records3[1]), (records3[2], records3[6])]:
-            det = det_lu(obs.coth_cauchy_matrix(params3, rp.q_poly, rq.q_poly))
+            det = obs.PairContext(params3, rp.q_poly, rq.q_poly).cauchy_det()
             closed = obs.coth_cauchy_closed_form(params3, rp.q_poly, rq.q_poly)
             assert rel_dev(det, closed) < 1e-10
 
@@ -143,10 +145,10 @@ class TestScalarProductSlavnov:
         # must converge to the same value
         rec = records3[1]
         alpha = 0.8 + 0.1j
-        exact = obs.sp_slavnov(params3, rec.q_poly, rec.q_poly, alpha)
-        eps_roots = [q + 1e-6 for q in rec.q_poly.roots]
-        near = obs.sp_slavnov(params3, HalfPeriodTrigPoly.from_roots(eps_roots),
-                              rec.q_poly, alpha, cond_tol=1e-4)
+        exact = obs.sp_slavnov(obs.PairContext(params3, rec.q_poly, rec.q_poly), alpha)
+        eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in rec.q_poly.roots])
+        near = obs.sp_slavnov(obs.PairContext(params3, eps_poly, rec.q_poly), alpha,
+                              cond_tol=1e-4)
         assert rel_dev(exact, near) < 1e-4
 
 
@@ -166,7 +168,7 @@ class TestProductIdentity:
         p_poly, q_poly = records3[0].q_poly, records3[5].q_poly
         alpha = 0.6 - 0.9j
         lhs, rhs, dev = obs.sp_product_check(params3, p_poly, q_poly, alpha, alpha)
-        square = obs.sp_slavnov(params3, p_poly, q_poly, alpha) ** 2
+        square = obs.sp_slavnov(obs.PairContext(params3, p_poly, q_poly), alpha) ** 2
         assert dev < 1e-7
         assert rel_dev(rhs, square) < 1e-7
 
@@ -181,16 +183,17 @@ class TestProductIdentity:
 class TestTauRepresentations:
     def test_z_independence(self, params3, records3):
         rp, rq = records3[1], records3[6]
-        _, with_q = obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2,
-                               z=list(rq.q_poly.roots))
-        _, with_p = obs.sp_tau(params3, rp, rq, params3.kappa, KAPPA2,
-                               z=list(rp.q_poly.roots))
+        _, with_q = obs.sp_tau(obs.PairContext.of_records(
+            params3, rp, rq, z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
+        _, with_p = obs.sp_tau(obs.PairContext.of_records(
+            params3, rp, rq, z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
         assert rel_dev(with_q, with_p) < 1e-8
 
     def test_diagonal_specialization_matches_same_q(self, params3, records3):
         rec = records3[2]
         alpha = 1.0
-        ize, slav = obs.sp_tau(params3, rec, rec, params3.kappa, params3.kappa)
+        ize, slav = obs.sp_tau(obs.PairContext.of_records(params3, rec, rec),
+                               params3.kappa, params3.kappa)
         ize2, compact = obs.sp_same_q(params3, rec.q_poly, alpha)
         assert rel_dev(ize, ize2) < 1e-9
         assert rel_dev(slav, compact) < 1e-8
@@ -226,13 +229,12 @@ class TestFormFactors:
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
                 scale = bras[ip].norm2() * kets[iq].norm2()
+                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
                 for site in (1, 2, 3):
                     bf = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                         kets[iq])
-                    roots_v = obs.ff_sigma_z(params3, records3[ip], records3[iq],
-                                             site, "roots")
-                    tau_v = obs.ff_sigma_z(params3, records3[ip], records3[iq],
-                                           site, "tau")
+                    roots_v = obs.ff_sigma_z(pair, site, "roots")
+                    tau_v = obs.ff_sigma_z(pair, site, "tau")
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
@@ -242,13 +244,12 @@ class TestFormFactors:
         for ip in (0, 3, 6):
             for iq in (0, 4, 5):
                 scale = bras[ip].norm2() * kets[iq].norm2()
+                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
                 for site in (1, 2, 3):
                     bf = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                         kets[iq])
-                    roots_v = obs.ff_sigma_pm(params3, records3[ip], records3[iq],
-                                              params3.kappa, 1, site, "roots")
-                    tau_v = obs.ff_sigma_pm(params3, records3[ip], records3[iq],
-                                            params3.kappa, 1, site, "tau")
+                    roots_v = obs.ff_sigma_pm(pair, params3.kappa, 1, site, "roots")
+                    tau_v = obs.ff_sigma_pm(pair, params3.kappa, 1, site, "tau")
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
@@ -277,14 +278,15 @@ class TestFormFactors:
         records = solve_spectrum(params)
         for rec in records[:4]:
             norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
-            val = obs.ff_sigma_z(params, rec, rec, 2, "roots") / norm
+            val = obs.ff_sigma_z(obs.PairContext.of_records(params, rec, rec), 2,
+                                 "roots") / norm
             assert abs(val.imag) < 1e-8
 
     def test_rank1_decomposition_structure(self, params3, records3):
         # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
-        rp, rq = records3[0], records3[3]
-        s_mat = obs.slavnov_matrix(params3, rp.q_poly, rq.q_poly, 1.0)
-        p_mat = obs._rank1_sigma_z(params3, rp.q_poly, rq.q_poly, 2)
+        pair = obs.PairContext.of_records(params3, records3[0], records3[3])
+        s_mat = pair.slavnov(1.0)
+        p_mat = obs._rank1_sigma_z(pair, 2)
         assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
         direct = det_lu(s_mat - p_mat)
         u, s, vh = np.linalg.svd(p_mat)
@@ -297,32 +299,30 @@ class TestFormFactors:
 class TestPairContext:
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation;
-        # its values must equal a fresh evaluation bit for bit
+        # its values must equal those of a fresh context bit for bit
         kappa, kappa2 = params3.kappa, KAPPA2
         for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
             pair = obs.PairContext.of_records(params3, rp, rq)
-            p, q = rp.q_poly, rq.q_poly
-            assert obs.sp_slavnov(params3, p, q, kappa2 / kappa, pair=pair) \
-                == obs.sp_slavnov(params3, p, q, kappa2 / kappa)
-            assert obs.sp_tau(params3, rp, rq, kappa, kappa2, pair=pair) \
-                == obs.sp_tau(params3, rp, rq, kappa, kappa2)
+
+            def fresh():
+                return obs.PairContext.of_records(params3, rp, rq)
+            assert obs.sp_slavnov(pair, kappa2 / kappa) \
+                == obs.sp_slavnov(fresh(), kappa2 / kappa)
+            assert obs.sp_tau(pair, kappa, kappa2) == obs.sp_tau(fresh(), kappa, kappa2)
             for site in range(1, params3.n + 1):
                 for form in ("roots", "tau"):
-                    assert obs.ff_sigma_z(params3, rp, rq, site, form, pair=pair) \
-                        == obs.ff_sigma_z(params3, rp, rq, site, form)
-                    assert obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, form,
-                                           pair=pair) \
-                        == obs.ff_sigma_pm(params3, rp, rq, kappa, 1, site, form)
+                    assert obs.ff_sigma_z(pair, site, form) \
+                        == obs.ff_sigma_z(fresh(), site, form)
+                    assert obs.ff_sigma_pm(pair, kappa, 1, site, form) \
+                        == obs.ff_sigma_pm(fresh(), kappa, 1, site, form)
 
     def test_custom_z_rows(self, params3, records3):
         rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         pair = obs.PairContext.of_records(params3, rp, rq, z=z)
         assert pair.z == z
-        assert obs.ff_sigma_z(params3, rp, rq, 2, "tau", pair=pair) \
-            == obs.ff_sigma_z(params3, rp, rq, 2, "tau", z=z)
-        default = obs.ff_sigma_z(params3, rp, rq, 2, "tau")
-        assert rel_dev(obs.ff_sigma_z(params3, rp, rq, 2, "tau", z=z), default) < 1e-8
+        default = obs.ff_sigma_z(obs.PairContext.of_records(params3, rp, rq), 2, "tau")
+        assert rel_dev(obs.ff_sigma_z(pair, 2, "tau"), default) < 1e-8
 
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
         # the cached halves enter the same scalar arithmetic as the per-entry
@@ -343,13 +343,42 @@ class TestPairContext:
                              for p in rp.q_poly.roots] for z in rq.q_poly.roots])
             assert np.array_equal(pair.tau(alpha), ref)
 
-    def test_context_of_another_pair_rejected(self, params3, records3):
-        pair = obs.PairContext.of_records(params3, records3[0], records3[1])
-        with pytest.raises(ParameterError):
-            obs.ff_sigma_z(params3, records3[1], records3[0], 1, pair=pair)
-        with pytest.raises(ParameterError):
-            obs.ff_sigma_z(params3, records3[0], records3[1], 1, "tau",
-                           z=[0.1, 0.2, 0.3], pair=pair)
+    def test_slavnov_matrix_equals_entrywise_formula(self, params3, records3):
+        # the alpha-free halves enter the same scalar arithmetic as the
+        # per-entry formula, so the matrices agree to the bit, same-roots
+        # limits and the gamma deformation included
+        eta = params3.eta
+
+        def kern(u, gamma):
+            return coth(u / 2) if gamma is None else obs._s_gamma(u, gamma)
+
+        def entry(p_poly, q_poly, alpha, gamma, j, k):
+            pr = np.asarray(p_poly.roots, dtype=np.complex128)
+            pk, qj = pr[k], np.asarray(q_poly.roots, dtype=np.complex128)[j]
+            if dist_mod_2ipi(pk, qj) < 1e-9:
+                afrak_q = a_frak(params3, q_poly, qj)
+                limit = 2 * alpha * afrak_q * (q_poly.log_deriv(qj + eta)
+                                               + q_poly.log_deriv(qj + IPI)
+                                               - params3.a_log_deriv(qj))
+                if gamma is None:
+                    return coth((pk - qj - eta) / 2) + limit
+                return (obs._s_gamma(pk - qj - eta, gamma)
+                        + alpha * afrak_q * coth(gamma / 2) + limit)
+            mid = alpha * a_frak(params3, q_poly, pk) * kern(pk - qj, gamma)
+            cross = -2 * alpha * (params3.d_fn(pk) * q_poly(qj + eta)
+                                  / (params3.a_fn(qj) * q_poly(pk - eta) * p_poly(pk + IPI))) \
+                * obs._phat_over_sinh(pr, k, qj)
+            return kern(pk - qj - eta, gamma) + mid + cross
+
+        n = params3.n
+        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
+            p_poly, q_poly = rp.q_poly, rq.q_poly
+            for gamma in (None, 0.3 - 0.2j):
+                halves = obs.slavnov_halves(params3, p_poly, q_poly, gamma)
+                for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
+                    ref = np.array([[entry(p_poly, q_poly, alpha, gamma, j, k)
+                                     for k in range(n)] for j in range(n)])
+                    assert np.array_equal(obs.slavnov_matrix(halves, alpha), ref)
 
     def test_tau_forms_need_records(self, params3, records3):
         pair = obs.PairContext(params3, records3[0].q_poly, records3[1].q_poly)
@@ -370,8 +399,8 @@ class TestGenericArgumentMatrixElements:
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (2, 3), (1, 1)]:
                 bf = matrix_element(bras[ip], blocks.b, kets2[iq])
-                val = obs.matel_b(params3, records3[ip], records3[iq],
-                                  kappa, kappa2, 1, 1, mu)
+                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                val = obs.matel_b(pair, kappa, kappa2, 1, 1, mu)
                 scale = bras[ip].norm2() * kets2[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7
 
@@ -383,7 +412,8 @@ class TestGenericArgumentMatrixElements:
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (3, 6), (4, 4)]:
                 bf = matrix_element(bras[ip], blocks.d, kets[iq])
-                val = obs.matel_d(params3, records3[ip], records3[iq], mu)
+                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                val = obs.matel_d(pair, mu)
                 scale = bras[ip].norm2() * kets[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7
 
