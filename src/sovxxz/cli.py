@@ -291,9 +291,9 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             scale = bras[ip].norm2() * kets[iq].norm2()
             values: dict[str, complex] = {}
             if "direct" in cfg.representations:
-                values["direct"] = obs.sp_direct(params, rp.q_poly, rq.q_poly, alpha)
+                values["direct"] = obs.sp_direct(pair, alpha)
             if "izergin" in cfg.representations:
-                values["izergin"] = obs.sp_izergin(params, rp.q_poly, rq.q_poly, alpha)
+                values["izergin"] = obs.sp_izergin(pair, alpha)
             if "slavnov" in cfg.representations:
                 values["slavnov"] = obs.sp_slavnov(pair, alpha)
             if "tau_izergin" in cfg.representations or "tau_slavnov" in cfg.representations:
@@ -376,13 +376,13 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 # entry point
 
 
-def _parse_tol(pairs: list[str]) -> dict[str, float]:
+def _parse_tol(pairs: list[str]) -> dict[str, str]:
     out = {}
     for item in pairs or []:
         if "=" not in item:
             raise SovxxzError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        out[name.strip()] = value
     return out
 
 

@@ -66,6 +66,13 @@ def _as_complex(value, name: str) -> complex:
     raise ParameterError(f"field {name!r} must be a number or a [re, im] pair")
 
 
+def _number(kind: type, value, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"field {name!r} must be {kind.__name__}, got {value!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; ``params`` is the derived ModelParams.
@@ -117,8 +124,9 @@ def generate_xi(n: int, eta: complex, seed: int, box: dict,
 
 
 def load_config(path: str | Path | None = None, seed_override: int | None = None,
-                tol_overrides: dict[str, float] | None = None) -> RunConfig:
-    """Load a JSON config file (or the defaults) into a validated RunConfig."""
+                tol_overrides: dict | None = None) -> RunConfig:
+    """Load a JSON config file (or the defaults) into a validated RunConfig;
+    ``tol_overrides`` values may be numbers or numeric strings."""
     data = dict(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -133,18 +141,19 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     schema = data.get("schema", 1)
     if schema != 1:
         raise ParameterError(f"unsupported config schema {schema}")
-    n = int(data["n"])
+    n = _number(int, data["n"], "n")
     if not 1 <= n <= MAX_N_HARD:
         raise ParameterError(f"n must lie in 1..{MAX_N_HARD}, got {n}")
     eta = _as_complex(data["eta"], "eta")
     kappa = _as_complex(data["kappa"], "kappa")
     kappa_prime = _as_complex(data["kappa_prime"], "kappa_prime")
-    seed = int(data["seed"]) if seed_override is None else int(seed_override)
+    seed = _number(int, data["seed"], "seed") if seed_override is None else int(seed_override)
 
     xi_field = data["xi"]
     if isinstance(xi_field, dict):
-        xi_seed = int(xi_field.get("seed", seed)) if seed_override is None else seed
-        min_sep = float(xi_field.get("min_separation", 0.1))
+        xi_seed = _number(int, xi_field.get("seed", seed), "xi.seed") \
+            if seed_override is None else seed
+        min_sep = _number(float, xi_field.get("min_separation", 0.1), "xi.min_separation")
         xi = generate_xi(n, eta, xi_seed, xi_field.get("box", {}), min_sep)
     elif isinstance(xi_field, list):
         if len(xi_field) != n:
@@ -155,7 +164,8 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
         raise ParameterError("field 'xi' must be a list or a generator object")
 
     sites_field = data.get("sites")
-    sites = tuple(range(1, n + 1)) if not sites_field else tuple(int(s) for s in sites_field)
+    sites = tuple(range(1, n + 1)) if not sites_field \
+        else tuple(_number(int, s, "sites") for s in sites_field)
     for s in sites:
         if not 1 <= s <= n:
             raise ParameterError(f"site {s} outside 1..{n}")
@@ -169,14 +179,11 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
             raise ParameterError(f"unknown representation {rep!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (data.get("tolerances") or {}).items():
+    for key, val in [*(data.get("tolerances") or {}).items(),
+                     *(tol_overrides or {}).items()]:
         if key not in DEFAULT_TOLERANCES:
             raise ParameterError(f"unknown tolerance {key!r}")
-        tolerances[key] = float(val)
-    for key, val in (tol_overrides or {}).items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ParameterError(f"unknown tolerance {key!r}")
-        tolerances[key] = float(val)
+        tolerances[key] = _number(float, val, f"tolerances.{key}")
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):

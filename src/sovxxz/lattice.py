@@ -184,7 +184,8 @@ def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
     variant=1 uses [K T(xi_site)]_{ji} sandwiched between transfer matrices at
     xi_1..xi_{site-1} and the inverses at xi_1..xi_site; variant=2 uses the
     quantum-determinant inverse with [K T(xi_site - eta)]_{3-i,3-j}.  The
-    result must match the direct Kronecker embedding to 1e-8.
+    result reproduces the direct Kronecker embedding up to rounding; callers
+    compare the two at their own tolerance.
     """
     n = params.n
     if not 1 <= site <= n:
@@ -211,11 +212,4 @@ def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
     for f in left:
         out = out @ f
     out = out @ core
-    out = _solve_product(right, out)
-    target = local_op(elementary_matrix(i, j), site, n)
-    dev = np.linalg.norm(out - target) / max(np.linalg.norm(target), 1.0)
-    if dev > 1e-8:
-        raise InversionError(
-            f"dressed operator deviates from the local embedding by {dev:.3e}"
-        )
-    return out
+    return _solve_product(right, out)

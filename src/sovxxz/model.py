@@ -2,14 +2,15 @@
 
 Holds the chain data (length, anisotropy, inhomogeneities, twists), the
 half-period polynomials Q(lam) = prod_j sinh((lam - q_j)/2) used to label
-separate states, the model functions a(lam), d(lam), the scalar ratio
-functions consumed by every determinant formula, and the structural
-diagnostics (quantum Wronskian, root sum rule) of a Q-function.
+separate states and their values at the nodes, the model functions a(lam),
+d(lam), the scalar ratio functions consumed by every determinant formula, and
+the structural diagnostics (quantum Wronskian, root sum rule) of a Q-function.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,10 +177,6 @@ class HalfPeriodTrigPoly:
         wrapped = sort_complex([wrap_to_strip(r) for r in roots])
         return HalfPeriodTrigPoly(tuple(complex(r) for r in wrapped))
 
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
-
     def __call__(self, lam: complex) -> complex:
         return sinh_prod((lam - q) / 2 for q in self.roots)
 
@@ -203,11 +200,16 @@ def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u: complex) -> compl
 def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
             q_poly: HalfPeriodTrigPoly, u: complex) -> complex:
     """Izergin weight P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta))."""
-    den_p = p_poly(u + IPI)
-    den_q = q_poly(u - params.eta)
-    _require_nonzero(den_p, "P(u+i*pi)")
-    _require_nonzero(den_q, "Q(u-eta)")
-    return p_poly(u - params.eta + IPI) * q_poly(u) / (den_p * den_q)
+    return f_tilde_values(p_poly(u - params.eta + IPI), q_poly(u),
+                          p_poly(u + IPI), q_poly(u - params.eta))
+
+
+def f_tilde_values(p_eta_ipi: complex, q_u: complex, p_ipi: complex,
+                   q_eta: complex) -> complex:
+    """``f_tilde`` from P(u-eta+i*pi), Q(u), P(u+i*pi) and Q(u-eta)."""
+    _require_nonzero(p_ipi, "P(u+i*pi)")
+    _require_nonzero(q_eta, "Q(u-eta)")
+    return p_eta_ipi * q_u / (p_ipi * q_eta)
 
 
 def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
@@ -215,10 +217,10 @@ def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
         raise SingularEvaluationError(f"{name} = {value} is below the evaluation floor")
 
 
-def residual_grid(params: ModelParams) -> np.ndarray:
-    """4N+5 seeded sample points for functional residuals, kept delta_min away
-    from every zero of a, d and their i*pi translates.  They depend on the
-    chain only, so one grid serves every record of a spectrum."""
+def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]:
+    """4N+5 seeded sample points (lam, a(lam), d(lam)) for functional residuals,
+    lam kept delta_min away from every zero of a, d and their i*pi translates.
+    They depend on the chain only, so one grid serves every record of a spectrum."""
     count = 4 * params.n + 5
     rng = np.random.default_rng(20240)
     avoid = params.forbidden_points()
@@ -227,7 +229,21 @@ def residual_grid(params: ModelParams) -> np.ndarray:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.45 * PI, 0.45 * PI))
         if all(dist_mod_ipi(z, p) >= params.delta_min for p in avoid):
             pts.append(z)
-    return np.array(pts, dtype=np.complex128)
+    return [(lam, params.a_fn(lam), params.d_fn(lam))
+            for lam in np.array(pts, dtype=np.complex128)]
+
+
+NodeValues = namedtuple("NodeValues", "x x_eta x_ipi x_eta_ipi")
+
+
+def node_values(params: ModelParams, poly: HalfPeriodTrigPoly) -> NodeValues:
+    """``poly`` at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi, one row
+    each (row h in (0, 1) is P(xi_k - h * eta)); one table serves all pairs."""
+    eta = params.eta
+    return NodeValues(tuple(poly(x) for x in params.xi),
+                      tuple(poly(x - eta) for x in params.xi),
+                      tuple(poly(x + IPI) for x in params.xi),
+                      tuple(poly(x - eta + IPI) for x in params.xi))
 
 
 @dataclass(frozen=True)
@@ -237,17 +253,15 @@ class QStructureReport:
     wronskian_sign: int
     sum_rule_defect: float
     sum_rule_k: int
-    pq_prop_residual: float
 
 
 def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
-                          grid: np.ndarray | None = None) -> QStructureReport:
+                          grid: list | None = None) -> QStructureReport:
     """Structural diagnostics of a candidate Q-function.
 
     Checks, on ``grid`` (default ``residual_grid(params)``), the quantum
-    Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed),
-    the root sum rule modulo i*k*pi, and the bra/ket compatibility ratio
-    identity at the inhomogeneities.
+    Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
+    and the root sum rule modulo i*k*pi.
     """
     n = params.n
     qhat = q_poly.shifted_ipi()
@@ -255,8 +269,8 @@ def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
 
     target = (0.5j) ** n
     samples = [(0.5 * (q_poly(lam) * qhat(lam - params.eta)
-                     + qhat(lam) * q_poly(lam - params.eta)), params.d_fn(lam))
-             for lam in grid]
+                     + qhat(lam) * q_poly(lam - params.eta)), d)
+             for lam, _, d in grid]
     best = None
     for sign in (1, -1):
         num, scale = 0.0, 0.0
@@ -273,19 +287,12 @@ def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
     k = round(s.imag / PI)
     defect = abs(s - 1j * PI * k)
 
-    pq_res = 0.0
-    for x in params.xi:
-        r1 = q_poly(x - params.eta) / q_poly(x)
-        r2 = q_poly(x - params.eta + IPI) / q_poly(x + IPI)
-        pq_res = max(pq_res, abs(r1 + r2) / max(abs(r1) + abs(r2), 1e-30))
-
     return QStructureReport(
         qhat=qhat,
         wronskian_residual=float(w_res),
         wronskian_sign=w_sign,
         sum_rule_defect=float(defect),
         sum_rule_k=int(k),
-        pq_prop_residual=float(pq_res),
     )
 
 

@@ -27,13 +27,17 @@ from .model import (
     IPI,
     HalfPeriodTrigPoly,
     ModelParams,
+    NodeValues,
     a_frak,
     coth,
     dist_mod_2ipi,
     f_tilde,
+    f_tilde_values,
+    node_values,
     sinh_prod,
     vandermonde,
 )
+from .sov import _cached_basis, all_h
 from .spectrum import EigenRecord, solve_spectrum
 
 _COLLISION_TOL = 1e-9
@@ -115,56 +119,52 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 # scalar products
 
 
-def sp_direct(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-              q_poly: HalfPeriodTrigPoly, alpha: complex) -> complex:
+def sp_direct(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
+    params, (p, q) = pair.params, pair.nodes
     f_vals = []
-    for x in params.xi:
-        den = p_poly(x - params.eta) * q_poly(x - params.eta)
+    for k, x in enumerate(params.xi):
+        den = p.x_eta[k] * q.x_eta[k]
         if abs(den) < 1e-13:
             raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {x}")
-        f_vals.append(-alpha * p_poly(x) * q_poly(x) / den)
+        f_vals.append(-alpha * p.x[k] * q.x[k] / den)
     return a_functional(params.xi, f_vals, params.eta)
 
 
-def sp_sov_sum(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-               q_poly: HalfPeriodTrigPoly, alpha: complex) -> complex:
+def sp_sov_sum(pair: PairContext, alpha: complex) -> complex:
     """Literal 2^N sum over the SoV labels (the definition of the product)."""
+    params, (p, q) = pair.params, pair.nodes
     n = params.n
-    v_xi = vandermonde(params.xi)
-    ratio = []
-    for x in params.xi:
-        ratio.append(alpha * p_poly(x) * q_poly(x)
-                     / (p_poly(x - params.eta) * q_poly(x - params.eta)))
+    v_h = _cached_basis(params).v_h
+    ratio = [alpha * p.x[k] * q.x[k] / (p.x_eta[k] * q.x_eta[k]) for k in range(n)]
     total = 0.0 + 0.0j
-    for idx in range(2**n):
-        h = [(idx >> (n - 1 - m)) & 1 for m in range(n)]
+    for idx, h in enumerate(all_h(n)):
         term = 1.0 + 0.0j
         for m in range(n):
             if h[m] == 0:
                 term *= ratio[m]
-        shift = [params.xi[m] - (1 - h[m]) * params.eta for m in range(n)]
-        total += term * vandermonde(shift) / v_xi
+        # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
+        total += term * v_h[2**n - 1 - idx] / v_h[0]
     return total
 
 
-def sp_izergin(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-               q_poly: HalfPeriodTrigPoly, alpha: complex) -> complex:
+def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as a weighted Izergin determinant with columns labelled
     by the roots of P."""
-    _require_roots_off_nodes(params, p_poly)
-    f_vals = [-alpha * f_tilde(params, p_poly, q_poly, x) for x in params.xi]
-    return izergin_ratio(params.xi, p_poly.roots, f_vals, params.eta)
+    params, (p, q) = pair.params, pair.nodes
+    _require_roots_off_nodes(params, pair.p_poly)
+    f_vals = [-alpha * f_tilde_values(p.x_eta_ipi[k], q.x[k], p.x_ipi[k], q.x_eta[k])
+              for k in range(params.n)]
+    return izergin_ratio(params.xi, pair.p_poly.roots, f_vals, params.eta)
 
 
-def cond_pq_residual(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                     q_poly: HalfPeriodTrigPoly) -> float:
+def cond_pq_residual(pair: PairContext) -> float:
     """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
+    p, q = pair.nodes
     worst = 0.0
-    for x in params.xi:
-        r1 = (p_poly(x - params.eta) * q_poly(x - params.eta)) / (p_poly(x) * q_poly(x))
-        r2 = (p_poly(x - params.eta + IPI) * q_poly(x - params.eta + IPI)) \
-            / (p_poly(x + IPI) * q_poly(x + IPI))
+    for k in range(pair.params.n):
+        r1 = (p.x_eta[k] * q.x_eta[k]) / (p.x[k] * q.x[k])
+        r2 = (p.x_eta_ipi[k] * q.x_eta_ipi[k]) / (p.x_ipi[k] * q.x_ipi[k])
         worst = max(worst, abs(r1 - r2) / max(abs(r1) + abs(r2), 1e-30))
     return worst
 
@@ -218,9 +218,7 @@ class SlavnovHalves:
     terms: list[list[tuple]]
 
 
-def slavnov_halves(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly,
-                   gamma: complex | None = None) -> SlavnovHalves:
+def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHalves:
     """Everything in the root-labelled matrix that does not depend on alpha.
 
     Rows follow Q-roots, columns P-roots.  Entries combine coth (or s_gamma)
@@ -229,7 +227,8 @@ def slavnov_halves(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     diagonal entries take their analytic limits, which need the logarithmic
     derivatives of Q and a.
     """
-    pr = np.asarray(p_poly.roots, dtype=np.complex128)
+    params, q_poly = pair.params, pair.q_poly
+    pr = np.asarray(pair.p_poly.roots, dtype=np.complex128)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
     n = params.n
     if len(pr) != n or len(qr) != n:
@@ -238,9 +237,7 @@ def slavnov_halves(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     afrak_p = [a_frak(params, q_poly, p) for p in pr]
     eta = params.eta
     # factors of the cross term that depend on one root only
-    d_p = [params.d_fn(p) for p in pr]
-    q_p_eta = [q_poly(p - eta) for p in pr]
-    p_p_ipi = [p_poly(p + IPI) for p in pr]
+    d_p, q_p_eta, p_p_ipi = pair.d_at_p, pair.q_at_p_eta, pair.p_at_p_ipi
     a_q = [params.a_fn(q) for q in qr]
     q_q_eta = [q_poly(q + eta) for q in qr]
 
@@ -342,8 +339,7 @@ class PairContext:
 
     # repr keys tell 1.0 from (1+0j) and 0.0 from -0.0, which round differently
     def halves(self, gamma: complex | None = None) -> SlavnovHalves:
-        return self._once(("halves", repr(gamma)), lambda: slavnov_halves(
-            self.params, self.p_poly, self.q_poly, gamma))
+        return self._once(("halves", repr(gamma)), lambda: slavnov_halves(self, gamma))
 
     def slavnov(self, alpha: complex, gamma: complex | None = None) -> np.ndarray:
         return self._once(("slavnov", repr(alpha), repr(gamma)),
@@ -370,6 +366,14 @@ class PairContext:
         return self.rec_p, self.rec_q
 
     @cached_property
+    def nodes(self) -> tuple[NodeValues, NodeValues]:
+        """P's and Q's ``model.node_values`` tables, the only node values any pair
+        formula reads: the records' own, or built here for bare polynomials."""
+        if self.rec_p is not None:
+            return self.rec_p.nodes, self.rec_q.nodes
+        return node_values(self.params, self.p_poly), node_values(self.params, self.q_poly)
+
+    @cached_property
     def tau_xi(self) -> tuple[list[complex], list[complex]]:
         """(tau_P(xi_k), tau_Q(xi_k)) at every node."""
         rec_p, rec_q = self._records()
@@ -390,7 +394,7 @@ class PairContext:
     def tau_prefactor(self) -> complex:
         return _tau_prefactor(self.params, self.tau_xi[1], self.p_poly.roots, self.z)
 
-    # site-independent column factors of the rank-one terms, one per P-root
+    # factors that depend on one P-root only: Slavnov cross term, rank-one columns
     @cached_property
     def d_at_p(self) -> list[complex]:
         return [self.params.d_fn(p) for p in self.p_poly.roots]
@@ -429,7 +433,7 @@ def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
     Only valid when the i*pi compatibility condition on (PQ) holds at the
     inhomogeneities; the residual is checked up front.
     """
-    res = cond_pq_residual(pair.params, pair.p_poly, pair.q_poly)
+    res = cond_pq_residual(pair)
     if res > cond_tol:
         raise ParameterError(
             f"compatibility condition violated (residual {res:.3e}); "
@@ -497,8 +501,8 @@ def sp_product_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
         for k in range(n):
             den[i, k] = 1 / cmath.sinh((p_poly.roots[k] - q_poly.roots[i] - params.eta) / 2)
     pref = (-1.0) ** n * cmath.exp(sum(params.xi) - sum(p_poly.roots))
-    for x in params.xi:
-        pref *= q_poly(x) / q_poly(x - params.eta)
+    for k in range(n):
+        pref *= pair.nodes[1].x[k] / pair.nodes[1].x_eta[k]
     rhs = pref * det_lu(mat) / det_lu(den)
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, dev
@@ -634,21 +638,21 @@ def _tau_prod_ratio(tp_xi, tq_xi, n_p: int, n_q: int) -> complex:
 
 
 def _rank1_sigma_z(pair: PairContext, site: int) -> np.ndarray:
-    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
-    xs = params.xi[site - 1]
+    params, (p, q), k = pair.params, pair.nodes, site - 1
+    xs = params.xi[k]
     eta = params.eta
-    r0 = q_poly(xs - eta) / p_poly(xs - eta)
-    r1 = q_poly(xs - eta + IPI) / p_poly(xs - eta + IPI)
+    r0 = q.x_eta[k] / p.x_eta[k]
+    r1 = q.x_eta_ipi[k] / p.x_eta_ipi[k]
     row = np.array([
         r0 * coth((xs - qj - eta) / 2) + r1 * coth((xs + IPI - qj - eta) / 2)
-        for qj in q_poly.roots
+        for qj in pair.q_poly.roots
     ], dtype=np.complex128)
     return np.outer(row, pair.sigma_z_col)
 
 
 def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
     """sigma^z form factor between same-twist eigenstates (site is 1-based)."""
-    params, p_poly = pair.params, pair.p_poly
+    params = pair.params
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
     tp_xi, tq_xi = pair.tau_xi
@@ -664,8 +668,8 @@ def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
         xs = params.xi[site - 1]
         tq_xs = tq_xi[site - 1]
         e_xs = cmath.exp(xs)
-        p_xs_eta = p_poly(xs - params.eta)
-        p_xs_ipi = p_poly(xs + IPI)
+        p_xs_eta = pair.nodes[0].x_eta[site - 1]
+        p_xs_ipi = pair.nodes[0].x_ipi[site - 1]
         d_p, p_eta, p_ipi = pair.d_at_p, pair.p_at_p_eta, pair.p_at_p_ipi
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
         for i in range(params.n):
@@ -679,19 +683,19 @@ def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
 
 
 def _rank1_sigma_minus(pair: PairContext, site: int) -> np.ndarray:
-    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
-    xs = params.xi[site - 1]
+    params, (p, q), k = pair.params, pair.nodes, site - 1
+    xs = params.xi[k]
     eta = params.eta
     a_xs = params.a_fn(xs)
     col = np.array([
         cmath.exp(-xs + pk) * a_xs * d / den
-        for pk, d, den in zip(p_poly.roots, pair.d_at_p, pair.sigma_minus_col_den)
+        for pk, d, den in zip(pair.p_poly.roots, pair.d_at_p, pair.sigma_minus_col_den)
     ], dtype=np.complex128)
-    r0 = q_poly(xs - eta) / p_poly(xs)
-    r1 = q_poly(xs - eta + IPI) / p_poly(xs + IPI)
+    r0 = q.x_eta[k] / p.x[k]
+    r1 = q.x_eta_ipi[k] / p.x_ipi[k]
     row = np.array([
         r0 * coth((xs - qj - eta) / 2) - r1 * coth((xs - qj - eta + IPI) / 2)
-        for qj in q_poly.roots
+        for qj in pair.q_poly.roots
     ], dtype=np.complex128)
     return np.outer(row, col)
 
@@ -837,7 +841,7 @@ def half_period_split_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     n = params.n
     eta = params.eta
     pr, qr = p_poly.roots, q_poly.roots
-    ref = sp_izergin(params, p_poly, q_poly, alpha)
+    ref = sp_izergin(PairContext(params, p_poly, q_poly), alpha)
     den = np.zeros((n, n), dtype=np.complex128)
     m1 = np.zeros((n, n), dtype=np.complex128)
     m2a = np.zeros((n, n), dtype=np.complex128)
@@ -933,7 +937,7 @@ def identity_bench(params: ModelParams, seed: int = 2025,
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     pair = PairContext(params, p_poly, q_poly)
     slav = sp_slavnov(pair, alpha)
-    ize = sp_izergin(params, p_poly, q_poly, alpha)
+    ize = sp_izergin(pair, alpha)
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))
     dev_p, dev_q, kernel_dev = half_period_split_check(params, p_poly, q_poly, alpha)
     out["half_period_split_p"] = float(dev_p)

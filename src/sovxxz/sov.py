@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError
 from .lattice import monodromy_entries, reference_state
-from .model import HalfPeriodTrigPoly, ModelParams, dist_mod_2ipi, vandermonde
+from .model import HalfPeriodTrigPoly, ModelParams, dist_mod_2ipi, node_values, vandermonde
 
 
 def all_h(n: int):
@@ -105,12 +105,6 @@ class SovState:
         return float(np.linalg.norm(self.embedded))
 
 
-def _node_values(params: ModelParams, poly: HalfPeriodTrigPoly) -> list[list[complex]]:
-    """P(xi_m - b * eta) for b in (0, 1): row b holds the values at the nodes
-    shifted by b."""
-    return [[poly(x) for x in xi_shifted(params, [b] * params.n)] for b in (0, 1)]
-
-
 def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex,
                    eps: int, side: str, normalized: bool = True) -> SovState:
     """Build a separate state labelled by ``poly`` with twist/sign (kappa, eps).
@@ -124,7 +118,7 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
     n = params.n
     basis = _cached_basis(params)
     v_xi = basis.v_h[0]
-    p_nodes = _node_values(params, poly)
+    p_nodes = node_values(params, poly)
     if normalized:
         for m in range(n):
             target = params.xi[m] - params.eta
@@ -133,7 +127,7 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
                     f"P has a root within delta_min of xi_{m+1} - eta; "
                     "build the unnormalized state instead"
                 )
-        site_ratio = [p_nodes[0][m] / p_nodes[1][m] for m in range(n)]
+        site_ratio = [p_nodes.x[m] / p_nodes.x_eta[m] for m in range(n)]
 
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
@@ -142,17 +136,16 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
         idx = h_to_index(h)
         # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
         v_shift = basis.v_h[dim - 1 - idx] if side == "ket" else basis.v_h[idx]
+        factor = 1.0 + 0.0j
         if normalized:
-            factor = 1.0 + 0.0j
             for m in range(n):
                 if h[m] == 0:
                     base = eps * kappa if side == "ket" else eps / kappa
                     factor *= base * site_ratio[m]
             factor *= v_shift / v_xi if side == "ket" else v_shift
         else:
-            factor = 1.0 + 0.0j
             for m in range(n):
-                factor *= p_nodes[h[m]][m]
+                factor *= p_nodes[h[m]][m]  # row h_m holds P(xi_m - h_m * eta)
                 if h[m] == 1:
                     factor *= (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
             factor *= v_shift
@@ -173,7 +166,7 @@ def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)
-    p_nodes = _node_values(params, poly)
+    p_nodes = node_values(params, poly)
     for h in all_h(n):
         factor = 1.0 + 0.0j
         for m in range(n):

@@ -27,13 +27,14 @@ from .errors import (
 from .lattice import spectrum_oracle, transfer_k
 from .linalg import MonicPoly, roots_monic
 from .model import (
-    IPI,
     HalfPeriodTrigPoly,
     ModelParams,
+    NodeValues,
     TrigInterpolation,
     a_frak,
     dist_mod_2ipi,
     dist_mod_ipi,
+    node_values,
     q_structure_residuals,
     residual_grid,
     sinh_prod,
@@ -51,6 +52,7 @@ class EigenRecord:
     tau: TrigInterpolation
     q_poly: HalfPeriodTrigPoly
     qhat_poly: HalfPeriodTrigPoly | None = None
+    nodes: NodeValues | None = None
     eps: int = 1
     residuals: dict = field(default_factory=dict)
     wronskian_sign: int = 0
@@ -131,12 +133,13 @@ def q_from_tau(params: ModelParams, tau, seed: int = 4242) -> HalfPeriodTrigPoly
 
 
 def _bethe_system(params: ModelParams, roots: np.ndarray):
-    """Residual F and its Jacobian for the root system
-    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta)."""
+    """Residual F, Jacobian and term scale max_j(|a Q(q_j - eta)| + |d Q(q_j + eta)|),
+    floored at 1e-30, of the root system F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta)."""
     n = len(roots)
     eta = params.eta
     f = np.zeros(n, dtype=np.complex128)
     jac = np.zeros((n, n), dtype=np.complex128)
+    scale = 0.0
     for j in range(n):
         lam = roots[j]
         zm = [(lam - eta - q) / 2 for q in roots]
@@ -149,6 +152,7 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
         av = params.a_fn(lam)
         dv = params.d_fn(lam)
         f[j] = av * qm - dv * qp
+        scale = max(scale, abs(av * qm) + abs(dv * qp))
         for m in range(n):
             jac[j, m] = av * dqm[m] - dv * dqp[m]
         # on the diagonal lam = q_j also moves the arguments of every factor l != j
@@ -156,26 +160,15 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
         dqp_lam = sum(-dqp[l] for l in range(n) if l != j)
         jac[j, j] = params.a_prime(lam) * qm + av * dqm_lam \
             - params.d_prime(lam) * qp - dv * dqp_lam
-    return f, jac
-
-
-def _bethe_scale(params: ModelParams, roots: np.ndarray) -> float:
-    eta = params.eta
-    scale = 0.0
-    for lam in roots:
-        qm = sinh_prod((lam - eta - q) / 2 for q in roots)
-        qp = sinh_prod((lam + eta - q) / 2 for q in roots)
-        scale = max(scale, abs(params.a_fn(lam) * qm) + abs(params.d_fn(lam) * qp))
-    return max(scale, 1e-30)
+    return f, jac, max(scale, 1e-30)
 
 
 def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodTrigPoly:
     """Damped Newton polish of Bethe roots starting from ``q_poly``; stops once
-    max|F| < 1e-12 times the scale of its two terms."""
+    max|F| < 1e-12 times the scale of its two terms at the start."""
     roots = np.array(q_poly.roots, dtype=np.complex128)
     n = len(roots)
-    scale = _bethe_scale(params, roots)
-    f, jac = _bethe_system(params, roots)
+    f, jac, scale = _bethe_system(params, roots)
     res = np.max(np.abs(f))
     for _ in range(NEWTON_MAX_ITER):
         if res < 1e-12 * scale:
@@ -184,7 +177,7 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodT
         t = 1.0
         while t > 1e-4:
             cand = roots + t * step
-            fc, jc = _bethe_system(params, cand)
+            fc, jc, _ = _bethe_system(params, cand)
             if np.max(np.abs(fc)) < res:
                 roots, f, jac, res = cand, fc, jc, np.max(np.abs(fc))
                 break
@@ -211,15 +204,15 @@ def bethe_residual(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> float:
 
 
 def tq_residual(params: ModelParams, tau, q_poly: HalfPeriodTrigPoly,
-                grid: np.ndarray | None = None) -> float:
+                grid: list | None = None) -> float:
     """Relative functional residual of the tau/Q relation on ``grid``
     (default ``residual_grid(params)``)."""
     grid = residual_grid(params) if grid is None else grid
     num, scale = 0.0, 0.0
-    for lam in grid:
+    for lam, a, d in grid:
         t1 = tau(lam) * q_poly(lam)
-        t2 = params.a_fn(lam) * q_poly(lam - params.eta)
-        t3 = params.d_fn(lam) * q_poly(lam + params.eta)
+        t2 = a * q_poly(lam - params.eta)
+        t3 = d * q_poly(lam + params.eta)
         num = max(num, abs(t1 + t2 - t3))
         scale = max(scale, abs(t1) + abs(t2) + abs(t3))
     return num / max(scale, 1e-30)
@@ -270,11 +263,12 @@ def eigenstate_residual(params: ModelParams, record: "EigenRecord",
 
 def certify(params: ModelParams, record: EigenRecord, kappa: complex,
             tolerances: dict | None = None, probes=None,
-            grid: np.ndarray | None = None) -> EigenRecord:
+            grid: list | None = None) -> EigenRecord:
     """Compute every residual of the record, gate it and stamp the record.
 
-    Fills ``qhat_poly``, ``wronskian_sign``, ``sum_rule_k`` and every entry of
-    ``residuals`` except the oracle's ``interp_check``.  ``tolerances``
+    Fills ``qhat_poly``, ``nodes`` (``model.node_values`` of Q, which the side
+    condition and every pair formula read), ``wronskian_sign``, ``sum_rule_k``
+    and every entry of ``residuals`` except the oracle's ``interp_check``.  ``tolerances``
     overrides entries of ``config.DEFAULT_TOLERANCES``; ``probes`` are handed
     to ``eigenstate_residual`` and ``grid`` (default ``residual_grid(params)``)
     to the functional residuals.  Raises CertificationError listing each
@@ -285,13 +279,13 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     q = record.q_poly
     report = q_structure_residuals(q, params, grid)
     record.qhat_poly = report.qhat
+    record.nodes = node_values(params, q)
     record.wronskian_sign = report.wronskian_sign
     record.sum_rule_k = report.sum_rule_k
     record.residuals["wronskian"] = report.wronskian_residual
     record.residuals["sum_rule_defect"] = report.sum_rule_defect
-    side_ok = all(
-        max(abs(q(x)), abs(q(x + IPI))) > 1e-10 for x in params.xi
-    )
+    side_ok = all(max(abs(v), abs(w)) > 1e-10
+                  for v, w in zip(record.nodes.x, record.nodes.x_ipi))
     record.residuals["tq"] = tq_residual(params, record.tau, q, grid)
     record.residuals["bethe"] = bethe_residual(params, q)
     record.residuals["discrete_char"] = discrete_char_residual(params, record.tau)

@@ -110,8 +110,8 @@ def test_03_scalar_product_agreement(params3, records3, states3):
             pair = obs.PairContext.of_records(params3, rp, rq)
             tau_ize, tau_slav = obs.sp_tau(pair, params3.kappa, KAPPA2)
             vals = [
-                obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
-                obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),
+                obs.sp_direct(pair, alpha),
+                obs.sp_izergin(pair, alpha),
                 obs.sp_slavnov(pair, alpha),
                 tau_ize,
                 tau_slav,
@@ -135,8 +135,8 @@ def test_04_orthogonality(params3, records3):
         for iq in range(8):
             if ip == iq:
                 continue
-            formula = obs.sp_direct(params3, records3[ip].q_poly,
-                                    records3[iq].q_poly, 1.0)
+            formula = obs.sp_direct(
+                obs.PairContext.of_records(params3, records3[ip], records3[iq]), 1.0)
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             worst = max(worst, abs(formula) / scale, abs(dense) / scale)

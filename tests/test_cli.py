@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import sovxxz.cli as cli
+import sovxxz.lattice as lattice
 import sovxxz.observables as obs
 import sovxxz.spectrum as spectrum
 from sovxxz.cli import main
@@ -51,6 +52,25 @@ class TestConfig:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ParameterError):
             load_config(None, tol_overrides={"nope": 1e-3})
+
+    @pytest.mark.parametrize("config, tol", [
+        pytest.param(None, "bethe_residual=abc", id="tol-flag"),
+        pytest.param({"n": "three"}, None, id="n"),
+        pytest.param({"sites": ["a"]}, None, id="sites"),
+        pytest.param({"tolerances": {"tq_residual": "x"}}, None, id="tolerances"),
+        pytest.param({"xi": {"min_separation": "x"}}, None, id="min_separation"),
+    ])
+    def test_malformed_number_is_a_parameter_error(self, tmp_path, capsys, config, tol):
+        args = ["spectrum", "--out", str(tmp_path / "r.json")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        if tol is not None:
+            args += ["--tol", tol]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_small_min_separation_reaches_params(self, tmp_path):
         # xi seed 24 draws shift sets about 0.027 apart: admissible under
@@ -102,6 +122,21 @@ class TestValidateCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"n": 2, "xi": [[0.1, 0.0], [0.1, 0.0]]}))
         assert run(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("tol_args, code", [([], 1),
+                                                (["--tol", "inverse_problem=1e-6"], 0)])
+    def test_inverse_problem_tolerance_is_honoured(self, tmp_path, monkeypatch,
+                                                   tol_args, code):
+        # dressed operators 1e-7 off their embedding fail the default 1e-8
+        # and pass a configured 1e-6; neither aborts the run
+        solve = lattice._solve_product
+        monkeypatch.setattr(lattice, "_solve_product",
+                            lambda *args: solve(*args) * (1 + 1e-7))
+        out = tmp_path / "v.json"
+        assert run(["validate", "--out", str(out), *tol_args]) == code
+        check = read(out)["checks"]["inverse_problem"]
+        assert 1e-8 < check["residual"] < 1e-6
+        assert check["pass"] is (code == 0)
 
     def test_impossible_tolerance_fails_without_crash(self, tmp_path):
         out = tmp_path / "v.json"

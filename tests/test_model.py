@@ -158,13 +158,6 @@ class TestStructureResiduals:
             assert report.sum_rule_defect < 1e-8
             assert report.wronskian_sign in (-1, 1)
 
-    def test_random_roots_violate_bra_ket_compat(self, params3):
-        g = rng(4)
-        poly = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
-        report = q_structure_residuals(poly, params3)
-        assert report.pq_prop_residual > 1e-3
-
     def test_n1_midpoint_root_has_zero_defect(self):
         params = make_params(1)
         poly = HalfPeriodTrigPoly.from_roots([params.xi[0] - params.eta / 2])

@@ -32,15 +32,16 @@ class TestScalarProductDirect:
         alpha = 0.7 - 0.2j
         x, eta = params.xi[0], params.eta
         expected = 1 + alpha * p(x) * q(x) / (p(x - eta) * q(x - eta))
-        assert rel_dev(obs.sp_direct(params, p, q, alpha), expected) < 1e-13
+        assert rel_dev(obs.sp_direct(obs.PairContext(params, p, q), alpha), expected) < 1e-13
 
     def test_matches_exhaustive_sum(self, params3):
         g = rng(52)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-        a = obs.sp_direct(params3, p, q, alpha)
-        b = obs.sp_sov_sum(params3, p, q, alpha)
+        pair = obs.PairContext(params3, p, q)
+        a = obs.sp_direct(pair, alpha)
+        b = obs.sp_sov_sum(pair, alpha)
         assert rel_dev(a, b) < 1e-10
 
     def test_matches_embedded_inner_product(self, params3):
@@ -51,7 +52,7 @@ class TestScalarProductDirect:
         alpha = eps * eps2 * kappa2 / kappa
         bra = separate_state(params3, p, kappa, eps, "bra")
         ket = separate_state(params3, q, kappa2, eps2, "ket")
-        assert rel_dev(obs.sp_direct(params3, p, q, alpha),
+        assert rel_dev(obs.sp_direct(obs.PairContext(params3, p, q), alpha),
                        overlap(bra, ket)) < 1e-9
 
 
@@ -60,7 +61,7 @@ class TestScalarProductIzergin:
         g = rng(54)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
-        assert obs.sp_izergin(params3, p, q, 0.0) == pytest.approx(1.0)
+        assert obs.sp_izergin(obs.PairContext(params3, p, q), 0.0) == pytest.approx(1.0)
 
     def test_agrees_with_direct_for_generic_functions(self, params3):
         # only the root-location condition is needed here, not eigen data
@@ -69,8 +70,9 @@ class TestScalarProductIzergin:
             p = random_poly(g, 3)
             q = random_poly(g, 3)
             alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-            a = obs.sp_direct(params3, p, q, alpha)
-            b = obs.sp_izergin(params3, p, q, alpha)
+            pair = obs.PairContext(params3, p, q)
+            a = obs.sp_direct(pair, alpha)
+            b = obs.sp_izergin(pair, alpha)
             assert rel_dev(a, b) < 1e-9
 
     def test_equal_functions_reduce_to_twisted_izergin(self, params3, records3):
@@ -78,7 +80,7 @@ class TestScalarProductIzergin:
         # alpha-twisted kernel evaluated by sp_same_q
         alpha = 0.4 + 0.9j
         for rec in records3[:3]:
-            a = obs.sp_izergin(params3, rec.q_poly, rec.q_poly, alpha)
+            a = obs.sp_izergin(obs.PairContext.of_records(params3, rec, rec), alpha)
             b, _ = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, b) < 1e-10
 
@@ -97,10 +99,10 @@ class TestScalarProductSlavnov:
         g = rng(57)
         q = random_poly(g, 3)
         p = q.shifted_ipi()
-        assert obs.cond_pq_residual(params3, p, q) < 1e-12
         pair = obs.PairContext(params3, p, q)
+        assert obs.cond_pq_residual(pair) < 1e-12
         for alpha in (0.3 + 0.4j, -1.2j):
-            a = obs.sp_izergin(params3, p, q, alpha)
+            a = obs.sp_izergin(pair, alpha)
             b = obs.sp_slavnov(pair, alpha)
             assert rel_dev(a, b) < 1e-10
 
@@ -114,8 +116,8 @@ class TestScalarProductSlavnov:
                 scale = bras[ip].norm2() * kets2[iq].norm2()
                 pair = obs.PairContext.of_records(params3, rp, rq)
                 vals = [
-                    obs.sp_direct(params3, rp.q_poly, rq.q_poly, alpha),
-                    obs.sp_izergin(params3, rp.q_poly, rq.q_poly, alpha),
+                    obs.sp_direct(pair, alpha),
+                    obs.sp_izergin(pair, alpha),
                     obs.sp_slavnov(pair, alpha),
                     *obs.sp_tau(pair, params3.kappa, KAPPA2),
                     dense,
@@ -374,11 +376,40 @@ class TestPairContext:
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
             p_poly, q_poly = rp.q_poly, rq.q_poly
             for gamma in (None, 0.3 - 0.2j):
-                halves = obs.slavnov_halves(params3, p_poly, q_poly, gamma)
+                halves = obs.slavnov_halves(obs.PairContext(params3, p_poly, q_poly),
+                                            gamma)
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
                     ref = np.array([[entry(p_poly, q_poly, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
                     assert np.array_equal(obs.slavnov_matrix(halves, alpha), ref)
+
+    def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
+        # every P or Q value at xi_k, xi_k - eta and their i*pi translates
+        # comes from the records' node tables, not from a fresh evaluation
+        eta = params3.eta
+        nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
+        evaluate = HalfPeriodTrigPoly.__call__
+        hits = []
+
+        def watched(poly, lam):
+            if lam in nodes:
+                hits.append(lam)
+            return evaluate(poly, lam)
+
+        monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched)
+        alpha = KAPPA2 / params3.kappa
+        for ip in (0, 2, 5):
+            for iq in (1, 2, 7):
+                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                obs.sp_direct(pair, alpha)
+                obs.sp_izergin(pair, alpha)
+                obs.sp_slavnov(pair, alpha)
+                obs.sp_tau(pair, params3.kappa, KAPPA2)
+                for site in range(1, params3.n + 1):
+                    for form in ("roots", "tau"):
+                        obs.ff_sigma_z(pair, site, form)
+                        obs.ff_sigma_pm(pair, params3.kappa, 1, site, form)
+        assert hits == []
 
     def test_tau_forms_need_records(self, params3, records3):
         pair = obs.PairContext(params3, records3[0].q_poly, records3[1].q_poly)

@@ -1,4 +1,5 @@
 import cmath
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import sovxxz.spectrum as spectrum
 from conftest import make_params, rel_dev, rng
 from sovxxz.errors import CertificationError
 from sovxxz.lattice import spectrum_oracle
-from sovxxz.model import HalfPeriodTrigPoly, TrigInterpolation, dist_mod_2ipi, f_tilde
+from sovxxz.model import (
+    HalfPeriodTrigPoly,
+    ModelParams,
+    TrigInterpolation,
+    dist_mod_2ipi,
+    f_tilde,
+)
 from sovxxz.spectrum import (
     EigenRecord,
     bethe_residual,
@@ -137,21 +144,36 @@ class TestPipeline:
             assert tq_residual(params3, rec.tau, rec.q_poly) < 1e-12
 
     def test_chain_work_built_once_per_spectrum(self, params3, monkeypatch):
-        # the residual grid is drawn once per spectrum, and separate states
-        # read the basis's Vandermonde table instead of recomputing it
+        # the residual grid and a, d on it are evaluated once per spectrum,
+        # and separate states read the basis's Vandermonde table instead of
+        # recomputing it
         draws = []
         grid = spectrum.residual_grid
+        chain_calls = Counter()
 
         def counted_grid(*args, **kwargs):
-            draws.append(args)
-            return grid(*args, **kwargs)
+            draws.append(grid(*args, **kwargs))
+            return draws[-1]
+
+        def count_chain(name):
+            inner = getattr(ModelParams, name)
+
+            def wrapper(self, lam):
+                chain_calls[name, lam] += 1
+                return inner(self, lam)
+            monkeypatch.setattr(ModelParams, name, wrapper)
 
         def no_vandermonde(xs):
             raise AssertionError("vandermonde called inside separate_state")
 
         monkeypatch.setattr(spectrum, "residual_grid", counted_grid)
+        count_chain("a_fn")
+        count_chain("d_fn")
         records = spectrum.solve_spectrum(params3)
         assert len(draws) == 1
+        for lam, _, _ in draws[0]:
+            assert chain_calls["a_fn", lam] <= 1
+            assert chain_calls["d_fn", lam] <= 1
         sov._cached_basis(params3)  # the basis builds its table once, unpatched
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
         for normalized in (True, False):
