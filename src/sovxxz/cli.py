@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observables as obs
 from .config import MAX_N_OBSERVABLES, RunConfig, load_config
-from .errors import SovxxzError
+from .errors import ParameterError, SovxxzError
 from .lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -53,8 +53,11 @@ def _encode(value):
 def write_report(report: dict, out_path: str | None) -> str:
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write report {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -202,7 +205,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     checks["inverse_problem"] = _check(worst, cfg.tol("inverse_problem"))
 
     records = solve_spectrum(params, tolerances=cfg.tolerances)
-    bench = obs.identity_bench(params, seed=cfg.seed, records=records)
+    bench = obs.identity_bench(params, records, seed=cfg.seed)
     for name, value in bench.items():
         tol = cfg.tol("extension_limit") if name.startswith("extension") \
             else cfg.tol("identity_bench")
@@ -240,7 +243,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
         rec_out.append({
             "tau_at_xi": list(r.tau_at_xi),
             "q_roots": list(r.q_poly.roots),
-            "qhat_roots": list(r.qhat_poly.roots),
+            "qhat_roots": list(r.table.hat.roots),
             "bethe_residual": r.residuals["bethe"],
             "tq_residual": r.residuals["tq"],
             "discrete_char_residual": r.residuals["discrete_char"],
@@ -274,10 +277,10 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
                              tolerances=cfg.tolerances)
     kappa, kappa2 = cfg.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
-    bras = [separate_state(params, r.q_poly, kappa, 1, "bra") for r in records]
-    kets = [separate_state(params, r.q_poly, kappa2, 1, "ket") for r in records]
+    bras = [separate_state(params, r.table, kappa, 1, "bra") for r in records]
+    kets = [separate_state(params, r.table, kappa2, 1, "ket") for r in records]
     kets_same = kets if kappa2 == kappa else [
-        separate_state(params, r.q_poly, kappa, 1, "ket") for r in records]
+        separate_state(params, r.table, kappa, 1, "ket") for r in records]
 
     ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
     local_ops = {(op, site): local_op(ops[op], site, params.n)
@@ -286,7 +289,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     worst_sp = worst_orth = worst_ff = worst_pm_eq = 0.0
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
-            pair = obs.PairContext.of_records(params, rp, rq)
+            pair = obs.PairContext(params, rp.table, rq.table)
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             values: dict[str, complex] = {}

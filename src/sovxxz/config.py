@@ -55,6 +55,7 @@ DEFAULT_CONFIG: dict = {
     "representations": list(DEFAULT_REPRESENTATIONS),
     "tolerances": {},
     "seed": 7,
+    "out": None,
 }
 
 
@@ -64,6 +65,12 @@ def _as_complex(value, name: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     raise ParameterError(f"field {name!r} must be a number or a [re, im] pair")
+
+
+def _reject_unknown(keys, known, where: str):
+    for key in keys:
+        if key not in known:
+            raise ParameterError(f"unknown config key {where}{key!r}")
 
 
 def _number(kind: type, value, name: str):
@@ -132,11 +139,14 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
         try:
             with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
+        except OSError as exc:
+            raise ParameterError(f"cannot read config {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config parse error at line {exc.lineno}, "
                                  f"column {exc.colno}: {exc.msg}") from exc
         if not isinstance(user, dict):
             raise ParameterError("config root must be a JSON object")
+        _reject_unknown(user, DEFAULT_CONFIG, "")
         data.update(user)
     schema = data.get("schema", 1)
     if schema != 1:
@@ -151,10 +161,15 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
 
     xi_field = data["xi"]
     if isinstance(xi_field, dict):
+        _reject_unknown(xi_field, DEFAULT_CONFIG["xi"], "xi.")
+        box = xi_field.get("box", {})
+        if not isinstance(box, dict):
+            raise ParameterError("field 'xi.box' must be an object")
+        _reject_unknown(box, DEFAULT_CONFIG["xi"]["box"], "xi.box.")
         xi_seed = _number(int, xi_field.get("seed", seed), "xi.seed") \
             if seed_override is None else seed
         min_sep = _number(float, xi_field.get("min_separation", 0.1), "xi.min_separation")
-        xi = generate_xi(n, eta, xi_seed, xi_field.get("box", {}), min_sep)
+        xi = generate_xi(n, eta, xi_seed, box, min_sep)
     elif isinstance(xi_field, list):
         if len(xi_field) != n:
             raise ParameterError(f"explicit xi list must have {n} entries")

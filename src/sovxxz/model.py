@@ -2,15 +2,15 @@
 
 Holds the chain data (length, anisotropy, inhomogeneities, twists), the
 half-period polynomials Q(lam) = prod_j sinh((lam - q_j)/2) used to label
-separate states and their values at the nodes, the model functions a(lam),
-d(lam), the scalar ratio functions consumed by every determinant formula, and
-the structural diagnostics (quantum Wronskian, root sum rule) of a Q-function.
+separate states and the table of their one-polynomial values, the model
+functions a(lam), d(lam), the scalar ratio functions consumed by every
+determinant formula, and the structural diagnostics (quantum Wronskian, root
+sum rule) of a Q-function.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,11 +190,15 @@ class HalfPeriodTrigPoly:
 
 def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u: complex) -> complex:
     """Bethe-equation ratio d(u) Q(u+eta) / (a(u) Q(u-eta))."""
-    den_a = params.a_fn(u)
-    den_q = q_poly(u - params.eta)
-    _require_nonzero(den_a, "a(u)")
-    _require_nonzero(den_q, "Q(u-eta)")
-    return params.d_fn(u) * q_poly(u + params.eta) / (den_a * den_q)
+    return a_frak_values(params.a_fn(u), params.d_fn(u), q_poly(u - params.eta),
+                         q_poly(u + params.eta))
+
+
+def a_frak_values(a_u: complex, d_u: complex, q_eta: complex, q_eta_plus: complex) -> complex:
+    """``a_frak`` from a(u), d(u), Q(u-eta) and Q(u+eta)."""
+    _require_nonzero(a_u, "a(u)")
+    _require_nonzero(q_eta, "Q(u-eta)")
+    return d_u * q_eta_plus / (a_u * q_eta)
 
 
 def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
@@ -233,44 +237,81 @@ def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]
             for lam in np.array(pts, dtype=np.complex128)]
 
 
-NodeValues = namedtuple("NodeValues", "x x_eta x_ipi x_eta_ipi")
+@dataclass(frozen=True)
+class QTable:
+    """Every value of one Q-function that depends on it alone, built once by
+    ``q_table``; the record residuals, separate states and pair formulas read
+    them and evaluate none again.  Q at xi_k, xi_k - eta, xi_k + i*pi and
+    xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi`` (row h in
+    (0, 1) is Q(xi_k - h * eta)).  At the roots q_j: a, d, exp in ``a_r``,
+    ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
+    ``r_eta_plus``, ``r_ipi``.  ``hat`` is the i*pi-shifted partner.  An eigen
+    record's table also holds its eigenvalue ``tau``, ``tau_x`` = tau(xi_k)
+    and, per residual-grid point lam, the row (Q(lam), Q(lam - eta),
+    Q(lam + eta), Qhat(lam), Qhat(lam - eta)) in ``grid``.
+    """
+
+    poly: HalfPeriodTrigPoly
+    roots: tuple[complex, ...]
+    hat: HalfPeriodTrigPoly
+    tau: TrigInterpolation | None
+    x: tuple[complex, ...]
+    x_eta: tuple[complex, ...]
+    x_ipi: tuple[complex, ...]
+    x_eta_ipi: tuple[complex, ...]
+    a_r: tuple[complex, ...]
+    d_r: tuple[complex, ...]
+    exp_r: tuple[complex, ...]
+    r_eta: tuple[complex, ...]
+    r_eta_plus: tuple[complex, ...]
+    r_ipi: tuple[complex, ...]
+    tau_x: tuple[complex, ...]
+    grid: tuple[tuple[complex, ...], ...]
 
 
-def node_values(params: ModelParams, poly: HalfPeriodTrigPoly) -> NodeValues:
-    """``poly`` at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi, one row
-    each (row h in (0, 1) is P(xi_k - h * eta)); one table serves all pairs."""
+def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
+    """The ``QTable`` of ``poly``; ``tau`` is the record's eigenvalue (None for
+    a bare polynomial, which leaves ``tau_x`` empty) and ``grid`` the
+    ``residual_grid`` the record is certified on (empty for none)."""
     eta = params.eta
-    return NodeValues(tuple(poly(x) for x in params.xi),
-                      tuple(poly(x - eta) for x in params.xi),
-                      tuple(poly(x + IPI) for x in params.xi),
-                      tuple(poly(x - eta + IPI) for x in params.xi))
+    hat = poly.shifted_ipi()
+    return QTable(
+        poly=poly, roots=poly.roots, hat=hat, tau=tau,
+        x=tuple(poly(x) for x in params.xi),
+        x_eta=tuple(poly(x - eta) for x in params.xi),
+        x_ipi=tuple(poly(x + IPI) for x in params.xi),
+        x_eta_ipi=tuple(poly(x - eta + IPI) for x in params.xi),
+        a_r=tuple(params.a_fn(q) for q in poly.roots),
+        d_r=tuple(params.d_fn(q) for q in poly.roots),
+        exp_r=tuple(cmath.exp(q) for q in poly.roots),
+        r_eta=tuple(poly(q - eta) for q in poly.roots),
+        r_eta_plus=tuple(poly(q + eta) for q in poly.roots),
+        r_ipi=tuple(poly(q + IPI) for q in poly.roots),
+        tau_x=() if tau is None else tuple(tau(x) for x in params.xi),
+        grid=tuple((poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta))
+                   for lam, _, _ in grid),
+    )
 
 
 @dataclass(frozen=True)
 class QStructureReport:
-    qhat: HalfPeriodTrigPoly
     wronskian_residual: float
     wronskian_sign: int
     sum_rule_defect: float
     sum_rule_k: int
 
 
-def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
-                          grid: list | None = None) -> QStructureReport:
+def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QStructureReport:
     """Structural diagnostics of a candidate Q-function.
 
-    Checks, on ``grid`` (default ``residual_grid(params)``), the quantum
+    Checks, on ``grid`` (the one ``table`` was built on), the quantum
     Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
     and the root sum rule modulo i*k*pi.
     """
     n = params.n
-    qhat = q_poly.shifted_ipi()
-    grid = residual_grid(params) if grid is None else grid
-
     target = (0.5j) ** n
-    samples = [(0.5 * (q_poly(lam) * qhat(lam - params.eta)
-                     + qhat(lam) * q_poly(lam - params.eta)), d)
-             for lam, _, d in grid]
+    samples = [(0.5 * (q0 * hat_eta + hat0 * q_eta), d)
+               for (_, _, d), (q0, q_eta, _, hat0, hat_eta) in zip(grid, table.grid)]
     best = None
     for sign in (1, -1):
         num, scale = 0.0, 0.0
@@ -283,12 +324,11 @@ def q_structure_residuals(q_poly: HalfPeriodTrigPoly, params: ModelParams,
             best = (rel, sign)
     w_res, w_sign = best
 
-    s = sum(q_poly.roots) - sum(x - params.eta / 2 for x in params.xi)
+    s = sum(table.roots) - sum(x - params.eta / 2 for x in params.xi)
     k = round(s.imag / PI)
     defect = abs(s - 1j * PI * k)
 
     return QStructureReport(
-        qhat=qhat,
         wronskian_residual=float(w_res),
         wronskian_sign=w_sign,
         sum_rule_defect=float(defect),

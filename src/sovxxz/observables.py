@@ -27,18 +27,18 @@ from .model import (
     IPI,
     HalfPeriodTrigPoly,
     ModelParams,
-    NodeValues,
+    QTable,
     a_frak,
+    a_frak_values,
     coth,
     dist_mod_2ipi,
     f_tilde,
     f_tilde_values,
-    node_values,
     sinh_prod,
     vandermonde,
 )
 from .sov import _cached_basis, all_h
-from .spectrum import EigenRecord, solve_spectrum
+from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
 
@@ -121,7 +121,7 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 
 def sp_direct(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
-    params, (p, q) = pair.params, pair.nodes
+    params, p, q = pair.params, pair.p, pair.q
     f_vals = []
     for k, x in enumerate(params.xi):
         den = p.x_eta[k] * q.x_eta[k]
@@ -133,7 +133,7 @@ def sp_direct(pair: PairContext, alpha: complex) -> complex:
 
 def sp_sov_sum(pair: PairContext, alpha: complex) -> complex:
     """Literal 2^N sum over the SoV labels (the definition of the product)."""
-    params, (p, q) = pair.params, pair.nodes
+    params, p, q = pair.params, pair.p, pair.q
     n = params.n
     v_h = _cached_basis(params).v_h
     ratio = [alpha * p.x[k] * q.x[k] / (p.x_eta[k] * q.x_eta[k]) for k in range(n)]
@@ -151,16 +151,16 @@ def sp_sov_sum(pair: PairContext, alpha: complex) -> complex:
 def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as a weighted Izergin determinant with columns labelled
     by the roots of P."""
-    params, (p, q) = pair.params, pair.nodes
-    _require_roots_off_nodes(params, pair.p_poly)
+    params, p, q = pair.params, pair.p, pair.q
+    _require_roots_off_nodes(params, p.poly)
     f_vals = [-alpha * f_tilde_values(p.x_eta_ipi[k], q.x[k], p.x_ipi[k], q.x_eta[k])
               for k in range(params.n)]
-    return izergin_ratio(params.xi, pair.p_poly.roots, f_vals, params.eta)
+    return izergin_ratio(params.xi, p.roots, f_vals, params.eta)
 
 
 def cond_pq_residual(pair: PairContext) -> float:
     """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
-    p, q = pair.nodes
+    p, q = pair.p, pair.q
     worst = 0.0
     for k in range(pair.params.n):
         r1 = (p.x_eta[k] * q.x_eta[k]) / (p.x[k] * q.x[k])
@@ -227,19 +227,17 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     diagonal entries take their analytic limits, which need the logarithmic
     derivatives of Q and a.
     """
-    params, q_poly = pair.params, pair.q_poly
-    pr = np.asarray(pair.p_poly.roots, dtype=np.complex128)
-    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+    params, p, q = pair.params, pair.p, pair.q
+    pr = np.asarray(p.roots, dtype=np.complex128)
+    qr = np.asarray(q.roots, dtype=np.complex128)
     n = params.n
     if len(pr) != n or len(qr) != n:
         raise ParameterError("polynomials must carry N roots each")
     same_roots = bool(np.all(np.abs(pr - qr) < _COLLISION_TOL))
-    afrak_p = [a_frak(params, q_poly, p) for p in pr]
     eta = params.eta
-    # factors of the cross term that depend on one root only
-    d_p, q_p_eta, p_p_ipi = pair.d_at_p, pair.q_at_p_eta, pair.p_at_p_ipi
-    a_q = [params.a_fn(q) for q in qr]
-    q_q_eta = [q_poly(q + eta) for q in qr]
+    q_p_eta = pair.q_at_p_eta
+    afrak_p = [a_frak_values(a, d, qe, q.poly(pk + eta))
+               for pk, a, d, qe in zip(p.roots, p.a_r, p.d_r, q_p_eta)]
 
     def kernel(u):
         return coth(u / 2) if gamma is None else _s_gamma(u, gamma)
@@ -256,16 +254,16 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
                     raise SingularEvaluationError(
                         f"coincident roots p_{k+1} = q_{j+1} for distinct functions"
                     )
-                log_sum = q_poly.log_deriv(qj + eta) + q_poly.log_deriv(qj + IPI) \
+                log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
                     - params.a_log_deriv(qj)
-                afrak_q = a_frak(params, q_poly, qj)
+                afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
                 base[j].append(kernel(pk - qj - eta))
                 kern = None if gamma is None else coth(gamma / 2)
                 terms[j].append((afrak_q, kern, 2, afrak_q, log_sum))
                 continue
             base[j].append(kernel(pk - qj - eta))
             kern = kernel(pk - qj)
-            ratio = d_p[k] * q_q_eta[j] / (a_q[j] * q_p_eta[k] * p_p_ipi[k])
+            ratio = p.d_r[k] * q.r_eta_plus[j] / (q.a_r[j] * q_p_eta[k] * p.r_ipi[k])
             terms[j].append((afrak_p[k], kern, -2, ratio, _phat_over_sinh(pr, k, qj)))
     return SlavnovHalves(base, terms)
 
@@ -302,35 +300,26 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 class PairContext:
     """The site-independent pieces of one (P, Q) pair's determinant formulas.
 
-    A form factor is the pair's scalar-product determinant plus a rank-one
-    term that depends on the site; everything else (the Slavnov and
-    eigenvalue-labelled matrices, the Cauchy determinant, the tau prefactor,
-    tau at the nodes and the site-independent column factors of the rank-one
-    terms) is built here on first use and kept, so one context serves every
-    site, operator and representation of its pair.  Building lazily keeps
-    each error in the call that raised it before.  The cached values enter
-    the same scalar expressions as a fresh evaluation, so results agree to
-    the bit.
+    Built from the two polynomials' ``model.q_table``s, which hold every value
+    that depends on one of them alone.  A form factor is the pair's
+    scalar-product determinant plus a rank-one term that depends on the site;
+    what needs both polynomials (the Slavnov and eigenvalue-labelled matrices,
+    the Cauchy determinant, the tau prefactor and the site-independent column
+    factors of the rank-one terms) is built here on first use and kept, so
+    one context serves every site, operator and representation of its pair.
+    Building lazily keeps each error in the call that raised it before.  The
+    cached values enter the same scalar expressions as a fresh evaluation,
+    so results agree to the bit.
 
-    The eigenvalue-labelled forms need the pair's eigen records, which only
-    ``of_records`` attaches; ``z`` (default: the Q-roots) labels the rows of
-    those forms.
+    The eigenvalue-labelled forms need both tables to carry an eigenvalue;
+    ``z`` (default: the Q-roots) labels the rows of those forms.
     """
 
-    def __init__(self, params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                 q_poly: HalfPeriodTrigPoly, z=None):
+    def __init__(self, params: ModelParams, p: QTable, q: QTable, z=None):
         self.params = params
-        self.p_poly, self.q_poly = p_poly, q_poly
-        self.rec_p = self.rec_q = None
-        self.z = list(q_poly.roots) if z is None else [complex(v) for v in z]
+        self.p, self.q = p, q
+        self.z = list(q.roots) if z is None else [complex(v) for v in z]
         self._built: dict = {}
-
-    @classmethod
-    def of_records(cls, params: ModelParams, rec_p: EigenRecord,
-                   rec_q: EigenRecord, z=None) -> "PairContext":
-        pair = cls(params, rec_p.q_poly, rec_q.q_poly, z)
-        pair.rec_p, pair.rec_q = rec_p, rec_q
-        return pair
 
     def _once(self, key, build):
         if key not in self._built:
@@ -360,70 +349,41 @@ class PairContext:
     def tau_det(self, alpha: complex) -> complex:
         return self._once(("tau_det", repr(alpha)), lambda: det_lu(self.tau(alpha)))
 
-    def _records(self) -> tuple[EigenRecord, EigenRecord]:
-        if self.rec_p is None or self.rec_q is None:
+    def eigen_tables(self) -> tuple[QTable, QTable]:
+        """(P's, Q's) table, checked to carry an eigenvalue each."""
+        if self.p.tau is None or self.q.tau is None:
             raise ParameterError("eigenvalue-labelled forms need both eigen records")
-        return self.rec_p, self.rec_q
-
-    @cached_property
-    def nodes(self) -> tuple[NodeValues, NodeValues]:
-        """P's and Q's ``model.node_values`` tables, the only node values any pair
-        formula reads: the records' own, or built here for bare polynomials."""
-        if self.rec_p is not None:
-            return self.rec_p.nodes, self.rec_q.nodes
-        return node_values(self.params, self.p_poly), node_values(self.params, self.q_poly)
-
-    @cached_property
-    def tau_xi(self) -> tuple[list[complex], list[complex]]:
-        """(tau_P(xi_k), tau_Q(xi_k)) at every node."""
-        rec_p, rec_q = self._records()
-        return ([rec_p.tau(x) for x in self.params.xi],
-                [rec_q.tau(x) for x in self.params.xi])
+        return self.p, self.q
 
     @cached_property
     def tau_dq(self) -> tuple[list[list[complex]], list[list[complex]]]:
         """The alpha-free halves of tau_matrix: [tau_hat_Q(z_i) - tau_hat_Q(p_k)]
         and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)], each over sinh(z_i - w_k)."""
-        rec_p, rec_q = self._records()
-        pr = self.p_poly.roots
-        return (_tau_dq_matrix(self.params, rec_q, self.z, pr),
-                _tau_dq_matrix(self.params, rec_p, self.z,
-                               [p + self.params.eta for p in pr]))
+        p, q = self.eigen_tables()
+        pr = p.roots
+        return (_tau_dq_matrix(self.params, q.tau, self.z, pr),
+                _tau_dq_matrix(self.params, p.tau, self.z,
+                               [pk + self.params.eta for pk in pr]))
 
     @cached_property
     def tau_prefactor(self) -> complex:
-        return _tau_prefactor(self.params, self.tau_xi[1], self.p_poly.roots, self.z)
+        return _tau_prefactor(self.params, self.eigen_tables()[1].tau_x, self.p.roots,
+                              self.z)
 
-    # factors that depend on one P-root only: Slavnov cross term, rank-one columns
-    @cached_property
-    def d_at_p(self) -> list[complex]:
-        return [self.params.d_fn(p) for p in self.p_poly.roots]
-
-    @cached_property
-    def exp_at_p(self) -> list[complex]:
-        return [cmath.exp(p) for p in self.p_poly.roots]
-
-    @cached_property
-    def p_at_p_eta(self) -> list[complex]:
-        return [self.p_poly(p - self.params.eta) for p in self.p_poly.roots]
-
+    # Q at the P-roots: Slavnov cross term, rank-one columns
     @cached_property
     def q_at_p_eta(self) -> list[complex]:
-        return [self.q_poly(p - self.params.eta) for p in self.p_poly.roots]
-
-    @cached_property
-    def p_at_p_ipi(self) -> list[complex]:
-        return [self.p_poly(p + IPI) for p in self.p_poly.roots]
+        return [self.q.poly(pk - self.params.eta) for pk in self.p.roots]
 
     @cached_property
     def sigma_z_col(self) -> np.ndarray:
-        return np.array([pe / qe for pe, qe in zip(self.p_at_p_eta, self.q_at_p_eta)],
+        return np.array([pe / qe for pe, qe in zip(self.p.r_eta, self.q_at_p_eta)],
                         dtype=np.complex128)
 
     @cached_property
     def sigma_minus_col_den(self) -> list[complex]:
         return [(-2j) ** self.params.n * qe * pp
-                for qe, pp in zip(self.q_at_p_eta, self.p_at_p_ipi)]
+                for qe, pp in zip(self.q_at_p_eta, self.p.r_ipi)]
 
 
 def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
@@ -484,15 +444,14 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return mat, last, scale
 
 
-def sp_product_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                     q_poly: HalfPeriodTrigPoly, alpha: complex, beta: complex):
+def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     """Both sides of the two-parameter product identity and their deviation.
 
     The constant in front of the determinant ratio was calibrated numerically
     against the product of the two one-parameter representations (exact to
     1e-12 at N = 1, 2, 3); it carries no 2^{-N(N-1)} factor.
     """
-    pair = PairContext(params, p_poly, q_poly)
+    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     lhs = sp_slavnov(pair, alpha) * sp_slavnov(pair, beta)
     n = params.n
     mat, _, _ = product_matrix(params, p_poly, q_poly, alpha, beta)
@@ -502,13 +461,13 @@ def sp_product_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
             den[i, k] = 1 / cmath.sinh((p_poly.roots[k] - q_poly.roots[i] - params.eta) / 2)
     pref = (-1.0) ** n * cmath.exp(sum(params.xi) - sum(p_poly.roots))
     for k in range(n):
-        pref *= pair.nodes[1].x[k] / pair.nodes[1].x_eta[k]
+        pref *= pair.q.x[k] / pair.q.x_eta[k]
     rhs = pref * det_lu(mat) / det_lu(den)
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, dev
 
 
-def _tau_dq_matrix(params: ModelParams, rec: EigenRecord, z, ws) -> list[list[complex]]:
+def _tau_dq_matrix(params: ModelParams, tau, z, ws) -> list[list[complex]]:
     """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) with its removable limits.
 
     tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
@@ -523,12 +482,12 @@ def _tau_dq_matrix(params: ModelParams, rec: EigenRecord, z, ws) -> list[list[co
             u = zi - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < _COLLISION_TOL:
-                row.append((-1.0) ** m * rec.tau_hat_deriv(params, w))
+                row.append((-1.0) ** m * tau_hat_deriv(params, tau, w))
                 continue
             if hat_z[i] is None:
-                hat_z[i] = rec.tau_hat(params, zi)
+                hat_z[i] = tau_hat(params, tau, zi)
             if hat_w[k] is None:
-                hat_w[k] = rec.tau_hat(params, w)
+                hat_w[k] = tau_hat(params, tau, w)
             row.append((hat_z[i] - hat_w[k]) / cmath.sinh(u))
         rows.append(row)
     return rows
@@ -573,9 +532,10 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     """
     params = pair.params
     n = params.n
-    pr = pair.p_poly.roots
+    p, q = pair.eigen_tables()
+    pr = p.roots
     ratio = kappa2 / kappa
-    tp_xi, tq_xi = pair.tau_xi
+    tp_xi, tq_xi = p.tau_x, q.tau_x
     num = np.zeros((n, n), dtype=np.complex128)
     den = np.zeros((n, n), dtype=np.complex128)
     for i, x in enumerate(params.xi):
@@ -638,14 +598,14 @@ def _tau_prod_ratio(tp_xi, tq_xi, n_p: int, n_q: int) -> complex:
 
 
 def _rank1_sigma_z(pair: PairContext, site: int) -> np.ndarray:
-    params, (p, q), k = pair.params, pair.nodes, site - 1
+    params, p, q, k = pair.params, pair.p, pair.q, site - 1
     xs = params.xi[k]
     eta = params.eta
     r0 = q.x_eta[k] / p.x_eta[k]
     r1 = q.x_eta_ipi[k] / p.x_eta_ipi[k]
     row = np.array([
         r0 * coth((xs - qj - eta) / 2) + r1 * coth((xs + IPI - qj - eta) / 2)
-        for qj in pair.q_poly.roots
+        for qj in q.roots
     ], dtype=np.complex128)
     return np.outer(row, pair.sigma_z_col)
 
@@ -655,8 +615,8 @@ def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
     params = pair.params
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
-    tp_xi, tq_xi = pair.tau_xi
-    pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site, site)
+    p, q = pair.eigen_tables()
+    pq_ratio = _tau_prod_ratio(p.tau_x, q.tau_x, site, site)
     if form == "roots":
         s1 = pair.slavnov(1.0)
         pz = _rank1_sigma_z(pair, site)
@@ -666,11 +626,11 @@ def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
         z = pair.z
         mat = pair.tau(1.0)
         xs = params.xi[site - 1]
-        tq_xs = tq_xi[site - 1]
+        tq_xs = q.tau_x[site - 1]
         e_xs = cmath.exp(xs)
-        p_xs_eta = pair.nodes[0].x_eta[site - 1]
-        p_xs_ipi = pair.nodes[0].x_ipi[site - 1]
-        d_p, p_eta, p_ipi = pair.d_at_p, pair.p_at_p_eta, pair.p_at_p_ipi
+        p_xs_eta = p.x_eta[site - 1]
+        p_xs_ipi = p.x_ipi[site - 1]
+        d_p, p_eta, p_ipi = p.d_r, p.r_eta, p.r_ipi
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
         for i in range(params.n):
             s_zx = cmath.sinh(z[i] - xs)
@@ -683,19 +643,19 @@ def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
 
 
 def _rank1_sigma_minus(pair: PairContext, site: int) -> np.ndarray:
-    params, (p, q), k = pair.params, pair.nodes, site - 1
+    params, p, q, k = pair.params, pair.p, pair.q, site - 1
     xs = params.xi[k]
     eta = params.eta
     a_xs = params.a_fn(xs)
     col = np.array([
         cmath.exp(-xs + pk) * a_xs * d / den
-        for pk, d, den in zip(pair.p_poly.roots, pair.d_at_p, pair.sigma_minus_col_den)
+        for pk, d, den in zip(p.roots, p.d_r, pair.sigma_minus_col_den)
     ], dtype=np.complex128)
     r0 = q.x_eta[k] / p.x[k]
     r1 = q.x_eta_ipi[k] / p.x_ipi[k]
     row = np.array([
         r0 * coth((xs - qj - eta) / 2) - r1 * coth((xs - qj - eta + IPI) / 2)
-        for qj in pair.q_poly.roots
+        for qj in q.roots
     ], dtype=np.complex128)
     return np.outer(row, col)
 
@@ -708,15 +668,15 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, site: int,
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
     the convention where C annihilates the all-up reference state.
     """
-    params, p_poly = pair.params, pair.p_poly
+    params = pair.params
     if not 1 <= site <= params.n:
         raise ParameterError(f"site {site} outside 1..{params.n}")
-    tp_xi, tq_xi = pair.tau_xi
-    pq_ratio = _tau_prod_ratio(tp_xi, tq_xi, site - 1, site)
+    p, q = pair.eigen_tables()
+    pq_ratio = _tau_prod_ratio(p.tau_x, q.tau_x, site - 1, site)
     alpha = cmath.exp(-params.eta)
     if form == "roots":
         pref = eps * kappa * cmath.exp(
-            -(sum(p_poly.roots) - sum(params.xi))
+            -(sum(p.roots) - sum(params.xi))
         )
         se = pair.slavnov(alpha)
         pm = _rank1_sigma_minus(pair, site)
@@ -726,15 +686,15 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, site: int,
         z = pair.z
         xs = params.xi[site - 1]
         mat = pair.tau(alpha)
-        p_xs = sinh_prod(xs - pl for pl in p_poly.roots)
+        p_xs = sinh_prod(xs - pl for pl in p.roots)
         rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-        tq_xs = tq_xi[site - 1]
+        tq_xs = q.tau_x[site - 1]
         a_xs = params.a_fn(xs)
         for i in range(params.n):
             s_zx = cmath.sinh(z[i] - xs)
-            for k, e_pk in enumerate(pair.exp_at_p):
+            for k, e_pk in enumerate(p.exp_r):
                 rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
-        pref = eps * kappa * cmath.exp(-sum(p_poly.roots)) \
+        pref = eps * kappa * cmath.exp(-sum(p.roots)) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
         return pref * pq_ratio * (det_lu(mat + rank1) - pair.tau_det(alpha))
     raise ParameterError(f"unknown form {form!r}")
@@ -776,7 +736,7 @@ def _sell_mu_column(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
             eps2: int, mu: complex) -> complex:
     """Matrix element of B(mu) between normalized separate eigenstates."""
-    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
+    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     alpha = eps * eps2 * kappa2 / kappa
     eta = params.eta
     smat = pair.slavnov(alpha)
@@ -784,11 +744,10 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     bracket = (p_poly(mu - eta) / p_poly(mu)
                - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * pair.slavnov_det(alpha)
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
-    for l, pl in enumerate(p_poly.roots):
+    for l, (p_eta, q_eta) in enumerate(zip(pair.p.r_eta, pair.q_at_p_eta)):
         swap = smat.copy()
         swap[:, l] = col
-        bracket -= (p_poly(pl - eta) / p_poly(mu)) \
-            * (q_poly(mu - eta) / q_poly(pl - eta)) * det_lu(swap)
+        bracket -= (p_eta / p_poly(mu)) * (q_poly(mu - eta) / q_eta) * det_lu(swap)
     return -eps * kappa * params.a_fn(mu) / 2 * bracket / den
 
 
@@ -833,15 +792,15 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return worst
 
 
-def half_period_split_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                            q_poly: HalfPeriodTrigPoly, alpha: complex):
+def half_period_split_check(pair: PairContext, alpha: complex):
     """Deviations of the two double-period intermediate determinant forms from
     the weighted Izergin value, plus the entrywise defect between the two
     printed variants of the Q-labelled kernel."""
+    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     n = params.n
     eta = params.eta
     pr, qr = p_poly.roots, q_poly.roots
-    ref = sp_izergin(PairContext(params, p_poly, q_poly), alpha)
+    ref = sp_izergin(pair, alpha)
     den = np.zeros((n, n), dtype=np.complex128)
     m1 = np.zeros((n, n), dtype=np.complex128)
     m2a = np.zeros((n, n), dtype=np.complex128)
@@ -894,11 +853,10 @@ def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     return abs(big - target) / max(abs(big), abs(target), 1e-30)
 
 
-def identity_bench(params: ModelParams, seed: int = 2025,
-                   records=None) -> dict:
+def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict:
     """Numerical residuals for the determinant identities behind the scalar
-    product transformations.  Returns a name -> residual map; everything is a
-    relative deviation."""
+    product transformations, on the first two of the certified ``records``.
+    Returns a name -> residual map; everything is a relative deviation."""
     rng = np.random.default_rng(seed)
     n = params.n
     out: dict[str, float] = {}
@@ -924,7 +882,6 @@ def identity_bench(params: ModelParams, seed: int = 2025,
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     out["functional_reduction"] = float(worst)
 
-    records = solve_spectrum(params) if records is None else records
     p_poly, q_poly = records[0].q_poly, records[1].q_poly
     beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     out["kernel_contraction"] = float(
@@ -935,11 +892,11 @@ def identity_bench(params: ModelParams, seed: int = 2025,
         x_contraction_check(params, synth.shifted_ipi(), synth, beta))
 
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    pair = PairContext(params, p_poly, q_poly)
+    pair = PairContext(params, records[0].table, records[1].table)
     slav = sp_slavnov(pair, alpha)
     ize = sp_izergin(pair, alpha)
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))
-    dev_p, dev_q, kernel_dev = half_period_split_check(params, p_poly, q_poly, alpha)
+    dev_p, dev_q, kernel_dev = half_period_split_check(pair, alpha)
     out["half_period_split_p"] = float(dev_p)
     out["half_period_split_q"] = float(dev_q)
     out["half_period_kernel_forms"] = float(kernel_dev)
@@ -960,7 +917,7 @@ def identity_bench(params: ModelParams, seed: int = 2025,
 
 def matel_d(pair: PairContext, mu: complex) -> complex:
     """Matrix element of D(mu) between same-twist normalized eigenstates."""
-    params, p_poly, q_poly = pair.params, pair.p_poly, pair.q_poly
+    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     n = params.n
     eta = params.eta
     alpha = cmath.exp(-eta)
@@ -972,9 +929,9 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     col_scale = cmath.exp(-mu) * params.a_fn(mu) \
         * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
     big[:n, n] = col_scale * col
-    for k, pk in enumerate(p_poly.roots):
-        big[n, k] = cmath.exp(pk) * params.d_fn(pk) \
-            / (q_poly(pk - eta) * p_poly(pk + IPI))
+    p = pair.p
+    for k in range(n):
+        big[n, k] = p.exp_r[k] * p.d_r[k] / (pair.q_at_p_eta[k] * p.r_ipi[k])
     big[n, n] = params.a_fn(mu) * params.d_fn(mu) / p_mu
     den = pair.cauchy_det()
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError
 from .lattice import monodromy_entries, reference_state
-from .model import HalfPeriodTrigPoly, ModelParams, dist_mod_2ipi, node_values, vandermonde
+from .model import ModelParams, QTable, dist_mod_2ipi, vandermonde
 
 
 def all_h(n: int):
@@ -92,12 +92,7 @@ def _cached_basis(params: ModelParams) -> SovBasis:
 class SovState:
     """A separate state: coefficients over the SoV basis plus its embedding."""
 
-    params: ModelParams
-    poly: HalfPeriodTrigPoly
-    kappa: complex
-    eps: int
     side: str
-    normalized: bool
     coefficients: np.ndarray
     embedded: np.ndarray
 
@@ -105,9 +100,10 @@ class SovState:
         return float(np.linalg.norm(self.embedded))
 
 
-def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex,
+def separate_state(params: ModelParams, table: QTable, kappa: complex,
                    eps: int, side: str, normalized: bool = True) -> SovState:
-    """Build a separate state labelled by ``poly`` with twist/sign (kappa, eps).
+    """Build a separate state labelled by the polynomial P of ``table`` (its
+    ``model.q_table``) with twist/sign (kappa, eps).
 
     Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
     and require P(xi_n - eta) away from zero; unnormalized states use the raw
@@ -118,16 +114,16 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
     n = params.n
     basis = _cached_basis(params)
     v_xi = basis.v_h[0]
-    p_nodes = node_values(params, poly)
+    p_rows = (table.x, table.x_eta)  # row h holds P(xi_m - h * eta)
     if normalized:
         for m in range(n):
             target = params.xi[m] - params.eta
-            if poly.roots and min(dist_mod_2ipi(q, target) for q in poly.roots) < params.delta_min:
+            if table.roots and min(dist_mod_2ipi(q, target) for q in table.roots) < params.delta_min:
                 raise SingularEvaluationError(
                     f"P has a root within delta_min of xi_{m+1} - eta; "
                     "build the unnormalized state instead"
                 )
-        site_ratio = [p_nodes.x[m] / p_nodes.x_eta[m] for m in range(n)]
+        site_ratio = [table.x[m] / table.x_eta[m] for m in range(n)]
 
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
@@ -145,17 +141,16 @@ def separate_state(params: ModelParams, poly: HalfPeriodTrigPoly, kappa: complex
             factor *= v_shift / v_xi if side == "ket" else v_shift
         else:
             for m in range(n):
-                factor *= p_nodes[h[m]][m]  # row h_m holds P(xi_m - h_m * eta)
+                factor *= p_rows[h[m]][m]
                 if h[m] == 1:
                     factor *= (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
             factor *= v_shift
         coeffs[idx] = factor
         embedded += factor * (basis.ket(h) if side == "ket" else basis.bra(h))
-    return SovState(params=params, poly=poly, kappa=kappa, eps=eps, side=side,
-                    normalized=normalized, coefficients=coeffs, embedded=embedded)
+    return SovState(side=side, coefficients=coeffs, embedded=embedded)
 
 
-def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
+def separate_ket_qdet_form(params: ModelParams, table: QTable,
                            kappa: complex, eps: int) -> SovState:
     """Unnormalized ket in the equivalent form that trades the Vandermonde flip
     for explicit a/d ratios: coefficients
@@ -166,11 +161,11 @@ def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)
-    p_nodes = node_values(params, poly)
+    p_rows = (table.x, table.x_eta)
     for h in all_h(n):
         factor = 1.0 + 0.0j
         for m in range(n):
-            factor *= p_nodes[h[m]][m]
+            factor *= p_rows[h[m]][m]
             if h[m] == 1:
                 factor *= params.a_fn(params.xi[m]) / params.d_fn(params.xi[m] - params.eta)
                 factor /= -eps * kappa
@@ -178,8 +173,7 @@ def separate_ket_qdet_form(params: ModelParams, poly: HalfPeriodTrigPoly,
         factor *= basis.v_h[idx]
         coeffs[idx] = factor
         embedded += factor * basis.ket(h)
-    return SovState(params=params, poly=poly, kappa=kappa, eps=eps, side="ket",
-                    normalized=False, coefficients=coeffs, embedded=embedded)
+    return SovState(side="ket", coefficients=coeffs, embedded=embedded)
 
 
 def overlap(bra: SovState, ket: SovState) -> complex:

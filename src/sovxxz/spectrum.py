@@ -29,13 +29,13 @@ from .linalg import MonicPoly, roots_monic
 from .model import (
     HalfPeriodTrigPoly,
     ModelParams,
-    NodeValues,
+    QTable,
     TrigInterpolation,
-    a_frak,
+    a_frak_values,
     dist_mod_2ipi,
     dist_mod_ipi,
-    node_values,
     q_structure_residuals,
+    q_table,
     residual_grid,
     sinh_prod,
 )
@@ -51,29 +51,30 @@ class EigenRecord:
     tau_at_xi: np.ndarray
     tau: TrigInterpolation
     q_poly: HalfPeriodTrigPoly
-    qhat_poly: HalfPeriodTrigPoly | None = None
-    nodes: NodeValues | None = None
-    eps: int = 1
+    table: QTable | None = None
     residuals: dict = field(default_factory=dict)
     wronskian_sign: int = 0
     sum_rule_k: int = 0
     certified: bool = False
 
-    def tau_hat(self, params: ModelParams, lam: complex) -> complex:
-        d = params.d_fn(lam)
-        if abs(d) < 1e-13:
-            raise SingularEvaluationError(f"tau_hat evaluated at a zero of d (lam={lam})")
-        return cmath.exp(lam) * self.tau(lam) / d
 
-    def tau_hat_deriv(self, params: ModelParams, lam: complex) -> complex:
-        d = params.d_fn(lam)
-        if abs(d) < 1e-13:
-            raise SingularEvaluationError(f"tau_hat' evaluated at a zero of d (lam={lam})")
-        t = self.tau(lam)
-        tp = self.tau.deriv(lam)
-        dp = params.d_prime(lam)
-        e = cmath.exp(lam)
-        return (e * (t + tp) * d - e * t * dp) / (d * d)
+def tau_hat(params: ModelParams, tau, lam: complex) -> complex:
+    """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio."""
+    d = params.d_fn(lam)
+    if abs(d) < 1e-13:
+        raise SingularEvaluationError(f"tau_hat evaluated at a zero of d (lam={lam})")
+    return cmath.exp(lam) * tau(lam) / d
+
+
+def tau_hat_deriv(params: ModelParams, tau, lam: complex) -> complex:
+    d = params.d_fn(lam)
+    if abs(d) < 1e-13:
+        raise SingularEvaluationError(f"tau_hat' evaluated at a zero of d (lam={lam})")
+    t = tau(lam)
+    tp = tau.deriv(lam)
+    dp = params.d_prime(lam)
+    e = cmath.exp(lam)
+    return (e * (t + tp) * d - e * t * dp) / (d * d)
 
 
 def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
@@ -198,31 +199,30 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodT
     return HalfPeriodTrigPoly.from_roots(roots)
 
 
-def bethe_residual(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> float:
+def bethe_residual(table: QTable) -> float:
     """max_j |a_frak_Q(q_j) - 1| over the roots."""
-    return max(abs(a_frak(params, q_poly, q) - 1.0) for q in q_poly.roots)
+    return max(abs(a_frak_values(a, d, qm, qp) - 1.0)
+               for a, d, qm, qp in zip(table.a_r, table.d_r, table.r_eta, table.r_eta_plus))
 
 
-def tq_residual(params: ModelParams, tau, q_poly: HalfPeriodTrigPoly,
-                grid: list | None = None) -> float:
-    """Relative functional residual of the tau/Q relation on ``grid``
-    (default ``residual_grid(params)``)."""
-    grid = residual_grid(params) if grid is None else grid
+def tq_residual(table: QTable, grid: list) -> float:
+    """Relative functional residual of the tau/Q relation on ``grid``, the
+    one ``table`` was built on."""
     num, scale = 0.0, 0.0
-    for lam, a, d in grid:
-        t1 = tau(lam) * q_poly(lam)
-        t2 = a * q_poly(lam - params.eta)
-        t3 = d * q_poly(lam + params.eta)
+    for (lam, a, d), (q0, q_eta, q_eta_plus, _, _) in zip(grid, table.grid):
+        t1 = table.tau(lam) * q0
+        t2 = a * q_eta
+        t3 = d * q_eta_plus
         num = max(num, abs(t1 + t2 - t3))
         scale = max(scale, abs(t1) + abs(t2) + abs(t3))
     return num / max(scale, 1e-30)
 
 
-def discrete_char_residual(params: ModelParams, tau) -> float:
+def discrete_char_residual(params: ModelParams, table: QTable) -> float:
     """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta)."""
     worst = 0.0
-    for x in params.xi:
-        lhs = tau(x) * tau(x - params.eta)
+    for x, tau_x in zip(params.xi, table.tau_x):
+        lhs = tau_x * table.tau(x - params.eta)
         rhs = -params.a_fn(x) * params.d_fn(x - params.eta)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return worst
@@ -247,8 +247,7 @@ def eigenstate_residual(params: ModelParams, record: "EigenRecord",
     unnormalized coefficients stay finite even when a Bethe root approaches
     one of the shifted nodes xi_n - eta.  ``probes`` defaults to
     ``probe_transfers(params, kappa)``."""
-    state = separate_state(params, record.q_poly, kappa, record.eps, "ket",
-                           normalized=False)
+    state = separate_state(params, record.table, kappa, 1, "ket", normalized=False)
     v = state.embedded
     nv = np.linalg.norm(v)
     probes = probe_transfers(params, kappa) if probes is None else probes
@@ -266,8 +265,8 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
             grid: list | None = None) -> EigenRecord:
     """Compute every residual of the record, gate it and stamp the record.
 
-    Fills ``qhat_poly``, ``nodes`` (``model.node_values`` of Q, which the side
-    condition and every pair formula read), ``wronskian_sign``, ``sum_rule_k``
+    Fills ``table`` (``model.q_table`` of Q on ``grid``, which every residual,
+    separate state and pair formula reads), ``wronskian_sign``, ``sum_rule_k``
     and every entry of ``residuals`` except the oracle's ``interp_check``.  ``tolerances``
     overrides entries of ``config.DEFAULT_TOLERANCES``; ``probes`` are handed
     to ``eigenstate_residual`` and ``grid`` (default ``residual_grid(params)``)
@@ -276,19 +275,17 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     grid = residual_grid(params) if grid is None else grid
-    q = record.q_poly
-    report = q_structure_residuals(q, params, grid)
-    record.qhat_poly = report.qhat
-    record.nodes = node_values(params, q)
+    table = record.table = q_table(params, record.q_poly, record.tau, grid)
+    report = q_structure_residuals(table, params, grid)
     record.wronskian_sign = report.wronskian_sign
     record.sum_rule_k = report.sum_rule_k
     record.residuals["wronskian"] = report.wronskian_residual
     record.residuals["sum_rule_defect"] = report.sum_rule_defect
     side_ok = all(max(abs(v), abs(w)) > 1e-10
-                  for v, w in zip(record.nodes.x, record.nodes.x_ipi))
-    record.residuals["tq"] = tq_residual(params, record.tau, q, grid)
-    record.residuals["bethe"] = bethe_residual(params, q)
-    record.residuals["discrete_char"] = discrete_char_residual(params, record.tau)
+                  for v, w in zip(table.x, table.x_ipi))
+    record.residuals["tq"] = tq_residual(table, grid)
+    record.residuals["bethe"] = bethe_residual(table)
+    record.residuals["discrete_char"] = discrete_char_residual(params, table)
     record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, probes)
     failures = []
     if not side_ok:
@@ -310,19 +307,27 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
                    seed: int = 4242, tolerances: dict | None = None) -> list[EigenRecord]:
     """Full pipeline: oracle -> Q extraction -> Newton polish -> certification.
 
-    Returns 2^N certified records sorted by tau(xi_1).
+    Returns 2^N certified records sorted by tau(xi_1).  A CertificationError
+    names the record by its index in that order, its tau(xi_1) and the
+    condition number of the Bethe Jacobian at its roots.
     """
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, k, seed=seed)
     probes = probe_transfers(params, k)
     grid = residual_grid(params)
     records = []
-    for item in raw:
+    for index, item in enumerate(raw):
         q0 = q_from_tau(params, item.tau, seed=seed)
         rec = EigenRecord(tau_at_xi=item.tau_at_xi, tau=item.tau,
                           q_poly=refine_bethe(params, q0),
                           residuals={"interp_check": item.interp_check})
-        certify(params, rec, k, tolerances, probes, grid)
+        try:
+            certify(params, rec, k, tolerances, probes, grid)
+        except CertificationError as exc:
+            _, jac, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
+            raise CertificationError(
+                f"record {index} (tau(xi_1) = {item.tau_at_xi[0]:.6g}, Bethe Jacobian "
+                f"condition number {np.linalg.cond(jac):.2e}): {exc}") from exc
         records.append(rec)
     if len(records) != 2**params.n:
         raise ParameterError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sovxxz.config import generate_xi
-from sovxxz.model import ModelParams
+from sovxxz.model import ModelParams, q_table
 from sovxxz.sov import separate_state
 from sovxxz.spectrum import solve_spectrum
 
@@ -41,13 +41,18 @@ def records3(params3):
 @pytest.fixture(scope="session")
 def states3(params3, records3):
     """(bras at kappa, kets at kappa, kets at kappa2), all eps = +1."""
-    bras = [separate_state(params3, r.q_poly, params3.kappa, 1, "bra")
+    bras = [separate_state(params3, r.table, params3.kappa, 1, "bra")
             for r in records3]
-    kets = [separate_state(params3, r.q_poly, params3.kappa, 1, "ket")
+    kets = [separate_state(params3, r.table, params3.kappa, 1, "ket")
             for r in records3]
-    kets2 = [separate_state(params3, r.q_poly, KAPPA2, 1, "ket")
+    kets2 = [separate_state(params3, r.table, KAPPA2, 1, "ket")
              for r in records3]
     return bras, kets, kets2
+
+
+def table(params: ModelParams, poly):
+    """``model.q_table`` of a polynomial that carries no eigenvalue."""
+    return q_table(params, poly, None, [])
 
 
 def rel_dev(a, b, scale: float = 0.0) -> float:

@@ -107,7 +107,7 @@ def test_03_scalar_product_agreement(params3, records3, states3):
         for iq, rq in enumerate(records3):
             dense = complex(bras[ip].embedded @ kets2[iq].embedded)
             scale = bras[ip].norm2() * kets2[iq].norm2()
-            pair = obs.PairContext.of_records(params3, rp, rq)
+            pair = obs.PairContext(params3, rp.table, rq.table)
             tau_ize, tau_slav = obs.sp_tau(pair, params3.kappa, KAPPA2)
             vals = [
                 obs.sp_direct(pair, alpha),
@@ -128,15 +128,15 @@ def test_03_scalar_product_agreement(params3, records3, states3):
 
 def test_04_orthogonality(params3, records3):
     kappa = params3.kappa
-    bras = [separate_state(params3, r.q_poly, kappa, 1, "bra") for r in records3]
-    kets = [separate_state(params3, r.q_poly, kappa, 1, "ket") for r in records3]
+    bras = [separate_state(params3, r.table, kappa, 1, "bra") for r in records3]
+    kets = [separate_state(params3, r.table, kappa, 1, "ket") for r in records3]
     worst = 0.0
     for ip in range(8):
         for iq in range(8):
             if ip == iq:
                 continue
             formula = obs.sp_direct(
-                obs.PairContext.of_records(params3, records3[ip], records3[iq]), 1.0)
+                obs.PairContext(params3, records3[ip].table, records3[iq].table), 1.0)
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             worst = max(worst, abs(formula) / scale, abs(dense) / scale)
@@ -157,8 +157,8 @@ def test_05_product_identity(params3, records3):
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                _, _, dev = obs.sp_product_check(params3, rp.q_poly, rq.q_poly,
-                                                 alpha, beta)
+                _, _, dev = obs.sp_product_check(
+                    obs.PairContext(params3, rp.table, rq.table), alpha, beta)
                 worst = max(worst, dev)
                 checked += 1
     entry_worst = 0.0
@@ -183,7 +183,7 @@ def test_06_form_factors(params3, records3, states3):
     for ip, rp in enumerate(records3):
         for iq, rq in enumerate(records3):
             scale = bras[ip].norm2() * kets[iq].norm2()
-            pair = obs.PairContext.of_records(params3, rp, rq)
+            pair = obs.PairContext(params3, rp.table, rq.table)
             for site in (1, 2, 3):
                 bf_z = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                       kets[iq])

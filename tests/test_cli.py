@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -72,6 +73,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("config, key", [
+        pytest.param({"n": 2, "tolerence": {"tq_residual": 1e-7}}, "tolerence", id="top"),
+        pytest.param({"xi": {"min_seperation": 0.02}}, "min_seperation", id="xi"),
+        pytest.param({"xi": {"box": {"re_rnage": [-1, 1]}}}, "re_rnage", id="xi.box"),
+    ])
+    def test_unknown_key_is_rejected(self, tmp_path, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(ParameterError, match=key):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("where", ["config", "out"])
+    def test_unusable_path_is_a_parameter_error(self, tmp_path, capsys, where):
+        missing = tmp_path / "no_such_dir" / "file.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1}))
+        args = ["spectrum", "--config", str(missing if where == "config" else cfg),
+                "--out", str(missing if where == "out" else tmp_path / "r.json")]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
     def test_small_min_separation_reaches_params(self, tmp_path):
         # xi seed 24 draws shift sets about 0.027 apart: admissible under
         # min_separation 0.01, closer than the model default of 0.05
@@ -108,6 +132,14 @@ class TestSpectrumTolerances:
         cfg.write_text(json.dumps({"n": 2}))
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json"),
                     "--tol", f"{tol}=1e-30"]) == 2
+
+    def test_certification_error_names_the_record(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        assert run(["spectrum", "--config", str(cfg), "--tol", "bethe_residual=1e-30"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: record 0 \(tau\(xi_1\) = \S+, Bethe Jacobian "
+                            r"condition number \d\.\d\de[+-]\d+\): bethe residual .*\n", err)
 
 
 class TestValidateCommand:

@@ -11,6 +11,8 @@ from sovxxz.model import (
     a_frak,
     f_tilde,
     q_structure_residuals,
+    q_table,
+    residual_grid,
     sinh_prod,
     sinh_prod_deriv,
     wrap_to_strip,
@@ -146,14 +148,15 @@ class TestRatios:
         for rec in records3:
             for x in params3.xi:
                 lhs = rec.q_poly(x - params3.eta) / rec.q_poly(x)
-                rhs = -rec.qhat_poly(x - params3.eta) / rec.qhat_poly(x)
+                rhs = -rec.table.hat(x - params3.eta) / rec.table.hat(x)
                 assert rel_dev(lhs, rhs) < 1e-8
 
 
 class TestStructureResiduals:
     def test_certified_q_passes_wronskian_and_sum_rule(self, params3, records3):
+        grid = residual_grid(params3)
         for rec in records3:
-            report = q_structure_residuals(rec.q_poly, params3)
+            report = q_structure_residuals(rec.table, params3, grid)
             assert report.wronskian_residual < 1e-8
             assert report.sum_rule_defect < 1e-8
             assert report.wronskian_sign in (-1, 1)
@@ -161,7 +164,8 @@ class TestStructureResiduals:
     def test_n1_midpoint_root_has_zero_defect(self):
         params = make_params(1)
         poly = HalfPeriodTrigPoly.from_roots([params.xi[0] - params.eta / 2])
-        report = q_structure_residuals(poly, params)
+        grid = residual_grid(params)
+        report = q_structure_residuals(q_table(params, poly, None, grid), params, grid)
         assert report.sum_rule_defect < 1e-14
         assert report.sum_rule_k == 0
 

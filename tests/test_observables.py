@@ -1,10 +1,13 @@
 import cmath
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, rel_dev, rng
+from conftest import KAPPA2, make_params, rel_dev, rng, table
+import sovxxz.cli as cli
 from sovxxz import observables as obs
+from sovxxz.config import load_config
 from sovxxz.errors import ParameterError
 from sovxxz.lattice import (
     SIGMA_MINUS,
@@ -14,13 +17,19 @@ from sovxxz.lattice import (
     monodromy_entries,
 )
 from sovxxz.linalg import det_lu
-from sovxxz.model import IPI, HalfPeriodTrigPoly, a_frak, coth, dist_mod_2ipi
+from sovxxz.model import IPI, HalfPeriodTrigPoly, TrigInterpolation, a_frak, coth, dist_mod_2ipi
 from sovxxz.sov import matrix_element, overlap, separate_state
+from sovxxz.spectrum import tau_hat, tau_hat_deriv
 
 
 def random_poly(g, n, box=1.0):
     return HalfPeriodTrigPoly.from_roots(
         [complex(g.uniform(-box, box), g.uniform(-box, box)) for _ in range(n)])
+
+
+def bare_pair(params, p, q):
+    """The pair context of two polynomials that carry no eigenvalue."""
+    return obs.PairContext(params, table(params, p), table(params, q))
 
 
 class TestScalarProductDirect:
@@ -32,14 +41,14 @@ class TestScalarProductDirect:
         alpha = 0.7 - 0.2j
         x, eta = params.xi[0], params.eta
         expected = 1 + alpha * p(x) * q(x) / (p(x - eta) * q(x - eta))
-        assert rel_dev(obs.sp_direct(obs.PairContext(params, p, q), alpha), expected) < 1e-13
+        assert rel_dev(obs.sp_direct(bare_pair(params, p, q), alpha), expected) < 1e-13
 
     def test_matches_exhaustive_sum(self, params3):
         g = rng(52)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-        pair = obs.PairContext(params3, p, q)
+        pair = bare_pair(params3, p, q)
         a = obs.sp_direct(pair, alpha)
         b = obs.sp_sov_sum(pair, alpha)
         assert rel_dev(a, b) < 1e-10
@@ -50,9 +59,9 @@ class TestScalarProductDirect:
         q = random_poly(g, 3)
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, -1
         alpha = eps * eps2 * kappa2 / kappa
-        bra = separate_state(params3, p, kappa, eps, "bra")
-        ket = separate_state(params3, q, kappa2, eps2, "ket")
-        assert rel_dev(obs.sp_direct(obs.PairContext(params3, p, q), alpha),
+        bra = separate_state(params3, table(params3, p), kappa, eps, "bra")
+        ket = separate_state(params3, table(params3, q), kappa2, eps2, "ket")
+        assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha),
                        overlap(bra, ket)) < 1e-9
 
 
@@ -61,7 +70,7 @@ class TestScalarProductIzergin:
         g = rng(54)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
-        assert obs.sp_izergin(obs.PairContext(params3, p, q), 0.0) == pytest.approx(1.0)
+        assert obs.sp_izergin(bare_pair(params3, p, q), 0.0) == pytest.approx(1.0)
 
     def test_agrees_with_direct_for_generic_functions(self, params3):
         # only the root-location condition is needed here, not eigen data
@@ -70,7 +79,7 @@ class TestScalarProductIzergin:
             p = random_poly(g, 3)
             q = random_poly(g, 3)
             alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-            pair = obs.PairContext(params3, p, q)
+            pair = bare_pair(params3, p, q)
             a = obs.sp_direct(pair, alpha)
             b = obs.sp_izergin(pair, alpha)
             assert rel_dev(a, b) < 1e-9
@@ -80,7 +89,7 @@ class TestScalarProductIzergin:
         # alpha-twisted kernel evaluated by sp_same_q
         alpha = 0.4 + 0.9j
         for rec in records3[:3]:
-            a = obs.sp_izergin(obs.PairContext.of_records(params3, rec, rec), alpha)
+            a = obs.sp_izergin(obs.PairContext(params3, rec.table, rec.table), alpha)
             b, _ = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, b) < 1e-10
 
@@ -91,7 +100,7 @@ class TestScalarProductSlavnov:
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         with pytest.raises(ParameterError):
-            obs.sp_slavnov(obs.PairContext(params3, p, q), 0.5)
+            obs.sp_slavnov(bare_pair(params3, p, q), 0.5)
 
     def test_synthetic_shifted_pair(self, params3):
         # P carrying the i*pi-shifted roots of Q satisfies the compatibility
@@ -99,7 +108,7 @@ class TestScalarProductSlavnov:
         g = rng(57)
         q = random_poly(g, 3)
         p = q.shifted_ipi()
-        pair = obs.PairContext(params3, p, q)
+        pair = bare_pair(params3, p, q)
         assert obs.cond_pq_residual(pair) < 1e-12
         for alpha in (0.3 + 0.4j, -1.2j):
             a = obs.sp_izergin(pair, alpha)
@@ -114,7 +123,7 @@ class TestScalarProductSlavnov:
                 rp, rq = records3[ip], records3[iq]
                 dense = overlap(bras[ip], kets2[iq])
                 scale = bras[ip].norm2() * kets2[iq].norm2()
-                pair = obs.PairContext.of_records(params3, rp, rq)
+                pair = obs.PairContext(params3, rp.table, rq.table)
                 vals = [
                     obs.sp_direct(pair, alpha),
                     obs.sp_izergin(pair, alpha),
@@ -128,7 +137,7 @@ class TestScalarProductSlavnov:
 
     def test_gamma_deformation(self, params3, records3):
         g = rng(58)
-        pair = obs.PairContext.of_records(params3, records3[0], records3[2])
+        pair = obs.PairContext(params3, records3[0].table, records3[2].table)
         alpha = KAPPA2 / params3.kappa
         base = obs.sp_slavnov(pair, alpha)
         for _ in range(3):
@@ -138,7 +147,7 @@ class TestScalarProductSlavnov:
 
     def test_denominator_closed_form(self, params3, records3):
         for rp, rq in [(records3[0], records3[1]), (records3[2], records3[6])]:
-            det = obs.PairContext(params3, rp.q_poly, rq.q_poly).cauchy_det()
+            det = obs.PairContext(params3, rp.table, rq.table).cauchy_det()
             closed = obs.coth_cauchy_closed_form(params3, rp.q_poly, rq.q_poly)
             assert rel_dev(det, closed) < 1e-10
 
@@ -147,10 +156,10 @@ class TestScalarProductSlavnov:
         # must converge to the same value
         rec = records3[1]
         alpha = 0.8 + 0.1j
-        exact = obs.sp_slavnov(obs.PairContext(params3, rec.q_poly, rec.q_poly), alpha)
+        exact = obs.sp_slavnov(obs.PairContext(params3, rec.table, rec.table), alpha)
         eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in rec.q_poly.roots])
-        near = obs.sp_slavnov(obs.PairContext(params3, eps_poly, rec.q_poly), alpha,
-                              cond_tol=1e-4)
+        near_pair = obs.PairContext(params3, table(params3, eps_poly), rec.table)
+        near = obs.sp_slavnov(near_pair, alpha, cond_tol=1e-4)
         assert rel_dev(exact, near) < 1e-4
 
 
@@ -158,19 +167,18 @@ class TestProductIdentity:
     def test_identity_on_eigen_pairs(self, params3, records3):
         g = rng(59)
         for ip, iq in [(0, 1), (2, 6), (3, 4)]:
-            p_poly, q_poly = records3[ip].q_poly, records3[iq].q_poly
+            pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                lhs, rhs, dev = obs.sp_product_check(params3, p_poly, q_poly,
-                                                     alpha, beta)
+                lhs, rhs, dev = obs.sp_product_check(pair, alpha, beta)
                 assert dev < 1e-7
 
     def test_equal_parameters_square(self, params3, records3):
-        p_poly, q_poly = records3[0].q_poly, records3[5].q_poly
+        pair = obs.PairContext(params3, records3[0].table, records3[5].table)
         alpha = 0.6 - 0.9j
-        lhs, rhs, dev = obs.sp_product_check(params3, p_poly, q_poly, alpha, alpha)
-        square = obs.sp_slavnov(obs.PairContext(params3, p_poly, q_poly), alpha) ** 2
+        lhs, rhs, dev = obs.sp_product_check(pair, alpha, alpha)
+        square = obs.sp_slavnov(pair, alpha) ** 2
         assert dev < 1e-7
         assert rel_dev(rhs, square) < 1e-7
 
@@ -185,16 +193,16 @@ class TestProductIdentity:
 class TestTauRepresentations:
     def test_z_independence(self, params3, records3):
         rp, rq = records3[1], records3[6]
-        _, with_q = obs.sp_tau(obs.PairContext.of_records(
-            params3, rp, rq, z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
-        _, with_p = obs.sp_tau(obs.PairContext.of_records(
-            params3, rp, rq, z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
+        _, with_q = obs.sp_tau(obs.PairContext(
+            params3, rp.table, rq.table, z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
+        _, with_p = obs.sp_tau(obs.PairContext(
+            params3, rp.table, rq.table, z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
         assert rel_dev(with_q, with_p) < 1e-8
 
     def test_diagonal_specialization_matches_same_q(self, params3, records3):
         rec = records3[2]
         alpha = 1.0
-        ize, slav = obs.sp_tau(obs.PairContext.of_records(params3, rec, rec),
+        ize, slav = obs.sp_tau(obs.PairContext(params3, rec.table, rec.table),
                                params3.kappa, params3.kappa)
         ize2, compact = obs.sp_same_q(params3, rec.q_poly, alpha)
         assert rel_dev(ize, ize2) < 1e-9
@@ -217,8 +225,8 @@ class TestSameQ:
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
         alpha = eps * eps2 * kappa2 / kappa
         for rec in records3[:4]:
-            bra = separate_state(params3, rec.q_poly, kappa, eps, "bra")
-            ket = separate_state(params3, rec.q_poly, kappa2, eps2, "ket")
+            bra = separate_state(params3, rec.table, kappa, eps, "bra")
+            ket = separate_state(params3, rec.table, kappa2, eps2, "ket")
             dense = overlap(bra, ket)
             a, b = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, dense) < 1e-9
@@ -231,7 +239,7 @@ class TestFormFactors:
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
                 scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
                 for site in (1, 2, 3):
                     bf = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                         kets[iq])
@@ -246,7 +254,7 @@ class TestFormFactors:
         for ip in (0, 3, 6):
             for iq in (0, 4, 5):
                 scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
                 for site in (1, 2, 3):
                     bf = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                         kets[iq])
@@ -280,13 +288,13 @@ class TestFormFactors:
         records = solve_spectrum(params)
         for rec in records[:4]:
             norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
-            val = obs.ff_sigma_z(obs.PairContext.of_records(params, rec, rec), 2,
+            val = obs.ff_sigma_z(obs.PairContext(params, rec.table, rec.table), 2,
                                  "roots") / norm
             assert abs(val.imag) < 1e-8
 
     def test_rank1_decomposition_structure(self, params3, records3):
         # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
-        pair = obs.PairContext.of_records(params3, records3[0], records3[3])
+        pair = obs.PairContext(params3, records3[0].table, records3[3].table)
         s_mat = pair.slavnov(1.0)
         p_mat = obs._rank1_sigma_z(pair, 2)
         assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
@@ -304,10 +312,10 @@ class TestPairContext:
         # its values must equal those of a fresh context bit for bit
         kappa, kappa2 = params3.kappa, KAPPA2
         for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
-            pair = obs.PairContext.of_records(params3, rp, rq)
+            pair = obs.PairContext(params3, rp.table, rq.table)
 
             def fresh():
-                return obs.PairContext.of_records(params3, rp, rq)
+                return obs.PairContext(params3, rp.table, rq.table)
             assert obs.sp_slavnov(pair, kappa2 / kappa) \
                 == obs.sp_slavnov(fresh(), kappa2 / kappa)
             assert obs.sp_tau(pair, kappa, kappa2) == obs.sp_tau(fresh(), kappa, kappa2)
@@ -321,9 +329,9 @@ class TestPairContext:
     def test_custom_z_rows(self, params3, records3):
         rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
-        pair = obs.PairContext.of_records(params3, rp, rq, z=z)
+        pair = obs.PairContext(params3, rp.table, rq.table, z=z)
         assert pair.z == z
-        default = obs.ff_sigma_z(obs.PairContext.of_records(params3, rp, rq), 2, "tau")
+        default = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), 2, "tau")
         assert rel_dev(obs.ff_sigma_z(pair, 2, "tau"), default) < 1e-8
 
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
@@ -335,12 +343,12 @@ class TestPairContext:
             u = z - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < 1e-9:
-                return (-1.0) ** m * rec.tau_hat_deriv(params3, w)
-            return (rec.tau_hat(params3, z) - rec.tau_hat(params3, w)) / cmath.sinh(u)
+                return (-1.0) ** m * tau_hat_deriv(params3, rec.tau, w)
+            return (tau_hat(params3, rec.tau, z) - tau_hat(params3, rec.tau, w)) / cmath.sinh(u)
 
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
                        (records3[0], records3[3])]:
-            pair = obs.PairContext.of_records(params3, rp, rq)
+            pair = obs.PairContext(params3, rp.table, rq.table)
             ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
                              for p in rp.q_poly.roots] for z in rq.q_poly.roots])
             assert np.array_equal(pair.tau(alpha), ref)
@@ -376,7 +384,7 @@ class TestPairContext:
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
             p_poly, q_poly = rp.q_poly, rq.q_poly
             for gamma in (None, 0.3 - 0.2j):
-                halves = obs.slavnov_halves(obs.PairContext(params3, p_poly, q_poly),
+                halves = obs.slavnov_halves(obs.PairContext(params3, rp.table, rq.table),
                                             gamma)
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
                     ref = np.array([[entry(p_poly, q_poly, alpha, gamma, j, k)
@@ -400,7 +408,7 @@ class TestPairContext:
         alpha = KAPPA2 / params3.kappa
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
-                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
                 obs.sp_direct(pair, alpha)
                 obs.sp_izergin(pair, alpha)
                 obs.sp_slavnov(pair, alpha)
@@ -411,26 +419,76 @@ class TestPairContext:
                         obs.ff_sigma_pm(pair, params3.kappa, 1, site, form)
         assert hits == []
 
+    def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):
+        # in one observables run, tau is evaluated at each node once per
+        # record; once the records are certified, separate states evaluate
+        # no polynomial and the pair formulas evaluate only Q(p_k -+ eta)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 2}')
+        params = load_config(cfg).params
+        eta = params.eta
+        tau_at_nodes = Counter()
+        in_states, after_spectrum, records = [], [], []
+        phase = {"certified": False, "state": False}
+        call_tau, call_poly = TrigInterpolation.__call__, HalfPeriodTrigPoly.__call__
+        solve, state = cli.solve_spectrum, cli.separate_state
+
+        def counted_tau(tau, lam):
+            if lam in params.xi:
+                tau_at_nodes[id(tau), lam] += 1
+            return call_tau(tau, lam)
+
+        def watched_poly(poly, lam):
+            if phase["state"]:
+                in_states.append(lam)
+            elif phase["certified"]:
+                after_spectrum.append(lam)
+            return call_poly(poly, lam)
+
+        def solve_then_mark(*args, **kwargs):
+            records.extend(solve(*args, **kwargs))
+            phase["certified"] = True
+            return records
+
+        def watched_state(*args, **kwargs):
+            phase["state"] = True
+            try:
+                return state(*args, **kwargs)
+            finally:
+                phase["state"] = False
+
+        monkeypatch.setattr(TrigInterpolation, "__call__", counted_tau)
+        monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
+        monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
+        monkeypatch.setattr(cli, "separate_state", watched_state)
+        assert cli.main(["observables", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.json")]) != 2
+        assert len(tau_at_nodes) == len(records) * params.n
+        assert max(tau_at_nodes.values()) == 1
+        assert in_states == []
+        pair_points = {r + s for rec in records for r in rec.q_poly.roots for s in (-eta, eta)}
+        assert after_spectrum and set(after_spectrum) <= pair_points
+
     def test_tau_forms_need_records(self, params3, records3):
-        pair = obs.PairContext(params3, records3[0].q_poly, records3[1].q_poly)
+        pair = bare_pair(params3, records3[0].q_poly, records3[1].q_poly)
         with pytest.raises(ParameterError):
-            pair.tau_xi
+            obs.sp_tau(pair, params3.kappa, KAPPA2)
 
 
 class TestGenericArgumentMatrixElements:
     def test_b_element_against_dense(self, params3, records3):
         g = rng(60)
         kappa, kappa2 = params3.kappa, KAPPA2
-        bras = [separate_state(params3, r.q_poly, kappa, 1, "bra")
+        bras = [separate_state(params3, r.table, kappa, 1, "bra")
                 for r in records3[:4]]
-        kets2 = [separate_state(params3, r.q_poly, kappa2, 1, "ket")
+        kets2 = [separate_state(params3, r.table, kappa2, 1, "ket")
                  for r in records3[:4]]
         for _ in range(3):
             mu = complex(g.uniform(-0.8, 0.8), g.uniform(-0.8, 0.8))
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (2, 3), (1, 1)]:
                 bf = matrix_element(bras[ip], blocks.b, kets2[iq])
-                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
                 val = obs.matel_b(pair, kappa, kappa2, 1, 1, mu)
                 scale = bras[ip].norm2() * kets2[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7
@@ -443,7 +501,7 @@ class TestGenericArgumentMatrixElements:
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (3, 6), (4, 4)]:
                 bf = matrix_element(bras[ip], blocks.d, kets[iq])
-                pair = obs.PairContext.of_records(params3, records3[ip], records3[iq])
+                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
                 val = obs.matel_d(pair, mu)
                 scale = bras[ip].norm2() * kets[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7

@@ -10,11 +10,14 @@ from conftest import make_params, rel_dev, rng
 from sovxxz.errors import CertificationError
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
+    IPI,
     HalfPeriodTrigPoly,
     ModelParams,
     TrigInterpolation,
     dist_mod_2ipi,
     f_tilde,
+    q_table,
+    residual_grid,
 )
 from sovxxz.spectrum import (
     EigenRecord,
@@ -25,6 +28,11 @@ from sovxxz.spectrum import (
     refine_bethe,
     tq_residual,
 )
+
+
+def bits(values) -> list[tuple[str, str]]:
+    """Exact float patterns of complex values, signed zeros included."""
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
 
 
 def n1_root_closed_form(params, tau_xi1: complex) -> complex:
@@ -52,7 +60,7 @@ class TestQFromTau:
         for i, rec in enumerate(records3):
             j = int(np.argmin([abs(v + vals[i]) for v in vals]))
             partner = records3[j]
-            for qa, qb in zip(rec.q_poly.roots, partner.qhat_poly.roots):
+            for qa, qb in zip(rec.q_poly.roots, partner.table.hat.roots):
                 assert dist_mod_2ipi(qa, qb) < 1e-7
 
     def test_sum_rule_integer(self, params3, records3):
@@ -80,7 +88,7 @@ class TestRefineBethe:
 
     def test_refined_bethe_ratio(self, params3, records3):
         for rec in records3:
-            assert bethe_residual(params3, rec.q_poly) < 1e-9
+            assert bethe_residual(rec.table) < 1e-9
 
     def test_refinement_never_moves_certified_roots(self, params3, records3):
         for rec in records3:
@@ -108,11 +116,42 @@ class TestCertify:
             tau_at_xi=bad_vals,
             tau=TrigInterpolation(params3.xi, bad_vals),
             q_poly=rec.q_poly,
-            qhat_poly=rec.qhat_poly,
         )
-        assert discrete_char_residual(params3, bad.tau) > 1e-3
+        bad_table = q_table(params3, bad.q_poly, bad.tau, [])
+        assert discrete_char_residual(params3, bad_table) > 1e-3
         with pytest.raises(CertificationError):
             certify(params3, bad, params3.kappa)
+
+    def test_table_equals_fresh_evaluation(self, params3, records3):
+        # certify stores one table per record; every entry is the value a fresh
+        # evaluation gives, to the bit, whether a root enters as a Python or a
+        # numpy complex
+        eta, xi = params3.eta, params3.xi
+        grid = residual_grid(params3)
+        g = rng(71)
+        synthetic = HalfPeriodTrigPoly.from_roots(
+            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        cases = [(rec.table, rec.q_poly, rec.tau, grid) for rec in records3]
+        cases.append((q_table(params3, synthetic, None, []), synthetic, None, []))
+        for table, poly, tau, points in cases:
+            hat = poly.shifted_ipi()
+            assert table.poly is poly and table.tau is tau
+            assert table.hat.roots == hat.roots
+            assert bits(table.x) == bits(poly(x) for x in xi)
+            assert bits(table.x_eta) == bits(poly(x - eta) for x in xi)
+            assert bits(table.x_ipi) == bits(poly(x + IPI) for x in xi)
+            assert bits(table.x_eta_ipi) == bits(poly(x - eta + IPI) for x in xi)
+            for roots in (poly.roots, np.asarray(poly.roots, dtype=np.complex128)):
+                assert bits(table.a_r) == bits(params3.a_fn(q) for q in roots)
+                assert bits(table.d_r) == bits(params3.d_fn(q) for q in roots)
+                assert bits(table.exp_r) == bits(cmath.exp(q) for q in roots)
+                assert bits(table.r_eta) == bits(poly(q - eta) for q in roots)
+                assert bits(table.r_eta_plus) == bits(poly(q + eta) for q in roots)
+                assert bits(table.r_ipi) == bits(poly(q + IPI) for q in roots)
+            assert bits(table.tau_x) == ([] if tau is None else bits(tau(x) for x in xi))
+            assert [bits(row) for row in table.grid] == [
+                bits((poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta)))
+                for lam, _, _ in points]
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
         vals = [r.tau_at_xi[0] for r in records3]
@@ -141,7 +180,7 @@ class TestPipeline:
 
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, records3):
         for rec in records3:
-            assert tq_residual(params3, rec.tau, rec.q_poly) < 1e-12
+            assert tq_residual(rec.table, residual_grid(params3)) < 1e-12
 
     def test_chain_work_built_once_per_spectrum(self, params3, monkeypatch):
         # the residual grid and a, d on it are evaluated once per spectrum,
@@ -178,9 +217,9 @@ class TestPipeline:
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
         for normalized in (True, False):
             for side in ("ket", "bra"):
-                sov.separate_state(params3, records[0].q_poly, params3.kappa, 1, side,
+                sov.separate_state(params3, records[0].table, params3.kappa, 1, side,
                                    normalized=normalized)
-        sov.separate_ket_qdet_form(params3, records[0].q_poly, params3.kappa, 1)
+        sov.separate_ket_qdet_form(params3, records[0].table, params3.kappa, 1)
 
     def test_structure_outputs_populated(self, records3):
         for rec in records3:
