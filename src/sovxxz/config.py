@@ -4,6 +4,7 @@ generation of admissible inhomogeneities."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +64,24 @@ def _as_complex(value, name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(float, value[0], name), _number(float, value[1], name))
     raise ParameterError(f"field {name!r} must be a number or a [re, im] pair")
+
+
+def _list(value, name: str, default=()):
+    """``value`` if it is a list; a missing (null) or empty one gives ``default``."""
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise ParameterError(f"field {name!r} must be a list, got {value!r}")
+    return value or default
+
+
+def _bounds(value, name: str) -> list[float]:
+    bounds = [_number(float, v, name) for v in _list(value, name)]
+    if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
+        raise ParameterError(f"field {name!r} must be a pair [lo, hi] of finite numbers")
+    return bounds
 
 
 def _reject_unknown(keys, known, where: str):
@@ -76,7 +93,7 @@ def _reject_unknown(keys, known, where: str):
 def _number(kind: type, value, name: str):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"field {name!r} must be {kind.__name__}, got {value!r}") from None
 
 
@@ -141,6 +158,8 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
                 user = json.load(fh)
         except OSError as exc:
             raise ParameterError(f"cannot read config {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError:
+            raise ParameterError(f"cannot read config {path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config parse error at line {exc.lineno}, "
                                  f"column {exc.colno}: {exc.msg}") from exc
@@ -166,6 +185,7 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
         if not isinstance(box, dict):
             raise ParameterError("field 'xi.box' must be an object")
         _reject_unknown(box, DEFAULT_CONFIG["xi"]["box"], "xi.box.")
+        box = {key: _bounds(value, f"xi.box.{key}") for key, value in box.items()}
         xi_seed = _number(int, xi_field.get("seed", seed), "xi.seed") \
             if seed_override is None else seed
         min_sep = _number(float, xi_field.get("min_separation", 0.1), "xi.min_separation")
@@ -178,24 +198,28 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     else:
         raise ParameterError("field 'xi' must be a list or a generator object")
 
-    sites_field = data.get("sites")
-    sites = tuple(range(1, n + 1)) if not sites_field \
-        else tuple(_number(int, s, "sites") for s in sites_field)
+    sites = tuple(_number(int, s, "sites")
+                  for s in _list(data.get("sites"), "sites", range(1, n + 1)))
     for s in sites:
         if not 1 <= s <= n:
             raise ParameterError(f"site {s} outside 1..{n}")
-    operators = tuple(data.get("operators") or ("z", "+", "-"))
+    operators = tuple(_list(data.get("operators"), "operators", ("z", "+", "-")))
     for op in operators:
         if op not in ("z", "+", "-"):
             raise ParameterError(f"unknown operator {op!r} (expected 'z', '+', '-')")
-    representations = tuple(data.get("representations") or DEFAULT_REPRESENTATIONS)
+    representations = tuple(_list(data.get("representations"), "representations",
+                                  DEFAULT_REPRESENTATIONS))
     for rep in representations:
         if rep not in DEFAULT_REPRESENTATIONS:
             raise ParameterError(f"unknown representation {rep!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in [*(data.get("tolerances") or {}).items(),
-                     *(tol_overrides or {}).items()]:
+    user_tolerances = data.get("tolerances")
+    if user_tolerances is None:
+        user_tolerances = {}
+    elif not isinstance(user_tolerances, dict):
+        raise ParameterError("field 'tolerances' must be an object")
+    for key, val in [*user_tolerances.items(), *(tol_overrides or {}).items()]:
         if key not in DEFAULT_TOLERANCES:
             raise ParameterError(f"unknown tolerance {key!r}")
         tolerances[key] = _number(float, val, f"tolerances.{key}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, InversionError, ParameterError
 from .linalg import eig_dense
-from .model import ModelParams, TrigInterpolation
+from .model import InterpolationBasis, ModelParams, TrigInterpolation
 
 MAX_SITES = 8
 
@@ -138,7 +138,7 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
     Diagonalizes T_K(xi_1) once, takes Rayleigh quotients against T_K(xi_j) to
     read off tau(xi_j) for every eigenvector (the family commutes, so each
     vector is a joint eigenvector), then closes tau(lam) by quasi-periodic
-    interpolation and validates it at a random extra point.
+    interpolation through one shared basis and validates it at a random extra point.
     """
     k = params.kappa if kappa is None else kappa
     mats = [transfer_k(params, x, k) for x in params.xi]
@@ -152,12 +152,13 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
     rng = np.random.default_rng(seed)
     probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     probe_mat = transfer_k(params, probe, k)
+    basis = InterpolationBasis(params.xi)
     records = []
     for idx in range(len(vals)):
         v = vecs[:, idx]
         nv = v.conj() @ v
         tau_xi = np.array([(v.conj() @ (m @ v)) / nv for m in mats])
-        tau = TrigInterpolation(params.xi, tau_xi)
+        tau = TrigInterpolation(basis, tau_xi)
         rq = (v.conj() @ (probe_mat @ v)) / nv
         check = abs(tau(probe) - rq) / max(abs(rq), 1e-30)
         records.append(OracleRecord(tau_at_xi=tau_xi, tau=tau, interp_check=float(check)))

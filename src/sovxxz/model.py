@@ -336,8 +336,36 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QSt
     )
 
 
+class InterpolationBasis:
+    """The node-only factors of interpolation through the nodes xi: the
+    denominators prod_{k != j} sinh(xi_j - xi_k) in ``den`` and the numerators
+    prod_{k != j} sinh(lam - xi_k) per point lam, built on first use.  One
+    basis serves every eigenvalue of a spectrum.  Points are keyed by
+    ``repr``, which keeps -0.0 and 0.0 apart.
+    """
+
+    def __init__(self, xi):
+        self.xi = np.asarray(xi, dtype=np.complex128)
+        self.den = np.array([sinh_prod(self.shifted_except(x, j))
+                             for j, x in enumerate(self.xi)], dtype=np.complex128)
+        self._numerators: dict[str, list[complex]] = {}
+
+    def shifted_except(self, lam: complex, j: int) -> list[complex]:
+        """lam - xi_k for every node k != j."""
+        return [lam - x for k, x in enumerate(self.xi) if k != j]
+
+    def numerators(self, lam: complex) -> list[complex]:
+        key = repr(complex(lam))
+        if key not in self._numerators:
+            self._numerators[key] = self._node_products(lam)
+        return self._numerators[key]
+
+    def _node_products(self, lam: complex) -> list[complex]:
+        return [sinh_prod(self.shifted_except(lam, j)) for j in range(len(self.xi))]
+
+
 class TrigInterpolation:
-    """Quasi-periodic interpolation through values at the inhomogeneities.
+    """Quasi-periodic interpolation through values at the nodes of ``basis``.
 
     f(lam) = sum_j f_j prod_{k != j} sinh(lam - xi_k) / sinh(xi_j - xi_k);
     this reproduces any function in the span of {e^{(N-1)lam}, ..., e^{-(N-1)lam}}
@@ -345,33 +373,21 @@ class TrigInterpolation:
     transfer-matrix eigenvalues.
     """
 
-    def __init__(self, xi, values):
-        self.xi = np.asarray(xi, dtype=np.complex128)
+    def __init__(self, basis: InterpolationBasis, values):
+        self.basis = basis
         self.values = np.asarray(values, dtype=np.complex128)
-        if self.xi.shape != self.values.shape:
+        if basis.xi.shape != self.values.shape:
             raise ParameterError("interpolation nodes/values length mismatch")
-        self._den = np.array([sinh_prod(self._shifted_except(x, j))
-                              for j, x in enumerate(self.xi)], dtype=np.complex128)
-
-    def _shifted_except(self, lam: complex, j: int) -> list[complex]:
-        """lam - xi_k for every node k != j."""
-        return [lam - x for k, x in enumerate(self.xi) if k != j]
 
     def __call__(self, lam: complex) -> complex:
-        # one sinh per node; each term multiplies the other nodes' factors in order
-        s = [cmath.sinh(lam - x) for x in self.xi]
         out = 0.0 + 0.0j
-        for j in range(len(s)):
-            num = 1.0 + 0.0j
-            for k, v in enumerate(s):
-                if k != j:
-                    num *= v
-            out += self.values[j] * num / self._den[j]
+        for v, num, den in zip(self.values, self.basis.numerators(lam), self.basis.den):
+            out += v * num / den
         return complex(out)
 
     def deriv(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
-        for j in range(len(self.xi)):
-            acc = sinh_prod_deriv(self._shifted_except(lam, j))
-            out += self.values[j] * acc / self._den[j]
+        for j, den in enumerate(self.basis.den):
+            acc = sinh_prod_deriv(self.basis.shifted_except(lam, j))
+            out += self.values[j] * acc / den
         return complex(out)

@@ -87,28 +87,47 @@ def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
     return np.array(pts, dtype=np.complex128)
 
 
-def q_from_tau(params: ModelParams, tau, seed: int = 4242) -> HalfPeriodTrigPoly:
+@dataclass(frozen=True)
+class ChainValues:
+    """What the records of one spectrum read and no eigenvalue changes:
+    ``tq`` holds (lam, w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
+    k = 0..N and w = e^lam, per T-Q sample point lam; ``char`` holds
+    (xi_j - eta, -a(xi_j) d(xi_j - eta)); ``grid`` is the ``residual_grid``
+    and ``probes`` the ``probe_transfers`` at the spectrum's twist."""
+
+    tq: tuple[tuple, ...]
+    char: tuple[tuple[complex, complex], ...]
+    grid: list
+    probes: list
+
+
+def chain_values(params: ModelParams, kappa: complex, seed: int) -> ChainValues:
+    """The ``ChainValues`` of a spectrum at twist ``kappa``; ``seed`` draws the
+    2N+3 T-Q sample points."""
+    n, eta = params.n, params.eta
+    tq = []
+    for lam in _tq_sample_points(params, 2 * n + 3, seed):
+        w, av, dv = cmath.exp(lam), params.a_fn(lam), params.d_fn(lam)
+        tq.append((lam, tuple(w**k for k in range(n + 1)),
+                   tuple(av * cmath.exp((n / 2 - k) * eta) for k in range(n + 1)),
+                   tuple(dv * cmath.exp((k - n / 2) * eta) for k in range(n + 1))))
+    char = tuple((x - eta, -params.a_fn(x) * params.d_fn(x - eta)) for x in params.xi)
+    return ChainValues(tq=tuple(tq), char=char, grid=residual_grid(params),
+                       probes=probe_transfers(params, kappa))
+
+
+def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPoly:
     """Solve the functional relation for Q given an interpolated eigenvalue.
 
-    Sampling 2N+3 generic points gives a homogeneous linear system for the
-    N+1 coefficients of P(W); the system must have a one-dimensional
+    Sampling the 2N+3 points of ``chain.tq`` gives a homogeneous linear system
+    for the N+1 coefficients of P(W); the system must have a one-dimensional
     nullspace (second singular value at least 10x the smallest).
     """
     n = params.n
-    pts = _tq_sample_points(params, 2 * n + 3, seed)
-    rows = np.zeros((len(pts), n + 1), dtype=np.complex128)
-    eta = params.eta
-    for s, lam in enumerate(pts):
-        w = cmath.exp(lam)
+    rows = np.zeros((len(chain.tq), n + 1), dtype=np.complex128)
+    for s, (lam, w_k, a_k, d_k) in enumerate(chain.tq):
         t = tau(lam)
-        av = params.a_fn(lam)
-        dv = params.d_fn(lam)
-        for k in range(n + 1):
-            rows[s, k] = (w**k) * (
-                t
-                + av * cmath.exp((n / 2 - k) * eta)
-                - dv * cmath.exp((k - n / 2) * eta)
-            )
+        rows[s] = [w * ((t + a) - d) for w, a, d in zip(w_k, a_k, d_k)]
         scale = np.max(np.abs(rows[s]))
         if scale > 0:
             rows[s] /= scale
@@ -127,8 +146,9 @@ def q_from_tau(params: ModelParams, tau, seed: int = 4242) -> HalfPeriodTrigPoly
         raise AmbiguousNullspaceError("nullspace polynomial has a root at W = 0")
     q_roots = [cmath.log(w) for w in w_roots]
     poly = HalfPeriodTrigPoly.from_roots(q_roots)
+    forbidden = params.forbidden_points()
     for q in poly.roots:
-        if min(dist_mod_ipi(q, p) for p in params.forbidden_points()) < 1e-6:
+        if min(dist_mod_ipi(q, p) for p in forbidden) < 1e-6:
             raise SingularEvaluationError(f"extracted root {q} lies on an excluded shift set")
     return poly
 
@@ -218,12 +238,11 @@ def tq_residual(table: QTable, grid: list) -> float:
     return num / max(scale, 1e-30)
 
 
-def discrete_char_residual(params: ModelParams, table: QTable) -> float:
+def discrete_char_residual(table: QTable, chain: ChainValues) -> float:
     """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta)."""
     worst = 0.0
-    for x, tau_x in zip(params.xi, table.tau_x):
-        lhs = tau_x * table.tau(x - params.eta)
-        rhs = -params.a_fn(x) * params.d_fn(x - params.eta)
+    for tau_x, (x_eta, rhs) in zip(table.tau_x, chain.char):
+        lhs = tau_x * table.tau(x_eta)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return worst
 
@@ -240,19 +259,18 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
 
 
 def eigenstate_residual(params: ModelParams, record: "EigenRecord",
-                        kappa: complex, probes=None) -> float:
-    """Relative eigen-residual of the separate state built from the record.
+                        kappa: complex, chain: ChainValues) -> float:
+    """Relative eigen-residual of the separate state built from the record,
+    against the transfer matrices at ``chain.probes`` (built at ``kappa``).
 
     Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
-    one of the shifted nodes xi_n - eta.  ``probes`` defaults to
-    ``probe_transfers(params, kappa)``."""
+    one of the shifted nodes xi_n - eta."""
     state = separate_state(params, record.table, kappa, 1, "ket", normalized=False)
     v = state.embedded
     nv = np.linalg.norm(v)
-    probes = probe_transfers(params, kappa) if probes is None else probes
     worst = 0.0
-    for mu, tk in probes:
+    for mu, tk in chain.probes:
         tv = tk @ v
         tau_mu = record.tau(mu)
         resid = np.linalg.norm(tv - tau_mu * v)
@@ -261,20 +279,18 @@ def eigenstate_residual(params: ModelParams, record: "EigenRecord",
 
 
 def certify(params: ModelParams, record: EigenRecord, kappa: complex,
-            tolerances: dict | None = None, probes=None,
-            grid: list | None = None) -> EigenRecord:
+            chain: ChainValues, tolerances: dict | None = None) -> EigenRecord:
     """Compute every residual of the record, gate it and stamp the record.
 
-    Fills ``table`` (``model.q_table`` of Q on ``grid``, which every residual,
-    separate state and pair formula reads), ``wronskian_sign``, ``sum_rule_k``
-    and every entry of ``residuals`` except the oracle's ``interp_check``.  ``tolerances``
-    overrides entries of ``config.DEFAULT_TOLERANCES``; ``probes`` are handed
-    to ``eigenstate_residual`` and ``grid`` (default ``residual_grid(params)``)
-    to the functional residuals.  Raises CertificationError listing each
-    failed check.
+    Fills ``table`` (``model.q_table`` of Q on ``chain.grid``, which every
+    residual, separate state and pair formula reads), ``wronskian_sign``,
+    ``sum_rule_k`` and every entry of ``residuals`` except the oracle's
+    ``interp_check``; ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.
+    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
+    Raises CertificationError listing each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    grid = residual_grid(params) if grid is None else grid
+    grid = chain.grid
     table = record.table = q_table(params, record.q_poly, record.tau, grid)
     report = q_structure_residuals(table, params, grid)
     record.wronskian_sign = report.wronskian_sign
@@ -285,8 +301,8 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
                   for v, w in zip(table.x, table.x_ipi))
     record.residuals["tq"] = tq_residual(table, grid)
     record.residuals["bethe"] = bethe_residual(table)
-    record.residuals["discrete_char"] = discrete_char_residual(params, table)
-    record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, probes)
+    record.residuals["discrete_char"] = discrete_char_residual(table, chain)
+    record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, chain)
     failures = []
     if not side_ok:
         failures.append("side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)")
@@ -313,16 +329,15 @@ def solve_spectrum(params: ModelParams, kappa: complex | None = None,
     """
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, k, seed=seed)
-    probes = probe_transfers(params, k)
-    grid = residual_grid(params)
+    chain = chain_values(params, k, seed)
     records = []
     for index, item in enumerate(raw):
-        q0 = q_from_tau(params, item.tau, seed=seed)
+        q0 = q_from_tau(params, item.tau, chain)
         rec = EigenRecord(tau_at_xi=item.tau_at_xi, tau=item.tau,
                           q_poly=refine_bethe(params, q0),
                           residuals={"interp_check": item.interp_check})
         try:
-            certify(params, rec, k, tolerances, probes, grid)
+            certify(params, rec, k, chain, tolerances)
         except CertificationError as exc:
             _, jac, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
             raise CertificationError(

@@ -73,6 +73,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, name", [
+        pytest.param(b'{"eta": [0.6, "a"]}', "'eta'", id="eta"),
+        pytest.param(b'{"xi": {"box": {"re_range": "ab"}}}', "'xi.box.re_range'", id="xi.box"),
+        pytest.param(b'{"xi": {"box": {"im_range": [0.4]}}}', "'xi.box.im_range'", id="xi.box-len"),
+        pytest.param(b'{"xi": {"box": {"re_range": [0, 1e400]}}}', "'xi.box.re_range'",
+                     id="xi.box-inf"),
+        pytest.param(b'{"sites": 3}', "'sites'", id="sites"),
+        pytest.param(b'{"operators": 3}', "'operators'", id="operators"),
+        pytest.param(b'{"sites": 0}', "'sites'", id="sites-falsy"),
+        pytest.param(b'{"representations": false}', "'representations'", id="representations"),
+        pytest.param(b'{"tolerances": 0}', "'tolerances'", id="tolerances-falsy"),
+        pytest.param(b'{"tolerances": [1e-3]}', "'tolerances'", id="tolerances"),
+        pytest.param(b'{"seed": 1e400}', "'seed'", id="seed-overflow"),
+        pytest.param(b'{"n": 2, "\xff": 1}', "cfg.json", id="not-utf8"),
+    ])
+    def test_wrong_shape_is_a_parameter_error(self, tmp_path, capsys, content, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
     @pytest.mark.parametrize("config, key", [
         pytest.param({"n": 2, "tolerence": {"tq_residual": 1e-7}}, "tolerence", id="top"),
         pytest.param({"xi": {"min_seperation": 0.02}}, "min_seperation", id="xi"),

@@ -6,6 +6,7 @@ from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
+    InterpolationBasis,
     ModelParams,
     TrigInterpolation,
     a_frak,
@@ -174,7 +175,7 @@ class TestTrigInterpolation:
     def test_reproduces_nodes_and_derivative(self, params3):
         g = rng(6)
         vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]
-        interp = TrigInterpolation(params3.xi, vals)
+        interp = TrigInterpolation(InterpolationBasis(params3.xi), vals)
         for x, v in zip(params3.xi, vals):
             assert rel_dev(interp(x), v) < 1e-12
         lam, h = 0.3 + 0.4j, 1e-6
@@ -182,25 +183,47 @@ class TestTrigInterpolation:
         assert abs(interp.deriv(lam) - fd) < 1e-6
 
     def test_call_equals_per_term_sinh_products(self):
-        # one sinh per node, multiplied in the order sinh_prod takes the
-        # other nodes, so the sum agrees to the bit
-        g = rng(9)
+        # interpolants sharing one basis read its stored node products; both
+        # the products and the values equal the per-term formula to the bit,
+        # at a node, with signed-zero components and for numpy or Python
+        # complex points.  On a real node set the products at lam = r + 0.0j
+        # and r - 0.0j differ in the sign of a zero, so a store keyed by ==
+        # (which merges them) fails here.
+        def bits(values):
+            return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
+
+        g = rng(10)
+        zero_signs_differ = False
         for n in range(1, 9):
-            xi = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
-            vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]
-            interp = TrigInterpolation(xi, vals)
-            for lam in (0.3 + 0.4j, complex(g.uniform(-1, 1), g.uniform(-1, 1))):
-                ref = 0.0 + 0.0j
-                for j, xj in enumerate(interp.xi):
-                    others = [x for k, x in enumerate(interp.xi) if k != j]
-                    ref += interp.values[j] * sinh_prod(lam - x for x in others) \
-                        / sinh_prod(xj - x for x in others)
-                assert interp(lam) == complex(ref)
+            generic = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
+            real = [complex(g.uniform(-1, 1), 0.0) for _ in range(n)]
+            for xi in (generic, real):
+                basis = InterpolationBasis(xi)
+                interps = [TrigInterpolation(basis, [complex(g.uniform(-1, 1), g.uniform(-1, 1))
+                                                     for _ in range(n)]) for _ in range(3)]
+                points = [0.3 + 0.4j, xi[n // 2], complex(0.25, 0.0), complex(0.25, -0.0),
+                          complex(-0.0, 0.1), complex(-0.0, -0.0), complex(0.0, 0.0)]
+                products = {}
+                for lam in points:
+                    for form in (lam, np.complex128(lam)):
+                        nums = [sinh_prod(form - x for k, x in enumerate(basis.xi) if k != j)
+                                for j in range(n)]
+                        products[repr(lam)] = bits(nums)
+                        assert bits(basis.numerators(form)) == bits(nums)
+                        for interp in interps:
+                            ref = 0.0 + 0.0j
+                            for j, xj in enumerate(basis.xi):
+                                others = [x for k, x in enumerate(basis.xi) if k != j]
+                                ref += interp.values[j] * nums[j] \
+                                    / sinh_prod(xj - x for x in others)
+                            assert bits([interp(form)]) == bits([complex(ref)])
+                zero_signs_differ |= products["(0.25+0j)"] != products["(0.25-0j)"]
+        assert zero_signs_differ
 
     def test_quasi_periodicity(self, params3):
         g = rng(8)
         vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]
-        interp = TrigInterpolation(params3.xi, vals)
+        interp = TrigInterpolation(InterpolationBasis(params3.xi), vals)
         lam = 0.21 - 0.13j
         assert rel_dev(interp(lam + 1j * np.pi),
                        (-1.0) ** (params3.n - 1) * interp(lam)) < 1e-12

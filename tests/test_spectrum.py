@@ -12,6 +12,7 @@ from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
+    InterpolationBasis,
     ModelParams,
     TrigInterpolation,
     dist_mod_2ipi,
@@ -23,6 +24,7 @@ from sovxxz.spectrum import (
     EigenRecord,
     bethe_residual,
     certify,
+    chain_values,
     discrete_char_residual,
     q_from_tau,
     refine_bethe,
@@ -50,8 +52,9 @@ class TestQFromTau:
     def test_n1_closed_form(self):
         params = make_params(1)
         recs = spectrum_oracle(params)
+        chain = chain_values(params, params.kappa, 4242)
         for rec in recs:
-            poly = q_from_tau(params, rec.tau)
+            poly = q_from_tau(params, rec.tau, chain)
             expected = n1_root_closed_form(params, rec.tau_at_xi[0])
             assert dist_mod_2ipi(poly.roots[0], expected) < 1e-10
 
@@ -114,13 +117,14 @@ class TestCertify:
         bad_vals[0] *= 1.01
         bad = EigenRecord(
             tau_at_xi=bad_vals,
-            tau=TrigInterpolation(params3.xi, bad_vals),
+            tau=TrigInterpolation(InterpolationBasis(params3.xi), bad_vals),
             q_poly=rec.q_poly,
         )
+        chain = chain_values(params3, params3.kappa, 4242)
         bad_table = q_table(params3, bad.q_poly, bad.tau, [])
-        assert discrete_char_residual(params3, bad_table) > 1e-3
+        assert discrete_char_residual(bad_table, chain) > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, bad, params3.kappa)
+            certify(params3, bad, params3.kappa, chain)
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
         # certify stores one table per record; every entry is the value a fresh
@@ -220,6 +224,48 @@ class TestPipeline:
                 sov.separate_state(params3, records[0].table, params3.kappa, 1, side,
                                    normalized=normalized)
         sov.separate_ket_qdet_form(params3, records[0].table, params3.kappa, 1)
+
+    def test_eigenvalue_independent_work_done_once_per_solve(self, params3, monkeypatch):
+        # every tau shares one interpolation basis, whose node products are
+        # built once per distinct point; the T-Q sample points are drawn once,
+        # and a, d at them and at xi_j, xi_j - eta are evaluated once per
+        # solve, not once per record
+        products = Counter()
+        draws = []
+        chain_calls = Counter()
+        build = InterpolationBasis._node_products
+        sample = spectrum._tq_sample_points
+
+        def counted_products(basis, lam):
+            products[repr(complex(lam))] += 1
+            return build(basis, lam)
+
+        def counted_sample(*args, **kwargs):
+            draws.append(sample(*args, **kwargs))
+            return draws[-1]
+
+        def count_chain(name):
+            inner = getattr(ModelParams, name)
+
+            def wrapper(self, lam):
+                chain_calls[name, lam] += 1
+                return inner(self, lam)
+            monkeypatch.setattr(ModelParams, name, wrapper)
+
+        monkeypatch.setattr(InterpolationBasis, "_node_products", counted_products)
+        monkeypatch.setattr(spectrum, "_tq_sample_points", counted_sample)
+        count_chain("a_fn")
+        count_chain("d_fn")
+        records = spectrum.solve_spectrum(params3)
+        assert len(records) == 8
+        assert products and max(products.values()) == 1
+        assert len(draws) == 1
+        for lam in draws[0]:
+            assert chain_calls["a_fn", lam] == 1
+            assert chain_calls["d_fn", lam] == 1
+        for x in params3.xi:
+            assert chain_calls["a_fn", x] == 1
+            assert chain_calls["d_fn", x - params3.eta] == 1
 
     def test_structure_outputs_populated(self, records3):
         for rec in records3:

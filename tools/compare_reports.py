@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of two sovxxz source checkouts, run for run.
+
+    python3 tools/compare_reports.py OLD_SRC NEW_SRC
+    python3 tools/compare_reports.py OLD_SRC NEW_SRC --case spectrum '{"n": 6}' 1-20,100001-100026
+
+OLD_SRC and NEW_SRC are checkout roots; each run imports the package from
+that root's ``src/``.  Every (command, config, seed) runs once per tree, each
+in a fresh ``python -m sovxxz.cli`` process with ``--out report.json`` in a
+working directory of its own, so that no in-process cache carries over from
+one run to the next and a message naming the report path reads the same in
+both trees.  The report bytes, the exit codes and the stderr bytes are
+compared; each mismatch is listed, and the exit status is 1 if there is any,
+else 0.
+
+``--case COMMAND CONFIG SEEDS`` (repeatable) names a command, its JSON config
+and a seed list such as ``1-20,100001-100026``; without it, the default cases
+below are run.  Runs are compared in parallel, one per CPU this process may
+use; each has its own working directory, so the order cannot change them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+BENCH_SEEDS = "1-20,100001-100026"
+DEFAULT_CASES = (
+    ("spectrum", '{"n": 6}', BENCH_SEEDS),
+    ("observables", '{"n": 3}', BENCH_SEEDS),
+    ("validate", '{"n": 5}', BENCH_SEEDS),
+    ("spectrum", '{"n": 7}', "1-3"),
+    ("spectrum", '{"n": 8}', "1-2"),
+    ("observables", '{"n": 4}', "1-2"),
+    ("validate", '{"n": 3}', "1-5"),
+)
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``1-3,7`` -> [1, 2, 3, 7]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(root: Path, command: str, config: Path, seed: int) -> tuple[bytes | None, int, bytes]:
+    """(report bytes or None, exit code, stderr) of one CLI run from ``root``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sovxxz.cli", command, "--config", str(config),
+             "--seed", str(seed), "--out", "report.json"],
+            cwd=work, env=env, capture_output=True, check=False)
+        report = Path(work, "report.json")
+        data = report.read_bytes() if report.exists() else None
+    return data, proc.returncode, proc.stderr
+
+
+def first_difference(a: bytes | None, b: bytes | None) -> str:
+    if a is None or b is None:
+        return "report written by one tree only"
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"reports differ from byte {at} ({len(a)} vs {len(b)} bytes)"
+
+
+def compare(old: Path, new: Path, command: str, config: Path, seed: int) -> list[str]:
+    """Mismatches between the two trees' runs of one (command, config, seed)."""
+    (rep_a, code_a, err_a), (rep_b, code_b, err_b) = (
+        run_once(root, command, config, seed) for root in (old, new))
+    problems = []
+    if rep_a != rep_b:
+        problems.append(first_difference(rep_a, rep_b))
+    if code_a != code_b:
+        problems.append(f"exit code {code_a} vs {code_b}")
+    if err_a != err_b:
+        problems.append(f"stderr differs: {err_a[-200:]!r} vs {err_b[-200:]!r}")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="checkout root of the reference tree")
+    parser.add_argument("new", type=Path, help="checkout root of the changed tree")
+    parser.add_argument("--case", nargs=3, action="append", metavar=("COMMAND", "CONFIG", "SEEDS"),
+                        help="command, JSON config and seed list (repeatable)")
+    args = parser.parse_args(argv)
+    for root in (args.old, args.new):
+        if not (root / "src" / "sovxxz" / "cli.py").is_file():
+            parser.error(f"{root} has no src/sovxxz/cli.py")
+    cases = args.case or DEFAULT_CASES
+    old, new = args.old.resolve(), args.new.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for i, (command, config, seeds) in enumerate(cases):
+            path = Path(tmp, f"config{i}.json")
+            try:
+                path.write_text(json.dumps(json.loads(config)))
+            except json.JSONDecodeError as exc:
+                parser.error(f"config {config!r} is not JSON: {exc.msg}")
+            runs += [(command, config, path, seed) for seed in parse_seeds(seeds)]
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            results = pool.map(lambda r: compare(old, new, r[0], r[2], r[3]), runs)
+            mismatched = 0
+            for (command, config, _, seed), problems in zip(runs, results):
+                for problem in problems:
+                    print(f"MISMATCH {command} {config} --seed {seed}: {problem}")
+                mismatched += bool(problems)
+    print(f"{len(runs)} runs compared, {mismatched} mismatched")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
