@@ -61,7 +61,7 @@ DEFAULT_CONFIG: dict = {
 
 
 def _as_complex(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(float, value[0], name), _number(float, value[1], name))
@@ -91,7 +91,12 @@ def _reject_unknown(keys, known, where: str):
 
 
 def _number(kind: type, value, name: str):
+    """``kind(value)``; a boolean, or a fractional float where an int is due,
+    is refused instead of truncated."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"field {name!r} must be {kind.__name__}, got {value!r}") from None
@@ -222,7 +227,10 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     for key, val in [*user_tolerances.items(), *(tol_overrides or {}).items()]:
         if key not in DEFAULT_TOLERANCES:
             raise ParameterError(f"unknown tolerance {key!r}")
-        tolerances[key] = _number(float, val, f"tolerances.{key}")
+        tol = _number(float, val, f"tolerances.{key}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ParameterError(f"tolerance {key!r} must be finite and non-negative, got {tol}")
+        tolerances[key] = tol
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):

@@ -114,14 +114,6 @@ def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) 
     return t.b / k + k * t.c
 
 
-def twisted_monodromy(params: ModelParams, lam: complex,
-                      kappa: complex | None = None) -> list[list[np.ndarray]]:
-    """Blocks of K T(lam): [[kappa C, kappa D], [A/kappa, B/kappa]]."""
-    k = params.kappa if kappa is None else kappa
-    t = monodromy_entries(params, lam)
-    return [[k * t.c, k * t.d], [t.a / k, t.b / k]]
-
-
 @dataclass
 class OracleRecord:
     """One transfer-matrix eigenvector with its eigenvalue data at the nodes."""
@@ -166,20 +158,31 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
     return records
 
 
-def _solve_product(factors: list[np.ndarray], rhs: np.ndarray,
-                   cond_floor: float = 1e-12) -> np.ndarray:
-    """rhs . (prod factors)^{-1} applied from the right, factor by factor."""
-    out = rhs
-    for f in reversed(factors):
-        smin = np.linalg.svd(f, compute_uv=False)[-1]
-        if smin < cond_floor * np.linalg.norm(f, 2):
-            raise InversionError("transfer-matrix factor is numerically singular")
-        out = np.linalg.solve(f.T, out.T).T
-    return out
+class NodeFactors:
+    """The node matrices that ``dress_local_operator`` combines, for sites
+    1..``sites``, built once: the blocks [[kappa C, kappa D], [A/kappa, B/kappa]]
+    of K T(xi_m) and K T(xi_m - eta) (``twisted``, ``twisted_shift``), the
+    quantum determinant a(xi_m) d(xi_m - eta) (``qdet``) and the transfer
+    matrix T_K(xi_m) (``transfer``), each checked once to be invertible.
+    """
+
+    def __init__(self, params: ModelParams, sites: int):
+        k = params.kappa
+        self.twisted, self.twisted_shift, self.qdet, self.transfer = [], [], [], []
+        for xs in params.xi[:sites]:
+            t, ts = monodromy_entries(params, xs), monodromy_entries(params, xs - params.eta)
+            self.twisted.append([[k * t.c, k * t.d], [t.a / k, t.b / k]])
+            self.twisted_shift.append([[k * ts.c, k * ts.d], [ts.a / k, ts.b / k]])
+            self.qdet.append(params.a_fn(xs) * params.d_fn(xs - params.eta))
+            f = t.b / k + k * t.c
+            svals = np.linalg.svd(f, compute_uv=False)  # descending: [0] is the 2-norm
+            if svals[-1] < 1e-12 * svals[0]:
+                raise InversionError("transfer-matrix factor is numerically singular")
+            self.transfer.append(f)
 
 
-def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
-                         kappa: complex | None = None, variant: int = 1) -> np.ndarray:
+def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
+                         variant: int = 1) -> np.ndarray:
     """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries.
 
     variant=1 uses [K T(xi_site)]_{ji} sandwiched between transfer matrices at
@@ -188,29 +191,27 @@ def dress_local_operator(params: ModelParams, site: int, i: int, j: int,
     result reproduces the direct Kronecker embedding up to rounding; callers
     compare the two at their own tolerance.
     """
-    n = params.n
-    if not 1 <= site <= n:
-        raise DimensionError(f"site {site} outside 1..{n}")
+    transfer = nodes.transfer
+    if not 1 <= site <= len(transfer):
+        raise DimensionError(f"site {site} outside 1..{len(transfer)}")
     if i not in (1, 2) or j not in (1, 2):
         raise DimensionError("operator indices must be 1 or 2")
-    k = params.kappa if kappa is None else kappa
-    transfer = [transfer_k(params, params.xi[m], k) for m in range(site)]
     if variant == 1:
-        tk = twisted_monodromy(params, params.xi[site - 1], k)
-        core = tk[j - 1][i - 1]
+        core = nodes.twisted[site - 1][j - 1][i - 1]
         left = transfer[: site - 1]
         right = transfer[:site]
     elif variant == 2:
-        xs = params.xi[site - 1]
-        tk_shift = twisted_monodromy(params, xs - params.eta, k)
-        qdet = params.a_fn(xs) * params.d_fn(xs - params.eta)
-        core = -((-1.0) ** (i + j)) * tk_shift[2 - i][2 - j] / qdet
+        core = -((-1.0) ** (i + j)) * nodes.twisted_shift[site - 1][2 - i][2 - j] \
+            / nodes.qdet[site - 1]
         left = transfer[:site]
         right = transfer[: site - 1]
     else:
         raise ParameterError("variant must be 1 or 2")
-    out = np.eye(2**n, dtype=np.complex128)
+    out = np.eye(len(core), dtype=np.complex128)
     for f in left:
         out = out @ f
     out = out @ core
-    return _solve_product(right, out)
+    # out . (prod right)^{-1}, one solve per factor from the right
+    for f in reversed(right):
+        out = np.linalg.solve(f.T, out.T).T
+    return out

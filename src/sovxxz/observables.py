@@ -236,8 +236,9 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     same_roots = bool(np.all(np.abs(pr - qr) < _COLLISION_TOL))
     eta = params.eta
     q_p_eta = pair.q_at_p_eta
-    afrak_p = [a_frak_values(a, d, qe, q.poly(pk + eta))
-               for pk, a, d, qe in zip(p.roots, p.a_r, p.d_r, q_p_eta)]
+    q_p_eta_plus = q.r_eta_plus if pair.diagonal else [q.poly(pk + eta) for pk in p.roots]
+    afrak_p = [a_frak_values(a, d, qe, qp)
+               for a, d, qe, qp in zip(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)]
 
     def kernel(u):
         return coth(u / 2) if gamma is None else _s_gamma(u, gamma)
@@ -303,13 +304,12 @@ class PairContext:
     Built from the two polynomials' ``model.q_table``s, which hold every value
     that depends on one of them alone.  A form factor is the pair's
     scalar-product determinant plus a rank-one term that depends on the site;
-    what needs both polynomials (the Slavnov and eigenvalue-labelled matrices,
-    the Cauchy determinant, the tau prefactor and the site-independent column
-    factors of the rank-one terms) is built here on first use and kept, so
-    one context serves every site, operator and representation of its pair.
-    Building lazily keeps each error in the call that raised it before.  The
-    cached values enter the same scalar expressions as a fresh evaluation,
-    so results agree to the bit.
+    what needs both polynomials but no alpha (the Slavnov and
+    eigenvalue-labelled halves, the Cauchy determinant, the tau prefactor and
+    Q at the P-roots) is built here on first use and kept.  Each formula
+    builds its matrix at its alpha from these once per call, for every site
+    it is asked for.  Building lazily keeps each error in the call that
+    raised it before.
 
     The eigenvalue-labelled forms need both tables to carry an eigenvalue;
     ``z`` (default: the Q-roots) labels the rows of those forms.
@@ -319,41 +319,24 @@ class PairContext:
         self.params = params
         self.p, self.q = p, q
         self.z = list(q.roots) if z is None else [complex(v) for v in z]
-        self._built: dict = {}
-
-    def _once(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
-    # repr keys tell 1.0 from (1+0j) and 0.0 from -0.0, which round differently
-    def halves(self, gamma: complex | None = None) -> SlavnovHalves:
-        return self._once(("halves", repr(gamma)), lambda: slavnov_halves(self, gamma))
-
-    def slavnov(self, alpha: complex, gamma: complex | None = None) -> np.ndarray:
-        return self._once(("slavnov", repr(alpha), repr(gamma)),
-                          lambda: slavnov_matrix(self.halves(gamma), alpha))
-
-    def slavnov_det(self, alpha: complex, gamma: complex | None = None) -> complex:
-        return self._once(("slavnov_det", repr(alpha), repr(gamma)),
-                          lambda: det_lu(self.slavnov(alpha, gamma)))
-
-    def cauchy_det(self, gamma: complex | None = None) -> complex:
-        """det of the coth (or s_gamma) Cauchy matrix, the base of the halves."""
-        return self._once(("cauchy_det", repr(gamma)),
-                          lambda: det_lu(self.halves(gamma).base))
-
-    def tau(self, alpha: complex) -> np.ndarray:
-        return self._once(("tau", repr(alpha)), lambda: tau_matrix(*self.tau_dq, alpha))
-
-    def tau_det(self, alpha: complex) -> complex:
-        return self._once(("tau_det", repr(alpha)), lambda: det_lu(self.tau(alpha)))
+        # P's roots equal Q's bit for bit: Q's table holds Q at the P-roots
+        self.diagonal = np.asarray(p.roots, dtype=np.complex128).tobytes() \
+            == np.asarray(q.roots, dtype=np.complex128).tobytes()
 
     def eigen_tables(self) -> tuple[QTable, QTable]:
         """(P's, Q's) table, checked to carry an eigenvalue each."""
         if self.p.tau is None or self.q.tau is None:
             raise ParameterError("eigenvalue-labelled forms need both eigen records")
         return self.p, self.q
+
+    @cached_property
+    def halves(self) -> SlavnovHalves:
+        return slavnov_halves(self)
+
+    @cached_property
+    def cauchy_det(self) -> complex:
+        """det of the coth Cauchy matrix, the base of the halves."""
+        return det_lu(self.halves.base)
 
     @cached_property
     def tau_dq(self) -> tuple[list[list[complex]], list[list[complex]]]:
@@ -372,18 +355,10 @@ class PairContext:
 
     # Q at the P-roots: Slavnov cross term, rank-one columns
     @cached_property
-    def q_at_p_eta(self) -> list[complex]:
-        return [self.q.poly(pk - self.params.eta) for pk in self.p.roots]
-
-    @cached_property
-    def sigma_z_col(self) -> np.ndarray:
-        return np.array([pe / qe for pe, qe in zip(self.p.r_eta, self.q_at_p_eta)],
-                        dtype=np.complex128)
-
-    @cached_property
-    def sigma_minus_col_den(self) -> list[complex]:
-        return [(-2j) ** self.params.n * qe * pp
-                for qe, pp in zip(self.q_at_p_eta, self.p.r_ipi)]
+    def q_at_p_eta(self) -> tuple[complex, ...]:
+        if self.diagonal:
+            return self.q.r_eta
+        return tuple(self.q.poly(pk - self.params.eta) for pk in self.p.roots)
 
 
 def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
@@ -399,9 +374,12 @@ def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
             f"compatibility condition violated (residual {res:.3e}); "
             "the root-labelled representation does not apply"
         )
-    num = pair.slavnov_det(alpha, gamma)
-    den = pair.cauchy_det(gamma)
-    return num / den
+    if gamma is None:
+        halves, den = pair.halves, pair.cauchy_det
+    else:
+        halves = slavnov_halves(pair, gamma)
+        den = det_lu(halves.base)
+    return det_lu(slavnov_matrix(halves, alpha)) / den
 
 
 def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
@@ -556,7 +534,7 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
         for j in range(i + 1, n):
             if abs(z[i] - z[j]) < 1e-10:
                 raise ParameterError("z points must be pairwise distinct")
-    mat_det = pair.tau_det(ratio)
+    mat_det = det_lu(tau_matrix(*pair.tau_dq, ratio))
     slavnov_form = pair.tau_prefactor * mat_det
     return izergin_form, slavnov_form
 
@@ -583,21 +561,27 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
 # form factors
 
 
-def _tau_prod_ratio(tp_xi, tq_xi, n_p: int, n_q: int) -> complex:
-    """prod_{k<=n_p} tau_P(xi_k) / prod_{k<=n_q} tau_Q(xi_k), from the values
-    at the nodes."""
-    out = 1.0 + 0.0j
-    for k in range(n_p):
-        out *= tp_xi[k]
-    for k in range(n_q):
-        tq = tq_xi[k]
-        if abs(tq) < 1e-12:
-            raise SingularEvaluationError(f"tau_Q vanishes at xi_{k+1}")
-        out /= tq
-    return out
+def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> list[complex]:
+    """prod_{k <= s - shift} tau_P(xi_k) / prod_{k <= s} tau_Q(xi_k) for each
+    site s (1-based) in ``sites``, from the values at the nodes."""
+    p, q = pair.eigen_tables()
+    ratios = []
+    for site in sites:
+        if not 1 <= site <= pair.params.n:
+            raise ParameterError(f"site {site} outside 1..{pair.params.n}")
+        out = 1.0 + 0.0j
+        for k in range(site - shift):
+            out *= p.tau_x[k]
+        for k in range(site):
+            tq = q.tau_x[k]
+            if abs(tq) < 1e-12:
+                raise SingularEvaluationError(f"tau_Q vanishes at xi_{k+1}")
+            out /= tq
+        ratios.append(out)
+    return ratios
 
 
-def _rank1_sigma_z(pair: PairContext, site: int) -> np.ndarray:
+def _rank1_sigma_z(pair: PairContext, col: np.ndarray, site: int) -> np.ndarray:
     params, p, q, k = pair.params, pair.p, pair.q, site - 1
     xs = params.xi[k]
     eta = params.eta
@@ -607,49 +591,52 @@ def _rank1_sigma_z(pair: PairContext, site: int) -> np.ndarray:
         r0 * coth((xs - qj - eta) / 2) + r1 * coth((xs + IPI - qj - eta) / 2)
         for qj in q.roots
     ], dtype=np.complex128)
-    return np.outer(row, pair.sigma_z_col)
+    return np.outer(row, col)
 
 
-def ff_sigma_z(pair: PairContext, site: int, form: str = "roots") -> complex:
-    """sigma^z form factor between same-twist eigenstates (site is 1-based)."""
+def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
+    """sigma^z form factors between same-twist eigenstates, one per site
+    (1-based) in ``sites``."""
     params = pair.params
-    if not 1 <= site <= params.n:
-        raise ParameterError(f"site {site} outside 1..{params.n}")
-    p, q = pair.eigen_tables()
-    pq_ratio = _tau_prod_ratio(p.tau_x, q.tau_x, site, site)
+    ratios = _tau_prod_ratios(pair, sites, 0)
+    p, q = pair.p, pair.q
     if form == "roots":
-        s1 = pair.slavnov(1.0)
-        pz = _rank1_sigma_z(pair, site)
-        den = pair.cauchy_det()
-        return -pq_ratio * det_lu(s1 - pz) / den
+        s1 = slavnov_matrix(pair.halves, 1.0)
+        col = np.array([pe / qe for pe, qe in zip(p.r_eta, pair.q_at_p_eta)],
+                       dtype=np.complex128)
+        den = pair.cauchy_det
+        return [-pq_ratio * det_lu(s1 - _rank1_sigma_z(pair, col, site)) / den
+                for site, pq_ratio in zip(sites, ratios)]
     if form == "tau":
         z = pair.z
-        mat = pair.tau(1.0)
-        xs = params.xi[site - 1]
-        tq_xs = q.tau_x[site - 1]
-        e_xs = cmath.exp(xs)
-        p_xs_eta = p.x_eta[site - 1]
-        p_xs_ipi = p.x_ipi[site - 1]
+        mat = tau_matrix(*pair.tau_dq, 1.0)
         d_p, p_eta, p_ipi = p.d_r, p.r_eta, p.r_ipi
-        rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-        for i in range(params.n):
-            s_zx = cmath.sinh(z[i] - xs)
-            for l in range(params.n):
-                rank1[i, l] = e_xs * tq_xs / (d_p[l] * s_zx) \
-                    * (p_eta[l] / p_xs_eta) * (p_ipi[l] / p_xs_ipi)
-        pref = pair.tau_prefactor
-        return -pref * pq_ratio * det_lu(mat + rank1)
+        out = []
+        for site, pq_ratio in zip(sites, ratios):
+            xs = params.xi[site - 1]
+            tq_xs = q.tau_x[site - 1]
+            e_xs = cmath.exp(xs)
+            p_xs_eta = p.x_eta[site - 1]
+            p_xs_ipi = p.x_ipi[site - 1]
+            rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
+            for i in range(params.n):
+                s_zx = cmath.sinh(z[i] - xs)
+                for l in range(params.n):
+                    rank1[i, l] = e_xs * tq_xs / (d_p[l] * s_zx) \
+                        * (p_eta[l] / p_xs_eta) * (p_ipi[l] / p_xs_ipi)
+            out.append(-pair.tau_prefactor * pq_ratio * det_lu(mat + rank1))
+        return out
     raise ParameterError(f"unknown form {form!r}")
 
 
-def _rank1_sigma_minus(pair: PairContext, site: int) -> np.ndarray:
+def _rank1_sigma_minus(pair: PairContext, col_den: list[complex], site: int) -> np.ndarray:
     params, p, q, k = pair.params, pair.p, pair.q, site - 1
     xs = params.xi[k]
     eta = params.eta
     a_xs = params.a_fn(xs)
     col = np.array([
         cmath.exp(-xs + pk) * a_xs * d / den
-        for pk, d, den in zip(p.roots, p.d_r, pair.sigma_minus_col_den)
+        for pk, d, den in zip(p.roots, p.d_r, col_den)
     ], dtype=np.complex128)
     r0 = q.x_eta[k] / p.x[k]
     r1 = q.x_eta_ipi[k] / p.x_ipi[k]
@@ -660,43 +647,49 @@ def _rank1_sigma_minus(pair: PairContext, site: int) -> np.ndarray:
     return np.outer(row, col)
 
 
-def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, site: int,
-                form: str = "roots") -> complex:
-    """Spin-flip form factor between same-twist eigenstates.
+def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
+                form: str = "roots") -> list[complex]:
+    """Spin-flip form factors between same-twist eigenstates, one per site
+    (1-based) in ``sites``.
 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
     the convention where C annihilates the all-up reference state.
     """
     params = pair.params
-    if not 1 <= site <= params.n:
-        raise ParameterError(f"site {site} outside 1..{params.n}")
-    p, q = pair.eigen_tables()
-    pq_ratio = _tau_prod_ratio(p.tau_x, q.tau_x, site - 1, site)
+    ratios = _tau_prod_ratios(pair, sites, 1)
+    p, q = pair.p, pair.q
     alpha = cmath.exp(-params.eta)
     if form == "roots":
         pref = eps * kappa * cmath.exp(
             -(sum(p.roots) - sum(params.xi))
         )
-        se = pair.slavnov(alpha)
-        pm = _rank1_sigma_minus(pair, site)
-        den = pair.cauchy_det()
-        return pref * pq_ratio * (det_lu(se - pm) - pair.slavnov_det(alpha)) / den
+        se = slavnov_matrix(pair.halves, alpha)
+        se_det = det_lu(se)
+        col_den = [(-2j) ** params.n * qe * pp for qe, pp in zip(pair.q_at_p_eta, p.r_ipi)]
+        den = pair.cauchy_det
+        return [pref * pq_ratio * (det_lu(se - _rank1_sigma_minus(pair, col_den, site))
+                                   - se_det) / den
+                for site, pq_ratio in zip(sites, ratios)]
     if form == "tau":
         z = pair.z
-        xs = params.xi[site - 1]
-        mat = pair.tau(alpha)
-        p_xs = sinh_prod(xs - pl for pl in p.roots)
-        rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-        tq_xs = q.tau_x[site - 1]
-        a_xs = params.a_fn(xs)
-        for i in range(params.n):
-            s_zx = cmath.sinh(z[i] - xs)
-            for k, e_pk in enumerate(p.exp_r):
-                rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
+        mat = tau_matrix(*pair.tau_dq, alpha)
+        mat_det = det_lu(mat)
         pref = eps * kappa * cmath.exp(-sum(p.roots)) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        return pref * pq_ratio * (det_lu(mat + rank1) - pair.tau_det(alpha))
+        out = []
+        for site, pq_ratio in zip(sites, ratios):
+            xs = params.xi[site - 1]
+            p_xs = sinh_prod(xs - pl for pl in p.roots)
+            rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
+            tq_xs = q.tau_x[site - 1]
+            a_xs = params.a_fn(xs)
+            for i in range(params.n):
+                s_zx = cmath.sinh(z[i] - xs)
+                for k, e_pk in enumerate(p.exp_r):
+                    rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
+            out.append(pref * pq_ratio * (det_lu(mat + rank1) - mat_det))
+        return out
     raise ParameterError(f"unknown form {form!r}")
 
 
@@ -739,10 +732,10 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     alpha = eps * eps2 * kappa2 / kappa
     eta = params.eta
-    smat = pair.slavnov(alpha)
-    den = pair.cauchy_det()
+    smat = slavnov_matrix(pair.halves, alpha)
+    den = pair.cauchy_det
     bracket = (p_poly(mu - eta) / p_poly(mu)
-               - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * pair.slavnov_det(alpha)
+               - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * det_lu(smat)
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
     for l, (p_eta, q_eta) in enumerate(zip(pair.p.r_eta, pair.q_at_p_eta)):
         swap = smat.copy()
@@ -902,7 +895,7 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
     out["half_period_kernel_forms"] = float(kernel_dev)
 
     denom_closed = coth_cauchy_closed_form(params, p_poly, q_poly)
-    denom_det = pair.cauchy_det()
+    denom_det = pair.cauchy_det
     out["cauchy_closed_form"] = float(
         abs(denom_closed - denom_det) / max(abs(denom_det), 1e-30))
 
@@ -921,7 +914,7 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     n = params.n
     eta = params.eta
     alpha = cmath.exp(-eta)
-    smat = pair.slavnov(alpha)
+    smat = slavnov_matrix(pair.halves, alpha)
     big = np.zeros((n + 1, n + 1), dtype=np.complex128)
     big[:n, :n] = smat
     col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
@@ -933,6 +926,6 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     for k in range(n):
         big[n, k] = p.exp_r[k] * p.d_r[k] / (pair.q_at_p_eta[k] * p.r_ipi[k])
     big[n, n] = params.a_fn(mu) * params.d_fn(mu) / p_mu
-    den = pair.cauchy_det()
+    den = pair.cauchy_det
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
     return pref * det_lu(big) / den

@@ -19,6 +19,7 @@ from sovxxz.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    NodeFactors,
     dress_local_operator,
     elementary_matrix,
     local_op,
@@ -184,15 +185,16 @@ def test_06_form_factors(params3, records3, states3):
         for iq, rq in enumerate(records3):
             scale = bras[ip].norm2() * kets[iq].norm2()
             pair = obs.PairContext(params3, rp.table, rq.table)
-            for site in (1, 2, 3):
+            sites = (1, 2, 3)
+            for site, vz_roots, vz_tau, vm_roots, vm_tau in zip(
+                    sites, obs.ff_sigma_z(pair, sites, "roots"),
+                    obs.ff_sigma_z(pair, sites, "tau"),
+                    obs.ff_sigma_pm(pair, kappa, 1, sites, "roots"),
+                    obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")):
                 bf_z = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                       kets[iq])
                 bf_m = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                       kets[iq])
-                vz_roots = obs.ff_sigma_z(pair, site, "roots")
-                vz_tau = obs.ff_sigma_z(pair, site, "tau")
-                vm_roots = obs.ff_sigma_pm(pair, kappa, 1, site, "roots")
-                vm_tau = obs.ff_sigma_pm(pair, kappa, 1, site, "tau")
                 worst = max(worst,
                             rel_dev(vz_roots, bf_z, scale),
                             rel_dev(vz_tau, bf_z, scale),
@@ -236,14 +238,14 @@ def test_06b_raising_lowering_coincidence(params3, states3):
 
 
 def test_07_inverse_problem(params3):
+    nodes = NodeFactors(params3, 3)
     worst = 0.0
     for site in (1, 2, 3):
         for i in (1, 2):
             for j in (1, 2):
                 target = local_op(elementary_matrix(i, j), site, 3)
                 for variant in (1, 2):
-                    out = dress_local_operator(params3, site, i, j,
-                                               variant=variant)
+                    out = dress_local_operator(nodes, site, i, j, variant=variant)
                     worst = max(worst, np.linalg.norm(out - target)
                                 / max(np.linalg.norm(target), 1.0))
     ok = worst < TOL_INVERSE

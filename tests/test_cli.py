@@ -2,6 +2,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import sovxxz.cli as cli
@@ -60,6 +61,17 @@ class TestConfig:
         pytest.param({"sites": ["a"]}, None, id="sites"),
         pytest.param({"tolerances": {"tq_residual": "x"}}, None, id="tolerances"),
         pytest.param({"xi": {"min_separation": "x"}}, None, id="min_separation"),
+        pytest.param({"n": 2.9}, None, id="n-fractional"),
+        pytest.param({"n": True}, None, id="n-boolean"),
+        pytest.param({"n": 2, "kappa": True}, None, id="kappa-boolean"),
+        pytest.param({"n": 2, "sites": [1.7]}, None, id="sites-fractional"),
+        pytest.param({"n": 2, "seed": 1.5}, None, id="seed-fractional"),
+        pytest.param({"n": 2, "xi": {"seed": 2.5}}, None, id="xi.seed-fractional"),
+        pytest.param({"n": 2, "tolerances": {"tq_residual": True}}, None,
+                     id="tolerance-boolean"),
+        pytest.param({"n": 2}, "tq_residual=nan", id="tol-nan"),
+        pytest.param({"n": 2}, "tq_residual=inf", id="tol-inf"),
+        pytest.param({"n": 2}, "negation_closure=-1e-9", id="tol-negative"),
     ])
     def test_malformed_number_is_a_parameter_error(self, tmp_path, capsys, config, tol):
         args = ["spectrum", "--out", str(tmp_path / "r.json")]
@@ -184,14 +196,51 @@ class TestValidateCommand:
                                                    tol_args, code):
         # dressed operators 1e-7 off their embedding fail the default 1e-8
         # and pass a configured 1e-6; neither aborts the run
-        solve = lattice._solve_product
-        monkeypatch.setattr(lattice, "_solve_product",
-                            lambda *args: solve(*args) * (1 + 1e-7))
+        dress = cli.dress_local_operator
+        monkeypatch.setattr(cli, "dress_local_operator",
+                            lambda *args, **kwargs: dress(*args, **kwargs) * (1 + 1e-7))
         out = tmp_path / "v.json"
         assert run(["validate", "--out", str(out), *tol_args]) == code
         check = read(out)["checks"]["inverse_problem"]
         assert 1e-8 < check["residual"] < 1e-6
         assert check["pass"] is (code == 0)
+
+    def test_node_factors_built_once(self, tmp_path, monkeypatch):
+        # the 8 n dressed operators of one run share their node factors: the
+        # monodromy at each xi_m and xi_m - eta is built once and each
+        # transfer factor takes one SVD (the spectrum's own work not counted)
+        builds = Counter()
+        svds = []
+        in_spectrum = []
+        build, svd, solve = lattice.monodromy_entries, np.linalg.svd, cli.solve_spectrum
+
+        def counted_build(params, lam):
+            if not in_spectrum:
+                builds[lam] += 1
+            return build(params, lam)
+
+        def counted_svd(*args, **kwargs):
+            if not in_spectrum:
+                svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        def uncounted_solve(*args, **kwargs):
+            in_spectrum.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                in_spectrum.pop()
+
+        monkeypatch.setattr(lattice, "monodromy_entries", counted_build)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(cli, "solve_spectrum", uncounted_solve)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        params = load_config(cfg).params
+        assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+        nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
+        assert [builds[x] for x in nodes] == [1] * len(nodes)
+        assert svds == [(2**params.n, 2**params.n)] * params.n
 
     def test_impossible_tolerance_fails_without_crash(self, tmp_path):
         out = tmp_path / "v.json"
@@ -280,6 +329,17 @@ class TestObservablesCommand:
         assert rep["summary"]["scalar_products"]["pass"]
         assert not rep["summary"]["pm_equality"]["pass"]
 
+    def test_form_factor_check_needs_a_compared_operator(self, tmp_path):
+        # with only the raising operator no form factor is compared with its
+        # oracle, so the summary omits the check instead of passing it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "operators": ["+"]}))
+        out = tmp_path / "o.json"
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
+        summary = read(out)["summary"]
+        assert "form_factors" not in summary
+        assert not summary["pm_equality"]["pass"]
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 2, "operators": ["z", "-"]}))
@@ -290,8 +350,9 @@ class TestObservablesCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_pair_and_probe_work_built_once(self, tmp_path, monkeypatch):
-        # each (P, Q) pair builds its alpha-free Slavnov halves once and its
-        # Slavnov matrices once per alpha for all sites, the
+        # each (P, Q) pair builds its alpha-free Slavnov halves once, and
+        # its Slavnov and eigenvalue-labelled matrices once per formula (the
+        # scalar product and the two form factors) for all sites, the
         # dense oracle embeds each local operator once per run, and the
         # certification probes build their transfer matrices once per spectrum
         calls = Counter()
@@ -306,6 +367,7 @@ class TestObservablesCommand:
 
         count(obs, "slavnov_halves")
         count(obs, "slavnov_matrix")
+        count(obs, "tau_matrix")
         count(cli, "local_op")
         count(spectrum, "transfer_k")
         count(cli, "solve_spectrum")
@@ -317,6 +379,6 @@ class TestObservablesCommand:
         pairs = (2**n) ** 2
         assert calls["solve_spectrum"] == 1
         assert 0 < calls["slavnov_halves"] <= pairs
-        assert 0 < calls["slavnov_matrix"] <= 3 * pairs
+        assert calls["slavnov_matrix"] == calls["tau_matrix"] == 3 * pairs
         assert 0 < calls["local_op"] <= 3 * n
         assert 0 < calls["transfer_k"] <= 3 * calls["solve_spectrum"]

@@ -9,6 +9,7 @@ from sovxxz.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    NodeFactors,
     dress_local_operator,
     elementary_matrix,
     local_op,
@@ -194,31 +195,35 @@ class TestSpectrumOracle:
 
 
 class TestInverseProblem:
-    def test_site1_projector(self, params3):
-        out = dress_local_operator(params3, 1, 1, 1)
+    @pytest.fixture(scope="class")
+    def nodes(self, params3):
+        return NodeFactors(params3, 3)
+
+    def test_site1_projector(self, nodes):
+        out = dress_local_operator(nodes, 1, 1, 1)
         target = local_op(np.diag([1.0, 0.0]).astype(complex), 1, 3)
         assert np.linalg.norm(out - target) < 1e-8 * np.linalg.norm(target)
 
-    def test_completeness(self, params3):
+    def test_completeness(self, nodes):
         for site in (1, 2, 3):
-            total = dress_local_operator(params3, site, 1, 1) \
-                + dress_local_operator(params3, site, 2, 2)
+            total = dress_local_operator(nodes, site, 1, 1) \
+                + dress_local_operator(nodes, site, 2, 2)
             assert np.linalg.norm(total - np.eye(8)) < 1e-9 * np.sqrt(8)
 
-    def test_both_variants_agree(self, params3):
+    def test_both_variants_agree(self, nodes):
         for site in (1, 2, 3):
             for i in (1, 2):
                 for j in (1, 2):
-                    v1 = dress_local_operator(params3, site, i, j, variant=1)
-                    v2 = dress_local_operator(params3, site, i, j, variant=2)
+                    v1 = dress_local_operator(nodes, site, i, j, variant=1)
+                    v2 = dress_local_operator(nodes, site, i, j, variant=2)
                     assert np.linalg.norm(v1 - v2) < 1e-8
 
-    def test_pauli_reconstruction(self, params3):
+    def test_pauli_reconstruction(self, nodes):
         for site in (1, 2, 3):
-            e12 = dress_local_operator(params3, site, 1, 2)
-            e21 = dress_local_operator(params3, site, 2, 1)
-            e11 = dress_local_operator(params3, site, 1, 1)
-            e22 = dress_local_operator(params3, site, 2, 2)
+            e12 = dress_local_operator(nodes, site, 1, 2)
+            e21 = dress_local_operator(nodes, site, 2, 1)
+            e11 = dress_local_operator(nodes, site, 1, 1)
+            e22 = dress_local_operator(nodes, site, 2, 2)
             assert np.linalg.norm(e12 - local_op(SIGMA_PLUS, site, 3)) < 1e-9 * 8
             assert np.linalg.norm(e21 - local_op(SIGMA_MINUS, site, 3)) < 1e-9 * 8
             assert np.linalg.norm((e11 - e22) - local_op(SIGMA_Z, site, 3)) < 1e-9 * 8

@@ -147,7 +147,7 @@ class TestScalarProductSlavnov:
 
     def test_denominator_closed_form(self, params3, records3):
         for rp, rq in [(records3[0], records3[1]), (records3[2], records3[6])]:
-            det = obs.PairContext(params3, rp.table, rq.table).cauchy_det()
+            det = obs.PairContext(params3, rp.table, rq.table).cauchy_det
             closed = obs.coth_cauchy_closed_form(params3, rp.q_poly, rq.q_poly)
             assert rel_dev(det, closed) < 1e-10
 
@@ -240,11 +240,11 @@ class TestFormFactors:
             for iq in (1, 2, 7):
                 scale = bras[ip].norm2() * kets[iq].norm2()
                 pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
-                for site in (1, 2, 3):
+                sites = (1, 2, 3)
+                for site, roots_v, tau_v in zip(sites, obs.ff_sigma_z(pair, sites, "roots"),
+                                                obs.ff_sigma_z(pair, sites, "tau")):
                     bf = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                         kets[iq])
-                    roots_v = obs.ff_sigma_z(pair, site, "roots")
-                    tau_v = obs.ff_sigma_z(pair, site, "tau")
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
@@ -255,11 +255,12 @@ class TestFormFactors:
             for iq in (0, 4, 5):
                 scale = bras[ip].norm2() * kets[iq].norm2()
                 pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
-                for site in (1, 2, 3):
+                sites = (1, 2, 3)
+                for site, roots_v, tau_v in zip(
+                        sites, obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "roots"),
+                        obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")):
                     bf = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                         kets[iq])
-                    roots_v = obs.ff_sigma_pm(pair, params3.kappa, 1, site, "roots")
-                    tau_v = obs.ff_sigma_pm(pair, params3.kappa, 1, site, "tau")
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
@@ -288,15 +289,16 @@ class TestFormFactors:
         records = solve_spectrum(params)
         for rec in records[:4]:
             norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
-            val = obs.ff_sigma_z(obs.PairContext(params, rec.table, rec.table), 2,
-                                 "roots") / norm
+            val = obs.ff_sigma_z(obs.PairContext(params, rec.table, rec.table), [2],
+                                 "roots")[0] / norm
             assert abs(val.imag) < 1e-8
 
     def test_rank1_decomposition_structure(self, params3, records3):
         # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
         pair = obs.PairContext(params3, records3[0].table, records3[3].table)
-        s_mat = pair.slavnov(1.0)
-        p_mat = obs._rank1_sigma_z(pair, 2)
+        s_mat = obs.slavnov_matrix(pair.halves, 1.0)
+        col = np.array([pe / qe for pe, qe in zip(pair.p.r_eta, pair.q_at_p_eta)])
+        p_mat = obs._rank1_sigma_z(pair, col, 2)
         assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
         direct = det_lu(s_mat - p_mat)
         u, s, vh = np.linalg.svd(p_mat)
@@ -308,9 +310,11 @@ class TestFormFactors:
 
 class TestPairContext:
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
-        # one context per pair serves every site, form and representation;
-        # its values must equal those of a fresh context bit for bit
+        # one context per pair serves every site, form and representation,
+        # and one form-factor call serves every site; its values must equal
+        # those of a fresh context and a one-site call bit for bit
         kappa, kappa2 = params3.kappa, KAPPA2
+        sites = range(1, params3.n + 1)
         for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
             pair = obs.PairContext(params3, rp.table, rq.table)
 
@@ -319,20 +323,21 @@ class TestPairContext:
             assert obs.sp_slavnov(pair, kappa2 / kappa) \
                 == obs.sp_slavnov(fresh(), kappa2 / kappa)
             assert obs.sp_tau(pair, kappa, kappa2) == obs.sp_tau(fresh(), kappa, kappa2)
-            for site in range(1, params3.n + 1):
-                for form in ("roots", "tau"):
-                    assert obs.ff_sigma_z(pair, site, form) \
-                        == obs.ff_sigma_z(fresh(), site, form)
-                    assert obs.ff_sigma_pm(pair, kappa, 1, site, form) \
-                        == obs.ff_sigma_pm(fresh(), kappa, 1, site, form)
+            for form in ("roots", "tau"):
+                batch_z = obs.ff_sigma_z(pair, sites, form)
+                batch_pm = obs.ff_sigma_pm(pair, kappa, 1, sites, form)
+                assert len(batch_z) == len(batch_pm) == params3.n
+                for site, z_val, pm_val in zip(sites, batch_z, batch_pm):
+                    assert obs.ff_sigma_z(fresh(), [site], form) == [z_val]
+                    assert obs.ff_sigma_pm(fresh(), kappa, 1, [site], form) == [pm_val]
 
     def test_custom_z_rows(self, params3, records3):
         rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         pair = obs.PairContext(params3, rp.table, rq.table, z=z)
         assert pair.z == z
-        default = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), 2, "tau")
-        assert rel_dev(obs.ff_sigma_z(pair, 2, "tau"), default) < 1e-8
+        [default] = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), [2], "tau")
+        assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0], default) < 1e-8
 
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
         # the cached halves enter the same scalar arithmetic as the per-entry
@@ -351,7 +356,7 @@ class TestPairContext:
             pair = obs.PairContext(params3, rp.table, rq.table)
             ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
                              for p in rp.q_poly.roots] for z in rq.q_poly.roots])
-            assert np.array_equal(pair.tau(alpha), ref)
+            assert np.array_equal(obs.tau_matrix(*pair.tau_dq, alpha), ref)
 
     def test_slavnov_matrix_equals_entrywise_formula(self, params3, records3):
         # the alpha-free halves enter the same scalar arithmetic as the
@@ -413,25 +418,25 @@ class TestPairContext:
                 obs.sp_izergin(pair, alpha)
                 obs.sp_slavnov(pair, alpha)
                 obs.sp_tau(pair, params3.kappa, KAPPA2)
-                for site in range(1, params3.n + 1):
-                    for form in ("roots", "tau"):
-                        obs.ff_sigma_z(pair, site, form)
-                        obs.ff_sigma_pm(pair, params3.kappa, 1, site, form)
+                for form in ("roots", "tau"):
+                    obs.ff_sigma_z(pair, range(1, params3.n + 1), form)
+                    obs.ff_sigma_pm(pair, params3.kappa, 1, range(1, params3.n + 1), form)
         assert hits == []
 
     def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):
         # in one observables run, tau is evaluated at each node once per
         # record; once the records are certified, separate states evaluate
-        # no polynomial and the pair formulas evaluate only Q(p_k -+ eta)
+        # no polynomial and the pair formulas evaluate only Q(p_k -+ eta),
+        # and on a diagonal pair (P = Q) not even those: Q's table holds them
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": 2}')
         params = load_config(cfg).params
         eta = params.eta
         tau_at_nodes = Counter()
-        in_states, after_spectrum, records = [], [], []
-        phase = {"certified": False, "state": False}
+        in_states, after_spectrum, on_diagonal, diagonal_pairs, records = [], [], [], [], []
+        phase = {"certified": False, "state": False, "diagonal": False}
         call_tau, call_poly = TrigInterpolation.__call__, HalfPeriodTrigPoly.__call__
-        solve, state = cli.solve_spectrum, cli.separate_state
+        solve, state, make_pair = cli.solve_spectrum, cli.separate_state, obs.PairContext
 
         def counted_tau(tau, lam):
             if lam in params.xi:
@@ -443,7 +448,14 @@ class TestPairContext:
                 in_states.append(lam)
             elif phase["certified"]:
                 after_spectrum.append(lam)
+                if phase["diagonal"]:
+                    on_diagonal.append(lam)
             return call_poly(poly, lam)
+
+        def tracked_pair(params, p, q, z=None):
+            phase["diagonal"] = p is q
+            diagonal_pairs.append(p is q)
+            return make_pair(params, p, q, z)
 
         def solve_then_mark(*args, **kwargs):
             records.extend(solve(*args, **kwargs))
@@ -461,6 +473,7 @@ class TestPairContext:
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
         monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
         monkeypatch.setattr(cli, "separate_state", watched_state)
+        monkeypatch.setattr(obs, "PairContext", tracked_pair)
         assert cli.main(["observables", "--config", str(cfg),
                          "--out", str(tmp_path / "r.json")]) != 2
         assert len(tau_at_nodes) == len(records) * params.n
@@ -468,6 +481,7 @@ class TestPairContext:
         assert in_states == []
         pair_points = {r + s for rec in records for r in rec.q_poly.roots for s in (-eta, eta)}
         assert after_spectrum and set(after_spectrum) <= pair_points
+        assert sum(diagonal_pairs) == len(records) and on_diagonal == []
 
     def test_tau_forms_need_records(self, params3, records3):
         pair = bare_pair(params3, records3[0].q_poly, records3[1].q_poly)

@@ -39,6 +39,12 @@ DEFAULT_CASES = (
     ("spectrum", '{"n": 8}', "1-2"),
     ("observables", '{"n": 4}', "1-2"),
     ("validate", '{"n": 3}', "1-5"),
+    ("observables", '{"n": 3, "kappa_prime": [1.0, 0.0]}', "1-3"),
+    ("observables", '{"n": 3, "sites": [3, 1], "operators": ["z", "-"], '
+                    '"representations": ["izergin", "tau_slavnov"]}', "1-3"),
+    ("observables", '{"n": 2, "kappa": [0.8, -0.3]}', "1-3"),
+    ("validate", '{"n": 3, "sites": [1]}', "1-3"),
+    ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
 )
 
 
