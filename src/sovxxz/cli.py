@@ -25,6 +25,7 @@ from .lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    MonodromyBlocks,
     NodeFactors,
     dress_local_operator,
     elementary_matrix,
@@ -32,11 +33,10 @@ from .lattice import (
     monodromy_entries,
     r_matrix,
     spectrum_oracle,
-    transfer_k,
     twist_matrix,
 )
-from .model import ModelParams, sinh_prod
-from .sov import _cached_basis, all_h, matrix_element, separate_state, xi_shifted
+from .model import sinh_prod
+from .sov import SovBasis, all_h, matrix_element, separate_state, xi_shifted
 from .spectrum import solve_spectrum
 
 
@@ -77,20 +77,20 @@ def _rel(a: complex, b: complex, scale: float = 0.0) -> float:
 # validate
 
 
-def _sov_action_residual(params: ModelParams, seed: int) -> float:
-    """Worst residual of the six ladder/diagonal action formulas on the basis."""
-    rng = np.random.default_rng(seed)
-    basis = _cached_basis(params)
+def _sov_action_residual(basis: SovBasis,
+                         points: list[tuple[complex, MonodromyBlocks]]) -> float:
+    """Worst residual of the six ladder/diagonal action formulas on ``basis``,
+    at each (lam, monodromy blocks at lam) of ``points``."""
+    params = basis.params
     n = params.n
     worst = 0.0
-    for lam in (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)):
-        t = monodromy_entries(params, lam)
+    for lam, t in points:
+        scale = max(np.linalg.norm(t.b), np.linalg.norm(t.c), np.linalg.norm(t.d))
         for h in all_h(n):
             nodes = xi_shifted(params, h)
             dh = sinh_prod(lam - v for v in nodes)
             ket = basis.ket(h)
             bra = basis.bra(h)
-            scale = max(np.linalg.norm(t.b), np.linalg.norm(t.c), np.linalg.norm(t.d))
 
             worst = max(worst, np.linalg.norm(t.d @ ket - dh * ket)
                         / (scale * np.linalg.norm(ket)))
@@ -176,13 +176,13 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
         / max(abs(qdet) * np.sqrt(dim), 1.0)
     checks["quantum_determinant"] = _check(resid, tol_lat)
 
-    tk_lam = transfer_k(params, lam)
-    tk_mu = transfer_k(params, mu)
+    tk_lam = blocks.transfer(params.kappa)
+    tk_mu = blocks_mu.transfer(params.kappa)
     checks["transfer_commutation"] = _check(
         np.linalg.norm(tk_lam @ tk_mu - tk_mu @ tk_lam)
         / max(np.linalg.norm(tk_lam @ tk_mu), 1.0), tol_lat)
 
-    basis = _cached_basis(params)
+    basis = SovBasis(params)
     worst = 0.0
     for h in all_h(params.n):
         for k in all_h(params.n):
@@ -191,10 +191,10 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
             worst = max(worst, abs(got - want) / abs(basis.measure(h)))
     checks["sov_measure"] = _check(worst, cfg.tol("sov_measure"))
 
-    checks["sov_actions"] = _check(_sov_action_residual(params, cfg.seed),
-                                   cfg.tol("sov_actions"))
+    checks["sov_actions"] = _check(
+        _sov_action_residual(basis, [(lam, blocks), (mu, blocks_mu)]), cfg.tol("sov_actions"))
 
-    nodes = NodeFactors(params, max(cfg.sites))
+    nodes = NodeFactors(params, basis.at_xi[:max(cfg.sites)])
     worst = 0.0
     for site in cfg.sites:
         for i in (1, 2):
@@ -207,7 +207,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     del nodes  # the spectrum and identity bench below, where memory peaks, need none
     checks["inverse_problem"] = _check(worst, cfg.tol("inverse_problem"))
 
-    records = solve_spectrum(params, tolerances=cfg.tolerances)
+    records = solve_spectrum(basis, tolerances=cfg.tolerances)
     bench = obs.identity_bench(params, records, seed=cfg.seed)
     for name, value in bench.items():
         tol = cfg.tol("extension_limit") if name.startswith("extension") \
@@ -227,13 +227,14 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
-    records = solve_spectrum(params, kappa=cfg.kappa, seed=cfg.seed,
+    basis = SovBasis(params)
+    records = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
                              tolerances=cfg.tolerances)
     vals = np.array([r.tau_at_xi[0] for r in records])
     neg = np.sort_complex(-vals)
     closure = float(np.max(np.abs(np.sort_complex(vals) - neg))
                     / max(np.max(np.abs(vals)), 1e-30))
-    other = spectrum_oracle(params, cfg.kappa_prime, seed=cfg.seed)
+    other = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime, seed=cfg.seed)
     vals2 = np.array([r.tau_at_xi[0] for r in other])
     iso = float(np.max(np.abs(np.sort_complex(vals) - np.sort_complex(vals2)))
                 / max(np.max(np.abs(vals)), 1e-30))
@@ -276,14 +277,15 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             f"observables sweep capped at n <= {MAX_N_OBSERVABLES} "
             f"(2^n x 2^n pairs); got n = {params.n}"
         )
-    records = solve_spectrum(params, kappa=cfg.kappa, seed=cfg.seed,
+    basis = SovBasis(params)
+    records = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
                              tolerances=cfg.tolerances)
     kappa, kappa2 = cfg.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
-    bras = [separate_state(params, r.table, kappa, 1, "bra") for r in records]
-    kets = [separate_state(params, r.table, kappa2, 1, "ket") for r in records]
+    bras = [separate_state(basis, r.table, kappa, 1, "bra") for r in records]
+    kets = [separate_state(basis, r.table, kappa2, 1, "ket") for r in records]
     kets_same = kets if kappa2 == kappa else [
-        separate_state(params, r.table, kappa, 1, "ket") for r in records]
+        separate_state(basis, r.table, kappa, 1, "ket") for r in records]
 
     ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
     local_ops = {(op, site): local_op(ops[op], site, params.n)

@@ -77,6 +77,12 @@ class MonodromyBlocks:
     c: np.ndarray
     d: np.ndarray
 
+    def transfer(self, kappa: complex) -> np.ndarray:
+        """Twisted transfer matrix kappa^{-1} B + kappa C at these blocks' point."""
+        if kappa == 0:
+            raise ParameterError("twist must be nonzero")
+        return self.b / kappa + kappa * self.c
+
 
 def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
     """Quantum-space blocks of T_0(lam) = R_{0N}(lam - xi_N) ... R_{01}(lam - xi_1).
@@ -107,11 +113,7 @@ def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
 
 def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) -> np.ndarray:
     """Twisted transfer matrix kappa^{-1} B(lam) + kappa C(lam)."""
-    k = params.kappa if kappa is None else kappa
-    if k == 0:
-        raise ParameterError("twist must be nonzero")
-    t = monodromy_entries(params, lam)
-    return t.b / k + k * t.c
+    return monodromy_entries(params, lam).transfer(params.kappa if kappa is None else kappa)
 
 
 @dataclass
@@ -123,9 +125,11 @@ class OracleRecord:
     interp_check: float
 
 
-def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
-                    gap_factor: float = 1e-6, seed: int = 777) -> list[OracleRecord]:
-    """Brute-force eigen data for the twisted transfer matrix.
+def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
+                    kappa: complex | None = None, gap_factor: float = 1e-6,
+                    seed: int = 777) -> list[OracleRecord]:
+    """Brute-force eigen data for the twisted transfer matrix; ``at_xi`` holds
+    the monodromy blocks at xi_1..xi_N.
 
     Diagonalizes T_K(xi_1) once, takes Rayleigh quotients against T_K(xi_j) to
     read off tau(xi_j) for every eigenvector (the family commutes, so each
@@ -133,7 +137,7 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
     interpolation through one shared basis and validates it at a random extra point.
     """
     k = params.kappa if kappa is None else kappa
-    mats = [transfer_k(params, x, k) for x in params.xi]
+    mats = [t.transfer(k) for t in at_xi]
     vals, vecs = eig_dense(mats[0])
     radius = float(np.max(np.abs(vals)))
     gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * (10 * radius)
@@ -159,22 +163,23 @@ def spectrum_oracle(params: ModelParams, kappa: complex | None = None,
 
 
 class NodeFactors:
-    """The node matrices that ``dress_local_operator`` combines, for sites
-    1..``sites``, built once: the blocks [[kappa C, kappa D], [A/kappa, B/kappa]]
-    of K T(xi_m) and K T(xi_m - eta) (``twisted``, ``twisted_shift``), the
+    """The node matrices that ``dress_local_operator`` combines, for the sites
+    1..len(``at_xi``) whose monodromy blocks ``at_xi`` holds, built once: the
+    blocks [[kappa C, kappa D], [A/kappa, B/kappa]] of K T(xi_m) and
+    K T(xi_m - eta) (``twisted``, ``twisted_shift``), the
     quantum determinant a(xi_m) d(xi_m - eta) (``qdet``) and the transfer
     matrix T_K(xi_m) (``transfer``), each checked once to be invertible.
     """
 
-    def __init__(self, params: ModelParams, sites: int):
+    def __init__(self, params: ModelParams, at_xi: list[MonodromyBlocks]):
         k = params.kappa
         self.twisted, self.twisted_shift, self.qdet, self.transfer = [], [], [], []
-        for xs in params.xi[:sites]:
-            t, ts = monodromy_entries(params, xs), monodromy_entries(params, xs - params.eta)
+        for xs, t in zip(params.xi, at_xi):
+            ts = monodromy_entries(params, xs - params.eta)
             self.twisted.append([[k * t.c, k * t.d], [t.a / k, t.b / k]])
             self.twisted_shift.append([[k * ts.c, k * ts.d], [ts.a / k, ts.b / k]])
             self.qdet.append(params.a_fn(xs) * params.d_fn(xs - params.eta))
-            f = t.b / k + k * t.c
+            f = t.transfer(k)
             svals = np.linalg.svd(f, compute_uv=False)  # descending: [0] is the 2-norm
             if svals[-1] < 1e-12 * svals[0]:
                 raise InversionError("transfer-matrix factor is numerically singular")

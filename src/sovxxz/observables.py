@@ -37,7 +37,7 @@ from .model import (
     sinh_prod,
     vandermonde,
 )
-from .sov import _cached_basis, all_h
+from .sov import SovBasis, all_h
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
@@ -131,11 +131,12 @@ def sp_direct(pair: PairContext, alpha: complex) -> complex:
     return a_functional(params.xi, f_vals, params.eta)
 
 
-def sp_sov_sum(pair: PairContext, alpha: complex) -> complex:
-    """Literal 2^N sum over the SoV labels (the definition of the product)."""
+def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
+    """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
+    product)."""
     params, p, q = pair.params, pair.p, pair.q
     n = params.n
-    v_h = _cached_basis(params).v_h
+    v_h = basis.v_h
     ratio = [alpha * p.x[k] * q.x[k] / (p.x_eta[k] * q.x_eta[k]) for k in range(n)]
     total = 0.0 + 0.0j
     for idx, h in enumerate(all_h(n)):

@@ -13,7 +13,6 @@ bilinear (transpose, no conjugation) pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,51 +40,35 @@ def xi_shifted(params: ModelParams, h) -> list[complex]:
 
 
 class SovBasis:
-    """All 2^N SoV basis kets and bras for fixed model parameters."""
+    """All 2^N SoV basis kets and bras of one chain, in ``h_to_index`` order,
+    with the monodromy blocks at xi_1..xi_N they are built from (``at_xi``)."""
 
     def __init__(self, params: ModelParams):
         self.params = params
         n = params.n
-        self._b_at_xi, self._c_at_xi = [], []
-        for x in params.xi:
-            t = monodromy_entries(params, x)
-            self._b_at_xi.append(t.b)
-            self._c_at_xi.append(t.c)
-        self._a_vals = [params.a_fn(x) for x in params.xi]
-        self._d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
+        self.at_xi = [monodromy_entries(params, x) for x in params.xi]
+        a_vals = [params.a_fn(x) for x in params.xi]
+        d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
         # V(xi^(h)) for every label h, in h_to_index order; v_h[0] = V(xi)
         self.v_h = [vandermonde(xi_shifted(params, h)) for h in all_h(n)]
-        self._kets: dict[int, np.ndarray] = {0: reference_state(n)}
-        self._bras: dict[int, np.ndarray] = {0: reference_state(n) / self.v_h[0]}
+        self.kets = [reference_state(n)]
+        self.bras = [reference_state(n) / self.v_h[0]]
+        for idx in range(1, 2**n):
+            # the parent label clears h's first set bit h_a, the highest bit of idx
+            a = n - idx.bit_length()
+            parent = idx ^ (1 << (n - 1 - a))
+            self.kets.append(-(self.at_xi[a].b @ self.kets[parent]) / a_vals[a])
+            self.bras.append((self.at_xi[a].c.T @ self.bras[parent]) / d_shift_vals[a])
 
     def ket(self, h) -> np.ndarray:
-        idx = h_to_index(tuple(h))
-        if idx not in self._kets:
-            a = next(m for m, bit in enumerate(h) if bit == 1)
-            parent = list(h)
-            parent[a] = 0
-            prev = self.ket(tuple(parent))
-            self._kets[idx] = -(self._b_at_xi[a] @ prev) / self._a_vals[a]
-        return self._kets[idx]
+        return self.kets[h_to_index(tuple(h))]
 
     def bra(self, h) -> np.ndarray:
-        idx = h_to_index(tuple(h))
-        if idx not in self._bras:
-            a = next(m for m, bit in enumerate(h) if bit == 1)
-            parent = list(h)
-            parent[a] = 0
-            prev = self.bra(tuple(parent))
-            self._bras[idx] = (self._c_at_xi[a].T @ prev) / self._d_shift_vals[a]
-        return self._bras[idx]
+        return self.bras[h_to_index(tuple(h))]
 
     def measure(self, h) -> complex:
         """<h|h> = 1 / V(xi^(h))."""
         return 1.0 / self.v_h[h_to_index(tuple(h))]
-
-
-@lru_cache(maxsize=8)
-def _cached_basis(params: ModelParams) -> SovBasis:
-    return SovBasis(params)
 
 
 @dataclass
@@ -100,10 +83,10 @@ class SovState:
         return float(np.linalg.norm(self.embedded))
 
 
-def separate_state(params: ModelParams, table: QTable, kappa: complex,
+def separate_state(basis: SovBasis, table: QTable, kappa: complex,
                    eps: int, side: str, normalized: bool = True) -> SovState:
-    """Build a separate state labelled by the polynomial P of ``table`` (its
-    ``model.q_table``) with twist/sign (kappa, eps).
+    """Build a separate state on ``basis`` labelled by the polynomial P of
+    ``table`` (its ``model.q_table``) with twist/sign (kappa, eps).
 
     Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
     and require P(xi_n - eta) away from zero; unnormalized states use the raw
@@ -111,8 +94,8 @@ def separate_state(params: ModelParams, table: QTable, kappa: complex,
     """
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
+    params = basis.params
     n = params.n
-    basis = _cached_basis(params)
     v_xi = basis.v_h[0]
     p_rows = (table.x, table.x_eta)  # row h holds P(xi_m - h * eta)
     if normalized:
@@ -146,18 +129,18 @@ def separate_state(params: ModelParams, table: QTable, kappa: complex,
                     factor *= (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
             factor *= v_shift
         coeffs[idx] = factor
-        embedded += factor * (basis.ket(h) if side == "ket" else basis.bra(h))
+        embedded += factor * (basis.kets[idx] if side == "ket" else basis.bras[idx])
     return SovState(side=side, coefficients=coeffs, embedded=embedded)
 
 
-def separate_ket_qdet_form(params: ModelParams, table: QTable,
+def separate_ket_qdet_form(basis: SovBasis, table: QTable,
                            kappa: complex, eps: int) -> SovState:
     """Unnormalized ket in the equivalent form that trades the Vandermonde flip
     for explicit a/d ratios: coefficients
     prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
+    params = basis.params
     n = params.n
-    basis = _cached_basis(params)
     dim = 2**n
     coeffs = np.zeros(dim, dtype=np.complex128)
     embedded = np.zeros(dim, dtype=np.complex128)
@@ -172,7 +155,7 @@ def separate_ket_qdet_form(params: ModelParams, table: QTable,
         idx = h_to_index(h)
         factor *= basis.v_h[idx]
         coeffs[idx] = factor
-        embedded += factor * basis.ket(h)
+        embedded += factor * basis.kets[idx]
     return SovState(side="ket", coefficients=coeffs, embedded=embedded)
 
 

@@ -39,7 +39,7 @@ from .model import (
     residual_grid,
     sinh_prod,
 )
-from .sov import separate_state
+from .sov import SovBasis, separate_state
 
 NEWTON_MAX_ITER = 50
 
@@ -92,18 +92,21 @@ class ChainValues:
     """What the records of one spectrum read and no eigenvalue changes:
     ``tq`` holds (lam, w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
     k = 0..N and w = e^lam, per T-Q sample point lam; ``char`` holds
-    (xi_j - eta, -a(xi_j) d(xi_j - eta)); ``grid`` is the ``residual_grid``
-    and ``probes`` the ``probe_transfers`` at the spectrum's twist."""
+    (xi_j - eta, -a(xi_j) d(xi_j - eta)); ``grid`` is the ``residual_grid``,
+    ``probes`` the ``probe_transfers`` at the spectrum's twist and ``basis``
+    the chain's SoV basis."""
 
     tq: tuple[tuple, ...]
     char: tuple[tuple[complex, complex], ...]
     grid: list
     probes: list
+    basis: SovBasis
 
 
-def chain_values(params: ModelParams, kappa: complex, seed: int) -> ChainValues:
-    """The ``ChainValues`` of a spectrum at twist ``kappa``; ``seed`` draws the
-    2N+3 T-Q sample points."""
+def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
+    """The ``ChainValues`` of a spectrum on ``basis``'s chain at twist
+    ``kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
+    params = basis.params
     n, eta = params.n, params.eta
     tq = []
     for lam in _tq_sample_points(params, 2 * n + 3, seed):
@@ -113,7 +116,7 @@ def chain_values(params: ModelParams, kappa: complex, seed: int) -> ChainValues:
                    tuple(dv * cmath.exp((k - n / 2) * eta) for k in range(n + 1))))
     char = tuple((x - eta, -params.a_fn(x) * params.d_fn(x - eta)) for x in params.xi)
     return ChainValues(tq=tuple(tq), char=char, grid=residual_grid(params),
-                       probes=probe_transfers(params, kappa))
+                       probes=probe_transfers(params, kappa), basis=basis)
 
 
 def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPoly:
@@ -258,15 +261,16 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
     return probes
 
 
-def eigenstate_residual(params: ModelParams, record: "EigenRecord",
-                        kappa: complex, chain: ChainValues) -> float:
-    """Relative eigen-residual of the separate state built from the record,
-    against the transfer matrices at ``chain.probes`` (built at ``kappa``).
+def eigenstate_residual(record: "EigenRecord", kappa: complex,
+                        chain: ChainValues) -> float:
+    """Relative eigen-residual of the separate state built from the record on
+    ``chain.basis``, against the transfer matrices at ``chain.probes`` (built
+    at ``kappa``).
 
     Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
     one of the shifted nodes xi_n - eta."""
-    state = separate_state(params, record.table, kappa, 1, "ket", normalized=False)
+    state = separate_state(chain.basis, record.table, kappa, 1, "ket", normalized=False)
     v = state.embedded
     nv = np.linalg.norm(v)
     worst = 0.0
@@ -302,7 +306,7 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     record.residuals["tq"] = tq_residual(table, grid)
     record.residuals["bethe"] = bethe_residual(table)
     record.residuals["discrete_char"] = discrete_char_residual(table, chain)
-    record.residuals["eigenstate"] = eigenstate_residual(params, record, kappa, chain)
+    record.residuals["eigenstate"] = eigenstate_residual(record, kappa, chain)
     failures = []
     if not side_ok:
         failures.append("side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)")
@@ -319,17 +323,19 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     return record
 
 
-def solve_spectrum(params: ModelParams, kappa: complex | None = None,
+def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
                    seed: int = 4242, tolerances: dict | None = None) -> list[EigenRecord]:
-    """Full pipeline: oracle -> Q extraction -> Newton polish -> certification.
+    """Full pipeline: oracle -> Q extraction -> Newton polish -> certification,
+    on the chain of ``basis``, whose node blocks feed the oracle.
 
     Returns 2^N certified records sorted by tau(xi_1).  A CertificationError
     names the record by its index in that order, its tau(xi_1) and the
     condition number of the Bethe Jacobian at its roots.
     """
+    params = basis.params
     k = params.kappa if kappa is None else kappa
-    raw = spectrum_oracle(params, k, seed=seed)
-    chain = chain_values(params, k, seed)
+    raw = spectrum_oracle(params, basis.at_xi, k, seed=seed)
+    chain = chain_values(basis, k, seed)
     records = []
     for index, item in enumerate(raw):
         q0 = q_from_tau(params, item.tau, chain)

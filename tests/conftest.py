@@ -3,7 +3,7 @@ import pytest
 
 from sovxxz.config import generate_xi
 from sovxxz.model import ModelParams, q_table
-from sovxxz.sov import separate_state
+from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import solve_spectrum
 
 SEED = 7
@@ -29,23 +29,28 @@ def params3():
 
 
 @pytest.fixture(scope="session")
+def basis3(params3):
+    return SovBasis(params3)
+
+
+@pytest.fixture(scope="session")
 def records2(params2):
-    return solve_spectrum(params2)
+    return solve_spectrum(SovBasis(params2))
 
 
 @pytest.fixture(scope="session")
-def records3(params3):
-    return solve_spectrum(params3)
+def records3(basis3):
+    return solve_spectrum(basis3)
 
 
 @pytest.fixture(scope="session")
-def states3(params3, records3):
+def states3(params3, basis3, records3):
     """(bras at kappa, kets at kappa, kets at kappa2), all eps = +1."""
-    bras = [separate_state(params3, r.table, params3.kappa, 1, "bra")
+    bras = [separate_state(basis3, r.table, params3.kappa, 1, "bra")
             for r in records3]
-    kets = [separate_state(params3, r.table, params3.kappa, 1, "ket")
+    kets = [separate_state(basis3, r.table, params3.kappa, 1, "ket")
             for r in records3]
-    kets2 = [separate_state(params3, r.table, KAPPA2, 1, "ket")
+    kets2 = [separate_state(basis3, r.table, KAPPA2, 1, "ket")
              for r in records3]
     return bras, kets, kets2
 

@@ -75,7 +75,8 @@ def test_02_spectrum_completeness():
     for n in (2, 3, 4):
         t0 = time.perf_counter()
         params = make_params(n)
-        records = solve_spectrum(params)
+        basis = SovBasis(params)
+        records = solve_spectrum(basis)
         elapsed = time.perf_counter() - t0
         if n == 4:
             t4 = elapsed
@@ -90,7 +91,7 @@ def test_02_spectrum_completeness():
         vals = np.sort_complex([r.tau_at_xi[0] for r in records])
         radius = np.max(np.abs(vals))
         closure = np.max(np.abs(vals - np.sort_complex(-vals))) / radius
-        other = spectrum_oracle(params, 1.3 + 0.2j)
+        other = spectrum_oracle(params, basis.at_xi, 1.3 + 0.2j)
         vals2 = np.sort_complex([r.tau_at_xi[0] for r in other])
         iso = np.max(np.abs(vals - vals2)) / radius
         ok = ok and count_ok and res_ok and closure < TOL_CLOSURE and iso < TOL_CLOSURE
@@ -127,10 +128,10 @@ def test_03_scalar_product_agreement(params3, records3, states3):
                     f"pairs: worst {worst:.2e} (tol {TOL_CROSS_REP:.0e})")
 
 
-def test_04_orthogonality(params3, records3):
+def test_04_orthogonality(params3, basis3, records3):
     kappa = params3.kappa
-    bras = [separate_state(params3, r.table, kappa, 1, "bra") for r in records3]
-    kets = [separate_state(params3, r.table, kappa, 1, "ket") for r in records3]
+    bras = [separate_state(basis3, r.table, kappa, 1, "bra") for r in records3]
+    kets = [separate_state(basis3, r.table, kappa, 1, "ket") for r in records3]
     worst = 0.0
     for ip in range(8):
         for iq in range(8):
@@ -237,8 +238,8 @@ def test_06b_raising_lowering_coincidence(params3, states3):
                     f"worst {worst:.2e} (tol {TOL_PM_EQUAL:.0e})")
 
 
-def test_07_inverse_problem(params3):
-    nodes = NodeFactors(params3, 3)
+def test_07_inverse_problem(params3, basis3):
+    nodes = NodeFactors(params3, basis3.at_xi)
     worst = 0.0
     for site in (1, 2, 3):
         for i in (1, 2):

@@ -1,5 +1,8 @@
+import gc
 import json
 import re
+import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 import sovxxz.cli as cli
 import sovxxz.lattice as lattice
 import sovxxz.observables as obs
+import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES, load_config
@@ -17,6 +21,21 @@ from sovxxz.model import DELTA_MIN_DEFAULT
 
 def run(args):
     return main(args)
+
+
+def count_builds(monkeypatch, builds: Counter, active=lambda: True):
+    """Count ``monodromy_entries`` builds by point in ``builds``, through every
+    package module that holds the function, while ``active()`` is true."""
+    build = lattice.monodromy_entries
+
+    def counted(params, lam):
+        if active():
+            builds[lam] += 1
+        return build(params, lam)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sovxxz.") and getattr(module, "monodromy_entries", None) is build:
+            monkeypatch.setattr(module, "monodromy_entries", counted)
 
 
 def read(path):
@@ -212,12 +231,7 @@ class TestValidateCommand:
         builds = Counter()
         svds = []
         in_spectrum = []
-        build, svd, solve = lattice.monodromy_entries, np.linalg.svd, cli.solve_spectrum
-
-        def counted_build(params, lam):
-            if not in_spectrum:
-                builds[lam] += 1
-            return build(params, lam)
+        svd, solve = np.linalg.svd, cli.solve_spectrum
 
         def counted_svd(*args, **kwargs):
             if not in_spectrum:
@@ -231,7 +245,7 @@ class TestValidateCommand:
             finally:
                 in_spectrum.pop()
 
-        monkeypatch.setattr(lattice, "monodromy_entries", counted_build)
+        count_builds(monkeypatch, builds, active=lambda: not in_spectrum)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(cli, "solve_spectrum", uncounted_solve)
         cfg = tmp_path / "cfg.json"
@@ -250,6 +264,58 @@ class TestValidateCommand:
         rep = read(out)
         assert rep["pass"] is False
         assert not rep["checks"]["sov_measure"]["pass"]
+
+
+class TestOneBasisPerOp:
+    """An op builds one SoV basis, hands it down and drops it on return, and
+    builds the monodromy once at each point it reads."""
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "observables"])
+    def test_one_basis_per_op_released_on_return(self, tmp_path, monkeypatch, command):
+        made = []
+        init = sov.SovBasis.__init__
+
+        def tracked(self, params):
+            made.append(weakref.ref(self))
+            init(self, params)
+
+        monkeypatch.setattr(sov.SovBasis, "__init__", tracked)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        for _ in range(2):
+            made.clear()
+            assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) != 2
+            gc.collect()
+            assert len(made) == 1
+            assert made[0]() is None
+
+    def test_validate_builds_each_point_once(self, tmp_path, monkeypatch):
+        builds = Counter()
+        count_builds(monkeypatch, builds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        loaded = load_config(cfg)
+        params = loaded.params
+        assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+        g = np.random.default_rng(loaded.seed)
+        lam, mu = (complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(2))
+        points = [lam, mu, lam - params.eta, *params.xi,
+                  *(x - params.eta for x in params.xi)]
+        assert [builds[p] for p in points] == [1] * len(points)
+        # besides these: the oracle's probe and the three certification probes
+        assert sorted(builds.values()) == [1] * (len(points) + 4)
+
+    def test_spectrum_builds_each_point_once(self, tmp_path, monkeypatch):
+        builds = Counter()
+        count_builds(monkeypatch, builds)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        params = load_config(cfg).params
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 0
+        assert [builds[x] for x in params.xi] == [1] * params.n
+        # the three certification probes once; the oracle's probe once per
+        # twist, kappa and kappa'
+        assert sorted(builds.values()) == [1] * (params.n + 3) + [2]
 
 
 class TestSpectrumCommand:

@@ -164,40 +164,40 @@ class TestTransferMatrix:
 
 
 class TestSpectrumOracle:
-    def test_closed_under_negation(self, params3):
-        recs = spectrum_oracle(params3)
+    def test_closed_under_negation(self, params3, basis3):
+        recs = spectrum_oracle(params3, basis3.at_xi)
         vals = np.sort_complex([r.tau_at_xi[0] for r in recs])
         neg = np.sort_complex(-vals)
         assert np.max(np.abs(vals - neg)) < 1e-9 * np.max(np.abs(vals))
 
-    def test_interpolation_matches_rayleigh(self, params3):
-        recs = spectrum_oracle(params3)
+    def test_interpolation_matches_rayleigh(self, params3, basis3):
+        recs = spectrum_oracle(params3, basis3.at_xi)
         assert max(r.interp_check for r in recs) < 1e-9
 
-    def test_isospectral_across_twists(self, params3):
-        v1 = np.sort_complex([r.tau_at_xi[0] for r in spectrum_oracle(params3, 1.0)])
+    def test_isospectral_across_twists(self, params3, basis3):
+        v1 = np.sort_complex([r.tau_at_xi[0] for r in spectrum_oracle(params3, basis3.at_xi, 1.0)])
         v2 = np.sort_complex([r.tau_at_xi[0]
-                              for r in spectrum_oracle(params3, 1.3 + 0.2j)])
+                              for r in spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)])
         assert np.max(np.abs(v1 - v2)) < 1e-9 * np.max(np.abs(v1))
 
-    def test_trace_matches_eigenvalue_sum(self, params3):
+    def test_trace_matches_eigenvalue_sum(self, params3, basis3):
         # the spectrum is closed under negation, so both sides are ~0; compare
         # against the spectral radius
-        recs = spectrum_oracle(params3)
+        recs = spectrum_oracle(params3, basis3.at_xi)
         tr = np.trace(transfer_k(params3, params3.xi[0]))
         total = sum(r.tau_at_xi[0] for r in recs)
         radius = max(abs(r.tau_at_xi[0]) for r in recs)
         assert abs(tr - total) < 1e-9 * radius
 
-    def test_degeneracy_guard(self, params3):
+    def test_degeneracy_guard(self, params3, basis3):
         with pytest.raises(DegenerateSpectrumError):
-            spectrum_oracle(params3, gap_factor=1e6)
+            spectrum_oracle(params3, basis3.at_xi, gap_factor=1e6)
 
 
 class TestInverseProblem:
     @pytest.fixture(scope="class")
-    def nodes(self, params3):
-        return NodeFactors(params3, 3)
+    def nodes(self, params3, basis3):
+        return NodeFactors(params3, basis3.at_xi)
 
     def test_site1_projector(self, nodes):
         out = dress_local_operator(nodes, 1, 1, 1)

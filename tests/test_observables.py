@@ -18,7 +18,7 @@ from sovxxz.lattice import (
 )
 from sovxxz.linalg import det_lu
 from sovxxz.model import IPI, HalfPeriodTrigPoly, TrigInterpolation, a_frak, coth, dist_mod_2ipi
-from sovxxz.sov import matrix_element, overlap, separate_state
+from sovxxz.sov import SovBasis, matrix_element, overlap, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
 
 
@@ -43,24 +43,24 @@ class TestScalarProductDirect:
         expected = 1 + alpha * p(x) * q(x) / (p(x - eta) * q(x - eta))
         assert rel_dev(obs.sp_direct(bare_pair(params, p, q), alpha), expected) < 1e-13
 
-    def test_matches_exhaustive_sum(self, params3):
+    def test_matches_exhaustive_sum(self, params3, basis3):
         g = rng(52)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
         pair = bare_pair(params3, p, q)
         a = obs.sp_direct(pair, alpha)
-        b = obs.sp_sov_sum(pair, alpha)
+        b = obs.sp_sov_sum(basis3, pair, alpha)
         assert rel_dev(a, b) < 1e-10
 
-    def test_matches_embedded_inner_product(self, params3):
+    def test_matches_embedded_inner_product(self, params3, basis3):
         g = rng(53)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, -1
         alpha = eps * eps2 * kappa2 / kappa
-        bra = separate_state(params3, table(params3, p), kappa, eps, "bra")
-        ket = separate_state(params3, table(params3, q), kappa2, eps2, "ket")
+        bra = separate_state(basis3, table(params3, p), kappa, eps, "bra")
+        ket = separate_state(basis3, table(params3, q), kappa2, eps2, "ket")
         assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha),
                        overlap(bra, ket)) < 1e-9
 
@@ -221,12 +221,12 @@ class TestSameQ:
         assert a == pytest.approx(1.0)
         assert b == pytest.approx(1.0)
 
-    def test_matches_dense_norm(self, params3, records3):
+    def test_matches_dense_norm(self, params3, basis3, records3):
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
         alpha = eps * eps2 * kappa2 / kappa
         for rec in records3[:4]:
-            bra = separate_state(params3, rec.table, kappa, eps, "bra")
-            ket = separate_state(params3, rec.table, kappa2, eps2, "ket")
+            bra = separate_state(basis3, rec.table, kappa, eps, "bra")
+            ket = separate_state(basis3, rec.table, kappa2, eps2, "ket")
             dense = overlap(bra, ket)
             a, b = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, dense) < 1e-9
@@ -286,7 +286,7 @@ class TestFormFactors:
         # values divided by the state norm are real (here structurally zero)
         params = make_params(3, eta=0.75j, kappa=1.0)
         from sovxxz.spectrum import solve_spectrum
-        records = solve_spectrum(params)
+        records = solve_spectrum(SovBasis(params))
         for rec in records[:4]:
             norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
             val = obs.ff_sigma_z(obs.PairContext(params, rec.table, rec.table), [2],
@@ -490,12 +490,12 @@ class TestPairContext:
 
 
 class TestGenericArgumentMatrixElements:
-    def test_b_element_against_dense(self, params3, records3):
+    def test_b_element_against_dense(self, params3, basis3, records3):
         g = rng(60)
         kappa, kappa2 = params3.kappa, KAPPA2
-        bras = [separate_state(params3, r.table, kappa, 1, "bra")
+        bras = [separate_state(basis3, r.table, kappa, 1, "bra")
                 for r in records3[:4]]
-        kets2 = [separate_state(params3, r.table, kappa2, 1, "ket")
+        kets2 = [separate_state(basis3, r.table, kappa2, 1, "ket")
                  for r in records3[:4]]
         for _ in range(3):
             mu = complex(g.uniform(-0.8, 0.8), g.uniform(-0.8, 0.8))

@@ -42,23 +42,26 @@ class TestSovBasis:
                 want = basis.measure(h) if h == k else 0.0
                 assert abs(got - want) < 1e-9 * abs(basis.measure(h))
 
-    def test_all_action_formulas(self, params3):
-        assert _sov_action_residual(params3, seed=31) < 1e-8
+    def test_all_action_formulas(self, params3, basis3):
+        g = rng(31)
+        points = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(2)]
+        assert _sov_action_residual(
+            basis3, [(lam, monodromy_entries(params3, lam)) for lam in points]) < 1e-8
 
 
 class TestSeparateStates:
     def test_n1_ket_coefficients(self):
         params = make_params(1, kappa=0.8 + 0.3j)
         poly = HalfPeriodTrigPoly.from_roots([0.2 - 0.1j])
-        state = separate_state(params, table(params, poly), params.kappa, 1, "ket")
+        state = separate_state(SovBasis(params), table(params, poly), params.kappa, 1, "ket")
         ratio = poly(params.xi[0]) / poly(params.xi[0] - params.eta)
         assert rel_dev(state.coefficients[0], params.kappa * ratio) < 1e-13
         assert rel_dev(state.coefficients[1], 1.0) < 1e-13
 
-    def test_eigenstate_property(self, params3, records3):
+    def test_eigenstate_property(self, params3, basis3, records3):
         g = rng(32)
         for rec in records3[:3]:
-            ket = separate_state(params3, rec.table, params3.kappa, 1, "ket")
+            ket = separate_state(basis3, rec.table, params3.kappa, 1, "ket")
             for _ in range(3):
                 mu = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 tv = transfer_k(params3, mu) @ ket.embedded
@@ -66,57 +69,57 @@ class TestSeparateStates:
                 assert resid < 1e-8 * max(np.linalg.norm(tv),
                                           abs(rec.tau(mu)) * ket.norm2())
 
-    def test_plus_state_equals_hatted_minus_state(self, params3, records3):
+    def test_plus_state_equals_hatted_minus_state(self, params3, basis3, records3):
         for rec in records3[:4]:
             hat = table(params3, rec.table.hat)
-            plus = separate_state(params3, rec.table, params3.kappa, 1, "ket")
-            minus = separate_state(params3, hat, params3.kappa, -1, "ket")
+            plus = separate_state(basis3, rec.table, params3.kappa, 1, "ket")
+            minus = separate_state(basis3, hat, params3.kappa, -1, "ket")
             assert np.linalg.norm(plus.embedded - minus.embedded) \
                 < 1e-9 * plus.norm2()
-            bplus = separate_state(params3, rec.table, params3.kappa, 1, "bra")
-            bminus = separate_state(params3, hat, params3.kappa, -1, "bra")
+            bplus = separate_state(basis3, rec.table, params3.kappa, 1, "bra")
+            bminus = separate_state(basis3, hat, params3.kappa, -1, "bra")
             assert np.linalg.norm(bplus.embedded - bminus.embedded) \
                 < 1e-9 * bplus.norm2()
 
-    def test_unnormalized_ket_forms_agree(self, params3):
+    def test_unnormalized_ket_forms_agree(self, params3, basis3):
         g = rng(33)
         poly = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         kappa, eps = 0.9 - 0.2j, -1
-        a = separate_state(params3, table(params3, poly), kappa, eps, "ket",
+        a = separate_state(basis3, table(params3, poly), kappa, eps, "ket",
                            normalized=False)
-        b = separate_ket_qdet_form(params3, table(params3, poly), kappa, eps)
+        b = separate_ket_qdet_form(basis3, table(params3, poly), kappa, eps)
         assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()
 
-    def test_normalization_prefactors(self, params3):
+    def test_normalization_prefactors(self, params3, basis3):
         g = rng(34)
         poly = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         kappa, eps = 1.1 + 0.4j, 1
         p = table(params3, poly)
-        raw_ket = separate_state(params3, p, kappa, eps, "ket", normalized=False)
-        norm_ket = separate_state(params3, p, kappa, eps, "ket")
+        raw_ket = separate_state(basis3, p, kappa, eps, "ket", normalized=False)
+        norm_ket = separate_state(basis3, p, kappa, eps, "ket")
         factor = vandermonde(params3.xi)
         for x in params3.xi:
             factor *= (eps / kappa) * poly(x - params3.eta)
         assert np.linalg.norm(raw_ket.embedded - factor * norm_ket.embedded) \
             < 1e-9 * raw_ket.norm2()
-        raw_bra = separate_state(params3, p, kappa, eps, "bra", normalized=False)
-        norm_bra = separate_state(params3, p, kappa, eps, "bra")
+        raw_bra = separate_state(basis3, p, kappa, eps, "bra", normalized=False)
+        norm_bra = separate_state(basis3, p, kappa, eps, "bra")
         factor = 1.0 + 0.0j
         for x in params3.xi:
             factor *= eps * kappa * poly(x - params3.eta)
         assert np.linalg.norm(raw_bra.embedded - factor * norm_bra.embedded) \
             < 1e-9 * raw_bra.norm2()
 
-    def test_normalized_guard_near_shifted_node(self, params3):
+    def test_normalized_guard_near_shifted_node(self, params3, basis3):
         poly = HalfPeriodTrigPoly.from_roots(
             [params3.xi[1] - params3.eta + 1e-4, 0.9 + 0.1j, -0.8 - 0.2j])
         p = table(params3, poly)
         with pytest.raises(SingularEvaluationError):
-            separate_state(params3, p, 1.0, 1, "ket")
+            separate_state(basis3, p, 1.0, 1, "ket")
         # the unnormalized form stays available
-        separate_state(params3, p, 1.0, 1, "ket", normalized=False)
+        separate_state(basis3, p, 1.0, 1, "ket", normalized=False)
 
 
 class TestOverlaps:
@@ -131,37 +134,37 @@ class TestOverlaps:
                 else:
                     assert abs(val) < 1e-8 * scale
 
-    def test_overlap_depends_only_on_product_and_alpha(self, params3, records3):
+    def test_overlap_depends_only_on_product_and_alpha(self, params3, basis3, records3):
         p, q = records3[0].table, records3[1].table
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
-        base = overlap(separate_state(params3, p, kappa, eps, "bra"),
-                       separate_state(params3, q, kappa2, eps2, "ket"))
+        base = overlap(separate_state(basis3, p, kappa, eps, "bra"),
+                       separate_state(basis3, q, kappa2, eps2, "ket"))
 
         # same eps*eps'*kappa'/kappa through rescaled twists and flipped signs
         alt = overlap(
-            separate_state(params3, p, 2.0 * kappa, -eps, "bra"),
-            separate_state(params3, q, 2.0 * kappa2, -eps2, "ket"))
+            separate_state(basis3, p, 2.0 * kappa, -eps, "bra"),
+            separate_state(basis3, q, 2.0 * kappa2, -eps2, "ket"))
         assert rel_dev(base, alt) < 1e-9
 
         # swapping a root between P and Q keeps the product function PQ
         pr, qr = list(p.roots), list(q.roots)
         pr[0], qr[2] = qr[2], pr[0]
         mixed = overlap(
-            separate_state(params3, table(params3, HalfPeriodTrigPoly.from_roots(pr)),
+            separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(pr)),
                            kappa, eps, "bra"),
-            separate_state(params3, table(params3, HalfPeriodTrigPoly.from_roots(qr)),
+            separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(qr)),
                            kappa2, eps2, "ket"))
         assert rel_dev(base, mixed) < 1e-9
 
-    def test_qhat_sign_convention_is_immaterial(self, params3, records3):
+    def test_qhat_sign_convention_is_immaterial(self, params3, basis3, records3):
         # shifting one stored root by 2*pi*i flips the sign of the polynomial
         # but not of any state built from it
         rec = records3[1]
         roots = list(rec.table.hat.roots)
         shifted = HalfPeriodTrigPoly(tuple([roots[0] - 2j * np.pi] + roots[1:]))
-        a = separate_state(params3, table(params3, rec.table.hat), params3.kappa, -1,
+        a = separate_state(basis3, table(params3, rec.table.hat), params3.kappa, -1,
                            "ket")
-        b = separate_state(params3, table(params3, shifted), params3.kappa, -1, "ket")
+        b = separate_state(basis3, table(params3, shifted), params3.kappa, -1, "ket")
         assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()
 
     def test_matrix_element_shape_guard(self, params3, records3, states3):

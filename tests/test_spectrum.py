@@ -51,8 +51,9 @@ def n1_root_closed_form(params, tau_xi1: complex) -> complex:
 class TestQFromTau:
     def test_n1_closed_form(self):
         params = make_params(1)
-        recs = spectrum_oracle(params)
-        chain = chain_values(params, params.kappa, 4242)
+        basis = sov.SovBasis(params)
+        recs = spectrum_oracle(params, basis.at_xi)
+        chain = chain_values(basis, params.kappa, 4242)
         for rec in recs:
             poly = q_from_tau(params, rec.tau, chain)
             expected = n1_root_closed_form(params, rec.tau_at_xi[0])
@@ -111,7 +112,7 @@ class TestCertify:
             assert r.residuals["discrete_char"] < 1e-8
             assert r.residuals["eigenstate"] < 1e-8
 
-    def test_tampered_tau_fails_discrete_check(self, params3, records3):
+    def test_tampered_tau_fails_discrete_check(self, params3, basis3, records3):
         rec = records3[0]
         bad_vals = rec.tau_at_xi.copy()
         bad_vals[0] *= 1.01
@@ -120,7 +121,7 @@ class TestCertify:
             tau=TrigInterpolation(InterpolationBasis(params3.xi), bad_vals),
             q_poly=rec.q_poly,
         )
-        chain = chain_values(params3, params3.kappa, 4242)
+        chain = chain_values(basis3, params3.kappa, 4242)
         bad_table = q_table(params3, bad.q_poly, bad.tau, [])
         assert discrete_char_residual(bad_table, chain) > 1e-3
         with pytest.raises(CertificationError):
@@ -186,7 +187,7 @@ class TestPipeline:
         for rec in records3:
             assert tq_residual(rec.table, residual_grid(params3)) < 1e-12
 
-    def test_chain_work_built_once_per_spectrum(self, params3, monkeypatch):
+    def test_chain_work_built_once_per_spectrum(self, params3, basis3, monkeypatch):
         # the residual grid and a, d on it are evaluated once per spectrum,
         # and separate states read the basis's Vandermonde table instead of
         # recomputing it
@@ -212,20 +213,20 @@ class TestPipeline:
         monkeypatch.setattr(spectrum, "residual_grid", counted_grid)
         count_chain("a_fn")
         count_chain("d_fn")
-        records = spectrum.solve_spectrum(params3)
+        records = spectrum.solve_spectrum(basis3)
         assert len(draws) == 1
         for lam, _, _ in draws[0]:
             assert chain_calls["a_fn", lam] <= 1
             assert chain_calls["d_fn", lam] <= 1
-        sov._cached_basis(params3)  # the basis builds its table once, unpatched
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
         for normalized in (True, False):
             for side in ("ket", "bra"):
-                sov.separate_state(params3, records[0].table, params3.kappa, 1, side,
+                sov.separate_state(basis3, records[0].table, params3.kappa, 1, side,
                                    normalized=normalized)
-        sov.separate_ket_qdet_form(params3, records[0].table, params3.kappa, 1)
+        sov.separate_ket_qdet_form(basis3, records[0].table, params3.kappa, 1)
 
-    def test_eigenvalue_independent_work_done_once_per_solve(self, params3, monkeypatch):
+    def test_eigenvalue_independent_work_done_once_per_solve(self, params3, basis3,
+                                                             monkeypatch):
         # every tau shares one interpolation basis, whose node products are
         # built once per distinct point; the T-Q sample points are drawn once,
         # and a, d at them and at xi_j, xi_j - eta are evaluated once per
@@ -256,7 +257,7 @@ class TestPipeline:
         monkeypatch.setattr(spectrum, "_tq_sample_points", counted_sample)
         count_chain("a_fn")
         count_chain("d_fn")
-        records = spectrum.solve_spectrum(params3)
+        records = spectrum.solve_spectrum(basis3)
         assert len(records) == 8
         assert products and max(products.values()) == 1
         assert len(draws) == 1
