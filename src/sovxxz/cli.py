@@ -168,6 +168,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     rtt = np.linalg.norm(r00 @ big_lam @ big_mu - big_mu @ big_lam @ r00) \
         / max(np.linalg.norm(r00 @ big_lam @ big_mu), 1.0)
     checks["rtt"] = _check(rtt, tol_lat)
+    del big_lam, big_mu, r00  # 48 MB at N = 8; the identity bench, where memory peaks, needs none
 
     qdet = params.a_fn(lam) * params.d_fn(lam - params.eta)
     tm_shift = monodromy_entries(params, lam - params.eta)

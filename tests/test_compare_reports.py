@@ -1,6 +1,8 @@
 """Smoke test of tools/compare_reports.py: a tree matches itself, and a tree
-whose reports differ is listed as a mismatch."""
+whose reports differ is listed as a mismatch; each case gets a summary line of
+ok runs and margins per tree."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +22,23 @@ def test_working_tree_matches_itself():
     proc = compare(ROOT, ROOT, ("spectrum", '{"n": 2}', "1-2"),
                    ("observables", '{"n": 2}', "1-2"), ("validate", '{"n": 2}', "1-2"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "6 runs compared, 0 mismatched"
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "6 runs compared, 0 mismatched"
+    assert len(lines) == 4
+    for line, command in zip(lines, ("spectrum", "observables", "validate")):
+        head = f'CASE {command} {{"n": 2}} 1-2: '
+        assert line.startswith(head)
+        old, new = line[len(head):].split("; ")
+        # observables exits 1 on pm_equality by design and still counts as ok
+        assert re.fullmatch(r"old 2/2 ok, margin median \d+\.\d\d min -?\d+\.\d\d", old)
+        assert new == "new" + old[len("old"):]
 
 
 def test_differing_report_is_a_mismatch(tmp_path):
     fake = tmp_path / "src" / "sovxxz"
     fake.mkdir(parents=True)
     (fake / "__init__.py").write_text("")
+    (fake / "config.py").write_text("DEFAULT_TOLERANCES = {}\n")
     (fake / "cli.py").write_text(
         "import sys\n"
         "args = sys.argv[1:]\n"
@@ -34,4 +46,5 @@ def test_differing_report_is_a_mismatch(tmp_path):
     proc = compare(ROOT, tmp_path, ("spectrum", '{"n": 2}', "1"))
     assert proc.returncode == 1
     assert proc.stdout.startswith("MISMATCH spectrum {\"n\": 2} --seed 1: reports differ")
+    assert proc.stdout.splitlines()[-2].endswith("; new 0/1 ok")
     assert proc.stdout.splitlines()[-1] == "1 runs compared, 1 mismatched"

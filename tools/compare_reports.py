@@ -13,6 +13,12 @@ both trees.  The report bytes, the exit codes and the stderr bytes are
 compared; each mismatch is listed, and the exit status is 1 if there is any,
 else 0.
 
+A change that moves report bytes on purpose is judged by its residuals
+instead, so each case also gets one summary line per tree: how many runs were
+ok out of those attempted, and the pooled median and minimum of their margins
+(log10 tolerance / residual), each run classified by ``perfbench/outcome.py``
+against that tree's default tolerances, as the benchmark classifies its ops.
+
 ``--case COMMAND CONFIG SEEDS`` (repeatable) names a command, its JSON config
 and a seed list such as ``1-20,100001-100026``; without it, the default cases
 below are run.  Runs are compared in parallel, one per CPU this process may
@@ -27,8 +33,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from outcome import Outcome, classify  # noqa: E402
 
 BENCH_SEEDS = "1-20,100001-100026"
 DEFAULT_CASES = (
@@ -57,10 +67,23 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def tree_env(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1"}
+
+
+def default_tolerances(root: Path) -> dict:
+    """``sovxxz.config.DEFAULT_TOLERANCES`` of the tree at ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json; from sovxxz.config import DEFAULT_TOLERANCES; "
+                               "print(json.dumps(DEFAULT_TOLERANCES))"],
+        env=tree_env(root), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def run_once(root: Path, command: str, config: Path, seed: int) -> tuple[bytes | None, int, bytes]:
     """(report bytes or None, exit code, stderr) of one CLI run from ``root``."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1"}
+    env = tree_env(root)
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
             [sys.executable, "-m", "sovxxz.cli", command, "--config", str(config),
@@ -78,8 +101,27 @@ def first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"reports differ from byte {at} ({len(a)} vs {len(b)} bytes)"
 
 
-def compare(old: Path, new: Path, command: str, config: Path, seed: int) -> list[str]:
-    """Mismatches between the two trees' runs of one (command, config, seed)."""
+def outcome(report: bytes | None, code: int, tolerances: dict) -> Outcome:
+    try:
+        decoded = json.loads(report) if report is not None else None
+    except ValueError:
+        decoded = None
+    return classify(code, decoded, tolerances)
+
+
+def summary(outcomes: list[Outcome]) -> str:
+    """``ok/attempted``, and the pooled median and minimum margin of the ok runs."""
+    margins = [m for o in outcomes for m in o.margins]
+    text = f"{sum(o.ok for o in outcomes)}/{len(outcomes)} ok"
+    if margins:
+        text += f", margin median {statistics.median(margins):.2f} min {min(margins):.2f}"
+    return text
+
+
+def compare(old: Path, new: Path, command: str, config: Path, seed: int,
+            tolerances: tuple[dict, dict]) -> tuple[list[str], tuple[Outcome, Outcome]]:
+    """Mismatches between the two trees' runs of one (command, config, seed),
+    and the outcome of each run."""
     (rep_a, code_a, err_a), (rep_b, code_b, err_b) = (
         run_once(root, command, config, seed) for root in (old, new))
     problems = []
@@ -89,7 +131,8 @@ def compare(old: Path, new: Path, command: str, config: Path, seed: int) -> list
         problems.append(f"exit code {code_a} vs {code_b}")
     if err_a != err_b:
         problems.append(f"stderr differs: {err_a[-200:]!r} vs {err_b[-200:]!r}")
-    return problems
+    return problems, (outcome(rep_a, code_a, tolerances[0]),
+                      outcome(rep_b, code_b, tolerances[1]))
 
 
 def main(argv=None) -> int:
@@ -104,6 +147,7 @@ def main(argv=None) -> int:
             parser.error(f"{root} has no src/sovxxz/cli.py")
     cases = args.case or DEFAULT_CASES
     old, new = args.old.resolve(), args.new.resolve()
+    tolerances = (default_tolerances(old), default_tolerances(new))
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for i, (command, config, seeds) in enumerate(cases):
@@ -112,14 +156,20 @@ def main(argv=None) -> int:
                 path.write_text(json.dumps(json.loads(config)))
             except json.JSONDecodeError as exc:
                 parser.error(f"config {config!r} is not JSON: {exc.msg}")
-            runs += [(command, config, path, seed) for seed in parse_seeds(seeds)]
+            runs += [(i, command, config, path, seed) for seed in parse_seeds(seeds)]
         with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-            results = pool.map(lambda r: compare(old, new, r[0], r[2], r[3]), runs)
+            results = pool.map(lambda r: compare(old, new, r[1], r[3], r[4], tolerances), runs)
             mismatched = 0
-            for (command, config, _, seed), problems in zip(runs, results):
+            outcomes: dict[int, list[tuple[Outcome, Outcome]]] = {}
+            for (i, command, config, _, seed), (problems, pair) in zip(runs, results):
                 for problem in problems:
                     print(f"MISMATCH {command} {config} --seed {seed}: {problem}")
                 mismatched += bool(problems)
+                outcomes.setdefault(i, []).append(pair)
+    for i, (command, config, seeds) in enumerate(cases):
+        old_runs, new_runs = zip(*outcomes[i])
+        print(f"CASE {command} {config} {seeds}: old {summary(old_runs)}; "
+              f"new {summary(new_runs)}")
     print(f"{len(runs)} runs compared, {mismatched} mismatched")
     return 1 if mismatched else 0
 
