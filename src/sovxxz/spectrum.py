@@ -157,13 +157,15 @@ def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPo
 
 
 def _bethe_system(params: ModelParams, roots: np.ndarray):
-    """Residual F, Jacobian and term scale max_j(|a Q(q_j - eta)| + |d Q(q_j + eta)|),
-    floored at 1e-30, of the root system F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta)."""
+    """Residual F, Jacobian, term scale max_j(|a Q(q_j - eta)| + |d Q(q_j + eta)|),
+    floored at 1e-30, and max_j |a_frak(q_j) - 1| = max_j |F_j / (a Q(q_j - eta))|,
+    the metric ``certify`` gates, of the root system
+    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta)."""
     n = len(roots)
     eta = params.eta
     f = np.zeros(n, dtype=np.complex128)
     jac = np.zeros((n, n), dtype=np.complex128)
-    scale = 0.0
+    scale = gated = 0.0
     for j in range(n):
         lam = roots[j]
         zm = [(lam - eta - q) / 2 for q in roots]
@@ -177,6 +179,7 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
         dv = params.d_fn(lam)
         f[j] = av * qm - dv * qp
         scale = max(scale, abs(av * qm) + abs(dv * qp))
+        gated = max(gated, abs(f[j] / (av * qm)))
         for m in range(n):
             jac[j, m] = av * dqm[m] - dv * dqp[m]
         # on the diagonal lam = q_j also moves the arguments of every factor l != j
@@ -184,15 +187,19 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
         dqp_lam = sum(-dqp[l] for l in range(n) if l != j)
         jac[j, j] = params.a_prime(lam) * qm + av * dqm_lam \
             - params.d_prime(lam) * qp - dv * dqp_lam
-    return f, jac, max(scale, 1e-30)
+    return f, jac, max(scale, 1e-30), gated
 
 
 def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodTrigPoly:
     """Damped Newton polish of Bethe roots starting from ``q_poly``; stops once
-    max|F| < 1e-12 times the scale of its two terms at the start."""
+    max|F| < 1e-12 times the scale of its two terms at the start.  Then up to
+    3 undamped Newton steps polish max_j |a_frak(q_j) - 1|, the metric
+    ``certify`` gates, which the unscaled stop can leave large on
+    ill-conditioned roots; a step is kept only if it lowers the metric, and
+    the polish stops below 1e-13."""
     roots = np.array(q_poly.roots, dtype=np.complex128)
     n = len(roots)
-    f, jac, scale = _bethe_system(params, roots)
+    f, jac, scale, gated = _bethe_system(params, roots)
     res = np.max(np.abs(f))
     for _ in range(NEWTON_MAX_ITER):
         if res < 1e-12 * scale:
@@ -201,24 +208,32 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodT
         t = 1.0
         while t > 1e-4:
             cand = roots + t * step
-            fc, jc, _ = _bethe_system(params, cand)
+            fc, jc, _, gc = _bethe_system(params, cand)
             if np.max(np.abs(fc)) < res:
-                roots, f, jac, res = cand, fc, jc, np.max(np.abs(fc))
+                roots, f, jac, res, gated = cand, fc, jc, np.max(np.abs(fc)), gc
                 break
             t /= 2
         else:
             raise ConvergenceError(f"Bethe refinement stalled at residual {res:.3e}")
         for i in range(n):
             for j in range(i + 1, n):
-                if dist_mod_2ipi(roots[i], roots[j]) < params.delta_min:
+                if dist_mod_2ipi(roots[i], roots[j]) < 1e-6:
                     raise DegenerateSpectrumError(
-                        f"Bethe roots {i}, {j} collided within delta_min during refinement"
+                        f"Bethe roots {i}, {j} collided (closer than 1e-6) during refinement"
                     )
     else:
         raise ConvergenceError(
             f"Bethe refinement did not converge in {NEWTON_MAX_ITER} iterations "
             f"(last residual {res:.3e})"
         )
+    for _ in range(3):
+        if gated < 1e-13:
+            break
+        cand = roots + np.linalg.solve(jac, -f)
+        fc, jc, _, gc = _bethe_system(params, cand)
+        if not gc < gated:
+            break
+        roots, f, jac, gated = cand, fc, jc, gc
     return HalfPeriodTrigPoly.from_roots(roots)
 
 
@@ -345,7 +360,7 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
         try:
             certify(params, rec, k, chain, tolerances)
         except CertificationError as exc:
-            _, jac, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
+            _, jac, _, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
             raise CertificationError(
                 f"record {index} (tau(xi_1) = {item.tau_at_xi[0]:.6g}, Bethe Jacobian "
                 f"condition number {np.linalg.cond(jac):.2e}): {exc}") from exc

@@ -1,4 +1,5 @@
 import cmath
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
 from conftest import make_params, rel_dev, rng
+from sovxxz.cli import main
+from sovxxz.config import DEFAULT_TOLERANCES
 from sovxxz.errors import CertificationError
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
@@ -274,3 +277,22 @@ class TestPipeline:
             assert isinstance(rec.sum_rule_k, int)
             assert rec.residuals["wronskian"] < 1e-8
             assert rec.residuals["sum_rule_defect"] < 1e-8
+
+
+class TestCertificationEnvelope:
+    # Seeds fixed before the Bethe polish on the gated metric and the true
+    # root-collision guard: all but (7, 3) failed to certify, on a Bethe
+    # residual just above 1e-9 or (6, 100024) on a 0.011 root distance
+    # refused as a collision.
+    @pytest.mark.parametrize("n, seed", [(6, 100004), (6, 100012), (6, 100024),
+                                         (7, 1), (7, 2), (7, 3), (7, 4), (8, 1)])
+    def test_every_record_certifies(self, tmp_path, n, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--config", str(cfg), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 2**n
+        assert all(r["certified"] and r["bethe_residual"] <= DEFAULT_TOLERANCES["bethe_residual"]
+                   for r in records)
