@@ -30,10 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
