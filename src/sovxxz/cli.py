@@ -1,12 +1,12 @@
 """Command-line interface: validate / spectrum / observables.
 
 Each command reads a JSON config (or uses built-in defaults), runs its
-pipeline and writes a JSON report in which every complex number appears as a
-two-element [re, im] array.  Exit status is 0 exactly when every enabled
-check passed.  Reports are byte-identical across runs with the same seed on
-the same machine; across machines the last bits may differ, because numpy's
-SIMD complex multiply rounds differently from Python's scalar one on some
-CPUs (AVX-512, for one).
+pipeline and writes a JSON report, one line of compact JSON with sorted keys,
+in which every complex number appears as a two-element [re, im] array.  Exit
+status is 0 exactly when every enabled check passed.  Reports are
+byte-identical across runs with the same seed on the same machine; across
+machines the last bits may differ, because numpy's SIMD complex multiply
+rounds differently from Python's scalar one on some CPUs (AVX-512, for one).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .lattice import (
     twist_matrix,
 )
 from .model import sinh_prod
-from .sov import SovBasis, all_h, matrix_element, separate_state, xi_shifted
+from .sov import SovBasis, all_h, separate_state, xi_shifted
 from .spectrum import solve_spectrum
 
 
@@ -52,7 +52,7 @@ def _encode(value):
 
 
 def write_report(report: dict, out_path: str | None) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -287,17 +287,23 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     kets = [separate_state(basis, r.table, kappa2, 1, "ket") for r in records]
     kets_same = kets if kappa2 == kappa else [
         separate_state(basis, r.table, kappa, 1, "ket") for r in records]
+    bra_norms = [b.norm2() for b in bras]
+    ket_norms = [k.norm2() for k in kets]
+    same_norms = ket_norms if kappa2 == kappa else [k.norm2() for k in kets_same]
 
     ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
     local_ops = {(op, site): local_op(ops[op], site, params.n)
                  for site in cfg.sites for op in cfg.operators}
+    # each local operator applied to each same-twist ket, for the dense oracle
+    op_kets = [{key: mat @ ket.embedded for key, mat in local_ops.items()}
+               for ket in kets_same]
     sp_section, orth_section, ff_section = {}, {}, {}
     worst_sp = worst_orth = worst_ff = worst_pm_eq = 0.0
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
             pair = obs.PairContext(params, rp.table, rq.table)
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
-            scale = bras[ip].norm2() * kets[iq].norm2()
+            scale = bra_norms[ip] * ket_norms[iq]
             values: dict[str, complex] = {}
             if "direct" in cfg.representations:
                 values["direct"] = obs.sp_direct(pair, alpha)
@@ -320,7 +326,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             sp_section[f"P{ip}_Q{iq}"] = {
                 "values": values, "dense": dense, "max_pairwise_deviation": dev}
 
-            scale = bras[ip].norm2() * kets_same[iq].norm2()
+            scale = bra_norms[ip] * same_norms[iq]
             if kappa2 == kappa and ip != iq:
                 ratio = abs(complex(bras[ip].embedded @ kets_same[iq].embedded)) / scale
                 worst_orth = max(worst_orth, ratio)
@@ -333,10 +339,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
                 pm_forms = list(zip(obs.ff_sigma_pm(pair, kappa, 1, cfg.sites, "roots"),
                                     obs.ff_sigma_pm(pair, kappa, 1, cfg.sites, "tau")))
             for s, site in enumerate(cfg.sites):
-                brute = {
-                    op: matrix_element(bras[ip], local_ops[op, site], kets_same[iq])
-                    for op in cfg.operators
-                }
+                brute = {op: complex(bras[ip].embedded @ op_kets[iq][op, site])
+                         for op in cfg.operators}
                 entry: dict = {}
                 if "z" in cfg.operators:
                     roots_v, tau_v = z_forms[s]

@@ -17,20 +17,32 @@ from .errors import ConvergenceError, DimensionError
 MAX_EIG_DIM = 2**8  # dense cap: chains up to N = 8 sites
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a square complex matrix with finite entries."""
+def as_square_stack(m) -> np.ndarray:
+    """Validate and return ``m`` as a complex array of square matrices with
+    finite entries: one (n, n) matrix, or a (k, n, n) stack of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
     return a
 
 
-def det_lu(m) -> complex:
-    """Determinant of a square complex matrix (LU with partial pivoting)."""
-    a = as_square_matrix(m)
-    return complex(np.linalg.det(a))
+def as_square_matrix(m) -> np.ndarray:
+    """Validate and return ``m`` as a square complex matrix with finite entries."""
+    a = as_square_stack(m)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def det_lu(m) -> complex | list[complex]:
+    """Determinant of a square complex matrix (LU with partial pivoting); for
+    a (k, n, n) stack, the list of its k determinants from one LAPACK call,
+    each equal to the determinant of that matrix alone."""
+    a = as_square_stack(m)
+    dets = np.linalg.det(a)
+    return complex(dets) if a.ndim == 2 else [complex(d) for d in dets]
 
 
 def sort_complex(values) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,14 @@ def sinh_prod_deriv(args) -> complex:
     return out
 
 
+def point_key(lam: complex):
+    """Dict key of the point lam: its complex value where neither component is
+    zero, else its ``repr``, so that 0.0 and -0.0 (equal under ``==``, told
+    apart by sinh) stay apart."""
+    z = complex(lam)
+    return z if z.real and z.imag else repr(z)
+
+
 def vandermonde(xs) -> complex:
     """Hyperbolic Vandermonde product V(x_1..x_n) = prod_{i<j} sinh(x_j - x_i).
 
@@ -85,6 +94,35 @@ def vandermonde(xs) -> complex:
     """
     x = list(xs)
     return sinh_prod(x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x)))
+
+
+@dataclass(frozen=True)
+class VandermondeRows:
+    """The rows of V(x) = det[e^{(2j-M-1) x_i} / 2^{j-1}] before the 2^{j-1}
+    scaling, at the M points x (``at_x``) and at x - eta (``at_x_eta``); V(x)
+    itself (``v``); and the rows whose Re x_i lies more than 4 from the median
+    (``wide``), along which a determinant built from them is expanded."""
+
+    at_x: np.ndarray
+    at_x_eta: np.ndarray
+    wide: list[int]
+    v: complex
+
+
+def vandermonde_rows(xs, eta: complex) -> VandermondeRows:
+    """The ``VandermondeRows`` of the points ``xs``."""
+    x = np.asarray(xs, dtype=np.complex128)
+    m = len(x)
+    at_x = np.zeros((m, m), dtype=np.complex128)
+    at_x_eta = np.zeros((m, m), dtype=np.complex128)
+    for i in range(m):
+        for j in range(1, m + 1):
+            p = 2 * j - m - 1
+            at_x[i, j - 1] = np.exp(p * x[i])
+            at_x_eta[i, j - 1] = np.exp(p * (x[i] - eta))
+    center = np.median(x.real)
+    wide = [i for i in range(m) if abs(x[i].real - center) > 4.0]
+    return VandermondeRows(at_x, at_x_eta, wide, vandermonde(x))
 
 
 def eta_is_generic(eta: complex, tol: float = ETA_COMMENSURATE_TOL, max_den: int = 8) -> bool:
@@ -158,6 +196,11 @@ class ModelParams:
     def forbidden_points(self) -> list[complex]:
         """Representatives (mod i*pi) of the excluded sets {xi_i, xi_i - eta}."""
         return [s for x in self.xi for s in (x, x - self.eta)]
+
+    @cached_property
+    def node_rows(self) -> VandermondeRows:
+        """``vandermonde_rows`` at the inhomogeneities, built on first use."""
+        return vandermonde_rows(self.xi, self.eta)
 
 
 @dataclass(frozen=True)
@@ -249,6 +292,12 @@ class QTable:
     record's table also holds its eigenvalue ``tau``, ``tau_x`` = tau(xi_k)
     and, per residual-grid point lam, the row (Q(lam), Q(lam - eta),
     Q(lam + eta), Qhat(lam), Qhat(lam - eta)) in ``grid``.
+
+    ``memo`` holds what the pair formulas of ``observables`` compute from the
+    table alone on its chain, filled on first use: tau_hat of its eigenvalue
+    per point (under "tau_hat", keyed by ``point_key``) and the verdict on
+    its roots against the node shift sets (under "node_collision").  A value
+    whose evaluation raises is not kept, so the error arises where it did.
     """
 
     poly: HalfPeriodTrigPoly
@@ -267,6 +316,7 @@ class QTable:
     r_ipi: tuple[complex, ...]
     tau_x: tuple[complex, ...]
     grid: tuple[tuple[complex, ...], ...]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
@@ -341,21 +391,21 @@ class InterpolationBasis:
     denominators prod_{k != j} sinh(xi_j - xi_k) in ``den`` and the numerators
     prod_{k != j} sinh(lam - xi_k) per point lam, built on first use.  One
     basis serves every eigenvalue of a spectrum.  Points are keyed by
-    ``repr``, which keeps -0.0 and 0.0 apart.
+    ``point_key``, which keeps -0.0 and 0.0 apart.
     """
 
     def __init__(self, xi):
         self.xi = np.asarray(xi, dtype=np.complex128)
         self.den = np.array([sinh_prod(self.shifted_except(x, j))
                              for j, x in enumerate(self.xi)], dtype=np.complex128)
-        self._numerators: dict[str, list[complex]] = {}
+        self._numerators: dict[complex | str, list[complex]] = {}
 
     def shifted_except(self, lam: complex, j: int) -> list[complex]:
         """lam - xi_k for every node k != j."""
         return [lam - x for k, x in enumerate(self.xi) if k != j]
 
     def numerators(self, lam: complex) -> list[complex]:
-        key = repr(complex(lam))
+        key = point_key(lam)
         if key not in self._numerators:
             self._numerators[key] = self._node_products(lam)
         return self._numerators[key]

@@ -28,14 +28,16 @@ from .model import (
     HalfPeriodTrigPoly,
     ModelParams,
     QTable,
+    VandermondeRows,
     a_frak,
     a_frak_values,
     coth,
     dist_mod_2ipi,
     f_tilde,
     f_tilde_values,
+    point_key,
     sinh_prod,
-    vandermonde,
+    vandermonde_rows,
 )
 from .sov import SovBasis, all_h
 from .spectrum import tau_hat, tau_hat_deriv
@@ -73,17 +75,18 @@ def a_functional(xs, f_vals, eta: complex) -> complex:
     Nodes far from the bulk (used by the determinant-extension checks) are
     handled by expanding the determinant along their rows.
     """
-    x = np.asarray(xs, dtype=np.complex128)
+    return _dressed_vandermonde(vandermonde_rows(xs, eta), f_vals)
+
+
+def _dressed_vandermonde(rows: VandermondeRows, f_vals) -> complex:
+    """``a_functional`` from the ``VandermondeRows`` of its points."""
     f = np.asarray(f_vals, dtype=np.complex128)
-    m = len(x)
+    m = len(rows.at_x)
     mat = np.zeros((m, m), dtype=np.complex128)
     for i in range(m):
-        for j in range(1, m + 1):
-            p = 2 * j - m - 1
-            mat[i, j - 1] = (np.exp(p * x[i]) - f[i] * np.exp(p * (x[i] - eta))) / 2 ** (j - 1)
-    center = np.median(x.real)
-    wide = [i for i in range(m) if abs(x[i].real - center) > 4.0]
-    return _det_expanded(mat, wide) / vandermonde(x)
+        for j in range(m):
+            mat[i, j] = (rows.at_x[i, j] - f[i] * rows.at_x_eta[i, j]) / 2 ** j
+    return _det_expanded(mat, rows.wide) / rows.v
 
 
 def izergin_ratio(xs, zs, f_vals, eta: complex) -> complex:
@@ -104,7 +107,8 @@ def izergin_ratio(xs, zs, f_vals, eta: complex) -> complex:
                 )
             num[i, k] = 1 / s0 - f[i] / s1
             den[i, k] = 1 / s0
-    return det_lu(num) / det_lu(den)
+    num_det, den_det = det_lu([num, den])
+    return num_det / den_det
 
 
 def e_weight(zs, eta: complex, u: complex) -> complex:
@@ -128,7 +132,7 @@ def sp_direct(pair: PairContext, alpha: complex) -> complex:
         if abs(den) < 1e-13:
             raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {x}")
         f_vals.append(-alpha * p.x[k] * q.x[k] / den)
-    return a_functional(params.xi, f_vals, params.eta)
+    return _dressed_vandermonde(params.node_rows, f_vals)
 
 
 def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
@@ -153,7 +157,7 @@ def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as a weighted Izergin determinant with columns labelled
     by the roots of P."""
     params, p, q = pair.params, pair.p, pair.q
-    _require_roots_off_nodes(params, p.poly)
+    _require_roots_off_nodes(params, p)
     f_vals = [-alpha * f_tilde_values(p.x_eta_ipi[k], q.x[k], p.x_ipi[k], q.x_eta[k])
               for k in range(params.n)]
     return izergin_ratio(params.xi, p.roots, f_vals, params.eta)
@@ -170,15 +174,34 @@ def cond_pq_residual(pair: PairContext) -> float:
     return worst
 
 
-def _require_roots_off_nodes(params: ModelParams, poly: HalfPeriodTrigPoly):
+def _node_collision(params: ModelParams, poly: HalfPeriodTrigPoly) -> str:
+    """Why a root of ``poly`` collides with an inhomogeneity shift set, or ""."""
     for q in poly.roots:
         for x in params.xi:
             if dist_mod_2ipi(q, x) < 1e-8 or dist_mod_2ipi(q, x + IPI) < 1e-8 \
                     or dist_mod_2ipi(q, x - params.eta) < 1e-8 \
                     or dist_mod_2ipi(q, x - params.eta + IPI) < 1e-8:
-                raise SingularEvaluationError(
-                    f"root {q} collides with an inhomogeneity shift set"
-                )
+                return f"root {q} collides with an inhomogeneity shift set"
+    return ""
+
+
+def _require_roots_off_nodes(params: ModelParams, table: QTable):
+    """Raise if a root of ``table``'s polynomial collides with a node shift set;
+    the verdict is reached once per table (``QTable.memo``)."""
+    if "node_collision" not in table.memo:
+        table.memo["node_collision"] = _node_collision(params, table.poly)
+    if table.memo["node_collision"]:
+        raise SingularEvaluationError(table.memo["node_collision"])
+
+
+def _tau_hat(params: ModelParams, table: QTable, lam: complex) -> complex:
+    """tau_hat of ``table``'s eigenvalue at lam, evaluated once per table and
+    point (``QTable.memo``)."""
+    hats = table.memo.setdefault("tau_hat", {})
+    key = point_key(lam)
+    if key not in hats:
+        hats[key] = tau_hat(params, table.tau, lam)
+    return hats[key]
 
 
 def _phat_over_sinh(p_roots, k: int, qj: complex) -> complex:
@@ -345,8 +368,8 @@ class PairContext:
         and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)], each over sinh(z_i - w_k)."""
         p, q = self.eigen_tables()
         pr = p.roots
-        return (_tau_dq_matrix(self.params, q.tau, self.z, pr),
-                _tau_dq_matrix(self.params, p.tau, self.z,
+        return (_tau_dq_matrix(self.params, q, self.z, pr),
+                _tau_dq_matrix(self.params, p, self.z,
                                [pk + self.params.eta for pk in pr]))
 
     @cached_property
@@ -446,28 +469,24 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     return lhs, rhs, dev
 
 
-def _tau_dq_matrix(params: ModelParams, tau, z, ws) -> list[list[complex]]:
-    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) with its removable limits.
+def _tau_dq_matrix(params: ModelParams, table: QTable, z, ws) -> list[list[complex]]:
+    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) for the eigenvalue of
+    ``table``, with its removable limits.
 
     tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
-    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated at most once per
-    point, on first use."""
-    hat_z: list = [None] * len(z)
-    hat_w: list = [None] * len(ws)
+    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated on first use, once
+    per table and point (``_tau_hat``)."""
     rows = []
-    for i, zi in enumerate(z):
+    for zi in z:
         row = []
-        for k, w in enumerate(ws):
+        for w in ws:
             u = zi - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < _COLLISION_TOL:
-                row.append((-1.0) ** m * tau_hat_deriv(params, tau, w))
+                row.append((-1.0) ** m * tau_hat_deriv(params, table.tau, w))
                 continue
-            if hat_z[i] is None:
-                hat_z[i] = tau_hat(params, tau, zi)
-            if hat_w[k] is None:
-                hat_w[k] = tau_hat(params, tau, w)
-            row.append((hat_z[i] - hat_w[k]) / cmath.sinh(u))
+            row.append((_tau_hat(params, table, zi) - _tau_hat(params, table, w))
+                       / cmath.sinh(u))
         rows.append(row)
     return rows
 
@@ -526,7 +545,6 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
             num[i, k] = tq / cmath.sinh(x - pr[k]) \
                 - ratio * tp / cmath.sinh(x - pr[k] - params.eta)
             den[i, k] = tq / cmath.sinh(x - pr[k])
-    izergin_form = det_lu(num) / det_lu(den)
 
     z = pair.z
     if len(z) != n:
@@ -535,14 +553,16 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
         for j in range(i + 1, n):
             if abs(z[i] - z[j]) < 1e-10:
                 raise ParameterError("z points must be pairwise distinct")
-    mat_det = det_lu(tau_matrix(*pair.tau_dq, ratio))
+    num_det, den_det, mat_det = det_lu([num, den, tau_matrix(*pair.tau_dq, ratio)])
     slavnov_form = pair.tau_prefactor * mat_det
-    return izergin_form, slavnov_form
+    return num_det / den_det, slavnov_form
 
 
 def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
     """Equal-function scalar product: (twisted-Izergin form, compact N x N form)."""
-    _require_roots_off_nodes(params, q_poly)
+    collision = _node_collision(params, q_poly)
+    if collision:
+        raise SingularEvaluationError(collision)
     n = params.n
     qr = q_poly.roots
     f_vals = [alpha for _ in params.xi]
@@ -606,14 +626,14 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
         col = np.array([pe / qe for pe, qe in zip(p.r_eta, pair.q_at_p_eta)],
                        dtype=np.complex128)
         den = pair.cauchy_det
-        return [-pq_ratio * det_lu(s1 - _rank1_sigma_z(pair, col, site)) / den
-                for site, pq_ratio in zip(sites, ratios)]
+        dets = det_lu([s1 - _rank1_sigma_z(pair, col, site) for site in sites])
+        return [-pq_ratio * d / den for pq_ratio, d in zip(ratios, dets)]
     if form == "tau":
         z = pair.z
         mat = tau_matrix(*pair.tau_dq, 1.0)
         d_p, p_eta, p_ipi = p.d_r, p.r_eta, p.r_ipi
-        out = []
-        for site, pq_ratio in zip(sites, ratios):
+        mats = []
+        for site in sites:
             xs = params.xi[site - 1]
             tq_xs = q.tau_x[site - 1]
             e_xs = cmath.exp(xs)
@@ -625,8 +645,9 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
                 for l in range(params.n):
                     rank1[i, l] = e_xs * tq_xs / (d_p[l] * s_zx) \
                         * (p_eta[l] / p_xs_eta) * (p_ipi[l] / p_xs_ipi)
-            out.append(-pair.tau_prefactor * pq_ratio * det_lu(mat + rank1))
-        return out
+            mats.append(mat + rank1)
+        pref = pair.tau_prefactor
+        return [-pref * pq_ratio * d for pq_ratio, d in zip(ratios, det_lu(mats))]
     raise ParameterError(f"unknown form {form!r}")
 
 
@@ -666,20 +687,18 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
             -(sum(p.roots) - sum(params.xi))
         )
         se = slavnov_matrix(pair.halves, alpha)
-        se_det = det_lu(se)
         col_den = [(-2j) ** params.n * qe * pp for qe, pp in zip(pair.q_at_p_eta, p.r_ipi)]
         den = pair.cauchy_det
-        return [pref * pq_ratio * (det_lu(se - _rank1_sigma_minus(pair, col_den, site))
-                                   - se_det) / den
-                for site, pq_ratio in zip(sites, ratios)]
+        se_det, *dets = det_lu(
+            [se] + [se - _rank1_sigma_minus(pair, col_den, site) for site in sites])
+        return [pref * pq_ratio * (d - se_det) / den for pq_ratio, d in zip(ratios, dets)]
     if form == "tau":
         z = pair.z
         mat = tau_matrix(*pair.tau_dq, alpha)
-        mat_det = det_lu(mat)
         pref = eps * kappa * cmath.exp(-sum(p.roots)) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        out = []
-        for site, pq_ratio in zip(sites, ratios):
+        mats = [mat]
+        for site in sites:
             xs = params.xi[site - 1]
             p_xs = sinh_prod(xs - pl for pl in p.roots)
             rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
@@ -689,8 +708,9 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
                 s_zx = cmath.sinh(z[i] - xs)
                 for k, e_pk in enumerate(p.exp_r):
                     rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
-            out.append(pref * pq_ratio * (det_lu(mat + rank1) - mat_det))
-        return out
+            mats.append(mat + rank1)
+        mat_det, *dets = det_lu(mats)
+        return [pref * pq_ratio * (d - mat_det) for pq_ratio, d in zip(ratios, dets)]
     raise ParameterError(f"unknown form {form!r}")
 
 

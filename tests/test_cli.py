@@ -43,6 +43,32 @@ def read(path):
         return json.load(fh)
 
 
+class TestWriteReport:
+    # a report is one line of compact JSON with sorted keys, in a file or on
+    # standard output
+    REPORT = {"schema": 1, "b": {"z": 1 + 2j, "a": np.int64(3)},
+              "a": [np.complex128(complex(-0.0, 1e-300)), np.arange(2)], "pass": True}
+
+    @staticmethod
+    def check(text):
+        decoded = json.loads(text)
+        assert decoded == {"schema": 1, "b": {"z": [1.0, 2.0], "a": 3},
+                           "a": [[-0.0, 1e-300], [0, 1]], "pass": True}
+        assert text.count("\n") == 1
+        assert text == json.dumps(decoded, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_file(self, tmp_path):
+        out = tmp_path / "r.json"
+        text = cli.write_report(self.REPORT, str(out))
+        assert out.read_text(encoding="utf-8") == text
+        self.check(text)
+
+    def test_stdout(self, capsys):
+        text = cli.write_report(self.REPORT, None)
+        assert capsys.readouterr().out == text
+        self.check(text)
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)

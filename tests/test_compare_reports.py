@@ -1,6 +1,7 @@
-"""Smoke test of tools/compare_reports.py: a tree matches itself, and a tree
-whose reports differ is listed as a mismatch; each case gets a summary line of
-ok runs and margins per tree."""
+"""Smoke test of tools/compare_reports.py: a tree matches itself, a tree
+whose reports differ is listed as a mismatch, and reports are compared in
+canonical form (indentation alone matches, the sign of a zero does not); each
+case gets a summary line of ok runs and margins per tree."""
 
 import re
 import subprocess
@@ -34,17 +35,39 @@ def test_working_tree_matches_itself():
         assert new == "new" + old[len("old"):]
 
 
-def test_differing_report_is_a_mismatch(tmp_path):
-    fake = tmp_path / "src" / "sovxxz"
+def fake_tree(root, report):
+    """A source tree whose CLI writes the text ``report`` to its ``--out``."""
+    fake = root / "src" / "sovxxz"
     fake.mkdir(parents=True)
     (fake / "__init__.py").write_text("")
     (fake / "config.py").write_text("DEFAULT_TOLERANCES = {}\n")
     (fake / "cli.py").write_text(
         "import sys\n"
         "args = sys.argv[1:]\n"
-        "open(args[args.index('--out') + 1], 'w').write('{}\\n')\n")
-    proc = compare(ROOT, tmp_path, ("spectrum", '{"n": 2}', "1"))
+        f"open(args[args.index('--out') + 1], 'w').write({report!r})\n")
+    return root
+
+
+def test_differing_report_is_a_mismatch(tmp_path):
+    proc = compare(ROOT, fake_tree(tmp_path, "{}\n"), ("spectrum", '{"n": 2}', "1"))
     assert proc.returncode == 1
     assert proc.stdout.startswith("MISMATCH spectrum {\"n\": 2} --seed 1: reports differ")
     assert proc.stdout.splitlines()[-2].endswith("; new 0/1 ok")
+    assert proc.stdout.splitlines()[-1] == "1 runs compared, 1 mismatched"
+
+
+def test_indentation_alone_matches(tmp_path):
+    old = fake_tree(tmp_path / "old", '{\n  "a": 1,\n  "b": [\n    1.5,\n    0.0\n  ]\n}\n')
+    new = fake_tree(tmp_path / "new", '{"a":1,"b":[1.5,0.0]}\n')
+    proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[-1] == "1 runs compared, 0 mismatched"
+
+
+def test_sign_of_a_zero_is_a_mismatch(tmp_path):
+    old = fake_tree(tmp_path / "old", '{"a":1,"b":[1.5,0.0]}\n')
+    new = fake_tree(tmp_path / "new", '{"a":1,"b":[1.5,-0.0]}\n')
+    proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("MISMATCH spectrum {\"n\": 2} --seed 1: reports differ")
     assert proc.stdout.splitlines()[-1] == "1 runs compared, 1 mismatched"

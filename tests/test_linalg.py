@@ -50,6 +50,31 @@ class TestDet:
             with pytest.raises(DimensionError):
                 det_lu(np.array([[bad, 0], [0, 1]]))
 
+    def test_stack_equals_each_matrix_alone(self):
+        # one call over a (k, n, n) stack gives each matrix's own determinant
+        # to the bit, from an array or a list of matrices
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
+        rng = np.random.default_rng(5)
+        for k, n in [(1, 1), (3, 3), (5, 4), (2, 6)]:
+            stack = random_complex(rng, (k, n, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+            dets = det_lu(stack)
+            assert isinstance(dets, list) and all(type(d) is complex for d in dets)
+            assert bits(dets) == bits([det_lu(m) for m in stack])
+            assert bits(det_lu(list(stack))) == bits(dets)
+
+    def test_stack_with_a_bad_matrix_raises(self):
+        good = np.eye(3, dtype=complex)
+        for bad in (np.inf, complex(0, np.nan)):
+            m = good.copy()
+            m[1, 2] = bad
+            with pytest.raises(DimensionError):
+                det_lu([good, m, good])
+        for shape in ((2, 3, 4), (2, 2, 2, 2)):
+            with pytest.raises(DimensionError):
+                det_lu(np.ones(shape))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_multiplicative(self, seed):

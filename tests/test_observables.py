@@ -17,7 +17,15 @@ from sovxxz.lattice import (
     monodromy_entries,
 )
 from sovxxz.linalg import det_lu
-from sovxxz.model import IPI, HalfPeriodTrigPoly, TrigInterpolation, a_frak, coth, dist_mod_2ipi
+from sovxxz.model import (
+    IPI,
+    HalfPeriodTrigPoly,
+    TrigInterpolation,
+    a_frak,
+    coth,
+    dist_mod_2ipi,
+    point_key,
+)
 from sovxxz.sov import SovBasis, matrix_element, overlap, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
 
@@ -309,6 +317,59 @@ class TestFormFactors:
 
 
 class TestPairContext:
+    def test_one_det_call_per_form_factor_call(self, params3, records3, monkeypatch):
+        # every site's determinant (and sigma^-'s base determinant) of one
+        # form-factor call goes to LAPACK in one stacked det_lu call
+        shapes = []
+        det = obs.det_lu
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return det(m)
+
+        sites = range(1, params3.n + 1)
+        pair = obs.PairContext(params3, records3[1].table, records3[6].table)
+        assert pair.cauchy_det  # built once per pair, before the form factors in a run
+        monkeypatch.setattr(obs, "det_lu", counted)
+        for form in ("roots", "tau"):
+            shapes.clear()
+            obs.ff_sigma_z(pair, sites, form)
+            assert shapes == [(3, 3, 3)]
+            shapes.clear()
+            obs.ff_sigma_pm(pair, params3.kappa, 1, sites, form)
+            assert shapes == [(4, 3, 3)]
+
+    def test_tau_hat_evaluated_once_per_record_and_point(self, tmp_path, monkeypatch):
+        # in one observables run, each record's tau_hat is evaluated once at
+        # each point a pair formula needs: every record's roots (its own
+        # and the other records') and its own roots + eta
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 3}')
+        eta = load_config(cfg, seed_override=100001).params.eta
+        evaluations = Counter()
+        records = []
+        evaluate, solve = obs.tau_hat, cli.solve_spectrum
+
+        def counted(params, tau, lam):
+            evaluations[id(tau), point_key(lam)] += 1
+            return evaluate(params, tau, lam)
+
+        def solve_and_keep(*args, **kwargs):
+            records.extend(solve(*args, **kwargs))
+            return records
+
+        monkeypatch.setattr(obs, "tau_hat", counted)
+        monkeypatch.setattr(cli, "solve_spectrum", solve_and_keep)
+        assert cli.main(["observables", "--config", str(cfg), "--seed", "100001",
+                         "--out", str(tmp_path / "r.json")]) == 1
+        n, count = 3, len(records)
+        assert 0 < sum(evaluations.values()) <= count * (count * n + n) == 216
+        assert max(evaluations.values()) == 1
+        for rec in records:
+            for q in rec.q_poly.roots:
+                assert evaluations[id(rec.tau), point_key(q)] == 1
+                assert evaluations[id(rec.tau), point_key(q + eta)] == 1
+
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation,
         # and one form-factor call serves every site; its values must equal

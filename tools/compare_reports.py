@@ -9,9 +9,12 @@ that root's ``src/``.  Every (command, config, seed) runs once per tree, each
 in a fresh ``python -m sovxxz.cli`` process with ``--out report.json`` in a
 working directory of its own, so that no in-process cache carries over from
 one run to the next and a message naming the report path reads the same in
-both trees.  The report bytes, the exit codes and the stderr bytes are
-compared; each mismatch is listed, and the exit status is 1 if there is any,
-else 0.
+both trees.  The canonical form of each report, the exit codes and the stderr
+bytes are compared; each mismatch is listed, and the exit status is 1 if there
+is any, else 0.  A report's canonical form is its decoded JSON written again
+with sorted keys and no whitespace (its raw bytes where it does not decode),
+so a change of indentation alone matches, while every float bit still counts,
+the sign of a zero included.
 
 A change that moves report bytes on purpose is judged by its residuals
 instead, so each case also gets one summary line per tree: how many runs were
@@ -94,6 +97,18 @@ def run_once(root: Path, command: str, config: Path, seed: int) -> tuple[bytes |
     return data, proc.returncode, proc.stderr
 
 
+def canonical(report: bytes | None) -> bytes | None:
+    """The report as compact JSON with sorted keys, or its raw bytes where it
+    does not decode."""
+    if report is None:
+        return None
+    try:
+        decoded = json.loads(report)
+    except ValueError:
+        return report
+    return json.dumps(decoded, sort_keys=True, separators=(",", ":")).encode()
+
+
 def first_difference(a: bytes | None, b: bytes | None) -> str:
     if a is None or b is None:
         return "report written by one tree only"
@@ -125,8 +140,9 @@ def compare(old: Path, new: Path, command: str, config: Path, seed: int,
     (rep_a, code_a, err_a), (rep_b, code_b, err_b) = (
         run_once(root, command, config, seed) for root in (old, new))
     problems = []
-    if rep_a != rep_b:
-        problems.append(first_difference(rep_a, rep_b))
+    canon_a, canon_b = canonical(rep_a), canonical(rep_b)
+    if canon_a != canon_b:
+        problems.append(first_difference(canon_a, canon_b))
     if code_a != code_b:
         problems.append(f"exit code {code_a} vs {code_b}")
     if err_a != err_b:
