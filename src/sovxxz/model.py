@@ -34,18 +34,22 @@ def wrap_to_strip(z: complex) -> complex:
     return complex(z.real, im + 2 * PI * k)
 
 
-def dist_mod_ipi(z: complex, w: complex = 0.0) -> float:
-    """Distance between z and w modulo i*pi shifts."""
+def _dist_mod(z, w, period: float):
+    if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
+        u = np.subtract(z, w)
+        return np.abs(u - 1j * period * np.round(u.imag / period))
     u = complex(z) - complex(w)
-    k = round(u.imag / PI)
-    return abs(u - 1j * PI * k)
+    return abs(u - 1j * period * round(u.imag / period))
 
 
-def dist_mod_2ipi(z: complex, w: complex = 0.0) -> float:
-    """Distance between z and w modulo 2*pi*i shifts."""
-    u = complex(z) - complex(w)
-    k = round(u.imag / (2 * PI))
-    return abs(u - 2j * PI * k)
+def dist_mod_ipi(z, w=0.0):
+    """Distance between z and w modulo i*pi shifts; elementwise on arrays."""
+    return _dist_mod(z, w, PI)
+
+
+def dist_mod_2ipi(z, w=0.0):
+    """Distance between z and w modulo 2*pi*i shifts; elementwise on arrays."""
+    return _dist_mod(z, w, 2 * PI)
 
 
 def coth(z: complex) -> complex:
@@ -61,6 +65,21 @@ def sinh_prod(args) -> complex:
     for z in args:
         out *= cmath.sinh(z)
     return out
+
+
+def products_except(s: np.ndarray) -> np.ndarray:
+    """out[..., m] = prod_{l != m} s[..., l] along the last axis, from prefix
+    and suffix products, without division, so it stays exact at zeros."""
+    one = np.ones(s.shape[:-1] + (1,), dtype=s.dtype)
+    pre = np.cumprod(np.concatenate([one, s[..., :-1]], axis=-1), axis=-1)
+    suf = np.cumprod(np.concatenate([one, s[..., :0:-1]], axis=-1), axis=-1)
+    return pre * suf[..., ::-1]
+
+
+def sinh_rows(points, shifts) -> np.ndarray:
+    """sinh(lam_i - s_k) for every point lam_i (row) and shift s_k (column)."""
+    return np.sinh(np.asarray(points, dtype=np.complex128)[:, None]
+                   - np.asarray(shifts, dtype=np.complex128)[None, :])
 
 
 def sinh_prod_deriv(args) -> complex:
@@ -189,13 +208,14 @@ class ModelParams:
         """Derivative of d; safe at the zeros of d."""
         return sinh_prod_deriv(lam - x for x in self.xi)
 
-    def a_prime(self, lam: complex) -> complex:
-        """Derivative of a; safe at the zeros of a."""
-        return sinh_prod_deriv(lam - x + self.eta for x in self.xi)
-
     def forbidden_points(self) -> list[complex]:
         """Representatives (mod i*pi) of the excluded sets {xi_i, xi_i - eta}."""
         return [s for x in self.xi for s in (x, x - self.eta)]
+
+    @cached_property
+    def a_xi(self) -> tuple[complex, ...]:
+        """a(xi_k) at every node, built on first use."""
+        return tuple(self.a_fn(x) for x in self.xi)
 
     @cached_property
     def node_rows(self) -> VandermondeRows:
@@ -222,6 +242,10 @@ class HalfPeriodTrigPoly:
 
     def __call__(self, lam: complex) -> complex:
         return sinh_prod((lam - q) / 2 for q in self.roots)
+
+    def values(self, points) -> np.ndarray:
+        """The polynomial at every point of ``points``, as one row product."""
+        return np.prod(sinh_rows(np.asarray(points) / 2, np.asarray(self.roots) / 2), axis=1)
 
     def log_deriv(self, lam: complex) -> complex:
         return sum(0.5 * coth((lam - q) / 2) for q in self.roots)
@@ -295,8 +319,9 @@ class QTable:
 
     ``memo`` holds what the pair formulas of ``observables`` compute from the
     table alone on its chain, filled on first use: tau_hat of its eigenvalue
-    per point (under "tau_hat", keyed by ``point_key``) and the verdict on
-    its roots against the node shift sets (under "node_collision").  A value
+    per point (under "tau_hat", keyed by ``point_key``), the verdict on its
+    roots against the node shift sets (under "node_collision") and
+    prod_l sinh(xi_s - q_l) per node xi_s (under "sinh_at_nodes").  A value
     whose evaluation raises is not kept, so the error arises where it did.
     """
 
@@ -325,21 +350,25 @@ def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     ``residual_grid`` the record is certified on (empty for none)."""
     eta = params.eta
     hat = poly.shifted_ipi()
+    xi = np.asarray(params.xi, dtype=np.complex128)
+    r = np.asarray(poly.roots, dtype=np.complex128)
+    lam = np.array([g[0] for g in grid], dtype=np.complex128)
+    sizes = np.cumsum([len(xi)] * 4 + [len(r)] * 3 + [len(lam)] * 2)  # split points
+    values = [tuple(v.tolist()) for v in np.split(poly.values(np.concatenate(
+        [xi, xi - eta, xi + IPI, xi - eta + IPI, r - eta, r + eta, r + IPI,
+         lam, lam - eta, lam + eta])), sizes)]
+    hat0, hat_eta = np.split(hat.values(np.concatenate([lam, lam - eta])), 2)
+    # a and d at the roots: the row products of sinh(q_j - xi_k + eta), sinh(q_j - xi_k)
+    u = r[:, None] - xi[None, :]
+    a_r, d_r = np.prod(np.sinh(np.stack([u + eta, u])), axis=2)
     return QTable(
         poly=poly, roots=poly.roots, hat=hat, tau=tau,
-        x=tuple(poly(x) for x in params.xi),
-        x_eta=tuple(poly(x - eta) for x in params.xi),
-        x_ipi=tuple(poly(x + IPI) for x in params.xi),
-        x_eta_ipi=tuple(poly(x - eta + IPI) for x in params.xi),
-        a_r=tuple(params.a_fn(q) for q in poly.roots),
-        d_r=tuple(params.d_fn(q) for q in poly.roots),
-        exp_r=tuple(cmath.exp(q) for q in poly.roots),
-        r_eta=tuple(poly(q - eta) for q in poly.roots),
-        r_eta_plus=tuple(poly(q + eta) for q in poly.roots),
-        r_ipi=tuple(poly(q + IPI) for q in poly.roots),
+        x=values[0], x_eta=values[1], x_ipi=values[2], x_eta_ipi=values[3],
+        a_r=tuple(a_r.tolist()), d_r=tuple(d_r.tolist()),
+        exp_r=tuple(np.exp(r).tolist()),
+        r_eta=values[4], r_eta_plus=values[5], r_ipi=values[6],
         tau_x=() if tau is None else tuple(tau(x) for x in params.xi),
-        grid=tuple((poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta))
-                   for lam, _, _ in grid),
+        grid=tuple(zip(*values[7:], hat0.tolist(), hat_eta.tolist())),
     )
 
 
@@ -403,6 +432,11 @@ class InterpolationBasis:
     def shifted_except(self, lam: complex, j: int) -> list[complex]:
         """lam - xi_k for every node k != j."""
         return [lam - x for k, x in enumerate(self.xi) if k != j]
+
+    def weights(self, points) -> np.ndarray:
+        """Row i holds the interpolation weights numerators(lam_i) / den at the
+        point lam_i of ``points``: f(lam_i) = weights[i] @ f_values."""
+        return products_except(sinh_rows(points, self.xi)) / self.den
 
     def numerators(self, lam: complex) -> list[complex]:
         key = point_key(lam)

@@ -204,6 +204,15 @@ def _tau_hat(params: ModelParams, table: QTable, lam: complex) -> complex:
     return hats[key]
 
 
+def _sinh_at_nodes(params: ModelParams, table: QTable) -> list[complex]:
+    """prod_l sinh(xi_s - p_l) over ``table``'s roots p_l, per node xi_s,
+    formed once per table (``QTable.memo``)."""
+    if "sinh_at_nodes" not in table.memo:
+        table.memo["sinh_at_nodes"] = [sinh_prod(xs - pl for pl in table.roots)
+                                       for xs in params.xi]
+    return table.memo["sinh_at_nodes"]
+
+
 def _phat_over_sinh(p_roots, k: int, qj: complex) -> complex:
     """P(q_j + i*pi) / sinh(p_k - q_j) in product form.
 
@@ -655,7 +664,7 @@ def _rank1_sigma_minus(pair: PairContext, col_den: list[complex], site: int) -> 
     params, p, q, k = pair.params, pair.p, pair.q, site - 1
     xs = params.xi[k]
     eta = params.eta
-    a_xs = params.a_fn(xs)
+    a_xs = params.a_xi[k]
     col = np.array([
         cmath.exp(-xs + pk) * a_xs * d / den
         for pk, d, den in zip(p.roots, p.d_r, col_den)
@@ -700,10 +709,10 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
         mats = [mat]
         for site in sites:
             xs = params.xi[site - 1]
-            p_xs = sinh_prod(xs - pl for pl in p.roots)
+            p_xs = _sinh_at_nodes(params, p)[site - 1]
             rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
             tq_xs = q.tau_x[site - 1]
-            a_xs = params.a_fn(xs)
+            a_xs = params.a_xi[site - 1]
             for i in range(params.n):
                 s_zx = cmath.sinh(z[i] - xs)
                 for k, e_pk in enumerate(p.exp_r):

@@ -41,24 +41,28 @@ def xi_shifted(params: ModelParams, h) -> list[complex]:
 
 class SovBasis:
     """All 2^N SoV basis kets and bras of one chain, in ``h_to_index`` order,
-    with the monodromy blocks at xi_1..xi_N they are built from (``at_xi``)."""
+    with the monodromy blocks at xi_1..xi_N they are built from (``at_xi``).
+    ``kets`` and ``bras`` are (2^N, 2^N) arrays whose row i is the vector of
+    label i; ``labels`` is the (2^N, N) boolean mask whose row i is h."""
 
     def __init__(self, params: ModelParams):
         self.params = params
         n = params.n
         self.at_xi = [monodromy_entries(params, x) for x in params.xi]
-        a_vals = [params.a_fn(x) for x in params.xi]
         d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
+        self.labels = np.array(all_h(n), dtype=bool)
         # V(xi^(h)) for every label h, in h_to_index order; v_h[0] = V(xi)
         self.v_h = [vandermonde(xi_shifted(params, h)) for h in all_h(n)]
-        self.kets = [reference_state(n)]
-        self.bras = [reference_state(n) / self.v_h[0]]
+        self.kets = np.empty((2**n, 2**n), dtype=np.complex128)
+        self.bras = np.empty((2**n, 2**n), dtype=np.complex128)
+        self.kets[0] = reference_state(n)
+        self.bras[0] = reference_state(n) / self.v_h[0]
         for idx in range(1, 2**n):
             # the parent label clears h's first set bit h_a, the highest bit of idx
             a = n - idx.bit_length()
             parent = idx ^ (1 << (n - 1 - a))
-            self.kets.append(-(self.at_xi[a].b @ self.kets[parent]) / a_vals[a])
-            self.bras.append((self.at_xi[a].c.T @ self.bras[parent]) / d_shift_vals[a])
+            self.kets[idx] = -(self.at_xi[a].b @ self.kets[parent]) / params.a_xi[a]
+            self.bras[idx] = (self.at_xi[a].c.T @ self.bras[parent]) / d_shift_vals[a]
 
     def ket(self, h) -> np.ndarray:
         return self.kets[h_to_index(tuple(h))]
@@ -95,42 +99,27 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
     params = basis.params
-    n = params.n
-    v_xi = basis.v_h[0]
-    p_rows = (table.x, table.x_eta)  # row h holds P(xi_m - h * eta)
+    x, x_eta = np.array(table.x), np.array(table.x_eta)
+    # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
+    v_shift = np.array(basis.v_h[::-1] if side == "ket" else basis.v_h)
     if normalized:
-        for m in range(n):
-            target = params.xi[m] - params.eta
-            if table.roots and min(dist_mod_2ipi(q, target) for q in table.roots) < params.delta_min:
-                raise SingularEvaluationError(
-                    f"P has a root within delta_min of xi_{m+1} - eta; "
-                    "build the unnormalized state instead"
-                )
-        site_ratio = [table.x[m] / table.x_eta[m] for m in range(n)]
-
-    dim = 2**n
-    coeffs = np.zeros(dim, dtype=np.complex128)
-    embedded = np.zeros(dim, dtype=np.complex128)
-    for h in all_h(n):
-        idx = h_to_index(h)
-        # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
-        v_shift = basis.v_h[dim - 1 - idx] if side == "ket" else basis.v_h[idx]
-        factor = 1.0 + 0.0j
-        if normalized:
-            for m in range(n):
-                if h[m] == 0:
-                    base = eps * kappa if side == "ket" else eps / kappa
-                    factor *= base * site_ratio[m]
-            factor *= v_shift / v_xi if side == "ket" else v_shift
-        else:
-            for m in range(n):
-                factor *= p_rows[h[m]][m]
-                if h[m] == 1:
-                    factor *= (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
-            factor *= v_shift
-        coeffs[idx] = factor
-        embedded += factor * (basis.kets[idx] if side == "ket" else basis.bras[idx])
-    return SovState(side=side, coefficients=coeffs, embedded=embedded)
+        near = dist_mod_2ipi(np.array(table.roots)[:, None],
+                             np.asarray(params.xi) - params.eta) < params.delta_min
+        if near.any():
+            raise SingularEvaluationError(
+                f"P has a root within delta_min of xi_{np.argmax(near.any(axis=0)) + 1} - eta; "
+                "build the unnormalized state instead"
+            )
+        base = eps * kappa if side == "ket" else eps / kappa
+        site = np.where(basis.labels, 1.0, base * (x / x_eta))
+        v_part = v_shift / basis.v_h[0] if side == "ket" else v_shift
+    else:
+        flip = (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
+        site = np.where(basis.labels, x_eta * flip, x)
+        v_part = v_shift
+    coeffs = site.prod(axis=1) * v_part
+    return SovState(side=side, coefficients=coeffs,
+                    embedded=coeffs @ (basis.kets if side == "ket" else basis.bras))
 
 
 def separate_ket_qdet_form(basis: SovBasis, table: QTable,
@@ -140,23 +129,11 @@ def separate_ket_qdet_form(basis: SovBasis, table: QTable,
     prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
     params = basis.params
-    n = params.n
-    dim = 2**n
-    coeffs = np.zeros(dim, dtype=np.complex128)
-    embedded = np.zeros(dim, dtype=np.complex128)
-    p_rows = (table.x, table.x_eta)
-    for h in all_h(n):
-        factor = 1.0 + 0.0j
-        for m in range(n):
-            factor *= p_rows[h[m]][m]
-            if h[m] == 1:
-                factor *= params.a_fn(params.xi[m]) / params.d_fn(params.xi[m] - params.eta)
-                factor /= -eps * kappa
-        idx = h_to_index(h)
-        factor *= basis.v_h[idx]
-        coeffs[idx] = factor
-        embedded += factor * basis.kets[idx]
-    return SovState(side="ket", coefficients=coeffs, embedded=embedded)
+    ratio = np.array([a / params.d_fn(x - params.eta) for a, x in zip(params.a_xi, params.xi)])
+    site = np.where(basis.labels, np.array(table.x_eta) * ratio / (-eps * kappa),
+                    np.array(table.x))
+    coeffs = site.prod(axis=1) * np.array(basis.v_h)
+    return SovState(side="ket", coefficients=coeffs, embedded=coeffs @ basis.kets)
 
 
 def overlap(bra: SovState, ket: SovState) -> complex:

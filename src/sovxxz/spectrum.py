@@ -28,6 +28,7 @@ from .lattice import spectrum_oracle, transfer_k
 from .linalg import MonicPoly, roots_monic
 from .model import (
     HalfPeriodTrigPoly,
+    InterpolationBasis,
     ModelParams,
     QTable,
     TrigInterpolation,
@@ -36,8 +37,8 @@ from .model import (
     dist_mod_ipi,
     q_structure_residuals,
     q_table,
+    products_except,
     residual_grid,
-    sinh_prod,
 )
 from .sov import SovBasis, separate_state
 
@@ -90,17 +91,21 @@ def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ChainValues:
     """What the records of one spectrum read and no eigenvalue changes:
-    ``tq`` holds (lam, w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
-    k = 0..N and w = e^lam, per T-Q sample point lam; ``char`` holds
-    (xi_j - eta, -a(xi_j) d(xi_j - eta)); ``grid`` is the ``residual_grid``,
+    ``tq`` holds the arrays (w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
+    one row per T-Q sample point lam and one column per k = 0..N, w = e^lam;
+    ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``,
     ``probes`` the ``probe_transfers`` at the spectrum's twist and ``basis``
-    the chain's SoV basis."""
+    the chain's SoV basis.  ``weights`` holds the interpolation weight rows
+    (``InterpolationBasis.weights``) at the T-Q points, the grid points, the
+    xi_j - eta and the probe points, under "tq", "grid", "char" and "probes":
+    an eigenvalue there is ``weights[name] @ tau.values``."""
 
-    tq: tuple[tuple, ...]
-    char: tuple[tuple[complex, complex], ...]
+    tq: tuple[np.ndarray, np.ndarray, np.ndarray]
+    char: np.ndarray
     grid: list
     probes: list
     basis: SovBasis
+    weights: dict[str, np.ndarray]
 
 
 def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
@@ -108,15 +113,20 @@ def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
     ``kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
     params = basis.params
     n, eta = params.n, params.eta
-    tq = []
-    for lam in _tq_sample_points(params, 2 * n + 3, seed):
-        w, av, dv = cmath.exp(lam), params.a_fn(lam), params.d_fn(lam)
-        tq.append((lam, tuple(w**k for k in range(n + 1)),
-                   tuple(av * cmath.exp((n / 2 - k) * eta) for k in range(n + 1)),
-                   tuple(dv * cmath.exp((k - n / 2) * eta) for k in range(n + 1))))
-    char = tuple((x - eta, -params.a_fn(x) * params.d_fn(x - eta)) for x in params.xi)
-    return ChainValues(tq=tuple(tq), char=char, grid=residual_grid(params),
-                       probes=probe_transfers(params, kappa), basis=basis)
+    lam = _tq_sample_points(params, 2 * n + 3, seed)
+    k = np.arange(n + 1)
+    a_lam = np.array([params.a_fn(z) for z in lam])[:, None]
+    d_lam = np.array([params.d_fn(z) for z in lam])[:, None]
+    tq = (np.exp(lam)[:, None] ** k, a_lam * np.exp((n / 2 - k) * eta),
+          d_lam * np.exp((k - n / 2) * eta))
+    char = np.array([-params.a_fn(x) * params.d_fn(x - eta) for x in params.xi])
+    grid, probes = residual_grid(params), probe_transfers(params, kappa)
+    interp = InterpolationBasis(params.xi)
+    weights = {"tq": interp.weights(lam), "grid": interp.weights([g[0] for g in grid]),
+               "char": interp.weights(np.asarray(params.xi) - eta),
+               "probes": interp.weights([mu for mu, _ in probes])}
+    return ChainValues(tq=tq, char=char, grid=grid, probes=probes, basis=basis,
+                       weights=weights)
 
 
 def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPoly:
@@ -126,14 +136,11 @@ def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPo
     for the N+1 coefficients of P(W); the system must have a one-dimensional
     nullspace (second singular value at least 10x the smallest).
     """
-    n = params.n
-    rows = np.zeros((len(chain.tq), n + 1), dtype=np.complex128)
-    for s, (lam, w_k, a_k, d_k) in enumerate(chain.tq):
-        t = tau(lam)
-        rows[s] = [w * ((t + a) - d) for w, a, d in zip(w_k, a_k, d_k)]
-        scale = np.max(np.abs(rows[s]))
-        if scale > 0:
-            rows[s] /= scale
+    w_k, a_k, d_k = chain.tq
+    t = chain.weights["tq"] @ tau.values
+    rows = w_k * ((t[:, None] + a_k) - d_k)
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    np.divide(rows, scale, out=rows, where=scale > 0)
     _, svals, vh = np.linalg.svd(rows)
     if svals[-2] < 10 * svals[-1]:
         raise AmbiguousNullspaceError(
@@ -149,10 +156,11 @@ def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPo
         raise AmbiguousNullspaceError("nullspace polynomial has a root at W = 0")
     q_roots = [cmath.log(w) for w in w_roots]
     poly = HalfPeriodTrigPoly.from_roots(q_roots)
-    forbidden = params.forbidden_points()
-    for q in poly.roots:
-        if min(dist_mod_ipi(q, p) for p in forbidden) < 1e-6:
-            raise SingularEvaluationError(f"extracted root {q} lies on an excluded shift set")
+    forbidden = np.array(params.forbidden_points())
+    near = dist_mod_ipi(np.array(poly.roots)[:, None], forbidden).min(axis=1) < 1e-6
+    if near.any():
+        raise SingularEvaluationError(
+            f"extracted root {poly.roots[np.argmax(near)]} lies on an excluded shift set")
     return poly
 
 
@@ -160,34 +168,30 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     """Residual F, Jacobian, term scale max_j(|a Q(q_j - eta)| + |d Q(q_j + eta)|),
     floored at 1e-30, and max_j |a_frak(q_j) - 1| = max_j |F_j / (a Q(q_j - eta))|,
     the metric ``certify`` gates, of the root system
-    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta)."""
-    n = len(roots)
+    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta).
+
+    Every factor is an entry of one broadcast array: z[0, j, m] and z[1, j, m]
+    are (q_j - eta - q_m)/2 and (q_j + eta - q_m)/2, u[0, j, k] and u[1, j, k]
+    are q_j - xi_k + eta and q_j - xi_k."""
     eta = params.eta
-    f = np.zeros(n, dtype=np.complex128)
-    jac = np.zeros((n, n), dtype=np.complex128)
-    scale = gated = 0.0
-    for j in range(n):
-        lam = roots[j]
-        zm = [(lam - eta - q) / 2 for q in roots]
-        zp = [(lam + eta - q) / 2 for q in roots]
-        qm = sinh_prod(zm)
-        qp = sinh_prod(zp)
-        # dQ(lam -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
-        dqm = [-0.5 * cmath.cosh(z) * sinh_prod(zm[:m] + zm[m + 1:]) for m, z in enumerate(zm)]
-        dqp = [-0.5 * cmath.cosh(z) * sinh_prod(zp[:m] + zp[m + 1:]) for m, z in enumerate(zp)]
-        av = params.a_fn(lam)
-        dv = params.d_fn(lam)
-        f[j] = av * qm - dv * qp
-        scale = max(scale, abs(av * qm) + abs(dv * qp))
-        gated = max(gated, abs(f[j] / (av * qm)))
-        for m in range(n):
-            jac[j, m] = av * dqm[m] - dv * dqp[m]
-        # on the diagonal lam = q_j also moves the arguments of every factor l != j
-        dqm_lam = sum(-dqm[l] for l in range(n) if l != j)
-        dqp_lam = sum(-dqp[l] for l in range(n) if l != j)
-        jac[j, j] = params.a_prime(lam) * qm + av * dqm_lam \
-            - params.d_prime(lam) * qp - dv * dqp_lam
-    return f, jac, max(scale, 1e-30), gated
+    shifts = np.array([-eta, eta])[:, None, None]
+    z = (roots[None, :, None] + shifts - roots[None, None, :]) / 2
+    sz = np.sinh(z)
+    qm, qp = sz.prod(axis=2)
+    # dQ(q_j -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
+    dq = -0.5 * np.cosh(z) * products_except(sz)
+    u = roots[:, None] - np.asarray(params.xi)[None, :]
+    u = np.stack([u + eta, u])
+    su = np.sinh(u)
+    av, dv = su.prod(axis=2)
+    a_prime, d_prime = (np.cosh(u) * products_except(su)).sum(axis=2)
+    f = av * qm - dv * qp
+    jac = av[:, None] * dq[0] - dv[:, None] * dq[1]
+    # on the diagonal lam = q_j also moves the arguments of every factor l != j
+    dqm_lam, dqp_lam = np.diagonal(dq, axis1=1, axis2=2) - dq.sum(axis=2)
+    np.fill_diagonal(jac, a_prime * qm + av * dqm_lam - d_prime * qp - dv * dqp_lam)
+    scale = np.max(np.abs(av * qm) + np.abs(dv * qp))
+    return f, jac, max(float(scale), 1e-30), float(np.max(np.abs(f / (av * qm))))
 
 
 def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodTrigPoly:
@@ -215,12 +219,12 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodT
             t /= 2
         else:
             raise ConvergenceError(f"Bethe refinement stalled at residual {res:.3e}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist_mod_2ipi(roots[i], roots[j]) < 1e-6:
-                    raise DegenerateSpectrumError(
-                        f"Bethe roots {i}, {j} collided (closer than 1e-6) during refinement"
-                    )
+        pairs = np.triu_indices(n, 1)
+        close = np.flatnonzero(dist_mod_2ipi(roots[:, None], roots[None, :])[pairs] < 1e-6)
+        if close.size:
+            i, j = pairs[0][close[0]], pairs[1][close[0]]
+            raise DegenerateSpectrumError(
+                f"Bethe roots {i}, {j} collided (closer than 1e-6) during refinement")
     else:
         raise ConvergenceError(
             f"Bethe refinement did not converge in {NEWTON_MAX_ITER} iterations "
@@ -243,26 +247,22 @@ def bethe_residual(table: QTable) -> float:
                for a, d, qm, qp in zip(table.a_r, table.d_r, table.r_eta, table.r_eta_plus))
 
 
-def tq_residual(table: QTable, grid: list) -> float:
-    """Relative functional residual of the tau/Q relation on ``grid``, the
-    one ``table`` was built on."""
-    num, scale = 0.0, 0.0
-    for (lam, a, d), (q0, q_eta, q_eta_plus, _, _) in zip(grid, table.grid):
-        t1 = table.tau(lam) * q0
-        t2 = a * q_eta
-        t3 = d * q_eta_plus
-        num = max(num, abs(t1 + t2 - t3))
-        scale = max(scale, abs(t1) + abs(t2) + abs(t3))
-    return num / max(scale, 1e-30)
+def tq_residual(table: QTable, chain: ChainValues) -> float:
+    """Relative functional residual of the tau/Q relation on ``chain.grid``,
+    the one ``table`` was built on."""
+    _, a, d = np.array(chain.grid).T
+    q0, q_eta, q_eta_plus = np.array(table.grid)[:, :3].T
+    t1 = (chain.weights["grid"] @ table.tau.values) * q0
+    t2 = a * q_eta
+    t3 = d * q_eta_plus
+    scale = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
+    return float(np.max(np.abs(t1 + t2 - t3)) / max(scale, 1e-30))
 
 
 def discrete_char_residual(table: QTable, chain: ChainValues) -> float:
     """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta)."""
-    worst = 0.0
-    for tau_x, (x_eta, rhs) in zip(table.tau_x, chain.char):
-        lhs = tau_x * table.tau(x_eta)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return worst
+    lhs = np.array(table.tau_x) * (chain.weights["char"] @ table.tau.values)
+    return float(np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30)))
 
 
 def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, np.ndarray]]:
@@ -289,9 +289,8 @@ def eigenstate_residual(record: "EigenRecord", kappa: complex,
     v = state.embedded
     nv = np.linalg.norm(v)
     worst = 0.0
-    for mu, tk in chain.probes:
+    for (_, tk), tau_mu in zip(chain.probes, chain.weights["probes"] @ record.tau.values):
         tv = tk @ v
-        tau_mu = record.tau(mu)
         resid = np.linalg.norm(tv - tau_mu * v)
         worst = max(worst, resid / max(abs(tau_mu) * nv, np.linalg.norm(tv), 1e-30))
     return worst
@@ -318,7 +317,7 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     record.residuals["sum_rule_defect"] = report.sum_rule_defect
     side_ok = all(max(abs(v), abs(w)) > 1e-10
                   for v, w in zip(table.x, table.x_ipi))
-    record.residuals["tq"] = tq_residual(table, grid)
+    record.residuals["tq"] = tq_residual(table, chain)
     record.residuals["bethe"] = bethe_residual(table)
     record.residuals["discrete_char"] = discrete_char_residual(table, chain)
     record.residuals["eigenstate"] = eigenstate_residual(record, kappa, chain)

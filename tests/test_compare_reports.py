@@ -1,7 +1,8 @@
 """Smoke test of tools/compare_reports.py: a tree matches itself, a tree
 whose reports differ is listed as a mismatch, and reports are compared in
 canonical form (indentation alone matches, the sign of a zero does not); each
-case gets a summary line of ok runs and margins per tree."""
+case gets a summary line of ok runs and margins per tree, naming the seed and
+the residual that hold the minimum margin."""
 
 import re
 import subprocess
@@ -31,21 +32,38 @@ def test_working_tree_matches_itself():
         assert line.startswith(head)
         old, new = line[len(head):].split("; ")
         # observables exits 1 on pm_equality by design and still counts as ok
-        assert re.fullmatch(r"old 2/2 ok, margin median \d+\.\d\d min -?\d+\.\d\d", old)
+        assert re.fullmatch(r"old 2/2 ok, margin median \d+\.\d\d min -?\d+\.\d\d "
+                            r"\(seed [12], \S+\)", old)
         assert new == "new" + old[len("old"):]
 
 
-def fake_tree(root, report):
-    """A source tree whose CLI writes the text ``report`` to its ``--out``."""
+def fake_tree(root, report, tolerances=None):
+    """A source tree whose CLI writes the text ``report``, with every "SEED"
+    replaced by its ``--seed``, to its ``--out``."""
     fake = root / "src" / "sovxxz"
     fake.mkdir(parents=True)
     (fake / "__init__.py").write_text("")
-    (fake / "config.py").write_text("DEFAULT_TOLERANCES = {}\n")
+    (fake / "config.py").write_text(f"DEFAULT_TOLERANCES = {tolerances or {}!r}\n")
     (fake / "cli.py").write_text(
         "import sys\n"
         "args = sys.argv[1:]\n"
-        f"open(args[args.index('--out') + 1], 'w').write({report!r})\n")
+        f"text = {report!r}.replace('SEED', args[args.index('--seed') + 1])\n"
+        "open(args[args.index('--out') + 1], 'w').write(text)\n")
     return root
+
+
+def test_minimum_margin_names_its_seed_and_residual(tmp_path):
+    # margins log10(1e-9 / 1e-1SEED) = SEED + 1 for the record and 4 for the
+    # check: the minimum, 2.00, is seed 1's Bethe residual
+    report = ('{"pass": true, "checks": {"x": {"pass": true, "residual": 1e-13, '
+              '"tolerance": 1e-9}}, "records": [{"certified": true, '
+              '"bethe_residual": 1e-1SEED}]}')
+    tree = fake_tree(tmp_path, report, {"bethe_residual": 1e-9})
+    proc = compare(tree, tree, ("spectrum", '{"n": 2}', "1-2"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = "2/2 ok, margin median 3.50 min 2.00 (seed 1, records[0].bethe_residual)"
+    assert proc.stdout.splitlines()[0] == \
+        f'CASE spectrum {{"n": 2}} 1-2: old {summary}; new {summary}'
 
 
 def test_differing_report_is_a_mismatch(tmp_path):

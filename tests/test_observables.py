@@ -421,8 +421,9 @@ class TestPairContext:
 
     def test_slavnov_matrix_equals_entrywise_formula(self, params3, records3):
         # the alpha-free halves enter the same scalar arithmetic as the
-        # per-entry formula, so the matrices agree to the bit, same-roots
-        # limits and the gamma deformation included
+        # per-entry formula, same-roots limits and the gamma deformation
+        # included; the tables' batched polynomial values round differently
+        # from a scalar evaluation, so the entries agree to 1e-13 relative
         eta = params3.eta
 
         def kern(u, gamma):
@@ -455,7 +456,8 @@ class TestPairContext:
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
                     ref = np.array([[entry(p_poly, q_poly, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
-                    assert np.array_equal(obs.slavnov_matrix(halves, alpha), ref)
+                    got = obs.slavnov_matrix(halves, alpha)
+                    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
         # every P or Q value at xi_k, xi_k - eta and their i*pi translates

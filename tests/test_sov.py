@@ -122,6 +122,65 @@ class TestSeparateStates:
         separate_state(basis3, p, 1.0, 1, "ket", normalized=False)
 
 
+class TestBatchedStates:
+    # the masked row products against the per-label formulas, term by term
+    def test_rows_are_views_of_the_stacked_arrays(self, basis3):
+        assert basis3.kets.shape == basis3.bras.shape == (8, 8)
+        for i, h in enumerate(all_h(3)):
+            assert np.shares_memory(basis3.kets[i], basis3.kets)
+            assert np.shares_memory(basis3.bras[i], basis3.bras)
+            assert basis3.ket(h).base is basis3.kets and basis3.bra(h).base is basis3.bras
+            assert tuple(basis3.labels[i]) == tuple(bool(b) for b in h)
+
+    @staticmethod
+    def per_label(params, poly, kappa, eps, side, normalized):
+        """Coefficient of every label h from the scalar site and Vandermonde factors."""
+        twist = eps * kappa if side == "ket" else eps / kappa  # normalized, per h_n = 0
+        flip = eps * kappa if side == "bra" else 1 / (eps * kappa)  # unnormalized, per h_n = 1
+        coeffs = []
+        for h in all_h(params.n):
+            factor = vandermonde(xi_shifted(params, [1 - b for b in h] if side == "ket" else h))
+            for x, b in zip(params.xi, h):
+                if normalized:
+                    factor *= 1.0 if b else twist * poly(x) / poly(x - params.eta)
+                else:
+                    factor *= poly(x - b * params.eta) * (flip if b else 1.0)
+            if normalized and side == "ket":
+                factor /= vandermonde(params.xi)
+            coeffs.append(factor)
+        return np.array(coeffs)
+
+    def test_states_match_per_label_formula(self, params3, basis3, records3):
+        g = rng(35)
+        synthetic = HalfPeriodTrigPoly.from_roots(
+            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        polys = [(rec.table, rec.q_poly) for rec in records3[:3]]
+        polys.append((table(params3, synthetic), synthetic))
+        eps, eta = -1, params3.eta
+        for tab, poly in polys:
+            for side in ("ket", "bra"):
+                for normalized in (True, False):
+                    state = separate_state(basis3, tab, KAPPA2, eps, side, normalized)
+                    want = self.per_label(params3, poly, KAPPA2, eps, side, normalized)
+                    rows = [basis3.ket(h) if side == "ket" else basis3.bra(h)
+                            for h in all_h(3)]
+                    embedded = sum(c * row for c, row in zip(want, rows))
+                    assert np.all(np.abs(state.coefficients - want) <= 1e-13 * np.abs(want))
+                    assert np.linalg.norm(state.embedded - embedded) \
+                        <= 1e-13 * np.linalg.norm(embedded)
+            want = []
+            for h in all_h(3):
+                factor = vandermonde(xi_shifted(params3, h))
+                for x, b in zip(params3.xi, h):
+                    factor *= poly(x - b * eta)
+                    if b:
+                        factor *= params3.a_fn(x) / params3.d_fn(x - eta) / (-eps * KAPPA2)
+                want.append(factor)
+            qdet = separate_ket_qdet_form(basis3, tab, KAPPA2, eps)
+            assert np.all(np.abs(qdet.coefficients - np.array(want))
+                          <= 1e-13 * np.abs(np.array(want)))
+
+
 class TestOverlaps:
     def test_eigenstate_orthogonality(self, params3, records3, states3):
         bras, kets, _ = states3

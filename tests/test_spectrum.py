@@ -10,7 +10,7 @@ import sovxxz.spectrum as spectrum
 from conftest import make_params, rel_dev, rng
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES
-from sovxxz.errors import CertificationError
+from sovxxz.errors import CertificationError, DegenerateSpectrumError
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
     IPI,
@@ -105,6 +105,38 @@ class TestRefineBethe:
             assert moved < 1e-8
 
 
+class TestBetheKernel:
+    # the batched Bethe system against checks that do not share its build:
+    # the scalar residual a(q) Q(q - eta) - d(q) Q(q + eta) per root, and a
+    # central difference of its own residual for the Jacobian
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_residual_and_jacobian(self, n):
+        params = make_params(n)
+        g = rng(40 + n)
+        roots = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])
+        f, jac, scale, gated = spectrum._bethe_system(params, roots)
+        poly = HalfPeriodTrigPoly(tuple(roots))
+        ta = np.array([params.a_fn(q) * poly(q - params.eta) for q in roots])
+        td = np.array([params.d_fn(q) * poly(q + params.eta) for q in roots])
+        assert np.all(np.abs(f - (ta - td)) <= 1e-13 * np.abs(ta - td))
+        assert rel_dev(scale, np.max(np.abs(ta) + np.abs(td))) < 1e-13
+        assert rel_dev(gated, np.max(np.abs((ta - td) / ta))) < 1e-13
+        h = 1e-6
+        for m in range(n):
+            step = np.zeros(n, dtype=np.complex128)
+            step[m] = h
+            fd = (spectrum._bethe_system(params, roots + step)[0]
+                  - spectrum._bethe_system(params, roots - step)[0]) / (2 * h)
+            assert np.max(np.abs(jac[:, m] - fd)) < 1e-7 * np.max(np.abs(jac))
+
+    def test_collision_guard_names_the_pair(self, params3):
+        # two roots 1e-7 apart modulo 2*pi*i stay together under the first step
+        q = 0.3 + 0.2j
+        poly = HalfPeriodTrigPoly((q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j))
+        with pytest.raises(DegenerateSpectrumError, match="Bethe roots 0, 1 collided"):
+            refine_bethe(params3, poly)
+
+
 class TestCertify:
     def test_all_records_certified(self, params3, records3):
         assert len(records3) == 8
@@ -132,8 +164,16 @@ class TestCertify:
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
         # certify stores one table per record; every entry is the value a fresh
-        # evaluation gives, to the bit, whether a root enters as a Python or a
-        # numpy complex
+        # scalar evaluation gives, to 1e-13 relative (the table evaluates each
+        # polynomial as one batched row product; tau_x to the bit), whether a
+        # root enters as a Python or a numpy complex
+        def vec(values):
+            return np.array(list(values), dtype=np.complex128)
+
+        def close(got, want):
+            return got.shape == want.shape and all(
+                rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), want.ravel()))
+
         eta, xi = params3.eta, params3.xi
         grid = residual_grid(params3)
         g = rng(71)
@@ -145,21 +185,22 @@ class TestCertify:
             hat = poly.shifted_ipi()
             assert table.poly is poly and table.tau is tau
             assert table.hat.roots == hat.roots
-            assert bits(table.x) == bits(poly(x) for x in xi)
-            assert bits(table.x_eta) == bits(poly(x - eta) for x in xi)
-            assert bits(table.x_ipi) == bits(poly(x + IPI) for x in xi)
-            assert bits(table.x_eta_ipi) == bits(poly(x - eta + IPI) for x in xi)
+            assert close(vec(table.x), vec(poly(x) for x in xi))
+            assert close(vec(table.x_eta), vec(poly(x - eta) for x in xi))
+            assert close(vec(table.x_ipi), vec(poly(x + IPI) for x in xi))
+            assert close(vec(table.x_eta_ipi), vec(poly(x - eta + IPI) for x in xi))
             for roots in (poly.roots, np.asarray(poly.roots, dtype=np.complex128)):
-                assert bits(table.a_r) == bits(params3.a_fn(q) for q in roots)
-                assert bits(table.d_r) == bits(params3.d_fn(q) for q in roots)
-                assert bits(table.exp_r) == bits(cmath.exp(q) for q in roots)
-                assert bits(table.r_eta) == bits(poly(q - eta) for q in roots)
-                assert bits(table.r_eta_plus) == bits(poly(q + eta) for q in roots)
-                assert bits(table.r_ipi) == bits(poly(q + IPI) for q in roots)
+                assert close(vec(table.a_r), vec(params3.a_fn(q) for q in roots))
+                assert close(vec(table.d_r), vec(params3.d_fn(q) for q in roots))
+                assert close(vec(table.exp_r), vec(cmath.exp(q) for q in roots))
+                assert close(vec(table.r_eta), vec(poly(q - eta) for q in roots))
+                assert close(vec(table.r_eta_plus), vec(poly(q + eta) for q in roots))
+                assert close(vec(table.r_ipi), vec(poly(q + IPI) for q in roots))
             assert bits(table.tau_x) == ([] if tau is None else bits(tau(x) for x in xi))
-            assert [bits(row) for row in table.grid] == [
-                bits((poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta)))
-                for lam, _, _ in points]
+            assert close(vec(table.grid).reshape(-1, 5), vec(
+                v for lam, _, _ in points
+                for v in (poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta))
+            ).reshape(-1, 5))
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
         vals = [r.tau_at_xi[0] for r in records3]
@@ -186,9 +227,10 @@ class TestPipeline:
                     rhs = -rp.tau(x) / rq.tau(x)
                     assert rel_dev(lhs, rhs) < 1e-8
 
-    def test_tq_residual_of_certified_pairing_is_tiny(self, params3, records3):
+    def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
+        chain = chain_values(basis3, params3.kappa, 4242)
         for rec in records3:
-            assert tq_residual(rec.table, residual_grid(params3)) < 1e-12
+            assert tq_residual(rec.table, chain) < 1e-12
 
     def test_chain_work_built_once_per_spectrum(self, params3, basis3, monkeypatch):
         # the residual grid and a, d on it are evaluated once per spectrum,

@@ -20,7 +20,9 @@ A change that moves report bytes on purpose is judged by its residuals
 instead, so each case also gets one summary line per tree: how many runs were
 ok out of those attempted, and the pooled median and minimum of their margins
 (log10 tolerance / residual), each run classified by ``perfbench/outcome.py``
-against that tree's default tolerances, as the benchmark classifies its ops.
+against that tree's default tolerances, as the benchmark classifies its ops,
+followed by the seed and the report path of the residual that hold the
+minimum, such as ``(seed 100004, records[12].bethe_residual)``.
 
 ``--case COMMAND CONFIG SEEDS`` (repeatable) names a command, its JSON config
 and a seed list such as ``1-20,100001-100026``; without it, the default cases
@@ -41,7 +43,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from outcome import Outcome, classify  # noqa: E402
+from outcome import (  # noqa: E402
+    PM_EQUALITY,
+    RECORD_RESIDUALS,
+    SECTION_RESIDUALS,
+    Outcome,
+    _margin,
+    _walk,
+    classify,
+)
 
 BENCH_SEEDS = "1-20,100001-100026"
 DEFAULT_CASES = (
@@ -116,27 +126,52 @@ def first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"reports differ from byte {at} ({len(a)} vs {len(b)} bytes)"
 
 
-def outcome(report: bytes | None, code: int, tolerances: dict) -> Outcome:
+def worst_residual(report: dict, tolerances: dict) -> tuple[float, str] | None:
+    """The smallest margin among those ``classify`` counts, with the report
+    path of the residual behind it, such as ``records[12].bethe_residual``."""
+    margins = []
+    for path, node in _walk(report):
+        name = path.rsplit(".", 1)[-1]
+        if path and name != PM_EQUALITY and {"pass", "residual", "tolerance"} <= node.keys():
+            field_name, section = SECTION_RESIDUALS.get(name), report.get(name)
+            if field_name and isinstance(section, dict) and section:
+                margins += [(_margin(entry.get(field_name), node["tolerance"]),
+                             f"{name}.{where}.{field_name}" if where else f"{name}.{field_name}")
+                            for where, entry in _walk(section)]
+            else:
+                margins.append((_margin(node["residual"], node["tolerance"]), f"{path}.residual"))
+        elif path and "certified" in node:
+            margins += [(_margin(node.get(key), tolerances.get(tol)), f"{path}.{key}")
+                        for key, tol in RECORD_RESIDUALS.items()]
+    return min(((m, where) for m, where in margins if m is not None), default=None)
+
+
+def outcome(report: bytes | None, code: int, tolerances: dict) -> tuple[Outcome, tuple | None]:
+    """How ``classify`` judges one run, and its ``worst_residual`` if it is ok."""
     try:
         decoded = json.loads(report) if report is not None else None
     except ValueError:
         decoded = None
-    return classify(code, decoded, tolerances)
+    judged = classify(code, decoded, tolerances)
+    return judged, worst_residual(decoded, tolerances) if judged.ok else None
 
 
-def summary(outcomes: list[Outcome]) -> str:
-    """``ok/attempted``, and the pooled median and minimum margin of the ok runs."""
-    margins = [m for o in outcomes for m in o.margins]
-    text = f"{sum(o.ok for o in outcomes)}/{len(outcomes)} ok"
+def summary(runs: list[tuple[int, Outcome, tuple | None]]) -> str:
+    """``ok/attempted``, and the pooled median and minimum margin of the ok
+    runs, with the seed and the residual that hold the minimum."""
+    margins = [m for _, o, _ in runs for m in o.margins]
+    text = f"{sum(o.ok for _, o, _ in runs)}/{len(runs)} ok"
     if margins:
         text += f", margin median {statistics.median(margins):.2f} min {min(margins):.2f}"
+        (_, where), seed = min((worst, seed) for seed, _, worst in runs if worst)
+        text += f" (seed {seed}, {where})"
     return text
 
 
 def compare(old: Path, new: Path, command: str, config: Path, seed: int,
-            tolerances: tuple[dict, dict]) -> tuple[list[str], tuple[Outcome, Outcome]]:
+            tolerances: tuple[dict, dict]) -> tuple[list[str], tuple[tuple, tuple]]:
     """Mismatches between the two trees' runs of one (command, config, seed),
-    and the outcome of each run."""
+    and the ``outcome`` of each run."""
     (rep_a, code_a, err_a), (rep_b, code_b, err_b) = (
         run_once(root, command, config, seed) for root in (old, new))
     problems = []
@@ -176,14 +211,15 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
             results = pool.map(lambda r: compare(old, new, r[1], r[3], r[4], tolerances), runs)
             mismatched = 0
-            outcomes: dict[int, list[tuple[Outcome, Outcome]]] = {}
+            outcomes: dict[int, tuple[list, list]] = {}
             for (i, command, config, _, seed), (problems, pair) in zip(runs, results):
                 for problem in problems:
                     print(f"MISMATCH {command} {config} --seed {seed}: {problem}")
                 mismatched += bool(problems)
-                outcomes.setdefault(i, []).append(pair)
+                for tree, judged in zip(outcomes.setdefault(i, ([], [])), pair):
+                    tree.append((seed, *judged))
     for i, (command, config, seeds) in enumerate(cases):
-        old_runs, new_runs = zip(*outcomes[i])
+        old_runs, new_runs = outcomes[i]
         print(f"CASE {command} {config} {seeds}: old {summary(old_runs)}; "
               f"new {summary(new_runs)}")
     print(f"{len(runs)} runs compared, {mismatched} mismatched")
