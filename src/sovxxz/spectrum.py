@@ -95,10 +95,11 @@ class ChainValues:
     one row per T-Q sample point lam and one column per k = 0..N, w = e^lam;
     ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``,
     ``probes`` the ``probe_transfers`` at the spectrum's twist and ``basis``
-    the chain's SoV basis.  ``weights`` holds the interpolation weight rows
-    (``InterpolationBasis.weights``) at the T-Q points, the grid points, the
-    xi_j - eta and the probe points, under "tq", "grid", "char" and "probes":
-    an eigenvalue there is ``weights[name] @ tau.values``."""
+    the chain's SoV basis.  ``weights`` holds the weight rows
+    (``InterpolationBasis.weights``) of the basis the eigenvalues interpolate
+    through, at the T-Q points, the grid points, the xi_j - eta and the probe
+    points, under "tq", "grid", "char" and "probes": an eigenvalue there is
+    ``weights[name] @ tau.values``."""
 
     tq: tuple[np.ndarray, np.ndarray, np.ndarray]
     char: np.ndarray
@@ -108,9 +109,11 @@ class ChainValues:
     weights: dict[str, np.ndarray]
 
 
-def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
+def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
+                 seed: int) -> ChainValues:
     """The ``ChainValues`` of a spectrum on ``basis``'s chain at twist
-    ``kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
+    ``kappa``, whose eigenvalues interpolate through ``interp``; ``seed``
+    draws the 2N+3 T-Q sample points."""
     params = basis.params
     n, eta = params.n, params.eta
     lam = _tq_sample_points(params, 2 * n + 3, seed)
@@ -121,7 +124,6 @@ def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
           d_lam * np.exp((k - n / 2) * eta))
     char = np.array([-params.a_fn(x) * params.d_fn(x - eta) for x in params.xi])
     grid, probes = residual_grid(params), probe_transfers(params, kappa)
-    interp = InterpolationBasis(params.xi)
     weights = {"tq": interp.weights(lam), "grid": interp.weights([g[0] for g in grid]),
                "char": interp.weights(np.asarray(params.xi) - eta),
                "probes": interp.weights([mu for mu, _ in probes])}
@@ -349,7 +351,7 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     params = basis.params
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, basis.at_xi, k, seed=seed)
-    chain = chain_values(basis, k, seed)
+    chain = chain_values(basis, raw[0].tau.basis, k, seed)
     records = []
     for index, item in enumerate(raw):
         q0 = q_from_tau(params, item.tau, chain)

@@ -66,6 +66,24 @@ def test_minimum_margin_names_its_seed_and_residual(tmp_path):
         f'CASE spectrum {{"n": 2}} 1-2: old {summary}; new {summary}'
 
 
+def test_minimum_margin_reads_sections_and_skips_pm_equality(tmp_path):
+    # the form-factor check gates every deviation of its section: margins
+    # log10(1e-8 / 1e-1SEED) = SEED + 2, so seed 1's deviation holds the
+    # minimum, 3.00; pm_equality's margin, 1.00, is never counted
+    report = ('{"pass": true, "checks": {"x": {"pass": true, "residual": 1e-13, '
+              '"tolerance": 1e-9}, "form_factors": {"pass": true, "residual": 1e-12, '
+              '"tolerance": 1e-8}, "pm_equality": {"pass": true, "residual": 1e-3, '
+              '"tolerance": 1e-2}}, "form_factors": {"P0_Q1_site1": {"z": '
+              '{"deviation": 1e-1SEED}}}}')
+    tree = fake_tree(tmp_path, report)
+    proc = compare(tree, tree, ("observables", '{"n": 2}', "1-2"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = ("2/2 ok, margin median 4.00 min 3.00 "
+               "(seed 1, form_factors.P0_Q1_site1.z.deviation)")
+    assert proc.stdout.splitlines()[0] == \
+        f'CASE observables {{"n": 2}} 1-2: old {summary}; new {summary}'
+
+
 def test_differing_report_is_a_mismatch(tmp_path):
     proc = compare(ROOT, fake_tree(tmp_path, "{}\n"), ("spectrum", '{"n": 2}', "1"))
     assert proc.returncode == 1

@@ -21,7 +21,6 @@ from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
     TrigInterpolation,
-    a_frak,
     coth,
     dist_mod_2ipi,
     point_key,
@@ -421,19 +420,21 @@ class TestPairContext:
 
     def test_slavnov_matrix_equals_entrywise_formula(self, params3, records3):
         # the alpha-free halves enter the same scalar arithmetic as the
-        # per-entry formula, same-roots limits and the gamma deformation
-        # included; the tables' batched polynomial values round differently
-        # from a scalar evaluation, so the entries agree to 1e-13 relative
+        # per-entry formula, so the matrices agree to the bit, same-roots
+        # limits and the gamma deformation included; the formula reads
+        # a, d, P and Q at the roots from the records' tables, as the halves
+        # do (test_table_equals_fresh_evaluation checks those values)
         eta = params3.eta
 
         def kern(u, gamma):
             return coth(u / 2) if gamma is None else obs._s_gamma(u, gamma)
 
-        def entry(p_poly, q_poly, alpha, gamma, j, k):
-            pr = np.asarray(p_poly.roots, dtype=np.complex128)
+        def entry(rp, rq, alpha, gamma, j, k):
+            pt, qt, q_poly = rp.table, rq.table, rq.q_poly
+            pr = np.asarray(rp.q_poly.roots, dtype=np.complex128)
             pk, qj = pr[k], np.asarray(q_poly.roots, dtype=np.complex128)[j]
             if dist_mod_2ipi(pk, qj) < 1e-9:
-                afrak_q = a_frak(params3, q_poly, qj)
+                afrak_q = qt.d_r[j] * qt.r_eta_plus[j] / (qt.a_r[j] * qt.r_eta[j])
                 limit = 2 * alpha * afrak_q * (q_poly.log_deriv(qj + eta)
                                                + q_poly.log_deriv(qj + IPI)
                                                - params3.a_log_deriv(qj))
@@ -441,23 +442,26 @@ class TestPairContext:
                     return coth((pk - qj - eta) / 2) + limit
                 return (obs._s_gamma(pk - qj - eta, gamma)
                         + alpha * afrak_q * coth(gamma / 2) + limit)
-            mid = alpha * a_frak(params3, q_poly, pk) * kern(pk - qj, gamma)
-            cross = -2 * alpha * (params3.d_fn(pk) * q_poly(qj + eta)
-                                  / (params3.a_fn(qj) * q_poly(pk - eta) * p_poly(pk + IPI))) \
+            if rp is rq:
+                q_minus, q_plus = qt.r_eta[k], qt.r_eta_plus[k]
+            else:
+                q_minus, q_plus = q_poly(pk - eta), q_poly(pk + eta)
+            afrak_p = pt.d_r[k] * q_plus / (pt.a_r[k] * q_minus)
+            mid = alpha * afrak_p * kern(pk - qj, gamma)
+            cross = -2 * alpha * (pt.d_r[k] * qt.r_eta_plus[j]
+                                  / (qt.a_r[j] * q_minus * pt.r_ipi[k])) \
                 * obs._phat_over_sinh(pr, k, qj)
             return kern(pk - qj - eta, gamma) + mid + cross
 
         n = params3.n
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
-            p_poly, q_poly = rp.q_poly, rq.q_poly
             for gamma in (None, 0.3 - 0.2j):
                 halves = obs.slavnov_halves(obs.PairContext(params3, rp.table, rq.table),
                                             gamma)
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
-                    ref = np.array([[entry(p_poly, q_poly, alpha, gamma, j, k)
+                    ref = np.array([[entry(rp, rq, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
-                    got = obs.slavnov_matrix(halves, alpha)
-                    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+                    assert np.array_equal(obs.slavnov_matrix(halves, alpha), ref)
 
     def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
         # every P or Q value at xi_k, xi_k - eta and their i*pi translates

@@ -56,7 +56,7 @@ class TestQFromTau:
         params = make_params(1)
         basis = sov.SovBasis(params)
         recs = spectrum_oracle(params, basis.at_xi)
-        chain = chain_values(basis, params.kappa, 4242)
+        chain = chain_values(basis, recs[0].tau.basis, params.kappa, 4242)
         for rec in recs:
             poly = q_from_tau(params, rec.tau, chain)
             expected = n1_root_closed_form(params, rec.tau_at_xi[0])
@@ -156,7 +156,7 @@ class TestCertify:
             tau=TrigInterpolation(InterpolationBasis(params3.xi), bad_vals),
             q_poly=rec.q_poly,
         )
-        chain = chain_values(basis3, params3.kappa, 4242)
+        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
         bad_table = q_table(params3, bad.q_poly, bad.tau, [])
         assert discrete_char_residual(bad_table, chain) > 1e-3
         with pytest.raises(CertificationError):
@@ -228,7 +228,7 @@ class TestPipeline:
                     assert rel_dev(lhs, rhs) < 1e-8
 
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
-        chain = chain_values(basis3, params3.kappa, 4242)
+        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
         for rec in records3:
             assert tq_residual(rec.table, chain) < 1e-12
 

@@ -157,14 +157,16 @@ def outcome(report: bytes | None, code: int, tolerances: dict) -> tuple[Outcome,
 
 
 def summary(runs: list[tuple[int, Outcome, tuple | None]]) -> str:
-    """``ok/attempted``, and the pooled median and minimum margin of the ok
-    runs, with the seed and the residual that hold the minimum."""
+    """``ok/attempted``, and the pooled median margin of the ok runs and
+    their minimum, with the seed and the residual that hold it."""
     margins = [m for _, o, _ in runs for m in o.margins]
     text = f"{sum(o.ok for _, o, _ in runs)}/{len(runs)} ok"
     if margins:
-        text += f", margin median {statistics.median(margins):.2f} min {min(margins):.2f}"
-        (_, where), seed = min((worst, seed) for seed, _, worst in runs if worst)
-        text += f" (seed {seed}, {where})"
+        text += f", margin median {statistics.median(margins):.2f}"
+    worst = min(((worst, seed) for seed, _, worst in runs if worst), default=None)
+    if worst:
+        (margin, where), seed = worst
+        text += f" min {margin:.2f} (seed {seed}, {where})"
     return text
 
 
