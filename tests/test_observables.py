@@ -8,7 +8,7 @@ from conftest import KAPPA2, make_params, rel_dev, rng, table
 import sovxxz.cli as cli
 from sovxxz import observables as obs
 from sovxxz.config import load_config
-from sovxxz.errors import ParameterError
+from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -554,6 +554,46 @@ class TestPairContext:
         pair = bare_pair(params3, records3[0].q_poly, records3[1].q_poly)
         with pytest.raises(ParameterError):
             obs.sp_tau(pair, params3.kappa, KAPPA2)
+
+
+class TestRefusals:
+    """Each pair formula refuses a singular point with its own message."""
+
+    def roots_with(self, params, k, value):
+        g = rng(62)
+        roots = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(params.n)]
+        roots[k] = value
+        return HalfPeriodTrigPoly.from_roots(roots)
+
+    def test_izergin_refuses_a_root_on_a_node(self, params3):
+        p = self.roots_with(params3, 0, params3.xi[0])
+        q = random_poly(rng(63), 3)
+        with pytest.raises(SingularEvaluationError,
+                           match="collides with an inhomogeneity shift set"):
+            obs.sp_izergin(bare_pair(params3, p, q), 0.5)
+
+    def test_direct_refuses_a_root_on_a_shifted_node(self, params3):
+        p = self.roots_with(params3, 1, params3.xi[1] - params3.eta)
+        q = random_poly(rng(64), 3)
+        with pytest.raises(SingularEvaluationError, match=r"\(PQ\)\(xi - eta\) vanishes"):
+            obs.sp_direct(bare_pair(params3, p, q), 0.5)
+
+    def test_slavnov_halves_refuse_one_shared_root(self, params3):
+        q = random_poly(rng(65), 3)
+        p = self.roots_with(params3, 0, q.roots[1])
+        with pytest.raises(SingularEvaluationError,
+                           match="coincident roots .* for distinct functions"):
+            obs.slavnov_halves(bare_pair(params3, p, q))
+
+    def test_izergin_ratio_refuses_a_point_on_a_node(self, params3):
+        zs = [params3.xi[0], 0.2 + 0.3j, -0.5 + 0.1j]
+        with pytest.raises(SingularEvaluationError, match="Izergin node collision"):
+            obs.izergin_ratio(params3.xi, zs, [0.3, 0.1j, -0.2], params3.eta)
+
+    def test_gamma_zero_is_a_pole(self, params3, records3):
+        pair = obs.PairContext(params3, records3[0].table, records3[2].table)
+        with pytest.raises(SingularEvaluationError, match="s_gamma evaluated at a pole"):
+            obs.sp_slavnov(pair, KAPPA2 / params3.kappa, gamma=0)
 
 
 class TestGenericArgumentMatrixElements:
