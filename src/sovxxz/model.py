@@ -314,17 +314,11 @@ class QTable:
     xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi`` (row h in
     (0, 1) is Q(xi_k - h * eta)).  At the roots q_j: a, d, exp in ``a_r``,
     ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
-    ``r_eta_plus``, ``r_ipi``.  ``hat`` is the i*pi-shifted partner.  An eigen
-    record's table also holds its eigenvalue ``tau``, ``tau_x`` = tau(xi_k)
-    and, per residual-grid point lam, the row (Q(lam), Q(lam - eta),
-    Q(lam + eta), Qhat(lam), Qhat(lam - eta)) in ``grid``.
-
-    ``memo`` holds what the pair formulas of ``observables`` compute from the
-    table alone on its chain, filled on first use: tau_hat of its eigenvalue
-    per point (under "tau_hat", keyed by ``point_key``), the verdict on its
-    roots against the node shift sets (under "node_collision") and
-    prod_l sinh(xi_s - q_l) per node xi_s (under "sinh_at_nodes").  A value
-    whose evaluation raises is not kept, so the error arises where it did.
+    ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per node in
+    ``sinh_x``.  ``hat`` is the i*pi-shifted partner.  An eigen record's table
+    also holds its eigenvalue ``tau``, ``tau_x`` = tau(xi_k) and, per
+    residual-grid point lam, the row (Q(lam), Q(lam - eta), Q(lam + eta),
+    Qhat(lam), Qhat(lam - eta)) in ``grid``.
     """
 
     poly: HalfPeriodTrigPoly
@@ -341,9 +335,9 @@ class QTable:
     r_eta: tuple[complex, ...]
     r_eta_plus: tuple[complex, ...]
     r_ipi: tuple[complex, ...]
+    sinh_x: tuple[complex, ...]
     tau_x: tuple[complex, ...]
     grid: tuple[tuple[complex, ...], ...]
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
@@ -362,13 +356,15 @@ def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     hat0, hat_eta = np.split(hat.values(np.concatenate([lam, lam - eta])), 2)
     # a and d at the roots: the row products of sinh(q_j - xi_k + eta), sinh(q_j - xi_k)
     u = r[:, None] - xi[None, :]
-    a_r, d_r = np.prod(np.sinh(np.stack([u + eta, u])), axis=2)
+    sinh_u = np.sinh(np.stack([u + eta, u]))
+    a_r, d_r = np.prod(sinh_u, axis=2)
     return QTable(
         poly=poly, roots=poly.roots, hat=hat, tau=tau,
         x=values[0], x_eta=values[1], x_ipi=values[2], x_eta_ipi=values[3],
         a_r=tuple(a_r.tolist()), d_r=tuple(d_r.tolist()),
         exp_r=tuple(np.exp(r).tolist()),
         r_eta=values[4], r_eta_plus=values[5], r_ipi=values[6],
+        sinh_x=tuple(np.prod(-sinh_u[1], axis=0).tolist()),
         tau_x=() if tau is None else tuple(tau(x) for x in params.xi),
         grid=tuple(zip(*values[7:], hat0.tolist(), hat_eta.tolist())),
     )

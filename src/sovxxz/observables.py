@@ -8,9 +8,11 @@ specializations, the sigma^z and spin-flip form factors in both root- and
 eigenvalue-labelled forms, generic-argument B/D matrix elements, and the
 numerical test bench for the underlying determinant identities.
 
-Matrix entries that develop 0/0 patterns when the two root sets are paired
-(equal or shifted by i*pi) are evaluated through algebraically equivalent
-product forms, so every representation stays finite on all eigen pairs.
+Every matrix is formed at once from broadcast arrays of root and point
+differences (rows first, columns second).  Matrix entries that develop 0/0
+patterns when the two root sets are paired (equal or shifted by i*pi) are
+evaluated through algebraically equivalent product forms, or as their
+analytic limits, so every representation stays finite on all eigen pairs.
 """
 
 from __future__ import annotations
@@ -33,16 +35,24 @@ from .model import (
     a_frak_values,
     coth,
     dist_mod_2ipi,
-    f_tilde,
+    dist_mod_ipi,
     f_tilde_values,
-    point_key,
-    sinh_prod,
+    products_except,
+    sinh_rows,
     vandermonde_rows,
 )
-from .sov import SovBasis, all_h
+from .sov import SovBasis
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
+
+
+def _coth(u):
+    """coth, elementwise on arrays; refuses a pole."""
+    s = np.sinh(u)
+    if np.any(s == 0):
+        raise SingularEvaluationError("coth evaluated at a pole")
+    return np.cosh(u) / s
 
 
 # ---------------------------------------------------------------------------
@@ -80,43 +90,29 @@ def a_functional(xs, f_vals, eta: complex) -> complex:
 
 def _dressed_vandermonde(rows: VandermondeRows, f_vals) -> complex:
     """``a_functional`` from the ``VandermondeRows`` of its points."""
-    f = np.asarray(f_vals, dtype=np.complex128)
-    m = len(rows.at_x)
-    mat = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            mat[i, j] = (rows.at_x[i, j] - f[i] * rows.at_x_eta[i, j]) / 2 ** j
+    f = np.asarray(f_vals, dtype=np.complex128)[:, None]
+    mat = (rows.at_x - f * rows.at_x_eta) / 2.0 ** np.arange(len(rows.at_x))
     return _det_expanded(mat, rows.wide) / rows.v
 
 
 def izergin_ratio(xs, zs, f_vals, eta: complex) -> complex:
     """det[1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] over the plain
     Cauchy determinant det[1/sinh(x_i - z_k)]."""
-    x = np.asarray(xs, dtype=np.complex128)
-    z = np.asarray(zs, dtype=np.complex128)
-    f = np.asarray(f_vals, dtype=np.complex128)
-    num = np.zeros((len(x), len(z)), dtype=np.complex128)
-    den = np.zeros_like(num)
-    for i in range(len(x)):
-        for k in range(len(z)):
-            s0 = cmath.sinh(x[i] - z[k])
-            s1 = cmath.sinh(x[i] - z[k] - eta)
-            if abs(s0) < 1e-13 or abs(s1) < 1e-13:
-                raise SingularEvaluationError(
-                    f"Izergin node collision at x_{i+1}, z_{k+1}"
-                )
-            num[i, k] = 1 / s0 - f[i] / s1
-            den[i, k] = 1 / s0
-    num_det, den_det = det_lu([num, den])
+    diff = np.asarray(xs, dtype=np.complex128)[:, None] - np.asarray(zs, dtype=np.complex128)
+    s0, s1 = np.sinh(diff), np.sinh(diff - eta)
+    near = (np.abs(s0) < 1e-13) | (np.abs(s1) < 1e-13)
+    if near.any():
+        i, k = np.argwhere(near)[0]
+        raise SingularEvaluationError(f"Izergin node collision at x_{i+1}, z_{k+1}")
+    f = np.asarray(f_vals, dtype=np.complex128)[:, None]
+    num_det, den_det = det_lu([1 / s0 - f / s1, 1 / s0])
     return num_det / den_det
 
 
 def e_weight(zs, eta: complex, u: complex) -> complex:
     """prod_l sinh(u - z_l - eta) / sinh(u - z_l)."""
-    out = 1.0 + 0.0j
-    for z in zs:
-        out *= cmath.sinh(u - z - eta) / cmath.sinh(u - z)
-    return out
+    w = u - np.asarray(zs, dtype=np.complex128)
+    return complex(np.prod(np.sinh(w - eta) / np.sinh(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,129 +122,85 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 def sp_direct(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
     params, p, q = pair.params, pair.p, pair.q
-    f_vals = []
-    for k, x in enumerate(params.xi):
-        den = p.x_eta[k] * q.x_eta[k]
-        if abs(den) < 1e-13:
-            raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {x}")
-        f_vals.append(-alpha * p.x[k] * q.x[k] / den)
-    return _dressed_vandermonde(params.node_rows, f_vals)
+    den = np.multiply(p.x_eta, q.x_eta)
+    vanishing = np.abs(den) < 1e-13
+    if vanishing.any():
+        raise SingularEvaluationError(
+            f"(PQ)(xi - eta) vanishes at xi = {params.xi[np.argmax(vanishing)]}")
+    return _dressed_vandermonde(params.node_rows, -alpha * np.multiply(p.x, q.x) / den)
 
 
 def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
     """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
     product)."""
-    params, p, q = pair.params, pair.p, pair.q
-    n = params.n
-    v_h = basis.v_h
-    ratio = [alpha * p.x[k] * q.x[k] / (p.x_eta[k] * q.x_eta[k]) for k in range(n)]
-    total = 0.0 + 0.0j
-    for idx, h in enumerate(all_h(n)):
-        term = 1.0 + 0.0j
-        for m in range(n):
-            if h[m] == 0:
-                term *= ratio[m]
-        # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
-        total += term * v_h[2**n - 1 - idx] / v_h[0]
-    return total
+    p, q = pair.p, pair.q
+    ratio = alpha * np.multiply(p.x, q.x) / np.multiply(p.x_eta, q.x_eta)
+    terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
+    # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
+    return complex(np.sum(terms * np.array(basis.v_h[::-1])) / basis.v_h[0])
+
+
+def _require_roots_off_nodes(params: ModelParams, roots):
+    """Refuse roots that collide with an inhomogeneity shift set
+    {xi_k, xi_k - eta} modulo i*pi."""
+    near = dist_mod_ipi(np.asarray(roots, dtype=np.complex128)[:, None],
+                        np.asarray(params.forbidden_points())[None, :]) < 1e-8
+    if near.any():
+        root = roots[np.argmax(near.any(axis=1))]
+        raise SingularEvaluationError(f"root {root} collides with an inhomogeneity shift set")
 
 
 def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as a weighted Izergin determinant with columns labelled
     by the roots of P."""
     params, p, q = pair.params, pair.p, pair.q
-    _require_roots_off_nodes(params, p)
-    f_vals = [-alpha * f_tilde_values(p.x_eta_ipi[k], q.x[k], p.x_ipi[k], q.x_eta[k])
-              for k in range(params.n)]
+    _require_roots_off_nodes(params, p.roots)
+    f_vals = [-alpha * f_tilde_values(*v) for v in zip(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)]
     return izergin_ratio(params.xi, p.roots, f_vals, params.eta)
 
 
 def cond_pq_residual(pair: PairContext) -> float:
     """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
     p, q = pair.p, pair.q
-    worst = 0.0
-    for k in range(pair.params.n):
-        r1 = (p.x_eta[k] * q.x_eta[k]) / (p.x[k] * q.x[k])
-        r2 = (p.x_eta_ipi[k] * q.x_eta_ipi[k]) / (p.x_ipi[k] * q.x_ipi[k])
-        worst = max(worst, abs(r1 - r2) / max(abs(r1) + abs(r2), 1e-30))
-    return worst
+    r1 = np.multiply(p.x_eta, q.x_eta) / np.multiply(p.x, q.x)
+    r2 = np.multiply(p.x_eta_ipi, q.x_eta_ipi) / np.multiply(p.x_ipi, q.x_ipi)
+    return float(np.max(np.abs(r1 - r2) / np.maximum(np.abs(r1) + np.abs(r2), 1e-30)))
 
 
-def _node_collision(params: ModelParams, poly: HalfPeriodTrigPoly) -> str:
-    """Why a root of ``poly`` collides with an inhomogeneity shift set, or ""."""
-    for q in poly.roots:
-        for x in params.xi:
-            if dist_mod_2ipi(q, x) < 1e-8 or dist_mod_2ipi(q, x + IPI) < 1e-8 \
-                    or dist_mod_2ipi(q, x - params.eta) < 1e-8 \
-                    or dist_mod_2ipi(q, x - params.eta + IPI) < 1e-8:
-                return f"root {q} collides with an inhomogeneity shift set"
-    return ""
-
-
-def _require_roots_off_nodes(params: ModelParams, table: QTable):
-    """Raise if a root of ``table``'s polynomial collides with a node shift set;
-    the verdict is reached once per table (``QTable.memo``)."""
-    if "node_collision" not in table.memo:
-        table.memo["node_collision"] = _node_collision(params, table.poly)
-    if table.memo["node_collision"]:
-        raise SingularEvaluationError(table.memo["node_collision"])
-
-
-def _tau_hat(params: ModelParams, table: QTable, lam: complex) -> complex:
-    """tau_hat of ``table``'s eigenvalue at lam, evaluated once per table and
-    point (``QTable.memo``)."""
-    hats = table.memo.setdefault("tau_hat", {})
-    key = point_key(lam)
-    if key not in hats:
-        hats[key] = tau_hat(params, table.tau, lam)
-    return hats[key]
-
-
-def _sinh_at_nodes(params: ModelParams, table: QTable) -> list[complex]:
-    """prod_l sinh(xi_s - p_l) over ``table``'s roots p_l, per node xi_s,
-    formed once per table (``QTable.memo``)."""
-    if "sinh_at_nodes" not in table.memo:
-        table.memo["sinh_at_nodes"] = [sinh_prod(xs - pl for pl in table.roots)
-                                       for xs in params.xi]
-    return table.memo["sinh_at_nodes"]
-
-
-def _phat_over_sinh(p_roots, k: int, qj: complex) -> complex:
-    """P(q_j + i*pi) / sinh(p_k - q_j) in product form.
+def _p_ipi_over_sinh(pr: np.ndarray, qr: np.ndarray, skip=False) -> np.ndarray:
+    """P(q_j + i*pi) / sinh(p_k - q_j) at (j, k), in product form.
 
     Writing w = q_j + i*pi, the ratio equals
     prod_{l != k} sinh((w - p_l)/2) / (2 cosh((w - p_k)/2)),
     which stays finite when p_k approaches q_j + i*pi (the factor of P that
-    vanishes is cancelled against the sinh in the denominator).
+    vanishes is cancelled against the sinh in the denominator).  Entries
+    where ``skip`` is set are left at 0.
     """
-    w = qj + IPI
-    ch = cmath.cosh((w - p_roots[k]) / 2)
-    if abs(ch) < 1e-13:
+    half = (qr[:, None] + IPI - pr[None, :]) / 2
+    ch = np.where(skip, 1.0, np.cosh(half))
+    if np.any(np.abs(ch) < 1e-13):
         raise SingularEvaluationError("coincident roots p_k = q_j")
-    return sinh_prod((w - p) / 2 for l, p in enumerate(p_roots) if l != k) / (2 * ch)
+    return np.where(skip, 0.0, products_except(np.sinh(half)) / (2 * ch))
 
 
-def _s_gamma(u: complex, gamma: complex) -> complex:
-    sg = cmath.sinh(gamma / 2)
-    su = cmath.sinh(u / 2)
-    if abs(sg) < 1e-13 or abs(su) < 1e-13:
+def _s_gamma(u, gamma: complex):
+    """sinh((u + gamma)/2) / (sinh(u/2) sinh(gamma/2)), elementwise in u."""
+    sg = np.sinh(gamma / 2)
+    su = np.sinh(u / 2)
+    if abs(sg) < 1e-13 or np.any(np.abs(su) < 1e-13):
         raise SingularEvaluationError("s_gamma evaluated at a pole")
-    return cmath.sinh((u + gamma) / 2) / (su * sg)
+    return np.sinh((u + gamma) / 2) / (su * sg)
 
 
 @dataclass(frozen=True)
 class SlavnovHalves:
-    """The alpha-free pieces of ``slavnov_matrix`` for one (P, Q) pair and gamma.
+    """The alpha-free halves of ``slavnov_matrix`` for one (P, Q) pair and
+    gamma: the matrix at alpha is ``base + alpha * rest``.  ``base`` is the
+    coth (or s_gamma) Cauchy matrix; ``rest`` holds the Bethe-ratio kernel
+    plus the cross term, or their same-roots limit."""
 
-    Entry (j, k) is base + (alpha a) kern + ((c alpha) x) y for
-    ``terms[j][k] = (a, kern, c, x, y)``, the middle term left out where kern
-    is None: c = -2 with the cross term's Bethe ratio x and P factor y, or
-    c = 2 with the same-roots limit.  ``base`` is the coth (or s_gamma)
-    Cauchy matrix.
-    """
-
-    base: list[list[complex]]
-    terms: list[list[tuple]]
+    base: np.ndarray
+    rest: np.ndarray
 
 
 def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHalves:
@@ -260,75 +212,53 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     diagonal entries take their analytic limits, which need the logarithmic
     derivatives of Q and a.
     """
-    params, p, q = pair.params, pair.p, pair.q
-    pr = np.asarray(p.roots, dtype=np.complex128)
-    qr = np.asarray(q.roots, dtype=np.complex128)
-    n = params.n
+    params, p, q, pr, qr = pair.params, pair.p, pair.q, pair.pr, pair.qr
+    n, eta = params.n, params.eta
     if len(pr) != n or len(qr) != n:
         raise ParameterError("polynomials must carry N roots each")
-    same_roots = bool(np.all(np.abs(pr - qr) < _COLLISION_TOL))
-    eta = params.eta
-    q_p_eta = pair.q_at_p_eta
-    q_p_eta_plus = q.r_eta_plus if pair.diagonal else [q.poly(pk + eta) for pk in p.roots]
-    afrak_p = [a_frak_values(a, d, qe, qp)
-               for a, d, qe, qp in zip(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)]
+    limit = dist_mod_2ipi(pr[None, :], qr[:, None]) < _COLLISION_TOL
+    if limit.any() and not np.all(np.abs(pr - qr) < _COLLISION_TOL):
+        j, k = np.argwhere(limit)[0]
+        raise SingularEvaluationError(
+            f"coincident roots p_{k+1} = q_{j+1} for distinct functions")
 
     def kernel(u):
-        return coth(u / 2) if gamma is None else _s_gamma(u, gamma)
+        return _coth(u / 2) if gamma is None else _s_gamma(u, gamma)
 
-    base, terms = [], []
-    for j in range(n):
+    u = pr[None, :] - qr[:, None]
+    q_p_eta = pair.q_at_p_eta
+    q_p_eta_plus = q.r_eta_plus if pair.diagonal else q.poly.values(pr + eta)
+    afrak_p = np.array([a_frak_values(*v) for v in zip(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)])
+    ratio = np.outer(q.r_eta_plus, p.d_r) / (np.outer(q.a_r, q_p_eta) * p.r_ipi)
+    rest = afrak_p * kernel(np.where(limit, 1.0, u)) \
+        - 2 * ratio * _p_ipi_over_sinh(pr, qr, limit)
+    for j, k in np.argwhere(limit):
         qj = qr[j]
-        base.append([])
-        terms.append([])
-        for k in range(n):
-            pk = pr[k]
-            if dist_mod_2ipi(pk, qj) < _COLLISION_TOL:
-                if not same_roots:
-                    raise SingularEvaluationError(
-                        f"coincident roots p_{k+1} = q_{j+1} for distinct functions"
-                    )
-                log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
-                    - params.a_log_deriv(qj)
-                afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
-                base[j].append(kernel(pk - qj - eta))
-                kern = None if gamma is None else coth(gamma / 2)
-                terms[j].append((afrak_q, kern, 2, afrak_q, log_sum))
-                continue
-            base[j].append(kernel(pk - qj - eta))
-            kern = kernel(pk - qj)
-            ratio = p.d_r[k] * q.r_eta_plus[j] / (q.a_r[j] * q_p_eta[k] * p.r_ipi[k])
-            terms[j].append((afrak_p[k], kern, -2, ratio, _phat_over_sinh(pr, k, qj)))
-    return SlavnovHalves(base, terms)
+        log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
+            - params.a_log_deriv(qj)
+        afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
+        rest[j, k] = 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
+    return SlavnovHalves(kernel(u - eta), rest)
 
 
 def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
     """Root-labelled scalar-product matrix at ``alpha``, from its alpha-free
     halves (rows follow Q-roots, columns P-roots)."""
-    n = len(halves.base)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(n):
-            a, kern, c, x, y = halves.terms[j][k]
-            entry = halves.base[j][k]
-            if kern is not None:
-                entry = entry + alpha * a * kern
-            mat[j, k] = entry + c * alpha * x * y
-    return mat
+    return halves.base + alpha * halves.rest
 
 
 def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
                             q_poly: HalfPeriodTrigPoly) -> complex:
     """Closed form of det[coth((p_k - q_j - eta)/2)]: a hyperbolic Cauchy
     determinant with a cosh of the root-sum mismatch."""
-    pr, qr = p_poly.roots, q_poly.roots
+    pr = np.asarray(p_poly.roots, dtype=np.complex128)
+    qr = np.asarray(q_poly.roots, dtype=np.complex128)
     n = params.n
-    num = cmath.cosh((sum(pr) - sum(qr) - n * params.eta) / 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= cmath.sinh((pr[i] - pr[j]) / 2) * cmath.sinh((qr[j] - qr[i]) / 2)
-    den = sinh_prod((pr[i] - qr[j] - params.eta) / 2 for i in range(n) for j in range(n))
-    return num / den
+    i, j = np.triu_indices(n, 1)
+    num = np.cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2) \
+        * np.prod(np.sinh((pr[i] - pr[j]) / 2) * np.sinh((qr[j] - qr[i]) / 2))
+    den = np.prod(np.sinh((pr[:, None] - qr[None, :] - params.eta) / 2))
+    return complex(num / den)
 
 
 class PairContext:
@@ -338,23 +268,31 @@ class PairContext:
     that depends on one of them alone.  A form factor is the pair's
     scalar-product determinant plus a rank-one term that depends on the site;
     what needs both polynomials but no alpha (the Slavnov and
-    eigenvalue-labelled halves, the Cauchy determinant, the tau prefactor and
-    Q at the P-roots) is built here on first use and kept.  Each formula
-    builds its matrix at its alpha from these once per call, for every site
-    it is asked for.  Building lazily keeps each error in the call that
-    raised it before.
+    eigenvalue-labelled halves, the Cauchy determinant, the tau prefactor,
+    Q at the P-roots and the sinh rows the rank-one terms are formed from) is
+    built here on first use and kept, as arrays over every root, point and
+    site at once.  Building lazily keeps each error in the call that raised
+    it before.
 
     The eigenvalue-labelled forms need both tables to carry an eigenvalue;
-    ``z`` (default: the Q-roots) labels the rows of those forms.
+    ``z`` (default: the Q-roots) labels the rows of those forms: N points,
+    pairwise more than 1e-10 apart modulo i*pi, checked here.
     """
 
     def __init__(self, params: ModelParams, p: QTable, q: QTable, z=None):
         self.params = params
         self.p, self.q = p, q
         self.z = list(q.roots) if z is None else [complex(v) for v in z]
+        if len(self.z) != params.n:
+            raise ParameterError("z must provide N points")
+        zs = np.asarray(self.z, dtype=np.complex128)
+        if np.any(dist_mod_ipi(zs[:, None], zs[None, :])[np.triu_indices(params.n, 1)]
+                  <= 1e-10):
+            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
+        self.pr = np.asarray(p.roots, dtype=np.complex128)
+        self.qr = np.asarray(q.roots, dtype=np.complex128)
         # P's roots equal Q's bit for bit: Q's table holds Q at the P-roots
-        self.diagonal = np.asarray(p.roots, dtype=np.complex128).tobytes() \
-            == np.asarray(q.roots, dtype=np.complex128).tobytes()
+        self.diagonal = self.pr.tobytes() == self.qr.tobytes()
 
     def eigen_tables(self) -> tuple[QTable, QTable]:
         """(P's, Q's) table, checked to carry an eigenvalue each."""
@@ -372,26 +310,56 @@ class PairContext:
         return det_lu(self.halves.base)
 
     @cached_property
-    def tau_dq(self) -> tuple[list[list[complex]], list[list[complex]]]:
+    def q_at_p_eta(self) -> np.ndarray:
+        """Q(p_k - eta): the Slavnov cross term and the rank-one columns."""
+        if self.diagonal:
+            return np.asarray(self.q.r_eta)
+        return self.q.poly.values(self.pr - self.params.eta)
+
+    @cached_property
+    def node_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """coth(x) and coth(x + i*pi/2) = tanh(x) at x = (xi_s - q_j - eta)/2,
+        row s, column j: the rows of the roots-form rank-one terms."""
+        half = (np.asarray(self.params.xi)[:, None] - self.qr[None, :] - self.params.eta) / 2
+        s, c = np.sinh(half), np.cosh(half)
+        if np.any(s == 0) or np.any(c == 0):
+            raise SingularEvaluationError("coth evaluated at a pole")
+        return c / s, s / c
+
+    @cached_property
+    def z_xi_sinh(self) -> np.ndarray:
+        """sinh(z_i - xi_s), row i, column s."""
+        return sinh_rows(self.z, self.params.xi)
+
+    @cached_property
+    def tau_dq(self) -> tuple[np.ndarray, np.ndarray]:
         """The alpha-free halves of tau_matrix: [tau_hat_Q(z_i) - tau_hat_Q(p_k)]
         and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)], each over sinh(z_i - w_k)."""
         p, q = self.eigen_tables()
-        pr = p.roots
-        return (_tau_dq_matrix(self.params, q, self.z, pr),
-                _tau_dq_matrix(self.params, p, self.z,
-                               [pk + self.params.eta for pk in pr]))
+        return (_tau_dq_matrix(self.params, q.tau, self.z, self.pr),
+                _tau_dq_matrix(self.params, p.tau, self.z, self.pr + self.params.eta))
 
     @cached_property
     def tau_prefactor(self) -> complex:
-        return _tau_prefactor(self.params, self.eigen_tables()[1].tau_x, self.p.roots,
-                              self.z)
+        """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
+        (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
+        tq = _nonvanishing_tau_q(self)
+        z, pr = np.asarray(self.z), self.pr
+        i, j = np.triu_indices(self.params.n, 1)
+        num = np.prod(self.z_xi_sinh) * np.prod(self.p.sinh_x)
+        den = cmath.exp(sum(self.params.xi)) * np.prod(tq) \
+            * np.prod(np.sinh(z[j] - z[i]) * np.sinh(pr[i] - pr[j]))
+        return complex(num / den)
 
-    # Q at the P-roots: Slavnov cross term, rank-one columns
-    @cached_property
-    def q_at_p_eta(self) -> tuple[complex, ...]:
-        if self.diagonal:
-            return self.q.r_eta
-        return tuple(self.q.poly(pk - self.params.eta) for pk in self.p.roots)
+
+def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarray:
+    """tau_Q(xi_k) at every node, refused where it vanishes among the first
+    ``upto`` nodes (default: all)."""
+    tq = pair.eigen_tables()[1].tau.values
+    vanishing = np.abs(tq[:upto]) < 1e-12
+    if vanishing.any():
+        raise SingularEvaluationError(f"tau_Q vanishes at xi_{np.argmax(vanishing) + 1}")
+    return tq
 
 
 def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
@@ -402,7 +370,7 @@ def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
     inhomogeneities; the residual is checked up front.
     """
     res = cond_pq_residual(pair)
-    if res > cond_tol:
+    if not res <= cond_tol:
         raise ParameterError(
             f"compatibility condition violated (residual {res:.3e}); "
             "the root-labelled representation does not apply"
@@ -425,34 +393,23 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     """
     pr = np.asarray(p_poly.roots, dtype=np.complex128)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
-    n = params.n
     eta = params.eta
     em = cmath.exp(-eta / 2)
-    afrak_p = [a_frak(params, q_poly, p) for p in pr]
-    afrak_q = [a_frak(params, q_poly, q) for q in qr]
-    mat = np.zeros((n, n), dtype=np.complex128)
-    last = np.zeros((n, n), dtype=np.complex128)
-    scale = 0.0
-    for j in range(n):
-        for k in range(n):
-            u = pr[k] - qr[j]
-            s_half = cmath.sinh(u / 2)
-            if abs(s_half) < 1e-13:
-                raise SingularEvaluationError(
-                    "product representation needs pairwise distinct roots"
-                )
-            line1 = alpha * em / cmath.sinh((u - eta) / 2) - 1 / s_half
-            line2 = beta * em * afrak_p[k] * (
-                alpha * em / s_half - 1 / cmath.sinh((u + eta) / 2)
-            )
-            cross = (params.d_fn(pr[k]) / params.d_fn(qr[j])) \
-                * (q_poly(qr[j] - eta) / (q_poly(pr[k] - eta) * p_poly(pr[k] + IPI))) \
-                * (1 - alpha * beta * cmath.exp(-eta) * afrak_q[j]) \
-                * cmath.exp(u / 2) * 2 * _phat_over_sinh(pr, k, qr[j])
-            mat[j, k] = line1 + line2 + cross
-            last[j, k] = cross
-            scale = max(scale, abs(line1) + abs(line2))
-    return mat, last, scale
+    u = pr[None, :] - qr[:, None]
+    s_half = np.sinh(u / 2)
+    if np.any(np.abs(s_half) < 1e-13):
+        raise SingularEvaluationError("product representation needs pairwise distinct roots")
+    afrak_p = np.array([a_frak(params, q_poly, x) for x in pr])
+    afrak_q = np.array([a_frak(params, q_poly, x) for x in qr])
+    d_p = np.array([params.d_fn(x) for x in pr])
+    d_q = np.array([params.d_fn(x) for x in qr])
+    line1 = alpha * em / np.sinh((u - eta) / 2) - 1 / s_half
+    line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / np.sinh((u + eta) / 2))
+    cross = (d_p / d_q[:, None]) \
+        * (q_poly.values(qr - eta)[:, None] / (q_poly.values(pr - eta) * p_poly.values(pr + IPI))) \
+        * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
+        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(pr, qr)
+    return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
 
 
 def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
@@ -464,126 +421,69 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     """
     params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     lhs = sp_slavnov(pair, alpha) * sp_slavnov(pair, beta)
-    n = params.n
     mat, _, _ = product_matrix(params, p_poly, q_poly, alpha, beta)
-    den = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for k in range(n):
-            den[i, k] = 1 / cmath.sinh((p_poly.roots[k] - q_poly.roots[i] - params.eta) / 2)
-    pref = (-1.0) ** n * cmath.exp(sum(params.xi) - sum(p_poly.roots))
-    for k in range(n):
-        pref *= pair.q.x[k] / pair.q.x_eta[k]
-    rhs = pref * det_lu(mat) / det_lu(den)
+    den = 1 / np.sinh((pair.pr[None, :] - pair.qr[:, None] - params.eta) / 2)
+    pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p_poly.roots)) \
+        * np.prod(np.divide(pair.q.x, pair.q.x_eta))
+    mat_det, den_det = det_lu([mat, den])
+    rhs = pref * mat_det / den_det
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, dev
 
 
-def _tau_dq_matrix(params: ModelParams, table: QTable, z, ws) -> list[list[complex]]:
-    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) for the eigenvalue of
-    ``table``, with its removable limits.
+def _tau_dq_matrix(params: ModelParams, tau, z, ws: np.ndarray) -> np.ndarray:
+    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) for the eigenvalue
+    ``tau``, with its removable limits.
 
     tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
-    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated on first use, once
-    per table and point (``_tau_hat``)."""
-    rows = []
-    for zi in z:
-        row = []
-        for w in ws:
-            u = zi - w
-            m = round(u.imag / np.pi)
-            if abs(u - 1j * np.pi * m) < _COLLISION_TOL:
-                row.append((-1.0) ** m * tau_hat_deriv(params, table.tau, w))
-                continue
-            row.append((_tau_hat(params, table, zi) - _tau_hat(params, table, w))
-                       / cmath.sinh(u))
-        rows.append(row)
-    return rows
+    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated at every z_i and
+    w_k in one batch."""
+    z = np.asarray(z, dtype=np.complex128)
+    hat = tau_hat(params, tau, np.concatenate([z, ws]))
+    u = z[:, None] - ws[None, :]
+    m = np.round(u.imag / np.pi)
+    limit = np.abs(u - 1j * np.pi * m) < _COLLISION_TOL
+    mat = (hat[:len(z), None] - hat[None, len(z):]) / np.sinh(np.where(limit, 1.0, u))
+    for i, k in np.argwhere(limit):
+        mat[i, k] = (-1.0) ** m[i, k] * tau_hat_deriv(params, tau, ws[k])
+    return mat
 
 
 def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
     """Eigenvalue-labelled matrix dq - alpha * dp, from the two halves of
     ``PairContext.tau_dq`` (rows at the z-points, columns at P-roots)."""
-    n = len(dq)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for k in range(n):
-            mat[i, k] = dq[i][k] - alpha * dp[i][k]
-    return mat
-
-
-def _tau_prefactor(params: ModelParams, tq_xi, p_roots, z) -> complex:
-    """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
-    (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
-    n = params.n
-    num = 1.0 + 0.0j
-    for i in range(n):
-        for j in range(n):
-            num *= cmath.sinh(z[i] - params.xi[j]) * cmath.sinh(params.xi[j] - p_roots[i])
-    den = cmath.exp(sum(params.xi))
-    for j, tq in enumerate(tq_xi):
-        if abs(tq) < 1e-12:
-            raise SingularEvaluationError(f"tau_Q vanishes at xi_{j+1}")
-        den *= tq
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= cmath.sinh(z[j] - z[i]) * cmath.sinh(p_roots[i] - p_roots[j])
-    return num / den
+    return dq - alpha * dp
 
 
 def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     """Scalar product written through the eigenvalue functions.
 
     Returns (izergin_form, slavnov_form); the rows of the second form sit at
-    the context's ``z``, which may be any pairwise-distinct points away from
-    the tau_hat poles.
+    the context's ``z``, which may be any N points pairwise apart modulo
+    i*pi and away from the tau_hat poles.
     """
     params = pair.params
-    n = params.n
-    p, q = pair.eigen_tables()
-    pr = p.roots
-    ratio = kappa2 / kappa
-    tp_xi, tq_xi = p.tau_x, q.tau_x
-    num = np.zeros((n, n), dtype=np.complex128)
-    den = np.zeros((n, n), dtype=np.complex128)
-    for i, x in enumerate(params.xi):
-        tq = tq_xi[i]
-        tp = tp_xi[i]
-        if abs(tq) < 1e-12:
-            raise SingularEvaluationError(f"tau_Q vanishes at xi_{i+1}")
-        for k in range(n):
-            num[i, k] = tq / cmath.sinh(x - pr[k]) \
-                - ratio * tp / cmath.sinh(x - pr[k] - params.eta)
-            den[i, k] = tq / cmath.sinh(x - pr[k])
-
-    z = pair.z
-    if len(z) != n:
-        raise ParameterError("z must provide N points")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) < 1e-10:
-                raise ParameterError("z points must be pairwise distinct")
-    num_det, den_det, mat_det = det_lu([num, den, tau_matrix(*pair.tau_dq, ratio)])
-    slavnov_form = pair.tau_prefactor * mat_det
-    return num_det / den_det, slavnov_form
+    p, _ = pair.eigen_tables()
+    tq = _nonvanishing_tau_q(pair)
+    u = np.asarray(params.xi)[:, None] - pair.pr[None, :]
+    den = tq[:, None] / np.sinh(u)
+    num = den - (kappa2 / kappa) * p.tau.values[:, None] / np.sinh(u - params.eta)
+    num_det, den_det, mat_det = det_lu(
+        [num, den, tau_matrix(*pair.tau_dq, kappa2 / kappa)])
+    return num_det / den_det, pair.tau_prefactor * mat_det
 
 
 def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
     """Equal-function scalar product: (twisted-Izergin form, compact N x N form)."""
-    collision = _node_collision(params, q_poly)
-    if collision:
-        raise SingularEvaluationError(collision)
-    n = params.n
-    qr = q_poly.roots
-    f_vals = [alpha for _ in params.xi]
-    izergin_form = izergin_ratio(params.xi, qr, f_vals, params.eta)
-    mat = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        ratio = params.d_fn(qr[k]) / params.a_fn(qr[k])
-        prod = sinh_prod(qr[k] - ql + params.eta for ql in qr) \
-            / sinh_prod(qr[k] - ql for l, ql in enumerate(qr) if l != k)
-        for j in range(n):
-            mat[j, k] -= ratio * prod * alpha / cmath.sinh(qr[k] - qr[j] + params.eta)
-    compact_form = det_lu(mat)
+    _require_roots_off_nodes(params, q_poly.roots)
+    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+    izergin_form = izergin_ratio(params.xi, qr, [alpha] * params.n, params.eta)
+    diff = qr[:, None] - qr[None, :]  # q_k - q_l at (k, l)
+    s_eta = np.sinh(diff + params.eta)
+    prod = s_eta.prod(axis=1) / np.diagonal(products_except(np.sinh(diff)))
+    ratio = np.array([params.d_fn(x) / params.a_fn(x) for x in qr])
+    # entry (j, k) subtracts ratio_k prod_k alpha / sinh(q_k - q_j + eta)
+    compact_form = det_lu(np.eye(params.n) - ratio * prod * alpha / s_eta.T)
     return izergin_form, compact_form
 
 
@@ -594,34 +494,42 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
 def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> list[complex]:
     """prod_{k <= s - shift} tau_P(xi_k) / prod_{k <= s} tau_Q(xi_k) for each
     site s (1-based) in ``sites``, from the values at the nodes."""
-    p, q = pair.eigen_tables()
-    ratios = []
+    p, _ = pair.eigen_tables()
     for site in sites:
         if not 1 <= site <= pair.params.n:
             raise ParameterError(f"site {site} outside 1..{pair.params.n}")
-        out = 1.0 + 0.0j
-        for k in range(site - shift):
-            out *= p.tau_x[k]
-        for k in range(site):
-            tq = q.tau_x[k]
-            if abs(tq) < 1e-12:
-                raise SingularEvaluationError(f"tau_Q vanishes at xi_{k+1}")
-            out /= tq
-        ratios.append(out)
-    return ratios
+    tq = _nonvanishing_tau_q(pair, max(sites, default=0))
+    tp_prod = np.cumprod(np.concatenate([[1.0], p.tau.values]))
+    tq_prod = np.cumprod(np.concatenate([[1.0], tq]))
+    return [tp_prod[site - shift] / tq_prod[site] for site in sites]
 
 
-def _rank1_sigma_z(pair: PairContext, col: np.ndarray, site: int) -> np.ndarray:
-    params, p, q, k = pair.params, pair.p, pair.q, site - 1
-    xs = params.xi[k]
-    eta = params.eta
-    r0 = q.x_eta[k] / p.x_eta[k]
-    r1 = q.x_eta_ipi[k] / p.x_eta_ipi[k]
-    row = np.array([
-        r0 * coth((xs - qj - eta) / 2) + r1 * coth((xs + IPI - qj - eta) / 2)
-        for qj in q.roots
-    ], dtype=np.complex128)
-    return np.outer(row, col)
+def _rank1_sigma_z(pair: PairContext) -> np.ndarray:
+    """The roots-form sigma^z rank-one terms of every site s, stacked: row
+    r0 coth((xi_s - q_j - eta)/2) + r1 coth((xi_s + i*pi - q_j - eta)/2) with
+    r0, r1 = Q/P at xi_s - eta and its i*pi shift; column P(p_k - eta)/Q(p_k - eta)."""
+    p, q = pair.p, pair.q
+    coth_x, tanh_x = pair.node_kernels
+    row = np.divide(q.x_eta, p.x_eta)[:, None] * coth_x \
+        + np.divide(q.x_eta_ipi, p.x_eta_ipi)[:, None] * tanh_x
+    return row[:, :, None] * (np.asarray(p.r_eta) / pair.q_at_p_eta)
+
+
+def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
+    """The roots-form spin-flip rank-one terms of every site s, stacked."""
+    params, p, q = pair.params, pair.p, pair.q
+    coth_x, tanh_x = pair.node_kernels
+    row = (np.divide(q.x_eta, p.x)[:, None] * coth_x
+           - np.divide(q.x_eta_ipi, p.x_ipi)[:, None] * tanh_x) \
+        * (np.exp(-np.asarray(params.xi)) * params.a_xi)[:, None]
+    col = np.multiply(p.exp_r, p.d_r) / ((-2j) ** params.n * pair.q_at_p_eta * p.r_ipi)
+    return row[:, :, None] * col
+
+
+def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> np.ndarray:
+    """site_factor_s col_k / sinh(z_i - xi_s) at (s, i, k): the
+    eigenvalue-form rank-one terms of every site s, stacked."""
+    return (site_factor / pair.z_xi_sinh).T[:, :, None] * np.asarray(col)
 
 
 def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
@@ -630,52 +538,20 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
     params = pair.params
     ratios = _tau_prod_ratios(pair, sites, 0)
     p, q = pair.p, pair.q
+    at = np.asarray(sites) - 1
     if form == "roots":
         s1 = slavnov_matrix(pair.halves, 1.0)
-        col = np.array([pe / qe for pe, qe in zip(p.r_eta, pair.q_at_p_eta)],
-                       dtype=np.complex128)
         den = pair.cauchy_det
-        dets = det_lu([s1 - _rank1_sigma_z(pair, col, site) for site in sites])
+        dets = det_lu(s1 - _rank1_sigma_z(pair)[at])
         return [-pq_ratio * d / den for pq_ratio, d in zip(ratios, dets)]
     if form == "tau":
-        z = pair.z
         mat = tau_matrix(*pair.tau_dq, 1.0)
-        d_p, p_eta, p_ipi = p.d_r, p.r_eta, p.r_ipi
-        mats = []
-        for site in sites:
-            xs = params.xi[site - 1]
-            tq_xs = q.tau_x[site - 1]
-            e_xs = cmath.exp(xs)
-            p_xs_eta = p.x_eta[site - 1]
-            p_xs_ipi = p.x_ipi[site - 1]
-            rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-            for i in range(params.n):
-                s_zx = cmath.sinh(z[i] - xs)
-                for l in range(params.n):
-                    rank1[i, l] = e_xs * tq_xs / (d_p[l] * s_zx) \
-                        * (p_eta[l] / p_xs_eta) * (p_ipi[l] / p_xs_ipi)
-            mats.append(mat + rank1)
+        site_factor = np.exp(np.asarray(params.xi)) * q.tau.values \
+            / np.multiply(p.x_eta, p.x_ipi)
+        rank1 = _tau_rank1(pair, site_factor, np.multiply(p.r_eta, p.r_ipi) / p.d_r)
         pref = pair.tau_prefactor
-        return [-pref * pq_ratio * d for pq_ratio, d in zip(ratios, det_lu(mats))]
+        return [-pref * pq_ratio * d for pq_ratio, d in zip(ratios, det_lu(mat + rank1[at]))]
     raise ParameterError(f"unknown form {form!r}")
-
-
-def _rank1_sigma_minus(pair: PairContext, col_den: list[complex], site: int) -> np.ndarray:
-    params, p, q, k = pair.params, pair.p, pair.q, site - 1
-    xs = params.xi[k]
-    eta = params.eta
-    a_xs = params.a_xi[k]
-    col = np.array([
-        cmath.exp(-xs + pk) * a_xs * d / den
-        for pk, d, den in zip(p.roots, p.d_r, col_den)
-    ], dtype=np.complex128)
-    r0 = q.x_eta[k] / p.x[k]
-    r1 = q.x_eta_ipi[k] / p.x_ipi[k]
-    row = np.array([
-        r0 * coth((xs - qj - eta) / 2) - r1 * coth((xs - qj - eta + IPI) / 2)
-        for qj in q.roots
-    ], dtype=np.complex128)
-    return np.outer(row, col)
 
 
 def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
@@ -691,34 +567,20 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
     ratios = _tau_prod_ratios(pair, sites, 1)
     p, q = pair.p, pair.q
     alpha = cmath.exp(-params.eta)
+    at = np.asarray(sites) - 1
     if form == "roots":
-        pref = eps * kappa * cmath.exp(
-            -(sum(p.roots) - sum(params.xi))
-        )
+        pref = eps * kappa * cmath.exp(-(sum(p.roots) - sum(params.xi)))
         se = slavnov_matrix(pair.halves, alpha)
-        col_den = [(-2j) ** params.n * qe * pp for qe, pp in zip(pair.q_at_p_eta, p.r_ipi)]
         den = pair.cauchy_det
-        se_det, *dets = det_lu(
-            [se] + [se - _rank1_sigma_minus(pair, col_den, site) for site in sites])
+        se_det, *dets = det_lu(np.concatenate([se[None], se - _rank1_sigma_minus(pair)[at]]))
         return [pref * pq_ratio * (d - se_det) / den for pq_ratio, d in zip(ratios, dets)]
     if form == "tau":
-        z = pair.z
         mat = tau_matrix(*pair.tau_dq, alpha)
         pref = eps * kappa * cmath.exp(-sum(p.roots)) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        mats = [mat]
-        for site in sites:
-            xs = params.xi[site - 1]
-            p_xs = _sinh_at_nodes(params, p)[site - 1]
-            rank1 = np.zeros((params.n, params.n), dtype=np.complex128)
-            tq_xs = q.tau_x[site - 1]
-            a_xs = params.a_xi[site - 1]
-            for i in range(params.n):
-                s_zx = cmath.sinh(z[i] - xs)
-                for k, e_pk in enumerate(p.exp_r):
-                    rank1[i, k] = e_pk * a_xs * tq_xs / (p_xs * s_zx)
-            mats.append(mat + rank1)
-        mat_det, *dets = det_lu(mats)
+        site_factor = np.multiply(params.a_xi, q.tau.values) / p.sinh_x
+        rank1 = _tau_rank1(pair, site_factor, p.exp_r)
+        mat_det, *dets = det_lu(np.concatenate([mat[None], mat + rank1[at]]))
         return [pref * pq_ratio * (d - mat_det) for pq_ratio, d in zip(ratios, dets)]
     raise ParameterError(f"unknown form {form!r}")
 
@@ -727,33 +589,21 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
 # generic-argument matrix elements of B and D
 
 
-def _slavnov_entry(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly, alpha: complex,
-                   qj: complex, w: complex) -> complex:
-    """Scalar-product matrix entry with the column argument at an arbitrary w."""
+def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarray:
+    """Replacement column for the generic-argument matrix element formulas:
+    the scalar-product matrix entry with its column argument at mu, less its
+    i*pi-shifted partner."""
+    params, p_poly, q_poly, q = pair.params, pair.p.poly, pair.q.poly, pair.q
     eta = params.eta
-    base = coth((w - qj - eta) / 2)
-    mid = alpha * a_frak(params, q_poly, w) * coth((w - qj) / 2)
-    cross = -2 * alpha * (params.d_fn(w) * q_poly(qj + eta) * p_poly(qj + IPI)
-                          / (params.a_fn(qj) * q_poly(w - eta) * p_poly(w + IPI))) \
-        / cmath.sinh(w - qj)
-    return base + mid + cross
-
-
-def _sell_mu_column(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                    q_poly: HalfPeriodTrigPoly, alpha: complex,
-                    mu: complex) -> np.ndarray:
-    """Replacement column for the generic-argument matrix element formulas."""
-    eta = params.eta
-    factor = (q_poly(mu - eta + IPI) * p_poly(mu)) \
-        / (q_poly(mu - eta) * p_poly(mu + IPI))
-    afrak_ipi = a_frak(params, q_poly, mu + IPI)
-    col = np.zeros(params.n, dtype=np.complex128)
-    for j, qj in enumerate(q_poly.roots):
-        col[j] = _slavnov_entry(params, p_poly, q_poly, alpha, qj, mu) \
-            - factor * (coth((mu - qj - eta + IPI) / 2)
-                        + alpha * afrak_ipi * coth((mu - qj + IPI) / 2))
-    return col
+    q_mu_eta, q_mu_eta_ipi = q_poly.values([mu - eta, mu - eta + IPI])
+    p_mu, p_mu_ipi = p_poly.values([mu, mu + IPI])
+    factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
+    u = mu - pair.qr
+    cross = -2 * alpha * (params.d_fn(mu) * np.asarray(q.r_eta_plus) * p_poly.values(pair.qr + IPI)
+                          / (np.asarray(q.a_r) * q_mu_eta * p_mu_ipi)) / np.sinh(u)
+    entry = _coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * _coth(u / 2) + cross
+    return entry - factor * (_coth((u - eta + IPI) / 2)
+                             + alpha * a_frak(params, q_poly, mu + IPI) * _coth((u + IPI) / 2))
 
 
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
@@ -761,17 +611,35 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     """Matrix element of B(mu) between normalized separate eigenstates."""
     params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
     alpha = eps * eps2 * kappa2 / kappa
-    eta = params.eta
+    eta, n = params.eta, params.n
     smat = slavnov_matrix(pair.halves, alpha)
-    den = pair.cauchy_det
-    bracket = (p_poly(mu - eta) / p_poly(mu)
-               - p_poly(mu - eta + IPI) / p_poly(mu + IPI)) * det_lu(smat)
-    col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
-    for l, (p_eta, q_eta) in enumerate(zip(pair.p.r_eta, pair.q_at_p_eta)):
-        swap = smat.copy()
-        swap[:, l] = col
-        bracket -= (p_eta / p_poly(mu)) * (q_poly(mu - eta) / q_eta) * det_lu(swap)
-    return -eps * kappa * params.a_fn(mu) / 2 * bracket / den
+    # swaps[l] is smat with its column l replaced by the mu column
+    swaps = np.repeat(smat[None], n, axis=0)
+    swaps[np.arange(n), :, np.arange(n)] = _sell_mu_column(pair, alpha, mu)
+    smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
+    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly.values([mu, mu - eta, mu + IPI,
+                                                            mu - eta + IPI])
+    weights = (np.asarray(pair.p.r_eta) / p_mu) * (q_poly(mu - eta) / pair.q_at_p_eta)
+    bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
+        - np.sum(weights * swap_dets)
+    return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det
+
+
+def matel_d(pair: PairContext, mu: complex) -> complex:
+    """Matrix element of D(mu) between same-twist normalized eigenstates."""
+    params, p_poly, q_poly, p = pair.params, pair.p.poly, pair.q.poly, pair.p
+    eta = params.eta
+    alpha = cmath.exp(-eta)
+    p_mu = np.prod(np.sinh(mu - pair.pr))
+    a_mu = params.a_fn(mu)
+    col_scale = cmath.exp(-mu) * a_mu * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
+    big = np.block([
+        [slavnov_matrix(pair.halves, alpha), col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
+        [(np.multiply(p.exp_r, p.d_r) / (pair.q_at_p_eta * p.r_ipi))[None, :],
+         np.array([[a_mu * params.d_fn(mu) / p_mu]])],
+    ])
+    pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
+    return pref * det_lu(big) / pair.cauchy_det
 
 
 # ---------------------------------------------------------------------------
@@ -782,82 +650,67 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
                         q_poly: HalfPeriodTrigPoly, beta: complex) -> float:
     """Entrywise defect of the kernel-matrix contraction against its three-term
     closed form (the residue evaluation used to relabel rows by Q-roots)."""
-    n = params.n
     eta = params.eta
-    pr, qr = p_poly.roots, q_poly.roots
-    xmat = np.zeros((n, n), dtype=np.complex128)
-    mmat = np.zeros((n, n), dtype=np.complex128)
-    for b, xb in enumerate(params.xi):
-        den = sinh_prod(xb - xl for l, xl in enumerate(params.xi) if l != b)
-        ftb = f_tilde(params, p_poly, q_poly, xb)
-        for a in range(n):
-            xmat[a, b] = (q_poly(xb - eta) * p_poly(xb + IPI)
-                          * coth((xb - qr[a] - eta) / 2)
-                          - q_poly(xb - eta + IPI) * p_poly(xb)
-                          * coth((xb - qr[a] - eta + IPI) / 2)) / den
-        for k in range(n):
-            mmat[b, k] = 1 / cmath.sinh(xb - pr[k]) \
-                + beta * ftb / cmath.sinh(xb - pr[k] - eta)
+    xi = np.asarray(params.xi, dtype=np.complex128)
+    pr = np.asarray(p_poly.roots, dtype=np.complex128)
+    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+    # prod_{l != b} sinh(xi_b - xi_l) per node b
+    node_den = np.diagonal(products_except(sinh_rows(xi, xi)))
+    p_x, p_x_ipi, p_x_eta_ipi = (p_poly.values(xi + s) for s in (0, IPI, IPI - eta))
+    q_x, q_x_eta, q_x_eta_ipi = (q_poly.values(xi + s) for s in (0, -eta, IPI - eta))
+    ft = np.array([f_tilde_values(*v) for v in zip(p_x_eta_ipi, q_x, p_x_ipi, q_x_eta)])
+    v = xi[None, :] - qr[:, None] - eta  # xi_b - q_a - eta at (a, b)
+    xmat = (q_x_eta * p_x_ipi * _coth(v / 2)
+            - q_x_eta_ipi * p_x * _coth((v + IPI) / 2)) / node_den
+    w = xi[:, None] - pr[None, :]  # xi_b - p_k at (b, k)
+    mmat = 1 / np.sinh(w) + beta * ft[:, None] / np.sinh(w - eta)
     direct = xmat @ mmat
-    worst = 0.0
-    for j in range(n):
-        for k in range(n):
-            closed = (
-                2 * beta * q_poly(qr[j] + eta) / params.a_fn(qr[j])
-                * _phat_over_sinh(pr, k, qr[j])
-                - q_poly(pr[k] - eta) * p_poly(pr[k] + IPI) / params.d_fn(pr[k])
-                * coth((pr[k] - qr[j] - eta) / 2)
-                - beta * q_poly(pr[k] + eta) * p_poly(pr[k] + IPI) / params.a_fn(pr[k])
-                * coth((pr[k] - qr[j]) / 2)
-            )
-            worst = max(worst, abs(direct[j, k] - closed)
-                        / max(abs(direct[j, k]), abs(closed), 1e-30))
-    return worst
+    u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
+    a_q = np.array([params.a_fn(x) for x in qr])
+    a_p = np.array([params.a_fn(x) for x in pr])
+    d_p = np.array([params.d_fn(x) for x in pr])
+    p_ipi = p_poly.values(pr + IPI)
+    closed = (2 * beta * q_poly.values(qr + eta) / a_q)[:, None] * _p_ipi_over_sinh(pr, qr) \
+        - q_poly.values(pr - eta) * p_ipi / d_p * _coth((u - eta) / 2) \
+        - beta * q_poly.values(pr + eta) * p_ipi / a_p * _coth(u / 2)
+    scale = np.maximum(np.maximum(np.abs(direct), np.abs(closed)), 1e-30)
+    return float(np.max(np.abs(direct - closed) / scale))
 
 
 def half_period_split_check(pair: PairContext, alpha: complex):
     """Deviations of the two double-period intermediate determinant forms from
     the weighted Izergin value, plus the entrywise defect between the two
     printed variants of the Q-labelled kernel."""
-    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
-    n = params.n
-    eta = params.eta
-    pr, qr = p_poly.roots, q_poly.roots
+    params, p, q = pair.params, pair.p, pair.q
+    n, eta = params.n, params.eta
+    xi = np.asarray(params.xi, dtype=np.complex128)
+    pr, qr = pair.pr, pair.qr
     ref = sp_izergin(pair, alpha)
-    den = np.zeros((n, n), dtype=np.complex128)
-    m1 = np.zeros((n, n), dtype=np.complex128)
-    m2a = np.zeros((n, n), dtype=np.complex128)
-    m2b = np.zeros((n, n), dtype=np.complex128)
-    for i, x in enumerate(params.xi):
-        ft = f_tilde(params, p_poly, q_poly, x)
-        ft_ipi = f_tilde(params, p_poly, q_poly, x + IPI)
-        fac1 = 1j * (p_poly(x) * q_poly(x + IPI)) / (p_poly(x + IPI) * q_poly(x))
-        fac2 = 1j * (p_poly(x) * q_poly(x + IPI - eta)) / (p_poly(x + IPI) * q_poly(x - eta))
-        for k in range(n):
-            den[i, k] = 1 / cmath.sinh(x - pr[k])
-            m1[i, k] = (1 / cmath.sinh((x - pr[k]) / 2)
-                        - 1j / cmath.sinh((x - pr[k] + IPI) / 2)
-                        + alpha * cmath.exp(-eta / 2)
-                        * (ft / cmath.sinh((x - pr[k] - eta) / 2)
-                           - 1j * ft_ipi / cmath.sinh((x - pr[k] - eta + IPI) / 2)))
+    # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
+    ft = np.array([f_tilde_values(*v) for v in zip(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)])
+    ft_ipi = np.array([f_tilde_values(*v) for v in zip(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)])
+    fac1 = 1j * np.multiply(p.x, q.x_ipi) / np.multiply(p.x_ipi, q.x)
+    fac2 = 1j * np.multiply(p.x, q.x_eta_ipi) / np.multiply(p.x_ipi, q.x_eta)
+    em = cmath.exp(-eta / 2)
+    w = xi[:, None] - pr[None, :]  # xi_i - p_k at (i, k)
+    den = 1 / np.sinh(w)
+    m1 = (1 / np.sinh(w / 2) - 1j / np.sinh((w + IPI) / 2)
+          + alpha * em * (ft[:, None] / np.sinh((w - eta) / 2)
+                          - 1j * ft_ipi[:, None] / np.sinh((w - eta + IPI) / 2)))
+    v = xi[:, None] - qr[None, :]  # xi_i - q_k at (i, k)
 
-            def core(shift):
-                return (1 / cmath.sinh((x - qr[k] + shift) / 2)
-                        - alpha * cmath.exp(-eta / 2)
-                        / cmath.sinh((x - qr[k] - eta + shift) / 2))
+    def core(shift):
+        return 1 / np.sinh((v + shift) / 2) - alpha * em / np.sinh((v - eta + shift) / 2)
 
-            m2a[i, k] = core(0) - fac1 * core(IPI)
-            m2b[i, k] = core(0) + fac2 * core(IPI)
-    den_det = det_lu(den)
+    m2a = core(0) - fac1[:, None] * core(IPI)
+    m2b = core(0) + fac2[:, None] * core(IPI)
+    den_det, m1_det, m2a_det = det_lu([den, m1, m2a])
     pref = cmath.exp(sum(params.xi[i] - pr[i] for i in range(n)) / 2) / 2**n
-    val_p = pref * det_lu(m1) / den_det
-    pref_q = pref
-    for x in params.xi:
-        pref_q *= q_poly(x) / p_poly(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref_q *= cmath.sinh((pr[j] - pr[i]) / 2) / cmath.sinh((qr[j] - qr[i]) / 2)
-    val_q = pref_q * det_lu(m2a) / den_det
+    val_p = pref * m1_det / den_det
+    i, j = np.triu_indices(n, 1)
+    pref_q = pref * np.prod(np.divide(q.x, p.x)) \
+        * np.prod(np.sinh((pr[j] - pr[i]) / 2) / np.sinh((qr[j] - qr[i]) / 2))
+    val_q = pref_q * m2a_det / den_det
     scale = max(abs(ref), 1e-30)
     kernel_dev = float(np.max(np.abs(m2a - m2b)) / max(np.max(np.abs(m2a)), 1e-30))
     return abs(val_p - ref) / scale, abs(val_q - ref) / scale, kernel_dev
@@ -936,26 +789,3 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
     out["extension_limit_rational"] = float(extension_limit_check(
         params, lambda u: e_weight(zw, params.eta, u), cmath.exp(-2 * params.eta)))
     return out
-
-
-def matel_d(pair: PairContext, mu: complex) -> complex:
-    """Matrix element of D(mu) between same-twist normalized eigenstates."""
-    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
-    n = params.n
-    eta = params.eta
-    alpha = cmath.exp(-eta)
-    smat = slavnov_matrix(pair.halves, alpha)
-    big = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    big[:n, :n] = smat
-    col = _sell_mu_column(params, p_poly, q_poly, alpha, mu)
-    p_mu = sinh_prod(mu - pl for pl in p_poly.roots)
-    col_scale = cmath.exp(-mu) * params.a_fn(mu) \
-        * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
-    big[:n, n] = col_scale * col
-    p = pair.p
-    for k in range(n):
-        big[n, k] = p.exp_r[k] * p.d_r[k] / (pair.q_at_p_eta[k] * p.r_ipi[k])
-    big[n, n] = params.a_fn(mu) * params.d_fn(mu) / p_mu
-    den = pair.cauchy_det
-    pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
-    return pref * det_lu(big) / den

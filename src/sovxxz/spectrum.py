@@ -39,6 +39,7 @@ from .model import (
     q_table,
     products_except,
     residual_grid,
+    sinh_rows,
 )
 from .sov import SovBasis, separate_state
 
@@ -59,12 +60,19 @@ class EigenRecord:
     certified: bool = False
 
 
-def tau_hat(params: ModelParams, tau, lam: complex) -> complex:
-    """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio."""
-    d = params.d_fn(lam)
-    if abs(d) < 1e-13:
-        raise SingularEvaluationError(f"tau_hat evaluated at a zero of d (lam={lam})")
-    return cmath.exp(lam) * tau(lam) / d
+def tau_hat(params: ModelParams, tau, lam):
+    """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, at the
+    point lam, or at every point of the array lam as one batch: tau from the
+    weight rows of its interpolation basis, d as the row products of
+    sinh(lam - xi_k)."""
+    points = np.atleast_1d(np.asarray(lam, dtype=np.complex128))
+    d = np.prod(sinh_rows(points, params.xi), axis=1)
+    zero = np.abs(d) < 1e-13
+    if zero.any():
+        raise SingularEvaluationError(
+            f"tau_hat evaluated at a zero of d (lam={complex(points[np.argmax(zero)])})")
+    hat = np.exp(points) * (tau.basis.weights(points) @ tau.values) / d
+    return hat if np.ndim(lam) else complex(hat[0])
 
 
 def tau_hat_deriv(params: ModelParams, tau, lam: complex) -> complex:

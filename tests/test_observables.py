@@ -20,10 +20,10 @@ from sovxxz.linalg import det_lu
 from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
+    InterpolationBasis,
     TrigInterpolation,
     coth,
     dist_mod_2ipi,
-    point_key,
 )
 from sovxxz.sov import SovBasis, matrix_element, overlap, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
@@ -304,8 +304,7 @@ class TestFormFactors:
         # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
         pair = obs.PairContext(params3, records3[0].table, records3[3].table)
         s_mat = obs.slavnov_matrix(pair.halves, 1.0)
-        col = np.array([pe / qe for pe, qe in zip(pair.p.r_eta, pair.q_at_p_eta)])
-        p_mat = obs._rank1_sigma_z(pair, col, 2)
+        p_mat = obs._rank1_sigma_z(pair)[1]  # site 2
         assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
         direct = det_lu(s_mat - p_mat)
         u, s, vh = np.linalg.svd(p_mat)
@@ -338,36 +337,32 @@ class TestPairContext:
             obs.ff_sigma_pm(pair, params3.kappa, 1, sites, form)
             assert shapes == [(4, 3, 3)]
 
-    def test_tau_hat_evaluated_once_per_record_and_point(self, tmp_path, monkeypatch):
-        # in one observables run, each record's tau_hat is evaluated once at
-        # each point a pair formula needs: every record's roots (its own
-        # and the other records') and its own roots + eta
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"n": 3}')
-        eta = load_config(cfg, seed_override=100001).params.eta
-        evaluations = Counter()
-        records = []
-        evaluate, solve = obs.tau_hat, cli.solve_spectrum
+    def test_batched_tau_hat_equals_scalar_formula(self, params3, records3, monkeypatch):
+        # tau_hat on an array of points is e^lam tau(lam) / d(lam) from the
+        # scalar interpolation and d, to 1e-13 relative; one pair evaluates
+        # it in two batches, one per eigenvalue, for all its formulas
+        g = rng(66)
+        points = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(6)])
+        for rec in records3[:3]:
+            for lam, got in zip(points, tau_hat(params3, rec.tau, points)):
+                want = cmath.exp(lam) * rec.tau(lam) / params3.d_fn(lam)
+                assert rel_dev(got, want) <= 1e-13
+        calls = []
+        evaluate = obs.tau_hat
 
         def counted(params, tau, lam):
-            evaluations[id(tau), point_key(lam)] += 1
+            calls.append((id(tau), np.shape(lam)))
             return evaluate(params, tau, lam)
 
-        def solve_and_keep(*args, **kwargs):
-            records.extend(solve(*args, **kwargs))
-            return records
-
         monkeypatch.setattr(obs, "tau_hat", counted)
-        monkeypatch.setattr(cli, "solve_spectrum", solve_and_keep)
-        assert cli.main(["observables", "--config", str(cfg), "--seed", "100001",
-                         "--out", str(tmp_path / "r.json")]) == 1
-        n, count = 3, len(records)
-        assert 0 < sum(evaluations.values()) <= count * (count * n + n) == 216
-        assert max(evaluations.values()) == 1
-        for rec in records:
-            for q in rec.q_poly.roots:
-                assert evaluations[id(rec.tau), point_key(q)] == 1
-                assert evaluations[id(rec.tau), point_key(q + eta)] == 1
+        n, sites = params3.n, range(1, params3.n + 1)
+        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
+            calls.clear()
+            pair = obs.PairContext(params3, rp.table, rq.table)
+            obs.sp_tau(pair, params3.kappa, KAPPA2)
+            obs.ff_sigma_z(pair, sites, "tau")
+            obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")
+            assert calls == [(id(rq.tau), (2 * n,)), (id(rp.tau), (2 * n,))]
 
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation,
@@ -399,28 +394,50 @@ class TestPairContext:
         [default] = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), [2], "tau")
         assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0], default) < 1e-8
 
+    @pytest.mark.parametrize("entry_point", ["sp_tau", "ff_sigma_z", "ff_sigma_pm"])
+    def test_bad_z_rows_refused(self, params3, records3, entry_point):
+        # too few points, a repeated point and two points an i*pi apart
+        # (where tau_hat repeats its value) are refused by every eigenvalue form
+        evaluate = {
+            "sp_tau": lambda pair: obs.sp_tau(pair, params3.kappa, KAPPA2),
+            "ff_sigma_z": lambda pair: obs.ff_sigma_z(pair, [1, 2], "tau"),
+            "ff_sigma_pm": lambda pair: obs.ff_sigma_pm(pair, params3.kappa, 1, [1, 2], "tau"),
+        }[entry_point]
+        rp, rq = records3[1], records3[5]
+        z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
+        for bad in (z[:2], [z[0], z[0], z[2]], [z[0], z[0] + IPI, z[2]]):
+            with pytest.raises(ParameterError, match="z "):
+                evaluate(obs.PairContext(params3, rp.table, rq.table, z=bad))
+
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
-        # the cached halves enter the same scalar arithmetic as the per-entry
-        # formula, so the matrices agree to the bit, removable limits included
+        # the batched halves equal the per-entry scalar formula to 1e-13
+        # relative, removable limits included (numpy's array arithmetic rounds
+        # differently from Python's scalar complex arithmetic)
         alpha = cmath.exp(-params3.eta)
+
+        def hat(rec, lam):
+            return cmath.exp(lam) * rec.tau(lam) / params3.d_fn(lam)
 
         def dq(rec, z, w):
             u = z - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < 1e-9:
                 return (-1.0) ** m * tau_hat_deriv(params3, rec.tau, w)
-            return (tau_hat(params3, rec.tau, z) - tau_hat(params3, rec.tau, w)) / cmath.sinh(u)
+            return (hat(rec, z) - hat(rec, w)) / cmath.sinh(u)
 
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
                        (records3[0], records3[3])]:
             pair = obs.PairContext(params3, rp.table, rq.table)
             ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
                              for p in rp.q_poly.roots] for z in rq.q_poly.roots])
-            assert np.array_equal(obs.tau_matrix(*pair.tau_dq, alpha), ref)
+            got = obs.tau_matrix(*pair.tau_dq, alpha)
+            assert got.shape == ref.shape
+            assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), ref.ravel()))
 
     def test_slavnov_matrix_equals_entrywise_formula(self, params3, records3):
-        # the alpha-free halves enter the same scalar arithmetic as the
-        # per-entry formula, so the matrices agree to the bit, same-roots
+        # the matrices built from the alpha-free halves equal the per-entry
+        # scalar formula to 1e-13 relative (numpy's array arithmetic rounds
+        # differently from Python's scalar complex arithmetic), same-roots
         # limits and the gamma deformation included; the formula reads
         # a, d, P and Q at the roots from the records' tables, as the halves
         # do (test_table_equals_fresh_evaluation checks those values)
@@ -428,6 +445,16 @@ class TestPairContext:
 
         def kern(u, gamma):
             return coth(u / 2) if gamma is None else obs._s_gamma(u, gamma)
+
+        def phat_over_sinh(pr, k, qj):
+            # P(q_j + i*pi) / sinh(p_k - q_j) in product form: with
+            # w = q_j + i*pi, prod_{l != k} sinh((w - p_l)/2) / (2 cosh((w - p_k)/2))
+            w = qj + IPI
+            num = 1.0 + 0.0j
+            for l, pl in enumerate(pr):
+                if l != k:
+                    num *= cmath.sinh((w - pl) / 2)
+            return num / (2 * cmath.cosh((w - pr[k]) / 2))
 
         def entry(rp, rq, alpha, gamma, j, k):
             pt, qt, q_poly = rp.table, rq.table, rq.q_poly
@@ -450,7 +477,7 @@ class TestPairContext:
             mid = alpha * afrak_p * kern(pk - qj, gamma)
             cross = -2 * alpha * (pt.d_r[k] * qt.r_eta_plus[j]
                                   / (qt.a_r[j] * q_minus * pt.r_ipi[k])) \
-                * obs._phat_over_sinh(pr, k, qj)
+                * phat_over_sinh(pr, k, qj)
             return kern(pk - qj - eta, gamma) + mid + cross
 
         n = params3.n
@@ -461,14 +488,18 @@ class TestPairContext:
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
                     ref = np.array([[entry(rp, rq, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
-                    assert np.array_equal(obs.slavnov_matrix(halves, alpha), ref)
+                    got = obs.slavnov_matrix(halves, alpha)
+                    assert got.shape == ref.shape
+                    assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), ref.ravel()))
 
     def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
-        # every P or Q value at xi_k, xi_k - eta and their i*pi translates
-        # comes from the records' node tables, not from a fresh evaluation
+        # every P or Q value at xi_k, xi_k - eta and their i*pi translates,
+        # and every tau value at xi_k, comes from the records' node tables,
+        # not from a fresh evaluation, whether one point at a time or batched
         eta = params3.eta
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
-        evaluate = HalfPeriodTrigPoly.__call__
+        evaluate, evaluate_many = HalfPeriodTrigPoly.__call__, HalfPeriodTrigPoly.values
+        weigh = InterpolationBasis.weights
         hits = []
 
         def watched(poly, lam):
@@ -476,7 +507,17 @@ class TestPairContext:
                 hits.append(lam)
             return evaluate(poly, lam)
 
+        def watched_many(poly, points):
+            hits.extend(lam for lam in np.ravel(points) if lam in nodes)
+            return evaluate_many(poly, points)
+
+        def watched_weights(basis, points):
+            hits.extend(lam for lam in np.ravel(points) if lam in nodes)
+            return weigh(basis, points)
+
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched)
+        monkeypatch.setattr(HalfPeriodTrigPoly, "values", watched_many)
+        monkeypatch.setattr(InterpolationBasis, "weights", watched_weights)
         alpha = KAPPA2 / params3.kappa
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
@@ -503,6 +544,7 @@ class TestPairContext:
         in_states, after_spectrum, on_diagonal, diagonal_pairs, records = [], [], [], [], []
         phase = {"certified": False, "state": False, "diagonal": False}
         call_tau, call_poly = TrigInterpolation.__call__, HalfPeriodTrigPoly.__call__
+        call_many, call_weights = HalfPeriodTrigPoly.values, InterpolationBasis.weights
         solve, state, make_pair = cli.solve_spectrum, cli.separate_state, obs.PairContext
 
         def counted_tau(tau, lam):
@@ -510,14 +552,28 @@ class TestPairContext:
                 tau_at_nodes[id(tau), lam] += 1
             return call_tau(tau, lam)
 
-        def watched_poly(poly, lam):
+        def counted_weights(basis, points):
+            for lam in np.ravel(points):
+                if lam in params.xi:
+                    tau_at_nodes[id(basis), lam] += 1
+            return call_weights(basis, points)
+
+        def seen(lam):
             if phase["state"]:
                 in_states.append(lam)
             elif phase["certified"]:
                 after_spectrum.append(lam)
                 if phase["diagonal"]:
                     on_diagonal.append(lam)
+
+        def watched_poly(poly, lam):
+            seen(lam)
             return call_poly(poly, lam)
+
+        def watched_many(poly, points):
+            for lam in np.ravel(points):
+                seen(lam)
+            return call_many(poly, points)
 
         def tracked_pair(params, p, q, z=None):
             phase["diagonal"] = p is q
@@ -537,7 +593,9 @@ class TestPairContext:
                 phase["state"] = False
 
         monkeypatch.setattr(TrigInterpolation, "__call__", counted_tau)
+        monkeypatch.setattr(InterpolationBasis, "weights", counted_weights)
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
+        monkeypatch.setattr(HalfPeriodTrigPoly, "values", watched_many)
         monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
         monkeypatch.setattr(cli, "separate_state", watched_state)
         monkeypatch.setattr(obs, "PairContext", tracked_pair)
