@@ -316,8 +316,8 @@ class QTable:
     ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
     ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per node in
     ``sinh_x``.  ``hat`` is the i*pi-shifted partner.  An eigen record's table
-    also holds its eigenvalue ``tau``, ``tau_x`` = tau(xi_k) and, per
-    residual-grid point lam, the row (Q(lam), Q(lam - eta), Q(lam + eta),
+    also holds its eigenvalue ``tau`` (whose ``values`` are tau(xi_k)) and,
+    per residual-grid point lam, the row (Q(lam), Q(lam - eta), Q(lam + eta),
     Qhat(lam), Qhat(lam - eta)) in ``grid``.
     """
 
@@ -336,13 +336,12 @@ class QTable:
     r_eta_plus: tuple[complex, ...]
     r_ipi: tuple[complex, ...]
     sinh_x: tuple[complex, ...]
-    tau_x: tuple[complex, ...]
     grid: tuple[tuple[complex, ...], ...]
 
 
 def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     """The ``QTable`` of ``poly``; ``tau`` is the record's eigenvalue (None for
-    a bare polynomial, which leaves ``tau_x`` empty) and ``grid`` the
+    a bare polynomial) and ``grid`` the
     ``residual_grid`` the record is certified on (empty for none)."""
     eta = params.eta
     hat = poly.shifted_ipi()
@@ -365,7 +364,6 @@ def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
         exp_r=tuple(np.exp(r).tolist()),
         r_eta=values[4], r_eta_plus=values[5], r_ipi=values[6],
         sinh_x=tuple(np.prod(-sinh_u[1], axis=0).tolist()),
-        tau_x=() if tau is None else tuple(tau(x) for x in params.xi),
         grid=tuple(zip(*values[7:], hat0.tolist(), hat_eta.tolist())),
     )
 
@@ -385,21 +383,17 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QSt
     Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
     and the root sum rule modulo i*k*pi.
     """
-    n = params.n
-    target = (0.5j) ** n
-    samples = [(0.5 * (q0 * hat_eta + hat0 * q_eta), d)
-               for (_, _, d), (q0, q_eta, _, hat0, hat_eta) in zip(grid, table.grid)]
-    best = None
-    for sign in (1, -1):
-        num, scale = 0.0, 0.0
-        for w, d in samples:
-            rhs = sign * target * d
-            num = max(num, abs(w - rhs))
-            scale = max(scale, abs(w) + abs(rhs))
-        rel = num / scale if scale > 0 else num
-        if best is None or rel < best[0]:
-            best = (rel, sign)
-    w_res, w_sign = best
+    signs = (1, -1)
+    q0, q_eta, _, hat0, hat_eta = np.array(table.grid, dtype=np.complex128).reshape(-1, 5).T
+    d = np.array([g[2] for g in grid], dtype=np.complex128)
+    w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
+    # row s: the right-hand side at Wronskian sign signs[s], per grid point
+    rhs = (np.array(signs)[:, None] * (0.5j) ** params.n) * d
+    num = np.abs(w - rhs).max(axis=1, initial=0.0)
+    scale = (np.abs(w) + np.abs(rhs)).max(axis=1, initial=0.0)
+    rel = np.divide(num, scale, out=num.copy(), where=scale > 0)
+    best = int(np.argmin(rel))  # the first sign on a tie
+    w_res, w_sign = rel[best], signs[best]
 
     s = sum(table.roots) - sum(x - params.eta / 2 for x in params.xi)
     k = round(s.imag / PI)

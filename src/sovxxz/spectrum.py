@@ -271,7 +271,7 @@ def tq_residual(table: QTable, chain: ChainValues) -> float:
 
 def discrete_char_residual(table: QTable, chain: ChainValues) -> float:
     """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta)."""
-    lhs = np.array(table.tau_x) * (chain.weights["char"] @ table.tau.values)
+    lhs = table.tau.values * (chain.weights["char"] @ table.tau.values)
     return float(np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30)))
 
 
