@@ -1,8 +1,9 @@
 """Smoke test of tools/compare_reports.py: a tree matches itself, a tree
-whose reports differ is listed as a mismatch, and reports are compared in
-canonical form (indentation alone matches, the sign of a zero does not); each
-case gets a summary line of ok runs and margins per tree, naming the seed and
-the residual that hold the minimum margin."""
+whose reports differ is listed as a mismatch that names the differing leaf
+values, and reports are compared in canonical form (indentation alone
+matches, the sign of a zero does not); each case gets a summary line of ok
+runs and margins per tree, naming the seed and the residual that hold the
+minimum margin."""
 
 import re
 import subprocess
@@ -98,6 +99,20 @@ def test_indentation_alone_matches(tmp_path):
     proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
     assert proc.returncode == 0, proc.stdout
     assert proc.stdout.splitlines()[-1] == "1 runs compared, 0 mismatched"
+
+
+def test_mismatch_names_its_leaves(tmp_path):
+    # two leaves differ, one only by the sign of a zero; the first in
+    # canonical (sorted-key) order is named
+    old = fake_tree(tmp_path / "old", '{"z": 1, "records": [{"w": 1e-15, "b": 0.0}, '
+                                      '{"w": 2.0}]}')
+    new = fake_tree(tmp_path / "new", '{"z": 1, "records": [{"w": 1e-15, "b": -0.0}, '
+                                      '{"w": 3.0}]}')
+    proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
+    assert proc.returncode == 1
+    line = proc.stdout.splitlines()[0]
+    assert re.fullmatch(r'MISMATCH spectrum \{"n": 2\} --seed 1: reports differ from byte \d+ '
+                        r"\(\d+ vs \d+ bytes\) in 2 leaf values, first records\[0\]\.b", line)
 
 
 def test_sign_of_a_zero_is_a_mismatch(tmp_path):

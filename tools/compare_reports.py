@@ -14,7 +14,9 @@ bytes are compared; each mismatch is listed, and the exit status is 1 if there
 is any, else 0.  A report's canonical form is its decoded JSON written again
 with sorted keys and no whitespace (its raw bytes where it does not decode),
 so a change of indentation alone matches, while every float bit still counts,
-the sign of a zero included.
+the sign of a zero included.  Where both reports decode, a mismatch also
+names how many leaf values differ and the report path of the first one in
+canonical order, such as ``records[3].wronskian_residual``.
 
 A change that moves report bytes on purpose is judged by its residuals
 instead, so each case also gets one summary line per tree: how many runs were
@@ -119,11 +121,41 @@ def canonical(report: bytes | None) -> bytes | None:
     return json.dumps(decoded, sort_keys=True, separators=(",", ":")).encode()
 
 
+def leaves(node, path: str = ""):
+    """Yield (path, value) for every leaf of a decoded report in canonical
+    order, an empty list or object counting as a leaf; paths read like
+    ``records[3].wronskian_residual``."""
+    if isinstance(node, dict) and node:
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def differing_leaves(a, b) -> list[str]:
+    """Paths of the leaves that differ between two decoded reports, or that
+    only one of them has; values compare by their JSON text, so the sign of a
+    zero counts."""
+    old, new = dict(leaves(a)), dict(leaves(b))
+    paths = list(old) + [p for p in new if p not in old]
+    return [p for p in paths if p not in old or p not in new
+            or json.dumps(old[p]) != json.dumps(new[p])]
+
+
 def first_difference(a: bytes | None, b: bytes | None) -> str:
+    """What differs between two canonical reports."""
     if a is None or b is None:
         return "report written by one tree only"
     at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    return f"reports differ from byte {at} ({len(a)} vs {len(b)} bytes)"
+    text = f"reports differ from byte {at} ({len(a)} vs {len(b)} bytes)"
+    try:
+        paths = differing_leaves(json.loads(a), json.loads(b))
+    except ValueError:
+        return text
+    return f"{text} in {len(paths)} leaf values, first {paths[0] or '(top level)'}"
 
 
 def worst_residual(report: dict, tolerances: dict) -> tuple[float, str] | None:
