@@ -39,7 +39,7 @@ def _dist_mod(z, w, period: float):
     # differently for about a third of arguments and costs ~13x per call
     if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
         u = np.subtract(z, w)
-        return np.abs(u - 1j * period * np.round(u.imag / period))
+        return np.abs(u - 1j * period * np.rint(u.imag / period))
     u = complex(z) - complex(w)
     return abs(u - 1j * period * round(u.imag / period))
 
@@ -72,10 +72,13 @@ def sinh_prod(args) -> complex:
 def products_except(s: np.ndarray) -> np.ndarray:
     """out[..., m] = prod_{l != m} s[..., l] along the last axis, from prefix
     and suffix products, without division, so it stays exact at zeros."""
-    one = np.ones(s.shape[:-1] + (1,), dtype=s.dtype)
-    pre = np.cumprod(np.concatenate([one, s[..., :-1]], axis=-1), axis=-1)
-    suf = np.cumprod(np.concatenate([one, s[..., :0:-1]], axis=-1), axis=-1)
-    return pre * suf[..., ::-1]
+    # row 0: 1, s_0, ..., s_{M-2}; row 1: 1, s_{M-1}, ..., s_1; one running product
+    ext = np.empty(s.shape[:-1] + (2, s.shape[-1]), dtype=s.dtype)
+    ext[..., 0] = 1
+    ext[..., 0, 1:] = s[..., :-1]
+    ext[..., 1, 1:] = s[..., :0:-1]
+    acc = ext.cumprod(axis=-1)
+    return acc[..., 0, :] * acc[..., 1, ::-1]
 
 
 def sinh_rows(points, shifts) -> np.ndarray:
@@ -247,7 +250,7 @@ class HalfPeriodTrigPoly:
 
     def values(self, points) -> np.ndarray:
         """The polynomial at every point of ``points``, as one row product."""
-        return np.prod(sinh_rows(np.asarray(points) / 2, np.asarray(self.roots) / 2), axis=1)
+        return sinh_rows(np.asarray(points) / 2, np.asarray(self.roots) / 2).prod(axis=1)
 
     def log_deriv(self, lam: complex) -> complex:
         return sum(0.5 * coth((lam - q) / 2) for q in self.roots)
@@ -341,8 +344,8 @@ class QTable:
 
 def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     """The ``QTable`` of ``poly``; ``tau`` is the record's eigenvalue (None for
-    a bare polynomial) and ``grid`` the
-    ``residual_grid`` the record is certified on (empty for none)."""
+    a bare polynomial) and ``grid`` the ``residual_grid`` the record is
+    certified on (empty for none)."""
     eta = params.eta
     hat = poly.shifted_ipi()
     xi = np.asarray(params.xi, dtype=np.complex128)

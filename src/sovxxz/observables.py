@@ -39,6 +39,7 @@ from .model import (
     f_tilde_values,
     products_except,
     sinh_rows,
+    vandermonde,
     vandermonde_rows,
 )
 from .sov import SovBasis
@@ -98,15 +99,28 @@ def _dressed_vandermonde(rows: VandermondeRows, f_vals) -> complex:
 def izergin_ratio(xs, zs, f_vals, eta: complex) -> complex:
     """det[1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] over the plain
     Cauchy determinant det[1/sinh(x_i - z_k)]."""
-    diff = np.asarray(xs, dtype=np.complex128)[:, None] - np.asarray(zs, dtype=np.complex128)
+    num_det, den_det = det_lu(_izergin_matrices(_izergin_kernels(xs, zs, eta), f_vals))
+    return num_det / den_det
+
+
+def _izergin_kernels(xs, zs, eta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """1/sinh(x_i - z_k) and 1/sinh(x_i - z_k - eta), refused where a sinh
+    vanishes."""
+    diff = np.subtract.outer(np.asarray(xs, dtype=np.complex128), zs)
     s0, s1 = np.sinh(diff), np.sinh(diff - eta)
-    near = (np.abs(s0) < 1e-13) | (np.abs(s1) < 1e-13)
+    near = (abs(s0) < 1e-13) | (abs(s1) < 1e-13)
     if near.any():
         i, k = np.argwhere(near)[0]
         raise SingularEvaluationError(f"Izergin node collision at x_{i+1}, z_{k+1}")
-    f = np.asarray(f_vals, dtype=np.complex128)[:, None]
-    num_det, den_det = det_lu([1 / s0 - f / s1, 1 / s0])
-    return num_det / den_det
+    return 1 / s0, 1 / s1
+
+
+def _izergin_matrices(kernels, f_vals) -> list[np.ndarray]:
+    """The two matrices of ``izergin_ratio`` from its ``_izergin_kernels``
+    and f: [1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] and the
+    Cauchy matrix."""
+    cauchy, shifted = kernels
+    return [cauchy - np.asarray(f_vals, dtype=np.complex128)[:, None] * shifted, cauchy]
 
 
 def e_weight(zs, eta: complex, u: complex) -> complex:
@@ -144,7 +158,7 @@ def _require_roots_off_nodes(params: ModelParams, roots):
     """Refuse roots that collide with an inhomogeneity shift set
     {xi_k, xi_k - eta} modulo i*pi."""
     near = dist_mod_ipi(np.asarray(roots, dtype=np.complex128)[:, None],
-                        np.asarray(params.forbidden_points())[None, :]) < 1e-8
+                        params.forbidden_points()) < 1e-8
     if near.any():
         root = roots[np.argmax(near.any(axis=1))]
         raise SingularEvaluationError(f"root {root} collides with an inhomogeneity shift set")
@@ -156,31 +170,28 @@ def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     params, p, q = pair.params, pair.p, pair.q
     _require_roots_off_nodes(params, p.roots)
     f_vals = [-alpha * f_tilde_values(*v) for v in zip(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)]
-    return izergin_ratio(params.xi, p.roots, f_vals, params.eta)
+    num_det, den_det = det_lu(_izergin_matrices(pair.izergin_kernels, f_vals))
+    return num_det / den_det
 
 
 def cond_pq_residual(pair: PairContext) -> float:
     """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
     p, q = pair.p, pair.q
-    r1 = np.multiply(p.x_eta, q.x_eta) / np.multiply(p.x, q.x)
-    r2 = np.multiply(p.x_eta_ipi, q.x_eta_ipi) / np.multiply(p.x_ipi, q.x_ipi)
-    return float(np.max(np.abs(r1 - r2) / np.maximum(np.abs(r1) + np.abs(r2), 1e-30)))
+    rows = np.array([p.x_eta, p.x_eta_ipi, q.x_eta, q.x_eta_ipi, p.x, p.x_ipi, q.x, q.x_ipi])
+    r1, r2 = rows[:2] * rows[2:4] / (rows[4:6] * rows[6:])
+    return float((abs(r1 - r2) / np.maximum(abs(r1) + abs(r2), 1e-30)).max())
 
 
-def _p_ipi_over_sinh(pr: np.ndarray, qr: np.ndarray, skip=False) -> np.ndarray:
-    """P(q_j + i*pi) / sinh(p_k - q_j) at (j, k), in product form.
+def _p_ipi_over_sinh(sinh_half: np.ndarray, cosh_half: np.ndarray) -> np.ndarray:
+    """P(q_j + i*pi) / sinh(p_k - q_j) at (j, k), in product form, from the
+    sinh and cosh of the half differences (p_k - q_j)/2 at (j, k).
 
-    Writing w = q_j + i*pi, the ratio equals
-    prod_{l != k} sinh((w - p_l)/2) / (2 cosh((w - p_k)/2)),
-    which stays finite when p_k approaches q_j + i*pi (the factor of P that
-    vanishes is cancelled against the sinh in the denominator).  Entries
-    where ``skip`` is set are left at 0.
+    sinh((q_j + i*pi - p_l)/2) = i cosh((p_l - q_j)/2), so the ratio equals
+    i^N prod_{l != k} cosh((p_l - q_j)/2) / (2 sinh((p_k - q_j)/2)), which
+    stays finite when p_k approaches q_j + i*pi (the factor of P that
+    vanishes is cancelled against the sinh in the denominator).
     """
-    half = (qr[:, None] + IPI - pr[None, :]) / 2
-    ch = np.where(skip, 1.0, np.cosh(half))
-    if np.any(np.abs(ch) < 1e-13):
-        raise SingularEvaluationError("coincident roots p_k = q_j")
-    return np.where(skip, 0.0, products_except(np.sinh(half)) / (2 * ch))
+    return 1j ** cosh_half.shape[-1] / 2 * products_except(cosh_half) / sinh_half
 
 
 def _s_gamma(u, gamma: complex):
@@ -216,29 +227,34 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     n, eta = params.n, params.eta
     if len(pr) != n or len(qr) != n:
         raise ParameterError("polynomials must carry N roots each")
-    limit = dist_mod_2ipi(pr[None, :], qr[:, None]) < _COLLISION_TOL
+    u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
+    limit = dist_mod_2ipi(u) < _COLLISION_TOL
     if limit.any() and not np.all(np.abs(pr - qr) < _COLLISION_TOL):
         j, k = np.argwhere(limit)[0]
         raise SingularEvaluationError(
             f"coincident roots p_{k+1} = q_{j+1} for distinct functions")
-
-    def kernel(u):
-        return _coth(u / 2) if gamma is None else _s_gamma(u, gamma)
-
-    u = pr[None, :] - qr[:, None]
-    q_p_eta = pair.q_at_p_eta
-    q_p_eta_plus = q.r_eta_plus if pair.diagonal else q.poly.values(pr + eta)
+    half = (u - [[[eta]], [[0.0]]]) / 2
+    sinh_half, cosh_half = np.sinh(half), np.cosh(half)
+    sinh_u = sinh_half[1]
+    sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
+    if gamma is None:
+        if (sinh_half[0] == 0).any():
+            raise SingularEvaluationError("coth evaluated at a pole")
+        base, kern = cosh_half[0] / sinh_half[0], cosh_half[1] / sinh_u
+    else:
+        base, kern = _s_gamma(u - eta, gamma), _s_gamma(np.where(limit, 1.0, u), gamma)
+    q_p_eta, q_p_eta_plus = pair.q_at_p
     afrak_p = np.array([a_frak_values(*v) for v in zip(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)])
-    ratio = np.outer(q.r_eta_plus, p.d_r) / (np.outer(q.a_r, q_p_eta) * p.r_ipi)
-    rest = afrak_p * kernel(np.where(limit, 1.0, u)) \
-        - 2 * ratio * _p_ipi_over_sinh(pr, qr, limit)
-    for j, k in np.argwhere(limit):
+    ratio = np.multiply.outer(q.r_eta_plus, p.d_r) \
+        / (np.multiply.outer(q.a_r, q_p_eta) * p.r_ipi)
+    rest = afrak_p * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_half[1])
+    for j, k in zip(*np.nonzero(limit)):
         qj = qr[j]
         log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
             - params.a_log_deriv(qj)
         afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
         rest[j, k] = 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
-    return SlavnovHalves(kernel(u - eta), rest)
+    return SlavnovHalves(base, rest)
 
 
 def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
@@ -254,9 +270,9 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     pr = np.asarray(p_poly.roots, dtype=np.complex128)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
     n = params.n
-    i, j = np.triu_indices(n, 1)
+    # prod_{i<j} sinh((p_i - p_j)/2) sinh((q_j - q_i)/2)
     num = np.cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2) \
-        * np.prod(np.sinh((pr[i] - pr[j]) / 2) * np.sinh((qr[j] - qr[i]) / 2))
+        * vandermonde(pr[::-1] / 2) * vandermonde(qr / 2)
     den = np.prod(np.sinh((pr[:, None] - qr[None, :] - params.eta) / 2))
     return complex(num / den)
 
@@ -285,9 +301,7 @@ class PairContext:
         self.z = list(q.roots) if z is None else [complex(v) for v in z]
         if len(self.z) != params.n:
             raise ParameterError("z must provide N points")
-        zs = np.asarray(self.z, dtype=np.complex128)
-        if np.any(dist_mod_ipi(zs[:, None], zs[None, :])[np.triu_indices(params.n, 1)]
-                  <= 1e-10):
+        if any(dist_mod_ipi(a, b) <= 1e-10 for i, a in enumerate(self.z) for b in self.z[:i]):
             raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
         self.pr = np.asarray(p.roots, dtype=np.complex128)
         self.qr = np.asarray(q.roots, dtype=np.complex128)
@@ -310,19 +324,27 @@ class PairContext:
         return det_lu(self.halves.base)
 
     @cached_property
-    def q_at_p_eta(self) -> np.ndarray:
-        """Q(p_k - eta): the Slavnov cross term and the rank-one columns."""
+    def q_at_p(self) -> np.ndarray:
+        """Q(p_k - eta) and Q(p_k + eta) in rows 0 and 1 (from Q's own table
+        when P = Q): the Slavnov halves, and row 0 the rank-one columns."""
         if self.diagonal:
-            return np.asarray(self.q.r_eta)
-        return self.q.poly.values(self.pr - self.params.eta)
+            return np.array([self.q.r_eta, self.q.r_eta_plus])
+        eta = self.params.eta
+        return self.q.poly.values(np.concatenate([self.pr - eta, self.pr + eta])).reshape(2, -1)
+
+    @cached_property
+    def izergin_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``_izergin_kernels`` of the nodes against the P-roots, shared by
+        the two Izergin forms (``sp_izergin`` and ``sp_tau``)."""
+        return _izergin_kernels(self.params.xi, self.pr, self.params.eta)
 
     @cached_property
     def node_kernels(self) -> tuple[np.ndarray, np.ndarray]:
         """coth(x) and coth(x + i*pi/2) = tanh(x) at x = (xi_s - q_j - eta)/2,
         row s, column j: the rows of the roots-form rank-one terms."""
-        half = (np.asarray(self.params.xi)[:, None] - self.qr[None, :] - self.params.eta) / 2
+        half = (np.subtract.outer(self.params.xi, self.qr) - self.params.eta) / 2
         s, c = np.sinh(half), np.cosh(half)
-        if np.any(s == 0) or np.any(c == 0):
+        if (s * c == 0).any():
             raise SingularEvaluationError("coth evaluated at a pole")
         return c / s, s / c
 
@@ -332,24 +354,49 @@ class PairContext:
         return sinh_rows(self.z, self.params.xi)
 
     @cached_property
-    def tau_dq(self) -> tuple[np.ndarray, np.ndarray]:
-        """The alpha-free halves of tau_matrix: [tau_hat_Q(z_i) - tau_hat_Q(p_k)]
-        and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)], each over sinh(z_i - w_k)."""
+    def tau_dq(self) -> np.ndarray:
+        """The alpha-free halves of tau_matrix, stacked:
+        [tau_hat_Q(z_i) - tau_hat_Q(p_k)] and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)],
+        each over sinh(z_i - w_k), with their removable limits.
+
+        tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
+        with limit (-1)^m tau_hat'(w).  Both eigenvalues' tau_hat are
+        evaluated at the z_i, p_k and p_k + eta in one batch."""
         p, q = self.eigen_tables()
-        return (_tau_dq_matrix(self.params, q.tau, self.z, self.pr),
-                _tau_dq_matrix(self.params, p.tau, self.z, self.pr + self.params.eta))
+        params, n = self.params, self.params.n
+        z = np.asarray(self.z, dtype=np.complex128)
+        w = self.pr + [[0.0], [params.eta]]
+        # d at z from the z - xi rows; d(p_k) and d(p_k + eta) = a(p_k) from P's table
+        hat = tau_hat([q.tau, p.tau], np.concatenate([z, *w]),
+                      np.concatenate([self.z_xi_sinh.prod(axis=1), p.d_r, p.a_r]))
+        # tau_hat_Q and tau_hat_P at z, and tau_hat_Q(p_k), tau_hat_P(p_k + eta)
+        at_z, at_w = hat[:, :n], np.array([hat[0, n:2 * n], hat[1, 2 * n:]])
+        u = np.subtract.outer(z, w).transpose(1, 0, 2)
+        m = np.rint(u.imag / np.pi)
+        limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
+        u[limit] = 1.0  # the removable points, filled in below
+        dq = (at_z[:, :, None] - at_w[:, None, :]) / np.sinh(u)
+        for h, i, k in zip(*np.nonzero(limit)):
+            dq[h, i, k] = (-1.0) ** m[h, i, k] * tau_hat_deriv(params, (q, p)[h].tau, w[h, k])
+        return dq
 
     @cached_property
     def tau_prefactor(self) -> complex:
         """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
         (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
         tq = _nonvanishing_tau_q(self)
-        z, pr = np.asarray(self.z), self.pr
-        i, j = np.triu_indices(self.params.n, 1)
-        num = np.prod(self.z_xi_sinh) * np.prod(self.p.sinh_x)
-        den = cmath.exp(sum(self.params.xi)) * np.prod(tq) \
-            * np.prod(np.sinh(z[j] - z[i]) * np.sinh(pr[i] - pr[j]))
+        num = self.z_xi_sinh.prod() * np.prod(self.p.sinh_x)
+        den = cmath.exp(sum(self.params.xi)) * tq.prod() \
+            * vandermonde(self.z) * vandermonde(self.pr[::-1])
         return complex(num / den)
+
+    @cached_property
+    def tau_node_products(self) -> np.ndarray:
+        """prod_{k <= s} tau_P(xi_k) and prod_{k <= s} tau_Q(xi_k) for
+        s = 0..N (the empty product first), in rows 0 and 1."""
+        p, q = self.eigen_tables()
+        values = np.array([p.tau.values, q.tau.values])
+        return np.concatenate([np.ones((2, 1)), values], axis=1).cumprod(axis=1)
 
 
 def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarray:
@@ -408,7 +455,7 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     cross = (d_p / d_q[:, None]) \
         * (q_poly.values(qr - eta)[:, None] / (q_poly.values(pr - eta) * p_poly.values(pr + IPI))) \
         * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
-        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(pr, qr)
+        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, np.cosh(u / 2))
     return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
 
 
@@ -431,26 +478,8 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     return lhs, rhs, dev
 
 
-def _tau_dq_matrix(params: ModelParams, tau, z, ws: np.ndarray) -> np.ndarray:
-    """[tau_hat(z_i) - tau_hat(w_k)] / sinh(z_i - w_k) for the eigenvalue
-    ``tau``, with its removable limits.
-
-    tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
-    with limit (-1)^m tau_hat'(w).  tau_hat is evaluated at every z_i and
-    w_k in one batch."""
-    z = np.asarray(z, dtype=np.complex128)
-    hat = tau_hat(params, tau, np.concatenate([z, ws]))
-    u = z[:, None] - ws[None, :]
-    m = np.round(u.imag / np.pi)
-    limit = np.abs(u - 1j * np.pi * m) < _COLLISION_TOL
-    mat = (hat[:len(z), None] - hat[None, len(z):]) / np.sinh(np.where(limit, 1.0, u))
-    for i, k in np.argwhere(limit):
-        mat[i, k] = (-1.0) ** m[i, k] * tau_hat_deriv(params, tau, ws[k])
-    return mat
-
-
 def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
-    """Eigenvalue-labelled matrix dq - alpha * dp, from the two halves of
+    """Eigenvalue-labelled matrix dq - alpha * dp, from the two halves in
     ``PairContext.tau_dq`` (rows at the z-points, columns at P-roots)."""
     return dq - alpha * dp
 
@@ -462,14 +491,13 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     the context's ``z``, which may be any N points pairwise apart modulo
     i*pi and away from the tau_hat poles.
     """
-    params = pair.params
     p, _ = pair.eigen_tables()
-    tq = _nonvanishing_tau_q(pair)
-    u = np.asarray(params.xi)[:, None] - pair.pr[None, :]
-    den = tq[:, None] / np.sinh(u)
-    num = den - (kappa2 / kappa) * p.tau.values[:, None] / np.sinh(u - params.eta)
+    ratio = kappa2 / kappa
+    # det[tau_Q(xi_i)/sinh(xi_i - p_k) - ratio tau_P(xi_i)/sinh(xi_i - p_k - eta)]
+    # over det[tau_Q(xi_i)/sinh(xi_i - p_k)]: the row factors tau_Q(xi_i) cancel
     num_det, den_det, mat_det = det_lu(
-        [num, den, tau_matrix(*pair.tau_dq, kappa2 / kappa)])
+        _izergin_matrices(pair.izergin_kernels, ratio * p.tau.values / _nonvanishing_tau_q(pair))
+        + [tau_matrix(*pair.tau_dq, ratio)])
     return num_det / den_det, pair.tau_prefactor * mat_det
 
 
@@ -494,13 +522,11 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
 def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> list[complex]:
     """prod_{k <= s - shift} tau_P(xi_k) / prod_{k <= s} tau_Q(xi_k) for each
     site s (1-based) in ``sites``, from the values at the nodes."""
-    p, _ = pair.eigen_tables()
     for site in sites:
         if not 1 <= site <= pair.params.n:
             raise ParameterError(f"site {site} outside 1..{pair.params.n}")
-    tq = _nonvanishing_tau_q(pair, max(sites, default=0))
-    tp_prod = np.cumprod(np.concatenate([[1.0], p.tau.values]))
-    tq_prod = np.cumprod(np.concatenate([[1.0], tq]))
+    _nonvanishing_tau_q(pair, max(sites, default=0))
+    tp_prod, tq_prod = pair.tau_node_products
     return [tp_prod[site - shift] / tq_prod[site] for site in sites]
 
 
@@ -512,7 +538,7 @@ def _rank1_sigma_z(pair: PairContext) -> np.ndarray:
     coth_x, tanh_x = pair.node_kernels
     row = np.divide(q.x_eta, p.x_eta)[:, None] * coth_x \
         + np.divide(q.x_eta_ipi, p.x_eta_ipi)[:, None] * tanh_x
-    return row[:, :, None] * (np.asarray(p.r_eta) / pair.q_at_p_eta)
+    return row[:, :, None] * (np.asarray(p.r_eta) / pair.q_at_p[0])
 
 
 def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
@@ -522,7 +548,7 @@ def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
     row = (np.divide(q.x_eta, p.x)[:, None] * coth_x
            - np.divide(q.x_eta_ipi, p.x_ipi)[:, None] * tanh_x) \
         * (np.exp(-np.asarray(params.xi)) * params.a_xi)[:, None]
-    col = np.multiply(p.exp_r, p.d_r) / ((-2j) ** params.n * pair.q_at_p_eta * p.r_ipi)
+    col = np.multiply(p.exp_r, p.d_r) / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
     return row[:, :, None] * col
 
 
@@ -619,7 +645,7 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
     p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly.values([mu, mu - eta, mu + IPI,
                                                             mu - eta + IPI])
-    weights = (np.asarray(pair.p.r_eta) / p_mu) * (q_poly(mu - eta) / pair.q_at_p_eta)
+    weights = (np.asarray(pair.p.r_eta) / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0])
     bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
         - np.sum(weights * swap_dets)
     return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det
@@ -635,7 +661,7 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     col_scale = cmath.exp(-mu) * a_mu * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
     big = np.block([
         [slavnov_matrix(pair.halves, alpha), col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
-        [(np.multiply(p.exp_r, p.d_r) / (pair.q_at_p_eta * p.r_ipi))[None, :],
+        [(np.multiply(p.exp_r, p.d_r) / (pair.q_at_p[0] * p.r_ipi))[None, :],
          np.array([[a_mu * params.d_fn(mu) / p_mu]])],
     ])
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
@@ -670,9 +696,13 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     a_p = np.array([params.a_fn(x) for x in pr])
     d_p = np.array([params.d_fn(x) for x in pr])
     p_ipi = p_poly.values(pr + IPI)
-    closed = (2 * beta * q_poly.values(qr + eta) / a_q)[:, None] * _p_ipi_over_sinh(pr, qr) \
+    sinh_half, cosh_half = np.sinh(u / 2), np.cosh(u / 2)
+    if np.any(sinh_half == 0):
+        raise SingularEvaluationError("coth evaluated at a pole")
+    closed = (2 * beta * q_poly.values(qr + eta) / a_q)[:, None] \
+        * _p_ipi_over_sinh(sinh_half, cosh_half) \
         - q_poly.values(pr - eta) * p_ipi / d_p * _coth((u - eta) / 2) \
-        - beta * q_poly.values(pr + eta) * p_ipi / a_p * _coth(u / 2)
+        - beta * q_poly.values(pr + eta) * p_ipi / a_p * cosh_half / sinh_half
     scale = np.maximum(np.maximum(np.abs(direct), np.abs(closed)), 1e-30)
     return float(np.max(np.abs(direct - closed) / scale))
 
@@ -707,9 +737,7 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     den_det, m1_det, m2a_det = det_lu([den, m1, m2a])
     pref = cmath.exp(sum(params.xi[i] - pr[i] for i in range(n)) / 2) / 2**n
     val_p = pref * m1_det / den_det
-    i, j = np.triu_indices(n, 1)
-    pref_q = pref * np.prod(np.divide(q.x, p.x)) \
-        * np.prod(np.sinh((pr[j] - pr[i]) / 2) / np.sinh((qr[j] - qr[i]) / 2))
+    pref_q = pref * np.prod(np.divide(q.x, p.x)) * vandermonde(pr / 2) / vandermonde(qr / 2)
     val_q = pref_q * m2a_det / den_det
     scale = max(abs(ref), 1e-30)
     kernel_dev = float(np.max(np.abs(m2a - m2b)) / max(np.max(np.abs(m2a)), 1e-30))

@@ -39,7 +39,6 @@ from .model import (
     q_table,
     products_except,
     residual_grid,
-    sinh_rows,
 )
 from .sov import SovBasis, separate_state
 
@@ -60,19 +59,18 @@ class EigenRecord:
     certified: bool = False
 
 
-def tau_hat(params: ModelParams, tau, lam):
-    """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, at the
-    point lam, or at every point of the array lam as one batch: tau from the
-    weight rows of its interpolation basis, d as the row products of
-    sinh(lam - xi_k)."""
-    points = np.atleast_1d(np.asarray(lam, dtype=np.complex128))
-    d = np.prod(sinh_rows(points, params.xi), axis=1)
-    zero = np.abs(d) < 1e-13
+def tau_hat(taus, lam, d) -> np.ndarray:
+    """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, of each
+    eigenvalue tau of ``taus`` (row) at every point of the array ``lam``
+    (column), given d there (``d``), as one batch: tau from the weight rows
+    of the interpolation basis, on the nodes the eigenvalues share."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    zero = abs(np.asarray(d)) < 1e-13
     if zero.any():
         raise SingularEvaluationError(
-            f"tau_hat evaluated at a zero of d (lam={complex(points[np.argmax(zero)])})")
-    hat = np.exp(points) * (tau.basis.weights(points) @ tau.values) / d
-    return hat if np.ndim(lam) else complex(hat[0])
+            f"tau_hat evaluated at a zero of d (lam={complex(lam[zero.argmax()])})")
+    values = np.array([tau.values for tau in taus])
+    return np.exp(lam) * (values @ taus[0].basis.weights(lam).T) / d
 
 
 def tau_hat_deriv(params: ModelParams, tau, lam: complex) -> complex:

@@ -339,20 +339,24 @@ class TestPairContext:
 
     def test_batched_tau_hat_equals_scalar_formula(self, params3, records3, monkeypatch):
         # tau_hat on an array of points is e^lam tau(lam) / d(lam) from the
-        # scalar interpolation and d, to 1e-13 relative; one pair evaluates
-        # it in two batches, one per eigenvalue, for all its formulas
+        # scalar interpolation, to 1e-13 relative, for each eigenvalue; one
+        # pair evaluates both of its eigenvalues in one batch for all its
+        # formulas, and reads d from the z - xi rows and P's table
         g = rng(66)
         points = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(6)])
-        for rec in records3[:3]:
-            for lam, got in zip(points, tau_hat(params3, rec.tau, points)):
-                want = cmath.exp(lam) * rec.tau(lam) / params3.d_fn(lam)
-                assert rel_dev(got, want) <= 1e-13
+        d = [params3.d_fn(lam) for lam in points]
+        taus = [rec.tau for rec in records3[:3]]
+        for tau, row in zip(taus, tau_hat(taus, points, d)):
+            for lam, d_lam, got in zip(points, d, row):
+                assert rel_dev(got, cmath.exp(lam) * tau(lam) / d_lam) <= 1e-13
         calls = []
         evaluate = obs.tau_hat
 
-        def counted(params, tau, lam):
-            calls.append((id(tau), np.shape(lam)))
-            return evaluate(params, tau, lam)
+        def counted(taus, lam, d):
+            calls.append(([id(tau) for tau in taus], np.shape(lam)))
+            for lam_i, d_i in zip(lam, d):
+                assert rel_dev(d_i, params3.d_fn(lam_i)) <= 1e-13
+            return evaluate(taus, lam, d)
 
         monkeypatch.setattr(obs, "tau_hat", counted)
         n, sites = params3.n, range(1, params3.n + 1)
@@ -362,7 +366,7 @@ class TestPairContext:
             obs.sp_tau(pair, params3.kappa, KAPPA2)
             obs.ff_sigma_z(pair, sites, "tau")
             obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")
-            assert calls == [(id(rq.tau), (2 * n,)), (id(rp.tau), (2 * n,))]
+            assert calls == [([id(rq.tau), id(rp.tau)], (3 * n,))]
 
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation,
