@@ -697,8 +697,8 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     d_p = np.array([params.d_fn(x) for x in pr])
     p_ipi = p_poly.values(pr + IPI)
     sinh_half, cosh_half = np.sinh(u / 2), np.cosh(u / 2)
-    if np.any(sinh_half == 0):
-        raise SingularEvaluationError("coth evaluated at a pole")
+    if (abs(sinh_half) < 1e-13).any():
+        raise SingularEvaluationError("coincident roots p_k = q_j")
     closed = (2 * beta * q_poly.values(qr + eta) / a_q)[:, None] \
         * _p_ipi_over_sinh(sinh_half, cosh_half) \
         - q_poly.values(pr - eta) * p_ipi / d_p * _coth((u - eta) / 2) \
