@@ -504,7 +504,7 @@ class TestPairContext:
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
         evaluate, evaluate_many = HalfPeriodTrigPoly.__call__, HalfPeriodTrigPoly.values
         weigh = InterpolationBasis.weights
-        hits = []
+        hits, batches = [], Counter()
 
         def watched(poly, lam):
             if lam in nodes:
@@ -512,10 +512,12 @@ class TestPairContext:
             return evaluate(poly, lam)
 
         def watched_many(poly, points):
+            batches["values"] += 1
             hits.extend(lam for lam in np.ravel(points) if lam in nodes)
             return evaluate_many(poly, points)
 
         def watched_weights(basis, points):
+            batches["weights"] += 1
             hits.extend(lam for lam in np.ravel(points) if lam in nodes)
             return weigh(basis, points)
 
@@ -533,7 +535,7 @@ class TestPairContext:
                 for form in ("roots", "tau"):
                     obs.ff_sigma_z(pair, range(1, params3.n + 1), form)
                     obs.ff_sigma_pm(pair, params3.kappa, 1, range(1, params3.n + 1), form)
-        assert hits == []
+        assert hits == [] and batches["values"] and batches["weights"]
 
     def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):
         # in one observables run, tau is never evaluated at a node: its node
