@@ -3,6 +3,7 @@ generation of admissible inhomogeneities."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -62,10 +63,21 @@ DEFAULT_CONFIG: dict = {
 
 def _as_complex(value, name: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_number(float, value[0], name), _number(float, value[1], name))
-    raise ParameterError(f"field {name!r} must be a number or a [re, im] pair")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(_number(float, value[0], name), _number(float, value[1], name))
+    else:
+        raise ParameterError(f"field {name!r} must be a number or a [re, im] pair")
+    if not cmath.isfinite(z):
+        raise ParameterError(f"field {name!r} must be finite, got {value!r}")
+    return z
+
+
+def _seed(value, name: str) -> int:
+    seed = _number(int, value, name)
+    if seed < 0:
+        raise ParameterError(f"field {name!r} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _list(value, name: str, default=()):
@@ -181,7 +193,8 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     eta = _as_complex(data["eta"], "eta")
     kappa = _as_complex(data["kappa"], "kappa")
     kappa_prime = _as_complex(data["kappa_prime"], "kappa_prime")
-    seed = _number(int, data["seed"], "seed") if seed_override is None else int(seed_override)
+    seed = _seed(data["seed"], "seed") if seed_override is None \
+        else _seed(seed_override, "--seed")
 
     xi_field = data["xi"]
     if isinstance(xi_field, dict):
@@ -191,9 +204,11 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
             raise ParameterError("field 'xi.box' must be an object")
         _reject_unknown(box, DEFAULT_CONFIG["xi"]["box"], "xi.box.")
         box = {key: _bounds(value, f"xi.box.{key}") for key, value in box.items()}
-        xi_seed = _number(int, xi_field.get("seed", seed), "xi.seed") \
-            if seed_override is None else seed
+        xi_seed = _seed(xi_field.get("seed", seed), "xi.seed") if seed_override is None else seed
         min_sep = _number(float, xi_field.get("min_separation", 0.1), "xi.min_separation")
+        if not (math.isfinite(min_sep) and min_sep > 0):
+            raise ParameterError(
+                f"field 'xi.min_separation' must be a finite number > 0, got {min_sep}")
         xi = generate_xi(n, eta, xi_seed, box, min_sep)
     elif isinstance(xi_field, list):
         if len(xi_field) != n:

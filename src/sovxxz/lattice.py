@@ -149,15 +149,16 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
     probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     probe_mat = transfer_k(params, probe, k)
     basis = InterpolationBasis(params.xi)
+    probe_weights = basis.weights(probe)
     records = []
     for idx in range(len(vals)):
         v = vecs[:, idx]
         nv = v.conj() @ v
         tau_xi = np.array([(v.conj() @ (m @ v)) / nv for m in mats])
-        tau = TrigInterpolation(basis, tau_xi)
         rq = (v.conj() @ (probe_mat @ v)) / nv
-        check = abs(tau(probe) - rq) / max(abs(rq), 1e-30)
-        records.append(OracleRecord(tau_at_xi=tau_xi, tau=tau, interp_check=float(check)))
+        check = abs(probe_weights @ tau_xi - rq) / max(abs(rq), 1e-30)
+        records.append(OracleRecord(tau_at_xi=tau_xi, tau=TrigInterpolation(basis, tau_xi),
+                                    interp_check=float(check)))
     records.sort(key=lambda r: (r.tau_at_xi[0].real, r.tau_at_xi[0].imag))
     return records
 
@@ -173,12 +174,13 @@ class NodeFactors:
 
     def __init__(self, params: ModelParams, at_xi: list[MonodromyBlocks]):
         k = params.kappa
-        self.twisted, self.twisted_shift, self.qdet, self.transfer = [], [], [], []
+        xi = np.asarray(params.xi[:len(at_xi)])
+        self.qdet = params.a_fn(xi) * params.d_fn(xi - params.eta)
+        self.twisted, self.twisted_shift, self.transfer = [], [], []
         for xs, t in zip(params.xi, at_xi):
             ts = monodromy_entries(params, xs - params.eta)
             self.twisted.append([[k * t.c, k * t.d], [t.a / k, t.b / k]])
             self.twisted_shift.append([[k * ts.c, k * ts.d], [ts.a / k, ts.b / k]])
-            self.qdet.append(params.a_fn(xs) * params.d_fn(xs - params.eta))
             f = t.transfer(k)
             svals = np.linalg.svd(f, compute_uv=False)  # descending: [0] is the 2-norm
             if svals[-1] < 1e-12 * svals[0]:

@@ -3,14 +3,19 @@
 Holds the chain data (length, anisotropy, inhomogeneities, twists), the
 half-period polynomials Q(lam) = prod_j sinh((lam - q_j)/2) used to label
 separate states and the table of their one-polynomial values, the model
-functions a(lam), d(lam), the scalar ratio functions consumed by every
-determinant formula, and the structural diagnostics (quantum Wronskian, root
-sum rule) of a Q-function.
+functions a(lam), d(lam), the ratio functions consumed by every determinant
+formula, the interpolation of eigenvalues through the nodes, and the
+structural diagnostics (quantum Wronskian, root sum rule) of a Q-function.
+
+This is the one place that evaluates a model function.  Each is one numpy
+function of sinh products (``sinh_prod``, ``sinh_prod_deriv``, ``coth``,
+``vandermonde``, ``node_denominators``) that takes a scalar or an array of
+points and acts elementwise on the points (products run along the last
+axis), so callers evaluate every point, root or label of a batch in one call.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,19 +59,23 @@ def dist_mod_2ipi(z, w=0.0):
     return _dist_mod(z, w, 2 * PI)
 
 
-def coth(z: complex) -> complex:
-    s = cmath.sinh(z)
-    if s == 0:
-        raise SingularEvaluationError(f"coth evaluated at a pole (argument {z})")
-    return cmath.cosh(z) / s
+def _less(points, centers) -> np.ndarray:
+    """points - centers with the centers along a new last axis: entry
+    [..., k] is the point less center k."""
+    return np.asarray(points, dtype=np.complex128)[..., None] - np.asarray(centers)
 
 
-def sinh_prod(args) -> complex:
-    """prod_m sinh(z_m) over the arguments, multiplied in their order."""
-    out = 1.0 + 0.0j
-    for z in args:
-        out *= cmath.sinh(z)
-    return out
+def coth(z):
+    """coth, elementwise on arrays; refuses a pole."""
+    s = np.sinh(z)
+    if (s == 0).any():
+        raise SingularEvaluationError("coth evaluated at a pole")
+    return np.cosh(z) / s
+
+
+def sinh_prod(args):
+    """prod_m sinh(z_m) along the last axis."""
+    return np.sinh(np.asarray(args, dtype=np.complex128)).prod(axis=-1)
 
 
 def products_except(s: np.ndarray) -> np.ndarray:
@@ -74,50 +83,39 @@ def products_except(s: np.ndarray) -> np.ndarray:
     and suffix products, without division, so it stays exact at zeros."""
     # row 0: 1, s_0, ..., s_{M-2}; row 1: 1, s_{M-1}, ..., s_1; one running product
     ext = np.empty(s.shape[:-1] + (2, s.shape[-1]), dtype=s.dtype)
-    ext[..., 0] = 1
+    ext[..., :1] = 1  # a slice: an empty last axis gives an empty result
     ext[..., 0, 1:] = s[..., :-1]
     ext[..., 1, 1:] = s[..., :0:-1]
     acc = ext.cumprod(axis=-1)
     return acc[..., 0, :] * acc[..., 1, ::-1]
 
 
-def sinh_rows(points, shifts) -> np.ndarray:
-    """sinh(lam_i - s_k) for every point lam_i (row) and shift s_k (column)."""
-    return np.sinh(np.asarray(points, dtype=np.complex128)[:, None]
-                   - np.asarray(shifts, dtype=np.complex128)[None, :])
+def sinh_prod_deriv(args):
+    """sum_m cosh(z_m) prod_{k != m} sinh(z_k) along the last axis, the
+    derivative of sinh_prod when every argument moves with unit speed; product
+    rule, no division, so it stays finite at the zeros of the product."""
+    z = np.asarray(args, dtype=np.complex128)
+    return (np.cosh(z) * products_except(np.sinh(z))).sum(axis=-1)
 
 
-def sinh_prod_deriv(args) -> complex:
-    """sum_m cosh(z_m) prod_{k != m} sinh(z_k), the derivative of sinh_prod when
-    every argument moves with unit speed; product rule, no division, so it
-    stays finite at the zeros of the product."""
-    zs = list(args)
-    s = [cmath.sinh(z) for z in zs]
-    out = 0.0 + 0.0j
-    for m, z in enumerate(zs):
-        term = cmath.cosh(z)
-        for k, v in enumerate(s):
-            if k != m:
-                term *= v
-        out += term
-    return out
+def node_denominators(xs):
+    """prod_{k != j} sinh(x_j - x_k) for every point x_j along the last axis
+    of ``xs`` (a stack of point sets gives a stack of rows)."""
+    x = np.asarray(xs, dtype=np.complex128)
+    diff = np.sinh(x[..., :, None] - x[..., None, :])
+    return np.diagonal(products_except(diff), axis1=-2, axis2=-1)
 
 
-def point_key(lam: complex):
-    """Dict key of the point lam: its complex value where neither component is
-    zero, else its ``repr``, so that 0.0 and -0.0 (equal under ``==``, told
-    apart by sinh) stay apart."""
-    z = complex(lam)
-    return z if z.real and z.imag else repr(z)
-
-
-def vandermonde(xs) -> complex:
-    """Hyperbolic Vandermonde product V(x_1..x_n) = prod_{i<j} sinh(x_j - x_i).
+def vandermonde(xs):
+    """Hyperbolic Vandermonde product V(x_1..x_n) = prod_{i<j} sinh(x_j - x_i)
+    along the last axis (a stack of point sets gives a stack of products).
 
     Empty input and a single point both give 1 (empty product).
     """
-    x = list(xs)
-    return sinh_prod(x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x)))
+    x = np.asarray(xs, dtype=np.complex128)
+    order = np.arange(x.shape[-1])
+    i, j = np.nonzero(order[:, None] < order)  # the pairs i < j, row by row
+    return sinh_prod(x[..., j] - x[..., i])
 
 
 @dataclass(frozen=True)
@@ -191,36 +189,37 @@ class ModelParams:
 
     def min_xi_separation(self) -> float:
         """Smallest distance mod i*pi between the shift sets {xi_i, xi_i - eta}."""
-        best = np.inf
-        pts = [(i, s) for i in range(self.n) for s in (self.xi[i], self.xi[i] - self.eta)]
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if pts[a][0] == pts[b][0]:
-                    continue
-                best = min(best, dist_mod_ipi(pts[a][1], pts[b][1]))
-        return float(best) if self.n > 1 else np.inf
+        if self.n == 1:
+            return np.inf
+        xi = np.asarray(self.xi, dtype=np.complex128)
+        sets = np.stack([xi, xi - self.eta], axis=1)
+        # dist[i, j, s, t]: shift s of xi_i against shift t of xi_j
+        dist = dist_mod_ipi(sets[:, None, :, None], sets[None, :, None, :])
+        return float(dist[~np.eye(self.n, dtype=bool)].min())
 
-    def a_fn(self, lam: complex) -> complex:
-        return sinh_prod(lam - x + self.eta for x in self.xi)
+    def a_fn(self, lam):
+        """a(lam) = prod_k sinh(lam - xi_k + eta), elementwise on arrays."""
+        return sinh_prod(_less(lam, self.xi) + self.eta)
 
-    def d_fn(self, lam: complex) -> complex:
-        return sinh_prod(lam - x for x in self.xi)
+    def d_fn(self, lam):
+        """d(lam) = prod_k sinh(lam - xi_k), elementwise on arrays."""
+        return sinh_prod(_less(lam, self.xi))
 
-    def a_log_deriv(self, lam: complex) -> complex:
-        return sum(coth(lam - x + self.eta) for x in self.xi)
+    def a_log_deriv(self, lam):
+        return coth(_less(lam, self.xi) + self.eta).sum(axis=-1)
 
-    def d_prime(self, lam: complex) -> complex:
+    def d_prime(self, lam):
         """Derivative of d; safe at the zeros of d."""
-        return sinh_prod_deriv(lam - x for x in self.xi)
+        return sinh_prod_deriv(_less(lam, self.xi))
 
     def forbidden_points(self) -> list[complex]:
         """Representatives (mod i*pi) of the excluded sets {xi_i, xi_i - eta}."""
         return [s for x in self.xi for s in (x, x - self.eta)]
 
     @cached_property
-    def a_xi(self) -> tuple[complex, ...]:
+    def a_xi(self) -> np.ndarray:
         """a(xi_k) at every node, built on first use."""
-        return tuple(self.a_fn(x) for x in self.xi)
+        return self.a_fn(self.xi)
 
     @cached_property
     def node_rows(self) -> VandermondeRows:
@@ -245,52 +244,52 @@ class HalfPeriodTrigPoly:
         wrapped = sort_complex([wrap_to_strip(r) for r in roots])
         return HalfPeriodTrigPoly(tuple(complex(r) for r in wrapped))
 
-    def __call__(self, lam: complex) -> complex:
-        return sinh_prod((lam - q) / 2 for q in self.roots)
+    def __call__(self, lam):
+        """The polynomial at lam, elementwise on arrays."""
+        return sinh_prod(_less(lam, self.roots) / 2)
 
-    def values(self, points) -> np.ndarray:
-        """The polynomial at every point of ``points``, as one row product."""
-        return sinh_rows(np.asarray(points) / 2, np.asarray(self.roots) / 2).prod(axis=1)
-
-    def log_deriv(self, lam: complex) -> complex:
-        return sum(0.5 * coth((lam - q) / 2) for q in self.roots)
+    def log_deriv(self, lam):
+        return 0.5 * coth(_less(lam, self.roots) / 2).sum(axis=-1)
 
     def shifted_ipi(self) -> "HalfPeriodTrigPoly":
         """The companion polynomial with every root shifted by i*pi (re-wrapped)."""
         return HalfPeriodTrigPoly.from_roots([q + IPI for q in self.roots])
 
 
-def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u: complex) -> complex:
-    """Bethe-equation ratio d(u) Q(u+eta) / (a(u) Q(u-eta))."""
+def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u):
+    """Bethe-equation ratio d(u) Q(u+eta) / (a(u) Q(u-eta)), elementwise on arrays."""
     return a_frak_values(params.a_fn(u), params.d_fn(u), q_poly(u - params.eta),
                          q_poly(u + params.eta))
 
 
-def a_frak_values(a_u: complex, d_u: complex, q_eta: complex, q_eta_plus: complex) -> complex:
-    """``a_frak`` from a(u), d(u), Q(u-eta) and Q(u+eta)."""
+def a_frak_values(a_u, d_u, q_eta, q_eta_plus):
+    """``a_frak`` from a(u), d(u), Q(u-eta) and Q(u+eta), elementwise on arrays."""
     _require_nonzero(a_u, "a(u)")
     _require_nonzero(q_eta, "Q(u-eta)")
-    return d_u * q_eta_plus / (a_u * q_eta)
+    return np.multiply(d_u, q_eta_plus) / np.multiply(a_u, q_eta)
 
 
 def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-            q_poly: HalfPeriodTrigPoly, u: complex) -> complex:
-    """Izergin weight P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta))."""
+            q_poly: HalfPeriodTrigPoly, u):
+    """Izergin weight P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta)), elementwise on arrays."""
     return f_tilde_values(p_poly(u - params.eta + IPI), q_poly(u),
                           p_poly(u + IPI), q_poly(u - params.eta))
 
 
-def f_tilde_values(p_eta_ipi: complex, q_u: complex, p_ipi: complex,
-                   q_eta: complex) -> complex:
-    """``f_tilde`` from P(u-eta+i*pi), Q(u), P(u+i*pi) and Q(u-eta)."""
+def f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta):
+    """``f_tilde`` from P(u-eta+i*pi), Q(u), P(u+i*pi) and Q(u-eta),
+    elementwise on arrays."""
     _require_nonzero(p_ipi, "P(u+i*pi)")
     _require_nonzero(q_eta, "Q(u-eta)")
-    return p_eta_ipi * q_u / (p_ipi * q_eta)
+    return np.multiply(p_eta_ipi, q_u) / np.multiply(p_ipi, q_eta)
 
 
-def _require_nonzero(value: complex, name: str, floor: float = 1e-13):
-    if abs(value) < floor:
-        raise SingularEvaluationError(f"{name} = {value} is below the evaluation floor")
+def _require_nonzero(value, name: str, floor: float = 1e-13):
+    """Refuse ``value`` (or its first entry) below ``floor`` in modulus."""
+    small = np.abs(value) < floor
+    if small.any():
+        bad = complex(np.ravel(value)[np.argmax(small)])
+        raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor")
 
 
 def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]:
@@ -305,8 +304,8 @@ def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.45 * PI, 0.45 * PI))
         if all(dist_mod_ipi(z, p) >= params.delta_min for p in avoid):
             pts.append(z)
-    return [(lam, params.a_fn(lam), params.d_fn(lam))
-            for lam in np.array(pts, dtype=np.complex128)]
+    lam = np.array(pts, dtype=np.complex128)
+    return list(zip(lam.tolist(), params.a_fn(lam).tolist(), params.d_fn(lam).tolist()))
 
 
 @dataclass(frozen=True)
@@ -352,21 +351,17 @@ def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     r = np.asarray(poly.roots, dtype=np.complex128)
     lam = np.array([g[0] for g in grid], dtype=np.complex128)
     sizes = np.cumsum([len(xi)] * 4 + [len(r)] * 3 + [len(lam)] * 2)  # split points
-    values = [tuple(v.tolist()) for v in np.split(poly.values(np.concatenate(
+    values = [tuple(v.tolist()) for v in np.split(poly(np.concatenate(
         [xi, xi - eta, xi + IPI, xi - eta + IPI, r - eta, r + eta, r + IPI,
          lam, lam - eta, lam + eta])), sizes)]
-    hat0, hat_eta = np.split(hat.values(np.concatenate([lam, lam - eta])), 2)
-    # a and d at the roots: the row products of sinh(q_j - xi_k + eta), sinh(q_j - xi_k)
-    u = r[:, None] - xi[None, :]
-    sinh_u = np.sinh(np.stack([u + eta, u]))
-    a_r, d_r = np.prod(sinh_u, axis=2)
+    hat0, hat_eta = np.split(hat(np.concatenate([lam, lam - eta])), 2)
     return QTable(
         poly=poly, roots=poly.roots, hat=hat, tau=tau,
         x=values[0], x_eta=values[1], x_ipi=values[2], x_eta_ipi=values[3],
-        a_r=tuple(a_r.tolist()), d_r=tuple(d_r.tolist()),
+        a_r=tuple(params.a_fn(r).tolist()), d_r=tuple(params.d_fn(r).tolist()),
         exp_r=tuple(np.exp(r).tolist()),
         r_eta=values[4], r_eta_plus=values[5], r_ipi=values[6],
-        sinh_x=tuple(np.prod(-sinh_u[1], axis=0).tolist()),
+        sinh_x=tuple(sinh_prod(xi[:, None] - r).tolist()),
         grid=tuple(zip(*values[7:], hat0.tolist(), hat_eta.tolist())),
     )
 
@@ -411,36 +406,29 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QSt
 
 
 class InterpolationBasis:
-    """The node-only factors of interpolation through the nodes xi: the
-    denominators prod_{k != j} sinh(xi_j - xi_k) in ``den`` and the numerators
-    prod_{k != j} sinh(lam - xi_k) per point lam, built on first use.  One
-    basis serves every eigenvalue of a spectrum.  Points are keyed by
-    ``point_key``, which keeps -0.0 and 0.0 apart.
+    """Lagrange weights of interpolation through the nodes ``xi``: the weight
+    of node j at lam is prod_{k != j} sinh(lam - xi_k) over the node
+    denominator prod_{k != j} sinh(xi_j - xi_k) (``den``, one
+    ``node_denominators`` row).  One basis serves every eigenvalue of a
+    spectrum.  ``xi`` may also be a stack of node sets (last axis: nodes),
+    whose weights at one point are a stack of rows.
     """
 
     def __init__(self, xi):
         self.xi = np.asarray(xi, dtype=np.complex128)
-        self.den = np.array([sinh_prod(self.shifted_except(x, j))
-                             for j, x in enumerate(self.xi)], dtype=np.complex128)
-        self._numerators: dict[complex | str, list[complex]] = {}
-
-    def shifted_except(self, lam: complex, j: int) -> list[complex]:
-        """lam - xi_k for every node k != j."""
-        return [lam - x for k, x in enumerate(self.xi) if k != j]
+        self.den = node_denominators(self.xi)
 
     def weights(self, points) -> np.ndarray:
-        """Row i holds the interpolation weights numerators(lam_i) / den at the
-        point lam_i of ``points``: f(lam_i) = weights[i] @ f_values."""
-        return products_except(sinh_rows(points, self.xi)) / self.den
+        """The weights at every point of ``points`` (last axis: nodes):
+        f(lam) = weights(lam) @ f_values."""
+        return products_except(np.sinh(_less(points, self.xi))) / self.den
 
-    def numerators(self, lam: complex) -> list[complex]:
-        key = point_key(lam)
-        if key not in self._numerators:
-            self._numerators[key] = self._node_products(lam)
-        return self._numerators[key]
-
-    def _node_products(self, lam: complex) -> list[complex]:
-        return [sinh_prod(self.shifted_except(lam, j)) for j in range(len(self.xi))]
+    def weight_derivs(self, points) -> np.ndarray:
+        """The lam-derivatives of ``weights`` at every point of ``points``."""
+        n = self.xi.shape[-1]
+        # others[j] lists the nodes k != j
+        others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+        return sinh_prod_deriv(_less(points, self.xi)[..., others]) / self.den
 
 
 class TrigInterpolation:
@@ -458,15 +446,10 @@ class TrigInterpolation:
         if basis.xi.shape != self.values.shape:
             raise ParameterError("interpolation nodes/values length mismatch")
 
-    def __call__(self, lam: complex) -> complex:
-        out = 0.0 + 0.0j
-        for v, num, den in zip(self.values, self.basis.numerators(lam), self.basis.den):
-            out += v * num / den
-        return complex(out)
+    def __call__(self, lam):
+        """f(lam), elementwise on arrays."""
+        return self.basis.weights(lam) @ self.values
 
-    def deriv(self, lam: complex) -> complex:
-        out = 0.0 + 0.0j
-        for j, den in enumerate(self.basis.den):
-            acc = sinh_prod_deriv(self.basis.shifted_except(lam, j))
-            out += self.values[j] * acc / den
-        return complex(out)
+    def deriv(self, lam):
+        """f'(lam), elementwise on arrays."""
+        return self.basis.weight_derivs(lam) @ self.values

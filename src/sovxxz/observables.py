@@ -37,8 +37,9 @@ from .model import (
     dist_mod_2ipi,
     dist_mod_ipi,
     f_tilde_values,
+    node_denominators,
     products_except,
-    sinh_rows,
+    sinh_prod,
     vandermonde,
     vandermonde_rows,
 )
@@ -46,14 +47,6 @@ from .sov import SovBasis
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
-
-
-def _coth(u):
-    """coth, elementwise on arrays; refuses a pole."""
-    s = np.sinh(u)
-    if np.any(s == 0):
-        raise SingularEvaluationError("coth evaluated at a pole")
-    return np.cosh(u) / s
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
     ratio = alpha * np.multiply(p.x, q.x) / np.multiply(p.x_eta, q.x_eta)
     terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
     # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
-    return complex(np.sum(terms * np.array(basis.v_h[::-1])) / basis.v_h[0])
+    return complex(np.sum(terms * basis.v_h[::-1]) / basis.v_h[0])
 
 
 def _require_roots_off_nodes(params: ModelParams, roots):
@@ -169,7 +162,7 @@ def sp_izergin(pair: PairContext, alpha: complex) -> complex:
     by the roots of P."""
     params, p, q = pair.params, pair.p, pair.q
     _require_roots_off_nodes(params, p.roots)
-    f_vals = [-alpha * f_tilde_values(*v) for v in zip(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)]
+    f_vals = -alpha * f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
     num_det, den_det = det_lu(_izergin_matrices(pair.izergin_kernels, f_vals))
     return num_det / den_det
 
@@ -244,15 +237,16 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     else:
         base, kern = _s_gamma(u - eta, gamma), _s_gamma(np.where(limit, 1.0, u), gamma)
     q_p_eta, q_p_eta_plus = pair.q_at_p
-    afrak_p = np.array([a_frak_values(*v) for v in zip(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)])
+    afrak_p = a_frak_values(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)
     ratio = np.multiply.outer(q.r_eta_plus, p.d_r) \
         / (np.multiply.outer(q.a_r, q_p_eta) * p.r_ipi)
     rest = afrak_p * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_half[1])
-    for j, k in zip(*np.nonzero(limit)):
+    if limit.any():
+        j, k = np.nonzero(limit)
         qj = qr[j]
         log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
             - params.a_log_deriv(qj)
-        afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
+        afrak_q = a_frak_values(*(np.take(v, j) for v in (q.a_r, q.d_r, q.r_eta, q.r_eta_plus)))
         rest[j, k] = 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
     return SlavnovHalves(base, rest)
 
@@ -273,7 +267,7 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     # prod_{i<j} sinh((p_i - p_j)/2) sinh((q_j - q_i)/2)
     num = np.cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2) \
         * vandermonde(pr[::-1] / 2) * vandermonde(qr / 2)
-    den = np.prod(np.sinh((pr[:, None] - qr[None, :] - params.eta) / 2))
+    den = sinh_prod(np.ravel((pr[:, None] - qr[None, :] - params.eta) / 2))
     return complex(num / den)
 
 
@@ -301,7 +295,9 @@ class PairContext:
         self.z = list(q.roots) if z is None else [complex(v) for v in z]
         if len(self.z) != params.n:
             raise ParameterError("z must provide N points")
-        if any(dist_mod_ipi(a, b) <= 1e-10 for i, a in enumerate(self.z) for b in self.z[:i]):
+        z = np.asarray(self.z, dtype=np.complex128)
+        # each point lies at distance 0 from itself; one entry more is a close pair
+        if np.count_nonzero(dist_mod_ipi(z[:, None], z) <= 1e-10) > params.n:
             raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
         self.pr = np.asarray(p.roots, dtype=np.complex128)
         self.qr = np.asarray(q.roots, dtype=np.complex128)
@@ -330,7 +326,7 @@ class PairContext:
         if self.diagonal:
             return np.array([self.q.r_eta, self.q.r_eta_plus])
         eta = self.params.eta
-        return self.q.poly.values(np.concatenate([self.pr - eta, self.pr + eta])).reshape(2, -1)
+        return self.q.poly(np.stack([self.pr - eta, self.pr + eta]))
 
     @cached_property
     def izergin_kernels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +347,7 @@ class PairContext:
     @cached_property
     def z_xi_sinh(self) -> np.ndarray:
         """sinh(z_i - xi_s), row i, column s."""
-        return sinh_rows(self.z, self.params.xi)
+        return np.sinh(np.subtract.outer(self.z, self.params.xi))
 
     @cached_property
     def tau_dq(self) -> np.ndarray:
@@ -376,8 +372,11 @@ class PairContext:
         limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
         u[limit] = 1.0  # the removable points, filled in below
         dq = (at_z[:, :, None] - at_w[:, None, :]) / np.sinh(u)
-        for h, i, k in zip(*np.nonzero(limit)):
-            dq[h, i, k] = (-1.0) ** m[h, i, k] * tau_hat_deriv(params, (q, p)[h].tau, w[h, k])
+        if limit.any():
+            h, i, k = np.nonzero(limit)
+            # row h of the batch is tau_hat_Q' (h = 0) or tau_hat_P' (h = 1) at each limit's w
+            deriv = tau_hat_deriv(params, [q.tau, p.tau], w[h, k])[h, np.arange(len(h))]
+            dq[h, i, k] = (-1.0) ** m[h, i, k] * deriv
         return dq
 
     @cached_property
@@ -387,7 +386,7 @@ class PairContext:
         tq = _nonvanishing_tau_q(self)
         num = self.z_xi_sinh.prod() * np.prod(self.p.sinh_x)
         den = cmath.exp(sum(self.params.xi)) * tq.prod() \
-            * vandermonde(self.z) * vandermonde(self.pr[::-1])
+            * vandermonde(np.stack([self.z, self.pr[::-1]])).prod()
         return complex(num / den)
 
     @cached_property
@@ -446,14 +445,12 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     s_half = np.sinh(u / 2)
     if np.any(np.abs(s_half) < 1e-13):
         raise SingularEvaluationError("product representation needs pairwise distinct roots")
-    afrak_p = np.array([a_frak(params, q_poly, x) for x in pr])
-    afrak_q = np.array([a_frak(params, q_poly, x) for x in qr])
-    d_p = np.array([params.d_fn(x) for x in pr])
-    d_q = np.array([params.d_fn(x) for x in qr])
+    afrak_p, afrak_q = a_frak(params, q_poly, pr), a_frak(params, q_poly, qr)
+    d_p, d_q = params.d_fn(pr), params.d_fn(qr)
     line1 = alpha * em / np.sinh((u - eta) / 2) - 1 / s_half
     line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / np.sinh((u + eta) / 2))
     cross = (d_p / d_q[:, None]) \
-        * (q_poly.values(qr - eta)[:, None] / (q_poly.values(pr - eta) * p_poly.values(pr + IPI))) \
+        * (q_poly(qr - eta)[:, None] / (q_poly(pr - eta) * p_poly(pr + IPI))) \
         * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
         * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, np.cosh(u / 2))
     return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
@@ -506,10 +503,9 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
     _require_roots_off_nodes(params, q_poly.roots)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
     izergin_form = izergin_ratio(params.xi, qr, [alpha] * params.n, params.eta)
-    diff = qr[:, None] - qr[None, :]  # q_k - q_l at (k, l)
-    s_eta = np.sinh(diff + params.eta)
-    prod = s_eta.prod(axis=1) / np.diagonal(products_except(np.sinh(diff)))
-    ratio = np.array([params.d_fn(x) / params.a_fn(x) for x in qr])
+    s_eta = np.sinh(qr[:, None] - qr[None, :] + params.eta)  # at (k, l): q_k - q_l + eta
+    prod = s_eta.prod(axis=1) / node_denominators(qr)
+    ratio = params.d_fn(qr) / params.a_fn(qr)
     # entry (j, k) subtracts ratio_k prod_k alpha / sinh(q_k - q_j + eta)
     compact_form = det_lu(np.eye(params.n) - ratio * prod * alpha / s_eta.T)
     return izergin_form, compact_form
@@ -621,15 +617,15 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     i*pi-shifted partner."""
     params, p_poly, q_poly, q = pair.params, pair.p.poly, pair.q.poly, pair.q
     eta = params.eta
-    q_mu_eta, q_mu_eta_ipi = q_poly.values([mu - eta, mu - eta + IPI])
-    p_mu, p_mu_ipi = p_poly.values([mu, mu + IPI])
+    q_mu_eta, q_mu_eta_ipi = q_poly([mu - eta, mu - eta + IPI])
+    p_mu, p_mu_ipi = p_poly([mu, mu + IPI])
     factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
     u = mu - pair.qr
-    cross = -2 * alpha * (params.d_fn(mu) * np.asarray(q.r_eta_plus) * p_poly.values(pair.qr + IPI)
+    cross = -2 * alpha * (params.d_fn(mu) * np.asarray(q.r_eta_plus) * p_poly(pair.qr + IPI)
                           / (np.asarray(q.a_r) * q_mu_eta * p_mu_ipi)) / np.sinh(u)
-    entry = _coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * _coth(u / 2) + cross
-    return entry - factor * (_coth((u - eta + IPI) / 2)
-                             + alpha * a_frak(params, q_poly, mu + IPI) * _coth((u + IPI) / 2))
+    entry = coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * coth(u / 2) + cross
+    return entry - factor * (coth((u - eta + IPI) / 2)
+                             + alpha * a_frak(params, q_poly, mu + IPI) * coth((u + IPI) / 2))
 
 
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
@@ -643,8 +639,7 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     swaps = np.repeat(smat[None], n, axis=0)
     swaps[np.arange(n), :, np.arange(n)] = _sell_mu_column(pair, alpha, mu)
     smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
-    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly.values([mu, mu - eta, mu + IPI,
-                                                            mu - eta + IPI])
+    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
     weights = (np.asarray(pair.p.r_eta) / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0])
     bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
         - np.sum(weights * swap_dets)
@@ -656,7 +651,7 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     params, p_poly, q_poly, p = pair.params, pair.p.poly, pair.q.poly, pair.p
     eta = params.eta
     alpha = cmath.exp(-eta)
-    p_mu = np.prod(np.sinh(mu - pair.pr))
+    p_mu = sinh_prod(mu - pair.pr)
     a_mu = params.a_fn(mu)
     col_scale = cmath.exp(-mu) * a_mu * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
     big = np.block([
@@ -680,29 +675,25 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     xi = np.asarray(params.xi, dtype=np.complex128)
     pr = np.asarray(p_poly.roots, dtype=np.complex128)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
-    # prod_{l != b} sinh(xi_b - xi_l) per node b
-    node_den = np.diagonal(products_except(sinh_rows(xi, xi)))
-    p_x, p_x_ipi, p_x_eta_ipi = (p_poly.values(xi + s) for s in (0, IPI, IPI - eta))
-    q_x, q_x_eta, q_x_eta_ipi = (q_poly.values(xi + s) for s in (0, -eta, IPI - eta))
-    ft = np.array([f_tilde_values(*v) for v in zip(p_x_eta_ipi, q_x, p_x_ipi, q_x_eta)])
+    p_x, p_x_ipi, p_x_eta_ipi = p_poly(xi + np.array([[0], [IPI], [IPI - eta]]))
+    q_x, q_x_eta, q_x_eta_ipi = q_poly(xi + np.array([[0], [-eta], [IPI - eta]]))
+    ft = f_tilde_values(p_x_eta_ipi, q_x, p_x_ipi, q_x_eta)
     v = xi[None, :] - qr[:, None] - eta  # xi_b - q_a - eta at (a, b)
-    xmat = (q_x_eta * p_x_ipi * _coth(v / 2)
-            - q_x_eta_ipi * p_x * _coth((v + IPI) / 2)) / node_den
+    xmat = (q_x_eta * p_x_ipi * coth(v / 2)
+            - q_x_eta_ipi * p_x * coth((v + IPI) / 2)) / node_denominators(xi)
     w = xi[:, None] - pr[None, :]  # xi_b - p_k at (b, k)
     mmat = 1 / np.sinh(w) + beta * ft[:, None] / np.sinh(w - eta)
     direct = xmat @ mmat
     u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
-    a_q = np.array([params.a_fn(x) for x in qr])
-    a_p = np.array([params.a_fn(x) for x in pr])
-    d_p = np.array([params.d_fn(x) for x in pr])
-    p_ipi = p_poly.values(pr + IPI)
+    a_q, a_p, d_p = params.a_fn(qr), params.a_fn(pr), params.d_fn(pr)
+    p_ipi = p_poly(pr + IPI)
     sinh_half, cosh_half = np.sinh(u / 2), np.cosh(u / 2)
     if (abs(sinh_half) < 1e-13).any():
         raise SingularEvaluationError("coincident roots p_k = q_j")
-    closed = (2 * beta * q_poly.values(qr + eta) / a_q)[:, None] \
+    closed = (2 * beta * q_poly(qr + eta) / a_q)[:, None] \
         * _p_ipi_over_sinh(sinh_half, cosh_half) \
-        - q_poly.values(pr - eta) * p_ipi / d_p * _coth((u - eta) / 2) \
-        - beta * q_poly.values(pr + eta) * p_ipi / a_p * cosh_half / sinh_half
+        - q_poly(pr - eta) * p_ipi / d_p * coth((u - eta) / 2) \
+        - beta * q_poly(pr + eta) * p_ipi / a_p * cosh_half / sinh_half
     scale = np.maximum(np.maximum(np.abs(direct), np.abs(closed)), 1e-30)
     return float(np.max(np.abs(direct - closed) / scale))
 
@@ -717,8 +708,8 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     pr, qr = pair.pr, pair.qr
     ref = sp_izergin(pair, alpha)
     # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
-    ft = np.array([f_tilde_values(*v) for v in zip(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)])
-    ft_ipi = np.array([f_tilde_values(*v) for v in zip(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)])
+    ft = f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
+    ft_ipi = f_tilde_values(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)
     fac1 = 1j * np.multiply(p.x, q.x_ipi) / np.multiply(p.x_ipi, q.x)
     fac2 = 1j * np.multiply(p.x, q.x_eta_ipi) / np.multiply(p.x_ipi, q.x_eta)
     em = cmath.exp(-eta / 2)

@@ -49,10 +49,11 @@ class SovBasis:
         self.params = params
         n = params.n
         self.at_xi = [monodromy_entries(params, x) for x in params.xi]
-        d_shift_vals = [params.d_fn(x - params.eta) for x in params.xi]
+        xi = np.asarray(params.xi)
+        d_shift_vals = params.d_fn(xi - params.eta)
         self.labels = np.array(all_h(n), dtype=bool)
         # V(xi^(h)) for every label h, in h_to_index order; v_h[0] = V(xi)
-        self.v_h = [vandermonde(xi_shifted(params, h)) for h in all_h(n)]
+        self.v_h = vandermonde(xi - self.labels * params.eta)
         self.kets = np.empty((2**n, 2**n), dtype=np.complex128)
         self.bras = np.empty((2**n, 2**n), dtype=np.complex128)
         self.kets[0] = reference_state(n)
@@ -101,7 +102,7 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     params = basis.params
     x, x_eta = np.array(table.x), np.array(table.x_eta)
     # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
-    v_shift = np.array(basis.v_h[::-1] if side == "ket" else basis.v_h)
+    v_shift = basis.v_h[::-1] if side == "ket" else basis.v_h
     if normalized:
         near = dist_mod_2ipi(np.array(table.roots)[:, None],
                              np.asarray(params.xi) - params.eta) < params.delta_min
@@ -129,10 +130,10 @@ def separate_ket_qdet_form(basis: SovBasis, table: QTable,
     prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
     params = basis.params
-    ratio = np.array([a / params.d_fn(x - params.eta) for a, x in zip(params.a_xi, params.xi)])
+    ratio = params.a_xi / params.d_fn(np.asarray(params.xi) - params.eta)
     site = np.where(basis.labels, np.array(table.x_eta) * ratio / (-eps * kappa),
                     np.array(table.x))
-    coeffs = site.prod(axis=1) * np.array(basis.v_h)
+    coeffs = site.prod(axis=1) * basis.v_h
     return SovState(side="ket", coefficients=coeffs, embedded=coeffs @ basis.kets)
 
 

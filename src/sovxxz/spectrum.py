@@ -39,6 +39,8 @@ from .model import (
     q_table,
     products_except,
     residual_grid,
+    sinh_prod,
+    sinh_prod_deriv,
 )
 from .sov import SovBasis, separate_state
 
@@ -68,20 +70,20 @@ def tau_hat(taus, lam, d) -> np.ndarray:
     zero = abs(np.asarray(d)) < 1e-13
     if zero.any():
         raise SingularEvaluationError(
-            f"tau_hat evaluated at a zero of d (lam={complex(lam[zero.argmax()])})")
+            f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})")
     values = np.array([tau.values for tau in taus])
     return np.exp(lam) * (values @ taus[0].basis.weights(lam).T) / d
 
 
-def tau_hat_deriv(params: ModelParams, tau, lam: complex) -> complex:
+def tau_hat_deriv(params: ModelParams, taus, lam) -> np.ndarray:
+    """The lam-derivative of ``tau_hat``, of each eigenvalue of ``taus`` (row)
+    at every point of the array ``lam`` (column), as one batch:
+    tau_hat + (e^lam tau' - tau_hat d') / d."""
+    lam = np.asarray(lam, dtype=np.complex128)
     d = params.d_fn(lam)
-    if abs(d) < 1e-13:
-        raise SingularEvaluationError(f"tau_hat' evaluated at a zero of d (lam={lam})")
-    t = tau(lam)
-    tp = tau.deriv(lam)
-    dp = params.d_prime(lam)
-    e = cmath.exp(lam)
-    return (e * (t + tp) * d - e * t * dp) / (d * d)
+    hat = tau_hat(taus, lam, d)
+    tp = np.array([tau.values for tau in taus]) @ taus[0].basis.weight_derivs(lam).T
+    return hat + (np.exp(lam) * tp - hat * params.d_prime(lam)) / d
 
 
 def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
@@ -124,14 +126,13 @@ def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
     n, eta = params.n, params.eta
     lam = _tq_sample_points(params, 2 * n + 3, seed)
     k = np.arange(n + 1)
-    a_lam = np.array([params.a_fn(z) for z in lam])[:, None]
-    d_lam = np.array([params.d_fn(z) for z in lam])[:, None]
-    tq = (np.exp(lam)[:, None] ** k, a_lam * np.exp((n / 2 - k) * eta),
-          d_lam * np.exp((k - n / 2) * eta))
-    char = np.array([-params.a_fn(x) * params.d_fn(x - eta) for x in params.xi])
+    tq = (np.exp(lam)[:, None] ** k, params.a_fn(lam)[:, None] * np.exp((n / 2 - k) * eta),
+          params.d_fn(lam)[:, None] * np.exp((k - n / 2) * eta))
+    xi = np.asarray(params.xi)
+    char = -params.a_fn(xi) * params.d_fn(xi - eta)
     grid, probes = residual_grid(params), probe_transfers(params, kappa)
     weights = {"tq": interp.weights(lam), "grid": interp.weights([g[0] for g in grid]),
-               "char": interp.weights(np.asarray(params.xi) - eta),
+               "char": interp.weights(xi - eta),
                "probes": interp.weights([mu for mu, _ in probes])}
     return ChainValues(tq=tq, char=char, grid=grid, probes=probes, basis=basis,
                        weights=weights)
@@ -190,9 +191,8 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     dq = -0.5 * np.cosh(z) * products_except(sz)
     u = roots[:, None] - np.asarray(params.xi)[None, :]
     u = np.stack([u + eta, u])
-    su = np.sinh(u)
-    av, dv = su.prod(axis=2)
-    a_prime, d_prime = (np.cosh(u) * products_except(su)).sum(axis=2)
+    av, dv = sinh_prod(u)
+    a_prime, d_prime = sinh_prod_deriv(u)
     f = av * qm - dv * qp
     jac = av[:, None] * dq[0] - dv[:, None] * dq[1]
     # on the diagonal lam = q_j also moves the arguments of every factor l != j
@@ -251,8 +251,8 @@ def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodT
 
 def bethe_residual(table: QTable) -> float:
     """max_j |a_frak_Q(q_j) - 1| over the roots."""
-    return max(abs(a_frak_values(a, d, qm, qp) - 1.0)
-               for a, d, qm, qp in zip(table.a_r, table.d_r, table.r_eta, table.r_eta_plus))
+    return float(np.max(np.abs(a_frak_values(table.a_r, table.d_r, table.r_eta,
+                                             table.r_eta_plus) - 1.0)))
 
 
 def tq_residual(table: QTable, chain: ChainValues) -> float:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import re
@@ -100,8 +101,8 @@ class TestConfig:
         with pytest.raises(ParameterError):
             load_config(None, tol_overrides={"nope": 1e-3})
 
-    @pytest.mark.parametrize("config, tol", [
-        pytest.param(None, "bethe_residual=abc", id="tol-flag"),
+    @pytest.mark.parametrize("config, flags", [
+        pytest.param(None, ["--tol", "bethe_residual=abc"], id="tol-flag"),
         pytest.param({"n": "three"}, None, id="n"),
         pytest.param({"sites": ["a"]}, None, id="sites"),
         pytest.param({"tolerances": {"tq_residual": "x"}}, None, id="tolerances"),
@@ -114,18 +115,19 @@ class TestConfig:
         pytest.param({"n": 2, "xi": {"seed": 2.5}}, None, id="xi.seed-fractional"),
         pytest.param({"n": 2, "tolerances": {"tq_residual": True}}, None,
                      id="tolerance-boolean"),
-        pytest.param({"n": 2}, "tq_residual=nan", id="tol-nan"),
-        pytest.param({"n": 2}, "tq_residual=inf", id="tol-inf"),
-        pytest.param({"n": 2}, "negation_closure=-1e-9", id="tol-negative"),
+        pytest.param({"n": 2}, ["--tol", "tq_residual=nan"], id="tol-nan"),
+        pytest.param({"n": 2}, ["--tol", "tq_residual=inf"], id="tol-inf"),
+        pytest.param({"n": 2}, ["--tol", "negation_closure=-1e-9"], id="tol-negative"),
+        pytest.param({"n": 2, "seed": -3}, None, id="seed-negative"),
+        pytest.param({"n": 2, "xi": {"seed": -3}}, None, id="xi.seed-negative"),
+        pytest.param({"n": 2}, ["--seed", "-1"], id="seed-flag-negative"),
     ])
-    def test_malformed_number_is_a_parameter_error(self, tmp_path, capsys, config, tol):
-        args = ["spectrum", "--out", str(tmp_path / "r.json")]
+    def test_malformed_number_is_a_parameter_error(self, tmp_path, capsys, config, flags):
+        args = ["spectrum", "--out", str(tmp_path / "r.json")] + (flags or [])
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             args += ["--config", str(cfg)]
-        if tol is not None:
-            args += ["--tol", tol]
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -143,6 +145,16 @@ class TestConfig:
         pytest.param(b'{"tolerances": 0}', "'tolerances'", id="tolerances-falsy"),
         pytest.param(b'{"tolerances": [1e-3]}', "'tolerances'", id="tolerances"),
         pytest.param(b'{"seed": 1e400}', "'seed'", id="seed-overflow"),
+        pytest.param(b'{"eta": NaN}', "'eta'", id="eta-nan"),
+        pytest.param(b'{"kappa": [1.0, Infinity]}', "'kappa'", id="kappa-inf"),
+        pytest.param(b'{"kappa_prime": 1e400}', "'kappa_prime'", id="kappa_prime-overflow"),
+        pytest.param(b'{"n": 2, "xi": [0.1, NaN]}', "'xi[1]'", id="xi-nan"),
+        pytest.param(b'{"xi": {"min_separation": NaN}}', "'xi.min_separation'",
+                     id="min_separation-nan"),
+        pytest.param(b'{"xi": {"min_separation": -0.1}}', "'xi.min_separation'",
+                     id="min_separation-negative"),
+        pytest.param(b'{"xi": {"min_separation": 0}}', "'xi.min_separation'",
+                     id="min_separation-zero"),
         pytest.param(b'{"n": 2, "\xff": 1}', "cfg.json", id="not-utf8"),
     ])
     def test_wrong_shape_is_a_parameter_error(self, tmp_path, capsys, content, name):
@@ -281,6 +293,23 @@ class TestValidateCommand:
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
         assert svds == [(2**params.n, 2**params.n)] * params.n
+
+    @pytest.mark.parametrize("side", ["kets", "bras"])
+    def test_sov_checks_catch_a_perturbed_basis_row(self, basis3, side):
+        # the actions and the measure hold at the noise floor on the basis
+        # and fail on a copy with one row moved by 1e-6 relative
+        params = basis3.params
+        points = [(lam, lattice.monodromy_entries(params, lam))
+                  for lam in (0.3 + 0.2j, -0.4 + 0.5j)]
+        assert cli._sov_action_residual(basis3, points) < 1e-12
+        assert cli._sov_measure_residual(basis3) < 1e-12
+        bad = copy.copy(basis3)
+        rows = getattr(basis3, side).copy()
+        noise = np.random.default_rng(3).standard_normal(len(rows))
+        rows[5] += 1e-6 * np.linalg.norm(rows[5]) * noise
+        setattr(bad, side, rows)
+        assert cli._sov_action_residual(bad, points) > 1e-8
+        assert cli._sov_measure_residual(bad) > DEFAULT_TOLERANCES["sov_measure"]
 
     def test_impossible_tolerance_fails_without_crash(self, tmp_path):
         out = tmp_path / "v.json"

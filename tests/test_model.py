@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from sovxxz.model import (
     ModelParams,
     TrigInterpolation,
     a_frak,
+    coth,
+    dist_mod_ipi,
     f_tilde,
     q_structure_residuals,
     q_table,
@@ -50,17 +54,25 @@ class TestHalfPeriodTrigPoly:
 
 class TestSinhProd:
     def test_matches_numpy_product(self):
+        # along the last axis: a stack of argument sets gives a stack of products
         g = rng(11)
         for size in range(5):
-            zs = [complex(g.uniform(-2, 2), g.uniform(-2, 2)) for _ in range(size)]
-            assert rel_dev(sinh_prod(zs), np.prod(np.sinh(np.array(zs, dtype=complex)))) < 1e-14
+            zs = g.uniform(-2, 2, (3, size)) + 1j * g.uniform(-2, 2, (3, size))
+            got = sinh_prod(zs)
+            assert got.shape == (3,)
+            for row, value in zip(zs, got):
+                assert rel_dev(value, np.prod(np.sinh(row))) < 1e-14
+                assert rel_dev(sinh_prod(list(row)), value) < 1e-14
 
     def test_deriv_matches_central_difference(self):
         g = rng(12)
-        zs = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(4)]
-        lam, h = 0.2 - 0.3j, 1e-6
-        fd = (sinh_prod(lam + h + z for z in zs) - sinh_prod(lam - h + z for z in zs)) / (2 * h)
-        assert rel_dev(sinh_prod_deriv(lam + z for z in zs), fd) < 1e-8
+        zs = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(4)])
+        lam = np.array([0.2 - 0.3j, -0.4 + 0.1j])[:, None]
+        h = 1e-6
+        fd = (sinh_prod(lam + h + zs) - sinh_prod(lam - h + zs)) / (2 * h)
+        got = sinh_prod_deriv(lam + zs)
+        assert got.shape == (2,)
+        assert all(rel_dev(a, b) < 1e-8 for a, b in zip(got, fd))
 
     def test_deriv_finite_at_a_zero_of_one_factor(self):
         # at z_0 = 0 the log-derivative sum of coth(z_m) divides by sinh(0);
@@ -69,6 +81,11 @@ class TestSinhProd:
         want = np.sinh(zs[1]) * np.sinh(zs[2])
         assert sinh_prod(zs) == 0
         assert rel_dev(sinh_prod_deriv(zs), want) < 1e-15
+
+    def test_coth_refuses_a_pole_in_an_array(self):
+        with pytest.raises(SingularEvaluationError, match="coth evaluated at a pole"):
+            coth(np.array([0.3 + 0.1j, 0.0j]))
+        assert rel_dev(coth(0.3 + 0.1j), np.cosh(0.3 + 0.1j) / np.sinh(0.3 + 0.1j)) < 1e-15
 
 
 class TestModelParams:
@@ -84,6 +101,20 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(n=2, eta=0.6 + 0.35j,
                         xi=(0.1 + 0.2j, 0.1 + 0.2j + 1j * np.pi))
+
+    def test_min_xi_separation_is_the_pairwise_minimum(self):
+        # the smallest distance mod i*pi between a point of {xi_i, xi_i - eta}
+        # and one of {xi_j, xi_j - eta}, i != j; a single node gives inf
+        g = rng(13)
+        eta = 0.6 + 0.35j
+        assert ModelParams(n=1, eta=eta, xi=(0.2 + 0.1j,)).min_xi_separation() == np.inf
+        for n in range(2, 9):
+            xi = tuple(complex(g.uniform(-1, 1), g.uniform(-3, 3)) for _ in range(n))
+            params = ModelParams(n=n, eta=eta, xi=xi, delta_min=1e-9)
+            sets = [(x, x - eta) for x in xi]
+            ref = min(dist_mod_ipi(a, b) for i in range(n) for j in range(n) if i != j
+                      for a in sets[i] for b in sets[j])
+            assert rel_dev(params.min_xi_separation(), ref) < 1e-14
 
     def test_zero_twist_rejected(self):
         with pytest.raises(ParameterError):
@@ -180,43 +211,29 @@ class TestTrigInterpolation:
         fd = (interp(lam + h) - interp(lam - h)) / (2 * h)
         assert abs(interp.deriv(lam) - fd) < 1e-6
 
-    def test_call_equals_per_term_sinh_products(self):
-        # interpolants sharing one basis read its stored node products; both
-        # the products and the values equal the per-term formula to the bit,
-        # at a node, with signed-zero components and for numpy or Python
-        # complex points.  On a real node set the products at lam = r + 0.0j
-        # and r - 0.0j differ in the sign of a zero, so a store keyed by ==
-        # (which merges them) fails here.
-        def bits(values):
-            return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
-
+    def test_call_equals_per_term_formula(self):
+        # the interpolant is one weight row per point against the node
+        # values: at an array of points, nodes and signed zeros included, it
+        # equals the per-term formula, and a scalar call equals its entry of
+        # the array call
         g = rng(10)
-        zero_signs_differ = False
         for n in range(1, 9):
-            generic = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
-            real = [complex(g.uniform(-1, 1), 0.0) for _ in range(n)]
-            for xi in (generic, real):
-                basis = InterpolationBasis(xi)
-                interps = [TrigInterpolation(basis, [complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                                                     for _ in range(n)]) for _ in range(3)]
-                points = [0.3 + 0.4j, xi[n // 2], complex(0.25, 0.0), complex(0.25, -0.0),
-                          complex(-0.0, 0.1), complex(-0.0, -0.0), complex(0.0, 0.0)]
-                products = {}
-                for lam in points:
-                    for form in (lam, np.complex128(lam)):
-                        nums = [sinh_prod(form - x for k, x in enumerate(basis.xi) if k != j)
-                                for j in range(n)]
-                        products[repr(lam)] = bits(nums)
-                        assert bits(basis.numerators(form)) == bits(nums)
-                        for interp in interps:
-                            ref = 0.0 + 0.0j
-                            for j, xj in enumerate(basis.xi):
-                                others = [x for k, x in enumerate(basis.xi) if k != j]
-                                ref += interp.values[j] * nums[j] \
-                                    / sinh_prod(xj - x for x in others)
-                            assert bits([interp(form)]) == bits([complex(ref)])
-                zero_signs_differ |= products["(0.25+0j)"] != products["(0.25-0j)"]
-        assert zero_signs_differ
+            xi = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
+            interp = TrigInterpolation(InterpolationBasis(xi), [
+                complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])
+            points = [0.3 + 0.4j, complex(0.25, -0.0), complex(-0.0, 0.1), *xi]
+            got = interp(np.array(points))
+            for lam, value in zip(points, got):
+                ref = 0.0 + 0.0j
+                for j, xj in enumerate(xi):
+                    num = den = 1.0 + 0.0j
+                    for k, xk in enumerate(xi):
+                        if k != j:
+                            num *= cmath.sinh(lam - xk)
+                            den *= cmath.sinh(xj - xk)
+                    ref += interp.values[j] * num / den
+                assert rel_dev(value, ref) < 1e-13
+                assert rel_dev(interp(lam), value) < 1e-14
 
     def test_quasi_periodicity(self, params3):
         g = rng(8)

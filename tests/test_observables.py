@@ -21,7 +21,6 @@ from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
     InterpolationBasis,
-    TrigInterpolation,
     coth,
     dist_mod_2ipi,
 )
@@ -426,7 +425,7 @@ class TestPairContext:
             u = z - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < 1e-9:
-                return (-1.0) ** m * tau_hat_deriv(params3, rec.tau, w)
+                return (-1.0) ** m * tau_hat_deriv(params3, [rec.tau], w)[0]
             return (hat(rec, z) - hat(rec, w)) / cmath.sinh(u)
 
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
@@ -499,22 +498,17 @@ class TestPairContext:
     def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
         # every P or Q value at xi_k, xi_k - eta and their i*pi translates,
         # and every tau value at xi_k, comes from the records' node tables,
-        # not from a fresh evaluation, whether one point at a time or batched
+        # not from a fresh evaluation at any point of an evaluator's array
         eta = params3.eta
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
-        evaluate, evaluate_many = HalfPeriodTrigPoly.__call__, HalfPeriodTrigPoly.values
+        evaluate = HalfPeriodTrigPoly.__call__
         weigh = InterpolationBasis.weights
         hits, batches = [], Counter()
 
-        def watched(poly, lam):
-            if lam in nodes:
-                hits.append(lam)
-            return evaluate(poly, lam)
-
-        def watched_many(poly, points):
-            batches["values"] += 1
+        def watched(poly, points):
+            batches["poly"] += 1
             hits.extend(lam for lam in np.ravel(points) if lam in nodes)
-            return evaluate_many(poly, points)
+            return evaluate(poly, points)
 
         def watched_weights(basis, points):
             batches["weights"] += 1
@@ -522,7 +516,6 @@ class TestPairContext:
             return weigh(basis, points)
 
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched)
-        monkeypatch.setattr(HalfPeriodTrigPoly, "values", watched_many)
         monkeypatch.setattr(InterpolationBasis, "weights", watched_weights)
         alpha = KAPPA2 / params3.kappa
         for ip in (0, 2, 5):
@@ -535,14 +528,14 @@ class TestPairContext:
                 for form in ("roots", "tau"):
                     obs.ff_sigma_z(pair, range(1, params3.n + 1), form)
                     obs.ff_sigma_pm(pair, params3.kappa, 1, range(1, params3.n + 1), form)
-        assert hits == [] and batches["values"] and batches["weights"]
+        assert hits == [] and batches["poly"] and batches["weights"]
 
     def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):
         # in one observables run, tau is never evaluated at a node: its node
         # values are read as they are; once the records are certified,
         # separate states evaluate no polynomial and the pair formulas
-        # evaluate only Q(p_k -+ eta), one point at a time or batched, and on
-        # a diagonal pair (P = Q) not even those: Q's table holds them
+        # evaluate only Q(p_k -+ eta), at any point of the evaluators' arrays,
+        # and on a diagonal pair (P = Q) not even those: Q's table holds them
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": 2}')
         params = load_config(cfg).params
@@ -550,15 +543,10 @@ class TestPairContext:
         tau_at_nodes = Counter()
         in_states, after_spectrum, on_diagonal, diagonal_pairs, records = [], [], [], [], []
         phase = {"certified": False, "state": False, "diagonal": False}
-        call_tau, call_poly = TrigInterpolation.__call__, HalfPeriodTrigPoly.__call__
-        call_many, call_weights = HalfPeriodTrigPoly.values, InterpolationBasis.weights
+        call_poly, call_weights = HalfPeriodTrigPoly.__call__, InterpolationBasis.weights
         solve, state, make_pair = cli.solve_spectrum, cli.separate_state, obs.PairContext
 
-        def counted_tau(tau, lam):
-            if lam in params.xi:
-                tau_at_nodes[id(tau), lam] += 1
-            return call_tau(tau, lam)
-
+        # tau is evaluated only through the weights of its basis
         def counted_weights(basis, points):
             for lam in np.ravel(points):
                 if lam in params.xi:
@@ -573,14 +561,10 @@ class TestPairContext:
                 if phase["diagonal"]:
                     on_diagonal.append(lam)
 
-        def watched_poly(poly, lam):
-            seen(lam)
-            return call_poly(poly, lam)
-
-        def watched_many(poly, points):
+        def watched_poly(poly, points):
             for lam in np.ravel(points):
                 seen(lam)
-            return call_many(poly, points)
+            return call_poly(poly, points)
 
         def tracked_pair(params, p, q, z=None):
             phase["diagonal"] = p is q
@@ -599,10 +583,8 @@ class TestPairContext:
             finally:
                 phase["state"] = False
 
-        monkeypatch.setattr(TrigInterpolation, "__call__", counted_tau)
         monkeypatch.setattr(InterpolationBasis, "weights", counted_weights)
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
-        monkeypatch.setattr(HalfPeriodTrigPoly, "values", watched_many)
         monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
         monkeypatch.setattr(cli, "separate_state", watched_state)
         monkeypatch.setattr(obs, "PairContext", tracked_pair)

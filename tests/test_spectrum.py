@@ -244,7 +244,8 @@ class TestPipeline:
             inner = getattr(ModelParams, name)
 
             def wrapper(self, lam):
-                chain_calls[name, lam] += 1
+                for point in np.ravel(lam):
+                    chain_calls[name, complex(point)] += 1
                 return inner(self, lam)
             monkeypatch.setattr(ModelParams, name, wrapper)
 
@@ -268,19 +269,20 @@ class TestPipeline:
 
     def test_eigenvalue_independent_work_done_once_per_solve(self, params3, basis3,
                                                              monkeypatch):
-        # every tau shares one interpolation basis, whose node products are
-        # built once per distinct point; the T-Q sample points are drawn once,
-        # and a, d at them and at xi_j, xi_j - eta are evaluated once per
-        # solve, not once per record
-        products = Counter()
+        # every tau shares one interpolation basis, whose weights are
+        # computed once per point; the T-Q sample points are drawn once, and
+        # a, d at them and at xi_j, xi_j - eta are evaluated once per solve,
+        # not once per record (points are counted inside array calls)
+        weighed = Counter()
         draws = []
         chain_calls = Counter()
-        build = InterpolationBasis._node_products
+        weigh = InterpolationBasis.weights
         sample = spectrum._tq_sample_points
 
-        def counted_products(basis, lam):
-            products[repr(complex(lam))] += 1
-            return build(basis, lam)
+        def counted_weights(basis, points):
+            for lam in np.ravel(points):
+                weighed[complex(lam)] += 1
+            return weigh(basis, points)
 
         def counted_sample(*args, **kwargs):
             draws.append(sample(*args, **kwargs))
@@ -290,17 +292,18 @@ class TestPipeline:
             inner = getattr(ModelParams, name)
 
             def wrapper(self, lam):
-                chain_calls[name, lam] += 1
+                for point in np.ravel(lam):
+                    chain_calls[name, complex(point)] += 1
                 return inner(self, lam)
             monkeypatch.setattr(ModelParams, name, wrapper)
 
-        monkeypatch.setattr(InterpolationBasis, "_node_products", counted_products)
+        monkeypatch.setattr(InterpolationBasis, "weights", counted_weights)
         monkeypatch.setattr(spectrum, "_tq_sample_points", counted_sample)
         count_chain("a_fn")
         count_chain("d_fn")
         records = spectrum.solve_spectrum(basis3)
         assert len(records) == 8
-        assert products and max(products.values()) == 1
+        assert weighed and max(weighed.values()) == 1
         assert len(draws) == 1
         for lam in draws[0]:
             assert chain_calls["a_fn", lam] == 1
