@@ -222,12 +222,12 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     basis = SovBasis(params)
     records = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
                              tolerances=cfg.tolerances)
-    vals = np.array([r.tau_at_xi[0] for r in records])
+    vals = np.array([r.tau.values[0] for r in records])
     neg = np.sort_complex(-vals)
     closure = float(np.max(np.abs(np.sort_complex(vals) - neg))
                     / max(np.max(np.abs(vals)), 1e-30))
     other = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime, seed=cfg.seed)
-    vals2 = np.array([r.tau_at_xi[0] for r in other])
+    vals2 = np.array([r.tau.values[0] for r in other])
     iso = float(np.max(np.abs(np.sort_complex(vals) - np.sort_complex(vals2)))
                 / max(np.max(np.abs(vals)), 1e-30))
     checks = {
@@ -237,7 +237,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     rec_out = []
     for r in records:
         rec_out.append({
-            "tau_at_xi": list(r.tau_at_xi),
+            "tau_at_xi": list(r.tau.values),
             "q_roots": list(r.q_poly.roots),
             "qhat_roots": list(r.table.hat.roots),
             "bethe_residual": r.residuals["bethe"],

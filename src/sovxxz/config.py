@@ -96,6 +96,13 @@ def _bounds(value, name: str) -> list[float]:
     return bounds
 
 
+def _distinct(values: tuple, name: str):
+    """Refuse ``values`` if an entry repeats."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ParameterError(f"field {name!r} repeats the entry {repeated[0]!r}")
+
+
 def _reject_unknown(keys, known, where: str):
     for key in keys:
         if key not in known:
@@ -184,9 +191,9 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
             raise ParameterError("config root must be a JSON object")
         _reject_unknown(user, DEFAULT_CONFIG, "")
         data.update(user)
-    schema = data.get("schema", 1)
+    schema = _number(int, data["schema"], "schema")
     if schema != 1:
-        raise ParameterError(f"unsupported config schema {schema}")
+        raise ParameterError(f"field 'schema' must be 1, got {schema}")
     n = _number(int, data["n"], "n")
     if not 1 <= n <= MAX_N_HARD:
         raise ParameterError(f"n must lie in 1..{MAX_N_HARD}, got {n}")
@@ -223,15 +230,18 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     for s in sites:
         if not 1 <= s <= n:
             raise ParameterError(f"site {s} outside 1..{n}")
+    _distinct(sites, "sites")
     operators = tuple(_list(data.get("operators"), "operators", ("z", "+", "-")))
     for op in operators:
         if op not in ("z", "+", "-"):
             raise ParameterError(f"unknown operator {op!r} (expected 'z', '+', '-')")
+    _distinct(operators, "operators")
     representations = tuple(_list(data.get("representations"), "representations",
                                   DEFAULT_REPRESENTATIONS))
     for rep in representations:
         if rep not in DEFAULT_REPRESENTATIONS:
             raise ParameterError(f"unknown representation {rep!r}")
+    _distinct(representations, "representations")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     user_tolerances = data.get("tolerances")

@@ -118,9 +118,9 @@ def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) 
 
 @dataclass
 class OracleRecord:
-    """One transfer-matrix eigenvector with its eigenvalue data at the nodes."""
+    """One transfer-matrix eigenvector's eigenvalue: ``tau.values`` are
+    tau(xi_k), the Rayleigh quotients at the nodes."""
 
-    tau_at_xi: np.ndarray
     tau: TrigInterpolation
     interp_check: float
 
@@ -157,9 +157,9 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
         tau_xi = np.array([(v.conj() @ (m @ v)) / nv for m in mats])
         rq = (v.conj() @ (probe_mat @ v)) / nv
         check = abs(probe_weights @ tau_xi - rq) / max(abs(rq), 1e-30)
-        records.append(OracleRecord(tau_at_xi=tau_xi, tau=TrigInterpolation(basis, tau_xi),
+        records.append(OracleRecord(tau=TrigInterpolation(basis, tau_xi),
                                     interp_check=float(check)))
-    records.sort(key=lambda r: (r.tau_at_xi[0].real, r.tau_at_xi[0].imag))
+    records.sort(key=lambda r: (r.tau.values[0].real, r.tau.values[0].imag))
     return records
 
 

@@ -266,7 +266,7 @@ def a_frak_values(a_u, d_u, q_eta, q_eta_plus):
     """``a_frak`` from a(u), d(u), Q(u-eta) and Q(u+eta), elementwise on arrays."""
     _require_nonzero(a_u, "a(u)")
     _require_nonzero(q_eta, "Q(u-eta)")
-    return np.multiply(d_u, q_eta_plus) / np.multiply(a_u, q_eta)
+    return d_u * q_eta_plus / (a_u * q_eta)
 
 
 def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
@@ -281,7 +281,7 @@ def f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta):
     elementwise on arrays."""
     _require_nonzero(p_ipi, "P(u+i*pi)")
     _require_nonzero(q_eta, "Q(u-eta)")
-    return np.multiply(p_eta_ipi, q_u) / np.multiply(p_ipi, q_eta)
+    return p_eta_ipi * q_u / (p_ipi * q_eta)
 
 
 def _require_nonzero(value, name: str, floor: float = 1e-13):
@@ -292,10 +292,17 @@ def _require_nonzero(value, name: str, floor: float = 1e-13):
         raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor")
 
 
-def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]:
-    """4N+5 seeded sample points (lam, a(lam), d(lam)) for functional residuals,
-    lam kept delta_min away from every zero of a, d and their i*pi translates.
-    They depend on the chain only, so one grid serves every record of a spectrum."""
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, flagged read-only."""
+    values.flags.writeable = False
+    return values
+
+
+def residual_grid(params: ModelParams) -> np.ndarray:
+    """4N+5 seeded sample points lam for functional residuals, kept delta_min
+    away from every zero of a, d and their i*pi translates, as one read-only
+    (3, 4N+5) array with rows lam, a(lam) and d(lam).  They depend on the
+    chain only, so one grid serves every record of a spectrum."""
     count = 4 * params.n + 5
     rng = np.random.default_rng(20240)
     avoid = params.forbidden_points()
@@ -305,14 +312,15 @@ def residual_grid(params: ModelParams) -> list[tuple[complex, complex, complex]]
         if all(dist_mod_ipi(z, p) >= params.delta_min for p in avoid):
             pts.append(z)
     lam = np.array(pts, dtype=np.complex128)
-    return list(zip(lam.tolist(), params.a_fn(lam).tolist(), params.d_fn(lam).tolist()))
+    return _read_only(np.stack([lam, params.a_fn(lam), params.d_fn(lam)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QTable:
     """Every value of one Q-function that depends on it alone, built once by
     ``q_table``; the record residuals, separate states and pair formulas read
-    them and evaluate none again.  Q at xi_k, xi_k - eta, xi_k + i*pi and
+    them and evaluate none again.  Every numeric field is a read-only
+    complex128 array.  Q at xi_k, xi_k - eta, xi_k + i*pi and
     xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi`` (row h in
     (0, 1) is Q(xi_k - h * eta)).  At the roots q_j: a, d, exp in ``a_r``,
     ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
@@ -320,25 +328,25 @@ class QTable:
     ``sinh_x``.  ``hat`` is the i*pi-shifted partner.  An eigen record's table
     also holds its eigenvalue ``tau`` (whose ``values`` are tau(xi_k)) and,
     per residual-grid point lam, the row (Q(lam), Q(lam - eta), Q(lam + eta),
-    Qhat(lam), Qhat(lam - eta)) in ``grid``.
+    Qhat(lam), Qhat(lam - eta)) of the (G, 5) array ``grid``.
     """
 
     poly: HalfPeriodTrigPoly
     roots: tuple[complex, ...]
     hat: HalfPeriodTrigPoly
     tau: TrigInterpolation | None
-    x: tuple[complex, ...]
-    x_eta: tuple[complex, ...]
-    x_ipi: tuple[complex, ...]
-    x_eta_ipi: tuple[complex, ...]
-    a_r: tuple[complex, ...]
-    d_r: tuple[complex, ...]
-    exp_r: tuple[complex, ...]
-    r_eta: tuple[complex, ...]
-    r_eta_plus: tuple[complex, ...]
-    r_ipi: tuple[complex, ...]
-    sinh_x: tuple[complex, ...]
-    grid: tuple[tuple[complex, ...], ...]
+    x: np.ndarray
+    x_eta: np.ndarray
+    x_ipi: np.ndarray
+    x_eta_ipi: np.ndarray
+    a_r: np.ndarray
+    d_r: np.ndarray
+    exp_r: np.ndarray
+    r_eta: np.ndarray
+    r_eta_plus: np.ndarray
+    r_ipi: np.ndarray
+    sinh_x: np.ndarray
+    grid: np.ndarray
 
 
 def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
@@ -349,20 +357,19 @@ def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
     hat = poly.shifted_ipi()
     xi = np.asarray(params.xi, dtype=np.complex128)
     r = np.asarray(poly.roots, dtype=np.complex128)
-    lam = np.array([g[0] for g in grid], dtype=np.complex128)
+    lam = np.reshape(grid, (3, -1))[0]
     sizes = np.cumsum([len(xi)] * 4 + [len(r)] * 3 + [len(lam)] * 2)  # split points
-    values = [tuple(v.tolist()) for v in np.split(poly(np.concatenate(
-        [xi, xi - eta, xi + IPI, xi - eta + IPI, r - eta, r + eta, r + IPI,
-         lam, lam - eta, lam + eta])), sizes)]
-    hat0, hat_eta = np.split(hat(np.concatenate([lam, lam - eta])), 2)
+    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, *at_lam = map(_read_only, np.split(
+        poly(np.concatenate([xi, xi - eta, xi + IPI, xi - eta + IPI, r - eta, r + eta, r + IPI,
+                             lam, lam - eta, lam + eta])), sizes))
     return QTable(
         poly=poly, roots=poly.roots, hat=hat, tau=tau,
-        x=values[0], x_eta=values[1], x_ipi=values[2], x_eta_ipi=values[3],
-        a_r=tuple(params.a_fn(r).tolist()), d_r=tuple(params.d_fn(r).tolist()),
-        exp_r=tuple(np.exp(r).tolist()),
-        r_eta=values[4], r_eta_plus=values[5], r_ipi=values[6],
-        sinh_x=tuple(sinh_prod(xi[:, None] - r).tolist()),
-        grid=tuple(zip(*values[7:], hat0.tolist(), hat_eta.tolist())),
+        x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
+        a_r=_read_only(params.a_fn(r)), d_r=_read_only(params.d_fn(r)),
+        exp_r=_read_only(np.exp(r)), r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi,
+        sinh_x=_read_only(sinh_prod(xi[:, None] - r)),
+        grid=_read_only(np.stack(
+            [*at_lam, *np.split(hat(np.concatenate([lam, lam - eta])), 2)], axis=1)),
     )
 
 
@@ -374,7 +381,8 @@ class QStructureReport:
     sum_rule_k: int
 
 
-def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QStructureReport:
+def q_structure_residuals(table: QTable, params: ModelParams,
+                          grid: np.ndarray) -> QStructureReport:
     """Structural diagnostics of a candidate Q-function.
 
     Checks, on ``grid`` (the one ``table`` was built on), the quantum
@@ -382,8 +390,8 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: list) -> QSt
     and the root sum rule modulo i*k*pi.
     """
     signs = (1, -1)
-    q0, q_eta, _, hat0, hat_eta = np.array(table.grid, dtype=np.complex128).reshape(-1, 5).T
-    d = np.array([g[2] for g in grid], dtype=np.complex128)
+    q0, q_eta, _, hat0, hat_eta = table.grid.T
+    d = grid[2]
     w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
     # row s: the right-hand side at Wronskian sign signs[s], per grid point
     rhs = (np.array(signs)[:, None] * (0.5j) ** params.n) * d

@@ -129,19 +129,19 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 def sp_direct(pair: PairContext, alpha: complex) -> complex:
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
     params, p, q = pair.params, pair.p, pair.q
-    den = np.multiply(p.x_eta, q.x_eta)
+    den = p.x_eta * q.x_eta
     vanishing = np.abs(den) < 1e-13
     if vanishing.any():
         raise SingularEvaluationError(
             f"(PQ)(xi - eta) vanishes at xi = {params.xi[np.argmax(vanishing)]}")
-    return _dressed_vandermonde(params.node_rows, -alpha * np.multiply(p.x, q.x) / den)
+    return _dressed_vandermonde(params.node_rows, -alpha * (p.x * q.x) / den)
 
 
 def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
     """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
     product)."""
     p, q = pair.p, pair.q
-    ratio = alpha * np.multiply(p.x, q.x) / np.multiply(p.x_eta, q.x_eta)
+    ratio = alpha * (p.x * q.x) / (p.x_eta * q.x_eta)
     terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
     # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
     return complex(np.sum(terms * basis.v_h[::-1]) / basis.v_h[0])
@@ -170,8 +170,8 @@ def sp_izergin(pair: PairContext, alpha: complex) -> complex:
 def cond_pq_residual(pair: PairContext) -> float:
     """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
     p, q = pair.p, pair.q
-    rows = np.array([p.x_eta, p.x_eta_ipi, q.x_eta, q.x_eta_ipi, p.x, p.x_ipi, q.x, q.x_ipi])
-    r1, r2 = rows[:2] * rows[2:4] / (rows[4:6] * rows[6:])
+    r1 = p.x_eta * q.x_eta / (p.x * q.x)
+    r2 = p.x_eta_ipi * q.x_eta_ipi / (p.x_ipi * q.x_ipi)
     return float((abs(r1 - r2) / np.maximum(abs(r1) + abs(r2), 1e-30)).max())
 
 
@@ -238,15 +238,14 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
         base, kern = _s_gamma(u - eta, gamma), _s_gamma(np.where(limit, 1.0, u), gamma)
     q_p_eta, q_p_eta_plus = pair.q_at_p
     afrak_p = a_frak_values(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)
-    ratio = np.multiply.outer(q.r_eta_plus, p.d_r) \
-        / (np.multiply.outer(q.a_r, q_p_eta) * p.r_ipi)
+    ratio = q.r_eta_plus[:, None] * p.d_r / (q.a_r[:, None] * q_p_eta * p.r_ipi)
     rest = afrak_p * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_half[1])
     if limit.any():
         j, k = np.nonzero(limit)
         qj = qr[j]
         log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
             - params.a_log_deriv(qj)
-        afrak_q = a_frak_values(*(np.take(v, j) for v in (q.a_r, q.d_r, q.r_eta, q.r_eta_plus)))
+        afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
         rest[j, k] = 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
     return SlavnovHalves(base, rest)
 
@@ -292,15 +291,14 @@ class PairContext:
     def __init__(self, params: ModelParams, p: QTable, q: QTable, z=None):
         self.params = params
         self.p, self.q = p, q
-        self.z = list(q.roots) if z is None else [complex(v) for v in z]
-        if len(self.z) != params.n:
-            raise ParameterError("z must provide N points")
-        z = np.asarray(self.z, dtype=np.complex128)
-        # each point lies at distance 0 from itself; one entry more is a close pair
-        if np.count_nonzero(dist_mod_ipi(z[:, None], z) <= 1e-10) > params.n:
-            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
         self.pr = np.asarray(p.roots, dtype=np.complex128)
         self.qr = np.asarray(q.roots, dtype=np.complex128)
+        self.z = self.qr if z is None else np.asarray(z, dtype=np.complex128)
+        if self.z.shape != (params.n,):
+            raise ParameterError("z must provide N points")
+        # each point lies at distance 0 from itself; one entry more is a close pair
+        if np.count_nonzero(dist_mod_ipi(self.z[:, None], self.z) <= 1e-10) > params.n:
+            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
         # P's roots equal Q's bit for bit: Q's table holds Q at the P-roots
         self.diagonal = self.pr.tobytes() == self.qr.tobytes()
 
@@ -324,7 +322,7 @@ class PairContext:
         """Q(p_k - eta) and Q(p_k + eta) in rows 0 and 1 (from Q's own table
         when P = Q): the Slavnov halves, and row 0 the rank-one columns."""
         if self.diagonal:
-            return np.array([self.q.r_eta, self.q.r_eta_plus])
+            return np.stack([self.q.r_eta, self.q.r_eta_plus])
         eta = self.params.eta
         return self.q.poly(np.stack([self.pr - eta, self.pr + eta]))
 
@@ -347,7 +345,7 @@ class PairContext:
     @cached_property
     def z_xi_sinh(self) -> np.ndarray:
         """sinh(z_i - xi_s), row i, column s."""
-        return np.sinh(np.subtract.outer(self.z, self.params.xi))
+        return np.sinh(self.z[:, None] - self.params.xi)
 
     @cached_property
     def tau_dq(self) -> np.ndarray:
@@ -360,7 +358,7 @@ class PairContext:
         evaluated at the z_i, p_k and p_k + eta in one batch."""
         p, q = self.eigen_tables()
         params, n = self.params, self.params.n
-        z = np.asarray(self.z, dtype=np.complex128)
+        z = self.z
         w = self.pr + [[0.0], [params.eta]]
         # d at z from the z - xi rows; d(p_k) and d(p_k + eta) = a(p_k) from P's table
         hat = tau_hat([q.tau, p.tau], np.concatenate([z, *w]),
@@ -468,7 +466,7 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     mat, _, _ = product_matrix(params, p_poly, q_poly, alpha, beta)
     den = 1 / np.sinh((pair.pr[None, :] - pair.qr[:, None] - params.eta) / 2)
     pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p_poly.roots)) \
-        * np.prod(np.divide(pair.q.x, pair.q.x_eta))
+        * np.prod(pair.q.x / pair.q.x_eta)
     mat_det, den_det = det_lu([mat, den])
     rhs = pref * mat_det / den_det
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -532,26 +530,24 @@ def _rank1_sigma_z(pair: PairContext) -> np.ndarray:
     r0, r1 = Q/P at xi_s - eta and its i*pi shift; column P(p_k - eta)/Q(p_k - eta)."""
     p, q = pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = np.divide(q.x_eta, p.x_eta)[:, None] * coth_x \
-        + np.divide(q.x_eta_ipi, p.x_eta_ipi)[:, None] * tanh_x
-    return row[:, :, None] * (np.asarray(p.r_eta) / pair.q_at_p[0])
+    row = (q.x_eta / p.x_eta)[:, None] * coth_x + (q.x_eta_ipi / p.x_eta_ipi)[:, None] * tanh_x
+    return row[:, :, None] * (p.r_eta / pair.q_at_p[0])
 
 
 def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
     """The roots-form spin-flip rank-one terms of every site s, stacked."""
     params, p, q = pair.params, pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = (np.divide(q.x_eta, p.x)[:, None] * coth_x
-           - np.divide(q.x_eta_ipi, p.x_ipi)[:, None] * tanh_x) \
+    row = ((q.x_eta / p.x)[:, None] * coth_x - (q.x_eta_ipi / p.x_ipi)[:, None] * tanh_x) \
         * (np.exp(-np.asarray(params.xi)) * params.a_xi)[:, None]
-    col = np.multiply(p.exp_r, p.d_r) / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
+    col = p.exp_r * p.d_r / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
     return row[:, :, None] * col
 
 
 def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> np.ndarray:
     """site_factor_s col_k / sinh(z_i - xi_s) at (s, i, k): the
     eigenvalue-form rank-one terms of every site s, stacked."""
-    return (site_factor / pair.z_xi_sinh).T[:, :, None] * np.asarray(col)
+    return (site_factor / pair.z_xi_sinh).T[:, :, None] * col
 
 
 def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
@@ -568,9 +564,8 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
         return [-pq_ratio * d / den for pq_ratio, d in zip(ratios, dets)]
     if form == "tau":
         mat = tau_matrix(*pair.tau_dq, 1.0)
-        site_factor = np.exp(np.asarray(params.xi)) * q.tau.values \
-            / np.multiply(p.x_eta, p.x_ipi)
-        rank1 = _tau_rank1(pair, site_factor, np.multiply(p.r_eta, p.r_ipi) / p.d_r)
+        site_factor = np.exp(np.asarray(params.xi)) * q.tau.values / (p.x_eta * p.x_ipi)
+        rank1 = _tau_rank1(pair, site_factor, p.r_eta * p.r_ipi / p.d_r)
         pref = pair.tau_prefactor
         return [-pref * pq_ratio * d for pq_ratio, d in zip(ratios, det_lu(mat + rank1[at]))]
     raise ParameterError(f"unknown form {form!r}")
@@ -600,7 +595,7 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
         mat = tau_matrix(*pair.tau_dq, alpha)
         pref = eps * kappa * cmath.exp(-sum(p.roots)) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        site_factor = np.multiply(params.a_xi, q.tau.values) / p.sinh_x
+        site_factor = params.a_xi * q.tau.values / p.sinh_x
         rank1 = _tau_rank1(pair, site_factor, p.exp_r)
         mat_det, *dets = det_lu(np.concatenate([mat[None], mat + rank1[at]]))
         return [pref * pq_ratio * (d - mat_det) for pq_ratio, d in zip(ratios, dets)]
@@ -621,8 +616,8 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     p_mu, p_mu_ipi = p_poly([mu, mu + IPI])
     factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
     u = mu - pair.qr
-    cross = -2 * alpha * (params.d_fn(mu) * np.asarray(q.r_eta_plus) * p_poly(pair.qr + IPI)
-                          / (np.asarray(q.a_r) * q_mu_eta * p_mu_ipi)) / np.sinh(u)
+    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * p_poly(pair.qr + IPI)
+                          / (q.a_r * q_mu_eta * p_mu_ipi)) / np.sinh(u)
     entry = coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * coth(u / 2) + cross
     return entry - factor * (coth((u - eta + IPI) / 2)
                              + alpha * a_frak(params, q_poly, mu + IPI) * coth((u + IPI) / 2))
@@ -640,7 +635,7 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     swaps[np.arange(n), :, np.arange(n)] = _sell_mu_column(pair, alpha, mu)
     smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
     p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
-    weights = (np.asarray(pair.p.r_eta) / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0])
+    weights = (pair.p.r_eta / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0])
     bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
         - np.sum(weights * swap_dets)
     return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det
@@ -656,7 +651,7 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     col_scale = cmath.exp(-mu) * a_mu * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
     big = np.block([
         [slavnov_matrix(pair.halves, alpha), col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
-        [(np.multiply(p.exp_r, p.d_r) / (pair.q_at_p[0] * p.r_ipi))[None, :],
+        [(p.exp_r * p.d_r / (pair.q_at_p[0] * p.r_ipi))[None, :],
          np.array([[a_mu * params.d_fn(mu) / p_mu]])],
     ])
     pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
@@ -710,8 +705,8 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
     ft = f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
     ft_ipi = f_tilde_values(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)
-    fac1 = 1j * np.multiply(p.x, q.x_ipi) / np.multiply(p.x_ipi, q.x)
-    fac2 = 1j * np.multiply(p.x, q.x_eta_ipi) / np.multiply(p.x_ipi, q.x_eta)
+    fac1 = 1j * (p.x * q.x_ipi) / (p.x_ipi * q.x)
+    fac2 = 1j * (p.x * q.x_eta_ipi) / (p.x_ipi * q.x_eta)
     em = cmath.exp(-eta / 2)
     w = xi[:, None] - pr[None, :]  # xi_i - p_k at (i, k)
     den = 1 / np.sinh(w)
@@ -728,7 +723,7 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     den_det, m1_det, m2a_det = det_lu([den, m1, m2a])
     pref = cmath.exp(sum(params.xi[i] - pr[i] for i in range(n)) / 2) / 2**n
     val_p = pref * m1_det / den_det
-    pref_q = pref * np.prod(np.divide(q.x, p.x)) * vandermonde(pr / 2) / vandermonde(qr / 2)
+    pref_q = pref * np.prod(q.x / p.x) * vandermonde(pr / 2) / vandermonde(qr / 2)
     val_q = pref_q * m2a_det / den_det
     scale = max(abs(ref), 1e-30)
     kernel_dev = float(np.max(np.abs(m2a - m2b)) / max(np.max(np.abs(m2a)), 1e-30))

@@ -100,7 +100,7 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
     params = basis.params
-    x, x_eta = np.array(table.x), np.array(table.x_eta)
+    x, x_eta = table.x, table.x_eta
     # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
     v_shift = basis.v_h[::-1] if side == "ket" else basis.v_h
     if normalized:
@@ -131,8 +131,7 @@ def separate_ket_qdet_form(basis: SovBasis, table: QTable,
     """
     params = basis.params
     ratio = params.a_xi / params.d_fn(np.asarray(params.xi) - params.eta)
-    site = np.where(basis.labels, np.array(table.x_eta) * ratio / (-eps * kappa),
-                    np.array(table.x))
+    site = np.where(basis.labels, table.x_eta * ratio / (-eps * kappa), table.x)
     coeffs = site.prod(axis=1) * basis.v_h
     return SovState(side="ket", coefficients=coeffs, embedded=coeffs @ basis.kets)
 

@@ -51,7 +51,6 @@ NEWTON_MAX_ITER = 50
 class EigenRecord:
     """One certified (or in-progress) transfer-matrix eigenvalue."""
 
-    tau_at_xi: np.ndarray
     tau: TrigInterpolation
     q_poly: HalfPeriodTrigPoly
     table: QTable | None = None
@@ -101,17 +100,17 @@ class ChainValues:
     """What the records of one spectrum read and no eigenvalue changes:
     ``tq`` holds the arrays (w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
     one row per T-Q sample point lam and one column per k = 0..N, w = e^lam;
-    ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``,
-    ``probes`` the ``probe_transfers`` at the spectrum's twist and ``basis``
-    the chain's SoV basis.  ``weights`` holds the weight rows
-    (``InterpolationBasis.weights``) of the basis the eigenvalues interpolate
-    through, at the T-Q points, the grid points, the xi_j - eta and the probe
-    points, under "tq", "grid", "char" and "probes": an eigenvalue there is
-    ``weights[name] @ tau.values``."""
+    ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``
+    (rows lam, a(lam), d(lam)), ``probes`` the ``probe_transfers`` at the
+    spectrum's twist and ``basis`` the chain's SoV basis.  ``weights`` holds
+    the weight rows (``InterpolationBasis.weights``) of the basis the
+    eigenvalues interpolate through, at the T-Q points, the grid points, the
+    xi_j - eta and the probe points, under "tq", "grid", "char" and "probes":
+    an eigenvalue there is ``weights[name] @ tau.values``."""
 
     tq: tuple[np.ndarray, np.ndarray, np.ndarray]
     char: np.ndarray
-    grid: list
+    grid: np.ndarray
     probes: list
     basis: SovBasis
     weights: dict[str, np.ndarray]
@@ -131,7 +130,7 @@ def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
     xi = np.asarray(params.xi)
     char = -params.a_fn(xi) * params.d_fn(xi - eta)
     grid, probes = residual_grid(params), probe_transfers(params, kappa)
-    weights = {"tq": interp.weights(lam), "grid": interp.weights([g[0] for g in grid]),
+    weights = {"tq": interp.weights(lam), "grid": interp.weights(grid[0]),
                "char": interp.weights(xi - eta),
                "probes": interp.weights([mu for mu, _ in probes])}
     return ChainValues(tq=tq, char=char, grid=grid, probes=probes, basis=basis,
@@ -258,8 +257,8 @@ def bethe_residual(table: QTable) -> float:
 def tq_residual(table: QTable, chain: ChainValues) -> float:
     """Relative functional residual of the tau/Q relation on ``chain.grid``,
     the one ``table`` was built on."""
-    _, a, d = np.array(chain.grid).T
-    q0, q_eta, q_eta_plus = np.array(table.grid)[:, :3].T
+    _, a, d = chain.grid
+    q0, q_eta, q_eta_plus = table.grid[:, :3].T
     t1 = (chain.weights["grid"] @ table.tau.values) * q0
     t2 = a * q_eta
     t3 = d * q_eta_plus
@@ -323,8 +322,7 @@ def certify(params: ModelParams, record: EigenRecord, kappa: complex,
     record.sum_rule_k = report.sum_rule_k
     record.residuals["wronskian"] = report.wronskian_residual
     record.residuals["sum_rule_defect"] = report.sum_rule_defect
-    side_ok = all(max(abs(v), abs(w)) > 1e-10
-                  for v, w in zip(table.x, table.x_ipi))
+    side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all()
     record.residuals["tq"] = tq_residual(table, chain)
     record.residuals["bethe"] = bethe_residual(table)
     record.residuals["discrete_char"] = discrete_char_residual(table, chain)
@@ -361,15 +359,14 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     records = []
     for index, item in enumerate(raw):
         q0 = q_from_tau(params, item.tau, chain)
-        rec = EigenRecord(tau_at_xi=item.tau_at_xi, tau=item.tau,
-                          q_poly=refine_bethe(params, q0),
+        rec = EigenRecord(tau=item.tau, q_poly=refine_bethe(params, q0),
                           residuals={"interp_check": item.interp_check})
         try:
             certify(params, rec, k, chain, tolerances)
         except CertificationError as exc:
             _, jac, _, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
             raise CertificationError(
-                f"record {index} (tau(xi_1) = {item.tau_at_xi[0]:.6g}, Bethe Jacobian "
+                f"record {index} (tau(xi_1) = {item.tau.values[0]:.6g}, Bethe Jacobian "
                 f"condition number {np.linalg.cond(jac):.2e}): {exc}") from exc
         records.append(rec)
     if len(records) != 2**params.n:

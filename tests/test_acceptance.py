@@ -88,11 +88,11 @@ def test_02_spectrum_completeness():
             and r.residuals["eigenstate"] < TOL_EIGENSTATE
             for r in records
         )
-        vals = np.sort_complex([r.tau_at_xi[0] for r in records])
+        vals = np.sort_complex([r.tau.values[0] for r in records])
         radius = np.max(np.abs(vals))
         closure = np.max(np.abs(vals - np.sort_complex(-vals))) / radius
         other = spectrum_oracle(params, basis.at_xi, 1.3 + 0.2j)
-        vals2 = np.sort_complex([r.tau_at_xi[0] for r in other])
+        vals2 = np.sort_complex([r.tau.values[0] for r in other])
         iso = np.max(np.abs(vals - vals2)) / radius
         ok = ok and count_ok and res_ok and closure < TOL_CLOSURE and iso < TOL_CLOSURE
         details.append(f"N={n}: {len(records)} certified, closure {closure:.1e}, "

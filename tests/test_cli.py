@@ -156,6 +156,14 @@ class TestConfig:
         pytest.param(b'{"xi": {"min_separation": 0}}', "'xi.min_separation'",
                      id="min_separation-zero"),
         pytest.param(b'{"n": 2, "\xff": 1}', "cfg.json", id="not-utf8"),
+        pytest.param(b'{"sites": [2, 2]}', "'sites'", id="sites-repeated"),
+        pytest.param(b'{"sites": [1, 3, 1.0]}', "'sites'", id="sites-repeated-float"),
+        pytest.param(b'{"operators": ["z", "-", "z"]}', "'operators'", id="operators-repeated"),
+        pytest.param(b'{"representations": ["izergin", "izergin"]}', "'representations'",
+                     id="representations-repeated"),
+        pytest.param(b'{"schema": true}', "'schema'", id="schema-bool"),
+        pytest.param(b'{"schema": 2}', "'schema'", id="schema-unsupported"),
+        pytest.param(b'{"schema": "one"}', "'schema'", id="schema-text"),
     ])
     def test_wrong_shape_is_a_parameter_error(self, tmp_path, capsys, content, name):
         cfg = tmp_path / "cfg.json"
@@ -187,6 +195,28 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "observables", "validate"])
+    @pytest.mark.parametrize("config, name", [
+        pytest.param({"sites": [2, 2]}, "'sites'", id="sites"),
+        pytest.param({"operators": ["+", "+"]}, "'operators'", id="operators"),
+        pytest.param({"representations": ["direct", "slavnov", "direct"]}, "'representations'",
+                     id="representations"),
+        pytest.param({"schema": True}, "'schema'", id="schema"),
+    ])
+    def test_new_refusals_in_every_command(self, tmp_path, capsys, command, config, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, **config}))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_schema_parses_like_the_other_integer_fields(self, tmp_path):
+        # a numeric string is read as its integer, as for "n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": "1", "n": "2"}))
+        assert load_config(cfg).n == 2
 
     def test_small_min_separation_reaches_params(self, tmp_path):
         # xi seed 24 draws shift sets about 0.027 apart: admissible under

@@ -166,7 +166,7 @@ class TestTransferMatrix:
 class TestSpectrumOracle:
     def test_closed_under_negation(self, params3, basis3):
         recs = spectrum_oracle(params3, basis3.at_xi)
-        vals = np.sort_complex([r.tau_at_xi[0] for r in recs])
+        vals = np.sort_complex([r.tau.values[0] for r in recs])
         neg = np.sort_complex(-vals)
         assert np.max(np.abs(vals - neg)) < 1e-9 * np.max(np.abs(vals))
 
@@ -175,8 +175,9 @@ class TestSpectrumOracle:
         assert max(r.interp_check for r in recs) < 1e-9
 
     def test_isospectral_across_twists(self, params3, basis3):
-        v1 = np.sort_complex([r.tau_at_xi[0] for r in spectrum_oracle(params3, basis3.at_xi, 1.0)])
-        v2 = np.sort_complex([r.tau_at_xi[0]
+        v1 = np.sort_complex([r.tau.values[0]
+                              for r in spectrum_oracle(params3, basis3.at_xi, 1.0)])
+        v2 = np.sort_complex([r.tau.values[0]
                               for r in spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)])
         assert np.max(np.abs(v1 - v2)) < 1e-9 * np.max(np.abs(v1))
 
@@ -185,8 +186,8 @@ class TestSpectrumOracle:
         # against the spectral radius
         recs = spectrum_oracle(params3, basis3.at_xi)
         tr = np.trace(transfer_k(params3, params3.xi[0]))
-        total = sum(r.tau_at_xi[0] for r in recs)
-        radius = max(abs(r.tau_at_xi[0]) for r in recs)
+        total = sum(r.tau.values[0] for r in recs)
+        radius = max(abs(r.tau.values[0]) for r in recs)
         assert abs(tr - total) < 1e-9 * radius
 
     def test_degeneracy_guard(self, params3, basis3):

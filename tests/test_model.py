@@ -1,10 +1,12 @@
 import cmath
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_dev, rng
+from conftest import make_params, rel_dev, rng, table
 from sovxxz.errors import ParameterError, SingularEvaluationError
+from sovxxz.lattice import OracleRecord
 from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
@@ -22,6 +24,7 @@ from sovxxz.model import (
     sinh_prod_deriv,
     wrap_to_strip,
 )
+from sovxxz.spectrum import EigenRecord
 
 
 class TestHalfPeriodTrigPoly:
@@ -180,6 +183,39 @@ class TestRatios:
                 lhs = rec.q_poly(x - params3.eta) / rec.q_poly(x)
                 rhs = -rec.table.hat(x - params3.eta) / rec.table.hat(x)
                 assert rel_dev(lhs, rhs) < 1e-8
+
+
+class TestTableLayout:
+    ROWS = ("x", "x_eta", "x_ipi", "x_eta_ipi", "a_r", "d_r", "exp_r",
+            "r_eta", "r_eta_plus", "r_ipi", "sinh_x")
+
+    @staticmethod
+    def assert_read_only(values, shape):
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.complex128 and values.shape == shape
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+
+    def test_tables_and_grid_are_read_only_arrays(self, params3, records3):
+        # every numeric table row is a complex128 array of one value per
+        # node or root, the grid one row per residual-grid point
+        n, grid = params3.n, residual_grid(params3)
+        self.assert_read_only(grid, (3, 4 * n + 5))
+        g = rng(12)
+        bare = table(params3, HalfPeriodTrigPoly.from_roots(
+            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]))
+        for q, points in [(records3[0].table, grid.shape[1]), (bare, 0)]:
+            for name in self.ROWS:
+                self.assert_read_only(getattr(q, name), (n,))
+            assert q.grid.shape == (points, 5) and q.grid.dtype == np.complex128
+            assert not q.grid.flags.writeable
+
+    def test_no_record_keeps_tau_at_xi(self, records3):
+        # tau(xi_k) lives in tau.values alone
+        for cls in (OracleRecord, EigenRecord):
+            assert "tau_at_xi" not in {f.name for f in fields(cls)}
+        assert not hasattr(records3[0], "tau_at_xi")
 
 
 class TestStructureResiduals:

@@ -393,7 +393,7 @@ class TestPairContext:
         rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         pair = obs.PairContext(params3, rp.table, rq.table, z=z)
-        assert pair.z == z
+        assert pair.z.tolist() == z
         [default] = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), [2], "tau")
         assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0], default) < 1e-8
 

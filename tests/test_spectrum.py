@@ -54,11 +54,11 @@ class TestQFromTau:
         chain = chain_values(basis, recs[0].tau.basis, params.kappa, 4242)
         for rec in recs:
             poly = q_from_tau(params, rec.tau, chain)
-            expected = n1_root_closed_form(params, rec.tau_at_xi[0])
+            expected = n1_root_closed_form(params, rec.tau.values[0])
             assert dist_mod_2ipi(poly.roots[0], expected) < 1e-10
 
     def test_negated_pair_gives_shifted_roots(self, params3, records3):
-        vals = [r.tau_at_xi[0] for r in records3]
+        vals = [r.tau.values[0] for r in records3]
         for i, rec in enumerate(records3):
             j = int(np.argmin([abs(v + vals[i]) for v in vals]))
             partner = records3[j]
@@ -144,10 +144,9 @@ class TestCertify:
 
     def test_tampered_tau_fails_discrete_check(self, params3, basis3, records3):
         rec = records3[0]
-        bad_vals = rec.tau_at_xi.copy()
+        bad_vals = rec.tau.values.copy()
         bad_vals[0] *= 1.01
         bad = EigenRecord(
-            tau_at_xi=bad_vals,
             tau=TrigInterpolation(InterpolationBasis(params3.xi), bad_vals),
             q_poly=rec.q_poly,
         )
@@ -174,7 +173,7 @@ class TestCertify:
         g = rng(71)
         synthetic = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
-        cases = [(rec.table, rec.q_poly, rec.tau, grid) for rec in records3]
+        cases = [(rec.table, rec.q_poly, rec.tau, grid[0]) for rec in records3]
         cases.append((q_table(params3, synthetic, None, []), synthetic, None, []))
         for table, poly, tau, points in cases:
             hat = poly.shifted_ipi()
@@ -194,12 +193,12 @@ class TestCertify:
                 assert close(vec(table.sinh_x), vec(
                     np.prod([cmath.sinh(x - q) for q in roots]) for x in xi))
             assert close(vec(table.grid).reshape(-1, 5), vec(
-                v for lam, _, _ in points
+                v for lam in points
                 for v in (poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta))
             ).reshape(-1, 5))
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
-        vals = [r.tau_at_xi[0] for r in records3]
+        vals = [r.tau.values[0] for r in records3]
         for i, rec in enumerate(records3):
             j = int(np.argmin([abs(v + vals[i]) for v in vals]))
             partner = records3[j]
@@ -257,7 +256,7 @@ class TestPipeline:
         count_chain("d_fn")
         records = spectrum.solve_spectrum(basis3)
         assert len(draws) == 1
-        for lam, _, _ in draws[0]:
+        for lam in draws[0][0]:
             assert chain_calls["a_fn", lam] <= 1
             assert chain_calls["d_fn", lam] <= 1
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
