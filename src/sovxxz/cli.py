@@ -68,8 +68,9 @@ def _check(residual: float, tolerance: float) -> dict:
             "pass": bool(residual <= tolerance)}
 
 
-def _rel(a: complex, b: complex, scale: float = 0.0) -> float:
-    return abs(a - b) / max(abs(a), abs(b), scale, 1e-30)
+def _rel(a, b, scale=0.0):
+    """Elementwise |a - b| / max(|a|, |b|, scale, 1e-30)."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(scale, 1e-30))
 
 
 # ---------------------------------------------------------------------------
@@ -274,99 +275,88 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
                              tolerances=cfg.tolerances)
     kappa, kappa2 = cfg.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
-    bras = [separate_state(basis, r.table, kappa, 1, "bra") for r in records]
-    kets = [separate_state(basis, r.table, kappa2, 1, "ket") for r in records]
-    kets_same = kets if kappa2 == kappa else [
-        separate_state(basis, r.table, kappa, 1, "ket") for r in records]
-    bra_norms = [b.norm2() for b in bras]
-    ket_norms = [k.norm2() for k in kets]
-    same_norms = ket_norms if kappa2 == kappa else [k.norm2() for k in kets_same]
+    reps, ops, sites = cfg.representations, cfg.operators, cfg.sites
+    same_twist = kappa2 == kappa
 
-    ops = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
-    local_ops = {(op, site): local_op(ops[op], site, params.n)
-                 for site in cfg.sites for op in cfg.operators}
-    # each local operator applied to each same-twist ket, for the dense oracle
-    op_kets = [{key: mat @ ket.embedded for key, mat in local_ops.items()}
-               for ket in kets_same]
-    sp_section, orth_section, ff_section = {}, {}, {}
-    worst_sp = worst_orth = worst_ff = worst_pm_eq = 0.0
+    def states(twist, side):
+        """(records, 2^N) array whose row i is record i's separate state."""
+        return np.array([separate_state(basis, r.table, twist, 1, side).embedded
+                         for r in records])
+
+    # evaluate: the dense oracle as matrix products, one per overlap table and
+    # one per (operator, site), so a site's value does not depend on which
+    # other sites are requested
+    bras, kets = states(kappa, "bra"), states(kappa2, "ket")
+    kets_same = kets if same_twist else states(kappa, "ket")
+    bra_norms = np.linalg.norm(bras, axis=1)
+    sp_scale = np.outer(bra_norms, np.linalg.norm(kets, axis=1))
+    ff_scale = sp_scale if same_twist else np.outer(bra_norms, np.linalg.norm(kets_same, axis=1))
+    dense = bras @ kets.T
+    mats = {"z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
+    brute = {op: np.stack([bras @ (kets_same @ local_op(mats[op], site, params.n).T).T
+                           for site in sites], axis=-1) for op in ops}
+
+    # then every formula, pair by pair: sp[r] is the (P, Q) table of
+    # representation reps[r]; each form factor table is (form, P, Q, site),
+    # the roots form first, and "+" and "-" share the spin-flip determinant
+    count = len(records)
+    sp = np.empty((len(reps), count, count), dtype=np.complex128)
+    z_forms, pm_forms = (np.empty((2, count, count, len(sites)), dtype=np.complex128)
+                         for _ in range(2))
     for ip, rp in enumerate(records):
         for iq, rq in enumerate(records):
             pair = obs.PairContext(params, rp.table, rq.table)
-            dense = complex(bras[ip].embedded @ kets[iq].embedded)
-            scale = bra_norms[ip] * ket_norms[iq]
             values: dict[str, complex] = {}
-            if "direct" in cfg.representations:
+            if "direct" in reps:
                 values["direct"] = obs.sp_direct(pair, alpha)
-            if "izergin" in cfg.representations:
+            if "izergin" in reps:
                 values["izergin"] = obs.sp_izergin(pair, alpha)
-            if "slavnov" in cfg.representations:
+            if "slavnov" in reps:
                 values["slavnov"] = obs.sp_slavnov(pair, alpha)
-            if "tau_izergin" in cfg.representations or "tau_slavnov" in cfg.representations:
-                ize, slav = obs.sp_tau(pair, kappa, kappa2)
-                if "tau_izergin" in cfg.representations:
-                    values["tau_izergin"] = ize
-                if "tau_slavnov" in cfg.representations:
-                    values["tau_slavnov"] = slav
-            all_vals = list(values.values()) + [dense]
-            dev = 0.0
-            for a in range(len(all_vals)):
-                for b in range(a + 1, len(all_vals)):
-                    dev = max(dev, _rel(all_vals[a], all_vals[b], scale))
-            worst_sp = max(worst_sp, dev)
-            sp_section[f"P{ip}_Q{iq}"] = {
-                "values": values, "dense": dense, "max_pairwise_deviation": dev}
+            if "tau_izergin" in reps or "tau_slavnov" in reps:
+                values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(pair, kappa, kappa2)
+            sp[:, ip, iq] = [values[rep] for rep in reps]
+            if "z" in ops:
+                z_forms[:, ip, iq] = [obs.ff_sigma_z(pair, sites, "roots"),
+                                      obs.ff_sigma_z(pair, sites, "tau")]
+            if "+" in ops or "-" in ops:
+                pm_forms[:, ip, iq] = [obs.ff_sigma_pm(pair, kappa, 1, sites, "roots"),
+                                       obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")]
+    forms = {op: z_forms if op == "z" else pm_forms for op in ops}
 
-            scale = bra_norms[ip] * same_norms[iq]
-            if kappa2 == kappa and ip != iq:
-                ratio = abs(complex(bras[ip].embedded @ kets_same[iq].embedded)) / scale
-                worst_orth = max(worst_orth, ratio)
-                orth_section[f"P{ip}_Q{iq}"] = {"overlap_over_norms": ratio}
+    # compare: each check is one array expression over every pair
+    stacked = np.concatenate([sp, dense[None]])
+    first, second = np.triu_indices(len(stacked), 1)
+    sp_dev = _rel(stacked[first], stacked[second], sp_scale).max(axis=0)
+    ff_dev = {op: _rel(forms[op], brute[op], ff_scale[..., None]).max(axis=0) for op in ops}
+    orth = np.abs(dense) / sp_scale  # read only off the diagonal, when the twists agree
+    # the determinant reproduces the lowering entry; its deviation from the
+    # raising element is tracked as the separate pm_equality summary check
+    dev_key = {"z": "deviation", "-": "deviation", "+": "pm_equality_deviation"}
 
-            if "z" in cfg.operators:
-                z_forms = list(zip(obs.ff_sigma_z(pair, cfg.sites, "roots"),
-                                   obs.ff_sigma_z(pair, cfg.sites, "tau")))
-            if "+" in cfg.operators or "-" in cfg.operators:
-                pm_forms = list(zip(obs.ff_sigma_pm(pair, kappa, 1, cfg.sites, "roots"),
-                                    obs.ff_sigma_pm(pair, kappa, 1, cfg.sites, "tau")))
-            for s, site in enumerate(cfg.sites):
-                brute = {op: complex(bras[ip].embedded @ op_kets[iq][op, site])
-                         for op in cfg.operators}
-                entry: dict = {}
-                if "z" in cfg.operators:
-                    roots_v, tau_v = z_forms[s]
-                    dev = max(_rel(roots_v, brute["z"], scale),
-                              _rel(tau_v, brute["z"], scale))
-                    worst_ff = max(worst_ff, dev)
-                    entry["z"] = {"roots_form": roots_v, "tau_form": tau_v,
-                                  "brute": brute["z"], "deviation": dev}
-                if "+" in cfg.operators or "-" in cfg.operators:
-                    roots_v, tau_v = pm_forms[s]
-                    if "-" in cfg.operators:
-                        dev = max(_rel(roots_v, brute["-"], scale),
-                                  _rel(tau_v, brute["-"], scale))
-                        worst_ff = max(worst_ff, dev)
-                        entry["-"] = {"roots_form": roots_v, "tau_form": tau_v,
-                                      "brute": brute["-"], "deviation": dev}
-                    if "+" in cfg.operators:
-                        # the determinant reproduces the lowering entry; its
-                        # deviation from the raising element is tracked as the
-                        # separate pm_equality summary check
-                        eq_dev = max(_rel(roots_v, brute["+"], scale),
-                                     _rel(tau_v, brute["+"], scale))
-                        worst_pm_eq = max(worst_pm_eq, eq_dev)
-                        entry["+"] = {"roots_form": roots_v, "tau_form": tau_v,
-                                      "brute": brute["+"],
-                                      "pm_equality_deviation": eq_dev}
-                ff_section[f"P{ip}_Q{iq}_site{site}"] = entry
+    def ff_entry(op, ip, iq, s):
+        roots_v, tau_v = forms[op][:, ip, iq, s]
+        return {"roots_form": roots_v, "tau_form": tau_v,
+                "brute": brute[op][ip, iq, s], dev_key[op]: ff_dev[op][ip, iq, s]}
 
-    summary = {"scalar_products": _check(worst_sp, cfg.tol("cross_representation"))}
-    if "z" in cfg.operators or "-" in cfg.operators:
-        summary["form_factors"] = _check(worst_ff, cfg.tol("oracle_comparison"))
-    if kappa2 == kappa:
-        summary["orthogonality"] = _check(worst_orth, cfg.tol("orthogonality"))
-    if "+" in cfg.operators:
-        summary["pm_equality"] = _check(worst_pm_eq, cfg.tol("pm_equality"))
+    pairs = [(ip, iq) for ip in range(count) for iq in range(count)]
+    sp_section = {f"P{ip}_Q{iq}": {"values": dict(zip(reps, sp[:, ip, iq])),
+                                   "dense": dense[ip, iq],
+                                   "max_pairwise_deviation": sp_dev[ip, iq]}
+                  for ip, iq in pairs}
+    orth_section = {f"P{ip}_Q{iq}": {"overlap_over_norms": orth[ip, iq]}
+                    for ip, iq in pairs if same_twist and ip != iq}
+    ff_section = {f"P{ip}_Q{iq}_site{site}": {op: ff_entry(op, ip, iq, s) for op in ops}
+                  for ip, iq in pairs for s, site in enumerate(sites)}
+
+    summary = {"scalar_products": _check(sp_dev.max(), cfg.tol("cross_representation"))}
+    compared = [ff_dev[op].max() for op in ("z", "-") if op in ops]
+    if compared:
+        summary["form_factors"] = _check(max(compared), cfg.tol("oracle_comparison"))
+    if same_twist:
+        summary["orthogonality"] = _check(orth[~np.eye(count, dtype=bool)].max(), cfg.tol("orthogonality"))
+    if "+" in ops:
+        summary["pm_equality"] = _check(ff_dev["+"].max(), cfg.tol("pm_equality"))
 
     report = {"schema": 1, "command": "observables", "seed": cfg.seed,
               "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
