@@ -68,7 +68,7 @@ def _check(residual: float, tolerance: float) -> dict:
             "pass": bool(residual <= tolerance)}
 
 
-def _rel(a, b, scale=0.0):
+def _rel(a, b, scale):
     """Elementwise |a - b| / max(|a|, |b|, scale, 1e-30)."""
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(scale, 1e-30))
 
@@ -354,7 +354,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     if compared:
         summary["form_factors"] = _check(max(compared), cfg.tol("oracle_comparison"))
     if same_twist:
-        summary["orthogonality"] = _check(orth[~np.eye(count, dtype=bool)].max(), cfg.tol("orthogonality"))
+        off_diagonal = ~np.eye(count, dtype=bool)
+        summary["orthogonality"] = _check(orth[off_diagonal].max(), cfg.tol("orthogonality"))
     if "+" in ops:
         summary["pm_equality"] = _check(ff_dev["+"].max(), cfg.tol("pm_equality"))
 

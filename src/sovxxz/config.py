@@ -15,7 +15,7 @@ from .errors import ParameterError
 from .model import DELTA_MIN_DEFAULT, ModelParams
 
 MAX_N_HARD = 8
-MAX_N_OBSERVABLES = 5
+MAX_N_OBSERVABLES = 6
 XI_MAX_TRIES = 100
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -109,12 +109,13 @@ def _reject_unknown(keys, known, where: str):
             raise ParameterError(f"unknown config key {where}{key!r}")
 
 
-def _number(kind: type, value, name: str):
-    """``kind(value)``; a boolean, or a fractional float where an int is due,
-    is refused instead of truncated."""
+def _number(kind: type, value, name: str, text: bool = False):
+    """``kind(value)``; a boolean, a string (unless ``text``, for a value
+    given on the command line), or a fractional float where an int is due,
+    is refused instead of converted."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, bool) or (isinstance(value, str) and not text) \
+                or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -249,10 +250,13 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
         user_tolerances = {}
     elif not isinstance(user_tolerances, dict):
         raise ParameterError("field 'tolerances' must be an object")
-    for key, val in [*user_tolerances.items(), *(tol_overrides or {}).items()]:
+    # a --tol value arrives as text; a config value must be a JSON number
+    entries = [(key, val, False) for key, val in user_tolerances.items()]
+    entries += [(key, val, True) for key, val in (tol_overrides or {}).items()]
+    for key, val, text in entries:
         if key not in DEFAULT_TOLERANCES:
             raise ParameterError(f"unknown tolerance {key!r}")
-        tol = _number(float, val, f"tolerances.{key}")
+        tol = _number(float, val, f"tolerances.{key}", text)
         if not (math.isfinite(tol) and tol >= 0):
             raise ParameterError(f"tolerance {key!r} must be finite and non-negative, got {tol}")
         tolerances[key] = tol

@@ -22,6 +22,12 @@ from .lattice import monodromy_entries, reference_state
 from .model import ModelParams, QTable, dist_mod_2ipi, vandermonde
 
 
+# A normalized state divides by P(xi_k - eta): a root of P closer than this to
+# xi_k - eta is refused as a true zero.  It is the bound refine_bethe keeps
+# between two Bethe roots; xi separation (delta_min) plays no part here.
+SHIFTED_NODE_GUARD = 1e-6
+
+
 def all_h(n: int):
     """All SoV labels h in {0,1}^n, in binary order."""
     return [tuple(bits) for bits in product((0, 1), repeat=n)]
@@ -94,8 +100,8 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     ``table`` (its ``model.q_table``) with twist/sign (kappa, eps).
 
     Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
-    and require P(xi_n - eta) away from zero; unnormalized states use the raw
-    P(xi_n^{(h_n)}) values instead.
+    and refuse a root of P within ``SHIFTED_NODE_GUARD`` of some xi_n - eta;
+    unnormalized states use the raw P(xi_n^{(h_n)}) values instead.
     """
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
@@ -104,12 +110,14 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
     v_shift = basis.v_h[::-1] if side == "ket" else basis.v_h
     if normalized:
-        near = dist_mod_2ipi(np.array(table.roots)[:, None],
-                             np.asarray(params.xi) - params.eta) < params.delta_min
-        if near.any():
+        # distance from xi_k - eta to the nearest root of P, per site k
+        dist = dist_mod_2ipi(np.array(table.roots)[:, None],
+                             np.asarray(params.xi) - params.eta).min(axis=0)
+        k = int(np.argmin(dist))
+        if dist[k] < SHIFTED_NODE_GUARD:
             raise SingularEvaluationError(
-                f"P has a root within delta_min of xi_{np.argmax(near.any(axis=0)) + 1} - eta; "
-                "build the unnormalized state instead"
+                f"P has a root {dist[k]:.3e} from xi_{k + 1} - eta, "
+                f"within {SHIFTED_NODE_GUARD:g}; build the unnormalized state instead"
             )
         base = eps * kappa if side == "ket" else eps / kappa
         site = np.where(basis.labels, 1.0, base * (x / x_eta))

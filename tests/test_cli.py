@@ -121,6 +121,12 @@ class TestConfig:
         pytest.param({"n": 2, "seed": -3}, None, id="seed-negative"),
         pytest.param({"n": 2, "xi": {"seed": -3}}, None, id="xi.seed-negative"),
         pytest.param({"n": 2}, ["--seed", "-1"], id="seed-flag-negative"),
+        pytest.param({"n": "3"}, None, id="n-string"),
+        pytest.param({"n": 2, "seed": "7"}, None, id="seed-string"),
+        pytest.param({"n": 2, "sites": ["1"]}, None, id="sites-string"),
+        pytest.param({"n": 2, "kappa": ["1", "0"]}, None, id="kappa-string"),
+        pytest.param({"n": 2, "tolerances": {"tq_residual": "1e-7"}}, None,
+                     id="tolerance-string"),
     ])
     def test_malformed_number_is_a_parameter_error(self, tmp_path, capsys, config, flags):
         args = ["spectrum", "--out", str(tmp_path / "r.json")] + (flags or [])
@@ -213,10 +219,15 @@ class TestConfig:
         assert not (tmp_path / "r.json").exists()
 
     def test_schema_parses_like_the_other_integer_fields(self, tmp_path):
-        # a numeric string is read as its integer, as for "n"
+        # an integral float is read as its integer and a numeric string is
+        # refused, as for "n"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema": "1", "n": "2"}))
+        cfg.write_text(json.dumps({"schema": 1.0, "n": 2.0}))
         assert load_config(cfg).n == 2
+        for field in ("schema", "n"):
+            cfg.write_text(json.dumps({field: "1"}))
+            with pytest.raises(ParameterError, match=f"field '{field}' must be int"):
+                load_config(cfg)
 
     def test_small_min_separation_reaches_params(self, tmp_path):
         # xi seed 24 draws shift sets about 0.027 apart: admissible under
@@ -489,6 +500,39 @@ class TestObservablesCommand:
         assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
         summary = read(out)["summary"]
         assert "form_factors" not in summary
+        assert not summary["pm_equality"]["pass"]
+
+    def test_cap_refuses_before_any_work(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 7}))
+        out = tmp_path / "o.json"
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: observables sweep capped at n <= 6 (2^n x 2^n pairs); got n = 7\n")
+        assert not out.exists()
+
+    def test_site_values_do_not_depend_on_the_other_sites(self, tmp_path):
+        reports = []
+        for sites in ([2], [3, 1, 2]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 3, "sites": sites}))
+            out = tmp_path / f"o{len(sites)}.json"
+            assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
+            reports.append(read(out))
+        one, three = reports
+        site2 = {key: entry for key, entry in three["form_factors"].items()
+                 if key.endswith("_site2")}
+        assert site2 == one["form_factors"] and len(site2) == 64
+        assert three["scalar_products"] == one["scalar_products"]
+
+    def test_root_near_a_shifted_node_is_not_refused(self, tmp_path):
+        # seed 100023 has a root 0.017 from some xi_k - eta: inside delta_min,
+        # far outside the guard, and every gated check holds there
+        out = tmp_path / "o.json"
+        assert run(["observables", "--seed", "100023", "--out", str(out)]) == 1
+        summary = read(out)["summary"]
+        assert set(summary) == {"scalar_products", "form_factors", "pm_equality"}
+        assert summary["scalar_products"]["pass"] and summary["form_factors"]["pass"]
         assert not summary["pm_equality"]["pass"]
 
     def test_determinism(self, tmp_path):

@@ -91,32 +91,44 @@ class TestSeparateStates:
         b = separate_ket_qdet_form(basis3, table(params3, poly), kappa, eps)
         assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()
 
-    def test_normalization_prefactors(self, params3, basis3):
-        g = rng(34)
-        poly = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+    @staticmethod
+    def check_prefactors(params, basis, poly):
+        """The normalized states of ``poly`` are its unnormalized ones over
+        their factors."""
         kappa, eps = 1.1 + 0.4j, 1
-        p = table(params3, poly)
-        raw_ket = separate_state(basis3, p, kappa, eps, "ket", normalized=False)
-        norm_ket = separate_state(basis3, p, kappa, eps, "ket")
-        factor = vandermonde(params3.xi)
-        for x in params3.xi:
-            factor *= (eps / kappa) * poly(x - params3.eta)
+        p = table(params, poly)
+        raw_ket = separate_state(basis, p, kappa, eps, "ket", normalized=False)
+        norm_ket = separate_state(basis, p, kappa, eps, "ket")
+        factor = vandermonde(params.xi)
+        for x in params.xi:
+            factor *= (eps / kappa) * poly(x - params.eta)
         assert np.linalg.norm(raw_ket.embedded - factor * norm_ket.embedded) \
             < 1e-9 * raw_ket.norm2()
-        raw_bra = separate_state(basis3, p, kappa, eps, "bra", normalized=False)
-        norm_bra = separate_state(basis3, p, kappa, eps, "bra")
+        raw_bra = separate_state(basis, p, kappa, eps, "bra", normalized=False)
+        norm_bra = separate_state(basis, p, kappa, eps, "bra")
         factor = 1.0 + 0.0j
-        for x in params3.xi:
-            factor *= eps * kappa * poly(x - params3.eta)
+        for x in params.xi:
+            factor *= eps * kappa * poly(x - params.eta)
         assert np.linalg.norm(raw_bra.embedded - factor * norm_bra.embedded) \
             < 1e-9 * raw_bra.norm2()
 
+    def test_normalization_prefactors(self, params3, basis3):
+        g = rng(34)
+        self.check_prefactors(params3, basis3, HalfPeriodTrigPoly.from_roots(
+            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]))
+
+    def test_normalized_state_near_shifted_node(self, params3, basis3):
+        # a root 1e-4 from xi_2 - eta is no zero of P(xi_2 - eta): the
+        # normalized states are built, with the same prefactors
+        self.check_prefactors(params3, basis3, HalfPeriodTrigPoly.from_roots(
+            [params3.xi[1] - params3.eta + 1e-4, 0.9 + 0.1j, -0.8 - 0.2j]))
+
     def test_normalized_guard_near_shifted_node(self, params3, basis3):
         poly = HalfPeriodTrigPoly.from_roots(
-            [params3.xi[1] - params3.eta + 1e-4, 0.9 + 0.1j, -0.8 - 0.2j])
+            [params3.xi[1] - params3.eta + 3e-7, 0.9 + 0.1j, -0.8 - 0.2j])
         p = table(params3, poly)
-        with pytest.raises(SingularEvaluationError):
+        with pytest.raises(SingularEvaluationError,
+                           match=r"root 3\.0\d*e-07 from xi_2 - eta, within 1e-06"):
             separate_state(basis3, p, 1.0, 1, "ket")
         # the unnormalized form stays available
         separate_state(basis3, p, 1.0, 1, "ket", normalized=False)

@@ -63,6 +63,8 @@ DEFAULT_CASES = (
     ("spectrum", '{"n": 7}', "1-3"),
     ("spectrum", '{"n": 8}', "1-2"),
     ("observables", '{"n": 4}', "1-2"),
+    ("observables", '{"n": 5}', "1-2"),
+    ("observables", '{"n": 6}', "1"),
     ("validate", '{"n": 3}', "1-5"),
     ("observables", '{"n": 3, "kappa_prime": [1.0, 0.0]}', "1-3"),
     ("observables", '{"n": 3, "sites": [3, 1], "operators": ["z", "-"], '
