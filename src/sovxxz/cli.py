@@ -296,32 +296,29 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     brute = {op: np.stack([bras @ (kets_same @ local_op(mats[op], site, params.n).T).T
                            for site in sites], axis=-1) for op in ops}
 
-    # then every formula, pair by pair: sp[r] is the (P, Q) table of
-    # representation reps[r]; each form factor table is (form, P, Q, site),
-    # the roots form first, and "+" and "-" share the spin-flip determinant
+    # then every formula over the grid of all pairs at once: sp[r] is the
+    # (P, Q) table of representation reps[r]; each form factor table is
+    # (form, P, Q, site), the roots form first, and "+" and "-" share the
+    # spin-flip determinant
     count = len(records)
-    sp = np.empty((len(reps), count, count), dtype=np.complex128)
-    z_forms, pm_forms = (np.empty((2, count, count, len(sites)), dtype=np.complex128)
-                         for _ in range(2))
-    for ip, rp in enumerate(records):
-        for iq, rq in enumerate(records):
-            pair = obs.PairContext(params, rp.table, rq.table)
-            values: dict[str, complex] = {}
-            if "direct" in reps:
-                values["direct"] = obs.sp_direct(pair, alpha)
-            if "izergin" in reps:
-                values["izergin"] = obs.sp_izergin(pair, alpha)
-            if "slavnov" in reps:
-                values["slavnov"] = obs.sp_slavnov(pair, alpha)
-            if "tau_izergin" in reps or "tau_slavnov" in reps:
-                values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(pair, kappa, kappa2)
-            sp[:, ip, iq] = [values[rep] for rep in reps]
-            if "z" in ops:
-                z_forms[:, ip, iq] = [obs.ff_sigma_z(pair, sites, "roots"),
-                                      obs.ff_sigma_z(pair, sites, "tau")]
-            if "+" in ops or "-" in ops:
-                pm_forms[:, ip, iq] = [obs.ff_sigma_pm(pair, kappa, 1, sites, "roots"),
-                                       obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")]
+    tables = [r.table for r in records]
+    grid = obs.PairContext(params, tables, tables)
+    values: dict[str, np.ndarray] = {}
+    if "direct" in reps:
+        values["direct"] = obs.sp_direct(grid, alpha)
+    if "izergin" in reps:
+        values["izergin"] = obs.sp_izergin(grid, alpha)
+    if "slavnov" in reps:
+        values["slavnov"] = obs.sp_slavnov(grid, alpha)
+    if "tau_izergin" in reps or "tau_slavnov" in reps:
+        values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(grid, kappa, kappa2)
+    sp = np.array([values[rep] for rep in reps]).reshape(len(reps), count, count)
+    if "z" in ops:
+        z_forms = np.stack([obs.ff_sigma_z(grid, sites, form) for form in ("roots", "tau")])
+    if "+" in ops or "-" in ops:
+        pm_forms = np.stack([obs.ff_sigma_pm(grid, kappa, 1, sites, form)
+                             for form in ("roots", "tau")])
+    del grid  # its (P, Q, N, N) arrays; the report, where memory peaks, needs none
     forms = {op: z_forms if op == "z" else pm_forms for op in ops}
 
     # compare: each check is one array expression over every pair
@@ -334,10 +331,15 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     # raising element is tracked as the separate pm_equality summary check
     dev_key = {"z": "deviation", "-": "deviation", "+": "pm_equality_deviation"}
 
+    # the entries read nested lists of Python numbers, which index far
+    # faster than arrays
+    form_rows, brute_rows, dev_rows = ({op: table[op].tolist() for op in ops}
+                                       for table in (forms, brute, ff_dev))
+
     def ff_entry(op, ip, iq, s):
-        roots_v, tau_v = forms[op][:, ip, iq, s]
-        return {"roots_form": roots_v, "tau_form": tau_v,
-                "brute": brute[op][ip, iq, s], dev_key[op]: ff_dev[op][ip, iq, s]}
+        roots_v, tau_v = form_rows[op]
+        return {"roots_form": roots_v[ip][iq][s], "tau_form": tau_v[ip][iq][s],
+                "brute": brute_rows[op][ip][iq][s], dev_key[op]: dev_rows[op][ip][iq][s]}
 
     pairs = [(ip, iq) for ip in range(count) for iq in range(count)]
     sp_section = {f"P{ip}_Q{iq}": {"values": dict(zip(reps, sp[:, ip, iq])),

@@ -2,7 +2,15 @@
 
 
 class SovxxzError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``at`` is the index of the first offending entry of the array a refusal
+    checked, when it checked one (empty otherwise).
+    """
+
+    def __init__(self, message: str = "", at: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.at = tuple(int(i) for i in at)
 
 
 class DimensionError(SovxxzError):

@@ -19,9 +19,9 @@ MAX_EIG_DIM = 2**8  # dense cap: chains up to N = 8 sites
 
 def as_square_stack(m) -> np.ndarray:
     """Validate and return ``m`` as a complex array of square matrices with
-    finite entries: one (n, n) matrix, or a (k, n, n) stack of them."""
+    finite entries: one (n, n) matrix, or a (..., n, n) stack of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
@@ -36,13 +36,13 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def det_lu(m) -> complex | list[complex]:
+def det_lu(m) -> complex | np.ndarray:
     """Determinant of a square complex matrix (LU with partial pivoting); for
-    a (k, n, n) stack, the list of its k determinants from one LAPACK call,
-    each equal to the determinant of that matrix alone."""
+    a (..., n, n) stack, the (...) array of its determinants from one LAPACK
+    call, each equal to the determinant of that matrix alone."""
     a = as_square_stack(m)
     dets = np.linalg.det(a)
-    return complex(dets) if a.ndim == 2 else [complex(d) for d in dets]
+    return complex(dets) if a.ndim == 2 else dets
 
 
 def sort_complex(values) -> np.ndarray:

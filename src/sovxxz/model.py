@@ -65,11 +65,18 @@ def _less(points, centers) -> np.ndarray:
     return np.asarray(points, dtype=np.complex128)[..., None] - np.asarray(centers)
 
 
+def first_index(flags) -> tuple[int, ...]:
+    """Index of the first entry of ``flags`` that holds, in row-major order."""
+    flags = np.asarray(flags)
+    return np.unravel_index(np.argmax(flags), flags.shape)
+
+
 def coth(z):
     """coth, elementwise on arrays; refuses a pole."""
     s = np.sinh(z)
-    if (s == 0).any():
-        raise SingularEvaluationError("coth evaluated at a pole")
+    pole = s == 0
+    if pole.any():
+        raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
     return np.cosh(z) / s
 
 
@@ -256,6 +263,14 @@ class HalfPeriodTrigPoly:
         return HalfPeriodTrigPoly.from_roots([q + IPI for q in self.roots])
 
 
+def half_period_values(roots, lam):
+    """prod_j sinh((lam - q_j)/2) at every point on the last axis of ``lam``,
+    for the roots q_j on the last axis of ``roots``, over their common leading
+    axes: ``HalfPeriodTrigPoly.__call__`` of a stack of root sets at once."""
+    diff = np.asarray(lam, dtype=np.complex128)[..., :, None] - np.asarray(roots)[..., None, :]
+    return sinh_prod(diff / 2)
+
+
 def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u):
     """Bethe-equation ratio d(u) Q(u+eta) / (a(u) Q(u-eta)), elementwise on arrays."""
     return a_frak_values(params.a_fn(u), params.d_fn(u), q_poly(u - params.eta),
@@ -289,7 +304,8 @@ def _require_nonzero(value, name: str, floor: float = 1e-13):
     small = np.abs(value) < floor
     if small.any():
         bad = complex(np.ravel(value)[np.argmax(small)])
-        raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor")
+        raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor",
+                                      at=first_index(small))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

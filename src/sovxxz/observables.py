@@ -9,21 +9,23 @@ eigenvalue-labelled forms, generic-argument B/D matrix elements, and the
 numerical test bench for the underlying determinant identities.
 
 Every matrix is formed at once from broadcast arrays of root and point
-differences (rows first, columns second).  Matrix entries that develop 0/0
-patterns when the two root sets are paired (equal or shifted by i*pi) are
-evaluated through algebraically equivalent product forms, or as their
-analytic limits, so every representation stays finite on all eigen pairs.
+differences (rows first, columns second), for one (P, Q) pair or for every
+pair of a grid (``PairContext``).  Matrix entries that develop 0/0 patterns
+when the two root sets are paired (equal or shifted by i*pi) are evaluated
+through algebraically equivalent product forms, or as their analytic limits,
+so every representation stays finite on all eigen pairs.
 """
 
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
-from .errors import ParameterError, SingularEvaluationError
+from .errors import ParameterError, SingularEvaluationError, SovxxzError
 from .linalg import det_lu
 from .model import (
     IPI,
@@ -37,6 +39,8 @@ from .model import (
     dist_mod_2ipi,
     dist_mod_ipi,
     f_tilde_values,
+    first_index,
+    half_period_values,
     node_denominators,
     products_except,
     sinh_prod,
@@ -53,8 +57,9 @@ _COLLISION_TOL = 1e-9
 # generic determinant functionals
 
 
-def _det_expanded(mat: np.ndarray, rows: list[int]) -> complex:
-    """Determinant with Laplace expansion forced along the listed rows.
+def _det_expanded(mat: np.ndarray, rows: list[int]):
+    """Determinant with Laplace expansion forced along the listed rows, of
+    one matrix or of each matrix of a stack.
 
     Rows whose entries span a huge dynamic range destroy the accuracy of a
     plain LU determinant; expanding along them keeps every minor well scaled.
@@ -63,12 +68,13 @@ def _det_expanded(mat: np.ndarray, rows: list[int]) -> complex:
         return det_lu(mat)
     r = rows[0]
     total = 0.0 + 0.0j
-    for j in range(mat.shape[1]):
-        if mat[r, j] == 0:
+    for j in range(mat.shape[-1]):
+        entry = mat[..., r, j][()]  # a scalar for one matrix
+        if not np.any(entry):
             continue
-        minor = np.delete(np.delete(mat, r, axis=0), j, axis=1)
+        minor = np.delete(np.delete(mat, r, axis=-2), j, axis=-1)
         rest = [k - 1 if k > r else k for k in rows[1:]]
-        total += (-1.0) ** (r + j) * mat[r, j] * _det_expanded(minor, rest)
+        total += (-1.0) ** (r + j) * entry * _det_expanded(minor, rest)
     return total
 
 
@@ -82,9 +88,10 @@ def a_functional(xs, f_vals, eta: complex) -> complex:
     return _dressed_vandermonde(vandermonde_rows(xs, eta), f_vals)
 
 
-def _dressed_vandermonde(rows: VandermondeRows, f_vals) -> complex:
-    """``a_functional`` from the ``VandermondeRows`` of its points."""
-    f = np.asarray(f_vals, dtype=np.complex128)[:, None]
+def _dressed_vandermonde(rows: VandermondeRows, f_vals):
+    """``a_functional`` from the ``VandermondeRows`` of its points, for f
+    on the last axis of ``f_vals`` (a stack of f gives a stack of values)."""
+    f = np.asarray(f_vals, dtype=np.complex128)[..., :, None]
     mat = (rows.at_x - f * rows.at_x_eta) / 2.0 ** np.arange(len(rows.at_x))
     return _det_expanded(mat, rows.wide) / rows.v
 
@@ -92,28 +99,31 @@ def _dressed_vandermonde(rows: VandermondeRows, f_vals) -> complex:
 def izergin_ratio(xs, zs, f_vals, eta: complex) -> complex:
     """det[1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] over the plain
     Cauchy determinant det[1/sinh(x_i - z_k)]."""
-    num_det, den_det = det_lu(_izergin_matrices(_izergin_kernels(xs, zs, eta), f_vals))
+    kernels = _izergin_kernels(xs, zs, eta)
+    num_det, den_det = det_lu([_izergin_matrix(kernels, f_vals), kernels[0]]).tolist()
     return num_det / den_det
 
 
 def _izergin_kernels(xs, zs, eta: complex) -> tuple[np.ndarray, np.ndarray]:
-    """1/sinh(x_i - z_k) and 1/sinh(x_i - z_k - eta), refused where a sinh
+    """1/sinh(x_i - z_k) and 1/sinh(x_i - z_k - eta) at (..., i, k), for the
+    points on the last axes of ``xs`` and ``zs``; refused where a sinh
     vanishes."""
-    diff = np.subtract.outer(np.asarray(xs, dtype=np.complex128), zs)
+    diff = np.asarray(xs, dtype=np.complex128)[..., :, None] \
+        - np.asarray(zs, dtype=np.complex128)[..., None, :]
     s0, s1 = np.sinh(diff), np.sinh(diff - eta)
     near = (abs(s0) < 1e-13) | (abs(s1) < 1e-13)
     if near.any():
-        i, k = np.argwhere(near)[0]
-        raise SingularEvaluationError(f"Izergin node collision at x_{i+1}, z_{k+1}")
+        at = first_index(near)
+        raise SingularEvaluationError(
+            f"Izergin node collision at x_{at[-2] + 1}, z_{at[-1] + 1}", at=at)
     return 1 / s0, 1 / s1
 
 
-def _izergin_matrices(kernels, f_vals) -> list[np.ndarray]:
-    """The two matrices of ``izergin_ratio`` from its ``_izergin_kernels``
-    and f: [1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] and the
-    Cauchy matrix."""
+def _izergin_matrix(kernels, f_vals) -> np.ndarray:
+    """[1/sinh(x_i - z_k) - f(x_i)/sinh(x_i - z_k - eta)] from the
+    ``_izergin_kernels`` and f (on the last axis of ``f_vals``)."""
     cauchy, shifted = kernels
-    return [cauchy - np.asarray(f_vals, dtype=np.complex128)[:, None] * shifted, cauchy]
+    return cauchy - np.asarray(f_vals, dtype=np.complex128)[..., :, None] * shifted
 
 
 def e_weight(zs, eta: complex, u: complex) -> complex:
@@ -123,23 +133,305 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# the pair context: one (P, Q) pair, or every pair of a grid
+
+
+def _names_pair(formula):
+    """``formula`` (of a ``PairContext``, its first argument), with a refusal
+    raised inside it on a grid prefixed by the report key of its pair
+    (``P3_Q5: ...``): the first two axes of the refused entry's index."""
+    @wraps(formula)
+    def named(pair, *args, **kwargs):
+        try:
+            return formula(pair, *args, **kwargs)
+        except SovxxzError as exc:
+            if not pair.lead or len(exc.at) < 2:
+                raise
+            raise type(exc)(f"P{exc.at[0]}_Q{exc.at[1]}: {exc}") from None
+    return named
+
+
+@contextmanager
+def _entries_of(pairs):
+    """Give a refusal raised inside, on an array whose first axis runs over
+    gathered entries, the pair of its entry e: (pairs[0][e], pairs[1][e]).
+    ``pairs`` is empty for one pair, which names none."""
+    try:
+        yield
+    except SovxxzError as exc:
+        if len(pairs) and exc.at:
+            exc.at = tuple(int(axis[exc.at[0]]) for axis in pairs)
+        raise
+
+
+def _on_side(values, side: int) -> np.ndarray:
+    """Per-record arrays stacked on pair axis ``side`` (0 for P, 1 for Q) of
+    a grid, with length one on the other."""
+    return np.expand_dims(np.stack(values), 1 - side)
+
+
+class _Stack:
+    """The arrays a pair formula reads from a sequence of ``QTable``s, each
+    stacked on pair axis ``side`` (``_on_side``)."""
+
+    def __init__(self, tables, side: int):
+        for name in ("x", "x_eta", "x_ipi", "x_eta_ipi", "a_r", "d_r", "exp_r",
+                     "r_eta", "r_eta_plus", "r_ipi", "sinh_x"):
+            setattr(self, name, _on_side([getattr(t, name) for t in tables], side))
+
+
+class PairContext:
+    """The site-independent pieces of the determinant formulas of one (P, Q)
+    pair, or of every pair of a grid at once.
+
+    ``p`` and ``q`` are each one ``model.q_table`` or a sequence of them.  Two
+    tables make one pair, whose arrays carry no pair axes and whose formulas
+    return one value (or one list over sites).  Otherwise every pair of P from
+    ``p`` and Q from ``q`` is evaluated at once: every array carries leading
+    (P, Q) axes, a value of one table alone is held once per record (length
+    one on the other axis), every formula returns a (P, Q[, site]) array, and
+    a refusal names the first pair, in (P, Q) row-major order, that holds it
+    by its report key (``P3_Q5: ...``).  ``p``/``q`` hold the tables' arrays
+    (a grid's ``_Stack``s), ``pr``/``qr`` the roots.  What needs both
+    polynomials but no alpha, or one record's roots and the nodes, is built
+    on first use and kept; building lazily keeps each error in the call that
+    raised it before.
+
+    The eigenvalue-labelled forms need every table to carry an eigenvalue;
+    ``z`` (default: the Q-roots) labels the rows of those forms: N points,
+    pairwise more than 1e-10 apart modulo i*pi, checked here.
+    """
+
+    @_names_pair
+    def __init__(self, params: ModelParams, p, q, z=None):
+        self.params = params
+        one = isinstance(p, QTable) and isinstance(q, QTable)
+        self.tables = tuple([t] if isinstance(t, QTable) else list(t) for t in (p, q))
+        self.lead = () if one else tuple(map(len, self.tables))
+        self.p, self.q = (p, q) if one else (_Stack(t, side) for side, t in enumerate(self.tables))
+        self.pr, self.qr = (self.per_record(side, [np.asarray(t.roots, dtype=np.complex128)
+                                                   for t in tables])
+                            for side, tables in enumerate(self.tables))
+        n = params.n
+        if self.pr.shape[-1] != n or self.qr.shape[-1] != n:
+            raise ParameterError("polynomials must carry N roots each")
+        if z is None:
+            self.z = self.qr
+        else:
+            self.z = np.asarray(z, dtype=np.complex128)
+            if self.z.shape != (n,):
+                raise ParameterError("z must provide N points")
+            self.z = np.broadcast_to(self.z, self.qr.shape)
+        # each point lies at distance 0 from itself; one entry more is a close pair
+        close = dist_mod_ipi(self.z[..., :, None], self.z[..., None, :]) <= 1e-10
+        crowded = np.count_nonzero(close, axis=(-2, -1)) > n
+        if crowded.any():
+            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi",
+                                 at=first_index(crowded))
+        # pairs whose roots are equal bit for bit: Q's table holds Q at the P-roots
+        self.diagonal = (self.pr.view(np.uint64) == self.qr.view(np.uint64)).all(axis=-1)
+
+    def per_record(self, side: int, values) -> np.ndarray:
+        """Per-record arrays of side 0 (P) or 1 (Q) on the context's axes:
+        ``_on_side`` on a grid, the one record's own for one pair."""
+        return _on_side(values, side) if self.lead else np.asarray(values[0])
+
+    def per_pair(self, values) -> np.ndarray:
+        """A (P, Q, ...) array on the context's axes: as it is on a grid, the
+        one pair's own for one pair."""
+        return values if self.lead else values[0, 0]
+
+    def eigen_tables(self):
+        """(P's, Q's) table, or table list on a grid, checked to carry an
+        eigenvalue each."""
+        for side, tables in enumerate(self.tables):
+            for i, t in enumerate(tables):
+                if t.tau is None:
+                    raise ParameterError("eigenvalue-labelled forms need both eigen records",
+                                         at=(i, 0) if side == 0 else (0, i))
+        return self.tables if self.lead else (self.p, self.q)
+
+    @cached_property
+    def tau_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """tau_P(xi_k) and tau_Q(xi_k), of the ``eigen_tables``."""
+        self.eigen_tables()
+        return tuple(self.per_record(side, [t.tau.values for t in tables])
+                     for side, tables in enumerate(self.tables))
+
+    @cached_property
+    def halves(self) -> SlavnovHalves:
+        return slavnov_halves(self)
+
+    @cached_property
+    def cauchy_det(self):
+        """det of the coth Cauchy matrix, the base of the halves."""
+        return det_lu(self.halves.base)
+
+    @cached_property
+    def q_at_p(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q(p_k - eta) and Q(p_k + eta): the Slavnov halves, and the first
+        the rank-one columns.  One batch evaluates them on the pairs whose
+        roots differ; the diagonal pairs read them from Q's table."""
+        eta, shape = self.params.eta, self.lead + (2, self.params.n)
+        values = np.empty(shape, dtype=np.complex128)
+        values[...] = np.stack([self.q.r_eta, self.q.r_eta_plus], axis=-2)
+        off = ~self.diagonal
+        points = np.broadcast_to(self.pr[..., None, :] + np.array([[-eta], [eta]]), shape)
+        roots = np.broadcast_to(self.qr[..., None, :], self.lead + (1, self.params.n))
+        values[off] = half_period_values(roots[off], points[off])
+        return values[..., 0, :], values[..., 1, :]
+
+    @cached_property
+    def izergin_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``_izergin_kernels`` of the nodes against the P-roots, per P
+        record, shared by the two Izergin forms (``sp_izergin`` and
+        ``sp_tau``)."""
+        return _izergin_kernels(self.params.xi, self.pr, self.params.eta)
+
+    @cached_property
+    def izergin_det(self):
+        """det of the Cauchy matrix [1/sinh(xi_i - p_k)] per P record, the
+        denominator of both Izergin forms."""
+        return det_lu(self.izergin_kernels[0])
+
+    @cached_property
+    def node_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """coth(x) and coth(x + i*pi/2) = tanh(x) at x = (xi_s - q_j - eta)/2,
+        row s, column j, per Q record: the rows of the roots-form rank-one
+        terms."""
+        xi = np.asarray(self.params.xi, dtype=np.complex128)
+        half = (xi[:, None] - self.qr[..., None, :] - self.params.eta) / 2
+        s, c = np.sinh(half), np.cosh(half)
+        pole = s * c == 0
+        if pole.any():
+            raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+        return c / s, s / c
+
+    @cached_property
+    def z_xi_sinh(self) -> np.ndarray:
+        """sinh(z_i - xi_s), row i, column s, per Q record."""
+        return np.sinh(self.z[..., :, None] - np.asarray(self.params.xi))
+
+    @cached_property
+    def tau_dq(self) -> tuple[np.ndarray, np.ndarray]:
+        """The alpha-free halves of ``tau_matrix`` (``tau_halves``)."""
+        return tau_halves(self)
+
+    @cached_property
+    def tau_prefactor(self):
+        """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
+        (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
+        tq = _nonvanishing_tau_q(self)
+        num = self.z_xi_sinh.prod(axis=(-2, -1)) * self.p.sinh_x.prod(axis=-1)
+        den = cmath.exp(sum(self.params.xi)) * tq.prod(axis=-1) \
+            * vandermonde(self.z) * vandermonde(self.pr[..., ::-1])
+        return num / den
+
+    @cached_property
+    def tau_node_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """prod_{k <= s} tau_P(xi_k) and prod_{k <= s} tau_Q(xi_k) for
+        s = 0..N (the empty product first), on the last axis."""
+        return tuple(np.concatenate([np.ones(v.shape[:-1] + (1,)), v], axis=-1).cumprod(axis=-1)
+                     for v in self.tau_values)
+
+
+def _owners(pair: PairContext, blocks) -> list:
+    """The (P, Q) index of the first pair holding each entry of the raveled,
+    concatenated ``blocks`` (arrays on the pair axes); empty for one pair."""
+    if not pair.lead:
+        return []
+    return list(np.concatenate(
+        [np.broadcast_to(np.indices(b.shape[:2])[..., None], (2,) + b.shape).reshape(2, -1)
+         for b in blocks], axis=1))
+
+
+def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha-free halves of tau_matrix:
+    [tau_hat_Q(z_i) - tau_hat_Q(p_k)] and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)],
+    each over sinh(z_i - w_k), with their removable limits.
+
+    tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
+    with limit (-1)^m tau_hat'(w), filled in on every pair at once.  One
+    batch evaluates every eigenvalue of the context at every z_i, p_k and
+    p_k + eta; each pair reads tau_hat_P(z_i) and tau_hat_Q(p_k) from it,
+    each record tau_hat at its own z_i or p_k + eta."""
+    pair.eigen_tables()
+    n, eta = pair.params.n, pair.params.eta
+    n_p, n_q = map(len, pair.tables)
+    taus = [t.tau for tables in pair.tables for t in tables]  # P's, then Q's
+    w = pair.pr[..., None, :] + np.array([[0.0], [eta]])  # rows p_k and p_k + eta
+    # d at z from the z - xi rows; d(p_k) and d(p_k + eta) = a(p_k) from P's table
+    points = [(pair.z, pair.z_xi_sinh.prod(axis=-1)), (pair.pr, pair.p.d_r),
+              (w[..., 1, :], pair.p.a_r)]
+    with _entries_of(_owners(pair, [lam for lam, _ in points])):
+        hat = tau_hat(taus, np.concatenate([np.ravel(lam) for lam, _ in points]),
+                      np.concatenate([np.ravel(d) for _, d in points]))
+    cols = [n_q * n, (n_q + n_p) * n]  # z | p_k | p_k + eta
+
+    def own(block):  # each record's row at its own points
+        return np.diagonal(block.reshape(len(block), len(block), n)).T
+
+    p_z, _, p_w = np.split(hat[:n_p], cols, axis=1)
+    q_z, q_p, _ = np.split(hat[n_p:], cols, axis=1)
+    # rows: tau_hat_Q, tau_hat_P at z, and tau_hat_Q(p_k), tau_hat_P(p_k + eta)
+    at_z = np.stack(np.broadcast_arrays(pair.per_record(1, own(q_z)),
+                                        pair.per_pair(p_z.reshape(n_p, n_q, n))), axis=-2)
+    at_w = np.stack(np.broadcast_arrays(
+        pair.per_pair(q_p.reshape(n_q, n_p, n).swapaxes(0, 1)),
+        pair.per_record(0, own(p_w))), axis=-2)
+    u = pair.z[..., None, :, None] - w[..., :, None, :]  # z_i - w_k, at (h, i, k)
+    m = np.rint(u.imag / np.pi)
+    limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
+    u[limit] = 1.0  # the removable points, filled in below
+    dq = (at_z[..., :, None] - at_w[..., None, :]) / np.sinh(u)
+    if limit.any():
+        *pairs, h, _, k = np.nonzero(limit)
+        ip, iq = pairs or (0, 0)
+        # tau_hat_Q' (h = 0) or tau_hat_P' (h = 1) of each limit's pair, at its w
+        row = np.where(h == 0, n_p + iq, ip)
+        lam = np.broadcast_to(w, pair.lead + (2, n))[(*pairs, h, k)]
+        with _entries_of(pairs):
+            deriv = tau_hat_deriv(pair.params, taus, lam)[row, np.arange(len(h))]
+        dq[limit] = (-1.0) ** m[limit] * deriv
+    return dq[..., 0, :, :], dq[..., 1, :, :]
+
+
+def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarray:
+    """tau_Q(xi_k) at every node, refused where it vanishes among the first
+    ``upto`` nodes (default: all)."""
+    tq = pair.tau_values[1]
+    vanishing = np.abs(tq[..., :upto]) < 1e-12
+    if vanishing.any():
+        at = first_index(vanishing)
+        raise SingularEvaluationError(f"tau_Q vanishes at xi_{at[-1] + 1}", at=at)
+    return tq
+
+
+def _values(pair: PairContext, values: np.ndarray):
+    """A grid's (P, Q, site) values as they are; one pair's as a list."""
+    return values if pair.lead else values.tolist()
+
+
+# ---------------------------------------------------------------------------
 # scalar products
 
 
-def sp_direct(pair: PairContext, alpha: complex) -> complex:
+@_names_pair
+def sp_direct(pair: PairContext, alpha: complex):
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
     params, p, q = pair.params, pair.p, pair.q
     den = p.x_eta * q.x_eta
     vanishing = np.abs(den) < 1e-13
     if vanishing.any():
-        raise SingularEvaluationError(
-            f"(PQ)(xi - eta) vanishes at xi = {params.xi[np.argmax(vanishing)]}")
+        at = first_index(vanishing)
+        raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {params.xi[at[-1]]}",
+                                      at=at)
     return _dressed_vandermonde(params.node_rows, -alpha * (p.x * q.x) / den)
 
 
 def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
     """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
-    product)."""
+    product), for one pair."""
     p, q = pair.p, pair.q
     ratio = alpha * (p.x * q.x) / (p.x_eta * q.x_eta)
     terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
@@ -148,31 +440,33 @@ def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
 
 
 def _require_roots_off_nodes(params: ModelParams, roots):
-    """Refuse roots that collide with an inhomogeneity shift set
-    {xi_k, xi_k - eta} modulo i*pi."""
-    near = dist_mod_ipi(np.asarray(roots, dtype=np.complex128)[:, None],
-                        params.forbidden_points()) < 1e-8
+    """Refuse roots (on the last axis of ``roots``) that collide with an
+    inhomogeneity shift set {xi_k, xi_k - eta} modulo i*pi."""
+    roots = np.asarray(roots, dtype=np.complex128)
+    near = (dist_mod_ipi(roots[..., None], params.forbidden_points()) < 1e-8).any(axis=-1)
     if near.any():
-        root = roots[np.argmax(near.any(axis=1))]
-        raise SingularEvaluationError(f"root {root} collides with an inhomogeneity shift set")
+        at = first_index(near)
+        raise SingularEvaluationError(
+            f"root {complex(roots[at])} collides with an inhomogeneity shift set", at=at)
 
 
-def sp_izergin(pair: PairContext, alpha: complex) -> complex:
+@_names_pair
+def sp_izergin(pair: PairContext, alpha: complex):
     """Scalar product as a weighted Izergin determinant with columns labelled
     by the roots of P."""
     params, p, q = pair.params, pair.p, pair.q
-    _require_roots_off_nodes(params, p.roots)
+    _require_roots_off_nodes(params, pair.pr)
     f_vals = -alpha * f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
-    num_det, den_det = det_lu(_izergin_matrices(pair.izergin_kernels, f_vals))
-    return num_det / den_det
+    return det_lu(_izergin_matrix(pair.izergin_kernels, f_vals)) / pair.izergin_det
 
 
-def cond_pq_residual(pair: PairContext) -> float:
-    """Relative defect of the i*pi compatibility condition on (PQ) at the nodes."""
+def cond_pq_residual(pair: PairContext):
+    """Relative defect of the i*pi compatibility condition on (PQ) at the
+    nodes, per pair."""
     p, q = pair.p, pair.q
     r1 = p.x_eta * q.x_eta / (p.x * q.x)
     r2 = p.x_eta_ipi * q.x_eta_ipi / (p.x_ipi * q.x_ipi)
-    return float((abs(r1 - r2) / np.maximum(abs(r1) + abs(r2), 1e-30)).max())
+    return (abs(r1 - r2) / np.maximum(abs(r1) + abs(r2), 1e-30)).max(axis=-1)
 
 
 def _p_ipi_over_sinh(sinh_half: np.ndarray, cosh_half: np.ndarray) -> np.ndarray:
@@ -191,22 +485,25 @@ def _s_gamma(u, gamma: complex):
     """sinh((u + gamma)/2) / (sinh(u/2) sinh(gamma/2)), elementwise in u."""
     sg = np.sinh(gamma / 2)
     su = np.sinh(u / 2)
-    if abs(sg) < 1e-13 or np.any(np.abs(su) < 1e-13):
-        raise SingularEvaluationError("s_gamma evaluated at a pole")
+    pole = np.abs(su) < 1e-13
+    if abs(sg) < 1e-13 or pole.any():
+        raise SingularEvaluationError("s_gamma evaluated at a pole",
+                                      at=first_index(pole) if pole.any() else ())
     return np.sinh((u + gamma) / 2) / (su * sg)
 
 
 @dataclass(frozen=True)
 class SlavnovHalves:
-    """The alpha-free halves of ``slavnov_matrix`` for one (P, Q) pair and
-    gamma: the matrix at alpha is ``base + alpha * rest``.  ``base`` is the
-    coth (or s_gamma) Cauchy matrix; ``rest`` holds the Bethe-ratio kernel
+    """The alpha-free halves of ``slavnov_matrix`` for each pair of a context
+    and gamma: the matrix at alpha is ``base + alpha * rest``.  ``base`` is
+    the coth (or s_gamma) Cauchy matrix; ``rest`` holds the Bethe-ratio kernel
     plus the cross term, or their same-roots limit."""
 
     base: np.ndarray
     rest: np.ndarray
 
 
+@_names_pair
 def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHalves:
     """Everything in the root-labelled matrix that does not depend on alpha.
 
@@ -216,38 +513,55 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     diagonal entries take their analytic limits, which need the logarithmic
     derivatives of Q and a.
     """
-    params, p, q, pr, qr = pair.params, pair.p, pair.q, pair.pr, pair.qr
-    n, eta = params.n, params.eta
-    if len(pr) != n or len(qr) != n:
-        raise ParameterError("polynomials must carry N roots each")
-    u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
+    p, q, pr, qr, eta = pair.p, pair.q, pair.pr, pair.qr, pair.params.eta
+    u = pr[..., None, :] - qr[..., :, None]  # p_k - q_j at (j, k)
     limit = dist_mod_2ipi(u) < _COLLISION_TOL
-    if limit.any() and not np.all(np.abs(pr - qr) < _COLLISION_TOL):
-        j, k = np.argwhere(limit)[0]
+    distinct = limit & ~np.all(np.abs(pr - qr) < _COLLISION_TOL, axis=-1)[..., None, None]
+    if distinct.any():
+        at = first_index(distinct)
         raise SingularEvaluationError(
-            f"coincident roots p_{k+1} = q_{j+1} for distinct functions")
-    half = (u - [[[eta]], [[0.0]]]) / 2
-    sinh_half, cosh_half = np.sinh(half), np.cosh(half)
-    sinh_u = sinh_half[1]
+            f"coincident roots p_{at[-1] + 1} = q_{at[-2] + 1} for distinct functions", at=at)
+    sinh_eta, cosh_eta = np.sinh((u - eta) / 2), np.cosh((u - eta) / 2)
+    sinh_u, cosh_u = np.sinh(u / 2), np.cosh(u / 2)
     sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
     if gamma is None:
-        if (sinh_half[0] == 0).any():
-            raise SingularEvaluationError("coth evaluated at a pole")
-        base, kern = cosh_half[0] / sinh_half[0], cosh_half[1] / sinh_u
+        pole = sinh_eta == 0
+        if pole.any():
+            raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+        base, kern = cosh_eta / sinh_eta, cosh_u / sinh_u
     else:
         base, kern = _s_gamma(u - eta, gamma), _s_gamma(np.where(limit, 1.0, u), gamma)
     q_p_eta, q_p_eta_plus = pair.q_at_p
     afrak_p = a_frak_values(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)
-    ratio = q.r_eta_plus[:, None] * p.d_r / (q.a_r[:, None] * q_p_eta * p.r_ipi)
-    rest = afrak_p * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_half[1])
+    ratio = q.r_eta_plus[..., :, None] * p.d_r[..., None, :] \
+        / (q.a_r[..., :, None] * q_p_eta[..., None, :] * p.r_ipi[..., None, :])
+    rest = afrak_p[..., None, :] * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_u)
     if limit.any():
-        j, k = np.nonzero(limit)
-        qj = qr[j]
-        log_sum = q.poly.log_deriv(qj + eta) + q.poly.log_deriv(qj + IPI) \
-            - params.a_log_deriv(qj)
-        afrak_q = a_frak_values(q.a_r[j], q.d_r[j], q.r_eta[j], q.r_eta_plus[j])
-        rest[j, k] = 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
+        rest[limit] = _same_roots_limits(pair, limit, gamma)
     return SlavnovHalves(base, rest)
+
+
+def _same_roots_limits(pair: PairContext, limit: np.ndarray, gamma: complex | None):
+    """The ``rest`` entries of ``slavnov_halves`` at the True entries of
+    ``limit`` (p_k = q_j), in row-major order: 2 a_frak_Q(q_j) times
+    (log Q)'(q_j + eta) + (log Q)'(q_j + i*pi) - (log a)'(q_j), plus
+    a_frak_Q(q_j) coth(gamma/2) in the deformation."""
+    params, q, n, eta = pair.params, pair.q, pair.params.n, pair.params.eta
+    *pairs, j, _ = np.nonzero(limit)
+    rows = limit.shape[:-1]
+
+    def at_row(values):  # each entry's value at its q_j
+        return np.broadcast_to(values, rows)[(*pairs, j)]
+
+    roots = np.broadcast_to(pair.qr[..., None, :], rows + (n,))[(*pairs, j)]  # Q's roots
+    qj = at_row(pair.qr)
+    with _entries_of(pairs):
+        log_sum = 0.5 * coth(((qj + eta)[:, None] - roots) / 2).sum(axis=-1) \
+            + 0.5 * coth(((qj + IPI)[:, None] - roots) / 2).sum(axis=-1) \
+            - params.a_log_deriv(qj)
+        afrak_q = a_frak_values(at_row(q.a_r), at_row(q.d_r), at_row(q.r_eta),
+                                at_row(q.r_eta_plus))
+    return 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
 
 
 def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
@@ -270,155 +584,21 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     return complex(num / den)
 
 
-class PairContext:
-    """The site-independent pieces of one (P, Q) pair's determinant formulas.
-
-    Built from the two polynomials' ``model.q_table``s, which hold every value
-    that depends on one of them alone.  A form factor is the pair's
-    scalar-product determinant plus a rank-one term that depends on the site;
-    what needs both polynomials but no alpha (the Slavnov and
-    eigenvalue-labelled halves, the Cauchy determinant, the tau prefactor,
-    Q at the P-roots and the sinh rows the rank-one terms are formed from) is
-    built here on first use and kept, as arrays over every root, point and
-    site at once.  Building lazily keeps each error in the call that raised
-    it before.
-
-    The eigenvalue-labelled forms need both tables to carry an eigenvalue;
-    ``z`` (default: the Q-roots) labels the rows of those forms: N points,
-    pairwise more than 1e-10 apart modulo i*pi, checked here.
-    """
-
-    def __init__(self, params: ModelParams, p: QTable, q: QTable, z=None):
-        self.params = params
-        self.p, self.q = p, q
-        self.pr = np.asarray(p.roots, dtype=np.complex128)
-        self.qr = np.asarray(q.roots, dtype=np.complex128)
-        self.z = self.qr if z is None else np.asarray(z, dtype=np.complex128)
-        if self.z.shape != (params.n,):
-            raise ParameterError("z must provide N points")
-        # each point lies at distance 0 from itself; one entry more is a close pair
-        if np.count_nonzero(dist_mod_ipi(self.z[:, None], self.z) <= 1e-10) > params.n:
-            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi")
-        # P's roots equal Q's bit for bit: Q's table holds Q at the P-roots
-        self.diagonal = self.pr.tobytes() == self.qr.tobytes()
-
-    def eigen_tables(self) -> tuple[QTable, QTable]:
-        """(P's, Q's) table, checked to carry an eigenvalue each."""
-        if self.p.tau is None or self.q.tau is None:
-            raise ParameterError("eigenvalue-labelled forms need both eigen records")
-        return self.p, self.q
-
-    @cached_property
-    def halves(self) -> SlavnovHalves:
-        return slavnov_halves(self)
-
-    @cached_property
-    def cauchy_det(self) -> complex:
-        """det of the coth Cauchy matrix, the base of the halves."""
-        return det_lu(self.halves.base)
-
-    @cached_property
-    def q_at_p(self) -> np.ndarray:
-        """Q(p_k - eta) and Q(p_k + eta) in rows 0 and 1 (from Q's own table
-        when P = Q): the Slavnov halves, and row 0 the rank-one columns."""
-        if self.diagonal:
-            return np.stack([self.q.r_eta, self.q.r_eta_plus])
-        eta = self.params.eta
-        return self.q.poly(np.stack([self.pr - eta, self.pr + eta]))
-
-    @cached_property
-    def izergin_kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``_izergin_kernels`` of the nodes against the P-roots, shared by
-        the two Izergin forms (``sp_izergin`` and ``sp_tau``)."""
-        return _izergin_kernels(self.params.xi, self.pr, self.params.eta)
-
-    @cached_property
-    def node_kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """coth(x) and coth(x + i*pi/2) = tanh(x) at x = (xi_s - q_j - eta)/2,
-        row s, column j: the rows of the roots-form rank-one terms."""
-        half = (np.subtract.outer(self.params.xi, self.qr) - self.params.eta) / 2
-        s, c = np.sinh(half), np.cosh(half)
-        if (s * c == 0).any():
-            raise SingularEvaluationError("coth evaluated at a pole")
-        return c / s, s / c
-
-    @cached_property
-    def z_xi_sinh(self) -> np.ndarray:
-        """sinh(z_i - xi_s), row i, column s."""
-        return np.sinh(self.z[:, None] - self.params.xi)
-
-    @cached_property
-    def tau_dq(self) -> np.ndarray:
-        """The alpha-free halves of tau_matrix, stacked:
-        [tau_hat_Q(z_i) - tau_hat_Q(p_k)] and [tau_hat_P(z_i) - tau_hat_P(p_k + eta)],
-        each over sinh(z_i - w_k), with their removable limits.
-
-        tau_hat is i*pi-periodic, so z - w near any i*m*pi is a removable point
-        with limit (-1)^m tau_hat'(w).  Both eigenvalues' tau_hat are
-        evaluated at the z_i, p_k and p_k + eta in one batch."""
-        p, q = self.eigen_tables()
-        params, n = self.params, self.params.n
-        z = self.z
-        w = self.pr + [[0.0], [params.eta]]
-        # d at z from the z - xi rows; d(p_k) and d(p_k + eta) = a(p_k) from P's table
-        hat = tau_hat([q.tau, p.tau], np.concatenate([z, *w]),
-                      np.concatenate([self.z_xi_sinh.prod(axis=1), p.d_r, p.a_r]))
-        # tau_hat_Q and tau_hat_P at z, and tau_hat_Q(p_k), tau_hat_P(p_k + eta)
-        at_z, at_w = hat[:, :n], np.array([hat[0, n:2 * n], hat[1, 2 * n:]])
-        u = np.subtract.outer(z, w).transpose(1, 0, 2)
-        m = np.rint(u.imag / np.pi)
-        limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
-        u[limit] = 1.0  # the removable points, filled in below
-        dq = (at_z[:, :, None] - at_w[:, None, :]) / np.sinh(u)
-        if limit.any():
-            h, i, k = np.nonzero(limit)
-            # row h of the batch is tau_hat_Q' (h = 0) or tau_hat_P' (h = 1) at each limit's w
-            deriv = tau_hat_deriv(params, [q.tau, p.tau], w[h, k])[h, np.arange(len(h))]
-            dq[h, i, k] = (-1.0) ** m[h, i, k] * deriv
-        return dq
-
-    @cached_property
-    def tau_prefactor(self) -> complex:
-        """prod sinh(z_i - xi_j) sinh(xi_j - p_i) over
-        (e^{sum xi} prod tau_Q(xi_j) prod_{i<j} sinh(z_j - z_i) sinh(p_i - p_j))."""
-        tq = _nonvanishing_tau_q(self)
-        num = self.z_xi_sinh.prod() * np.prod(self.p.sinh_x)
-        den = cmath.exp(sum(self.params.xi)) * tq.prod() \
-            * vandermonde(np.stack([self.z, self.pr[::-1]])).prod()
-        return complex(num / den)
-
-    @cached_property
-    def tau_node_products(self) -> np.ndarray:
-        """prod_{k <= s} tau_P(xi_k) and prod_{k <= s} tau_Q(xi_k) for
-        s = 0..N (the empty product first), in rows 0 and 1."""
-        p, q = self.eigen_tables()
-        values = np.array([p.tau.values, q.tau.values])
-        return np.concatenate([np.ones((2, 1)), values], axis=1).cumprod(axis=1)
-
-
-def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarray:
-    """tau_Q(xi_k) at every node, refused where it vanishes among the first
-    ``upto`` nodes (default: all)."""
-    tq = pair.eigen_tables()[1].tau.values
-    vanishing = np.abs(tq[:upto]) < 1e-12
-    if vanishing.any():
-        raise SingularEvaluationError(f"tau_Q vanishes at xi_{np.argmax(vanishing) + 1}")
-    return tq
-
-
+@_names_pair
 def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
-               cond_tol: float = 1e-7) -> complex:
+               cond_tol: float = 1e-7):
     """Scalar product as the root-labelled determinant ratio.
 
     Only valid when the i*pi compatibility condition on (PQ) holds at the
     inhomogeneities; the residual is checked up front.
     """
     res = cond_pq_residual(pair)
-    if not res <= cond_tol:
+    violated = ~(res <= cond_tol)
+    if violated.any():
+        at = first_index(violated)
         raise ParameterError(
-            f"compatibility condition violated (residual {res:.3e}); "
-            "the root-labelled representation does not apply"
-        )
+            f"compatibility condition violated (residual {res[at]:.3e}); "
+            "the root-labelled representation does not apply", at=at)
     if gamma is None:
         halves, den = pair.halves, pair.cauchy_det
     else:
@@ -455,7 +635,8 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 
 
 def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
-    """Both sides of the two-parameter product identity and their deviation.
+    """Both sides of the two-parameter product identity and their deviation,
+    for one pair.
 
     The constant in front of the determinant ratio was calibrated numerically
     against the product of the two one-parameter representations (exact to
@@ -467,7 +648,7 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     den = 1 / np.sinh((pair.pr[None, :] - pair.qr[:, None] - params.eta) / 2)
     pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p_poly.roots)) \
         * np.prod(pair.q.x / pair.q.x_eta)
-    mat_det, den_det = det_lu([mat, den])
+    mat_det, den_det = det_lu([mat, den]).tolist()
     rhs = pref * mat_det / den_det
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, dev
@@ -479,6 +660,7 @@ def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
     return dq - alpha * dp
 
 
+@_names_pair
 def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     """Scalar product written through the eigenvalue functions.
 
@@ -486,14 +668,14 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     the context's ``z``, which may be any N points pairwise apart modulo
     i*pi and away from the tau_hat poles.
     """
-    p, _ = pair.eigen_tables()
+    tp, _ = pair.tau_values
     ratio = kappa2 / kappa
     # det[tau_Q(xi_i)/sinh(xi_i - p_k) - ratio tau_P(xi_i)/sinh(xi_i - p_k - eta)]
     # over det[tau_Q(xi_i)/sinh(xi_i - p_k)]: the row factors tau_Q(xi_i) cancel
-    num_det, den_det, mat_det = det_lu(
-        _izergin_matrices(pair.izergin_kernels, ratio * p.tau.values / _nonvanishing_tau_q(pair))
-        + [tau_matrix(*pair.tau_dq, ratio)])
-    return num_det / den_det, pair.tau_prefactor * mat_det
+    num = _izergin_matrix(pair.izergin_kernels, ratio * tp / _nonvanishing_tau_q(pair))
+    num_det, mat_det = det_lu(np.stack(np.broadcast_arrays(
+        num, tau_matrix(*pair.tau_dq, ratio))))
+    return num_det / pair.izergin_det, pair.tau_prefactor * mat_det
 
 
 def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
@@ -513,92 +695,109 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
 # form factors
 
 
-def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> list[complex]:
+def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> np.ndarray:
     """prod_{k <= s - shift} tau_P(xi_k) / prod_{k <= s} tau_Q(xi_k) for each
-    site s (1-based) in ``sites``, from the values at the nodes."""
+    site s (1-based) in ``sites``, on the last axis, from the values at the
+    nodes."""
     for site in sites:
         if not 1 <= site <= pair.params.n:
             raise ParameterError(f"site {site} outside 1..{pair.params.n}")
     _nonvanishing_tau_q(pair, max(sites, default=0))
     tp_prod, tq_prod = pair.tau_node_products
-    return [tp_prod[site - shift] / tq_prod[site] for site in sites]
+    s = np.asarray(sites, dtype=int)
+    return tp_prod[..., s - shift] / tq_prod[..., s]
 
 
 def _rank1_sigma_z(pair: PairContext) -> np.ndarray:
-    """The roots-form sigma^z rank-one terms of every site s, stacked: row
-    r0 coth((xi_s - q_j - eta)/2) + r1 coth((xi_s + i*pi - q_j - eta)/2) with
-    r0, r1 = Q/P at xi_s - eta and its i*pi shift; column P(p_k - eta)/Q(p_k - eta)."""
+    """The roots-form sigma^z rank-one terms of every site s, stacked on the
+    third-to-last axis: row
+    r0 coth((xi_s - q_j - eta)/2) + r1 coth((xi_s + i*pi - q_j - eta)/2)
+    with r0, r1 = Q/P at xi_s - eta and its i*pi shift; column
+    P(p_k - eta)/Q(p_k - eta)."""
     p, q = pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = (q.x_eta / p.x_eta)[:, None] * coth_x + (q.x_eta_ipi / p.x_eta_ipi)[:, None] * tanh_x
-    return row[:, :, None] * (p.r_eta / pair.q_at_p[0])
+    row = (q.x_eta / p.x_eta)[..., :, None] * coth_x \
+        + (q.x_eta_ipi / p.x_eta_ipi)[..., :, None] * tanh_x
+    return row[..., :, :, None] * (p.r_eta / pair.q_at_p[0])[..., None, None, :]
 
 
 def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
     """The roots-form spin-flip rank-one terms of every site s, stacked."""
     params, p, q = pair.params, pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = ((q.x_eta / p.x)[:, None] * coth_x - (q.x_eta_ipi / p.x_ipi)[:, None] * tanh_x) \
+    row = ((q.x_eta / p.x)[..., :, None] * coth_x
+           - (q.x_eta_ipi / p.x_ipi)[..., :, None] * tanh_x) \
         * (np.exp(-np.asarray(params.xi)) * params.a_xi)[:, None]
     col = p.exp_r * p.d_r / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
-    return row[:, :, None] * col
+    return row[..., :, :, None] * col[..., None, None, :]
 
 
 def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> np.ndarray:
     """site_factor_s col_k / sinh(z_i - xi_s) at (s, i, k): the
     eigenvalue-form rank-one terms of every site s, stacked."""
-    return (site_factor / pair.z_xi_sinh).T[:, :, None] * col
+    rows = np.swapaxes(site_factor[..., None, :] / pair.z_xi_sinh, -1, -2)
+    return rows[..., :, :, None] * col[..., None, None, :]
 
 
-def ff_sigma_z(pair: PairContext, sites, form: str = "roots") -> list[complex]:
+def _with_base(mat: np.ndarray, rank1: np.ndarray) -> np.ndarray:
+    """``mat`` followed by ``mat`` + each site's rank-one term, stacked on the
+    site axis: the spin-flip stack, whose first determinant is subtracted."""
+    mat = mat[..., None, :, :]
+    return np.concatenate([mat, mat + rank1], axis=-3)
+
+
+@_names_pair
+def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
     """sigma^z form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``."""
-    params = pair.params
+    (1-based) in ``sites``: a list for one pair, a (P, Q, site) array for a
+    grid."""
+    params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 0)
-    p, q = pair.p, pair.q
-    at = np.asarray(sites) - 1
+    at = np.asarray(sites, dtype=int) - 1
     if form == "roots":
-        s1 = slavnov_matrix(pair.halves, 1.0)
-        den = pair.cauchy_det
-        dets = det_lu(s1 - _rank1_sigma_z(pair)[at])
-        return [-pq_ratio * d / den for pq_ratio, d in zip(ratios, dets)]
+        s1 = slavnov_matrix(pair.halves, 1.0)[..., None, :, :]
+        dets = det_lu(s1 - _rank1_sigma_z(pair)[..., at, :, :])
+        return _values(pair, -ratios * dets / np.expand_dims(pair.cauchy_det, -1))
     if form == "tau":
-        mat = tau_matrix(*pair.tau_dq, 1.0)
-        site_factor = np.exp(np.asarray(params.xi)) * q.tau.values / (p.x_eta * p.x_ipi)
-        rank1 = _tau_rank1(pair, site_factor, p.r_eta * p.r_ipi / p.d_r)
-        pref = pair.tau_prefactor
-        return [-pref * pq_ratio * d for pq_ratio, d in zip(ratios, det_lu(mat + rank1[at]))]
+        mat = tau_matrix(*pair.tau_dq, 1.0)[..., None, :, :]
+        site_factor = np.exp(np.asarray(params.xi)) * pair.tau_values[1] / (p.x_eta * p.x_ipi)
+        rank1 = _tau_rank1(pair, site_factor, p.r_eta * p.r_ipi / p.d_r)[..., at, :, :]
+        pref = np.expand_dims(pair.tau_prefactor, -1)
+        return _values(pair, -pref * ratios * det_lu(mat + rank1))
     raise ParameterError(f"unknown form {form!r}")
 
 
-def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites,
-                form: str = "roots") -> list[complex]:
+@_names_pair
+def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = "roots"):
     """Spin-flip form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``.
+    (1-based) in ``sites``: a list for one pair, a (P, Q, site) array for a
+    grid.
 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
-    the convention where C annihilates the all-up reference state.
+    the convention where C annihilates the all-up reference state.  Each
+    site's value is the difference of two determinants, the matrix with the
+    site's rank-one term and the base matrix alone.
     """
-    params = pair.params
+    params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 1)
-    p, q = pair.p, pair.q
+    at = np.asarray(sites, dtype=int) - 1
     alpha = cmath.exp(-params.eta)
-    at = np.asarray(sites) - 1
+    root_sum = pair.pr.sum(axis=-1)
     if form == "roots":
-        pref = eps * kappa * cmath.exp(-(sum(p.roots) - sum(params.xi)))
+        pref = eps * kappa * np.exp(-(root_sum - sum(params.xi)))
         se = slavnov_matrix(pair.halves, alpha)
-        den = pair.cauchy_det
-        se_det, *dets = det_lu(np.concatenate([se[None], se - _rank1_sigma_minus(pair)[at]]))
-        return [pref * pq_ratio * (d - se_det) / den for pq_ratio, d in zip(ratios, dets)]
+        dets = det_lu(_with_base(se, -_rank1_sigma_minus(pair)[..., at, :, :]))
+        den = np.expand_dims(pair.cauchy_det, -1)
+        return _values(pair, np.expand_dims(pref, -1) * ratios
+                       * (dets[..., 1:] - dets[..., :1]) / den)
     if form == "tau":
-        mat = tau_matrix(*pair.tau_dq, alpha)
-        pref = eps * kappa * cmath.exp(-sum(p.roots)) \
+        pref = eps * kappa * np.exp(-root_sum) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        site_factor = params.a_xi * q.tau.values / p.sinh_x
-        rank1 = _tau_rank1(pair, site_factor, p.exp_r)
-        mat_det, *dets = det_lu(np.concatenate([mat[None], mat + rank1[at]]))
-        return [pref * pq_ratio * (d - mat_det) for pq_ratio, d in zip(ratios, dets)]
+        site_factor = params.a_xi * pair.tau_values[1] / p.sinh_x
+        rank1 = _tau_rank1(pair, site_factor, p.exp_r)[..., at, :, :]
+        dets = det_lu(_with_base(tau_matrix(*pair.tau_dq, alpha), rank1))
+        return _values(pair, np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1]))
     raise ParameterError(f"unknown form {form!r}")
 
 
@@ -720,7 +919,7 @@ def half_period_split_check(pair: PairContext, alpha: complex):
 
     m2a = core(0) - fac1[:, None] * core(IPI)
     m2b = core(0) + fac2[:, None] * core(IPI)
-    den_det, m1_det, m2a_det = det_lu([den, m1, m2a])
+    den_det, m1_det, m2a_det = det_lu([den, m1, m2a]).tolist()
     pref = cmath.exp(sum(params.xi[i] - pr[i] for i in range(n)) / 2) / 2**n
     val_p = pref * m1_det / den_det
     pref_q = pref * np.prod(q.x / p.x) * vandermonde(pr / 2) / vandermonde(qr / 2)

@@ -35,6 +35,7 @@ from .model import (
     a_frak_values,
     dist_mod_2ipi,
     dist_mod_ipi,
+    first_index,
     q_structure_residuals,
     q_table,
     products_except,
@@ -69,7 +70,8 @@ def tau_hat(taus, lam, d) -> np.ndarray:
     zero = abs(np.asarray(d)) < 1e-13
     if zero.any():
         raise SingularEvaluationError(
-            f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})")
+            f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})",
+            at=first_index(zero))
     values = np.array([tau.values for tau in taus])
     return np.exp(lam) * (values @ taus[0].basis.weights(lam).T) / d
 

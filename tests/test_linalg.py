@@ -51,18 +51,21 @@ class TestDet:
                 det_lu(np.array([[bad, 0], [0, 1]]))
 
     def test_stack_equals_each_matrix_alone(self):
-        # one call over a (k, n, n) stack gives each matrix's own determinant
-        # to the bit, from an array or a list of matrices
+        # one call over a (..., n, n) stack gives the (...) array of each
+        # matrix's own determinant to the bit, from an array or a list of
+        # matrices; one matrix gives a complex
         def bits(values):
-            return [(v.real.hex(), v.imag.hex()) for v in values]
+            return [(complex(v).real.hex(), complex(v).imag.hex()) for v in np.ravel(values)]
 
         rng = np.random.default_rng(5)
-        for k, n in [(1, 1), (3, 3), (5, 4), (2, 6)]:
-            stack = random_complex(rng, (k, n, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+        for lead, n in [((1,), 1), ((3,), 3), ((5,), 4), ((2,), 6), ((2, 3), 3), ((2, 3), 5)]:
+            stack = random_complex(rng, lead + (n, n)) \
+                * 10.0 ** rng.uniform(-3, 3, lead + (1, 1))
             dets = det_lu(stack)
-            assert isinstance(dets, list) and all(type(d) is complex for d in dets)
-            assert bits(dets) == bits([det_lu(m) for m in stack])
-            assert bits(det_lu(list(stack))) == bits(dets)
+            assert isinstance(dets, np.ndarray) and dets.shape == lead
+            assert bits(dets) == bits([det_lu(m) for m in stack.reshape(-1, n, n)])
+            assert all(type(det_lu(m)) is complex for m in stack.reshape(-1, n, n))
+            assert bits(det_lu(stack.tolist())) == bits(dets)
 
     def test_stack_with_a_bad_matrix_raises(self):
         good = np.eye(3, dtype=complex)
@@ -71,7 +74,7 @@ class TestDet:
             m[1, 2] = bad
             with pytest.raises(DimensionError):
                 det_lu([good, m, good])
-        for shape in ((2, 3, 4), (2, 2, 2, 2)):
+        for shape in ((2, 3, 4), (2, 2, 2, 3), (4,)):
             with pytest.raises(DimensionError):
                 det_lu(np.ones(shape))
 

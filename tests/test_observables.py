@@ -1,5 +1,7 @@
 import cmath
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from sovxxz.model import (
     InterpolationBasis,
     coth,
     dist_mod_2ipi,
+    q_table,
+    vandermonde_rows,
 )
 from sovxxz.sov import SovBasis, matrix_element, overlap, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
@@ -69,6 +73,18 @@ class TestScalarProductDirect:
         ket = separate_state(basis3, table(params3, q), kappa2, eps2, "ket")
         assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha),
                        overlap(bra, ket)) < 1e-9
+
+    def test_stacked_functional_equals_each(self, params3):
+        # a stack of f gives each f's functional, also when a far node
+        # forces the Laplace expansion along its row
+        g = rng(68)
+        for xs in (list(params3.xi), [*params3.xi, 30.0]):
+            rows = vandermonde_rows(xs, params3.eta)
+            f = g.uniform(-1, 1, (2, 3, len(xs))) + 1j * g.uniform(-1, 1, (2, 3, len(xs)))
+            got = obs._dressed_vandermonde(rows, f)
+            assert got.shape == (2, 3)
+            for at in np.ndindex(2, 3):
+                assert rel_dev(got[at], obs.a_functional(xs, f[at], params3.eta)) <= 1e-13
 
 
 class TestScalarProductIzergin:
@@ -314,9 +330,12 @@ class TestFormFactors:
 
 
 class TestPairContext:
-    def test_one_det_call_per_form_factor_call(self, params3, records3, monkeypatch):
-        # every site's determinant (and sigma^-'s base determinant) of one
-        # form-factor call goes to LAPACK in one stacked det_lu call
+    def test_one_det_call_per_form_factor_call(self, params3, records3, tmp_path,
+                                               monkeypatch):
+        # every pair's and site's determinant (and sigma^-'s base
+        # determinants) of one form-factor call on a grid goes to LAPACK in
+        # one stacked det_lu call, so an observables op makes as many
+        # det_lu calls at n = 2 as at n = 3
         shapes = []
         det = obs.det_lu
 
@@ -324,23 +343,35 @@ class TestPairContext:
             shapes.append(np.shape(m))
             return det(m)
 
-        sites = range(1, params3.n + 1)
-        pair = obs.PairContext(params3, records3[1].table, records3[6].table)
-        assert pair.cauchy_det  # built once per pair, before the form factors in a run
+        n, count = params3.n, len(records3)
+        sites = range(1, n + 1)
+        tables = [r.table for r in records3]
+        grid = obs.PairContext(params3, tables, tables)
+        assert np.shape(grid.cauchy_det) == (count, count)  # built before the form factors
         monkeypatch.setattr(obs, "det_lu", counted)
         for form in ("roots", "tau"):
             shapes.clear()
-            obs.ff_sigma_z(pair, sites, form)
-            assert shapes == [(3, 3, 3)]
+            obs.ff_sigma_z(grid, sites, form)
+            assert shapes == [(count, count, n, n, n)]
             shapes.clear()
-            obs.ff_sigma_pm(pair, params3.kappa, 1, sites, form)
-            assert shapes == [(4, 3, 3)]
+            obs.ff_sigma_pm(grid, params3.kappa, 1, sites, form)
+            assert shapes == [(count, count, n + 1, n, n)]
+        per_op = {}
+        for size in (2, 3):
+            shapes.clear()
+            cfg = tmp_path / f"cfg{size}.json"
+            cfg.write_text(f'{{"n": {size}}}')
+            assert cli.main(["observables", "--config", str(cfg),
+                             "--out", str(tmp_path / "r.json")]) == 1
+            per_op[size] = len(shapes)
+        assert per_op[2] == per_op[3]
 
     def test_batched_tau_hat_equals_scalar_formula(self, params3, records3, monkeypatch):
         # tau_hat on an array of points is e^lam tau(lam) / d(lam) from the
-        # scalar interpolation, to 1e-13 relative, for each eigenvalue; one
-        # pair evaluates both of its eigenvalues in one batch for all its
-        # formulas, and reads d from the z - xi rows and P's table
+        # scalar interpolation, to 1e-13 relative, for each eigenvalue; a
+        # grid evaluates every eigenvalue (P's, then Q's) at every z_i, p_k
+        # and p_k + eta in one batch for all its formulas, and reads d from
+        # the z - xi rows and P's table
         g = rng(66)
         points = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(6)])
         d = [params3.d_fn(lam) for lam in points]
@@ -359,13 +390,47 @@ class TestPairContext:
 
         monkeypatch.setattr(obs, "tau_hat", counted)
         n, sites = params3.n, range(1, params3.n + 1)
-        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
+        for ps, qs in [(records3, records3), (records3[:3], records3[2:6])]:
             calls.clear()
-            pair = obs.PairContext(params3, rp.table, rq.table)
-            obs.sp_tau(pair, params3.kappa, KAPPA2)
-            obs.ff_sigma_z(pair, sites, "tau")
-            obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")
-            assert calls == [([id(rq.tau), id(rp.tau)], (3 * n,))]
+            grid = obs.PairContext(params3, [r.table for r in ps], [r.table for r in qs])
+            obs.sp_tau(grid, params3.kappa, KAPPA2)
+            obs.ff_sigma_z(grid, sites, "tau")
+            obs.ff_sigma_pm(grid, params3.kappa, 1, sites, "tau")
+            assert calls == [([id(r.tau) for r in [*ps, *qs]], ((len(qs) + 2 * len(ps)) * n,))]
+
+    @pytest.mark.parametrize("rows", ["default z", "custom z"])
+    def test_grid_equals_each_pair(self, params3, records3, rows):
+        # one context over a grid of records, diagonal pairs included, gives
+        # each pair the value of that pair's own context to 1e-13 relative,
+        # in every representation, form, operator and site; relative to the
+        # formula's largest value on the grid, as some sigma^z elements
+        # vanish and carry only rounding (about 1e-15 against 0.3)
+        kappa, kappa2 = params3.kappa, KAPPA2
+        alpha, sites = kappa2 / kappa, (1, 2, 3)
+        z = None if rows == "default z" else [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
+        ps, qs = records3, records3[2:7]
+
+        def formulas(pair):
+            values = [*obs.sp_tau(pair, kappa, kappa2),
+                      obs.ff_sigma_z(pair, sites, "tau"),
+                      obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")]
+            if z is None:
+                values += [obs.sp_direct(pair, alpha), obs.sp_izergin(pair, alpha),
+                           obs.sp_slavnov(pair, alpha), obs.ff_sigma_z(pair, sites, "roots"),
+                           obs.ff_sigma_pm(pair, kappa, 1, sites, "roots")]
+            return values
+
+        grid = formulas(obs.PairContext(params3, [r.table for r in ps],
+                                        [r.table for r in qs], z=z))
+        assert any(rp is rq for rp in ps for rq in qs)
+        for ip, rp in enumerate(ps):
+            for iq, rq in enumerate(qs):
+                one = formulas(obs.PairContext(params3, rp.table, rq.table, z=z))
+                for batch, value in zip(grid, one):
+                    got, want = np.ravel(batch[ip, iq]), np.ravel(value)
+                    scale = np.abs(batch).max()
+                    assert got.shape == want.shape
+                    assert all(rel_dev(a, b, scale) <= 1e-13 for a, b in zip(got, want))
 
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
         # one context per pair serves every site, form and representation,
@@ -498,7 +563,8 @@ class TestPairContext:
     def test_pair_formulas_read_node_tables(self, params3, records3, monkeypatch):
         # every P or Q value at xi_k, xi_k - eta and their i*pi translates,
         # and every tau value at xi_k, comes from the records' node tables,
-        # not from a fresh evaluation at any point of an evaluator's array
+        # not from a fresh evaluation at any point of an evaluator's array,
+        # on a grid and on one pair
         eta = params3.eta
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
         evaluate = HalfPeriodTrigPoly.__call__
@@ -515,19 +581,27 @@ class TestPairContext:
             hits.extend(lam for lam in np.ravel(points) if lam in nodes)
             return weigh(basis, points)
 
+        def watched_values(roots, points):
+            batches["poly"] += 1
+            hits.extend(lam for lam in np.ravel(points) if lam in nodes)
+            return evaluate_stack(roots, points)
+
+        evaluate_stack = obs.half_period_values
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched)
+        monkeypatch.setattr(obs, "half_period_values", watched_values)
         monkeypatch.setattr(InterpolationBasis, "weights", watched_weights)
         alpha = KAPPA2 / params3.kappa
-        for ip in (0, 2, 5):
-            for iq in (1, 2, 7):
-                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
-                obs.sp_direct(pair, alpha)
-                obs.sp_izergin(pair, alpha)
-                obs.sp_slavnov(pair, alpha)
-                obs.sp_tau(pair, params3.kappa, KAPPA2)
-                for form in ("roots", "tau"):
-                    obs.ff_sigma_z(pair, range(1, params3.n + 1), form)
-                    obs.ff_sigma_pm(pair, params3.kappa, 1, range(1, params3.n + 1), form)
+        sites = range(1, params3.n + 1)
+        for pair in [obs.PairContext(params3, [records3[i].table for i in (0, 2, 5)],
+                                     [records3[i].table for i in (1, 2, 7)]),
+                     obs.PairContext(params3, records3[0].table, records3[1].table)]:
+            obs.sp_direct(pair, alpha)
+            obs.sp_izergin(pair, alpha)
+            obs.sp_slavnov(pair, alpha)
+            obs.sp_tau(pair, params3.kappa, KAPPA2)
+            for form in ("roots", "tau"):
+                obs.ff_sigma_z(pair, sites, form)
+                obs.ff_sigma_pm(pair, params3.kappa, 1, sites, form)
         assert hits == [] and batches["poly"] and batches["weights"]
 
     def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):
@@ -535,16 +609,18 @@ class TestPairContext:
         # values are read as they are; once the records are certified,
         # separate states evaluate no polynomial and the pair formulas
         # evaluate only Q(p_k -+ eta), at any point of the evaluators' arrays,
-        # and on a diagonal pair (P = Q) not even those: Q's table holds them
+        # each once per pair and on a diagonal pair (P = Q) not at all: Q's
+        # table holds them
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": 2}')
         params = load_config(cfg).params
         eta = params.eta
         tau_at_nodes = Counter()
-        in_states, after_spectrum, on_diagonal, diagonal_pairs, records = [], [], [], [], []
-        phase = {"certified": False, "state": False, "diagonal": False}
+        in_states, after_spectrum, records = [], [], []
+        phase = {"certified": False, "state": False}
         call_poly, call_weights = HalfPeriodTrigPoly.__call__, InterpolationBasis.weights
-        solve, state, make_pair = cli.solve_spectrum, cli.separate_state, obs.PairContext
+        call_values = obs.half_period_values
+        solve, state = cli.solve_spectrum, cli.separate_state
 
         # tau is evaluated only through the weights of its basis
         def counted_weights(basis, points):
@@ -553,23 +629,19 @@ class TestPairContext:
                     tau_at_nodes[id(basis), lam] += 1
             return call_weights(basis, points)
 
-        def seen(lam):
+        def seen(points):
             if phase["state"]:
-                in_states.append(lam)
+                in_states.extend(np.ravel(points))
             elif phase["certified"]:
-                after_spectrum.append(lam)
-                if phase["diagonal"]:
-                    on_diagonal.append(lam)
+                after_spectrum.extend(np.ravel(points))
 
         def watched_poly(poly, points):
-            for lam in np.ravel(points):
-                seen(lam)
+            seen(points)
             return call_poly(poly, points)
 
-        def tracked_pair(params, p, q, z=None):
-            phase["diagonal"] = p is q
-            diagonal_pairs.append(p is q)
-            return make_pair(params, p, q, z)
+        def watched_values(roots, points):
+            seen(points)
+            return call_values(roots, points)
 
         def solve_then_mark(*args, **kwargs):
             records.extend(solve(*args, **kwargs))
@@ -585,16 +657,17 @@ class TestPairContext:
 
         monkeypatch.setattr(InterpolationBasis, "weights", counted_weights)
         monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
+        monkeypatch.setattr(obs, "half_period_values", watched_values)
         monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
         monkeypatch.setattr(cli, "separate_state", watched_state)
-        monkeypatch.setattr(obs, "PairContext", tracked_pair)
         assert cli.main(["observables", "--config", str(cfg),
                          "--out", str(tmp_path / "r.json")]) != 2
         assert records and not tau_at_nodes
         assert in_states == []
         pair_points = {r + s for rec in records for r in rec.q_poly.roots for s in (-eta, eta)}
         assert after_spectrum and set(after_spectrum) <= pair_points
-        assert sum(diagonal_pairs) == len(records) and on_diagonal == []
+        off_diagonal = len(records) * (len(records) - 1)
+        assert len(after_spectrum) == off_diagonal * 2 * params.n
 
     def test_tau_forms_need_records(self, params3, records3):
         pair = bare_pair(params3, records3[0].q_poly, records3[1].q_poly)
@@ -640,6 +713,75 @@ class TestRefusals:
         pair = obs.PairContext(params3, records3[0].table, records3[2].table)
         with pytest.raises(SingularEvaluationError, match="s_gamma evaluated at a pole"):
             obs.sp_slavnov(pair, KAPPA2 / params3.kappa, gamma=0)
+
+
+class TestGridRefusals:
+    """A refusal raised inside a grid names the first pair, in (P, Q)
+    row-major order, that holds it, by its report key."""
+
+    def tables(self, params, last_roots):
+        g = rng(67)
+        polys = [random_poly(g, params.n) for _ in range(2)]
+        polys.append(HalfPeriodTrigPoly.from_roots(last_roots(polys)))
+        return [table(params, poly) for poly in polys]
+
+    def test_shared_root_names_its_pair(self, params3):
+        # the last table shares the second one's first root: P1_Q2 is the
+        # first off-diagonal pair with p_k = q_j
+        tables = self.tables(params3, lambda polys: [polys[1].roots[0], 0.4 - 0.3j, -0.6j])
+        j = tables[2].roots.index(tables[1].roots[0])
+        with pytest.raises(SingularEvaluationError) as err:
+            obs.slavnov_halves(obs.PairContext(params3, tables, tables))
+        assert str(err.value) == f"P1_Q2: coincident roots p_1 = q_{j + 1} for distinct functions"
+
+    def test_floors_name_their_pair(self, params3):
+        # a Q-root on xi_1 - eta puts f_tilde's floor Q(xi_1 - eta) on every
+        # pair with that Q (first: P0_Q2); a Q-root at p_1 - eta of table 1
+        # puts a_frak's floor Q(p_1 - eta) on the pair P1_Q2 alone
+        xi, eta = params3.xi, params3.eta
+        on_node = self.tables(params3, lambda polys: [xi[0] - eta, 0.4 - 0.3j, -0.6j])
+        with pytest.raises(SingularEvaluationError, match=r"^P0_Q2: Q\(u-eta\) = .* floor"):
+            obs.sp_izergin(obs.PairContext(params3, on_node[:2], on_node), 0.5)
+        shifted = self.tables(params3,
+                              lambda polys: [polys[1].roots[0] - eta, 0.4 - 0.3j, -0.6j])
+        with pytest.raises(SingularEvaluationError, match=r"^P1_Q2: Q\(u-eta\) = .* floor"):
+            obs.slavnov_halves(obs.PairContext(params3, shifted, shifted))
+
+    def test_tau_hat_zero_of_d_names_its_pair(self, params3, records3):
+        # a Q record with a root on xi_2 puts a zero of d at its z-row:
+        # every pair with that Q holds it, the first one is P0_Q1
+        xi = params3.xi
+        bad = q_table(params3, HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j]),
+                      records3[0].tau, [])
+        qs = [records3[3].table, bad]
+        grid = obs.PairContext(params3, [r.table for r in records3[:2]], qs)
+        with pytest.raises(SingularEvaluationError,
+                           match=r"^P0_Q1: tau_hat evaluated at a zero of d"):
+            obs.sp_tau(grid, params3.kappa, KAPPA2)
+
+    def test_observables_names_the_pair(self, tmp_path, monkeypatch, capsys):
+        # a record that shares a root with another stops the command with
+        # exit status 2 and one error line naming the first such pair
+        solve = cli.solve_spectrum
+
+        def sharing(basis, **kwargs):
+            records = solve(basis, **kwargs)
+            roots = list(records[3].q_poly.roots)
+            roots[0] = records[1].q_poly.roots[1]
+            poly = HalfPeriodTrigPoly.from_roots(roots)
+            records[3] = replace(records[3], q_poly=poly,
+                                 table=q_table(basis.params, poly, records[3].tau, []))
+            return records
+
+        monkeypatch.setattr(cli, "solve_spectrum", sharing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 2, "representations": ["direct"], "operators": ["z"]}')
+        out = tmp_path / "r.json"
+        assert cli.main(["observables", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not out.exists()
+        assert re.fullmatch(r"error: P1_Q3: coincident roots p_\d = q_\d "
+                            r"for distinct functions\n", err)
 
 
 class TestGenericArgumentMatrixElements:
