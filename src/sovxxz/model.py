@@ -40,13 +40,8 @@ def wrap_to_strip(z: complex) -> complex:
 
 
 def _dist_mod(z, w, period: float):
-    # scalars keep Python's complex abs: numpy's rounds the last bit
-    # differently for about a third of arguments and costs ~13x per call
-    if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
-        u = np.subtract(z, w)
-        return np.abs(u - 1j * period * np.rint(u.imag / period))
-    u = complex(z) - complex(w)
-    return abs(u - 1j * period * round(u.imag / period))
+    u = np.subtract(z, w)
+    return np.abs(u - 1j * period * np.rint(u.imag / period))
 
 
 def dist_mod_ipi(z, w=0.0):
@@ -325,7 +320,7 @@ def residual_grid(params: ModelParams) -> np.ndarray:
     pts = []
     while len(pts) < count:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.45 * PI, 0.45 * PI))
-        if all(dist_mod_ipi(z, p) >= params.delta_min for p in avoid):
+        if dist_mod_ipi(z, avoid).min() >= params.delta_min:
             pts.append(z)
     lam = np.array(pts, dtype=np.complex128)
     return _read_only(np.stack([lam, params.a_fn(lam), params.d_fn(lam)]))

@@ -9,11 +9,11 @@ eigenvalue-labelled forms, generic-argument B/D matrix elements, and the
 numerical test bench for the underlying determinant identities.
 
 Every matrix is formed at once from broadcast arrays of root and point
-differences (rows first, columns second), for one (P, Q) pair or for every
-pair of a grid (``PairContext``).  Matrix entries that develop 0/0 patterns
-when the two root sets are paired (equal or shifted by i*pi) are evaluated
-through algebraically equivalent product forms, or as their analytic limits,
-so every representation stays finite on all eigen pairs.
+differences (rows first, columns second), for every pair of a (P, Q) grid
+(``PairContext``); one pair is a 1 x 1 grid.  Matrix entries that develop
+0/0 patterns when the two root sets are paired (equal or shifted by i*pi)
+are evaluated through algebraically equivalent product forms, or as their
+analytic limits, so every representation stays finite on all eigen pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .model import (
     IPI,
     HalfPeriodTrigPoly,
     ModelParams,
-    QTable,
     VandermondeRows,
     a_frak,
     a_frak_values,
@@ -47,7 +46,6 @@ from .model import (
     vandermonde,
     vandermonde_rows,
 )
-from .sov import SovBasis
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
@@ -133,19 +131,19 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the pair context: one (P, Q) pair, or every pair of a grid
+# the pair context: every pair of a (P, Q) grid
 
 
 def _names_pair(formula):
     """``formula`` (of a ``PairContext``, its first argument), with a refusal
-    raised inside it on a grid prefixed by the report key of its pair
-    (``P3_Q5: ...``): the first two axes of the refused entry's index."""
+    raised inside it prefixed by the report key of its pair (``P3_Q5: ...``):
+    the first two axes of the refused entry's index."""
     @wraps(formula)
     def named(pair, *args, **kwargs):
         try:
             return formula(pair, *args, **kwargs)
         except SovxxzError as exc:
-            if not pair.lead or len(exc.at) < 2:
+            if len(exc.at) < 2:
                 raise
             raise type(exc)(f"P{exc.at[0]}_Q{exc.at[1]}: {exc}") from None
     return named
@@ -154,19 +152,18 @@ def _names_pair(formula):
 @contextmanager
 def _entries_of(pairs):
     """Give a refusal raised inside, on an array whose first axis runs over
-    gathered entries, the pair of its entry e: (pairs[0][e], pairs[1][e]).
-    ``pairs`` is empty for one pair, which names none."""
+    gathered entries, the pair of its entry e: (pairs[0][e], pairs[1][e])."""
     try:
         yield
     except SovxxzError as exc:
-        if len(pairs) and exc.at:
+        if exc.at:
             exc.at = tuple(int(axis[exc.at[0]]) for axis in pairs)
         raise
 
 
 def _on_side(values, side: int) -> np.ndarray:
-    """Per-record arrays stacked on pair axis ``side`` (0 for P, 1 for Q) of
-    a grid, with length one on the other."""
+    """Per-record arrays stacked on pair axis ``side`` (0 for P, 1 for Q),
+    with length one on the other."""
     return np.expand_dims(np.stack(values), 1 - side)
 
 
@@ -181,21 +178,19 @@ class _Stack:
 
 
 class PairContext:
-    """The site-independent pieces of the determinant formulas of one (P, Q)
-    pair, or of every pair of a grid at once.
+    """The site-independent pieces of the determinant formulas of every pair
+    of a (P, Q) grid at once.
 
-    ``p`` and ``q`` are each one ``model.q_table`` or a sequence of them.  Two
-    tables make one pair, whose arrays carry no pair axes and whose formulas
-    return one value (or one list over sites).  Otherwise every pair of P from
-    ``p`` and Q from ``q`` is evaluated at once: every array carries leading
-    (P, Q) axes, a value of one table alone is held once per record (length
-    one on the other axis), every formula returns a (P, Q[, site]) array, and
-    a refusal names the first pair, in (P, Q) row-major order, that holds it
-    by its report key (``P3_Q5: ...``).  ``p``/``q`` hold the tables' arrays
-    (a grid's ``_Stack``s), ``pr``/``qr`` the roots.  What needs both
-    polynomials but no alpha, or one record's roots and the nodes, is built
-    on first use and kept; building lazily keeps each error in the call that
-    raised it before.
+    ``p`` and ``q`` are each a sequence of ``model.q_table``s, and every pair
+    of P from ``p`` and Q from ``q`` is evaluated; one pair is a 1 x 1 grid.
+    Every array carries leading (P, Q) axes, a value of one table alone is
+    held once per record (length one on the other axis), every formula
+    returns a (P, Q[, site]) array, and a refusal names the first pair, in
+    (P, Q) row-major order, that holds it by its report key
+    (``P3_Q5: ...``).  ``p``/``q`` hold the tables' arrays (``_Stack``s),
+    ``pr``/``qr`` the roots.  What needs both polynomials but no alpha, or
+    one record's roots and the nodes, is built on first use and kept;
+    building lazily keeps each error in the call that raised it before.
 
     The eigenvalue-labelled forms need every table to carry an eigenvalue;
     ``z`` (default: the Q-roots) labels the rows of those forms: N points,
@@ -205,13 +200,11 @@ class PairContext:
     @_names_pair
     def __init__(self, params: ModelParams, p, q, z=None):
         self.params = params
-        one = isinstance(p, QTable) and isinstance(q, QTable)
-        self.tables = tuple([t] if isinstance(t, QTable) else list(t) for t in (p, q))
-        self.lead = () if one else tuple(map(len, self.tables))
-        self.p, self.q = (p, q) if one else (_Stack(t, side) for side, t in enumerate(self.tables))
-        self.pr, self.qr = (self.per_record(side, [np.asarray(t.roots, dtype=np.complex128)
-                                                   for t in tables])
-                            for side, tables in enumerate(self.tables))
+        self.tables = (list(p), list(q))
+        self.lead = tuple(map(len, self.tables))
+        self.p, self.q = (_Stack(t, side) for side, t in enumerate(self.tables))
+        self.pr, self.qr = (_on_side([np.asarray(t.roots, dtype=np.complex128) for t in tables],
+                                     side) for side, tables in enumerate(self.tables))
         n = params.n
         if self.pr.shape[-1] != n or self.qr.shape[-1] != n:
             raise ParameterError("polynomials must carry N roots each")
@@ -231,31 +224,19 @@ class PairContext:
         # pairs whose roots are equal bit for bit: Q's table holds Q at the P-roots
         self.diagonal = (self.pr.view(np.uint64) == self.qr.view(np.uint64)).all(axis=-1)
 
-    def per_record(self, side: int, values) -> np.ndarray:
-        """Per-record arrays of side 0 (P) or 1 (Q) on the context's axes:
-        ``_on_side`` on a grid, the one record's own for one pair."""
-        return _on_side(values, side) if self.lead else np.asarray(values[0])
-
-    def per_pair(self, values) -> np.ndarray:
-        """A (P, Q, ...) array on the context's axes: as it is on a grid, the
-        one pair's own for one pair."""
-        return values if self.lead else values[0, 0]
-
-    def eigen_tables(self):
-        """(P's, Q's) table, or table list on a grid, checked to carry an
-        eigenvalue each."""
+    def require_eigen(self):
+        """Refuse a table that carries no eigenvalue."""
         for side, tables in enumerate(self.tables):
             for i, t in enumerate(tables):
                 if t.tau is None:
                     raise ParameterError("eigenvalue-labelled forms need both eigen records",
                                          at=(i, 0) if side == 0 else (0, i))
-        return self.tables if self.lead else (self.p, self.q)
 
     @cached_property
     def tau_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau_P(xi_k) and tau_Q(xi_k), of the ``eigen_tables``."""
-        self.eigen_tables()
-        return tuple(self.per_record(side, [t.tau.values for t in tables])
+        """tau_P(xi_k) and tau_Q(xi_k), per record."""
+        self.require_eigen()
+        return tuple(_on_side([t.tau.values for t in tables], side)
                      for side, tables in enumerate(self.tables))
 
     @cached_property
@@ -337,9 +318,7 @@ class PairContext:
 
 def _owners(pair: PairContext, blocks) -> list:
     """The (P, Q) index of the first pair holding each entry of the raveled,
-    concatenated ``blocks`` (arrays on the pair axes); empty for one pair."""
-    if not pair.lead:
-        return []
+    concatenated ``blocks`` (arrays on the pair axes)."""
     return list(np.concatenate(
         [np.broadcast_to(np.indices(b.shape[:2])[..., None], (2,) + b.shape).reshape(2, -1)
          for b in blocks], axis=1))
@@ -355,7 +334,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     batch evaluates every eigenvalue of the context at every z_i, p_k and
     p_k + eta; each pair reads tau_hat_P(z_i) and tau_hat_Q(p_k) from it,
     each record tau_hat at its own z_i or p_k + eta."""
-    pair.eigen_tables()
+    pair.require_eigen()
     n, eta = pair.params.n, pair.params.eta
     n_p, n_q = map(len, pair.tables)
     taus = [t.tau for tables in pair.tables for t in tables]  # P's, then Q's
@@ -374,11 +353,10 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     p_z, _, p_w = np.split(hat[:n_p], cols, axis=1)
     q_z, q_p, _ = np.split(hat[n_p:], cols, axis=1)
     # rows: tau_hat_Q, tau_hat_P at z, and tau_hat_Q(p_k), tau_hat_P(p_k + eta)
-    at_z = np.stack(np.broadcast_arrays(pair.per_record(1, own(q_z)),
-                                        pair.per_pair(p_z.reshape(n_p, n_q, n))), axis=-2)
-    at_w = np.stack(np.broadcast_arrays(
-        pair.per_pair(q_p.reshape(n_q, n_p, n).swapaxes(0, 1)),
-        pair.per_record(0, own(p_w))), axis=-2)
+    at_z = np.stack(np.broadcast_arrays(_on_side(own(q_z), 1), p_z.reshape(n_p, n_q, n)),
+                    axis=-2)
+    at_w = np.stack(np.broadcast_arrays(q_p.reshape(n_q, n_p, n).swapaxes(0, 1),
+                                        _on_side(own(p_w), 0)), axis=-2)
     u = pair.z[..., None, :, None] - w[..., :, None, :]  # z_i - w_k, at (h, i, k)
     m = np.rint(u.imag / np.pi)
     limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
@@ -386,7 +364,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     dq = (at_z[..., :, None] - at_w[..., None, :]) / np.sinh(u)
     if limit.any():
         *pairs, h, _, k = np.nonzero(limit)
-        ip, iq = pairs or (0, 0)
+        ip, iq = pairs
         # tau_hat_Q' (h = 0) or tau_hat_P' (h = 1) of each limit's pair, at its w
         row = np.where(h == 0, n_p + iq, ip)
         lam = np.broadcast_to(w, pair.lead + (2, n))[(*pairs, h, k)]
@@ -407,11 +385,6 @@ def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarra
     return tq
 
 
-def _values(pair: PairContext, values: np.ndarray):
-    """A grid's (P, Q, site) values as they are; one pair's as a list."""
-    return values if pair.lead else values.tolist()
-
-
 # ---------------------------------------------------------------------------
 # scalar products
 
@@ -427,16 +400,6 @@ def sp_direct(pair: PairContext, alpha: complex):
         raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {params.xi[at[-1]]}",
                                       at=at)
     return _dressed_vandermonde(params.node_rows, -alpha * (p.x * q.x) / den)
-
-
-def sp_sov_sum(basis: SovBasis, pair: PairContext, alpha: complex) -> complex:
-    """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
-    product), for one pair."""
-    p, q = pair.p, pair.q
-    ratio = alpha * (p.x * q.x) / (p.x_eta * q.x_eta)
-    terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
-    # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
-    return complex(np.sum(terms * basis.v_h[::-1]) / basis.v_h[0])
 
 
 def _require_roots_off_nodes(params: ModelParams, roots):
@@ -636,18 +599,18 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 
 def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     """Both sides of the two-parameter product identity and their deviation,
-    for one pair.
+    on a 1 x 1 grid.
 
     The constant in front of the determinant ratio was calibrated numerically
     against the product of the two one-parameter representations (exact to
     1e-12 at N = 1, 2, 3); it carries no 2^{-N(N-1)} factor.
     """
-    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
-    lhs = sp_slavnov(pair, alpha) * sp_slavnov(pair, beta)
-    mat, _, _ = product_matrix(params, p_poly, q_poly, alpha, beta)
-    den = 1 / np.sinh((pair.pr[None, :] - pair.qr[:, None] - params.eta) / 2)
-    pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p_poly.roots)) \
-        * np.prod(pair.q.x / pair.q.x_eta)
+    params, (p,), (q,) = pair.params, *pair.tables
+    lhs = (sp_slavnov(pair, alpha) * sp_slavnov(pair, beta))[0, 0]
+    mat, _, _ = product_matrix(params, p.poly, q.poly, alpha, beta)
+    den = 1 / np.sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
+    pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p.roots)) \
+        * np.prod(q.x / q.x_eta)
     mat_det, den_det = det_lu([mat, den]).tolist()
     rhs = pref * mat_det / den_det
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -749,29 +712,27 @@ def _with_base(mat: np.ndarray, rank1: np.ndarray) -> np.ndarray:
 @_names_pair
 def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
     """sigma^z form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``: a list for one pair, a (P, Q, site) array for a
-    grid."""
+    (1-based) in ``sites``, as a (P, Q, site) array."""
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 0)
     at = np.asarray(sites, dtype=int) - 1
     if form == "roots":
         s1 = slavnov_matrix(pair.halves, 1.0)[..., None, :, :]
         dets = det_lu(s1 - _rank1_sigma_z(pair)[..., at, :, :])
-        return _values(pair, -ratios * dets / np.expand_dims(pair.cauchy_det, -1))
+        return -ratios * dets / np.expand_dims(pair.cauchy_det, -1)
     if form == "tau":
         mat = tau_matrix(*pair.tau_dq, 1.0)[..., None, :, :]
         site_factor = np.exp(np.asarray(params.xi)) * pair.tau_values[1] / (p.x_eta * p.x_ipi)
         rank1 = _tau_rank1(pair, site_factor, p.r_eta * p.r_ipi / p.d_r)[..., at, :, :]
         pref = np.expand_dims(pair.tau_prefactor, -1)
-        return _values(pair, -pref * ratios * det_lu(mat + rank1))
+        return -pref * ratios * det_lu(mat + rank1)
     raise ParameterError(f"unknown form {form!r}")
 
 
 @_names_pair
 def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = "roots"):
     """Spin-flip form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``: a list for one pair, a (P, Q, site) array for a
-    grid.
+    (1-based) in ``sites``, as a (P, Q, site) array.
 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
@@ -789,15 +750,14 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = 
         se = slavnov_matrix(pair.halves, alpha)
         dets = det_lu(_with_base(se, -_rank1_sigma_minus(pair)[..., at, :, :]))
         den = np.expand_dims(pair.cauchy_det, -1)
-        return _values(pair, np.expand_dims(pref, -1) * ratios
-                       * (dets[..., 1:] - dets[..., :1]) / den)
+        return np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1]) / den
     if form == "tau":
         pref = eps * kappa * np.exp(-root_sum) \
             * pair.tau_prefactor * cmath.exp(sum(params.xi))
         site_factor = params.a_xi * pair.tau_values[1] / p.sinh_x
         rank1 = _tau_rank1(pair, site_factor, p.exp_r)[..., at, :, :]
         dets = det_lu(_with_base(tau_matrix(*pair.tau_dq, alpha), rank1))
-        return _values(pair, np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1]))
+        return np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1])
     raise ParameterError(f"unknown form {form!r}")
 
 
@@ -806,16 +766,17 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = 
 
 
 def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarray:
-    """Replacement column for the generic-argument matrix element formulas:
-    the scalar-product matrix entry with its column argument at mu, less its
-    i*pi-shifted partner."""
-    params, p_poly, q_poly, q = pair.params, pair.p.poly, pair.q.poly, pair.q
+    """Replacement column for the generic-argument matrix element formulas on
+    a 1 x 1 grid: the scalar-product matrix entry with its column argument at
+    mu, less its i*pi-shifted partner."""
+    params, (p,), (q,) = pair.params, *pair.tables
+    p_poly, q_poly, qr = p.poly, q.poly, pair.qr[0, 0]
     eta = params.eta
     q_mu_eta, q_mu_eta_ipi = q_poly([mu - eta, mu - eta + IPI])
     p_mu, p_mu_ipi = p_poly([mu, mu + IPI])
     factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
-    u = mu - pair.qr
-    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * p_poly(pair.qr + IPI)
+    u = mu - qr
+    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * p_poly(qr + IPI)
                           / (q.a_r * q_mu_eta * p_mu_ipi)) / np.sinh(u)
     entry = coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * coth(u / 2) + cross
     return entry - factor * (coth((u - eta + IPI) / 2)
@@ -824,37 +785,41 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
 
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
             eps2: int, mu: complex) -> complex:
-    """Matrix element of B(mu) between normalized separate eigenstates."""
-    params, p_poly, q_poly = pair.params, pair.p.poly, pair.q.poly
+    """Matrix element of B(mu) between normalized separate eigenstates, on a
+    1 x 1 grid."""
+    params, (p,), (q,) = pair.params, *pair.tables
+    p_poly, q_poly = p.poly, q.poly
     alpha = eps * eps2 * kappa2 / kappa
     eta, n = params.eta, params.n
-    smat = slavnov_matrix(pair.halves, alpha)
+    smat = slavnov_matrix(pair.halves, alpha)[0, 0]
     # swaps[l] is smat with its column l replaced by the mu column
     swaps = np.repeat(smat[None], n, axis=0)
     swaps[np.arange(n), :, np.arange(n)] = _sell_mu_column(pair, alpha, mu)
     smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
     p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
-    weights = (pair.p.r_eta / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0])
+    weights = (p.r_eta / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0][0, 0])
     bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
         - np.sum(weights * swap_dets)
-    return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det
+    return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det[0, 0]
 
 
 def matel_d(pair: PairContext, mu: complex) -> complex:
-    """Matrix element of D(mu) between same-twist normalized eigenstates."""
-    params, p_poly, q_poly, p = pair.params, pair.p.poly, pair.q.poly, pair.p
+    """Matrix element of D(mu) between same-twist normalized eigenstates, on
+    a 1 x 1 grid."""
+    params, (p,), (q,) = pair.params, *pair.tables
     eta = params.eta
     alpha = cmath.exp(-eta)
-    p_mu = sinh_prod(mu - pair.pr)
+    p_mu = sinh_prod(mu - pair.pr[0, 0])
     a_mu = params.a_fn(mu)
-    col_scale = cmath.exp(-mu) * a_mu * q_poly(mu - eta) * p_poly(mu + IPI) / p_mu
+    col_scale = cmath.exp(-mu) * a_mu * q.poly(mu - eta) * p.poly(mu + IPI) / p_mu
     big = np.block([
-        [slavnov_matrix(pair.halves, alpha), col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
-        [(p.exp_r * p.d_r / (pair.q_at_p[0] * p.r_ipi))[None, :],
+        [slavnov_matrix(pair.halves, alpha)[0, 0],
+         col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
+        [(p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi))[None, :],
          np.array([[a_mu * params.d_fn(mu) / p_mu]])],
     ])
-    pref = cmath.exp(-(sum(p_poly.roots) - sum(params.xi)))
-    return pref * det_lu(big) / pair.cauchy_det
+    pref = cmath.exp(-(sum(p.roots) - sum(params.xi)))
+    return pref * det_lu(big) / pair.cauchy_det[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -895,12 +860,12 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
 def half_period_split_check(pair: PairContext, alpha: complex):
     """Deviations of the two double-period intermediate determinant forms from
     the weighted Izergin value, plus the entrywise defect between the two
-    printed variants of the Q-labelled kernel."""
-    params, p, q = pair.params, pair.p, pair.q
+    printed variants of the Q-labelled kernel, on a 1 x 1 grid."""
+    params, (p,), (q,) = pair.params, *pair.tables
     n, eta = params.n, params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
-    pr, qr = pair.pr, pair.qr
-    ref = sp_izergin(pair, alpha)
+    pr, qr = pair.pr[0, 0], pair.qr[0, 0]
+    ref = sp_izergin(pair, alpha)[0, 0]
     # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
     ft = f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
     ft_ipi = f_tilde_values(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)
@@ -962,7 +927,7 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
         zs = []
         while len(zs) < n:
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if all(dist_mod_2ipi(z, x) > params.delta_min for x in xs) \
+            if dist_mod_2ipi(z, xs).min() > params.delta_min \
                     and all(abs(z - w) > params.delta_min for w in zs):
                 zs.append(z)
         lhs = a_functional(xs, f_vals, params.eta)
@@ -981,9 +946,9 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
         x_contraction_check(params, synth.shifted_ipi(), synth, beta))
 
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    pair = PairContext(params, records[0].table, records[1].table)
-    slav = sp_slavnov(pair, alpha)
-    ize = sp_izergin(pair, alpha)
+    pair = PairContext(params, [records[0].table], [records[1].table])
+    slav = sp_slavnov(pair, alpha)[0, 0]
+    ize = sp_izergin(pair, alpha)[0, 0]
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))
     dev_p, dev_q, kernel_dev = half_period_split_check(pair, alpha)
     out["half_period_split_p"] = float(dev_p)
@@ -991,7 +956,7 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
     out["half_period_kernel_forms"] = float(kernel_dev)
 
     denom_closed = coth_cauchy_closed_form(params, p_poly, q_poly)
-    denom_det = pair.cauchy_det
+    denom_det = pair.cauchy_det[0, 0]
     out["cauchy_closed_form"] = float(
         abs(denom_closed - denom_det) / max(abs(denom_det), 1e-30))
 

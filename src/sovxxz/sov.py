@@ -40,11 +40,6 @@ def h_to_index(h: tuple[int, ...]) -> int:
     return idx
 
 
-def xi_shifted(params: ModelParams, h) -> list[complex]:
-    """The shifted nodes xi_n - h_n * eta."""
-    return [params.xi[m] - h[m] * params.eta for m in range(params.n)]
-
-
 class SovBasis:
     """All 2^N SoV basis kets and bras of one chain, in ``h_to_index`` order,
     with the monodromy blocks at xi_1..xi_N they are built from (``at_xi``).

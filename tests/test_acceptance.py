@@ -109,12 +109,12 @@ def test_03_scalar_product_agreement(params3, records3, states3):
         for iq, rq in enumerate(records3):
             dense = complex(bras[ip].embedded @ kets2[iq].embedded)
             scale = bras[ip].norm2() * kets2[iq].norm2()
-            pair = obs.PairContext(params3, rp.table, rq.table)
-            tau_ize, tau_slav = obs.sp_tau(pair, params3.kappa, KAPPA2)
+            pair = obs.PairContext(params3, [rp.table], [rq.table])
+            tau_ize, tau_slav = (v[0, 0] for v in obs.sp_tau(pair, params3.kappa, KAPPA2))
             vals = [
-                obs.sp_direct(pair, alpha),
-                obs.sp_izergin(pair, alpha),
-                obs.sp_slavnov(pair, alpha),
+                obs.sp_direct(pair, alpha)[0, 0],
+                obs.sp_izergin(pair, alpha)[0, 0],
+                obs.sp_slavnov(pair, alpha)[0, 0],
                 tau_ize,
                 tau_slav,
                 dense,
@@ -138,7 +138,7 @@ def test_04_orthogonality(params3, basis3, records3):
             if ip == iq:
                 continue
             formula = obs.sp_direct(
-                obs.PairContext(params3, records3[ip].table, records3[iq].table), 1.0)
+                obs.PairContext(params3, [records3[ip].table], [records3[iq].table]), 1.0)[0, 0]
             dense = complex(bras[ip].embedded @ kets[iq].embedded)
             scale = bras[ip].norm2() * kets[iq].norm2()
             worst = max(worst, abs(formula) / scale, abs(dense) / scale)
@@ -160,7 +160,7 @@ def test_05_product_identity(params3, records3):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 _, _, dev = obs.sp_product_check(
-                    obs.PairContext(params3, rp.table, rq.table), alpha, beta)
+                    obs.PairContext(params3, [rp.table], [rq.table]), alpha, beta)
                 worst = max(worst, dev)
                 checked += 1
     entry_worst = 0.0
@@ -185,13 +185,13 @@ def test_06_form_factors(params3, records3, states3):
     for ip, rp in enumerate(records3):
         for iq, rq in enumerate(records3):
             scale = bras[ip].norm2() * kets[iq].norm2()
-            pair = obs.PairContext(params3, rp.table, rq.table)
+            pair = obs.PairContext(params3, [rp.table], [rq.table])
             sites = (1, 2, 3)
             for site, vz_roots, vz_tau, vm_roots, vm_tau in zip(
-                    sites, obs.ff_sigma_z(pair, sites, "roots"),
-                    obs.ff_sigma_z(pair, sites, "tau"),
-                    obs.ff_sigma_pm(pair, kappa, 1, sites, "roots"),
-                    obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")):
+                    sites, obs.ff_sigma_z(pair, sites, "roots")[0, 0],
+                    obs.ff_sigma_z(pair, sites, "tau")[0, 0],
+                    obs.ff_sigma_pm(pair, kappa, 1, sites, "roots")[0, 0],
+                    obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")[0, 0]):
                 bf_z = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                       kets[iq])
                 bf_m = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),

@@ -38,8 +38,17 @@ def random_poly(g, n, box=1.0):
 
 
 def bare_pair(params, p, q):
-    """The pair context of two polynomials that carry no eigenvalue."""
-    return obs.PairContext(params, table(params, p), table(params, q))
+    """The 1 x 1 pair context of two polynomials that carry no eigenvalue."""
+    return obs.PairContext(params, [table(params, p)], [table(params, q)])
+
+
+def sp_sov_sum(basis, p, q, alpha):
+    """Literal 2^N sum over the SoV labels of ``basis`` (the definition of the
+    scalar product) of the tables ``p`` and ``q``."""
+    ratio = alpha * (p.x * q.x) / (p.x_eta * q.x_eta)
+    terms = np.where(basis.labels, 1.0, ratio).prod(axis=1)
+    # V(xi_m - (1 - h_m) eta) is v_h of the complement label 1 - h
+    return complex(np.sum(terms * basis.v_h[::-1]) / basis.v_h[0])
 
 
 class TestScalarProductDirect:
@@ -51,16 +60,15 @@ class TestScalarProductDirect:
         alpha = 0.7 - 0.2j
         x, eta = params.xi[0], params.eta
         expected = 1 + alpha * p(x) * q(x) / (p(x - eta) * q(x - eta))
-        assert rel_dev(obs.sp_direct(bare_pair(params, p, q), alpha), expected) < 1e-13
+        assert rel_dev(obs.sp_direct(bare_pair(params, p, q), alpha)[0, 0], expected) < 1e-13
 
     def test_matches_exhaustive_sum(self, params3, basis3):
         g = rng(52)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
         alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-        pair = bare_pair(params3, p, q)
-        a = obs.sp_direct(pair, alpha)
-        b = obs.sp_sov_sum(basis3, pair, alpha)
+        a = obs.sp_direct(bare_pair(params3, p, q), alpha)[0, 0]
+        b = sp_sov_sum(basis3, table(params3, p), table(params3, q), alpha)
         assert rel_dev(a, b) < 1e-10
 
     def test_matches_embedded_inner_product(self, params3, basis3):
@@ -71,7 +79,7 @@ class TestScalarProductDirect:
         alpha = eps * eps2 * kappa2 / kappa
         bra = separate_state(basis3, table(params3, p), kappa, eps, "bra")
         ket = separate_state(basis3, table(params3, q), kappa2, eps2, "ket")
-        assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha),
+        assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha)[0, 0],
                        overlap(bra, ket)) < 1e-9
 
     def test_stacked_functional_equals_each(self, params3):
@@ -92,7 +100,7 @@ class TestScalarProductIzergin:
         g = rng(54)
         p = random_poly(g, 3)
         q = random_poly(g, 3)
-        assert obs.sp_izergin(bare_pair(params3, p, q), 0.0) == pytest.approx(1.0)
+        assert obs.sp_izergin(bare_pair(params3, p, q), 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_agrees_with_direct_for_generic_functions(self, params3):
         # only the root-location condition is needed here, not eigen data
@@ -102,8 +110,8 @@ class TestScalarProductIzergin:
             q = random_poly(g, 3)
             alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
             pair = bare_pair(params3, p, q)
-            a = obs.sp_direct(pair, alpha)
-            b = obs.sp_izergin(pair, alpha)
+            a = obs.sp_direct(pair, alpha)[0, 0]
+            b = obs.sp_izergin(pair, alpha)[0, 0]
             assert rel_dev(a, b) < 1e-9
 
     def test_equal_functions_reduce_to_twisted_izergin(self, params3, records3):
@@ -111,7 +119,7 @@ class TestScalarProductIzergin:
         # alpha-twisted kernel evaluated by sp_same_q
         alpha = 0.4 + 0.9j
         for rec in records3[:3]:
-            a = obs.sp_izergin(obs.PairContext(params3, rec.table, rec.table), alpha)
+            a = obs.sp_izergin(obs.PairContext(params3, [rec.table], [rec.table]), alpha)[0, 0]
             b, _ = obs.sp_same_q(params3, rec.q_poly, alpha)
             assert rel_dev(a, b) < 1e-10
 
@@ -131,10 +139,10 @@ class TestScalarProductSlavnov:
         q = random_poly(g, 3)
         p = q.shifted_ipi()
         pair = bare_pair(params3, p, q)
-        assert obs.cond_pq_residual(pair) < 1e-12
+        assert obs.cond_pq_residual(pair)[0, 0] < 1e-12
         for alpha in (0.3 + 0.4j, -1.2j):
-            a = obs.sp_izergin(pair, alpha)
-            b = obs.sp_slavnov(pair, alpha)
+            a = obs.sp_izergin(pair, alpha)[0, 0]
+            b = obs.sp_slavnov(pair, alpha)[0, 0]
             assert rel_dev(a, b) < 1e-10
 
     def test_eigen_pairs_all_representations(self, params3, records3, states3):
@@ -145,12 +153,12 @@ class TestScalarProductSlavnov:
                 rp, rq = records3[ip], records3[iq]
                 dense = overlap(bras[ip], kets2[iq])
                 scale = bras[ip].norm2() * kets2[iq].norm2()
-                pair = obs.PairContext(params3, rp.table, rq.table)
+                pair = obs.PairContext(params3, [rp.table], [rq.table])
                 vals = [
-                    obs.sp_direct(pair, alpha),
-                    obs.sp_izergin(pair, alpha),
-                    obs.sp_slavnov(pair, alpha),
-                    *obs.sp_tau(pair, params3.kappa, KAPPA2),
+                    obs.sp_direct(pair, alpha)[0, 0],
+                    obs.sp_izergin(pair, alpha)[0, 0],
+                    obs.sp_slavnov(pair, alpha)[0, 0],
+                    *(v[0, 0] for v in obs.sp_tau(pair, params3.kappa, KAPPA2)),
                     dense,
                 ]
                 for a in vals:
@@ -159,17 +167,17 @@ class TestScalarProductSlavnov:
 
     def test_gamma_deformation(self, params3, records3):
         g = rng(58)
-        pair = obs.PairContext(params3, records3[0].table, records3[2].table)
+        pair = obs.PairContext(params3, [records3[0].table], [records3[2].table])
         alpha = KAPPA2 / params3.kappa
-        base = obs.sp_slavnov(pair, alpha)
+        base = obs.sp_slavnov(pair, alpha)[0, 0]
         for _ in range(3):
             gamma = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-            val = obs.sp_slavnov(pair, alpha, gamma=gamma)
+            val = obs.sp_slavnov(pair, alpha, gamma=gamma)[0, 0]
             assert rel_dev(val, base) < 1e-8
 
     def test_denominator_closed_form(self, params3, records3):
         for rp, rq in [(records3[0], records3[1]), (records3[2], records3[6])]:
-            det = obs.PairContext(params3, rp.table, rq.table).cauchy_det
+            det = obs.PairContext(params3, [rp.table], [rq.table]).cauchy_det[0, 0]
             closed = obs.coth_cauchy_closed_form(params3, rp.q_poly, rq.q_poly)
             assert rel_dev(det, closed) < 1e-10
 
@@ -178,10 +186,10 @@ class TestScalarProductSlavnov:
         # must converge to the same value
         rec = records3[1]
         alpha = 0.8 + 0.1j
-        exact = obs.sp_slavnov(obs.PairContext(params3, rec.table, rec.table), alpha)
+        exact = obs.sp_slavnov(obs.PairContext(params3, [rec.table], [rec.table]), alpha)[0, 0]
         eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in rec.q_poly.roots])
-        near_pair = obs.PairContext(params3, table(params3, eps_poly), rec.table)
-        near = obs.sp_slavnov(near_pair, alpha, cond_tol=1e-4)
+        near_pair = obs.PairContext(params3, [table(params3, eps_poly)], [rec.table])
+        near = obs.sp_slavnov(near_pair, alpha, cond_tol=1e-4)[0, 0]
         assert rel_dev(exact, near) < 1e-4
 
 
@@ -189,7 +197,7 @@ class TestProductIdentity:
     def test_identity_on_eigen_pairs(self, params3, records3):
         g = rng(59)
         for ip, iq in [(0, 1), (2, 6), (3, 4)]:
-            pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
+            pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
@@ -197,10 +205,10 @@ class TestProductIdentity:
                 assert dev < 1e-7
 
     def test_equal_parameters_square(self, params3, records3):
-        pair = obs.PairContext(params3, records3[0].table, records3[5].table)
+        pair = obs.PairContext(params3, [records3[0].table], [records3[5].table])
         alpha = 0.6 - 0.9j
         lhs, rhs, dev = obs.sp_product_check(pair, alpha, alpha)
-        square = obs.sp_slavnov(pair, alpha) ** 2
+        square = obs.sp_slavnov(pair, alpha)[0, 0] ** 2
         assert dev < 1e-7
         assert rel_dev(rhs, square) < 1e-7
 
@@ -216,19 +224,19 @@ class TestTauRepresentations:
     def test_z_independence(self, params3, records3):
         rp, rq = records3[1], records3[6]
         _, with_q = obs.sp_tau(obs.PairContext(
-            params3, rp.table, rq.table, z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
+            params3, [rp.table], [rq.table], z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
         _, with_p = obs.sp_tau(obs.PairContext(
-            params3, rp.table, rq.table, z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
-        assert rel_dev(with_q, with_p) < 1e-8
+            params3, [rp.table], [rq.table], z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
+        assert rel_dev(with_q[0, 0], with_p[0, 0]) < 1e-8
 
     def test_diagonal_specialization_matches_same_q(self, params3, records3):
         rec = records3[2]
         alpha = 1.0
-        ize, slav = obs.sp_tau(obs.PairContext(params3, rec.table, rec.table),
+        ize, slav = obs.sp_tau(obs.PairContext(params3, [rec.table], [rec.table]),
                                params3.kappa, params3.kappa)
         ize2, compact = obs.sp_same_q(params3, rec.q_poly, alpha)
-        assert rel_dev(ize, ize2) < 1e-9
-        assert rel_dev(slav, compact) < 1e-8
+        assert rel_dev(ize[0, 0], ize2) < 1e-9
+        assert rel_dev(slav[0, 0], compact) < 1e-8
 
 
 class TestSameQ:
@@ -261,10 +269,10 @@ class TestFormFactors:
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
                 scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
+                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
                 sites = (1, 2, 3)
-                for site, roots_v, tau_v in zip(sites, obs.ff_sigma_z(pair, sites, "roots"),
-                                                obs.ff_sigma_z(pair, sites, "tau")):
+                for site, roots_v, tau_v in zip(sites, obs.ff_sigma_z(pair, sites, "roots")[0, 0],
+                                                obs.ff_sigma_z(pair, sites, "tau")[0, 0]):
                     bf = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
                                         kets[iq])
                     assert rel_dev(roots_v, bf, scale) < 1e-7
@@ -276,11 +284,11 @@ class TestFormFactors:
         for ip in (0, 3, 6):
             for iq in (0, 4, 5):
                 scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
+                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
                 sites = (1, 2, 3)
                 for site, roots_v, tau_v in zip(
-                        sites, obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "roots"),
-                        obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")):
+                        sites, obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "roots")[0, 0],
+                        obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")[0, 0]):
                     bf = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
                                         kets[iq])
                     assert rel_dev(roots_v, bf, scale) < 1e-7
@@ -311,15 +319,15 @@ class TestFormFactors:
         records = solve_spectrum(SovBasis(params))
         for rec in records[:4]:
             norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
-            val = obs.ff_sigma_z(obs.PairContext(params, rec.table, rec.table), [2],
-                                 "roots")[0] / norm
+            val = obs.ff_sigma_z(obs.PairContext(params, [rec.table], [rec.table]), [2],
+                                 "roots")[0, 0, 0] / norm
             assert abs(val.imag) < 1e-8
 
     def test_rank1_decomposition_structure(self, params3, records3):
         # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
-        pair = obs.PairContext(params3, records3[0].table, records3[3].table)
-        s_mat = obs.slavnov_matrix(pair.halves, 1.0)
-        p_mat = obs._rank1_sigma_z(pair)[1]  # site 2
+        pair = obs.PairContext(params3, [records3[0].table], [records3[3].table])
+        s_mat = obs.slavnov_matrix(pair.halves, 1.0)[0, 0]
+        p_mat = obs._rank1_sigma_z(pair)[0, 0, 1]  # site 2
         assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
         direct = det_lu(s_mat - p_mat)
         u, s, vh = np.linalg.svd(p_mat)
@@ -420,16 +428,21 @@ class TestPairContext:
                            obs.ff_sigma_pm(pair, kappa, 1, sites, "roots")]
             return values
 
+        def shapes(p, q):  # (P, Q) for a scalar product, (P, Q, site) for a form factor
+            pq, site = (p, q), (p, q, len(sites))
+            return [pq, pq, site, site] + ([pq, pq, pq, site, site] if z is None else [])
+
         grid = formulas(obs.PairContext(params3, [r.table for r in ps],
                                         [r.table for r in qs], z=z))
+        assert [batch.shape for batch in grid] == shapes(len(ps), len(qs))
         assert any(rp is rq for rp in ps for rq in qs)
         for ip, rp in enumerate(ps):
             for iq, rq in enumerate(qs):
-                one = formulas(obs.PairContext(params3, rp.table, rq.table, z=z))
+                one = formulas(obs.PairContext(params3, [rp.table], [rq.table], z=z))
+                assert [value.shape for value in one] == shapes(1, 1)
                 for batch, value in zip(grid, one):
-                    got, want = np.ravel(batch[ip, iq]), np.ravel(value)
+                    got, want = np.ravel(batch[ip, iq]), np.ravel(value[0, 0])
                     scale = np.abs(batch).max()
-                    assert got.shape == want.shape
                     assert all(rel_dev(a, b, scale) <= 1e-13 for a, b in zip(got, want))
 
     def test_shared_context_matches_fresh_evaluation(self, params3, records3):
@@ -439,28 +452,31 @@ class TestPairContext:
         kappa, kappa2 = params3.kappa, KAPPA2
         sites = range(1, params3.n + 1)
         for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
-            pair = obs.PairContext(params3, rp.table, rq.table)
+            pair = obs.PairContext(params3, [rp.table], [rq.table])
 
             def fresh():
-                return obs.PairContext(params3, rp.table, rq.table)
-            assert obs.sp_slavnov(pair, kappa2 / kappa) \
-                == obs.sp_slavnov(fresh(), kappa2 / kappa)
-            assert obs.sp_tau(pair, kappa, kappa2) == obs.sp_tau(fresh(), kappa, kappa2)
+                return obs.PairContext(params3, [rp.table], [rq.table])
+            assert obs.sp_slavnov(pair, kappa2 / kappa)[0, 0] \
+                == obs.sp_slavnov(fresh(), kappa2 / kappa)[0, 0]
+            assert [v[0, 0] for v in obs.sp_tau(pair, kappa, kappa2)] \
+                == [v[0, 0] for v in obs.sp_tau(fresh(), kappa, kappa2)]
             for form in ("roots", "tau"):
-                batch_z = obs.ff_sigma_z(pair, sites, form)
-                batch_pm = obs.ff_sigma_pm(pair, kappa, 1, sites, form)
+                batch_z = obs.ff_sigma_z(pair, sites, form)[0, 0]
+                batch_pm = obs.ff_sigma_pm(pair, kappa, 1, sites, form)[0, 0]
                 assert len(batch_z) == len(batch_pm) == params3.n
                 for site, z_val, pm_val in zip(sites, batch_z, batch_pm):
-                    assert obs.ff_sigma_z(fresh(), [site], form) == [z_val]
-                    assert obs.ff_sigma_pm(fresh(), kappa, 1, [site], form) == [pm_val]
+                    assert obs.ff_sigma_z(fresh(), [site], form)[0, 0].tolist() == [z_val]
+                    assert obs.ff_sigma_pm(fresh(), kappa, 1, [site], form)[0, 0].tolist() \
+                        == [pm_val]
 
     def test_custom_z_rows(self, params3, records3):
         rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
-        pair = obs.PairContext(params3, rp.table, rq.table, z=z)
-        assert pair.z.tolist() == z
-        [default] = obs.ff_sigma_z(obs.PairContext(params3, rp.table, rq.table), [2], "tau")
-        assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0], default) < 1e-8
+        pair = obs.PairContext(params3, [rp.table], [rq.table], z=z)
+        assert pair.z[0, 0].tolist() == z
+        [default] = obs.ff_sigma_z(obs.PairContext(params3, [rp.table], [rq.table]), [2],
+                                   "tau")[0, 0]
+        assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0, 0, 0], default) < 1e-8
 
     @pytest.mark.parametrize("entry_point", ["sp_tau", "ff_sigma_z", "ff_sigma_pm"])
     def test_bad_z_rows_refused(self, params3, records3, entry_point):
@@ -475,7 +491,7 @@ class TestPairContext:
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         for bad in (z[:2], [z[0], z[0], z[2]], [z[0], z[0] + IPI, z[2]]):
             with pytest.raises(ParameterError, match="z "):
-                evaluate(obs.PairContext(params3, rp.table, rq.table, z=bad))
+                evaluate(obs.PairContext(params3, [rp.table], [rq.table], z=bad))
 
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
         # the batched halves equal the per-entry scalar formula to 1e-13
@@ -495,10 +511,10 @@ class TestPairContext:
 
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
                        (records3[0], records3[3])]:
-            pair = obs.PairContext(params3, rp.table, rq.table)
+            pair = obs.PairContext(params3, [rp.table], [rq.table])
             ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
                              for p in rp.q_poly.roots] for z in rq.q_poly.roots])
-            got = obs.tau_matrix(*pair.tau_dq, alpha)
+            got = obs.tau_matrix(*pair.tau_dq, alpha)[0, 0]
             assert got.shape == ref.shape
             assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), ref.ravel()))
 
@@ -551,12 +567,12 @@ class TestPairContext:
         n = params3.n
         for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
             for gamma in (None, 0.3 - 0.2j):
-                halves = obs.slavnov_halves(obs.PairContext(params3, rp.table, rq.table),
+                halves = obs.slavnov_halves(obs.PairContext(params3, [rp.table], [rq.table]),
                                             gamma)
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
                     ref = np.array([[entry(rp, rq, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
-                    got = obs.slavnov_matrix(halves, alpha)
+                    got = obs.slavnov_matrix(halves, alpha)[0, 0]
                     assert got.shape == ref.shape
                     assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), ref.ravel()))
 
@@ -564,7 +580,7 @@ class TestPairContext:
         # every P or Q value at xi_k, xi_k - eta and their i*pi translates,
         # and every tau value at xi_k, comes from the records' node tables,
         # not from a fresh evaluation at any point of an evaluator's array,
-        # on a grid and on one pair
+        # on a 3 x 3 grid and on a 1 x 1 grid
         eta = params3.eta
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
         evaluate = HalfPeriodTrigPoly.__call__
@@ -594,7 +610,7 @@ class TestPairContext:
         sites = range(1, params3.n + 1)
         for pair in [obs.PairContext(params3, [records3[i].table for i in (0, 2, 5)],
                                      [records3[i].table for i in (1, 2, 7)]),
-                     obs.PairContext(params3, records3[0].table, records3[1].table)]:
+                     obs.PairContext(params3, [records3[0].table], [records3[1].table])]:
             obs.sp_direct(pair, alpha)
             obs.sp_izergin(pair, alpha)
             obs.sp_slavnov(pair, alpha)
@@ -688,20 +704,21 @@ class TestRefusals:
         p = self.roots_with(params3, 0, params3.xi[0])
         q = random_poly(rng(63), 3)
         with pytest.raises(SingularEvaluationError,
-                           match="collides with an inhomogeneity shift set"):
+                           match="^P0_Q0: root .* collides with an inhomogeneity shift set"):
             obs.sp_izergin(bare_pair(params3, p, q), 0.5)
 
     def test_direct_refuses_a_root_on_a_shifted_node(self, params3):
         p = self.roots_with(params3, 1, params3.xi[1] - params3.eta)
         q = random_poly(rng(64), 3)
-        with pytest.raises(SingularEvaluationError, match=r"\(PQ\)\(xi - eta\) vanishes"):
+        with pytest.raises(SingularEvaluationError,
+                           match=r"^P0_Q0: \(PQ\)\(xi - eta\) vanishes"):
             obs.sp_direct(bare_pair(params3, p, q), 0.5)
 
     def test_slavnov_halves_refuse_one_shared_root(self, params3):
         q = random_poly(rng(65), 3)
         p = self.roots_with(params3, 0, q.roots[1])
         with pytest.raises(SingularEvaluationError,
-                           match="coincident roots .* for distinct functions"):
+                           match="^P0_Q0: coincident roots .* for distinct functions"):
             obs.slavnov_halves(bare_pair(params3, p, q))
 
     def test_izergin_ratio_refuses_a_point_on_a_node(self, params3):
@@ -710,7 +727,7 @@ class TestRefusals:
             obs.izergin_ratio(params3.xi, zs, [0.3, 0.1j, -0.2], params3.eta)
 
     def test_gamma_zero_is_a_pole(self, params3, records3):
-        pair = obs.PairContext(params3, records3[0].table, records3[2].table)
+        pair = obs.PairContext(params3, [records3[0].table], [records3[2].table])
         with pytest.raises(SingularEvaluationError, match="s_gamma evaluated at a pole"):
             obs.sp_slavnov(pair, KAPPA2 / params3.kappa, gamma=0)
 
@@ -797,7 +814,7 @@ class TestGenericArgumentMatrixElements:
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (2, 3), (1, 1)]:
                 bf = matrix_element(bras[ip], blocks.b, kets2[iq])
-                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
+                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
                 val = obs.matel_b(pair, kappa, kappa2, 1, 1, mu)
                 scale = bras[ip].norm2() * kets2[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7
@@ -810,7 +827,7 @@ class TestGenericArgumentMatrixElements:
             blocks = monodromy_entries(params3, mu)
             for ip, iq in [(0, 1), (3, 6), (4, 4)]:
                 bf = matrix_element(bras[ip], blocks.d, kets[iq])
-                pair = obs.PairContext(params3, records3[ip].table, records3[iq].table)
+                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
                 val = obs.matel_d(pair, mu)
                 scale = bras[ip].norm2() * kets[iq].norm2()
                 assert rel_dev(val, bf, scale) < 1e-7

@@ -14,8 +14,12 @@ from sovxxz.sov import (
     overlap,
     separate_ket_qdet_form,
     separate_state,
-    xi_shifted,
 )
+
+
+def xi_shifted(params, h) -> list[complex]:
+    """The shifted nodes xi_n - h_n * eta."""
+    return [params.xi[m] - h[m] * params.eta for m in range(params.n)]
 
 
 class TestSovBasis:
