@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decorator that names
+the entry a refusal was raised on."""
+
+from functools import wraps
 
 
 class SovxxzError(Exception):
@@ -43,3 +46,21 @@ class CertificationError(SovxxzError):
 
 class InversionError(SovxxzError):
     """A transfer-matrix factor required by the inverse problem is singular."""
+
+
+def names_refusals(name):
+    """Decorator: a refusal raised inside the decorated function whose ``at``
+    index ``name`` names (``name(at)`` is a string, or None for none) is
+    raised again as ``name(at): message``, with its index spent."""
+    def decorate(fn):
+        @wraps(fn)
+        def named(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except SovxxzError as exc:
+                label = name(exc.at)
+                if label is None:
+                    raise
+                raise type(exc)(f"{label}: {exc}") from None
+        return named
+    return decorate

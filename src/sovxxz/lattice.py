@@ -147,20 +147,21 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
         )
     rng = np.random.default_rng(seed)
     probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    probe_mat = transfer_k(params, probe, k)
+    mats.append(transfer_k(params, probe, k))
+    # row r of vecs is eigenvector r; (v^H M v) / (v^H v) of every vector and
+    # node matrix M as one stacked product per matrix, each rounded as one
+    # vector's alone
+    vecs = np.ascontiguousarray(vecs.T)
+    conj = vecs.conj()[:, None, :]
+    nv = (conj @ vecs[:, :, None])[:, 0, 0]
+    quotients = np.stack([(conj @ (m @ vecs[:, :, None]))[:, 0, 0] for m in mats], axis=1) \
+        / nv[:, None]
+    tau_xi, rq = quotients[:, :-1], quotients[:, -1]
     basis = InterpolationBasis(params.xi)
-    probe_weights = basis.weights(probe)
-    records = []
-    for idx in range(len(vals)):
-        v = vecs[:, idx]
-        nv = v.conj() @ v
-        tau_xi = np.array([(v.conj() @ (m @ v)) / nv for m in mats])
-        rq = (v.conj() @ (probe_mat @ v)) / nv
-        check = abs(probe_weights @ tau_xi - rq) / max(abs(rq), 1e-30)
-        records.append(OracleRecord(tau=TrigInterpolation(basis, tau_xi),
-                                    interp_check=float(check)))
-    records.sort(key=lambda r: (r.tau.values[0].real, r.tau.values[0].imag))
-    return records
+    check = np.abs(tau_xi @ basis.weights(probe) - rq) / np.maximum(np.abs(rq), 1e-30)
+    order = np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))
+    return [OracleRecord(tau=TrigInterpolation(basis, tau_xi[i]), interp_check=float(check[i]))
+            for i in order]
 
 
 class NodeFactors:

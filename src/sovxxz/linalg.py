@@ -57,13 +57,15 @@ class MonicPoly:
     """Monic polynomial W^N + c_{N-1} W^{N-1} + ... + c_0.
 
     ``coeffs`` holds (c_0, ..., c_{N-1}); the leading coefficient is fixed to 1.
+    For ``roots_monic`` it may also be an (..., N) array whose rows are the
+    coefficients of a stack of polynomials of one degree.
     """
 
     coeffs: tuple[complex, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs)
+        return np.shape(self.coeffs)[-1]
 
     def __call__(self, w: complex) -> complex:
         acc = 1.0 + 0.0j
@@ -81,25 +83,51 @@ class MonicPoly:
 
 
 def roots_monic(poly: MonicPoly, tol: float = 1e-10) -> np.ndarray:
-    """All roots of a monic polynomial via its companion matrix.
+    """All roots of a monic polynomial via its companion matrix; for a stack
+    of polynomials, the (..., N) roots of each, from one stacked eigensolve.
 
-    Roots are returned sorted by (real, imag).  Each root is checked to have
-    residual |p(w)| < tol * (1 + max|c_k|); a larger residual raises.
+    Each polynomial's roots are sorted by (real, imag).  Each root is checked
+    to have residual |p(w)| < tol * (1 + max|c_k|); a larger residual raises,
+    naming the first offending polynomial of a stack (``at``).
     """
-    n = poly.degree
+    c = np.asarray(poly.coeffs, dtype=np.complex128)
+    n = c.shape[-1]
     if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    comp = np.zeros((n, n), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = [-c for c in poly.coeffs]
-    roots = sort_complex(np.linalg.eigvals(comp))
-    scale = 1.0 + max(abs(c) for c in poly.coeffs)
-    worst = max(abs(poly(w)) for w in roots)
-    if worst > tol * scale:
+        return np.zeros(c.shape, dtype=np.complex128)
+    comp = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
+    comp[..., 1:, :-1] = np.eye(n - 1)
+    comp[..., -1] = -c
+    w = np.linalg.eigvals(comp)
+    roots = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+    value = np.ones_like(roots)  # Horner from the leading coefficient 1
+    for k in range(n - 1, -1, -1):
+        value = value * roots + c[..., k, None]
+    worst = np.abs(value).max(axis=-1)
+    scale = 1.0 + np.abs(c).max(axis=-1)
+    bad = worst > tol * scale
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConvergenceError(
-            f"polynomial root residual {worst:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
+            f"polynomial root residual {worst[at]:.3e} exceeds {tol:.1e} * {scale[at]:.3e}",
+            at=at)
     return roots
+
+
+def modulus(z) -> np.ndarray:
+    """|z| elementwise, rounded as ``abs`` of each complex scalar rounds it
+    (``np.abs`` of a complex array takes a path that can differ in the last
+    bit)."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def row_norms(x) -> np.ndarray:
+    """The 2-norm of each row (last axis) of ``x``, each rounded as
+    ``np.linalg.norm`` rounds that row alone: sqrt(re . re + im . im), every
+    dot product of the stack in one product call."""
+    x = np.asarray(x)
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
 def eig_dense(m, tol: float = 1e-9, max_dim: int = MAX_EIG_DIM):
@@ -124,16 +152,13 @@ def eig_dense(m, tol: float = 1e-9, max_dim: int = MAX_EIG_DIM):
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(n):
-        v = vecs[:, k]
-        pivot = int(np.argmax(np.abs(v)))
-        phase = v[pivot] / abs(v[pivot])
-        vecs[:, k] = v / (phase * np.linalg.norm(v))
-    norm_a = np.linalg.norm(a)
-    for k in range(n):
-        resid = np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k])
-        if resid > tol * max(norm_a, 1.0):
-            raise ConvergenceError(
-                f"eigenpair {k} residual {resid:.3e} exceeds {tol:.1e} * ||M||"
-            )
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs /= pivot / modulus(pivot) * row_norms(vecs.T)
+    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    bad = resid > tol * max(np.linalg.norm(a), 1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"eigenpair {k} residual {resid[k]:.3e} exceeds {tol:.1e} * ||M||"
+        )
     return vals, vecs

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SingularEvaluationError
-from .linalg import sort_complex
+from .linalg import modulus, sort_complex
 
 PI = np.pi
 IPI = 1j * np.pi
@@ -331,7 +331,8 @@ class QTable:
     """Every value of one Q-function that depends on it alone, built once by
     ``q_table``; the record residuals, separate states and pair formulas read
     them and evaluate none again.  Every numeric field is a read-only
-    complex128 array.  Q at xi_k, xi_k - eta, xi_k + i*pi and
+    complex128 array, one row of the stacked arrays of its batch.  Q at xi_k,
+    xi_k - eta, xi_k + i*pi and
     xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi`` (row h in
     (0, 1) is Q(xi_k - h * eta)).  At the roots q_j: a, d, exp in ``a_r``,
     ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
@@ -360,28 +361,39 @@ class QTable:
     grid: np.ndarray
 
 
-def q_table(params: ModelParams, poly: HalfPeriodTrigPoly, tau, grid) -> QTable:
-    """The ``QTable`` of ``poly``; ``tau`` is the record's eigenvalue (None for
-    a bare polynomial) and ``grid`` the ``residual_grid`` the record is
-    certified on (empty for none)."""
+def q_table(params: ModelParams, polys, taus, grid) -> list[QTable]:
+    """The ``QTable`` of each polynomial of ``polys``, all from one broadcast
+    evaluation (one bare polynomial is a stack of one); ``taus`` holds each
+    record's eigenvalue (None for bare polynomials) and ``grid`` the
+    ``residual_grid`` the records are certified on (empty for none)."""
+    polys = list(polys)
+    taus = [None] * len(polys) if taus is None else list(taus)
     eta = params.eta
-    hat = poly.shifted_ipi()
+    hats = [poly.shifted_ipi() for poly in polys]
     xi = np.asarray(params.xi, dtype=np.complex128)
-    r = np.asarray(poly.roots, dtype=np.complex128)
+    r, r_hat = (np.array([p.roots for p in ps], dtype=np.complex128).reshape(len(ps), -1)
+                for ps in (polys, hats))
     lam = np.reshape(grid, (3, -1))[0]
-    sizes = np.cumsum([len(xi)] * 4 + [len(r)] * 3 + [len(lam)] * 2)  # split points
-    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, *at_lam = map(_read_only, np.split(
-        poly(np.concatenate([xi, xi - eta, xi + IPI, xi - eta + IPI, r - eta, r + eta, r + IPI,
-                             lam, lam - eta, lam + eta])), sizes))
-    return QTable(
-        poly=poly, roots=poly.roots, hat=hat, tau=tau,
+
+    def shared(*points):  # the same points for every polynomial
+        row = np.concatenate(points)
+        return np.broadcast_to(row, (len(polys), len(row)))
+
+    sizes = np.cumsum([len(xi)] * 4 + [r.shape[1]] * 3 + [len(lam)] * 2)  # split points
+    values = _read_only(half_period_values(r, np.concatenate(
+        [shared(xi, xi - eta, xi + IPI, xi - eta + IPI), r - eta, r + eta, r + IPI,
+         shared(lam, lam - eta, lam + eta)], axis=1)))
+    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, *q_lam = np.split(values, sizes, axis=1)
+    hat_lam = np.split(half_period_values(r_hat, shared(lam, lam - eta)), 2, axis=1)
+    rows = dict(
         x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
         a_r=_read_only(params.a_fn(r)), d_r=_read_only(params.d_fn(r)),
         exp_r=_read_only(np.exp(r)), r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi,
-        sinh_x=_read_only(sinh_prod(xi[:, None] - r)),
-        grid=_read_only(np.stack(
-            [*at_lam, *np.split(hat(np.concatenate([lam, lam - eta])), 2)], axis=1)),
-    )
+        sinh_x=_read_only(sinh_prod(xi[:, None] - r[:, None, :])),
+        grid=_read_only(np.stack([*q_lam, *hat_lam], axis=-1)))
+    return [QTable(poly=poly, roots=poly.roots, hat=hat, tau=tau,
+                   **{name: stack[i] for name, stack in rows.items()})
+            for i, (poly, hat, tau) in enumerate(zip(polys, hats, taus))]
 
 
 @dataclass(frozen=True)
@@ -392,36 +404,35 @@ class QStructureReport:
     sum_rule_k: int
 
 
-def q_structure_residuals(table: QTable, params: ModelParams,
-                          grid: np.ndarray) -> QStructureReport:
-    """Structural diagnostics of a candidate Q-function.
+def q_structure_residuals(tables, params: ModelParams,
+                          grid: np.ndarray) -> list[QStructureReport]:
+    """Structural diagnostics of candidate Q-functions, one report per table
+    of ``tables``, as one array expression over the tables.
 
-    Checks, on ``grid`` (the one ``table`` was built on), the quantum
+    Checks, on ``grid`` (the one the tables were built on), the quantum
     Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
     and the root sum rule modulo i*k*pi.
     """
-    signs = (1, -1)
-    q0, q_eta, _, hat0, hat_eta = table.grid.T
+    signs = np.array([1, -1])
+    q0, q_eta, _, hat0, hat_eta = np.moveaxis(np.stack([t.grid for t in tables]), -1, 0)
     d = grid[2]
     w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
-    # row s: the right-hand side at Wronskian sign signs[s], per grid point
-    rhs = (np.array(signs)[:, None] * (0.5j) ** params.n) * d
-    num = np.abs(w - rhs).max(axis=1, initial=0.0)
-    scale = (np.abs(w) + np.abs(rhs)).max(axis=1, initial=0.0)
+    # row s of each table: the right-hand side at Wronskian sign signs[s], per grid point
+    rhs = (signs[:, None] * (0.5j) ** params.n) * d
+    num = np.abs(w[:, None] - rhs).max(axis=-1, initial=0.0)
+    scale = (np.abs(w)[:, None] + np.abs(rhs)).max(axis=-1, initial=0.0)
     rel = np.divide(num, scale, out=num.copy(), where=scale > 0)
-    best = int(np.argmin(rel))  # the first sign on a tie
-    w_res, w_sign = rel[best], signs[best]
+    best = np.argmin(rel, axis=-1)  # the first sign on a tie
 
-    s = sum(table.roots) - sum(x - params.eta / 2 for x in params.xi)
-    k = round(s.imag / PI)
-    defect = abs(s - 1j * PI * k)
+    # each record's roots summed in order, as a Python sum of them rounds
+    s = np.cumsum([t.roots for t in tables], axis=-1)[:, -1] \
+        - sum(x - params.eta / 2 for x in params.xi)
+    k = np.rint(s.imag / PI)
+    defect = modulus(s - 1j * PI * k)
 
-    return QStructureReport(
-        wronskian_residual=float(w_res),
-        wronskian_sign=w_sign,
-        sum_rule_defect=float(defect),
-        sum_rule_k=int(k),
-    )
+    return [QStructureReport(wronskian_residual=float(rel[i, b]), wronskian_sign=int(signs[b]),
+                             sum_rule_defect=float(defect[i]), sum_rule_k=int(k[i]))
+            for i, b in enumerate(best)]
 
 
 class InterpolationBasis:

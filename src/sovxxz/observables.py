@@ -21,11 +21,11 @@ from __future__ import annotations
 import cmath
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, SingularEvaluationError, SovxxzError
+from .errors import ParameterError, SingularEvaluationError, SovxxzError, names_refusals
 from .linalg import det_lu
 from .model import (
     IPI,
@@ -134,19 +134,9 @@ def e_weight(zs, eta: complex, u: complex) -> complex:
 # the pair context: every pair of a (P, Q) grid
 
 
-def _names_pair(formula):
-    """``formula`` (of a ``PairContext``, its first argument), with a refusal
-    raised inside it prefixed by the report key of its pair (``P3_Q5: ...``):
-    the first two axes of the refused entry's index."""
-    @wraps(formula)
-    def named(pair, *args, **kwargs):
-        try:
-            return formula(pair, *args, **kwargs)
-        except SovxxzError as exc:
-            if len(exc.at) < 2:
-                raise
-            raise type(exc)(f"P{exc.at[0]}_Q{exc.at[1]}: {exc}") from None
-    return named
+# a formula of a ``PairContext`` prefixes a refusal raised inside it with the
+# report key of its pair (``P3_Q5: ...``): the first two axes of its index
+_names_pair = names_refusals(lambda at: f"P{at[0]}_Q{at[1]}" if len(at) >= 2 else None)
 
 
 @contextmanager

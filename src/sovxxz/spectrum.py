@@ -23,9 +23,10 @@ from .errors import (
     DegenerateSpectrumError,
     ParameterError,
     SingularEvaluationError,
+    names_refusals,
 )
 from .lattice import spectrum_oracle, transfer_k
-from .linalg import MonicPoly, roots_monic
+from .linalg import MonicPoly, modulus, roots_monic, row_norms
 from .model import (
     HalfPeriodTrigPoly,
     InterpolationBasis,
@@ -139,139 +140,199 @@ def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
                        weights=weights)
 
 
-def q_from_tau(params: ModelParams, tau, chain: ChainValues) -> HalfPeriodTrigPoly:
-    """Solve the functional relation for Q given an interpolated eigenvalue.
+# a phase prefixes a refusal raised inside it with its record (``record 5:
+# ...``): the first axis of its index, which runs over the records
+_names_record = names_refusals(lambda at: f"record {at[0]}" if at else None)
+
+
+class _FirstRefusal:
+    """The lowest refused record of a batch, with the first refusal it met:
+    checks come in the order a record meets them, each on the records below
+    ``stop``, so no later step needs the records from ``stop`` on."""
+
+    def __init__(self, count: int):
+        self.stop, self.error = count, None
+
+    def refuse(self, rows: np.ndarray, error, body) -> None:
+        """Refuse the lowest record of ``rows`` below ``stop`` with ``error(body(i))``."""
+        if (rows := rows[rows < self.stop]).size:
+            self.stop = int(rows.min())
+            self.error = error(body(self.stop), at=(self.stop,))
+
+
+def _tau_at(weights: np.ndarray, taus) -> np.ndarray:
+    """Each eigenvalue of ``taus`` (row) at the points of the weight rows
+    ``weights`` (column): one stacked product, each row rounded as
+    ``weights @ tau.values`` alone."""
+    values = np.array([tau.values for tau in taus])
+    return (weights @ values[..., None])[..., 0]
+
+
+@_names_record
+def q_from_tau(params: ModelParams, taus, chain: ChainValues) -> list[HalfPeriodTrigPoly]:
+    """Solve the functional relation for Q given each interpolated eigenvalue
+    of ``taus``, with one stacked SVD and one stacked companion eigensolve.
 
     Sampling the 2N+3 points of ``chain.tq`` gives a homogeneous linear system
-    for the N+1 coefficients of P(W); the system must have a one-dimensional
-    nullspace (second singular value at least 10x the smallest).
+    for the N+1 coefficients of P(W); each record's system must have a
+    one-dimensional nullspace (second singular value at least 10x the smallest).
     """
     w_k, a_k, d_k = chain.tq
-    t = chain.weights["tq"] @ tau.values
-    rows = w_k * ((t[:, None] + a_k) - d_k)
-    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    t = _tau_at(chain.weights["tq"], taus)
+    rows = w_k * ((t[..., None] + a_k) - d_k)
+    scale = np.max(np.abs(rows), axis=-1, keepdims=True)
     np.divide(rows, scale, out=rows, where=scale > 0)
     _, svals, vh = np.linalg.svd(rows)
-    if svals[-2] < 10 * svals[-1]:
-        raise AmbiguousNullspaceError(
-            f"nullspace not one-dimensional: singular values {svals[-2]:.3e}, {svals[-1]:.3e}"
-        )
-    coeffs = vh[-1].conj()
-    lead = coeffs[-1]
-    if abs(lead) < 1e-8 * np.max(np.abs(coeffs)):
-        raise AmbiguousNullspaceError("leading coefficient of the nullspace polynomial vanishes")
-    monic = coeffs[:-1] / lead
-    w_roots = roots_monic(MonicPoly(tuple(monic)))
-    if np.any(np.abs(w_roots) < 1e-12):
-        raise AmbiguousNullspaceError("nullspace polynomial has a root at W = 0")
-    q_roots = [cmath.log(w) for w in w_roots]
-    poly = HalfPeriodTrigPoly.from_roots(q_roots)
+    coeffs = vh[:, -1].conj()
+    lead = coeffs[:, -1]
+    first = _FirstRefusal(len(taus))
+    first.refuse(np.flatnonzero(svals[:, -2] < 10 * svals[:, -1]), AmbiguousNullspaceError,
+                 lambda i: "nullspace not one-dimensional: singular values "
+                           f"{svals[i, -2]:.3e}, {svals[i, -1]:.3e}")
+    first.refuse(np.flatnonzero(abs(lead) < 1e-8 * np.max(np.abs(coeffs), axis=-1)),
+                 AmbiguousNullspaceError,
+                 lambda i: "leading coefficient of the nullspace polynomial vanishes")
+    monic = coeffs[:first.stop, :-1] / lead[:first.stop, None]
+    try:
+        w_roots = roots_monic(MonicPoly(monic))
+    except ConvergenceError as exc:
+        # the lowest record the root residual refuses; those below it go on
+        first.stop, first.error = exc.at[0], exc
+        w_roots = roots_monic(MonicPoly(monic[:first.stop]))
+    first.refuse(np.flatnonzero(np.any(np.abs(w_roots) < 1e-12, axis=-1)),
+                 AmbiguousNullspaceError, lambda i: "nullspace polynomial has a root at W = 0")
+    polys = [HalfPeriodTrigPoly.from_roots(map(cmath.log, w)) for w in w_roots[:first.stop]]
     forbidden = np.array(params.forbidden_points())
-    near = dist_mod_ipi(np.array(poly.roots)[:, None], forbidden).min(axis=1) < 1e-6
-    if near.any():
-        raise SingularEvaluationError(
-            f"extracted root {poly.roots[np.argmax(near)]} lies on an excluded shift set")
-    return poly
+    roots = np.array([poly.roots for poly in polys]).reshape(len(polys), params.n)
+    near = dist_mod_ipi(roots[..., None], forbidden).min(axis=-1) < 1e-6
+    first.refuse(np.flatnonzero(near.any(axis=-1)), SingularEvaluationError,
+                 lambda i: f"extracted root {polys[i].roots[np.argmax(near[i])]} "
+                           "lies on an excluded shift set")
+    if first.error:
+        raise first.error
+    return polys
 
 
 def _bethe_system(params: ModelParams, roots: np.ndarray):
     """Residual F, Jacobian, term scale max_j(|a Q(q_j - eta)| + |d Q(q_j + eta)|),
     floored at 1e-30, and max_j |a_frak(q_j) - 1| = max_j |F_j / (a Q(q_j - eta))|,
     the metric ``certify`` gates, of the root system
-    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta).
+    F_j = a(q_j) Q(q_j - eta) - d(q_j) Q(q_j + eta), of each root set on the
+    last axis of ``roots``.
 
-    Every factor is an entry of one broadcast array: z[0, j, m] and z[1, j, m]
-    are (q_j - eta - q_m)/2 and (q_j + eta - q_m)/2, u[0, j, k] and u[1, j, k]
-    are q_j - xi_k + eta and q_j - xi_k."""
+    Every factor is an entry of one broadcast array: z[..., 0, j, m] and
+    z[..., 1, j, m] are (q_j - eta - q_m)/2 and (q_j + eta - q_m)/2,
+    u[..., 0, j, k] and u[..., 1, j, k] are q_j - xi_k + eta and q_j - xi_k."""
     eta = params.eta
     shifts = np.array([-eta, eta])[:, None, None]
-    z = (roots[None, :, None] + shifts - roots[None, None, :]) / 2
+    z = (roots[..., None, :, None] + shifts - roots[..., None, None, :]) / 2
     sz = np.sinh(z)
-    qm, qp = sz.prod(axis=2)
+    qm, qp = np.moveaxis(sz.prod(axis=-1), -2, 0)
     # dQ(q_j -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
     dq = -0.5 * np.cosh(z) * products_except(sz)
-    u = roots[:, None] - np.asarray(params.xi)[None, :]
-    u = np.stack([u + eta, u])
-    av, dv = sinh_prod(u)
-    a_prime, d_prime = sinh_prod_deriv(u)
+    u = roots[..., :, None] - np.asarray(params.xi)
+    u = np.stack([u + eta, u], axis=-3)
+    av, dv = np.moveaxis(sinh_prod(u), -2, 0)
+    a_prime, d_prime = np.moveaxis(sinh_prod_deriv(u), -2, 0)
     f = av * qm - dv * qp
-    jac = av[:, None] * dq[0] - dv[:, None] * dq[1]
+    jac = av[..., :, None] * dq[..., 0, :, :] - dv[..., :, None] * dq[..., 1, :, :]
     # on the diagonal lam = q_j also moves the arguments of every factor l != j
-    dqm_lam, dqp_lam = np.diagonal(dq, axis1=1, axis2=2) - dq.sum(axis=2)
-    np.fill_diagonal(jac, a_prime * qm + av * dqm_lam - d_prime * qp - dv * dqp_lam)
-    scale = np.max(np.abs(av * qm) + np.abs(dv * qp))
-    return f, jac, max(float(scale), 1e-30), float(np.max(np.abs(f / (av * qm))))
+    dqm_lam, dqp_lam = np.moveaxis(np.diagonal(dq, axis1=-2, axis2=-1) - dq.sum(axis=-1), -2, 0)
+    diag = np.arange(roots.shape[-1])
+    jac[..., diag, diag] = a_prime * qm + av * dqm_lam - d_prime * qp - dv * dqp_lam
+    scale = np.max(np.abs(av * qm) + np.abs(dv * qp), axis=-1)
+    return f, jac, np.maximum(scale, 1e-30), np.max(np.abs(f / (av * qm)), axis=-1)
 
 
-def refine_bethe(params: ModelParams, q_poly: HalfPeriodTrigPoly) -> HalfPeriodTrigPoly:
-    """Damped Newton polish of Bethe roots starting from ``q_poly``; stops once
-    max|F| < 1e-12 times the scale of its two terms at the start.  Then up to
-    3 undamped Newton steps polish max_j |a_frak(q_j) - 1|, the metric
-    ``certify`` gates, which the unscaled stop can leave large on
-    ill-conditioned roots; a step is kept only if it lowers the metric, and
-    the polish stops below 1e-13."""
-    roots = np.array(q_poly.roots, dtype=np.complex128)
-    n = len(roots)
+@_names_record
+def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
+    """Damped Newton polish of the Bethe roots of each polynomial of ``polys``;
+    a record stops once max|F| < 1e-12 times the scale of its two terms at
+    its start.  Then up to 3 undamped Newton steps polish
+    max_j |a_frak(q_j) - 1|, the metric ``certify`` gates, which the unscaled
+    stop can leave large on ill-conditioned roots; a step is kept only if it
+    lowers the metric, and the polish stops below 1e-13.  Each round makes one
+    Bethe evaluation and one stacked solve for every record still iterating,
+    each at its own step length, so each makes the decisions it makes alone.
+    """
+    roots = np.array([poly.roots for poly in polys], dtype=np.complex128)
+    count, n = roots.shape
     f, jac, scale, gated = _bethe_system(params, roots)
-    res = np.max(np.abs(f))
-    for _ in range(NEWTON_MAX_ITER):
-        if res < 1e-12 * scale:
-            break
-        step = np.linalg.solve(jac, -f)
-        t = 1.0
-        while t > 1e-4:
-            cand = roots + t * step
-            fc, jc, _, gc = _bethe_system(params, cand)
-            if np.max(np.abs(fc)) < res:
-                roots, f, jac, res, gated = cand, fc, jc, np.max(np.abs(fc)), gc
-                break
-            t /= 2
-        else:
-            raise ConvergenceError(f"Bethe refinement stalled at residual {res:.3e}")
-        pairs = np.triu_indices(n, 1)
-        close = np.flatnonzero(dist_mod_2ipi(roots[:, None], roots[None, :])[pairs] < 1e-6)
-        if close.size:
-            i, j = pairs[0][close[0]], pairs[1][close[0]]
-            raise DegenerateSpectrumError(
-                f"Bethe roots {i}, {j} collided (closer than 1e-6) during refinement")
-    else:
-        raise ConvergenceError(
-            f"Bethe refinement did not converge in {NEWTON_MAX_ITER} iterations "
-            f"(last residual {res:.3e})"
-        )
-    for _ in range(3):
-        if gated < 1e-13:
-            break
-        cand = roots + np.linalg.solve(jac, -f)
+    res = np.max(np.abs(f), axis=-1)
+    tol = 1e-12 * scale
+    active = ~(res < tol)
+    fresh = active.copy()  # moved since its last step
+    step, t, steps = np.zeros_like(roots), np.ones(count), np.zeros(count, dtype=int)
+    pairs = np.triu_indices(n, 1)
+    first = _FirstRefusal(count)
+    while (idx := np.flatnonzero(active & (np.arange(count) < first.stop))).size:
+        new = idx[fresh[idx]]
+        step[new] = np.linalg.solve(jac[new], -f[new][..., None])[..., 0]
+        cand = roots[idx] + t[idx, None] * step[idx]
         fc, jc, _, gc = _bethe_system(params, cand)
-        if not gc < gated:
+        rc = np.max(np.abs(fc), axis=-1)
+        keep = rc < res[idx]
+        took = idx[keep]
+        roots[took], f[took], jac[took], res[took], gated[took] = (
+            cand[keep], fc[keep], jc[keep], rc[keep], gc[keep])
+        fresh[idx], t[took], steps[took] = keep, 1.0, steps[took] + 1
+        t[idx[~keep]] /= 2
+        first.refuse(idx[~(t[idx] > 1e-4)], ConvergenceError,
+                     lambda i: f"Bethe refinement stalled at residual {res[i]:.3e}")
+        close = dist_mod_2ipi(roots[took, :, None], roots[took, None, :])[
+            :, pairs[0], pairs[1]] < 1e-6
+        first.refuse(took[close.any(axis=-1)], DegenerateSpectrumError, lambda i: (
+            "Bethe roots {}, {} collided (closer than 1e-6) during refinement".format(
+                *(p[close[np.searchsorted(took, i)].argmax()] for p in pairs))))
+        first.refuse(took[steps[took] == NEWTON_MAX_ITER], ConvergenceError,
+                     lambda i: f"Bethe refinement did not converge in {NEWTON_MAX_ITER} "
+                               f"iterations (last residual {res[i]:.3e})")
+        active[took[res[took] < tol[took]]] = False
+    if first.error:
+        raise first.error
+    polish = ~(gated < 1e-13)
+    for _ in range(3):
+        if not (idx := np.flatnonzero(polish)).size:
             break
-        roots, f, jac, gated = cand, fc, jc, gc
-    return HalfPeriodTrigPoly.from_roots(roots)
+        cand = roots[idx] + np.linalg.solve(jac[idx], -f[idx][..., None])[..., 0]
+        fc, jc, _, gc = _bethe_system(params, cand)
+        keep = gc < gated[idx]
+        took = idx[keep]
+        roots[took], f[took], jac[took], gated[took] = cand[keep], fc[keep], jc[keep], gc[keep]
+        polish[idx] = keep & ~(gc < 1e-13)
+    return [HalfPeriodTrigPoly.from_roots(r) for r in roots]
 
 
-def bethe_residual(table: QTable) -> float:
-    """max_j |a_frak_Q(q_j) - 1| over the roots."""
-    return float(np.max(np.abs(a_frak_values(table.a_r, table.d_r, table.r_eta,
-                                             table.r_eta_plus) - 1.0)))
+def _rows(tables, *names) -> list[np.ndarray]:
+    """The fields ``names`` of every table of ``tables``, each stacked on a
+    leading record axis."""
+    return [np.stack([getattr(table, name) for table in tables]) for name in names]
 
 
-def tq_residual(table: QTable, chain: ChainValues) -> float:
+def bethe_residual(tables) -> np.ndarray:
+    """max_j |a_frak_Q(q_j) - 1| over the roots, of each table of ``tables``."""
+    ratio = a_frak_values(*_rows(tables, "a_r", "d_r", "r_eta", "r_eta_plus"))
+    return np.max(np.abs(ratio - 1.0), axis=-1)
+
+
+def tq_residual(tables, chain: ChainValues) -> np.ndarray:
     """Relative functional residual of the tau/Q relation on ``chain.grid``,
-    the one ``table`` was built on."""
+    the one the tables were built on, of each table of ``tables``."""
     _, a, d = chain.grid
-    q0, q_eta, q_eta_plus = table.grid[:, :3].T
-    t1 = (chain.weights["grid"] @ table.tau.values) * q0
+    q0, q_eta, q_eta_plus = np.moveaxis(_rows(tables, "grid")[0][..., :3], -1, 0)
+    t1 = _tau_at(chain.weights["grid"], [t.tau for t in tables]) * q0
     t2 = a * q_eta
     t3 = d * q_eta_plus
-    scale = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
-    return float(np.max(np.abs(t1 + t2 - t3)) / max(scale, 1e-30))
+    scale = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3), axis=-1)
+    return np.max(np.abs(t1 + t2 - t3), axis=-1) / np.maximum(scale, 1e-30)
 
 
-def discrete_char_residual(table: QTable, chain: ChainValues) -> float:
-    """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta)."""
-    lhs = table.tau.values * (chain.weights["char"] @ table.tau.values)
-    return float(np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30)))
+def discrete_char_residual(tables, chain: ChainValues) -> np.ndarray:
+    """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta),
+    of each table of ``tables``."""
+    taus = [t.tau for t in tables]
+    lhs = np.array([tau.values for tau in taus]) * _tau_at(chain.weights["char"], taus)
+    return np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30), axis=-1)
 
 
 def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, np.ndarray]]:
@@ -285,92 +346,96 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
     return probes
 
 
-def eigenstate_residual(record: "EigenRecord", kappa: complex,
-                        chain: ChainValues) -> float:
-    """Relative eigen-residual of the separate state built from the record on
-    ``chain.basis``, against the transfer matrices at ``chain.probes`` (built
-    at ``kappa``).
-
-    Uses the unnormalized embedding: the residual is ray-invariant and the
+def eigenstate_residual(records, kappa: complex, chain: ChainValues) -> np.ndarray:
+    """Relative eigen-residual of the separate state built from each record of
+    ``records`` on ``chain.basis``, against the transfer matrices at
+    ``chain.probes`` (built at ``kappa``), each applied to all the states in one
+    stacked product.  Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
     one of the shifted nodes xi_n - eta."""
-    state = separate_state(chain.basis, record.table, kappa, 1, "ket", normalized=False)
-    v = state.embedded
-    nv = np.linalg.norm(v)
-    worst = 0.0
-    for (_, tk), tau_mu in zip(chain.probes, chain.weights["probes"] @ record.tau.values):
-        tv = tk @ v
-        resid = np.linalg.norm(tv - tau_mu * v)
-        worst = max(worst, resid / max(abs(tau_mu) * nv, np.linalg.norm(tv), 1e-30))
+    v = np.array([separate_state(chain.basis, record.table, kappa, 1, "ket",
+                                 normalized=False).embedded for record in records])
+    nv = row_norms(v)
+    tau_mu = _tau_at(chain.weights["probes"], [record.tau for record in records])
+    worst = np.zeros(len(records))
+    for (_, tk), tau in zip(chain.probes, tau_mu.T):
+        tv = (tk @ v[..., None])[..., 0]
+        resid = row_norms(tv - tau[:, None] * v)
+        worst = np.maximum(worst, resid / np.maximum(np.maximum(modulus(tau) * nv, row_norms(tv)),
+                                                     1e-30))
     return worst
 
 
-def certify(params: ModelParams, record: EigenRecord, kappa: complex,
-            chain: ChainValues, tolerances: dict | None = None) -> EigenRecord:
-    """Compute every residual of the record, gate it and stamp the record.
+# each gated residual with the tolerance key that gates it, in report order
+GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discrete_char",
+         "eigenstate": "eigenstate_residual", "wronskian": "wronskian",
+         "sum_rule_defect": "sum_rule"}
 
-    Fills ``table`` (``model.q_table`` of Q on ``chain.grid``, which every
-    residual, separate state and pair formula reads), ``wronskian_sign``,
-    ``sum_rule_k`` and every entry of ``residuals`` except the oracle's
-    ``interp_check``; ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.
-    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
-    Raises CertificationError listing each failed check.
+
+@_names_record
+def certify(params: ModelParams, records: list[EigenRecord], kappa: complex,
+            chain: ChainValues, tolerances: dict | None = None) -> list[EigenRecord]:
+    """Compute every residual of each record of ``records`` as one batch,
+    gate it and stamp the record.  Fills each record's ``table`` (``model.q_table`` of Q on ``chain.grid``,
+    which every residual, separate state and pair formula reads),
+    ``wronskian_sign``, ``sum_rule_k`` and every entry of ``residuals``
+    except the oracle's ``interp_check``; ``chain`` is the spectrum's
+    ``ChainValues`` at ``kappa``.  ``tolerances`` overrides entries of
+    ``config.DEFAULT_TOLERANCES``.  Raises CertificationError for the lowest
+    failing record, naming its index in ``records``, its tau(xi_1) and the
+    condition number of the Bethe Jacobian at its roots, with each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    grid = chain.grid
-    table = record.table = q_table(params, record.q_poly, record.tau, grid)
-    report = q_structure_residuals(table, params, grid)
-    record.wronskian_sign = report.wronskian_sign
-    record.sum_rule_k = report.sum_rule_k
-    record.residuals["wronskian"] = report.wronskian_residual
-    record.residuals["sum_rule_defect"] = report.sum_rule_defect
-    side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all()
-    record.residuals["tq"] = tq_residual(table, chain)
-    record.residuals["bethe"] = bethe_residual(table)
-    record.residuals["discrete_char"] = discrete_char_residual(table, chain)
-    record.residuals["eigenstate"] = eigenstate_residual(record, kappa, chain)
-    failures = []
-    if not side_ok:
-        failures.append("side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)")
-    for name, key in [("tq", "tq_residual"), ("bethe", "bethe_residual"),
-                      ("discrete_char", "discrete_char"),
-                      ("eigenstate", "eigenstate_residual"),
-                      ("wronskian", "wronskian"), ("sum_rule_defect", "sum_rule")]:
-        if record.residuals[name] > tol[key]:
-            failures.append(f"{name} residual {record.residuals[name]:.3e} > {tol[key]:.1e}")
-    if failures:
-        record.certified = False
-        raise CertificationError("; ".join(failures))
-    record.certified = True
-    return record
+    tables = q_table(params, [r.q_poly for r in records], [r.tau for r in records], chain.grid)
+    reports = q_structure_residuals(tables, params, chain.grid)
+    x, x_ipi = _rows(tables, "x", "x_ipi")
+    side_ok = (np.maximum(abs(x), abs(x_ipi)) > 1e-10).all(axis=-1)
+    for record, table in zip(records, tables):
+        record.table = table
+    values = {"tq": tq_residual(tables, chain), "bethe": bethe_residual(tables),
+              "discrete_char": discrete_char_residual(tables, chain),
+              "eigenstate": eigenstate_residual(records, kappa, chain),
+              "wronskian": [r.wronskian_residual for r in reports],
+              "sum_rule_defect": [r.sum_rule_defect for r in reports]}
+    over = {name: np.greater(values[name], tol[key]) for name, key in GATES.items()}
+    failed = ~side_ok | np.any(list(over.values()), axis=0)
+    for i, (record, report) in enumerate(zip(records, reports)):
+        record.wronskian_sign, record.sum_rule_k = report.wronskian_sign, report.sum_rule_k
+        record.residuals.update((name, float(v[i])) for name, v in values.items())
+        record.certified = not failed[i]
+    if failed.any():
+        i = int(np.argmax(failed))
+        failures = ([] if side_ok[i] else ["side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)"]) \
+            + [f"{name} residual {values[name][i]:.3e} > {tol[key]:.1e}"
+               for name, key in GATES.items() if over[name][i]]
+        _, jac, _, _ = _bethe_system(params, np.array(records[i].q_poly.roots))
+        raise CertificationError(
+            f"record {i} (tau(xi_1) = {records[i].tau.values[0]:.6g}, Bethe Jacobian "
+            f"condition number {np.linalg.cond(jac):.2e}): {'; '.join(failures)}")
+    return records
 
 
 def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
                    seed: int = 4242, tolerances: dict | None = None) -> list[EigenRecord]:
     """Full pipeline: oracle -> Q extraction -> Newton polish -> certification,
-    on the chain of ``basis``, whose node blocks feed the oracle.
+    on the chain of ``basis``, whose node blocks feed the oracle; each phase
+    runs once, over all the records.
 
-    Returns 2^N certified records sorted by tau(xi_1).  A CertificationError
-    names the record by its index in that order, its tau(xi_1) and the
+    Returns 2^N certified records sorted by tau(xi_1).  A refusal names the
+    lowest failing record of the first phase that refuses one, by its index in
+    that order; a CertificationError also gives its tau(xi_1) and the
     condition number of the Bethe Jacobian at its roots.
     """
     params = basis.params
     k = params.kappa if kappa is None else kappa
     raw = spectrum_oracle(params, basis.at_xi, k, seed=seed)
     chain = chain_values(basis, raw[0].tau.basis, k, seed)
-    records = []
-    for index, item in enumerate(raw):
-        q0 = q_from_tau(params, item.tau, chain)
-        rec = EigenRecord(tau=item.tau, q_poly=refine_bethe(params, q0),
-                          residuals={"interp_check": item.interp_check})
-        try:
-            certify(params, rec, k, chain, tolerances)
-        except CertificationError as exc:
-            _, jac, _, _ = _bethe_system(params, np.array(rec.q_poly.roots, dtype=np.complex128))
-            raise CertificationError(
-                f"record {index} (tau(xi_1) = {item.tau.values[0]:.6g}, Bethe Jacobian "
-                f"condition number {np.linalg.cond(jac):.2e}): {exc}") from exc
-        records.append(rec)
+    taus = [item.tau for item in raw]
+    polys = refine_bethe(params, q_from_tau(params, taus, chain))
+    records = [EigenRecord(tau=item.tau, q_poly=poly,
+                           residuals={"interp_check": item.interp_check})
+               for item, poly in zip(raw, polys)]
+    certify(params, records, k, chain, tolerances)
     if len(records) != 2**params.n:
         raise ParameterError(
             f"expected {2**params.n} certified records, got {len(records)}"

@@ -142,6 +142,20 @@ class TestRootsMonic:
         scale = 1.0 + max(abs(c) for c in poly.coeffs)
         assert all(abs(poly(w)) < 1e-10 * scale for w in roots)
 
+    def test_stack_equals_each_alone(self):
+        # a (2, 3, 5) stack of coefficient rows: one eigensolve, each row's
+        # roots as that polynomial alone gives them; a residual refusal
+        # names the first offending polynomial of the stack
+        rng = np.random.default_rng(11)
+        coeffs = random_complex(rng, (2, 3, 5))
+        roots = roots_monic(MonicPoly(coeffs))
+        assert roots.shape == (2, 3, 5)
+        for at in np.ndindex(2, 3):
+            assert np.array_equal(roots[at], roots_monic(MonicPoly(tuple(coeffs[at]))))
+        with pytest.raises(ConvergenceError) as err:
+            roots_monic(MonicPoly(coeffs), tol=1e-30)
+        assert err.value.at == (0, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_roundtrip_reproduces_coefficients(self, seed):

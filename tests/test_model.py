@@ -222,7 +222,7 @@ class TestStructureResiduals:
     def test_certified_q_passes_wronskian_and_sum_rule(self, params3, records3):
         grid = residual_grid(params3)
         for rec in records3:
-            report = q_structure_residuals(rec.table, params3, grid)
+            report = q_structure_residuals([rec.table], params3, grid)[0]
             assert report.wronskian_residual < 1e-8
             assert report.sum_rule_defect < 1e-8
             assert report.wronskian_sign in (-1, 1)
@@ -231,7 +231,7 @@ class TestStructureResiduals:
         params = make_params(1)
         poly = HalfPeriodTrigPoly.from_roots([params.xi[0] - params.eta / 2])
         grid = residual_grid(params)
-        report = q_structure_residuals(q_table(params, poly, None, grid), params, grid)
+        report = q_structure_residuals(q_table(params, [poly], None, grid), params, grid)[0]
         assert report.sum_rule_defect < 1e-14
         assert report.sum_rule_k == 0
 

@@ -10,7 +10,7 @@ import sovxxz.spectrum as spectrum
 from conftest import make_params, rel_dev, rng
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES
-from sovxxz.errors import CertificationError, DegenerateSpectrumError
+from sovxxz.errors import AmbiguousNullspaceError, CertificationError, DegenerateSpectrumError
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
     IPI,
@@ -53,9 +53,19 @@ class TestQFromTau:
         recs = spectrum_oracle(params, basis.at_xi)
         chain = chain_values(basis, recs[0].tau.basis, params.kappa, 4242)
         for rec in recs:
-            poly = q_from_tau(params, rec.tau, chain)
+            poly = q_from_tau(params, [rec.tau], chain)[0]
             expected = n1_root_closed_form(params, rec.tau.values[0])
             assert dist_mod_2ipi(poly.roots[0], expected) < 1e-10
+
+    def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
+        # tau = 0 leaves no one-dimensional nullspace; of records 5 and 6,
+        # the refusal names the lower
+        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
+        taus = [rec.tau for rec in records3]
+        taus[5] = taus[6] = TrigInterpolation(taus[0].basis, np.zeros(3))
+        with pytest.raises(AmbiguousNullspaceError,
+                           match=r"^record 5: nullspace not one-dimensional"):
+            q_from_tau(params3, taus, chain)
 
     def test_negated_pair_gives_shifted_roots(self, params3, records3):
         vals = [r.tau.values[0] for r in records3]
@@ -75,7 +85,7 @@ class TestQFromTau:
 class TestRefineBethe:
     def test_fixed_point(self, params3, records3):
         rec = records3[0]
-        refined = refine_bethe(params3, rec.q_poly)
+        refined = refine_bethe(params3, [rec.q_poly])[0]
         for a, b in zip(refined.roots, rec.q_poly.roots):
             assert abs(a - b) < 1e-12
 
@@ -84,17 +94,17 @@ class TestRefineBethe:
         for rec in records3[:4]:
             noisy = [q + 1e-4 * complex(g.uniform(-1, 1), g.uniform(-1, 1))
                      for q in rec.q_poly.roots]
-            refined = refine_bethe(params3, HalfPeriodTrigPoly.from_roots(noisy))
+            refined = refine_bethe(params3, [HalfPeriodTrigPoly.from_roots(noisy)])[0]
             for a, b in zip(refined.roots, rec.q_poly.roots):
                 assert abs(a - b) < 1e-10
 
     def test_refined_bethe_ratio(self, params3, records3):
         for rec in records3:
-            assert bethe_residual(rec.table) < 1e-9
+            assert bethe_residual([rec.table])[0] < 1e-9
 
     def test_refinement_never_moves_certified_roots(self, params3, records3):
         for rec in records3:
-            refined = refine_bethe(params3, rec.q_poly)
+            refined = refine_bethe(params3, [rec.q_poly])[0]
             moved = max(abs(a - b) for a, b in
                         zip(refined.roots, rec.q_poly.roots))
             assert moved < 1e-8
@@ -103,33 +113,55 @@ class TestRefineBethe:
 class TestBetheKernel:
     # the batched Bethe system against checks that do not share its build:
     # the scalar residual a(q) Q(q - eta) - d(q) Q(q + eta) per root, and a
-    # central difference of its own residual for the Jacobian
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_residual_and_jacobian(self, n):
+    # central difference of its own residual for the Jacobian, for one root
+    # set and for each root set of a (3, N) stack
+    @staticmethod
+    def check_kernel(n, lead):
         params = make_params(n)
         g = rng(40 + n)
-        roots = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])
+        roots = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1))
+                          for _ in range(n * int(np.prod(lead)))]).reshape(lead + (n,))
         f, jac, scale, gated = spectrum._bethe_system(params, roots)
-        poly = HalfPeriodTrigPoly(tuple(roots))
-        ta = np.array([params.a_fn(q) * poly(q - params.eta) for q in roots])
-        td = np.array([params.d_fn(q) * poly(q + params.eta) for q in roots])
-        assert np.all(np.abs(f - (ta - td)) <= 1e-13 * np.abs(ta - td))
-        assert rel_dev(scale, np.max(np.abs(ta) + np.abs(td))) < 1e-13
-        assert rel_dev(gated, np.max(np.abs((ta - td) / ta))) < 1e-13
-        h = 1e-6
-        for m in range(n):
-            step = np.zeros(n, dtype=np.complex128)
-            step[m] = h
-            fd = (spectrum._bethe_system(params, roots + step)[0]
-                  - spectrum._bethe_system(params, roots - step)[0]) / (2 * h)
-            assert np.max(np.abs(jac[:, m] - fd)) < 1e-7 * np.max(np.abs(jac))
+        assert f.shape == lead + (n,) and jac.shape == lead + (n, n)
+        assert scale.shape == gated.shape == lead
+        for at in np.ndindex(lead):
+            poly = HalfPeriodTrigPoly(tuple(roots[at]))
+            ta = np.array([params.a_fn(q) * poly(q - params.eta) for q in roots[at]])
+            td = np.array([params.d_fn(q) * poly(q + params.eta) for q in roots[at]])
+            assert np.all(np.abs(f[at] - (ta - td)) <= 1e-13 * np.abs(ta - td))
+            assert rel_dev(scale[at], np.max(np.abs(ta) + np.abs(td))) < 1e-13
+            assert rel_dev(gated[at], np.max(np.abs((ta - td) / ta))) < 1e-13
+            h = 1e-6
+            for m in range(n):
+                step = np.zeros(n, dtype=np.complex128)
+                step[m] = h
+                fd = (spectrum._bethe_system(params, roots[at] + step)[0]
+                      - spectrum._bethe_system(params, roots[at] - step)[0]) / (2 * h)
+                assert np.max(np.abs(jac[at][:, m] - fd)) < 1e-7 * np.max(np.abs(jac[at]))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_residual_and_jacobian(self, n):
+        self.check_kernel(n, ())
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_residual_and_jacobian_on_a_stack(self, n):
+        self.check_kernel(n, (3,))
 
     def test_collision_guard_names_the_pair(self, params3):
         # two roots 1e-7 apart modulo 2*pi*i stay together under the first step
         q = 0.3 + 0.2j
         poly = HalfPeriodTrigPoly((q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j))
         with pytest.raises(DegenerateSpectrumError, match="Bethe roots 0, 1 collided"):
-            refine_bethe(params3, poly)
+            refine_bethe(params3, [poly])
+
+    def test_collision_in_a_batch_names_its_record(self, params3, records3):
+        # the same pair in record 2 of a 4-record batch; the others converge
+        q = 0.3 + 0.2j
+        polys = [rec.q_poly for rec in records3[:4]]
+        polys[2] = HalfPeriodTrigPoly((q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j))
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"^record 2: Bethe roots 0, 1 collided"):
+            refine_bethe(params3, polys)
 
 
 class TestCertify:
@@ -151,10 +183,24 @@ class TestCertify:
             q_poly=rec.q_poly,
         )
         chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
-        bad_table = q_table(params3, bad.q_poly, bad.tau, [])
-        assert discrete_char_residual(bad_table, chain) > 1e-3
+        bad_table = q_table(params3, [bad.q_poly], [bad.tau], [])[0]
+        assert discrete_char_residual([bad_table], chain)[0] > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, bad, params3.kappa, chain)
+            certify(params3, [bad], params3.kappa, chain)
+
+    def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
+        # a tampered tau at index 5 of the 8-record batch: every other record
+        # certifies, and the refusal names record 5
+        batch = [EigenRecord(tau=rec.tau, q_poly=rec.q_poly) for rec in records3]
+        bad_vals = records3[5].tau.values.copy()
+        bad_vals[0] *= 1.01
+        batch[5] = EigenRecord(tau=TrigInterpolation(records3[5].tau.basis, bad_vals),
+                               q_poly=records3[5].q_poly)
+        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
+        with pytest.raises(CertificationError,
+                           match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
+            certify(params3, batch, params3.kappa, chain)
+        assert [rec.certified for rec in batch] == [i != 5 for i in range(8)]
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
         # certify stores one table per record; every entry is the value a fresh
@@ -174,7 +220,7 @@ class TestCertify:
         synthetic = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         cases = [(rec.table, rec.q_poly, rec.tau, grid[0]) for rec in records3]
-        cases.append((q_table(params3, synthetic, None, []), synthetic, None, []))
+        cases.append((q_table(params3, [synthetic], None, [])[0], synthetic, None, []))
         for table, poly, tau, points in cases:
             hat = poly.shifted_ipi()
             assert table.poly is poly and table.tau is tau
@@ -225,7 +271,7 @@ class TestPipeline:
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
         chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
         for rec in records3:
-            assert tq_residual(rec.table, chain) < 1e-12
+            assert tq_residual([rec.table], chain)[0] < 1e-12
 
     def test_chain_work_built_once_per_spectrum(self, params3, basis3, monkeypatch):
         # the residual grid and a, d on it are evaluated once per spectrum,
@@ -310,6 +356,45 @@ class TestPipeline:
         for x in params3.xi:
             assert chain_calls["a_fn", x] == 1
             assert chain_calls["d_fn", x - params3.eta] == 1
+
+    def test_one_batch_per_spectrum(self, basis3, monkeypatch):
+        # each phase runs once over all 2^N records, with one SVD of the
+        # stacked T-Q systems and one eigensolve of the stacked companions
+        calls = Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        phases = ("q_from_tau", "refine_bethe", "certify", "eigenstate_residual")
+        for name in phases:
+            count(spectrum, name)
+        count(np.linalg, "svd")
+        count(np.linalg, "eigvals")
+        assert len(spectrum.solve_spectrum(basis3)) == 8
+        assert calls == {name: 1 for name in phases + ("svd", "eigvals")}
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_batch_equals_each_record_alone(self, n):
+        # every record makes the decisions it makes alone: its roots and
+        # residuals from the whole spectrum equal those of the record run
+        # as a batch of one
+        params = make_params(n)
+        basis = sov.SovBasis(params)
+        records = spectrum.solve_spectrum(basis)
+        chain = chain_values(basis, records[0].tau.basis, params.kappa, 4242)
+        for rec in records:
+            alone = EigenRecord(tau=rec.tau, q_poly=refine_bethe(
+                params, q_from_tau(params, [rec.tau], chain))[0])
+            certify(params, [alone], params.kappa, chain)
+            assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.q_poly.roots,
+                                                               rec.q_poly.roots))
+            for name, value in alone.residuals.items():
+                assert rel_dev(value, rec.residuals[name]) <= 1e-13
 
     def test_structure_outputs_populated(self, records3):
         for rec in records3:
