@@ -250,8 +250,9 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
     a record stops once max|F| < 1e-12 times the scale of its two terms at
     its start.  Then up to 3 undamped Newton steps polish
     max_j |a_frak(q_j) - 1|, the metric ``certify`` gates, which the unscaled
-    stop can leave large on ill-conditioned roots; a step is kept only if it
-    lowers the metric, and the polish stops below 1e-13.  Each round makes one
+    stop can leave large on ill-conditioned roots; the polish ends at the
+    first step that does not lower the metric, which it does not keep, and
+    not on the size of the metric.  Each round makes one
     Bethe evaluation and one stacked solve for every record still iterating,
     each at its own step length, so each makes the decisions it makes alone.
     """
@@ -290,7 +291,7 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
         active[took[res[took] < tol[took]]] = False
     if first.error:
         raise first.error
-    polish = ~(gated < 1e-13)
+    polish = np.ones(count, dtype=bool)
     for _ in range(3):
         if not (idx := np.flatnonzero(polish)).size:
             break
@@ -299,7 +300,7 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
         keep = gc < gated[idx]
         took = idx[keep]
         roots[took], f[took], jac[took], gated[took] = cand[keep], fc[keep], jc[keep], gc[keep]
-        polish[idx] = keep & ~(gc < 1e-13)
+        polish[idx] = keep
     return [HalfPeriodTrigPoly.from_roots(r) for r in roots]
 
 
