@@ -63,10 +63,6 @@ class MonicPoly:
 
     coeffs: tuple[complex, ...]
 
-    @property
-    def degree(self) -> int:
-        return np.shape(self.coeffs)[-1]
-
     def __call__(self, w: complex) -> complex:
         acc = 1.0 + 0.0j
         for c in reversed(self.coeffs):

@@ -332,9 +332,9 @@ class QTable:
     ``q_table``; the record residuals, separate states and pair formulas read
     them and evaluate none again.  Every numeric field is a read-only
     complex128 array, one row of the stacked arrays of its batch.  Q at xi_k,
-    xi_k - eta, xi_k + i*pi and
-    xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi`` (row h in
-    (0, 1) is Q(xi_k - h * eta)).  At the roots q_j: a, d, exp in ``a_r``,
+    xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi: ``x``, ``x_eta``,
+    ``x_ipi``, ``x_eta_ipi`` (row h in (0, 1) is Q(xi_k - h * eta)).  At the
+    roots q_j: a, d, exp in ``a_r``,
     ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
     ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per node in
     ``sinh_x``.  ``hat`` is the i*pi-shifted partner.  An eigen record's table

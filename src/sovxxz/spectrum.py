@@ -155,7 +155,8 @@ class _FirstRefusal:
 
     def refuse(self, rows: np.ndarray, error, body) -> None:
         """Refuse the lowest record of ``rows`` below ``stop`` with ``error(body(i))``."""
-        if (rows := rows[rows < self.stop]).size:
+        rows = rows[rows < self.stop]
+        if rows.size:
             self.stop = int(rows.min())
             self.error = error(body(self.stop), at=(self.stop,))
 
@@ -252,9 +253,9 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
     max_j |a_frak(q_j) - 1|, the metric ``certify`` gates, which the unscaled
     stop can leave large on ill-conditioned roots; the polish ends at the
     first step that does not lower the metric, which it does not keep, and
-    not on the size of the metric.  Each round makes one
-    Bethe evaluation and one stacked solve for every record still iterating,
-    each at its own step length, so each makes the decisions it makes alone.
+    not on the size of the metric.  Each round makes one Bethe evaluation and
+    one stacked solve for every record still iterating, each at its own step
+    length, so each record makes the decisions it makes alone.
     """
     roots = np.array([poly.roots for poly in polys], dtype=np.complex128)
     count, n = roots.shape
@@ -266,7 +267,10 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
     step, t, steps = np.zeros_like(roots), np.ones(count), np.zeros(count, dtype=int)
     pairs = np.triu_indices(n, 1)
     first = _FirstRefusal(count)
-    while (idx := np.flatnonzero(active & (np.arange(count) < first.stop))).size:
+    while True:
+        idx = np.flatnonzero(active & (np.arange(count) < first.stop))
+        if not idx.size:
+            break
         new = idx[fresh[idx]]
         step[new] = np.linalg.solve(jac[new], -f[new][..., None])[..., 0]
         cand = roots[idx] + t[idx, None] * step[idx]
@@ -293,7 +297,8 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
         raise first.error
     polish = np.ones(count, dtype=bool)
     for _ in range(3):
-        if not (idx := np.flatnonzero(polish)).size:
+        idx = np.flatnonzero(polish)
+        if not idx.size:
             break
         cand = roots[idx] + np.linalg.solve(jac[idx], -f[idx][..., None])[..., 0]
         fc, jc, _, gc = _bethe_system(params, cand)
@@ -367,7 +372,8 @@ def eigenstate_residual(records, kappa: complex, chain: ChainValues) -> np.ndarr
     return worst
 
 
-# each gated residual with the tolerance key that gates it, in report order
+# each gated residual with the tolerance key that gates it, in the order a
+# refusal lists failures
 GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discrete_char",
          "eigenstate": "eigenstate_residual", "wronskian": "wronskian",
          "sum_rule_defect": "sum_rule"}
@@ -377,14 +383,15 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
 def certify(params: ModelParams, records: list[EigenRecord], kappa: complex,
             chain: ChainValues, tolerances: dict | None = None) -> list[EigenRecord]:
     """Compute every residual of each record of ``records`` as one batch,
-    gate it and stamp the record.  Fills each record's ``table`` (``model.q_table`` of Q on ``chain.grid``,
-    which every residual, separate state and pair formula reads),
-    ``wronskian_sign``, ``sum_rule_k`` and every entry of ``residuals``
-    except the oracle's ``interp_check``; ``chain`` is the spectrum's
-    ``ChainValues`` at ``kappa``.  ``tolerances`` overrides entries of
-    ``config.DEFAULT_TOLERANCES``.  Raises CertificationError for the lowest
-    failing record, naming its index in ``records``, its tau(xi_1) and the
-    condition number of the Bethe Jacobian at its roots, with each failed check.
+    gate it and stamp the record.  Fills each record's ``table``
+    (``model.q_table`` of Q on ``chain.grid``, which every residual, separate
+    state and pair formula reads), ``wronskian_sign``, ``sum_rule_k`` and
+    every entry of ``residuals`` except the oracle's ``interp_check``;
+    ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.  ``tolerances``
+    overrides entries of ``config.DEFAULT_TOLERANCES``.  Raises
+    CertificationError for the lowest failing record, naming its index in
+    ``records``, its tau(xi_1) and the condition number of the Bethe Jacobian
+    at its roots, with each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     tables = q_table(params, [r.q_poly for r in records], [r.tau for r in records], chain.grid)
