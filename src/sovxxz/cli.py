@@ -227,8 +227,8 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     neg = np.sort_complex(-vals)
     closure = float(np.max(np.abs(np.sort_complex(vals) - neg))
                     / max(np.max(np.abs(vals)), 1e-30))
-    other = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime, seed=cfg.seed)
-    vals2 = np.array([r.tau.values[0] for r in other])
+    other = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime)
+    vals2 = np.array([tau.values[0] for tau in other])
     iso = float(np.max(np.abs(np.sort_complex(vals) - np.sort_complex(vals2)))
                 / max(np.max(np.abs(vals)), 1e-30))
     checks = {

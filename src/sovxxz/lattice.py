@@ -116,25 +116,17 @@ def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) 
     return monodromy_entries(params, lam).transfer(params.kappa if kappa is None else kappa)
 
 
-@dataclass
-class OracleRecord:
-    """One transfer-matrix eigenvector's eigenvalue: ``tau.values`` are
-    tau(xi_k), the Rayleigh quotients at the nodes."""
-
-    tau: TrigInterpolation
-    interp_check: float
-
-
 def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
-                    kappa: complex | None = None, gap_factor: float = 1e-6,
-                    seed: int = 777) -> list[OracleRecord]:
-    """Brute-force eigen data for the twisted transfer matrix; ``at_xi`` holds
-    the monodromy blocks at xi_1..xi_N.
+                    kappa: complex | None = None,
+                    gap_factor: float = 1e-6) -> list[TrigInterpolation]:
+    """Brute-force eigenvalues of the twisted transfer matrix, each as the
+    interpolation of its tau(xi_k); ``at_xi`` holds the monodromy blocks at
+    xi_1..xi_N.
 
     Diagonalizes T_K(xi_1) once, takes Rayleigh quotients against T_K(xi_j) to
     read off tau(xi_j) for every eigenvector (the family commutes, so each
     vector is a joint eigenvector), then closes tau(lam) by quasi-periodic
-    interpolation through one shared basis and validates it at a random extra point.
+    interpolation through one shared basis.
     """
     k = params.kappa if kappa is None else kappa
     mats = [t.transfer(k) for t in at_xi]
@@ -145,23 +137,17 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
         raise DegenerateSpectrumError(
             f"eigenvalue gap {gaps.min():.3e} below {gap_factor:.1e} * radius; re-seed parameters"
         )
-    rng = np.random.default_rng(seed)
-    probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    mats.append(transfer_k(params, probe, k))
     # row r of vecs is eigenvector r; (v^H M v) / (v^H v) of every vector and
     # node matrix M as one stacked product per matrix, each rounded as one
     # vector's alone
     vecs = np.ascontiguousarray(vecs.T)
     conj = vecs.conj()[:, None, :]
     nv = (conj @ vecs[:, :, None])[:, 0, 0]
-    quotients = np.stack([(conj @ (m @ vecs[:, :, None]))[:, 0, 0] for m in mats], axis=1) \
+    tau_xi = np.stack([(conj @ (m @ vecs[:, :, None]))[:, 0, 0] for m in mats], axis=1) \
         / nv[:, None]
-    tau_xi, rq = quotients[:, :-1], quotients[:, -1]
     basis = InterpolationBasis(params.xi)
-    check = np.abs(tau_xi @ basis.weights(probe) - rq) / np.maximum(np.abs(rq), 1e-30)
     order = np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))
-    return [OracleRecord(tau=TrigInterpolation(basis, tau_xi[i]), interp_check=float(check[i]))
-            for i in order]
+    return [TrigInterpolation(basis, tau_xi[i]) for i in order]
 
 
 class NodeFactors:

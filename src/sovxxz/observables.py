@@ -661,62 +661,71 @@ def _tau_prod_ratios(pair: PairContext, sites, shift: int) -> np.ndarray:
     return tp_prod[..., s - shift] / tq_prod[..., s]
 
 
-def _rank1_sigma_z(pair: PairContext) -> np.ndarray:
-    """The roots-form sigma^z rank-one terms of every site s, stacked on the
-    third-to-last axis: row
+def _bordered(mat, col, row, corner):
+    """det [[mat, col], [row, corner]] = corner det(mat) - row adj(mat) col
+    (the rank-one lemma of Kitanine, Maillet and Terras) of each matrix of a
+    broadcast stack, from one ``det_lu`` call: det(mat - col row^T) at corner
+    1, and det(mat - col row^T) - det(mat) at corner 0, with no subtraction
+    and no inverse of ``mat``."""
+    n = mat.shape[-1]
+    lead = np.broadcast_shapes(mat.shape[:-2], np.shape(col)[:-1], np.shape(row)[:-1])
+    big = np.empty(lead + (n + 1, n + 1), dtype=np.complex128)
+    big[..., :n, :n], big[..., :n, n], big[..., n, :n], big[..., n, n] = mat, col, row, corner
+    return det_lu(big)
+
+
+def _rank1_sigma_z(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
+    """The roots-form sigma^z rank-one terms u_s v^T of every site s: u_s,
+    stacked on the second-to-last axis, is
     r0 coth((xi_s - q_j - eta)/2) + r1 coth((xi_s + i*pi - q_j - eta)/2)
-    with r0, r1 = Q/P at xi_s - eta and its i*pi shift; column
-    P(p_k - eta)/Q(p_k - eta)."""
+    at row j, with r0, r1 = Q/P at xi_s - eta and its i*pi shift; v is
+    P(p_k - eta)/Q(p_k - eta) at column k."""
     p, q = pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = (q.x_eta / p.x_eta)[..., :, None] * coth_x \
+    u = (q.x_eta / p.x_eta)[..., :, None] * coth_x \
         + (q.x_eta_ipi / p.x_eta_ipi)[..., :, None] * tanh_x
-    return row[..., :, :, None] * (p.r_eta / pair.q_at_p[0])[..., None, None, :]
+    return u, (p.r_eta / pair.q_at_p[0])[..., None, :]
 
 
-def _rank1_sigma_minus(pair: PairContext) -> np.ndarray:
-    """The roots-form spin-flip rank-one terms of every site s, stacked."""
+def _rank1_sigma_minus(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
+    """The roots-form spin-flip rank-one terms u_s v^T of every site s, as
+    ``_rank1_sigma_z`` gives them."""
     params, p, q = pair.params, pair.p, pair.q
     coth_x, tanh_x = pair.node_kernels
-    row = ((q.x_eta / p.x)[..., :, None] * coth_x
-           - (q.x_eta_ipi / p.x_ipi)[..., :, None] * tanh_x) \
+    u = ((q.x_eta / p.x)[..., :, None] * coth_x
+         - (q.x_eta_ipi / p.x_ipi)[..., :, None] * tanh_x) \
         * (np.exp(-np.asarray(params.xi)) * params.a_xi)[:, None]
-    col = p.exp_r * p.d_r / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
-    return row[..., :, :, None] * col[..., None, None, :]
+    v = p.exp_r * p.d_r / ((-2j) ** params.n * pair.q_at_p[0] * p.r_ipi)
+    return u, v[..., None, :]
 
 
-def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> np.ndarray:
-    """site_factor_s col_k / sinh(z_i - xi_s) at (s, i, k): the
-    eigenvalue-form rank-one terms of every site s, stacked."""
-    rows = np.swapaxes(site_factor[..., None, :] / pair.z_xi_sinh, -1, -2)
-    return rows[..., :, :, None] * col[..., None, None, :]
-
-
-def _with_base(mat: np.ndarray, rank1: np.ndarray) -> np.ndarray:
-    """``mat`` followed by ``mat`` + each site's rank-one term, stacked on the
-    site axis: the spin-flip stack, whose first determinant is subtracted."""
-    mat = mat[..., None, :, :]
-    return np.concatenate([mat, mat + rank1], axis=-3)
+def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue-form rank-one terms u_s v^T of every site s, as
+    ``_rank1_sigma_z`` gives them: u_s = -site_factor_s tau_Q(xi_s) /
+    sinh(z_i - xi_s) at row i, v = ``col``."""
+    u = -(site_factor * pair.tau_values[1])[..., None, :] / pair.z_xi_sinh
+    return np.swapaxes(u, -1, -2), col[..., None, :]
 
 
 @_names_pair
 def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
     """sigma^z form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``, as a (P, Q, site) array."""
+    (1-based) in ``sites``, as a (P, Q, site) array.  Each site's value is
+    det(M - u_s v^T) = det [[M, u_s], [v^T, 1]] (``_bordered``), with M the
+    root-labelled S(1) or the eigenvalue-labelled matrix at 1."""
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 0)
-    at = np.asarray(sites, dtype=int) - 1
     if form == "roots":
-        s1 = slavnov_matrix(pair.halves, 1.0)[..., None, :, :]
-        dets = det_lu(s1 - _rank1_sigma_z(pair)[..., at, :, :])
-        return -ratios * dets / np.expand_dims(pair.cauchy_det, -1)
-    if form == "tau":
-        mat = tau_matrix(*pair.tau_dq, 1.0)[..., None, :, :]
-        site_factor = np.exp(np.asarray(params.xi)) * pair.tau_values[1] / (p.x_eta * p.x_ipi)
-        rank1 = _tau_rank1(pair, site_factor, p.r_eta * p.r_ipi / p.d_r)[..., at, :, :]
-        pref = np.expand_dims(pair.tau_prefactor, -1)
-        return -pref * ratios * det_lu(mat + rank1)
-    raise ParameterError(f"unknown form {form!r}")
+        mat, pref = slavnov_matrix(pair.halves, 1.0), -1 / pair.cauchy_det
+        u, v = _rank1_sigma_z(pair)
+    elif form == "tau":
+        mat, pref = tau_matrix(*pair.tau_dq, 1.0), -pair.tau_prefactor
+        u, v = _tau_rank1(pair, np.exp(np.asarray(params.xi)) / (p.x_eta * p.x_ipi),
+                          p.r_eta * p.r_ipi / p.d_r)
+    else:
+        raise ParameterError(f"unknown form {form!r}")
+    at = np.asarray(sites, dtype=int) - 1
+    return np.expand_dims(pref, -1) * ratios * _bordered(mat[..., None, :, :], u[..., at, :], v, 1)
 
 
 @_names_pair
@@ -727,28 +736,24 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
     the convention where C annihilates the all-up reference state.  Each
-    site's value is the difference of two determinants, the matrix with the
-    site's rank-one term and the base matrix alone.
+    site's value is det(M - u_s v^T) - det(M) = det [[M, u_s], [v^T, 0]]
+    (``_bordered``, no subtraction), with M the root-labelled S(e^{-eta}) or
+    the eigenvalue-labelled matrix at e^{-eta}.
     """
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 1)
-    at = np.asarray(sites, dtype=int) - 1
     alpha = cmath.exp(-params.eta)
-    root_sum = pair.pr.sum(axis=-1)
+    pref = eps * kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
     if form == "roots":
-        pref = eps * kappa * np.exp(-(root_sum - sum(params.xi)))
-        se = slavnov_matrix(pair.halves, alpha)
-        dets = det_lu(_with_base(se, -_rank1_sigma_minus(pair)[..., at, :, :]))
-        den = np.expand_dims(pair.cauchy_det, -1)
-        return np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1]) / den
-    if form == "tau":
-        pref = eps * kappa * np.exp(-root_sum) \
-            * pair.tau_prefactor * cmath.exp(sum(params.xi))
-        site_factor = params.a_xi * pair.tau_values[1] / p.sinh_x
-        rank1 = _tau_rank1(pair, site_factor, p.exp_r)[..., at, :, :]
-        dets = det_lu(_with_base(tau_matrix(*pair.tau_dq, alpha), rank1))
-        return np.expand_dims(pref, -1) * ratios * (dets[..., 1:] - dets[..., :1])
-    raise ParameterError(f"unknown form {form!r}")
+        mat, pref = slavnov_matrix(pair.halves, alpha), pref / pair.cauchy_det
+        u, v = _rank1_sigma_minus(pair)
+    elif form == "tau":
+        mat, pref = tau_matrix(*pair.tau_dq, alpha), pref * pair.tau_prefactor
+        u, v = _tau_rank1(pair, params.a_xi / p.sinh_x, p.exp_r)
+    else:
+        raise ParameterError(f"unknown form {form!r}")
+    at = np.asarray(sites, dtype=int) - 1
+    return np.expand_dims(pref, -1) * ratios * _bordered(mat[..., None, :, :], u[..., at, :], v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -776,40 +781,35 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
             eps2: int, mu: complex) -> complex:
     """Matrix element of B(mu) between normalized separate eigenstates, on a
-    1 x 1 grid."""
+    1 x 1 grid.  Its bracket, ratio det(S) - sum_l w_l det(S with column l
+    replaced by the mu column c) = ratio det(S) - w^T adj(S) c, is the
+    bordered determinant det [[S, c], [w^T, ratio]] (``_bordered``)."""
     params, (p,), (q,) = pair.params, *pair.tables
-    p_poly, q_poly = p.poly, q.poly
-    alpha = eps * eps2 * kappa2 / kappa
-    eta, n = params.eta, params.n
-    smat = slavnov_matrix(pair.halves, alpha)[0, 0]
-    # swaps[l] is smat with its column l replaced by the mu column
-    swaps = np.repeat(smat[None], n, axis=0)
-    swaps[np.arange(n), :, np.arange(n)] = _sell_mu_column(pair, alpha, mu)
-    smat_det, *swap_dets = det_lu(np.concatenate([smat[None], swaps]))
-    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p_poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
-    weights = (p.r_eta / p_mu) * (q_poly(mu - eta) / pair.q_at_p[0][0, 0])
-    bracket = (p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi) * smat_det \
-        - np.sum(weights * swap_dets)
+    alpha, eta = eps * eps2 * kappa2 / kappa, params.eta
+    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p.poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
+    weights = (p.r_eta / p_mu) * (q.poly(mu - eta) / pair.q_at_p[0][0, 0])
+    bracket = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
+                        _sell_mu_column(pair, alpha, mu), weights,
+                        p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi)
     return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det[0, 0]
 
 
 def matel_d(pair: PairContext, mu: complex) -> complex:
     """Matrix element of D(mu) between same-twist normalized eigenstates, on
-    a 1 x 1 grid."""
+    a 1 x 1 grid: the bordered determinant det [[S, c], [v^T, corner]]
+    (``_bordered``) of S = S(e^{-eta}), the scaled mu column c, the
+    spin-flip row v and a(mu) d(mu) / P(mu) in the corner."""
     params, (p,), (q,) = pair.params, *pair.tables
-    eta = params.eta
-    alpha = cmath.exp(-eta)
+    eta, alpha = params.eta, cmath.exp(-params.eta)
     p_mu = sinh_prod(mu - pair.pr[0, 0])
     a_mu = params.a_fn(mu)
     col_scale = cmath.exp(-mu) * a_mu * q.poly(mu - eta) * p.poly(mu + IPI) / p_mu
-    big = np.block([
-        [slavnov_matrix(pair.halves, alpha)[0, 0],
-         col_scale * _sell_mu_column(pair, alpha, mu)[:, None]],
-        [(p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi))[None, :],
-         np.array([[a_mu * params.d_fn(mu) / p_mu]])],
-    ])
+    det = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
+                    col_scale * _sell_mu_column(pair, alpha, mu),
+                    p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi),
+                    a_mu * params.d_fn(mu) / p_mu)
     pref = cmath.exp(-(sum(p.roots) - sum(params.xi)))
-    return pref * det_lu(big) / pair.cauchy_det[0, 0]
+    return pref * det / pair.cauchy_det[0, 0]
 
 
 # ---------------------------------------------------------------------------

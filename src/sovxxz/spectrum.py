@@ -386,9 +386,9 @@ def certify(params: ModelParams, records: list[EigenRecord], kappa: complex,
     gate it and stamp the record.  Fills each record's ``table``
     (``model.q_table`` of Q on ``chain.grid``, which every residual, separate
     state and pair formula reads), ``wronskian_sign``, ``sum_rule_k`` and
-    every entry of ``residuals`` except the oracle's ``interp_check``;
-    ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.  ``tolerances``
-    overrides entries of ``config.DEFAULT_TOLERANCES``.  Raises
+    every entry of ``residuals``; ``chain`` is the spectrum's ``ChainValues``
+    at ``kappa``.  ``tolerances`` overrides entries of
+    ``config.DEFAULT_TOLERANCES``.  Raises
     CertificationError for the lowest failing record, naming its index in
     ``records``, its tau(xi_1) and the condition number of the Bethe Jacobian
     at its roots, with each failed check.
@@ -436,13 +436,10 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     """
     params = basis.params
     k = params.kappa if kappa is None else kappa
-    raw = spectrum_oracle(params, basis.at_xi, k, seed=seed)
-    chain = chain_values(basis, raw[0].tau.basis, k, seed)
-    taus = [item.tau for item in raw]
+    taus = spectrum_oracle(params, basis.at_xi, k)
+    chain = chain_values(basis, taus[0].basis, k, seed)
     polys = refine_bethe(params, q_from_tau(params, taus, chain))
-    records = [EigenRecord(tau=item.tau, q_poly=poly,
-                           residuals={"interp_check": item.interp_check})
-               for item, poly in zip(raw, polys)]
+    records = [EigenRecord(tau=tau, q_poly=poly) for tau, poly in zip(taus, polys)]
     certify(params, records, k, chain, tolerances)
     if len(records) != 2**params.n:
         raise ParameterError(

@@ -398,8 +398,8 @@ class TestOneBasisPerOp:
         points = [lam, mu, lam - params.eta, *params.xi,
                   *(x - params.eta for x in params.xi)]
         assert [builds[p] for p in points] == [1] * len(points)
-        # besides these: the oracle's probe and the three certification probes
-        assert sorted(builds.values()) == [1] * (len(points) + 4)
+        # besides these: the three certification probes
+        assert sorted(builds.values()) == [1] * (len(points) + 3)
 
     def test_spectrum_builds_each_point_once(self, tmp_path, monkeypatch):
         builds = Counter()
@@ -409,9 +409,9 @@ class TestOneBasisPerOp:
         params = load_config(cfg).params
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 0
         assert [builds[x] for x in params.xi] == [1] * params.n
-        # the three certification probes once; the oracle's probe once per
-        # twist, kappa and kappa'
-        assert sorted(builds.values()) == [1] * (params.n + 3) + [2]
+        # besides these: the three certification probes; the oracle at kappa
+        # and at kappa' reads the node blocks alone
+        assert sorted(builds.values()) == [1] * (params.n + 3)
 
 
 class TestSpectrumCommand:

@@ -165,29 +165,34 @@ class TestTransferMatrix:
 
 class TestSpectrumOracle:
     def test_closed_under_negation(self, params3, basis3):
-        recs = spectrum_oracle(params3, basis3.at_xi)
-        vals = np.sort_complex([r.tau.values[0] for r in recs])
+        vals = np.sort_complex([tau.values[0] for tau in spectrum_oracle(params3, basis3.at_xi)])
         neg = np.sort_complex(-vals)
         assert np.max(np.abs(vals - neg)) < 1e-9 * np.max(np.abs(vals))
 
     def test_interpolation_matches_rayleigh(self, params3, basis3):
-        recs = spectrum_oracle(params3, basis3.at_xi)
-        assert max(r.interp_check for r in recs) < 1e-9
+        # the eigenvalues of T(mu) at a point off the nodes are the Rayleigh
+        # quotients of the joint eigenvectors there: each interpolated tau(mu)
+        # is one of them
+        mu = 0.3 - 0.45j
+        dense = np.linalg.eigvals(transfer_k(params3, mu))
+        radius = np.max(np.abs(dense))
+        for tau in spectrum_oracle(params3, basis3.at_xi):
+            assert np.min(np.abs(dense - tau(mu))) < 1e-9 * radius
 
     def test_isospectral_across_twists(self, params3, basis3):
-        v1 = np.sort_complex([r.tau.values[0]
-                              for r in spectrum_oracle(params3, basis3.at_xi, 1.0)])
-        v2 = np.sort_complex([r.tau.values[0]
-                              for r in spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)])
+        v1 = np.sort_complex([tau.values[0]
+                              for tau in spectrum_oracle(params3, basis3.at_xi, 1.0)])
+        v2 = np.sort_complex([tau.values[0]
+                              for tau in spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)])
         assert np.max(np.abs(v1 - v2)) < 1e-9 * np.max(np.abs(v1))
 
     def test_trace_matches_eigenvalue_sum(self, params3, basis3):
         # the spectrum is closed under negation, so both sides are ~0; compare
         # against the spectral radius
-        recs = spectrum_oracle(params3, basis3.at_xi)
+        taus = spectrum_oracle(params3, basis3.at_xi)
         tr = np.trace(transfer_k(params3, params3.xi[0]))
-        total = sum(r.tau.values[0] for r in recs)
-        radius = max(abs(r.tau.values[0]) for r in recs)
+        total = sum(tau.values[0] for tau in taus)
+        radius = max(abs(tau.values[0]) for tau in taus)
         assert abs(tr - total) < 1e-9 * radius
 
     def test_degeneracy_guard(self, params3, basis3):

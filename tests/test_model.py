@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_params, rel_dev, rng, table
 from sovxxz.errors import ParameterError, SingularEvaluationError
-from sovxxz.lattice import OracleRecord
 from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
@@ -213,8 +212,7 @@ class TestTableLayout:
 
     def test_no_record_keeps_tau_at_xi(self, records3):
         # tau(xi_k) lives in tau.values alone
-        for cls in (OracleRecord, EigenRecord):
-            assert "tau_at_xi" not in {f.name for f in fields(cls)}
+        assert "tau_at_xi" not in {f.name for f in fields(EigenRecord)}
         assert not hasattr(records3[0], "tau_at_xi")
 
 

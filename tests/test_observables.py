@@ -1,4 +1,5 @@
 import cmath
+import json
 import re
 from collections import Counter
 from dataclasses import replace
@@ -323,27 +324,52 @@ class TestFormFactors:
                                  "roots")[0, 0, 0] / norm
             assert abs(val.imag) < 1e-8
 
-    def test_rank1_decomposition_structure(self, params3, records3):
-        # det(S - P) = det(S) (1 - v^T S^{-1} u) for the rank-1 P = u v^T
-        pair = obs.PairContext(params3, [records3[0].table], [records3[3].table])
-        s_mat = obs.slavnov_matrix(pair.halves, 1.0)[0, 0]
-        p_mat = obs._rank1_sigma_z(pair)[0, 0, 1]  # site 2
-        assert np.linalg.matrix_rank(p_mat, tol=1e-10) == 1
-        direct = det_lu(s_mat - p_mat)
-        u, s, vh = np.linalg.svd(p_mat)
-        col = u[:, 0] * s[0]
-        row = vh[0]
-        woodbury = det_lu(s_mat) * (1 - row @ np.linalg.solve(s_mat, col))
-        assert rel_dev(direct, woodbury) < 1e-8
+    def test_spin_flip_without_cancellation(self, tmp_path):
+        # observables n = 3, seed 100020: the roots-form sigma^- of P1_Q6 at
+        # site 2 is det(S - u v^T) - det(S) of two nearly equal determinants;
+        # their subtraction gave a deviation of 1.75e-12
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text('{"n": 3}')
+        assert cli.main(["observables", "--config", str(cfg), "--seed", "100020",
+                         "--out", str(out)]) != 2
+        entry = json.loads(out.read_text())["form_factors"]["P1_Q6_site2"]["-"]
+        assert entry["deviation"] < 1e-13
+
+    def test_bordered_determinant(self):
+        # det [[M, u], [v^T, c]] = c det(M) - v^T adj(M) u, on a stack
+        g = rng(62)
+
+        def cplx(*shape):
+            return g.normal(size=shape) + 1j * g.normal(size=shape)
+
+        n = 4
+        m, u, v = cplx(3, 2, n, n), cplx(3, 2, n), cplx(3, 2, n)
+        outer = u[..., :, None] * v[..., None, :]
+        ones = obs._bordered(m, u, v, 1)
+        assert ones.shape == (3, 2)
+        assert max(map(rel_dev, ones.ravel(), det_lu(m - outer).ravel())) < 1e-13
+        zeros = obs._bordered(m, -u, v, 0)
+        assert max(map(rel_dev, zeros.ravel(), (det_lu(m + outer) - det_lu(m)).ravel())) < 1e-13
+        # on a rank-deficient M = X diag(d_1, .., d_{n-1}, 0) Y (X, Y unitary),
+        # adj(M) = det(X) det(Y) d_1 .. d_{n-1} Y^H e_n e_n^T X^H is a
+        # rank-one matrix; a small u makes det(M + u v^T) of the size of the
+        # rounding in det(M), so the subtraction loses its digits
+        x, y = (np.linalg.qr(cplx(n, n))[0] for _ in range(2))
+        d = np.append(g.uniform(0.5, 2, n - 1), 0.0)
+        m = x @ np.diag(d) @ y
+        u, v = 1e-9 * cplx(n), cplx(n)
+        exact = det_lu(x) * det_lu(y) * np.prod(d[:-1]) \
+            * (v @ y.conj().T[:, -1]) * (x.conj().T[-1] @ u)
+        assert rel_dev(obs._bordered(m, -u, v, 0), exact) < 1e-13
+        assert rel_dev(det_lu(m + np.outer(u, v)) - det_lu(m), exact) > 1e-10
 
 
 class TestPairContext:
     def test_one_det_call_per_form_factor_call(self, params3, records3, tmp_path,
                                                monkeypatch):
-        # every pair's and site's determinant (and sigma^-'s base
-        # determinants) of one form-factor call on a grid goes to LAPACK in
-        # one stacked det_lu call, so an observables op makes as many
-        # det_lu calls at n = 2 as at n = 3
+        # every pair's and site's bordered determinant of one form-factor
+        # call on a grid goes to LAPACK in one stacked det_lu call, so an
+        # observables op makes as many det_lu calls at n = 2 as at n = 3
         shapes = []
         det = obs.det_lu
 
@@ -360,10 +386,10 @@ class TestPairContext:
         for form in ("roots", "tau"):
             shapes.clear()
             obs.ff_sigma_z(grid, sites, form)
-            assert shapes == [(count, count, n, n, n)]
+            assert shapes == [(count, count, n, n + 1, n + 1)]
             shapes.clear()
             obs.ff_sigma_pm(grid, params3.kappa, 1, sites, form)
-            assert shapes == [(count, count, n + 1, n, n)]
+            assert shapes == [(count, count, n, n + 1, n + 1)]
         per_op = {}
         for size in (2, 3):
             shapes.clear()

@@ -50,11 +50,11 @@ class TestQFromTau:
     def test_n1_closed_form(self):
         params = make_params(1)
         basis = sov.SovBasis(params)
-        recs = spectrum_oracle(params, basis.at_xi)
-        chain = chain_values(basis, recs[0].tau.basis, params.kappa, 4242)
-        for rec in recs:
-            poly = q_from_tau(params, [rec.tau], chain)[0]
-            expected = n1_root_closed_form(params, rec.tau.values[0])
+        taus = spectrum_oracle(params, basis.at_xi)
+        chain = chain_values(basis, taus[0].basis, params.kappa, 4242)
+        for tau in taus:
+            poly = q_from_tau(params, [tau], chain)[0]
+            expected = n1_root_closed_form(params, tau.values[0])
             assert dist_mod_2ipi(poly.roots[0], expected) < 1e-10
 
     def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
