@@ -22,7 +22,6 @@ MAX_SITES = 8
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)   # |up><down|
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |down><up|
-ID2 = np.eye(2, dtype=np.complex128)
 
 
 def r_matrix(lam: complex, eta: complex) -> np.ndarray:
@@ -50,10 +49,8 @@ def local_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed a 2x2 operator at ``site`` (1-based) in the chain of n sites."""
     if not 1 <= site <= n:
         raise DimensionError(f"site {site} outside 1..{n}")
-    out = np.eye(1, dtype=np.complex128)
-    for m in range(1, n + 1):
-        out = np.kron(out, op if m == site else ID2)
-    return out
+    return np.kron(np.kron(np.eye(2**(site - 1), dtype=np.complex128), op),
+                   np.eye(2**(n - site), dtype=np.complex128))
 
 
 def elementary_matrix(i: int, j: int) -> np.ndarray:
@@ -150,62 +147,62 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
     return [TrigInterpolation(basis, tau_xi[i]) for i in order]
 
 
+def _twisted(t: MonodromyBlocks, kappa: complex, row: int, col: int) -> np.ndarray:
+    """Entry (row, col), 1-based, of K T = [[kappa C, kappa D], [A/kappa, B/kappa]]."""
+    if row == 1:
+        return kappa * (t.c if col == 1 else t.d)
+    return (t.a if col == 1 else t.b) / kappa
+
+
 class NodeFactors:
-    """The node matrices that ``dress_local_operator`` combines, for the sites
-    1..len(``at_xi``) whose monodromy blocks ``at_xi`` holds, built once: the
-    blocks [[kappa C, kappa D], [A/kappa, B/kappa]] of K T(xi_m) and
-    K T(xi_m - eta) (``twisted``, ``twisted_shift``), the
-    quantum determinant a(xi_m) d(xi_m - eta) (``qdet``) and the transfer
-    matrix T_K(xi_m) (``transfer``), each checked once to be invertible.
+    """What ``dress_local_operator`` combines, for the sites 1..len(``at_xi``)
+    whose monodromy blocks ``at_xi`` holds, built once: those blocks,
+    shared rather than copied (``at_xi``), the monodromy at xi_m - eta
+    (``shift``), the quantum determinant a(xi_m) d(xi_m - eta) (``qdet``) and
+    the prefix products P_s = T_K(xi_1) ... T_K(xi_s), s = 0..len(``at_xi``)
+    (``prefix``, P_0 the identity), each factor T_K(xi_m) checked once with
+    one SVD to be invertible.
     """
 
     def __init__(self, params: ModelParams, at_xi: list[MonodromyBlocks]):
-        k = params.kappa
+        self.kappa = params.kappa
+        self.at_xi = at_xi
         xi = np.asarray(params.xi[:len(at_xi)])
         self.qdet = params.a_fn(xi) * params.d_fn(xi - params.eta)
-        self.twisted, self.twisted_shift, self.transfer = [], [], []
-        for xs, t in zip(params.xi, at_xi):
-            ts = monodromy_entries(params, xs - params.eta)
-            self.twisted.append([[k * t.c, k * t.d], [t.a / k, t.b / k]])
-            self.twisted_shift.append([[k * ts.c, k * ts.d], [ts.a / k, ts.b / k]])
-            f = t.transfer(k)
+        self.shift = [monodromy_entries(params, x - params.eta) for x in xi]
+        self.prefix = [np.eye(2**params.n, dtype=np.complex128)]
+        for t in at_xi:
+            f = t.transfer(self.kappa)
             svals = np.linalg.svd(f, compute_uv=False)  # descending: [0] is the 2-norm
             if svals[-1] < 1e-12 * svals[0]:
                 raise InversionError("transfer-matrix factor is numerically singular")
-            self.transfer.append(f)
+            self.prefix.append(self.prefix[-1] @ f)
 
 
 def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
                          variant: int = 1) -> np.ndarray:
-    """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries.
+    """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries,
+    as left . core . right^{-1} with one solve.
 
-    variant=1 uses [K T(xi_site)]_{ji} sandwiched between transfer matrices at
-    xi_1..xi_{site-1} and the inverses at xi_1..xi_site; variant=2 uses the
-    quantum-determinant inverse with [K T(xi_site - eta)]_{3-i,3-j}.  The
+    variant=1 uses the core [K T(xi_site)]_{ji} between left = P_{site-1} and
+    right = P_site; variant=2 uses the quantum-determinant inverse with
+    [K T(xi_site - eta)]_{3-i,3-j} between left = P_site and
+    right = P_{site-1}, P_s being the prefix products of ``nodes``.  The
     result reproduces the direct Kronecker embedding up to rounding; callers
     compare the two at their own tolerance.
     """
-    transfer = nodes.transfer
-    if not 1 <= site <= len(transfer):
-        raise DimensionError(f"site {site} outside 1..{len(transfer)}")
+    prefix = nodes.prefix
+    if not 1 <= site < len(prefix):
+        raise DimensionError(f"site {site} outside 1..{len(prefix) - 1}")
     if i not in (1, 2) or j not in (1, 2):
         raise DimensionError("operator indices must be 1 or 2")
     if variant == 1:
-        core = nodes.twisted[site - 1][j - 1][i - 1]
-        left = transfer[: site - 1]
-        right = transfer[:site]
+        core = _twisted(nodes.at_xi[site - 1], nodes.kappa, j, i)
+        left, right = prefix[site - 1], prefix[site]
     elif variant == 2:
-        core = -((-1.0) ** (i + j)) * nodes.twisted_shift[site - 1][2 - i][2 - j] \
+        core = -((-1.0) ** (i + j)) * _twisted(nodes.shift[site - 1], nodes.kappa, 3 - i, 3 - j) \
             / nodes.qdet[site - 1]
-        left = transfer[:site]
-        right = transfer[: site - 1]
+        left, right = prefix[site], prefix[site - 1]
     else:
         raise ParameterError("variant must be 1 or 2")
-    out = np.eye(len(core), dtype=np.complex128)
-    for f in left:
-        out = out @ f
-    out = out @ core
-    # out . (prod right)^{-1}, one solve per factor from the right
-    for f in reversed(right):
-        out = np.linalg.solve(f.T, out.T).T
-    return out
+    return np.linalg.solve(right.T, (left @ core).T).T

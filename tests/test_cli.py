@@ -305,35 +305,57 @@ class TestValidateCommand:
 
     def test_node_factors_built_once(self, tmp_path, monkeypatch):
         # the 8 n dressed operators of one run share their node factors: the
-        # monodromy at each xi_m and xi_m - eta is built once and each
-        # transfer factor takes one SVD (the spectrum's own work not counted)
+        # monodromy at each xi_m - eta is built once, the blocks at xi_m are
+        # the basis's own, each transfer factor takes one SVD, each dressed
+        # operator one solve and each target embedding serves both variants
+        # (the spectrum's own work not counted)
         builds = Counter()
-        svds = []
+        calls = Counter()
+        made = {}
         in_spectrum = []
-        svd, solve = np.linalg.svd, cli.solve_spectrum
+        solve_spectrum = cli.solve_spectrum
 
-        def counted_svd(*args, **kwargs):
-            if not in_spectrum:
-                svds.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def outside_spectrum(module, name, shapes=False):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if not in_spectrum:
+                    calls[name, args[0].shape if shapes else None] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
 
         def uncounted_solve(*args, **kwargs):
             in_spectrum.append(True)
             try:
-                return solve(*args, **kwargs)
+                return solve_spectrum(*args, **kwargs)
             finally:
                 in_spectrum.pop()
 
+        def kept(name):
+            cls = getattr(cli, name)
+
+            def build(*args):
+                made[name] = cls(*args)
+                return made[name]
+            monkeypatch.setattr(cli, name, build)
+
         count_builds(monkeypatch, builds, active=lambda: not in_spectrum)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        outside_spectrum(np.linalg, "svd", shapes=True)
+        outside_spectrum(np.linalg, "solve")
+        outside_spectrum(cli, "local_op")
         monkeypatch.setattr(cli, "solve_spectrum", uncounted_solve)
+        kept("SovBasis")
+        kept("NodeFactors")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 3}))
         params = load_config(cfg).params
+        n, dim = params.n, 2**params.n
         assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
-        assert svds == [(2**params.n, 2**params.n)] * params.n
+        assert calls == {("svd", (dim, dim)): n, ("solve", None): 8 * n,
+                         ("local_op", None): 4 * n}
+        assert all(made["NodeFactors"].at_xi[m] is made["SovBasis"].at_xi[m] for m in range(n))
 
     @pytest.mark.parametrize("side", ["kets", "bras"])
     def test_sov_checks_catch_a_perturbed_basis_row(self, basis3, side):

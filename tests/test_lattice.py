@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import make_params, rng
+from sovxxz.cli import _rtt_residual
 from sovxxz.errors import DegenerateSpectrumError, DimensionError
 from sovxxz.lattice import (
     SIGMA_MINUS,
@@ -22,6 +25,25 @@ from sovxxz.lattice import (
 )
 
 ETA = 0.6 + 0.35j
+
+
+def dense_rtt(tb_l, tb_m, r):
+    """Both sides of R T_1(lam) T_2(mu) = T_2(mu) T_1(lam) R as dense matrices on
+    (C2)_1 x (C2)_2 x H, basis index (2i + k) dim + q."""
+    dim = len(tb_l.a)
+    bl = [[tb_l.a, tb_l.b], [tb_l.c, tb_l.d]]
+    bm = [[tb_m.a, tb_m.b], [tb_m.c, tb_m.d]]
+    big_l = np.zeros((4 * dim, 4 * dim), dtype=complex)
+    big_m = np.zeros((4 * dim, 4 * dim), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                big_l[(2 * i + k) * dim:(2 * i + k + 1) * dim,
+                      (2 * j + k) * dim:(2 * j + k + 1) * dim] = bl[i][j]
+                big_m[(2 * k + i) * dim:(2 * k + i + 1) * dim,
+                      (2 * k + j) * dim:(2 * k + j + 1) * dim] = bm[i][j]
+    r00 = np.kron(r, np.eye(dim))
+    return r00 @ big_l @ big_m, big_m @ big_l @ r00
 
 
 class TestRMatrix:
@@ -79,24 +101,26 @@ class TestMonodromy:
         g = rng(24)
         lam = complex(g.uniform(-1, 1), g.uniform(-1, 1))
         mu = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-        dim = 4
-        tb_l = monodromy_entries(params2, lam)
-        tb_m = monodromy_entries(params2, mu)
-        bl = [[tb_l.a, tb_l.b], [tb_l.c, tb_l.d]]
-        bm = [[tb_m.a, tb_m.b], [tb_m.c, tb_m.d]]
-        big_l = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        big_m = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    big_l[(2 * i + k) * dim:(2 * i + k + 1) * dim,
-                          (2 * j + k) * dim:(2 * j + k + 1) * dim] = bl[i][j]
-                    big_m[(2 * k + i) * dim:(2 * k + i + 1) * dim,
-                          (2 * k + j) * dim:(2 * k + j + 1) * dim] = bm[i][j]
-        r00 = np.kron(r_matrix(lam - mu, params2.eta), np.eye(dim))
-        lhs = r00 @ big_l @ big_m
-        rhs = big_m @ big_l @ r00
+        lhs, rhs = dense_rtt(monodromy_entries(params2, lam), monodromy_entries(params2, mu),
+                             r_matrix(lam - mu, params2.eta))
         assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(lhs)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_rtt_matches_dense_embedding(self, n):
+        # the check on 2^N blocks sits at the noise floor on true blocks, and
+        # off it reads what the dense 4 2^N embedding reads
+        params = make_params(n)
+        g = rng(25)
+        lam = complex(g.uniform(-1, 1), g.uniform(-1, 1))
+        mu = complex(g.uniform(-1, 1), g.uniform(-1, 1))
+        t_lam, t_mu = monodromy_entries(params, lam), monodromy_entries(params, mu)
+        r = r_matrix(lam - mu, params.eta)
+        assert _rtt_residual(t_lam, t_mu, r) < 1e-14
+        bad = dataclasses.replace(t_mu, b=t_mu.b * (1 + 1e-3))
+        lhs, rhs = dense_rtt(t_lam, bad, r)
+        dense = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0)
+        assert dense > 1e-6
+        assert abs(_rtt_residual(t_lam, bad, r) - dense) < 1e-12 * dense
 
     def test_blocks_equal_kron_recursion(self):
         # reference: the site recursion with explicit np.kron products; the
@@ -238,6 +262,22 @@ class TestInverseProblem:
 def test_elementary_matrix():
     assert np.allclose(elementary_matrix(1, 2), SIGMA_PLUS)
     assert np.allclose(elementary_matrix(2, 1), SIGMA_MINUS)
+
+
+def test_local_op_is_the_kron_product():
+    # I_{2^(s-1)} x op x I_{2^(N-s)} keeps every bit of the N-fold product, the
+    # signs of its zeros included
+    ops = [SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS] + [elementary_matrix(i, j)
+                                                for i in (1, 2) for j in (1, 2)]
+    id2 = np.eye(2, dtype=complex)
+    for n in range(1, 7):
+        for site in range(1, n + 1):
+            for op in ops:
+                want = reduce(np.kron, [op if m == site else id2 for m in range(1, n + 1)],
+                              np.eye(1, dtype=complex))
+                got = local_op(op, site, n)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_local_op_site_bounds():
