@@ -102,17 +102,21 @@ def test_indentation_alone_matches(tmp_path):
 
 
 def test_mismatch_names_its_leaves(tmp_path):
-    # two leaves differ, one only by the sign of a zero; the first in
-    # canonical (sorted-key) order is named
+    # four leaves differ, one only by the sign of a zero; the fields they
+    # belong to are named once each, list indices folded to [] and pair or
+    # site keys to *, and then the first leaf in canonical (sorted-key) order
     old = fake_tree(tmp_path / "old", '{"z": 1, "records": [{"w": 1e-15, "b": 0.0}, '
-                                      '{"w": 2.0}]}')
+                                      '{"w": 2.0}], "ff": {"P3_Q5_site2": {"z": 1.0}, '
+                                      '"P4_Q1_site1": {"z": 1.0}}}')
     new = fake_tree(tmp_path / "new", '{"z": 1, "records": [{"w": 1e-15, "b": -0.0}, '
-                                      '{"w": 3.0}]}')
+                                      '{"w": 3.0}], "ff": {"P3_Q5_site2": {"z": 2.0}, '
+                                      '"P4_Q1_site1": {"z": 1.0}}}')
     proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
     assert proc.returncode == 1
     line = proc.stdout.splitlines()[0]
     assert re.fullmatch(r'MISMATCH spectrum \{"n": 2\} --seed 1: reports differ from byte \d+ '
-                        r"\(\d+ vs \d+ bytes\) in 2 leaf values, first records\[0\]\.b", line)
+                        r"\(\d+ vs \d+ bytes\) in 3 leaf values of ff\.\*\.z, records\[\]\.b, "
+                        r"records\[\]\.w, first ff\.P3_Q5_site2\.z", line)
 
 
 def test_sign_of_a_zero_is_a_mismatch(tmp_path):

@@ -15,8 +15,11 @@ is any, else 0.  A report's canonical form is its decoded JSON written again
 with sorted keys and no whitespace (its raw bytes where it does not decode),
 so a change of indentation alone matches, while every float bit still counts,
 the sign of a zero included.  Where both reports decode, a mismatch also
-names how many leaf values differ and the report path of the first one in
-canonical order, such as ``records[3].wronskian_residual``.
+names how many leaf values differ, the fields they belong to (their paths
+with list indices folded to ``[]`` and pair or site keys such as ``P3_Q5`` or
+``P3_Q5_site2`` folded to ``*``, such as ``records[].wronskian_residual``) and
+the report path of the first one in canonical order, such as
+``records[3].wronskian_residual``.
 
 A change that moves report bytes on purpose is judged by its residuals
 instead, so each case also gets one summary line per tree: how many runs were
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -70,6 +74,7 @@ DEFAULT_CASES = (
     ("observables", '{"n": 3, "sites": [3, 1], "operators": ["z", "-"], '
                     '"representations": ["izergin", "tau_slavnov"]}', "1-3"),
     ("observables", '{"n": 2, "kappa": [0.8, -0.3]}', "1-3"),
+    ("spectrum", '{"n": 5, "kappa": [0.8, -0.3]}', "1-4"),
     ("validate", '{"n": 3, "sites": [1]}', "1-3"),
     ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
 )
@@ -147,6 +152,14 @@ def differing_leaves(a, b) -> list[str]:
             or json.dumps(old[p]) != json.dumps(new[p])]
 
 
+def field(path: str) -> str:
+    """The field a leaf path belongs to: ``path`` with each list index folded
+    to ``[]`` and each pair or site key to ``*``, so that
+    ``form_factors.P3_Q5_site2.z`` reads ``form_factors.*.z``."""
+    path = re.sub(r"\[\d+\]", "[]", path)
+    return re.sub(r"(?<![^.])P\d+_Q\d+(?:_site\d+)?(?![^.\[])", "*", path)
+
+
 def first_difference(a: bytes | None, b: bytes | None) -> str:
     """What differs between two canonical reports."""
     if a is None or b is None:
@@ -157,7 +170,8 @@ def first_difference(a: bytes | None, b: bytes | None) -> str:
         paths = differing_leaves(json.loads(a), json.loads(b))
     except ValueError:
         return text
-    return f"{text} in {len(paths)} leaf values, first {paths[0] or '(top level)'}"
+    fields = ", ".join(dict.fromkeys(field(p) or "(top level)" for p in paths))
+    return f"{text} in {len(paths)} leaf values of {fields}, first {paths[0] or '(top level)'}"
 
 
 def worst_residual(report: dict, tolerances: dict) -> tuple[float, str] | None:
