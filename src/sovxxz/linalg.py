@@ -8,8 +8,6 @@ pivoting for determinants, Hessenberg + shifted QR for eigenpairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
@@ -45,48 +43,16 @@ def det_lu(m) -> complex | np.ndarray:
     return complex(dets) if a.ndim == 2 else dets
 
 
-def sort_complex(values) -> np.ndarray:
-    """Sort complex values lexicographically by (real, imag) for reproducibility."""
-    v = np.asarray(values, dtype=np.complex128)
-    order = np.lexsort((v.imag, v.real))
-    return v[order]
-
-
-@dataclass(frozen=True)
-class MonicPoly:
-    """Monic polynomial W^N + c_{N-1} W^{N-1} + ... + c_0.
-
-    ``coeffs`` holds (c_0, ..., c_{N-1}); the leading coefficient is fixed to 1.
-    For ``roots_monic`` it may also be an (..., N) array whose rows are the
-    coefficients of a stack of polynomials of one degree.
-    """
-
-    coeffs: tuple[complex, ...]
-
-    def __call__(self, w: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * w + c
-        return complex(acc)
-
-    @staticmethod
-    def from_roots(roots) -> "MonicPoly":
-        coeffs = np.array([1.0 + 0.0j])
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([1.0, -complex(r)]))
-        # np.convolve gives descending powers with leading 1
-        return MonicPoly(tuple(complex(c) for c in coeffs[1:][::-1]))
-
-
-def roots_monic(poly: MonicPoly, tol: float = 1e-10) -> np.ndarray:
-    """All roots of a monic polynomial via its companion matrix; for a stack
-    of polynomials, the (..., N) roots of each, from one stacked eigensolve.
+def roots_monic(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """All roots of W^N + c_{N-1} W^{N-1} + ... + c_0 for each row
+    (c_0, ..., c_{N-1}) of the (..., N) array ``coeffs``, as (..., N) roots,
+    from one stacked eigensolve of the companion matrices.
 
     Each polynomial's roots are sorted by (real, imag).  Each root is checked
     to have residual |p(w)| < tol * (1 + max|c_k|); a larger residual raises,
     naming the first offending polynomial of a stack (``at``).
     """
-    c = np.asarray(poly.coeffs, dtype=np.complex128)
+    c = np.asarray(coeffs, dtype=np.complex128)
     n = c.shape[-1]
     if n == 0:
         return np.zeros(c.shape, dtype=np.complex128)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SingularEvaluationError
-from .linalg import modulus, sort_complex
+from .linalg import modulus
 
 PI = np.pi
 IPI = 1j * np.pi
@@ -31,12 +31,20 @@ DELTA_MIN_DEFAULT = 0.05
 ETA_COMMENSURATE_TOL = 0.01
 
 
-def wrap_to_strip(z: complex) -> complex:
-    """Shift z by a multiple of 2*pi*i so that Im(z) lies in (-pi, pi]."""
-    z = complex(z)
-    im = z.imag
-    k = np.floor((PI - im) / (2 * PI))
-    return complex(z.real, im + 2 * PI * k)
+def wrap_to_strip(z) -> np.ndarray:
+    """Shift z by a multiple of 2*pi*i so that Im(z) lies in (-pi, pi];
+    elementwise on arrays, into a copy, with Re(z) untouched (signed zeros
+    included)."""
+    z = np.array(z, dtype=np.complex128)
+    z.imag += 2 * PI * np.floor((PI - z.imag) / (2 * PI))
+    return z
+
+
+def canonical_roots(roots) -> np.ndarray:
+    """The canonical form of each root set on the last axis of ``roots``:
+    every root wrapped to the strip, the set sorted by (real, imag)."""
+    z = wrap_to_strip(roots)
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
 
 
 def _dist_mod(z, w, period: float):
@@ -243,8 +251,7 @@ class HalfPeriodTrigPoly:
 
     @staticmethod
     def from_roots(roots) -> "HalfPeriodTrigPoly":
-        wrapped = sort_complex([wrap_to_strip(r) for r in roots])
-        return HalfPeriodTrigPoly(tuple(complex(r) for r in wrapped))
+        return HalfPeriodTrigPoly(tuple(canonical_roots(roots).tolist()))
 
     def __call__(self, lam):
         """The polynomial at lam, elementwise on arrays."""
@@ -361,18 +368,18 @@ class QTable:
     grid: np.ndarray
 
 
-def q_table(params: ModelParams, polys, taus, grid) -> list[QTable]:
-    """The ``QTable`` of each polynomial of ``polys``, all from one broadcast
-    evaluation (one bare polynomial is a stack of one); ``taus`` holds each
-    record's eigenvalue (None for bare polynomials) and ``grid`` the
-    ``residual_grid`` the records are certified on (empty for none)."""
-    polys = list(polys)
+def q_table(params: ModelParams, roots, taus, grid) -> list[QTable]:
+    """The ``QTable`` of each root set of the (R, N) array ``roots``, each row
+    already in ``canonical_roots`` form, all from one broadcast evaluation
+    (one bare polynomial is a stack of one); ``taus`` holds each record's
+    eigenvalue (None for bare polynomials) and ``grid`` the ``residual_grid``
+    the records are certified on (empty for none)."""
+    r = np.asarray(roots, dtype=np.complex128)
+    r_hat = canonical_roots(r + IPI)
+    polys, hats = ([HalfPeriodTrigPoly(tuple(row)) for row in rs.tolist()] for rs in (r, r_hat))
     taus = [None] * len(polys) if taus is None else list(taus)
     eta = params.eta
-    hats = [poly.shifted_ipi() for poly in polys]
     xi = np.asarray(params.xi, dtype=np.complex128)
-    r, r_hat = (np.array([p.roots for p in ps], dtype=np.complex128).reshape(len(ps), -1)
-                for ps in (polys, hats))
     lam = np.reshape(grid, (3, -1))[0]
 
     def shared(*points):  # the same points for every polynomial
@@ -396,22 +403,14 @@ def q_table(params: ModelParams, polys, taus, grid) -> list[QTable]:
             for i, (poly, hat, tau) in enumerate(zip(polys, hats, taus))]
 
 
-@dataclass(frozen=True)
-class QStructureReport:
-    wronskian_residual: float
-    wronskian_sign: int
-    sum_rule_defect: float
-    sum_rule_k: int
-
-
-def q_structure_residuals(tables, params: ModelParams,
-                          grid: np.ndarray) -> list[QStructureReport]:
-    """Structural diagnostics of candidate Q-functions, one report per table
-    of ``tables``, as one array expression over the tables.
+def q_structure_residuals(tables, params: ModelParams, grid: np.ndarray):
+    """Structural diagnostics of candidate Q-functions, of each table of
+    ``tables``, as one array expression over the tables.
 
     Checks, on ``grid`` (the one the tables were built on), the quantum
     Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
-    and the root sum rule modulo i*k*pi.
+    and the root sum rule modulo i*k*pi.  Returns four arrays, one entry per
+    table: the Wronskian residual, its sign, the sum-rule defect and k.
     """
     signs = np.array([1, -1])
     q0, q_eta, _, hat0, hat_eta = np.moveaxis(np.stack([t.grid for t in tables]), -1, 0)
@@ -430,9 +429,7 @@ def q_structure_residuals(tables, params: ModelParams,
     k = np.rint(s.imag / PI)
     defect = modulus(s - 1j * PI * k)
 
-    return [QStructureReport(wronskian_residual=float(rel[i, b]), wronskian_sign=int(signs[b]),
-                             sum_rule_defect=float(defect[i]), sum_rule_k=int(k[i]))
-            for i, b in enumerate(best)]
+    return rel.min(axis=-1), signs[best], defect, k
 
 
 class InterpolationBasis:

@@ -11,7 +11,7 @@ i*pi-shifted partner and all residual diagnostics.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     names_refusals,
 )
 from .lattice import spectrum_oracle, transfer_k
-from .linalg import MonicPoly, modulus, roots_monic, row_norms
+from .linalg import modulus, roots_monic, row_norms
 from .model import (
     HalfPeriodTrigPoly,
     InterpolationBasis,
@@ -34,6 +34,7 @@ from .model import (
     QTable,
     TrigInterpolation,
     a_frak_values,
+    canonical_roots,
     dist_mod_2ipi,
     dist_mod_ipi,
     first_index,
@@ -51,15 +52,17 @@ NEWTON_MAX_ITER = 50
 
 @dataclass
 class EigenRecord:
-    """One certified (or in-progress) transfer-matrix eigenvalue."""
+    """One certified transfer-matrix eigenvalue, built complete by
+    ``certify``: tau, its Q-function and ``model.q_table``, every residual,
+    the Wronskian sign and the sum-rule k."""
 
     tau: TrigInterpolation
     q_poly: HalfPeriodTrigPoly
-    table: QTable | None = None
-    residuals: dict = field(default_factory=dict)
-    wronskian_sign: int = 0
-    sum_rule_k: int = 0
-    certified: bool = False
+    table: QTable
+    residuals: dict
+    wronskian_sign: int
+    sum_rule_k: int
+    certified: bool
 
 
 def tau_hat(taus, lam, d) -> np.ndarray:
@@ -170,9 +173,10 @@ def _tau_at(weights: np.ndarray, taus) -> np.ndarray:
 
 
 @_names_record
-def q_from_tau(params: ModelParams, taus, chain: ChainValues) -> list[HalfPeriodTrigPoly]:
+def q_from_tau(params: ModelParams, taus, chain: ChainValues) -> np.ndarray:
     """Solve the functional relation for Q given each interpolated eigenvalue
-    of ``taus``, with one stacked SVD and one stacked companion eigensolve.
+    of ``taus``, with one stacked SVD and one stacked companion eigensolve;
+    returns the (R, N) array of each record's roots in ``canonical_roots`` form.
 
     Sampling the 2N+3 points of ``chain.tq`` gives a homogeneous linear system
     for the N+1 coefficients of P(W); each record's system must have a
@@ -195,23 +199,23 @@ def q_from_tau(params: ModelParams, taus, chain: ChainValues) -> list[HalfPeriod
                  lambda i: "leading coefficient of the nullspace polynomial vanishes")
     monic = coeffs[:first.stop, :-1] / lead[:first.stop, None]
     try:
-        w_roots = roots_monic(MonicPoly(monic))
+        w_roots = roots_monic(monic)
     except ConvergenceError as exc:
         # the lowest record the root residual refuses; those below it go on
         first.stop, first.error = exc.at[0], exc
-        w_roots = roots_monic(MonicPoly(monic[:first.stop]))
+        w_roots = roots_monic(monic[:first.stop])
     first.refuse(np.flatnonzero(np.any(np.abs(w_roots) < 1e-12, axis=-1)),
                  AmbiguousNullspaceError, lambda i: "nullspace polynomial has a root at W = 0")
-    polys = [HalfPeriodTrigPoly.from_roots(map(cmath.log, w)) for w in w_roots[:first.stop]]
+    # cmath.log per root: np.log rounds some roots differently
+    roots = canonical_roots([[cmath.log(w) for w in row] for row in w_roots[:first.stop].tolist()])
     forbidden = np.array(params.forbidden_points())
-    roots = np.array([poly.roots for poly in polys]).reshape(len(polys), params.n)
     near = dist_mod_ipi(roots[..., None], forbidden).min(axis=-1) < 1e-6
     first.refuse(np.flatnonzero(near.any(axis=-1)), SingularEvaluationError,
-                 lambda i: f"extracted root {polys[i].roots[np.argmax(near[i])]} "
+                 lambda i: f"extracted root {complex(roots[i, np.argmax(near[i])])} "
                            "lies on an excluded shift set")
     if first.error:
         raise first.error
-    return polys
+    return roots
 
 
 def _bethe_system(params: ModelParams, roots: np.ndarray):
@@ -246,10 +250,12 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
 
 
 @_names_record
-def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
-    """Damped Newton polish of the Bethe roots of each polynomial of ``polys``;
-    a record stops once max|F| < 1e-12 times the scale of its two terms at
-    its start.  Then up to 3 undamped Newton steps polish
+def refine_bethe(params: ModelParams, roots) -> np.ndarray:
+    """Damped Newton polish of each root set of the (R, N) array ``roots``,
+    given in ``canonical_roots`` form, whose order the rounding of each step
+    follows; returns the polished roots in that form.  A record stops once
+    max|F| < 1e-12 times the scale of its two terms at its start.  Then up
+    to 3 undamped Newton steps polish
     max_j |a_frak(q_j) - 1|, the metric ``certify`` gates, which the unscaled
     stop can leave large on ill-conditioned roots; the polish ends at the
     first step that does not lower the metric, which it does not keep, and
@@ -257,7 +263,7 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
     one stacked solve for every record still iterating, each at its own step
     length, so each record makes the decisions it makes alone.
     """
-    roots = np.array([poly.roots for poly in polys], dtype=np.complex128)
+    roots = np.array(roots, dtype=np.complex128)
     count, n = roots.shape
     f, jac, scale, gated = _bethe_system(params, roots)
     res = np.max(np.abs(f), axis=-1)
@@ -306,7 +312,7 @@ def refine_bethe(params: ModelParams, polys) -> list[HalfPeriodTrigPoly]:
         took = idx[keep]
         roots[took], f[took], jac[took], gated[took] = cand[keep], fc[keep], jc[keep], gc[keep]
         polish[idx] = keep
-    return [HalfPeriodTrigPoly.from_roots(r) for r in roots]
+    return canonical_roots(roots)
 
 
 def _rows(tables, *names) -> list[np.ndarray]:
@@ -352,18 +358,18 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
     return probes
 
 
-def eigenstate_residual(records, kappa: complex, chain: ChainValues) -> np.ndarray:
-    """Relative eigen-residual of the separate state built from each record of
-    ``records`` on ``chain.basis``, against the transfer matrices at
+def eigenstate_residual(tables, kappa: complex, chain: ChainValues) -> np.ndarray:
+    """Relative eigen-residual of the separate state built from each eigen
+    record's table of ``tables`` on ``chain.basis``, against the transfer matrices at
     ``chain.probes`` (built at ``kappa``), each applied to all the states in one
     stacked product.  Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
     one of the shifted nodes xi_n - eta."""
-    v = np.array([separate_state(chain.basis, record.table, kappa, 1, "ket",
-                                 normalized=False).embedded for record in records])
+    v = np.array([separate_state(chain.basis, table, kappa, 1, "ket",
+                                 normalized=False).embedded for table in tables])
     nv = row_norms(v)
-    tau_mu = _tau_at(chain.weights["probes"], [record.tau for record in records])
-    worst = np.zeros(len(records))
+    tau_mu = _tau_at(chain.weights["probes"], [table.tau for table in tables])
+    worst = np.zeros(len(tables))
     for (_, tk), tau in zip(chain.probes, tau_mu.T):
         tv = (tk @ v[..., None])[..., 0]
         resid = row_norms(tv - tau[:, None] * v)
@@ -380,47 +386,42 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
 
 
 @_names_record
-def certify(params: ModelParams, records: list[EigenRecord], kappa: complex,
-            chain: ChainValues, tolerances: dict | None = None) -> list[EigenRecord]:
-    """Compute every residual of each record of ``records`` as one batch,
-    gate it and stamp the record.  Fills each record's ``table``
+def certify(params: ModelParams, taus, roots, kappa: complex, chain: ChainValues,
+            tolerances: dict | None = None) -> list[EigenRecord]:
+    """Compute every residual of each record i, eigenvalue ``taus[i]`` with the
+    roots ``roots[i]`` (a row of an (R, N) array in ``canonical_roots`` form),
+    as one batch, gate it and build the record complete, with its table
     (``model.q_table`` of Q on ``chain.grid``, which every residual, separate
-    state and pair formula reads), ``wronskian_sign``, ``sum_rule_k`` and
-    every entry of ``residuals``; ``chain`` is the spectrum's ``ChainValues``
-    at ``kappa``.  ``tolerances`` overrides entries of
-    ``config.DEFAULT_TOLERANCES``.  Raises
-    CertificationError for the lowest failing record, naming its index in
-    ``records``, its tau(xi_1) and the condition number of the Bethe Jacobian
-    at its roots, with each failed check.
+    state and pair formula reads); ``chain`` is the spectrum's
+    ``ChainValues`` at ``kappa``.  ``tolerances`` overrides entries of
+    ``config.DEFAULT_TOLERANCES``.  Raises CertificationError for the lowest
+    failing record, naming its index, its tau(xi_1) and the condition number
+    of the Bethe Jacobian at its roots, with each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    tables = q_table(params, [r.q_poly for r in records], [r.tau for r in records], chain.grid)
-    reports = q_structure_residuals(tables, params, chain.grid)
+    tables = q_table(params, roots, taus, chain.grid)
+    wronskian, signs, defect, ks = q_structure_residuals(tables, params, chain.grid)
     x, x_ipi = _rows(tables, "x", "x_ipi")
     side_ok = (np.maximum(abs(x), abs(x_ipi)) > 1e-10).all(axis=-1)
-    for record, table in zip(records, tables):
-        record.table = table
     values = {"tq": tq_residual(tables, chain), "bethe": bethe_residual(tables),
               "discrete_char": discrete_char_residual(tables, chain),
-              "eigenstate": eigenstate_residual(records, kappa, chain),
-              "wronskian": [r.wronskian_residual for r in reports],
-              "sum_rule_defect": [r.sum_rule_defect for r in reports]}
+              "eigenstate": eigenstate_residual(tables, kappa, chain),
+              "wronskian": wronskian, "sum_rule_defect": defect}
     over = {name: np.greater(values[name], tol[key]) for name, key in GATES.items()}
     failed = ~side_ok | np.any(list(over.values()), axis=0)
-    for i, (record, report) in enumerate(zip(records, reports)):
-        record.wronskian_sign, record.sum_rule_k = report.wronskian_sign, report.sum_rule_k
-        record.residuals.update((name, float(v[i])) for name, v in values.items())
-        record.certified = not failed[i]
     if failed.any():
         i = int(np.argmax(failed))
         failures = ([] if side_ok[i] else ["side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)"]) \
             + [f"{name} residual {values[name][i]:.3e} > {tol[key]:.1e}"
                for name, key in GATES.items() if over[name][i]]
-        _, jac, _, _ = _bethe_system(params, np.array(records[i].q_poly.roots))
+        _, jac, _, _ = _bethe_system(params, np.array(tables[i].roots))
         raise CertificationError(
-            f"record {i} (tau(xi_1) = {records[i].tau.values[0]:.6g}, Bethe Jacobian "
+            f"record {i} (tau(xi_1) = {taus[i].values[0]:.6g}, Bethe Jacobian "
             f"condition number {np.linalg.cond(jac):.2e}): {'; '.join(failures)}")
-    return records
+    return [EigenRecord(tau=table.tau, q_poly=table.poly, table=table,
+                        residuals={name: float(v[i]) for name, v in values.items()},
+                        wronskian_sign=int(signs[i]), sum_rule_k=int(ks[i]), certified=True)
+            for i, table in enumerate(tables)]
 
 
 def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
@@ -438,9 +439,8 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     k = params.kappa if kappa is None else kappa
     taus = spectrum_oracle(params, basis.at_xi, k)
     chain = chain_values(basis, taus[0].basis, k, seed)
-    polys = refine_bethe(params, q_from_tau(params, taus, chain))
-    records = [EigenRecord(tau=tau, q_poly=poly) for tau, poly in zip(taus, polys)]
-    certify(params, records, k, chain, tolerances)
+    roots = refine_bethe(params, q_from_tau(params, taus, chain))
+    records = certify(params, taus, roots, k, chain, tolerances)
     if len(records) != 2**params.n:
         raise ParameterError(
             f"expected {2**params.n} certified records, got {len(records)}"

@@ -57,7 +57,7 @@ def states3(params3, basis3, records3):
 
 def table(params: ModelParams, poly):
     """``model.q_table`` of a polynomial that carries no eigenvalue."""
-    return q_table(params, [poly], None, [])[0]
+    return q_table(params, [poly.roots], None, [])[0]
 
 
 def rel_dev(a, b, scale: float = 0.0) -> float:

@@ -13,6 +13,7 @@ from sovxxz.model import (
     ModelParams,
     TrigInterpolation,
     a_frak,
+    canonical_roots,
     coth,
     dist_mod_ipi,
     f_tilde,
@@ -218,20 +219,21 @@ class TestTableLayout:
 
 class TestStructureResiduals:
     def test_certified_q_passes_wronskian_and_sum_rule(self, params3, records3):
-        grid = residual_grid(params3)
-        for rec in records3:
-            report = q_structure_residuals([rec.table], params3, grid)[0]
-            assert report.wronskian_residual < 1e-8
-            assert report.sum_rule_defect < 1e-8
-            assert report.wronskian_sign in (-1, 1)
+        wronskian, sign, defect, k = q_structure_residuals(
+            [rec.table for rec in records3], params3, residual_grid(params3))
+        assert np.all(wronskian < 1e-8) and np.all(defect < 1e-8)
+        assert set(sign) <= {-1, 1}
+        assert [rec.wronskian_sign for rec in records3] == sign.tolist()
+        assert [rec.sum_rule_k for rec in records3] == k.tolist()
 
     def test_n1_midpoint_root_has_zero_defect(self):
         params = make_params(1)
         poly = HalfPeriodTrigPoly.from_roots([params.xi[0] - params.eta / 2])
         grid = residual_grid(params)
-        report = q_structure_residuals(q_table(params, [poly], None, grid), params, grid)[0]
-        assert report.sum_rule_defect < 1e-14
-        assert report.sum_rule_k == 0
+        _, _, defect, k = q_structure_residuals(q_table(params, [poly.roots], None, grid),
+                                                params, grid)
+        assert defect[0] < 1e-14
+        assert k[0] == 0
 
 
 class TestTrigInterpolation:
@@ -282,3 +284,29 @@ def test_wrap_to_strip():
     assert abs(wrap_to_strip(0.5 + 7j) - (0.5 + (7 - 2 * np.pi) * 1j)) < 1e-15
     assert wrap_to_strip(0.5 + 1j * np.pi) == 0.5 + 1j * np.pi
     assert abs(wrap_to_strip(0.5 - 1j * np.pi) - (0.5 + 1j * np.pi)) < 1e-15
+
+
+def test_canonical_roots_match_the_scalar_formula():
+    # the array wrap equals, bit for bit, complex(re, im + 2*pi*floor((pi - im)/(2*pi)))
+    # per element, on random roots, Im = +-pi, exact multiples of 2*pi and
+    # signed zeros; a stack canonicalizes each row as that row alone
+    def scalar(z):
+        return complex(z.real, z.imag + 2 * np.pi * np.floor((np.pi - z.imag) / (2 * np.pi)))
+
+    def bits(z):
+        return np.asarray(z, dtype=np.complex128).view(np.uint64)
+
+    g = rng(13)
+    edges = [complex(re, im) for re in (0.0, -0.0, 0.7)
+             for im in (np.pi, -np.pi, 0.0, -0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi, 3 * np.pi)]
+    z = np.concatenate([edges, g.uniform(-3, 3, 400) + 1j * g.uniform(-20, 20, 400)])
+    wrapped = wrap_to_strip(z)
+    assert np.array_equal(bits(wrapped), bits([scalar(w) for w in z]))
+    assert np.all((-np.pi < wrapped.imag) & (wrapped.imag <= np.pi))
+    stack = z.reshape(-1, 8)
+    canon = canonical_roots(stack)
+    for row, got in zip(stack, canon):
+        want = sorted((scalar(w) for w in row), key=lambda w: (w.real, w.imag))
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got), bits(canonical_roots(row)))
+        assert np.array_equal(bits(got), bits(HalfPeriodTrigPoly.from_roots(row).roots))

@@ -794,7 +794,7 @@ class TestGridRefusals:
         # a Q record with a root on xi_2 puts a zero of d at its z-row:
         # every pair with that Q holds it, the first one is P0_Q1
         xi = params3.xi
-        bad = q_table(params3, [HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j])],
+        bad = q_table(params3, [HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j]).roots],
                       [records3[0].tau], [])[0]
         qs = [records3[3].table, bad]
         grid = obs.PairContext(params3, [r.table for r in records3[:2]], qs)
@@ -813,7 +813,8 @@ class TestGridRefusals:
             roots[0] = records[1].q_poly.roots[1]
             poly = HalfPeriodTrigPoly.from_roots(roots)
             records[3] = replace(records[3], q_poly=poly,
-                                 table=q_table(basis.params, [poly], [records[3].tau], [])[0])
+                                 table=q_table(basis.params, [poly.roots], [records[3].tau],
+                                               [])[0])
             return records
 
         monkeypatch.setattr(cli, "solve_spectrum", sharing)

@@ -18,13 +18,13 @@ from sovxxz.model import (
     InterpolationBasis,
     ModelParams,
     TrigInterpolation,
+    canonical_roots,
     dist_mod_2ipi,
     f_tilde,
     q_table,
     residual_grid,
 )
 from sovxxz.spectrum import (
-    EigenRecord,
     bethe_residual,
     certify,
     chain_values,
@@ -53,9 +53,9 @@ class TestQFromTau:
         taus = spectrum_oracle(params, basis.at_xi)
         chain = chain_values(basis, taus[0].basis, params.kappa, 4242)
         for tau in taus:
-            poly = q_from_tau(params, [tau], chain)[0]
+            roots = q_from_tau(params, [tau], chain)[0]
             expected = n1_root_closed_form(params, tau.values[0])
-            assert dist_mod_2ipi(poly.roots[0], expected) < 1e-10
+            assert dist_mod_2ipi(roots[0], expected) < 1e-10
 
     def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
         # tau = 0 leaves no one-dimensional nullspace; of records 5 and 6,
@@ -85,8 +85,8 @@ class TestQFromTau:
 class TestRefineBethe:
     def test_fixed_point(self, params3, records3):
         rec = records3[0]
-        refined = refine_bethe(params3, [rec.q_poly])[0]
-        for a, b in zip(refined.roots, rec.q_poly.roots):
+        refined = refine_bethe(params3, [rec.q_poly.roots])[0]
+        for a, b in zip(refined, rec.q_poly.roots):
             assert abs(a - b) < 1e-12
 
     def test_perturbed_roots_converge_back(self, params3, records3):
@@ -94,8 +94,8 @@ class TestRefineBethe:
         for rec in records3[:4]:
             noisy = [q + 1e-4 * complex(g.uniform(-1, 1), g.uniform(-1, 1))
                      for q in rec.q_poly.roots]
-            refined = refine_bethe(params3, [HalfPeriodTrigPoly.from_roots(noisy)])[0]
-            for a, b in zip(refined.roots, rec.q_poly.roots):
+            refined = refine_bethe(params3, canonical_roots([noisy]))[0]
+            for a, b in zip(refined, rec.q_poly.roots):
                 assert abs(a - b) < 1e-10
 
     def test_refined_bethe_ratio(self, params3, records3):
@@ -104,9 +104,8 @@ class TestRefineBethe:
 
     def test_refinement_never_moves_certified_roots(self, params3, records3):
         for rec in records3:
-            refined = refine_bethe(params3, [rec.q_poly])[0]
-            moved = max(abs(a - b) for a, b in
-                        zip(refined.roots, rec.q_poly.roots))
+            refined = refine_bethe(params3, [rec.q_poly.roots])[0]
+            moved = max(abs(a - b) for a, b in zip(refined, rec.q_poly.roots))
             assert moved < 1e-8
 
 
@@ -150,18 +149,17 @@ class TestBetheKernel:
     def test_collision_guard_names_the_pair(self, params3):
         # two roots 1e-7 apart modulo 2*pi*i stay together under the first step
         q = 0.3 + 0.2j
-        poly = HalfPeriodTrigPoly((q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j))
         with pytest.raises(DegenerateSpectrumError, match="Bethe roots 0, 1 collided"):
-            refine_bethe(params3, [poly])
+            refine_bethe(params3, [(q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j)])
 
     def test_collision_in_a_batch_names_its_record(self, params3, records3):
         # the same pair in record 2 of a 4-record batch; the others converge
         q = 0.3 + 0.2j
-        polys = [rec.q_poly for rec in records3[:4]]
-        polys[2] = HalfPeriodTrigPoly((q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j))
+        roots = np.array([rec.q_poly.roots for rec in records3[:4]])
+        roots[2] = (q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j)
         with pytest.raises(DegenerateSpectrumError,
                            match=r"^record 2: Bethe roots 0, 1 collided"):
-            refine_bethe(params3, polys)
+            refine_bethe(params3, roots)
 
 
 class TestCertify:
@@ -178,29 +176,28 @@ class TestCertify:
         rec = records3[0]
         bad_vals = rec.tau.values.copy()
         bad_vals[0] *= 1.01
-        bad = EigenRecord(
-            tau=TrigInterpolation(InterpolationBasis(params3.xi), bad_vals),
-            q_poly=rec.q_poly,
-        )
+        bad = TrigInterpolation(InterpolationBasis(params3.xi), bad_vals)
         chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
-        bad_table = q_table(params3, [bad.q_poly], [bad.tau], [])[0]
+        bad_table = q_table(params3, [rec.q_poly.roots], [bad], [])[0]
         assert discrete_char_residual([bad_table], chain)[0] > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, [bad], params3.kappa, chain)
+            certify(params3, [bad], [rec.q_poly.roots], params3.kappa, chain)
 
     def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
-        # a tampered tau at index 5 of the 8-record batch: every other record
-        # certifies, and the refusal names record 5
-        batch = [EigenRecord(tau=rec.tau, q_poly=rec.q_poly) for rec in records3]
-        bad_vals = records3[5].tau.values.copy()
+        # a tampered tau at index 5 of the 8-record batch: the refusal names
+        # record 5, and the batch without it certifies
+        taus = [rec.tau for rec in records3]
+        roots = np.array([rec.q_poly.roots for rec in records3])
+        bad_vals = taus[5].values.copy()
         bad_vals[0] *= 1.01
-        batch[5] = EigenRecord(tau=TrigInterpolation(records3[5].tau.basis, bad_vals),
-                               q_poly=records3[5].q_poly)
+        taus[5] = TrigInterpolation(taus[5].basis, bad_vals)
         chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
-            certify(params3, batch, params3.kappa, chain)
-        assert [rec.certified for rec in batch] == [i != 5 for i in range(8)]
+            certify(params3, taus, roots, params3.kappa, chain)
+        others = [i for i in range(8) if i != 5]
+        certified = certify(params3, [taus[i] for i in others], roots[others], params3.kappa, chain)
+        assert len(certified) == 7 and all(rec.certified for rec in certified)
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
         # certify stores one table per record; every entry is the value a fresh
@@ -220,10 +217,10 @@ class TestCertify:
         synthetic = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         cases = [(rec.table, rec.q_poly, rec.tau, grid[0]) for rec in records3]
-        cases.append((q_table(params3, [synthetic], None, [])[0], synthetic, None, []))
+        cases.append((q_table(params3, [synthetic.roots], None, [])[0], synthetic, None, []))
         for table, poly, tau, points in cases:
             hat = poly.shifted_ipi()
-            assert table.poly is poly and table.tau is tau
+            assert table.poly == poly and table.roots == poly.roots and table.tau is tau
             assert table.hat.roots == hat.roots
             assert close(vec(table.x), vec(poly(x) for x in xi))
             assert close(vec(table.x_eta), vec(poly(x - eta) for x in xi))
@@ -359,22 +356,26 @@ class TestPipeline:
 
     def test_one_batch_per_spectrum(self, basis3, monkeypatch):
         # each phase runs once over all 2^N records, with one SVD of the
-        # stacked T-Q systems and one eigensolve of the stacked companions
+        # stacked T-Q systems and one eigensolve of the stacked companions;
+        # the roots cross the phases as one array, so no record's roots are
+        # canonicalized on their own
         calls = Counter()
 
-        def count(module, name):
+        def count(module, name, wrap=lambda f: f):
             inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, name, wrap(wrapper))
 
         phases = ("q_from_tau", "refine_bethe", "certify", "eigenstate_residual")
         for name in phases:
             count(spectrum, name)
         count(np.linalg, "svd")
         count(np.linalg, "eigvals")
+        count(HalfPeriodTrigPoly, "from_roots", staticmethod)
+        count(HalfPeriodTrigPoly, "shifted_ipi")
         assert len(spectrum.solve_spectrum(basis3)) == 8
         assert calls == {name: 1 for name in phases + ("svd", "eigvals")}
 
@@ -388,9 +389,8 @@ class TestPipeline:
         records = spectrum.solve_spectrum(basis)
         chain = chain_values(basis, records[0].tau.basis, params.kappa, 4242)
         for rec in records:
-            alone = EigenRecord(tau=rec.tau, q_poly=refine_bethe(
-                params, q_from_tau(params, [rec.tau], chain))[0])
-            certify(params, [alone], params.kappa, chain)
+            roots = refine_bethe(params, q_from_tau(params, [rec.tau], chain))
+            alone = certify(params, [rec.tau], roots, params.kappa, chain)[0]
             assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.q_poly.roots,
                                                                rec.q_poly.roots))
             for name, value in alone.residuals.items():
