@@ -33,7 +33,6 @@ from .model import (
     ModelParams,
     QTable,
     TrigInterpolation,
-    a_frak_values,
     canonical_roots,
     dist_mod_2ipi,
     dist_mod_ipi,
@@ -250,10 +249,12 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
 
 
 @_names_record
-def refine_bethe(params: ModelParams, roots) -> np.ndarray:
+def refine_bethe(params: ModelParams, roots) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton polish of each root set of the (R, N) array ``roots``,
     given in ``canonical_roots`` form, whose order the rounding of each step
-    follows; returns the polished roots in that form.  A record stops once
+    follows; returns the polished roots in that form and, of each record,
+    max_j |a_frak(q_j) - 1| from its last Bethe evaluation, the value
+    ``certify`` gates and reports.  A record stops once
     max|F| < 1e-12 times the scale of its two terms at its start.  Then up
     to 3 undamped Newton steps polish
     max_j |a_frak(q_j) - 1|, the metric ``certify`` gates, which the unscaled
@@ -312,19 +313,13 @@ def refine_bethe(params: ModelParams, roots) -> np.ndarray:
         took = idx[keep]
         roots[took], f[took], jac[took], gated[took] = cand[keep], fc[keep], jc[keep], gc[keep]
         polish[idx] = keep
-    return canonical_roots(roots)
+    return canonical_roots(roots), gated
 
 
 def _rows(tables, *names) -> list[np.ndarray]:
     """The fields ``names`` of every table of ``tables``, each stacked on a
     leading record axis."""
     return [np.stack([getattr(table, name) for table in tables]) for name in names]
-
-
-def bethe_residual(tables) -> np.ndarray:
-    """max_j |a_frak_Q(q_j) - 1| over the roots, of each table of ``tables``."""
-    ratio = a_frak_values(*_rows(tables, "a_r", "d_r", "r_eta", "r_eta_plus"))
-    return np.max(np.abs(ratio - 1.0), axis=-1)
 
 
 def tq_residual(tables, chain: ChainValues) -> np.ndarray:
@@ -386,11 +381,12 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
 
 
 @_names_record
-def certify(params: ModelParams, taus, roots, kappa: complex, chain: ChainValues,
+def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: ChainValues,
             tolerances: dict | None = None) -> list[EigenRecord]:
     """Compute every residual of each record i, eigenvalue ``taus[i]`` with the
-    roots ``roots[i]`` (a row of an (R, N) array in ``canonical_roots`` form),
-    as one batch, gate it and build the record complete, with its table
+    roots ``roots[i]`` (a row of an (R, N) array in ``canonical_roots`` form)
+    and the Bethe residual ``bethe[i]`` that ``refine_bethe`` returned with
+    them, as one batch, gate it and build the record complete, with its table
     (``model.q_table`` of Q on ``chain.grid``, which every residual, separate
     state and pair formula reads); ``chain`` is the spectrum's
     ``ChainValues`` at ``kappa``.  ``tolerances`` overrides entries of
@@ -403,7 +399,7 @@ def certify(params: ModelParams, taus, roots, kappa: complex, chain: ChainValues
     wronskian, signs, defect, ks = q_structure_residuals(tables, params, chain.grid)
     x, x_ipi = _rows(tables, "x", "x_ipi")
     side_ok = (np.maximum(abs(x), abs(x_ipi)) > 1e-10).all(axis=-1)
-    values = {"tq": tq_residual(tables, chain), "bethe": bethe_residual(tables),
+    values = {"tq": tq_residual(tables, chain), "bethe": bethe,
               "discrete_char": discrete_char_residual(tables, chain),
               "eigenstate": eigenstate_residual(tables, kappa, chain),
               "wronskian": wronskian, "sum_rule_defect": defect}
@@ -439,8 +435,8 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     k = params.kappa if kappa is None else kappa
     taus = spectrum_oracle(params, basis.at_xi, k)
     chain = chain_values(basis, taus[0].basis, k, seed)
-    roots = refine_bethe(params, q_from_tau(params, taus, chain))
-    records = certify(params, taus, roots, k, chain, tolerances)
+    roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
+    records = certify(params, taus, roots, bethe, k, chain, tolerances)
     if len(records) != 2**params.n:
         raise ParameterError(
             f"expected {2**params.n} certified records, got {len(records)}"

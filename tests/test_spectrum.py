@@ -18,6 +18,7 @@ from sovxxz.model import (
     InterpolationBasis,
     ModelParams,
     TrigInterpolation,
+    a_frak_values,
     canonical_roots,
     dist_mod_2ipi,
     f_tilde,
@@ -25,7 +26,6 @@ from sovxxz.model import (
     residual_grid,
 )
 from sovxxz.spectrum import (
-    bethe_residual,
     certify,
     chain_values,
     discrete_char_residual,
@@ -85,7 +85,7 @@ class TestQFromTau:
 class TestRefineBethe:
     def test_fixed_point(self, params3, records3):
         rec = records3[0]
-        refined = refine_bethe(params3, [rec.q_poly.roots])[0]
+        refined = refine_bethe(params3, [rec.q_poly.roots])[0][0]
         for a, b in zip(refined, rec.q_poly.roots):
             assert abs(a - b) < 1e-12
 
@@ -94,17 +94,34 @@ class TestRefineBethe:
         for rec in records3[:4]:
             noisy = [q + 1e-4 * complex(g.uniform(-1, 1), g.uniform(-1, 1))
                      for q in rec.q_poly.roots]
-            refined = refine_bethe(params3, canonical_roots([noisy]))[0]
+            refined = refine_bethe(params3, canonical_roots([noisy]))[0][0]
             for a, b in zip(refined, rec.q_poly.roots):
                 assert abs(a - b) < 1e-10
 
-    def test_refined_bethe_ratio(self, params3, records3):
-        for rec in records3:
-            assert bethe_residual([rec.table])[0] < 1e-9
+    def test_refined_bethe_ratio(self, basis3, monkeypatch):
+        # each record reports, bit for bit, the metric max_j |a_frak(q_j) - 1|
+        # of refine_bethe's last evaluation of it, below the tolerance and
+        # equal, up to rounding, to that ratio read from its table
+        returned = []
+        refine = spectrum.refine_bethe
+
+        def keep(*args):
+            returned.append(refine(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(spectrum, "refine_bethe", keep)
+        records = spectrum.solve_spectrum(basis3)
+        (_, metric), = returned
+        assert [rec.residuals["bethe"] for rec in records] == metric.tolist()
+        assert np.all(metric < 1e-9)
+        for rec, value in zip(records, metric):
+            t = rec.table
+            ratio = a_frak_values(t.a_r, t.d_r, t.r_eta, t.r_eta_plus)
+            assert abs(value - np.max(np.abs(ratio - 1))) < 1e-14
 
     def test_refinement_never_moves_certified_roots(self, params3, records3):
         for rec in records3:
-            refined = refine_bethe(params3, [rec.q_poly.roots])[0]
+            refined = refine_bethe(params3, [rec.q_poly.roots])[0][0]
             moved = max(abs(a - b) for a, b in zip(refined, rec.q_poly.roots))
             assert moved < 1e-8
 
@@ -181,22 +198,25 @@ class TestCertify:
         bad_table = q_table(params3, [rec.q_poly.roots], [bad], [])[0]
         assert discrete_char_residual([bad_table], chain)[0] > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, [bad], [rec.q_poly.roots], params3.kappa, chain)
+            certify(params3, [bad], [rec.q_poly.roots], [rec.residuals["bethe"]],
+                    params3.kappa, chain)
 
     def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
         # a tampered tau at index 5 of the 8-record batch: the refusal names
         # record 5, and the batch without it certifies
         taus = [rec.tau for rec in records3]
         roots = np.array([rec.q_poly.roots for rec in records3])
+        bethe = np.array([rec.residuals["bethe"] for rec in records3])
         bad_vals = taus[5].values.copy()
         bad_vals[0] *= 1.01
         taus[5] = TrigInterpolation(taus[5].basis, bad_vals)
         chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
-            certify(params3, taus, roots, params3.kappa, chain)
+            certify(params3, taus, roots, bethe, params3.kappa, chain)
         others = [i for i in range(8) if i != 5]
-        certified = certify(params3, [taus[i] for i in others], roots[others], params3.kappa, chain)
+        certified = certify(params3, [taus[i] for i in others], roots[others], bethe[others],
+                            params3.kappa, chain)
         assert len(certified) == 7 and all(rec.certified for rec in certified)
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
@@ -389,8 +409,8 @@ class TestPipeline:
         records = spectrum.solve_spectrum(basis)
         chain = chain_values(basis, records[0].tau.basis, params.kappa, 4242)
         for rec in records:
-            roots = refine_bethe(params, q_from_tau(params, [rec.tau], chain))
-            alone = certify(params, [rec.tau], roots, params.kappa, chain)[0]
+            roots, bethe = refine_bethe(params, q_from_tau(params, [rec.tau], chain))
+            alone = certify(params, [rec.tau], roots, bethe, params.kappa, chain)[0]
             assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.q_poly.roots,
                                                                rec.q_poly.roots))
             for name, value in alone.residuals.items():
