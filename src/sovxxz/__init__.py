@@ -13,7 +13,7 @@ from .errors import (
 )
 from .model import HalfPeriodTrigPoly, ModelParams
 from .sov import SovBasis, separate_state
-from .spectrum import EigenRecord, solve_spectrum
+from .spectrum import Spectrum, solve_spectrum
 
 __all__ = [
     "AmbiguousNullspaceError",
@@ -21,7 +21,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSpectrumError",
     "DimensionError",
-    "EigenRecord",
     "HalfPeriodTrigPoly",
     "InversionError",
     "ModelParams",
@@ -29,6 +28,7 @@ __all__ = [
     "SingularEvaluationError",
     "SovBasis",
     "SovxxzError",
+    "Spectrum",
     "separate_state",
     "solve_spectrum",
 ]

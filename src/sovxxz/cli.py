@@ -198,8 +198,8 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     del nodes  # the spectrum and identity bench below, where memory peaks, need none
     checks["inverse_problem"] = _check(worst, cfg.tol("inverse_problem"))
 
-    records = solve_spectrum(basis, tolerances=cfg.tolerances)
-    bench = obs.identity_bench(params, records, seed=cfg.seed)
+    spectrum = solve_spectrum(basis, tolerances=cfg.tolerances)
+    bench = obs.identity_bench(params, spectrum.table, seed=cfg.seed)
     for name, value in bench.items():
         tol = cfg.tol("extension_limit") if name.startswith("extension") \
             else cfg.tol("identity_bench")
@@ -219,40 +219,34 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
     basis = SovBasis(params)
-    records = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
-                             tolerances=cfg.tolerances)
-    vals = np.array([r.tau.values[0] for r in records])
+    spectrum = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
+                              tolerances=cfg.tolerances)
+    table, res = spectrum.table, spectrum.residuals
+    vals = table.tau[:, 0]
     neg = np.sort_complex(-vals)
     closure = float(np.max(np.abs(np.sort_complex(vals) - neg))
                     / max(np.max(np.abs(vals)), 1e-30))
-    other = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime)
-    vals2 = np.array([tau.values[0] for tau in other])
+    vals2 = spectrum_oracle(params, basis.at_xi, cfg.kappa_prime)[:, 0]
     iso = float(np.max(np.abs(np.sort_complex(vals) - np.sort_complex(vals2)))
                 / max(np.max(np.abs(vals)), 1e-30))
     checks = {
         "negation_closure": _check(closure, cfg.tol("negation_closure")),
         "isospectral": _check(iso, cfg.tol("isospectral")),
     }
-    rec_out = []
-    for r in records:
-        rec_out.append({
-            "tau_at_xi": list(r.tau.values),
-            "q_roots": list(r.q_poly.roots),
-            "qhat_roots": list(r.table.hat.roots),
-            "bethe_residual": r.residuals["bethe"],
-            "tq_residual": r.residuals["tq"],
-            "discrete_char_residual": r.residuals["discrete_char"],
-            "eigenstate_residual": r.residuals["eigenstate"],
-            "wronskian_residual": r.residuals["wronskian"],
-            "wronskian_sign": r.wronskian_sign,
-            "sum_rule_defect": r.residuals["sum_rule_defect"],
-            "sum_rule_k": r.sum_rule_k,
-            "certified": r.certified,
-        })
+    # one column per report field, one row per record; a returned spectrum is
+    # certified whole
+    columns = {"tau_at_xi": table.tau, "q_roots": table.roots, "qhat_roots": table.hat,
+               "bethe_residual": res["bethe"], "tq_residual": res["tq"],
+               "discrete_char_residual": res["discrete_char"],
+               "eigenstate_residual": res["eigenstate"],
+               "wronskian_residual": res["wronskian"],
+               "wronskian_sign": spectrum.wronskian_sign,
+               "sum_rule_defect": res["sum_rule_defect"], "sum_rule_k": spectrum.sum_rule_k}
+    rec_out = [{**dict(zip(columns, row)), "certified": True}
+               for row in zip(*(column.tolist() for column in columns.values()))]
     report = {"schema": 1, "command": "spectrum", "seed": cfg.seed, "n": params.n,
               "kappa": cfg.kappa, "records": rec_out, "checks": checks,
-              "pass": all(r.certified for r in records)
-              and all(c["pass"] for c in checks.values())}
+              "pass": all(c["pass"] for c in checks.values())}
     write_report(report, out_path)
     return 0 if report["pass"] else 1
 
@@ -269,8 +263,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             f"(2^n x 2^n pairs); got n = {params.n}"
         )
     basis = SovBasis(params)
-    records = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
-                             tolerances=cfg.tolerances)
+    table = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
+                           tolerances=cfg.tolerances).table
     kappa, kappa2 = cfg.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
     reps, ops, sites = cfg.representations, cfg.operators, cfg.sites
@@ -278,8 +272,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 
     def states(twist, side):
         """(records, 2^N) array whose row i is record i's separate state."""
-        return np.array([separate_state(basis, r.table, twist, 1, side).embedded
-                         for r in records])
+        return separate_state(basis, table, twist, 1, side).embedded
 
     # evaluate: the dense oracle as matrix products, one per overlap table and
     # one per (operator, site), so a site's value does not depend on which
@@ -298,9 +291,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     # (P, Q) table of representation reps[r]; each form factor table is
     # (form, P, Q, site), the roots form first, and "+" and "-" share the
     # spin-flip determinant
-    count = len(records)
-    tables = [r.table for r in records]
-    grid = obs.PairContext(params, tables, tables)
+    count = len(table)
+    grid = obs.PairContext(params, table, table)
     values: dict[str, np.ndarray] = {}
     if "direct" in reps:
         values["direct"] = obs.sp_direct(grid, alpha)
@@ -361,8 +353,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 
     report = {"schema": 1, "command": "observables", "seed": cfg.seed,
               "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
-              "q_roots": {f"P{i}": list(r.q_poly.roots)
-                          for i, r in enumerate(records)},
+              "q_roots": {f"P{i}": roots for i, roots in enumerate(table.roots.tolist())},
               "scalar_products": sp_section, "orthogonality": orth_section,
               "form_factors": ff_section, "summary": summary,
               "pass": all(c["pass"] for c in summary.values())}

@@ -64,3 +64,9 @@ def names_refusals(name):
                 raise type(exc)(f"{label}: {exc}") from None
         return named
     return decorate
+
+
+# a function over a stack of records prefixes a refusal raised inside it with
+# its record (``record 5: ...``): the first axis of its index, which runs over
+# the records
+names_record = names_refusals(lambda at: f"record {at[0]}" if at else None)

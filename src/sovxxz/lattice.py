@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, InversionError, ParameterError
 from .linalg import eig_dense
-from .model import InterpolationBasis, ModelParams, TrigInterpolation
+from .model import ModelParams
 
 MAX_SITES = 8
 
@@ -115,15 +115,16 @@ def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) 
 
 def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
                     kappa: complex | None = None,
-                    gap_factor: float = 1e-6) -> list[TrigInterpolation]:
-    """Brute-force eigenvalues of the twisted transfer matrix, each as the
-    interpolation of its tau(xi_k); ``at_xi`` holds the monodromy blocks at
-    xi_1..xi_N.
+                    gap_factor: float = 1e-6) -> np.ndarray:
+    """Brute-force eigenvalues of the twisted transfer matrix, as the
+    read-only (2^N, N) array whose row r holds tau(xi_1..xi_N) of eigenvalue
+    r, the rows sorted by tau(xi_1); ``at_xi`` holds the monodromy blocks at
+    xi_1..xi_N.  Each eigenvalue is closed to tau(lam) by interpolation
+    through ``ModelParams.node_basis``.
 
-    Diagonalizes T_K(xi_1) once, takes Rayleigh quotients against T_K(xi_j) to
-    read off tau(xi_j) for every eigenvector (the family commutes, so each
-    vector is a joint eigenvector), then closes tau(lam) by quasi-periodic
-    interpolation through one shared basis.
+    Diagonalizes T_K(xi_1) once and takes Rayleigh quotients against T_K(xi_j)
+    to read off tau(xi_j) for every eigenvector (the family commutes, so each
+    vector is a joint eigenvector).
     """
     k = params.kappa if kappa is None else kappa
     mats = [t.transfer(k) for t in at_xi]
@@ -142,9 +143,9 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
     nv = (conj @ vecs[:, :, None])[:, 0, 0]
     tau_xi = np.stack([(conj @ (m @ vecs[:, :, None]))[:, 0, 0] for m in mats], axis=1) \
         / nv[:, None]
-    basis = InterpolationBasis(params.xi)
-    order = np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))
-    return [TrigInterpolation(basis, tau_xi[i]) for i in order]
+    taus = tau_xi[np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))]
+    taus.flags.writeable = False
+    return taus
 
 
 def _twisted(t: MonodromyBlocks, kappa: complex, row: int, col: int) -> np.ndarray:

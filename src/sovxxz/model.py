@@ -16,7 +16,7 @@ axis), so callers evaluate every point, root or label of a batch in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -236,6 +236,12 @@ class ModelParams:
         """``vandermonde_rows`` at the inhomogeneities, built on first use."""
         return vandermonde_rows(self.xi, self.eta)
 
+    @cached_property
+    def node_basis(self) -> InterpolationBasis:
+        """The ``InterpolationBasis`` through the inhomogeneities, built on
+        first use: every eigenvalue of the chain interpolates through it."""
+        return InterpolationBasis(self.xi)
+
 
 @dataclass(frozen=True)
 class HalfPeriodTrigPoly:
@@ -335,25 +341,26 @@ def residual_grid(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QTable:
-    """Every value of one Q-function that depends on it alone, built once by
-    ``q_table``; the record residuals, separate states and pair formulas read
-    them and evaluate none again.  Every numeric field is a read-only
-    complex128 array, one row of the stacked arrays of its batch.  Q at xi_k,
-    xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi: ``x``, ``x_eta``,
-    ``x_ipi``, ``x_eta_ipi`` (row h in (0, 1) is Q(xi_k - h * eta)).  At the
-    roots q_j: a, d, exp in ``a_r``,
-    ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``,
-    ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per node in
-    ``sinh_x``.  ``hat`` is the i*pi-shifted partner.  An eigen record's table
-    also holds its eigenvalue ``tau`` (whose ``values`` are tau(xi_k)) and,
-    per residual-grid point lam, the row (Q(lam), Q(lam - eta), Q(lam + eta),
-    Qhat(lam), Qhat(lam - eta)) of the (G, 5) array ``grid``.
+    """Every value of a stack of Q-functions that depends on them alone,
+    built once by ``q_table``; the record residuals, separate states and pair
+    formulas read them and evaluate none again.  Every numeric field is a
+    read-only complex128 array whose first axis runs over the R records (row
+    i is record i); the values of Q at the nodes and at the shifted roots are
+    views of one batch evaluation.  ``roots`` holds each record's roots in
+    ``canonical_roots`` form, ``hat`` those of its i*pi-shifted partner, and
+    ``tau`` each record's eigenvalue at the nodes, tau(xi_k) (None for bare
+    polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi:
+    ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi``.  At the roots q_j: a, d, exp
+    in ``a_r``, ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi)
+    in ``r_eta``, ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per
+    node in ``sinh_x``.  Per residual-grid point lam, the row (Q(lam),
+    Q(lam - eta), Q(lam + eta), Qhat(lam), Qhat(lam - eta)) of the (R, G, 5)
+    array ``grid``.
     """
 
-    poly: HalfPeriodTrigPoly
-    roots: tuple[complex, ...]
-    hat: HalfPeriodTrigPoly
-    tau: TrigInterpolation | None
+    roots: np.ndarray
+    hat: np.ndarray
+    tau: np.ndarray | None
     x: np.ndarray
     x_eta: np.ndarray
     x_ipi: np.ndarray
@@ -367,24 +374,33 @@ class QTable:
     sinh_x: np.ndarray
     grid: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.roots)
 
-def q_table(params: ModelParams, roots, taus, grid) -> list[QTable]:
-    """The ``QTable`` of each root set of the (R, N) array ``roots``, each row
-    already in ``canonical_roots`` form, all from one broadcast evaluation
-    (one bare polynomial is a stack of one); ``taus`` holds each record's
-    eigenvalue (None for bare polynomials) and ``grid`` the ``residual_grid``
-    the records are certified on (empty for none)."""
-    r = np.asarray(roots, dtype=np.complex128)
+    def take(self, rows) -> QTable:
+        """This table with every field indexed by ``rows`` as numpy indexes
+        its record axis: a list or slice picks records, an integer gives the
+        fields of one record, ``np.s_[None]`` adds a leading axis."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return QTable(**{name: v if v is None else _read_only(v[rows]) for name, v in values})
+
+
+def q_table(params: ModelParams, roots, taus, grid) -> QTable:
+    """The ``QTable`` of the root sets of the (R, N) array ``roots``, each
+    row already in ``canonical_roots`` form, from one broadcast evaluation
+    (one bare polynomial is a stack of one); ``taus`` is the (R, N) array of
+    each record's tau(xi_k) (None for bare polynomials), kept as it is, and
+    ``grid`` the ``residual_grid`` the records are certified on (empty for
+    none)."""
+    r = _read_only(np.array(roots, dtype=np.complex128))
     r_hat = canonical_roots(r + IPI)
-    polys, hats = ([HalfPeriodTrigPoly(tuple(row)) for row in rs.tolist()] for rs in (r, r_hat))
-    taus = [None] * len(polys) if taus is None else list(taus)
     eta = params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
     lam = np.reshape(grid, (3, -1))[0]
 
     def shared(*points):  # the same points for every polynomial
         row = np.concatenate(points)
-        return np.broadcast_to(row, (len(polys), len(row)))
+        return np.broadcast_to(row, (len(r), len(row)))
 
     sizes = np.cumsum([len(xi)] * 4 + [r.shape[1]] * 3 + [len(lam)] * 2)  # split points
     values = _read_only(half_period_values(r, np.concatenate(
@@ -392,31 +408,29 @@ def q_table(params: ModelParams, roots, taus, grid) -> list[QTable]:
          shared(lam, lam - eta, lam + eta)], axis=1)))
     x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, *q_lam = np.split(values, sizes, axis=1)
     hat_lam = np.split(half_period_values(r_hat, shared(lam, lam - eta)), 2, axis=1)
-    rows = dict(
+    return QTable(
+        roots=r, hat=_read_only(r_hat), tau=taus,
         x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
         a_r=_read_only(params.a_fn(r)), d_r=_read_only(params.d_fn(r)),
         exp_r=_read_only(np.exp(r)), r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi,
         sinh_x=_read_only(sinh_prod(xi[:, None] - r[:, None, :])),
         grid=_read_only(np.stack([*q_lam, *hat_lam], axis=-1)))
-    return [QTable(poly=poly, roots=poly.roots, hat=hat, tau=tau,
-                   **{name: stack[i] for name, stack in rows.items()})
-            for i, (poly, hat, tau) in enumerate(zip(polys, hats, taus))]
 
 
-def q_structure_residuals(tables, params: ModelParams, grid: np.ndarray):
-    """Structural diagnostics of candidate Q-functions, of each table of
-    ``tables``, as one array expression over the tables.
+def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
+    """Structural diagnostics of candidate Q-functions, of each record of
+    ``table``, as one array expression over the records.
 
-    Checks, on ``grid`` (the one the tables were built on), the quantum
+    Checks, on ``grid`` (the one the table was built on), the quantum
     Wronskian pairing of Q with its i*pi-shift (sign reported, not assumed)
     and the root sum rule modulo i*k*pi.  Returns four arrays, one entry per
-    table: the Wronskian residual, its sign, the sum-rule defect and k.
+    record: the Wronskian residual, its sign, the sum-rule defect and k.
     """
     signs = np.array([1, -1])
-    q0, q_eta, _, hat0, hat_eta = np.moveaxis(np.stack([t.grid for t in tables]), -1, 0)
+    q0, q_eta, _, hat0, hat_eta = np.moveaxis(table.grid, -1, 0)
     d = grid[2]
     w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
-    # row s of each table: the right-hand side at Wronskian sign signs[s], per grid point
+    # row s of each record: the right-hand side at Wronskian sign signs[s], per grid point
     rhs = (signs[:, None] * (0.5j) ** params.n) * d
     num = np.abs(w[:, None] - rhs).max(axis=-1, initial=0.0)
     scale = (np.abs(w)[:, None] + np.abs(rhs)).max(axis=-1, initial=0.0)
@@ -424,7 +438,7 @@ def q_structure_residuals(tables, params: ModelParams, grid: np.ndarray):
     best = np.argmin(rel, axis=-1)  # the first sign on a tie
 
     # each record's roots summed in order, as a Python sum of them rounds
-    s = np.cumsum([t.roots for t in tables], axis=-1)[:, -1] \
+    s = np.cumsum(table.roots, axis=-1)[:, -1] \
         - sum(x - params.eta / 2 for x in params.xi)
     k = np.rint(s.imag / PI)
     defect = modulus(s - 1j * PI * k)

@@ -31,6 +31,7 @@ from .model import (
     IPI,
     HalfPeriodTrigPoly,
     ModelParams,
+    QTable,
     VandermondeRows,
     a_frak,
     a_frak_values,
@@ -151,50 +152,40 @@ def _entries_of(pairs):
         raise
 
 
-def _on_side(values, side: int) -> np.ndarray:
-    """Per-record arrays stacked on pair axis ``side`` (0 for P, 1 for Q),
-    with length one on the other."""
-    return np.expand_dims(np.stack(values), 1 - side)
-
-
-class _Stack:
-    """The arrays a pair formula reads from a sequence of ``QTable``s, each
-    stacked on pair axis ``side`` (``_on_side``)."""
-
-    def __init__(self, tables, side: int):
-        for name in ("x", "x_eta", "x_ipi", "x_eta_ipi", "a_r", "d_r", "exp_r",
-                     "r_eta", "r_eta_plus", "r_ipi", "sinh_x"):
-            setattr(self, name, _on_side([getattr(t, name) for t in tables], side))
+def _poly(roots) -> HalfPeriodTrigPoly:
+    """The polynomial of one record's roots, to evaluate at points of one's own."""
+    return HalfPeriodTrigPoly(tuple(roots.tolist()))
 
 
 class PairContext:
     """The site-independent pieces of the determinant formulas of every pair
     of a (P, Q) grid at once.
 
-    ``p`` and ``q`` are each a sequence of ``model.q_table``s, and every pair
-    of P from ``p`` and Q from ``q`` is evaluated; one pair is a 1 x 1 grid.
-    Every array carries leading (P, Q) axes, a value of one table alone is
-    held once per record (length one on the other axis), every formula
-    returns a (P, Q[, site]) array, and a refusal names the first pair, in
-    (P, Q) row-major order, that holds it by its report key
-    (``P3_Q5: ...``).  ``p``/``q`` hold the tables' arrays (``_Stack``s),
-    ``pr``/``qr`` the roots.  What needs both polynomials but no alpha, or
-    one record's roots and the nodes, is built on first use and kept;
-    building lazily keeps each error in the call that raised it before.
+    ``p`` and ``q`` are each a ``model.q_table``, and every pair of a P
+    record of ``p`` and a Q record of ``q`` is evaluated; one pair is a 1 x 1
+    grid.  Every array carries leading (P, Q) axes, a value of one record
+    alone is held once per record (length one on the other axis), every
+    formula returns a (P, Q[, site]) array, and a refusal names the first
+    pair, in (P, Q) row-major order, that holds it by its report key
+    (``P3_Q5: ...``).  ``tables`` holds the two tables as given; ``p``/``q``
+    hold them with every array a view on its pair axis (``field[:, None]``
+    for P, ``field[None]`` for Q), ``pr``/``qr`` their roots.  What needs
+    both polynomials but no alpha, or one record's roots and the nodes, is
+    built on first use and kept; building lazily keeps each error in the
+    call that raised it before.
 
-    The eigenvalue-labelled forms need every table to carry an eigenvalue;
+    The eigenvalue-labelled forms need both tables to carry eigenvalues;
     ``z`` (default: the Q-roots) labels the rows of those forms: N points,
     pairwise more than 1e-10 apart modulo i*pi, checked here.
     """
 
     @_names_pair
-    def __init__(self, params: ModelParams, p, q, z=None):
+    def __init__(self, params: ModelParams, p: QTable, q: QTable, z=None):
         self.params = params
-        self.tables = (list(p), list(q))
-        self.lead = tuple(map(len, self.tables))
-        self.p, self.q = (_Stack(t, side) for side, t in enumerate(self.tables))
-        self.pr, self.qr = (_on_side([np.asarray(t.roots, dtype=np.complex128) for t in tables],
-                                     side) for side, tables in enumerate(self.tables))
+        self.tables = (p, q)
+        self.lead = (len(p), len(q))
+        self.p, self.q = p.take(np.s_[:, None]), q.take(np.s_[None])
+        self.pr, self.qr = self.p.roots, self.q.roots
         n = params.n
         if self.pr.shape[-1] != n or self.qr.shape[-1] != n:
             raise ParameterError("polynomials must carry N roots each")
@@ -214,20 +205,13 @@ class PairContext:
         # pairs whose roots are equal bit for bit: Q's table holds Q at the P-roots
         self.diagonal = (self.pr.view(np.uint64) == self.qr.view(np.uint64)).all(axis=-1)
 
-    def require_eigen(self):
-        """Refuse a table that carries no eigenvalue."""
-        for side, tables in enumerate(self.tables):
-            for i, t in enumerate(tables):
-                if t.tau is None:
-                    raise ParameterError("eigenvalue-labelled forms need both eigen records",
-                                         at=(i, 0) if side == 0 else (0, i))
-
     @cached_property
     def tau_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau_P(xi_k) and tau_Q(xi_k), per record."""
-        self.require_eigen()
-        return tuple(_on_side([t.tau.values for t in tables], side)
-                     for side, tables in enumerate(self.tables))
+        """tau_P(xi_k) and tau_Q(xi_k), per record; refused where a table
+        carries no eigenvalue."""
+        if self.p.tau is None or self.q.tau is None:
+            raise ParameterError("eigenvalue-labelled forms need both eigen records", at=(0, 0))
+        return self.p.tau, self.q.tau
 
     @cached_property
     def halves(self) -> SlavnovHalves:
@@ -324,16 +308,16 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     batch evaluates every eigenvalue of the context at every z_i, p_k and
     p_k + eta; each pair reads tau_hat_P(z_i) and tau_hat_Q(p_k) from it,
     each record tau_hat at its own z_i or p_k + eta."""
-    pair.require_eigen()
-    n, eta = pair.params.n, pair.params.eta
-    n_p, n_q = map(len, pair.tables)
-    taus = [t.tau for tables in pair.tables for t in tables]  # P's, then Q's
+    params, n, eta = pair.params, pair.params.n, pair.params.eta
+    n_p, n_q = pair.lead
+    taus = np.concatenate([t.reshape(-1, n) for t in pair.tau_values])  # P's, then Q's
     w = pair.pr[..., None, :] + np.array([[0.0], [eta]])  # rows p_k and p_k + eta
     # d at z from the z - xi rows; d(p_k) and d(p_k + eta) = a(p_k) from P's table
     points = [(pair.z, pair.z_xi_sinh.prod(axis=-1)), (pair.pr, pair.p.d_r),
               (w[..., 1, :], pair.p.a_r)]
     with _entries_of(_owners(pair, [lam for lam, _ in points])):
-        hat = tau_hat(taus, np.concatenate([np.ravel(lam) for lam, _ in points]),
+        hat = tau_hat(taus, params.node_basis,
+                      np.concatenate([np.ravel(lam) for lam, _ in points]),
                       np.concatenate([np.ravel(d) for _, d in points]))
     cols = [n_q * n, (n_q + n_p) * n]  # z | p_k | p_k + eta
 
@@ -343,10 +327,9 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     p_z, _, p_w = np.split(hat[:n_p], cols, axis=1)
     q_z, q_p, _ = np.split(hat[n_p:], cols, axis=1)
     # rows: tau_hat_Q, tau_hat_P at z, and tau_hat_Q(p_k), tau_hat_P(p_k + eta)
-    at_z = np.stack(np.broadcast_arrays(_on_side(own(q_z), 1), p_z.reshape(n_p, n_q, n)),
-                    axis=-2)
+    at_z = np.stack(np.broadcast_arrays(own(q_z)[None], p_z.reshape(n_p, n_q, n)), axis=-2)
     at_w = np.stack(np.broadcast_arrays(q_p.reshape(n_q, n_p, n).swapaxes(0, 1),
-                                        _on_side(own(p_w), 0)), axis=-2)
+                                        own(p_w)[:, None]), axis=-2)
     u = pair.z[..., None, :, None] - w[..., :, None, :]  # z_i - w_k, at (h, i, k)
     m = np.rint(u.imag / np.pi)
     limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
@@ -359,7 +342,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
         row = np.where(h == 0, n_p + iq, ip)
         lam = np.broadcast_to(w, pair.lead + (2, n))[(*pairs, h, k)]
         with _entries_of(pairs):
-            deriv = tau_hat_deriv(pair.params, taus, lam)[row, np.arange(len(h))]
+            deriv = tau_hat_deriv(params, taus, params.node_basis, lam)[row, np.arange(len(h))]
         dq[limit] = (-1.0) ** m[limit] * deriv
     return dq[..., 0, :, :], dq[..., 1, :, :]
 
@@ -595,9 +578,9 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     against the product of the two one-parameter representations (exact to
     1e-12 at N = 1, 2, 3); it carries no 2^{-N(N-1)} factor.
     """
-    params, (p,), (q,) = pair.params, *pair.tables
+    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     lhs = (sp_slavnov(pair, alpha) * sp_slavnov(pair, beta))[0, 0]
-    mat, _, _ = product_matrix(params, p.poly, q.poly, alpha, beta)
+    mat, _, _ = product_matrix(params, _poly(p.roots), _poly(q.roots), alpha, beta)
     den = 1 / np.sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
     pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p.roots)) \
         * np.prod(q.x / q.x_eta)
@@ -764,8 +747,8 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     """Replacement column for the generic-argument matrix element formulas on
     a 1 x 1 grid: the scalar-product matrix entry with its column argument at
     mu, less its i*pi-shifted partner."""
-    params, (p,), (q,) = pair.params, *pair.tables
-    p_poly, q_poly, qr = p.poly, q.poly, pair.qr[0, 0]
+    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
+    p_poly, q_poly, qr = _poly(p.roots), _poly(q.roots), q.roots
     eta = params.eta
     q_mu_eta, q_mu_eta_ipi = q_poly([mu - eta, mu - eta + IPI])
     p_mu, p_mu_ipi = p_poly([mu, mu + IPI])
@@ -784,10 +767,11 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     1 x 1 grid.  Its bracket, ratio det(S) - sum_l w_l det(S with column l
     replaced by the mu column c) = ratio det(S) - w^T adj(S) c, is the
     bordered determinant det [[S, c], [w^T, ratio]] (``_bordered``)."""
-    params, (p,), (q,) = pair.params, *pair.tables
+    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     alpha, eta = eps * eps2 * kappa2 / kappa, params.eta
-    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = p.poly([mu, mu - eta, mu + IPI, mu - eta + IPI])
-    weights = (p.r_eta / p_mu) * (q.poly(mu - eta) / pair.q_at_p[0][0, 0])
+    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = _poly(p.roots)([mu, mu - eta, mu + IPI,
+                                                             mu - eta + IPI])
+    weights = (p.r_eta / p_mu) * (_poly(q.roots)(mu - eta) / pair.q_at_p[0][0, 0])
     bracket = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
                         _sell_mu_column(pair, alpha, mu), weights,
                         p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi)
@@ -799,11 +783,12 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     a 1 x 1 grid: the bordered determinant det [[S, c], [v^T, corner]]
     (``_bordered``) of S = S(e^{-eta}), the scaled mu column c, the
     spin-flip row v and a(mu) d(mu) / P(mu) in the corner."""
-    params, (p,), (q,) = pair.params, *pair.tables
+    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     eta, alpha = params.eta, cmath.exp(-params.eta)
-    p_mu = sinh_prod(mu - pair.pr[0, 0])
+    p_mu = sinh_prod(mu - p.roots)
     a_mu = params.a_fn(mu)
-    col_scale = cmath.exp(-mu) * a_mu * q.poly(mu - eta) * p.poly(mu + IPI) / p_mu
+    col_scale = cmath.exp(-mu) * a_mu * _poly(q.roots)(mu - eta) * _poly(p.roots)(mu + IPI) \
+        / p_mu
     det = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
                     col_scale * _sell_mu_column(pair, alpha, mu),
                     p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi),
@@ -851,10 +836,10 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     """Deviations of the two double-period intermediate determinant forms from
     the weighted Izergin value, plus the entrywise defect between the two
     printed variants of the Q-labelled kernel, on a 1 x 1 grid."""
-    params, (p,), (q,) = pair.params, *pair.tables
+    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     n, eta = params.n, params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
-    pr, qr = pair.pr[0, 0], pair.qr[0, 0]
+    pr, qr = p.roots, q.roots
     ref = sp_izergin(pair, alpha)[0, 0]
     # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
     ft = f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
@@ -897,10 +882,11 @@ def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     return abs(big - target) / max(abs(big), abs(target), 1e-30)
 
 
-def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict:
+def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict:
     """Numerical residuals for the determinant identities behind the scalar
-    product transformations, on the first two of the certified ``records``.
-    Returns a name -> residual map; everything is a relative deviation."""
+    product transformations, on the first two records of the certified
+    ``table``.  Returns a name -> residual map; everything is a relative
+    deviation."""
     rng = np.random.default_rng(seed)
     n = params.n
     out: dict[str, float] = {}
@@ -926,7 +912,7 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     out["functional_reduction"] = float(worst)
 
-    p_poly, q_poly = records[0].q_poly, records[1].q_poly
+    p_poly, q_poly = map(_poly, table.roots[:2])
     beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     out["kernel_contraction"] = float(
         x_contraction_check(params, p_poly, q_poly, beta))
@@ -936,7 +922,7 @@ def identity_bench(params: ModelParams, records: list, seed: int = 2025) -> dict
         x_contraction_check(params, synth.shifted_ipi(), synth, beta))
 
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    pair = PairContext(params, [records[0].table], [records[1].table])
+    pair = PairContext(params, table.take([0]), table.take([1]))
     slav = sp_slavnov(pair, alpha)[0, 0]
     ize = sp_izergin(pair, alpha)[0, 0]
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))

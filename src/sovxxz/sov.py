@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import SingularEvaluationError
+from .errors import SingularEvaluationError, names_record
 from .lattice import monodromy_entries, reference_state
 from .model import ModelParams, QTable, dist_mod_2ipi, vandermonde
 
@@ -79,41 +79,49 @@ class SovBasis:
 
 @dataclass
 class SovState:
-    """A separate state: coefficients over the SoV basis plus its embedding."""
+    """Separate states, one row per record of the table they were built from:
+    (R, 2^N) coefficients over the SoV basis and their (R, 2^N) embedding."""
 
     side: str
     coefficients: np.ndarray
     embedded: np.ndarray
 
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.embedded))
+    def norm2(self) -> np.ndarray:
+        """The norm of each state."""
+        return np.linalg.norm(self.embedded, axis=-1)
 
 
+@names_record
 def separate_state(basis: SovBasis, table: QTable, kappa: complex,
                    eps: int, side: str, normalized: bool = True) -> SovState:
-    """Build a separate state on ``basis`` labelled by the polynomial P of
-    ``table`` (its ``model.q_table``) with twist/sign (kappa, eps).
+    """Build the separate state on ``basis`` labelled by the polynomial P of
+    each record of ``table`` (a ``model.q_table``) with twist/sign
+    (kappa, eps), every record's state in one product.
 
     Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
-    and refuse a root of P within ``SHIFTED_NODE_GUARD`` of some xi_n - eta;
-    unnormalized states use the raw P(xi_n^{(h_n)}) values instead.
+    and refuse a root of P within ``SHIFTED_NODE_GUARD`` of some xi_n - eta,
+    naming the lowest such record; unnormalized states use the raw
+    P(xi_n^{(h_n)}) values instead.
     """
     if side not in ("bra", "ket"):
         raise ValueError(f"side must be 'ket' or 'bra', got {side!r}")
     params = basis.params
-    x, x_eta = table.x, table.x_eta
+    # (record, label, site)
+    x, x_eta = table.x[:, None, :], table.x_eta[:, None, :]
     # the ket's Vandermonde factor is V(xi^(h')) of the complement label h'
     v_shift = basis.v_h[::-1] if side == "ket" else basis.v_h
     if normalized:
-        # distance from xi_k - eta to the nearest root of P, per site k
-        dist = dist_mod_2ipi(np.array(table.roots)[:, None],
-                             np.asarray(params.xi) - params.eta).min(axis=0)
-        k = int(np.argmin(dist))
-        if dist[k] < SHIFTED_NODE_GUARD:
+        # distance from xi_k - eta to the nearest root of P, per record and site k
+        dist = dist_mod_2ipi(table.roots[:, :, None],
+                             np.asarray(params.xi) - params.eta).min(axis=1)
+        near = (dist < SHIFTED_NODE_GUARD).any(axis=1)
+        if near.any():
+            i = int(np.argmax(near))
+            k = int(np.argmin(dist[i]))
             raise SingularEvaluationError(
-                f"P has a root {dist[k]:.3e} from xi_{k + 1} - eta, "
-                f"within {SHIFTED_NODE_GUARD:g}; build the unnormalized state instead"
-            )
+                f"P has a root {dist[i, k]:.3e} from xi_{k + 1} - eta, "
+                f"within {SHIFTED_NODE_GUARD:g}; build the unnormalized state instead",
+                at=(i,))
         base = eps * kappa if side == "ket" else eps / kappa
         site = np.where(basis.labels, 1.0, base * (x / x_eta))
         v_part = v_shift / basis.v_h[0] if side == "ket" else v_shift
@@ -121,31 +129,35 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
         flip = (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
         site = np.where(basis.labels, x_eta * flip, x)
         v_part = v_shift
-    coeffs = site.prod(axis=1) * v_part
-    return SovState(side=side, coefficients=coeffs,
-                    embedded=coeffs @ (basis.kets if side == "ket" else basis.bras))
+    coeffs = site.prod(axis=-1) * v_part
+    # one stacked product that rounds each row as ``row @ vectors`` alone
+    vectors = basis.kets if side == "ket" else basis.bras
+    return SovState(side=side, coefficients=coeffs, embedded=(coeffs[:, None] @ vectors)[:, 0])
 
 
 def separate_ket_qdet_form(basis: SovBasis, table: QTable,
                            kappa: complex, eps: int) -> SovState:
-    """Unnormalized ket in the equivalent form that trades the Vandermonde flip
-    for explicit a/d ratios: coefficients
+    """Unnormalized kets, one per record of ``table``, in the equivalent form
+    that trades the Vandermonde flip for explicit a/d ratios: coefficients
     prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
     params = basis.params
     ratio = params.a_xi / params.d_fn(np.asarray(params.xi) - params.eta)
-    site = np.where(basis.labels, table.x_eta * ratio / (-eps * kappa), table.x)
-    coeffs = site.prod(axis=1) * basis.v_h
-    return SovState(side="ket", coefficients=coeffs, embedded=coeffs @ basis.kets)
+    site = np.where(basis.labels, table.x_eta[:, None, :] * ratio / (-eps * kappa),
+                    table.x[:, None, :])
+    coeffs = site.prod(axis=-1) * basis.v_h
+    return SovState(side="ket", coefficients=coeffs, embedded=(coeffs[:, None] @ basis.kets)[:, 0])
 
 
-def overlap(bra: SovState, ket: SovState) -> complex:
-    """Bilinear pairing of a bra state with a ket state."""
+def overlap(bra: SovState, ket: SovState) -> np.ndarray:
+    """Bilinear pairing of every bra state with every ket state: entry
+    (i, j) pairs bra i with ket j."""
     if bra.side != "bra" or ket.side != "ket":
         raise ValueError("overlap expects (bra, ket)")
-    return complex(bra.embedded @ ket.embedded)
+    return bra.embedded @ ket.embedded.T
 
 
-def matrix_element(bra: SovState, op: np.ndarray, ket: SovState) -> complex:
-    """Bilinear matrix element <bra| op |ket> on the spin space."""
-    return complex(bra.embedded @ (op @ ket.embedded))
+def matrix_element(bra: SovState, op: np.ndarray, ket: SovState) -> np.ndarray:
+    """Bilinear matrix element <bra| op |ket> on the spin space of every bra
+    state with every ket state: entry (i, j) for bra i and ket j."""
+    return bra.embedded @ (op @ ket.embedded.T)

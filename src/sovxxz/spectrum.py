@@ -4,8 +4,9 @@ Each transfer-matrix eigenvalue tau is turned into its Q-function by sampling
 the functional relation tau(lam) Q(lam) + a(lam) Q(lam-eta) - d(lam) Q(lam+eta) = 0
 on the exponential-coefficient ansatz Q = c e^{-N lam/2} P(e^lam), extracting
 the one-dimensional nullspace, and polishing the resulting roots with a damped
-Newton iteration on the Bethe system.  Certified records bundle tau, Q, the
-i*pi-shifted partner and all residual diagnostics.
+Newton iteration on the Bethe system.  A certified spectrum is one table of
+every record's tau, Q and i*pi-shifted partner, with the residual diagnostics
+of every record.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from .errors import (
     DegenerateSpectrumError,
     ParameterError,
     SingularEvaluationError,
-    names_refusals,
+    names_record,
 )
 from .lattice import spectrum_oracle, transfer_k
 from .linalg import modulus, roots_monic, row_norms
 from .model import (
-    HalfPeriodTrigPoly,
     InterpolationBasis,
     ModelParams,
     QTable,
-    TrigInterpolation,
     canonical_roots,
     dist_mod_2ipi,
     dist_mod_ipi,
@@ -49,44 +48,42 @@ from .sov import SovBasis, separate_state
 NEWTON_MAX_ITER = 50
 
 
-@dataclass
-class EigenRecord:
-    """One certified transfer-matrix eigenvalue, built complete by
-    ``certify``: tau, its Q-function and ``model.q_table``, every residual,
-    the Wronskian sign and the sum-rule k."""
+@dataclass(frozen=True)
+class Spectrum:
+    """A certified spectrum, built complete by ``certify``: the
+    ``model.q_table`` of its records (tau included), one row per record, and
+    per record each residual (``residuals``, name -> (R,) array), the
+    Wronskian sign and the sum-rule k ((R,) integer arrays)."""
 
-    tau: TrigInterpolation
-    q_poly: HalfPeriodTrigPoly
     table: QTable
-    residuals: dict
-    wronskian_sign: int
-    sum_rule_k: int
-    certified: bool
+    residuals: dict[str, np.ndarray]
+    wronskian_sign: np.ndarray
+    sum_rule_k: np.ndarray
 
 
-def tau_hat(taus, lam, d) -> np.ndarray:
+def tau_hat(taus: np.ndarray, interp: InterpolationBasis, lam, d) -> np.ndarray:
     """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, of each
-    eigenvalue tau of ``taus`` (row) at every point of the array ``lam``
-    (column), given d there (``d``), as one batch: tau from the weight rows
-    of the interpolation basis, on the nodes the eigenvalues share."""
+    eigenvalue of ``taus`` (row: its tau(xi_k)) at every point of the array
+    ``lam`` (column), given d there (``d``), as one batch: tau from the weight
+    rows of ``interp``, the basis the eigenvalues interpolate through."""
     lam = np.asarray(lam, dtype=np.complex128)
     zero = abs(np.asarray(d)) < 1e-13
     if zero.any():
         raise SingularEvaluationError(
             f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})",
             at=first_index(zero))
-    values = np.array([tau.values for tau in taus])
-    return np.exp(lam) * (values @ taus[0].basis.weights(lam).T) / d
+    return np.exp(lam) * (taus @ interp.weights(lam).T) / d
 
 
-def tau_hat_deriv(params: ModelParams, taus, lam) -> np.ndarray:
+def tau_hat_deriv(params: ModelParams, taus: np.ndarray, interp: InterpolationBasis,
+                  lam) -> np.ndarray:
     """The lam-derivative of ``tau_hat``, of each eigenvalue of ``taus`` (row)
     at every point of the array ``lam`` (column), as one batch:
     tau_hat + (e^lam tau' - tau_hat d') / d."""
     lam = np.asarray(lam, dtype=np.complex128)
     d = params.d_fn(lam)
-    hat = tau_hat(taus, lam, d)
-    tp = np.array([tau.values for tau in taus]) @ taus[0].basis.weight_derivs(lam).T
+    hat = tau_hat(taus, interp, lam, d)
+    tp = taus @ interp.weight_derivs(lam).T
     return hat + (np.exp(lam) * tp - hat * params.d_prime(lam)) / d
 
 
@@ -111,7 +108,8 @@ class ChainValues:
     the weight rows (``InterpolationBasis.weights``) of the basis the
     eigenvalues interpolate through, at the T-Q points, the grid points, the
     xi_j - eta and the probe points, under "tq", "grid", "char" and "probes":
-    an eigenvalue there is ``weights[name] @ tau.values``."""
+    an eigenvalue there is ``weights[name] @ tau`` of its row tau of
+    tau(xi_k) values."""
 
     tq: tuple[np.ndarray, np.ndarray, np.ndarray]
     char: np.ndarray
@@ -142,11 +140,6 @@ def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
                        weights=weights)
 
 
-# a phase prefixes a refusal raised inside it with its record (``record 5:
-# ...``): the first axis of its index, which runs over the records
-_names_record = names_refusals(lambda at: f"record {at[0]}" if at else None)
-
-
 class _FirstRefusal:
     """The lowest refused record of a batch, with the first refusal it met:
     checks come in the order a record meets them, each on the records below
@@ -163,18 +156,18 @@ class _FirstRefusal:
             self.error = error(body(self.stop), at=(self.stop,))
 
 
-def _tau_at(weights: np.ndarray, taus) -> np.ndarray:
-    """Each eigenvalue of ``taus`` (row) at the points of the weight rows
-    ``weights`` (column): one stacked product, each row rounded as
-    ``weights @ tau.values`` alone."""
-    values = np.array([tau.values for tau in taus])
-    return (weights @ values[..., None])[..., 0]
+def _tau_at(weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Each eigenvalue of ``taus`` (row: its tau(xi_k)) at the points of the
+    weight rows ``weights`` (column): one stacked product, each row rounded
+    as ``weights @ tau`` alone."""
+    return (weights @ taus[..., None])[..., 0]
 
 
-@_names_record
-def q_from_tau(params: ModelParams, taus, chain: ChainValues) -> np.ndarray:
-    """Solve the functional relation for Q given each interpolated eigenvalue
-    of ``taus``, with one stacked SVD and one stacked companion eigensolve;
+@names_record
+def q_from_tau(params: ModelParams, taus: np.ndarray, chain: ChainValues) -> np.ndarray:
+    """Solve the functional relation for Q given each eigenvalue of the
+    (R, N) array ``taus`` of tau(xi_k), interpolated through the basis of
+    ``chain.weights``, with one stacked SVD and one stacked companion eigensolve;
     returns the (R, N) array of each record's roots in ``canonical_roots`` form.
 
     Sampling the 2N+3 points of ``chain.tq`` gives a homogeneous linear system
@@ -248,7 +241,7 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     return f, jac, np.maximum(scale, 1e-30), np.max(np.abs(f / (av * qm)), axis=-1)
 
 
-@_names_record
+@names_record
 def refine_bethe(params: ModelParams, roots) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton polish of each root set of the (R, N) array ``roots``,
     given in ``canonical_roots`` form, whose order the rounding of each step
@@ -316,29 +309,22 @@ def refine_bethe(params: ModelParams, roots) -> tuple[np.ndarray, np.ndarray]:
     return canonical_roots(roots), gated
 
 
-def _rows(tables, *names) -> list[np.ndarray]:
-    """The fields ``names`` of every table of ``tables``, each stacked on a
-    leading record axis."""
-    return [np.stack([getattr(table, name) for table in tables]) for name in names]
-
-
-def tq_residual(tables, chain: ChainValues) -> np.ndarray:
+def tq_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     """Relative functional residual of the tau/Q relation on ``chain.grid``,
-    the one the tables were built on, of each table of ``tables``."""
+    the one the table was built on, of each record of ``table``."""
     _, a, d = chain.grid
-    q0, q_eta, q_eta_plus = np.moveaxis(_rows(tables, "grid")[0][..., :3], -1, 0)
-    t1 = _tau_at(chain.weights["grid"], [t.tau for t in tables]) * q0
+    q0, q_eta, q_eta_plus = np.moveaxis(table.grid[..., :3], -1, 0)
+    t1 = _tau_at(chain.weights["grid"], table.tau) * q0
     t2 = a * q_eta
     t3 = d * q_eta_plus
     scale = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3), axis=-1)
     return np.max(np.abs(t1 + t2 - t3), axis=-1) / np.maximum(scale, 1e-30)
 
 
-def discrete_char_residual(tables, chain: ChainValues) -> np.ndarray:
+def discrete_char_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     """Relative defect of tau(xi_j) tau(xi_j - eta) = -a(xi_j) d(xi_j - eta),
-    of each table of ``tables``."""
-    taus = [t.tau for t in tables]
-    lhs = np.array([tau.values for tau in taus]) * _tau_at(chain.weights["char"], taus)
+    of each record of ``table``."""
+    lhs = table.tau * _tau_at(chain.weights["char"], table.tau)
     return np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30), axis=-1)
 
 
@@ -353,18 +339,17 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
     return probes
 
 
-def eigenstate_residual(tables, kappa: complex, chain: ChainValues) -> np.ndarray:
+def eigenstate_residual(table: QTable, kappa: complex, chain: ChainValues) -> np.ndarray:
     """Relative eigen-residual of the separate state built from each eigen
-    record's table of ``tables`` on ``chain.basis``, against the transfer matrices at
+    record of ``table`` on ``chain.basis``, against the transfer matrices at
     ``chain.probes`` (built at ``kappa``), each applied to all the states in one
     stacked product.  Uses the unnormalized embedding: the residual is ray-invariant and the
     unnormalized coefficients stay finite even when a Bethe root approaches
     one of the shifted nodes xi_n - eta."""
-    v = np.array([separate_state(chain.basis, table, kappa, 1, "ket",
-                                 normalized=False).embedded for table in tables])
+    v = separate_state(chain.basis, table, kappa, 1, "ket", normalized=False).embedded
     nv = row_norms(v)
-    tau_mu = _tau_at(chain.weights["probes"], [table.tau for table in tables])
-    worst = np.zeros(len(tables))
+    tau_mu = _tau_at(chain.weights["probes"], table.tau)
+    worst = np.zeros(len(table))
     for (_, tk), tau in zip(chain.probes, tau_mu.T):
         tv = (tk @ v[..., None])[..., 0]
         resid = row_norms(tv - tau[:, None] * v)
@@ -380,28 +365,28 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
          "sum_rule_defect": "sum_rule"}
 
 
-@_names_record
+@names_record
 def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: ChainValues,
-            tolerances: dict | None = None) -> list[EigenRecord]:
-    """Compute every residual of each record i, eigenvalue ``taus[i]`` with the
-    roots ``roots[i]`` (a row of an (R, N) array in ``canonical_roots`` form)
-    and the Bethe residual ``bethe[i]`` that ``refine_bethe`` returned with
-    them, as one batch, gate it and build the record complete, with its table
-    (``model.q_table`` of Q on ``chain.grid``, which every residual, separate
-    state and pair formula reads); ``chain`` is the spectrum's
-    ``ChainValues`` at ``kappa``.  ``tolerances`` overrides entries of
-    ``config.DEFAULT_TOLERANCES``.  Raises CertificationError for the lowest
-    failing record, naming its index, its tau(xi_1) and the condition number
-    of the Bethe Jacobian at its roots, with each failed check.
+            tolerances: dict | None = None) -> Spectrum:
+    """Compute every residual of each record i, eigenvalue ``taus[i]`` (a row
+    of tau(xi_k) values) with the roots ``roots[i]`` (a row of an (R, N)
+    array in ``canonical_roots`` form) and the Bethe residual ``bethe[i]``
+    that ``refine_bethe`` returned with them, as one batch, gate it and build
+    the ``Spectrum`` complete, with its table (``model.q_table`` of Q on
+    ``chain.grid``, which every residual, separate state and pair formula
+    reads); ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.
+    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
+    Raises CertificationError for the lowest failing record, naming its
+    index, its tau(xi_1) and the condition number of the Bethe Jacobian at
+    its roots, with each failed check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    tables = q_table(params, roots, taus, chain.grid)
-    wronskian, signs, defect, ks = q_structure_residuals(tables, params, chain.grid)
-    x, x_ipi = _rows(tables, "x", "x_ipi")
-    side_ok = (np.maximum(abs(x), abs(x_ipi)) > 1e-10).all(axis=-1)
-    values = {"tq": tq_residual(tables, chain), "bethe": bethe,
-              "discrete_char": discrete_char_residual(tables, chain),
-              "eigenstate": eigenstate_residual(tables, kappa, chain),
+    table = q_table(params, roots, taus, chain.grid)
+    wronskian, signs, defect, ks = q_structure_residuals(table, params, chain.grid)
+    side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all(axis=-1)
+    values = {"tq": tq_residual(table, chain), "bethe": np.asarray(bethe),
+              "discrete_char": discrete_char_residual(table, chain),
+              "eigenstate": eigenstate_residual(table, kappa, chain),
               "wronskian": wronskian, "sum_rule_defect": defect}
     over = {name: np.greater(values[name], tol[key]) for name, key in GATES.items()}
     failed = ~side_ok | np.any(list(over.values()), axis=0)
@@ -410,35 +395,34 @@ def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: Chai
         failures = ([] if side_ok[i] else ["side condition (Q(xi_j), Q(xi_j + i*pi)) != (0, 0)"]) \
             + [f"{name} residual {values[name][i]:.3e} > {tol[key]:.1e}"
                for name, key in GATES.items() if over[name][i]]
-        _, jac, _, _ = _bethe_system(params, np.array(tables[i].roots))
+        _, jac, _, _ = _bethe_system(params, table.roots[i])
         raise CertificationError(
-            f"record {i} (tau(xi_1) = {taus[i].values[0]:.6g}, Bethe Jacobian "
+            f"record {i} (tau(xi_1) = {table.tau[i, 0]:.6g}, Bethe Jacobian "
             f"condition number {np.linalg.cond(jac):.2e}): {'; '.join(failures)}")
-    return [EigenRecord(tau=table.tau, q_poly=table.poly, table=table,
-                        residuals={name: float(v[i]) for name, v in values.items()},
-                        wronskian_sign=int(signs[i]), sum_rule_k=int(ks[i]), certified=True)
-            for i, table in enumerate(tables)]
+    return Spectrum(table=table, residuals=values, wronskian_sign=signs,
+                    sum_rule_k=ks.astype(int))
 
 
 def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
-                   seed: int = 4242, tolerances: dict | None = None) -> list[EigenRecord]:
+                   seed: int = 4242, tolerances: dict | None = None) -> Spectrum:
     """Full pipeline: oracle -> Q extraction -> Newton polish -> certification,
     on the chain of ``basis``, whose node blocks feed the oracle; each phase
     runs once, over all the records.
 
-    Returns 2^N certified records sorted by tau(xi_1).  A refusal names the
-    lowest failing record of the first phase that refuses one, by its index in
-    that order; a CertificationError also gives its tau(xi_1) and the
-    condition number of the Bethe Jacobian at its roots.
+    Returns the certified ``Spectrum`` of all 2^N records, sorted by
+    tau(xi_1).  A refusal names the lowest failing record of the first phase
+    that refuses one, by its index in that order; a CertificationError also
+    gives its tau(xi_1) and the condition number of the Bethe Jacobian at its
+    roots.
     """
     params = basis.params
     k = params.kappa if kappa is None else kappa
     taus = spectrum_oracle(params, basis.at_xi, k)
-    chain = chain_values(basis, taus[0].basis, k, seed)
+    chain = chain_values(basis, params.node_basis, k, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
-    records = certify(params, taus, roots, bethe, k, chain, tolerances)
-    if len(records) != 2**params.n:
+    spectrum = certify(params, taus, roots, bethe, k, chain, tolerances)
+    if len(spectrum.table) != 2**params.n:
         raise ParameterError(
-            f"expected {2**params.n} certified records, got {len(records)}"
+            f"expected {2**params.n} certified records, got {len(spectrum.table)}"
         )
-    return records
+    return spectrum

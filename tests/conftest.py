@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sovxxz.config import generate_xi
-from sovxxz.model import ModelParams, q_table
+from sovxxz.model import HalfPeriodTrigPoly, ModelParams, TrigInterpolation, q_table
+from sovxxz.observables import PairContext
 from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import solve_spectrum
 
@@ -35,29 +36,50 @@ def basis3(params3):
 
 @pytest.fixture(scope="session")
 def records2(params2):
+    """The certified ``spectrum.Spectrum`` of the N = 2 chain."""
     return solve_spectrum(SovBasis(params2))
 
 
 @pytest.fixture(scope="session")
 def records3(basis3):
+    """The certified ``spectrum.Spectrum`` of the N = 3 chain."""
     return solve_spectrum(basis3)
 
 
 @pytest.fixture(scope="session")
 def states3(params3, basis3, records3):
-    """(bras at kappa, kets at kappa, kets at kappa2), all eps = +1."""
-    bras = [separate_state(basis3, r.table, params3.kappa, 1, "bra")
-            for r in records3]
-    kets = [separate_state(basis3, r.table, params3.kappa, 1, "ket")
-            for r in records3]
-    kets2 = [separate_state(basis3, r.table, KAPPA2, 1, "ket")
-             for r in records3]
-    return bras, kets, kets2
+    """(bras at kappa, kets at kappa, kets at kappa2), all eps = +1, each one
+    ``SovState`` whose row i is record i's state."""
+    t = records3.table
+    return (separate_state(basis3, t, params3.kappa, 1, "bra"),
+            separate_state(basis3, t, params3.kappa, 1, "ket"),
+            separate_state(basis3, t, KAPPA2, 1, "ket"))
 
 
 def table(params: ModelParams, poly):
     """``model.q_table`` of a polynomial that carries no eigenvalue."""
-    return q_table(params, [poly.roots], None, [])[0]
+    return q_table(params, [poly.roots], None, [])
+
+
+def poly(spectrum, i: int) -> HalfPeriodTrigPoly:
+    """The Q-function of record ``i`` of ``spectrum``."""
+    return HalfPeriodTrigPoly(tuple(spectrum.table.roots[i].tolist()))
+
+
+def hat(spectrum, i: int) -> HalfPeriodTrigPoly:
+    """The i*pi-shifted partner of the Q-function of record ``i``."""
+    return HalfPeriodTrigPoly(tuple(spectrum.table.hat[i].tolist()))
+
+
+def tau(params: ModelParams, spectrum, i: int) -> TrigInterpolation:
+    """The eigenvalue tau(lam) of record ``i`` of ``spectrum``."""
+    return TrigInterpolation(params.node_basis, spectrum.table.tau[i])
+
+
+def pair_context(params: ModelParams, spectrum, ps, qs, z=None):
+    """The ``PairContext`` of the P records ``ps`` and Q records ``qs`` (lists
+    of indices) of ``spectrum``."""
+    return PairContext(params, spectrum.table.take(ps), spectrum.table.take(qs), z=z)
 
 
 def rel_dev(a, b, scale: float = 0.0) -> float:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, rel_dev, rng
+from conftest import KAPPA2, make_params, pair_context, poly, rel_dev, rng
 from sovxxz import observables as obs
 from sovxxz.cli import main as cli_main
 from sovxxz.lattice import (
@@ -25,7 +25,7 @@ from sovxxz.lattice import (
     local_op,
     spectrum_oracle,
 )
-from sovxxz.sov import SovBasis, all_h, matrix_element, separate_state
+from sovxxz.sov import SovBasis, all_h, matrix_element, overlap, separate_state
 from sovxxz.spectrum import solve_spectrum
 
 TOL_SOV_MEASURE = 1e-9
@@ -76,26 +76,24 @@ def test_02_spectrum_completeness():
         t0 = time.perf_counter()
         params = make_params(n)
         basis = SovBasis(params)
-        records = solve_spectrum(basis)
+        # solve_spectrum returns only a spectrum whose every record is certified
+        spectrum = solve_spectrum(basis)
         elapsed = time.perf_counter() - t0
         if n == 4:
             t4 = elapsed
-        count_ok = len(records) == 2**n and all(r.certified for r in records)
-        res_ok = all(
-            r.residuals["tq"] < TOL_TQ
-            and r.residuals["bethe"] < TOL_BETHE
-            and r.residuals["discrete_char"] < TOL_DISCRETE
-            and r.residuals["eigenstate"] < TOL_EIGENSTATE
-            for r in records
-        )
-        vals = np.sort_complex([r.tau.values[0] for r in records])
+        count = len(spectrum.table)
+        res = spectrum.residuals
+        res_ok = bool(np.all((res["tq"] < TOL_TQ) & (res["bethe"] < TOL_BETHE)
+                             & (res["discrete_char"] < TOL_DISCRETE)
+                             & (res["eigenstate"] < TOL_EIGENSTATE)))
+        vals = np.sort_complex(spectrum.table.tau[:, 0])
         radius = np.max(np.abs(vals))
         closure = np.max(np.abs(vals - np.sort_complex(-vals))) / radius
         other = spectrum_oracle(params, basis.at_xi, 1.3 + 0.2j)
-        vals2 = np.sort_complex([tau.values[0] for tau in other])
+        vals2 = np.sort_complex(other[:, 0])
         iso = np.max(np.abs(vals - vals2)) / radius
-        ok = ok and count_ok and res_ok and closure < TOL_CLOSURE and iso < TOL_CLOSURE
-        details.append(f"N={n}: {len(records)} certified, closure {closure:.1e}, "
+        ok = ok and count == 2**n and res_ok and closure < TOL_CLOSURE and iso < TOL_CLOSURE
+        details.append(f"N={n}: {count} certified, closure {closure:.1e}, "
                        f"iso {iso:.1e}, {elapsed:.2f}s")
     ok = ok and t4 < 60.0
     assert announce("2", ok, "; ".join(details))
@@ -105,19 +103,20 @@ def test_03_scalar_product_agreement(params3, records3, states3):
     bras, _, kets2 = states3
     alpha = KAPPA2 / params3.kappa
     worst = 0.0
-    for ip, rp in enumerate(records3):
-        for iq, rq in enumerate(records3):
-            dense = complex(bras[ip].embedded @ kets2[iq].embedded)
-            scale = bras[ip].norm2() * kets2[iq].norm2()
-            pair = obs.PairContext(params3, [rp.table], [rq.table])
-            tau_ize, tau_slav = (v[0, 0] for v in obs.sp_tau(pair, params3.kappa, KAPPA2))
+    dense = overlap(bras, kets2)
+    scales = np.outer(bras.norm2(), kets2.norm2())
+    for ip in range(8):
+        for iq in range(8):
+            scale = scales[ip, iq]
+            context = pair_context(params3, records3, [ip], [iq])
+            tau_ize, tau_slav = (v[0, 0] for v in obs.sp_tau(context, params3.kappa, KAPPA2))
             vals = [
-                obs.sp_direct(pair, alpha)[0, 0],
-                obs.sp_izergin(pair, alpha)[0, 0],
-                obs.sp_slavnov(pair, alpha)[0, 0],
+                obs.sp_direct(context, alpha)[0, 0],
+                obs.sp_izergin(context, alpha)[0, 0],
+                obs.sp_slavnov(context, alpha)[0, 0],
                 tau_ize,
                 tau_slav,
-                dense,
+                dense[ip, iq],
             ]
             for a in range(len(vals)):
                 for b in range(a + 1, len(vals)):
@@ -130,18 +129,18 @@ def test_03_scalar_product_agreement(params3, records3, states3):
 
 def test_04_orthogonality(params3, basis3, records3):
     kappa = params3.kappa
-    bras = [separate_state(basis3, r.table, kappa, 1, "bra") for r in records3]
-    kets = [separate_state(basis3, r.table, kappa, 1, "ket") for r in records3]
+    bras = separate_state(basis3, records3.table, kappa, 1, "bra")
+    kets = separate_state(basis3, records3.table, kappa, 1, "ket")
+    dense = overlap(bras, kets)
+    scales = np.outer(bras.norm2(), kets.norm2())
     worst = 0.0
     for ip in range(8):
         for iq in range(8):
             if ip == iq:
                 continue
-            formula = obs.sp_direct(
-                obs.PairContext(params3, [records3[ip].table], [records3[iq].table]), 1.0)[0, 0]
-            dense = complex(bras[ip].embedded @ kets[iq].embedded)
-            scale = bras[ip].norm2() * kets[iq].norm2()
-            worst = max(worst, abs(formula) / scale, abs(dense) / scale)
+            formula = obs.sp_direct(pair_context(params3, records3, [ip], [iq]), 1.0)[0, 0]
+            scale = scales[ip, iq]
+            worst = max(worst, abs(formula) / scale, abs(dense[ip, iq]) / scale)
     ok = worst < TOL_ORTHO
     assert announce("4", ok,
                     f"same-twist distinct-eigenvalue overlaps: worst "
@@ -152,23 +151,24 @@ def test_05_product_identity(params3, records3):
     g = rng(505)
     worst = 0.0
     checked = 0
-    for ip, rp in enumerate(records3):
-        for iq, rq in enumerate(records3):
-            if np.allclose(rp.q_poly.roots, rq.q_poly.roots):
+    roots = records3.table.roots
+    for ip in range(8):
+        for iq in range(8):
+            if np.allclose(roots[ip], roots[iq]):
                 continue  # the identity assumes pairwise distinct root sets
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 _, _, dev = obs.sp_product_check(
-                    obs.PairContext(params3, [rp.table], [rq.table]), alpha, beta)
+                    pair_context(params3, records3, [ip], [iq]), alpha, beta)
                 worst = max(worst, dev)
                 checked += 1
     entry_worst = 0.0
     for ip, iq in [(0, 1), (2, 5), (6, 3)]:
         alpha = complex(g.uniform(0.2, 1), g.uniform(-1, 1))
         beta = cmath.exp(params3.eta) / alpha
-        _, last, scale = obs.product_matrix(params3, records3[ip].q_poly,
-                                            records3[iq].q_poly, alpha, beta)
+        _, last, scale = obs.product_matrix(params3, poly(records3, ip),
+                                            poly(records3, iq), alpha, beta)
         entry_worst = max(entry_worst, float(np.max(np.abs(last))) / scale)
     ok = worst < TOL_PRODUCT and entry_worst < TOL_PRODUCT_ENTRY
     assert announce("5", ok,
@@ -182,20 +182,20 @@ def test_06_form_factors(params3, records3, states3):
     bras, kets, _ = states3
     kappa = params3.kappa
     worst = 0.0
-    for ip, rp in enumerate(records3):
-        for iq, rq in enumerate(records3):
-            scale = bras[ip].norm2() * kets[iq].norm2()
-            pair = obs.PairContext(params3, [rp.table], [rq.table])
-            sites = (1, 2, 3)
-            for site, vz_roots, vz_tau, vm_roots, vm_tau in zip(
-                    sites, obs.ff_sigma_z(pair, sites, "roots")[0, 0],
-                    obs.ff_sigma_z(pair, sites, "tau")[0, 0],
-                    obs.ff_sigma_pm(pair, kappa, 1, sites, "roots")[0, 0],
-                    obs.ff_sigma_pm(pair, kappa, 1, sites, "tau")[0, 0]):
-                bf_z = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
-                                      kets[iq])
-                bf_m = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
-                                      kets[iq])
+    scales = np.outer(bras.norm2(), kets.norm2())
+    sites = (1, 2, 3)
+    dense_z, dense_m = ([matrix_element(bras, local_op(op, site, 3), kets) for site in sites]
+                        for op in (SIGMA_Z, SIGMA_MINUS))
+    for ip in range(8):
+        for iq in range(8):
+            scale = scales[ip, iq]
+            context = pair_context(params3, records3, [ip], [iq])
+            for s, vz_roots, vz_tau, vm_roots, vm_tau in zip(
+                    range(3), obs.ff_sigma_z(context, sites, "roots")[0, 0],
+                    obs.ff_sigma_z(context, sites, "tau")[0, 0],
+                    obs.ff_sigma_pm(context, kappa, 1, sites, "roots")[0, 0],
+                    obs.ff_sigma_pm(context, kappa, 1, sites, "tau")[0, 0]):
+                bf_z, bf_m = dense_z[s][ip, iq], dense_m[s][ip, iq]
                 worst = max(worst,
                             rel_dev(vz_roots, bf_z, scale),
                             rel_dev(vz_tau, bf_z, scale),
@@ -223,15 +223,13 @@ def test_06b_raising_lowering_coincidence(params3, states3):
     """
     bras, kets, _ = states3
     worst = 0.0
-    for ip in range(8):
-        for iq in range(8):
-            scale = bras[ip].norm2() * kets[iq].norm2()
-            for site in (1, 2, 3):
-                bf_p = matrix_element(bras[ip], local_op(SIGMA_PLUS, site, 3),
-                                      kets[iq])
-                bf_m = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
-                                      kets[iq])
-                worst = max(worst, rel_dev(bf_p, bf_m, scale))
+    scales = np.outer(bras.norm2(), kets.norm2())
+    for site in (1, 2, 3):
+        bf_p = matrix_element(bras, local_op(SIGMA_PLUS, site, 3), kets)
+        bf_m = matrix_element(bras, local_op(SIGMA_MINUS, site, 3), kets)
+        for ip in range(8):
+            for iq in range(8):
+                worst = max(worst, rel_dev(bf_p[ip, iq], bf_m[ip, iq], scales[ip, iq]))
     ok = worst < TOL_PM_EQUAL
     assert announce("6b", ok,
                     f"raising vs lowering form factors on all pairs/sites: "
@@ -256,7 +254,7 @@ def test_07_inverse_problem(params3, basis3):
 
 
 def test_08_identity_bench(params3, records3):
-    bench = obs.identity_bench(params3, records=records3)
+    bench = obs.identity_bench(params3, records3.table)
     worst_id = max(v for k, v in bench.items() if not k.startswith("extension"))
     worst_ext = max(v for k, v in bench.items() if k.startswith("extension"))
     ok = worst_id < TOL_IDENTITY and worst_ext < TOL_EXTENSION
@@ -267,8 +265,8 @@ def test_08_identity_bench(params3, records3):
 
 
 def test_09_structure_checks(records3):
-    worst_w = max(r.residuals["wronskian"] for r in records3)
-    worst_s = max(r.residuals["sum_rule_defect"] for r in records3)
+    worst_w = records3.residuals["wronskian"].max()
+    worst_s = records3.residuals["sum_rule_defect"].max()
     ok = worst_w < TOL_WRONSKIAN and worst_s < TOL_SUM_RULE
     assert announce("9", ok,
                     f"quantum Wronskian worst {worst_w:.2e} (tol "

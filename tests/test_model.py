@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_dev, rng, table
+from conftest import hat, make_params, pair_context, poly, rel_dev, rng, table
 from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.model import (
     IPI,
@@ -24,7 +24,8 @@ from sovxxz.model import (
     sinh_prod_deriv,
     wrap_to_strip,
 )
-from sovxxz.spectrum import EigenRecord
+from sovxxz.lattice import spectrum_oracle
+from sovxxz.spectrum import Spectrum
 
 
 class TestHalfPeriodTrigPoly:
@@ -154,12 +155,12 @@ class TestRatios:
         assert rel_dev(a_frak(params3, q, u), af) < 1e-12
 
     def test_f_tilde_vanishes_at_q_root(self, params3, records3):
-        q = records3[0].q_poly
-        p = records3[1].q_poly
+        q = poly(records3, 0)
+        p = poly(records3, 1)
         assert abs(f_tilde(params3, p, q, q.roots[0])) < 1e-12
 
     def test_f_tilde_equal_functions_is_minus_one_at_nodes(self, params3, records3):
-        q = records3[2].q_poly
+        q = poly(records3, 2)
         for x in params3.xi:
             assert abs(f_tilde(params3, q, q, x) + 1.0) < 1e-10
 
@@ -172,16 +173,18 @@ class TestRatios:
             a_frak(params3, q, u)
 
     def test_bethe_ratio_is_one_on_certified_roots(self, params3, records3):
-        for rec in records3:
-            for root in rec.q_poly.roots:
-                assert abs(a_frak(params3, rec.q_poly, root) - 1.0) < 1e-7
+        for i in range(len(records3.table)):
+            q = poly(records3, i)
+            for root in q.roots:
+                assert abs(a_frak(params3, q, root) - 1.0) < 1e-7
 
     def test_bra_ket_ratio_identity_at_nodes(self, params3, records3):
         # Q(xi - eta)/Q(xi) = -Qhat(xi - eta)/Qhat(xi) for certified pairs
-        for rec in records3:
+        for i in range(len(records3.table)):
+            q, q_hat = poly(records3, i), hat(records3, i)
             for x in params3.xi:
-                lhs = rec.q_poly(x - params3.eta) / rec.q_poly(x)
-                rhs = -rec.table.hat(x - params3.eta) / rec.table.hat(x)
+                lhs = q(x - params3.eta) / q(x)
+                rhs = -q_hat(x - params3.eta) / q_hat(x)
                 assert rel_dev(lhs, rhs) < 1e-8
 
 
@@ -198,33 +201,57 @@ class TestTableLayout:
             values[0] = 0
 
     def test_tables_and_grid_are_read_only_arrays(self, params3, records3):
-        # every numeric table row is a complex128 array of one value per
-        # node or root, the grid one row per residual-grid point
+        # every numeric table field is a complex128 array with one row per
+        # record, of one value per node or root, the grid one row per
+        # residual-grid point
         n, grid = params3.n, residual_grid(params3)
         self.assert_read_only(grid, (3, 4 * n + 5))
         g = rng(12)
         bare = table(params3, HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]))
-        for q, points in [(records3[0].table, grid.shape[1]), (bare, 0)]:
-            for name in self.ROWS:
-                self.assert_read_only(getattr(q, name), (n,))
-            assert q.grid.shape == (points, 5) and q.grid.dtype == np.complex128
+        for q, count, points in [(records3.table, 8, grid.shape[1]), (bare, 1, 0)]:
+            for name in self.ROWS + ("roots", "hat"):
+                self.assert_read_only(getattr(q, name), (count, n))
+            assert q.grid.shape == (count, points, 5) and q.grid.dtype == np.complex128
             assert not q.grid.flags.writeable
+        assert bare.tau is None and "poly" not in {f.name for f in fields(bare)}
+
+    def test_fields_share_the_batch_arrays(self, params3, basis3, records3):
+        # the values at the nodes and at the shifted roots are views of the
+        # one batch evaluation; tau is the oracle's array itself; a pair
+        # context holds P's fields as field[:, None] and Q's as field[None]
+        # views, with no copies
+        t = records3.table
+        for name in self.ROWS[1:4] + self.ROWS[7:10]:
+            assert getattr(t, name).base is t.x.base is not None
+        taus = spectrum_oracle(params3, basis3.at_xi)
+        assert np.shares_memory(q_table(params3, t.roots, taus, []).tau, taus)
+        context = pair_context(params3, records3, [0, 2, 5], [1, 2, 7])
+        p, q = context.tables
+        for name in self.ROWS + ("roots", "hat", "tau", "grid"):
+            p_view, q_view = getattr(context.p, name), getattr(context.q, name)
+            assert p_view.shape[:2] == (3, 1) and q_view.shape[:2] == (1, 3)
+            assert np.shares_memory(p_view, getattr(p, name))
+            assert np.shares_memory(q_view, getattr(q, name))
+        assert context.pr is context.p.roots and context.qr is context.q.roots
+        assert [np.shares_memory(v, w.tau) for v, w in zip(context.tau_values, context.tables)] \
+            == [True, True]
 
     def test_no_record_keeps_tau_at_xi(self, records3):
-        # tau(xi_k) lives in tau.values alone
-        assert "tau_at_xi" not in {f.name for f in fields(EigenRecord)}
-        assert not hasattr(records3[0], "tau_at_xi")
+        # tau(xi_k) lives in the table's tau alone
+        assert "tau_at_xi" not in {f.name for f in fields(Spectrum)}
+        assert not hasattr(records3, "tau_at_xi")
+        assert records3.table.tau.shape == (8, 3)
 
 
 class TestStructureResiduals:
     def test_certified_q_passes_wronskian_and_sum_rule(self, params3, records3):
         wronskian, sign, defect, k = q_structure_residuals(
-            [rec.table for rec in records3], params3, residual_grid(params3))
+            records3.table, params3, residual_grid(params3))
         assert np.all(wronskian < 1e-8) and np.all(defect < 1e-8)
         assert set(sign) <= {-1, 1}
-        assert [rec.wronskian_sign for rec in records3] == sign.tolist()
-        assert [rec.sum_rule_k for rec in records3] == k.tolist()
+        assert records3.wronskian_sign.tolist() == sign.tolist()
+        assert records3.sum_rule_k.tolist() == k.tolist()
 
     def test_n1_midpoint_root_has_zero_defect(self):
         params = make_params(1)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, rel_dev, rng, table
+from conftest import KAPPA2, make_params, pair_context, poly, rel_dev, rng, table, tau
 import sovxxz.cli as cli
 from sovxxz import observables as obs
 from sovxxz.config import load_config
@@ -24,6 +24,7 @@ from sovxxz.model import (
     IPI,
     HalfPeriodTrigPoly,
     InterpolationBasis,
+    canonical_roots,
     coth,
     dist_mod_2ipi,
     q_table,
@@ -40,7 +41,7 @@ def random_poly(g, n, box=1.0):
 
 def bare_pair(params, p, q):
     """The 1 x 1 pair context of two polynomials that carry no eigenvalue."""
-    return obs.PairContext(params, [table(params, p)], [table(params, q)])
+    return obs.PairContext(params, table(params, p), table(params, q))
 
 
 def sp_sov_sum(basis, p, q, alpha):
@@ -81,7 +82,7 @@ class TestScalarProductDirect:
         bra = separate_state(basis3, table(params3, p), kappa, eps, "bra")
         ket = separate_state(basis3, table(params3, q), kappa2, eps2, "ket")
         assert rel_dev(obs.sp_direct(bare_pair(params3, p, q), alpha)[0, 0],
-                       overlap(bra, ket)) < 1e-9
+                       overlap(bra, ket)[0, 0]) < 1e-9
 
     def test_stacked_functional_equals_each(self, params3):
         # a stack of f gives each f's functional, also when a far node
@@ -119,9 +120,9 @@ class TestScalarProductIzergin:
         # the weight collapses to -1 at the nodes, leaving the plain
         # alpha-twisted kernel evaluated by sp_same_q
         alpha = 0.4 + 0.9j
-        for rec in records3[:3]:
-            a = obs.sp_izergin(obs.PairContext(params3, [rec.table], [rec.table]), alpha)[0, 0]
-            b, _ = obs.sp_same_q(params3, rec.q_poly, alpha)
+        for i in range(3):
+            a = obs.sp_izergin(pair_context(params3, records3, [i], [i]), alpha)[0, 0]
+            b, _ = obs.sp_same_q(params3, poly(records3, i), alpha)
             assert rel_dev(a, b) < 1e-10
 
 
@@ -149,12 +150,11 @@ class TestScalarProductSlavnov:
     def test_eigen_pairs_all_representations(self, params3, records3, states3):
         bras, _, kets2 = states3
         alpha = KAPPA2 / params3.kappa
+        overlaps, scales = overlap(bras, kets2), np.outer(bras.norm2(), kets2.norm2())
         for ip in (0, 3, 5):
             for iq in (1, 4, 5, 7):
-                rp, rq = records3[ip], records3[iq]
-                dense = overlap(bras[ip], kets2[iq])
-                scale = bras[ip].norm2() * kets2[iq].norm2()
-                pair = obs.PairContext(params3, [rp.table], [rq.table])
+                dense, scale = overlaps[ip, iq], scales[ip, iq]
+                pair = pair_context(params3, records3, [ip], [iq])
                 vals = [
                     obs.sp_direct(pair, alpha)[0, 0],
                     obs.sp_izergin(pair, alpha)[0, 0],
@@ -168,7 +168,7 @@ class TestScalarProductSlavnov:
 
     def test_gamma_deformation(self, params3, records3):
         g = rng(58)
-        pair = obs.PairContext(params3, [records3[0].table], [records3[2].table])
+        pair = pair_context(params3, records3, [0], [2])
         alpha = KAPPA2 / params3.kappa
         base = obs.sp_slavnov(pair, alpha)[0, 0]
         for _ in range(3):
@@ -177,19 +177,19 @@ class TestScalarProductSlavnov:
             assert rel_dev(val, base) < 1e-8
 
     def test_denominator_closed_form(self, params3, records3):
-        for rp, rq in [(records3[0], records3[1]), (records3[2], records3[6])]:
-            det = obs.PairContext(params3, [rp.table], [rq.table]).cauchy_det[0, 0]
-            closed = obs.coth_cauchy_closed_form(params3, rp.q_poly, rq.q_poly)
+        for ip, iq in [(0, 1), (2, 6)]:
+            det = pair_context(params3, records3, [ip], [iq]).cauchy_det[0, 0]
+            closed = obs.coth_cauchy_closed_form(params3, poly(records3, ip),
+                                                 poly(records3, iq))
             assert rel_dev(det, closed) < 1e-10
 
     def test_equal_function_limit_against_perturbation(self, params3, records3):
         # diagonal entries use an analytic limit; perturbing the column roots
         # must converge to the same value
-        rec = records3[1]
         alpha = 0.8 + 0.1j
-        exact = obs.sp_slavnov(obs.PairContext(params3, [rec.table], [rec.table]), alpha)[0, 0]
-        eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in rec.q_poly.roots])
-        near_pair = obs.PairContext(params3, [table(params3, eps_poly)], [rec.table])
+        exact = obs.sp_slavnov(pair_context(params3, records3, [1], [1]), alpha)[0, 0]
+        eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in poly(records3, 1).roots])
+        near_pair = obs.PairContext(params3, table(params3, eps_poly), records3.table.take([1]))
         near = obs.sp_slavnov(near_pair, alpha, cond_tol=1e-4)[0, 0]
         assert rel_dev(exact, near) < 1e-4
 
@@ -198,7 +198,7 @@ class TestProductIdentity:
     def test_identity_on_eigen_pairs(self, params3, records3):
         g = rng(59)
         for ip, iq in [(0, 1), (2, 6), (3, 4)]:
-            pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
+            pair = pair_context(params3, records3, [ip], [iq])
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
@@ -206,7 +206,7 @@ class TestProductIdentity:
                 assert dev < 1e-7
 
     def test_equal_parameters_square(self, params3, records3):
-        pair = obs.PairContext(params3, [records3[0].table], [records3[5].table])
+        pair = pair_context(params3, records3, [0], [5])
         alpha = 0.6 - 0.9j
         lhs, rhs, dev = obs.sp_product_check(pair, alpha, alpha)
         square = obs.sp_slavnov(pair, alpha)[0, 0] ** 2
@@ -217,25 +217,24 @@ class TestProductIdentity:
         alpha = 0.7 - 0.4j
         beta = cmath.exp(params3.eta) / alpha
         _, last, scale = obs.product_matrix(
-            params3, records3[0].q_poly, records3[1].q_poly, alpha, beta)
+            params3, poly(records3, 0), poly(records3, 1), alpha, beta)
         assert np.max(np.abs(last)) < 1e-8 * scale
 
 
 class TestTauRepresentations:
     def test_z_independence(self, params3, records3):
-        rp, rq = records3[1], records3[6]
-        _, with_q = obs.sp_tau(obs.PairContext(
-            params3, [rp.table], [rq.table], z=list(rq.q_poly.roots)), params3.kappa, KAPPA2)
-        _, with_p = obs.sp_tau(obs.PairContext(
-            params3, [rp.table], [rq.table], z=list(rp.q_poly.roots)), params3.kappa, KAPPA2)
+        roots = records3.table.roots
+        _, with_q = obs.sp_tau(pair_context(params3, records3, [1], [6], z=roots[6]),
+                               params3.kappa, KAPPA2)
+        _, with_p = obs.sp_tau(pair_context(params3, records3, [1], [6], z=roots[1]),
+                               params3.kappa, KAPPA2)
         assert rel_dev(with_q[0, 0], with_p[0, 0]) < 1e-8
 
     def test_diagonal_specialization_matches_same_q(self, params3, records3):
-        rec = records3[2]
         alpha = 1.0
-        ize, slav = obs.sp_tau(obs.PairContext(params3, [rec.table], [rec.table]),
+        ize, slav = obs.sp_tau(pair_context(params3, records3, [2], [2]),
                                params3.kappa, params3.kappa)
-        ize2, compact = obs.sp_same_q(params3, rec.q_poly, alpha)
+        ize2, compact = obs.sp_same_q(params3, poly(records3, 2), alpha)
         assert rel_dev(ize[0, 0], ize2) < 1e-9
         assert rel_dev(slav[0, 0], compact) < 1e-8
 
@@ -243,23 +242,23 @@ class TestTauRepresentations:
 class TestSameQ:
     def test_forms_agree_on_certified_q(self, params3, records3):
         alpha = KAPPA2 / params3.kappa
-        for rec in records3[:4]:
-            a, b = obs.sp_same_q(params3, rec.q_poly, alpha)
+        for i in range(4):
+            a, b = obs.sp_same_q(params3, poly(records3, i), alpha)
             assert rel_dev(a, b) < 1e-9
 
     def test_alpha_zero(self, params3, records3):
-        a, b = obs.sp_same_q(params3, records3[0].q_poly, 0.0)
+        a, b = obs.sp_same_q(params3, poly(records3, 0), 0.0)
         assert a == pytest.approx(1.0)
         assert b == pytest.approx(1.0)
 
     def test_matches_dense_norm(self, params3, basis3, records3):
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
         alpha = eps * eps2 * kappa2 / kappa
-        for rec in records3[:4]:
-            bra = separate_state(basis3, rec.table, kappa, eps, "bra")
-            ket = separate_state(basis3, rec.table, kappa2, eps2, "ket")
-            dense = overlap(bra, ket)
-            a, b = obs.sp_same_q(params3, rec.q_poly, alpha)
+        first = records3.table.take([0, 1, 2, 3])
+        norms = overlap(separate_state(basis3, first, kappa, eps, "bra"),
+                        separate_state(basis3, first, kappa2, eps2, "ket")).diagonal()
+        for i, dense in enumerate(norms):
+            a, b = obs.sp_same_q(params3, poly(records3, i), alpha)
             assert rel_dev(a, dense) < 1e-9
             assert rel_dev(b, dense) < 1e-9
 
@@ -267,31 +266,33 @@ class TestSameQ:
 class TestFormFactors:
     def test_sigma_z_against_dense(self, params3, records3, states3):
         bras, kets, _ = states3
+        scales = np.outer(bras.norm2(), kets.norm2())
+        sites = (1, 2, 3)
+        dense = [matrix_element(bras, local_op(SIGMA_Z, site, 3), kets) for site in sites]
         for ip in (0, 2, 5):
             for iq in (1, 2, 7):
-                scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
-                sites = (1, 2, 3)
-                for site, roots_v, tau_v in zip(sites, obs.ff_sigma_z(pair, sites, "roots")[0, 0],
-                                                obs.ff_sigma_z(pair, sites, "tau")[0, 0]):
-                    bf = matrix_element(bras[ip], local_op(SIGMA_Z, site, 3),
-                                        kets[iq])
+                scale = scales[ip, iq]
+                pair = pair_context(params3, records3, [ip], [iq])
+                for s, roots_v, tau_v in zip(range(3), obs.ff_sigma_z(pair, sites, "roots")[0, 0],
+                                             obs.ff_sigma_z(pair, sites, "tau")[0, 0]):
+                    bf = dense[s][ip, iq]
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
 
     def test_spin_flip_against_dense_lowering(self, params3, records3, states3):
         bras, kets, _ = states3
+        scales = np.outer(bras.norm2(), kets.norm2())
+        sites = (1, 2, 3)
+        dense = [matrix_element(bras, local_op(SIGMA_MINUS, site, 3), kets) for site in sites]
         for ip in (0, 3, 6):
             for iq in (0, 4, 5):
-                scale = bras[ip].norm2() * kets[iq].norm2()
-                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
-                sites = (1, 2, 3)
-                for site, roots_v, tau_v in zip(
-                        sites, obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "roots")[0, 0],
+                scale = scales[ip, iq]
+                pair = pair_context(params3, records3, [ip], [iq])
+                for s, roots_v, tau_v in zip(
+                        range(3), obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "roots")[0, 0],
                         obs.ff_sigma_pm(pair, params3.kappa, 1, sites, "tau")[0, 0]):
-                    bf = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
-                                        kets[iq])
+                    bf = dense[s][ip, iq]
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
                     assert rel_dev(roots_v, tau_v, scale) < 1e-8
@@ -300,14 +301,13 @@ class TestFormFactors:
         # the raising and lowering matrix elements differ by kappa^{-2} times
         # a pair-dependent sign; at kappa = 1 the two agree up to sign
         bras, kets, _ = states3
+        scales = np.outer(bras.norm2(), kets.norm2())
         for ip in (0, 1):
             for iq in (0, 1, 7):
-                scale = bras[ip].norm2() * kets[iq].norm2()
+                scale = scales[ip, iq]
                 for site in (1, 2):
-                    plus = matrix_element(bras[ip], local_op(SIGMA_PLUS, site, 3),
-                                          kets[iq])
-                    minus = matrix_element(bras[ip], local_op(SIGMA_MINUS, site, 3),
-                                           kets[iq])
+                    plus = matrix_element(bras, local_op(SIGMA_PLUS, site, 3), kets)[ip, iq]
+                    minus = matrix_element(bras, local_op(SIGMA_MINUS, site, 3), kets)[ip, iq]
                     if abs(minus) > 1e-6 * scale:
                         ratio = plus / minus
                         assert min(abs(ratio - 1), abs(ratio + 1)) < 1e-8
@@ -318,9 +318,9 @@ class TestFormFactors:
         params = make_params(3, eta=0.75j, kappa=1.0)
         from sovxxz.spectrum import solve_spectrum
         records = solve_spectrum(SovBasis(params))
-        for rec in records[:4]:
-            norm = obs.sp_same_q(params, rec.q_poly, 1.0)[0]
-            val = obs.ff_sigma_z(obs.PairContext(params, [rec.table], [rec.table]), [2],
+        for i in range(4):
+            norm = obs.sp_same_q(params, poly(records, i), 1.0)[0]
+            val = obs.ff_sigma_z(pair_context(params, records, [i], [i]), [2],
                                  "roots")[0, 0, 0] / norm
             assert abs(val.imag) < 1e-8
 
@@ -377,10 +377,9 @@ class TestPairContext:
             shapes.append(np.shape(m))
             return det(m)
 
-        n, count = params3.n, len(records3)
+        n, count = params3.n, len(records3.table)
         sites = range(1, n + 1)
-        tables = [r.table for r in records3]
-        grid = obs.PairContext(params3, tables, tables)
+        grid = obs.PairContext(params3, records3.table, records3.table)
         assert np.shape(grid.cauchy_det) == (count, count)  # built before the form factors
         monkeypatch.setattr(obs, "det_lu", counted)
         for form in ("roots", "tau"):
@@ -409,28 +408,30 @@ class TestPairContext:
         g = rng(66)
         points = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(6)])
         d = [params3.d_fn(lam) for lam in points]
-        taus = [rec.tau for rec in records3[:3]]
-        for tau, row in zip(taus, tau_hat(taus, points, d)):
+        taus = records3.table.tau
+        for i, row in enumerate(tau_hat(taus[:3], params3.node_basis, points, d)):
             for lam, d_lam, got in zip(points, d, row):
-                assert rel_dev(got, cmath.exp(lam) * tau(lam) / d_lam) <= 1e-13
+                assert rel_dev(got, cmath.exp(lam) * tau(params3, records3, i)(lam) / d_lam) \
+                    <= 1e-13
         calls = []
         evaluate = obs.tau_hat
 
-        def counted(taus, lam, d):
-            calls.append(([id(tau) for tau in taus], np.shape(lam)))
+        def counted(taus, interp, lam, d):
+            calls.append((taus.tolist(), interp, np.shape(lam)))
             for lam_i, d_i in zip(lam, d):
                 assert rel_dev(d_i, params3.d_fn(lam_i)) <= 1e-13
-            return evaluate(taus, lam, d)
+            return evaluate(taus, interp, lam, d)
 
         monkeypatch.setattr(obs, "tau_hat", counted)
         n, sites = params3.n, range(1, params3.n + 1)
-        for ps, qs in [(records3, records3), (records3[:3], records3[2:6])]:
+        for ps, qs in [(list(range(8)), list(range(8))), ([0, 1, 2], [2, 3, 4, 5])]:
             calls.clear()
-            grid = obs.PairContext(params3, [r.table for r in ps], [r.table for r in qs])
+            grid = pair_context(params3, records3, ps, qs)
             obs.sp_tau(grid, params3.kappa, KAPPA2)
             obs.ff_sigma_z(grid, sites, "tau")
             obs.ff_sigma_pm(grid, params3.kappa, 1, sites, "tau")
-            assert calls == [([id(r.tau) for r in [*ps, *qs]], ((len(qs) + 2 * len(ps)) * n,))]
+            assert calls == [(taus[ps + qs].tolist(), params3.node_basis,
+                              ((len(qs) + 2 * len(ps)) * n,))]
 
     @pytest.mark.parametrize("rows", ["default z", "custom z"])
     def test_grid_equals_each_pair(self, params3, records3, rows):
@@ -442,7 +443,7 @@ class TestPairContext:
         kappa, kappa2 = params3.kappa, KAPPA2
         alpha, sites = kappa2 / kappa, (1, 2, 3)
         z = None if rows == "default z" else [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
-        ps, qs = records3, records3[2:7]
+        ps, qs = list(range(8)), list(range(2, 7))
 
         def formulas(pair):
             values = [*obs.sp_tau(pair, kappa, kappa2),
@@ -458,13 +459,12 @@ class TestPairContext:
             pq, site = (p, q), (p, q, len(sites))
             return [pq, pq, site, site] + ([pq, pq, pq, site, site] if z is None else [])
 
-        grid = formulas(obs.PairContext(params3, [r.table for r in ps],
-                                        [r.table for r in qs], z=z))
+        grid = formulas(pair_context(params3, records3, ps, qs, z=z))
         assert [batch.shape for batch in grid] == shapes(len(ps), len(qs))
-        assert any(rp is rq for rp in ps for rq in qs)
+        assert set(ps) & set(qs)
         for ip, rp in enumerate(ps):
             for iq, rq in enumerate(qs):
-                one = formulas(obs.PairContext(params3, [rp.table], [rq.table], z=z))
+                one = formulas(pair_context(params3, records3, [rp], [rq], z=z))
                 assert [value.shape for value in one] == shapes(1, 1)
                 for batch, value in zip(grid, one):
                     got, want = np.ravel(batch[ip, iq]), np.ravel(value[0, 0])
@@ -477,11 +477,11 @@ class TestPairContext:
         # those of a fresh context and a one-site call bit for bit
         kappa, kappa2 = params3.kappa, KAPPA2
         sites = range(1, params3.n + 1)
-        for rp, rq in [(records3[0], records3[0]), (records3[1], records3[5])]:
-            pair = obs.PairContext(params3, [rp.table], [rq.table])
+        for ip, iq in [(0, 0), (1, 5)]:
+            pair = pair_context(params3, records3, [ip], [iq])
 
             def fresh():
-                return obs.PairContext(params3, [rp.table], [rq.table])
+                return pair_context(params3, records3, [ip], [iq])
             assert obs.sp_slavnov(pair, kappa2 / kappa)[0, 0] \
                 == obs.sp_slavnov(fresh(), kappa2 / kappa)[0, 0]
             assert [v[0, 0] for v in obs.sp_tau(pair, kappa, kappa2)] \
@@ -496,11 +496,10 @@ class TestPairContext:
                         == [pm_val]
 
     def test_custom_z_rows(self, params3, records3):
-        rp, rq = records3[2], records3[4]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
-        pair = obs.PairContext(params3, [rp.table], [rq.table], z=z)
+        pair = pair_context(params3, records3, [2], [4], z=z)
         assert pair.z[0, 0].tolist() == z
-        [default] = obs.ff_sigma_z(obs.PairContext(params3, [rp.table], [rq.table]), [2],
+        [default] = obs.ff_sigma_z(pair_context(params3, records3, [2], [4]), [2],
                                    "tau")[0, 0]
         assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0, 0, 0], default) < 1e-8
 
@@ -513,11 +512,10 @@ class TestPairContext:
             "ff_sigma_z": lambda pair: obs.ff_sigma_z(pair, [1, 2], "tau"),
             "ff_sigma_pm": lambda pair: obs.ff_sigma_pm(pair, params3.kappa, 1, [1, 2], "tau"),
         }[entry_point]
-        rp, rq = records3[1], records3[5]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         for bad in (z[:2], [z[0], z[0], z[2]], [z[0], z[0] + IPI, z[2]]):
             with pytest.raises(ParameterError, match="z "):
-                evaluate(obs.PairContext(params3, [rp.table], [rq.table], z=bad))
+                evaluate(pair_context(params3, records3, [1], [5], z=bad))
 
     def test_tau_matrix_equals_entrywise_formula(self, params3, records3):
         # the batched halves equal the per-entry scalar formula to 1e-13
@@ -525,21 +523,22 @@ class TestPairContext:
         # differently from Python's scalar complex arithmetic)
         alpha = cmath.exp(-params3.eta)
 
-        def hat(rec, lam):
-            return cmath.exp(lam) * rec.tau(lam) / params3.d_fn(lam)
+        def hat(i, lam):
+            return cmath.exp(lam) * tau(params3, records3, i)(lam) / params3.d_fn(lam)
 
-        def dq(rec, z, w):
+        def dq(i, z, w):
             u = z - w
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < 1e-9:
-                return (-1.0) ** m * tau_hat_deriv(params3, [rec.tau], w)[0]
-            return (hat(rec, z) - hat(rec, w)) / cmath.sinh(u)
+                taus = records3.table.tau[i:i + 1]
+                return (-1.0) ** m * tau_hat_deriv(params3, taus, params3.node_basis, w)[0]
+            return (hat(i, z) - hat(i, w)) / cmath.sinh(u)
 
-        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2]),
-                       (records3[0], records3[3])]:
-            pair = obs.PairContext(params3, [rp.table], [rq.table])
-            ref = np.array([[dq(rq, z, p) - alpha * dq(rp, z, p + params3.eta)
-                             for p in rp.q_poly.roots] for z in rq.q_poly.roots])
+        roots = records3.table.roots.tolist()
+        for ip, iq in [(1, 6), (2, 2), (0, 3)]:
+            pair = pair_context(params3, records3, [ip], [iq])
+            ref = np.array([[dq(iq, z, p) - alpha * dq(ip, z, p + params3.eta)
+                             for p in roots[ip]] for z in roots[iq]])
             got = obs.tau_matrix(*pair.tau_dq, alpha)[0, 0]
             assert got.shape == ref.shape
             assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), ref.ravel()))
@@ -566,9 +565,9 @@ class TestPairContext:
                     num *= cmath.sinh((w - pl) / 2)
             return num / (2 * cmath.cosh((w - pr[k]) / 2))
 
-        def entry(rp, rq, alpha, gamma, j, k):
-            pt, qt, q_poly = rp.table, rq.table, rq.q_poly
-            pr = np.asarray(rp.q_poly.roots, dtype=np.complex128)
+        def entry(ip, iq, alpha, gamma, j, k):
+            pt, qt, q_poly = records3.table.take(ip), records3.table.take(iq), poly(records3, iq)
+            pr = pt.roots
             pk, qj = pr[k], np.asarray(q_poly.roots, dtype=np.complex128)[j]
             if dist_mod_2ipi(pk, qj) < 1e-9:
                 afrak_q = qt.d_r[j] * qt.r_eta_plus[j] / (qt.a_r[j] * qt.r_eta[j])
@@ -579,7 +578,7 @@ class TestPairContext:
                     return coth((pk - qj - eta) / 2) + limit
                 return (obs._s_gamma(pk - qj - eta, gamma)
                         + alpha * afrak_q * coth(gamma / 2) + limit)
-            if rp is rq:
+            if ip == iq:
                 q_minus, q_plus = qt.r_eta[k], qt.r_eta_plus[k]
             else:
                 q_minus, q_plus = q_poly(pk - eta), q_poly(pk + eta)
@@ -591,12 +590,11 @@ class TestPairContext:
             return kern(pk - qj - eta, gamma) + mid + cross
 
         n = params3.n
-        for rp, rq in [(records3[1], records3[6]), (records3[2], records3[2])]:
+        for ip, iq in [(1, 6), (2, 2)]:
             for gamma in (None, 0.3 - 0.2j):
-                halves = obs.slavnov_halves(obs.PairContext(params3, [rp.table], [rq.table]),
-                                            gamma)
+                halves = obs.slavnov_halves(pair_context(params3, records3, [ip], [iq]), gamma)
                 for alpha in (1.0, KAPPA2 / params3.kappa, cmath.exp(-eta)):
-                    ref = np.array([[entry(rp, rq, alpha, gamma, j, k)
+                    ref = np.array([[entry(ip, iq, alpha, gamma, j, k)
                                      for k in range(n)] for j in range(n)])
                     got = obs.slavnov_matrix(halves, alpha)[0, 0]
                     assert got.shape == ref.shape
@@ -634,9 +632,8 @@ class TestPairContext:
         monkeypatch.setattr(InterpolationBasis, "weights", watched_weights)
         alpha = KAPPA2 / params3.kappa
         sites = range(1, params3.n + 1)
-        for pair in [obs.PairContext(params3, [records3[i].table for i in (0, 2, 5)],
-                                     [records3[i].table for i in (1, 2, 7)]),
-                     obs.PairContext(params3, [records3[0].table], [records3[1].table])]:
+        for pair in [pair_context(params3, records3, [0, 2, 5], [1, 2, 7]),
+                     pair_context(params3, records3, [0], [1])]:
             obs.sp_direct(pair, alpha)
             obs.sp_izergin(pair, alpha)
             obs.sp_slavnov(pair, alpha)
@@ -658,7 +655,7 @@ class TestPairContext:
         params = load_config(cfg).params
         eta = params.eta
         tau_at_nodes = Counter()
-        in_states, after_spectrum, records = [], [], []
+        in_states, after_spectrum, spectra = [], [], []
         phase = {"certified": False, "state": False}
         call_poly, call_weights = HalfPeriodTrigPoly.__call__, InterpolationBasis.weights
         call_values = obs.half_period_values
@@ -686,9 +683,9 @@ class TestPairContext:
             return call_values(roots, points)
 
         def solve_then_mark(*args, **kwargs):
-            records.extend(solve(*args, **kwargs))
+            spectra.append(solve(*args, **kwargs))
             phase["certified"] = True
-            return records
+            return spectra[-1]
 
         def watched_state(*args, **kwargs):
             phase["state"] = True
@@ -704,15 +701,17 @@ class TestPairContext:
         monkeypatch.setattr(cli, "separate_state", watched_state)
         assert cli.main(["observables", "--config", str(cfg),
                          "--out", str(tmp_path / "r.json")]) != 2
-        assert records and not tau_at_nodes
+        [spectrum] = spectra
+        assert not tau_at_nodes
         assert in_states == []
-        pair_points = {r + s for rec in records for r in rec.q_poly.roots for s in (-eta, eta)}
+        pair_points = {r + s for r in spectrum.table.roots.ravel().tolist() for s in (-eta, eta)}
         assert after_spectrum and set(after_spectrum) <= pair_points
-        off_diagonal = len(records) * (len(records) - 1)
+        count = len(spectrum.table)
+        off_diagonal = count * (count - 1)
         assert len(after_spectrum) == off_diagonal * 2 * params.n
 
     def test_tau_forms_need_records(self, params3, records3):
-        pair = bare_pair(params3, records3[0].q_poly, records3[1].q_poly)
+        pair = bare_pair(params3, poly(records3, 0), poly(records3, 1))
         with pytest.raises(ParameterError):
             obs.sp_tau(pair, params3.kappa, KAPPA2)
 
@@ -753,7 +752,7 @@ class TestRefusals:
             obs.izergin_ratio(params3.xi, zs, [0.3, 0.1j, -0.2], params3.eta)
 
     def test_gamma_zero_is_a_pole(self, params3, records3):
-        pair = obs.PairContext(params3, [records3[0].table], [records3[2].table])
+        pair = pair_context(params3, records3, [0], [2])
         with pytest.raises(SingularEvaluationError, match="s_gamma evaluated at a pole"):
             obs.sp_slavnov(pair, KAPPA2 / params3.kappa, gamma=0)
 
@@ -766,13 +765,13 @@ class TestGridRefusals:
         g = rng(67)
         polys = [random_poly(g, params.n) for _ in range(2)]
         polys.append(HalfPeriodTrigPoly.from_roots(last_roots(polys)))
-        return [table(params, poly) for poly in polys]
+        return q_table(params, [poly.roots for poly in polys], None, [])
 
     def test_shared_root_names_its_pair(self, params3):
         # the last table shares the second one's first root: P1_Q2 is the
         # first off-diagonal pair with p_k = q_j
         tables = self.tables(params3, lambda polys: [polys[1].roots[0], 0.4 - 0.3j, -0.6j])
-        j = tables[2].roots.index(tables[1].roots[0])
+        j = tables.roots[2].tolist().index(tables.roots[1, 0])
         with pytest.raises(SingularEvaluationError) as err:
             obs.slavnov_halves(obs.PairContext(params3, tables, tables))
         assert str(err.value) == f"P1_Q2: coincident roots p_1 = q_{j + 1} for distinct functions"
@@ -784,7 +783,7 @@ class TestGridRefusals:
         xi, eta = params3.xi, params3.eta
         on_node = self.tables(params3, lambda polys: [xi[0] - eta, 0.4 - 0.3j, -0.6j])
         with pytest.raises(SingularEvaluationError, match=r"^P0_Q2: Q\(u-eta\) = .* floor"):
-            obs.sp_izergin(obs.PairContext(params3, on_node[:2], on_node), 0.5)
+            obs.sp_izergin(obs.PairContext(params3, on_node.take([0, 1]), on_node), 0.5)
         shifted = self.tables(params3,
                               lambda polys: [polys[1].roots[0] - eta, 0.4 - 0.3j, -0.6j])
         with pytest.raises(SingularEvaluationError, match=r"^P1_Q2: Q\(u-eta\) = .* floor"):
@@ -794,10 +793,10 @@ class TestGridRefusals:
         # a Q record with a root on xi_2 puts a zero of d at its z-row:
         # every pair with that Q holds it, the first one is P0_Q1
         xi = params3.xi
-        bad = q_table(params3, [HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j]).roots],
-                      [records3[0].tau], [])[0]
-        qs = [records3[3].table, bad]
-        grid = obs.PairContext(params3, [r.table for r in records3[:2]], qs)
+        t = records3.table
+        bad = HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j]).roots
+        qs = q_table(params3, [t.roots[3], bad], t.tau[[3, 0]], [])
+        grid = obs.PairContext(params3, t.take([0, 1]), qs)
         with pytest.raises(SingularEvaluationError,
                            match=r"^P0_Q1: tau_hat evaluated at a zero of d"):
             obs.sp_tau(grid, params3.kappa, KAPPA2)
@@ -808,14 +807,11 @@ class TestGridRefusals:
         solve = cli.solve_spectrum
 
         def sharing(basis, **kwargs):
-            records = solve(basis, **kwargs)
-            roots = list(records[3].q_poly.roots)
-            roots[0] = records[1].q_poly.roots[1]
-            poly = HalfPeriodTrigPoly.from_roots(roots)
-            records[3] = replace(records[3], q_poly=poly,
-                                 table=q_table(basis.params, [poly.roots], [records[3].tau],
-                                               [])[0])
-            return records
+            spectrum = solve(basis, **kwargs)
+            roots = spectrum.table.roots.copy()
+            roots[3, 0] = roots[1, 1]
+            roots[3] = canonical_roots(roots[3])
+            return replace(spectrum, table=q_table(basis.params, roots, spectrum.table.tau, []))
 
         monkeypatch.setattr(cli, "solve_spectrum", sharing)
         cfg = tmp_path / "cfg.json"
@@ -832,37 +828,40 @@ class TestGenericArgumentMatrixElements:
     def test_b_element_against_dense(self, params3, basis3, records3):
         g = rng(60)
         kappa, kappa2 = params3.kappa, KAPPA2
-        bras = [separate_state(basis3, r.table, kappa, 1, "bra")
-                for r in records3[:4]]
-        kets2 = [separate_state(basis3, r.table, kappa2, 1, "ket")
-                 for r in records3[:4]]
+        first = records3.table.take([0, 1, 2, 3])
+        bras = separate_state(basis3, first, kappa, 1, "bra")
+        kets2 = separate_state(basis3, first, kappa2, 1, "ket")
+        scales = np.outer(bras.norm2(), kets2.norm2())
         for _ in range(3):
             mu = complex(g.uniform(-0.8, 0.8), g.uniform(-0.8, 0.8))
             blocks = monodromy_entries(params3, mu)
+            dense = matrix_element(bras, blocks.b, kets2)
             for ip, iq in [(0, 1), (2, 3), (1, 1)]:
-                bf = matrix_element(bras[ip], blocks.b, kets2[iq])
-                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
+                bf = dense[ip, iq]
+                pair = pair_context(params3, records3, [ip], [iq])
                 val = obs.matel_b(pair, kappa, kappa2, 1, 1, mu)
-                scale = bras[ip].norm2() * kets2[iq].norm2()
+                scale = scales[ip, iq]
                 assert rel_dev(val, bf, scale) < 1e-7
 
     def test_d_element_against_dense(self, params3, records3, states3):
         g = rng(61)
         bras, kets, _ = states3
+        scales = np.outer(bras.norm2(), kets.norm2())
         for _ in range(3):
             mu = complex(g.uniform(-0.8, 0.8), g.uniform(-0.8, 0.8))
             blocks = monodromy_entries(params3, mu)
+            dense = matrix_element(bras, blocks.d, kets)
             for ip, iq in [(0, 1), (3, 6), (4, 4)]:
-                bf = matrix_element(bras[ip], blocks.d, kets[iq])
-                pair = obs.PairContext(params3, [records3[ip].table], [records3[iq].table])
+                bf = dense[ip, iq]
+                pair = pair_context(params3, records3, [ip], [iq])
                 val = obs.matel_d(pair, mu)
-                scale = bras[ip].norm2() * kets[iq].norm2()
+                scale = scales[ip, iq]
                 assert rel_dev(val, bf, scale) < 1e-7
 
 
 class TestIdentityBench:
     def test_all_residuals(self, params3, records3):
-        bench = obs.identity_bench(params3, records=records3)
+        bench = obs.identity_bench(params3, records3.table)
         for name, value in bench.items():
             tol = 1e-6 if name.startswith("extension") else 1e-9
             assert value < tol, f"{name}: {value:.3e}"

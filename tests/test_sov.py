@@ -3,11 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, rel_dev, rng, table
+from conftest import KAPPA2, hat, make_params, poly, rel_dev, rng, table, tau
 from sovxxz.cli import _sov_action_residual
 from sovxxz.errors import SingularEvaluationError
 from sovxxz.lattice import monodromy_entries, reference_state, transfer_k
-from sovxxz.model import HalfPeriodTrigPoly, vandermonde
+from sovxxz.model import HalfPeriodTrigPoly, q_table, vandermonde
 from sovxxz.sov import (
     SovBasis,
     all_h,
@@ -59,31 +59,29 @@ class TestSeparateStates:
         poly = HalfPeriodTrigPoly.from_roots([0.2 - 0.1j])
         state = separate_state(SovBasis(params), table(params, poly), params.kappa, 1, "ket")
         ratio = poly(params.xi[0]) / poly(params.xi[0] - params.eta)
-        assert rel_dev(state.coefficients[0], params.kappa * ratio) < 1e-13
-        assert rel_dev(state.coefficients[1], 1.0) < 1e-13
+        assert state.coefficients.shape == (1, 2)
+        assert rel_dev(state.coefficients[0, 0], params.kappa * ratio) < 1e-13
+        assert rel_dev(state.coefficients[0, 1], 1.0) < 1e-13
 
     def test_eigenstate_property(self, params3, basis3, records3):
         g = rng(32)
-        for rec in records3[:3]:
-            ket = separate_state(basis3, rec.table, params3.kappa, 1, "ket")
+        kets = separate_state(basis3, records3.table.take([0, 1, 2]), params3.kappa, 1, "ket")
+        for i, (ket, norm) in enumerate(zip(kets.embedded, kets.norm2())):
             for _ in range(3):
                 mu = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                tv = transfer_k(params3, mu) @ ket.embedded
-                resid = np.linalg.norm(tv - rec.tau(mu) * ket.embedded)
-                assert resid < 1e-8 * max(np.linalg.norm(tv),
-                                          abs(rec.tau(mu)) * ket.norm2())
+                tv = transfer_k(params3, mu) @ ket
+                tau_mu = tau(params3, records3, i)(mu)
+                resid = np.linalg.norm(tv - tau_mu * ket)
+                assert resid < 1e-8 * max(np.linalg.norm(tv), abs(tau_mu) * norm)
 
     def test_plus_state_equals_hatted_minus_state(self, params3, basis3, records3):
-        for rec in records3[:4]:
-            hat = table(params3, rec.table.hat)
-            plus = separate_state(basis3, rec.table, params3.kappa, 1, "ket")
-            minus = separate_state(basis3, hat, params3.kappa, -1, "ket")
-            assert np.linalg.norm(plus.embedded - minus.embedded) \
-                < 1e-9 * plus.norm2()
-            bplus = separate_state(basis3, rec.table, params3.kappa, 1, "bra")
-            bminus = separate_state(basis3, hat, params3.kappa, -1, "bra")
-            assert np.linalg.norm(bplus.embedded - bminus.embedded) \
-                < 1e-9 * bplus.norm2()
+        first = records3.table.take([0, 1, 2, 3])
+        hats = q_table(params3, first.hat, None, [])
+        for side in ("ket", "bra"):
+            plus = separate_state(basis3, first, params3.kappa, 1, side)
+            minus = separate_state(basis3, hats, params3.kappa, -1, side)
+            assert np.all(np.linalg.norm(plus.embedded - minus.embedded, axis=1)
+                          < 1e-9 * plus.norm2())
 
     def test_unnormalized_ket_forms_agree(self, params3, basis3):
         g = rng(33)
@@ -93,7 +91,7 @@ class TestSeparateStates:
         a = separate_state(basis3, table(params3, poly), kappa, eps, "ket",
                            normalized=False)
         b = separate_ket_qdet_form(basis3, table(params3, poly), kappa, eps)
-        assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()
+        assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()[0]
 
     @staticmethod
     def check_prefactors(params, basis, poly):
@@ -107,14 +105,14 @@ class TestSeparateStates:
         for x in params.xi:
             factor *= (eps / kappa) * poly(x - params.eta)
         assert np.linalg.norm(raw_ket.embedded - factor * norm_ket.embedded) \
-            < 1e-9 * raw_ket.norm2()
+            < 1e-9 * raw_ket.norm2()[0]
         raw_bra = separate_state(basis, p, kappa, eps, "bra", normalized=False)
         norm_bra = separate_state(basis, p, kappa, eps, "bra")
         factor = 1.0 + 0.0j
         for x in params.xi:
             factor *= eps * kappa * poly(x - params.eta)
         assert np.linalg.norm(raw_bra.embedded - factor * norm_bra.embedded) \
-            < 1e-9 * raw_bra.norm2()
+            < 1e-9 * raw_bra.norm2()[0]
 
     def test_normalization_prefactors(self, params3, basis3):
         g = rng(34)
@@ -132,10 +130,19 @@ class TestSeparateStates:
             [params3.xi[1] - params3.eta + 3e-7, 0.9 + 0.1j, -0.8 - 0.2j])
         p = table(params3, poly)
         with pytest.raises(SingularEvaluationError,
-                           match=r"root 3\.0\d*e-07 from xi_2 - eta, within 1e-06"):
+                           match=r"^record 0: P has a root 3\.0\d*e-07 from xi_2 - eta, "
+                                 r"within 1e-06; build the unnormalized state instead$"):
             separate_state(basis3, p, 1.0, 1, "ket")
         # the unnormalized form stays available
         separate_state(basis3, p, 1.0, 1, "ket", normalized=False)
+        # on a stacked table the refusal names the lowest failing record
+        fine = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, 0.9 + 0.1j, -0.8 - 0.2j])
+        two = q_table(params3, [fine.roots, poly.roots], None, [])
+        with pytest.raises(SingularEvaluationError,
+                           match=r"^record 1: P has a root 3\.0\d*e-07 from xi_2 - eta, "
+                                 r"within 1e-06; build the unnormalized state instead$"):
+            separate_state(basis3, two, 1.0, 1, "bra")
+        separate_state(basis3, two.take([0]), 1.0, 1, "bra")
 
 
 class TestBatchedStates:
@@ -170,61 +177,77 @@ class TestBatchedStates:
         g = rng(35)
         synthetic = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
-        polys = [(rec.table, rec.q_poly) for rec in records3[:3]]
+        polys = [(records3.table.take([i]), poly(records3, i)) for i in range(3)]
         polys.append((table(params3, synthetic), synthetic))
         eps, eta = -1, params3.eta
-        for tab, poly in polys:
+        for tab, p_poly in polys:
             for side in ("ket", "bra"):
                 for normalized in (True, False):
                     state = separate_state(basis3, tab, KAPPA2, eps, side, normalized)
-                    want = self.per_label(params3, poly, KAPPA2, eps, side, normalized)
+                    want = self.per_label(params3, p_poly, KAPPA2, eps, side, normalized)
                     rows = [basis3.ket(h) if side == "ket" else basis3.bra(h)
                             for h in all_h(3)]
                     embedded = sum(c * row for c, row in zip(want, rows))
-                    assert np.all(np.abs(state.coefficients - want) <= 1e-13 * np.abs(want))
-                    assert np.linalg.norm(state.embedded - embedded) \
+                    assert np.all(np.abs(state.coefficients[0] - want) <= 1e-13 * np.abs(want))
+                    assert np.linalg.norm(state.embedded[0] - embedded) \
                         <= 1e-13 * np.linalg.norm(embedded)
             want = []
             for h in all_h(3):
                 factor = vandermonde(xi_shifted(params3, h))
                 for x, b in zip(params3.xi, h):
-                    factor *= poly(x - b * eta)
+                    factor *= p_poly(x - b * eta)
                     if b:
                         factor *= params3.a_fn(x) / params3.d_fn(x - eta) / (-eps * KAPPA2)
                 want.append(factor)
             qdet = separate_ket_qdet_form(basis3, tab, KAPPA2, eps)
-            assert np.all(np.abs(qdet.coefficients - np.array(want))
+            assert np.all(np.abs(qdet.coefficients[0] - np.array(want))
                           <= 1e-13 * np.abs(np.array(want)))
+
+
+    def test_stacked_table_equals_each_record(self, params3, basis3, records3):
+        # one product over an R-row table gives, bit for bit, the state of
+        # each of its records built from a one-row table, for bras and kets,
+        # normalized or not, and in the qdet form
+        t = records3.table
+
+        def bits(state):
+            return (state.coefficients.view(np.uint64), state.embedded.view(np.uint64))
+
+        builds = [lambda tab, side=side, normalized=normalized: separate_state(
+                      basis3, tab, KAPPA2, -1, side, normalized)
+                  for side in ("bra", "ket") for normalized in (True, False)]
+        builds.append(lambda tab: separate_ket_qdet_form(basis3, tab, KAPPA2, -1))
+        for build in builds:
+            stacked = bits(build(t))
+            assert stacked[0].shape == (8, 16)
+            for i in range(len(t)):
+                for whole, alone in zip(stacked, bits(build(t.take([i])))):
+                    assert np.array_equal(whole[i:i + 1], alone)
 
 
 class TestOverlaps:
     def test_eigenstate_orthogonality(self, params3, records3, states3):
         bras, kets, _ = states3
-        for ip in range(8):
-            for iq in range(8):
-                val = overlap(bras[ip], kets[iq])
-                scale = bras[ip].norm2() * kets[iq].norm2()
-                if ip == iq:
-                    assert abs(val) > 1e-4 * scale
-                else:
-                    assert abs(val) < 1e-8 * scale
+        ratio = np.abs(overlap(bras, kets)) / np.outer(bras.norm2(), kets.norm2())
+        diagonal = np.eye(8, dtype=bool)
+        assert np.all(ratio[diagonal] > 1e-4) and np.all(ratio[~diagonal] < 1e-8)
 
     def test_overlap_depends_only_on_product_and_alpha(self, params3, basis3, records3):
-        p, q = records3[0].table, records3[1].table
+        p, q = records3.table.take([0]), records3.table.take([1])
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, 1
-        base = overlap(separate_state(basis3, p, kappa, eps, "bra"),
-                       separate_state(basis3, q, kappa2, eps2, "ket"))
+        [[base]] = overlap(separate_state(basis3, p, kappa, eps, "bra"),
+                           separate_state(basis3, q, kappa2, eps2, "ket"))
 
         # same eps*eps'*kappa'/kappa through rescaled twists and flipped signs
-        alt = overlap(
+        [[alt]] = overlap(
             separate_state(basis3, p, 2.0 * kappa, -eps, "bra"),
             separate_state(basis3, q, 2.0 * kappa2, -eps2, "ket"))
         assert rel_dev(base, alt) < 1e-9
 
         # swapping a root between P and Q keeps the product function PQ
-        pr, qr = list(p.roots), list(q.roots)
+        pr, qr = p.roots[0].tolist(), q.roots[0].tolist()
         pr[0], qr[2] = qr[2], pr[0]
-        mixed = overlap(
+        [[mixed]] = overlap(
             separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(pr)),
                            kappa, eps, "bra"),
             separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(qr)),
@@ -234,15 +257,14 @@ class TestOverlaps:
     def test_qhat_sign_convention_is_immaterial(self, params3, basis3, records3):
         # shifting one stored root by 2*pi*i flips the sign of the polynomial
         # but not of any state built from it
-        rec = records3[1]
-        roots = list(rec.table.hat.roots)
+        partner = hat(records3, 1)
+        roots = list(partner.roots)
         shifted = HalfPeriodTrigPoly(tuple([roots[0] - 2j * np.pi] + roots[1:]))
-        a = separate_state(basis3, table(params3, rec.table.hat), params3.kappa, -1,
-                           "ket")
+        a = separate_state(basis3, table(params3, partner), params3.kappa, -1, "ket")
         b = separate_state(basis3, table(params3, shifted), params3.kappa, -1, "ket")
-        assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()
+        assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()[0]
 
     def test_matrix_element_shape_guard(self, params3, records3, states3):
         bras, kets, _ = states3
         with pytest.raises(ValueError):
-            overlap(kets[0], kets[1])
+            overlap(kets, kets)

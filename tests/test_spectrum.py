@@ -7,7 +7,7 @@ import pytest
 
 import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
-from conftest import make_params, rel_dev, rng
+from conftest import make_params, poly, rel_dev, rng, tau
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES
 from sovxxz.errors import AmbiguousNullspaceError, CertificationError, DegenerateSpectrumError
@@ -17,7 +17,6 @@ from sovxxz.model import (
     HalfPeriodTrigPoly,
     InterpolationBasis,
     ModelParams,
-    TrigInterpolation,
     a_frak_values,
     canonical_roots,
     dist_mod_2ipi,
@@ -51,51 +50,50 @@ class TestQFromTau:
         params = make_params(1)
         basis = sov.SovBasis(params)
         taus = spectrum_oracle(params, basis.at_xi)
-        chain = chain_values(basis, taus[0].basis, params.kappa, 4242)
-        for tau in taus:
-            roots = q_from_tau(params, [tau], chain)[0]
-            expected = n1_root_closed_form(params, tau.values[0])
+        chain = chain_values(basis, params.node_basis, params.kappa, 4242)
+        for i in range(len(taus)):
+            roots = q_from_tau(params, taus[i:i + 1], chain)[0]
+            expected = n1_root_closed_form(params, taus[i, 0])
             assert dist_mod_2ipi(roots[0], expected) < 1e-10
 
     def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
         # tau = 0 leaves no one-dimensional nullspace; of records 5 and 6,
         # the refusal names the lower
-        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
-        taus = [rec.tau for rec in records3]
-        taus[5] = taus[6] = TrigInterpolation(taus[0].basis, np.zeros(3))
+        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        taus = records3.table.tau.copy()
+        taus[5] = taus[6] = 0
         with pytest.raises(AmbiguousNullspaceError,
                            match=r"^record 5: nullspace not one-dimensional"):
             q_from_tau(params3, taus, chain)
 
     def test_negated_pair_gives_shifted_roots(self, params3, records3):
-        vals = [r.tau.values[0] for r in records3]
-        for i, rec in enumerate(records3):
-            j = int(np.argmin([abs(v + vals[i]) for v in vals]))
-            partner = records3[j]
-            for qa, qb in zip(rec.q_poly.roots, partner.table.hat.roots):
-                assert dist_mod_2ipi(qa, qb) < 1e-7
+        t = records3.table
+        vals = t.tau[:, 0]
+        for i in range(len(t)):
+            j = int(np.argmin(abs(vals + vals[i])))
+            assert np.all(dist_mod_2ipi(t.roots[i], t.hat[j]) < 1e-7)
 
     def test_sum_rule_integer(self, params3, records3):
-        for rec in records3:
-            s = sum(rec.q_poly.roots) - sum(x - params3.eta / 2 for x in params3.xi)
+        for roots in records3.table.roots.tolist():
+            s = sum(roots) - sum(x - params3.eta / 2 for x in params3.xi)
             k = round(s.imag / np.pi)
             assert abs(s - 1j * np.pi * k) < 1e-7
 
 
 class TestRefineBethe:
     def test_fixed_point(self, params3, records3):
-        rec = records3[0]
-        refined = refine_bethe(params3, [rec.q_poly.roots])[0][0]
-        for a, b in zip(refined, rec.q_poly.roots):
+        roots = records3.table.roots[0]
+        refined = refine_bethe(params3, [roots])[0][0]
+        for a, b in zip(refined, roots):
             assert abs(a - b) < 1e-12
 
     def test_perturbed_roots_converge_back(self, params3, records3):
         g = rng(41)
-        for rec in records3[:4]:
+        for roots in records3.table.roots[:4]:
             noisy = [q + 1e-4 * complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                     for q in rec.q_poly.roots]
+                     for q in roots]
             refined = refine_bethe(params3, canonical_roots([noisy]))[0][0]
-            for a, b in zip(refined, rec.q_poly.roots):
+            for a, b in zip(refined, roots):
                 assert abs(a - b) < 1e-10
 
     def test_refined_bethe_ratio(self, basis3, monkeypatch):
@@ -110,19 +108,18 @@ class TestRefineBethe:
             return returned[-1]
 
         monkeypatch.setattr(spectrum, "refine_bethe", keep)
-        records = spectrum.solve_spectrum(basis3)
+        result = spectrum.solve_spectrum(basis3)
         (_, metric), = returned
-        assert [rec.residuals["bethe"] for rec in records] == metric.tolist()
+        assert result.residuals["bethe"].tolist() == metric.tolist()
         assert np.all(metric < 1e-9)
-        for rec, value in zip(records, metric):
-            t = rec.table
-            ratio = a_frak_values(t.a_r, t.d_r, t.r_eta, t.r_eta_plus)
-            assert abs(value - np.max(np.abs(ratio - 1))) < 1e-14
+        t = result.table
+        ratio = a_frak_values(t.a_r, t.d_r, t.r_eta, t.r_eta_plus)
+        assert np.all(abs(metric - np.max(np.abs(ratio - 1), axis=1)) < 1e-14)
 
     def test_refinement_never_moves_certified_roots(self, params3, records3):
-        for rec in records3:
-            refined = refine_bethe(params3, [rec.q_poly.roots])[0][0]
-            moved = max(abs(a - b) for a, b in zip(refined, rec.q_poly.roots))
+        for roots in records3.table.roots:
+            refined = refine_bethe(params3, [roots])[0][0]
+            moved = max(abs(a - b) for a, b in zip(refined, roots))
             assert moved < 1e-8
 
 
@@ -172,7 +169,7 @@ class TestBetheKernel:
     def test_collision_in_a_batch_names_its_record(self, params3, records3):
         # the same pair in record 2 of a 4-record batch; the others converge
         q = 0.3 + 0.2j
-        roots = np.array([rec.q_poly.roots for rec in records3[:4]])
+        roots = records3.table.roots[:4].copy()
         roots[2] = (q, q + 2j * np.pi + 1e-7, -0.5 + 0.1j)
         with pytest.raises(DegenerateSpectrumError,
                            match=r"^record 2: Bethe roots 0, 1 collided"):
@@ -181,47 +178,47 @@ class TestBetheKernel:
 
 class TestCertify:
     def test_all_records_certified(self, params3, records3):
-        assert len(records3) == 8
-        assert all(r.certified for r in records3)
-        for r in records3:
-            assert r.residuals["tq"] < 1e-7
-            assert r.residuals["bethe"] < 1e-9
-            assert r.residuals["discrete_char"] < 1e-8
-            assert r.residuals["eigenstate"] < 1e-8
+        # a returned spectrum holds every record, each within its tolerances
+        assert len(records3.table) == 8
+        res = records3.residuals
+        assert all(v.shape == (8,) for v in res.values())
+        assert np.all(res["tq"] < 1e-7)
+        assert np.all(res["bethe"] < 1e-9)
+        assert np.all(res["discrete_char"] < 1e-8)
+        assert np.all(res["eigenstate"] < 1e-8)
 
     def test_tampered_tau_fails_discrete_check(self, params3, basis3, records3):
-        rec = records3[0]
-        bad_vals = rec.tau.values.copy()
-        bad_vals[0] *= 1.01
-        bad = TrigInterpolation(InterpolationBasis(params3.xi), bad_vals)
-        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
-        bad_table = q_table(params3, [rec.q_poly.roots], [bad], [])[0]
-        assert discrete_char_residual([bad_table], chain)[0] > 1e-3
+        t = records3.table
+        bad = t.tau[:1].copy()
+        bad[0, 0] *= 1.01
+        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        bad_table = q_table(params3, t.roots[:1], bad, [])
+        assert discrete_char_residual(bad_table, chain)[0] > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, [bad], [rec.q_poly.roots], [rec.residuals["bethe"]],
+            certify(params3, bad, t.roots[:1], records3.residuals["bethe"][:1],
                     params3.kappa, chain)
 
     def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
         # a tampered tau at index 5 of the 8-record batch: the refusal names
         # record 5, and the batch without it certifies
-        taus = [rec.tau for rec in records3]
-        roots = np.array([rec.q_poly.roots for rec in records3])
-        bethe = np.array([rec.residuals["bethe"] for rec in records3])
-        bad_vals = taus[5].values.copy()
-        bad_vals[0] *= 1.01
-        taus[5] = TrigInterpolation(taus[5].basis, bad_vals)
-        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
+        taus = records3.table.tau.copy()
+        roots = records3.table.roots
+        bethe = records3.residuals["bethe"]
+        taus[5, 0] *= 1.01
+        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
             certify(params3, taus, roots, bethe, params3.kappa, chain)
         others = [i for i in range(8) if i != 5]
-        certified = certify(params3, [taus[i] for i in others], roots[others], bethe[others],
+        # certify returns a spectrum only when every record passes
+        certified = certify(params3, taus[others], roots[others], bethe[others],
                             params3.kappa, chain)
-        assert len(certified) == 7 and all(rec.certified for rec in certified)
+        assert len(certified.table) == 7
+        assert certified.table.roots.tolist() == roots[others].tolist()
 
     def test_table_equals_fresh_evaluation(self, params3, records3):
-        # certify stores one table per record; every entry is the value a fresh
-        # scalar evaluation gives, to 1e-13 relative (the table evaluates each
+        # certify stores one table of every record; each record's entries are
+        # the values a fresh scalar evaluation gives, to 1e-13 relative (the table evaluates each
         # polynomial as one batched row product), whether a root enters as a
         # Python or a numpy complex
         def vec(values):
@@ -236,59 +233,65 @@ class TestCertify:
         g = rng(71)
         synthetic = HalfPeriodTrigPoly.from_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
-        cases = [(rec.table, rec.q_poly, rec.tau, grid[0]) for rec in records3]
-        cases.append((q_table(params3, [synthetic.roots], None, [])[0], synthetic, None, []))
-        for table, poly, tau, points in cases:
-            hat = poly.shifted_ipi()
-            assert table.poly == poly and table.roots == poly.roots and table.tau is tau
-            assert table.hat.roots == hat.roots
-            assert close(vec(table.x), vec(poly(x) for x in xi))
-            assert close(vec(table.x_eta), vec(poly(x - eta) for x in xi))
-            assert close(vec(table.x_ipi), vec(poly(x + IPI) for x in xi))
-            assert close(vec(table.x_eta_ipi), vec(poly(x - eta + IPI) for x in xi))
-            for roots in (poly.roots, np.asarray(poly.roots, dtype=np.complex128)):
+        t = records3.table
+        cases = [(t.take(i), poly(records3, i), t.tau[i], grid[0]) for i in range(len(t))]
+        cases.append((q_table(params3, [synthetic.roots], None, []).take(0), synthetic, None,
+                      []))
+        for table, q_poly, tau_xi, points in cases:
+            partner = q_poly.shifted_ipi()
+            assert table.roots.tolist() == list(q_poly.roots)
+            assert table.hat.tolist() == list(partner.roots)
+            assert (table.tau is None) if tau_xi is None else np.array_equal(table.tau, tau_xi)
+            assert close(vec(table.x), vec(q_poly(x) for x in xi))
+            assert close(vec(table.x_eta), vec(q_poly(x - eta) for x in xi))
+            assert close(vec(table.x_ipi), vec(q_poly(x + IPI) for x in xi))
+            assert close(vec(table.x_eta_ipi), vec(q_poly(x - eta + IPI) for x in xi))
+            for roots in (q_poly.roots, np.asarray(q_poly.roots, dtype=np.complex128)):
                 assert close(vec(table.a_r), vec(params3.a_fn(q) for q in roots))
                 assert close(vec(table.d_r), vec(params3.d_fn(q) for q in roots))
                 assert close(vec(table.exp_r), vec(cmath.exp(q) for q in roots))
-                assert close(vec(table.r_eta), vec(poly(q - eta) for q in roots))
-                assert close(vec(table.r_eta_plus), vec(poly(q + eta) for q in roots))
-                assert close(vec(table.r_ipi), vec(poly(q + IPI) for q in roots))
+                assert close(vec(table.r_eta), vec(q_poly(q - eta) for q in roots))
+                assert close(vec(table.r_eta_plus), vec(q_poly(q + eta) for q in roots))
+                assert close(vec(table.r_ipi), vec(q_poly(q + IPI) for q in roots))
                 assert close(vec(table.sinh_x), vec(
                     np.prod([cmath.sinh(x - q) for q in roots]) for x in xi))
             assert close(vec(table.grid).reshape(-1, 5), vec(
                 v for lam in points
-                for v in (poly(lam), poly(lam - eta), poly(lam + eta), hat(lam), hat(lam - eta))
+                for v in (q_poly(lam), q_poly(lam - eta), q_poly(lam + eta), partner(lam),
+                          partner(lam - eta))
             ).reshape(-1, 5))
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
-        vals = [r.tau.values[0] for r in records3]
-        for i, rec in enumerate(records3):
-            j = int(np.argmin([abs(v + vals[i]) for v in vals]))
-            partner = records3[j]
+        vals = records3.table.tau[:, 0]
+        for i in range(len(vals)):
+            j = int(np.argmin(abs(vals + vals[i])))
+            rec, partner = tau(params3, records3, i), tau(params3, records3, j)
             for x in params3.xi:
-                a = rec.tau(x) * rec.tau(x - params3.eta)
-                b = partner.tau(x) * partner.tau(x - params3.eta)
+                a = rec(x) * rec(x - params3.eta)
+                b = partner(x) * partner(x - params3.eta)
                 assert rel_dev(a, b) < 1e-9
 
 
 class TestPipeline:
     def test_completeness_n2(self, records2):
-        assert len(records2) == 4
-        assert all(r.certified for r in records2)
+        # a returned spectrum holds every record, each within its tolerances
+        assert len(records2.table) == 4
+        assert all(np.all(records2.residuals[name] <= DEFAULT_TOLERANCES[key])
+                   for name, key in spectrum.GATES.items())
 
     def test_izergin_weight_equals_eigenvalue_ratio(self, params3, records3):
         # f_tilde(xi_i) = -tau_P(xi_i)/tau_Q(xi_i) for certified pairs
-        for rp in records3[:3]:
-            for rq in records3[3:6]:
+        for ip in range(3):
+            for iq in range(3, 6):
                 for x in params3.xi:
-                    lhs = f_tilde(params3, rp.q_poly, rq.q_poly, x)
-                    rhs = -rp.tau(x) / rq.tau(x)
+                    lhs = f_tilde(params3, poly(records3, ip), poly(records3, iq), x)
+                    rhs = -tau(params3, records3, ip)(x) / tau(params3, records3, iq)(x)
                     assert rel_dev(lhs, rhs) < 1e-8
 
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
-        chain = chain_values(basis3, records3[0].tau.basis, params3.kappa, 4242)
-        for rec in records3:
-            assert tq_residual([rec.table], chain)[0] < 1e-12
+        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        for i in range(len(records3.table)):
+            assert tq_residual(records3.table.take([i]), chain)[0] < 1e-12
 
     def test_chain_work_built_once_per_spectrum(self, params3, basis3, monkeypatch):
         # the residual grid and a, d on it are evaluated once per spectrum,
@@ -317,7 +320,7 @@ class TestPipeline:
         monkeypatch.setattr(spectrum, "residual_grid", counted_grid)
         count_chain("a_fn")
         count_chain("d_fn")
-        records = spectrum.solve_spectrum(basis3)
+        table = spectrum.solve_spectrum(basis3).table
         assert len(draws) == 1
         for lam in draws[0][0]:
             assert chain_calls["a_fn", lam] <= 1
@@ -325,9 +328,9 @@ class TestPipeline:
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
         for normalized in (True, False):
             for side in ("ket", "bra"):
-                sov.separate_state(basis3, records[0].table, params3.kappa, 1, side,
+                sov.separate_state(basis3, table, params3.kappa, 1, side,
                                    normalized=normalized)
-        sov.separate_ket_qdet_form(basis3, records[0].table, params3.kappa, 1)
+        sov.separate_ket_qdet_form(basis3, table, params3.kappa, 1)
 
     def test_eigenvalue_independent_work_done_once_per_solve(self, params3, basis3,
                                                              monkeypatch):
@@ -363,8 +366,7 @@ class TestPipeline:
         monkeypatch.setattr(spectrum, "_tq_sample_points", counted_sample)
         count_chain("a_fn")
         count_chain("d_fn")
-        records = spectrum.solve_spectrum(basis3)
-        assert len(records) == 8
+        assert len(spectrum.solve_spectrum(basis3).table) == 8
         assert weighed and max(weighed.values()) == 1
         assert len(draws) == 1
         for lam in draws[0]:
@@ -396,7 +398,7 @@ class TestPipeline:
         count(np.linalg, "eigvals")
         count(HalfPeriodTrigPoly, "from_roots", staticmethod)
         count(HalfPeriodTrigPoly, "shifted_ipi")
-        assert len(spectrum.solve_spectrum(basis3)) == 8
+        assert len(spectrum.solve_spectrum(basis3).table) == 8
         assert calls == {name: 1 for name in phases + ("svd", "eigvals")}
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -406,22 +408,22 @@ class TestPipeline:
         # as a batch of one
         params = make_params(n)
         basis = sov.SovBasis(params)
-        records = spectrum.solve_spectrum(basis)
-        chain = chain_values(basis, records[0].tau.basis, params.kappa, 4242)
-        for rec in records:
-            roots, bethe = refine_bethe(params, q_from_tau(params, [rec.tau], chain))
-            alone = certify(params, [rec.tau], roots, bethe, params.kappa, chain)[0]
-            assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.q_poly.roots,
-                                                               rec.q_poly.roots))
+        whole = spectrum.solve_spectrum(basis)
+        chain = chain_values(basis, params.node_basis, params.kappa, 4242)
+        for i in range(len(whole.table)):
+            taus = whole.table.tau[i:i + 1]
+            roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
+            alone = certify(params, taus, roots, bethe, params.kappa, chain)
+            assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.table.roots[0],
+                                                               whole.table.roots[i]))
             for name, value in alone.residuals.items():
-                assert rel_dev(value, rec.residuals[name]) <= 1e-13
+                assert rel_dev(value[0], whole.residuals[name][i]) <= 1e-13
 
     def test_structure_outputs_populated(self, records3):
-        for rec in records3:
-            assert rec.wronskian_sign in (-1, 1)
-            assert isinstance(rec.sum_rule_k, int)
-            assert rec.residuals["wronskian"] < 1e-8
-            assert rec.residuals["sum_rule_defect"] < 1e-8
+        assert set(records3.wronskian_sign.tolist()) <= {-1, 1}
+        assert records3.sum_rule_k.dtype.kind == "i" and records3.sum_rule_k.shape == (8,)
+        assert np.all(records3.residuals["wronskian"] < 1e-8)
+        assert np.all(records3.residuals["sum_rule_defect"] < 1e-8)
 
 
 class TestCertificationEnvelope:
