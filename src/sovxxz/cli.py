@@ -68,6 +68,13 @@ def _check(residual: float, tolerance: float) -> dict:
             "pass": bool(residual <= tolerance)}
 
 
+def _worst_check(deviation: np.ndarray, tolerance: float, path) -> dict:
+    """``_check`` of the largest entry of ``deviation``, with ``worst_at``:
+    ``path(i)`` of the first entry, ``i`` in row-major order, that holds it."""
+    at = int(np.argmax(deviation))
+    return {**_check(deviation.flat[at], tolerance), "worst_at": path(at)}
+
+
 def _rel(a, b, scale):
     """Elementwise |a - b| / max(|a|, |b|, scale, 1e-30)."""
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(scale, 1e-30))
@@ -287,8 +294,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     brute = {op: np.stack([bras @ (kets_same @ local_op(mats[op], site, params.n).T).T
                            for site in sites], axis=-1) for op in ops}
 
-    # then every formula over the grid of all pairs at once: sp[r] is the
-    # (P, Q) table of representation reps[r]; each form factor table is
+    # then every formula over the grid of all pairs at once: values[rep] is
+    # the (P, Q) table of representation rep; each form factor table is
     # (form, P, Q, site), the roots form first, and "+" and "-" share the
     # spin-flip determinant
     count = len(table)
@@ -302,7 +309,6 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
         values["slavnov"] = obs.sp_slavnov(grid, alpha)
     if "tau_izergin" in reps or "tau_slavnov" in reps:
         values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(grid, kappa, kappa2)
-    sp = np.array([values[rep] for rep in reps]).reshape(len(reps), count, count)
     if "z" in ops:
         z_forms = np.stack([obs.ff_sigma_z(grid, sites, form) for form in ("roots", "tau")])
     if "+" in ops or "-" in ops:
@@ -312,7 +318,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     forms = {op: z_forms if op == "z" else pm_forms for op in ops}
 
     # compare: each check is one array expression over every pair
-    stacked = np.concatenate([sp, dense[None]])
+    stacked = np.array([*(values[rep] for rep in reps), dense])
     first, second = np.triu_indices(len(stacked), 1)
     sp_dev = _rel(stacked[first], stacked[second], sp_scale).max(axis=0)
     ff_dev = {op: _rel(forms[op], brute[op], ff_scale[..., None]).max(axis=0) for op in ops}
@@ -321,19 +327,16 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     # raising element is tracked as the separate pm_equality summary check
     dev_key = {"z": "deviation", "-": "deviation", "+": "pm_equality_deviation"}
 
-    # the entries read nested lists of Python numbers, which index far
-    # faster than arrays
-    form_rows, brute_rows, dev_rows = ({op: table[op].tolist() for op in ops}
-                                       for table in (forms, brute, ff_dev))
+    # the report keeps each entry's oracle value and its deviations, not the
+    # formula values they summarize.  The entries read nested lists of Python
+    # numbers, which index far faster than arrays
+    brute_rows, dev_rows = ({op: by_op[op].tolist() for op in ops} for by_op in (brute, ff_dev))
 
     def ff_entry(op, ip, iq, s):
-        roots_v, tau_v = form_rows[op]
-        return {"roots_form": roots_v[ip][iq][s], "tau_form": tau_v[ip][iq][s],
-                "brute": brute_rows[op][ip][iq][s], dev_key[op]: dev_rows[op][ip][iq][s]}
+        return {"brute": brute_rows[op][ip][iq][s], dev_key[op]: dev_rows[op][ip][iq][s]}
 
     pairs = [(ip, iq) for ip in range(count) for iq in range(count)]
-    sp_section = {f"P{ip}_Q{iq}": {"values": dict(zip(reps, sp[:, ip, iq])),
-                                   "dense": dense[ip, iq],
+    sp_section = {f"P{ip}_Q{iq}": {"dense": dense[ip, iq],
                                    "max_pairwise_deviation": sp_dev[ip, iq]}
                   for ip, iq in pairs}
     orth_section = {f"P{ip}_Q{iq}": {"overlap_over_norms": orth[ip, iq]}
@@ -341,17 +344,26 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     ff_section = {f"P{ip}_Q{iq}_site{site}": {op: ff_entry(op, ip, iq, s) for op in ops}
                   for ip, iq in pairs for s, site in enumerate(sites)}
 
-    summary = {"scalar_products": _check(sp_dev.max(), cfg.tol("cross_representation"))}
-    compared = [ff_dev[op].max() for op in ("z", "-") if op in ops]
+    # each summary check names its worst entry by its report key; the keys
+    # run in the arrays' row-major order
+    pair_keys, site_keys = list(sp_section), list(ff_section)
+    summary = {"scalar_products": _worst_check(sp_dev, cfg.tol("cross_representation"),
+                                               lambda i: pair_keys[i])}
+    compared = [op for op in ops if op in ("z", "-")]
     if compared:
-        summary["form_factors"] = _check(max(compared), cfg.tol("oracle_comparison"))
+        summary["form_factors"] = _worst_check(
+            np.stack([ff_dev[op] for op in compared], axis=-1), cfg.tol("oracle_comparison"),
+            lambda i: f"{site_keys[i // len(compared)]}.{compared[i % len(compared)]}")
     if same_twist:
-        off_diagonal = ~np.eye(count, dtype=bool)
-        summary["orthogonality"] = _check(orth[off_diagonal].max(), cfg.tol("orthogonality"))
+        # the diagonal, where the overlap does not vanish, never holds the residual
+        off_diagonal = np.where(np.eye(count, dtype=bool), -np.inf, orth)
+        summary["orthogonality"] = _worst_check(off_diagonal, cfg.tol("orthogonality"),
+                                                lambda i: pair_keys[i])
     if "+" in ops:
-        summary["pm_equality"] = _check(ff_dev["+"].max(), cfg.tol("pm_equality"))
+        summary["pm_equality"] = _worst_check(ff_dev["+"], cfg.tol("pm_equality"),
+                                              lambda i: f"{site_keys[i]}.+")
 
-    report = {"schema": 1, "command": "observables", "seed": cfg.seed,
+    report = {"schema": 2, "command": "observables", "seed": cfg.seed,
               "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
               "q_roots": {f"P{i}": roots for i, roots in enumerate(table.roots.tolist())},
               "scalar_products": sp_section, "orthogonality": orth_section,

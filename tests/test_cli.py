@@ -1,10 +1,12 @@
 import copy
 import gc
+import importlib.util
 import json
 import re
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,8 +467,27 @@ class TestSpectrumCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def outcome_module():
+    """``perfbench/outcome.py``, the benchmark's op classifier."""
+    if "perfbench_outcome" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "outcome.py"
+        spec = importlib.util.spec_from_file_location("perfbench_outcome", path)
+        # registered first: its dataclass looks its own module up while it is built
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["perfbench_outcome"]
+
+
 class TestObservablesCommand:
-    def test_representation_selector(self, tmp_path):
+    def test_representation_selector(self, tmp_path, monkeypatch):
+        # only the selected representations are evaluated; sp_tau gives both
+        # tau forms in one call
+        calls = Counter()
+        for name in ("sp_direct", "sp_izergin", "sp_slavnov", "sp_tau"):
+            def counted(*args, _inner=getattr(obs, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(obs, name, counted)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "n": 2,
@@ -475,9 +496,83 @@ class TestObservablesCommand:
         }))
         out = tmp_path / "o.json"
         assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == {"sp_direct": 1, "sp_tau": 1}
+        assert read(out)["summary"]["scalar_products"]["pass"]
+
+    def test_entries_keep_the_oracle_value_and_deviations(self, tmp_path):
+        # no formula value is written: each entry holds the dense oracle value
+        # and the deviation that summarizes the formulas against it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        out = tmp_path / "o.json"
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
         rep = read(out)
-        entry = rep["scalar_products"]["P0_Q1"]["values"]
-        assert set(entry) == {"direct", "tau_izergin"}
+        assert rep["schema"] == 2
+        assert len(rep["scalar_products"]) == 16 and len(rep["form_factors"]) == 32
+        for entry in rep["scalar_products"].values():
+            assert set(entry) == {"dense", "max_pairwise_deviation"}
+        for entry in rep["form_factors"].values():
+            assert set(entry) == {"z", "+", "-"}
+            assert set(entry["z"]) == set(entry["-"]) == {"brute", "deviation"}
+            assert set(entry["+"]) == {"brute", "pm_equality_deviation"}
+
+    @pytest.mark.parametrize("config", [
+        {"n": 2},
+        {"n": 2, "sites": [2], "operators": ["+", "-"]},
+        {"n": 2, "sites": [2, 1], "operators": ["+"]},
+        {"n": 3, "sites": [3, 1], "operators": ["-", "z"], "kappa_prime": [1.0, 0.0]},
+    ])
+    def test_deviation_leaves_are_the_margin_population(self, tmp_path, config):
+        # P * Q * |sites| * |operators & {z, -}| "deviation" leaves, which with
+        # one max_pairwise_deviation per pair and one residual per other gated
+        # check are the margins the benchmark's classifier counts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        code = run(["observables", "--config", str(cfg), "--out", str(out)])
+        rep, loaded = read(out), load_config(cfg)
+        pairs = 4 ** loaded.params.n
+        compared = len({"z", "-"} & set(loaded.operators))
+        leaves = sum("deviation" in entry[op] for entry in rep["form_factors"].values()
+                     for op in entry)
+        assert leaves == pairs * len(loaded.sites) * compared
+        judged = outcome_module().classify(code, rep, DEFAULT_TOLERANCES)
+        assert judged.ok
+        assert len(judged.margins) == pairs + leaves + ("orthogonality" in rep["summary"])
+
+    @pytest.mark.parametrize("config", [
+        {"n": 3},
+        {"n": 2, "sites": [2, 1], "operators": ["-", "+", "z"], "kappa_prime": [1.0, 0.0]},
+    ])
+    def test_worst_at_names_the_leaf_of_the_residual(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = read(out)
+        summary = rep["summary"]
+        assert set(summary) == {"scalar_products", "form_factors", "pm_equality"} | (
+            {"orthogonality"} if "kappa_prime" in config else set())
+        leaf = {"scalar_products": "max_pairwise_deviation", "orthogonality": "overlap_over_norms",
+                "form_factors": "deviation", "pm_equality": "pm_equality_deviation"}
+        for name, check in summary.items():
+            section = "form_factors" if name == "pm_equality" else name
+            where = check["worst_at"]
+            assert re.fullmatch(r"P\d+_Q\d+(_site\d+\.[z+-])?", where)
+            entry = rep[section]
+            for key in where.split("."):
+                entry = entry[key]
+            assert entry[leaf[name]] == check["residual"]
+            held = [e[leaf[name]] for e in rep[section].values()] if section != "form_factors" \
+                else [e[op][leaf[name]] for e in rep[section].values() for op in e
+                      if leaf[name] in e[op]]
+            assert check["residual"] == max(held)
+
+    def test_worst_at_takes_the_first_tie_in_row_major_order(self):
+        deviation = np.zeros((2, 3, 2))
+        deviation[1, 0, 1] = deviation[0, 2, 0] = deviation[1, 2, 1] = 0.5
+        check = cli._worst_check(deviation, 1.0, lambda i: np.unravel_index(i, deviation.shape))
+        assert check == {"residual": 0.5, "tolerance": 1.0, "pass": True, "worst_at": (0, 2, 0)}
 
     def test_same_twist_populates_orthogonality(self, tmp_path):
         cfg = tmp_path / "cfg.json"
