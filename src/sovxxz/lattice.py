@@ -117,10 +117,11 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
                     kappa: complex | None = None,
                     gap_factor: float = 1e-6) -> np.ndarray:
     """Brute-force eigenvalues of the twisted transfer matrix, as the
-    read-only (2^N, N) array whose row r holds tau(xi_1..xi_N) of eigenvalue
-    r, the rows sorted by tau(xi_1); ``at_xi`` holds the monodromy blocks at
-    xi_1..xi_N.  Each eigenvalue is closed to tau(lam) by interpolation
-    through ``ModelParams.node_basis``.
+    read-only (2^N, len(at_xi)) array whose row r holds tau(xi_1..xi_M) of
+    eigenvalue r, the rows sorted by tau(xi_1); ``at_xi`` holds the monodromy
+    blocks at the first M nodes xi_1..xi_M.  With all N of them, each
+    eigenvalue is closed to tau(lam) by interpolation through
+    ``ModelParams.node_basis``.
 
     Diagonalizes T_K(xi_1) once and takes Rayleigh quotients against T_K(xi_j)
     to read off tau(xi_j) for every eigenvector (the family commutes, so each
@@ -162,7 +163,9 @@ class NodeFactors:
     (``shift``), the quantum determinant a(xi_m) d(xi_m - eta) (``qdet``) and
     the prefix products P_s = T_K(xi_1) ... T_K(xi_s), s = 0..len(``at_xi``)
     (``prefix``, P_0 the identity), each factor T_K(xi_m) checked once with
-    one SVD to be invertible.
+    one SVD to be invertible, and their inverses P_s^{-1} (``prefix_inv``),
+    each inverted whole, which at N = 8 rounds closer than the product
+    T_s^{-1} P_{s-1}^{-1} of the factors' inverses.
     """
 
     def __init__(self, params: ModelParams, at_xi: list[MonodromyBlocks]):
@@ -178,12 +181,13 @@ class NodeFactors:
             if svals[-1] < 1e-12 * svals[0]:
                 raise InversionError("transfer-matrix factor is numerically singular")
             self.prefix.append(self.prefix[-1] @ f)
+        self.prefix_inv = [self.prefix[0]] + [np.linalg.inv(p) for p in self.prefix[1:]]
 
 
 def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
                          variant: int = 1) -> np.ndarray:
     """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries,
-    as left . core . right^{-1} with one solve.
+    as (left . core) . right^{-1}, two products with the inverse ``nodes`` holds.
 
     variant=1 uses the core [K T(xi_site)]_{ji} between left = P_{site-1} and
     right = P_site; variant=2 uses the quantum-determinant inverse with
@@ -192,18 +196,18 @@ def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
     result reproduces the direct Kronecker embedding up to rounding; callers
     compare the two at their own tolerance.
     """
-    prefix = nodes.prefix
+    prefix, prefix_inv = nodes.prefix, nodes.prefix_inv
     if not 1 <= site < len(prefix):
         raise DimensionError(f"site {site} outside 1..{len(prefix) - 1}")
     if i not in (1, 2) or j not in (1, 2):
         raise DimensionError("operator indices must be 1 or 2")
     if variant == 1:
         core = _twisted(nodes.at_xi[site - 1], nodes.kappa, j, i)
-        left, right = prefix[site - 1], prefix[site]
+        left, right_inv = prefix[site - 1], prefix_inv[site]
     elif variant == 2:
         core = -((-1.0) ** (i + j)) * _twisted(nodes.shift[site - 1], nodes.kappa, 3 - i, 3 - j) \
             / nodes.qdet[site - 1]
-        left, right = prefix[site], prefix[site - 1]
+        left, right_inv = prefix[site], prefix_inv[site - 1]
     else:
         raise ParameterError("variant must be 1 or 2")
-    return np.linalg.solve(right.T, (left @ core).T).T
+    return (left @ core) @ right_inv

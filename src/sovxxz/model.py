@@ -8,10 +8,11 @@ formula, the interpolation of eigenvalues through the nodes, and the
 structural diagnostics (quantum Wronskian, root sum rule) of a Q-function.
 
 This is the one place that evaluates a model function.  Each is one numpy
-function of sinh products (``sinh_prod``, ``sinh_prod_deriv``, ``coth``,
-``vandermonde``, ``node_denominators``) that takes a scalar or an array of
-points and acts elementwise on the points (products run along the last
-axis), so callers evaluate every point, root or label of a batch in one call.
+function of sinh products (``sinh_prod``, ``sinh_prod_deriv``,
+``sinh_prod_and_deriv``, ``coth``, ``vandermonde``, ``node_denominators``)
+that takes a scalar or an array of points and acts elementwise on the points
+(products run along the last axis), so callers evaluate every point, root or
+label of a batch in one call.
 """
 
 from __future__ import annotations
@@ -100,12 +101,18 @@ def products_except(s: np.ndarray) -> np.ndarray:
     return acc[..., 0, :] * acc[..., 1, ::-1]
 
 
+def sinh_prod_and_deriv(args):
+    """(sinh_prod(args), sinh_prod_deriv(args)), taking each sinh once."""
+    z = np.asarray(args, dtype=np.complex128)
+    s = np.sinh(z)
+    return s.prod(axis=-1), (np.cosh(z) * products_except(s)).sum(axis=-1)
+
+
 def sinh_prod_deriv(args):
     """sum_m cosh(z_m) prod_{k != m} sinh(z_k) along the last axis, the
     derivative of sinh_prod when every argument moves with unit speed; product
     rule, no division, so it stays finite at the zeros of the product."""
-    z = np.asarray(args, dtype=np.complex128)
-    return (np.cosh(z) * products_except(np.sinh(z))).sum(axis=-1)
+    return sinh_prod_and_deriv(args)[1]
 
 
 def node_denominators(xs):
@@ -145,13 +152,9 @@ def vandermonde_rows(xs, eta: complex) -> VandermondeRows:
     """The ``VandermondeRows`` of the points ``xs``."""
     x = np.asarray(xs, dtype=np.complex128)
     m = len(x)
-    at_x = np.zeros((m, m), dtype=np.complex128)
-    at_x_eta = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(1, m + 1):
-            p = 2 * j - m - 1
-            at_x[i, j - 1] = np.exp(p * x[i])
-            at_x_eta[i, j - 1] = np.exp(p * (x[i] - eta))
+    p = np.arange(1 - m, m, 2)  # 2j - m - 1, j = 1..m
+    at_x = np.exp(p * x[:, None])
+    at_x_eta = np.exp(p * (x[:, None] - eta))
     center = np.median(x.real)
     wide = [i for i in range(m) if abs(x[i].real - center) > 4.0]
     return VandermondeRows(at_x, at_x_eta, wide, vandermonde(x))

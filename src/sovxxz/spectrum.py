@@ -40,8 +40,7 @@ from .model import (
     q_table,
     products_except,
     residual_grid,
-    sinh_prod,
-    sinh_prod_deriv,
+    sinh_prod_and_deriv,
 )
 from .sov import SovBasis, separate_state
 
@@ -229,8 +228,7 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     dq = -0.5 * np.cosh(z) * products_except(sz)
     u = roots[..., :, None] - np.asarray(params.xi)
     u = np.stack([u + eta, u], axis=-3)
-    av, dv = np.moveaxis(sinh_prod(u), -2, 0)
-    a_prime, d_prime = np.moveaxis(sinh_prod_deriv(u), -2, 0)
+    (av, dv), (a_prime, d_prime) = (np.moveaxis(x, -2, 0) for x in sinh_prod_and_deriv(u))
     f = av * qm - dv * qp
     jac = av[..., :, None] * dq[..., 0, :, :] - dv[..., :, None] * dq[..., 1, :, :]
     # on the diagonal lam = q_j also moves the arguments of every factor l != j

@@ -308,9 +308,9 @@ class TestValidateCommand:
     def test_node_factors_built_once(self, tmp_path, monkeypatch):
         # the 8 n dressed operators of one run share their node factors: the
         # monodromy at each xi_m - eta is built once, the blocks at xi_m are
-        # the basis's own, each transfer factor takes one SVD, each dressed
-        # operator one solve and each target embedding serves both variants
-        # (the spectrum's own work not counted)
+        # the basis's own, each transfer factor takes one SVD, each prefix
+        # product one inversion, no dressed operator a solve, and each target
+        # embedding serves both variants (the spectrum's own work not counted)
         builds = Counter()
         calls = Counter()
         made = {}
@@ -344,6 +344,7 @@ class TestValidateCommand:
         count_builds(monkeypatch, builds, active=lambda: not in_spectrum)
         outside_spectrum(np.linalg, "svd", shapes=True)
         outside_spectrum(np.linalg, "solve")
+        outside_spectrum(np.linalg, "inv")
         outside_spectrum(cli, "local_op")
         monkeypatch.setattr(cli, "solve_spectrum", uncounted_solve)
         kept("SovBasis")
@@ -355,8 +356,7 @@ class TestValidateCommand:
         assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
-        assert calls == {("svd", (dim, dim)): n, ("solve", None): 8 * n,
-                         ("local_op", None): 4 * n}
+        assert calls == {("svd", (dim, dim)): n, ("inv", None): n, ("local_op", None): 4 * n}
         assert all(made["NodeFactors"].at_xi[m] is made["SovBasis"].at_xi[m] for m in range(n))
 
     @pytest.mark.parametrize("side", ["kets", "bras"])

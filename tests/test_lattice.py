@@ -259,6 +259,37 @@ class TestInverseProblem:
             assert np.linalg.norm((e11 - e22) - local_op(SIGMA_Z, site, 3)) < 1e-9 * 8
 
 
+@pytest.mark.parametrize("kappa", [1.0 + 0.0j, 0.8 - 0.3j])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dressing_matches_one_solve_per_operator(n, kappa):
+    # (left . core) . right^{-1} with the held inverse agrees with solving
+    # right^T against (left . core)^T for each operator alone, to rounding
+    params = make_params(n, kappa=kappa)
+    at_xi = [monodromy_entries(params, x) for x in params.xi]
+    nodes = NodeFactors(params, at_xi)
+    prefix = [np.eye(2**n, dtype=complex)]
+    for t in at_xi:
+        prefix.append(prefix[-1] @ (t.b / kappa + kappa * t.c))
+
+    def k_t(t):  # K T = [[kappa C, kappa D], [A / kappa, B / kappa]]
+        return [[kappa * t.c, kappa * t.d], [t.a / kappa, t.b / kappa]]
+
+    for site in range(1, n + 1):
+        x = params.xi[site - 1]
+        shift = k_t(monodromy_entries(params, x - params.eta))
+        qdet = params.a_fn(x) * params.d_fn(x - params.eta)
+        for i in (1, 2):
+            for j in (1, 2):
+                for variant, left, core, right in (
+                        (1, prefix[site - 1], k_t(at_xi[site - 1])[j - 1][i - 1],
+                         prefix[site]),
+                        (2, prefix[site], -(-1) ** (i + j) * shift[2 - i][2 - j] / qdet,
+                         prefix[site - 1])):
+                    want = np.linalg.solve(right.T, (left @ core).T).T
+                    got = dress_local_operator(nodes, site, i, j, variant=variant)
+                    assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+
 def test_elementary_matrix():
     assert np.allclose(elementary_matrix(1, 2), SIGMA_PLUS)
     assert np.allclose(elementary_matrix(2, 1), SIGMA_MINUS)

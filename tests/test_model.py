@@ -21,7 +21,9 @@ from sovxxz.model import (
     q_table,
     residual_grid,
     sinh_prod,
+    sinh_prod_and_deriv,
     sinh_prod_deriv,
+    vandermonde_rows,
     wrap_to_strip,
 )
 from sovxxz.lattice import spectrum_oracle
@@ -77,6 +79,13 @@ class TestSinhProd:
         got = sinh_prod_deriv(lam + zs)
         assert got.shape == (2,)
         assert all(rel_dev(a, b) < 1e-8 for a, b in zip(got, fd))
+
+    def test_product_and_deriv_together_keep_every_bit(self):
+        g = rng(13)
+        zs = g.uniform(-2, 2, (2, 3, 5)) + 1j * g.uniform(-2, 2, (2, 3, 5))
+        prod, deriv = sinh_prod_and_deriv(zs)
+        assert np.array_equal(prod.view(np.uint64), sinh_prod(zs).view(np.uint64))
+        assert np.array_equal(deriv.view(np.uint64), sinh_prod_deriv(zs).view(np.uint64))
 
     def test_deriv_finite_at_a_zero_of_one_factor(self):
         # at z_0 = 0 the log-derivative sum of coth(z_m) divides by sinh(0);
@@ -337,3 +346,28 @@ def test_canonical_roots_match_the_scalar_formula():
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(got), bits(canonical_roots(row)))
         assert np.array_equal(bits(got), bits(HalfPeriodTrigPoly.from_roots(row).roots))
+
+
+def test_vandermonde_rows_match_the_scalar_loop():
+    # the broadcast rows equal, bit for bit, one np.exp per entry, also on
+    # rows far out, near Re x = 30
+    def loop(x, eta):
+        m = len(x)
+        at_x, at_x_eta = np.zeros((2, m, m), dtype=np.complex128)
+        for i in range(m):
+            for j in range(1, m + 1):
+                p = 2 * j - m - 1
+                at_x[i, j - 1] = np.exp(p * x[i])
+                at_x_eta[i, j - 1] = np.exp(p * (x[i] - eta))
+        return at_x, at_x_eta
+
+    g = rng(14)
+    for m in range(1, 9):
+        for far in (False, True):
+            x = g.uniform(-3, 3, m) + 1j * g.uniform(-4, 4, m)
+            if far:
+                x[-1] += 30
+            eta = complex(g.uniform(-1, 1), g.uniform(-2, 2))
+            rows = vandermonde_rows(x, eta)
+            for got, want in zip((rows.at_x, rows.at_x_eta), loop(x, eta)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
