@@ -50,6 +50,16 @@ def _encode(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _plain(array) -> list:
+    """``array.tolist()`` with each complex entry written as the [re, im] list
+    ``_encode`` would make of it, so that json writes the whole array without
+    a callback per entry."""
+    array = np.asarray(array)
+    if np.iscomplexobj(array):
+        array = np.stack([array.real, array.imag], axis=-1)
+    return array.tolist()
+
+
 def write_report(report: dict, out_path: str | None) -> str:
     text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode) + "\n"
     if out_path:
@@ -251,7 +261,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
                "wronskian_sign": spectrum.wronskian_sign,
                "sum_rule_defect": res["sum_rule_defect"], "sum_rule_k": spectrum.sum_rule_k}
     rec_out = [{**dict(zip(columns, row)), "certified": True}
-               for row in zip(*(column.tolist() for column in columns.values()))]
+               for row in zip(*(_plain(column) for column in columns.values()))]
     report = {"schema": 1, "command": "spectrum", "seed": cfg.seed, "n": params.n,
               "kappa": cfg.kappa, "records": rec_out, "checks": checks,
               "pass": all(c["pass"] for c in checks.values())}
@@ -331,16 +341,17 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     # the report keeps each entry's oracle value and its deviations, not the
     # formula values they summarize.  The entries read nested lists of Python
     # numbers, which index far faster than arrays
-    brute_rows, dev_rows = ({op: by_op[op].tolist() for op in ops} for by_op in (brute, ff_dev))
+    brute_rows, dev_rows = ({op: _plain(by_op[op]) for op in ops} for by_op in (brute, ff_dev))
+    dense_rows, sp_dev_rows, orth_rows = _plain(dense), sp_dev.tolist(), orth.tolist()
 
     def ff_entry(op, ip, iq, s):
         return {"brute": brute_rows[op][ip][iq][s], dev_key[op]: dev_rows[op][ip][iq][s]}
 
     pairs = [(ip, iq) for ip in range(count) for iq in range(count)]
-    sp_section = {f"P{ip}_Q{iq}": {"dense": dense[ip, iq],
-                                   "max_pairwise_deviation": sp_dev[ip, iq]}
+    sp_section = {f"P{ip}_Q{iq}": {"dense": dense_rows[ip][iq],
+                                   "max_pairwise_deviation": sp_dev_rows[ip][iq]}
                   for ip, iq in pairs}
-    orth_section = {f"P{ip}_Q{iq}": {"overlap_over_norms": orth[ip, iq]}
+    orth_section = {f"P{ip}_Q{iq}": {"overlap_over_norms": orth_rows[ip][iq]}
                     for ip, iq in pairs if same_twist and ip != iq}
     ff_section = {f"P{ip}_Q{iq}_site{site}": {op: ff_entry(op, ip, iq, s) for op in ops}
                   for ip, iq in pairs for s, site in enumerate(sites)}
@@ -366,7 +377,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 
     report = {"schema": 2, "command": "observables", "seed": cfg.seed,
               "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
-              "q_roots": {f"P{i}": roots for i, roots in enumerate(table.roots.tolist())},
+              "q_roots": {f"P{i}": roots for i, roots in enumerate(_plain(table.roots))},
               "scalar_products": sp_section, "orthogonality": orth_section,
               "form_factors": ff_section, "summary": summary,
               "pass": all(c["pass"] for c in summary.values())}
