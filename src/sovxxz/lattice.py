@@ -187,7 +187,8 @@ class NodeFactors:
 def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
                          variant: int = 1) -> np.ndarray:
     """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries,
-    as (left . core) . right^{-1}, two products with the inverse ``nodes`` holds.
+    as (left . core) . right^{-1}, two products with the inverse ``nodes`` holds
+    (one at site 1, where P_0, the identity, is left out).
 
     variant=1 uses the core [K T(xi_site)]_{ji} between left = P_{site-1} and
     right = P_site; variant=2 uses the quantum-determinant inverse with
@@ -210,4 +211,6 @@ def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
         left, right_inv = prefix[site], prefix_inv[site - 1]
     else:
         raise ParameterError("variant must be 1 or 2")
+    if site == 1:  # P_0 is the identity: variant 1's left, variant 2's right
+        return core @ right_inv if variant == 1 else left @ core
     return (left @ core) @ right_inv
