@@ -8,6 +8,7 @@ from .errors import (
     DimensionError,
     InversionError,
     ParameterError,
+    ParityError,
     SingularEvaluationError,
     SovxxzError,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "InversionError",
     "ModelParams",
     "ParameterError",
+    "ParityError",
     "SingularEvaluationError",
     "SovBasis",
     "SovxxzError",

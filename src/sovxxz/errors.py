@@ -36,6 +36,10 @@ class DegenerateSpectrumError(SovxxzError):
     """Transfer-matrix eigenvalues are too close; parameters must be re-seeded."""
 
 
+class ParityError(SovxxzError):
+    """A monodromy block breaks the S^z-parity grading of the transfer matrix."""
+
+
 class AmbiguousNullspaceError(SovxxzError):
     """The sampled functional system does not have a one-dimensional nullspace."""
 

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DimensionError, InversionError, ParameterError
+from .errors import (
+    ConvergenceError,
+    DegenerateSpectrumError,
+    DimensionError,
+    InversionError,
+    ParameterError,
+    ParityError,
+)
 from .linalg import eig_dense
 from .model import ModelParams
 
@@ -113,9 +120,51 @@ def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) 
     return monodromy_entries(params, lam).transfer(params.kappa if kappa is None else kappa)
 
 
+def _require_gaps(vals: np.ndarray, gap_factor: float) -> None:
+    """Refuse a spectrum ``vals`` with two eigenvalues closer than
+    ``gap_factor`` times its spectral radius."""
+    radius = float(np.max(np.abs(vals)))
+    gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * (10 * radius)
+    if gaps.min() < gap_factor * radius:
+        raise DegenerateSpectrumError(
+            f"eigenvalue gap {gaps.min():.3e} below {gap_factor:.1e} * radius; re-seed parameters"
+        )
+
+
+def parity_blocks(at_xi: list[MonodromyBlocks], kappa: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y): the (len(at_xi), 2^{N-1}, 2^{N-1}) stacks of the blocks
+    X_j = T_K(xi_j)[even, odd] and Y_j = T_K(xi_j)[odd, even] of the twisted
+    transfer matrices at the points of ``at_xi``, rows and columns grouped by
+    the S^z parity of the basis state (the number of down spins, mod 2), each
+    block combined from the same blocks of B and C, so no full transfer
+    matrix is formed.
+
+    B and C flip one spin each, so T_K maps each parity sector to the other
+    and its same-parity blocks vanish; a B or C with a nonzero entry there is
+    refused by name.
+    """
+    if kappa == 0:
+        raise ParameterError("twist must be nonzero")
+    n = len(at_xi[0].b).bit_length() - 1
+    half = 2**(n - 1)
+    # the even states, then the odd ones, each in increasing order
+    order = np.argsort(np.bitwise_count(np.arange(2**n)) & 1, kind="stable")
+    x, y = [], []
+    for j, t in enumerate(at_xi, start=1):
+        b, c = (m.take(order, axis=0).take(order, axis=1) for m in (t.b, t.c))
+        for name, m in (("B", b), ("C", c)):
+            if m[:half, :half].any() or m[half:, half:].any():
+                raise ParityError(f"{name}(xi_{j}) has a nonzero entry between states of "
+                                  "equal S^z parity")
+        x.append(b[:half, half:] / kappa + kappa * c[:half, half:])
+        y.append(b[half:, :half] / kappa + kappa * c[half:, :half])
+    x, y = np.stack(x), np.stack(y)
+    return x, y
+
+
 def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
                     kappa: complex | None = None,
-                    gap_factor: float = 1e-6) -> np.ndarray:
+                    gap_factor: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
     """Brute-force eigenvalues of the twisted transfer matrix, as the
     read-only (2^N, len(at_xi)) array whose row r holds tau(xi_1..xi_M) of
     eigenvalue r, the rows sorted by tau(xi_1); ``at_xi`` holds the monodromy
@@ -123,30 +172,55 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
     eigenvalue is closed to tau(lam) by interpolation through
     ``ModelParams.node_basis``.
 
-    Diagonalizes T_K(xi_1) once and takes Rayleigh quotients against T_K(xi_j)
-    to read off tau(xi_j) for every eigenvector (the family commutes, so each
-    vector is a joint eigenvector).
+    T_K(xi_1) maps each S^z-parity sector to the other (``parity_blocks``),
+    so its eigenpairs come from one eigensolve of X_1 Y_1 on the even sector:
+    each eigenpair (mu, u) of it gives the two eigenvalues tau = +-sqrt(mu) of
+    T_K(xi_1), with eigenvectors (u, +-w), w = Y_1 u / sqrt(mu).  Each pair
+    must satisfy ||(X_1 w - tau u, Y_1 u - tau w)|| <= tol * ||T|| * ||v|| on
+    the full matrix, and no two of the 2^N eigenvalues may lie closer than
+    ``gap_factor`` times the spectral radius.  Rayleigh quotients against
+    T_K(xi_j), formed from its blocks, read off tau(xi_j) for every
+    eigenvector (the family commutes, so each vector is a joint eigenvector);
+    those of (u, -w) are the negated ones of (u, w), so the spectrum is
+    closed under negation by construction.
     """
     k = params.kappa if kappa is None else kappa
-    mats = [t.transfer(k) for t in at_xi]
-    vals, vecs = eig_dense(mats[0])
-    radius = float(np.max(np.abs(vals)))
-    gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * (10 * radius)
-    if gaps.min() < gap_factor * radius:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap {gaps.min():.3e} below {gap_factor:.1e} * radius; re-seed parameters"
-        )
-    # row r of vecs is eigenvector r; (v^H M v) / (v^H v) of every vector and
-    # node matrix M as one stacked product per matrix, each rounded as one
-    # vector's alone
-    vecs = np.ascontiguousarray(vecs.T)
-    conj = vecs.conj()[:, None, :]
-    nv = (conj @ vecs[:, :, None])[:, 0, 0]
-    tau_xi = np.stack([(conj @ (m @ vecs[:, :, None]))[:, 0, 0] for m in mats], axis=1) \
-        / nv[:, None]
+    x, y = parity_blocks(at_xi, k)
+    try:
+        mu, u = np.linalg.eig(x[0] @ y[0])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    root = np.sqrt(mu)
+    _require_gaps(np.concatenate([root, -root]), gap_factor)
+    yu = y @ u  # column c of yu[j]: Y_j u_c
+    w = yu[0] / root
+    xw = x @ w
+    norm = np.linalg.norm
+    resid = np.hypot(norm(xw[0] - root * u, axis=0), norm(yu[0] - root * w, axis=0))
+    v_norm = np.hypot(norm(u, axis=0), norm(w, axis=0))
+    bad = resid > tol * max(np.hypot(norm(x[0]), norm(y[0])), 1.0) * v_norm
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"eigenpair +-sqrt(mu_{c}) residual {resid[c]:.3e} exceeds "
+            f"{tol:.1e} * ||T|| * ||v|| ({v_norm[c]:.3e})")
+    # (u^H X_j w + w^H Y_j u) / (u^H u + w^H w) of every vector and node
+    plus = ((u.conj() * xw).sum(axis=1) + (w.conj() * yu).sum(axis=1)) / v_norm**2
+    tau_xi = np.concatenate([plus, -plus], axis=1).T
     taus = tau_xi[np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))]
     taus.flags.writeable = False
     return taus
+
+
+def transfer_eigenvalues(t: MonodromyBlocks, kappa: complex,
+                         gap_factor: float = 1e-6) -> np.ndarray:
+    """Eigenvalues of the full twisted transfer matrix at the point of ``t``,
+    sorted by (real, imag), from one dense ``eig_dense`` and under the
+    oracle's degeneracy guard: a reference that shares no step with
+    ``spectrum_oracle`` and is not closed under negation by construction."""
+    vals, _ = eig_dense(t.transfer(kappa))
+    _require_gaps(vals, gap_factor)
+    return vals
 
 
 def _twisted(t: MonodromyBlocks, kappa: complex, row: int, col: int) -> np.ndarray:

@@ -434,7 +434,7 @@ class TestOneBasisPerOp:
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 0
         assert [builds[x] for x in params.xi] == [1] * params.n
         # besides these: the three certification probes; the oracle at kappa
-        # and at kappa' reads the node blocks alone
+        # and the full eigensolve at kappa' read the node blocks alone
         assert sorted(builds.values()) == [1] * (params.n + 3)
 
 
@@ -458,6 +458,36 @@ class TestSpectrumCommand:
         rep = read(out)
         assert len(rep["records"]) == 8
         assert all(r["bethe_residual"] < 1e-9 for r in rep["records"])
+
+    def test_checks_read_the_full_eigensolve(self, tmp_path, monkeypatch):
+        # the oracle's spectrum is closed under negation by construction, so
+        # negation_closure reads the kappa' reference alone: shifted off
+        # closure, it fails, while the oracle's records stay certified
+        full = lattice.transfer_eigenvalues
+        calls = []
+
+        def shifted(t, kappa):
+            calls.append(kappa)
+            vals = full(t, kappa)
+            return vals + 0.5 * np.max(np.abs(vals))
+
+        monkeypatch.setattr(cli, "transfer_eigenvalues", shifted)
+        out = tmp_path / "s.json"
+        assert run(["spectrum", "--out", str(out)]) == 1
+        rep = read(out)
+        assert calls == [load_config(None).kappa_prime]
+        assert not rep["checks"]["negation_closure"]["pass"]
+        assert rep["checks"]["negation_closure"]["residual"] > 0.5
+        assert all(r["certified"] for r in rep["records"])
+
+    def test_negation_closure_is_not_vacuous(self, tmp_path):
+        out = tmp_path / "s.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6}))
+        for seed in (1, 2, 3):
+            assert run(["spectrum", "--config", str(cfg), "--seed", str(seed),
+                        "--out", str(out)]) == 0
+            assert read(out)["checks"]["negation_closure"]["residual"] > 0
 
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "s1.json"

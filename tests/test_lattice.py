@@ -7,7 +7,13 @@ import pytest
 
 from conftest import make_params, rng
 from sovxxz.cli import _rtt_residual
-from sovxxz.errors import DegenerateSpectrumError, DimensionError
+from sovxxz.errors import (
+    ConvergenceError,
+    DegenerateSpectrumError,
+    DimensionError,
+    ParityError,
+    SovxxzError,
+)
 from sovxxz.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -20,9 +26,11 @@ from sovxxz.lattice import (
     r_matrix,
     reference_state,
     spectrum_oracle,
+    transfer_eigenvalues,
     transfer_k,
     twist_matrix,
 )
+from sovxxz.sov import SovBasis
 
 ETA = 0.6 + 0.35j
 
@@ -189,9 +197,47 @@ class TestTransferMatrix:
 
 class TestSpectrumOracle:
     def test_closed_under_negation(self, params3, basis3):
-        vals = np.sort_complex(spectrum_oracle(params3, basis3.at_xi)[:, 0])
+        # the full eigensolve, which is not closed under negation by
+        # construction, as the parity-block oracle is
+        vals = transfer_eigenvalues(basis3.at_xi[0], params3.kappa)
         neg = np.sort_complex(-vals)
         assert np.max(np.abs(vals - neg)) < 1e-9 * np.max(np.abs(vals))
+
+    def test_oracle_closed_by_construction(self, params3, basis3):
+        taus = spectrum_oracle(params3, basis3.at_xi)
+        assert np.array_equal(np.sort_complex(taus[:, 0]), np.sort_complex(-taus[:, 0]))
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_full_matrix_reference(self, n, kappa):
+        # every tau(xi_j) against the Rayleigh quotients of the eigenvectors
+        # of the full T_K(xi_1), row for row
+        params = make_params(n, kappa=kappa)
+        at_xi = SovBasis(params).at_xi
+        mats = [t.transfer(kappa) for t in at_xi]
+        _, vecs = np.linalg.eig(mats[0])
+        ref = np.array([[v.conj() @ m @ v / (v.conj() @ v) for m in mats] for v in vecs.T])
+        taus = spectrum_oracle(params, at_xi)
+        assert taus.shape == (2**n, n)
+        radius = np.max(np.abs(ref[:, 0]))
+        rows = [int(np.argmin(np.abs(taus[:, 0] - r))) for r in ref[:, 0]]
+        assert sorted(rows) == list(range(2**n))
+        assert np.max(np.abs(taus[rows] - ref)) < 1e-12 * radius
+
+    def test_refuses_a_same_parity_entry(self, params3, basis3):
+        # state 0 (all up) and state 3 (two down) are both even
+        at_xi = list(basis3.at_xi)
+        b = at_xi[1].b.copy()
+        b[0, 3] = 1e-3
+        at_xi[1] = dataclasses.replace(at_xi[1], b=b)
+        with pytest.raises(ParityError, match=r"^B\(xi_2\) has a nonzero entry between "
+                                              r"states of equal S\^z parity$"):
+            spectrum_oracle(params3, at_xi)
+        assert issubclass(ParityError, SovxxzError)  # the CLI exits 2 on it
+
+    def test_residual_gate(self, params3, basis3):
+        with pytest.raises(ConvergenceError, match=r"residual .* exceeds 1\.0e-30"):
+            spectrum_oracle(params3, basis3.at_xi, tol=1e-30)
 
     def test_interpolation_matches_rayleigh(self, params3, basis3):
         # the eigenvalues of T(mu) at a point off the nodes are the Rayleigh
@@ -222,6 +268,8 @@ class TestSpectrumOracle:
     def test_degeneracy_guard(self, params3, basis3):
         with pytest.raises(DegenerateSpectrumError):
             spectrum_oracle(params3, basis3.at_xi, gap_factor=1e6)
+        with pytest.raises(DegenerateSpectrumError):
+            transfer_eigenvalues(basis3.at_xi[0], params3.kappa, gap_factor=1e6)
 
 
 class TestInverseProblem:

@@ -75,6 +75,8 @@ DEFAULT_CASES = (
                     '"representations": ["izergin", "tau_slavnov"]}', "1-3"),
     ("observables", '{"n": 2, "kappa": [0.8, -0.3]}', "1-3"),
     ("spectrum", '{"n": 5, "kappa": [0.8, -0.3]}', "1-4"),
+    ("spectrum", '{"n": 1}', "1-3"),
+    ("spectrum", '{"n": 6, "kappa": [0.8, -0.3], "kappa_prime": [1.0, 0.0]}', "1-3"),
     ("validate", '{"n": 3, "sites": [1]}', "1-3"),
     ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
     ("validate", '{"n": 4, "kappa": [0.8, -0.3]}', "1-3"),
