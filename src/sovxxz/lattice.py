@@ -101,15 +101,20 @@ def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
     t = np.eye(2, dtype=np.complex128).reshape(2, 2, 1, 1)
     for m in range(1, n + 1):
         r = r_matrix(lam - params.xi[m - 1], params.eta)
-        # rl[l, i, c, d] = r[2i + c, 2l + d]: auxiliary indices i, l, site indices c, d
-        rl = r.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3)
+        sle, sl, se = r[0, 0], r[1, 1], r[1, 2]
         # aux-space product (R . T); site m joins as the innermost tensor factor:
-        # t'[i, k, (a, c), (b, d)] = sum_l t[l, k, a, b] rl[l, i, c, d].  Broadcast
-        # products round like np.kron; np.einsum rounds some entries differently.
-        new = t[0, None, :, :, None, :, None] * rl[0, :, None, None, :, None, :]
-        new += t[1, None, :, :, None, :, None] * rl[1, :, None, None, :, None, :]
-        dim = 2 * t.shape[2]
-        t = new.reshape(2, 2, dim, dim)
+        # t'[i, k, (a, c), (b, d)] = sum_l t[l, k, a, b] r[2i + c, 2l + d].  R has
+        # six nonzero entries, so each block of t' is one scaled block of t (or
+        # zero); the products round like np.kron's.
+        dim = t.shape[2]
+        new = np.zeros((2, 2, dim, 2, dim, 2), dtype=np.complex128)
+        new[0, :, :, 0, :, 0] = t[0] * sle
+        new[0, :, :, 1, :, 0] = t[1] * se
+        new[0, :, :, 1, :, 1] = t[0] * sl
+        new[1, :, :, 0, :, 0] = t[1] * sl
+        new[1, :, :, 0, :, 1] = t[0] * se
+        new[1, :, :, 1, :, 1] = t[1] * sle
+        t = new.reshape(2, 2, 2 * dim, 2 * dim)
     # separate copies, so that a caller keeping one block does not keep all four
     return MonodromyBlocks(a=t[0, 0].copy(), b=t[0, 1].copy(), c=t[1, 0].copy(),
                            d=t[1, 1].copy())

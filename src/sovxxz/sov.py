@@ -59,12 +59,15 @@ class SovBasis:
         self.bras = np.empty((2**n, 2**n), dtype=np.complex128)
         self.kets[0] = reference_state(n)
         self.bras[0] = reference_state(n) / self.v_h[0]
-        for idx in range(1, 2**n):
-            # the parent label clears h's first set bit h_a, the highest bit of idx
-            a = n - idx.bit_length()
-            parent = idx ^ (1 << (n - 1 - a))
-            self.kets[idx] = -(self.at_xi[a].b @ self.kets[parent]) / params.a_xi[a]
-            self.bras[idx] = (self.at_xi[a].c.T @ self.bras[parent]) / d_shift_vals[a]
+        for a in range(n - 1, -1, -1):
+            # the labels whose first set bit is h_a, rows [lo, 2 lo), each
+            # built from its parent label with that bit cleared, row idx - lo;
+            # one stacked product that rounds each row as ``matrix @ row``
+            lo = 2**(n - 1 - a)
+            self.kets[lo:2 * lo] = -(self.at_xi[a].b @ self.kets[:lo, :, None])[..., 0] \
+                / params.a_xi[a]
+            self.bras[lo:2 * lo] = (self.at_xi[a].c.T @ self.bras[:lo, :, None])[..., 0] \
+                / d_shift_vals[a]
 
     def ket(self, h) -> np.ndarray:
         return self.kets[h_to_index(tuple(h))]
