@@ -43,6 +43,8 @@ from .model import (
     half_period_values,
     node_denominators,
     products_except,
+    sinh,
+    sinh_cosh,
     sinh_prod,
     vandermonde,
     vandermonde_rows,
@@ -109,7 +111,7 @@ def _izergin_kernels(xs, zs, eta: complex) -> tuple[np.ndarray, np.ndarray]:
     vanishes."""
     diff = np.asarray(xs, dtype=np.complex128)[..., :, None] \
         - np.asarray(zs, dtype=np.complex128)[..., None, :]
-    s0, s1 = np.sinh(diff), np.sinh(diff - eta)
+    s0, s1 = sinh(diff), sinh(diff - eta)
     near = (abs(s0) < 1e-13) | (abs(s1) < 1e-13)
     if near.any():
         at = first_index(near)
@@ -128,7 +130,7 @@ def _izergin_matrix(kernels, f_vals) -> np.ndarray:
 def e_weight(zs, eta: complex, u: complex) -> complex:
     """prod_l sinh(u - z_l - eta) / sinh(u - z_l)."""
     w = u - np.asarray(zs, dtype=np.complex128)
-    return complex(np.prod(np.sinh(w - eta) / np.sinh(w)))
+    return complex(np.prod(sinh(w - eta) / sinh(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,7 @@ class PairContext:
         terms."""
         xi = np.asarray(self.params.xi, dtype=np.complex128)
         half = (xi[:, None] - self.qr[..., None, :] - self.params.eta) / 2
-        s, c = np.sinh(half), np.cosh(half)
+        s, c = sinh_cosh(half)
         pole = s * c == 0
         if pole.any():
             raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
@@ -265,7 +267,7 @@ class PairContext:
     @cached_property
     def z_xi_sinh(self) -> np.ndarray:
         """sinh(z_i - xi_s), row i, column s, per Q record."""
-        return np.sinh(self.z[..., :, None] - np.asarray(self.params.xi))
+        return sinh(self.z[..., :, None] - np.asarray(self.params.xi))
 
     @cached_property
     def tau_dq(self) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +336,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     m = np.rint(u.imag / np.pi)
     limit = abs(u - 1j * np.pi * m) < _COLLISION_TOL
     u[limit] = 1.0  # the removable points, filled in below
-    dq = (at_z[..., :, None] - at_w[..., None, :]) / np.sinh(u)
+    dq = (at_z[..., :, None] - at_w[..., None, :]) / sinh(u)
     if limit.any():
         *pairs, h, _, k = np.nonzero(limit)
         ip, iq = pairs
@@ -419,13 +421,13 @@ def _p_ipi_over_sinh(sinh_half: np.ndarray, cosh_half: np.ndarray) -> np.ndarray
 
 def _s_gamma(u, gamma: complex):
     """sinh((u + gamma)/2) / (sinh(u/2) sinh(gamma/2)), elementwise in u."""
-    sg = np.sinh(gamma / 2)
-    su = np.sinh(u / 2)
+    sg = sinh(gamma / 2)
+    su = sinh(u / 2)
     pole = np.abs(su) < 1e-13
     if abs(sg) < 1e-13 or pole.any():
         raise SingularEvaluationError("s_gamma evaluated at a pole",
                                       at=first_index(pole) if pole.any() else ())
-    return np.sinh((u + gamma) / 2) / (su * sg)
+    return sinh((u + gamma) / 2) / (su * sg)
 
 
 @dataclass(frozen=True)
@@ -457,8 +459,8 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
         at = first_index(distinct)
         raise SingularEvaluationError(
             f"coincident roots p_{at[-1] + 1} = q_{at[-2] + 1} for distinct functions", at=at)
-    sinh_eta, cosh_eta = np.sinh((u - eta) / 2), np.cosh((u - eta) / 2)
-    sinh_u, cosh_u = np.sinh(u / 2), np.cosh(u / 2)
+    sinh_eta, cosh_eta = sinh_cosh((u - eta) / 2)
+    sinh_u, cosh_u = sinh_cosh(u / 2)
     sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
     if gamma is None:
         pole = sinh_eta == 0
@@ -514,7 +516,7 @@ def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
     n = params.n
     # prod_{i<j} sinh((p_i - p_j)/2) sinh((q_j - q_i)/2)
-    num = np.cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2) \
+    num = sinh_cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2)[1] \
         * vandermonde(pr[::-1] / 2) * vandermonde(qr / 2)
     den = sinh_prod(np.ravel((pr[:, None] - qr[None, :] - params.eta) / 2))
     return complex(num / den)
@@ -556,17 +558,17 @@ def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     eta = params.eta
     em = cmath.exp(-eta / 2)
     u = pr[None, :] - qr[:, None]
-    s_half = np.sinh(u / 2)
+    s_half, c_half = sinh_cosh(u / 2)
     if np.any(np.abs(s_half) < 1e-13):
         raise SingularEvaluationError("product representation needs pairwise distinct roots")
     afrak_p, afrak_q = a_frak(params, q_poly, pr), a_frak(params, q_poly, qr)
     d_p, d_q = params.d_fn(pr), params.d_fn(qr)
-    line1 = alpha * em / np.sinh((u - eta) / 2) - 1 / s_half
-    line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / np.sinh((u + eta) / 2))
+    line1 = alpha * em / sinh((u - eta) / 2) - 1 / s_half
+    line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / sinh((u + eta) / 2))
     cross = (d_p / d_q[:, None]) \
         * (q_poly(qr - eta)[:, None] / (q_poly(pr - eta) * p_poly(pr + IPI))) \
         * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
-        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, np.cosh(u / 2))
+        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, c_half)
     return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
 
 
@@ -581,7 +583,7 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     lhs = (sp_slavnov(pair, alpha) * sp_slavnov(pair, beta))[0, 0]
     mat, _, _ = product_matrix(params, _poly(p.roots), _poly(q.roots), alpha, beta)
-    den = 1 / np.sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
+    den = 1 / sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
     pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p.roots)) \
         * np.prod(q.x / q.x_eta)
     mat_det, den_det = det_lu([mat, den]).tolist()
@@ -619,7 +621,7 @@ def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
     _require_roots_off_nodes(params, q_poly.roots)
     qr = np.asarray(q_poly.roots, dtype=np.complex128)
     izergin_form = izergin_ratio(params.xi, qr, [alpha] * params.n, params.eta)
-    s_eta = np.sinh(qr[:, None] - qr[None, :] + params.eta)  # at (k, l): q_k - q_l + eta
+    s_eta = sinh(qr[:, None] - qr[None, :] + params.eta)  # at (k, l): q_k - q_l + eta
     prod = s_eta.prod(axis=1) / node_denominators(qr)
     ratio = params.d_fn(qr) / params.a_fn(qr)
     # entry (j, k) subtracts ratio_k prod_k alpha / sinh(q_k - q_j + eta)
@@ -755,7 +757,7 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
     u = mu - qr
     cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * p_poly(qr + IPI)
-                          / (q.a_r * q_mu_eta * p_mu_ipi)) / np.sinh(u)
+                          / (q.a_r * q_mu_eta * p_mu_ipi)) / sinh(u)
     entry = coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * coth(u / 2) + cross
     return entry - factor * (coth((u - eta + IPI) / 2)
                              + alpha * a_frak(params, q_poly, mu + IPI) * coth((u + IPI) / 2))
@@ -816,12 +818,12 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     xmat = (q_x_eta * p_x_ipi * coth(v / 2)
             - q_x_eta_ipi * p_x * coth((v + IPI) / 2)) / node_denominators(xi)
     w = xi[:, None] - pr[None, :]  # xi_b - p_k at (b, k)
-    mmat = 1 / np.sinh(w) + beta * ft[:, None] / np.sinh(w - eta)
+    mmat = 1 / sinh(w) + beta * ft[:, None] / sinh(w - eta)
     direct = xmat @ mmat
     u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
     a_q, a_p, d_p = params.a_fn(qr), params.a_fn(pr), params.d_fn(pr)
     p_ipi = p_poly(pr + IPI)
-    sinh_half, cosh_half = np.sinh(u / 2), np.cosh(u / 2)
+    sinh_half, cosh_half = sinh_cosh(u / 2)
     if (abs(sinh_half) < 1e-13).any():
         raise SingularEvaluationError("coincident roots p_k = q_j")
     closed = (2 * beta * q_poly(qr + eta) / a_q)[:, None] \
@@ -848,14 +850,14 @@ def half_period_split_check(pair: PairContext, alpha: complex):
     fac2 = 1j * (p.x * q.x_eta_ipi) / (p.x_ipi * q.x_eta)
     em = cmath.exp(-eta / 2)
     w = xi[:, None] - pr[None, :]  # xi_i - p_k at (i, k)
-    den = 1 / np.sinh(w)
-    m1 = (1 / np.sinh(w / 2) - 1j / np.sinh((w + IPI) / 2)
-          + alpha * em * (ft[:, None] / np.sinh((w - eta) / 2)
-                          - 1j * ft_ipi[:, None] / np.sinh((w - eta + IPI) / 2)))
+    den = 1 / sinh(w)
+    m1 = (1 / sinh(w / 2) - 1j / sinh((w + IPI) / 2)
+          + alpha * em * (ft[:, None] / sinh((w - eta) / 2)
+                          - 1j * ft_ipi[:, None] / sinh((w - eta + IPI) / 2)))
     v = xi[:, None] - qr[None, :]  # xi_i - q_k at (i, k)
 
     def core(shift):
-        return 1 / np.sinh((v + shift) / 2) - alpha * em / np.sinh((v - eta + shift) / 2)
+        return 1 / sinh((v + shift) / 2) - alpha * em / sinh((v - eta + shift) / 2)
 
     m2a = core(0) - fac1[:, None] * core(IPI)
     m2b = core(0) + fac2[:, None] * core(IPI)

@@ -40,6 +40,7 @@ from .model import (
     q_table,
     products_except,
     residual_grid,
+    sinh_cosh,
     sinh_prod_and_deriv,
 )
 from .sov import SovBasis, separate_state
@@ -222,10 +223,10 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     eta = params.eta
     shifts = np.array([-eta, eta])[:, None, None]
     z = (roots[..., None, :, None] + shifts - roots[..., None, None, :]) / 2
-    sz = np.sinh(z)
+    sz, cz = sinh_cosh(z)
     qm, qp = np.moveaxis(sz.prod(axis=-1), -2, 0)
     # dQ(q_j -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
-    dq = -0.5 * np.cosh(z) * products_except(sz)
+    dq = -0.5 * cz * products_except(sz)
     u = roots[..., :, None] - np.asarray(params.xi)
     u = np.stack([u + eta, u], axis=-3)
     (av, dv), (a_prime, d_prime) = (np.moveaxis(x, -2, 0) for x in sinh_prod_and_deriv(u))

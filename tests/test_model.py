@@ -1,9 +1,13 @@
+import ast
 import cmath
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sovxxz.model
 from conftest import hat, make_params, pair_context, poly, rel_dev, rng, table
 from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.model import (
@@ -20,6 +24,8 @@ from sovxxz.model import (
     q_structure_residuals,
     q_table,
     residual_grid,
+    sinh,
+    sinh_cosh,
     sinh_prod,
     sinh_prod_and_deriv,
     sinh_prod_deriv,
@@ -99,6 +105,84 @@ class TestSinhProd:
         with pytest.raises(SingularEvaluationError, match="coth evaluated at a pole"):
             coth(np.array([0.3 + 0.1j, 0.0j]))
         assert rel_dev(coth(0.3 + 0.1j), np.cosh(0.3 + 0.1j) / np.sinh(0.3 + 0.1j)) < 1e-15
+
+
+def _dev_to_numpy(z):
+    """Worst deviation of ``sinh``, and of both halves of ``sinh_cosh``, from
+    numpy's complex sinh and cosh at the points ``z``, relative to the
+    modulus of numpy's value; an exact zero must be matched exactly."""
+    s, c = sinh_cosh(z)
+    worst = 0.0
+    for got, want in ((sinh(z), np.sinh(z)), (s, np.sinh(z)), (c, np.cosh(z))):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert np.array_equal(got[want == 0], want[want == 0])
+        nonzero = want != 0
+        dev = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
+        worst = max(worst, float(np.max(dev, initial=0.0)))
+    return worst
+
+
+class TestSinhCosh:
+    """The real-ufunc kernel against numpy's complex sinh and cosh, to 1e-15
+    relative to the modulus."""
+
+    def test_random_points(self):
+        g = rng(81)
+        z = g.uniform(-4, 4, 50_000) + 1j * g.uniform(-2 * np.pi, 2 * np.pi, 50_000)
+        assert _dev_to_numpy(z) <= 1e-15
+
+    def test_edge_points(self):
+        g = rng(82)
+        x = g.uniform(-3, 3, 200)
+        y = g.uniform(-np.pi, np.pi, 200)
+        tiny = 1e-8 * g.uniform(-0.7, 0.7, (2, 200))
+        edges = [
+            tiny[0] + 1j * tiny[1],  # |z| <= 1e-8
+            np.array([1e-8, -1e-8, 1e-8j, -1e-8j, 1e-300, 5e-324j, 3e-9 - 4e-9j]),
+            30.0 + 1j * y, -30.0 + 1j * y,  # Re z = +-30
+            *(x + 1j * im for im in (np.pi / 2, -np.pi / 2, np.pi, -np.pi)),
+            x + 0j, 1j * y,  # purely real, purely imaginary
+            np.array([30.0, -30.0, 30 + 1j * np.pi / 2, -30 - 1j * np.pi, 1j * np.pi / 2]),
+        ]
+        for z in edges:
+            assert _dev_to_numpy(z) <= 1e-15
+
+    def test_exact_zero_and_one_at_the_origin(self):
+        # coth's pole check compares sinh with 0, so sinh(0) must be 0 exactly
+        s, c = sinh_cosh(0j)
+        assert s == 0 and c == 1
+        assert np.all(sinh(np.zeros((2, 3), dtype=np.complex128)) == 0)
+        with pytest.raises(SingularEvaluationError, match="coth evaluated at a pole"):
+            coth(0.0)
+
+    def test_shapes_and_scalars(self):
+        # a scalar gives a scalar, an array an array of its shape, real input
+        # a complex result; the input is left untouched
+        assert np.ndim(sinh(0.5)) == 0 and np.ndim(sinh_cosh(0.5 + 1j)[1]) == 0
+        z = np.arange(6, dtype=np.complex128).reshape(2, 3) * (0.3 + 0.2j)
+        before = z.copy()
+        s, c = sinh_cosh(z[:, ::-1])
+        assert s.shape == c.shape == (2, 3) and s.dtype == np.complex128
+        assert np.array_equal(z, before)
+        assert _dev_to_numpy(z[:, ::-1]) <= 1e-15
+        assert _dev_to_numpy([0.25, -1.5]) <= 1e-15
+
+
+    def test_kernel_is_the_one_home_of_complex_sinh_and_cosh(self):
+        # every sinh and cosh in the package goes through the kernel: numpy's
+        # sinh and cosh are named only inside model.sinh and model.sinh_cosh
+        model_py = Path(sovxxz.model.__file__)
+        kernel = [range(node.lineno, node.end_lineno + 1)
+                  for node in ast.parse(model_py.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name in ("sinh", "sinh_cosh")]
+        assert len(kernel) == 2
+        stray = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(model_py.parent.glob("*.py"))
+                 for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if re.search(r"\b(np|numpy)\.(sinh|cosh)\b", line)
+                 and not (path == model_py and any(number in lines for lines in kernel))]
+        assert not stray, "numpy sinh/cosh outside model.sinh_cosh:\n" + "\n".join(stray)
 
 
 class TestModelParams:

@@ -237,6 +237,18 @@ class TestCertify:
         cases = [(t.take(i), poly(records3, i), t.tau[i], grid[0]) for i in range(len(t))]
         cases.append((q_table(params3, [synthetic.roots], None, []).take(0), synthetic, None,
                       []))
+        # the table reads Qhat on the grid from Q's own cosh values, with the
+        # sign of each root's 2*pi*i wrap: a root at Im q = 0 puts q + i*pi on
+        # the strip edge, where it does not wrap; a root with Im q > 0 wraps,
+        # unless q + i*pi rounds onto the edge
+        on_edge = HalfPeriodTrigPoly.from_roots([0.4 + 0j, -0.3 - 0.6j, 0.1 - 0.2j])
+        wraps = HalfPeriodTrigPoly.from_roots([0.2 + 0.7j, -0.5 + 0.1j, 0.6 - 0.4j])
+        rounds = HalfPeriodTrigPoly.from_roots([0.5 + 1e-17j, -0.3 - 0.6j, 0.1 + 0.2j])
+        assert 0.4 + 1j * np.pi in on_edge.shifted_ipi().roots
+        assert 0.2 + (0.7 - np.pi) * 1j in wraps.shifted_ipi().roots
+        assert 0.5 + 1j * np.pi in rounds.shifted_ipi().roots
+        cases += [(q_table(params3, [q.roots], None, grid).take(0), q, None, grid[0])
+                  for q in (on_edge, wraps, rounds)]
         for table, q_poly, tau_xi, points in cases:
             partner = q_poly.shifted_ipi()
             assert table.roots.tolist() == list(q_poly.roots)
