@@ -12,7 +12,8 @@ function of sinh products (``sinh_prod``, ``sinh_prod_deriv``,
 ``sinh_prod_and_deriv``, ``coth``, ``vandermonde``, ``node_denominators``)
 that takes a scalar or an array of points and acts elementwise on the points
 (products run along the last axis), so callers evaluate every point, root or
-label of a batch in one call.
+label of a batch in one call.  Every array sinh and cosh of the package
+goes through one kernel, ``sinh_cosh`` (and its sinh half, ``sinh``).
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ def sinh_cosh(z):
     Each part is one product of two real values, so it adds no cancellation;
     it stays within about 1e-15 of numpy's complex sinh and cosh relative to
     the modulus, and is exactly 0 at z = 0.  This and ``sinh`` are the one
-    home of complex sinh and cosh in the package: numpy's complex sinh and
+    home of array sinh and cosh in the package: numpy's complex sinh and
     cosh run through scalar code that, on an AVX-512 Xeon with numpy's
     OpenBLAS, ran about 10 times slower right after any complex matrix
-    product (57 -> 660-960 ns per element), while the real ufuncs kept their
-    3-20 ns."""
+    product (about 90 -> 1000 ns per element), while the real ufuncs did
+    not slow down."""
     z = np.asarray(z, dtype=np.complex128)
     x, y = z.real, z.imag
     sx, cx, sy, cy = np.sinh(x), np.cosh(x), np.sin(y), np.cos(y)
@@ -102,7 +103,7 @@ def sinh_cosh(z):
     np.multiply(cx, sy, out=s.imag)
     np.multiply(cx, cy, out=c.real)
     np.multiply(sx, sy, out=c.imag)
-    return s[()], c[()]  # [()]: a scalar for a scalar z, the array itself otherwise
+    return s[()], c[()]  # [()]: a scalar for a scalar z, an array otherwise
 
 
 def sinh(z):
