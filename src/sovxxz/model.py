@@ -12,7 +12,9 @@ function of sinh products (``sinh_prod``, ``sinh_prod_deriv``,
 ``sinh_prod_and_deriv``, ``coth``, ``vandermonde``, ``node_denominators``)
 that takes a scalar or an array of points and acts elementwise on the points
 (products run along the last axis), so callers evaluate every point, root or
-label of a batch in one call.  Every array sinh and cosh of the package
+label of a batch in one call.  ``prod_and_deriv`` is the product rule of a
+sinh product, for a caller that took the sinh and cosh of its arguments
+together with others.  Every array sinh and cosh of the package
 goes through one kernel, ``sinh_cosh`` (and its sinh half, ``sinh``).
 """
 
@@ -142,10 +144,16 @@ def products_except(s: np.ndarray) -> np.ndarray:
     return acc[..., 0, :] * acc[..., 1, ::-1]
 
 
+def prod_and_deriv(s: np.ndarray, c: np.ndarray):
+    """(prod_m s_m, sum_m c_m prod_{k != m} s_k) along the last axis: a sinh
+    product and its derivative from the sinh ``s`` and cosh ``c`` of its
+    arguments, for a caller that took them together with others."""
+    return s.prod(axis=-1), (c * products_except(s)).sum(axis=-1)
+
+
 def sinh_prod_and_deriv(args):
     """(sinh_prod(args), sinh_prod_deriv(args)), taking each sinh once."""
-    s, c = sinh_cosh(args)
-    return s.prod(axis=-1), (c * products_except(s)).sum(axis=-1)
+    return prod_and_deriv(*sinh_cosh(args))
 
 
 def sinh_prod_deriv(args):

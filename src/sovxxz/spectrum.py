@@ -38,10 +38,10 @@ from .model import (
     first_index,
     q_structure_residuals,
     q_table,
+    prod_and_deriv,
     products_except,
     residual_grid,
     sinh_cosh,
-    sinh_prod_and_deriv,
 )
 from .sov import SovBasis, separate_state
 
@@ -223,13 +223,15 @@ def _bethe_system(params: ModelParams, roots: np.ndarray):
     eta = params.eta
     shifts = np.array([-eta, eta])[:, None, None]
     z = (roots[..., None, :, None] + shifts - roots[..., None, None, :]) / 2
-    sz, cz = sinh_cosh(z)
+    u = roots[..., :, None] - np.asarray(params.xi)
+    u = np.stack([u + eta, u], axis=-3)
+    # z and u have one shape, as there are as many roots as nodes: one kernel
+    # call takes both, since its fixed cost is most of it at small N
+    (sz, su), (cz, cu) = sinh_cosh(np.stack([z, u]))
     qm, qp = np.moveaxis(sz.prod(axis=-1), -2, 0)
     # dQ(q_j -+ eta)/dq_m = -0.5 cosh(z_m) prod_{l != m} sinh(z_l)
     dq = -0.5 * cz * products_except(sz)
-    u = roots[..., :, None] - np.asarray(params.xi)
-    u = np.stack([u + eta, u], axis=-3)
-    (av, dv), (a_prime, d_prime) = (np.moveaxis(x, -2, 0) for x in sinh_prod_and_deriv(u))
+    (av, dv), (a_prime, d_prime) = (np.moveaxis(x, -2, 0) for x in prod_and_deriv(su, cu))
     f = av * qm - dv * qp
     jac = av[..., :, None] * dq[..., 0, :, :] - dv[..., :, None] * dq[..., 1, :, :]
     # on the diagonal lam = q_j also moves the arguments of every factor l != j
