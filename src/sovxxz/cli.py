@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 
 import numpy as np
 
@@ -236,13 +237,33 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
     basis = SovBasis(params)
-    spectrum = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
-                              tolerances=cfg.tolerances)
-    table, res = spectrum.table, spectrum.residuals
     # both checks read one full eigensolve at kappa', which shares no step
     # with the oracle; the oracle's spectrum is closed under negation by
-    # construction, so its closure would show nothing
-    vals, ref = table.tau[:, 0], transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime)
+    # construction, so its closure would show nothing.  That eigensolve runs
+    # on a second thread while solve_spectrum runs here: its LAPACK call runs
+    # with the GIL released, and it reads only the B and C blocks of
+    # at_xi[0], which nothing writes after SovBasis.  A spectrum refusal wins;
+    # otherwise the reference's own exception, if any, is raised here.
+    reference: list = []
+
+    def solve_reference():
+        try:
+            reference.append(transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime))
+        except BaseException as exc:  # raised again below, in this thread
+            reference.append(exc)
+
+    worker = threading.Thread(target=solve_reference, name="kappa-prime-reference")
+    worker.start()
+    try:
+        spectrum = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
+                                  tolerances=cfg.tolerances)
+    finally:
+        worker.join()
+    ref = reference[0]
+    if isinstance(ref, BaseException):
+        raise ref
+    table, res = spectrum.table, spectrum.residuals
+    vals = table.tau[:, 0]
     closure = float(np.max(np.abs(np.sort_complex(ref) - np.sort_complex(-ref)))
                     / max(np.max(np.abs(ref)), 1e-30))
     iso = float(np.max(np.abs(np.sort_complex(vals) - np.sort_complex(ref)))

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import re
 import sys
+import threading
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -18,7 +20,7 @@ import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES, load_config
-from sovxxz.errors import ParameterError
+from sovxxz.errors import CertificationError, DegenerateSpectrumError, ParameterError
 from sovxxz.model import DELTA_MIN_DEFAULT
 
 
@@ -479,6 +481,55 @@ class TestSpectrumCommand:
         assert not rep["checks"]["negation_closure"]["pass"]
         assert rep["checks"]["negation_closure"]["residual"] > 0.5
         assert all(r["certified"] for r in rep["records"])
+
+    def test_a_spectrum_refusal_wins_over_the_reference(self, tmp_path, monkeypatch, capsys):
+        # both fail: the spectrum's refusal is the one reported, and only once
+        # the reference, still running when it comes, has been joined
+        def refused(*args, **kwargs):
+            raise CertificationError("record 0: spectrum refused")
+
+        def degenerate(t, kappa):
+            time.sleep(0.2)
+            raise DegenerateSpectrumError("reference refused")
+
+        monkeypatch.setattr(cli, "solve_spectrum", refused)
+        monkeypatch.setattr(cli, "transfer_eigenvalues", degenerate)
+        threads = threading.active_count()
+        assert run(["spectrum", "--out", str(tmp_path / "s.json")]) == 2
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == "error: record 0: spectrum refused\n"
+        assert not (tmp_path / "s.json").exists()
+
+    def test_a_reference_refusal_is_raised_in_the_command(self, tmp_path, monkeypatch, capsys):
+        def degenerate(t, kappa):
+            raise DegenerateSpectrumError("reference refused")
+
+        monkeypatch.setattr(cli, "transfer_eigenvalues", degenerate)
+        threads = threading.active_count()
+        assert run(["spectrum", "--out", str(tmp_path / "s.json")]) == 2
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == "error: reference refused\n"
+        assert not (tmp_path / "s.json").exists()
+
+    def test_reference_on_the_worker_equals_the_main_thread_one(self, tmp_path, monkeypatch):
+        full = lattice.transfer_eigenvalues
+        seen = []
+
+        def recorded(t, kappa):
+            vals = full(t, kappa)
+            seen.append((threading.current_thread(), t, kappa, vals))
+            return vals
+
+        monkeypatch.setattr(cli, "transfer_eigenvalues", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6}))
+        for seed in (1, 2, 3):
+            seen.clear()
+            assert run(["spectrum", "--config", str(cfg), "--seed", str(seed),
+                        "--out", str(tmp_path / "s.json")]) == 0
+            [(thread, t, kappa, vals)] = seen
+            assert thread is not threading.main_thread()
+            assert np.array_equal(vals.view(np.uint64), full(t, kappa).view(np.uint64))
 
     def test_negation_closure_is_not_vacuous(self, tmp_path):
         out = tmp_path / "s.json"
