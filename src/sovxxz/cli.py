@@ -7,6 +7,11 @@ status is 0 exactly when every enabled check passed.  Reports are
 byte-identical across runs with the same seed on the same machine; across
 machines the last bits may differ, because numpy's SIMD complex multiply
 rounds differently from Python's scalar one on some CPUs (AVX-512, for one).
+
+``observables`` is imported inside the two commands that evaluate its
+formulas, so a process that runs ``spectrum`` never compiles it: each CLI run
+is a fresh interpreter, and where bytecode is not cached it compiles every
+module it imports.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import threading
 
 import numpy as np
 
-from . import observables as obs
 from .config import MAX_N_OBSERVABLES, RunConfig, load_config
 from .errors import ParameterError, SovxxzError
 from .lattice import (
@@ -156,6 +160,8 @@ def _sov_action_residual(basis: SovBasis,
 
 
 def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
+    from . import observables as obs
+
     params = cfg.params
     rng = np.random.default_rng(cfg.seed)
     lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -301,6 +307,8 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
             f"observables sweep capped at n <= {MAX_N_OBSERVABLES} "
             f"(2^n x 2^n pairs); got n = {params.n}"
         )
+    from . import observables as obs
+
     basis = SovBasis(params)
     table = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
                            tolerances=cfg.tolerances).table

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -438,6 +439,32 @@ class TestOneBasisPerOp:
         # besides these: the three certification probes; the oracle at kappa
         # and the full eigensolve at kappa' read the node blocks alone
         assert sorted(builds.values()) == [1] * (params.n + 3)
+
+
+class TestColdStart:
+    """A fresh interpreter compiles ``observables.py`` only for the commands
+    that evaluate its formulas."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    CODE = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import sovxxz.cli\n"
+            "if sys.argv[2:]:\n"
+            "    sovxxz.cli.main(sys.argv[2:])\n"
+            "print('sovxxz.observables' in sys.modules)\n")
+
+    @pytest.mark.parametrize("command, loaded", [
+        (None, False), ("spectrum", False), ("observables", True), ("validate", True)])
+    def test_observables_is_loaded_only_where_it_runs(self, tmp_path, command, loaded):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        args = [] if command is None else \
+            [command, "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+        done = subprocess.run([sys.executable, "-c", self.CODE, str(self.SRC), *args],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.splitlines() == [str(loaded)]
+        if command is not None:
+            assert read(tmp_path / "r.json")["command"] == command
 
 
 class TestSpectrumCommand:

@@ -4,7 +4,10 @@ renamed or deleted function would silently empty its per-layer metrics."""
 import importlib.util
 from pathlib import Path
 
-import sovxxz.cli  # noqa: F401  (loads every sovxxz module the tracer patches)
+# the tracer patches names in every sovxxz module; cli imports observables
+# only inside the commands that evaluate its formulas
+import sovxxz.cli  # noqa: F401
+import sovxxz.observables  # noqa: F401
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
