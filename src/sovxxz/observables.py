@@ -111,7 +111,8 @@ def _izergin_kernels(xs, zs, eta: complex) -> tuple[np.ndarray, np.ndarray]:
     vanishes."""
     diff = np.asarray(xs, dtype=np.complex128)[..., :, None] \
         - np.asarray(zs, dtype=np.complex128)[..., None, :]
-    s0, s1 = sinh(diff), sinh(diff - eta)
+    # one kernel call for both, since its fixed cost is most of it at small N
+    s0, s1 = sinh(np.stack([diff, diff - eta]))
     near = (abs(s0) < 1e-13) | (abs(s1) < 1e-13)
     if near.any():
         at = first_index(near)
@@ -459,8 +460,8 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
         at = first_index(distinct)
         raise SingularEvaluationError(
             f"coincident roots p_{at[-1] + 1} = q_{at[-2] + 1} for distinct functions", at=at)
-    sinh_eta, cosh_eta = sinh_cosh((u - eta) / 2)
-    sinh_u, cosh_u = sinh_cosh(u / 2)
+    # one kernel call for both, as in _izergin_kernels
+    (sinh_eta, sinh_u), (cosh_eta, cosh_u) = sinh_cosh(np.stack([(u - eta) / 2, u / 2]))
     sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
     if gamma is None:
         pole = sinh_eta == 0
