@@ -4,14 +4,14 @@
     python3 tools/cold_start.py OLD_ROOT NEW_ROOT [--rounds R]
 
 OLD_ROOT and NEW_ROOT are checkout roots; each run imports the package from
-that root's ``src/``.  Each round runs every command at its benchmark
-workload's config (spectrum n = 6, observables n = 3, validate n = 5) once per
-tree, each in a fresh ``python -c`` process with one BLAS thread, which times
-``import sovxxz.cli`` plus one ``main([...])`` writing its report to a
-temporary directory.  Round r runs seed r in both trees, and which tree runs
-first alternates from round to round.  For each command the tool prints each
-tree's median and quartiles in ms, and in how many rounds the new tree was
-faster (ties count for neither).
+that root's ``src/``.  Each round runs the command of every workload of
+``perfbench/run.py`` at its config (spectrum n = 6, observables n = 3,
+validate n = 5) once per tree, each in a fresh ``python -c`` process with the
+benchmark's one BLAS thread, which times ``import sovxxz.cli`` plus one
+``main([...])`` writing its report to a temporary directory.  Round r runs
+seed r in both trees, and which tree runs first alternates from round to
+round.  For each command the tool prints each tree's median and quartiles in
+ms, and in how many rounds the new tree was faster (ties count for neither).
 
 This is what a user waits for in one CLI run, interpreter start aside: the
 import, with its compile where bytecode is not cached, and the op.  The
@@ -32,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-CASES = (("spectrum", {"n": 6}), ("observables", {"n": 3}), ("validate", {"n": 5}))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import BLAS_THREADS, WORKLOADS  # noqa: E402
+
 CODE = """\
 import sys, time
 start = time.perf_counter()
@@ -67,10 +69,10 @@ def main(argv=None) -> int:
     for root in (args.old, args.new):
         if not (root / "src" / "sovxxz" / "cli.py").is_file():
             parser.error(f"no sovxxz source under {root}")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, **{var: str(BLAS_THREADS) for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     with tempfile.TemporaryDirectory(prefix="cold-start-") as work:
-        for command, config in CASES:
+        for command, config, _ in WORKLOADS.values():
             config_path = Path(work) / "config.json"
             config_path.write_text(json.dumps(config), encoding="utf-8")
             old, new = [], []
