@@ -4,9 +4,11 @@ Each command reads a JSON config (or uses built-in defaults), runs its
 pipeline and writes a JSON report, one line of compact JSON with sorted keys,
 in which every complex number appears as a two-element [re, im] array.  Exit
 status is 0 exactly when every enabled check passed.  Reports are
-byte-identical across runs with the same seed on the same machine; across
-machines the last bits may differ, because numpy's SIMD complex multiply
-rounds differently from Python's scalar one on some CPUs (AVX-512, for one).
+byte-identical across runs for a fixed seed, machine and BLAS thread count.
+The thread count changes how BLAS splits a matrix product, and so its last
+bits.  Across machines the last bits may differ too, because numpy's SIMD
+complex multiply rounds differently from Python's scalar one on some CPUs
+(AVX-512, for one).
 
 ``observables`` is imported inside the two commands that evaluate its
 formulas, so a process that runs ``spectrum`` never compiles it: each CLI run
@@ -203,13 +205,16 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
         np.linalg.norm(tk_lam @ tk_mu - tk_mu @ tk_lam)
         / max(np.linalg.norm(tk_lam @ tk_mu), 1.0), tol_lat)
 
-    basis = SovBasis(params)
+    # the dressing is the one reader of A and D at the nodes: each node's
+    # monodromy is built once here, and the basis shares its B and C
+    at_xi = [monodromy_entries(params, x) for x in params.xi]
+    basis = SovBasis(params, at_xi)
     checks["sov_measure"] = _check(_sov_measure_residual(basis), cfg.tol("sov_measure"))
 
     checks["sov_actions"] = _check(
         _sov_action_residual(basis, [(lam, blocks), (mu, blocks_mu)]), cfg.tol("sov_actions"))
 
-    nodes = NodeFactors(params, basis.at_xi[:max(cfg.sites)])
+    nodes = NodeFactors(params, at_xi[:max(cfg.sites)])
     worst = 0.0
     for site in cfg.sites:
         for i in (1, 2):
@@ -219,7 +224,9 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
                     dressed = dress_local_operator(nodes, site, i, j, variant=variant)
                     worst = max(worst, np.linalg.norm(dressed - target)
                                 / max(np.linalg.norm(target), 1.0))
-    del nodes  # the spectrum and identity bench below, where memory peaks, need none
+    # the spectrum and identity bench below, where memory peaks, need neither
+    # the node factors nor A and D at the nodes
+    del nodes, at_xi
     checks["inverse_problem"] = _check(worst, cfg.tol("inverse_problem"))
 
     spectrum = solve_spectrum(basis, tolerances=cfg.tolerances)

@@ -75,17 +75,31 @@ def reference_state(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MonodromyBlocks:
-    a: np.ndarray
+class FlipBlocks:
+    """The B and C blocks of the monodromy at one point, which flip one spin
+    each: all that the SoV basis, its ket and bra recursion, the spectrum
+    oracle and the twisted transfer matrix read."""
+
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray
 
     def transfer(self, kappa: complex) -> np.ndarray:
         """Twisted transfer matrix kappa^{-1} B + kappa C at these blocks' point."""
         if kappa == 0:
             raise ParameterError("twist must be nonzero")
         return self.b / kappa + kappa * self.c
+
+
+@dataclass(frozen=True)
+class MonodromyBlocks(FlipBlocks):
+    """All four blocks of the monodromy at one point."""
+
+    a: np.ndarray
+    d: np.ndarray
+
+    def flips(self) -> FlipBlocks:
+        """B and C alone, shared rather than copied."""
+        return FlipBlocks(b=self.b, c=self.c)
 
 
 def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
@@ -136,7 +150,7 @@ def _require_gaps(vals: np.ndarray, gap_factor: float) -> None:
         )
 
 
-def parity_blocks(at_xi: list[MonodromyBlocks], kappa: complex) -> tuple[np.ndarray, np.ndarray]:
+def parity_blocks(at_xi: list[FlipBlocks], kappa: complex) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y): the (len(at_xi), 2^{N-1}, 2^{N-1}) stacks of the blocks
     X_j = T_K(xi_j)[even, odd] and Y_j = T_K(xi_j)[odd, even] of the twisted
     transfer matrices at the points of ``at_xi``, rows and columns grouped by
@@ -168,7 +182,7 @@ def parity_blocks(at_xi: list[MonodromyBlocks], kappa: complex) -> tuple[np.ndar
     return np.stack(x), np.stack(y)
 
 
-def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
+def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
                     kappa: complex | None = None,
                     gap_factor: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
     """Brute-force eigenvalues of the twisted transfer matrix, as the
@@ -218,7 +232,7 @@ def spectrum_oracle(params: ModelParams, at_xi: list[MonodromyBlocks],
     return taus
 
 
-def transfer_eigenvalues(t: MonodromyBlocks, kappa: complex,
+def transfer_eigenvalues(t: FlipBlocks, kappa: complex,
                          gap_factor: float = 1e-6) -> np.ndarray:
     """Eigenvalues of the full twisted transfer matrix at the point of ``t``,
     sorted by (real, imag), from one dense ``eig_dense`` and under the

@@ -203,7 +203,10 @@ def vandermonde_rows(xs, eta: complex) -> VandermondeRows:
     p = np.arange(1 - m, m, 2)  # 2j - m - 1, j = 1..m
     at_x = np.exp(p * x[:, None])
     at_x_eta = np.exp(p * (x[:, None] - eta))
-    center = np.median(x.real)
+    # the median of at most 8 reals, as np.median takes it (the middle one,
+    # or the mean of the middle two), without the numpy.ma import it costs
+    reals = sorted(x.real.tolist())
+    center = (reals[(m - 1) // 2] + reals[m // 2]) / 2
     wide = [i for i in range(m) if abs(x[i].real - center) > 4.0]
     return VandermondeRows(at_x, at_x_eta, wide, vandermonde(x))
 
@@ -397,7 +400,7 @@ class QTable:
     formulas read them and evaluate none again.  Every numeric field is a
     read-only complex128 array whose first axis runs over the R records (row
     i is record i); the values of Q at the nodes and at the shifted roots are
-    views of one batch evaluation.  ``roots`` holds each record's roots in
+    views of one array.  ``roots`` holds each record's roots in
     ``canonical_roots`` form, ``hat`` those of its i*pi-shifted partner, and
     ``tau`` each record's eigenvalue at the nodes, tau(xi_k) (None for bare
     polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi:
@@ -436,20 +439,47 @@ class QTable:
         return QTable(**{name: v if v is None else _read_only(v[rows]) for name, v in values})
 
 
+# q_table evaluates at most as many records at once as keep their
+# (records, points, roots) half differences within this many bytes.  Built
+# for all 2^N records at once, those and their sinh and cosh temporaries were
+# the peak of a spectrum op: about 16 MB over what the op held at N = 8.
+Q_TABLE_BLOCK_BYTES = 1 << 18
+
+
 def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     """The ``QTable`` of the root sets of the (R, N) array ``roots``, each
     row already in ``canonical_roots`` form, from one broadcast evaluation
-    (one bare polynomial is a stack of one), Qhat at the grid points from the
-    cosh of Q's own half differences there; ``taus`` is the (R, N) array of
-    each record's tau(xi_k) (None for bare polynomials), kept as it is, and
-    ``grid`` the ``residual_grid`` the records are certified on (empty for
-    none)."""
+    per block of records (one bare polynomial is a stack of one), Qhat at the
+    grid points from the cosh of Q's own half differences there; ``taus`` is
+    the (R, N) array of each record's tau(xi_k) (None for bare polynomials),
+    kept as it is, and ``grid`` the ``residual_grid`` the records are
+    certified on (empty for none).  Each block holds as many records as keep
+    its half differences within ``Q_TABLE_BLOCK_BYTES``; every value depends
+    on its own record alone, so the table does not depend on the blocks."""
     r = _read_only(np.array(roots, dtype=np.complex128))
+    n, m = len(params.xi), r.shape[1]
+    lam = np.reshape(grid, (3, -1))[0]
+    record_bytes = (4 * n + 3 * m + 3 * len(lam)) * m * np.dtype(np.complex128).itemsize
+    step = max(1, Q_TABLE_BLOCK_BYTES // max(record_bytes, 1))
+    blocks = [_q_fields(params, r[i:i + step], lam) for i in range(0, len(r), step)]
+    joined = {name: _read_only(np.concatenate([block[name] for block in blocks]))
+              for name in blocks[0]}
+    # the values at the nodes and at the shifted roots: views of one array
+    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, _ = np.split(
+        joined.pop("values"), np.cumsum([n] * 4 + [m] * 3), axis=1)
+    return QTable(roots=r, tau=taus, x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
+                  r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi, **joined)
+
+
+def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``QTable`` fields of the records whose roots are the rows of
+    ``r``, at the residual-grid points ``lam``, but ``roots`` and ``tau``;
+    ``values`` holds Q at the nodes, at the shifted roots and at lam + eta,
+    in that order along its last axis."""
     shifted = r + IPI
     wrapped = wrap_to_strip(shifted)
     eta = params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
-    lam = np.reshape(grid, (3, -1))[0]
 
     def shared(*points):  # the same points for every polynomial
         row = np.concatenate(points)
@@ -459,9 +489,8 @@ def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     points = np.concatenate([shared(xi, xi - eta, xi + IPI, xi - eta + IPI), r - eta, r + eta,
                              r + IPI, shared(lam + eta, lam, lam - eta)], axis=1)
     half = (points[..., :, None] - r[..., None, :]) / 2
-    values = _read_only(sinh_prod(half[:, :sizes[-1]]))
-    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, q_lam_eta_plus = np.split(
-        values, sizes[:-1], axis=1)
+    values = sinh_prod(half[:, :sizes[-1]])
+    q_lam_eta_plus = values[:, sizes[-2]:]
     # Q and Qhat at lam and lam - eta from one sinh/cosh pass over the half
     # differences u = (lam - q)/2: sinh((lam - q -+ i*pi)/2) = -+i cosh(u),
     # -i where q + i*pi stayed in the strip, +i where the wrap moved it down by 2 i pi
@@ -469,14 +498,10 @@ def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     phase = np.where(wrapped.imag < shifted.imag, 1j, -1j).prod(axis=-1)
     q_lam, q_lam_eta = np.split(s.prod(axis=-1), 2, axis=1)
     hat_lam, hat_lam_eta = np.split(phase[:, None] * c.prod(axis=-1), 2, axis=1)
-    return QTable(
-        roots=r, hat=_read_only(_sorted_roots(wrapped)), tau=taus,
-        x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
-        a_r=_read_only(params.a_fn(r)), d_r=_read_only(params.d_fn(r)),
-        exp_r=_read_only(np.exp(r)), r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi,
-        sinh_x=_read_only(sinh_prod(xi[:, None] - r[:, None, :])),
-        grid=_read_only(np.stack([q_lam, q_lam_eta, q_lam_eta_plus, hat_lam, hat_lam_eta],
-                                 axis=-1)))
+    return {"values": values, "hat": _sorted_roots(wrapped),
+            "a_r": params.a_fn(r), "d_r": params.d_fn(r), "exp_r": np.exp(r),
+            "sinh_x": sinh_prod(xi[:, None] - r[:, None, :]),
+            "grid": np.stack([q_lam, q_lam_eta, q_lam_eta_plus, hat_lam, hat_lam_eta], axis=-1)}
 
 
 def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):

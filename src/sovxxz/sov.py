@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import SingularEvaluationError, names_record
-from .lattice import monodromy_entries, reference_state
+from .lattice import MonodromyBlocks, monodromy_entries, reference_state
 from .model import ModelParams, QTable, dist_mod_2ipi, vandermonde
 
 
@@ -42,14 +42,25 @@ def h_to_index(h: tuple[int, ...]) -> int:
 
 class SovBasis:
     """All 2^N SoV basis kets and bras of one chain, in ``h_to_index`` order,
-    with the monodromy blocks at xi_1..xi_N they are built from (``at_xi``).
-    ``kets`` and ``bras`` are (2^N, 2^N) arrays whose row i is the vector of
-    label i; ``labels`` is the (2^N, N) boolean mask whose row i is h."""
+    with the B and C blocks of the monodromy at xi_1..xi_N they are built
+    from (``at_xi``, one ``FlipBlocks`` per node).  ``kets`` and ``bras`` are
+    (2^N, 2^N) arrays whose row i is the vector of label i; ``labels`` is the
+    (2^N, N) boolean mask whose row i is h.
 
-    def __init__(self, params: ModelParams):
+    Nothing the basis serves reads A or D, so each node's monodromy is built
+    and cut to B and C before the next is built.  A caller that reads A and D
+    at the nodes as well builds the monodromies itself and passes them as
+    ``at_xi``; the basis then shares their B and C rather than copying them.
+    """
+
+    def __init__(self, params: ModelParams, at_xi: list[MonodromyBlocks] | None = None):
         self.params = params
         n = params.n
-        self.at_xi = [monodromy_entries(params, x) for x in params.xi]
+        if at_xi is None:
+            # each full monodromy is a temporary, freed once flips() returns
+            self.at_xi = [monodromy_entries(params, x).flips() for x in params.xi]
+        else:
+            self.at_xi = [t.flips() for t in at_xi]
         xi = np.asarray(params.xi)
         d_shift_vals = params.d_fn(xi - params.eta)
         self.labels = np.array(all_h(n), dtype=bool)

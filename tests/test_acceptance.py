@@ -23,6 +23,7 @@ from sovxxz.lattice import (
     dress_local_operator,
     elementary_matrix,
     local_op,
+    monodromy_entries,
     transfer_eigenvalues,
 )
 from sovxxz.sov import SovBasis, all_h, matrix_element, overlap, separate_state
@@ -237,8 +238,8 @@ def test_06b_raising_lowering_coincidence(params3, states3):
                     f"worst {worst:.2e} (tol {TOL_PM_EQUAL:.0e})")
 
 
-def test_07_inverse_problem(params3, basis3):
-    nodes = NodeFactors(params3, basis3.at_xi)
+def test_07_inverse_problem(params3):
+    nodes = NodeFactors(params3, [monodromy_entries(params3, x) for x in params3.xi])
     worst = 0.0
     for site in (1, 2, 3):
         for i in (1, 2):

@@ -2,6 +2,7 @@ import copy
 import gc
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -310,8 +311,8 @@ class TestValidateCommand:
 
     def test_node_factors_built_once(self, tmp_path, monkeypatch):
         # the 8 n dressed operators of one run share their node factors: the
-        # monodromy at each xi_m - eta is built once, the blocks at xi_m are
-        # the basis's own, each transfer factor takes one SVD, each prefix
+        # monodromy at each xi_m - eta is built once, the basis shares B and
+        # C of the blocks at xi_m, each transfer factor takes one SVD, each prefix
         # product one inversion, no dressed operator a solve, and each target
         # embedding serves both variants (the spectrum's own work not counted)
         builds = Counter()
@@ -360,7 +361,9 @@ class TestValidateCommand:
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
         assert calls == {("svd", (dim, dim)): n, ("inv", None): n, ("local_op", None): 4 * n}
-        assert all(made["NodeFactors"].at_xi[m] is made["SovBasis"].at_xi[m] for m in range(n))
+        assert all(made["NodeFactors"].at_xi[m].b is made["SovBasis"].at_xi[m].b
+                   and made["NodeFactors"].at_xi[m].c is made["SovBasis"].at_xi[m].c
+                   for m in range(n))
 
     @pytest.mark.parametrize("side", ["kets", "bras"])
     def test_sov_checks_catch_a_perturbed_basis_row(self, basis3, side):
@@ -398,9 +401,9 @@ class TestOneBasisPerOp:
         made = []
         init = sov.SovBasis.__init__
 
-        def tracked(self, params):
+        def tracked(self, *args):
             made.append(weakref.ref(self))
-            init(self, params)
+            init(self, *args)
 
         monkeypatch.setattr(sov.SovBasis, "__init__", tracked)
         cfg = tmp_path / "cfg.json"
@@ -465,6 +468,37 @@ class TestColdStart:
         assert done.stdout.splitlines() == [str(loaded)]
         if command is not None:
             assert read(tmp_path / "r.json")["command"] == command
+
+
+    @pytest.mark.parametrize("command", ["spectrum", "validate", "observables"])
+    def test_no_command_imports_numpy_ma(self, tmp_path, command):
+        # np.median's NaN check imports numpy.ma, about 9 ms of a cold run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        code = self.CODE.replace("'sovxxz.observables'", "'numpy.ma'")
+        done = subprocess.run([sys.executable, "-c", code, str(self.SRC), command, "--config",
+                               str(cfg), "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.splitlines() == ["False"]
+        assert read(tmp_path / "r.json")["command"] == command
+
+
+def test_fresh_processes_at_one_blas_thread_write_the_same_bytes(tmp_path):
+    # reports are byte-identical for a fixed seed, machine and BLAS thread
+    # count; test_10_determinism runs its two runs in one process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"r{i}.json"
+        subprocess.run([sys.executable, "-c", TestColdStart.CODE, str(TestColdStart.SRC),
+                        "validate", "--config", str(cfg), "--seed", "3", "--out", str(out)],
+                       capture_output=True, text=True, env=env, timeout=120, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n"] == 5
 
 
 class TestSpectrumCommand:

@@ -1,6 +1,6 @@
 """Smoke test of tools/cold_start.py: one round of a tree against itself
-prints one line per command, each with both trees' median and quartiles and
-the new tree's wins."""
+prints one line per case, each with both trees' median and quartiles, their
+median peak RSS and the new tree's wins."""
 
 import re
 import subprocess
@@ -9,23 +9,44 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "cold_start.py"
+RUN = r"\d+\.\d ms \(\d+\.\d-\d+\.\d\), \d+\.\d MB"
 
 
-def test_one_round_against_itself():
-    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "1"],
-                          capture_output=True, text=True, timeout=300, check=False)
+def run_tool(*args, timeout=300):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, check=False)
+
+
+def assert_lines(proc, cases):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3
-    times = r"\d+\.\d ms \(\d+\.\d-\d+\.\d\)"
-    for line, case in zip(lines, ('spectrum {"n": 6}', 'observables {"n": 3}',
-                                  'validate {"n": 5}')):
-        assert re.fullmatch(rf"{re.escape(case)}: old {times}, new {times}; "
+    assert len(lines) == len(cases)
+    for line, case in zip(lines, cases):
+        assert re.fullmatch(rf"{re.escape(case)}: old {RUN}, new {RUN}; "
                             r"new faster in [01] of 1", line), line
 
 
+def test_one_round_against_itself():
+    assert_lines(run_tool(ROOT, ROOT, "--rounds", "1"),
+                 ['spectrum {"n": 6}', 'observables {"n": 3}', 'validate {"n": 5}'])
+
+
+def test_cases_replace_the_workloads():
+    # each --case runs in the order given, its config written back as JSON
+    assert_lines(run_tool(ROOT, ROOT, "--rounds", "1", "--case", "validate", '{"n":2}',
+                          "--case", "spectrum", '{"n": 3, "kappa": [0.8, -0.3]}'),
+                 ['validate {"n": 2}', 'spectrum {"n": 3, "kappa": [0.8, -0.3]}'])
+
+
+def test_refuses_a_bad_case():
+    for case, message in ((["spectra", "{}"], "command 'spectra' is not one of"),
+                          (["spectrum", "{n: 3}"], "config '{n: 3}' is not JSON")):
+        proc = run_tool(ROOT, ROOT, "--case", *case, timeout=60)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+
 def test_refuses_a_root_without_the_package(tmp_path):
-    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(tmp_path)],
-                          capture_output=True, text=True, timeout=60, check=False)
+    proc = run_tool(ROOT, tmp_path, timeout=60)
     assert proc.returncode == 2
     assert f"no sovxxz source under {tmp_path}" in proc.stderr

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import make_params, rng
+from conftest import KAPPA2, make_params, rng
 from sovxxz.cli import _rtt_residual
 from sovxxz.errors import (
     ConvergenceError,
@@ -18,6 +18,7 @@ from sovxxz.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    FlipBlocks,
     NodeFactors,
     dress_local_operator,
     elementary_matrix,
@@ -224,6 +225,32 @@ class TestSpectrumOracle:
         assert sorted(rows) == list(range(2**n))
         assert np.max(np.abs(taus[rows] - ref)) < 1e-12 * radius
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_blocks_match_the_full_monodromy(self, n):
+        # the oracle, the kappa' reference and the kets and bras, built label
+        # by label, read from the full monodromy_entries blocks equal, bit
+        # for bit, those the basis builds from its B and C
+        params = make_params(n, kappa=0.8 - 0.3j)
+        basis = SovBasis(params)
+        full = [monodromy_entries(params, x) for x in params.xi]
+        assert all(type(t) is FlipBlocks for t in basis.at_xi)
+
+        def same(got, want):
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        assert same(spectrum_oracle(params, basis.at_xi), spectrum_oracle(params, full))
+        assert same(transfer_eigenvalues(basis.at_xi[0], KAPPA2),
+                    transfer_eigenvalues(full[0], KAPPA2))
+        kets, bras = np.empty_like(basis.kets), np.empty_like(basis.bras)
+        kets[0], bras[0] = reference_state(n), reference_state(n) / basis.v_h[0]
+        d_shift = params.d_fn(np.asarray(params.xi) - params.eta)
+        for i in range(1, 2**n):
+            a = n - i.bit_length()  # label i's first set bit is h_a
+            parent = i - 2**(n - 1 - a)
+            kets[i] = -(full[a].b @ kets[parent]) / params.a_xi[a]
+            bras[i] = (full[a].c.T @ bras[parent]) / d_shift[a]
+        assert same(basis.kets, kets) and same(basis.bras, bras)
+
     def test_refuses_a_same_parity_entry(self, params3, basis3):
         # state 0 (all up) and state 3 (two down) are both even
         at_xi = list(basis3.at_xi)
@@ -274,8 +301,8 @@ class TestSpectrumOracle:
 
 class TestInverseProblem:
     @pytest.fixture(scope="class")
-    def nodes(self, params3, basis3):
-        return NodeFactors(params3, basis3.at_xi)
+    def nodes(self, params3):
+        return NodeFactors(params3, [monodromy_entries(params3, x) for x in params3.xi])
 
     def test_site1_projector(self, nodes):
         out = dress_local_operator(nodes, 1, 1, 1)

@@ -15,6 +15,7 @@ from sovxxz.model import (
     HalfPeriodTrigPoly,
     InterpolationBasis,
     ModelParams,
+    QTable,
     TrigInterpolation,
     a_frak,
     canonical_roots,
@@ -330,6 +331,35 @@ class TestTableLayout:
         assert [np.shares_memory(v, w.tau) for v, w in zip(context.tau_values, context.tables)] \
             == [True, True]
 
+    def test_record_blocks_match_one_batch(self, monkeypatch, params3, records3):
+        # with a budget of three and a half records, the 8 records are built
+        # in blocks of 3, 3 and 2, and every field equals, bit for bit, the
+        # table built in one block
+        t, grid = records3.table, residual_grid(params3)
+        evaluate, blocks = sovxxz.model._q_fields, []
+
+        def counted(params, r, lam):
+            blocks.append(len(r))
+            return evaluate(params, r, lam)
+
+        monkeypatch.setattr(sovxxz.model, "_q_fields", counted)
+        n = params3.n
+        record_bytes = (4 * n + 3 * n + 3 * grid.shape[1]) * n * 16
+        budgets = {1: 1 << 40, 3: 7 * record_bytes // 2}
+        tables = {}
+        for step, budget in budgets.items():
+            monkeypatch.setattr(sovxxz.model, "Q_TABLE_BLOCK_BYTES", budget)
+            blocks.clear()
+            tables[step] = q_table(params3, t.roots, t.tau, grid)
+            assert blocks == ([8] if step == 1 else [3, 3, 2])
+        for f in fields(QTable):
+            got, want = getattr(tables[3], f.name), getattr(tables[1], f.name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+            assert not got.flags.writeable
+        # the values at the nodes and the shifted roots stay views of one array
+        for name in self.ROWS[1:4] + self.ROWS[7:10]:
+            assert getattr(tables[3], name).base is tables[3].x.base is not None
+
     def test_no_record_keeps_tau_at_xi(self, records3):
         # tau(xi_k) lives in the table's tau alone
         assert "tau_at_xi" not in {f.name for f in fields(Spectrum)}
@@ -430,6 +460,23 @@ def test_canonical_roots_match_the_scalar_formula():
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(got), bits(canonical_roots(row)))
         assert np.array_equal(bits(got), bits(HalfPeriodTrigPoly.from_roots(row).roots))
+
+
+def test_vandermonde_rows_wide_matches_numpy_median():
+    # the median from a sort picks the same wide rows as np.median: on random
+    # real parts and on half-integer ones, whose ties put points exactly 4
+    # from the median
+    g = rng(15)
+    at_threshold = 0
+    for trial in range(4000):
+        m = int(g.integers(1, 9))
+        re = g.uniform(-6, 6, m) if trial % 2 else g.integers(-12, 13, m) / 2
+        x = re + 1j * g.uniform(-0.4, 0.4, m)
+        center = np.median(x.real)
+        at_threshold += bool(np.any(np.abs(x.real - center) == 4.0))
+        assert vandermonde_rows(x, 0.6 + 0.35j).wide == \
+            [i for i in range(m) if abs(x[i].real - center) > 4.0]
+    assert at_threshold > 100
 
 
 def test_vandermonde_rows_match_the_scalar_loop():

@@ -6,7 +6,7 @@ import pytest
 from conftest import KAPPA2, hat, make_params, poly, rel_dev, rng, table, tau
 from sovxxz.cli import _sov_action_residual
 from sovxxz.errors import SingularEvaluationError
-from sovxxz.lattice import monodromy_entries, reference_state, transfer_k
+from sovxxz.lattice import FlipBlocks, monodromy_entries, reference_state, transfer_k
 from sovxxz.model import HalfPeriodTrigPoly, q_table, vandermonde
 from sovxxz.sov import (
     SovBasis,
@@ -45,6 +45,28 @@ class TestSovBasis:
                 got = complex(basis.bra(h) @ basis.ket(k))
                 want = basis.measure(h) if h == k else 0.0
                 assert abs(got - want) < 1e-9 * abs(basis.measure(h))
+
+    def test_keeps_b_and_c_at_the_nodes_alone(self):
+        # at n = 4 the basis holds 2N node blocks, B and C at each xi_m, and
+        # its kets, bras, labels and measure factors: no A or D
+        params = make_params(4)
+        basis = SovBasis(params)
+        dim = 2**params.n
+        assert all(type(t) is FlipBlocks for t in basis.at_xi)
+        held = [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
+        held += [block for t in basis.at_xi for block in vars(t).values()]
+        assert all(isinstance(a, np.ndarray) for a in held)
+        assert set(vars(basis)) == {"params", "at_xi", "kets", "bras", "labels", "v_h"}
+        assert sum(a.nbytes for a in held) == 2 * params.n * dim * dim * 16 \
+            + basis.kets.nbytes + basis.bras.nbytes + basis.labels.nbytes + basis.v_h.nbytes
+
+    def test_shares_b_and_c_of_blocks_handed_in(self, params3, basis3):
+        full = [monodromy_entries(params3, x) for x in params3.xi]
+        basis = SovBasis(params3, full)
+        assert all(t.b is f.b and t.c is f.c and type(t) is FlipBlocks
+                   for t, f in zip(basis.at_xi, full))
+        for name in ("kets", "bras", "v_h", "labels"):
+            assert getattr(basis, name).tobytes() == getattr(basis3, name).tobytes()
 
     def test_all_action_formulas(self, params3, basis3):
         g = rng(31)
