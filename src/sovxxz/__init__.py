@@ -12,7 +12,7 @@ from .errors import (
     SingularEvaluationError,
     SovxxzError,
 )
-from .model import HalfPeriodTrigPoly, ModelParams
+from .model import ModelParams
 from .sov import SovBasis, separate_state
 from .spectrum import Spectrum, solve_spectrum
 
@@ -22,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSpectrumError",
     "DimensionError",
-    "HalfPeriodTrigPoly",
     "InversionError",
     "ModelParams",
     "ParameterError",

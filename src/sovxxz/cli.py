@@ -268,7 +268,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     worker = threading.Thread(target=solve_reference, name="kappa-prime-reference")
     worker.start()
     try:
-        spectrum = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
+        spectrum = solve_spectrum(basis, kappa=params.kappa, seed=cfg.seed,
                                   tolerances=cfg.tolerances)
     finally:
         worker.join()
@@ -297,7 +297,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     rec_out = [{**dict(zip(columns, row)), "certified": True}
                for row in zip(*(_plain(column) for column in columns.values()))]
     report = {"schema": 1, "command": "spectrum", "seed": cfg.seed, "n": params.n,
-              "kappa": cfg.kappa, "records": rec_out, "checks": checks,
+              "kappa": params.kappa, "records": rec_out, "checks": checks,
               "pass": all(c["pass"] for c in checks.values())}
     write_report(report, out_path)
     return 0 if report["pass"] else 1
@@ -317,9 +317,9 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     from . import observables as obs
 
     basis = SovBasis(params)
-    table = solve_spectrum(basis, kappa=cfg.kappa, seed=cfg.seed,
+    table = solve_spectrum(basis, kappa=params.kappa, seed=cfg.seed,
                            tolerances=cfg.tolerances).table
-    kappa, kappa2 = cfg.kappa, cfg.kappa_prime
+    kappa, kappa2 = params.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
     reps, ops, sites = cfg.representations, cfg.operators, cfg.sites
     same_twist = kappa2 == kappa

@@ -124,15 +124,11 @@ def _number(kind: type, value, name: str, text: bool = False):
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; ``params`` is the derived ModelParams.
+    """Validated run configuration.  ``params`` is the chain with its default
+    twist kappa, built once; its ``delta_min`` is the config's xi separation,
+    capped at the model default."""
 
-    ``delta_min`` is the config's xi separation, capped at the model default.
-    """
-
-    n: int
-    eta: complex
-    xi: tuple[complex, ...]
-    kappa: complex
+    params: ModelParams
     kappa_prime: complex
     sites: tuple[int, ...]
     operators: tuple[str, ...]
@@ -140,12 +136,6 @@ class RunConfig:
     tolerances: dict[str, float]
     seed: int
     out: str | None = None
-    delta_min: float = DELTA_MIN_DEFAULT
-
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(n=self.n, eta=self.eta, xi=self.xi,
-                           kappa=self.kappa, delta_min=self.delta_min)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -264,11 +254,11 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ParameterError("field 'out' must be a path string")
-    cfg = RunConfig(n=n, eta=eta, xi=xi, kappa=kappa, kappa_prime=kappa_prime,
-                    sites=sites, operators=operators,
-                    representations=representations, tolerances=tolerances,
-                    seed=seed, out=out, delta_min=min(min_sep, DELTA_MIN_DEFAULT))
     if kappa_prime == 0:  # ModelParams checks only kappa
         raise ParameterError("twists must be nonzero")
-    cfg.params  # raises ParameterError for inadmissible explicit xi
-    return cfg
+    # raises ParameterError for inadmissible explicit xi
+    params = ModelParams(n=n, eta=eta, xi=xi, kappa=kappa,
+                         delta_min=min(min_sep, DELTA_MIN_DEFAULT))
+    return RunConfig(params=params, kappa_prime=kappa_prime, sites=sites, operators=operators,
+                     representations=representations, tolerances=tolerances, seed=seed,
+                     out=out)

@@ -2,10 +2,12 @@
 
 Holds the chain data (length, anisotropy, inhomogeneities, twists), the
 half-period polynomials Q(lam) = prod_j sinh((lam - q_j)/2) used to label
-separate states and the table of their one-polynomial values, the model
-functions a(lam), d(lam), the ratio functions consumed by every determinant
-formula, the interpolation of eigenvalues through the nodes, and the
-structural diagnostics (quantum Wronskian, root sum rule) of a Q-function.
+separate states, each held as its array of roots q_j and evaluated by
+``half_period_values``, and the table of their one-polynomial values
+(``QTable``), the model functions a(lam), d(lam), the ratio functions
+consumed by every determinant formula, the interpolation of eigenvalues
+through the nodes, and the structural diagnostics (quantum Wronskian, root
+sum rule) of a Q-function.
 
 This is the one place that evaluates a model function.  Each is one numpy
 function of sinh products (``sinh_prod``, ``sinh_prod_deriv``,
@@ -20,7 +22,7 @@ goes through one kernel, ``sinh_cosh`` (and its sinh half, ``sinh``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -297,65 +299,30 @@ class ModelParams:
         return InterpolationBasis(self.xi)
 
 
-@dataclass(frozen=True)
-class HalfPeriodTrigPoly:
-    """Product prod_j sinh((lam - q_j)/2), stored by its roots.
-
-    The sinh half-argument doubles the period compared to a(lam), d(lam):
-    eval(lam + 2*pi*i) = (-1)^N eval(lam).  Roots are normalized to the strip
-    Im in (-pi, pi] and sorted; the overall sign lost by wrapping a root is
-    irrelevant because every downstream formula uses ratios of values.
-    """
-
-    roots: tuple[complex, ...] = field(default_factory=tuple)
-
-    @staticmethod
-    def from_roots(roots) -> "HalfPeriodTrigPoly":
-        return HalfPeriodTrigPoly(tuple(canonical_roots(roots).tolist()))
-
-    def __call__(self, lam):
-        """The polynomial at lam, elementwise on arrays."""
-        return sinh_prod(_less(lam, self.roots) / 2)
-
-    def log_deriv(self, lam):
-        return 0.5 * coth(_less(lam, self.roots) / 2).sum(axis=-1)
-
-    def shifted_ipi(self) -> "HalfPeriodTrigPoly":
-        """The companion polynomial with every root shifted by i*pi (re-wrapped)."""
-        return HalfPeriodTrigPoly.from_roots([q + IPI for q in self.roots])
-
-
 def half_period_values(roots, lam):
-    """prod_j sinh((lam - q_j)/2) at every point on the last axis of ``lam``,
-    for the roots q_j on the last axis of ``roots``, over their common leading
-    axes: ``HalfPeriodTrigPoly.__call__`` of a stack of root sets at once."""
+    """Q(lam) = prod_j sinh((lam - q_j)/2) at every point on the last axis of
+    ``lam``, for the roots q_j on the last axis of ``roots``, over their
+    common leading axes (a stack of root sets gives a stack of rows).
+
+    A Q-function is its root array, kept in ``canonical_roots`` form.  The
+    sinh half-argument doubles the period compared to a(lam), d(lam):
+    Q(lam + 2*pi*i) = (-1)^N Q(lam).  Wrapping a root to the strip changes
+    only the overall sign of Q, which every formula cancels in a ratio."""
     diff = np.asarray(lam, dtype=np.complex128)[..., :, None] - np.asarray(roots)[..., None, :]
     return sinh_prod(diff / 2)
 
 
-def a_frak(params: ModelParams, q_poly: HalfPeriodTrigPoly, u):
-    """Bethe-equation ratio d(u) Q(u+eta) / (a(u) Q(u-eta)), elementwise on arrays."""
-    return a_frak_values(params.a_fn(u), params.d_fn(u), q_poly(u - params.eta),
-                         q_poly(u + params.eta))
-
-
 def a_frak_values(a_u, d_u, q_eta, q_eta_plus):
-    """``a_frak`` from a(u), d(u), Q(u-eta) and Q(u+eta), elementwise on arrays."""
+    """Bethe-equation ratio a_frak(u) = d(u) Q(u+eta) / (a(u) Q(u-eta)) from
+    a(u), d(u), Q(u-eta) and Q(u+eta), elementwise on arrays."""
     _require_nonzero(a_u, "a(u)")
     _require_nonzero(q_eta, "Q(u-eta)")
     return d_u * q_eta_plus / (a_u * q_eta)
 
 
-def f_tilde(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-            q_poly: HalfPeriodTrigPoly, u):
-    """Izergin weight P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta)), elementwise on arrays."""
-    return f_tilde_values(p_poly(u - params.eta + IPI), q_poly(u),
-                          p_poly(u + IPI), q_poly(u - params.eta))
-
-
 def f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta):
-    """``f_tilde`` from P(u-eta+i*pi), Q(u), P(u+i*pi) and Q(u-eta),
-    elementwise on arrays."""
+    """Izergin weight f_tilde(u) = P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta))
+    from P(u-eta+i*pi), Q(u), P(u+i*pi) and Q(u-eta), elementwise on arrays."""
     _require_nonzero(p_ipi, "P(u+i*pi)")
     _require_nonzero(q_eta, "Q(u-eta)")
     return p_eta_ipi * q_u / (p_ipi * q_eta)

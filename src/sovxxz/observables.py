@@ -29,12 +29,11 @@ from .errors import ParameterError, SingularEvaluationError, SovxxzError, names_
 from .linalg import det_lu
 from .model import (
     IPI,
-    HalfPeriodTrigPoly,
     ModelParams,
     QTable,
     VandermondeRows,
-    a_frak,
     a_frak_values,
+    canonical_roots,
     coth,
     dist_mod_2ipi,
     dist_mod_ipi,
@@ -153,11 +152,6 @@ def _entries_of(pairs):
         if exc.at:
             exc.at = tuple(int(axis[exc.at[0]]) for axis in pairs)
         raise
-
-
-def _poly(roots) -> HalfPeriodTrigPoly:
-    """The polynomial of one record's roots, to evaluate at points of one's own."""
-    return HalfPeriodTrigPoly(tuple(roots.tolist()))
 
 
 class PairContext:
@@ -509,15 +503,15 @@ def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
     return halves.base + alpha * halves.rest
 
 
-def coth_cauchy_closed_form(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                            q_poly: HalfPeriodTrigPoly) -> complex:
-    """Closed form of det[coth((p_k - q_j - eta)/2)]: a hyperbolic Cauchy
-    determinant with a cosh of the root-sum mismatch."""
-    pr = np.asarray(p_poly.roots, dtype=np.complex128)
-    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+def coth_cauchy_closed_form(params: ModelParams, pr, qr) -> complex:
+    """Closed form of det[coth((p_k - q_j - eta)/2)] for the roots ``pr`` of
+    P and ``qr`` of Q: a hyperbolic Cauchy determinant with a cosh of the
+    root-sum mismatch."""
+    pr = np.asarray(pr, dtype=np.complex128)
+    qr = np.asarray(qr, dtype=np.complex128)
     n = params.n
-    # prod_{i<j} sinh((p_i - p_j)/2) sinh((q_j - q_i)/2)
-    num = sinh_cosh((sum(p_poly.roots) - sum(q_poly.roots) - n * params.eta) / 2)[1] \
+    # prod_{i<j} sinh((p_i - p_j)/2) sinh((q_j - q_i)/2); root sums in order
+    num = sinh_cosh((sum(pr) - sum(qr) - n * params.eta) / 2)[1] \
         * vandermonde(pr[::-1] / 2) * vandermonde(qr / 2)
     den = sinh_prod(np.ravel((pr[:, None] - qr[None, :] - params.eta) / 2))
     return complex(num / den)
@@ -546,28 +540,31 @@ def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
     return det_lu(slavnov_matrix(halves, alpha)) / den
 
 
-def product_matrix(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                   q_poly: HalfPeriodTrigPoly, alpha: complex, beta: complex):
-    """Two-parameter product matrix and its Bethe-sensitive last-line part.
+def product_matrix(params: ModelParams, pr, qr, alpha: complex, beta: complex):
+    """Two-parameter product matrix and its Bethe-sensitive last-line part,
+    for the roots ``pr`` of P and ``qr`` of Q.
 
     Returns (matrix, last_line, entry_scale); the last line carries the factor
     (1 - alpha beta e^{-eta} a_frak_Q(q_j)) that vanishes entrywise on Bethe
     roots when alpha beta e^{-eta} = 1.
     """
-    pr = np.asarray(p_poly.roots, dtype=np.complex128)
-    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+    pr = np.asarray(pr, dtype=np.complex128)
+    qr = np.asarray(qr, dtype=np.complex128)
     eta = params.eta
     em = cmath.exp(-eta / 2)
     u = pr[None, :] - qr[:, None]
     s_half, c_half = sinh_cosh(u / 2)
     if np.any(np.abs(s_half) < 1e-13):
         raise SingularEvaluationError("product representation needs pairwise distinct roots")
-    afrak_p, afrak_q = a_frak(params, q_poly, pr), a_frak(params, q_poly, qr)
+    q_p_eta, q_p_eta_plus = half_period_values(qr, pr + [[-eta], [eta]])  # Q(p_k -+ eta)
+    q_q_eta, q_q_eta_plus = half_period_values(qr, qr + [[-eta], [eta]])  # Q(q_j -+ eta)
     d_p, d_q = params.d_fn(pr), params.d_fn(qr)
+    afrak_p = a_frak_values(params.a_fn(pr), d_p, q_p_eta, q_p_eta_plus)
+    afrak_q = a_frak_values(params.a_fn(qr), d_q, q_q_eta, q_q_eta_plus)
     line1 = alpha * em / sinh((u - eta) / 2) - 1 / s_half
     line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / sinh((u + eta) / 2))
     cross = (d_p / d_q[:, None]) \
-        * (q_poly(qr - eta)[:, None] / (q_poly(pr - eta) * p_poly(pr + IPI))) \
+        * (q_q_eta[:, None] / (q_p_eta * half_period_values(pr, pr + IPI))) \
         * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
         * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, c_half)
     return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
@@ -583,7 +580,7 @@ def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
     """
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     lhs = (sp_slavnov(pair, alpha) * sp_slavnov(pair, beta))[0, 0]
-    mat, _, _ = product_matrix(params, _poly(p.roots), _poly(q.roots), alpha, beta)
+    mat, _, _ = product_matrix(params, p.roots, q.roots, alpha, beta)
     den = 1 / sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
     pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p.roots)) \
         * np.prod(q.x / q.x_eta)
@@ -617,10 +614,11 @@ def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
     return num_det / pair.izergin_det, pair.tau_prefactor * mat_det
 
 
-def sp_same_q(params: ModelParams, q_poly: HalfPeriodTrigPoly, alpha: complex):
-    """Equal-function scalar product: (twisted-Izergin form, compact N x N form)."""
-    _require_roots_off_nodes(params, q_poly.roots)
-    qr = np.asarray(q_poly.roots, dtype=np.complex128)
+def sp_same_q(params: ModelParams, qr, alpha: complex):
+    """Equal-function scalar product of the Q-function with the roots ``qr``:
+    (twisted-Izergin form, compact N x N form)."""
+    _require_roots_off_nodes(params, qr)
+    qr = np.asarray(qr, dtype=np.complex128)
     izergin_form = izergin_ratio(params.xi, qr, [alpha] * params.n, params.eta)
     s_eta = sinh(qr[:, None] - qr[None, :] + params.eta)  # at (k, l): q_k - q_l + eta
     prod = s_eta.prod(axis=1) / node_denominators(qr)
@@ -751,17 +749,18 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     a 1 x 1 grid: the scalar-product matrix entry with its column argument at
     mu, less its i*pi-shifted partner."""
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    p_poly, q_poly, qr = _poly(p.roots), _poly(q.roots), q.roots
-    eta = params.eta
-    q_mu_eta, q_mu_eta_ipi = q_poly([mu - eta, mu - eta + IPI])
-    p_mu, p_mu_ipi = p_poly([mu, mu + IPI])
+    pr, qr, eta = p.roots, q.roots, params.eta
+    q_mu_eta, q_mu_eta_ipi = half_period_values(qr, [mu - eta, mu - eta + IPI])
+    p_mu, p_mu_ipi = half_period_values(pr, [mu, mu + IPI])
     factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
     u = mu - qr
-    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * p_poly(qr + IPI)
+    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * half_period_values(pr, qr + IPI)
                           / (q.a_r * q_mu_eta * p_mu_ipi)) / sinh(u)
-    entry = coth((u - eta) / 2) + alpha * a_frak(params, q_poly, mu) * coth(u / 2) + cross
-    return entry - factor * (coth((u - eta + IPI) / 2)
-                             + alpha * a_frak(params, q_poly, mu + IPI) * coth((u + IPI) / 2))
+    afrak, afrak_ipi = (a_frak_values(params.a_fn(x), params.d_fn(x),
+                                      *half_period_values(qr, [x - eta, x + eta]))
+                        for x in (mu, mu + IPI))
+    entry = coth((u - eta) / 2) + alpha * afrak * coth(u / 2) + cross
+    return entry - factor * (coth((u - eta + IPI) / 2) + alpha * afrak_ipi * coth((u + IPI) / 2))
 
 
 def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
@@ -772,9 +771,10 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     bordered determinant det [[S, c], [w^T, ratio]] (``_bordered``)."""
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     alpha, eta = eps * eps2 * kappa2 / kappa, params.eta
-    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = _poly(p.roots)([mu, mu - eta, mu + IPI,
-                                                             mu - eta + IPI])
-    weights = (p.r_eta / p_mu) * (_poly(q.roots)(mu - eta) / pair.q_at_p[0][0, 0])
+    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = half_period_values(
+        p.roots, [mu, mu - eta, mu + IPI, mu - eta + IPI])
+    weights = (p.r_eta / p_mu) * (half_period_values(q.roots, [mu - eta])[0]
+                                  / pair.q_at_p[0][0, 0])
     bracket = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
                         _sell_mu_column(pair, alpha, mu), weights,
                         p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi)
@@ -790,8 +790,8 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
     eta, alpha = params.eta, cmath.exp(-params.eta)
     p_mu = sinh_prod(mu - p.roots)
     a_mu = params.a_fn(mu)
-    col_scale = cmath.exp(-mu) * a_mu * _poly(q.roots)(mu - eta) * _poly(p.roots)(mu + IPI) \
-        / p_mu
+    col_scale = cmath.exp(-mu) * a_mu * half_period_values(q.roots, [mu - eta])[0] \
+        * half_period_values(p.roots, [mu + IPI])[0] / p_mu
     det = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
                     col_scale * _sell_mu_column(pair, alpha, mu),
                     p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi),
@@ -804,16 +804,16 @@ def matel_d(pair: PairContext, mu: complex) -> complex:
 # identity test bench
 
 
-def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
-                        q_poly: HalfPeriodTrigPoly, beta: complex) -> float:
+def x_contraction_check(params: ModelParams, pr, qr, beta: complex) -> float:
     """Entrywise defect of the kernel-matrix contraction against its three-term
-    closed form (the residue evaluation used to relabel rows by Q-roots)."""
+    closed form (the residue evaluation used to relabel rows by Q-roots), for
+    the roots ``pr`` of P and ``qr`` of Q."""
     eta = params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
-    pr = np.asarray(p_poly.roots, dtype=np.complex128)
-    qr = np.asarray(q_poly.roots, dtype=np.complex128)
-    p_x, p_x_ipi, p_x_eta_ipi = p_poly(xi + np.array([[0], [IPI], [IPI - eta]]))
-    q_x, q_x_eta, q_x_eta_ipi = q_poly(xi + np.array([[0], [-eta], [IPI - eta]]))
+    pr = np.asarray(pr, dtype=np.complex128)
+    qr = np.asarray(qr, dtype=np.complex128)
+    p_x, p_x_ipi, p_x_eta_ipi = half_period_values(pr, xi + np.array([[0], [IPI], [IPI - eta]]))
+    q_x, q_x_eta, q_x_eta_ipi = half_period_values(qr, xi + np.array([[0], [-eta], [IPI - eta]]))
     ft = f_tilde_values(p_x_eta_ipi, q_x, p_x_ipi, q_x_eta)
     v = xi[None, :] - qr[:, None] - eta  # xi_b - q_a - eta at (a, b)
     xmat = (q_x_eta * p_x_ipi * coth(v / 2)
@@ -823,14 +823,14 @@ def x_contraction_check(params: ModelParams, p_poly: HalfPeriodTrigPoly,
     direct = xmat @ mmat
     u = pr[None, :] - qr[:, None]  # p_k - q_j at (j, k)
     a_q, a_p, d_p = params.a_fn(qr), params.a_fn(pr), params.d_fn(pr)
-    p_ipi = p_poly(pr + IPI)
+    p_ipi = half_period_values(pr, pr + IPI)
     sinh_half, cosh_half = sinh_cosh(u / 2)
     if (abs(sinh_half) < 1e-13).any():
         raise SingularEvaluationError("coincident roots p_k = q_j")
-    closed = (2 * beta * q_poly(qr + eta) / a_q)[:, None] \
+    closed = (2 * beta * half_period_values(qr, qr + eta) / a_q)[:, None] \
         * _p_ipi_over_sinh(sinh_half, cosh_half) \
-        - q_poly(pr - eta) * p_ipi / d_p * coth((u - eta) / 2) \
-        - beta * q_poly(pr + eta) * p_ipi / a_p * cosh_half / sinh_half
+        - half_period_values(qr, pr - eta) * p_ipi / d_p * coth((u - eta) / 2) \
+        - beta * half_period_values(qr, pr + eta) * p_ipi / a_p * cosh_half / sinh_half
     scale = np.maximum(np.maximum(np.abs(direct), np.abs(closed)), 1e-30)
     return float(np.max(np.abs(direct - closed) / scale))
 
@@ -915,14 +915,12 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     out["functional_reduction"] = float(worst)
 
-    p_poly, q_poly = map(_poly, table.roots[:2])
+    pr, qr = table.roots[:2]
     beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    out["kernel_contraction"] = float(
-        x_contraction_check(params, p_poly, q_poly, beta))
-    synth = HalfPeriodTrigPoly.from_roots(
-        [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
+    out["kernel_contraction"] = float(x_contraction_check(params, pr, qr, beta))
+    synth = canonical_roots([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
     out["kernel_contraction_shifted"] = float(
-        x_contraction_check(params, synth.shifted_ipi(), synth, beta))
+        x_contraction_check(params, canonical_roots(synth + IPI), synth, beta))
 
     alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     pair = PairContext(params, table.take([0]), table.take([1]))
@@ -934,7 +932,7 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
     out["half_period_split_q"] = float(dev_q)
     out["half_period_kernel_forms"] = float(kernel_dev)
 
-    denom_closed = coth_cauchy_closed_form(params, p_poly, q_poly)
+    denom_closed = coth_cauchy_closed_form(params, pr, qr)
     denom_det = pair.cauchy_det[0, 0]
     out["cauchy_closed_form"] = float(
         abs(denom_closed - denom_det) / max(abs(denom_det), 1e-30))

@@ -103,28 +103,28 @@ class ChainValues:
     ``tq`` holds the arrays (w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
     one row per T-Q sample point lam and one column per k = 0..N, w = e^lam;
     ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``
-    (rows lam, a(lam), d(lam)), ``probes`` the ``probe_transfers`` at the
-    spectrum's twist and ``basis`` the chain's SoV basis.  ``weights`` holds
-    the weight rows (``InterpolationBasis.weights``) of the basis the
-    eigenvalues interpolate through, at the T-Q points, the grid points, the
-    xi_j - eta and the probe points, under "tq", "grid", "char" and "probes":
-    an eigenvalue there is ``weights[name] @ tau`` of its row tau of
-    tau(xi_k) values."""
+    (rows lam, a(lam), d(lam)), ``kappa`` the spectrum's twist, ``probes``
+    the ``probe_transfers`` at it and ``basis`` the chain's SoV basis.
+    ``weights`` holds the weight rows (``InterpolationBasis.weights``) of the
+    basis the eigenvalues interpolate through (``ModelParams.node_basis``),
+    at the T-Q points, the grid points, the xi_j - eta and the probe points,
+    under "tq", "grid", "char" and "probes": an eigenvalue there is
+    ``weights[name] @ tau`` of its row tau of tau(xi_k) values."""
 
     tq: tuple[np.ndarray, np.ndarray, np.ndarray]
     char: np.ndarray
     grid: np.ndarray
+    kappa: complex
     probes: list
     basis: SovBasis
     weights: dict[str, np.ndarray]
 
 
-def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
-                 seed: int) -> ChainValues:
+def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
     """The ``ChainValues`` of a spectrum on ``basis``'s chain at twist
-    ``kappa``, whose eigenvalues interpolate through ``interp``; ``seed``
-    draws the 2N+3 T-Q sample points."""
+    ``kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
     params = basis.params
+    interp = params.node_basis
     n, eta = params.n, params.eta
     lam = _tq_sample_points(params, 2 * n + 3, seed)
     k = np.arange(n + 1)
@@ -136,7 +136,7 @@ def chain_values(basis: SovBasis, interp: InterpolationBasis, kappa: complex,
     weights = {"tq": interp.weights(lam), "grid": interp.weights(grid[0]),
                "char": interp.weights(xi - eta),
                "probes": interp.weights([mu for mu, _ in probes])}
-    return ChainValues(tq=tq, char=char, grid=grid, probes=probes, basis=basis,
+    return ChainValues(tq=tq, char=char, grid=grid, kappa=kappa, probes=probes, basis=basis,
                        weights=weights)
 
 
@@ -340,14 +340,15 @@ def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, 
     return probes
 
 
-def eigenstate_residual(table: QTable, kappa: complex, chain: ChainValues) -> np.ndarray:
-    """Relative eigen-residual of the separate state built from each eigen
-    record of ``table`` on ``chain.basis``, against the transfer matrices at
-    ``chain.probes`` (built at ``kappa``), each applied to all the states in one
-    stacked product.  Uses the unnormalized embedding: the residual is ray-invariant and the
-    unnormalized coefficients stay finite even when a Bethe root approaches
-    one of the shifted nodes xi_n - eta."""
-    v = separate_state(chain.basis, table, kappa, 1, "ket", normalized=False).embedded
+def eigenstate_residual(table: QTable, chain: ChainValues) -> np.ndarray:
+    """Relative eigen-residual of each eigen record's separate state of
+    ``table`` at ``chain.kappa`` on ``chain.basis``, against the transfer
+    matrices at ``chain.probes`` (built at that twist), each applied to all
+    the states in one stacked product.  Uses the unnormalized embedding: the
+    residual is ray-invariant and the unnormalized coefficients stay finite
+    even when a Bethe root approaches one of the shifted nodes xi_n - eta."""
+    v = separate_state(chain.basis, table, chain.kappa, 1, "ket",
+                       normalized=False).embedded
     nv = row_norms(v)
     tau_mu = _tau_at(chain.weights["probes"], table.tau)
     worst = np.zeros(len(table))
@@ -367,7 +368,7 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
 
 
 @names_record
-def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: ChainValues,
+def certify(params: ModelParams, taus, roots, bethe, chain: ChainValues,
             tolerances: dict | None = None) -> Spectrum:
     """Compute every residual of each record i, eigenvalue ``taus[i]`` (a row
     of tau(xi_k) values) with the roots ``roots[i]`` (a row of an (R, N)
@@ -375,7 +376,7 @@ def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: Chai
     that ``refine_bethe`` returned with them, as one batch, gate it and build
     the ``Spectrum`` complete, with its table (``model.q_table`` of Q on
     ``chain.grid``, which every residual, separate state and pair formula
-    reads); ``chain`` is the spectrum's ``ChainValues`` at ``kappa``.
+    reads); ``chain`` is the spectrum's ``ChainValues``, at its twist.
     ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
     Raises CertificationError for the lowest failing record, naming its
     index, its tau(xi_1) and the condition number of the Bethe Jacobian at
@@ -387,7 +388,7 @@ def certify(params: ModelParams, taus, roots, bethe, kappa: complex, chain: Chai
     side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all(axis=-1)
     values = {"tq": tq_residual(table, chain), "bethe": np.asarray(bethe),
               "discrete_char": discrete_char_residual(table, chain),
-              "eigenstate": eigenstate_residual(table, kappa, chain),
+              "eigenstate": eigenstate_residual(table, chain),
               "wronskian": wronskian, "sum_rule_defect": defect}
     over = {name: np.greater(values[name], tol[key]) for name, key in GATES.items()}
     failed = ~side_ok | np.any(list(over.values()), axis=0)
@@ -419,9 +420,9 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     params = basis.params
     k = params.kappa if kappa is None else kappa
     taus = spectrum_oracle(params, basis.at_xi, k)
-    chain = chain_values(basis, params.node_basis, k, seed)
+    chain = chain_values(basis, k, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
-    spectrum = certify(params, taus, roots, bethe, k, chain, tolerances)
+    spectrum = certify(params, taus, roots, bethe, chain, tolerances)
     if len(spectrum.table) != 2**params.n:
         raise ParameterError(
             f"expected {2**params.n} certified records, got {len(spectrum.table)}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sovxxz.config import generate_xi
-from sovxxz.model import HalfPeriodTrigPoly, ModelParams, TrigInterpolation, q_table
+from sovxxz.model import ModelParams, TrigInterpolation, q_table
 from sovxxz.observables import PairContext
 from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import solve_spectrum
@@ -56,19 +56,20 @@ def states3(params3, basis3, records3):
             separate_state(basis3, t, KAPPA2, 1, "ket"))
 
 
-def table(params: ModelParams, poly):
-    """``model.q_table`` of a polynomial that carries no eigenvalue."""
-    return q_table(params, [poly.roots], None, [])
+def table(params: ModelParams, roots):
+    """``model.q_table`` of a polynomial that carries no eigenvalue, by its
+    roots in ``canonical_roots`` form."""
+    return q_table(params, [roots], None, [])
 
 
-def poly(spectrum, i: int) -> HalfPeriodTrigPoly:
-    """The Q-function of record ``i`` of ``spectrum``."""
-    return HalfPeriodTrigPoly(tuple(spectrum.table.roots[i].tolist()))
+def poly(spectrum, i: int) -> np.ndarray:
+    """The roots of the Q-function of record ``i`` of ``spectrum``."""
+    return spectrum.table.roots[i]
 
 
-def hat(spectrum, i: int) -> HalfPeriodTrigPoly:
-    """The i*pi-shifted partner of the Q-function of record ``i``."""
-    return HalfPeriodTrigPoly(tuple(spectrum.table.hat[i].tolist()))
+def hat(spectrum, i: int) -> np.ndarray:
+    """The roots of the i*pi-shifted partner of the Q-function of record ``i``."""
+    return spectrum.table.hat[i]
 
 
 def tau(params: ModelParams, spectrum, i: int) -> TrigInterpolation:

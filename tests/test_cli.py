@@ -79,15 +79,15 @@ class TestWriteReport:
 class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)
-        assert cfg.n == 3
-        assert cfg.eta == 0.6 + 0.35j
-        assert len(cfg.xi) == 3
+        assert cfg.params.n == 3
+        assert cfg.params.eta == 0.6 + 0.35j
+        assert len(cfg.params.xi) == 3
         assert cfg.tolerances == DEFAULT_TOLERANCES
 
     def test_seed_override_changes_nodes(self):
         a = load_config(None, seed_override=1)
         b = load_config(None, seed_override=2)
-        assert a.xi != b.xi
+        assert a.params.xi != b.params.xi
 
     def test_explicit_duplicate_xi_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -229,7 +229,7 @@ class TestConfig:
         # refused, as for "n"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1.0, "n": 2.0}))
-        assert load_config(cfg).n == 2
+        assert load_config(cfg).params.n == 2
         for field in ("schema", "n"):
             cfg.write_text(json.dumps({field: "1"}))
             with pytest.raises(ParameterError, match=f"field '{field}' must be int"):

@@ -5,6 +5,8 @@ matches, the sign of a zero does not); each case gets a summary line of ok
 runs and margins per tree, naming the seed and the residual that hold the
 minimum margin."""
 
+import importlib
+import json
 import re
 import subprocess
 import sys
@@ -117,6 +119,27 @@ def test_mismatch_names_its_leaves(tmp_path):
     assert re.fullmatch(r'MISMATCH spectrum \{"n": 2\} --seed 1: reports differ from byte \d+ '
                         r"\(\d+ vs \d+ bytes\) in 3 leaf values of ff\.\*\.z, records\[\]\.b, "
                         r"records\[\]\.w, first ff\.P3_Q5_site2\.z", line)
+
+
+def test_each_run_has_the_benchmarks_blas_thread_count(tmp_path, monkeypatch):
+    # the old tree's CLI writes the BLAS thread variables it sees, the new
+    # tree's the values of perfbench/run.py's count; a count inherited from
+    # the caller must not reach a run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    threads = str(importlib.import_module("run").BLAS_THREADS)
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    old = fake_tree(tmp_path / "old", "")
+    (old / "src" / "sovxxz" / "cli.py").write_text(
+        "import json, os, sys\n"
+        "args = sys.argv[1:]\n"
+        f"text = json.dumps({{v: os.environ.get(v) for v in {variables!r}}})\n"
+        "open(args[args.index('--out') + 1], 'w').write(text)\n")
+    new = fake_tree(tmp_path / "new", json.dumps(dict.fromkeys(variables, threads)))
+    for var in variables:
+        monkeypatch.setenv(var, threads + "7")
+    proc = compare(old, new, ("spectrum", '{"n": 2}', "1"))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[-1] == "1 runs compared, 0 mismatched"
 
 
 def test_sign_of_a_zero_is_a_mismatch(tmp_path):

@@ -12,16 +12,16 @@ from conftest import hat, make_params, pair_context, poly, rel_dev, rng, table
 from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.model import (
     IPI,
-    HalfPeriodTrigPoly,
     InterpolationBasis,
     ModelParams,
     QTable,
     TrigInterpolation,
-    a_frak,
+    a_frak_values,
     canonical_roots,
     coth,
     dist_mod_ipi,
-    f_tilde,
+    f_tilde_values,
+    half_period_values,
     q_structure_residuals,
     q_table,
     residual_grid,
@@ -38,31 +38,51 @@ from sovxxz.spectrum import Spectrum
 
 
 class TestHalfPeriodTrigPoly:
+    """Q(lam) = prod_j sinh((lam - q_j)/2), held as its roots in
+    ``canonical_roots`` form and evaluated by ``half_period_values``."""
+
     def test_vanishes_at_root(self):
-        poly = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, -0.5 - 0.1j])
-        assert abs(poly(0.3 + 0.2j)) < 1e-15
+        roots = canonical_roots([0.3 + 0.2j, -0.5 - 0.1j])
+        assert abs(half_period_values(roots, [0.3 + 0.2j])[0]) < 1e-15
 
     def test_vanishes_at_root_plus_2pi_i(self):
-        poly = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, -0.5 - 0.1j])
-        assert abs(poly(0.3 + 0.2j + 2j * np.pi)) < 1e-12
+        roots = canonical_roots([0.3 + 0.2j, -0.5 - 0.1j])
+        assert abs(half_period_values(roots, [0.3 + 0.2j + 2j * np.pi])[0]) < 1e-12
 
     def test_double_periodicity(self):
         g = rng(1)
-        poly = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(2)])
+        roots = canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(2)])
         lam = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-        assert rel_dev(poly(lam + 2j * np.pi), poly(lam)) < 1e-12
+        shifted, at_lam = half_period_values(roots, [lam + 2j * np.pi, lam])
+        assert rel_dev(shifted, at_lam) < 1e-12
 
     def test_roots_wrapped_and_sorted(self):
-        poly = HalfPeriodTrigPoly.from_roots([0.1 + 4.0j, -0.2 - 3.5j])
-        assert all(-np.pi < q.imag <= np.pi for q in poly.roots)
-        assert list(poly.roots) == sorted(poly.roots, key=lambda z: (z.real, z.imag))
+        roots = canonical_roots([0.1 + 4.0j, -0.2 - 3.5j]).tolist()
+        assert all(-np.pi < q.imag <= np.pi for q in roots)
+        assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
 
     def test_log_deriv_matches_finite_difference(self):
-        poly = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, -0.5 - 0.1j, 0.9j])
+        # (log Q)'(lam) = sum_j coth((lam - q_j)/2) / 2, the form the
+        # Slavnov matrix's same-roots limits evaluate
+        roots = canonical_roots([0.3 + 0.2j, -0.5 - 0.1j, 0.9j])
         lam, h = 0.7 - 0.4j, 1e-6
-        fd = (poly(lam + h) - poly(lam - h)) / (2 * h * poly(lam))
-        assert abs(poly.log_deriv(lam) - fd) < 1e-6
+        up, down, at_lam = half_period_values(roots, [lam + h, lam - h, lam])
+        fd = (up - down) / (2 * h * at_lam)
+        assert abs(0.5 * coth((lam - roots) / 2).sum() - fd) < 1e-6
+
+    def test_stack_of_root_sets_matches_each_row_alone(self):
+        # R root sets evaluated at once, at points of their own or at points
+        # they share, are bit-equal to each row evaluated alone
+        g = rng(16)
+        roots = canonical_roots(g.uniform(-1, 1, (5, 3)) + 1j * g.uniform(-1, 1, (5, 3)))
+        own = g.uniform(-1, 1, (5, 4)) + 1j * g.uniform(-1, 1, (5, 4))
+        shared = own[0]
+        for points, rows in ((own, own), (shared, [shared] * 5)):
+            stacked = half_period_values(roots, points)
+            assert stacked.shape == (5, 4)
+            for root_set, at, got in zip(roots, rows, stacked):
+                alone = half_period_values(root_set, at)
+                assert np.array_equal(alone.view(np.uint64), got.view(np.uint64))
 
 
 class TestSinhProd:
@@ -235,50 +255,68 @@ class TestModelParams:
 
 
 class TestRatios:
+    # the Izergin weight f_tilde(u) = P(u-eta+i*pi) Q(u) / (P(u+i*pi) Q(u-eta))
+    # and the Bethe ratio a_frak(u) = d(u) Q(u+eta) / (a(u) Q(u-eta)), each
+    # from its *_values evaluator over half_period_values at every point u
+
+    @staticmethod
+    def f_tilde(params, pr, qr, u):
+        u = np.asarray(u, dtype=np.complex128)
+        p_eta_ipi, p_ipi = half_period_values(pr, [u - params.eta + IPI, u + IPI])
+        q_u, q_eta = half_period_values(qr, [u, u - params.eta])
+        return f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta)
+
+    @staticmethod
+    def a_frak(params, qr, u):
+        u = np.asarray(u, dtype=np.complex128)
+        return a_frak_values(params.a_fn(u), params.d_fn(u),
+                             *half_period_values(qr, [u - params.eta, u + params.eta]))
+
     def test_ratios_match_direct_products(self, params3):
         g = rng(2)
-        p = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
-        q = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        p, q = (canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+                for _ in range(2))
         u = 0.9 - 0.55j
         eta = params3.eta
-        f_t = p(u - eta + IPI) * q(u) / (p(u + IPI) * q(u - eta))
-        af = params3.d_fn(u) * q(u + eta) / (params3.a_fn(u) * q(u - eta))
-        assert rel_dev(f_tilde(params3, p, q, u), f_t) < 1e-12
-        assert rel_dev(a_frak(params3, q, u), af) < 1e-12
+
+        def direct(roots, lam):
+            return np.prod([cmath.sinh((lam - r) / 2) for r in roots])
+
+        f_t = direct(p, u - eta + IPI) * direct(q, u) / (direct(p, u + IPI) * direct(q, u - eta))
+        af = params3.d_fn(u) * direct(q, u + eta) / (params3.a_fn(u) * direct(q, u - eta))
+        assert rel_dev(self.f_tilde(params3, p, q, [u])[0], f_t) < 1e-12
+        assert rel_dev(self.a_frak(params3, q, [u])[0], af) < 1e-12
 
     def test_f_tilde_vanishes_at_q_root(self, params3, records3):
         q = poly(records3, 0)
         p = poly(records3, 1)
-        assert abs(f_tilde(params3, p, q, q.roots[0])) < 1e-12
+        assert abs(self.f_tilde(params3, p, q, q[:1])[0]) < 1e-12
 
     def test_f_tilde_equal_functions_is_minus_one_at_nodes(self, params3, records3):
         q = poly(records3, 2)
-        for x in params3.xi:
-            assert abs(f_tilde(params3, q, q, x) + 1.0) < 1e-10
+        assert np.all(abs(self.f_tilde(params3, q, q, params3.xi) + 1.0) < 1e-10)
 
     def test_singular_denominator_raises(self, params3):
-        q = HalfPeriodTrigPoly.from_roots([0.2, -0.3, 0.5])
-        u = q.roots[0] + params3.eta
+        q = canonical_roots([0.2, -0.3, 0.5])
+        u = [q[0] + params3.eta]
         with pytest.raises(SingularEvaluationError):
-            f_tilde(params3, q, q, u)
+            self.f_tilde(params3, q, q, u)
         with pytest.raises(SingularEvaluationError):
-            a_frak(params3, q, u)
+            self.a_frak(params3, q, u)
 
     def test_bethe_ratio_is_one_on_certified_roots(self, params3, records3):
         for i in range(len(records3.table)):
             q = poly(records3, i)
-            for root in q.roots:
-                assert abs(a_frak(params3, q, root) - 1.0) < 1e-7
+            assert np.all(abs(self.a_frak(params3, q, q) - 1.0) < 1e-7)
 
     def test_bra_ket_ratio_identity_at_nodes(self, params3, records3):
         # Q(xi - eta)/Q(xi) = -Qhat(xi - eta)/Qhat(xi) for certified pairs
+        xi = np.asarray(params3.xi)
+        points = [xi - params3.eta, xi]
         for i in range(len(records3.table)):
-            q, q_hat = poly(records3, i), hat(records3, i)
-            for x in params3.xi:
-                lhs = q(x - params3.eta) / q(x)
-                rhs = -q_hat(x - params3.eta) / q_hat(x)
+            q_eta, q_x = half_period_values(poly(records3, i), points)
+            hat_eta, hat_x = half_period_values(hat(records3, i), points)
+            for lhs, rhs in zip(q_eta / q_x, -hat_eta / hat_x):
                 assert rel_dev(lhs, rhs) < 1e-8
 
 
@@ -301,7 +339,7 @@ class TestTableLayout:
         n, grid = params3.n, residual_grid(params3)
         self.assert_read_only(grid, (3, 4 * n + 5))
         g = rng(12)
-        bare = table(params3, HalfPeriodTrigPoly.from_roots(
+        bare = table(params3, canonical_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]))
         for q, count, points in [(records3.table, 8, grid.shape[1]), (bare, 1, 0)]:
             for name in self.ROWS + ("roots", "hat"):
@@ -378,9 +416,9 @@ class TestStructureResiduals:
 
     def test_n1_midpoint_root_has_zero_defect(self):
         params = make_params(1)
-        poly = HalfPeriodTrigPoly.from_roots([params.xi[0] - params.eta / 2])
+        roots = canonical_roots([params.xi[0] - params.eta / 2])
         grid = residual_grid(params)
-        _, _, defect, k = q_structure_residuals(q_table(params, [poly.roots], None, grid),
+        _, _, defect, k = q_structure_residuals(q_table(params, [roots], None, grid),
                                                 params, grid)
         assert defect[0] < 1e-14
         assert k[0] == 0
@@ -459,7 +497,6 @@ def test_canonical_roots_match_the_scalar_formula():
         want = sorted((scalar(w) for w in row), key=lambda w: (w.real, w.imag))
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(got), bits(canonical_roots(row)))
-        assert np.array_equal(bits(got), bits(HalfPeriodTrigPoly.from_roots(row).roots))
 
 
 def test_vandermonde_rows_wide_matches_numpy_median():

@@ -22,11 +22,11 @@ from sovxxz.lattice import (
 from sovxxz.linalg import det_lu
 from sovxxz.model import (
     IPI,
-    HalfPeriodTrigPoly,
     InterpolationBasis,
     canonical_roots,
     coth,
     dist_mod_2ipi,
+    half_period_values,
     q_table,
     vandermonde_rows,
 )
@@ -34,9 +34,10 @@ from sovxxz.sov import SovBasis, matrix_element, overlap, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
 
 
-def random_poly(g, n, box=1.0):
-    return HalfPeriodTrigPoly.from_roots(
-        [complex(g.uniform(-box, box), g.uniform(-box, box)) for _ in range(n)])
+def random_roots(g, n, box=1.0):
+    """The roots, in ``canonical_roots`` form, of a random polynomial."""
+    return canonical_roots([complex(g.uniform(-box, box), g.uniform(-box, box))
+                            for _ in range(n)])
 
 
 def bare_pair(params, p, q):
@@ -57,17 +58,19 @@ class TestScalarProductDirect:
     def test_n1_closed_form(self):
         params = make_params(1)
         g = rng(51)
-        p = random_poly(g, 1)
-        q = random_poly(g, 1)
+        p = random_roots(g, 1)
+        q = random_roots(g, 1)
         alpha = 0.7 - 0.2j
         x, eta = params.xi[0], params.eta
-        expected = 1 + alpha * p(x) * q(x) / (p(x - eta) * q(x - eta))
+        p_x, p_x_eta = half_period_values(p, [x, x - eta])
+        q_x, q_x_eta = half_period_values(q, [x, x - eta])
+        expected = 1 + alpha * p_x * q_x / (p_x_eta * q_x_eta)
         assert rel_dev(obs.sp_direct(bare_pair(params, p, q), alpha)[0, 0], expected) < 1e-13
 
     def test_matches_exhaustive_sum(self, params3, basis3):
         g = rng(52)
-        p = random_poly(g, 3)
-        q = random_poly(g, 3)
+        p = random_roots(g, 3)
+        q = random_roots(g, 3)
         alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
         a = obs.sp_direct(bare_pair(params3, p, q), alpha)[0, 0]
         b = sp_sov_sum(basis3, table(params3, p), table(params3, q), alpha)
@@ -75,8 +78,8 @@ class TestScalarProductDirect:
 
     def test_matches_embedded_inner_product(self, params3, basis3):
         g = rng(53)
-        p = random_poly(g, 3)
-        q = random_poly(g, 3)
+        p = random_roots(g, 3)
+        q = random_roots(g, 3)
         kappa, kappa2, eps, eps2 = params3.kappa, KAPPA2, 1, -1
         alpha = eps * eps2 * kappa2 / kappa
         bra = separate_state(basis3, table(params3, p), kappa, eps, "bra")
@@ -100,16 +103,16 @@ class TestScalarProductDirect:
 class TestScalarProductIzergin:
     def test_alpha_zero_is_one(self, params3):
         g = rng(54)
-        p = random_poly(g, 3)
-        q = random_poly(g, 3)
+        p = random_roots(g, 3)
+        q = random_roots(g, 3)
         assert obs.sp_izergin(bare_pair(params3, p, q), 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_agrees_with_direct_for_generic_functions(self, params3):
         # only the root-location condition is needed here, not eigen data
         g = rng(55)
         for _ in range(3):
-            p = random_poly(g, 3)
-            q = random_poly(g, 3)
+            p = random_roots(g, 3)
+            q = random_roots(g, 3)
             alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
             pair = bare_pair(params3, p, q)
             a = obs.sp_direct(pair, alpha)[0, 0]
@@ -129,8 +132,8 @@ class TestScalarProductIzergin:
 class TestScalarProductSlavnov:
     def test_requires_compatibility_condition(self, params3):
         g = rng(56)
-        p = random_poly(g, 3)
-        q = random_poly(g, 3)
+        p = random_roots(g, 3)
+        q = random_roots(g, 3)
         with pytest.raises(ParameterError):
             obs.sp_slavnov(bare_pair(params3, p, q), 0.5)
 
@@ -138,8 +141,8 @@ class TestScalarProductSlavnov:
         # P carrying the i*pi-shifted roots of Q satisfies the compatibility
         # condition identically, without any eigen data
         g = rng(57)
-        q = random_poly(g, 3)
-        p = q.shifted_ipi()
+        q = random_roots(g, 3)
+        p = canonical_roots(q + IPI)
         pair = bare_pair(params3, p, q)
         assert obs.cond_pq_residual(pair)[0, 0] < 1e-12
         for alpha in (0.3 + 0.4j, -1.2j):
@@ -188,7 +191,7 @@ class TestScalarProductSlavnov:
         # must converge to the same value
         alpha = 0.8 + 0.1j
         exact = obs.sp_slavnov(pair_context(params3, records3, [1], [1]), alpha)[0, 0]
-        eps_poly = HalfPeriodTrigPoly.from_roots([q + 1e-6 for q in poly(records3, 1).roots])
+        eps_poly = canonical_roots(poly(records3, 1) + 1e-6)
         near_pair = obs.PairContext(params3, table(params3, eps_poly), records3.table.take([1]))
         near = obs.sp_slavnov(near_pair, alpha, cond_tol=1e-4)[0, 0]
         assert rel_dev(exact, near) < 1e-4
@@ -566,14 +569,14 @@ class TestPairContext:
             return num / (2 * cmath.cosh((w - pr[k]) / 2))
 
         def entry(ip, iq, alpha, gamma, j, k):
-            pt, qt, q_poly = records3.table.take(ip), records3.table.take(iq), poly(records3, iq)
+            pt, qt, qr = records3.table.take(ip), records3.table.take(iq), poly(records3, iq)
             pr = pt.roots
-            pk, qj = pr[k], np.asarray(q_poly.roots, dtype=np.complex128)[j]
+            pk, qj = pr[k], qr[j]
             if dist_mod_2ipi(pk, qj) < 1e-9:
                 afrak_q = qt.d_r[j] * qt.r_eta_plus[j] / (qt.a_r[j] * qt.r_eta[j])
-                limit = 2 * alpha * afrak_q * (q_poly.log_deriv(qj + eta)
-                                               + q_poly.log_deriv(qj + IPI)
-                                               - params3.a_log_deriv(qj))
+                # (log Q)'(lam) = sum_l coth((lam - q_l)/2) / 2
+                log_q = [0.5 * coth((lam - qr) / 2).sum() for lam in (qj + eta, qj + IPI)]
+                limit = 2 * alpha * afrak_q * (sum(log_q) - params3.a_log_deriv(qj))
                 if gamma is None:
                     return coth((pk - qj - eta) / 2) + limit
                 return (obs._s_gamma(pk - qj - eta, gamma)
@@ -581,7 +584,7 @@ class TestPairContext:
             if ip == iq:
                 q_minus, q_plus = qt.r_eta[k], qt.r_eta_plus[k]
             else:
-                q_minus, q_plus = q_poly(pk - eta), q_poly(pk + eta)
+                q_minus, q_plus = half_period_values(qr, [pk - eta, pk + eta])
             afrak_p = pt.d_r[k] * q_plus / (pt.a_r[k] * q_minus)
             mid = alpha * afrak_p * kern(pk - qj, gamma)
             cross = -2 * alpha * (pt.d_r[k] * qt.r_eta_plus[j]
@@ -607,14 +610,8 @@ class TestPairContext:
         # on a 3 x 3 grid and on a 1 x 1 grid
         eta = params3.eta
         nodes = {v for x in params3.xi for v in (x, x - eta, x + IPI, x - eta + IPI)}
-        evaluate = HalfPeriodTrigPoly.__call__
         weigh = InterpolationBasis.weights
         hits, batches = [], Counter()
-
-        def watched(poly, points):
-            batches["poly"] += 1
-            hits.extend(lam for lam in np.ravel(points) if lam in nodes)
-            return evaluate(poly, points)
 
         def watched_weights(basis, points):
             batches["weights"] += 1
@@ -627,7 +624,6 @@ class TestPairContext:
             return evaluate_stack(roots, points)
 
         evaluate_stack = obs.half_period_values
-        monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched)
         monkeypatch.setattr(obs, "half_period_values", watched_values)
         monkeypatch.setattr(InterpolationBasis, "weights", watched_weights)
         alpha = KAPPA2 / params3.kappa
@@ -657,8 +653,7 @@ class TestPairContext:
         tau_at_nodes = Counter()
         in_states, after_spectrum, spectra = [], [], []
         phase = {"certified": False, "state": False}
-        call_poly, call_weights = HalfPeriodTrigPoly.__call__, InterpolationBasis.weights
-        call_values = obs.half_period_values
+        call_weights, call_values = InterpolationBasis.weights, obs.half_period_values
         solve, state = cli.solve_spectrum, cli.separate_state
 
         # tau is evaluated only through the weights of its basis
@@ -673,10 +668,6 @@ class TestPairContext:
                 in_states.extend(np.ravel(points))
             elif phase["certified"]:
                 after_spectrum.extend(np.ravel(points))
-
-        def watched_poly(poly, points):
-            seen(points)
-            return call_poly(poly, points)
 
         def watched_values(roots, points):
             seen(points)
@@ -695,7 +686,6 @@ class TestPairContext:
                 phase["state"] = False
 
         monkeypatch.setattr(InterpolationBasis, "weights", counted_weights)
-        monkeypatch.setattr(HalfPeriodTrigPoly, "__call__", watched_poly)
         monkeypatch.setattr(obs, "half_period_values", watched_values)
         monkeypatch.setattr(cli, "solve_spectrum", solve_then_mark)
         monkeypatch.setattr(cli, "separate_state", watched_state)
@@ -723,25 +713,25 @@ class TestRefusals:
         g = rng(62)
         roots = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(params.n)]
         roots[k] = value
-        return HalfPeriodTrigPoly.from_roots(roots)
+        return canonical_roots(roots)
 
     def test_izergin_refuses_a_root_on_a_node(self, params3):
         p = self.roots_with(params3, 0, params3.xi[0])
-        q = random_poly(rng(63), 3)
+        q = random_roots(rng(63), 3)
         with pytest.raises(SingularEvaluationError,
                            match="^P0_Q0: root .* collides with an inhomogeneity shift set"):
             obs.sp_izergin(bare_pair(params3, p, q), 0.5)
 
     def test_direct_refuses_a_root_on_a_shifted_node(self, params3):
         p = self.roots_with(params3, 1, params3.xi[1] - params3.eta)
-        q = random_poly(rng(64), 3)
+        q = random_roots(rng(64), 3)
         with pytest.raises(SingularEvaluationError,
                            match=r"^P0_Q0: \(PQ\)\(xi - eta\) vanishes"):
             obs.sp_direct(bare_pair(params3, p, q), 0.5)
 
     def test_slavnov_halves_refuse_one_shared_root(self, params3):
-        q = random_poly(rng(65), 3)
-        p = self.roots_with(params3, 0, q.roots[1])
+        q = random_roots(rng(65), 3)
+        p = self.roots_with(params3, 0, q[1])
         with pytest.raises(SingularEvaluationError,
                            match="^P0_Q0: coincident roots .* for distinct functions"):
             obs.slavnov_halves(bare_pair(params3, p, q))
@@ -763,14 +753,14 @@ class TestGridRefusals:
 
     def tables(self, params, last_roots):
         g = rng(67)
-        polys = [random_poly(g, params.n) for _ in range(2)]
-        polys.append(HalfPeriodTrigPoly.from_roots(last_roots(polys)))
-        return q_table(params, [poly.roots for poly in polys], None, [])
+        polys = [random_roots(g, params.n) for _ in range(2)]
+        polys.append(canonical_roots(last_roots(polys)))
+        return q_table(params, polys, None, [])
 
     def test_shared_root_names_its_pair(self, params3):
         # the last table shares the second one's first root: P1_Q2 is the
         # first off-diagonal pair with p_k = q_j
-        tables = self.tables(params3, lambda polys: [polys[1].roots[0], 0.4 - 0.3j, -0.6j])
+        tables = self.tables(params3, lambda polys: [polys[1][0], 0.4 - 0.3j, -0.6j])
         j = tables.roots[2].tolist().index(tables.roots[1, 0])
         with pytest.raises(SingularEvaluationError) as err:
             obs.slavnov_halves(obs.PairContext(params3, tables, tables))
@@ -785,7 +775,7 @@ class TestGridRefusals:
         with pytest.raises(SingularEvaluationError, match=r"^P0_Q2: Q\(u-eta\) = .* floor"):
             obs.sp_izergin(obs.PairContext(params3, on_node.take([0, 1]), on_node), 0.5)
         shifted = self.tables(params3,
-                              lambda polys: [polys[1].roots[0] - eta, 0.4 - 0.3j, -0.6j])
+                              lambda polys: [polys[1][0] - eta, 0.4 - 0.3j, -0.6j])
         with pytest.raises(SingularEvaluationError, match=r"^P1_Q2: Q\(u-eta\) = .* floor"):
             obs.slavnov_halves(obs.PairContext(params3, shifted, shifted))
 
@@ -794,7 +784,7 @@ class TestGridRefusals:
         # every pair with that Q holds it, the first one is P0_Q1
         xi = params3.xi
         t = records3.table
-        bad = HalfPeriodTrigPoly.from_roots([xi[1], 0.4 - 0.3j, -0.6j]).roots
+        bad = canonical_roots([xi[1], 0.4 - 0.3j, -0.6j])
         qs = q_table(params3, [t.roots[3], bad], t.tau[[3, 0]], [])
         grid = obs.PairContext(params3, t.take([0, 1]), qs)
         with pytest.raises(SingularEvaluationError,

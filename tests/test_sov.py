@@ -7,7 +7,7 @@ from conftest import KAPPA2, hat, make_params, poly, rel_dev, rng, table, tau
 from sovxxz.cli import _sov_action_residual
 from sovxxz.errors import SingularEvaluationError
 from sovxxz.lattice import FlipBlocks, monodromy_entries, reference_state, transfer_k
-from sovxxz.model import HalfPeriodTrigPoly, q_table, vandermonde
+from sovxxz.model import canonical_roots, half_period_values, q_table, vandermonde
 from sovxxz.sov import (
     SovBasis,
     all_h,
@@ -78,9 +78,10 @@ class TestSovBasis:
 class TestSeparateStates:
     def test_n1_ket_coefficients(self):
         params = make_params(1, kappa=0.8 + 0.3j)
-        poly = HalfPeriodTrigPoly.from_roots([0.2 - 0.1j])
-        state = separate_state(SovBasis(params), table(params, poly), params.kappa, 1, "ket")
-        ratio = poly(params.xi[0]) / poly(params.xi[0] - params.eta)
+        roots = canonical_roots([0.2 - 0.1j])
+        state = separate_state(SovBasis(params), table(params, roots), params.kappa, 1, "ket")
+        q_x, q_x_eta = half_period_values(roots, [params.xi[0], params.xi[0] - params.eta])
+        ratio = q_x / q_x_eta
         assert state.coefficients.shape == (1, 2)
         assert rel_dev(state.coefficients[0, 0], params.kappa * ratio) < 1e-13
         assert rel_dev(state.coefficients[0, 1], 1.0) < 1e-13
@@ -107,50 +108,49 @@ class TestSeparateStates:
 
     def test_unnormalized_ket_forms_agree(self, params3, basis3):
         g = rng(33)
-        poly = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        roots = canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         kappa, eps = 0.9 - 0.2j, -1
-        a = separate_state(basis3, table(params3, poly), kappa, eps, "ket",
+        a = separate_state(basis3, table(params3, roots), kappa, eps, "ket",
                            normalized=False)
-        b = separate_ket_qdet_form(basis3, table(params3, poly), kappa, eps)
+        b = separate_ket_qdet_form(basis3, table(params3, roots), kappa, eps)
         assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()[0]
 
     @staticmethod
-    def check_prefactors(params, basis, poly):
-        """The normalized states of ``poly`` are its unnormalized ones over
-        their factors."""
+    def check_prefactors(params, basis, roots):
+        """The normalized states of the polynomial of ``roots`` are its
+        unnormalized ones over their factors."""
         kappa, eps = 1.1 + 0.4j, 1
-        p = table(params, poly)
+        p = table(params, roots)
+        q_x_eta = half_period_values(roots, np.asarray(params.xi) - params.eta)
         raw_ket = separate_state(basis, p, kappa, eps, "ket", normalized=False)
         norm_ket = separate_state(basis, p, kappa, eps, "ket")
         factor = vandermonde(params.xi)
-        for x in params.xi:
-            factor *= (eps / kappa) * poly(x - params.eta)
+        for value in q_x_eta:
+            factor *= (eps / kappa) * value
         assert np.linalg.norm(raw_ket.embedded - factor * norm_ket.embedded) \
             < 1e-9 * raw_ket.norm2()[0]
         raw_bra = separate_state(basis, p, kappa, eps, "bra", normalized=False)
         norm_bra = separate_state(basis, p, kappa, eps, "bra")
         factor = 1.0 + 0.0j
-        for x in params.xi:
-            factor *= eps * kappa * poly(x - params.eta)
+        for value in q_x_eta:
+            factor *= eps * kappa * value
         assert np.linalg.norm(raw_bra.embedded - factor * norm_bra.embedded) \
             < 1e-9 * raw_bra.norm2()[0]
 
     def test_normalization_prefactors(self, params3, basis3):
         g = rng(34)
-        self.check_prefactors(params3, basis3, HalfPeriodTrigPoly.from_roots(
+        self.check_prefactors(params3, basis3, canonical_roots(
             [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]))
 
     def test_normalized_state_near_shifted_node(self, params3, basis3):
         # a root 1e-4 from xi_2 - eta is no zero of P(xi_2 - eta): the
         # normalized states are built, with the same prefactors
-        self.check_prefactors(params3, basis3, HalfPeriodTrigPoly.from_roots(
+        self.check_prefactors(params3, basis3, canonical_roots(
             [params3.xi[1] - params3.eta + 1e-4, 0.9 + 0.1j, -0.8 - 0.2j]))
 
     def test_normalized_guard_near_shifted_node(self, params3, basis3):
-        poly = HalfPeriodTrigPoly.from_roots(
-            [params3.xi[1] - params3.eta + 3e-7, 0.9 + 0.1j, -0.8 - 0.2j])
-        p = table(params3, poly)
+        roots = canonical_roots([params3.xi[1] - params3.eta + 3e-7, 0.9 + 0.1j, -0.8 - 0.2j])
+        p = table(params3, roots)
         with pytest.raises(SingularEvaluationError,
                            match=r"^record 0: P has a root 3\.0\d*e-07 from xi_2 - eta, "
                                  r"within 1e-06; build the unnormalized state instead$"):
@@ -158,8 +158,8 @@ class TestSeparateStates:
         # the unnormalized form stays available
         separate_state(basis3, p, 1.0, 1, "ket", normalized=False)
         # on a stacked table the refusal names the lowest failing record
-        fine = HalfPeriodTrigPoly.from_roots([0.3 + 0.2j, 0.9 + 0.1j, -0.8 - 0.2j])
-        two = q_table(params3, [fine.roots, poly.roots], None, [])
+        fine = canonical_roots([0.3 + 0.2j, 0.9 + 0.1j, -0.8 - 0.2j])
+        two = q_table(params3, [fine, roots], None, [])
         with pytest.raises(SingularEvaluationError,
                            match=r"^record 1: P has a root 3\.0\d*e-07 from xi_2 - eta, "
                                  r"within 1e-06; build the unnormalized state instead$"):
@@ -178,18 +178,21 @@ class TestBatchedStates:
             assert tuple(basis3.labels[i]) == tuple(bool(b) for b in h)
 
     @staticmethod
-    def per_label(params, poly, kappa, eps, side, normalized):
-        """Coefficient of every label h from the scalar site and Vandermonde factors."""
+    def per_label(params, roots, kappa, eps, side, normalized):
+        """Coefficient of every label h from the scalar site and Vandermonde
+        factors of the polynomial of ``roots``."""
         twist = eps * kappa if side == "ket" else eps / kappa  # normalized, per h_n = 0
         flip = eps * kappa if side == "bra" else 1 / (eps * kappa)  # unnormalized, per h_n = 1
+        xi = np.asarray(params.xi)
+        q_x, q_x_eta = half_period_values(roots, [xi, xi - params.eta])
         coeffs = []
         for h in all_h(params.n):
             factor = vandermonde(xi_shifted(params, [1 - b for b in h] if side == "ket" else h))
-            for x, b in zip(params.xi, h):
+            for k, b in enumerate(h):
                 if normalized:
-                    factor *= 1.0 if b else twist * poly(x) / poly(x - params.eta)
+                    factor *= 1.0 if b else twist * q_x[k] / q_x_eta[k]
                 else:
-                    factor *= poly(x - b * params.eta) * (flip if b else 1.0)
+                    factor *= q_x_eta[k] * flip if b else q_x[k]
             if normalized and side == "ket":
                 factor /= vandermonde(params.xi)
             coeffs.append(factor)
@@ -197,16 +200,16 @@ class TestBatchedStates:
 
     def test_states_match_per_label_formula(self, params3, basis3, records3):
         g = rng(35)
-        synthetic = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        synthetic = canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         polys = [(records3.table.take([i]), poly(records3, i)) for i in range(3)]
         polys.append((table(params3, synthetic), synthetic))
         eps, eta = -1, params3.eta
-        for tab, p_poly in polys:
+        xi = np.asarray(params3.xi)
+        for tab, p_roots in polys:
             for side in ("ket", "bra"):
                 for normalized in (True, False):
                     state = separate_state(basis3, tab, KAPPA2, eps, side, normalized)
-                    want = self.per_label(params3, p_poly, KAPPA2, eps, side, normalized)
+                    want = self.per_label(params3, p_roots, KAPPA2, eps, side, normalized)
                     rows = [basis3.ket(h) if side == "ket" else basis3.bra(h)
                             for h in all_h(3)]
                     embedded = sum(c * row for c, row in zip(want, rows))
@@ -214,10 +217,11 @@ class TestBatchedStates:
                     assert np.linalg.norm(state.embedded[0] - embedded) \
                         <= 1e-13 * np.linalg.norm(embedded)
             want = []
+            p_x, p_x_eta = half_period_values(p_roots, [xi, xi - eta])
             for h in all_h(3):
                 factor = vandermonde(xi_shifted(params3, h))
-                for x, b in zip(params3.xi, h):
-                    factor *= p_poly(x - b * eta)
+                for k, (x, b) in enumerate(zip(params3.xi, h)):
+                    factor *= p_x_eta[k] if b else p_x[k]
                     if b:
                         factor *= params3.a_fn(x) / params3.d_fn(x - eta) / (-eps * KAPPA2)
                 want.append(factor)
@@ -270,18 +274,16 @@ class TestOverlaps:
         pr, qr = p.roots[0].tolist(), q.roots[0].tolist()
         pr[0], qr[2] = qr[2], pr[0]
         [[mixed]] = overlap(
-            separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(pr)),
-                           kappa, eps, "bra"),
-            separate_state(basis3, table(params3, HalfPeriodTrigPoly.from_roots(qr)),
-                           kappa2, eps2, "ket"))
+            separate_state(basis3, table(params3, canonical_roots(pr)), kappa, eps, "bra"),
+            separate_state(basis3, table(params3, canonical_roots(qr)), kappa2, eps2, "ket"))
         assert rel_dev(base, mixed) < 1e-9
 
     def test_qhat_sign_convention_is_immaterial(self, params3, basis3, records3):
         # shifting one stored root by 2*pi*i flips the sign of the polynomial
         # but not of any state built from it
         partner = hat(records3, 1)
-        roots = list(partner.roots)
-        shifted = HalfPeriodTrigPoly(tuple([roots[0] - 2j * np.pi] + roots[1:]))
+        shifted = np.array(partner)
+        shifted[0] -= 2j * np.pi
         a = separate_state(basis3, table(params3, partner), params3.kappa, -1, "ket")
         b = separate_state(basis3, table(params3, shifted), params3.kappa, -1, "ket")
         assert np.linalg.norm(a.embedded - b.embedded) < 1e-9 * a.norm2()[0]

@@ -14,13 +14,13 @@ from sovxxz.errors import AmbiguousNullspaceError, CertificationError, Degenerat
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
     IPI,
-    HalfPeriodTrigPoly,
     InterpolationBasis,
     ModelParams,
     a_frak_values,
     canonical_roots,
     dist_mod_2ipi,
-    f_tilde,
+    f_tilde_values,
+    half_period_values,
     q_table,
     residual_grid,
 )
@@ -50,7 +50,7 @@ class TestQFromTau:
         params = make_params(1)
         basis = sov.SovBasis(params)
         taus = spectrum_oracle(params, basis.at_xi)
-        chain = chain_values(basis, params.node_basis, params.kappa, 4242)
+        chain = chain_values(basis, params.kappa, 4242)
         for i in range(len(taus)):
             roots = q_from_tau(params, taus[i:i + 1], chain)[0]
             expected = n1_root_closed_form(params, taus[i, 0])
@@ -59,7 +59,7 @@ class TestQFromTau:
     def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
         # tau = 0 leaves no one-dimensional nullspace; of records 5 and 6,
         # the refusal names the lower
-        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        chain = chain_values(basis3, params3.kappa, 4242)
         taus = records3.table.tau.copy()
         taus[5] = taus[6] = 0
         with pytest.raises(AmbiguousNullspaceError,
@@ -125,7 +125,8 @@ class TestRefineBethe:
 
 class TestBetheKernel:
     # the batched Bethe system against checks that do not share its build:
-    # the scalar residual a(q) Q(q - eta) - d(q) Q(q + eta) per root, and a
+    # the residual a(q) Q(q - eta) - d(q) Q(q + eta) per root, each term
+    # from a(q), d(q) and half_period_values, and a
     # central difference of its own residual for the Jacobian, for one root
     # set and for each root set of a (3, N) stack
     @staticmethod
@@ -138,9 +139,9 @@ class TestBetheKernel:
         assert f.shape == lead + (n,) and jac.shape == lead + (n, n)
         assert scale.shape == gated.shape == lead
         for at in np.ndindex(lead):
-            poly = HalfPeriodTrigPoly(tuple(roots[at]))
-            ta = np.array([params.a_fn(q) * poly(q - params.eta) for q in roots[at]])
-            td = np.array([params.d_fn(q) * poly(q + params.eta) for q in roots[at]])
+            q = roots[at]
+            ta = params.a_fn(q) * half_period_values(q, q - params.eta)
+            td = params.d_fn(q) * half_period_values(q, q + params.eta)
             assert np.all(np.abs(f[at] - (ta - td)) <= 1e-13 * np.abs(ta - td))
             assert rel_dev(scale[at], np.max(np.abs(ta) + np.abs(td))) < 1e-13
             assert rel_dev(gated[at], np.max(np.abs((ta - td) / ta))) < 1e-13
@@ -191,12 +192,11 @@ class TestCertify:
         t = records3.table
         bad = t.tau[:1].copy()
         bad[0, 0] *= 1.01
-        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        chain = chain_values(basis3, params3.kappa, 4242)
         bad_table = q_table(params3, t.roots[:1], bad, [])
         assert discrete_char_residual(bad_table, chain)[0] > 1e-3
         with pytest.raises(CertificationError):
-            certify(params3, bad, t.roots[:1], records3.residuals["bethe"][:1],
-                    params3.kappa, chain)
+            certify(params3, bad, t.roots[:1], records3.residuals["bethe"][:1], chain)
 
     def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
         # a tampered tau at index 5 of the 8-record batch: the refusal names
@@ -205,14 +205,13 @@ class TestCertify:
         roots = records3.table.roots
         bethe = records3.residuals["bethe"]
         taus[5, 0] *= 1.01
-        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        chain = chain_values(basis3, params3.kappa, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
-            certify(params3, taus, roots, bethe, params3.kappa, chain)
+            certify(params3, taus, roots, bethe, chain)
         others = [i for i in range(8) if i != 5]
         # certify returns a spectrum only when every record passes
-        certified = certify(params3, taus[others], roots[others], bethe[others],
-                            params3.kappa, chain)
+        certified = certify(params3, taus[others], roots[others], bethe[others], chain)
         assert len(certified.table) == 7
         assert certified.table.roots.tolist() == roots[others].tolist()
 
@@ -224,6 +223,9 @@ class TestCertify:
         def vec(values):
             return np.array(list(values), dtype=np.complex128)
 
+        def at(roots, lam):  # Q of the roots at the one point lam
+            return half_period_values(roots, [lam])[0]
+
         def close(got, want):
             return got.shape == want.shape and all(
                 rel_dev(a, b) <= 1e-13 for a, b in zip(got.ravel(), want.ravel()))
@@ -231,46 +233,44 @@ class TestCertify:
         eta, xi = params3.eta, params3.xi
         grid = residual_grid(params3)
         g = rng(71)
-        synthetic = HalfPeriodTrigPoly.from_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        synthetic = canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
         t = records3.table
         cases = [(t.take(i), poly(records3, i), t.tau[i], grid[0]) for i in range(len(t))]
-        cases.append((q_table(params3, [synthetic.roots], None, []).take(0), synthetic, None,
-                      []))
+        cases.append((q_table(params3, [synthetic], None, []).take(0), synthetic, None, []))
         # the table reads Qhat on the grid from Q's own cosh values, with the
         # sign of each root's 2*pi*i wrap: a root at Im q = 0 puts q + i*pi on
         # the strip edge, where it does not wrap; a root with Im q > 0 wraps,
         # unless q + i*pi rounds onto the edge
-        on_edge = HalfPeriodTrigPoly.from_roots([0.4 + 0j, -0.3 - 0.6j, 0.1 - 0.2j])
-        wraps = HalfPeriodTrigPoly.from_roots([0.2 + 0.7j, -0.5 + 0.1j, 0.6 - 0.4j])
-        rounds = HalfPeriodTrigPoly.from_roots([0.5 + 1e-17j, -0.3 - 0.6j, 0.1 + 0.2j])
-        assert 0.4 + 1j * np.pi in on_edge.shifted_ipi().roots
-        assert 0.2 + (0.7 - np.pi) * 1j in wraps.shifted_ipi().roots
-        assert 0.5 + 1j * np.pi in rounds.shifted_ipi().roots
-        cases += [(q_table(params3, [q.roots], None, grid).take(0), q, None, grid[0])
+        on_edge = canonical_roots([0.4 + 0j, -0.3 - 0.6j, 0.1 - 0.2j])
+        wraps = canonical_roots([0.2 + 0.7j, -0.5 + 0.1j, 0.6 - 0.4j])
+        rounds = canonical_roots([0.5 + 1e-17j, -0.3 - 0.6j, 0.1 + 0.2j])
+        assert 0.4 + 1j * np.pi in canonical_roots(on_edge + IPI)
+        assert 0.2 + (0.7 - np.pi) * 1j in canonical_roots(wraps + IPI)
+        assert 0.5 + 1j * np.pi in canonical_roots(rounds + IPI)
+        cases += [(q_table(params3, [q], None, grid).take(0), q, None, grid[0])
                   for q in (on_edge, wraps, rounds)]
-        for table, q_poly, tau_xi, points in cases:
-            partner = q_poly.shifted_ipi()
-            assert table.roots.tolist() == list(q_poly.roots)
-            assert table.hat.tolist() == list(partner.roots)
+        for table, q_roots, tau_xi, points in cases:
+            partner = canonical_roots(q_roots + IPI)
+            assert table.roots.tolist() == q_roots.tolist()
+            assert table.hat.tolist() == partner.tolist()
             assert (table.tau is None) if tau_xi is None else np.array_equal(table.tau, tau_xi)
-            assert close(vec(table.x), vec(q_poly(x) for x in xi))
-            assert close(vec(table.x_eta), vec(q_poly(x - eta) for x in xi))
-            assert close(vec(table.x_ipi), vec(q_poly(x + IPI) for x in xi))
-            assert close(vec(table.x_eta_ipi), vec(q_poly(x - eta + IPI) for x in xi))
-            for roots in (q_poly.roots, np.asarray(q_poly.roots, dtype=np.complex128)):
+            assert close(vec(table.x), vec(at(q_roots, x) for x in xi))
+            assert close(vec(table.x_eta), vec(at(q_roots, x - eta) for x in xi))
+            assert close(vec(table.x_ipi), vec(at(q_roots, x + IPI) for x in xi))
+            assert close(vec(table.x_eta_ipi), vec(at(q_roots, x - eta + IPI) for x in xi))
+            for roots in (q_roots.tolist(), q_roots):
                 assert close(vec(table.a_r), vec(params3.a_fn(q) for q in roots))
                 assert close(vec(table.d_r), vec(params3.d_fn(q) for q in roots))
                 assert close(vec(table.exp_r), vec(cmath.exp(q) for q in roots))
-                assert close(vec(table.r_eta), vec(q_poly(q - eta) for q in roots))
-                assert close(vec(table.r_eta_plus), vec(q_poly(q + eta) for q in roots))
-                assert close(vec(table.r_ipi), vec(q_poly(q + IPI) for q in roots))
+                assert close(vec(table.r_eta), vec(at(q_roots, q - eta) for q in roots))
+                assert close(vec(table.r_eta_plus), vec(at(q_roots, q + eta) for q in roots))
+                assert close(vec(table.r_ipi), vec(at(q_roots, q + IPI) for q in roots))
                 assert close(vec(table.sinh_x), vec(
                     np.prod([cmath.sinh(x - q) for q in roots]) for x in xi))
             assert close(vec(table.grid).reshape(-1, 5), vec(
                 v for lam in points
-                for v in (q_poly(lam), q_poly(lam - eta), q_poly(lam + eta), partner(lam),
-                          partner(lam - eta))
+                for v in (at(q_roots, lam), at(q_roots, lam - eta), at(q_roots, lam + eta),
+                          at(partner, lam), at(partner, lam - eta))
             ).reshape(-1, 5))
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
@@ -292,16 +292,20 @@ class TestPipeline:
                    for name, key in spectrum.GATES.items())
 
     def test_izergin_weight_equals_eigenvalue_ratio(self, params3, records3):
-        # f_tilde(xi_i) = -tau_P(xi_i)/tau_Q(xi_i) for certified pairs
+        # f_tilde(xi_i) = P(xi_i-eta+i*pi) Q(xi_i) / (P(xi_i+i*pi) Q(xi_i-eta))
+        # = -tau_P(xi_i)/tau_Q(xi_i) for certified pairs
+        xi, eta = np.asarray(params3.xi), params3.eta
         for ip in range(3):
+            p_eta_ipi, p_ipi = half_period_values(poly(records3, ip), [xi - eta + IPI, xi + IPI])
             for iq in range(3, 6):
-                for x in params3.xi:
-                    lhs = f_tilde(params3, poly(records3, ip), poly(records3, iq), x)
+                q_x, q_eta = half_period_values(poly(records3, iq), [xi, xi - eta])
+                lhs = f_tilde_values(p_eta_ipi, q_x, p_ipi, q_eta)
+                for k, x in enumerate(params3.xi):
                     rhs = -tau(params3, records3, ip)(x) / tau(params3, records3, iq)(x)
-                    assert rel_dev(lhs, rhs) < 1e-8
+                    assert rel_dev(lhs[k], rhs) < 1e-8
 
     def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
-        chain = chain_values(basis3, params3.node_basis, params3.kappa, 4242)
+        chain = chain_values(basis3, params3.kappa, 4242)
         for i in range(len(records3.table)):
             assert tq_residual(records3.table.take([i]), chain)[0] < 1e-12
 
@@ -391,27 +395,28 @@ class TestPipeline:
     def test_one_batch_per_spectrum(self, basis3, monkeypatch):
         # each phase runs once over all 2^N records, with one SVD of the
         # stacked T-Q systems and one eigensolve of the stacked companions;
-        # the roots cross the phases as one array, so no record's roots are
+        # the roots cross the phases as one array, canonicalized once in
+        # q_from_tau and once in refine_bethe, so no record's roots are
         # canonicalized on their own
         calls = Counter()
 
-        def count(module, name, wrap=lambda f: f):
+        def count(module, name):
             inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrap(wrapper))
+            monkeypatch.setattr(module, name, wrapper)
 
         phases = ("q_from_tau", "refine_bethe", "certify", "eigenstate_residual")
         for name in phases:
             count(spectrum, name)
         count(np.linalg, "svd")
         count(np.linalg, "eigvals")
-        count(HalfPeriodTrigPoly, "from_roots", staticmethod)
-        count(HalfPeriodTrigPoly, "shifted_ipi")
+        count(spectrum, "canonical_roots")
         assert len(spectrum.solve_spectrum(basis3).table) == 8
-        assert calls == {name: 1 for name in phases + ("svd", "eigvals")}
+        assert calls == {**{name: 1 for name in phases + ("svd", "eigvals")},
+                         "canonical_roots": 2}
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_batch_equals_each_record_alone(self, n):
@@ -421,11 +426,11 @@ class TestPipeline:
         params = make_params(n)
         basis = sov.SovBasis(params)
         whole = spectrum.solve_spectrum(basis)
-        chain = chain_values(basis, params.node_basis, params.kappa, 4242)
+        chain = chain_values(basis, params.kappa, 4242)
         for i in range(len(whole.table)):
             taus = whole.table.tau[i:i + 1]
             roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
-            alone = certify(params, taus, roots, bethe, params.kappa, chain)
+            alone = certify(params, taus, roots, bethe, chain)
             assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.table.roots[0],
                                                                whole.table.roots[i]))
             for name, value in alone.residuals.items():

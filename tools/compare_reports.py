@@ -58,6 +58,7 @@ from outcome import (  # noqa: E402
     _walk,
     classify,
 )
+from run import BLAS_THREADS  # noqa: E402
 
 BENCH_SEEDS = "1-20,100001-100026"
 DEFAULT_CASES = (
@@ -95,8 +96,12 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def tree_env(root: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
-            "OMP_NUM_THREADS": "1"}
+    """The environment of a run from ``root``: its ``src/`` on the path and
+    the benchmark's BLAS thread count, as ``perfbench/run.py`` sets it, since
+    reports are byte-identical only at a fixed thread count."""
+    return {**os.environ, "PYTHONPATH": str(root / "src"),
+            **{var: str(BLAS_THREADS) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def default_tolerances(root: Path) -> dict:
