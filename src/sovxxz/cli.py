@@ -19,6 +19,7 @@ module it imports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import threading
@@ -68,7 +69,14 @@ def _plain(array) -> list:
 
 
 def write_report(report: dict, out_path: str | None) -> str:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode) + "\n"
+    """Write ``report`` as one line of compact JSON with sorted keys to
+    ``out_path``, or to standard output when it is empty; returns the text.
+
+    A report is a tree built fresh by its command, never a graph with a
+    cycle, so it is encoded without json's cycle check, which would record
+    the id() of every list and dict on the way down."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode,
+                      check_circular=False) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -176,8 +184,8 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     r23 = np.kron(np.eye(2), r_matrix(mu, params.eta))
     perm = [0, 2, 1, 3, 4, 6, 5, 7]
     r13 = np.kron(r_matrix(lam, params.eta), np.eye(2))[np.ix_(perm, perm)]
-    ybe = np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12) \
-        / max(np.linalg.norm(r12 @ r13 @ r23), 1.0)
+    r123 = r12 @ r13 @ r23
+    ybe = np.linalg.norm(r123 - r23 @ r13 @ r12) / max(np.linalg.norm(r123), 1.0)
     checks["yang_baxter"] = _check(ybe, tol_lat)
 
     kmat = twist_matrix(params.kappa)
@@ -201,9 +209,9 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 
     tk_lam = blocks.transfer(params.kappa)
     tk_mu = blocks_mu.transfer(params.kappa)
+    tk_lam_mu = tk_lam @ tk_mu
     checks["transfer_commutation"] = _check(
-        np.linalg.norm(tk_lam @ tk_mu - tk_mu @ tk_lam)
-        / max(np.linalg.norm(tk_lam @ tk_mu), 1.0), tol_lat)
+        np.linalg.norm(tk_lam_mu - tk_mu @ tk_lam) / max(np.linalg.norm(tk_lam_mu), 1.0), tol_lat)
 
     # the dressing is the one reader of A and D at the nodes: each node's
     # monodromy is built once here, and the basis shares its B and C
@@ -220,10 +228,10 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
         for i in (1, 2):
             for j in (1, 2):
                 target = local_op(elementary_matrix(i, j), site, params.n)
+                scale = max(np.linalg.norm(target), 1.0)
                 for variant in (1, 2):
                     dressed = dress_local_operator(nodes, site, i, j, variant=variant)
-                    worst = max(worst, np.linalg.norm(dressed - target)
-                                / max(np.linalg.norm(target), 1.0))
+                    worst = max(worst, np.linalg.norm(dressed - target) / scale)
     # the spectrum and identity bench below, where memory peaks, need neither
     # the node factors nor A and D at the nodes
     del nodes, at_xi
@@ -376,48 +384,61 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 
     # the report keeps each entry's oracle value and its deviations, not the
     # formula values they summarize.  The entries read nested lists of Python
-    # numbers, which index far faster than arrays
-    brute_rows, dev_rows = ({op: _plain(by_op[op]) for op in ops} for by_op in (brute, ff_dev))
-    dense_rows, sp_dev_rows, orth_rows = _plain(dense), sp_dev.tolist(), orth.tolist()
+    # numbers, which index far faster than arrays.  Building them allocates
+    # one container per float pair and entry, and the cyclic GC, which would
+    # run over the growing tree again and again, finds no cycle in it: it is
+    # paused until the report is written, then left as it was found
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        brute_rows, dev_rows = ({op: _plain(by_op[op]) for op in ops}
+                                for by_op in (brute, ff_dev))
+        dense_rows, sp_dev_rows, orth_rows = _plain(dense), sp_dev.tolist(), orth.tolist()
 
-    def ff_entry(op, ip, iq, s):
-        return {"brute": brute_rows[op][ip][iq][s], dev_key[op]: dev_rows[op][ip][iq][s]}
+        # keys in the arrays' row-major order; each pair's rows are looked
+        # up once, then read site by site
+        sp_section, orth_section, ff_section = {}, {}, {}
+        for ip in range(count):
+            for iq in range(count):
+                pair = f"P{ip}_Q{iq}"
+                sp_section[pair] = {"dense": dense_rows[ip][iq],
+                                    "max_pairwise_deviation": sp_dev_rows[ip][iq]}
+                if same_twist and ip != iq:
+                    orth_section[pair] = {"overlap_over_norms": orth_rows[ip][iq]}
+                cells = [(op, dev_key[op], brute_rows[op][ip][iq], dev_rows[op][ip][iq])
+                         for op in ops]
+                for s, site in enumerate(sites):
+                    ff_section[f"{pair}_site{site}"] = {op: {"brute": b[s], key: d[s]}
+                                                        for op, key, b, d in cells}
 
-    pairs = [(ip, iq) for ip in range(count) for iq in range(count)]
-    sp_section = {f"P{ip}_Q{iq}": {"dense": dense_rows[ip][iq],
-                                   "max_pairwise_deviation": sp_dev_rows[ip][iq]}
-                  for ip, iq in pairs}
-    orth_section = {f"P{ip}_Q{iq}": {"overlap_over_norms": orth_rows[ip][iq]}
-                    for ip, iq in pairs if same_twist and ip != iq}
-    ff_section = {f"P{ip}_Q{iq}_site{site}": {op: ff_entry(op, ip, iq, s) for op in ops}
-                  for ip, iq in pairs for s, site in enumerate(sites)}
+        # each summary check names its worst entry by its report key
+        pair_keys, site_keys = list(sp_section), list(ff_section)
+        summary = {"scalar_products": _worst_check(sp_dev, cfg.tol("cross_representation"),
+                                                   lambda i: pair_keys[i])}
+        compared = [op for op in ops if op in ("z", "-")]
+        if compared:
+            summary["form_factors"] = _worst_check(
+                np.stack([ff_dev[op] for op in compared], axis=-1), cfg.tol("oracle_comparison"),
+                lambda i: f"{site_keys[i // len(compared)]}.{compared[i % len(compared)]}")
+        if same_twist:
+            # the diagonal, where the overlap does not vanish, never holds the residual
+            off_diagonal = np.where(np.eye(count, dtype=bool), -np.inf, orth)
+            summary["orthogonality"] = _worst_check(off_diagonal, cfg.tol("orthogonality"),
+                                                    lambda i: pair_keys[i])
+        if "+" in ops:
+            summary["pm_equality"] = _worst_check(ff_dev["+"], cfg.tol("pm_equality"),
+                                                  lambda i: f"{site_keys[i]}.+")
 
-    # each summary check names its worst entry by its report key; the keys
-    # run in the arrays' row-major order
-    pair_keys, site_keys = list(sp_section), list(ff_section)
-    summary = {"scalar_products": _worst_check(sp_dev, cfg.tol("cross_representation"),
-                                               lambda i: pair_keys[i])}
-    compared = [op for op in ops if op in ("z", "-")]
-    if compared:
-        summary["form_factors"] = _worst_check(
-            np.stack([ff_dev[op] for op in compared], axis=-1), cfg.tol("oracle_comparison"),
-            lambda i: f"{site_keys[i // len(compared)]}.{compared[i % len(compared)]}")
-    if same_twist:
-        # the diagonal, where the overlap does not vanish, never holds the residual
-        off_diagonal = np.where(np.eye(count, dtype=bool), -np.inf, orth)
-        summary["orthogonality"] = _worst_check(off_diagonal, cfg.tol("orthogonality"),
-                                                lambda i: pair_keys[i])
-    if "+" in ops:
-        summary["pm_equality"] = _worst_check(ff_dev["+"], cfg.tol("pm_equality"),
-                                              lambda i: f"{site_keys[i]}.+")
-
-    report = {"schema": 2, "command": "observables", "seed": cfg.seed,
-              "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
-              "q_roots": {f"P{i}": roots for i, roots in enumerate(_plain(table.roots))},
-              "scalar_products": sp_section, "orthogonality": orth_section,
-              "form_factors": ff_section, "summary": summary,
-              "pass": all(c["pass"] for c in summary.values())}
-    write_report(report, out_path)
+        report = {"schema": 2, "command": "observables", "seed": cfg.seed,
+                  "n": params.n, "kappa": kappa, "kappa_prime": kappa2,
+                  "q_roots": {f"P{i}": roots for i, roots in enumerate(_plain(table.roots))},
+                  "scalar_products": sp_section, "orthogonality": orth_section,
+                  "form_factors": ff_section, "summary": summary,
+                  "pass": all(c["pass"] for c in summary.values())}
+        write_report(report, out_path)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0 if report["pass"] else 1
 
 

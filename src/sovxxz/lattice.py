@@ -53,11 +53,18 @@ def twist_matrix(kappa: complex) -> np.ndarray:
 
 
 def local_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a 2x2 operator at ``site`` (1-based) in the chain of n sites."""
+    """Embed a 2x2 operator at ``site`` (1-based) in the chain of n sites:
+    (1 x op) x 1, broadcast over (left, spin, right) row and column axes.
+    These are the products two ``np.kron`` calls form, so every bit of their
+    result is kept, the signs of its zeros included, without their per-call
+    overhead."""
     if not 1 <= site <= n:
         raise DimensionError(f"site {site} outside 1..{n}")
-    return np.kron(np.kron(np.eye(2**(site - 1), dtype=np.complex128), op),
-                   np.eye(2**(n - site), dtype=np.complex128))
+    left = np.eye(2**(site - 1), dtype=np.complex128)
+    right = np.eye(2**(n - site), dtype=np.complex128)
+    out = (left[:, None, None, :, None, None] * np.asarray(op)[None, :, None, None, :, None]) \
+        * right[None, None, :, None, None, :]
+    return out.reshape(2**n, 2**n)
 
 
 def elementary_matrix(i: int, j: int) -> np.ndarray:

@@ -347,16 +347,20 @@ def residual_grid(params: ModelParams) -> np.ndarray:
     """4N+5 seeded sample points lam for functional residuals, kept delta_min
     away from every zero of a, d and their i*pi translates, as one read-only
     (3, 4N+5) array with rows lam, a(lam) and d(lam).  They depend on the
-    chain only, so one grid serves every record of a spectrum."""
+    chain only, so one grid serves every record of a spectrum.
+
+    Candidates are drawn ``count`` at a time as (real, imag) pairs, the same
+    stream as one pair per candidate, and accepted in order."""
     count = 4 * params.n + 5
     rng = np.random.default_rng(20240)
-    avoid = params.forbidden_points()
-    pts = []
+    avoid = np.array(params.forbidden_points(), dtype=np.complex128)
+    pts = np.empty(0, dtype=np.complex128)
     while len(pts) < count:
-        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.45 * PI, 0.45 * PI))
-        if dist_mod_ipi(z, avoid).min() >= params.delta_min:
-            pts.append(z)
-    lam = np.array(pts, dtype=np.complex128)
+        pairs = rng.uniform([-1.5, -0.45 * PI], [1.5, 0.45 * PI], size=(count, 2))
+        z = pairs.view(np.complex128)[:, 0]
+        pts = np.concatenate([pts, z[dist_mod_ipi(z[:, None], avoid).min(axis=1)
+                                     >= params.delta_min]])
+    lam = pts[:count]
     return _read_only(np.stack([lam, params.a_fn(lam), params.d_fn(lam)]))
 
 

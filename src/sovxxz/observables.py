@@ -880,7 +880,7 @@ def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     xs = list(params.xi)
     x_large = 30.0
     big = a_functional(xs + [x_large], [f(x) for x in xs] + [f(x_large)], params.eta)
-    small = a_functional(xs, [cmath.exp(params.eta) * f(x) for x in xs], params.eta)
+    small = _dressed_vandermonde(params.node_rows, [cmath.exp(params.eta) * f(x) for x in xs])
     target = (1 - f_inf * cmath.exp(-len(xs) * params.eta)) * small
     return abs(big - target) / max(abs(big), abs(target), 1e-30)
 
@@ -896,7 +896,7 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
 
     # reduction of the dressed-Vandermonde functional to the weighted Izergin form
     xs = params.xi
-    zero = abs(a_functional(xs, [0.0] * n, params.eta) - 1.0)
+    zero = abs(_dressed_vandermonde(params.node_rows, [0.0] * n) - 1.0)
     zs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
     out["functional_reduction_zero"] = float(zero + abs(
         izergin_ratio(xs, zs, [0.0] * n, params.eta) - 1.0))
@@ -909,7 +909,7 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
             if dist_mod_2ipi(z, xs).min() > params.delta_min \
                     and all(abs(z - w) > params.delta_min for w in zs):
                 zs.append(z)
-        lhs = a_functional(xs, f_vals, params.eta)
+        lhs = _dressed_vandermonde(params.node_rows, f_vals)
         rhs = izergin_ratio(xs, zs, [f_vals[i] * e_weight(zs, params.eta, xs[i])
                                      for i in range(n)], params.eta)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))

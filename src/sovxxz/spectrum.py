@@ -179,7 +179,7 @@ def q_from_tau(params: ModelParams, taus: np.ndarray, chain: ChainValues) -> np.
     rows = w_k * ((t[..., None] + a_k) - d_k)
     scale = np.max(np.abs(rows), axis=-1, keepdims=True)
     np.divide(rows, scale, out=rows, where=scale > 0)
-    _, svals, vh = np.linalg.svd(rows)
+    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
     coeffs = vh[:, -1].conj()
     lead = coeffs[:, -1]
     first = _FirstRefusal(len(taus))

@@ -75,6 +75,25 @@ class TestWriteReport:
         assert capsys.readouterr().out == text
         self.check(text)
 
+    @pytest.mark.parametrize("command, config", [
+        ("validate", {"n": 2}), ("spectrum", {"n": 3}), ("observables", {"n": 2})])
+    def test_text_is_what_the_cycle_checked_encoder_writes(self, tmp_path, monkeypatch,
+                                                           command, config):
+        # a command's report is a tree, so leaving out json's cycle check
+        # moves no byte
+        written, write = [], cli.write_report
+
+        def recorded(report, out_path):
+            written.append((report, write(report, out_path)))
+            return written[-1][1]
+        monkeypatch.setattr(cli, "write_report", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        run([command, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        (report, text), = written
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":"),
+                                  default=cli._encode, check_circular=True) + "\n"
+
 
 class TestConfig:
     def test_defaults_load(self):
@@ -793,6 +812,34 @@ class TestObservablesCommand:
         assert set(summary) == {"scalar_products", "form_factors", "pm_equality"}
         assert summary["scalar_products"]["pass"] and summary["form_factors"]["pass"]
         assert not summary["pm_equality"]["pass"]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_is_paused_for_the_report_and_left_as_found(self, tmp_path, monkeypatch,
+                                                          capsys, enabled):
+        # the report is built and written with the cyclic GC paused; the GC
+        # is then left as the command found it, also when the report cannot
+        # be written
+        during, write = [], cli.write_report
+
+        def recorded(report, out_path):
+            during.append(gc.isenabled())
+            return write(report, out_path)
+        monkeypatch.setattr(cli, "write_report", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(["observables", "--config", str(cfg),
+                        "--out", str(tmp_path / "o.json")]) == 1
+            assert gc.isenabled() is enabled
+            unwritable = tmp_path / "missing" / "o.json"
+            assert run(["observables", "--config", str(cfg), "--out", str(unwritable)]) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert during == [False, False]
+        assert capsys.readouterr().err.startswith(f"error: cannot write report {unwritable}")
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"

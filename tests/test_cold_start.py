@@ -1,6 +1,6 @@
 """Smoke test of tools/cold_start.py: one round of a tree against itself
 prints one line per case, each with both trees' median and quartiles, their
-median peak RSS and the new tree's wins."""
+median CPU time and peak RSS and the new tree's wins."""
 
 import re
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "cold_start.py"
-RUN = r"\d+\.\d ms \(\d+\.\d-\d+\.\d\), \d+\.\d MB"
+RUN = r"\d+\.\d ms \(\d+\.\d-\d+\.\d\), \d+\.\d ms CPU, \d+\.\d MB"
 
 
 def run_tool(*args, timeout=300):

@@ -376,7 +376,7 @@ def test_local_op_is_the_kron_product():
     ops = [SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS] + [elementary_matrix(i, j)
                                                 for i in (1, 2) for j in (1, 2)]
     id2 = np.eye(2, dtype=complex)
-    for n in range(1, 7):
+    for n in range(1, 9):
         for site in range(1, n + 1):
             for op in ops:
                 want = reduce(np.kron, [op if m == site else id2 for m in range(1, n + 1)],

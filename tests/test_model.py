@@ -1,7 +1,7 @@
 import ast
 import cmath
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from sovxxz.model import (
     IPI,
     InterpolationBasis,
     ModelParams,
+    PI,
     QTable,
     TrigInterpolation,
     a_frak_values,
@@ -539,3 +540,34 @@ def test_vandermonde_rows_match_the_scalar_loop():
             rows = vandermonde_rows(x, eta)
             for got, want in zip((rows.at_x, rows.at_x_eta), loop(x, eta)):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_residual_grid_matches_the_scalar_rejection_loop():
+    # candidates drawn in blocks are the stream of one (real, imag) pair per
+    # candidate, accepted in the same order: the same points, bit for bit,
+    # also where delta_min is wide enough to reject some and draw a second
+    # block
+    def loop(params):
+        g = np.random.default_rng(20240)
+        avoid = params.forbidden_points()
+        pts, rejected = [], 0
+        while len(pts) < 4 * params.n + 5:
+            z = complex(g.uniform(-1.5, 1.5), g.uniform(-0.45 * PI, 0.45 * PI))
+            if dist_mod_ipi(z, avoid).min() >= params.delta_min:
+                pts.append(z)
+            else:
+                rejected += 1
+        return np.array(pts, dtype=np.complex128), rejected
+
+    rejected = 0
+    for n in range(1, 9):
+        for seed in range(1, 6):
+            params = make_params(n, seed)
+            for delta_min in (params.delta_min, min(0.35, params.min_xi_separation())):
+                wide = replace(params, delta_min=delta_min)
+                want, dropped = loop(wide)
+                grid = residual_grid(wide)
+                rejected += dropped
+                assert np.array_equal(grid[0].view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(grid[1:], np.stack([wide.a_fn(want), wide.d_fn(want)]))
+    assert rejected > 50

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one cold CLI run per case in two sovxxz source checkouts, with its peak RSS.
+"""Time one cold CLI run per case in two sovxxz checkouts, with its CPU time and peak RSS.
 
     python3 tools/cold_start.py OLD_ROOT NEW_ROOT [--rounds R]
     python3 tools/cold_start.py OLD_ROOT NEW_ROOT --case spectrum '{"n": 8}' --case validate '{"n": 8}'
@@ -8,14 +8,18 @@ OLD_ROOT and NEW_ROOT are checkout roots; each run imports the package from
 that root's ``src/``.  Each round runs every case once per tree, each in a
 fresh ``python -c`` process with the benchmark's one BLAS thread, which times
 ``import sovxxz.cli`` plus one ``main([...])`` writing its report to a
-temporary directory, and reads the process's peak RSS (``ru_maxrss``) after
-it.  ``--case COMMAND CONFIG`` (repeatable) names a command and its JSON
+temporary directory, in wall time and in the CPU time of all the process's
+threads (``time.process_time``), and reads the process's peak RSS
+(``ru_maxrss``) after it.  ``--case COMMAND CONFIG`` (repeatable) names a command and its JSON
 config; without it, the cases are the command of every workload of
 ``perfbench/run.py`` at its config (spectrum n = 6, observables n = 3,
 validate n = 5).  Round r runs seed r in both trees, and which tree runs first
 alternates from round to round.  For each case the tool prints each tree's
-median and quartiles in ms and its median peak RSS in MB, and in how many
-rounds the new tree was faster (ties count for neither).
+median wall time and quartiles in ms, its median CPU time in ms and its
+median peak RSS in MB, and in how many rounds the new tree was faster in wall
+time (ties count for neither).  CPU time above wall time shows threads that
+ran at once; CPU time near wall time with a second thread started shows that
+it overlapped nothing.
 
 This is what a user waits for in one CLI run, interpreter start aside: the
 import, with its compile where bytecode is not cached, and the op.  The
@@ -49,29 +53,32 @@ COMMANDS = ("validate", "spectrum", "observables")
 
 CODE = """\
 import resource, sys, time
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 sys.path.insert(0, sys.argv[1])
 import sovxxz.cli
 sovxxz.cli.main(sys.argv[2:])
-print(repr(time.perf_counter() - start), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(repr(time.perf_counter() - start), repr(time.process_time() - cpu),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def cold_run(root: Path, args: list[str], env: dict[str, str]) -> tuple[float, float]:
-    """Seconds of ``import sovxxz.cli`` plus ``main(args)`` in a fresh process,
-    and that process's peak RSS in MB."""
+def cold_run(root: Path, args: list[str], env: dict[str, str]) -> tuple[float, float, float]:
+    """Wall and CPU seconds of ``import sovxxz.cli`` plus ``main(args)`` in a
+    fresh process, and that process's peak RSS in MB."""
     done = subprocess.run([sys.executable, "-c", CODE, str(root / "src"), *args],
                           capture_output=True, text=True, env=env, timeout=600, check=True)
-    seconds, peak_kb = done.stdout.splitlines()[-1].split()
-    return float(seconds), int(peak_kb) / 1024
+    seconds, cpu_seconds, peak_kb = done.stdout.splitlines()[-1].split()
+    return float(seconds), float(cpu_seconds), int(peak_kb) / 1024
 
 
-def summary(runs: list[tuple[float, float]]) -> str:
-    times = [seconds for seconds, _ in runs]
+def summary(runs: list[tuple[float, float, float]]) -> str:
+    times = [seconds for seconds, _, _ in runs]
     q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive") \
         if len(times) > 1 else times * 3
-    peak = statistics.median(mb for _, mb in runs)
-    return f"{q2 * 1e3:.1f} ms ({q1 * 1e3:.1f}-{q3 * 1e3:.1f}), {peak:.1f} MB"
+    cpu = statistics.median(cpu_seconds for _, cpu_seconds, _ in runs)
+    peak = statistics.median(mb for _, _, mb in runs)
+    return (f"{q2 * 1e3:.1f} ms ({q1 * 1e3:.1f}-{q3 * 1e3:.1f}), {cpu * 1e3:.1f} ms CPU, "
+            f"{peak:.1f} MB")
 
 
 def main(argv=None) -> int:
