@@ -22,7 +22,6 @@ import argparse
 import gc
 import json
 import sys
-import threading
 
 import numpy as np
 
@@ -258,31 +257,12 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
     basis = SovBasis(params)
+    spectrum = solve_spectrum(basis, seed=cfg.seed, tolerances=cfg.tolerances)
     # both checks read one full eigensolve at kappa', which shares no step
     # with the oracle; the oracle's spectrum is closed under negation by
-    # construction, so its closure would show nothing.  That eigensolve runs
-    # on a second thread while solve_spectrum runs here: its LAPACK call runs
-    # with the GIL released, and it reads only the B and C blocks of
-    # at_xi[0], which nothing writes after SovBasis.  A spectrum refusal wins;
-    # otherwise the reference's own exception, if any, is raised here.
-    reference: list = []
-
-    def solve_reference():
-        try:
-            reference.append(transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime))
-        except BaseException as exc:  # raised again below, in this thread
-            reference.append(exc)
-
-    worker = threading.Thread(target=solve_reference, name="kappa-prime-reference")
-    worker.start()
-    try:
-        spectrum = solve_spectrum(basis, kappa=params.kappa, seed=cfg.seed,
-                                  tolerances=cfg.tolerances)
-    finally:
-        worker.join()
-    ref = reference[0]
-    if isinstance(ref, BaseException):
-        raise ref
+    # construction, so its closure would show nothing.  It runs after
+    # solve_spectrum, so a spectrum refusal wins over a reference refusal
+    ref = transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime)
     table, res = spectrum.table, spectrum.residuals
     vals = table.tau[:, 0]
     closure = float(np.max(np.abs(np.sort_complex(ref) - np.sort_complex(-ref)))
@@ -325,8 +305,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     from . import observables as obs
 
     basis = SovBasis(params)
-    table = solve_spectrum(basis, kappa=params.kappa, seed=cfg.seed,
-                           tolerances=cfg.tolerances).table
+    table = solve_spectrum(basis, seed=cfg.seed, tolerances=cfg.tolerances).table
     kappa, kappa2 = params.kappa, cfg.kappa_prime
     alpha = kappa2 / kappa
     reps, ops, sites = cfg.representations, cfg.operators, cfg.sites

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
+from .linalg import MAX_SITES
 from .model import DELTA_MIN_DEFAULT, ModelParams
 
-MAX_N_HARD = 8
 MAX_N_OBSERVABLES = 6
 XI_MAX_TRIES = 100
 
@@ -186,8 +186,8 @@ def load_config(path: str | Path | None = None, seed_override: int | None = None
     if schema != 1:
         raise ParameterError(f"field 'schema' must be 1, got {schema}")
     n = _number(int, data["n"], "n")
-    if not 1 <= n <= MAX_N_HARD:
-        raise ParameterError(f"n must lie in 1..{MAX_N_HARD}, got {n}")
+    if not 1 <= n <= MAX_SITES:
+        raise ParameterError(f"n must lie in 1..{MAX_SITES}, got {n}")
     eta = _as_complex(data["eta"], "eta")
     kappa = _as_complex(data["kappa"], "kappa")
     kappa_prime = _as_complex(data["kappa_prime"], "kappa_prime")

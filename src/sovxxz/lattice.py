@@ -21,10 +21,8 @@ from .errors import (
     ParameterError,
     ParityError,
 )
-from .linalg import eig_dense
+from .linalg import MAX_SITES, eig_dense
 from .model import ModelParams
-
-MAX_SITES = 8
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)   # |up><down|
@@ -141,9 +139,10 @@ def monodromy_entries(params: ModelParams, lam: complex) -> MonodromyBlocks:
                            d=t[1, 1].copy())
 
 
-def transfer_k(params: ModelParams, lam: complex, kappa: complex | None = None) -> np.ndarray:
-    """Twisted transfer matrix kappa^{-1} B(lam) + kappa C(lam)."""
-    return monodromy_entries(params, lam).transfer(params.kappa if kappa is None else kappa)
+def transfer_k(params: ModelParams, lam: complex) -> np.ndarray:
+    """Twisted transfer matrix kappa^{-1} B(lam) + kappa C(lam) at the twist
+    ``params.kappa``."""
+    return monodromy_entries(params, lam).transfer(params.kappa)
 
 
 def _require_gaps(vals: np.ndarray, gap_factor: float) -> None:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 
-MAX_EIG_DIM = 2**8  # dense cap: chains up to N = 8 sites
+MAX_SITES = 8  # the dense cap, for every module: chains up to N = 8 sites
+MAX_EIG_DIM = 2**MAX_SITES
 
 
 def as_square_stack(m) -> np.ndarray:

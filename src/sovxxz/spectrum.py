@@ -103,10 +103,10 @@ class ChainValues:
     ``tq`` holds the arrays (w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),
     one row per T-Q sample point lam and one column per k = 0..N, w = e^lam;
     ``char`` holds -a(xi_j) d(xi_j - eta); ``grid`` is the ``residual_grid``
-    (rows lam, a(lam), d(lam)), ``kappa`` the spectrum's twist, ``probes``
-    the ``probe_transfers`` at it and ``basis`` the chain's SoV basis.
-    ``weights`` holds the weight rows (``InterpolationBasis.weights``) of the
-    basis the eigenvalues interpolate through (``ModelParams.node_basis``),
+    (rows lam, a(lam), d(lam)), ``probes`` the ``probe_transfers`` and
+    ``basis`` the chain's SoV basis, whose ``params.kappa`` is the spectrum's
+    twist.  ``weights`` holds the weight rows (``InterpolationBasis.weights``)
+    of the basis the eigenvalues interpolate through (``ModelParams.node_basis``),
     at the T-Q points, the grid points, the xi_j - eta and the probe points,
     under "tq", "grid", "char" and "probes": an eigenvalue there is
     ``weights[name] @ tau`` of its row tau of tau(xi_k) values."""
@@ -114,15 +114,14 @@ class ChainValues:
     tq: tuple[np.ndarray, np.ndarray, np.ndarray]
     char: np.ndarray
     grid: np.ndarray
-    kappa: complex
     probes: list
     basis: SovBasis
     weights: dict[str, np.ndarray]
 
 
-def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
-    """The ``ChainValues`` of a spectrum on ``basis``'s chain at twist
-    ``kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
+def chain_values(basis: SovBasis, seed: int) -> ChainValues:
+    """The ``ChainValues`` of a spectrum on ``basis``'s chain at its twist
+    ``params.kappa``; ``seed`` draws the 2N+3 T-Q sample points."""
     params = basis.params
     interp = params.node_basis
     n, eta = params.n, params.eta
@@ -132,12 +131,11 @@ def chain_values(basis: SovBasis, kappa: complex, seed: int) -> ChainValues:
           params.d_fn(lam)[:, None] * np.exp((k - n / 2) * eta))
     xi = np.asarray(params.xi)
     char = -params.a_fn(xi) * params.d_fn(xi - eta)
-    grid, probes = residual_grid(params), probe_transfers(params, kappa)
+    grid, probes = residual_grid(params), probe_transfers(params)
     weights = {"tq": interp.weights(lam), "grid": interp.weights(grid[0]),
                "char": interp.weights(xi - eta),
                "probes": interp.weights([mu for mu, _ in probes])}
-    return ChainValues(tq=tq, char=char, grid=grid, kappa=kappa, probes=probes, basis=basis,
-                       weights=weights)
+    return ChainValues(tq=tq, char=char, grid=grid, probes=probes, basis=basis, weights=weights)
 
 
 class _FirstRefusal:
@@ -329,25 +327,26 @@ def discrete_char_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     return np.max(np.abs(lhs - chain.char) / np.maximum(np.abs(chain.char), 1e-30), axis=-1)
 
 
-def probe_transfers(params: ModelParams, kappa: complex) -> list[tuple[complex, np.ndarray]]:
-    """Three seeded probe points mu with their twisted transfer matrices; they
-    do not depend on the record, so one list serves a whole spectrum."""
+def probe_transfers(params: ModelParams) -> list[tuple[complex, np.ndarray]]:
+    """Three seeded probe points mu with their transfer matrices at the
+    twist ``params.kappa``; they do not depend on the record, so one list
+    serves a whole spectrum."""
     rng = np.random.default_rng(515)
     probes = []
     for _ in range(3):
         mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        probes.append((mu, transfer_k(params, mu, kappa)))
+        probes.append((mu, transfer_k(params, mu)))
     return probes
 
 
 def eigenstate_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     """Relative eigen-residual of each eigen record's separate state of
-    ``table`` at ``chain.kappa`` on ``chain.basis``, against the transfer
+    ``table`` on ``chain.basis`` at its twist, against the transfer
     matrices at ``chain.probes`` (built at that twist), each applied to all
     the states in one stacked product.  Uses the unnormalized embedding: the
     residual is ray-invariant and the unnormalized coefficients stay finite
     even when a Bethe root approaches one of the shifted nodes xi_n - eta."""
-    v = separate_state(chain.basis, table, chain.kappa, 1, "ket",
+    v = separate_state(chain.basis, table, chain.basis.params.kappa, 1, "ket",
                        normalized=False).embedded
     nv = row_norms(v)
     tau_mu = _tau_at(chain.weights["probes"], table.tau)
@@ -405,11 +404,11 @@ def certify(params: ModelParams, taus, roots, bethe, chain: ChainValues,
                     sum_rule_k=ks.astype(int))
 
 
-def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
-                   seed: int = 4242, tolerances: dict | None = None) -> Spectrum:
+def solve_spectrum(basis: SovBasis, seed: int = 4242,
+                   tolerances: dict | None = None) -> Spectrum:
     """Full pipeline: oracle -> Q extraction -> Newton polish -> certification,
-    on the chain of ``basis``, whose node blocks feed the oracle; each phase
-    runs once, over all the records.
+    on the chain of ``basis`` at its twist ``params.kappa``, whose node blocks
+    feed the oracle; each phase runs once, over all the records.
 
     Returns the certified ``Spectrum`` of all 2^N records, sorted by
     tau(xi_1).  A refusal names the lowest failing record of the first phase
@@ -418,9 +417,8 @@ def solve_spectrum(basis: SovBasis, kappa: complex | None = None,
     roots.
     """
     params = basis.params
-    k = params.kappa if kappa is None else kappa
-    taus = spectrum_oracle(params, basis.at_xi, k)
-    chain = chain_values(basis, k, seed)
+    taus = spectrum_oracle(params, basis.at_xi)
+    chain = chain_values(basis, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
     spectrum = certify(params, taus, roots, bethe, chain, tolerances)
     if len(spectrum.table) != 2**params.n:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -7,13 +8,13 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_params
 
 import sovxxz.cli as cli
 import sovxxz.lattice as lattice
@@ -22,7 +23,13 @@ import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES, load_config
-from sovxxz.errors import CertificationError, DegenerateSpectrumError, ParameterError
+from sovxxz.errors import (
+    CertificationError,
+    DegenerateSpectrumError,
+    DimensionError,
+    ParameterError,
+)
+from sovxxz.linalg import MAX_EIG_DIM, MAX_SITES, eig_dense
 from sovxxz.model import DELTA_MIN_DEFAULT
 
 
@@ -102,6 +109,19 @@ class TestConfig:
         assert cfg.params.eta == 0.6 + 0.35j
         assert len(cfg.params.xi) == 3
         assert cfg.tolerances == DEFAULT_TOLERANCES
+
+    def test_one_dense_cap_in_every_layer(self, tmp_path, capsys):
+        # config, monodromy and eigensolve refuse one past N = 8 with their own texts
+        assert (MAX_SITES, MAX_EIG_DIM) == (8, 256)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 9}))
+        assert run(["spectrum", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: n must lie in 1..8, got 9\n"
+        with pytest.raises(DimensionError, match=r"^chain length 9 exceeds dense cap 8$"):
+            lattice.monodromy_entries(make_params(9), 0.1)
+        with pytest.raises(DimensionError,
+                           match=r"^matrix dimension 512 exceeds dense cap 256$"):
+            eig_dense(np.eye(512))
 
     def test_seed_override_changes_nodes(self):
         a = load_config(None, seed_override=1)
@@ -384,6 +404,48 @@ class TestValidateCommand:
                    and made["NodeFactors"].at_xi[m].c is made["SovBasis"].at_xi[m].c
                    for m in range(n))
 
+    # gate -> (cli name, block of its result); R or, at the first point the
+    # command builds a monodromy (lam), one block of it
+    LATTICE_DEFECTS = {
+        "yang_baxter": ("r_matrix", None),
+        "twist_commutation": ("r_matrix", None),
+        "quantum_determinant": ("monodromy_entries", "a"),
+        "transfer_commutation": ("monodromy_entries", "b"),
+    }
+
+    @pytest.mark.parametrize("gate", sorted(LATTICE_DEFECTS))
+    def test_lattice_gates_catch_a_perturbed_entry(self, tmp_path, monkeypatch, gate):
+        # entry (0, 0) moved by 1e-6 of its matrix's norm: the gate reads the
+        # defect to within a factor 10 and fails at its default tolerance
+        # (1e-10), on three chains; seeds 1-10 read ratios of 0.2 to 2.4
+        defect = 1e-6
+        name, block = self.LATTICE_DEFECTS[gate]
+        made, built = getattr(cli, name), []
+
+        def moved(m):
+            m = m.copy()
+            m[0, 0] += defect * np.linalg.norm(m)
+            return m
+
+        def perturbed(*args):
+            out = made(*args)
+            if block is None:
+                return moved(out)
+            if not built:
+                built.append(out)
+                return dataclasses.replace(out, **{block: moved(getattr(out, block))})
+            return out
+
+        monkeypatch.setattr(cli, name, perturbed)
+        out = tmp_path / "v.json"
+        for seed in (1, 2, 3):
+            built.clear()
+            assert run(["validate", "--seed", str(seed), "--out", str(out)]) == 1
+            check = read(out)["checks"][gate]
+            assert defect / 10 < check["residual"] < 10 * defect
+            assert check["tolerance"] == DEFAULT_TOLERANCES["lattice_residual"]
+            assert check["pass"] is False
+
     @pytest.mark.parametrize("side", ["kets", "bras"])
     def test_sov_checks_catch_a_perturbed_basis_row(self, basis3, side):
         # the actions and the measure hold at the noise floor on the basis
@@ -560,23 +622,26 @@ class TestSpectrumCommand:
         assert calls == [load_config(None).kappa_prime]
         assert not rep["checks"]["negation_closure"]["pass"]
         assert rep["checks"]["negation_closure"]["residual"] > 0.5
+        assert not rep["checks"]["isospectral"]["pass"]
+        assert rep["checks"]["isospectral"]["residual"] > 0.1
         assert all(r["certified"] for r in rep["records"])
 
     def test_a_spectrum_refusal_wins_over_the_reference(self, tmp_path, monkeypatch, capsys):
-        # both fail: the spectrum's refusal is the one reported, and only once
-        # the reference, still running when it comes, has been joined
+        # both would fail: the spectrum's refusal is the one reported, and the
+        # reference is never called
+        calls = []
+
         def refused(*args, **kwargs):
             raise CertificationError("record 0: spectrum refused")
 
         def degenerate(t, kappa):
-            time.sleep(0.2)
+            calls.append(kappa)
             raise DegenerateSpectrumError("reference refused")
 
         monkeypatch.setattr(cli, "solve_spectrum", refused)
         monkeypatch.setattr(cli, "transfer_eigenvalues", degenerate)
-        threads = threading.active_count()
         assert run(["spectrum", "--out", str(tmp_path / "s.json")]) == 2
-        assert threading.active_count() == threads
+        assert calls == []
         assert capsys.readouterr().err == "error: record 0: spectrum refused\n"
         assert not (tmp_path / "s.json").exists()
 
@@ -585,30 +650,40 @@ class TestSpectrumCommand:
             raise DegenerateSpectrumError("reference refused")
 
         monkeypatch.setattr(cli, "transfer_eigenvalues", degenerate)
-        threads = threading.active_count()
         assert run(["spectrum", "--out", str(tmp_path / "s.json")]) == 2
-        assert threading.active_count() == threads
         assert capsys.readouterr().err == "error: reference refused\n"
         assert not (tmp_path / "s.json").exists()
 
-    def test_reference_on_the_worker_equals_the_main_thread_one(self, tmp_path, monkeypatch):
-        full = lattice.transfer_eigenvalues
-        seen = []
+    def test_reference_runs_once_on_the_main_thread_after_the_spectrum(self, tmp_path,
+                                                                       monkeypatch):
+        # one eigensolve at kappa' of the blocks at xi_1, on the calling
+        # thread and after solve_spectrum has returned, bit-equal to a direct call
+        full, solve = lattice.transfer_eigenvalues, cli.solve_spectrum
+        events = []
+
+        def solved(basis, *args, **kwargs):
+            spectrum = solve(basis, *args, **kwargs)
+            events.append(("spectrum", basis))
+            return spectrum
 
         def recorded(t, kappa):
             vals = full(t, kappa)
-            seen.append((threading.current_thread(), t, kappa, vals))
+            events.append(("reference", threading.current_thread(), t, kappa, vals))
             return vals
 
+        monkeypatch.setattr(cli, "solve_spectrum", solved)
         monkeypatch.setattr(cli, "transfer_eigenvalues", recorded)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 6}))
         for seed in (1, 2, 3):
-            seen.clear()
+            events.clear()
             assert run(["spectrum", "--config", str(cfg), "--seed", str(seed),
                         "--out", str(tmp_path / "s.json")]) == 0
-            [(thread, t, kappa, vals)] = seen
-            assert thread is not threading.main_thread()
+            assert [event[0] for event in events] == ["spectrum", "reference"]
+            (_, basis), (_, thread, t, kappa, vals) = events
+            assert thread is threading.main_thread()
+            assert t is basis.at_xi[0]
+            assert kappa == load_config(cfg, seed_override=seed).kappa_prime
             assert np.array_equal(vals.view(np.uint64), full(t, kappa).view(np.uint64))
 
     def test_negation_closure_is_not_vacuous(self, tmp_path):

@@ -50,7 +50,7 @@ class TestQFromTau:
         params = make_params(1)
         basis = sov.SovBasis(params)
         taus = spectrum_oracle(params, basis.at_xi)
-        chain = chain_values(basis, params.kappa, 4242)
+        chain = chain_values(basis, 4242)
         for i in range(len(taus)):
             roots = q_from_tau(params, taus[i:i + 1], chain)[0]
             expected = n1_root_closed_form(params, taus[i, 0])
@@ -59,7 +59,7 @@ class TestQFromTau:
     def test_refusal_in_a_batch_names_the_lowest_record(self, params3, basis3, records3):
         # tau = 0 leaves no one-dimensional nullspace; of records 5 and 6,
         # the refusal names the lower
-        chain = chain_values(basis3, params3.kappa, 4242)
+        chain = chain_values(basis3, 4242)
         taus = records3.table.tau.copy()
         taus[5] = taus[6] = 0
         with pytest.raises(AmbiguousNullspaceError,
@@ -192,7 +192,7 @@ class TestCertify:
         t = records3.table
         bad = t.tau[:1].copy()
         bad[0, 0] *= 1.01
-        chain = chain_values(basis3, params3.kappa, 4242)
+        chain = chain_values(basis3, 4242)
         bad_table = q_table(params3, t.roots[:1], bad, [])
         assert discrete_char_residual(bad_table, chain)[0] > 1e-3
         with pytest.raises(CertificationError):
@@ -205,7 +205,7 @@ class TestCertify:
         roots = records3.table.roots
         bethe = records3.residuals["bethe"]
         taus[5, 0] *= 1.01
-        chain = chain_values(basis3, params3.kappa, 4242)
+        chain = chain_values(basis3, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
             certify(params3, taus, roots, bethe, chain)
@@ -304,8 +304,8 @@ class TestPipeline:
                     rhs = -tau(params3, records3, ip)(x) / tau(params3, records3, iq)(x)
                     assert rel_dev(lhs[k], rhs) < 1e-8
 
-    def test_tq_residual_of_certified_pairing_is_tiny(self, params3, basis3, records3):
-        chain = chain_values(basis3, params3.kappa, 4242)
+    def test_tq_residual_of_certified_pairing_is_tiny(self, basis3, records3):
+        chain = chain_values(basis3, 4242)
         for i in range(len(records3.table)):
             assert tq_residual(records3.table.take([i]), chain)[0] < 1e-12
 
@@ -426,7 +426,7 @@ class TestPipeline:
         params = make_params(n)
         basis = sov.SovBasis(params)
         whole = spectrum.solve_spectrum(basis)
-        chain = chain_values(basis, params.kappa, 4242)
+        chain = chain_values(basis, 4242)
         for i in range(len(whole.table)):
             taus = whole.table.tau[i:i + 1]
             roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
