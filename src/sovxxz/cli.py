@@ -258,11 +258,13 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     params = cfg.params
     basis = SovBasis(params)
     spectrum = solve_spectrum(basis, seed=cfg.seed, tolerances=cfg.tolerances)
-    # both checks read one full eigensolve at kappa', which shares no step
-    # with the oracle; the oracle's spectrum is closed under negation by
-    # construction, so its closure would show nothing.  It runs after
-    # solve_spectrum, so a spectrum refusal wins over a reference refusal
-    ref = transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime)
+    # both checks read the eigenvalues of one full solve at kappa', which
+    # shares no step with the oracle; the oracle's spectrum is closed under
+    # negation by construction, so its closure would show nothing.  The
+    # oracle's eigenvectors only witness each value's residual, so the
+    # reference runs after solve_spectrum, whose refusal wins over its own
+    ref = transfer_eigenvalues(basis.at_xi[0], cfg.kappa_prime, spectrum.vectors,
+                               spectrum.table.tau[:, 0], params.kappa)
     table, res = spectrum.table, spectrum.residuals
     vals = table.tau[:, 0]
     closure = float(np.max(np.abs(np.sort_complex(ref) - np.sort_complex(-ref)))

@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     ParityError,
 )
-from .linalg import MAX_SITES, eig_dense
+from .linalg import MAX_SITES
 from .model import ModelParams
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -190,13 +190,16 @@ def parity_blocks(at_xi: list[FlipBlocks], kappa: complex) -> tuple[np.ndarray, 
 
 def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
                     kappa: complex | None = None,
-                    gap_factor: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
-    """Brute-force eigenvalues of the twisted transfer matrix, as the
-    read-only (2^N, len(at_xi)) array whose row r holds tau(xi_1..xi_M) of
-    eigenvalue r, the rows sorted by tau(xi_1); ``at_xi`` holds the monodromy
-    blocks at the first M nodes xi_1..xi_M.  With all N of them, each
-    eigenvalue is closed to tau(lam) by interpolation through
-    ``ModelParams.node_basis``.
+                    gap_factor: float = 1e-6,
+                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force eigenpairs of the twisted transfer matrix, as
+    ``(taus, vectors)``: ``taus`` is the read-only (2^N, len(at_xi)) array
+    whose row r holds tau(xi_1..xi_M) of eigenvalue r, the rows sorted by
+    tau(xi_1); ``at_xi`` holds the monodromy blocks at the first M nodes
+    xi_1..xi_M.  With all N of them, each eigenvalue is closed to tau(lam) by
+    interpolation through ``ModelParams.node_basis``.  ``vectors`` is the
+    read-only (2^N, 2^N) array whose row r is the eigenvector of row r, in
+    the natural basis of the spin space.
 
     T_K(xi_1) maps each S^z-parity sector to the other (``parity_blocks``),
     so its eigenpairs come from one eigensolve of X_1 Y_1 on the even sector:
@@ -233,19 +236,50 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
     # (u^H X_j w + w^H Y_j u) / (u^H u + w^H w) of every vector and node
     plus = ((u.conj() * xw).sum(axis=1) + (w.conj() * yu).sum(axis=1)) / v_norm**2
     tau_xi = np.concatenate([plus, -plus], axis=1).T
-    taus = tau_xi[np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))]
-    taus.flags.writeable = False
-    return taus
+    order = np.lexsort((tau_xi[:, 0].imag, tau_xi[:, 0].real))
+    # (u, w) in the natural basis, then (u, -w): the odd entries negated
+    odd = np.bitwise_count(np.arange(2 * len(u))) & 1
+    plus_vecs = np.empty((len(u), 2 * len(u)), dtype=np.complex128)
+    plus_vecs[:, odd == 0], plus_vecs[:, odd == 1] = u.T, w.T
+    vectors = np.concatenate([plus_vecs, plus_vecs * np.where(odd, -1.0, 1.0)])[order]
+    taus = tau_xi[order]
+    taus.flags.writeable = vectors.flags.writeable = False
+    return taus, vectors
 
 
-def transfer_eigenvalues(t: FlipBlocks, kappa: complex,
-                         gap_factor: float = 1e-6) -> np.ndarray:
-    """Eigenvalues of the full twisted transfer matrix at the point of ``t``,
-    sorted by (real, imag), from one dense ``eig_dense`` and under the
-    oracle's degeneracy guard: a reference that shares no step with
-    ``spectrum_oracle`` and is not closed under negation by construction."""
-    vals, _ = eig_dense(t.transfer(kappa))
+def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
+                         witness_tau: np.ndarray, witness_kappa: complex,
+                         gap_factor: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
+    """Eigenvalues of the full twisted transfer matrix M = T_kappa at the
+    point of ``t``, sorted by (real, imag), from one ``np.linalg.eigvals``
+    and under the oracle's degeneracy guard: a reference that shares no step
+    with ``spectrum_oracle`` and is not closed under negation by construction.
+
+    Each eigenvalue lam_k is gated as ``linalg.eig_dense`` gates a pair,
+    ||M z - lam_k z|| <= tol * max(||M||_F, 1) * ||z||, on a witness z taken
+    from outside the solve: the row of ``witnesses`` (eigenvectors of the
+    transfer matrix at ``witness_kappa`` at the same point, such as the
+    oracle's, one row per entry of their eigenvalues ``witness_tau``) whose
+    eigenvalue is nearest lam_k, mapped to twist ``kappa`` by the twist
+    similarity D = diag(c^{popcount(s)}), c = witness_kappa / kappa: B and C
+    each move the number of down spins by one, so T_kappa = D T_witness D^{-1}
+    exactly.  The first eigenvalue over the gate is named by its index.
+    """
+    m = t.transfer(kappa)
+    try:
+        vals = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     _require_gaps(vals, gap_factor)
+    nearest = np.argmin(np.abs(vals[:, None] - witness_tau[None, :]), axis=1)
+    z = witnesses[nearest] * (witness_kappa / kappa) ** np.bitwise_count(np.arange(len(m)))
+    resid = np.linalg.norm(z @ m.T - vals[:, None] * z, axis=1)
+    bad = resid > tol * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"eigenpair {k} residual {resid[k]:.3e} exceeds {tol:.1e} * ||M|| * ||v||")
     return vals
 
 

@@ -12,7 +12,7 @@ of every record.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,12 +53,16 @@ class Spectrum:
     """A certified spectrum, built complete by ``certify``: the
     ``model.q_table`` of its records (tau included), one row per record, and
     per record each residual (``residuals``, name -> (R,) array), the
-    Wronskian sign and the sum-rule k ((R,) integer arrays)."""
+    Wronskian sign and the sum-rule k ((R,) integer arrays).  ``vectors``,
+    which ``solve_spectrum`` sets, holds the oracle's eigenvectors of
+    T_K(xi_1), read-only, row i of record i (``lattice.spectrum_oracle``);
+    it is None where ``certify`` was handed eigenvalues alone."""
 
     table: QTable
     residuals: dict[str, np.ndarray]
     wronskian_sign: np.ndarray
     sum_rule_k: np.ndarray
+    vectors: np.ndarray | None = None
 
 
 def tau_hat(taus: np.ndarray, interp: InterpolationBasis, lam, d) -> np.ndarray:
@@ -411,13 +415,13 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
     feed the oracle; each phase runs once, over all the records.
 
     Returns the certified ``Spectrum`` of all 2^N records, sorted by
-    tau(xi_1).  A refusal names the lowest failing record of the first phase
-    that refuses one, by its index in that order; a CertificationError also
-    gives its tau(xi_1) and the condition number of the Bethe Jacobian at its
-    roots.
+    tau(xi_1), with the oracle's eigenvectors.  A refusal names the lowest
+    failing record of the first phase that refuses one, by its index in that
+    order; a CertificationError also gives its tau(xi_1) and the condition
+    number of the Bethe Jacobian at its roots.
     """
     params = basis.params
-    taus = spectrum_oracle(params, basis.at_xi)
+    taus, vectors = spectrum_oracle(params, basis.at_xi)
     chain = chain_values(basis, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
     spectrum = certify(params, taus, roots, bethe, chain, tolerances)
@@ -425,4 +429,4 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
         raise ParameterError(
             f"expected {2**params.n} certified records, got {len(spectrum.table)}"
         )
-    return spectrum
+    return replace(spectrum, vectors=vectors)

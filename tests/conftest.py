@@ -89,3 +89,22 @@ def rel_dev(a, b, scale: float = 0.0) -> float:
 
 def rng(seed: int = SEED) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def move_one_eigenvalue(monkeypatch, dim: int, by: float = 1e-6) -> list:
+    """Make ``np.linalg.eigvals`` of a (dim, dim) matrix return its first
+    eigenvalue moved by ``by`` times the spectral radius; returns the list
+    that gets, for each such call, the index the moved value takes once the
+    values are sorted by (real, imag)."""
+    eigvals = np.linalg.eigvals
+    moved = []
+
+    def shifted(a):
+        vals = eigvals(a)
+        if np.shape(a) == (dim, dim):
+            vals[0] += by * np.max(np.abs(vals))
+            moved.append(int(np.flatnonzero(np.lexsort((vals.imag, vals.real)) == 0)[0]))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", shifted)
+    return moved

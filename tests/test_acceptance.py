@@ -89,9 +89,11 @@ def test_02_spectrum_completeness():
                              & (res["eigenstate"] < TOL_EIGENSTATE)))
         vals = np.sort_complex(spectrum.table.tau[:, 0])
         radius = np.max(np.abs(vals))
-        # both read one full eigensolve at another twist: the oracle's own
-        # spectrum is closed under negation by construction
-        other = transfer_eigenvalues(basis.at_xi[0], 1.3 + 0.2j)
+        # both read one full eigensolve at another twist, which the oracle's
+        # eigenvectors only witness: the oracle's own spectrum is closed
+        # under negation by construction
+        other = transfer_eigenvalues(basis.at_xi[0], 1.3 + 0.2j, spectrum.vectors,
+                                     spectrum.table.tau[:, 0], params.kappa)
         closure = np.max(np.abs(other - np.sort_complex(-other))) / np.max(np.abs(other))
         iso = np.max(np.abs(vals - other)) / radius
         ok = ok and count == 2**n and res_ok and closure < TOL_CLOSURE and iso < TOL_CLOSURE

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_params
+from conftest import make_params, move_one_eigenvalue
 
 import sovxxz.cli as cli
 import sovxxz.lattice as lattice
@@ -610,9 +610,9 @@ class TestSpectrumCommand:
         full = lattice.transfer_eigenvalues
         calls = []
 
-        def shifted(t, kappa):
+        def shifted(t, kappa, *witness):
             calls.append(kappa)
-            vals = full(t, kappa)
+            vals = full(t, kappa, *witness)
             return vals + 0.5 * np.max(np.abs(vals))
 
         monkeypatch.setattr(cli, "transfer_eigenvalues", shifted)
@@ -634,7 +634,7 @@ class TestSpectrumCommand:
         def refused(*args, **kwargs):
             raise CertificationError("record 0: spectrum refused")
 
-        def degenerate(t, kappa):
+        def degenerate(t, kappa, *witness):
             calls.append(kappa)
             raise DegenerateSpectrumError("reference refused")
 
@@ -646,7 +646,7 @@ class TestSpectrumCommand:
         assert not (tmp_path / "s.json").exists()
 
     def test_a_reference_refusal_is_raised_in_the_command(self, tmp_path, monkeypatch, capsys):
-        def degenerate(t, kappa):
+        def degenerate(t, kappa, *witness):
             raise DegenerateSpectrumError("reference refused")
 
         monkeypatch.setattr(cli, "transfer_eigenvalues", degenerate)
@@ -657,18 +657,19 @@ class TestSpectrumCommand:
     def test_reference_runs_once_on_the_main_thread_after_the_spectrum(self, tmp_path,
                                                                        monkeypatch):
         # one eigensolve at kappa' of the blocks at xi_1, on the calling
-        # thread and after solve_spectrum has returned, bit-equal to a direct call
+        # thread and after solve_spectrum has returned, witnessed by the
+        # spectrum's own eigenvectors at kappa, bit-equal to a direct call
         full, solve = lattice.transfer_eigenvalues, cli.solve_spectrum
         events = []
 
         def solved(basis, *args, **kwargs):
             spectrum = solve(basis, *args, **kwargs)
-            events.append(("spectrum", basis))
+            events.append(("spectrum", basis, spectrum))
             return spectrum
 
-        def recorded(t, kappa):
-            vals = full(t, kappa)
-            events.append(("reference", threading.current_thread(), t, kappa, vals))
+        def recorded(t, kappa, *witness):
+            vals = full(t, kappa, *witness)
+            events.append(("reference", threading.current_thread(), t, kappa, witness, vals))
             return vals
 
         monkeypatch.setattr(cli, "solve_spectrum", solved)
@@ -680,11 +681,72 @@ class TestSpectrumCommand:
             assert run(["spectrum", "--config", str(cfg), "--seed", str(seed),
                         "--out", str(tmp_path / "s.json")]) == 0
             assert [event[0] for event in events] == ["spectrum", "reference"]
-            (_, basis), (_, thread, t, kappa, vals) = events
+            (_, basis, spec), (_, thread, t, kappa, witness, vals) = events
             assert thread is threading.main_thread()
             assert t is basis.at_xi[0]
             assert kappa == load_config(cfg, seed_override=seed).kappa_prime
-            assert np.array_equal(vals.view(np.uint64), full(t, kappa).view(np.uint64))
+            vectors, witness_tau, witness_kappa = witness
+            assert vectors is spec.vectors and not vectors.flags.writeable
+            assert np.array_equal(witness_tau, spec.table.tau[:, 0])
+            assert witness_kappa == basis.params.kappa
+            assert np.array_equal(vals.view(np.uint64), full(t, kappa, *witness).view(np.uint64))
+
+    def test_a_moved_reference_value_exits_2_by_its_index(self, tmp_path, monkeypatch, capsys):
+        # the witness gate reads each eigenvalue of the eigvals reference: one
+        # moved by 1e-6 of the spectral radius stops the command, named
+        moved = move_one_eigenvalue(monkeypatch, 8)
+        assert run(["spectrum", "--out", str(tmp_path / "s.json")]) == 2
+        assert len(moved) == 1
+        assert re.fullmatch(rf"error: eigenpair {moved[0]} residual \S+ exceeds 1\.0e-09 "
+                            r"\* \|\|M\|\| \* \|\|v\|\|\n", capsys.readouterr().err)
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("kappa_prime", [0.05, 20.0])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_extreme_twist_ratios_pass(self, tmp_path, n, kappa_prime):
+        # the oracle's eigenvectors at kappa = 1 witness the reference at
+        # kappa' through D = diag((kappa / kappa')^popcount), whose entries
+        # span 20^N here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n, "kappa_prime": [kappa_prime, 0.0]}))
+        assert run(["spectrum", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "s.json")]) == 0
+
+    def test_one_op_makes_one_half_size_eig_and_one_full_eigvals(self, tmp_path, monkeypatch):
+        # the oracle's eig of X_1 Y_1 and the reference's eigvals of
+        # T_{kappa'}(xi_1); no full eigendecomposition
+        calls = Counter()
+        for name in ("eig", "eigvals"):
+            def counted(a, name=name, solve=getattr(np.linalg, name)):
+                calls[name, np.shape(a)] += 1
+                return solve(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6}))
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 0
+        assert calls["eig", (32, 32)] == 1
+        assert calls["eigvals", (64, 64)] == 1
+        assert calls["eig", (64, 64)] == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_isospectral_trips_on_its_own(self, tmp_path, monkeypatch, n):
+        # a reference scaled by 1 + 1e-6 stays closed under negation, so only
+        # isospectral reads the defect, to within a factor 10
+        full = lattice.transfer_eigenvalues
+
+        def scaled(t, kappa, *witness):
+            return full(t, kappa, *witness) * (1 + 1e-6)
+
+        monkeypatch.setattr(cli, "transfer_eigenvalues", scaled)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        out = tmp_path / "s.json"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = read(out)
+        assert rep["checks"]["negation_closure"]["pass"]
+        assert not rep["checks"]["isospectral"]["pass"]
+        assert 1e-7 <= rep["checks"]["isospectral"]["residual"] <= 1e-5
+        assert all(r["certified"] for r in rep["records"])
 
     def test_negation_closure_is_not_vacuous(self, tmp_path):
         out = tmp_path / "s.json"

@@ -1,11 +1,12 @@
 import cmath
 import dataclasses
+import re
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, rng
+from conftest import KAPPA2, make_params, move_one_eigenvalue, rng
 from sovxxz.cli import _rtt_residual
 from sovxxz.errors import (
     ConvergenceError,
@@ -31,6 +32,7 @@ from sovxxz.lattice import (
     transfer_k,
     twist_matrix,
 )
+from sovxxz.linalg import eig_dense
 from sovxxz.sov import SovBasis
 
 ETA = 0.6 + 0.35j
@@ -196,16 +198,23 @@ class TestTransferMatrix:
             assert np.linalg.norm(interp - direct) < 1e-9 * np.linalg.norm(direct)
 
 
+def witnessed_reference(params, at_xi, kappa, **kwargs):
+    """``transfer_eigenvalues`` of T_kappa(xi_1), witnessed by the oracle's
+    eigenvectors at ``params.kappa``, as the spectrum command calls it."""
+    taus, vectors = spectrum_oracle(params, at_xi)
+    return transfer_eigenvalues(at_xi[0], kappa, vectors, taus[:, 0], params.kappa, **kwargs)
+
+
 class TestSpectrumOracle:
     def test_closed_under_negation(self, params3, basis3):
         # the full eigensolve, which is not closed under negation by
         # construction, as the parity-block oracle is
-        vals = transfer_eigenvalues(basis3.at_xi[0], params3.kappa)
+        vals = witnessed_reference(params3, basis3.at_xi, params3.kappa)
         neg = np.sort_complex(-vals)
         assert np.max(np.abs(vals - neg)) < 1e-9 * np.max(np.abs(vals))
 
     def test_oracle_closed_by_construction(self, params3, basis3):
-        taus = spectrum_oracle(params3, basis3.at_xi)
+        taus, _ = spectrum_oracle(params3, basis3.at_xi)
         assert np.array_equal(np.sort_complex(taus[:, 0]), np.sort_complex(-taus[:, 0]))
 
     @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
@@ -218,12 +227,25 @@ class TestSpectrumOracle:
         mats = [t.transfer(kappa) for t in at_xi]
         _, vecs = np.linalg.eig(mats[0])
         ref = np.array([[v.conj() @ m @ v / (v.conj() @ v) for m in mats] for v in vecs.T])
-        taus = spectrum_oracle(params, at_xi)
+        taus, _ = spectrum_oracle(params, at_xi)
         assert taus.shape == (2**n, n)
         radius = np.max(np.abs(ref[:, 0]))
         rows = [int(np.argmin(np.abs(taus[:, 0] - r))) for r in ref[:, 0]]
         assert sorted(rows) == list(range(2**n))
         assert np.max(np.abs(taus[rows] - ref)) < 1e-12 * radius
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vectors_are_eigenvectors_in_the_natural_basis(self, n, kappa):
+        # row r of the vectors is the eigenvector of row r of taus, gated on
+        # the full T_K(xi_1) as eig_dense gates a pair
+        params = make_params(n, kappa=kappa)
+        at_xi = SovBasis(params).at_xi
+        m = at_xi[0].transfer(kappa)
+        taus, vectors = spectrum_oracle(params, at_xi)
+        assert vectors.shape == (2**n, 2**n) and not vectors.flags.writeable
+        resid = np.linalg.norm(vectors @ m.T - taus[:, :1] * vectors, axis=1)
+        assert np.all(resid < 1e-12 * np.linalg.norm(m) * np.linalg.norm(vectors, axis=1))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_basis_blocks_match_the_full_monodromy(self, n):
@@ -238,9 +260,10 @@ class TestSpectrumOracle:
         def same(got, want):
             return got.shape == want.shape and got.tobytes() == want.tobytes()
 
-        assert same(spectrum_oracle(params, basis.at_xi), spectrum_oracle(params, full))
-        assert same(transfer_eigenvalues(basis.at_xi[0], KAPPA2),
-                    transfer_eigenvalues(full[0], KAPPA2))
+        for got, want in zip(spectrum_oracle(params, basis.at_xi), spectrum_oracle(params, full)):
+            assert same(got, want)
+        assert same(witnessed_reference(params, basis.at_xi, KAPPA2),
+                    witnessed_reference(params, full, KAPPA2))
         kets, bras = np.empty_like(basis.kets), np.empty_like(basis.bras)
         kets[0], bras[0] = reference_state(n), reference_state(n) / basis.v_h[0]
         d_shift = params.d_fn(np.asarray(params.xi) - params.eta)
@@ -273,20 +296,20 @@ class TestSpectrumOracle:
         mu = 0.3 - 0.45j
         dense = np.linalg.eigvals(transfer_k(params3, mu))
         radius = np.max(np.abs(dense))
-        taus = spectrum_oracle(params3, basis3.at_xi)
+        taus, _ = spectrum_oracle(params3, basis3.at_xi)
         assert taus.shape == (8, 3) and not taus.flags.writeable
         for tau_mu in params3.node_basis.weights(mu) @ taus.T:
             assert np.min(np.abs(dense - tau_mu)) < 1e-9 * radius
 
     def test_isospectral_across_twists(self, params3, basis3):
-        v1 = np.sort_complex(spectrum_oracle(params3, basis3.at_xi, 1.0)[:, 0])
-        v2 = np.sort_complex(spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)[:, 0])
+        v1 = np.sort_complex(spectrum_oracle(params3, basis3.at_xi, 1.0)[0][:, 0])
+        v2 = np.sort_complex(spectrum_oracle(params3, basis3.at_xi, 1.3 + 0.2j)[0][:, 0])
         assert np.max(np.abs(v1 - v2)) < 1e-9 * np.max(np.abs(v1))
 
     def test_trace_matches_eigenvalue_sum(self, params3, basis3):
         # the spectrum is closed under negation, so both sides are ~0; compare
         # against the spectral radius
-        taus = spectrum_oracle(params3, basis3.at_xi)
+        taus, _ = spectrum_oracle(params3, basis3.at_xi)
         tr = np.trace(transfer_k(params3, params3.xi[0]))
         total = sum(taus[:, 0])
         radius = max(abs(taus[:, 0]))
@@ -296,7 +319,45 @@ class TestSpectrumOracle:
         with pytest.raises(DegenerateSpectrumError):
             spectrum_oracle(params3, basis3.at_xi, gap_factor=1e6)
         with pytest.raises(DegenerateSpectrumError):
-            transfer_eigenvalues(basis3.at_xi[0], params3.kappa, gap_factor=1e6)
+            witnessed_reference(params3, basis3.at_xi, params3.kappa, gap_factor=1e6)
+
+
+class TestTransferEigenvalues:
+    @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_agrees_with_eig_dense(self, n, kappa):
+        # the eigvals reference reads the spectrum of the full
+        # eigendecomposition, in the same order
+        params = make_params(n, kappa=kappa)
+        at_xi = SovBasis(params).at_xi
+        vals = witnessed_reference(params, at_xi, KAPPA2)
+        dense, _ = eig_dense(at_xi[0].transfer(KAPPA2))
+        assert np.max(np.abs(vals - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_witness_gate_refuses_a_moved_eigenvalue(self, n, monkeypatch):
+        # the unmoved values pass; one value moved by 1e-6 of the spectral
+        # radius is refused by the index it takes in the sorted spectrum
+        params = make_params(n)
+        at_xi = SovBasis(params).at_xi
+        witnessed_reference(params, at_xi, KAPPA2)
+        moved = move_one_eigenvalue(monkeypatch, 2**n)
+        with pytest.raises(ConvergenceError) as refused:
+            witnessed_reference(params, at_xi, KAPPA2)
+        assert len(moved) == 1
+        assert re.fullmatch(rf"eigenpair {moved[0]} residual \S+ exceeds 1\.0e-09 "
+                            r"\* \|\|M\|\| \* \|\|v\|\|", str(refused.value))
+
+    def test_a_witness_at_another_twist_is_mapped(self, params3, basis3):
+        # the oracle's eigenvectors at kappa witness the spectrum at a twist
+        # 20 times and 1/20 of it only through the twist similarity D; taken
+        # as they are, they fail the gate
+        taus, vectors = spectrum_oracle(params3, basis3.at_xi)
+        for ratio in (20.0, 0.05):
+            kappa = ratio * params3.kappa
+            transfer_eigenvalues(basis3.at_xi[0], kappa, vectors, taus[:, 0], params3.kappa)
+            with pytest.raises(ConvergenceError, match=r"^eigenpair \d+ residual"):
+                transfer_eigenvalues(basis3.at_xi[0], kappa, vectors, taus[:, 0], kappa)
 
 
 class TestInverseProblem:

@@ -357,7 +357,7 @@ class TestTableLayout:
         t = records3.table
         for name in self.ROWS[1:4] + self.ROWS[7:10]:
             assert getattr(t, name).base is t.x.base is not None
-        taus = spectrum_oracle(params3, basis3.at_xi)
+        taus, _ = spectrum_oracle(params3, basis3.at_xi)
         assert np.shares_memory(q_table(params3, t.roots, taus, []).tau, taus)
         context = pair_context(params3, records3, [0, 2, 5], [1, 2, 7])
         p, q = context.tables

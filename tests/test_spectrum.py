@@ -49,7 +49,7 @@ class TestQFromTau:
     def test_n1_closed_form(self):
         params = make_params(1)
         basis = sov.SovBasis(params)
-        taus = spectrum_oracle(params, basis.at_xi)
+        taus, _ = spectrum_oracle(params, basis.at_xi)
         chain = chain_values(basis, 4242)
         for i in range(len(taus)):
             roots = q_from_tau(params, taus[i:i + 1], chain)[0]

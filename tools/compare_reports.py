@@ -78,6 +78,7 @@ DEFAULT_CASES = (
     ("spectrum", '{"n": 5, "kappa": [0.8, -0.3]}', "1-4"),
     ("spectrum", '{"n": 1}', "1-3"),
     ("spectrum", '{"n": 6, "kappa": [0.8, -0.3], "kappa_prime": [1.0, 0.0]}', "1-3"),
+    ("spectrum", '{"n": 7, "kappa_prime": [20.0, 0.0]}', "1-2"),
     ("spectrum", '{"n": 6, "tolerances": {"bethe_residual": 1e-30}}', "1-3"),
     ("validate", '{"n": 3, "sites": [1]}', "1-3"),
     ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
