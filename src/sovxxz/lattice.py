@@ -249,14 +249,14 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
 
 def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
                          witness_tau: np.ndarray, witness_kappa: complex,
-                         gap_factor: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
+                         gap_factor: float = 1e-6) -> np.ndarray:
     """Eigenvalues of the full twisted transfer matrix M = T_kappa at the
     point of ``t``, sorted by (real, imag), from one ``np.linalg.eigvals``
     and under the oracle's degeneracy guard: a reference that shares no step
     with ``spectrum_oracle`` and is not closed under negation by construction.
 
     Each eigenvalue lam_k is gated as ``linalg.eig_dense`` gates a pair,
-    ||M z - lam_k z|| <= tol * max(||M||_F, 1) * ||z||, on a witness z taken
+    ||M z - lam_k z|| <= 1e-9 * max(||M||_F, 1) * ||z||, on a witness z taken
     from outside the solve: the row of ``witnesses`` (eigenvectors of the
     transfer matrix at ``witness_kappa`` at the same point, such as the
     oracle's, one row per entry of their eigenvalues ``witness_tau``) whose
@@ -264,6 +264,12 @@ def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
     similarity D = diag(c^{popcount(s)}), c = witness_kappa / kappa: B and C
     each move the number of down spins by one, so T_kappa = D T_witness D^{-1}
     exactly.  The first eigenvalue over the gate is named by its index.
+
+    The gate is not independent of the witnesses' eigenvalues: where M and
+    the oracle agree, z is an eigenvector of M with eigenvalue tau_j, and the
+    residual reads |lam_k - tau_j| ||z||.  A disagreement over the gate is
+    refused here, before any tolerance of the caller's is read; only one
+    under it, or one that keeps the eigenvectors (a scaled M), reaches them.
     """
     m = t.transfer(kappa)
     try:
@@ -275,11 +281,11 @@ def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
     nearest = np.argmin(np.abs(vals[:, None] - witness_tau[None, :]), axis=1)
     z = witnesses[nearest] * (witness_kappa / kappa) ** np.bitwise_count(np.arange(len(m)))
     resid = np.linalg.norm(z @ m.T - vals[:, None] * z, axis=1)
-    bad = resid > tol * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
+    bad = resid > 1e-9 * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         raise ConvergenceError(
-            f"eigenpair {k} residual {resid[k]:.3e} exceeds {tol:.1e} * ||M|| * ||v||")
+            f"eigenpair {k} residual {resid[k]:.3e} exceeds 1.0e-09 * ||M|| * ||v||")
     return vals
 
 

@@ -748,6 +748,57 @@ class TestSpectrumCommand:
         assert 1e-7 <= rep["checks"]["isospectral"]["residual"] <= 1e-5
         assert all(r["certified"] for r in rep["records"])
 
+    @staticmethod
+    def defective_matrix(monkeypatch, tmp_path, n, defect):
+        """Write the config of an N = ``n`` chain and make its twisted
+        transfer matrix at kappa', the reference's, come out as
+        ``defect(M)``; the matrix at every other twist is left as it is."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        kappa_prime, transfer = load_config(cfg).kappa_prime, lattice.FlipBlocks.transfer
+
+        def defective(self, kappa):
+            m = transfer(self, kappa)
+            return defect(m) if kappa == kappa_prime else m
+
+        monkeypatch.setattr(lattice.FlipBlocks, "transfer", defective)
+        return cfg
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_a_scaled_matrix_passes_the_gate_and_isospectral_reads_it(self, tmp_path,
+                                                                      monkeypatch, n):
+        # T_{kappa'} scaled by 1 + 1e-6 keeps its eigenvectors, so the
+        # oracle's witnesses pass it, and isospectral reads the defect at the
+        # tolerance it is given
+        cfg = self.defective_matrix(monkeypatch, tmp_path, n, lambda m: m * (1 + 1e-6))
+        out = tmp_path / "s.json"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = read(out)
+        assert rep["checks"]["negation_closure"]["pass"]
+        assert 1e-7 <= rep["checks"]["isospectral"]["residual"] <= 1e-5
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--tol", "isospectral=1e-4"]) == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_a_moved_matrix_entry_stops_the_run_however_loose_the_checks(
+            self, tmp_path, monkeypatch, capsys, n):
+        # one entry of T_{kappa'} moved by 1e-6 ||M||_F moves its
+        # eigenvectors off the oracle's: the witness gate, which reads how far
+        # each value and witness are from an eigenpair of the matrix, stops
+        # the run before either check, whatever their tolerances
+        def moved(m):
+            m = m.copy()
+            m[0, 0] += 1e-6 * np.linalg.norm(m)
+            return m
+
+        cfg = self.defective_matrix(monkeypatch, tmp_path, n, moved)
+        out = tmp_path / "s.json"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out),
+                    "--tol", "isospectral=1e-2", "--tol", "negation_closure=1e-2"]) == 2
+        assert re.fullmatch(r"error: eigenpair \d+ residual \S+ exceeds 1\.0e-09 "
+                            r"\* \|\|M\|\| \* \|\|v\|\|\n", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_negation_closure_is_not_vacuous(self, tmp_path):
         out = tmp_path / "s.json"
         cfg = tmp_path / "cfg.json"
