@@ -315,7 +315,7 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
 
     def states(twist, side):
         """(records, 2^N) array whose row i is record i's separate state."""
-        return separate_state(basis, table, twist, 1, side).embedded
+        return separate_state(basis, table, twist, side).embedded
 
     # evaluate: the dense oracle as matrix products, one per overlap table and
     # one per (operator, site), so a site's value does not depend on which
@@ -344,11 +344,11 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     if "slavnov" in reps:
         values["slavnov"] = obs.sp_slavnov(grid, alpha)
     if "tau_izergin" in reps or "tau_slavnov" in reps:
-        values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(grid, kappa, kappa2)
+        values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(grid, alpha)
     if "z" in ops:
         z_forms = np.stack([obs.ff_sigma_z(grid, sites, form) for form in ("roots", "tau")])
     if "+" in ops or "-" in ops:
-        pm_forms = np.stack([obs.ff_sigma_pm(grid, kappa, 1, sites, form)
+        pm_forms = np.stack([obs.ff_sigma_pm(grid, kappa, sites, form)
                              for form in ("roots", "tau")])
     del grid  # its (P, Q, N, N) arrays; the report, where memory peaks, needs none
     forms = {op: z_forms if op == "z" else pm_forms for op in ops}

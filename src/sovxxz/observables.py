@@ -597,20 +597,20 @@ def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
 
 
 @_names_pair
-def sp_tau(pair: PairContext, kappa: complex, kappa2: complex):
-    """Scalar product written through the eigenvalue functions.
+def sp_tau(pair: PairContext, alpha: complex):
+    """Scalar product written through the eigenvalue functions, at
+    alpha = kappa'/kappa as the other representations take it.
 
     Returns (izergin_form, slavnov_form); the rows of the second form sit at
     the context's ``z``, which may be any N points pairwise apart modulo
     i*pi and away from the tau_hat poles.
     """
     tp, _ = pair.tau_values
-    ratio = kappa2 / kappa
-    # det[tau_Q(xi_i)/sinh(xi_i - p_k) - ratio tau_P(xi_i)/sinh(xi_i - p_k - eta)]
+    # det[tau_Q(xi_i)/sinh(xi_i - p_k) - alpha tau_P(xi_i)/sinh(xi_i - p_k - eta)]
     # over det[tau_Q(xi_i)/sinh(xi_i - p_k)]: the row factors tau_Q(xi_i) cancel
-    num = _izergin_matrix(pair.izergin_kernels, ratio * tp / _nonvanishing_tau_q(pair))
+    num = _izergin_matrix(pair.izergin_kernels, alpha * tp / _nonvanishing_tau_q(pair))
     num_det, mat_det = det_lu(np.stack(np.broadcast_arrays(
-        num, tau_matrix(*pair.tau_dq, ratio))))
+        num, tau_matrix(*pair.tau_dq, alpha))))
     return num_det / pair.izergin_det, pair.tau_prefactor * mat_det
 
 
@@ -713,7 +713,7 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
 
 
 @_names_pair
-def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = "roots"):
+def ff_sigma_pm(pair: PairContext, kappa: complex, sites, form: str = "roots"):
     """Spin-flip form factors between same-twist eigenstates, one per site
     (1-based) in ``sites``, as a (P, Q, site) array.
 
@@ -727,7 +727,7 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, eps: int, sites, form: str = 
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 1)
     alpha = cmath.exp(-params.eta)
-    pref = eps * kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
+    pref = kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
     if form == "roots":
         mat, pref = slavnov_matrix(pair.halves, alpha), pref / pair.cauchy_det
         u, v = _rank1_sigma_minus(pair)
@@ -763,14 +763,13 @@ def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarra
     return entry - factor * (coth((u - eta + IPI) / 2) + alpha * afrak_ipi * coth((u + IPI) / 2))
 
 
-def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
-            eps2: int, mu: complex) -> complex:
-    """Matrix element of B(mu) between normalized separate eigenstates, on a
-    1 x 1 grid.  Its bracket, ratio det(S) - sum_l w_l det(S with column l
+def matel_b(pair: PairContext, kappa: complex, kappa2: complex, mu: complex) -> complex:
+    """Matrix element of B(mu) between normalized separate eigenstates, the
+    bra at twist kappa and the ket at kappa2, on a 1 x 1 grid.  Its bracket, ratio det(S) - sum_l w_l det(S with column l
     replaced by the mu column c) = ratio det(S) - w^T adj(S) c, is the
     bordered determinant det [[S, c], [w^T, ratio]] (``_bordered``)."""
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    alpha, eta = eps * eps2 * kappa2 / kappa, params.eta
+    alpha, eta = kappa2 / kappa, params.eta
     p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = half_period_values(
         p.roots, [mu, mu - eta, mu + IPI, mu - eta + IPI])
     weights = (p.r_eta / p_mu) * (half_period_values(q.roots, [mu - eta])[0]
@@ -778,7 +777,7 @@ def matel_b(pair: PairContext, kappa: complex, kappa2: complex, eps: int,
     bracket = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
                         _sell_mu_column(pair, alpha, mu), weights,
                         p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi)
-    return -eps * kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det[0, 0]
+    return -kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det[0, 0]
 
 
 def matel_d(pair: PairContext, mu: complex) -> complex:

@@ -33,19 +33,12 @@ def all_h(n: int):
     return [tuple(bits) for bits in product((0, 1), repeat=n)]
 
 
-def h_to_index(h: tuple[int, ...]) -> int:
-    idx = 0
-    for bit in h:
-        idx = (idx << 1) | bit
-    return idx
-
-
 class SovBasis:
-    """All 2^N SoV basis kets and bras of one chain, in ``h_to_index`` order,
-    with the B and C blocks of the monodromy at xi_1..xi_N they are built
-    from (``at_xi``, one ``FlipBlocks`` per node).  ``kets`` and ``bras`` are
-    (2^N, 2^N) arrays whose row i is the vector of label i; ``labels`` is the
-    (2^N, N) boolean mask whose row i is h.
+    """All 2^N SoV basis kets and bras of one chain, in the binary order of
+    their labels h (``all_h``), with the B and C blocks of the monodromy at
+    xi_1..xi_N they are built from (``at_xi``, one ``FlipBlocks`` per node).
+    ``kets`` and ``bras`` are (2^N, 2^N) arrays whose row i is the vector of
+    label i; ``labels`` is the (2^N, N) boolean mask whose row i is h.
 
     Nothing the basis serves reads A or D, so each node's monodromy is built
     and cut to B and C before the next is built.  A caller that reads A and D
@@ -64,7 +57,7 @@ class SovBasis:
         xi = np.asarray(params.xi)
         d_shift_vals = params.d_fn(xi - params.eta)
         self.labels = np.array(all_h(n), dtype=bool)
-        # V(xi^(h)) for every label h, in h_to_index order; v_h[0] = V(xi)
+        # V(xi^(h)) for every label h, in binary order; v_h[0] = V(xi)
         self.v_h = vandermonde(xi - self.labels * params.eta)
         self.kets = np.empty((2**n, 2**n), dtype=np.complex128)
         self.bras = np.empty((2**n, 2**n), dtype=np.complex128)
@@ -80,39 +73,25 @@ class SovBasis:
             self.bras[lo:2 * lo] = (self.at_xi[a].c.T @ self.bras[:lo, :, None])[..., 0] \
                 / d_shift_vals[a]
 
-    def ket(self, h) -> np.ndarray:
-        return self.kets[h_to_index(tuple(h))]
-
-    def bra(self, h) -> np.ndarray:
-        return self.bras[h_to_index(tuple(h))]
-
-    def measure(self, h) -> complex:
-        """<h|h> = 1 / V(xi^(h))."""
-        return 1.0 / self.v_h[h_to_index(tuple(h))]
-
 
 @dataclass
 class SovState:
     """Separate states, one row per record of the table they were built from:
     (R, 2^N) coefficients over the SoV basis and their (R, 2^N) embedding."""
 
-    side: str
     coefficients: np.ndarray
     embedded: np.ndarray
-
-    def norm2(self) -> np.ndarray:
-        """The norm of each state."""
-        return np.linalg.norm(self.embedded, axis=-1)
 
 
 @names_record
 def separate_state(basis: SovBasis, table: QTable, kappa: complex,
-                   eps: int, side: str, normalized: bool = True) -> SovState:
+                   side: str, normalized: bool = True) -> SovState:
     """Build the separate state on ``basis`` labelled by the polynomial P of
-    each record of ``table`` (a ``model.q_table``) with twist/sign
-    (kappa, eps), every record's state in one product.
+    each record of ``table`` (a ``model.q_table``) with twist kappa, every
+    record's state in one product.  The paper's sign label eps enters only as
+    eps kappa, so the eps = -1 state is the state at -kappa.
 
-    Normalized states carry site factors [eps kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
+    Normalized states carry site factors [kappa^{+-1} P(xi_n)/P(xi_n-eta)]^{1-h_n}
     and refuse a root of P within ``SHIFTED_NODE_GUARD`` of some xi_n - eta,
     naming the lowest such record; unnormalized states use the raw
     P(xi_n^{(h_n)}) values instead.
@@ -136,39 +115,30 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
                 f"P has a root {dist[i, k]:.3e} from xi_{k + 1} - eta, "
                 f"within {SHIFTED_NODE_GUARD:g}; build the unnormalized state instead",
                 at=(i,))
-        base = eps * kappa if side == "ket" else eps / kappa
+        base = kappa if side == "ket" else 1 / kappa
         site = np.where(basis.labels, 1.0, base * (x / x_eta))
         v_part = v_shift / basis.v_h[0] if side == "ket" else v_shift
     else:
-        flip = (eps * kappa) if side == "bra" else 1.0 / (eps * kappa)
+        flip = kappa if side == "bra" else 1 / kappa
         site = np.where(basis.labels, x_eta * flip, x)
         v_part = v_shift
     coeffs = site.prod(axis=-1) * v_part
     # one stacked product that rounds each row as ``row @ vectors`` alone
     vectors = basis.kets if side == "ket" else basis.bras
-    return SovState(side=side, coefficients=coeffs, embedded=(coeffs[:, None] @ vectors)[:, 0])
+    return SovState(coefficients=coeffs, embedded=(coeffs[:, None] @ vectors)[:, 0])
 
 
-def separate_ket_qdet_form(basis: SovBasis, table: QTable,
-                           kappa: complex, eps: int) -> SovState:
+def separate_ket_qdet_form(basis: SovBasis, table: QTable, kappa: complex) -> SovState:
     """Unnormalized kets, one per record of ``table``, in the equivalent form
     that trades the Vandermonde flip for explicit a/d ratios: coefficients
-    prod_n [(-eps kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
+    prod_n [(-kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
     """
     params = basis.params
     ratio = params.a_xi / params.d_fn(np.asarray(params.xi) - params.eta)
-    site = np.where(basis.labels, table.x_eta[:, None, :] * ratio / (-eps * kappa),
+    site = np.where(basis.labels, table.x_eta[:, None, :] * ratio / -kappa,
                     table.x[:, None, :])
     coeffs = site.prod(axis=-1) * basis.v_h
-    return SovState(side="ket", coefficients=coeffs, embedded=(coeffs[:, None] @ basis.kets)[:, 0])
-
-
-def overlap(bra: SovState, ket: SovState) -> np.ndarray:
-    """Bilinear pairing of every bra state with every ket state: entry
-    (i, j) pairs bra i with ket j."""
-    if bra.side != "bra" or ket.side != "ket":
-        raise ValueError("overlap expects (bra, ket)")
-    return bra.embedded @ ket.embedded.T
+    return SovState(coefficients=coeffs, embedded=(coeffs[:, None] @ basis.kets)[:, 0])
 
 
 def matrix_element(bra: SovState, op: np.ndarray, ket: SovState) -> np.ndarray:

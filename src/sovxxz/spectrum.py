@@ -350,7 +350,7 @@ def eigenstate_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     the states in one stacked product.  Uses the unnormalized embedding: the
     residual is ray-invariant and the unnormalized coefficients stay finite
     even when a Bethe root approaches one of the shifted nodes xi_n - eta."""
-    v = separate_state(chain.basis, table, chain.basis.params.kappa, 1, "ket",
+    v = separate_state(chain.basis, table, chain.basis.params.kappa, "ket",
                        normalized=False).embedded
     nv = row_norms(v)
     tau_mu = _tau_at(chain.weights["probes"], table.tau)

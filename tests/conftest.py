@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from sovxxz.config import generate_xi
 from sovxxz.model import ModelParams, TrigInterpolation, q_table
 from sovxxz.observables import PairContext
 from sovxxz.sov import SovBasis, separate_state
-from sovxxz.spectrum import solve_spectrum
+from sovxxz.spectrum import Spectrum, solve_spectrum
 
 SEED = 7
 ETA = 0.6 + 0.35j
@@ -48,12 +50,20 @@ def records3(basis3):
 
 @pytest.fixture(scope="session")
 def states3(params3, basis3, records3):
-    """(bras at kappa, kets at kappa, kets at kappa2), all eps = +1, each one
-    ``SovState`` whose row i is record i's state."""
+    """(bras at kappa, kets at kappa, kets at kappa2), each one ``SovState``
+    whose row i is record i's state."""
     t = records3.table
-    return (separate_state(basis3, t, params3.kappa, 1, "bra"),
-            separate_state(basis3, t, params3.kappa, 1, "ket"),
-            separate_state(basis3, t, KAPPA2, 1, "ket"))
+    return (separate_state(basis3, t, params3.kappa, "bra"),
+            separate_state(basis3, t, params3.kappa, "ket"),
+            separate_state(basis3, t, KAPPA2, "ket"))
+
+
+@functools.cache
+def certified_chain(n: int, kappa: complex) -> tuple[SovBasis, Spectrum]:
+    """(basis, certified spectrum) of the default chain of ``n`` sites at
+    twist ``kappa``, built once per test run."""
+    basis = SovBasis(make_params(n, kappa=kappa))
+    return basis, solve_spectrum(basis)
 
 
 def table(params: ModelParams, roots):
@@ -81,6 +91,12 @@ def pair_context(params: ModelParams, spectrum, ps, qs, z=None):
     """The ``PairContext`` of the P records ``ps`` and Q records ``qs`` (lists
     of indices) of ``spectrum``."""
     return PairContext(params, spectrum.table.take(ps), spectrum.table.take(qs), z=z)
+
+
+def norm_scales(bras, kets) -> np.ndarray:
+    """||bra_i|| ||ket_j|| of every pair of the states ``bras`` and ``kets``,
+    the scale the ``observables`` command measures deviations against."""
+    return np.outer(np.linalg.norm(bras.embedded, axis=1), np.linalg.norm(kets.embedded, axis=1))
 
 
 def rel_dev(a, b, scale: float = 0.0) -> float:

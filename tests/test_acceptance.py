@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, pair_context, poly, rel_dev, rng
+from conftest import KAPPA2, make_params, norm_scales, pair_context, poly, rel_dev, rng
 from sovxxz import observables as obs
 from sovxxz.cli import main as cli_main
 from sovxxz.lattice import (
@@ -26,7 +26,7 @@ from sovxxz.lattice import (
     monodromy_entries,
     transfer_eigenvalues,
 )
-from sovxxz.sov import SovBasis, all_h, matrix_element, overlap, separate_state
+from sovxxz.sov import SovBasis, matrix_element, separate_state
 from sovxxz.spectrum import solve_spectrum
 
 TOL_SOV_MEASURE = 1e-9
@@ -56,12 +56,10 @@ def announce(tag: str, ok: bool, detail: str):
 def test_01_sov_measure(params3):
     t0 = time.perf_counter()
     basis = SovBasis(params3)
-    worst = 0.0
-    for h in all_h(3):
-        for k in all_h(3):
-            got = complex(basis.bra(h) @ basis.ket(k))
-            want = basis.measure(h) if h == k else 0.0
-            worst = max(worst, abs(got - want) / abs(basis.measure(h)))
+    # <h|k> = delta_{h,k} / V(xi^(h)), each row relative to its measure
+    measure = 1.0 / basis.v_h
+    worst = float(np.max(np.abs(basis.bras @ basis.kets.T - np.diag(measure))
+                         / np.abs(measure)[:, None]))
     elapsed = time.perf_counter() - t0
     ok = worst < TOL_SOV_MEASURE and elapsed < 5.0
     assert announce("1", ok,
@@ -107,13 +105,13 @@ def test_03_scalar_product_agreement(params3, records3, states3):
     bras, _, kets2 = states3
     alpha = KAPPA2 / params3.kappa
     worst = 0.0
-    dense = overlap(bras, kets2)
-    scales = np.outer(bras.norm2(), kets2.norm2())
+    dense = bras.embedded @ kets2.embedded.T
+    scales = norm_scales(bras, kets2)
     for ip in range(8):
         for iq in range(8):
             scale = scales[ip, iq]
             context = pair_context(params3, records3, [ip], [iq])
-            tau_ize, tau_slav = (v[0, 0] for v in obs.sp_tau(context, params3.kappa, KAPPA2))
+            tau_ize, tau_slav = (v[0, 0] for v in obs.sp_tau(context, alpha))
             vals = [
                 obs.sp_direct(context, alpha)[0, 0],
                 obs.sp_izergin(context, alpha)[0, 0],
@@ -133,10 +131,10 @@ def test_03_scalar_product_agreement(params3, records3, states3):
 
 def test_04_orthogonality(params3, basis3, records3):
     kappa = params3.kappa
-    bras = separate_state(basis3, records3.table, kappa, 1, "bra")
-    kets = separate_state(basis3, records3.table, kappa, 1, "ket")
-    dense = overlap(bras, kets)
-    scales = np.outer(bras.norm2(), kets.norm2())
+    bras = separate_state(basis3, records3.table, kappa, "bra")
+    kets = separate_state(basis3, records3.table, kappa, "ket")
+    dense = bras.embedded @ kets.embedded.T
+    scales = norm_scales(bras, kets)
     worst = 0.0
     for ip in range(8):
         for iq in range(8):
@@ -186,7 +184,7 @@ def test_06_form_factors(params3, records3, states3):
     bras, kets, _ = states3
     kappa = params3.kappa
     worst = 0.0
-    scales = np.outer(bras.norm2(), kets.norm2())
+    scales = norm_scales(bras, kets)
     sites = (1, 2, 3)
     dense_z, dense_m = ([matrix_element(bras, local_op(op, site, 3), kets) for site in sites]
                         for op in (SIGMA_Z, SIGMA_MINUS))
@@ -197,8 +195,8 @@ def test_06_form_factors(params3, records3, states3):
             for s, vz_roots, vz_tau, vm_roots, vm_tau in zip(
                     range(3), obs.ff_sigma_z(context, sites, "roots")[0, 0],
                     obs.ff_sigma_z(context, sites, "tau")[0, 0],
-                    obs.ff_sigma_pm(context, kappa, 1, sites, "roots")[0, 0],
-                    obs.ff_sigma_pm(context, kappa, 1, sites, "tau")[0, 0]):
+                    obs.ff_sigma_pm(context, kappa, sites, "roots")[0, 0],
+                    obs.ff_sigma_pm(context, kappa, sites, "tau")[0, 0]):
                 bf_z, bf_m = dense_z[s][ip, iq], dense_m[s][ip, iq]
                 worst = max(worst,
                             rel_dev(vz_roots, bf_z, scale),
@@ -227,7 +225,7 @@ def test_06b_raising_lowering_coincidence(params3, states3):
     """
     bras, kets, _ = states3
     worst = 0.0
-    scales = np.outer(bras.norm2(), kets.norm2())
+    scales = norm_scales(bras, kets)
     for site in (1, 2, 3):
         bf_p = matrix_element(bras, local_op(SIGMA_PLUS, site, 3), kets)
         bf_m = matrix_element(bras, local_op(SIGMA_MINUS, site, 3), kets)

@@ -404,22 +404,27 @@ class TestValidateCommand:
                    and made["NodeFactors"].at_xi[m].c is made["SovBasis"].at_xi[m].c
                    for m in range(n))
 
-    # gate -> (cli name, block of its result); R or, at the first point the
+    # gate -> (cli name, block of its result, tolerance key); every result of
+    # the function (R, or each dressed operator) or, at the first point the
     # command builds a monodromy (lam), one block of it
     LATTICE_DEFECTS = {
-        "yang_baxter": ("r_matrix", None),
-        "twist_commutation": ("r_matrix", None),
-        "quantum_determinant": ("monodromy_entries", "a"),
-        "transfer_commutation": ("monodromy_entries", "b"),
+        "yang_baxter": ("r_matrix", None, "lattice_residual"),
+        "twist_commutation": ("r_matrix", None, "lattice_residual"),
+        "rtt": ("monodromy_entries", "c", "lattice_residual"),
+        "quantum_determinant": ("monodromy_entries", "a", "lattice_residual"),
+        "transfer_commutation": ("monodromy_entries", "b", "lattice_residual"),
+        "inverse_problem": ("dress_local_operator", None, "inverse_problem"),
     }
 
     @pytest.mark.parametrize("gate", sorted(LATTICE_DEFECTS))
     def test_lattice_gates_catch_a_perturbed_entry(self, tmp_path, monkeypatch, gate):
         # entry (0, 0) moved by 1e-6 of its matrix's norm: the gate reads the
         # defect to within a factor 10 and fails at its default tolerance
-        # (1e-10), on three chains; seeds 1-10 read ratios of 0.2 to 2.4
+        # (1e-10, and 1e-8 for inverse_problem), on three chains; seeds 1-10
+        # read ratios of 0.2 to 2.4, of 0.47 to 0.93 for rtt and of 1.00 for
+        # inverse_problem
         defect = 1e-6
-        name, block = self.LATTICE_DEFECTS[gate]
+        name, block, tolerance = self.LATTICE_DEFECTS[gate]
         made, built = getattr(cli, name), []
 
         def moved(m):
@@ -427,8 +432,8 @@ class TestValidateCommand:
             m[0, 0] += defect * np.linalg.norm(m)
             return m
 
-        def perturbed(*args):
-            out = made(*args)
+        def perturbed(*args, **kwargs):
+            out = made(*args, **kwargs)
             if block is None:
                 return moved(out)
             if not built:
@@ -443,7 +448,7 @@ class TestValidateCommand:
             assert run(["validate", "--seed", str(seed), "--out", str(out)]) == 1
             check = read(out)["checks"][gate]
             assert defect / 10 < check["residual"] < 10 * defect
-            assert check["tolerance"] == DEFAULT_TOLERANCES["lattice_residual"]
+            assert check["tolerance"] == DEFAULT_TOLERANCES[tolerance]
             assert check["pass"] is False
 
     @pytest.mark.parametrize("side", ["kets", "bras"])

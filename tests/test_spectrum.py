@@ -344,9 +344,8 @@ class TestPipeline:
         monkeypatch.setattr(sov, "vandermonde", no_vandermonde)
         for normalized in (True, False):
             for side in ("ket", "bra"):
-                sov.separate_state(basis3, table, params3.kappa, 1, side,
-                                   normalized=normalized)
-        sov.separate_ket_qdet_form(basis3, table, params3.kappa, 1)
+                sov.separate_state(basis3, table, params3.kappa, side, normalized=normalized)
+        sov.separate_ket_qdet_form(basis3, table, params3.kappa)
 
     def test_eigenvalue_independent_work_done_once_per_solve(self, params3, basis3,
                                                              monkeypatch):

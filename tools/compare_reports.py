@@ -76,6 +76,8 @@ DEFAULT_CASES = (
                     '"representations": ["izergin", "tau_slavnov"]}', "1-3"),
     ("observables", '{"n": 2, "kappa": [0.8, -0.3]}', "1-3"),
     ("spectrum", '{"n": 5, "kappa": [0.8, -0.3]}', "1-4"),
+    ("observables", '{"n": 3, "kappa": [-0.8, 0.3]}', "1-3"),
+    ("spectrum", '{"n": 5, "kappa": [-0.8, 0.3]}', "1-2"),
     ("spectrum", '{"n": 1}', "1-3"),
     ("spectrum", '{"n": 6, "kappa": [0.8, -0.3], "kappa_prime": [1.0, 0.0]}', "1-3"),
     ("spectrum", '{"n": 7, "kappa_prime": [20.0, 0.0]}', "1-2"),
