@@ -189,11 +189,10 @@ def parity_blocks(at_xi: list[FlipBlocks], kappa: complex) -> tuple[np.ndarray, 
 
 
 def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
-                    kappa: complex | None = None,
                     gap_factor: float = 1e-6,
                     tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force eigenpairs of the twisted transfer matrix, as
-    ``(taus, vectors)``: ``taus`` is the read-only (2^N, len(at_xi)) array
+    """Brute-force eigenpairs of the transfer matrix at the chain's twist
+    ``params.kappa``, as ``(taus, vectors)``: ``taus`` is the read-only (2^N, len(at_xi)) array
     whose row r holds tau(xi_1..xi_M) of eigenvalue r, the rows sorted by
     tau(xi_1); ``at_xi`` holds the monodromy blocks at the first M nodes
     xi_1..xi_M.  With all N of them, each eigenvalue is closed to tau(lam) by
@@ -213,8 +212,7 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
     those of (u, -w) are the negated ones of (u, w), so the spectrum is
     closed under negation by construction.
     """
-    k = params.kappa if kappa is None else kappa
-    x, y = parity_blocks(at_xi, k)
+    x, y = parity_blocks(at_xi, params.kappa)
     try:
         mu, u = np.linalg.eig(x[0] @ y[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -2,11 +2,12 @@
 
 Implements the dressed-Vandermonde form, the weighted Izergin form, the
 Slavnov-like form with rows/columns labelled by the roots of the two
-Q-functions (plus its one-parameter deformation), the representations written
-directly in terms of transfer-matrix eigenvalues, the equal-function
-specializations, the sigma^z and spin-flip form factors in both root- and
-eigenvalue-labelled forms, generic-argument B/D matrix elements, and the
-numerical test bench for the underlying determinant identities.
+Q-functions, the representations written directly in terms of
+transfer-matrix eigenvalues, the sigma^z and spin-flip form factors in both
+root- and eigenvalue-labelled forms, and the numerical test bench for the
+underlying determinant identities.  These are the forms the commands
+evaluate; the paper's intermediate forms that only the tests check live in
+``tests/paper_forms.py``.
 
 Every matrix is formed at once from broadcast arrays of root and point
 differences (rows first, columns second), for every pair of a (P, Q) grid
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +51,9 @@ from .model import (
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
+# the largest relative defect of the i*pi compatibility condition on (PQ) at
+# which the root-labelled form applies (``sp_slavnov``)
+_COND_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +214,15 @@ class PairContext:
         return self.p.tau, self.q.tau
 
     @cached_property
-    def halves(self) -> SlavnovHalves:
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The alpha-free halves (base, rest) of ``slavnov_matrix``
+        (``slavnov_halves``)."""
         return slavnov_halves(self)
 
     @cached_property
     def cauchy_det(self):
         """det of the coth Cauchy matrix, the base of the halves."""
-        return det_lu(self.halves.base)
+        return det_lu(self.halves[0])
 
     @cached_property
     def q_at_p(self) -> tuple[np.ndarray, np.ndarray]:
@@ -414,33 +419,14 @@ def _p_ipi_over_sinh(sinh_half: np.ndarray, cosh_half: np.ndarray) -> np.ndarray
     return 1j ** cosh_half.shape[-1] / 2 * products_except(cosh_half) / sinh_half
 
 
-def _s_gamma(u, gamma: complex):
-    """sinh((u + gamma)/2) / (sinh(u/2) sinh(gamma/2)), elementwise in u."""
-    sg = sinh(gamma / 2)
-    su = sinh(u / 2)
-    pole = np.abs(su) < 1e-13
-    if abs(sg) < 1e-13 or pole.any():
-        raise SingularEvaluationError("s_gamma evaluated at a pole",
-                                      at=first_index(pole) if pole.any() else ())
-    return sinh((u + gamma) / 2) / (su * sg)
-
-
-@dataclass(frozen=True)
-class SlavnovHalves:
-    """The alpha-free halves of ``slavnov_matrix`` for each pair of a context
-    and gamma: the matrix at alpha is ``base + alpha * rest``.  ``base`` is
-    the coth (or s_gamma) Cauchy matrix; ``rest`` holds the Bethe-ratio kernel
-    plus the cross term, or their same-roots limit."""
-
-    base: np.ndarray
-    rest: np.ndarray
-
-
 @_names_pair
-def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHalves:
-    """Everything in the root-labelled matrix that does not depend on alpha.
+def slavnov_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha-free halves (base, rest) of ``slavnov_matrix``: everything
+    in the root-labelled matrix that does not depend on alpha.  ``base`` is
+    the coth Cauchy matrix; ``rest`` holds the Bethe-ratio kernel plus the
+    cross term, or their same-roots limit.
 
-    Rows follow Q-roots, columns P-roots.  Entries combine coth (or s_gamma)
+    Rows follow Q-roots, columns P-roots.  Entries combine coth
     kernels with the Bethe ratio of Q and a cross term written in a
     collision-safe product form.  When P and Q carry identical root sets the
     diagonal entries take their analytic limits, which need the logarithmic
@@ -457,28 +443,24 @@ def slavnov_halves(pair: PairContext, gamma: complex | None = None) -> SlavnovHa
     # one kernel call for both, as in _izergin_kernels
     (sinh_eta, sinh_u), (cosh_eta, cosh_u) = sinh_cosh(np.stack([(u - eta) / 2, u / 2]))
     sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
-    if gamma is None:
-        pole = sinh_eta == 0
-        if pole.any():
-            raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
-        base, kern = cosh_eta / sinh_eta, cosh_u / sinh_u
-    else:
-        base, kern = _s_gamma(u - eta, gamma), _s_gamma(np.where(limit, 1.0, u), gamma)
+    pole = sinh_eta == 0
+    if pole.any():
+        raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+    base, kern = cosh_eta / sinh_eta, cosh_u / sinh_u
     q_p_eta, q_p_eta_plus = pair.q_at_p
     afrak_p = a_frak_values(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)
     ratio = q.r_eta_plus[..., :, None] * p.d_r[..., None, :] \
         / (q.a_r[..., :, None] * q_p_eta[..., None, :] * p.r_ipi[..., None, :])
     rest = afrak_p[..., None, :] * kern - 2 * ratio * _p_ipi_over_sinh(sinh_u, cosh_u)
     if limit.any():
-        rest[limit] = _same_roots_limits(pair, limit, gamma)
-    return SlavnovHalves(base, rest)
+        rest[limit] = _same_roots_limits(pair, limit)
+    return base, rest
 
 
-def _same_roots_limits(pair: PairContext, limit: np.ndarray, gamma: complex | None):
+def _same_roots_limits(pair: PairContext, limit: np.ndarray):
     """The ``rest`` entries of ``slavnov_halves`` at the True entries of
     ``limit`` (p_k = q_j), in row-major order: 2 a_frak_Q(q_j) times
-    (log Q)'(q_j + eta) + (log Q)'(q_j + i*pi) - (log a)'(q_j), plus
-    a_frak_Q(q_j) coth(gamma/2) in the deformation."""
+    (log Q)'(q_j + eta) + (log Q)'(q_j + i*pi) - (log a)'(q_j)."""
     params, q, n, eta = pair.params, pair.q, pair.params.n, pair.params.eta
     *pairs, j, _ = np.nonzero(limit)
     rows = limit.shape[:-1]
@@ -494,13 +476,13 @@ def _same_roots_limits(pair: PairContext, limit: np.ndarray, gamma: complex | No
             - params.a_log_deriv(qj)
         afrak_q = a_frak_values(at_row(q.a_r), at_row(q.d_r), at_row(q.r_eta),
                                 at_row(q.r_eta_plus))
-    return 2 * afrak_q * log_sum + (0 if gamma is None else afrak_q * coth(gamma / 2))
+    return 2 * afrak_q * log_sum
 
 
-def slavnov_matrix(halves: SlavnovHalves, alpha: complex) -> np.ndarray:
-    """Root-labelled scalar-product matrix at ``alpha``, from its alpha-free
-    halves (rows follow Q-roots, columns P-roots)."""
-    return halves.base + alpha * halves.rest
+def slavnov_matrix(base, rest, alpha: complex) -> np.ndarray:
+    """Root-labelled scalar-product matrix base + alpha * rest, from the two
+    halves in ``PairContext.halves`` (rows follow Q-roots, columns P-roots)."""
+    return base + alpha * rest
 
 
 def coth_cauchy_closed_form(params: ModelParams, pr, qr) -> complex:
@@ -518,76 +500,20 @@ def coth_cauchy_closed_form(params: ModelParams, pr, qr) -> complex:
 
 
 @_names_pair
-def sp_slavnov(pair: PairContext, alpha: complex, gamma: complex | None = None,
-               cond_tol: float = 1e-7):
+def sp_slavnov(pair: PairContext, alpha: complex):
     """Scalar product as the root-labelled determinant ratio.
 
     Only valid when the i*pi compatibility condition on (PQ) holds at the
     inhomogeneities; the residual is checked up front.
     """
     res = cond_pq_residual(pair)
-    violated = ~(res <= cond_tol)
+    violated = ~(res <= _COND_TOL)
     if violated.any():
         at = first_index(violated)
         raise ParameterError(
             f"compatibility condition violated (residual {res[at]:.3e}); "
             "the root-labelled representation does not apply", at=at)
-    if gamma is None:
-        halves, den = pair.halves, pair.cauchy_det
-    else:
-        halves = slavnov_halves(pair, gamma)
-        den = det_lu(halves.base)
-    return det_lu(slavnov_matrix(halves, alpha)) / den
-
-
-def product_matrix(params: ModelParams, pr, qr, alpha: complex, beta: complex):
-    """Two-parameter product matrix and its Bethe-sensitive last-line part,
-    for the roots ``pr`` of P and ``qr`` of Q.
-
-    Returns (matrix, last_line, entry_scale); the last line carries the factor
-    (1 - alpha beta e^{-eta} a_frak_Q(q_j)) that vanishes entrywise on Bethe
-    roots when alpha beta e^{-eta} = 1.
-    """
-    pr = np.asarray(pr, dtype=np.complex128)
-    qr = np.asarray(qr, dtype=np.complex128)
-    eta = params.eta
-    em = cmath.exp(-eta / 2)
-    u = pr[None, :] - qr[:, None]
-    s_half, c_half = sinh_cosh(u / 2)
-    if np.any(np.abs(s_half) < 1e-13):
-        raise SingularEvaluationError("product representation needs pairwise distinct roots")
-    q_p_eta, q_p_eta_plus = half_period_values(qr, pr + [[-eta], [eta]])  # Q(p_k -+ eta)
-    q_q_eta, q_q_eta_plus = half_period_values(qr, qr + [[-eta], [eta]])  # Q(q_j -+ eta)
-    d_p, d_q = params.d_fn(pr), params.d_fn(qr)
-    afrak_p = a_frak_values(params.a_fn(pr), d_p, q_p_eta, q_p_eta_plus)
-    afrak_q = a_frak_values(params.a_fn(qr), d_q, q_q_eta, q_q_eta_plus)
-    line1 = alpha * em / sinh((u - eta) / 2) - 1 / s_half
-    line2 = beta * em * afrak_p * (alpha * em / s_half - 1 / sinh((u + eta) / 2))
-    cross = (d_p / d_q[:, None]) \
-        * (q_q_eta[:, None] / (q_p_eta * half_period_values(pr, pr + IPI))) \
-        * (1 - alpha * beta * cmath.exp(-eta) * afrak_q)[:, None] \
-        * np.exp(u / 2) * 2 * _p_ipi_over_sinh(s_half, c_half)
-    return line1 + line2 + cross, cross, float(np.max(np.abs(line1) + np.abs(line2)))
-
-
-def sp_product_check(pair: PairContext, alpha: complex, beta: complex):
-    """Both sides of the two-parameter product identity and their deviation,
-    on a 1 x 1 grid.
-
-    The constant in front of the determinant ratio was calibrated numerically
-    against the product of the two one-parameter representations (exact to
-    1e-12 at N = 1, 2, 3); it carries no 2^{-N(N-1)} factor.
-    """
-    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    lhs = (sp_slavnov(pair, alpha) * sp_slavnov(pair, beta))[0, 0]
-    mat, _, _ = product_matrix(params, p.roots, q.roots, alpha, beta)
-    den = 1 / sinh((pair.pr[0, 0][None, :] - pair.qr[0, 0][:, None] - params.eta) / 2)
-    pref = (-1.0) ** params.n * cmath.exp(sum(params.xi) - sum(p.roots)) \
-        * np.prod(q.x / q.x_eta)
-    mat_det, den_det = det_lu([mat, den]).tolist()
-    rhs = pref * mat_det / den_det
-    dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-    return lhs, rhs, dev
+    return det_lu(slavnov_matrix(*pair.halves, alpha)) / pair.cauchy_det
 
 
 def tau_matrix(dq, dp, alpha: complex) -> np.ndarray:
@@ -612,20 +538,6 @@ def sp_tau(pair: PairContext, alpha: complex):
     num_det, mat_det = det_lu(np.stack(np.broadcast_arrays(
         num, tau_matrix(*pair.tau_dq, alpha))))
     return num_det / pair.izergin_det, pair.tau_prefactor * mat_det
-
-
-def sp_same_q(params: ModelParams, qr, alpha: complex):
-    """Equal-function scalar product of the Q-function with the roots ``qr``:
-    (twisted-Izergin form, compact N x N form)."""
-    _require_roots_off_nodes(params, qr)
-    qr = np.asarray(qr, dtype=np.complex128)
-    izergin_form = izergin_ratio(params.xi, qr, [alpha] * params.n, params.eta)
-    s_eta = sinh(qr[:, None] - qr[None, :] + params.eta)  # at (k, l): q_k - q_l + eta
-    prod = s_eta.prod(axis=1) / node_denominators(qr)
-    ratio = params.d_fn(qr) / params.a_fn(qr)
-    # entry (j, k) subtracts ratio_k prod_k alpha / sinh(q_k - q_j + eta)
-    compact_form = det_lu(np.eye(params.n) - ratio * prod * alpha / s_eta.T)
-    return izergin_form, compact_form
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +612,7 @@ def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 0)
     if form == "roots":
-        mat, pref = slavnov_matrix(pair.halves, 1.0), -1 / pair.cauchy_det
+        mat, pref = slavnov_matrix(*pair.halves, 1.0), -1 / pair.cauchy_det
         u, v = _rank1_sigma_z(pair)
     elif form == "tau":
         mat, pref = tau_matrix(*pair.tau_dq, 1.0), -pair.tau_prefactor
@@ -729,7 +641,7 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, sites, form: str = "roots"):
     alpha = cmath.exp(-params.eta)
     pref = kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
     if form == "roots":
-        mat, pref = slavnov_matrix(pair.halves, alpha), pref / pair.cauchy_det
+        mat, pref = slavnov_matrix(*pair.halves, alpha), pref / pair.cauchy_det
         u, v = _rank1_sigma_minus(pair)
     elif form == "tau":
         mat, pref = tau_matrix(*pair.tau_dq, alpha), pref * pair.tau_prefactor
@@ -738,65 +650,6 @@ def ff_sigma_pm(pair: PairContext, kappa: complex, sites, form: str = "roots"):
         raise ParameterError(f"unknown form {form!r}")
     at = np.asarray(sites, dtype=int) - 1
     return np.expand_dims(pref, -1) * ratios * _bordered(mat[..., None, :, :], u[..., at, :], v, 0)
-
-
-# ---------------------------------------------------------------------------
-# generic-argument matrix elements of B and D
-
-
-def _sell_mu_column(pair: PairContext, alpha: complex, mu: complex) -> np.ndarray:
-    """Replacement column for the generic-argument matrix element formulas on
-    a 1 x 1 grid: the scalar-product matrix entry with its column argument at
-    mu, less its i*pi-shifted partner."""
-    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    pr, qr, eta = p.roots, q.roots, params.eta
-    q_mu_eta, q_mu_eta_ipi = half_period_values(qr, [mu - eta, mu - eta + IPI])
-    p_mu, p_mu_ipi = half_period_values(pr, [mu, mu + IPI])
-    factor = (q_mu_eta_ipi * p_mu) / (q_mu_eta * p_mu_ipi)
-    u = mu - qr
-    cross = -2 * alpha * (params.d_fn(mu) * q.r_eta_plus * half_period_values(pr, qr + IPI)
-                          / (q.a_r * q_mu_eta * p_mu_ipi)) / sinh(u)
-    afrak, afrak_ipi = (a_frak_values(params.a_fn(x), params.d_fn(x),
-                                      *half_period_values(qr, [x - eta, x + eta]))
-                        for x in (mu, mu + IPI))
-    entry = coth((u - eta) / 2) + alpha * afrak * coth(u / 2) + cross
-    return entry - factor * (coth((u - eta + IPI) / 2) + alpha * afrak_ipi * coth((u + IPI) / 2))
-
-
-def matel_b(pair: PairContext, kappa: complex, kappa2: complex, mu: complex) -> complex:
-    """Matrix element of B(mu) between normalized separate eigenstates, the
-    bra at twist kappa and the ket at kappa2, on a 1 x 1 grid.  Its bracket, ratio det(S) - sum_l w_l det(S with column l
-    replaced by the mu column c) = ratio det(S) - w^T adj(S) c, is the
-    bordered determinant det [[S, c], [w^T, ratio]] (``_bordered``)."""
-    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    alpha, eta = kappa2 / kappa, params.eta
-    p_mu, p_mu_eta, p_mu_ipi, p_mu_eta_ipi = half_period_values(
-        p.roots, [mu, mu - eta, mu + IPI, mu - eta + IPI])
-    weights = (p.r_eta / p_mu) * (half_period_values(q.roots, [mu - eta])[0]
-                                  / pair.q_at_p[0][0, 0])
-    bracket = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
-                        _sell_mu_column(pair, alpha, mu), weights,
-                        p_mu_eta / p_mu - p_mu_eta_ipi / p_mu_ipi)
-    return -kappa * params.a_fn(mu) / 2 * bracket / pair.cauchy_det[0, 0]
-
-
-def matel_d(pair: PairContext, mu: complex) -> complex:
-    """Matrix element of D(mu) between same-twist normalized eigenstates, on
-    a 1 x 1 grid: the bordered determinant det [[S, c], [v^T, corner]]
-    (``_bordered``) of S = S(e^{-eta}), the scaled mu column c, the
-    spin-flip row v and a(mu) d(mu) / P(mu) in the corner."""
-    params, p, q = pair.params, *(t.take(0) for t in pair.tables)
-    eta, alpha = params.eta, cmath.exp(-params.eta)
-    p_mu = sinh_prod(mu - p.roots)
-    a_mu = params.a_fn(mu)
-    col_scale = cmath.exp(-mu) * a_mu * half_period_values(q.roots, [mu - eta])[0] \
-        * half_period_values(p.roots, [mu + IPI])[0] / p_mu
-    det = _bordered(slavnov_matrix(pair.halves, alpha)[0, 0],
-                    col_scale * _sell_mu_column(pair, alpha, mu),
-                    p.exp_r * p.d_r / (pair.q_at_p[0][0, 0] * p.r_ipi),
-                    a_mu * params.d_fn(mu) / p_mu)
-    pref = cmath.exp(-(sum(p.roots) - sum(params.xi)))
-    return pref * det / pair.cauchy_det[0, 0]
 
 
 # ---------------------------------------------------------------------------

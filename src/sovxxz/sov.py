@@ -128,19 +128,6 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     return SovState(coefficients=coeffs, embedded=(coeffs[:, None] @ vectors)[:, 0])
 
 
-def separate_ket_qdet_form(basis: SovBasis, table: QTable, kappa: complex) -> SovState:
-    """Unnormalized kets, one per record of ``table``, in the equivalent form
-    that trades the Vandermonde flip for explicit a/d ratios: coefficients
-    prod_n [(-kappa)^{-h_n} (a(xi_n)/d(xi_n-eta))^{h_n} P(xi_n^{(h_n)})] V(xi^{(h)}).
-    """
-    params = basis.params
-    ratio = params.a_xi / params.d_fn(np.asarray(params.xi) - params.eta)
-    site = np.where(basis.labels, table.x_eta[:, None, :] * ratio / -kappa,
-                    table.x[:, None, :])
-    coeffs = site.prod(axis=-1) * basis.v_h
-    return SovState(coefficients=coeffs, embedded=(coeffs[:, None] @ basis.kets)[:, 0])
-
-
 def matrix_element(bra: SovState, op: np.ndarray, ket: SovState) -> np.ndarray:
     """Bilinear matrix element <bra| op |ket> on the spin space of every bra
     state with every ket state: entry (i, j) for bra i and ket j."""

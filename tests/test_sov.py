@@ -16,11 +16,12 @@ from conftest import (
     table,
     tau,
 )
+from paper_forms import separate_ket_qdet_form
 from sovxxz.cli import _sov_action_residual
 from sovxxz.errors import SingularEvaluationError
 from sovxxz.lattice import FlipBlocks, monodromy_entries, reference_state, transfer_k
 from sovxxz.model import canonical_roots, half_period_values, q_table, vandermonde
-from sovxxz.sov import SovBasis, all_h, separate_ket_qdet_form, separate_state
+from sovxxz.sov import SovBasis, all_h, separate_state
 
 
 def xi_shifted(params, h) -> list[complex]:

@@ -1,5 +1,6 @@
 import cmath
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -215,6 +216,39 @@ class TestCertify:
         assert len(certified.table) == 7
         assert certified.table.roots.tolist() == roots[others].tolist()
 
+    # gate -> the input of record 0 that carries the defect: tau(xi_1) scaled
+    # by 1 + defect, the first root moved by defect, or the Bethe residual
+    # that refine_bethe hands over set to defect
+    RECORD_DEFECTS = {"tq": "tau", "discrete_char": "tau", "eigenstate": "tau",
+                      "wronskian": "root", "sum_rule_defect": "root", "bethe": "bethe"}
+
+    @pytest.mark.parametrize("gate", sorted(spectrum.GATES))
+    def test_record_gates_catch_an_injected_defect(self, params3, basis3, records3, gate):
+        # each gate reads a defect of 1e-6 to within a factor 10 and refuses
+        # the record at its default tolerance, naming itself; at N = 3 they
+        # read 2.5e-7 (tq), 3.3e-6 (discrete_char), 2.8e-6 (eigenstate),
+        # 4.8e-7 (wronskian) and 1.0e-6 (sum_rule_defect).  bethe is the
+        # value refine_bethe hands over, which certify does not recompute: a
+        # root moved after the polish still reads 7.8e-16 there
+        defect = 1e-6
+        t = records3.table
+        taus, roots = t.tau[:1].copy(), t.roots[:1].copy()
+        bethe = records3.residuals["bethe"][:1].copy()
+        target = self.RECORD_DEFECTS[gate]
+        if target == "tau":
+            taus[0, 0] *= 1 + defect
+        elif target == "root":
+            roots[0, 0] += defect
+        else:
+            bethe[0] = defect
+        with pytest.raises(CertificationError, match=r"^record 0 ") as err:
+            certify(params3, taus, roots, bethe, chain_values(basis3, 4242))
+        found = re.search(rf"[:;] {gate} residual (\S+) > ([^;]+)", str(err.value))
+        assert found is not None, str(err.value)
+        residual, tol = map(float, found.groups())
+        assert defect / 10 < residual < 10 * defect
+        assert tol == DEFAULT_TOLERANCES[spectrum.GATES[gate]] < residual
+
     def test_table_equals_fresh_evaluation(self, params3, records3):
         # certify stores one table of every record; each record's entries are
         # the values a fresh scalar evaluation gives, to 1e-13 relative (the table evaluates each
@@ -345,7 +379,6 @@ class TestPipeline:
         for normalized in (True, False):
             for side in ("ket", "bra"):
                 sov.separate_state(basis3, table, params3.kappa, side, normalized=normalized)
-        sov.separate_ket_qdet_form(basis3, table, params3.kappa)
 
     def test_eigenvalue_independent_work_done_once_per_solve(self, params3, basis3,
                                                              monkeypatch):
