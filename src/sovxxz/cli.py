@@ -48,12 +48,8 @@ from .spectrum import solve_spectrum
 
 def _encode(value):
     """JSON form of what json cannot write itself: a complex as [re, im]."""
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -228,8 +224,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
             for j in (1, 2):
                 target = local_op(elementary_matrix(i, j), site, params.n)
                 scale = max(np.linalg.norm(target), 1.0)
-                for variant in (1, 2):
-                    dressed = dress_local_operator(nodes, site, i, j, variant=variant)
+                for dressed in dress_local_operator(nodes, site, i, j):
                     worst = max(worst, np.linalg.norm(dressed - target) / scale)
     # the spectrum and identity bench below, where memory peaks, need neither
     # the node factors nor A and D at the nodes
@@ -346,10 +341,9 @@ def cmd_observables(cfg: RunConfig, out_path: str | None) -> int:
     if "tau_izergin" in reps or "tau_slavnov" in reps:
         values["tau_izergin"], values["tau_slavnov"] = obs.sp_tau(grid, alpha)
     if "z" in ops:
-        z_forms = np.stack([obs.ff_sigma_z(grid, sites, form) for form in ("roots", "tau")])
+        z_forms = obs.ff_sigma_z(grid, sites)
     if "+" in ops or "-" in ops:
-        pm_forms = np.stack([obs.ff_sigma_pm(grid, kappa, sites, form)
-                             for form in ("roots", "tau")])
+        pm_forms = obs.ff_sigma_pm(grid, sites)
     del grid  # its (P, Q, N, N) arrays; the report, where memory peaks, needs none
     forms = {op: z_forms if op == "z" else pm_forms for op in ops}
 

@@ -322,33 +322,30 @@ class NodeFactors:
         self.prefix_inv = [self.prefix[0]] + [np.linalg.inv(p) for p in self.prefix[1:]]
 
 
-def dress_local_operator(nodes: NodeFactors, site: int, i: int, j: int,
-                         variant: int = 1) -> np.ndarray:
-    """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy entries,
-    as (left . core) . right^{-1}, two products with the inverse ``nodes`` holds
+def dress_local_operator(nodes: NodeFactors, site: int, i: int,
+                         j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local elementary matrix E_site^{ij} rebuilt from dressed monodromy
+    entries in its two variants, (variant 1, variant 2), each as
+    (left . core) . right^{-1}, two products with the inverse ``nodes`` holds
     (one at site 1, where P_0, the identity, is left out).
 
-    variant=1 uses the core [K T(xi_site)]_{ji} between left = P_{site-1} and
-    right = P_site; variant=2 uses the quantum-determinant inverse with
+    Variant 1 uses the core [K T(xi_site)]_{ji} between left = P_{site-1} and
+    right = P_site; variant 2 uses the quantum-determinant inverse with
     [K T(xi_site - eta)]_{3-i,3-j} between left = P_site and
-    right = P_{site-1}, P_s being the prefix products of ``nodes``.  The
-    result reproduces the direct Kronecker embedding up to rounding; callers
-    compare the two at their own tolerance.
+    right = P_{site-1}, P_s being the prefix products of ``nodes``.  Each
+    reproduces the direct Kronecker embedding up to rounding; callers
+    compare them with it at their own tolerance.
     """
     prefix, prefix_inv = nodes.prefix, nodes.prefix_inv
     if not 1 <= site < len(prefix):
         raise DimensionError(f"site {site} outside 1..{len(prefix) - 1}")
     if i not in (1, 2) or j not in (1, 2):
         raise DimensionError("operator indices must be 1 or 2")
-    if variant == 1:
-        core = _twisted(nodes.at_xi[site - 1], nodes.kappa, j, i)
-        left, right_inv = prefix[site - 1], prefix_inv[site]
-    elif variant == 2:
-        core = -((-1.0) ** (i + j)) * _twisted(nodes.shift[site - 1], nodes.kappa, 3 - i, 3 - j) \
-            / nodes.qdet[site - 1]
-        left, right_inv = prefix[site], prefix_inv[site - 1]
-    else:
-        raise ParameterError("variant must be 1 or 2")
-    if site == 1:  # P_0 is the identity: variant 1's left, variant 2's right
-        return core @ right_inv if variant == 1 else left @ core
-    return (left @ core) @ right_inv
+    k = site - 1
+    # at site 1, P_0 is the identity: variant 1's left, variant 2's right
+    core = _twisted(nodes.at_xi[k], nodes.kappa, j, i)
+    first = core @ prefix_inv[1] if site == 1 else (prefix[k] @ core) @ prefix_inv[site]
+    core = -((-1.0) ** (i + j)) * _twisted(nodes.shift[k], nodes.kappa, 3 - i, 3 - j) \
+        / nodes.qdet[k]
+    second = prefix[1] @ core if site == 1 else (prefix[site] @ core) @ prefix_inv[k]
+    return first, second

@@ -10,14 +10,14 @@ through the nodes, and the structural diagnostics (quantum Wronskian, root
 sum rule) of a Q-function.
 
 This is the one place that evaluates a model function.  Each is one numpy
-function of sinh products (``sinh_prod``, ``sinh_prod_deriv``,
-``sinh_prod_and_deriv``, ``coth``, ``vandermonde``, ``node_denominators``)
-that takes a scalar or an array of points and acts elementwise on the points
-(products run along the last axis), so callers evaluate every point, root or
-label of a batch in one call.  ``prod_and_deriv`` is the product rule of a
-sinh product, for a caller that took the sinh and cosh of its arguments
-together with others.  Every array sinh and cosh of the package
-goes through one kernel, ``sinh_cosh`` (and its sinh half, ``sinh``).
+function of sinh products (``sinh_prod``, ``sinh_prod_deriv``, ``coth``,
+``vandermonde``, ``node_denominators``) that takes a scalar or an array of
+points and acts elementwise on the points (products run along the last
+axis), so callers evaluate every point, root or label of a batch in one
+call.  ``prod_and_deriv`` is the product rule of a sinh product, for a
+caller that took the sinh and cosh of its arguments together with others.
+Every array sinh and cosh of the package goes through one kernel,
+``sinh_cosh`` (and its sinh half, ``sinh``).
 """
 
 from __future__ import annotations
@@ -153,16 +153,11 @@ def prod_and_deriv(s: np.ndarray, c: np.ndarray):
     return s.prod(axis=-1), (c * products_except(s)).sum(axis=-1)
 
 
-def sinh_prod_and_deriv(args):
-    """(sinh_prod(args), sinh_prod_deriv(args)), taking each sinh once."""
-    return prod_and_deriv(*sinh_cosh(args))
-
-
 def sinh_prod_deriv(args):
     """sum_m cosh(z_m) prod_{k != m} sinh(z_k) along the last axis, the
     derivative of sinh_prod when every argument moves with unit speed; product
     rule, no division, so it stays finite at the zeros of the product."""
-    return sinh_prod_and_deriv(args)[1]
+    return prod_and_deriv(*sinh_cosh(args))[1]
 
 
 def node_denominators(xs):
@@ -213,12 +208,13 @@ def vandermonde_rows(xs, eta: complex) -> VandermondeRows:
     return VandermondeRows(at_x, at_x_eta, wide, vandermonde(x))
 
 
-def eta_is_generic(eta: complex, tol: float = ETA_COMMENSURATE_TOL, max_den: int = 8) -> bool:
-    """True if eta stays at least ``tol`` away from every i*pi*k/m with m <= max_den."""
+def eta_is_generic(eta: complex) -> bool:
+    """True if eta stays at least ``ETA_COMMENSURATE_TOL`` away from every
+    i*pi*k/m with m <= 8."""
     x, y = complex(eta).real, complex(eta).imag
-    for m in range(1, max_den + 1):
+    for m in range(1, 9):
         k = round(y * m / PI)
-        if np.hypot(x, y - k * PI / m) < tol:
+        if np.hypot(x, y - k * PI / m) < ETA_COMMENSURATE_TOL:
             return False
     return True
 
@@ -328,9 +324,9 @@ def f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta):
     return p_eta_ipi * q_u / (p_ipi * q_eta)
 
 
-def _require_nonzero(value, name: str, floor: float = 1e-13):
-    """Refuse ``value`` (or its first entry) below ``floor`` in modulus."""
-    small = np.abs(value) < floor
+def _require_nonzero(value, name: str):
+    """Refuse ``value`` (or its first entry) below 1e-13 in modulus."""
+    small = np.abs(value) < 1e-13
     if small.any():
         bad = complex(np.ravel(value)[np.argmax(small)])
         raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor",

@@ -165,14 +165,14 @@ class PairContext:
     record of ``p`` and a Q record of ``q`` is evaluated; one pair is a 1 x 1
     grid.  Every array carries leading (P, Q) axes, a value of one record
     alone is held once per record (length one on the other axis), every
-    formula returns a (P, Q[, site]) array, and a refusal names the first
-    pair, in (P, Q) row-major order, that holds it by its report key
-    (``P3_Q5: ...``).  ``tables`` holds the two tables as given; ``p``/``q``
-    hold them with every array a view on its pair axis (``field[:, None]``
-    for P, ``field[None]`` for Q), ``pr``/``qr`` their roots.  What needs
-    both polynomials but no alpha, or one record's roots and the nodes, is
-    built on first use and kept; building lazily keeps each error in the
-    call that raised it before.
+    formula returns a (P, Q[, site]) array (a form factor one per form,
+    stacked), and a refusal names the first pair, in (P, Q) row-major order,
+    that holds it by its report key (``P3_Q5: ...``).  ``tables`` holds the
+    two tables as given; ``p``/``q`` hold them with every array a view on its
+    pair axis (``field[:, None]`` for P, ``field[None]`` for Q), ``pr``/``qr``
+    their roots.  What needs both polynomials but no alpha, or one record's
+    roots and the nodes, is built on first use and kept; building lazily
+    keeps each error in the call that raised it before.
 
     The eigenvalue-labelled forms need both tables to carry eigenvalues;
     ``z`` (default: the Q-roots) labels the rows of those forms: N points,
@@ -344,7 +344,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
         row = np.where(h == 0, n_p + iq, ip)
         lam = np.broadcast_to(w, pair.lead + (2, n))[(*pairs, h, k)]
         with _entries_of(pairs):
-            deriv = tau_hat_deriv(params, taus, params.node_basis, lam)[row, np.arange(len(h))]
+            deriv = tau_hat_deriv(params, taus, lam)[row, np.arange(len(h))]
         dq[limit] = (-1.0) ** m[limit] * deriv
     return dq[..., 0, :, :], dq[..., 1, :, :]
 
@@ -570,6 +570,14 @@ def _bordered(mat, col, row, corner):
     return det_lu(big)
 
 
+def _bordered_sites(mat, pref, u, v, ratios, at, corner):
+    """One form of a form factor, as a (P, Q, site) array: pref * ratios *
+    det [[mat, u_s], [v^T, corner]] (``_bordered``) at each site s, u_s
+    being the rows ``at`` (the 0-based sites) of ``u``."""
+    det = _bordered(mat[..., None, :, :], u[..., at, :], v, corner)
+    return np.expand_dims(pref, -1) * ratios * det
+
+
 def _rank1_sigma_z(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     """The roots-form sigma^z rank-one terms u_s v^T of every site s: u_s,
     stacked on the second-to-last axis, is
@@ -604,52 +612,47 @@ def _tau_rank1(pair: PairContext, site_factor: np.ndarray, col) -> tuple[np.ndar
 
 
 @_names_pair
-def ff_sigma_z(pair: PairContext, sites, form: str = "roots"):
+def ff_sigma_z(pair: PairContext, sites):
     """sigma^z form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``, as a (P, Q, site) array.  Each site's value is
-    det(M - u_s v^T) = det [[M, u_s], [v^T, 1]] (``_bordered``), with M the
-    root-labelled S(1) or the eigenvalue-labelled matrix at 1."""
+    (1-based) in ``sites``, as a (form, P, Q, site) array: the root-labelled
+    form first, then the eigenvalue-labelled one.  Each site's value is
+    det(M - u_s v^T) = det [[M, u_s], [v^T, 1]] (``_bordered_sites``), with
+    M the root-labelled S(1) or the eigenvalue-labelled matrix at 1."""
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 0)
-    if form == "roots":
-        mat, pref = slavnov_matrix(*pair.halves, 1.0), -1 / pair.cauchy_det
-        u, v = _rank1_sigma_z(pair)
-    elif form == "tau":
-        mat, pref = tau_matrix(*pair.tau_dq, 1.0), -pair.tau_prefactor
-        u, v = _tau_rank1(pair, np.exp(np.asarray(params.xi)) / (p.x_eta * p.x_ipi),
-                          p.r_eta * p.r_ipi / p.d_r)
-    else:
-        raise ParameterError(f"unknown form {form!r}")
     at = np.asarray(sites, dtype=int) - 1
-    return np.expand_dims(pref, -1) * ratios * _bordered(mat[..., None, :, :], u[..., at, :], v, 1)
+    roots = _bordered_sites(slavnov_matrix(*pair.halves, 1.0), -1 / pair.cauchy_det,
+                            *_rank1_sigma_z(pair), ratios, at, 1)
+    tau = _bordered_sites(tau_matrix(*pair.tau_dq, 1.0), -pair.tau_prefactor,
+                          *_tau_rank1(pair, np.exp(np.asarray(params.xi)) / (p.x_eta * p.x_ipi),
+                                      p.r_eta * p.r_ipi / p.d_r), ratios, at, 1)
+    return np.stack([roots, tau])
 
 
 @_names_pair
-def ff_sigma_pm(pair: PairContext, kappa: complex, sites, form: str = "roots"):
-    """Spin-flip form factors between same-twist eigenstates, one per site
-    (1-based) in ``sites``, as a (P, Q, site) array.
+def ff_sigma_pm(pair: PairContext, sites):
+    """Spin-flip form factors between eigenstates of the twist
+    ``params.kappa``, one per site (1-based) in ``sites``, as a
+    (form, P, Q, site) array: the root-labelled form first, then the
+    eigenvalue-labelled one.
 
     Evaluates the single determinant representation; it reproduces the matrix
     element of the lowering entry E^{21} (spin up at ``site`` flipped down) in
     the convention where C annihilates the all-up reference state.  Each
     site's value is det(M - u_s v^T) - det(M) = det [[M, u_s], [v^T, 0]]
-    (``_bordered``, no subtraction), with M the root-labelled S(e^{-eta}) or
-    the eigenvalue-labelled matrix at e^{-eta}.
+    (``_bordered_sites``, no subtraction), with M the root-labelled
+    S(e^{-eta}) or the eigenvalue-labelled matrix at e^{-eta}.
     """
     params, p = pair.params, pair.p
     ratios = _tau_prod_ratios(pair, sites, 1)
     alpha = cmath.exp(-params.eta)
-    pref = kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
-    if form == "roots":
-        mat, pref = slavnov_matrix(*pair.halves, alpha), pref / pair.cauchy_det
-        u, v = _rank1_sigma_minus(pair)
-    elif form == "tau":
-        mat, pref = tau_matrix(*pair.tau_dq, alpha), pref * pair.tau_prefactor
-        u, v = _tau_rank1(pair, params.a_xi / p.sinh_x, p.exp_r)
-    else:
-        raise ParameterError(f"unknown form {form!r}")
+    pref = params.kappa * np.exp(-(pair.pr.sum(axis=-1) - sum(params.xi)))
     at = np.asarray(sites, dtype=int) - 1
-    return np.expand_dims(pref, -1) * ratios * _bordered(mat[..., None, :, :], u[..., at, :], v, 0)
+    roots = _bordered_sites(slavnov_matrix(*pair.halves, alpha), pref / pair.cauchy_det,
+                            *_rank1_sigma_minus(pair), ratios, at, 0)
+    tau = _bordered_sites(tau_matrix(*pair.tau_dq, alpha), pref * pair.tau_prefactor,
+                          *_tau_rank1(pair, params.a_xi / p.sinh_x, p.exp_r), ratios, at, 0)
+    return np.stack([roots, tau])
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,13 @@ def tau_hat(taus: np.ndarray, interp: InterpolationBasis, lam, d) -> np.ndarray:
     return np.exp(lam) * (taus @ interp.weights(lam).T) / d
 
 
-def tau_hat_deriv(params: ModelParams, taus: np.ndarray, interp: InterpolationBasis,
-                  lam) -> np.ndarray:
+def tau_hat_deriv(params: ModelParams, taus: np.ndarray, lam) -> np.ndarray:
     """The lam-derivative of ``tau_hat``, of each eigenvalue of ``taus`` (row)
     at every point of the array ``lam`` (column), as one batch:
-    tau_hat + (e^lam tau' - tau_hat d') / d."""
+    tau_hat + (e^lam tau' - tau_hat d') / d, the eigenvalues interpolating
+    through ``params.node_basis``."""
     lam = np.asarray(lam, dtype=np.complex128)
+    interp = params.node_basis
     d = params.d_fn(lam)
     hat = tau_hat(taus, interp, lam, d)
     tp = taus @ interp.weight_derivs(lam).T

@@ -183,7 +183,6 @@ def test_05_product_identity(params3, records3):
 def test_06_form_factors(params3, records3, states3):
     t0 = time.perf_counter()
     bras, kets, _ = states3
-    kappa = params3.kappa
     worst = 0.0
     scales = norm_scales(bras, kets)
     sites = (1, 2, 3)
@@ -194,10 +193,8 @@ def test_06_form_factors(params3, records3, states3):
             scale = scales[ip, iq]
             context = pair_context(params3, records3, [ip], [iq])
             for s, vz_roots, vz_tau, vm_roots, vm_tau in zip(
-                    range(3), obs.ff_sigma_z(context, sites, "roots")[0, 0],
-                    obs.ff_sigma_z(context, sites, "tau")[0, 0],
-                    obs.ff_sigma_pm(context, kappa, sites, "roots")[0, 0],
-                    obs.ff_sigma_pm(context, kappa, sites, "tau")[0, 0]):
+                    range(3), *obs.ff_sigma_z(context, sites)[:, 0, 0],
+                    *obs.ff_sigma_pm(context, sites)[:, 0, 0]):
                 bf_z, bf_m = dense_z[s][ip, iq], dense_m[s][ip, iq]
                 worst = max(worst,
                             rel_dev(vz_roots, bf_z, scale),
@@ -246,8 +243,7 @@ def test_07_inverse_problem(params3):
         for i in (1, 2):
             for j in (1, 2):
                 target = local_op(elementary_matrix(i, j), site, 3)
-                for variant in (1, 2):
-                    out = dress_local_operator(nodes, site, i, j, variant=variant)
+                for out in dress_local_operator(nodes, site, i, j):
                     worst = max(worst, np.linalg.norm(out - target)
                                 / max(np.linalg.norm(target), 1.0))
     ok = worst < TOL_INVERSE

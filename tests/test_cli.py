@@ -59,9 +59,10 @@ def read(path):
 
 class TestWriteReport:
     # a report is one line of compact JSON with sorted keys, in a file or on
-    # standard output
-    REPORT = {"schema": 1, "b": {"z": 1 + 2j, "a": np.int64(3)},
-              "a": [np.complex128(complex(-0.0, 1e-300)), np.arange(2)], "pass": True}
+    # standard output; of what json cannot write itself, the commands hand it
+    # only complex numbers
+    REPORT = {"schema": 1, "b": {"z": 1 + 2j, "a": 3},
+              "a": [np.complex128(complex(-0.0, 1e-300)), [0, 1]], "pass": True}
 
     @staticmethod
     def check(text):
@@ -81,6 +82,11 @@ class TestWriteReport:
         text = cli.write_report(self.REPORT, None)
         assert capsys.readouterr().out == text
         self.check(text)
+
+    def test_other_objects_refused(self):
+        for value in (np.int64(3), np.arange(2)):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli.write_report({"a": value}, None)
 
     @pytest.mark.parametrize("command, config", [
         ("validate", {"n": 2}), ("spectrum", {"n": 3}), ("observables", {"n": 2})])
@@ -341,7 +347,7 @@ class TestValidateCommand:
         # and pass a configured 1e-6; neither aborts the run
         dress = cli.dress_local_operator
         monkeypatch.setattr(cli, "dress_local_operator",
-                            lambda *args, **kwargs: dress(*args, **kwargs) * (1 + 1e-7))
+                            lambda *args: tuple(v * (1 + 1e-7) for v in dress(*args)))
         out = tmp_path / "v.json"
         assert run(["validate", "--out", str(out), *tol_args]) == code
         check = read(out)["checks"]["inverse_problem"]
@@ -352,8 +358,9 @@ class TestValidateCommand:
         # the 8 n dressed operators of one run share their node factors: the
         # monodromy at each xi_m - eta is built once, the basis shares B and
         # C of the blocks at xi_m, each transfer factor takes one SVD, each prefix
-        # product one inversion, no dressed operator a solve, and each target
-        # embedding serves both variants (the spectrum's own work not counted)
+        # product one inversion, no dressed operator a solve, and each call
+        # of the dressing and each target embedding serves both variants (the
+        # spectrum's own work not counted)
         builds = Counter()
         calls = Counter()
         made = {}
@@ -389,6 +396,7 @@ class TestValidateCommand:
         outside_spectrum(np.linalg, "solve")
         outside_spectrum(np.linalg, "inv")
         outside_spectrum(cli, "local_op")
+        outside_spectrum(cli, "dress_local_operator")
         monkeypatch.setattr(cli, "solve_spectrum", uncounted_solve)
         kept("SovBasis")
         kept("NodeFactors")
@@ -399,7 +407,8 @@ class TestValidateCommand:
         assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
-        assert calls == {("svd", (dim, dim)): n, ("inv", None): n, ("local_op", None): 4 * n}
+        assert calls == {("svd", (dim, dim)): n, ("inv", None): n, ("local_op", None): 4 * n,
+                         ("dress_local_operator", None): 4 * n}
         assert all(made["NodeFactors"].at_xi[m].b is made["SovBasis"].at_xi[m].b
                    and made["NodeFactors"].at_xi[m].c is made["SovBasis"].at_xi[m].c
                    for m in range(n))
@@ -434,8 +443,8 @@ class TestValidateCommand:
 
         def perturbed(*args, **kwargs):
             out = made(*args, **kwargs)
-            if block is None:
-                return moved(out)
+            if block is None:  # R, or both variants of a dressed operator
+                return tuple(map(moved, out)) if isinstance(out, tuple) else moved(out)
             if not built:
                 built.append(out)
                 return dataclasses.replace(out, **{block: moved(getattr(out, block))})
@@ -834,24 +843,28 @@ def outcome_module():
 
 class TestObservablesCommand:
     def test_representation_selector(self, tmp_path, monkeypatch):
-        # only the selected representations are evaluated; sp_tau gives both
-        # tau forms in one call
+        # only the selected representations and operator families are
+        # evaluated; sp_tau gives both tau forms in one call, and each
+        # form-factor call both forms of its operator at every site
         calls = Counter()
-        for name in ("sp_direct", "sp_izergin", "sp_slavnov", "sp_tau"):
+        for name in ("sp_direct", "sp_izergin", "sp_slavnov", "sp_tau", "ff_sigma_z",
+                     "ff_sigma_pm"):
             def counted(*args, _inner=getattr(obs, name), _name=name):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(obs, name, counted)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "n": 2,
-            "representations": ["direct", "tau_izergin"],
-            "operators": ["z", "-"],
-        }))
-        out = tmp_path / "o.json"
-        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 0
-        assert calls == {"sp_direct": 1, "sp_tau": 1}
-        assert read(out)["summary"]["scalar_products"]["pass"]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        for operators, form_factors in ((["z", "-"], {"ff_sigma_z": 1, "ff_sigma_pm": 1}),
+                                        (["z"], {"ff_sigma_z": 1})):
+            calls.clear()
+            cfg.write_text(json.dumps({
+                "n": 2,
+                "representations": ["direct", "tau_izergin"],
+                "operators": operators,
+            }))
+            assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 0
+            assert calls == {"sp_direct": 1, "sp_tau": 1, **form_factors}
+            assert read(out)["summary"]["scalar_products"]["pass"]
 
     def test_entries_keep_the_oracle_value_and_deviations(self, tmp_path):
         # no formula value is written: each entry holds the dense oracle value

@@ -368,34 +368,33 @@ class TestInverseProblem:
     def nodes(self, params3):
         return NodeFactors(params3, [monodromy_entries(params3, x) for x in params3.xi])
 
+    # each test reads both variants, (variant 1, variant 2), of each operator
+
     def test_site1_projector(self, nodes):
-        out = dress_local_operator(nodes, 1, 1, 1)
         target = local_op(np.diag([1.0, 0.0]).astype(complex), 1, 3)
-        assert np.linalg.norm(out - target) < 1e-8 * np.linalg.norm(target)
+        for out in dress_local_operator(nodes, 1, 1, 1):
+            assert np.linalg.norm(out - target) < 1e-8 * np.linalg.norm(target)
 
     def test_completeness(self, nodes):
         for site in (1, 2, 3):
-            total = dress_local_operator(nodes, site, 1, 1) \
-                + dress_local_operator(nodes, site, 2, 2)
-            assert np.linalg.norm(total - np.eye(8)) < 1e-9 * np.sqrt(8)
+            for e11, e22 in zip(dress_local_operator(nodes, site, 1, 1),
+                                dress_local_operator(nodes, site, 2, 2)):
+                assert np.linalg.norm(e11 + e22 - np.eye(8)) < 1e-9 * np.sqrt(8)
 
     def test_both_variants_agree(self, nodes):
         for site in (1, 2, 3):
             for i in (1, 2):
                 for j in (1, 2):
-                    v1 = dress_local_operator(nodes, site, i, j, variant=1)
-                    v2 = dress_local_operator(nodes, site, i, j, variant=2)
+                    v1, v2 = dress_local_operator(nodes, site, i, j)
                     assert np.linalg.norm(v1 - v2) < 1e-8
 
     def test_pauli_reconstruction(self, nodes):
         for site in (1, 2, 3):
-            e12 = dress_local_operator(nodes, site, 1, 2)
-            e21 = dress_local_operator(nodes, site, 2, 1)
-            e11 = dress_local_operator(nodes, site, 1, 1)
-            e22 = dress_local_operator(nodes, site, 2, 2)
-            assert np.linalg.norm(e12 - local_op(SIGMA_PLUS, site, 3)) < 1e-9 * 8
-            assert np.linalg.norm(e21 - local_op(SIGMA_MINUS, site, 3)) < 1e-9 * 8
-            assert np.linalg.norm((e11 - e22) - local_op(SIGMA_Z, site, 3)) < 1e-9 * 8
+            for e12, e21, e11, e22 in zip(*(dress_local_operator(nodes, site, i, j)
+                                            for i, j in ((1, 2), (2, 1), (1, 1), (2, 2)))):
+                assert np.linalg.norm(e12 - local_op(SIGMA_PLUS, site, 3)) < 1e-9 * 8
+                assert np.linalg.norm(e21 - local_op(SIGMA_MINUS, site, 3)) < 1e-9 * 8
+                assert np.linalg.norm((e11 - e22) - local_op(SIGMA_Z, site, 3)) < 1e-9 * 8
 
 
 @pytest.mark.parametrize("kappa", [1.0 + 0.0j, 0.8 - 0.3j])
@@ -419,13 +418,11 @@ def test_dressing_matches_one_solve_per_operator(n, kappa):
         qdet = params.a_fn(x) * params.d_fn(x - params.eta)
         for i in (1, 2):
             for j in (1, 2):
-                for variant, left, core, right in (
-                        (1, prefix[site - 1], k_t(at_xi[site - 1])[j - 1][i - 1],
-                         prefix[site]),
-                        (2, prefix[site], -(-1) ** (i + j) * shift[2 - i][2 - j] / qdet,
-                         prefix[site - 1])):
+                for got, (left, core, right) in zip(dress_local_operator(nodes, site, i, j), (
+                        (prefix[site - 1], k_t(at_xi[site - 1])[j - 1][i - 1], prefix[site]),
+                        (prefix[site], -(-1) ** (i + j) * shift[2 - i][2 - j] / qdet,
+                         prefix[site - 1]))):
                     want = np.linalg.solve(right.T, (left @ core).T).T
-                    got = dress_local_operator(nodes, site, i, j, variant=variant)
                     assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
 

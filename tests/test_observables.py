@@ -350,8 +350,7 @@ class TestFormFactors:
             for iq in (1, 2, 7):
                 scale = scales[ip, iq]
                 pair = pair_context(params3, records3, [ip], [iq])
-                for s, roots_v, tau_v in zip(range(3), obs.ff_sigma_z(pair, sites, "roots")[0, 0],
-                                             obs.ff_sigma_z(pair, sites, "tau")[0, 0]):
+                for s, roots_v, tau_v in zip(range(3), *obs.ff_sigma_z(pair, sites)[:, 0, 0]):
                     bf = dense[s][ip, iq]
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
@@ -366,9 +365,7 @@ class TestFormFactors:
             for iq in (0, 4, 5):
                 scale = scales[ip, iq]
                 pair = pair_context(params3, records3, [ip], [iq])
-                for s, roots_v, tau_v in zip(
-                        range(3), obs.ff_sigma_pm(pair, params3.kappa, sites, "roots")[0, 0],
-                        obs.ff_sigma_pm(pair, params3.kappa, sites, "tau")[0, 0]):
+                for s, roots_v, tau_v in zip(range(3), *obs.ff_sigma_pm(pair, sites)[:, 0, 0]):
                     bf = dense[s][ip, iq]
                     assert rel_dev(roots_v, bf, scale) < 1e-7
                     assert rel_dev(tau_v, bf, scale) < 1e-7
@@ -399,8 +396,7 @@ class TestFormFactors:
         records = solve_spectrum(SovBasis(params))
         for i in range(4):
             norm = sp_same_q(params, poly(records, i), 1.0)[0]
-            val = obs.ff_sigma_z(pair_context(params, records, [i], [i]), [2],
-                                 "roots")[0, 0, 0] / norm
+            val = obs.ff_sigma_z(pair_context(params, records, [i], [i]), [2])[0, 0, 0, 0] / norm
             assert abs(val.imag) < 1e-8
 
     def test_spin_flip_without_cancellation(self, tmp_path):
@@ -444,11 +440,12 @@ class TestFormFactors:
 
 
 class TestPairContext:
-    def test_one_det_call_per_form_factor_call(self, params3, records3, tmp_path,
+    def test_one_det_call_per_form_factor_form(self, params3, records3, tmp_path,
                                                monkeypatch):
-        # every pair's and site's bordered determinant of one form-factor
-        # call on a grid goes to LAPACK in one stacked det_lu call, so an
-        # observables op makes as many det_lu calls at n = 2 as at n = 3
+        # every pair's and site's bordered determinant of one form of a
+        # form-factor call on a grid goes to LAPACK in one stacked det_lu
+        # call, the roots form first, so an observables op makes as many
+        # det_lu calls at n = 2 as at n = 3
         shapes = []
         det = obs.det_lu
 
@@ -461,13 +458,10 @@ class TestPairContext:
         grid = obs.PairContext(params3, records3.table, records3.table)
         assert np.shape(grid.cauchy_det) == (count, count)  # built before the form factors
         monkeypatch.setattr(obs, "det_lu", counted)
-        for form in ("roots", "tau"):
+        for ff in (obs.ff_sigma_z, obs.ff_sigma_pm):
             shapes.clear()
-            obs.ff_sigma_z(grid, sites, form)
-            assert shapes == [(count, count, n, n + 1, n + 1)]
-            shapes.clear()
-            obs.ff_sigma_pm(grid, params3.kappa, sites, form)
-            assert shapes == [(count, count, n, n + 1, n + 1)]
+            assert ff(grid, sites).shape == (2, count, count, n)
+            assert shapes == [(count, count, n, n + 1, n + 1)] * 2
         per_op = {}
         for size in (2, 3):
             shapes.clear()
@@ -507,8 +501,8 @@ class TestPairContext:
             calls.clear()
             grid = pair_context(params3, records3, ps, qs)
             obs.sp_tau(grid, KAPPA2 / params3.kappa)
-            obs.ff_sigma_z(grid, sites, "tau")
-            obs.ff_sigma_pm(grid, params3.kappa, sites, "tau")
+            obs.ff_sigma_z(grid, sites)
+            obs.ff_sigma_pm(grid, sites)
             assert calls == [(taus[ps + qs].tolist(), params3.node_basis,
                               ((len(qs) + 2 * len(ps)) * n,))]
 
@@ -516,27 +510,25 @@ class TestPairContext:
     def test_grid_equals_each_pair(self, params3, records3, rows):
         # one context over a grid of records, diagonal pairs included, gives
         # each pair the value of that pair's own context to 1e-13 relative,
-        # in every representation, form, operator and site; relative to the
+        # in every representation, form, operator and site (the roots forms of
+        # the form factors read no z, and so run under either); relative to the
         # formula's largest value on the grid, as some sigma^z elements
         # vanish and carry only rounding (about 1e-15 against 0.3)
-        kappa, kappa2 = params3.kappa, KAPPA2
-        alpha, sites = kappa2 / kappa, (1, 2, 3)
+        alpha, sites = KAPPA2 / params3.kappa, (1, 2, 3)
         z = None if rows == "default z" else [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         ps, qs = list(range(8)), list(range(2, 7))
 
         def formulas(pair):
-            values = [*obs.sp_tau(pair, alpha),
-                      obs.ff_sigma_z(pair, sites, "tau"),
-                      obs.ff_sigma_pm(pair, kappa, sites, "tau")]
+            values = [*obs.sp_tau(pair, alpha), *obs.ff_sigma_z(pair, sites),
+                      *obs.ff_sigma_pm(pair, sites)]
             if z is None:
                 values += [obs.sp_direct(pair, alpha), obs.sp_izergin(pair, alpha),
-                           obs.sp_slavnov(pair, alpha), obs.ff_sigma_z(pair, sites, "roots"),
-                           obs.ff_sigma_pm(pair, kappa, sites, "roots")]
+                           obs.sp_slavnov(pair, alpha)]
             return values
 
         def shapes(p, q):  # (P, Q) for a scalar product, (P, Q, site) for a form factor
             pq, site = (p, q), (p, q, len(sites))
-            return [pq, pq, site, site] + ([pq, pq, pq, site, site] if z is None else [])
+            return [pq, pq] + [site] * 4 + ([pq, pq, pq] if z is None else [])
 
         grid = formulas(pair_context(params3, records3, ps, qs, z=z))
         assert [batch.shape for batch in grid] == shapes(len(ps), len(qs))
@@ -565,22 +557,19 @@ class TestPairContext:
                 == obs.sp_slavnov(fresh(), kappa2 / kappa)[0, 0]
             assert [v[0, 0] for v in obs.sp_tau(pair, kappa2 / kappa)] \
                 == [v[0, 0] for v in obs.sp_tau(fresh(), kappa2 / kappa)]
-            for form in ("roots", "tau"):
-                batch_z = obs.ff_sigma_z(pair, sites, form)[0, 0]
-                batch_pm = obs.ff_sigma_pm(pair, kappa, sites, form)[0, 0]
-                assert len(batch_z) == len(batch_pm) == params3.n
-                for site, z_val, pm_val in zip(sites, batch_z, batch_pm):
-                    assert obs.ff_sigma_z(fresh(), [site], form)[0, 0].tolist() == [z_val]
-                    assert obs.ff_sigma_pm(fresh(), kappa, [site], form)[0, 0].tolist() \
-                        == [pm_val]
+            batch_z = obs.ff_sigma_z(pair, sites)[:, 0, 0]
+            batch_pm = obs.ff_sigma_pm(pair, sites)[:, 0, 0]
+            assert batch_z.shape == batch_pm.shape == (2, params3.n)
+            for site, z_vals, pm_vals in zip(sites, batch_z.T, batch_pm.T):
+                assert obs.ff_sigma_z(fresh(), [site])[:, 0, 0, 0].tolist() == z_vals.tolist()
+                assert obs.ff_sigma_pm(fresh(), [site])[:, 0, 0, 0].tolist() == pm_vals.tolist()
 
     def test_custom_z_rows(self, params3, records3):
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         pair = pair_context(params3, records3, [2], [4], z=z)
         assert pair.z[0, 0].tolist() == z
-        [default] = obs.ff_sigma_z(pair_context(params3, records3, [2], [4]), [2],
-                                   "tau")[0, 0]
-        assert rel_dev(obs.ff_sigma_z(pair, [2], "tau")[0, 0, 0], default) < 1e-8
+        [default] = obs.ff_sigma_z(pair_context(params3, records3, [2], [4]), [2])[1, 0, 0]
+        assert rel_dev(obs.ff_sigma_z(pair, [2])[1, 0, 0, 0], default) < 1e-8
 
     @pytest.mark.parametrize("entry_point", ["sp_tau", "ff_sigma_z", "ff_sigma_pm"])
     def test_bad_z_rows_refused(self, params3, records3, entry_point):
@@ -588,8 +577,8 @@ class TestPairContext:
         # (where tau_hat repeats its value) are refused by every eigenvalue form
         evaluate = {
             "sp_tau": lambda pair: obs.sp_tau(pair, KAPPA2 / params3.kappa),
-            "ff_sigma_z": lambda pair: obs.ff_sigma_z(pair, [1, 2], "tau"),
-            "ff_sigma_pm": lambda pair: obs.ff_sigma_pm(pair, params3.kappa, [1, 2], "tau"),
+            "ff_sigma_z": lambda pair: obs.ff_sigma_z(pair, [1, 2]),
+            "ff_sigma_pm": lambda pair: obs.ff_sigma_pm(pair, [1, 2]),
         }[entry_point]
         z = [0.3 + 0.1j, -0.4 + 0.2j, 0.1 - 0.5j]
         for bad in (z[:2], [z[0], z[0], z[2]], [z[0], z[0] + IPI, z[2]]):
@@ -610,7 +599,7 @@ class TestPairContext:
             m = round(u.imag / np.pi)
             if abs(u - 1j * np.pi * m) < 1e-9:
                 taus = records3.table.tau[i:i + 1]
-                return (-1.0) ** m * tau_hat_deriv(params3, taus, params3.node_basis, w)[0]
+                return (-1.0) ** m * tau_hat_deriv(params3, taus, w)[0]
             return (hat(i, z) - hat(i, w)) / cmath.sinh(u)
 
         roots = records3.table.roots.tolist()
@@ -666,9 +655,8 @@ class TestPairContext:
             obs.sp_izergin(pair, alpha)
             obs.sp_slavnov(pair, alpha)
             obs.sp_tau(pair, KAPPA2 / params3.kappa)
-            for form in ("roots", "tau"):
-                obs.ff_sigma_z(pair, sites, form)
-                obs.ff_sigma_pm(pair, params3.kappa, sites, form)
+            obs.ff_sigma_z(pair, sites)
+            obs.ff_sigma_pm(pair, sites)
         assert hits == [] and batches["poly"] and batches["weights"]
 
     def test_one_record_values_evaluated_once_per_record(self, tmp_path, monkeypatch):

@@ -74,6 +74,8 @@ DEFAULT_CASES = (
     ("observables", '{"n": 3, "kappa_prime": [1.0, 0.0]}', "1-3"),
     ("observables", '{"n": 3, "sites": [3, 1], "operators": ["z", "-"], '
                     '"representations": ["izergin", "tau_slavnov"]}', "1-3"),
+    ("observables", '{"n": 3, "operators": ["+"], "representations": ["direct"]}', "1-3"),
+    ("observables", '{"n": 3, "operators": ["z"]}', "1-2"),
     ("observables", '{"n": 2, "kappa": [0.8, -0.3]}', "1-3"),
     ("spectrum", '{"n": 5, "kappa": [0.8, -0.3]}', "1-4"),
     ("observables", '{"n": 3, "kappa": [-0.8, 0.3]}', "1-3"),
