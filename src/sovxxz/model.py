@@ -375,8 +375,9 @@ class QTable:
     in ``a_r``, ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi)
     in ``r_eta``, ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per
     node in ``sinh_x``.  Per residual-grid point lam, the row (Q(lam),
-    Q(lam - eta), Q(lam + eta), Qhat(lam), Qhat(lam - eta)) of the (R, G, 5)
-    array ``grid``.
+    Q(lam - eta), Q(lam + eta), Qhat(lam), Qhat(lam - eta), Qhat(lam + eta))
+    of the (R, G, 6) array ``grid``: Q and Qhat at the same three points, so
+    the partner's row is the same six values, Q's and Qhat's swapped.
     """
 
     roots: np.ndarray
@@ -417,7 +418,8 @@ def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     """The ``QTable`` of the root sets of the (R, N) array ``roots``, each
     row already in ``canonical_roots`` form, from one broadcast evaluation
     per block of records (one bare polynomial is a stack of one), Qhat at the
-    grid points from the cosh of Q's own half differences there; ``taus`` is
+    grid points from the cosh of Q's own half differences there, taken in the
+    one sinh/cosh pass that gives Q there; ``taus`` is
     the (R, N) array of each record's tau(xi_k) (None for bare polynomials),
     kept as it is, and ``grid`` the ``residual_grid`` the records are
     certified on (empty for none).  Each block holds as many records as keep
@@ -429,20 +431,82 @@ def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     record_bytes = (4 * n + 3 * m + 3 * len(lam)) * m * np.dtype(np.complex128).itemsize
     step = max(1, Q_TABLE_BLOCK_BYTES // max(record_bytes, 1))
     blocks = [_q_fields(params, r[i:i + step], lam) for i in range(0, len(r), step)]
+    return _joined(blocks, n, roots=r, tau=taus)
+
+
+# the QTable fields at the nodes and at the shifted roots, in the order of
+# the one array they are views of
+_AT_POINTS = ("x", "x_eta", "x_ipi", "x_eta_ipi", "r_eta", "r_eta_plus", "r_ipi")
+
+
+def _joined(blocks: list[dict], n: int, **kept) -> QTable:
+    """The ``QTable`` of the records of ``blocks`` (field name -> array, one
+    row per record, ``values`` holding the ``_AT_POINTS`` fields side by
+    side) in order, on n nodes, each field one read-only array and the
+    ``_AT_POINTS`` fields views of one; ``kept`` holds fields taken as they
+    are."""
     joined = {name: _read_only(np.concatenate([block[name] for block in blocks]))
               for name in blocks[0]}
-    # the values at the nodes and at the shifted roots: views of one array
-    x, x_eta, x_ipi, x_eta_ipi, r_eta, r_eta_plus, r_ipi, _ = np.split(
-        joined.pop("values"), np.cumsum([n] * 4 + [m] * 3), axis=1)
-    return QTable(roots=r, tau=taus, x=x, x_eta=x_eta, x_ipi=x_ipi, x_eta_ipi=x_eta_ipi,
-                  r_eta=r_eta, r_eta_plus=r_eta_plus, r_ipi=r_ipi, **joined)
+    m = joined["hat"].shape[1]
+    values = np.split(joined.pop("values"), np.cumsum([n] * 4 + [m] * 2), axis=1)
+    return QTable(**dict(zip(_AT_POINTS, values)), **joined, **kept)
+
+
+def with_partners(table: QTable, taus) -> QTable:
+    """The table of the R records of ``table`` followed by their i*pi-shifted
+    partners in reverse order, 2R records in all: record 2R-1-i has the roots
+    ``table.hat[i]``, and every value of it is record i's by an exact sign and
+    the sort that made ``hat``, with no evaluation of Q; ``taus`` is the
+    (2R, N) array of the records' tau(xi_k), kept as it is, row 2R-1-i the
+    eigenvalue of record i's partner (-tau of record i's in a spectrum).
+
+    With w_j = 1 where q_j + i*pi wrapped down by 2*pi*i and
+    c = (-1)^(M + sum_j w_j) for M roots, Qhat(lam) = c Q(lam + i*pi); so
+    Qhat at xi and xi - eta is c Q there plus i*pi, Qhat plus i*pi is
+    c (-1)^M Q, Qhat(qhat_j -+ eta) and Qhat(qhat_j + i*pi) are
+    c (-1)^(M (1 - w_j)) times Q(q_j -+ eta) and Q(q_j + i*pi), a and d at
+    qhat_j are (-1)^N times theirs at q_j for N nodes, e^qhat_j is -e^q_j,
+    prod_l sinh(xi_k - qhat_l) is (-1)^M prod_l sinh(xi_k - q_l), and the
+    partner's Qhat is Q again, so its grid row swaps Q's and Qhat's values.
+    The partner's ``hat`` is ``canonical_roots`` of its roots + i*pi."""
+    n, m = table.x.shape[1], table.roots.shape[1]
+    shifted = table.roots + IPI
+    wrapped = wrap_to_strip(shifted)
+    # hat = wrapped[sort], row by row
+    sort = np.arange(len(wrapped))[:, None], np.lexsort((wrapped.imag, wrapped.real), axis=-1)
+    moved = (wrapped.imag < shifted.imag)[sort]
+    odd_c = ((m + moved.sum(axis=-1)) % 2 == 1)[:, None]  # c = -1
+    odd_m, odd_n = m % 2 == 1, n % 2 == 1
+    odd_roots = odd_c ^ (odd_m & ~moved)  # c (-1)^(M (1 - w_j)), in hat's order
+
+    def signed(values, odd, by_root=False):  # values negated where odd, exactly
+        values = values[sort] if by_root else values
+        return np.where(odd, -values, values)
+
+    partner = {"x": signed(table.x_ipi, odd_c), "x_eta": signed(table.x_eta_ipi, odd_c),
+               "x_ipi": signed(table.x, odd_c ^ odd_m),
+               "x_eta_ipi": signed(table.x_eta, odd_c ^ odd_m),
+               "r_eta": signed(table.r_eta, odd_roots, True),
+               "r_eta_plus": signed(table.r_eta_plus, odd_roots, True),
+               "r_ipi": signed(table.r_ipi, odd_roots, True),
+               "a_r": signed(table.a_r, odd_n, True), "d_r": signed(table.d_r, odd_n, True),
+               "exp_r": signed(table.exp_r, True, True), "sinh_x": signed(table.sinh_x, odd_m),
+               "grid": table.grid[..., [3, 4, 5, 0, 1, 2]],
+               "roots": table.hat, "hat": canonical_roots(table.hat + IPI)}
+
+    def block(fields):  # a block of _joined, the _AT_POINTS fields side by side
+        values = np.concatenate([fields.pop(name) for name in _AT_POINTS], axis=1)
+        return {**fields, "values": values}
+
+    return _joined([block({name: getattr(table, name) for name in partner}),
+                    block({name: v[::-1] for name, v in partner.items()})], n, tau=taus)
 
 
 def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """The ``QTable`` fields of the records whose roots are the rows of
     ``r``, at the residual-grid points ``lam``, but ``roots`` and ``tau``;
-    ``values`` holds Q at the nodes, at the shifted roots and at lam + eta,
-    in that order along its last axis."""
+    ``values`` holds the ``_AT_POINTS`` fields side by side, Q at the nodes
+    and at the shifted roots in that order along its last axis."""
     shifted = r + IPI
     wrapped = wrap_to_strip(shifted)
     eta = params.eta
@@ -452,23 +516,21 @@ def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, 
         row = np.concatenate(points)
         return np.broadcast_to(row, (len(r), len(row)))
 
-    sizes = np.cumsum([len(xi)] * 4 + [r.shape[1]] * 3 + [len(lam)])  # split points
+    sizes = np.cumsum([len(xi)] * 4 + [r.shape[1]] * 3)  # split points
     points = np.concatenate([shared(xi, xi - eta, xi + IPI, xi - eta + IPI), r - eta, r + eta,
                              r + IPI, shared(lam + eta, lam, lam - eta)], axis=1)
     half = (points[..., :, None] - r[..., None, :]) / 2
-    values = sinh_prod(half[:, :sizes[-1]])
-    q_lam_eta_plus = values[:, sizes[-2]:]
-    # Q and Qhat at lam and lam - eta from one sinh/cosh pass over the half
-    # differences u = (lam - q)/2: sinh((lam - q -+ i*pi)/2) = -+i cosh(u),
+    # Q and Qhat at lam + eta, lam and lam - eta from one sinh/cosh pass over
+    # the half differences u = (lam - q)/2: sinh((lam - q -+ i*pi)/2) = -+i cosh(u),
     # -i where q + i*pi stayed in the strip, +i where the wrap moved it down by 2 i pi
     s, c = sinh_cosh(half[:, sizes[-1]:])
     phase = np.where(wrapped.imag < shifted.imag, 1j, -1j).prod(axis=-1)
-    q_lam, q_lam_eta = np.split(s.prod(axis=-1), 2, axis=1)
-    hat_lam, hat_lam_eta = np.split(phase[:, None] * c.prod(axis=-1), 2, axis=1)
-    return {"values": values, "hat": _sorted_roots(wrapped),
+    q_plus, q_lam, q_minus = np.split(s.prod(axis=-1), 3, axis=1)
+    hat_plus, hat_lam, hat_minus = np.split(phase[:, None] * c.prod(axis=-1), 3, axis=1)
+    return {"values": sinh_prod(half[:, :sizes[-1]]), "hat": _sorted_roots(wrapped),
             "a_r": params.a_fn(r), "d_r": params.d_fn(r), "exp_r": np.exp(r),
             "sinh_x": sinh_prod(xi[:, None] - r[:, None, :]),
-            "grid": np.stack([q_lam, q_lam_eta, q_lam_eta_plus, hat_lam, hat_lam_eta], axis=-1)}
+            "grid": np.stack([q_lam, q_minus, q_plus, hat_lam, hat_minus, hat_plus], axis=-1)}
 
 
 def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
@@ -481,7 +543,7 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
     record: the Wronskian residual, its sign, the sum-rule defect and k.
     """
     signs = np.array([1, -1])
-    q0, q_eta, _, hat0, hat_eta = np.moveaxis(table.grid, -1, 0)
+    q0, q_eta, _, hat0, hat_eta, _ = np.moveaxis(table.grid, -1, 0)
     d = grid[2]
     w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
     # row s of each record: the right-hand side at Wronskian sign signs[s], per grid point

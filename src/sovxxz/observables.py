@@ -318,8 +318,7 @@ def tau_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     points = [(pair.z, pair.z_xi_sinh.prod(axis=-1)), (pair.pr, pair.p.d_r),
               (w[..., 1, :], pair.p.a_r)]
     with _entries_of(_owners(pair, [lam for lam, _ in points])):
-        hat = tau_hat(taus, params.node_basis,
-                      np.concatenate([np.ravel(lam) for lam, _ in points]),
+        hat = tau_hat(params, taus, np.concatenate([np.ravel(lam) for lam, _ in points]),
                       np.concatenate([np.ravel(d) for _, d in points]))
     cols = [n_q * n, (n_q + n_p) * n]  # z | p_k | p_k + eta
 

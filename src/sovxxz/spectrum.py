@@ -4,9 +4,10 @@ Each transfer-matrix eigenvalue tau is turned into its Q-function by sampling
 the functional relation tau(lam) Q(lam) + a(lam) Q(lam-eta) - d(lam) Q(lam+eta) = 0
 on the exponential-coefficient ansatz Q = c e^{-N lam/2} P(e^lam), extracting
 the one-dimensional nullspace, and polishing the resulting roots with a damped
-Newton iteration on the Bethe system.  A certified spectrum is one table of
-every record's tau, Q and i*pi-shifted partner, with the residual diagnostics
-of every record.
+Newton iteration on the Bethe system.  Of each pair +-tau only one is solved:
+the i*pi shift of its Q solves the relation for the other.  A certified
+spectrum is one table of every record's tau, Q and i*pi-shifted partner, with
+the residual diagnostics of every record.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     ParameterError,
+    ParityError,
     SingularEvaluationError,
     names_record,
 )
 from .lattice import spectrum_oracle, transfer_k
 from .linalg import modulus, roots_monic, row_norms
 from .model import (
-    InterpolationBasis,
     ModelParams,
     QTable,
     canonical_roots,
@@ -42,6 +43,7 @@ from .model import (
     products_except,
     residual_grid,
     sinh_cosh,
+    with_partners,
 )
 from .sov import SovBasis, separate_state
 
@@ -50,8 +52,9 @@ NEWTON_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A certified spectrum, built complete by ``certify``: the
-    ``model.q_table`` of its records (tau included), one row per record, and
+    """A certified spectrum, built complete by ``certify``: the table of its
+    records (tau included), one row per record, record 2^N-1-i the
+    i*pi-shifted partner of record i (``model.with_partners``), and
     per record each residual (``residuals``, name -> (R,) array), the
     Wronskian sign and the sum-rule k ((R,) integer arrays).  ``vectors``,
     which ``solve_spectrum`` sets, holds the oracle's eigenvectors of
@@ -65,18 +68,19 @@ class Spectrum:
     vectors: np.ndarray | None = None
 
 
-def tau_hat(taus: np.ndarray, interp: InterpolationBasis, lam, d) -> np.ndarray:
+def tau_hat(params: ModelParams, taus: np.ndarray, lam, d) -> np.ndarray:
     """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, of each
     eigenvalue of ``taus`` (row: its tau(xi_k)) at every point of the array
     ``lam`` (column), given d there (``d``), as one batch: tau from the weight
-    rows of ``interp``, the basis the eigenvalues interpolate through."""
+    rows of ``params.node_basis``, the basis the eigenvalues interpolate
+    through."""
     lam = np.asarray(lam, dtype=np.complex128)
     zero = abs(np.asarray(d)) < 1e-13
     if zero.any():
         raise SingularEvaluationError(
             f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})",
             at=first_index(zero))
-    return np.exp(lam) * (taus @ interp.weights(lam).T) / d
+    return np.exp(lam) * (taus @ params.node_basis.weights(lam).T) / d
 
 
 def tau_hat_deriv(params: ModelParams, taus: np.ndarray, lam) -> np.ndarray:
@@ -85,10 +89,9 @@ def tau_hat_deriv(params: ModelParams, taus: np.ndarray, lam) -> np.ndarray:
     tau_hat + (e^lam tau' - tau_hat d') / d, the eigenvalues interpolating
     through ``params.node_basis``."""
     lam = np.asarray(lam, dtype=np.complex128)
-    interp = params.node_basis
     d = params.d_fn(lam)
-    hat = tau_hat(taus, interp, lam, d)
-    tp = taus @ interp.weight_derivs(lam).T
+    hat = tau_hat(params, taus, lam, d)
+    tp = taus @ params.node_basis.weight_derivs(lam).T
     return hat + (np.exp(lam) * tp - hat * params.d_prime(lam)) / d
 
 
@@ -374,23 +377,32 @@ GATES = {"tq": "tq_residual", "bethe": "bethe_residual", "discrete_char": "discr
 @names_record
 def certify(params: ModelParams, taus, roots, bethe, chain: ChainValues,
             tolerances: dict | None = None) -> Spectrum:
-    """Compute every residual of each record i, eigenvalue ``taus[i]`` (a row
-    of tau(xi_k) values) with the roots ``roots[i]`` (a row of an (R, N)
+    """Compute every residual of the 2R records of the (2R, N) array ``taus``
+    of tau(xi_k) values, as one batch, gate it and build the ``Spectrum``
+    complete.  Record i < R has the roots ``roots[i]`` (a row of an (R, N)
     array in ``canonical_roots`` form) and the Bethe residual ``bethe[i]``
-    that ``refine_bethe`` returned with them, as one batch, gate it and build
-    the ``Spectrum`` complete, with its table (``model.q_table`` of Q on
-    ``chain.grid``, which every residual, separate state and pair formula
-    reads); ``chain`` is the spectrum's ``ChainValues``, at its twist.
-    ``tolerances`` overrides entries of ``config.DEFAULT_TOLERANCES``.
+    that ``refine_bethe`` returned with them; record 2R-1-i is its i*pi-shifted
+    partner, with the roots ``canonical_roots(roots[i] + i*pi)`` and record
+    i's Bethe residual, as its Bethe ratios are record i's with every sign
+    cancelled.  Its table (``model.q_table`` of Q on ``chain.grid`` for the
+    first R records, ``model.with_partners`` for the rest) is what every
+    residual, separate state and pair formula reads; every other residual
+    of a partner is computed from its own row and eigenvalue.  ``chain`` is
+    the spectrum's ``ChainValues``, at its twist.  ``tolerances`` overrides
+    entries of ``config.DEFAULT_TOLERANCES``.
     Raises CertificationError for the lowest failing record, naming its
     index, its tau(xi_1) and the condition number of the Bethe Jacobian at
     its roots, with each failed check.
     """
+    if len(taus) != 2 * len(roots):
+        raise ParameterError(f"{len(taus)} eigenvalues for {len(roots)} root sets and "
+                             "their partners")
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    table = q_table(params, roots, taus, chain.grid)
+    table = with_partners(q_table(params, roots, None, chain.grid), taus)
     wronskian, signs, defect, ks = q_structure_residuals(table, params, chain.grid)
     side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all(axis=-1)
-    values = {"tq": tq_residual(table, chain), "bethe": np.asarray(bethe),
+    bethe = np.asarray(bethe)
+    values = {"tq": tq_residual(table, chain), "bethe": np.concatenate([bethe, bethe[::-1]]),
               "discrete_char": discrete_char_residual(table, chain),
               "eigenstate": eigenstate_residual(table, chain),
               "wronskian": wronskian, "sum_rule_defect": defect}
@@ -413,18 +425,31 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
                    tolerances: dict | None = None) -> Spectrum:
     """Full pipeline: oracle -> Q extraction -> Newton polish -> certification,
     on the chain of ``basis`` at its twist ``params.kappa``, whose node blocks
-    feed the oracle; each phase runs once, over all the records.
+    feed the oracle; each phase runs once, over all its records.
+
+    The oracle sorts the spectrum so that record 2^N-1-i holds exactly -tau
+    of record i; a spectrum that is not paired so is refused (ParityError).
+    Q extraction and the Newton polish run on the 2^(N-1) records i below
+    2^(N-1) alone; ``certify`` derives each partner 2^N-1-i from record i's
+    i*pi-shifted Q and gates all 2^N records.
 
     Returns the certified ``Spectrum`` of all 2^N records, sorted by
     tau(xi_1), with the oracle's eigenvectors.  A refusal names the lowest
     failing record of the first phase that refuses one, by its index in that
-    order; a CertificationError also gives its tau(xi_1) and the condition
-    number of the Bethe Jacobian at its roots.
+    order, so extraction and the polish name a record below 2^(N-1); a
+    CertificationError also gives its tau(xi_1) and the condition number of
+    the Bethe Jacobian at its roots.
     """
     params = basis.params
     taus, vectors = spectrum_oracle(params, basis.at_xi)
+    unpaired = np.any(taus[::-1] != -taus, axis=-1)
+    if unpaired.any():
+        i = int(np.argmax(unpaired))
+        raise ParityError(f"record {i}: tau(xi_k) is not the negation of record "
+                          f"{len(taus) - 1 - i}'s, so the oracle's spectrum is not "
+                          "paired under negation")
     chain = chain_values(basis, seed)
-    roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
+    roots, bethe = refine_bethe(params, q_from_tau(params, taus[:len(taus) // 2], chain))
     spectrum = certify(params, taus, roots, bethe, chain, tolerances)
     if len(spectrum.table) != 2**params.n:
         raise ParameterError(

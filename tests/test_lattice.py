@@ -219,6 +219,18 @@ class TestSpectrumOracle:
 
     @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_pair_with_their_negation(self, n, kappa):
+        # the pairing solve_spectrum relies on: row 2^N-1-i of taus is row
+        # i negated, bit for bit, and row 2^N-1-i of the vectors is row i
+        # with its odd-parity entries negated
+        params = make_params(n, kappa=kappa)
+        taus, vectors = spectrum_oracle(params, SovBasis(params).at_xi)
+        assert taus[::-1].tobytes() == (-taus).tobytes()
+        odd = np.bitwise_count(np.arange(2**n)) & 1 == 1
+        assert np.array_equal(vectors[::-1], np.where(odd, -vectors, vectors))
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.8 - 0.3j])
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_full_matrix_reference(self, n, kappa):
         # every tau(xi_j) against the Rayleigh quotients of the eigenvectors
         # of the full T_K(xi_1), row for row

@@ -345,7 +345,7 @@ class TestTableLayout:
         for q, count, points in [(records3.table, 8, grid.shape[1]), (bare, 1, 0)]:
             for name in self.ROWS + ("roots", "hat"):
                 self.assert_read_only(getattr(q, name), (count, n))
-            assert q.grid.shape == (count, points, 5) and q.grid.dtype == np.complex128
+            assert q.grid.shape == (count, points, 6) and q.grid.dtype == np.complex128
             assert not q.grid.flags.writeable
         assert bare.tau is None and "poly" not in {f.name for f in fields(bare)}
 

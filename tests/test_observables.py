@@ -482,18 +482,18 @@ class TestPairContext:
         points = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(6)])
         d = [params3.d_fn(lam) for lam in points]
         taus = records3.table.tau
-        for i, row in enumerate(tau_hat(taus[:3], params3.node_basis, points, d)):
+        for i, row in enumerate(tau_hat(params3, taus[:3], points, d)):
             for lam, d_lam, got in zip(points, d, row):
                 assert rel_dev(got, cmath.exp(lam) * tau(params3, records3, i)(lam) / d_lam) \
                     <= 1e-13
         calls = []
         evaluate = obs.tau_hat
 
-        def counted(taus, interp, lam, d):
-            calls.append((taus.tolist(), interp, np.shape(lam)))
+        def counted(params, taus, lam, d):
+            calls.append((taus.tolist(), params.node_basis, np.shape(lam)))
             for lam_i, d_i in zip(lam, d):
                 assert rel_dev(d_i, params3.d_fn(lam_i)) <= 1e-13
-            return evaluate(taus, interp, lam, d)
+            return evaluate(params, taus, lam, d)
 
         monkeypatch.setattr(obs, "tau_hat", counted)
         n, sites = params3.n, range(1, params3.n + 1)

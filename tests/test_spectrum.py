@@ -2,21 +2,29 @@ import cmath
 import json
 import re
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import sovxxz.sov as sov
 import sovxxz.spectrum as spectrum
-from conftest import make_params, poly, rel_dev, rng, tau
+from conftest import certified_chain, make_params, poly, rel_dev, rng, tau
 from sovxxz.cli import main
 from sovxxz.config import DEFAULT_TOLERANCES
-from sovxxz.errors import AmbiguousNullspaceError, CertificationError, DegenerateSpectrumError
+from sovxxz.errors import (
+    AmbiguousNullspaceError,
+    CertificationError,
+    DegenerateSpectrumError,
+    ParameterError,
+    ParityError,
+)
 from sovxxz.lattice import spectrum_oracle
 from sovxxz.model import (
     IPI,
     InterpolationBasis,
     ModelParams,
+    QTable,
     a_frak_values,
     canonical_roots,
     dist_mod_2ipi,
@@ -98,9 +106,10 @@ class TestRefineBethe:
                 assert abs(a - b) < 1e-10
 
     def test_refined_bethe_ratio(self, basis3, monkeypatch):
-        # each record reports, bit for bit, the metric max_j |a_frak(q_j) - 1|
-        # of refine_bethe's last evaluation of it, below the tolerance and
-        # equal, up to rounding, to that ratio read from its table
+        # each record below 2^(N-1) reports, bit for bit, the metric
+        # max_j |a_frak(q_j) - 1| of refine_bethe's last evaluation of it, and
+        # record 2^N-1-i reports record i's; each is below the tolerance and
+        # equal, up to rounding, to that ratio read from its own table row
         returned = []
         refine = spectrum.refine_bethe
 
@@ -111,7 +120,9 @@ class TestRefineBethe:
         monkeypatch.setattr(spectrum, "refine_bethe", keep)
         result = spectrum.solve_spectrum(basis3)
         (_, metric), = returned
-        assert result.residuals["bethe"].tolist() == metric.tolist()
+        assert len(metric) == 4
+        assert result.residuals["bethe"].tolist() == metric.tolist() + metric[::-1].tolist()
+        metric = result.residuals["bethe"]
         assert np.all(metric < 1e-9)
         t = result.table
         ratio = a_frak_values(t.a_r, t.d_r, t.r_eta, t.r_eta_plus)
@@ -190,18 +201,20 @@ class TestCertify:
         assert np.all(res["eigenstate"] < 1e-8)
 
     def test_tampered_tau_fails_discrete_check(self, params3, basis3, records3):
+        # record 0 and its partner 7, record 0's tau tampered
         t = records3.table
-        bad = t.tau[:1].copy()
+        bad = t.tau[[0, 7]].copy()
         bad[0, 0] *= 1.01
         chain = chain_values(basis3, 4242)
-        bad_table = q_table(params3, t.roots[:1], bad, [])
+        bad_table = q_table(params3, t.roots[:1], bad[:1], [])
         assert discrete_char_residual(bad_table, chain)[0] > 1e-3
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match=r"^record 0 "):
             certify(params3, bad, t.roots[:1], records3.residuals["bethe"][:1], chain)
 
     def test_refusal_in_a_batch_names_its_record(self, params3, basis3, records3):
-        # a tampered tau at index 5 of the 8-record batch: the refusal names
-        # record 5, and the batch without it certifies
+        # a tampered tau at index 5 of the 8-record batch, the partner of
+        # record 2: the refusal names record 5, and the batch without the
+        # pair (2, 5) certifies
         taus = records3.table.tau.copy()
         roots = records3.table.roots
         bethe = records3.residuals["bethe"]
@@ -209,11 +222,11 @@ class TestCertify:
         chain = chain_values(basis3, 4242)
         with pytest.raises(CertificationError,
                            match=r"^record 5 \(tau\(xi_1\) = .*discrete_char residual"):
-            certify(params3, taus, roots, bethe, chain)
-        others = [i for i in range(8) if i != 5]
+            certify(params3, taus, roots[:4], bethe[:4], chain)
+        others = [0, 1, 3, 4, 6, 7]
         # certify returns a spectrum only when every record passes
-        certified = certify(params3, taus[others], roots[others], bethe[others], chain)
-        assert len(certified.table) == 7
+        certified = certify(params3, taus[others], roots[[0, 1, 3]], bethe[[0, 1, 3]], chain)
+        assert len(certified.table) == 6
         assert certified.table.roots.tolist() == roots[others].tolist()
 
     # gate -> the input of record 0 that carries the defect: tau(xi_1) scaled
@@ -232,7 +245,7 @@ class TestCertify:
         # root moved after the polish still reads 7.8e-16 there
         defect = 1e-6
         t = records3.table
-        taus, roots = t.tau[:1].copy(), t.roots[:1].copy()
+        taus, roots = t.tau[[0, 7]].copy(), t.roots[:1].copy()
         bethe = records3.residuals["bethe"][:1].copy()
         target = self.RECORD_DEFECTS[gate]
         if target == "tau":
@@ -301,11 +314,11 @@ class TestCertify:
                 assert close(vec(table.r_ipi), vec(at(q_roots, q + IPI) for q in roots))
                 assert close(vec(table.sinh_x), vec(
                     np.prod([cmath.sinh(x - q) for q in roots]) for x in xi))
-            assert close(vec(table.grid).reshape(-1, 5), vec(
+            assert close(vec(table.grid).reshape(-1, 6), vec(
                 v for lam in points
                 for v in (at(q_roots, lam), at(q_roots, lam - eta), at(q_roots, lam + eta),
-                          at(partner, lam), at(partner, lam - eta))
-            ).reshape(-1, 5))
+                          at(partner, lam), at(partner, lam - eta), at(partner, lam + eta))
+            ).reshape(-1, 6))
 
     def test_negation_pair_shares_discrete_products(self, params3, records3):
         vals = records3.table.tau[:, 0]
@@ -316,6 +329,103 @@ class TestCertify:
                 a = rec(x) * rec(x - params3.eta)
                 b = partner(x) * partner(x - params3.eta)
                 assert rel_dev(a, b) < 1e-9
+
+
+class TestPartners:
+    # record 2^N-1-i of a spectrum is record i's i*pi-shifted partner, built
+    # by model.with_partners from record i's table row, not extracted or
+    # polished on its own
+
+    @pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0),
+                                          (3, 0.8 - 0.3j), (6, 0.8 - 0.3j)])
+    def test_partner_rows_equal_fresh_evaluation(self, n, kappa):
+        # each partner row equals a fresh q_table evaluation at its own roots
+        # to 1e-13 relative, field by field (the odd-N signs of r_ipi and
+        # r_eta included), its roots are its twin's hat and its hat
+        # canonical_roots(roots + i*pi), bit for bit, and its Bethe residual
+        # is its twin's; the extracted rows are q_table's, bit for bit
+        basis, whole = certified_chain(n, kappa)
+        params, t = basis.params, whole.table
+        half = len(t) // 2
+        rows = np.arange(half, 2 * half)
+        twins = 2 * half - 1 - rows
+        grid = residual_grid(params)
+        assert t.roots[rows].tolist() == t.hat[twins].tolist()
+        assert t.hat[rows].tolist() == canonical_roots(t.roots[rows] + IPI).tolist()
+        assert t.tau[rows].tobytes() == (-t.tau[twins]).tobytes()
+        assert whole.residuals["bethe"][rows].tolist() == whole.residuals["bethe"][twins].tolist()
+        fresh = q_table(params, t.roots[rows], t.tau[rows], grid)
+        extracted = q_table(params, t.roots[:half], t.tau[:half], grid)
+        for f in fields(QTable):
+            got, want = getattr(t, f.name)[rows], getattr(fresh, f.name)
+            scale = np.maximum(np.maximum(abs(got), abs(want)), 1e-30)
+            assert got.shape == want.shape and np.all(abs(got - want) <= 1e-13 * scale), f.name
+            lower = getattr(t, f.name)[:half]
+            assert lower.tobytes() == getattr(extracted, f.name).tobytes(), f.name
+
+    def test_partner_gates_read_its_own_tau(self, params3, basis3, records3):
+        # a defect of 1e-6 in the eigenvalue of record 7, the partner of
+        # record 0, trips the three gates that read tau, on record 7, by name;
+        # its roots are record 0's shifted ones and pass the others
+        t = records3.table
+        taus = t.tau.copy()
+        taus[7, 0] *= 1 + 1e-6
+        with pytest.raises(CertificationError, match=r"^record 7 ") as err:
+            certify(params3, taus, t.roots[:4], records3.residuals["bethe"][:4],
+                    chain_values(basis3, 4242))
+        for gate in spectrum.GATES:
+            found = re.search(rf"[:;] {gate} residual (\S+) > ([^;]+)", str(err.value))
+            if gate in ("tq", "discrete_char", "eigenstate"):
+                assert found is not None, str(err.value)
+                residual, tol = map(float, found.groups())
+                assert tol == DEFAULT_TOLERANCES[spectrum.GATES[gate]] < residual
+            else:
+                assert found is None, str(err.value)
+
+    def test_certify_needs_a_partner_for_every_root_set(self, params3, basis3, records3):
+        t = records3.table
+        with pytest.raises(ParameterError, match=r"^8 eigenvalues for 3 root sets"):
+            certify(params3, t.tau, t.roots[:3], records3.residuals["bethe"][:3],
+                    chain_values(basis3, 4242))
+
+    def test_unpaired_spectrum_is_refused(self, basis3, monkeypatch):
+        # the oracle must pair row 7-i with row i negated; a spectrum that
+        # breaks the pairing by one rounding is refused before extraction
+        oracle, extracted = spectrum.spectrum_oracle, []
+
+        def unpaired(params, at_xi):
+            taus, vectors = oracle(params, at_xi)
+            taus = taus.copy()
+            taus[6, 1] *= 1 + 1e-15
+            return taus, vectors
+
+        monkeypatch.setattr(spectrum, "spectrum_oracle", unpaired)
+        monkeypatch.setattr(spectrum, "q_from_tau", lambda *args: extracted.append(args))
+        with pytest.raises(ParityError, match=r"^record 1: tau\(xi_k\) is not the negation "
+                                              r"of record 6's"):
+            spectrum.solve_spectrum(basis3)
+        assert extracted == []
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_extraction_and_polish_see_half_the_records(self, n, monkeypatch):
+        # one solve hands q_from_tau and refine_bethe the 2^(N-1) records
+        # below 2^(N-1), once each, and certifies all 2^N
+        calls, records = Counter(), Counter()
+
+        def count(name):
+            inner = getattr(spectrum, name)
+
+            def wrapper(params, rows, *args):
+                calls[name] += 1
+                records[name] += len(rows)
+                return inner(params, rows, *args)
+            monkeypatch.setattr(spectrum, name, wrapper)
+
+        count("q_from_tau")
+        count("refine_bethe")
+        assert len(spectrum.solve_spectrum(sov.SovBasis(make_params(n))).table) == 2**n
+        assert calls == {"q_from_tau": 1, "refine_bethe": 1}
+        assert records == {"q_from_tau": 2**(n - 1), "refine_bethe": 2**(n - 1)}
 
 
 class TestPipeline:
@@ -452,21 +562,25 @@ class TestPipeline:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_batch_equals_each_record_alone(self, n):
-        # every record makes the decisions it makes alone: its roots and
-        # residuals from the whole spectrum equal those of the record run
-        # as a batch of one
+        # every record makes the decisions it makes alone: the roots and
+        # residuals of record i and its partner 2^N-1-i from the whole
+        # spectrum equal those of record i run as a batch of one, certified
+        # with its partner
         params = make_params(n)
         basis = sov.SovBasis(params)
         whole = spectrum.solve_spectrum(basis)
         chain = chain_values(basis, 4242)
-        for i in range(len(whole.table)):
-            taus = whole.table.tau[i:i + 1]
-            roots, bethe = refine_bethe(params, q_from_tau(params, taus, chain))
+        count = len(whole.table)
+        for i in range(count // 2):
+            rows = [i, count - 1 - i]
+            taus = whole.table.tau[rows]
+            roots, bethe = refine_bethe(params, q_from_tau(params, taus[:1], chain))
             alone = certify(params, taus, roots, bethe, chain)
-            assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.table.roots[0],
-                                                               whole.table.roots[i]))
-            for name, value in alone.residuals.items():
-                assert rel_dev(value[0], whole.residuals[name][i]) <= 1e-13
+            for k, row in enumerate(rows):
+                assert all(rel_dev(a, b) <= 1e-13 for a, b in zip(alone.table.roots[k],
+                                                                   whole.table.roots[row]))
+                for name, value in alone.residuals.items():
+                    assert rel_dev(value[k], whole.residuals[name][row]) <= 1e-13
 
     def test_structure_outputs_populated(self, records3):
         assert set(records3.wronskian_sign.tolist()) <= {-1, 1}
