@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -366,11 +367,11 @@ class QTable:
     built once by ``q_table``; the record residuals, separate states and pair
     formulas read them and evaluate none again.  Every numeric field is a
     read-only complex128 array whose first axis runs over the R records (row
-    i is record i); the values of Q at the nodes and at the shifted roots are
-    views of one array.  ``roots`` holds each record's roots in
-    ``canonical_roots`` form, ``hat`` those of its i*pi-shifted partner, and
-    ``tau`` each record's eigenvalue at the nodes, tau(xi_k) (None for bare
-    polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi:
+    i is record i); the fields of one value per node or root, all but
+    ``roots`` and ``hat``, are views of one array.  ``roots`` holds each
+    record's roots in ``canonical_roots`` form, ``hat`` those of its
+    i*pi-shifted partner, and ``tau`` each record's eigenvalue at the nodes,
+    tau(xi_k) (None for bare polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi:
     ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi``.  At the roots q_j: a, d, exp
     in ``a_r``, ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi)
     in ``r_eta``, ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per
@@ -434,22 +435,29 @@ def q_table(params: ModelParams, roots, taus, grid) -> QTable:
     return _joined(blocks, n, roots=r, tau=taus)
 
 
-# the QTable fields at the nodes and at the shifted roots, in the order of
-# the one array they are views of
-_AT_POINTS = ("x", "x_eta", "x_ipi", "x_eta_ipi", "r_eta", "r_eta_plus", "r_ipi")
+# the QTable fields of one value per node or root, in the order of the one
+# array they are views of: Q at the nodes and at the shifted roots, a, d and
+# exp at the roots, and the sinh products at the nodes
+_ROW_FIELDS = ("x", "x_eta", "x_ipi", "x_eta_ipi", "r_eta", "r_eta_plus", "r_ipi",
+               "a_r", "d_r", "exp_r", "sinh_x")
 
 
 def _joined(blocks: list[dict], n: int, **kept) -> QTable:
     """The ``QTable`` of the records of ``blocks`` (field name -> array, one
-    row per record, ``values`` holding the ``_AT_POINTS`` fields side by
-    side) in order, on n nodes, each field one read-only array and the
-    ``_AT_POINTS`` fields views of one; ``kept`` holds fields taken as they
-    are."""
+    row per record, ``values`` holding the ``_ROW_FIELDS`` side by side) in
+    order, on n nodes, each field one read-only array and the
+    ``_ROW_FIELDS`` views of one; ``kept`` holds fields taken as they are."""
     joined = {name: _read_only(np.concatenate([block[name] for block in blocks]))
               for name in blocks[0]}
     m = joined["hat"].shape[1]
-    values = np.split(joined.pop("values"), np.cumsum([n] * 4 + [m] * 2), axis=1)
-    return QTable(**dict(zip(_AT_POINTS, values)), **joined, **kept)
+    values = _column_blocks(joined.pop("values"), [n] * 4 + [m] * 6 + [n])
+    return QTable(**dict(zip(_ROW_FIELDS, values)), **joined, **kept)
+
+
+def _column_blocks(values: np.ndarray, widths: list[int]) -> list[np.ndarray]:
+    """The consecutive blocks of ``widths`` columns of ``values``, as views:
+    what ``np.split`` gives, without its cost per block."""
+    return [values[:, end - width:end] for end, width in zip(accumulate(widths), widths)]
 
 
 def with_partners(table: QTable, taus) -> QTable:
@@ -468,69 +476,79 @@ def with_partners(table: QTable, taus) -> QTable:
     qhat_j are (-1)^N times theirs at q_j for N nodes, e^qhat_j is -e^q_j,
     prod_l sinh(xi_k - qhat_l) is (-1)^M prod_l sinh(xi_k - q_l), and the
     partner's Qhat is Q again, so its grid row swaps Q's and Qhat's values.
-    The partner's ``hat`` is ``canonical_roots`` of its roots + i*pi."""
+    The partner's ``hat`` is ``canonical_roots`` of its roots + i*pi.  The
+    fields are signed in three groups, each one stacked array under one sign
+    rule: at the nodes, at the roots and ``sinh_x``."""
     n, m = table.x.shape[1], table.roots.shape[1]
+    odd_m, odd_n = m % 2 == 1, n % 2 == 1
     shifted = table.roots + IPI
     wrapped = wrap_to_strip(shifted)
-    # hat = wrapped[sort], row by row
-    sort = np.arange(len(wrapped))[:, None], np.lexsort((wrapped.imag, wrapped.real), axis=-1)
-    moved = (wrapped.imag < shifted.imag)[sort]
-    odd_c = ((m + moved.sum(axis=-1)) % 2 == 1)[:, None]  # c = -1
-    odd_m, odd_n = m % 2 == 1, n % 2 == 1
-    odd_roots = odd_c ^ (odd_m & ~moved)  # c (-1)^(M (1 - w_j)), in hat's order
-
-    def signed(values, odd, by_root=False):  # values negated where odd, exactly
-        values = values[sort] if by_root else values
-        return np.where(odd, -values, values)
-
-    partner = {"x": signed(table.x_ipi, odd_c), "x_eta": signed(table.x_eta_ipi, odd_c),
-               "x_ipi": signed(table.x, odd_c ^ odd_m),
-               "x_eta_ipi": signed(table.x_eta, odd_c ^ odd_m),
-               "r_eta": signed(table.r_eta, odd_roots, True),
-               "r_eta_plus": signed(table.r_eta_plus, odd_roots, True),
-               "r_ipi": signed(table.r_ipi, odd_roots, True),
-               "a_r": signed(table.a_r, odd_n, True), "d_r": signed(table.d_r, odd_n, True),
-               "exp_r": signed(table.exp_r, True, True), "sinh_x": signed(table.sinh_x, odd_m),
-               "grid": table.grid[..., [3, 4, 5, 0, 1, 2]],
-               "roots": table.hat, "hat": canonical_roots(table.hat + IPI)}
-
-    def block(fields):  # a block of _joined, the _AT_POINTS fields side by side
-        values = np.concatenate([fields.pop(name) for name in _AT_POINTS], axis=1)
-        return {**fields, "values": values}
-
-    return _joined([block({name: getattr(table, name) for name in partner}),
-                    block({name: v[::-1] for name, v in partner.items()})], n, tau=taus)
+    rows = np.arange(len(shifted))[:, None]
+    sort = np.lexsort((wrapped.imag, wrapped.real), axis=-1)  # hat = wrapped[rows, sort]
+    moved = (wrapped.imag < shifted.imag)[rows, sort]  # w_j, in hat's order
+    odd_c = (m + moved.sum(axis=-1)) % 2 == 1  # c = -1
+    values = np.concatenate([getattr(table, name) for name in _ROW_FIELDS], axis=1)
+    at_nodes, at_roots, sinh_x = _column_blocks(values, [4 * n, 6 * m, n])
+    # three groups of fields, each one array signed in one pass: at the nodes,
+    # x, x_eta <- c (x_ipi, x_eta_ipi) and x_ipi, x_eta_ipi <- c (-1)^M (x, x_eta)
+    nodes = at_nodes.reshape(-1, 2, 2 * n)[:, ::-1]
+    odd_nodes = np.stack([odd_c, odd_c ^ odd_m], axis=-1)[..., None]
+    # at the roots, in hat's order: r_eta, r_eta_plus and r_ipi times
+    # c (-1)^(M (1 - w_j)), a_r and d_r times (-1)^N, exp_r negated
+    roots = np.take_along_axis(at_roots.reshape(-1, 6, m), sort[:, None], axis=-1)
+    odd_roots = np.where(np.arange(6)[:, None] < 3, (odd_c[:, None] ^ (odd_m & ~moved))[:, None],
+                         np.array([0, 0, 0, odd_n, odd_n, 1], dtype=bool)[:, None])
+    signed = [np.where(odd, -group, group).reshape(len(rows), -1) for group, odd in
+              ((nodes, odd_nodes), (roots, odd_roots), (sinh_x, odd_m))]
+    partner = {"values": np.concatenate(signed, axis=1), "roots": table.hat,
+               "hat": canonical_roots(table.hat + IPI),
+               "grid": table.grid[..., [3, 4, 5, 0, 1, 2]]}
+    own = {"values": values, "roots": table.roots, "hat": table.hat, "grid": table.grid}
+    return _joined([own, {name: v[::-1] for name, v in partner.items()}], n, tau=taus)
 
 
 def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """The ``QTable`` fields of the records whose roots are the rows of
     ``r``, at the residual-grid points ``lam``, but ``roots`` and ``tau``;
-    ``values`` holds the ``_AT_POINTS`` fields side by side, Q at the nodes
-    and at the shifted roots in that order along its last axis."""
+    ``values`` holds the ``_ROW_FIELDS`` side by side.  The sinh and cosh at
+    the grid come from one ``sinh_cosh`` call, every other sinh from one
+    ``sinh`` call."""
     shifted = r + IPI
     wrapped = wrap_to_strip(shifted)
     eta = params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
+    count, m = r.shape
+    n = len(xi)
 
     def shared(*points):  # the same points for every polynomial
         row = np.concatenate(points)
-        return np.broadcast_to(row, (len(r), len(row)))
+        return np.broadcast_to(row, (count, len(row)))
 
-    sizes = np.cumsum([len(xi)] * 4 + [r.shape[1]] * 3)  # split points
+    at_points = 4 * n + 3 * m  # Q at the nodes and at the shifted roots
     points = np.concatenate([shared(xi, xi - eta, xi + IPI, xi - eta + IPI), r - eta, r + eta,
                              r + IPI, shared(lam + eta, lam, lam - eta)], axis=1)
     half = (points[..., :, None] - r[..., None, :]) / 2
     # Q and Qhat at lam + eta, lam and lam - eta from one sinh/cosh pass over
     # the half differences u = (lam - q)/2: sinh((lam - q -+ i*pi)/2) = -+i cosh(u),
     # -i where q + i*pi stayed in the strip, +i where the wrap moved it down by 2 i pi
-    s, c = sinh_cosh(half[:, sizes[-1]:])
+    s, c = sinh_cosh(half[:, at_points:])
     phase = np.where(wrapped.imag < shifted.imag, 1j, -1j).prod(axis=-1)
-    q_plus, q_lam, q_minus = np.split(s.prod(axis=-1), 3, axis=1)
-    hat_plus, hat_lam, hat_minus = np.split(phase[:, None] * c.prod(axis=-1), 3, axis=1)
-    return {"values": sinh_prod(half[:, :sizes[-1]]), "hat": _sorted_roots(wrapped),
-            "a_r": params.a_fn(r), "d_r": params.d_fn(r), "exp_r": np.exp(r),
-            "sinh_x": sinh_prod(xi[:, None] - r[:, None, :]),
-            "grid": np.stack([q_lam, q_minus, q_plus, hat_lam, hat_minus, hat_plus], axis=-1)}
+    q = s.prod(axis=-1).reshape(count, 3, -1)  # at lam + eta, lam, lam - eta
+    hat = (phase[:, None] * c.prod(axis=-1)).reshape(count, 3, -1)
+    # every other sinh product, its factors flattened side by side: the half
+    # differences at the nodes and the shifted roots, the factors of a(q)
+    # and d(q) (m rows of n each) and those of prod_l sinh(xi_k - q_l)
+    d_args = _less(r, xi)
+    args = [half[:, :at_points], d_args + eta, d_args, xi[:, None] - r[:, None, :]]
+    shapes = [(count, at_points, m), (count, m, n), (count, m, n), (count, n, m)]
+    widths = [k * w for _, k, w in shapes]
+    factors = sinh(np.concatenate([a.reshape(count, w) for a, w in zip(args, widths)], axis=1))
+    q_at, a_r, d_r, sinh_x = (f.reshape(shape).prod(axis=-1) for f, shape in
+                              zip(_column_blocks(factors, widths), shapes))
+    values = np.concatenate([q_at, a_r, d_r, np.exp(r), sinh_x], axis=1)
+    return {"values": values, "hat": _sorted_roots(wrapped),
+            "grid": np.stack([q[:, 1], q[:, 2], q[:, 0], hat[:, 1], hat[:, 2], hat[:, 0]],
+                             axis=-1)}
 
 
 def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):

@@ -66,18 +66,25 @@ def _det_expanded(mat: np.ndarray, rows: list[int]):
 
     Rows whose entries span a huge dynamic range destroy the accuracy of a
     plain LU determinant; expanding along them keeps every minor well scaled.
+    The minors of the first listed row are formed as one stack and expanded
+    along the remaining listed rows the same way, so one ``det_lu`` call
+    takes every determinant.  The terms are summed in column order, one
+    column at a time: numpy's array product of complex values can round
+    differently from its scalar product, and this way one matrix's
+    determinant rounds exactly as a term-by-term expansion rounds it.
     """
     if not rows:
         return det_lu(mat)
-    r = rows[0]
+    r, size = rows[0], mat.shape[-1]
+    # column k of minor j: column k of mat, or k + 1 from column j on
+    cols = np.arange(size - 1) + (np.arange(size - 1) >= np.arange(size)[:, None])
+    minors = np.moveaxis(np.delete(mat, r, axis=-2)[..., cols], -2, -3)
+    dets = _det_expanded(minors, [k - 1 if k > r else k for k in rows[1:]])
+    row = mat[..., r, :]
+    signed = np.where((r + np.arange(size)) % 2 == 1, -row, row)  # (-1)^(r+j) entry_j
     total = 0.0 + 0.0j
-    for j in range(mat.shape[-1]):
-        entry = mat[..., r, j][()]  # a scalar for one matrix
-        if not np.any(entry):
-            continue
-        minor = np.delete(np.delete(mat, r, axis=-2), j, axis=-1)
-        rest = [k - 1 if k > r else k for k in rows[1:]]
-        total += (-1.0) ** (r + j) * entry * _det_expanded(minor, rest)
+    for entry, det in zip(np.moveaxis(signed, -1, 0), np.moveaxis(dets, -1, 0)):
+        total = total + entry * det
     return total
 
 
@@ -130,10 +137,11 @@ def _izergin_matrix(kernels, f_vals) -> np.ndarray:
     return cauchy - np.asarray(f_vals, dtype=np.complex128)[..., :, None] * shifted
 
 
-def e_weight(zs, eta: complex, u: complex) -> complex:
-    """prod_l sinh(u - z_l - eta) / sinh(u - z_l)."""
-    w = u - np.asarray(zs, dtype=np.complex128)
-    return complex(np.prod(sinh(w - eta) / sinh(w)))
+def e_weight(zs, eta: complex, u):
+    """prod_l sinh(u - z_l - eta) / sinh(u - z_l) at every point of ``u``
+    (a scalar gives a scalar)."""
+    w = np.asarray(u, dtype=np.complex128)[..., None] - np.asarray(zs, dtype=np.complex128)
+    return np.prod(sinh(w - eta) / sinh(w), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +738,12 @@ def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     """Finite-argument check of the determinant-size extension rule:
     appending one node at x_large multiplies the functional by
     (1 - f_inf e^{-L eta}) after an e^eta reweighting of f, with L the
-    original number of nodes."""
+    original number of nodes.  ``f`` takes an array of points."""
     xs = list(params.xi)
     x_large = 30.0
-    big = a_functional(xs + [x_large], [f(x) for x in xs] + [f(x_large)], params.eta)
-    small = _dressed_vandermonde(params.node_rows, [cmath.exp(params.eta) * f(x) for x in xs])
+    f_vals = f(np.array(xs + [x_large], dtype=np.complex128)).tolist()
+    big = a_functional(xs + [x_large], f_vals, params.eta)
+    small = _dressed_vandermonde(params.node_rows, [cmath.exp(params.eta) * v for v in f_vals[:-1]])
     target = (1 - f_inf * cmath.exp(-len(xs) * params.eta)) * small
     return abs(big - target) / max(abs(big), abs(target), 1e-30)
 
@@ -764,8 +773,8 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
                     and all(abs(z - w) > params.delta_min for w in zs):
                 zs.append(z)
         lhs = _dressed_vandermonde(params.node_rows, f_vals)
-        rhs = izergin_ratio(xs, zs, [f_vals[i] * e_weight(zs, params.eta, xs[i])
-                                     for i in range(n)], params.eta)
+        weights = e_weight(zs, params.eta, xs).tolist()
+        rhs = izergin_ratio(xs, zs, [f * w for f, w in zip(f_vals, weights)], params.eta)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     out["functional_reduction"] = float(worst)
 
@@ -793,7 +802,7 @@ def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict
 
     f_const = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     out["extension_limit_const"] = float(
-        extension_limit_check(params, lambda _u: f_const, f_const))
+        extension_limit_check(params, lambda u: np.full(np.shape(u), f_const), f_const))
     zw = [complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)) for _ in range(2)]
     out["extension_limit_rational"] = float(extension_limit_check(
         params, lambda u: e_weight(zw, params.eta, u), cmath.exp(-2 * params.eta)))

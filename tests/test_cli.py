@@ -357,10 +357,10 @@ class TestValidateCommand:
     def test_node_factors_built_once(self, tmp_path, monkeypatch):
         # the 8 n dressed operators of one run share their node factors: the
         # monodromy at each xi_m - eta is built once, the basis shares B and
-        # C of the blocks at xi_m, each transfer factor takes one SVD, each prefix
-        # product one inversion, no dressed operator a solve, and each call
-        # of the dressing and each target embedding serves both variants (the
-        # spectrum's own work not counted)
+        # C of the blocks at xi_m, no matrix is decomposed, inverted or solved
+        # (the inverse prefix products come from the fusion identity), and
+        # each call of the dressing and each target embedding serves both
+        # variants (the spectrum's own work not counted)
         builds = Counter()
         calls = Counter()
         made = {}
@@ -403,12 +403,11 @@ class TestValidateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 3}))
         params = load_config(cfg).params
-        n, dim = params.n, 2**params.n
+        n = params.n
         assert run(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
         nodes = [x - shift for x in params.xi for shift in (0, params.eta)]
         assert [builds[x] for x in nodes] == [1] * len(nodes)
-        assert calls == {("svd", (dim, dim)): n, ("inv", None): n, ("local_op", None): 4 * n,
-                         ("dress_local_operator", None): 4 * n}
+        assert calls == {("local_op", None): 4 * n, ("dress_local_operator", None): 4 * n}
         assert all(made["NodeFactors"].at_xi[m].b is made["SovBasis"].at_xi[m].b
                    and made["NodeFactors"].at_xi[m].c is made["SovBasis"].at_xi[m].c
                    for m in range(n))

@@ -12,6 +12,7 @@ from sovxxz.errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
+    InversionError,
     ParityError,
     SovxxzError,
 )
@@ -407,6 +408,35 @@ class TestInverseProblem:
                 assert np.linalg.norm(e12 - local_op(SIGMA_PLUS, site, 3)) < 1e-9 * 8
                 assert np.linalg.norm(e21 - local_op(SIGMA_MINUS, site, 3)) < 1e-9 * 8
                 assert np.linalg.norm((e11 - e22) - local_op(SIGMA_Z, site, 3)) < 1e-9 * 8
+
+
+    def test_fusion_bound_caps_the_condition_number(self, params3, nodes):
+        # each factor's inverse is T_K(xi_m - eta) / (-q_m) to rounding, and
+        # ||T_K(xi_m)|| ||T_K(xi_m - eta)|| / |q_m| bounds its condition
+        # number from above, so the guard refuses every factor an SVD would
+        for t, s, q in zip(nodes.at_xi, nodes.shift, nodes.qdet):
+            f, f_shift = t.transfer(params3.kappa), s.transfer(params3.kappa)
+            assert np.linalg.norm(f @ f_shift + q * np.eye(8)) < 1e-13 * abs(q)
+            svals = np.linalg.svd(f, compute_uv=False)
+            assert svals[0] / svals[-1] <= np.linalg.norm(f) * np.linalg.norm(f_shift) / abs(q)
+        for p, p_inv in zip(nodes.prefix, nodes.prefix_inv):
+            assert np.linalg.norm(p_inv @ p - np.eye(8)) < 1e-12
+
+    @pytest.mark.parametrize("node", [1, 2, 3])
+    def test_a_quantum_determinant_under_the_bound_is_refused_by_node(
+            self, monkeypatch, params3, node):
+        # q at one node scaled by 1e-12 falls under 1e-12 ||T|| ||T(. - eta)||
+        # (the chain's own ratio is above 1e-3) and that node is named
+        at_xi = [monodromy_entries(params3, x) for x in params3.xi]
+        d_fn = type(params3).d_fn
+
+        def small_at_node(self, lam):
+            values = d_fn(self, lam)
+            return values * np.where(np.arange(len(values)) == node - 1, 1e-12, 1.0)
+        monkeypatch.setattr(type(params3), "d_fn", small_at_node)
+        with pytest.raises(InversionError, match=rf"^transfer-matrix factor T_K\(xi_{node}\) "
+                                                 "is numerically singular"):
+            NodeFactors(params3, at_xi)
 
 
 @pytest.mark.parametrize("kappa", [1.0 + 0.0j, 0.8 - 0.3j])

@@ -870,3 +870,30 @@ class TestIdentityBench:
         for name, value in bench.items():
             tol = 1e-6 if name.startswith("extension") else 1e-9
             assert value < tol, f"{name}: {value:.3e}"
+
+    def test_e_weight_of_an_array_is_its_scalar_form_bit_for_bit(self, params3):
+        # one call over every point gives, bit for bit, the product each
+        # point alone gives
+        g = rng(31)
+        zs = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(4)]
+        us = np.array(params3.xi + (30.0,), dtype=complex)
+        got = obs.e_weight(zs, params3.eta, us)
+        assert got.shape == us.shape
+        for u, value in zip(us, got):
+            w = u - np.asarray(zs)
+            alone = complex(np.prod(obs.sinh(w - params3.eta) / obs.sinh(w)))
+            assert complex(value) == alone and complex(obs.e_weight(zs, params3.eta, u)) == alone
+
+    @pytest.mark.parametrize("rows", [[1], [3, 0], [1, 4]])
+    def test_expansion_reads_the_laplace_signs(self, rows):
+        # on well-scaled 5 x 5 matrices, where every term of an expanded row
+        # matters, the expansion along one or two rows is the LU determinant
+        # to 1e-12, of one matrix and of each matrix of a stack
+        g = rng(32)
+        stack = g.normal(size=(3, 5, 5)) + 1j * g.normal(size=(3, 5, 5))
+        want = det_lu(stack)
+        got = obs._det_expanded(stack, rows)
+        assert got.shape == (3,)
+        assert np.all(abs(got - want) <= 1e-12 * abs(want))
+        one = obs._det_expanded(stack[1], rows)
+        assert abs(one - want[1]) <= 1e-12 * abs(want[1])

@@ -87,7 +87,7 @@ DEFAULT_CASES = (
     ("validate", '{"n": 3, "sites": [1]}', "1-3"),
     ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
     ("validate", '{"n": 4, "kappa": [0.8, -0.3]}', "1-3"),
-    ("validate", '{"n": 8}', "1-2"),
+    ("validate", '{"n": 8}', "1-8"),
 )
 
 
