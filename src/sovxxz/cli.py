@@ -272,7 +272,7 @@ def cmd_spectrum(cfg: RunConfig, out_path: str | None) -> int:
     }
     # one column per report field, one row per record; a returned spectrum is
     # certified whole
-    columns = {"tau_at_xi": table.tau, "q_roots": table.roots, "qhat_roots": table.hat,
+    columns = {"tau_at_xi": table.tau, "q_roots": table.roots, "qhat_roots": table.roots[::-1],
                "bethe_residual": res["bethe"], "tq_residual": res["tq"],
                "discrete_char_residual": res["discrete_char"],
                "eigenstate_residual": res["eigenstate"],

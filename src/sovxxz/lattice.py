@@ -28,6 +28,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)   # |up><down|
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |down><up|
 
+# the oracle's and the reference's gates: no two eigenvalues closer than
+# GAP_FACTOR times the spectral radius, and each eigenpair's residual within
+# EIGENPAIR_TOL times the norms of the matrix and the vector
+GAP_FACTOR = 1e-6
+EIGENPAIR_TOL = 1e-9
+
 
 def r_matrix(lam: complex, eta: complex) -> np.ndarray:
     """4x4 trigonometric R-matrix on (auxiliary) x (site)."""
@@ -145,14 +151,14 @@ def transfer_k(params: ModelParams, lam: complex) -> np.ndarray:
     return monodromy_entries(params, lam).transfer(params.kappa)
 
 
-def _require_gaps(vals: np.ndarray, gap_factor: float) -> None:
+def _require_gaps(vals: np.ndarray) -> None:
     """Refuse a spectrum ``vals`` with two eigenvalues closer than
-    ``gap_factor`` times its spectral radius."""
+    ``GAP_FACTOR`` times its spectral radius."""
     radius = float(np.max(np.abs(vals)))
     gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * (10 * radius)
-    if gaps.min() < gap_factor * radius:
+    if gaps.min() < GAP_FACTOR * radius:
         raise DegenerateSpectrumError(
-            f"eigenvalue gap {gaps.min():.3e} below {gap_factor:.1e} * radius; re-seed parameters"
+            f"eigenvalue gap {gaps.min():.3e} below {GAP_FACTOR:.1e} * radius; re-seed parameters"
         )
 
 
@@ -188,9 +194,8 @@ def parity_blocks(at_xi: list[FlipBlocks], kappa: complex) -> tuple[np.ndarray, 
     return np.stack(x), np.stack(y)
 
 
-def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
-                    gap_factor: float = 1e-6,
-                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_oracle(params: ModelParams,
+                    at_xi: list[FlipBlocks]) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force eigenpairs of the transfer matrix at the chain's twist
     ``params.kappa``, as ``(taus, vectors)``: ``taus`` is the read-only (2^N, len(at_xi)) array
     whose row r holds tau(xi_1..xi_M) of eigenvalue r, the rows sorted by
@@ -204,9 +209,9 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
     so its eigenpairs come from one eigensolve of X_1 Y_1 on the even sector:
     each eigenpair (mu, u) of it gives the two eigenvalues tau = +-sqrt(mu) of
     T_K(xi_1), with eigenvectors (u, +-w), w = Y_1 u / sqrt(mu).  Each pair
-    must satisfy ||(X_1 w - tau u, Y_1 u - tau w)|| <= tol * ||T|| * ||v|| on
-    the full matrix, and no two of the 2^N eigenvalues may lie closer than
-    ``gap_factor`` times the spectral radius.  Rayleigh quotients against
+    must satisfy ||(X_1 w - tau u, Y_1 u - tau w)|| <= EIGENPAIR_TOL * ||T|| * ||v||
+    on the full matrix, and no two of the 2^N eigenvalues may lie closer than
+    ``GAP_FACTOR`` times the spectral radius.  Rayleigh quotients against
     T_K(xi_j), formed from its blocks, read off tau(xi_j) for every
     eigenvector (the family commutes, so each vector is a joint eigenvector);
     those of (u, -w) are the negated ones of (u, w), so the spectrum is
@@ -219,18 +224,18 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     root = np.sqrt(mu)
     # before the division by root: a zero root is a degenerate pair +-0
-    _require_gaps(np.concatenate([root, -root]), gap_factor)
+    _require_gaps(np.concatenate([root, -root]))
     yu = y @ u  # column c of yu[j]: Y_j u_c
     w = yu[0] / root
     xw = x @ w
     norm = np.linalg.norm
     resid = np.hypot(norm(xw[0] - root * u, axis=0), norm(yu[0] - root * w, axis=0))
     v_norm = np.hypot(norm(u, axis=0), norm(w, axis=0))
-    bad = resid > tol * max(np.hypot(norm(x[0]), norm(y[0])), 1.0) * v_norm
+    bad = resid > EIGENPAIR_TOL * max(np.hypot(norm(x[0]), norm(y[0])), 1.0) * v_norm
     if bad.any():
         c = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"eigenpair +-sqrt(mu_{c}) residual {resid[c]:.3e} exceeds {tol:.1e} * ||T|| * ||v||")
+        raise ConvergenceError(f"eigenpair +-sqrt(mu_{c}) residual {resid[c]:.3e} exceeds "
+                               f"{EIGENPAIR_TOL:.1e} * ||T|| * ||v||")
     # (u^H X_j w + w^H Y_j u) / (u^H u + w^H w) of every vector and node
     plus = ((u.conj() * xw).sum(axis=1) + (w.conj() * yu).sum(axis=1)) / v_norm**2
     tau_xi = np.concatenate([plus, -plus], axis=1).T
@@ -246,19 +251,18 @@ def spectrum_oracle(params: ModelParams, at_xi: list[FlipBlocks],
 
 
 def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
-                         witness_tau: np.ndarray, witness_kappa: complex,
-                         gap_factor: float = 1e-6) -> np.ndarray:
+                         witness_tau: np.ndarray, witness_kappa: complex) -> np.ndarray:
     """Eigenvalues of the full twisted transfer matrix M = T_kappa at the
     point of ``t``, sorted by (real, imag), from one ``np.linalg.eigvals``
     and under the oracle's degeneracy guard: a reference that shares no step
     with ``spectrum_oracle`` and is not closed under negation by construction.
 
     Each eigenvalue lam_k is gated as ``linalg.eig_dense`` gates a pair,
-    ||M z - lam_k z|| <= 1e-9 * max(||M||_F, 1) * ||z||, on a witness z taken
-    from outside the solve: the row of ``witnesses`` (eigenvectors of the
-    transfer matrix at ``witness_kappa`` at the same point, such as the
-    oracle's, one row per entry of their eigenvalues ``witness_tau``) whose
-    eigenvalue is nearest lam_k, mapped to twist ``kappa`` by the twist
+    ||M z - lam_k z|| <= EIGENPAIR_TOL * max(||M||_F, 1) * ||z||, on a
+    witness z taken from outside the solve: the row of ``witnesses``
+    (eigenvectors of the transfer matrix at ``witness_kappa`` at the same
+    point, such as the oracle's, one row per entry of their eigenvalues
+    ``witness_tau``) whose eigenvalue is nearest lam_k, mapped to twist ``kappa`` by the twist
     similarity D = diag(c^{popcount(s)}), c = witness_kappa / kappa: B and C
     each move the number of down spins by one, so T_kappa = D T_witness D^{-1}
     exactly.  The first eigenvalue over the gate is named by its index.
@@ -275,15 +279,15 @@ def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     vals = vals[np.lexsort((vals.imag, vals.real))]
-    _require_gaps(vals, gap_factor)
+    _require_gaps(vals)
     nearest = np.argmin(np.abs(vals[:, None] - witness_tau[None, :]), axis=1)
     z = witnesses[nearest] * (witness_kappa / kappa) ** np.bitwise_count(np.arange(len(m)))
     resid = np.linalg.norm(z @ m.T - vals[:, None] * z, axis=1)
-    bad = resid > 1e-9 * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
+    bad = resid > EIGENPAIR_TOL * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         raise ConvergenceError(
-            f"eigenpair {k} residual {resid[k]:.3e} exceeds 1.0e-09 * ||M|| * ||v||")
+            f"eigenpair {k} residual {resid[k]:.3e} exceeds {EIGENPAIR_TOL:.1e} * ||M|| * ||v||")
     return vals
 
 

@@ -14,6 +14,8 @@ from .errors import ConvergenceError, DimensionError
 
 MAX_SITES = 8  # the dense cap, for every module: chains up to N = 8 sites
 MAX_EIG_DIM = 2**MAX_SITES
+# roots_monic refuses a root whose residual exceeds this times 1 + max|c_k|
+ROOT_RESIDUAL_TOL = 1e-10
 
 
 def as_square_stack(m) -> np.ndarray:
@@ -44,14 +46,15 @@ def det_lu(m) -> complex | np.ndarray:
     return complex(dets) if a.ndim == 2 else dets
 
 
-def roots_monic(coeffs, tol: float = 1e-10) -> np.ndarray:
+def roots_monic(coeffs) -> np.ndarray:
     """All roots of W^N + c_{N-1} W^{N-1} + ... + c_0 for each row
     (c_0, ..., c_{N-1}) of the (..., N) array ``coeffs``, as (..., N) roots,
     from one stacked eigensolve of the companion matrices.
 
     Each polynomial's roots are sorted by (real, imag).  Each root is checked
-    to have residual |p(w)| < tol * (1 + max|c_k|); a larger residual raises,
-    naming the first offending polynomial of a stack (``at``).
+    to have residual |p(w)| < ROOT_RESIDUAL_TOL * (1 + max|c_k|); a larger
+    residual raises, naming the first offending polynomial of a stack
+    (``at``).
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     n = c.shape[-1]
@@ -67,11 +70,12 @@ def roots_monic(coeffs, tol: float = 1e-10) -> np.ndarray:
         value = value * roots + c[..., k, None]
     worst = np.abs(value).max(axis=-1)
     scale = 1.0 + np.abs(c).max(axis=-1)
-    bad = worst > tol * scale
+    bad = worst > ROOT_RESIDUAL_TOL * scale
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConvergenceError(
-            f"polynomial root residual {worst[at]:.3e} exceeds {tol:.1e} * {scale[at]:.3e}",
+            f"polynomial root residual {worst[at]:.3e} exceeds {ROOT_RESIDUAL_TOL:.1e} * "
+            f"{scale[at]:.3e}",
             at=at)
     return roots
 

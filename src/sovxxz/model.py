@@ -50,11 +50,7 @@ def wrap_to_strip(z) -> np.ndarray:
 def canonical_roots(roots) -> np.ndarray:
     """The canonical form of each root set on the last axis of ``roots``:
     every root wrapped to the strip, the set sorted by (real, imag)."""
-    return _sorted_roots(wrap_to_strip(roots))
-
-
-def _sorted_roots(z: np.ndarray) -> np.ndarray:
-    """Each root set on the last axis of ``z`` sorted by (real, imag)."""
+    z = wrap_to_strip(roots)
     return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
 
 
@@ -366,23 +362,23 @@ class QTable:
     """Every value of a stack of Q-functions that depends on them alone,
     built once by ``q_table``; the record residuals, separate states and pair
     formulas read them and evaluate none again.  Every numeric field is a
-    read-only complex128 array whose first axis runs over the R records (row
-    i is record i); the fields of one value per node or root, all but
-    ``roots`` and ``hat``, are views of one array.  ``roots`` holds each
-    record's roots in ``canonical_roots`` form, ``hat`` those of its
-    i*pi-shifted partner, and ``tau`` each record's eigenvalue at the nodes,
-    tau(xi_k) (None for bare polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and xi_k - eta + i*pi:
-    ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi``.  At the roots q_j: a, d, exp
-    in ``a_r``, ``d_r``, ``exp_r``; Q(q_j - eta), Q(q_j + eta), Q(q_j + i*pi)
-    in ``r_eta``, ``r_eta_plus``, ``r_ipi``.  prod_l sinh(xi_k - q_l) per
-    node in ``sinh_x``.  Per residual-grid point lam, the row (Q(lam),
-    Q(lam - eta), Q(lam + eta), Qhat(lam), Qhat(lam - eta), Qhat(lam + eta))
-    of the (R, G, 6) array ``grid``: Q and Qhat at the same three points, so
-    the partner's row is the same six values, Q's and Qhat's swapped.
+    read-only complex128 array whose first axis runs over the 2R records
+    (row i is record i): R given ones, then their i*pi-shifted partners in
+    reverse order, so record 2R-1-i is record i's partner and each record's
+    Qhat is its partner's row (``roots[::-1]``, ``grid[::-1]``).  The fields
+    of one value per node or root, all but ``roots``, are views of one
+    array.  ``roots`` holds each record's roots in ``canonical_roots`` form
+    and ``tau`` each record's eigenvalue at the nodes, tau(xi_k) (None for
+    bare polynomials).  Q at xi_k, xi_k - eta, xi_k + i*pi and
+    xi_k - eta + i*pi: ``x``, ``x_eta``, ``x_ipi``, ``x_eta_ipi``.  At the
+    roots q_j: a, d, exp in ``a_r``, ``d_r``, ``exp_r``; Q(q_j - eta),
+    Q(q_j + eta), Q(q_j + i*pi) in ``r_eta``, ``r_eta_plus``, ``r_ipi``.
+    prod_l sinh(xi_k - q_l) per node in ``sinh_x``.  Per residual-grid point
+    lam, the row (Q(lam), Q(lam - eta), Q(lam + eta)) of the (2R, G, 3)
+    array ``grid``.
     """
 
     roots: np.ndarray
-    hat: np.ndarray
     tau: np.ndarray | None
     x: np.ndarray
     x_eta: np.ndarray
@@ -403,7 +399,9 @@ class QTable:
     def take(self, rows) -> QTable:
         """This table with every field indexed by ``rows`` as numpy indexes
         its record axis: a list or slice picks records, an integer gives the
-        fields of one record, ``np.s_[None]`` adds a leading axis."""
+        fields of one record, ``np.s_[None]`` adds a leading axis.  A pick
+        that does not keep each record with its partner leaves rows whose
+        Qhat the table no longer holds."""
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return QTable(**{name: v if v is None else _read_only(v[rows]) for name, v in values})
 
@@ -414,27 +412,6 @@ class QTable:
 # the peak of a spectrum op: about 16 MB over what the op held at N = 8.
 Q_TABLE_BLOCK_BYTES = 1 << 18
 
-
-def q_table(params: ModelParams, roots, taus, grid) -> QTable:
-    """The ``QTable`` of the root sets of the (R, N) array ``roots``, each
-    row already in ``canonical_roots`` form, from one broadcast evaluation
-    per block of records (one bare polynomial is a stack of one), Qhat at the
-    grid points from the cosh of Q's own half differences there, taken in the
-    one sinh/cosh pass that gives Q there; ``taus`` is
-    the (R, N) array of each record's tau(xi_k) (None for bare polynomials),
-    kept as it is, and ``grid`` the ``residual_grid`` the records are
-    certified on (empty for none).  Each block holds as many records as keep
-    its half differences within ``Q_TABLE_BLOCK_BYTES``; every value depends
-    on its own record alone, so the table does not depend on the blocks."""
-    r = _read_only(np.array(roots, dtype=np.complex128))
-    n, m = len(params.xi), r.shape[1]
-    lam = np.reshape(grid, (3, -1))[0]
-    record_bytes = (4 * n + 3 * m + 3 * len(lam)) * m * np.dtype(np.complex128).itemsize
-    step = max(1, Q_TABLE_BLOCK_BYTES // max(record_bytes, 1))
-    blocks = [_q_fields(params, r[i:i + step], lam) for i in range(0, len(r), step)]
-    return _joined(blocks, n, roots=r, tau=taus)
-
-
 # the QTable fields of one value per node or root, in the order of the one
 # array they are views of: Q at the nodes and at the shifted roots, a, d and
 # exp at the roots, and the sinh products at the nodes
@@ -442,16 +419,69 @@ _ROW_FIELDS = ("x", "x_eta", "x_ipi", "x_eta_ipi", "r_eta", "r_eta_plus", "r_ipi
                "a_r", "d_r", "exp_r", "sinh_x")
 
 
-def _joined(blocks: list[dict], n: int, **kept) -> QTable:
-    """The ``QTable`` of the records of ``blocks`` (field name -> array, one
-    row per record, ``values`` holding the ``_ROW_FIELDS`` side by side) in
-    order, on n nodes, each field one read-only array and the
-    ``_ROW_FIELDS`` views of one; ``kept`` holds fields taken as they are."""
-    joined = {name: _read_only(np.concatenate([block[name] for block in blocks]))
-              for name in blocks[0]}
-    m = joined["hat"].shape[1]
-    values = _column_blocks(joined.pop("values"), [n] * 4 + [m] * 6 + [n])
-    return QTable(**dict(zip(_ROW_FIELDS, values)), **joined, **kept)
+def q_table(params: ModelParams, roots, taus, grid) -> QTable:
+    """The ``QTable`` of the R root sets of the (R, M) array ``roots``, each
+    row already in ``canonical_roots`` form, and of their i*pi-shifted
+    partners: 2R records, record 2R-1-i the partner of record i, with the
+    roots ``canonical_roots(roots[i] + i*pi)``.  ``taus`` is the (2R, N)
+    array of the records' tau(xi_k), row 2R-1-i the eigenvalue of record i's
+    partner (-tau of record i's in a spectrum), or None for bare
+    polynomials, kept as it is; ``grid`` is the ``residual_grid`` the
+    records are certified on (empty for none).
+
+    The R given records come from one broadcast evaluation per block of
+    records, each block holding as many as keep its half differences within
+    ``Q_TABLE_BLOCK_BYTES``; every value depends on its own record alone, so
+    the table does not depend on the blocks.  Qhat at the grid points comes
+    from the cosh of Q's own half differences there, taken in the one
+    sinh/cosh pass that gives Q there.  Every other value of a partner is
+    its twin's under an exact sign, with no evaluation of Q.
+
+    With w_j = 1 where q_j + i*pi wrapped down by 2*pi*i and
+    c = (-1)^(M + sum_j w_j), Qhat(lam) = c Q(lam + i*pi); so Qhat at xi and
+    xi - eta is c Q there plus i*pi, Qhat plus i*pi is c (-1)^M Q,
+    Qhat(qhat_j -+ eta) and Qhat(qhat_j + i*pi) are c (-1)^(M (1 - w_j))
+    times Q(q_j -+ eta) and Q(q_j + i*pi), a and d at qhat_j are (-1)^N
+    times theirs at q_j for N nodes, e^qhat_j is -e^q_j and
+    prod_l sinh(xi_k - qhat_l) is (-1)^M prod_l sinh(xi_k - q_l).  The
+    partner's fields are signed in three groups, each one stacked array
+    under one sign rule: at the nodes, at the roots and ``sinh_x``."""
+    r = np.array(roots, dtype=np.complex128)
+    count, m = r.shape
+    n = len(params.xi)
+    lam = np.reshape(grid, (3, -1))[0]
+    shifted = r + IPI
+    wrapped = wrap_to_strip(shifted)
+    moved = wrapped.imag < shifted.imag  # w_j, in the roots' order
+    record_bytes = (4 * n + 3 * m + 3 * len(lam)) * m * np.dtype(np.complex128).itemsize
+    step = max(1, Q_TABLE_BLOCK_BYTES // max(record_bytes, 1))
+    blocks = [_q_fields(params, r[i:i + step], moved[i:i + step], lam)
+              for i in range(0, count, step)]
+    values, q_grid, hat_grid = (np.concatenate(parts) for parts in zip(*blocks))
+
+    rows = np.arange(count)[:, None]
+    sort = np.lexsort((wrapped.imag, wrapped.real), axis=-1)
+    hat, w = wrapped[rows, sort], moved[rows, sort]  # the partners' roots and w_j
+    odd_c = (m + w.sum(axis=-1)) % 2 == 1  # c = -1
+    odd_m, odd_n = m % 2 == 1, n % 2 == 1
+    at_nodes, at_roots, sinh_x = _column_blocks(values, [4 * n, 6 * m, n])
+    # at the nodes, x, x_eta <- c (x_ipi, x_eta_ipi) and
+    # x_ipi, x_eta_ipi <- c (-1)^M (x, x_eta)
+    nodes = at_nodes.reshape(-1, 2, 2 * n)[:, ::-1]
+    odd_nodes = np.stack([odd_c, odd_c ^ odd_m], axis=-1)[..., None]
+    # at the roots, in hat's order: r_eta, r_eta_plus and r_ipi times
+    # c (-1)^(M (1 - w_j)), a_r and d_r times (-1)^N, exp_r negated
+    at_hat = np.take_along_axis(at_roots.reshape(-1, 6, m), sort[:, None], axis=-1)
+    odd_roots = np.where(np.arange(6)[:, None] < 3,
+                         (odd_c[:, None] ^ (odd_m & ~w))[:, None],
+                         np.array([0, 0, 0, odd_n, odd_n, 1], dtype=bool)[:, None])
+    partner = np.concatenate([np.where(odd, -group, group).reshape(count, -1) for group, odd in
+                              ((nodes, odd_nodes), (at_hat, odd_roots), (sinh_x, odd_m))],
+                             axis=1)
+    paired = _read_only(np.concatenate([values, partner[::-1]]))
+    return QTable(roots=_read_only(np.concatenate([r, hat[::-1]])), tau=taus,
+                  grid=_read_only(np.concatenate([q_grid, hat_grid[::-1]])),
+                  **dict(zip(_ROW_FIELDS, _column_blocks(paired, [n] * 4 + [m] * 6 + [n]))))
 
 
 def _column_blocks(values: np.ndarray, widths: list[int]) -> list[np.ndarray]:
@@ -460,61 +490,14 @@ def _column_blocks(values: np.ndarray, widths: list[int]) -> list[np.ndarray]:
     return [values[:, end - width:end] for end, width in zip(accumulate(widths), widths)]
 
 
-def with_partners(table: QTable, taus) -> QTable:
-    """The table of the R records of ``table`` followed by their i*pi-shifted
-    partners in reverse order, 2R records in all: record 2R-1-i has the roots
-    ``table.hat[i]``, and every value of it is record i's by an exact sign and
-    the sort that made ``hat``, with no evaluation of Q; ``taus`` is the
-    (2R, N) array of the records' tau(xi_k), kept as it is, row 2R-1-i the
-    eigenvalue of record i's partner (-tau of record i's in a spectrum).
-
-    With w_j = 1 where q_j + i*pi wrapped down by 2*pi*i and
-    c = (-1)^(M + sum_j w_j) for M roots, Qhat(lam) = c Q(lam + i*pi); so
-    Qhat at xi and xi - eta is c Q there plus i*pi, Qhat plus i*pi is
-    c (-1)^M Q, Qhat(qhat_j -+ eta) and Qhat(qhat_j + i*pi) are
-    c (-1)^(M (1 - w_j)) times Q(q_j -+ eta) and Q(q_j + i*pi), a and d at
-    qhat_j are (-1)^N times theirs at q_j for N nodes, e^qhat_j is -e^q_j,
-    prod_l sinh(xi_k - qhat_l) is (-1)^M prod_l sinh(xi_k - q_l), and the
-    partner's Qhat is Q again, so its grid row swaps Q's and Qhat's values.
-    The partner's ``hat`` is ``canonical_roots`` of its roots + i*pi.  The
-    fields are signed in three groups, each one stacked array under one sign
-    rule: at the nodes, at the roots and ``sinh_x``."""
-    n, m = table.x.shape[1], table.roots.shape[1]
-    odd_m, odd_n = m % 2 == 1, n % 2 == 1
-    shifted = table.roots + IPI
-    wrapped = wrap_to_strip(shifted)
-    rows = np.arange(len(shifted))[:, None]
-    sort = np.lexsort((wrapped.imag, wrapped.real), axis=-1)  # hat = wrapped[rows, sort]
-    moved = (wrapped.imag < shifted.imag)[rows, sort]  # w_j, in hat's order
-    odd_c = (m + moved.sum(axis=-1)) % 2 == 1  # c = -1
-    values = np.concatenate([getattr(table, name) for name in _ROW_FIELDS], axis=1)
-    at_nodes, at_roots, sinh_x = _column_blocks(values, [4 * n, 6 * m, n])
-    # three groups of fields, each one array signed in one pass: at the nodes,
-    # x, x_eta <- c (x_ipi, x_eta_ipi) and x_ipi, x_eta_ipi <- c (-1)^M (x, x_eta)
-    nodes = at_nodes.reshape(-1, 2, 2 * n)[:, ::-1]
-    odd_nodes = np.stack([odd_c, odd_c ^ odd_m], axis=-1)[..., None]
-    # at the roots, in hat's order: r_eta, r_eta_plus and r_ipi times
-    # c (-1)^(M (1 - w_j)), a_r and d_r times (-1)^N, exp_r negated
-    roots = np.take_along_axis(at_roots.reshape(-1, 6, m), sort[:, None], axis=-1)
-    odd_roots = np.where(np.arange(6)[:, None] < 3, (odd_c[:, None] ^ (odd_m & ~moved))[:, None],
-                         np.array([0, 0, 0, odd_n, odd_n, 1], dtype=bool)[:, None])
-    signed = [np.where(odd, -group, group).reshape(len(rows), -1) for group, odd in
-              ((nodes, odd_nodes), (roots, odd_roots), (sinh_x, odd_m))]
-    partner = {"values": np.concatenate(signed, axis=1), "roots": table.hat,
-               "hat": canonical_roots(table.hat + IPI),
-               "grid": table.grid[..., [3, 4, 5, 0, 1, 2]]}
-    own = {"values": values, "roots": table.roots, "hat": table.hat, "grid": table.grid}
-    return _joined([own, {name: v[::-1] for name, v in partner.items()}], n, tau=taus)
-
-
-def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``QTable`` fields of the records whose roots are the rows of
-    ``r``, at the residual-grid points ``lam``, but ``roots`` and ``tau``;
-    ``values`` holds the ``_ROW_FIELDS`` side by side.  The sinh and cosh at
-    the grid come from one ``sinh_cosh`` call, every other sinh from one
+def _q_fields(params: ModelParams, r: np.ndarray, moved: np.ndarray, lam: np.ndarray):
+    """(values, Q on the grid, Qhat on the grid) of the records whose roots
+    are the rows of ``r``: ``values`` holds their ``_ROW_FIELDS`` side by
+    side, and the two (count, G, 3) arrays hold, per residual-grid point of
+    ``lam``, the values at lam, lam - eta and lam + eta.  ``moved`` flags
+    each root whose q + i*pi wraps down by 2*pi*i.  The sinh and cosh at the
+    grid come from one ``sinh_cosh`` call, every other sinh from one
     ``sinh`` call."""
-    shifted = r + IPI
-    wrapped = wrap_to_strip(shifted)
     eta = params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
     count, m = r.shape
@@ -532,7 +515,7 @@ def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, 
     # the half differences u = (lam - q)/2: sinh((lam - q -+ i*pi)/2) = -+i cosh(u),
     # -i where q + i*pi stayed in the strip, +i where the wrap moved it down by 2 i pi
     s, c = sinh_cosh(half[:, at_points:])
-    phase = np.where(wrapped.imag < shifted.imag, 1j, -1j).prod(axis=-1)
+    phase = np.where(moved, 1j, -1j).prod(axis=-1)
     q = s.prod(axis=-1).reshape(count, 3, -1)  # at lam + eta, lam, lam - eta
     hat = (phase[:, None] * c.prod(axis=-1)).reshape(count, 3, -1)
     # every other sinh product, its factors flattened side by side: the half
@@ -546,9 +529,8 @@ def _q_fields(params: ModelParams, r: np.ndarray, lam: np.ndarray) -> dict[str, 
     q_at, a_r, d_r, sinh_x = (f.reshape(shape).prod(axis=-1) for f, shape in
                               zip(_column_blocks(factors, widths), shapes))
     values = np.concatenate([q_at, a_r, d_r, np.exp(r), sinh_x], axis=1)
-    return {"values": values, "hat": _sorted_roots(wrapped),
-            "grid": np.stack([q[:, 1], q[:, 2], q[:, 0], hat[:, 1], hat[:, 2], hat[:, 0]],
-                             axis=-1)}
+    return values, np.stack([q[:, 1], q[:, 2], q[:, 0]], axis=-1), \
+        np.stack([hat[:, 1], hat[:, 2], hat[:, 0]], axis=-1)
 
 
 def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
@@ -561,7 +543,8 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
     record: the Wronskian residual, its sign, the sum-rule defect and k.
     """
     signs = np.array([1, -1])
-    q0, q_eta, _, hat0, hat_eta, _ = np.moveaxis(table.grid, -1, 0)
+    q0, q_eta, _ = np.moveaxis(table.grid, -1, 0)
+    hat0, hat_eta, _ = np.moveaxis(table.grid[::-1], -1, 0)  # each record's partner
     d = grid[2]
     w = 0.5 * (q0 * hat_eta + hat0 * q_eta)
     # row s of each record: the right-hand side at Wronskian sign signs[s], per grid point

@@ -748,7 +748,7 @@ def extension_limit_check(params: ModelParams, f, f_inf: complex) -> float:
     return abs(big - target) / max(abs(big), abs(target), 1e-30)
 
 
-def identity_bench(params: ModelParams, table: QTable, seed: int = 2025) -> dict:
+def identity_bench(params: ModelParams, table: QTable, seed: int) -> dict:
     """Numerical residuals for the determinant identities behind the scalar
     product transformations, on the first two records of the certified
     ``table``.  Returns a name -> residual map; everything is a relative

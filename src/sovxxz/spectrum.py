@@ -43,7 +43,6 @@ from .model import (
     products_except,
     residual_grid,
     sinh_cosh,
-    with_partners,
 )
 from .sov import SovBasis, separate_state
 
@@ -54,7 +53,7 @@ NEWTON_MAX_ITER = 50
 class Spectrum:
     """A certified spectrum, built complete by ``certify``: the table of its
     records (tau included), one row per record, record 2^N-1-i the
-    i*pi-shifted partner of record i (``model.with_partners``), and
+    i*pi-shifted partner of record i (``model.q_table``), and
     per record each residual (``residuals``, name -> (R,) array), the
     Wronskian sign and the sum-rule k ((R,) integer arrays).  ``vectors``,
     which ``solve_spectrum`` sets, holds the oracle's eigenvectors of
@@ -320,7 +319,7 @@ def tq_residual(table: QTable, chain: ChainValues) -> np.ndarray:
     """Relative functional residual of the tau/Q relation on ``chain.grid``,
     the one the table was built on, of each record of ``table``."""
     _, a, d = chain.grid
-    q0, q_eta, q_eta_plus = np.moveaxis(table.grid[..., :3], -1, 0)
+    q0, q_eta, q_eta_plus = np.moveaxis(table.grid, -1, 0)
     t1 = _tau_at(chain.weights["grid"], table.tau) * q0
     t2 = a * q_eta
     t3 = d * q_eta_plus
@@ -384,10 +383,10 @@ def certify(params: ModelParams, taus, roots, bethe, chain: ChainValues,
     that ``refine_bethe`` returned with them; record 2R-1-i is its i*pi-shifted
     partner, with the roots ``canonical_roots(roots[i] + i*pi)`` and record
     i's Bethe residual, as its Bethe ratios are record i's with every sign
-    cancelled.  Its table (``model.q_table`` of Q on ``chain.grid`` for the
-    first R records, ``model.with_partners`` for the rest) is what every
-    residual, separate state and pair formula reads; every other residual
-    of a partner is computed from its own row and eigenvalue.  ``chain`` is
+    cancelled.  Its table, ``model.q_table`` of the R root sets on
+    ``chain.grid``, which holds the partners too, is what every residual,
+    separate state and pair formula reads; every other residual of a
+    partner is computed from its own row and eigenvalue.  ``chain`` is
     the spectrum's ``ChainValues``, at its twist.  ``tolerances`` overrides
     entries of ``config.DEFAULT_TOLERANCES``.
     Raises CertificationError for the lowest failing record, naming its
@@ -398,7 +397,7 @@ def certify(params: ModelParams, taus, roots, bethe, chain: ChainValues,
         raise ParameterError(f"{len(taus)} eigenvalues for {len(roots)} root sets and "
                              "their partners")
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    table = with_partners(q_table(params, roots, None, chain.grid), taus)
+    table = q_table(params, roots, taus, chain.grid)
     wronskian, signs, defect, ks = q_structure_residuals(table, params, chain.grid)
     side_ok = (np.maximum(abs(table.x), abs(table.x_ipi)) > 1e-10).all(axis=-1)
     bethe = np.asarray(bethe)
@@ -430,8 +429,9 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
     The oracle sorts the spectrum so that record 2^N-1-i holds exactly -tau
     of record i; a spectrum that is not paired so is refused (ParityError).
     Q extraction and the Newton polish run on the 2^(N-1) records i below
-    2^(N-1) alone; ``certify`` derives each partner 2^N-1-i from record i's
-    i*pi-shifted Q and gates all 2^N records.
+    2^(N-1) alone; ``certify``'s one ``model.q_table`` call derives each
+    partner 2^N-1-i from record i's i*pi-shifted Q, and it gates all 2^N
+    records.
 
     Returns the certified ``Spectrum`` of all 2^N records, sorted by
     tau(xi_1), with the oracle's eigenvectors.  A refusal names the lowest
@@ -451,8 +451,4 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
     chain = chain_values(basis, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus[:len(taus) // 2], chain))
     spectrum = certify(params, taus, roots, bethe, chain, tolerances)
-    if len(spectrum.table) != 2**params.n:
-        raise ParameterError(
-            f"expected {2**params.n} certified records, got {len(spectrum.table)}"
-        )
     return replace(spectrum, vectors=vectors)

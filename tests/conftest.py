@@ -67,9 +67,10 @@ def certified_chain(n: int, kappa: complex) -> tuple[SovBasis, Spectrum]:
 
 
 def table(params: ModelParams, roots):
-    """``model.q_table`` of a polynomial that carries no eigenvalue, by its
-    roots in ``canonical_roots`` form."""
-    return q_table(params, [roots], None, [])
+    """The one-record ``model.q_table`` of a polynomial that carries no
+    eigenvalue, by its roots in ``canonical_roots`` form: the table's first
+    record, without its i*pi-shifted partner."""
+    return q_table(params, [roots], None, []).take([0])
 
 
 def poly(spectrum, i: int) -> np.ndarray:
@@ -78,8 +79,9 @@ def poly(spectrum, i: int) -> np.ndarray:
 
 
 def hat(spectrum, i: int) -> np.ndarray:
-    """The roots of the i*pi-shifted partner of the Q-function of record ``i``."""
-    return spectrum.table.hat[i]
+    """The roots of the i*pi-shifted partner of the Q-function of record
+    ``i``: those of its partner record, 2^N-1-i."""
+    return spectrum.table.roots[-1 - i]
 
 
 def tau(params: ModelParams, spectrum, i: int) -> TrigInterpolation:

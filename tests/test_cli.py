@@ -609,6 +609,22 @@ class TestSpectrumCommand:
         for t in taus:
             assert any(abs(t + s) < 1e-9 for s in taus)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_qhat_roots_are_the_partner_records_roots(self, tmp_path, n):
+        # one representation of the i*pi partner: record j's qhat_roots are
+        # the q_roots of record 2^N-1-j, bit for bit (signed zeros included),
+        # and the residuals a record shares with its partner read the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        out = tmp_path / "s.json"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        records = read(out)["records"]
+        assert len(records) == 2**n
+        for rec, partner in zip(records, records[::-1]):
+            assert json.dumps(rec["qhat_roots"]) == json.dumps(partner["q_roots"])
+            for key in ("wronskian_residual", "wronskian_sign", "bethe_residual"):
+                assert json.dumps(rec[key]) == json.dumps(partner[key]), key
+
     def test_n3_bethe_residuals(self, tmp_path):
         out = tmp_path / "s.json"
         assert run(["spectrum", "--out", str(out)]) == 0
@@ -939,6 +955,49 @@ class TestObservablesCommand:
         deviation[1, 0, 1] = deviation[0, 2, 0] = deviation[1, 2, 1] = 0.5
         check = cli._worst_check(deviation, 1.0, lambda i: np.unravel_index(i, deviation.shape))
         assert check == {"residual": 0.5, "tolerance": 1.0, "pass": True, "worst_at": (0, 2, 0)}
+
+    @staticmethod
+    def norm_products(pair, ket_twist):
+        """||bra_P|| ||ket_Q|| of every pair of ``pair``, the bras at the
+        chain's twist and the kets at ``ket_twist``, as the command scales
+        its deviations."""
+        basis = sov.SovBasis(pair.params)
+        bra, ket = (np.linalg.norm(sov.separate_state(basis, table, twist, side).embedded, axis=1)
+                    for table, twist, side in zip(pair.tables, (pair.params.kappa, ket_twist),
+                                                  ("bra", "ket")))
+        return np.outer(bra, ket)
+
+    @pytest.mark.parametrize("check, formula, entry, worst_at", [
+        ("scalar_products", "sp_izergin", (3, 5), "P3_Q5"),
+        ("form_factors", "ff_sigma_z", (1, 2, 6, 1), "P2_Q6_site2.z"),
+    ])
+    def test_summary_checks_catch_a_moved_entry(self, tmp_path, monkeypatch, check, formula,
+                                                entry, worst_at):
+        # one entry of one formula, a (P, Q) scalar product or a (form, P, Q,
+        # site) form factor, moved by 1e-5 times ||bra_P|| ||ket_Q||: the
+        # check fails at its default tolerance, reads the defect to within 2x
+        # and names that entry
+        defect = 1e-5
+        real = getattr(obs, formula)
+        pair_at = entry[-3:-1] if check == "form_factors" else entry
+        # the scalar products take their kets at kappa', the form factors at kappa
+        ket_twist = load_config(None).kappa_prime if check == "scalar_products" else None
+
+        def moved(pair, *args):
+            values = np.array(real(pair, *args))
+            scale = self.norm_products(pair, ket_twist or pair.params.kappa)
+            values[entry] += defect * scale[pair_at]
+            return values
+
+        monkeypatch.setattr(obs, formula, moved)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        cfg.write_text(json.dumps({"n": 3}))
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
+        summary = read(out)["summary"][check]
+        key = "cross_representation" if check == "scalar_products" else "oracle_comparison"
+        assert not summary["pass"] and summary["tolerance"] == DEFAULT_TOLERANCES[key]
+        assert defect / 2 < summary["residual"] < 2 * defect, summary["residual"]
+        assert summary["worst_at"] == worst_at
 
     def test_same_twist_populates_orthogonality(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import KAPPA2, make_params, move_one_eigenvalue, rng
+from sovxxz import lattice
 from sovxxz.cli import _rtt_residual
 from sovxxz.errors import (
     ConvergenceError,
@@ -199,11 +200,11 @@ class TestTransferMatrix:
             assert np.linalg.norm(interp - direct) < 1e-9 * np.linalg.norm(direct)
 
 
-def witnessed_reference(params, at_xi, kappa, **kwargs):
+def witnessed_reference(params, at_xi, kappa):
     """``transfer_eigenvalues`` of T_kappa(xi_1), witnessed by the oracle's
     eigenvectors at ``params.kappa``, as the spectrum command calls it."""
     taus, vectors = spectrum_oracle(params, at_xi)
-    return transfer_eigenvalues(at_xi[0], kappa, vectors, taus[:, 0], params.kappa, **kwargs)
+    return transfer_eigenvalues(at_xi[0], kappa, vectors, taus[:, 0], params.kappa)
 
 
 class TestSpectrumOracle:
@@ -298,9 +299,10 @@ class TestSpectrumOracle:
             spectrum_oracle(params3, at_xi)
         assert issubclass(ParityError, SovxxzError)  # the CLI exits 2 on it
 
-    def test_residual_gate(self, params3, basis3):
+    def test_residual_gate(self, params3, basis3, monkeypatch):
+        monkeypatch.setattr(lattice, "EIGENPAIR_TOL", 1e-30)
         with pytest.raises(ConvergenceError, match=r"residual .* exceeds 1\.0e-30"):
-            spectrum_oracle(params3, basis3.at_xi, tol=1e-30)
+            spectrum_oracle(params3, basis3.at_xi)
 
     def test_interpolation_matches_rayleigh(self, params3, basis3):
         # the eigenvalues of T(mu) at a point off the nodes are the Rayleigh
@@ -331,11 +333,16 @@ class TestSpectrumOracle:
         radius = max(abs(taus[:, 0]))
         assert abs(tr - total) < 1e-9 * radius
 
-    def test_degeneracy_guard(self, params3, basis3):
-        with pytest.raises(DegenerateSpectrumError):
-            spectrum_oracle(params3, basis3.at_xi, gap_factor=1e6)
-        with pytest.raises(DegenerateSpectrumError):
-            witnessed_reference(params3, basis3.at_xi, params3.kappa, gap_factor=1e6)
+    def test_degeneracy_guard(self, params3, basis3, monkeypatch):
+        # the oracle's witnesses are taken before the gap factor is raised,
+        # so the reference's own guard trips
+        taus, vectors = spectrum_oracle(params3, basis3.at_xi)
+        monkeypatch.setattr(lattice, "GAP_FACTOR", 1e6)
+        with pytest.raises(DegenerateSpectrumError, match=r"below 1\.0e\+06 \* radius"):
+            spectrum_oracle(params3, basis3.at_xi)
+        with pytest.raises(DegenerateSpectrumError, match=r"below 1\.0e\+06 \* radius"):
+            transfer_eigenvalues(basis3.at_xi[0], params3.kappa, vectors, taus[:, 0],
+                                 params3.kappa)
 
 
 class TestTransferEigenvalues:

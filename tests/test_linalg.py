@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sovxxz import linalg
 from sovxxz.errors import ConvergenceError, DimensionError
 from sovxxz.linalg import det_lu, eig_dense, roots_monic
 from sovxxz.model import vandermonde
@@ -155,7 +156,7 @@ class TestRootsMonic:
         scale = 1.0 + np.max(np.abs(coeffs))
         assert np.all(np.abs(monic_values(coeffs, roots)) < 1e-10 * scale)
 
-    def test_stack_equals_each_alone(self):
+    def test_stack_equals_each_alone(self, monkeypatch):
         # a (2, 3, 5) stack of coefficient rows: one eigensolve, each row's
         # roots as that polynomial alone gives them; a residual refusal
         # names the first offending polynomial of the stack
@@ -165,8 +166,9 @@ class TestRootsMonic:
         assert roots.shape == (2, 3, 5)
         for at in np.ndindex(2, 3):
             assert np.array_equal(roots[at], roots_monic(coeffs[at].copy()))
-        with pytest.raises(ConvergenceError) as err:
-            roots_monic(coeffs, tol=1e-30)
+        monkeypatch.setattr(linalg, "ROOT_RESIDUAL_TOL", 1e-30)
+        with pytest.raises(ConvergenceError, match=r"exceeds 1\.0e-30 \* ") as err:
+            roots_monic(coeffs)
         assert err.value.at == (0, 0)
 
     @settings(max_examples=25, deadline=None)

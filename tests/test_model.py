@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sovxxz.model
-from conftest import hat, make_params, pair_context, poly, rel_dev, rng, table
+from conftest import hat, make_params, pair_context, poly, rel_dev, rng
 from sovxxz.errors import ParameterError, SingularEvaluationError
 from sovxxz.model import (
     IPI,
@@ -340,12 +340,12 @@ class TestTableLayout:
         n, grid = params3.n, residual_grid(params3)
         self.assert_read_only(grid, (3, 4 * n + 5))
         g = rng(12)
-        bare = table(params3, canonical_roots(
-            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)]))
-        for q, count, points in [(records3.table, 8, grid.shape[1]), (bare, 1, 0)]:
-            for name in self.ROWS + ("roots", "hat"):
+        bare = q_table(params3, [canonical_roots(
+            [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])], None, [])
+        for q, count, points in [(records3.table, 8, grid.shape[1]), (bare, 2, 0)]:
+            for name in self.ROWS + ("roots",):
                 self.assert_read_only(getattr(q, name), (count, n))
-            assert q.grid.shape == (count, points, 6) and q.grid.dtype == np.complex128
+            assert q.grid.shape == (count, points, 3) and q.grid.dtype == np.complex128
             assert not q.grid.flags.writeable
         assert bare.tau is None and "poly" not in {f.name for f in fields(bare)}
 
@@ -358,10 +358,10 @@ class TestTableLayout:
         for name in self.ROWS[1:]:
             assert getattr(t, name).base is t.x.base is not None
         taus, _ = spectrum_oracle(params3, basis3.at_xi)
-        assert np.shares_memory(q_table(params3, t.roots, taus, []).tau, taus)
+        assert np.shares_memory(q_table(params3, t.roots[:4], taus, []).tau, taus)
         context = pair_context(params3, records3, [0, 2, 5], [1, 2, 7])
         p, q = context.tables
-        for name in self.ROWS + ("roots", "hat", "tau", "grid"):
+        for name in self.ROWS + ("roots", "tau", "grid"):
             p_view, q_view = getattr(context.p, name), getattr(context.q, name)
             assert p_view.shape[:2] == (3, 1) and q_view.shape[:2] == (1, 3)
             assert np.shares_memory(p_view, getattr(p, name))
@@ -371,15 +371,15 @@ class TestTableLayout:
             == [True, True]
 
     def test_record_blocks_match_one_batch(self, monkeypatch, params3, records3):
-        # with a budget of three and a half records, the 8 records are built
-        # in blocks of 3, 3 and 2, and every field equals, bit for bit, the
-        # table built in one block
+        # with a budget of three and a half records, the 4 given records are
+        # built in blocks of 3 and 1, and every field equals, bit for bit, the
+        # table built in one block, which is the spectrum's
         t, grid = records3.table, residual_grid(params3)
         evaluate, blocks = sovxxz.model._q_fields, []
 
-        def counted(params, r, lam):
+        def counted(params, r, moved, lam):
             blocks.append(len(r))
-            return evaluate(params, r, lam)
+            return evaluate(params, r, moved, lam)
 
         monkeypatch.setattr(sovxxz.model, "_q_fields", counted)
         n = params3.n
@@ -389,11 +389,12 @@ class TestTableLayout:
         for step, budget in budgets.items():
             monkeypatch.setattr(sovxxz.model, "Q_TABLE_BLOCK_BYTES", budget)
             blocks.clear()
-            tables[step] = q_table(params3, t.roots, t.tau, grid)
-            assert blocks == ([8] if step == 1 else [3, 3, 2])
+            tables[step] = q_table(params3, t.roots[:4], t.tau, grid)
+            assert blocks == ([4] if step == 1 else [3, 1])
         for f in fields(QTable):
             got, want = getattr(tables[3], f.name), getattr(tables[1], f.name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+            assert want.tobytes() == getattr(t, f.name).tobytes(), f.name
             assert not got.flags.writeable
         # every field of one value per node or root stays a view of one array
         for name in self.ROWS[1:]:

@@ -80,7 +80,7 @@ class TestQFromTau:
         vals = t.tau[:, 0]
         for i in range(len(t)):
             j = int(np.argmin(abs(vals + vals[i])))
-            assert np.all(dist_mod_2ipi(t.roots[i], t.hat[j]) < 1e-7)
+            assert np.all(dist_mod_2ipi(t.roots[i], canonical_roots(t.roots[j] + IPI)) < 1e-7)
 
     def test_sum_rule_integer(self, params3, records3):
         for roots in records3.table.roots.tolist():
@@ -206,7 +206,7 @@ class TestCertify:
         bad = t.tau[[0, 7]].copy()
         bad[0, 0] *= 1.01
         chain = chain_values(basis3, 4242)
-        bad_table = q_table(params3, t.roots[:1], bad[:1], [])
+        bad_table = q_table(params3, t.roots[:1], bad, [])
         assert discrete_char_residual(bad_table, chain)[0] > 1e-3
         with pytest.raises(CertificationError, match=r"^record 0 "):
             certify(params3, bad, t.roots[:1], records3.residuals["bethe"][:1], chain)
@@ -281,9 +281,11 @@ class TestCertify:
         grid = residual_grid(params3)
         g = rng(71)
         synthetic = canonical_roots([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        # each case: the table, the record, its roots, tau(xi_k) and the grid
+        # points; the record's partner is row len - 1 - i of the table
         t = records3.table
-        cases = [(t.take(i), poly(records3, i), t.tau[i], grid[0]) for i in range(len(t))]
-        cases.append((q_table(params3, [synthetic], None, []).take(0), synthetic, None, []))
+        cases = [(t, i, poly(records3, i), t.tau[i], grid[0]) for i in range(len(t))]
+        cases.append((q_table(params3, [synthetic], None, []), 0, synthetic, None, []))
         # the table reads Qhat on the grid from Q's own cosh values, with the
         # sign of each root's 2*pi*i wrap: a root at Im q = 0 puts q + i*pi on
         # the strip edge, where it does not wrap; a root with Im q > 0 wraps,
@@ -294,12 +296,16 @@ class TestCertify:
         assert 0.4 + 1j * np.pi in canonical_roots(on_edge + IPI)
         assert 0.2 + (0.7 - np.pi) * 1j in canonical_roots(wraps + IPI)
         assert 0.5 + 1j * np.pi in canonical_roots(rounds + IPI)
-        cases += [(q_table(params3, [q], None, grid).take(0), q, None, grid[0])
+        cases += [(q_table(params3, [q], None, grid), 0, q, None, grid[0])
                   for q in (on_edge, wraps, rounds)]
-        for table, q_roots, tau_xi, points in cases:
+        for whole, i, q_roots, tau_xi, points in cases:
+            table, twin = whole.take(i), whole.take(len(whole) - 1 - i)
             partner = canonical_roots(q_roots + IPI)
             assert table.roots.tolist() == q_roots.tolist()
-            assert table.hat.tolist() == partner.tolist()
+            if i < len(whole) // 2:  # a given record: its partner's roots are made from its own
+                assert twin.roots.tolist() == partner.tolist()
+            else:  # a partner: its twin's roots are its own shifted back, up to rounding
+                assert np.all(dist_mod_2ipi(twin.roots, partner) <= 1e-15)
             assert (table.tau is None) if tau_xi is None else np.array_equal(table.tau, tau_xi)
             assert close(vec(table.x), vec(at(q_roots, x) for x in xi))
             assert close(vec(table.x_eta), vec(at(q_roots, x - eta) for x in xi))
@@ -314,7 +320,7 @@ class TestCertify:
                 assert close(vec(table.r_ipi), vec(at(q_roots, q + IPI) for q in roots))
                 assert close(vec(table.sinh_x), vec(
                     np.prod([cmath.sinh(x - q) for q in roots]) for x in xi))
-            assert close(vec(table.grid).reshape(-1, 6), vec(
+            assert close(np.concatenate([table.grid, twin.grid], axis=-1).reshape(-1, 6), vec(
                 v for lam in points
                 for v in (at(q_roots, lam), at(q_roots, lam - eta), at(q_roots, lam + eta),
                           at(partner, lam), at(partner, lam - eta), at(partner, lam + eta))
@@ -333,35 +339,40 @@ class TestCertify:
 
 class TestPartners:
     # record 2^N-1-i of a spectrum is record i's i*pi-shifted partner, built
-    # by model.with_partners from record i's table row, not extracted or
-    # polished on its own
+    # by model.q_table from record i's table row, not extracted or polished
+    # on its own
 
     @pytest.mark.parametrize("n, kappa", [(3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0),
                                           (3, 0.8 - 0.3j), (6, 0.8 - 0.3j)])
     def test_partner_rows_equal_fresh_evaluation(self, n, kappa):
         # each partner row equals a fresh q_table evaluation at its own roots
         # to 1e-13 relative, field by field (the odd-N signs of r_ipi and
-        # r_eta included), its roots are its twin's hat and its hat
-        # canonical_roots(roots + i*pi), bit for bit, and its Bethe residual
-        # is its twin's; the extracted rows are q_table's, bit for bit
+        # r_eta included), its Qhat on the grid (its twin's Q) included; its
+        # roots are canonical_roots(twin's roots + i*pi), bit for bit, and
+        # its Bethe residual is its twin's; the whole table is one q_table
+        # call on the extracted rows, bit for bit
         basis, whole = certified_chain(n, kappa)
         params, t = basis.params, whole.table
         half = len(t) // 2
         rows = np.arange(half, 2 * half)
         twins = 2 * half - 1 - rows
         grid = residual_grid(params)
-        assert t.roots[rows].tolist() == t.hat[twins].tolist()
-        assert t.hat[rows].tolist() == canonical_roots(t.roots[rows] + IPI).tolist()
+        assert t.roots[rows].tolist() == canonical_roots(t.roots[twins] + IPI).tolist()
         assert t.tau[rows].tobytes() == (-t.tau[twins]).tobytes()
         assert whole.residuals["bethe"][rows].tolist() == whole.residuals["bethe"][twins].tolist()
-        fresh = q_table(params, t.roots[rows], t.tau[rows], grid)
-        extracted = q_table(params, t.roots[:half], t.tau[:half], grid)
-        for f in fields(QTable):
-            got, want = getattr(t, f.name)[rows], getattr(fresh, f.name)
+        fresh = q_table(params, t.roots[rows], np.concatenate([t.tau[rows], t.tau[:half]]), grid)
+        extracted = q_table(params, t.roots[:half], t.tau, grid)
+
+        def with_hat(table):  # every field, and the grid's Qhat as one more
+            return {**{f.name: getattr(table, f.name) for f in fields(QTable)},
+                    "hat grid": table.grid[::-1]}
+
+        fresh, extracted = with_hat(fresh), with_hat(extracted)
+        for name, value in with_hat(t).items():
+            got, want = value[rows], fresh[name][:half]
             scale = np.maximum(np.maximum(abs(got), abs(want)), 1e-30)
-            assert got.shape == want.shape and np.all(abs(got - want) <= 1e-13 * scale), f.name
-            lower = getattr(t, f.name)[:half]
-            assert lower.tobytes() == getattr(extracted, f.name).tobytes(), f.name
+            assert got.shape == want.shape and np.all(abs(got - want) <= 1e-13 * scale), name
+            assert value.tobytes() == extracted[name].tobytes(), name
 
     def test_partner_gates_read_its_own_tau(self, params3, basis3, records3):
         # a defect of 1e-6 in the eigenvalue of record 7, the partner of
