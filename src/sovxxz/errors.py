@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the decorator that names
-the entry a refusal was raised on."""
+"""Exception types shared across the package, ``refuse``, which decides the
+entry a refusal names (the first offender, in row-major order), and the
+decorator that names that entry's record or pair in the message."""
 
 from functools import wraps
+
+import numpy as np
 
 
 class SovxxzError(Exception):
@@ -50,6 +53,16 @@ class CertificationError(SovxxzError):
 
 class InversionError(SovxxzError):
     """A transfer-matrix factor required by the inverse problem is singular."""
+
+
+def refuse(flags, error: type[SovxxzError], message) -> None:
+    """Raise ``error`` at the first entry of ``flags`` that holds, in row-major
+    order, with that entry's index as ``at``; do nothing when none holds.
+    ``message`` is a string, or a function of the index that returns one."""
+    flags = np.asarray(flags)
+    if flags.any():
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(flags), flags.shape))
+        raise error(message(at) if callable(message) else message, at=at)
 
 
 def names_refusals(name):

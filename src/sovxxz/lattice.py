@@ -20,6 +20,7 @@ from .errors import (
     InversionError,
     ParameterError,
     ParityError,
+    refuse,
 )
 from .linalg import MAX_SITES
 from .model import ModelParams
@@ -232,10 +233,9 @@ def spectrum_oracle(params: ModelParams,
     resid = np.hypot(norm(xw[0] - root * u, axis=0), norm(yu[0] - root * w, axis=0))
     v_norm = np.hypot(norm(u, axis=0), norm(w, axis=0))
     bad = resid > EIGENPAIR_TOL * max(np.hypot(norm(x[0]), norm(y[0])), 1.0) * v_norm
-    if bad.any():
-        c = int(np.argmax(bad))
-        raise ConvergenceError(f"eigenpair +-sqrt(mu_{c}) residual {resid[c]:.3e} exceeds "
-                               f"{EIGENPAIR_TOL:.1e} * ||T|| * ||v||")
+    refuse(bad, ConvergenceError,
+           lambda at: f"eigenpair +-sqrt(mu_{at[0]}) residual {resid[at]:.3e} exceeds "
+                      f"{EIGENPAIR_TOL:.1e} * ||T|| * ||v||")
     # (u^H X_j w + w^H Y_j u) / (u^H u + w^H w) of every vector and node
     plus = ((u.conj() * xw).sum(axis=1) + (w.conj() * yu).sum(axis=1)) / v_norm**2
     tau_xi = np.concatenate([plus, -plus], axis=1).T
@@ -284,10 +284,9 @@ def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
     z = witnesses[nearest] * (witness_kappa / kappa) ** np.bitwise_count(np.arange(len(m)))
     resid = np.linalg.norm(z @ m.T - vals[:, None] * z, axis=1)
     bad = resid > EIGENPAIR_TOL * max(np.linalg.norm(m), 1.0) * np.linalg.norm(z, axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"eigenpair {k} residual {resid[k]:.3e} exceeds {EIGENPAIR_TOL:.1e} * ||M|| * ||v||")
+    refuse(bad, ConvergenceError,
+           lambda at: f"eigenpair {at[0]} residual {resid[at]:.3e} exceeds "
+                      f"{EIGENPAIR_TOL:.1e} * ||M|| * ||v||")
     return vals
 
 

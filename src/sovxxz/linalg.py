@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, refuse
 
 MAX_SITES = 8  # the dense cap, for every module: chains up to N = 8 sites
 MAX_EIG_DIM = 2**MAX_SITES
@@ -70,13 +70,9 @@ def roots_monic(coeffs) -> np.ndarray:
         value = value * roots + c[..., k, None]
     worst = np.abs(value).max(axis=-1)
     scale = 1.0 + np.abs(c).max(axis=-1)
-    bad = worst > ROOT_RESIDUAL_TOL * scale
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ConvergenceError(
-            f"polynomial root residual {worst[at]:.3e} exceeds {ROOT_RESIDUAL_TOL:.1e} * "
-            f"{scale[at]:.3e}",
-            at=at)
+    refuse(worst > ROOT_RESIDUAL_TOL * scale, ConvergenceError,
+           lambda at: f"polynomial root residual {worst[at]:.3e} exceeds "
+                      f"{ROOT_RESIDUAL_TOL:.1e} * {scale[at]:.3e}")
     return roots
 
 
@@ -122,10 +118,6 @@ def eig_dense(m, tol: float = 1e-9, max_dim: int = MAX_EIG_DIM):
     pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     vecs /= pivot / modulus(pivot) * row_norms(vecs.T)
     resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    bad = resid > tol * max(np.linalg.norm(a), 1.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"eigenpair {k} residual {resid[k]:.3e} exceeds {tol:.1e} * ||M||"
-        )
+    refuse(resid > tol * max(np.linalg.norm(a), 1.0), ConvergenceError,
+           lambda at: f"eigenpair {at[0]} residual {resid[at]:.3e} exceeds {tol:.1e} * ||M||")
     return vals, vecs

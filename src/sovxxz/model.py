@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ParameterError, SingularEvaluationError
+from .errors import ParameterError, SingularEvaluationError, refuse
 from .linalg import modulus
 
 PI = np.pi
@@ -75,12 +75,6 @@ def _less(points, centers) -> np.ndarray:
     return np.asarray(points, dtype=np.complex128)[..., None] - np.asarray(centers)
 
 
-def first_index(flags) -> tuple[int, ...]:
-    """Index of the first entry of ``flags`` that holds, in row-major order."""
-    flags = np.asarray(flags)
-    return np.unravel_index(np.argmax(flags), flags.shape)
-
-
 def sinh_cosh(z):
     """(sinh z, cosh z) of a complex scalar or array, elementwise, from real
     ufuncs of x = Re z and y = Im z, the formula of glibc's csinh and ccosh:
@@ -120,9 +114,7 @@ def sinh(z):
 def coth(z):
     """coth, elementwise on arrays; refuses a pole."""
     s, c = sinh_cosh(z)
-    pole = s == 0
-    if pole.any():
-        raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+    refuse(s == 0, SingularEvaluationError, "coth evaluated at a pole")
     return c / s
 
 
@@ -323,11 +315,9 @@ def f_tilde_values(p_eta_ipi, q_u, p_ipi, q_eta):
 
 def _require_nonzero(value, name: str):
     """Refuse ``value`` (or its first entry) below 1e-13 in modulus."""
-    small = np.abs(value) < 1e-13
-    if small.any():
-        bad = complex(np.ravel(value)[np.argmax(small)])
-        raise SingularEvaluationError(f"{name} = {bad} is below the evaluation floor",
-                                      at=first_index(small))
+    value = np.asarray(value)
+    refuse(np.abs(value) < 1e-13, SingularEvaluationError,
+           lambda at: f"{name} = {complex(value[at])} is below the evaluation floor")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, SingularEvaluationError, SovxxzError, names_refusals
+from .errors import ParameterError, SingularEvaluationError, SovxxzError, names_refusals, refuse
 from .linalg import det_lu
 from .model import (
     IPI,
@@ -38,7 +38,6 @@ from .model import (
     dist_mod_2ipi,
     dist_mod_ipi,
     f_tilde_values,
-    first_index,
     half_period_values,
     node_denominators,
     products_except,
@@ -122,11 +121,8 @@ def _izergin_kernels(xs, zs, eta: complex) -> tuple[np.ndarray, np.ndarray]:
         - np.asarray(zs, dtype=np.complex128)[..., None, :]
     # one kernel call for both, since its fixed cost is most of it at small N
     s0, s1 = sinh(np.stack([diff, diff - eta]))
-    near = (abs(s0) < 1e-13) | (abs(s1) < 1e-13)
-    if near.any():
-        at = first_index(near)
-        raise SingularEvaluationError(
-            f"Izergin node collision at x_{at[-2] + 1}, z_{at[-1] + 1}", at=at)
+    refuse((abs(s0) < 1e-13) | (abs(s1) < 1e-13), SingularEvaluationError,
+           lambda at: f"Izergin node collision at x_{at[-2] + 1}, z_{at[-1] + 1}")
     return 1 / s0, 1 / s1
 
 
@@ -206,10 +202,8 @@ class PairContext:
             self.z = np.broadcast_to(self.z, self.qr.shape)
         # each point lies at distance 0 from itself; one entry more is a close pair
         close = dist_mod_ipi(self.z[..., :, None], self.z[..., None, :]) <= 1e-10
-        crowded = np.count_nonzero(close, axis=(-2, -1)) > n
-        if crowded.any():
-            raise ParameterError("z points must be pairwise more than 1e-10 apart modulo i*pi",
-                                 at=first_index(crowded))
+        refuse(np.count_nonzero(close, axis=(-2, -1)) > n, ParameterError,
+               "z points must be pairwise more than 1e-10 apart modulo i*pi")
         # pairs whose roots are equal bit for bit: Q's table holds Q at the P-roots
         self.diagonal = (self.pr.view(np.uint64) == self.qr.view(np.uint64)).all(axis=-1)
 
@@ -267,9 +261,7 @@ class PairContext:
         xi = np.asarray(self.params.xi, dtype=np.complex128)
         half = (xi[:, None] - self.qr[..., None, :] - self.params.eta) / 2
         s, c = sinh_cosh(half)
-        pole = s * c == 0
-        if pole.any():
-            raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+        refuse(s * c == 0, SingularEvaluationError, "coth evaluated at a pole")
         return c / s, s / c
 
     @cached_property
@@ -360,10 +352,8 @@ def _nonvanishing_tau_q(pair: PairContext, upto: int | None = None) -> np.ndarra
     """tau_Q(xi_k) at every node, refused where it vanishes among the first
     ``upto`` nodes (default: all)."""
     tq = pair.tau_values[1]
-    vanishing = np.abs(tq[..., :upto]) < 1e-12
-    if vanishing.any():
-        at = first_index(vanishing)
-        raise SingularEvaluationError(f"tau_Q vanishes at xi_{at[-1] + 1}", at=at)
+    refuse(np.abs(tq[..., :upto]) < 1e-12, SingularEvaluationError,
+           lambda at: f"tau_Q vanishes at xi_{at[-1] + 1}")
     return tq
 
 
@@ -376,11 +366,8 @@ def sp_direct(pair: PairContext, alpha: complex):
     """Scalar product as the ratio of dressed generalized Vandermonde dets."""
     params, p, q = pair.params, pair.p, pair.q
     den = p.x_eta * q.x_eta
-    vanishing = np.abs(den) < 1e-13
-    if vanishing.any():
-        at = first_index(vanishing)
-        raise SingularEvaluationError(f"(PQ)(xi - eta) vanishes at xi = {params.xi[at[-1]]}",
-                                      at=at)
+    refuse(np.abs(den) < 1e-13, SingularEvaluationError,
+           lambda at: f"(PQ)(xi - eta) vanishes at xi = {params.xi[at[-1]]}")
     return _dressed_vandermonde(params.node_rows, -alpha * (p.x * q.x) / den)
 
 
@@ -388,11 +375,9 @@ def _require_roots_off_nodes(params: ModelParams, roots):
     """Refuse roots (on the last axis of ``roots``) that collide with an
     inhomogeneity shift set {xi_k, xi_k - eta} modulo i*pi."""
     roots = np.asarray(roots, dtype=np.complex128)
-    near = (dist_mod_ipi(roots[..., None], params.forbidden_points()) < 1e-8).any(axis=-1)
-    if near.any():
-        at = first_index(near)
-        raise SingularEvaluationError(
-            f"root {complex(roots[at])} collides with an inhomogeneity shift set", at=at)
+    refuse((dist_mod_ipi(roots[..., None], params.forbidden_points()) < 1e-8).any(axis=-1),
+           SingularEvaluationError,
+           lambda at: f"root {complex(roots[at])} collides with an inhomogeneity shift set")
 
 
 @_names_pair
@@ -443,16 +428,12 @@ def slavnov_halves(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     u = pr[..., None, :] - qr[..., :, None]  # p_k - q_j at (j, k)
     limit = dist_mod_2ipi(u) < _COLLISION_TOL
     distinct = limit & ~np.all(np.abs(pr - qr) < _COLLISION_TOL, axis=-1)[..., None, None]
-    if distinct.any():
-        at = first_index(distinct)
-        raise SingularEvaluationError(
-            f"coincident roots p_{at[-1] + 1} = q_{at[-2] + 1} for distinct functions", at=at)
+    refuse(distinct, SingularEvaluationError,
+           lambda at: f"coincident roots p_{at[-1] + 1} = q_{at[-2] + 1} for distinct functions")
     # one kernel call for both, as in _izergin_kernels
     (sinh_eta, sinh_u), (cosh_eta, cosh_u) = sinh_cosh(np.stack([(u - eta) / 2, u / 2]))
     sinh_u[limit] = 1.0  # sinh(u/2) vanishes at the limit entries, filled in below
-    pole = sinh_eta == 0
-    if pole.any():
-        raise SingularEvaluationError("coth evaluated at a pole", at=first_index(pole))
+    refuse(sinh_eta == 0, SingularEvaluationError, "coth evaluated at a pole")
     base, kern = cosh_eta / sinh_eta, cosh_u / sinh_u
     q_p_eta, q_p_eta_plus = pair.q_at_p
     afrak_p = a_frak_values(p.a_r, p.d_r, q_p_eta, q_p_eta_plus)
@@ -514,12 +495,9 @@ def sp_slavnov(pair: PairContext, alpha: complex):
     inhomogeneities; the residual is checked up front.
     """
     res = cond_pq_residual(pair)
-    violated = ~(res <= _COND_TOL)
-    if violated.any():
-        at = first_index(violated)
-        raise ParameterError(
-            f"compatibility condition violated (residual {res[at]:.3e}); "
-            "the root-labelled representation does not apply", at=at)
+    refuse(~(res <= _COND_TOL), ParameterError,
+           lambda at: f"compatibility condition violated (residual {res[at]:.3e}); "
+                      "the root-labelled representation does not apply")
     return det_lu(slavnov_matrix(*pair.halves, alpha)) / pair.cauchy_det
 
 
@@ -687,8 +665,7 @@ def x_contraction_check(params: ModelParams, pr, qr, beta: complex) -> float:
     a_q, a_p, d_p = params.a_fn(qr), params.a_fn(pr), params.d_fn(pr)
     p_ipi = half_period_values(pr, pr + IPI)
     sinh_half, cosh_half = sinh_cosh(u / 2)
-    if (abs(sinh_half) < 1e-13).any():
-        raise SingularEvaluationError("coincident roots p_k = q_j")
+    refuse(abs(sinh_half) < 1e-13, SingularEvaluationError, "coincident roots p_k = q_j")
     closed = (2 * beta * half_period_values(qr, qr + eta) / a_q)[:, None] \
         * _p_ipi_over_sinh(sinh_half, cosh_half) \
         - half_period_values(qr, pr - eta) * p_ipi / d_p * coth((u - eta) / 2) \
@@ -697,15 +674,15 @@ def x_contraction_check(params: ModelParams, pr, qr, beta: complex) -> float:
     return float(np.max(np.abs(direct - closed) / scale))
 
 
-def half_period_split_check(pair: PairContext, alpha: complex):
+def half_period_split_check(pair: PairContext, alpha: complex, ref: complex):
     """Deviations of the two double-period intermediate determinant forms from
-    the weighted Izergin value, plus the entrywise defect between the two
-    printed variants of the Q-labelled kernel, on a 1 x 1 grid."""
+    the weighted Izergin value ``ref`` of the pair at ``alpha``, plus the
+    entrywise defect between the two printed variants of the Q-labelled
+    kernel, on a 1 x 1 grid."""
     params, p, q = pair.params, *(t.take(0) for t in pair.tables)
     n, eta = params.n, params.eta
     xi = np.asarray(params.xi, dtype=np.complex128)
     pr, qr = p.roots, q.roots
-    ref = sp_izergin(pair, alpha)[0, 0]
     # f_tilde at xi and at xi + i*pi, where P(lam + 2 i pi) = (-1)^N P(lam) cancels
     ft = f_tilde_values(p.x_eta_ipi, q.x, p.x_ipi, q.x_eta)
     ft_ipi = f_tilde_values(p.x_eta, q.x_ipi, p.x, q.x_eta_ipi)
@@ -790,7 +767,7 @@ def identity_bench(params: ModelParams, table: QTable, seed: int) -> dict:
     slav = sp_slavnov(pair, alpha)[0, 0]
     ize = sp_izergin(pair, alpha)[0, 0]
     out["root_relabel"] = float(abs(slav - ize) / max(abs(ize), 1e-30))
-    dev_p, dev_q, kernel_dev = half_period_split_check(pair, alpha)
+    dev_p, dev_q, kernel_dev = half_period_split_check(pair, alpha, ize)
     out["half_period_split_p"] = float(dev_p)
     out["half_period_split_q"] = float(dev_q)
     out["half_period_kernel_forms"] = float(kernel_dev)

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import SingularEvaluationError, names_record
+from .errors import SingularEvaluationError, names_record, refuse
 from .lattice import MonodromyBlocks, monodromy_entries, reference_state
 from .model import ModelParams, QTable, dist_mod_2ipi, vandermonde
 
@@ -107,14 +107,10 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
         # distance from xi_k - eta to the nearest root of P, per record and site k
         dist = dist_mod_2ipi(table.roots[:, :, None],
                              np.asarray(params.xi) - params.eta).min(axis=1)
-        near = (dist < SHIFTED_NODE_GUARD).any(axis=1)
-        if near.any():
-            i = int(np.argmax(near))
-            k = int(np.argmin(dist[i]))
-            raise SingularEvaluationError(
-                f"P has a root {dist[i, k]:.3e} from xi_{k + 1} - eta, "
-                f"within {SHIFTED_NODE_GUARD:g}; build the unnormalized state instead",
-                at=(i,))
+        refuse((dist < SHIFTED_NODE_GUARD).any(axis=1), SingularEvaluationError,
+               lambda at: f"P has a root {dist[at].min():.3e} from "
+                          f"xi_{dist[at].argmin() + 1} - eta, within {SHIFTED_NODE_GUARD:g}; "
+                          "build the unnormalized state instead")
         base = kappa if side == "ket" else 1 / kappa
         site = np.where(basis.labels, 1.0, base * (x / x_eta))
         v_part = v_shift / basis.v_h[0] if side == "ket" else v_shift

@@ -27,6 +27,7 @@ from .errors import (
     ParityError,
     SingularEvaluationError,
     names_record,
+    refuse,
 )
 from .lattice import spectrum_oracle, transfer_k
 from .linalg import modulus, roots_monic, row_norms
@@ -36,7 +37,6 @@ from .model import (
     canonical_roots,
     dist_mod_2ipi,
     dist_mod_ipi,
-    first_index,
     q_structure_residuals,
     q_table,
     prod_and_deriv,
@@ -70,15 +70,12 @@ class Spectrum:
 def tau_hat(params: ModelParams, taus: np.ndarray, lam, d) -> np.ndarray:
     """e^lam tau(lam) / d(lam), the i*pi-periodic eigenvalue ratio, of each
     eigenvalue of ``taus`` (row: its tau(xi_k)) at every point of the array
-    ``lam`` (column), given d there (``d``), as one batch: tau from the weight
-    rows of ``params.node_basis``, the basis the eigenvalues interpolate
-    through."""
+    ``lam`` (column), given d there (``d``, of ``lam``'s shape), as one
+    batch: tau from the weight rows of ``params.node_basis``, the basis the
+    eigenvalues interpolate through."""
     lam = np.asarray(lam, dtype=np.complex128)
-    zero = abs(np.asarray(d)) < 1e-13
-    if zero.any():
-        raise SingularEvaluationError(
-            f"tau_hat evaluated at a zero of d (lam={complex(np.ravel(lam)[zero.argmax()])})",
-            at=first_index(zero))
+    refuse(abs(np.asarray(d)) < 1e-13, SingularEvaluationError,
+           lambda at: f"tau_hat evaluated at a zero of d (lam={complex(lam[at])})")
     return np.exp(lam) * (taus @ params.node_basis.weights(lam).T) / d
 
 
@@ -442,12 +439,10 @@ def solve_spectrum(basis: SovBasis, seed: int = 4242,
     """
     params = basis.params
     taus, vectors = spectrum_oracle(params, basis.at_xi)
-    unpaired = np.any(taus[::-1] != -taus, axis=-1)
-    if unpaired.any():
-        i = int(np.argmax(unpaired))
-        raise ParityError(f"record {i}: tau(xi_k) is not the negation of record "
-                          f"{len(taus) - 1 - i}'s, so the oracle's spectrum is not "
-                          "paired under negation")
+    refuse(np.any(taus[::-1] != -taus, axis=-1), ParityError,
+           lambda at: f"record {at[0]}: tau(xi_k) is not the negation of record "
+                      f"{len(taus) - 1 - at[0]}'s, so the oracle's spectrum is not "
+                      "paired under negation")
     chain = chain_values(basis, seed)
     roots, bethe = refine_bethe(params, q_from_tau(params, taus[:len(taus) // 2], chain))
     spectrum = certify(params, taus, roots, bethe, chain, tolerances)

@@ -476,6 +476,25 @@ class TestValidateCommand:
         assert cli._sov_action_residual(bad, points) > 1e-8
         assert cli._sov_measure_residual(bad) > DEFAULT_TOLERANCES["sov_measure"]
 
+    @pytest.mark.parametrize("check, formula", [
+        ("identity_root_relabel", "sp_slavnov"),
+        ("identity_cauchy_closed_form", "coth_cauchy_closed_form"),
+    ])
+    def test_identity_checks_catch_a_scaled_value(self, tmp_path, monkeypatch, check, formula):
+        # the Slavnov scalar product, or the closed form of the coth Cauchy
+        # determinant, scaled by 1 + 1e-6: the identity check that compares
+        # it with its other form reads the defect to within 2x and fails at
+        # its default tolerance
+        defect = 1e-6
+        real = getattr(obs, formula)
+        monkeypatch.setattr(obs, formula, lambda *args: real(*args) * (1 + defect))
+        out = tmp_path / "v.json"
+        assert run(["validate", "--out", str(out)]) == 1
+        result = read(out)["checks"][check]
+        assert result["tolerance"] == DEFAULT_TOLERANCES["identity_bench"]
+        assert result["pass"] is False
+        assert defect / 2 < result["residual"] < 2 * defect, result["residual"]
+
     def test_impossible_tolerance_fails_without_crash(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(["validate", "--out", str(out), "--tol", "sov_measure=1e-18",
@@ -998,6 +1017,35 @@ class TestObservablesCommand:
         assert not summary["pass"] and summary["tolerance"] == DEFAULT_TOLERANCES[key]
         assert defect / 2 < summary["residual"] < 2 * defect, summary["residual"]
         assert summary["worst_at"] == worst_at
+
+    def test_orthogonality_catches_an_injected_overlap(self, tmp_path, monkeypatch):
+        # at kappa' = kappa the ket of Q5 takes on the multiple of the ket of
+        # P2 that gives the pair (P2, Q5) an overlap of 1e-5 ||bra_P2||
+        # ||ket_Q5||; every other bra stays orthogonal to it, so the check
+        # fails at its default tolerance, reads the overlap to within 2x and
+        # names that pair
+        defect, p, q = 1e-5, 2, 5
+        real, bras = cli.separate_state, []
+
+        def overlapping(basis, table, kappa, side):
+            state = real(basis, table, kappa, side)
+            if side == "bra":  # the command builds its bras first
+                bras.append(state.embedded)
+                return state
+            kets, bra = state.embedded.copy(), bras[-1][p]
+            kets[q] += defect * np.linalg.norm(bra) * np.linalg.norm(kets[q]) \
+                / (bra @ kets[p]) * kets[p]
+            return dataclasses.replace(state, embedded=kets)
+
+        monkeypatch.setattr(cli, "separate_state", overlapping)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        cfg.write_text(json.dumps({"n": 3, "kappa_prime": [1.0, 0.0]}))
+        assert run(["observables", "--config", str(cfg), "--out", str(out)]) == 1
+        summary = read(out)["summary"]["orthogonality"]
+        assert not summary["pass"]
+        assert summary["tolerance"] == DEFAULT_TOLERANCES["orthogonality"]
+        assert defect / 2 < summary["residual"] < 2 * defect, summary["residual"]
+        assert summary["worst_at"] == f"P{p}_Q{q}"
 
     def test_same_twist_populates_orthogonality(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -27,7 +27,6 @@ UNREACHED = {
     # refusal or import-time paths
     "errors.SovxxzError.__init__": "runs only when a refusal is raised",
     "errors.names_refusals": "runs at import, to build the record and pair decorators",
-    "model.first_index": "indexes the first offender of a refusal",
     # test references that perfbench/spans.py traces, kept until the span list
     # changes (ROADMAP item 13)
     "linalg.eig_dense": "the dense eigensolve the lattice and CLI tests compare against",

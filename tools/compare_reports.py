@@ -89,6 +89,11 @@ DEFAULT_CASES = (
     ("validate", '{"n": 4, "sites": [3, 2]}', "1-2"),
     ("validate", '{"n": 4, "kappa": [0.8, -0.3]}', "1-3"),
     ("validate", '{"n": 8}', "1-8"),
+    # refusing cases, so that stderr parity covers refusal messages: root-gate
+    # refusals of records 4, 40 and 0 (ROADMAP item 15 is expected to turn
+    # these into passes), and a certification refusal of record 0
+    ("spectrum", '{"n": 7, "eta": [1.2, 0.9]}', "1-3"),
+    ("spectrum", '{"n": 8, "eta": [0.8, 0.0]}', "2"),
 )
 
 
