@@ -100,6 +100,11 @@ def _rel(a, b, scale):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(scale, 1e-30))
 
 
+def _rel_defect(lhs, rhs) -> float:
+    """Relative Frobenius defect ||lhs - rhs|| / max(||lhs||, 1)."""
+    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -122,7 +127,7 @@ def _rtt_residual(t_lam: MonodromyBlocks, t_mu: MonodromyBlocks, r: np.ndarray) 
     r = r.reshape(2, 2, 2, 2)
     lhs = np.einsum("ikmn,mjnlab->ikjlab", r, tl[:, :, None, None] @ tm)
     rhs = np.einsum("knimab,mnjl->ikjlab", tm[:, :, None, None] @ tl, r)
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
+    return _rel_defect(lhs, rhs)
 
 
 def _sov_action_residual(basis: SovBasis,
@@ -180,12 +185,12 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     perm = [0, 2, 1, 3, 4, 6, 5, 7]
     r13 = np.kron(r_matrix(lam, params.eta), np.eye(2))[np.ix_(perm, perm)]
     r123 = r12 @ r13 @ r23
-    ybe = np.linalg.norm(r123 - r23 @ r13 @ r12) / max(np.linalg.norm(r123), 1.0)
-    checks["yang_baxter"] = _check(ybe, tol_lat)
+    checks["yang_baxter"] = _check(_rel_defect(r123, r23 @ r13 @ r12), tol_lat)
 
     kmat = twist_matrix(params.kappa)
     kk = np.kron(kmat, kmat)
     rl = r_matrix(lam, params.eta)
+    # relative to ||R(lam)||, not to the left side as _rel_defect takes it
     checks["twist_commutation"] = _check(
         np.linalg.norm(rl @ kk - kk @ rl) / max(np.linalg.norm(rl), 1.0), tol_lat)
 
@@ -205,8 +210,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None) -> int:
     tk_lam = blocks.transfer(params.kappa)
     tk_mu = blocks_mu.transfer(params.kappa)
     tk_lam_mu = tk_lam @ tk_mu
-    checks["transfer_commutation"] = _check(
-        np.linalg.norm(tk_lam_mu - tk_mu @ tk_lam) / max(np.linalg.norm(tk_lam_mu), 1.0), tol_lat)
+    checks["transfer_commutation"] = _check(_rel_defect(tk_lam_mu, tk_mu @ tk_lam), tol_lat)
 
     # the dressing is the one reader of A and D at the nodes: each node's
     # monodromy is built once here, and the basis shares its B and C

@@ -257,7 +257,7 @@ def transfer_eigenvalues(t: FlipBlocks, kappa: complex, witnesses: np.ndarray,
     and under the oracle's degeneracy guard: a reference that shares no step
     with ``spectrum_oracle`` and is not closed under negation by construction.
 
-    Each eigenvalue lam_k is gated as ``linalg.eig_dense`` gates a pair,
+    Each eigenvalue lam_k is gated by
     ||M z - lam_k z|| <= EIGENPAIR_TOL * max(||M||_F, 1) * ||z||, on a
     witness z taken from outside the solve: the row of ``witnesses``
     (eigenvectors of the transfer matrix at ``witness_kappa`` at the same

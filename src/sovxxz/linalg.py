@@ -1,9 +1,7 @@
 """Dense complex linear-algebra kernels: determinants, polynomial roots and
-eigendecompositions.
-
-Everything works on plain ``numpy`` arrays in complex double precision; the
-heavy factorizations are delegated to LAPACK through numpy (LU with partial
-pivoting for determinants, Hessenberg + shifted QR for eigenpairs).
+row norms, on plain ``numpy`` arrays in complex double precision.  LAPACK does
+the factorizations through numpy: LU with partial pivoting for determinants,
+one stacked eigensolve of companion matrices for roots.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, refuse
 
 MAX_SITES = 8  # the dense cap, for every module: chains up to N = 8 sites
-MAX_EIG_DIM = 2**MAX_SITES
 # roots_monic refuses a root whose residual exceeds this times 1 + max|c_k|
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -26,14 +23,6 @@ def as_square_stack(m) -> np.ndarray:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
-    return a
-
-
-def as_square_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a square complex matrix with finite entries."""
-    a = as_square_stack(m)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -91,33 +80,3 @@ def row_norms(x) -> np.ndarray:
     x = np.asarray(x)
     re, im = x.real[..., None, :], x.imag[..., None, :]
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
-
-
-def eig_dense(m, tol: float = 1e-9, max_dim: int = MAX_EIG_DIM):
-    """Full eigendecomposition of a general complex matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors in columns,
-    pairs sorted by (real, imag) of the eigenvalue.  Each eigenvector is
-    normalized to unit length with its largest-magnitude component rotated to
-    the positive real axis, which makes the output reproducible.
-
-    Each pair must satisfy ||M v - lam v|| <= tol * ||M|| * ||v||; the first
-    offending index is reported otherwise.
-    """
-    a = as_square_matrix(m)
-    n = a.shape[0]
-    if n > max_dim:
-        raise DimensionError(f"matrix dimension {n} exceeds dense cap {max_dim}")
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    vecs /= pivot / modulus(pivot) * row_norms(vecs.T)
-    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    refuse(resid > tol * max(np.linalg.norm(a), 1.0), ConvergenceError,
-           lambda at: f"eigenpair {at[0]} residual {resid[at]:.3e} exceeds {tol:.1e} * ||M||")
-    return vals, vecs

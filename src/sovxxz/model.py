@@ -554,12 +554,12 @@ def q_structure_residuals(table: QTable, params: ModelParams, grid: np.ndarray):
 
 
 class InterpolationBasis:
-    """Lagrange weights of interpolation through the nodes ``xi``: the weight
-    of node j at lam is prod_{k != j} sinh(lam - xi_k) over the node
-    denominator prod_{k != j} sinh(xi_j - xi_k) (``den``, one
-    ``node_denominators`` row).  One basis serves every eigenvalue of a
-    spectrum.  ``xi`` may also be a stack of node sets (last axis: nodes),
-    whose weights at one point are a stack of rows.
+    """Lagrange weights through the nodes ``xi``: node j's weight at lam is
+    prod_{k != j} sinh(lam - xi_k) over den_j = prod_{k != j} sinh(xi_j - xi_k)
+    (``den``, a ``node_denominators`` row).  They reproduce the span of
+    e^{(N-1)lam}, ..., e^{-(N-1)lam} with parity (-1)^{N-1} under lam -> lam +
+    i*pi, which holds every twisted transfer-matrix eigenvalue, so one basis
+    serves a spectrum.  A stack of node sets ``xi`` gives a stack of rows.
     """
 
     def __init__(self, xi):
@@ -577,27 +577,3 @@ class InterpolationBasis:
         # others[j] lists the nodes k != j
         others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
         return sinh_prod_deriv(_less(points, self.xi)[..., others]) / self.den
-
-
-class TrigInterpolation:
-    """Quasi-periodic interpolation through values at the nodes of ``basis``.
-
-    f(lam) = sum_j f_j prod_{k != j} sinh(lam - xi_k) / sinh(xi_j - xi_k);
-    this reproduces any function in the span of {e^{(N-1)lam}, ..., e^{-(N-1)lam}}
-    with parity (-1)^{N-1} under lam -> lam + i*pi, which contains the twisted
-    transfer-matrix eigenvalues.
-    """
-
-    def __init__(self, basis: InterpolationBasis, values):
-        self.basis = basis
-        self.values = np.asarray(values, dtype=np.complex128)
-        if basis.xi.shape != self.values.shape:
-            raise ParameterError("interpolation nodes/values length mismatch")
-
-    def __call__(self, lam):
-        """f(lam), elementwise on arrays."""
-        return self.basis.weights(lam) @ self.values
-
-    def deriv(self, lam):
-        """f'(lam), elementwise on arrays."""
-        return self.basis.weight_derivs(lam) @ self.values

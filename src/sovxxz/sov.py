@@ -122,9 +122,3 @@ def separate_state(basis: SovBasis, table: QTable, kappa: complex,
     # one stacked product that rounds each row as ``row @ vectors`` alone
     vectors = basis.kets if side == "ket" else basis.bras
     return SovState(coefficients=coeffs, embedded=(coeffs[:, None] @ vectors)[:, 0])
-
-
-def matrix_element(bra: SovState, op: np.ndarray, ket: SovState) -> np.ndarray:
-    """Bilinear matrix element <bra| op |ket> on the spin space of every bra
-    state with every ket state: entry (i, j) for bra i and ket j."""
-    return bra.embedded @ (op @ ket.embedded.T)

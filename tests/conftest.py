@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sovxxz.config import generate_xi
-from sovxxz.model import ModelParams, TrigInterpolation, q_table
+from sovxxz.model import ModelParams, q_table
 from sovxxz.observables import PairContext
 from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import Spectrum, solve_spectrum
@@ -84,9 +84,15 @@ def hat(spectrum, i: int) -> np.ndarray:
     return spectrum.table.roots[-1 - i]
 
 
-def tau(params: ModelParams, spectrum, i: int) -> TrigInterpolation:
-    """The eigenvalue tau(lam) of record ``i`` of ``spectrum``."""
-    return TrigInterpolation(params.node_basis, spectrum.table.tau[i])
+def tau(params: ModelParams, spectrum, i: int):
+    """The eigenvalue tau(lam) of record ``i`` of ``spectrum``, elementwise on
+    arrays: its node values through the weights of ``params.node_basis``."""
+    return lambda lam: params.node_basis.weights(lam) @ spectrum.table.tau[i]
+
+
+def matrix_element(bra, op: np.ndarray, ket) -> np.ndarray:
+    """Bilinear <bra_i| op |ket_j> of every bra state i with every ket state j."""
+    return bra.embedded @ (op @ ket.embedded.T)
 
 
 def pair_context(params: ModelParams, spectrum, ps, qs, z=None):

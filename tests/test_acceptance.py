@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import KAPPA2, make_params, norm_scales, pair_context, poly, rel_dev, rng
+from conftest import (KAPPA2, make_params, matrix_element, norm_scales, pair_context, poly,
+                      rel_dev, rng)
 from paper_forms import product_matrix, sp_product_check
 from sovxxz import observables as obs
 from sovxxz.cli import main as cli_main
@@ -27,7 +28,7 @@ from sovxxz.lattice import (
     monodromy_entries,
     transfer_eigenvalues,
 )
-from sovxxz.sov import SovBasis, matrix_element, separate_state
+from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import solve_spectrum
 
 TOL_SOV_MEASURE = 1e-9

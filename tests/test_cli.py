@@ -29,7 +29,7 @@ from sovxxz.errors import (
     DimensionError,
     ParameterError,
 )
-from sovxxz.linalg import MAX_EIG_DIM, MAX_SITES, eig_dense
+from sovxxz.linalg import MAX_SITES
 from sovxxz.model import DELTA_MIN_DEFAULT
 
 
@@ -117,17 +117,14 @@ class TestConfig:
         assert cfg.tolerances == DEFAULT_TOLERANCES
 
     def test_one_dense_cap_in_every_layer(self, tmp_path, capsys):
-        # config, monodromy and eigensolve refuse one past N = 8 with their own texts
-        assert (MAX_SITES, MAX_EIG_DIM) == (8, 256)
+        # config and monodromy refuse one past N = 8 with their own texts
+        assert MAX_SITES == 8
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 9}))
         assert run(["spectrum", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: n must lie in 1..8, got 9\n"
         with pytest.raises(DimensionError, match=r"^chain length 9 exceeds dense cap 8$"):
             lattice.monodromy_entries(make_params(9), 0.1)
-        with pytest.raises(DimensionError,
-                           match=r"^matrix dimension 512 exceeds dense cap 256$"):
-            eig_dense(np.eye(512))
 
     def test_seed_override_changes_nodes(self):
         a = load_config(None, seed_override=1)
@@ -476,22 +473,29 @@ class TestValidateCommand:
         assert cli._sov_action_residual(bad, points) > 1e-8
         assert cli._sov_measure_residual(bad) > DEFAULT_TOLERANCES["sov_measure"]
 
-    @pytest.mark.parametrize("check, formula", [
-        ("identity_root_relabel", "sp_slavnov"),
-        ("identity_cauchy_closed_form", "coth_cauchy_closed_form"),
+    @pytest.mark.parametrize("check, formula, defect, tolerance", [
+        ("identity_root_relabel", "sp_slavnov", 1e-6, "identity_bench"),
+        ("identity_cauchy_closed_form", "coth_cauchy_closed_form", 1e-6, "identity_bench"),
+        ("identity_functional_reduction", "izergin_ratio", 1e-6, "identity_bench"),
+        ("identity_functional_reduction_zero", "izergin_ratio", 1e-6, "identity_bench"),
+        ("identity_half_period_split_p", "sp_izergin", 1e-6, "identity_bench"),
+        ("identity_half_period_split_q", "sp_izergin", 1e-6, "identity_bench"),
+        ("identity_kernel_contraction", "node_denominators", 1e-6, "identity_bench"),
+        ("identity_kernel_contraction_shifted", "node_denominators", 1e-6, "identity_bench"),
+        ("identity_extension_limit_const", "a_functional", 1e-4, "extension_limit"),
+        ("identity_extension_limit_rational", "a_functional", 1e-4, "extension_limit"),
     ])
-    def test_identity_checks_catch_a_scaled_value(self, tmp_path, monkeypatch, check, formula):
-        # the Slavnov scalar product, or the closed form of the coth Cauchy
-        # determinant, scaled by 1 + 1e-6: the identity check that compares
-        # it with its other form reads the defect to within 2x and fails at
+    def test_identity_checks_catch_a_scaled_value(self, tmp_path, monkeypatch, check, formula,
+                                                  defect, tolerance):
+        # one value an identity check compares with its other form, scaled
+        # by 1 + defect: the check reads the defect to within 2x and fails at
         # its default tolerance
-        defect = 1e-6
         real = getattr(obs, formula)
         monkeypatch.setattr(obs, formula, lambda *args: real(*args) * (1 + defect))
         out = tmp_path / "v.json"
         assert run(["validate", "--out", str(out)]) == 1
         result = read(out)["checks"][check]
-        assert result["tolerance"] == DEFAULT_TOLERANCES["identity_bench"]
+        assert result["tolerance"] == DEFAULT_TOLERANCES[tolerance]
         assert result["pass"] is False
         assert defect / 2 < result["residual"] < 2 * defect, result["residual"]
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sovxxz import linalg
 from sovxxz.errors import ConvergenceError, DimensionError
-from sovxxz.linalg import det_lu, eig_dense, roots_monic
+from sovxxz.linalg import det_lu, roots_monic
 from sovxxz.model import vandermonde
 
 
@@ -179,47 +179,3 @@ class TestRootsMonic:
         rebuilt = monic_coeffs(roots_monic(coeffs))
         scale = max(np.max(np.abs(coeffs)), 1.0)
         assert np.all(np.abs(coeffs - rebuilt) <= 1e-9 * scale)
-
-
-class TestEigDense:
-    def test_diagonal(self):
-        vals, vecs = eig_dense(np.diag([1.0, 2.0j, -3.0]))
-        assert np.allclose(vals, [-3.0, 2.0j, 1.0])
-        for k in range(3):
-            col = vecs[:, k]
-            assert abs(np.max(np.abs(col)) - 1.0) < 1e-12
-
-    def test_sigma_x(self):
-        vals, _ = eig_dense(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_seeded_16x16_residuals(self):
-        rng = np.random.default_rng(99)
-        m = random_complex(rng, (16, 16))
-        vals, vecs = eig_dense(m)
-        for k in range(16):
-            resid = np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k])
-            assert resid < 1e-9 * np.linalg.norm(m)
-
-    def test_trace_equals_eigenvalue_sum(self):
-        rng = np.random.default_rng(3)
-        m = random_complex(rng, (12, 12))
-        vals, _ = eig_dense(m)
-        assert abs(np.sum(vals) - np.trace(m)) <= 1e-10 * abs(np.trace(m))
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionError):
-            eig_dense(np.eye(4), max_dim=2)
-
-    def test_phase_convention_reproducible(self):
-        rng = np.random.default_rng(17)
-        m = random_complex(rng, (8, 8))
-        _, v1 = eig_dense(m)
-        _, v2 = eig_dense(m.copy())
-        assert np.allclose(v1, v2)
-
-    def test_residual_guard_raises(self):
-        rng = np.random.default_rng(2)
-        m = random_complex(rng, (6, 6))
-        with pytest.raises(ConvergenceError):
-            eig_dense(m, tol=1e-30)

@@ -16,7 +16,6 @@ from sovxxz.model import (
     ModelParams,
     PI,
     QTable,
-    TrigInterpolation,
     a_frak_values,
     canonical_roots,
     coth,
@@ -427,28 +426,29 @@ class TestStructureResiduals:
 
 
 class TestTrigInterpolation:
+    # tau(lam) is one weight row of an InterpolationBasis per point against
+    # the node values
     def test_reproduces_nodes_and_derivative(self, params3):
         g = rng(6)
-        vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]
-        interp = TrigInterpolation(InterpolationBasis(params3.xi), vals)
+        vals = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        basis = InterpolationBasis(params3.xi)
         for x, v in zip(params3.xi, vals):
-            assert rel_dev(interp(x), v) < 1e-12
+            assert rel_dev(basis.weights(x) @ vals, v) < 1e-12
         lam, h = 0.3 + 0.4j, 1e-6
-        fd = (interp(lam + h) - interp(lam - h)) / (2 * h)
-        assert abs(interp.deriv(lam) - fd) < 1e-6
+        fd = (basis.weights(lam + h) @ vals - basis.weights(lam - h) @ vals) / (2 * h)
+        assert abs(basis.weight_derivs(lam) @ vals - fd) < 1e-6
 
     def test_call_equals_per_term_formula(self):
-        # the interpolant is one weight row per point against the node
-        # values: at an array of points, nodes and signed zeros included, it
-        # equals the per-term formula, and a scalar call equals its entry of
-        # the array call
+        # at an array of points, nodes and signed zeros included, the
+        # interpolant equals the per-term formula, and a scalar point's row
+        # equals its row of the array
         g = rng(10)
         for n in range(1, 9):
             xi = [complex(g.uniform(-1, 1), g.uniform(-0.4, 0.4)) for _ in range(n)]
-            interp = TrigInterpolation(InterpolationBasis(xi), [
-                complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])
+            basis = InterpolationBasis(xi)
+            vals = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(n)])
             points = [0.3 + 0.4j, complex(0.25, -0.0), complex(-0.0, 0.1), *xi]
-            got = interp(np.array(points))
+            got = basis.weights(np.array(points)) @ vals
             for lam, value in zip(points, got):
                 ref = 0.0 + 0.0j
                 for j, xj in enumerate(xi):
@@ -457,17 +457,17 @@ class TestTrigInterpolation:
                         if k != j:
                             num *= cmath.sinh(lam - xk)
                             den *= cmath.sinh(xj - xk)
-                    ref += interp.values[j] * num / den
+                    ref += vals[j] * num / den
                 assert rel_dev(value, ref) < 1e-13
-                assert rel_dev(interp(lam), value) < 1e-14
+                assert rel_dev(basis.weights(lam) @ vals, value) < 1e-14
 
     def test_quasi_periodicity(self, params3):
         g = rng(8)
-        vals = [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)]
-        interp = TrigInterpolation(InterpolationBasis(params3.xi), vals)
+        vals = np.array([complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(3)])
+        basis = InterpolationBasis(params3.xi)
         lam = 0.21 - 0.13j
-        assert rel_dev(interp(lam + 1j * np.pi),
-                       (-1.0) ** (params3.n - 1) * interp(lam)) < 1e-12
+        assert rel_dev(basis.weights(lam + 1j * np.pi) @ vals,
+                       (-1.0) ** (params3.n - 1) * (basis.weights(lam) @ vals)) < 1e-12
 
 
 def test_wrap_to_strip():

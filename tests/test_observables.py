@@ -12,6 +12,7 @@ from conftest import (
     KAPPA2,
     certified_chain,
     make_params,
+    matrix_element,
     norm_scales,
     pair_context,
     poly,
@@ -43,7 +44,7 @@ from sovxxz.model import (
     q_table,
     vandermonde_rows,
 )
-from sovxxz.sov import SovBasis, matrix_element, separate_state
+from sovxxz.sov import SovBasis, separate_state
 from sovxxz.spectrum import tau_hat, tau_hat_deriv
 
 

@@ -2,7 +2,8 @@
 command, or is named in ``UNREACHED`` with the reason it is not.
 
 The test runs ``spectrum``, ``observables`` (kappa' != kappa and kappa' =
-kappa) and ``validate`` at n = 3 in this process under ``sys.setprofile`` and
+kappa) and ``validate`` at n = 3 under ``sys.setprofile`` in a fresh
+interpreter, so no cache or state an earlier test left can hide a call, and
 compares the functions no run called with ``UNREACHED``.  A function counts as
 defined when it is a module-level function or a method of a module-level
 class; functions nested inside functions are not listed.  Every module of the
@@ -13,13 +14,11 @@ unreached.
 import ast
 import json
 import os
+import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import sovxxz
-import sovxxz.cli as cli
-import sovxxz.observables  # noqa: F401  imported by two commands only when they run
 
 PACKAGE = Path(sovxxz.__file__).resolve().parent
 
@@ -27,14 +26,6 @@ UNREACHED = {
     # refusal or import-time paths
     "errors.SovxxzError.__init__": "runs only when a refusal is raised",
     "errors.names_refusals": "runs at import, to build the record and pair decorators",
-    # test references that perfbench/spans.py traces, kept until the span list
-    # changes (ROADMAP item 13)
-    "linalg.eig_dense": "the dense eigensolve the lattice and CLI tests compare against",
-    "linalg.as_square_matrix": "the shape guard of eig_dense",
-    "sov.matrix_element": "the dense matrix-element oracle of the form-factor tests",
-    "model.TrigInterpolation.__init__": "tau(lam) of a record in the tests",
-    "model.TrigInterpolation.__call__": "tau(lam) of a record in the tests",
-    "model.TrigInterpolation.deriv": "tau'(lam) of a record in the tests",
 }
 
 RUNS = (
@@ -43,6 +34,28 @@ RUNS = (
     ("observables", {"n": 3, "kappa_prime": [1.0, 0.0]}),
     ("validate", {"n": 3}),
 )
+
+
+# argv: the directory holding the package, then a JSON list of (command,
+# config path, report path); prints the codes and the (file, first line) of
+# every code object called, as JSON
+TRACE = """\
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import sovxxz.cli as cli
+import sovxxz.observables  # imported by two commands only when they run
+called, codes = set(), []
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+threading.setprofile(profile)
+for command, cfg, out in json.loads(sys.argv[2]):
+    codes.append(cli.main([command, "--config", cfg, "--out", out]))
+threading.setprofile(None)
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -65,28 +78,17 @@ def defined_functions() -> dict[tuple[str, int], str]:
 
 
 def test_every_function_is_reached_or_named(tmp_path):
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    codes = []
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    threading.setprofile(profile)
-    try:
-        for i, (command, config) in enumerate(RUNS):
-            cfg = tmp_path / f"cfg{i}.json"
-            cfg.write_text(json.dumps(config))
-            codes.append(cli.main([command, "--config", str(cfg),
-                                   "--out", str(tmp_path / f"report{i}.json")]))
-    finally:
-        threading.setprofile(None)
-        sys.setprofile(previous)
+    runs = []
+    for i, (command, config) in enumerate(RUNS):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(config))
+        runs.append((command, str(cfg), str(tmp_path / f"report{i}.json")))
+    done = subprocess.run([sys.executable, "-c", TRACE, str(PACKAGE.parent), json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    traced = json.loads(done.stdout)
     # each run wrote its report; observables exits 1 through pm_equality
-    assert 2 not in codes
-    reached = {(os.path.realpath(name), line) for name, line in called}
+    assert 2 not in traced["codes"]
+    reached = {(os.path.realpath(name), line) for name, line in traced["called"]}
     unreached = {name for key, name in defined_functions().items() if key not in reached}
     assert unreached == set(UNREACHED), (
         f"reached or deleted though named: {sorted(set(UNREACHED) - unreached)}; "
