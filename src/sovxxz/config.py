@@ -9,11 +9,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParameterError
 from .linalg import MAX_SITES
 from .model import DELTA_MIN_DEFAULT, ModelParams
+from .rng import Uniform
 
 MAX_N_OBSERVABLES = 6
 XI_MAX_TRIES = 100
@@ -144,12 +143,13 @@ class RunConfig:
 def generate_xi(n: int, eta: complex, seed: int, box: dict,
                 min_separation: float) -> tuple[complex, ...]:
     """Draw inhomogeneities in a box until the shift-set separation holds,
-    at most XI_MAX_TRIES times."""
-    rng = np.random.default_rng(seed)
+    at most XI_MAX_TRIES times, each xi_k as (real, imag) from
+    ``rng.Uniform(seed)``."""
+    rng = Uniform(seed)
     re_lo, re_hi = box.get("re_range", [-1.0, 1.0])
     im_lo, im_hi = box.get("im_range", [-0.4, 0.4])
     for _ in range(XI_MAX_TRIES):
-        xi = tuple(complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+        xi = tuple(complex(rng(re_lo, re_hi), rng(im_lo, im_hi))
                    for _ in range(n))
         try:
             ModelParams(n=n, eta=eta, xi=xi, delta_min=min_separation)

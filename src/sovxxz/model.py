@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularEvaluationError, refuse
 from .linalg import modulus
+from .rng import Uniform
 
 PI = np.pi
 IPI = 1j * np.pi
@@ -332,15 +333,17 @@ def residual_grid(params: ModelParams) -> np.ndarray:
     (3, 4N+5) array with rows lam, a(lam) and d(lam).  They depend on the
     chain only, so one grid serves every record of a spectrum.
 
-    Candidates are drawn ``count`` at a time as (real, imag) pairs, the same
-    stream as one pair per candidate, and accepted in order."""
+    Candidates are drawn ``count`` at a time as (real, imag) pairs from
+    ``rng.Uniform(20240)``, in the order of numpy's ``default_rng(20240)
+    .uniform([-1.5, -0.45 pi], [1.5, 0.45 pi], size=(count, 2))``, and
+    accepted in order."""
     count = 4 * params.n + 5
-    rng = np.random.default_rng(20240)
+    rng = Uniform(20240)
     avoid = np.array(params.forbidden_points(), dtype=np.complex128)
     pts = np.empty(0, dtype=np.complex128)
     while len(pts) < count:
-        pairs = rng.uniform([-1.5, -0.45 * PI], [1.5, 0.45 * PI], size=(count, 2))
-        z = pairs.view(np.complex128)[:, 0]
+        z = np.array([complex(rng(-1.5, 1.5), rng(-0.45 * PI, 0.45 * PI))
+                      for _ in range(count)])
         pts = np.concatenate([pts, z[dist_mod_ipi(z[:, None], avoid).min(axis=1)
                                      >= params.delta_min]])
     lam = pts[:count]

@@ -47,6 +47,7 @@ from .model import (
     vandermonde,
     vandermonde_rows,
 )
+from .rng import Uniform
 from .spectrum import tau_hat, tau_hat_deriv
 
 _COLLISION_TOL = 1e-9
@@ -730,22 +731,22 @@ def identity_bench(params: ModelParams, table: QTable, seed: int) -> dict:
     product transformations, on the first two records of the certified
     ``table``.  Returns a name -> residual map; everything is a relative
     deviation."""
-    rng = np.random.default_rng(seed)
+    rng = Uniform(seed)
     n = params.n
     out: dict[str, float] = {}
 
     # reduction of the dressed-Vandermonde functional to the weighted Izergin form
     xs = params.xi
     zero = abs(_dressed_vandermonde(params.node_rows, [0.0] * n) - 1.0)
-    zs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+    zs = [complex(rng(-1, 1), rng(-1, 1)) for _ in range(n)]
     out["functional_reduction_zero"] = float(zero + abs(
         izergin_ratio(xs, zs, [0.0] * n, params.eta) - 1.0))
     worst = 0.0
     for _ in range(3):
-        f_vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        f_vals = [complex(rng(-1, 1), rng(-1, 1)) for _ in range(n)]
         zs = []
         while len(zs) < n:
-            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            z = complex(rng(-1, 1), rng(-1, 1))
             if dist_mod_2ipi(z, xs).min() > params.delta_min \
                     and all(abs(z - w) > params.delta_min for w in zs):
                 zs.append(z)
@@ -756,13 +757,13 @@ def identity_bench(params: ModelParams, table: QTable, seed: int) -> dict:
     out["functional_reduction"] = float(worst)
 
     pr, qr = table.roots[:2]
-    beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    beta = complex(rng(-1, 1), rng(-1, 1))
     out["kernel_contraction"] = float(x_contraction_check(params, pr, qr, beta))
-    synth = canonical_roots([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
+    synth = canonical_roots([complex(rng(-1, 1), rng(-1, 1)) for _ in range(n)])
     out["kernel_contraction_shifted"] = float(
         x_contraction_check(params, canonical_roots(synth + IPI), synth, beta))
 
-    alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    alpha = complex(rng(-1, 1), rng(-1, 1))
     pair = PairContext(params, table.take([0]), table.take([1]))
     slav = sp_slavnov(pair, alpha)[0, 0]
     ize = sp_izergin(pair, alpha)[0, 0]
@@ -777,10 +778,10 @@ def identity_bench(params: ModelParams, table: QTable, seed: int) -> dict:
     out["cauchy_closed_form"] = float(
         abs(denom_closed - denom_det) / max(abs(denom_det), 1e-30))
 
-    f_const = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    f_const = complex(rng(-1, 1), rng(-1, 1))
     out["extension_limit_const"] = float(
         extension_limit_check(params, lambda u: np.full(np.shape(u), f_const), f_const))
-    zw = [complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)) for _ in range(2)]
+    zw = [complex(rng(-1, 1), rng(-0.5, 0.5)) for _ in range(2)]
     out["extension_limit_rational"] = float(extension_limit_check(
         params, lambda u: e_weight(zw, params.eta, u), cmath.exp(-2 * params.eta)))
     return out

@@ -44,6 +44,7 @@ from .model import (
     residual_grid,
     sinh_cosh,
 )
+from .rng import Uniform
 from .sov import SovBasis, separate_state
 
 NEWTON_MAX_ITER = 50
@@ -92,10 +93,12 @@ def tau_hat_deriv(params: ModelParams, taus: np.ndarray, lam) -> np.ndarray:
 
 
 def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+    """``count`` T-Q sample points lam, each drawn as (real, imag) from
+    ``rng.Uniform(seed)`` and kept if delta_min away from those before it."""
+    rng = Uniform(seed)
     pts: list[complex] = []
     while len(pts) < count:
-        z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.4, 1.4))
+        z = complex(rng(-1.2, 1.2), rng(-1.4, 1.4))
         if all(abs(z - p) >= params.delta_min for p in pts):
             pts.append(z)
     return np.array(pts, dtype=np.complex128)
@@ -332,13 +335,14 @@ def discrete_char_residual(table: QTable, chain: ChainValues) -> np.ndarray:
 
 
 def probe_transfers(params: ModelParams) -> list[tuple[complex, np.ndarray]]:
-    """Three seeded probe points mu with their transfer matrices at the
-    twist ``params.kappa``; they do not depend on the record, so one list
-    serves a whole spectrum."""
-    rng = np.random.default_rng(515)
+    """Three seeded probe points mu, each drawn as (real, imag) from
+    ``rng.Uniform(515)``, with their transfer matrices at the twist
+    ``params.kappa``; they do not depend on the record, so one list serves a
+    whole spectrum."""
+    rng = Uniform(515)
     probes = []
     for _ in range(3):
-        mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        mu = complex(rng(-1, 1), rng(-1, 1))
         probes.append((mu, transfer_k(params, mu)))
     return probes
 

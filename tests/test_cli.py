@@ -499,6 +499,30 @@ class TestValidateCommand:
         assert result["pass"] is False
         assert defect / 2 < result["residual"] < 2 * defect, result["residual"]
 
+    @pytest.mark.parametrize("field", ["x_ipi", "x_eta", "x_eta_ipi"])
+    def test_kernel_forms_check_catches_a_scaled_node_value(self, tmp_path, monkeypatch, field):
+        # the bench's pair rebuilt with one of Q's node values scaled by
+        # 1 + defect: the two printed kernel variants part, and the check
+        # fails at its default tolerance.  It divides the entrywise gap by
+        # max|m2a|, not entry by entry, so it reads the defect only to a
+        # lower bound (about 0.05x to 0.93x on these seeds)
+        defect = 1e-6
+        real = obs.half_period_split_check
+
+        def scaled(pair, alpha, ref):
+            p, q = pair.tables
+            q = dataclasses.replace(q, **{field: getattr(q, field) * (1 + defect)})
+            return real(obs.PairContext(pair.params, p, q), alpha, ref)
+
+        monkeypatch.setattr(obs, "half_period_split_check", scaled)
+        out = tmp_path / "v.json"
+        for seed in (7, 1, 2):
+            assert run(["validate", "--seed", str(seed), "--out", str(out)]) == 1
+            result = read(out)["checks"]["identity_half_period_kernel_forms"]
+            assert result["tolerance"] == DEFAULT_TOLERANCES["identity_bench"]
+            assert result["pass"] is False
+            assert defect / 100 <= result["residual"] < 2 * defect, (seed, result["residual"])
+
     def test_impossible_tolerance_fails_without_crash(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(["validate", "--out", str(out), "--tol", "sov_measure=1e-18",

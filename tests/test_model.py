@@ -206,6 +206,27 @@ class TestSinhCosh:
         assert not stray, "numpy sinh/cosh outside model.sinh_cosh:\n" + "\n".join(stray)
 
 
+def test_the_package_never_names_numpys_random_package():
+    # seeded draws come from sovxxz.rng, so no command pays for importing
+    # numpy.random: it is neither imported nor reached as np.random anywhere
+    stray = []
+    for path in sorted(Path(sovxxz.model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                named = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") \
+                    and node.attr == "random"
+            elif isinstance(node, ast.Import):
+                named = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                named = (node.module or "").split(".")[:2] == ["numpy", "random"] or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            else:
+                continue
+            if named:
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, "numpy.random named in the package:\n" + "\n".join(stray)
+
+
 class TestModelParams:
     def test_commensurate_eta_rejected(self):
         with pytest.raises(ParameterError):

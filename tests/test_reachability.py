@@ -4,7 +4,9 @@ command, or is named in ``UNREACHED`` with the reason it is not.
 The test runs ``spectrum``, ``observables`` (kappa' != kappa and kappa' =
 kappa) and ``validate`` at n = 3 under ``sys.setprofile`` in a fresh
 interpreter, so no cache or state an earlier test left can hide a call, and
-compares the functions no run called with ``UNREACHED``.  A function counts as
+compares the functions no run called with ``UNREACHED``.  The same process
+also reports whether ``numpy.random`` was imported, which no command may do:
+the package draws through ``sovxxz.rng``.  A function counts as
 defined when it is a module-level function or a method of a module-level
 class; functions nested inside functions are not listed.  Every module of the
 package is imported before the runs, so what runs only at import counts as
@@ -37,8 +39,8 @@ RUNS = (
 
 
 # argv: the directory holding the package, then a JSON list of (command,
-# config path, report path); prints the codes and the (file, first line) of
-# every code object called, as JSON
+# config path, report path); prints the codes, the (file, first line) of
+# every code object called and whether numpy.random got imported, as JSON
 TRACE = """\
 import json, sys, threading
 sys.path.insert(0, sys.argv[1])
@@ -54,7 +56,8 @@ for command, cfg, out in json.loads(sys.argv[2]):
     codes.append(cli.main([command, "--config", cfg, "--out", out]))
 threading.setprofile(None)
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "called": sorted(called)}))
+print(json.dumps({"codes": codes, "called": sorted(called),
+                  "numpy_random": "numpy.random" in sys.modules}))
 """
 
 
@@ -88,6 +91,7 @@ def test_every_function_is_reached_or_named(tmp_path):
     traced = json.loads(done.stdout)
     # each run wrote its report; observables exits 1 through pm_equality
     assert 2 not in traced["codes"]
+    assert not traced["numpy_random"], "a command imported numpy.random"
     reached = {(os.path.realpath(name), line) for name, line in traced["called"]}
     unreached = {name for key, name in defined_functions().items() if key not in reached}
     assert unreached == set(UNREACHED), (

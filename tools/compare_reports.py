@@ -94,6 +94,9 @@ DEFAULT_CASES = (
     # these into passes), and a certification refusal of record 0
     ("spectrum", '{"n": 7, "eta": [1.2, 0.9]}', "1-3"),
     ("spectrum", '{"n": 8, "eta": [0.8, 0.0]}', "2"),
+    # the largest one-word seed and seeds of two and three 32-bit words, which
+    # SeedSequence hashes into its pool on paths a one-word seed never takes
+    ("spectrum", '{"n": 3}', "4294967295-4294967296,18446744073709551617"),
 )
 
 
