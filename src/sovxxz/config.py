@@ -92,6 +92,11 @@ def _bounds(value, name: str) -> list[float]:
     bounds = [_number(float, v, name) for v in _list(value, name)]
     if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
         raise ParameterError(f"field {name!r} must be a pair [lo, hi] of finite numbers")
+    lo, hi = bounds
+    if lo > hi:
+        raise ParameterError(f"field {name!r} must have lo <= hi, got {bounds}")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"field {name!r} must have a finite width hi - lo, got {bounds}")
     return bounds
 
 
@@ -121,7 +126,7 @@ def _number(kind: type, value, name: str, text: bool = False):
         raise ParameterError(f"field {name!r} must be {kind.__name__}, got {value!r}") from None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunConfig:
     """Validated run configuration.  ``params`` is the chain with its default
     twist kappa, built once; its ``delta_min`` is the config's xi separation,

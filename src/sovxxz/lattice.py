@@ -86,7 +86,7 @@ def reference_state(n: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class FlipBlocks:
     """The B and C blocks of the monodromy at one point, which flip one spin
     each: all that the SoV basis, its ket and bra recursion, the spectrum
@@ -102,7 +102,7 @@ class FlipBlocks:
         return self.b / kappa + kappa * self.c
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class MonodromyBlocks(FlipBlocks):
     """All four blocks of the monodromy at one point."""
 

@@ -170,7 +170,7 @@ def vandermonde(xs):
     return sinh_prod(x[..., j] - x[..., i])
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class VandermondeRows:
     """The rows of V(x) = det[e^{(2j-M-1) x_i} / 2^{j-1}] before the 2^{j-1}
     scaling, at the M points x (``at_x``) and at x - eta (``at_x_eta``); V(x)
@@ -209,7 +209,7 @@ def eta_is_generic(eta: complex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ModelParams:
     """Chain data: length N, anisotropy eta, inhomogeneities xi and the twist.
 
@@ -350,7 +350,7 @@ def residual_grid(params: ModelParams) -> np.ndarray:
     return _read_only(np.stack([lam, params.a_fn(lam), params.d_fn(lam)]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class QTable:
     """Every value of a stack of Q-functions that depends on them alone,
     built once by ``q_table``; the record residuals, separate states and pair

@@ -74,7 +74,7 @@ class SovBasis:
                 / d_shift_vals[a]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SovState:
     """Separate states, one row per record of the table they were built from:
     (R, 2^N) coefficients over the SoV basis and their (R, 2^N) embedding."""

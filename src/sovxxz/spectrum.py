@@ -50,7 +50,7 @@ from .sov import SovBasis, separate_state
 NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Spectrum:
     """A certified spectrum, built complete by ``certify``: the table of its
     records (tau included), one row per record, record 2^N-1-i the
@@ -104,7 +104,7 @@ def _tq_sample_points(params: ModelParams, count: int, seed: int) -> np.ndarray:
     return np.array(pts, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ChainValues:
     """What the records of one spectrum read and no eigenvalue changes:
     ``tq`` holds the arrays (w^k, a(lam) e^{(N/2-k) eta}, d(lam) e^{(k-N/2) eta}),

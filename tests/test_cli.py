@@ -192,6 +192,10 @@ class TestConfig:
         pytest.param(b'{"xi": {"box": {"im_range": [0.4]}}}', "'xi.box.im_range'", id="xi.box-len"),
         pytest.param(b'{"xi": {"box": {"re_range": [0, 1e400]}}}', "'xi.box.re_range'",
                      id="xi.box-inf"),
+        pytest.param(b'{"n": 2, "xi": {"box": {"re_range": [1.0, -1.0]}}}', "'xi.box.re_range'",
+                     id="xi.box-reversed"),
+        pytest.param(b'{"xi": {"box": {"re_range": [-1e308, 1e308]}}}', "'xi.box.re_range'",
+                     id="xi.box-width-overflow"),
         pytest.param(b'{"sites": 3}', "'sites'", id="sites"),
         pytest.param(b'{"operators": 3}', "'operators'", id="operators"),
         pytest.param(b'{"sites": 0}', "'sites'", id="sites-falsy"),
@@ -237,6 +241,12 @@ class TestConfig:
         cfg.write_text(json.dumps(config))
         with pytest.raises(ParameterError, match=key):
             load_config(cfg)
+
+    def test_equal_box_bounds_are_accepted(self, tmp_path):
+        # a range of width zero pins the coordinate: every xi takes it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "xi": {"box": {"im_range": [0.5, 0.5]}}}))
+        assert [x.imag for x in load_config(cfg).params.xi] == [0.5, 0.5]
 
     @pytest.mark.parametrize("where", ["config", "out"])
     def test_unusable_path_is_a_parameter_error(self, tmp_path, capsys, where):

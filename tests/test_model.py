@@ -1,12 +1,15 @@
 import ast
 import cmath
+import importlib
+import pkgutil
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sovxxz
 import sovxxz.model
 from conftest import hat, make_params, pair_context, poly, rel_dev, rng
 from sovxxz.errors import ParameterError, SingularEvaluationError
@@ -225,6 +228,29 @@ def test_the_package_never_names_numpys_random_package():
             if named:
                 stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not stray, "numpy.random named in the package:\n" + "\n".join(stray)
+
+
+def test_records_generate_only_init_and_two_are_frozen():
+    # every generated method costs a CLI process its class creation at
+    # import, and none but __init__ is called; frozen stays where cached
+    # properties (ModelParams) or shared read-only views (QTable) rely on it
+    records = {}
+    for info in pkgutil.iter_modules(sovxxz.__path__):
+        module = importlib.import_module(f"sovxxz.{info.name}")
+        records.update((cls.__qualname__, cls.__dataclass_params__)
+                       for cls in vars(module).values()
+                       if isinstance(cls, type) and "__dataclass_params__" in vars(cls)
+                       and cls.__module__ == module.__name__)
+    assert not [name for name, p in records.items() if p.eq or p.repr]
+    assert {name for name, p in records.items() if p.frozen} == {"ModelParams", "QTable"}
+
+
+def test_model_params_and_q_table_fields_cannot_be_rebound(params3, records3):
+    table = records3.table
+    for record, name, value in [(params3, "eta", 0.1), (params3, "xi", ()),
+                                (table, "roots", table.x), (table, "tau", None)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
 
 
 class TestModelParams:
